@@ -16,8 +16,7 @@ let full_deployment ?(n = 9) ?(f = 1) ?(mode = Params.Async) ?medium ?retry
     () =
   let params = Params.create_unchecked ?retry ~n ~f ~mode () in
   let rng = Sim.Rng.create 99 in
-  let trace = Sim.Trace.create ~record_events:false () in
-  let engine = Sim.Engine.create ~trace ~rng:(Sim.Rng.split rng) () in
+  let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
   let lo, hi =
     match mode with
     | Params.Async -> (1, 10)

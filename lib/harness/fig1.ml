@@ -58,8 +58,7 @@ let build_link_delay kind =
 let run ?(instrument = fun _ -> ()) kind =
   let params = Registers.Params.create_exn ~n:9 ~f:1 ~mode:Registers.Params.Async () in
   let rng = Sim.Rng.create 1 in
-  let trace = Sim.Trace.create ~record_events:false () in
-  let engine = Sim.Engine.create ~trace ~rng () in
+  let engine = Sim.Engine.create ~rng () in
   instrument engine;
   let net =
     Registers.Net.create ~engine ~params ~link_delay:(build_link_delay kind) ()
@@ -120,5 +119,5 @@ let run ?(instrument = fun _ -> ()) kind =
       Sim.Vtime.( < ) !write1_start !read1_start
       && Sim.Vtime.( < ) !read2_start !write1_end;
     inversion;
-    trace;
+    trace = Sim.Engine.trace engine;
   }

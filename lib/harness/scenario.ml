@@ -7,10 +7,9 @@ type t = {
   history : Oracles.History.t;
 }
 
-let create ?(seed = 1) ?(record_events = false) ?delay ?medium ~params () =
+let create ?(seed = 1) ?delay ?medium ~params () =
   let rng = Sim.Rng.create seed in
-  let trace = Sim.Trace.create ~record_events () in
-  let engine = Sim.Engine.create ~trace ~rng:(Sim.Rng.split rng) () in
+  let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
   let lo, hi =
     match delay with
     | Some (lo, hi) -> (lo, hi)

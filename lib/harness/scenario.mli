@@ -17,7 +17,6 @@ type t = {
 
 val create :
   ?seed:int ->
-  ?record_events:bool ->
   ?delay:int * int ->
   ?medium:Registers.Net.medium ->
   params:Registers.Params.t ->

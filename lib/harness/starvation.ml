@@ -70,8 +70,7 @@ let run ~n ~f ?(sync = false) ?(budget = 6) ?(instrument = fun _ -> ()) () =
     else Registers.Params.create_unchecked ~n ~f ~mode:Registers.Params.Async ()
   in
   let rng = Sim.Rng.create 1 in
-  let trace = Sim.Trace.create ~record_events:false () in
-  let engine = Sim.Engine.create ~trace ~rng () in
+  let engine = Sim.Engine.create ~rng () in
   instrument engine;
   let net =
     Registers.Net.create ~engine ~params
@@ -103,5 +102,5 @@ let run ~n ~f ?(sync = false) ?(budget = 6) ?(instrument = fun _ -> ()) () =
     rounds_used = Registers.Swsr_regular.reader_iterations r;
     returned = !returned;
     params;
-    trace;
+    trace = Sim.Engine.trace engine;
   }

@@ -37,12 +37,11 @@ let client ~net ~cfg ~id ~client_id =
       cfg.keys
   in
   let engine = Registers.Net.engine net in
-  let proc = Printf.sprintf "c%d" client_id in
   {
     cfg;
     registers;
-    wprobe = Registers.Instr.probe ~engine ~proc ~reg:"kv" `Write;
-    rprobe = Registers.Instr.probe ~engine ~proc ~reg:"kv" `Read;
+    wprobe = Registers.Instr.probe ~engine ~client:client_id ~reg:"kv" `Write;
+    rprobe = Registers.Instr.probe ~engine ~client:client_id ~reg:"kv" `Read;
   }
 
 let register t key =

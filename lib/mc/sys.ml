@@ -64,6 +64,10 @@ type t = {
   fibers : (string * Sim.Fiber.handle) list;
   mutable applied : int list; (* menu indices fired so far, newest first *)
   mutable corrupt_times : Sim.Vtime.t list; (* newest first *)
+  named : int list; (* server slots a menu item names, ascending *)
+  mailbox_ordered : bool; (* the menu can corrupt a round tag *)
+  fp_buf : Buffer.t; (* fingerprint rendering, reused across calls *)
+  block_buf : Buffer.t; (* per-server blocks and mailbox keys *)
 }
 
 let behavior_of = function
@@ -206,6 +210,21 @@ let create (cfg : Config.t) =
     fibers;
     applied = [];
     corrupt_times = [];
+    named =
+      List.filter_map
+        (function
+          | Config.Corrupt_server { server; _ } | Config.Crash_recover { server }
+            ->
+            Some server
+          | _ -> None)
+        cfg.menu
+      |> List.sort_uniq Int.compare;
+    mailbox_ordered =
+      List.exists
+        (function Config.Corrupt_round _ -> true | _ -> false)
+        cfg.menu;
+    fp_buf = Buffer.create 1024;
+    block_buf = Buffer.create 256;
   }
 
 let config t = t.cfg
@@ -313,9 +332,9 @@ let apply_corruption t = function
    execution order and virtual-time order coincide: the history the
    oracles see has strictly increasing instants along the explored
    interleaving, exactly as if a wall clock had witnessed it. *)
-let bump t =
-  Sim.Engine.advance_to t.engine
-    (Sim.Vtime.add (Sim.Engine.now t.engine) 1)
+let next_instant t = Sim.Vtime.add (Sim.Engine.now t.engine) 1
+
+let bump t = Sim.Engine.advance_to t.engine (next_instant t)
 
 let apply ?(strict = true) t mv =
   let fail msg =
@@ -325,21 +344,11 @@ let apply ?(strict = true) t mv =
     else false
   in
   match mv with
-  | Deliver label -> (
-    let ready = Sim.Engine.ready t.engine in
-    (* [ready] is (time, seq)-sorted, so the first match is the per-link
-       FIFO head — the only delivery the paper's model admits next on
-       this channel. *)
-    match
-      List.find_opt
-        (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label label)
-        ready
-    with
-    | None -> fail "no pending delivery on that link"
-    | Some r ->
-      bump t;
-      ignore (Sim.Engine.fire t.engine ~seq:r.r_seq);
-      true)
+  | Deliver label ->
+    (* The (time, seq)-least event of the link is its FIFO head — the
+       only delivery the paper's model admits next on this channel. *)
+    Sim.Engine.fire_labeled t.engine ~label ~not_before:(next_instant t)
+    || fail "no pending delivery on that link"
   | Tick i -> (
     let unlabeled =
       List.filter
@@ -367,91 +376,87 @@ let apply ?(strict = true) t mv =
 (* ------------------------------------------------------------------ *)
 (* State fingerprint                                                  *)
 
-let add_cell b (c : Messages.cell) =
-  Buffer.add_string b (string_of_int c.sn);
-  Buffer.add_char b ':';
-  Buffer.add_string b (Value.to_string c.v)
+(* The renderer appends straight to one buffer: no Printf, no Format, and
+   no intermediate strings beyond the per-server blocks and mailbox keys
+   the canonical sort compares.  Its bytes are an artifact format —
+   committed mc counterexamples store terminal fingerprints — and the
+   golden table in test/test_mc.ml pins them. *)
+let str = Buffer.add_string
+let chr = Buffer.add_char
+let num = Value.add_decimal
 
-let add_help b = function
-  | None -> Buffer.add_char b '-'
-  | Some c -> add_cell b c
+let add_cell b (c : Messages.cell) = num b c.sn; chr b ':'; Value.add_to_buffer b c.v
+
+let add_help b = function None -> chr b '-' | Some c -> add_cell b c
 
 let add_to_server b (env : Messages.server_envelope) =
-  Buffer.add_string b
-    (Printf.sprintf "%d/%d/%d/" env.round env.client env.inst);
+  num b env.round; chr b '/'; num b env.client; chr b '/'; num b env.inst; chr b '/';
   match env.body with
-  | Messages.Write c ->
-    Buffer.add_char b 'W';
-    add_cell b c
-  | Messages.New_help c ->
-    Buffer.add_char b 'H';
-    add_cell b c
-  | Messages.Read nr -> Buffer.add_string b (if nr then "Rn" else "Ro")
+  | Messages.Write c -> chr b 'W'; add_cell b c
+  | Messages.New_help c -> chr b 'H'; add_cell b c
+  | Messages.Read nr -> str b (if nr then "Rn" else "Ro")
 
-let add_to_client ?(ren = fun s -> s) b (env : Messages.client_envelope) =
-  Buffer.add_string b (Printf.sprintf "%d/%d/" env.round (ren env.server));
+(* An ack as [round/origin/body] with the origin written as 0; a renamed
+   origin is spliced in by [add_renamed]. *)
+let add_to_client b (env : Messages.client_envelope) =
+  num b env.round;
+  str b "/0/";
   match env.body with
-  | Messages.Ack_write h ->
-    Buffer.add_char b 'a';
-    add_help b h
-  | Messages.Ack_read (c, h) ->
-    Buffer.add_char b 'A';
-    add_cell b c;
-    Buffer.add_char b ',';
-    add_help b h
+  | Messages.Ack_write h -> chr b 'a'; add_help b h
+  | Messages.Ack_read (c, h) -> chr b 'A'; add_cell b c; chr b ','; add_help b h
+
+let add_renamed b key s =
+  let cut = String.index key '/' + 1 in
+  Buffer.add_substring b key 0 cut;
+  num b s;
+  Buffer.add_substring b key (cut + 1) (String.length key - cut - 1)
 
 let add_epoch b (e : Epoch.t) =
-  Buffer.add_string b (string_of_int e.s);
-  Buffer.add_char b '{';
-  List.iter (fun x -> Buffer.add_string b (string_of_int x); Buffer.add_char b ' ') e.a;
-  Buffer.add_char b '}'
+  num b e.s; chr b '{'; List.iter (fun x -> num b x; chr b ' ') e.a; chr b '}'
 
 let add_ts b = function
-  | None -> Buffer.add_char b '-'
-  | Some (e, s, j) ->
-    add_epoch b e;
-    Buffer.add_string b (Printf.sprintf "/%d/%d" s j)
+  | None -> chr b '-'
+  | Some (e, s, j) -> add_epoch b e; chr b '/'; num b s; chr b '/'; num b j
 
 (* The oracles only compare instants for order, so the fingerprint keeps
    the order type of the recorded instants rather than their absolute
    values: order-isomorphic pasts merge, which is what lets permuted
-   interleavings converge on one canonical state. *)
+   interleavings converge on one canonical state.  An instant's rank is
+   its index among the sorted distinct instants. *)
 let add_history b t =
   let ops = Oracles.History.ops t.history in
+  let corrupt = List.sort Int.compare (List.map Sim.Vtime.to_int t.corrupt_times) in
   let times =
-    List.concat_map
-      (fun (o : Oracles.History.op) ->
-        [ Sim.Vtime.to_int o.inv; Sim.Vtime.to_int o.resp ])
-      ops
-    @ List.map Sim.Vtime.to_int t.corrupt_times
+    List.fold_left
+      (fun acc (o : Oracles.History.op) ->
+        Sim.Vtime.to_int o.inv :: Sim.Vtime.to_int o.resp :: acc)
+      corrupt ops
+    |> List.sort_uniq Int.compare |> Array.of_list
   in
-  let distinct = List.sort_uniq Int.compare times in
-  let rank =
-    let tbl = Hashtbl.create 64 in
-    List.iteri (fun i v -> Hashtbl.add tbl v i) distinct;
-    fun v -> Hashtbl.find tbl v
+  let rank v =
+    let lo = ref 0 and hi = ref (Array.length times - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if times.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
   List.iter
     (fun (o : Oracles.History.op) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s|%c|%d|%d|%s|%b|" o.proc
-           (match o.kind with Oracles.History.Write -> 'W' | _ -> 'R')
-           (rank (Sim.Vtime.to_int o.inv))
-           (rank (Sim.Vtime.to_int o.resp))
-           (Value.to_string o.value) o.ok);
+      str b o.proc;
+      str b
+        (match o.kind with
+        | Oracles.History.Write -> "|W|"
+        | Oracles.History.Read -> "|R|");
+      num b (rank (Sim.Vtime.to_int o.inv)); chr b '|';
+      num b (rank (Sim.Vtime.to_int o.resp)); chr b '|';
+      Value.add_to_buffer b o.value;
+      str b (if o.ok then "|true|" else "|false|");
       add_ts b o.ts;
-      Buffer.add_char b ';')
+      chr b ';')
     ops;
-  Buffer.add_string b "X:";
-  List.iter
-    (fun ct -> Buffer.add_string b (string_of_int (rank ct)); Buffer.add_char b ' ')
-    (List.sort Int.compare (List.map Sim.Vtime.to_int t.corrupt_times))
-
-let add_atomic_rw b w r =
-  Buffer.add_string b
-    (Printf.sprintf "wsn=%d;pwsn=%d;pv=%s" (Swsr_atomic.wsn w)
-       (Swsr_atomic.pwsn r)
-       (Value.to_string (Swsr_atomic.pv r)))
+  str b "X:";
+  List.iter (fun ct -> num b (rank ct); chr b ' ') corrupt
 
 (* Everything attached to one server slot, rendered WITHOUT its id: the
    automaton instances (or the byzantine behavior marker — the assignment
@@ -459,37 +464,30 @@ let add_atomic_rw b w r =
    must not be interchangeable) and the in-flight payloads on its links,
    per client in client order.  Two servers with equal blocks are
    observationally interchangeable. *)
-let server_block t b srv =
+let server_block t ports b srv =
   let s = Server.id srv in
   (match List.assoc_opt s t.cfg.byz with
-  | Some Config.Silent -> Buffer.add_string b "Bs"
-  | Some (Config.Collude { sn; v }) ->
-    Buffer.add_string b (Printf.sprintf "Bc%d:%d" sn v)
+  | Some Config.Silent -> str b "Bs"
+  | Some (Config.Collude { sn; v }) -> str b "Bc"; num b sn; chr b ':'; num b v
   | None ->
     List.iter
       (fun ((inst, i) : int * Server.instance) ->
-        Buffer.add_string b (string_of_int inst);
-        Buffer.add_char b '=';
-        add_cell b i.last_val;
-        Buffer.add_char b '+';
-        add_help b i.helping;
-        Buffer.add_char b ',')
+        num b inst; chr b '='; add_cell b i.last_val;
+        chr b '+'; add_help b i.helping; chr b ',')
       (Server.instances srv));
   List.iter
     (fun ((id, port) : int * Net.client_port) ->
-      Buffer.add_string b (Printf.sprintf "|c%d>" id);
+      str b "|c"; num b id; chr b '>';
       List.iter
-        (fun env -> add_to_server b env; Buffer.add_char b ';')
+        (fun env -> add_to_server b env; chr b ';')
         (Sim.Link.in_flight port.Net.to_servers.(s));
-      Buffer.add_char b '<';
+      chr b '<';
       (* the server field of an ack on this server's own reply link is
-         self-referential; elide it *)
+         self-referential; it stays 0 *)
       List.iter
-        (fun env ->
-          add_to_client ~ren:(fun _ -> 0) b env;
-          Buffer.add_char b ';')
+        (fun env -> add_to_client b env; chr b ';')
         (Sim.Link.in_flight port.Net.from_servers.(s)))
-    (Net.client_ports t.net)
+    ports
 
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
@@ -504,42 +502,33 @@ let server_block t b srv =
 let fingerprint_raw_ex t =
   let servers = Byzantine.Adversary.servers t.adv in
   let n = Array.length servers in
-  let named =
-    List.filter_map
-      (function
-        | Config.Corrupt_server { server; _ } | Config.Crash_recover { server }
-          ->
-          Some server
-        | _ -> None)
-      t.cfg.menu
-    |> List.sort_uniq Int.compare
+  let ports = Net.client_ports t.net in
+  let render f =
+    Buffer.clear t.block_buf; f t.block_buf; Buffer.contents t.block_buf
   in
-  let block = Buffer.create 256 in
   let blocks =
-    Array.map
-      (fun srv ->
-        Buffer.clear block;
-        server_block t block srv;
-        Buffer.contents block)
-      servers
+    Array.map (fun srv -> render (fun b -> server_block t ports b srv)) servers
   in
-  (* The only mailbox consumer is [Collect.acks], which files responses
-     into a per-server slots array — so the arrival ORDER of queued acks
-     is semantically inert and the mailbox can be treated as a multiset.
-     The one exception: an envelope whose round tag has gone stale is
-     normally dead forever, but a pending [Corrupt_round] item could
-     resurrect it, and whether a stale envelope was consumed-and-dropped
-     or still queued does depend on order.  So order is only erased when
-     the menu carries no round corruption. *)
-  let mailbox_ordered =
-    List.exists
-      (function Config.Corrupt_round _ -> true | _ -> false)
-      t.cfg.menu
-  in
-  let render_env ren env =
-    Buffer.clear block;
-    add_to_client ~ren block env;
-    Buffer.contents block
+  (* Each queued ack is rendered once, with origin 0: that is its
+     reference key below, and the client section splices the renamed
+     origin back in.  The only mailbox consumer is [Collect.acks], which
+     files responses into a per-server slots array — so the arrival ORDER
+     of queued acks is semantically inert and the mailbox can be treated
+     as a multiset.  The one exception: an envelope whose round tag has
+     gone stale is normally dead forever, but a pending [Corrupt_round]
+     item could resurrect it, and whether a stale envelope was
+     consumed-and-dropped or still queued does depend on order.  So order
+     is only erased when the menu carries no round corruption. *)
+  let mailboxes =
+    List.map
+      (fun ((id, port) : int * Net.client_port) ->
+        ( id,
+          port,
+          List.map
+            (fun (env : Messages.client_envelope) ->
+              (env.server, render (fun b -> add_to_client b env)))
+            (Sim.Mailbox.to_list port.Net.mailbox) ))
+      ports
   in
   (* A server id also escapes into client mailboxes (ack envelopes name
      their origin).  The references to a server — rendered without ids —
@@ -547,33 +536,37 @@ let fingerprint_raw_ex t =
      the canonical form complete: two states that differ only by a
      permutation of anonymous servers always render identically, and
      servers left tied (equal block, equal references) are true
-     automorphisms, so the id tie-break is harmless. *)
-  let refkeys = Array.make n "" in
+     automorphisms, so the id tie-break is harmless.  [refs.(s)] collects
+     [(client index, occurrences)], last client first. *)
+  let refs = Array.make n [] in
   List.iteri
-    (fun ci ((_, port) : int * Net.client_port) ->
-      let refs = Array.make n [] in
+    (fun ci (_, _, keys) ->
+      let occ = Array.make n [] in
       List.iteri
-        (fun pos (env : Messages.client_envelope) ->
-          let s = env.server in
+        (fun pos (s, key) ->
           if s >= 0 && s < n then
-            refs.(s) <-
-              (if mailbox_ordered then Printf.sprintf "@%d" pos
-               else render_env (fun _ -> 0) env)
-              :: refs.(s))
-        (Sim.Mailbox.to_list port.Net.mailbox);
-      Array.iteri
-        (fun s occurrences ->
-          if occurrences <> [] then
-            refkeys.(s) <-
-              refkeys.(s)
-              ^ Printf.sprintf "%d[%s];" ci
-                  (String.concat ","
-                     (List.sort String.compare occurrences)))
-        refs)
-    (Net.client_ports t.net);
+            occ.(s) <-
+              (if t.mailbox_ordered then "@" ^ string_of_int pos else key)
+              :: occ.(s))
+        keys;
+      Array.iteri (fun s l -> if l <> [] then refs.(s) <- (ci, l) :: refs.(s)) occ)
+    mailboxes;
+  let refkeys =
+    Array.map
+      (fun per_client ->
+        render (fun b ->
+            List.iter
+              (fun (ci, occurrences) ->
+                num b ci;
+                chr b '[';
+                str b (String.concat "," (List.sort String.compare occurrences));
+                str b "];")
+              (List.rev per_client)))
+      refs
+  in
   let anonymous =
     List.filter
-      (fun s -> not (List.mem s named))
+      (fun s -> not (List.mem s t.named))
       (List.init n Fun.id)
     |> List.sort (fun a b ->
            match String.compare blocks.(a) blocks.(b) with
@@ -583,7 +576,7 @@ let fingerprint_raw_ex t =
              | c -> c)
            | c -> c)
   in
-  let order = Array.of_list (named @ anonymous) in
+  let order = Array.of_list (t.named @ anonymous) in
   let canon = Array.make n 0 in
   Array.iteri (fun pos s -> canon.(s) <- pos) order;
   let ren s = if s >= 0 && s < n then canon.(s) else s in
@@ -606,87 +599,76 @@ let fingerprint_raw_ex t =
        prev := Some s)
      anonymous);
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
-  let b = Buffer.create 2048 in
+  let b = t.fp_buf in
+  Buffer.clear b;
   (* servers in canonical order *)
   Array.iteri
-    (fun pos s ->
-      Buffer.add_string b (Printf.sprintf "s%d:" pos);
-      Buffer.add_string b blocks.(s);
-      Buffer.add_char b '\n')
+    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
     order;
   (* client ports: round tag and queued acks (ack origins renamed, and
      the queue rendered as a sorted multiset unless a round corruption
      could make order matter); link traffic lives inside the server
      blocks *)
   List.iter
-    (fun ((id, port) : int * Net.client_port) ->
-      Buffer.add_string b (Printf.sprintf "c%d r%d q[" id port.Net.round);
-      let rendered =
-        List.map (render_env ren) (Sim.Mailbox.to_list port.Net.mailbox)
-      in
-      let rendered =
-        if mailbox_ordered then rendered
-        else List.sort String.compare rendered
-      in
-      List.iter
-        (fun s ->
-          Buffer.add_string b s;
-          Buffer.add_char b ';')
-        rendered;
-      Buffer.add_string b "]\n")
-    (Net.client_ports t.net);
+    (fun (id, (port : Net.client_port), keys) ->
+      chr b 'c'; num b id; str b " r"; num b port.round; str b " q[";
+      if t.mailbox_ordered then
+        List.iter (fun (s, key) -> add_renamed b key (ren s); chr b ';') keys
+      else
+        List.map
+          (fun (s, key) ->
+            match ren s with
+            | 0 -> key
+            | r -> render (fun kb -> add_renamed kb key r))
+          keys
+        |> List.sort String.compare
+        |> List.iter (fun key -> str b key; chr b ';');
+      str b "]\n")
+    mailboxes;
   (* client persistent state *)
   (match t.clients with
-  | Regular_c _ -> Buffer.add_string b "reg"
-  | Atomic_c (w, r) -> add_atomic_rw b w r
+  | Regular_c _ -> str b "reg"
+  | Atomic_c (w, r) ->
+    str b "wsn="; num b (Swsr_atomic.wsn w); str b ";pwsn="; num b (Swsr_atomic.pwsn r);
+    str b ";pv="; Value.add_to_buffer b (Swsr_atomic.pv r)
   | Mwmr_c procs ->
     Array.iter
       (fun p ->
-        Buffer.add_string b (Printf.sprintf "p%d:" (Mwmr.id p));
+        chr b 'p'; num b (Mwmr.id p); chr b ':';
         (match Mwmr.last_write_timestamp p with
-        | None -> Buffer.add_char b '-'
-        | Some (e, s) ->
-          add_epoch b e;
-          Buffer.add_string b (Printf.sprintf "/%d" s));
-        Buffer.add_string b
-          (Printf.sprintf ";eo=%d;" (Mwmr.epochs_opened p));
+        | None -> chr b '-'
+        | Some (e, s) -> add_epoch b e; chr b '/'; num b s);
+        str b ";eo="; num b (Mwmr.epochs_opened p); chr b ';';
         List.iter
           (fun (v, e, s) ->
-            Buffer.add_string b (Value.to_string v);
-            Buffer.add_char b '@';
-            add_epoch b e;
-            Buffer.add_string b (Printf.sprintf "/%d," s))
+            Value.add_to_buffer b v; chr b '@';
+            add_epoch b e; chr b '/'; num b s; chr b ',')
           (Mwmr.restamps p);
         Array.iter
-          (fun w ->
-            Buffer.add_string b
-              (Printf.sprintf "w%d," (Swsr_atomic.wsn w)))
+          (fun w -> chr b 'w'; num b (Swsr_atomic.wsn w); chr b ',')
           (Swmr.copies (Mwmr.own p));
         Array.iter
           (fun rd ->
             let sr = Swmr.sr_reader rd in
-            Buffer.add_string b
-              (Printf.sprintf "r%d:%s," (Swsr_atomic.pwsn sr)
-                 (Value.to_string (Swsr_atomic.pv sr))))
+            chr b 'r'; num b (Swsr_atomic.pwsn sr); chr b ':';
+            Value.add_to_buffer b (Swsr_atomic.pv sr); chr b ',')
           (Mwmr.views p);
-        Buffer.add_char b '\n')
+        chr b '\n')
       procs);
   (* which corruption choices are still available *)
-  Buffer.add_string b "\nM:";
-  List.iter
-    (fun i -> Buffer.add_string b (string_of_int i); Buffer.add_char b ' ')
-    (List.sort Int.compare t.applied);
+  str b "\nM:";
+  List.iter (fun i -> num b i; chr b ' ') (List.sort Int.compare t.applied);
   (* fiber progress *)
   List.iter
     (fun (name, h) ->
-      Buffer.add_string b name;
-      Buffer.add_char b
+      str b name;
+      chr b
         (match Sim.Fiber.status h with
         | Sim.Fiber.Running -> 'r'
         | Sim.Fiber.Done -> 'd'
         | Sim.Fiber.Failed _ -> 'f'))
     t.fibers;
-  Buffer.add_char b '\n';
+  chr b '\n';
   add_history b t;
   (Digest.string (Buffer.contents b), ren, rep)
 

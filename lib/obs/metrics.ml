@@ -13,16 +13,19 @@ type histogram = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
-  buckets : int array;
+  mutable buckets : int array; (* [||] until the first sample *)
 }
 
+(* Deployments resolve their histograms up front (one per register class
+   and operation), and the model checker rebuilds a deployment per
+   replayed prefix: the 2 KB bucket array waits for a first sample. *)
 let histogram_create () =
   {
     count = 0;
     sum = 0.0;
     min_v = infinity;
     max_v = neg_infinity;
-    buckets = Array.make num_buckets 0;
+    buckets = [||];
   }
 
 let pow_quarter j =
@@ -55,6 +58,7 @@ let observe h v =
   h.sum <- h.sum +. v;
   if v < h.min_v then h.min_v <- v;
   if v > h.max_v then h.max_v <- v;
+  if h.count = 1 then h.buckets <- Array.make num_buckets 0;
   let i = bucket_index v in
   h.buckets.(i) <- h.buckets.(i) + 1
 
@@ -136,7 +140,11 @@ let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset_counters t = Hashtbl.reset t.counters
+(* Zero in place rather than dropping the table: hot paths hold refs
+   from [counter_ref], and a fresh table would leave them counting where
+   no reader looks. *)
+let reset_counters t =
+  Hashtbl.iter (fun _ r -> r := 0) t.counters (* lint: allow R1 -- order-insensitive *)
 
 let set_gauge t name v = Hashtbl.replace t.gauges name v
 

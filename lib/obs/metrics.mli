@@ -58,13 +58,15 @@ val counter : t -> string -> int
 (** 0 if never bumped. *)
 
 val counter_ref : t -> string -> int ref
-(** Find-or-create; the returned ref stays valid until
-    {!reset_counters}. *)
+(** Find-or-create; the returned ref is the counter for the registry's
+    whole lifetime, {!reset_counters} included. *)
 
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val reset_counters : t -> unit
+(** Zero every counter in place; refs taken earlier keep counting into
+    the registry. *)
 
 val set_gauge : t -> string -> float -> unit
 

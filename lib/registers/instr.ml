@@ -8,16 +8,16 @@ type probe = {
 
 type span = { id : int; t0 : Sim.Vtime.t; ctx : Obs.Trace_ctx.span }
 
-let probe ~engine ~proc ~reg op =
+let probe ~engine ~client ~reg op =
   {
     engine;
-    proc;
+    proc = "c" ^ string_of_int client;
     reg;
     op;
     hist =
       Obs.Metrics.histogram
         (Sim.Engine.metrics engine)
-        (Printf.sprintf "op.%s.%s" reg (Obs.Event.op_name op));
+        ("op." ^ reg ^ "." ^ Obs.Event.op_name op);
   }
 
 let start ?parent p =

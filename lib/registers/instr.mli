@@ -14,11 +14,11 @@ type probe
 type span
 
 val probe :
-  engine:Sim.Engine.t -> proc:string -> reg:string -> Obs.Event.op_kind -> probe
+  engine:Sim.Engine.t -> client:int -> reg:string -> Obs.Event.op_kind -> probe
 (** [reg] names the register class (["swsr_regular"], ["swsr_atomic"],
-    ["swmr"], ["swmr_wb"], ["mwmr"], ["kv"]); [proc] the invoking
-    process (e.g. ["c0"]).  The latency histogram is
-    ["op.<reg>.<read|write>"]. *)
+    ["swmr"], ["swmr_wb"], ["mwmr"], ["kv"]); [client] the invoking
+    client, which events name as process ["c<client>"].  The latency
+    histogram is ["op.<reg>.<read|write>"]. *)
 
 val start : ?parent:Obs.Trace_ctx.span -> probe -> span
 (** Open an operation span.  Without [parent] the operation starts a

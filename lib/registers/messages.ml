@@ -31,22 +31,6 @@ type client_envelope = {
   span : Obs.Trace_ctx.span;
 }
 
-let pp_cell ppf c = Format.fprintf ppf "(%a,%a)" Seqnum.pp c.sn Value.pp c.v
-
-let pp_help ppf = function
-  | None -> Format.pp_print_string ppf "⊥"
-  | Some c -> pp_cell ppf c
-
-let pp_to_server ppf = function
-  | Write c -> Format.fprintf ppf "WRITE%a" pp_cell c
-  | New_help c -> Format.fprintf ppf "NEW_HELP_VAL%a" pp_cell c
-  | Read b -> Format.fprintf ppf "READ(%b)" b
-
-let pp_to_client ppf = function
-  | Ack_write h -> Format.fprintf ppf "ACK_WRITE(%a)" pp_help h
-  | Ack_read (c, h) ->
-    Format.fprintf ppf "ACK_READ(%a,%a)" pp_cell c pp_help h
-
 let class_of_to_server : to_server -> Obs.Event.msg_class = function
   | Write _ -> Obs.Event.Write
   | New_help _ -> Obs.Event.New_help

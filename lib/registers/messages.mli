@@ -65,11 +65,5 @@ val server_envelope_bytes : server_envelope -> int
 
 val client_envelope_bytes : client_envelope -> int
 
-val pp_cell : Format.formatter -> cell -> unit
-
-val pp_to_server : Format.formatter -> to_server -> unit
-
-val pp_to_client : Format.formatter -> to_client -> unit
-
 val arbitrary_cell : Sim.Rng.t -> cell
 (** Random cell for fault injection (random small [sn], random value). *)

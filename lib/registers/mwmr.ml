@@ -34,7 +34,6 @@ type process = {
 
 let process ~net ~cfg ~id ~client_id =
   if id < 0 || id >= cfg.m then invalid_arg "Mwmr.process: id out of range";
-  let proc = Printf.sprintf "c%d" client_id in
   let engine = Net.engine net in
   let own =
     Swmr.writer ~net ~client_id
@@ -53,8 +52,8 @@ let process ~net ~cfg ~id ~client_id =
     cfg;
     own;
     views;
-    wprobe = Instr.probe ~engine ~proc ~reg:"mwmr" `Write;
-    rprobe = Instr.probe ~engine ~proc ~reg:"mwmr" `Read;
+    wprobe = Instr.probe ~engine ~client:client_id ~reg:"mwmr" `Write;
+    rprobe = Instr.probe ~engine ~client:client_id ~reg:"mwmr" `Read;
     last_ts = None;
     epochs_opened = 0;
     restamps_rev = [];

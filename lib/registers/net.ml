@@ -36,18 +36,28 @@ type t = {
   sent_count : int ref array;
   sent_bytes : int ref array;
   recv_count : int ref array;
+  broadcasts : int ref;
 }
 
-let per_class_counters metrics ~dir ~suffix =
-  Obs.Event.all_classes
-  |> List.map (fun c ->
-         Obs.Metrics.counter_ref metrics
-           (Printf.sprintf "msg.%s.%s.%s" dir (Obs.Event.class_name c) suffix))
-  |> Array.of_list
+(* Counter names, in [Obs.Event.class_index] order; built once per
+   program rather than once per deployment. *)
+let per_class_names ~dir ~suffix =
+  List.map
+    (fun c -> "msg." ^ dir ^ "." ^ Obs.Event.class_name c ^ "." ^ suffix)
+    Obs.Event.all_classes
+
+let sent_count_names = per_class_names ~dir:"sent" ~suffix:"count"
+
+let sent_bytes_names = per_class_names ~dir:"sent" ~suffix:"bytes"
+
+let recv_count_names = per_class_names ~dir:"recv" ~suffix:"count"
 
 let create ~engine ~params ?(medium = Reliable_fifo) ~link_delay () =
   let n = (params : Params.t).n in
   let metrics = Sim.Engine.metrics engine in
+  let refs names =
+    Array.of_list (List.map (Obs.Metrics.counter_ref metrics) names)
+  in
   {
     engine;
     params;
@@ -56,9 +66,10 @@ let create ~engine ~params ?(medium = Reliable_fifo) ~link_delay () =
     correct = (fun _ -> true);
     ports = [];
     link_delay;
-    sent_count = per_class_counters metrics ~dir:"sent" ~suffix:"count";
-    sent_bytes = per_class_counters metrics ~dir:"sent" ~suffix:"bytes";
-    recv_count = per_class_counters metrics ~dir:"recv" ~suffix:"count";
+    sent_count = refs sent_count_names;
+    sent_bytes = refs sent_bytes_names;
+    recv_count = refs recv_count_names;
+    broadcasts = Obs.Metrics.counter_ref metrics "ss.broadcasts";
   }
 
 let record_send t ~src ~dst ~span cls bytes =
@@ -105,6 +116,17 @@ let is_correct t i = t.correct i
 
 let round_modulus = 1 lsl 30
 
+(* "c100->s3" and friends: the model checker names links (and parses
+   their endpoints) by these strings.  Each client port builds 2n of
+   them, so no [Printf]. *)
+let link_name p a arrow b =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf p;
+  Value.add_decimal buf a;
+  Buffer.add_string buf arrow;
+  Value.add_decimal buf b;
+  Buffer.contents buf
+
 let add_client t ~id =
   match List.assoc_opt id t.ports with
   | Some port -> port
@@ -131,13 +153,13 @@ let add_client t ~id =
         let to_servers =
           Array.init n (fun s ->
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
-                ~name:(Printf.sprintf "c%d->s%d" id s)
+                ~name:(link_name "c" id "->s" s)
                 ~deliver:(fun env -> t.endpoints.(s).on_deliver env))
         in
         let from_servers =
           Array.init n (fun s ->
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
-                ~name:(Printf.sprintf "s%d->c%d" s id)
+                ~name:(link_name "s" s "->c" id)
                 ~deliver:(fun env ->
                   record_recv t
                     ~src:(Obs.Event.Server env.Messages.server)
@@ -165,7 +187,7 @@ let add_client t ~id =
                 ~delay:(mk_sampler ()) ~loss ~dup ~retrans
                 ~classify:(fun (env : Messages.server_envelope) ->
                   Messages.class_of_to_server env.body)
-                ~name:(Printf.sprintf "c%d=>s%d" id s)
+                ~name:(link_name "c" id "=>s" s)
                 ~deliver:(fun env -> t.endpoints.(s).on_deliver env)
                 ())
         in
@@ -175,7 +197,7 @@ let add_client t ~id =
                 ~delay:(mk_sampler ()) ~loss ~dup ~retrans
                 ~classify:(fun (env : Messages.client_envelope) ->
                   Messages.class_of_to_client env.body)
-                ~name:(Printf.sprintf "s%d=>c%d" s id)
+                ~name:(link_name "s" s "=>c" id)
                 ~deliver:(fun env ->
                   record_recv t
                     ~src:(Obs.Event.Server env.Messages.server)
@@ -232,12 +254,6 @@ let install_honest_server t srv =
         ~span:env.Messages.span
         (Messages.class_of_to_server env.Messages.body)
         (Messages.server_envelope_bytes env);
-      Sim.Trace.emit_lazy
-        (Sim.Engine.trace t.engine)
-        ~time:(Sim.Engine.now t.engine) ~tag:"ss-deliver" (fun () ->
-          Format.asprintf "s%d <- c%d (round %d, inst %d): %a" s
-            env.Messages.client env.Messages.round env.Messages.inst
-            Messages.pp_to_server env.Messages.body);
       let hub = Sim.Engine.hub t.engine in
       if Obs.Hub.active hub then
         Obs.Hub.emit hub
@@ -254,22 +270,12 @@ let install_honest_server t srv =
       match Server.handle srv env with
       | None -> ()
       | Some body ->
-        Sim.Trace.emit_lazy
-          (Sim.Engine.trace t.engine)
-          ~time:(Sim.Engine.now t.engine) ~tag:"ack" (fun () ->
-            Format.asprintf "s%d -> c%d: %a" s env.Messages.client
-              Messages.pp_to_client body);
         reply ~parent:env.Messages.span t ~server:s ~client:env.Messages.client
           body ~round:env.Messages.round)
 
 let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
-  Sim.Trace.incr (Sim.Engine.trace t.engine) "ss.broadcasts";
+  incr t.broadcasts;
   port.round <- (port.round + 1) mod round_modulus;
-  Sim.Trace.emit_lazy
-    (Sim.Engine.trace t.engine)
-    ~time:(Sim.Engine.now t.engine) ~tag:"ss-broadcast" (fun () ->
-      Format.asprintf "c%d (round %d, inst %d): %a" port.client_id port.round
-        inst Messages.pp_to_server body);
   (* One child span per broadcast round: every copy of the message, each
      server's handling of it and each acknowledgment hang off it. *)
   let bspan = Obs.Trace_ctx.child (Sim.Engine.spans t.engine) span in

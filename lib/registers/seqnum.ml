@@ -21,5 +21,3 @@ let ge_cd ~modulus x y =
   x = y || cd ~modulus ~from:y ~to_:x < cd ~modulus ~from:x ~to_:y
 
 let gt_cd ~modulus x y = x <> y && ge_cd ~modulus x y
-
-let pp ppf t = Format.fprintf ppf "%d" t

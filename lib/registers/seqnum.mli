@@ -34,5 +34,3 @@ val ge_cd : modulus:int -> t -> t -> bool
 
 val gt_cd : modulus:int -> t -> t -> bool
 (** [gt_cd ~modulus x y] is [x >_cd y]  ([>=_cd] and [x <> y]). *)
-
-val pp : Format.formatter -> t -> unit

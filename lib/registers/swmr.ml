@@ -11,7 +11,7 @@ let writer ~net ~client_id ~base_inst ~readers ?(modulus = Seqnum.default_modulu
           Swsr_atomic.writer ~net ~client_id ~inst:(base_inst + j) ~modulus ());
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swmr" `Write;
   }
 
@@ -23,7 +23,7 @@ let reader ~net ~client_id ~base_inst ~reader_index
         ~modulus ();
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swmr" `Read;
   }
 

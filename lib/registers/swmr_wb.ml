@@ -31,7 +31,7 @@ let writer ~net ~client_id ~base_inst ~readers
     modulus;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swmr_wb" `Write;
     shared_sn = Seqnum.zero;
   }
@@ -65,7 +65,7 @@ let reader ~net ~client_id ~base_inst ~reader_index ?(readers = 2)
     modulus;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swmr_wb" `Read;
     wb_writes = 0;
   }

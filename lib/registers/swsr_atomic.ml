@@ -30,7 +30,7 @@ let writer ~net ~client_id ~inst ?(modulus = Seqnum.default_modulus) () =
     modulus;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swsr_atomic" `Write;
     wsn = Seqnum.zero;
   }
@@ -45,7 +45,7 @@ let reader ~net ~client_id ~inst ?(modulus = Seqnum.default_modulus)
     modulus;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swsr_atomic" `Read;
     sanity_check;
     pwsn = Seqnum.zero;

@@ -21,7 +21,7 @@ let writer ~net ~client_id ~inst =
     inst;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swsr_regular" `Write;
   }
 
@@ -32,7 +32,7 @@ let reader ~net ~client_id ~inst =
     inst;
     probe =
       Instr.probe ~engine:(Net.engine net)
-        ~proc:(Printf.sprintf "c%d" client_id)
+        ~client:client_id
         ~reg:"swsr_regular" `Read;
     iterations = 0;
     help_returns = 0;

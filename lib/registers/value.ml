@@ -50,11 +50,34 @@ let arbitrary rng =
   if Sim.Rng.bool rng then Int (Sim.Rng.int rng 1_000_000)
   else Str (Printf.sprintf "junk-%d" (Sim.Rng.int rng 1_000_000))
 
-let rec pp ppf = function
-  | Bot -> Format.pp_print_string ppf "⊥"
-  | Int i -> Format.fprintf ppf "%d" i
-  | Str s -> Format.fprintf ppf "%S" s
-  | Stamped { data; epoch; seq } ->
-    Format.fprintf ppf "<%a @@ %a/%d>" pp data Epoch.pp epoch seq
+(* [string_of_int]'s bytes without the C formatter's format parsing. *)
+let rec add_decimal b i =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    if i >= 10 then add_decimal b (i / 10);
+    Buffer.add_char b (Char.chr (48 + (i mod 10)))
+  end
 
-let to_string v = Format.asprintf "%a" pp v
+(* Buffer-direct rendering (no Format): the model checker renders values
+   into every state fingerprint, so this is a hot path. *)
+let rec add_to_buffer b = function
+  | Bot -> Buffer.add_string b "\xe2\x8a\xa5" (* ⊥ *)
+  | Int i -> add_decimal b i
+  | Str s -> Buffer.add_string b ("\"" ^ String.escaped s ^ "\"")
+  | Stamped { data; epoch = { s; a }; seq } ->
+    Buffer.add_char b '<';
+    add_to_buffer b data;
+    Buffer.add_string b " @ (";
+    add_decimal b s;
+    Buffer.add_string b ",{";
+    List.iteri (fun i x -> if i > 0 then Buffer.add_char b ','; add_decimal b x) a;
+    Buffer.add_string b "})/";
+    add_decimal b seq;
+    Buffer.add_char b '>'
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add_to_buffer b v;
+  Buffer.contents b
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)

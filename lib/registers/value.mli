@@ -41,3 +41,12 @@ val arbitrary : Sim.Rng.t -> t
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+(** [⊥], the int, an OCaml-escaped quoted string, or
+    [<data @ (s,{a1,a2,...})/seq>]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes without the intermediate string. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** Append [string_of_int i]'s bytes; cheaper than [string_of_int] on
+    the non-negative ints that name clients, links and sequence numbers. *)

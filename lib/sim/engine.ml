@@ -97,6 +97,14 @@ let fire t ~seq =
 
 let advance_to t time = if Vtime.( < ) t.clock time then t.clock <- time
 
+let fire_labeled t ~label ~not_before =
+  match Heap.take t.queue (fun ev -> String.equal ev.label label) with
+  | None -> false
+  | Some ev ->
+    advance_to t not_before;
+    fire_event t ev;
+    true
+
 let pending t = Heap.length t.queue
 
 let quiescent t = Heap.is_empty t.queue

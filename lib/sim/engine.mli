@@ -73,6 +73,13 @@ val advance_to : t -> Vtime.t -> unit
     [time] is in the past).  The model checker uses this to give every
     explored step a distinct instant. *)
 
+val fire_labeled : t -> label:string -> not_before:Vtime.t -> bool
+(** Fire the (time, seq)-least queued event scheduled under [label] —
+    for a link, its FIFO head — after {!advance_to}[ not_before]; the
+    same event {!ready} would list first for [label], without building
+    the snapshot.  Returns [false], touching nothing, when no queued event
+    carries [label]. *)
+
 val pending : t -> int
 (** Number of queued events. *)
 

@@ -69,8 +69,6 @@ let recover_matching t ~rng ~prefix =
   !hit
 
 let emit_process_event ~engine ~tag ~prefix ~hit =
-  Trace.emit (Engine.trace engine) ~time:(Engine.now engine) ~tag:"fault"
-    (Printf.sprintf "%s fault: hit %d process(es) (prefix %S)" tag hit prefix);
   Trace.add (Engine.trace engine) (Printf.sprintf "fault.%s" tag) hit;
   let hub = Engine.hub engine in
   if Obs.Hub.active hub then
@@ -102,10 +100,6 @@ let schedule t ~engine ~at ~prefix =
   let rng = Rng.split (Engine.rng engine) in
   Engine.schedule_at engine at (fun () ->
       let hit = inject_matching t ~rng ~prefix in
-      Trace.emit (Engine.trace engine) ~time:(Engine.now engine)
-        ~tag:"fault"
-        (Printf.sprintf "transient fault: corrupted %d targets (prefix %S)" hit
-           prefix);
       Trace.add (Engine.trace engine) "fault.injections" hit;
       let hub = Engine.hub engine in
       if Obs.Hub.active hub then

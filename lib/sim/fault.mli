@@ -73,8 +73,9 @@ val schedule_crash :
   unit
 (** Arrange for the processes matching [prefix] to crash at [at] and — when
     [down_for] is given — recover at [at + down_for] (crash-recovery);
-    omitting [down_for] is crash-stop.  Both edges emit a ["fault"] trace
-    line and an {!Obs.Event.Fault_injected} event whose target is
+    omitting [down_for] is crash-stop.  Both edges bump a
+    ["fault.crash"] / ["fault.recover"] counter and emit an
+    {!Obs.Event.Fault_injected} event whose target is
     ["crash:<prefix>"] / ["recover:<prefix>"].  The recovery generator is
     split off the engine's at scheduling time, so the rejoin state depends
     only on the schedule. *)

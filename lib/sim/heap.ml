@@ -74,10 +74,9 @@ let pop t =
 
 let take t pred =
   let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < t.size do
-    if pred t.data.(!i) then found := !i;
-    incr i
+  for i = 0 to t.size - 1 do
+    let x = t.data.(i) in
+    if pred x && (!found < 0 || t.cmp x t.data.(!found) < 0) then found := i
   done;
   if !found < 0 then None
   else begin

@@ -24,10 +24,10 @@ val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
 
 val take : 'a t -> ('a -> bool) -> 'a option
-(** [take t pred] removes and returns the first element (in unspecified
-    internal order) satisfying [pred], or [None] if none does.  O(n) scan
-    plus O(log n) repair; used by the model checker to fire a chosen event
-    out of heap order. *)
+(** [take t pred] removes and returns the least element (by [cmp])
+    satisfying [pred], or [None] if none does.  O(n) scan plus O(log n)
+    repair; used by the model checker to fire a chosen event out of heap
+    order. *)
 
 val clear : 'a t -> unit
 

@@ -3,7 +3,8 @@ type 'm entry = { id : int; mutable payload : 'm option; arrival : Vtime.t }
 type 'm t = {
   engine : Engine.t;
   delay : unit -> Vtime.span;
-  name : string;
+  label : string; (* engine event label, ["link:" ^ name] *)
+  msgs : int ref; (* the engine's ["net.msgs"] counter *)
   deliver : 'm -> unit;
   mutable last_arrival : Vtime.t;
   mutable next_id : int;
@@ -33,7 +34,8 @@ let create ~engine ~delay ~name ~deliver =
   {
     engine;
     delay;
-    name;
+    label = "link:" ^ name;
+    msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
     deliver;
     last_arrival = Vtime.zero;
     next_id = 0;
@@ -51,14 +53,14 @@ let transmit_timed ?on_delivered t payload =
   (* Label the event with the link name so an external scheduling policy
      (the model checker) can tell which channel each pending delivery
      belongs to and preserve per-link FIFO while reordering across links. *)
-  Engine.schedule_at ~label:("link:" ^ t.name) t.engine arrival (fun () ->
+  Engine.schedule_at ~label:t.label t.engine arrival (fun () ->
       t.flight <- List.filter (fun e -> e.id <> entry.id) t.flight;
       (* Read the payload at fire time: a transient fault may have rewritten
          or dropped it while in transit. *)
       (match entry.payload with
       | None -> ()
       | Some m ->
-        Trace.incr (Engine.trace t.engine) "net.msgs";
+        incr t.msgs;
         t.deliver m);
       (* Notify after the receiver processed the message, even if a
          transient fault dropped the payload: the delivery *slot* happened,

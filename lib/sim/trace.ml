@@ -1,39 +1,17 @@
-type event = { time : Vtime.t; tag : string; detail : string }
+type t = { metrics : Obs.Metrics.t; hub : Obs.Hub.t; spans : Obs.Trace_ctx.t }
 
-type t = {
-  record_events : bool;
-  mutable events_rev : event list;
-  metrics : Obs.Metrics.t;
-  hub : Obs.Hub.t;
-  spans : Obs.Trace_ctx.t;
-}
-
-let create ?(record_events = true) ?metrics ?hub () =
+let create ?metrics ?hub () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
   let hub = match hub with Some h -> h | None -> Obs.Hub.create () in
-  { record_events; events_rev = []; metrics; hub; spans = Obs.Trace_ctx.create () }
+  { metrics; hub; spans = Obs.Trace_ctx.create () }
 
 let metrics t = t.metrics
 
 let hub t = t.hub
 
 let spans t = t.spans
-
-let emit t ~time ~tag detail =
-  if t.record_events then t.events_rev <- { time; tag; detail } :: t.events_rev
-
-let emit_lazy t ~time ~tag detail =
-  if t.record_events then
-    t.events_rev <- { time; tag; detail = detail () } :: t.events_rev
-
-let recording t = t.record_events
-
-let events t = List.rev t.events_rev
-
-let events_tagged t tag =
-  List.filter (fun e -> String.equal e.tag tag) (events t)
 
 let add t name n = Obs.Metrics.add t.metrics name n
 
@@ -44,6 +22,3 @@ let counter t name = Obs.Metrics.counter t.metrics name
 let counters t = Obs.Metrics.counters t.metrics
 
 let reset_counters t = Obs.Metrics.reset_counters t.metrics
-
-let pp_event ppf e =
-  Format.fprintf ppf "[%a] %s: %s" Vtime.pp e.time e.tag e.detail

@@ -1,21 +1,22 @@
 (** Execution traces: the engine-side front door of the observability
     pipeline.
 
-    A trace bundles the typed-event {!Obs.Hub} and the {!Obs.Metrics}
-    registry that instrumented code reports into, plus a legacy buffer of
-    human-readable tagged string events (used by the annotated [trace]
-    subcommand; disabled by default on long runs).  Counters delegate to
-    the metrics registry, so [Trace.counter] and [Obs.Metrics.counter]
-    observe the same values. *)
+    A trace bundles the typed-event {!Obs.Hub}, the {!Obs.Metrics}
+    registry and the causal-span allocator that instrumented code reports
+    into.  Counters delegate to the metrics registry, so [Trace.counter]
+    and [Obs.Metrics.counter] observe the same values.
 
-type event = { time : Vtime.t; tag : string; detail : string }
+    To see what a run did, attach a sink to the hub: the [experiments
+    trace] subcommand prints a read's causal span tree and exports it as
+    [stabreg/trace/v1] JSONL or a Chrome trace, and [--trace-out FILE]
+    on [experiments run] appends every deployment's typed event stream to
+    [FILE].  With no sink attached, nothing is formatted or buffered. *)
 
 type t
 
-val create :
-  ?record_events:bool -> ?metrics:Obs.Metrics.t -> ?hub:Obs.Hub.t -> unit -> t
-(** [record_events] (default true) controls only the string-event buffer;
-    typed events flow whenever a sink is attached to the hub. *)
+val create : ?metrics:Obs.Metrics.t -> ?hub:Obs.Hub.t -> unit -> t
+(** Fresh registry and hub unless given; typed events flow whenever a
+    sink is attached to the hub. *)
 
 val metrics : t -> Obs.Metrics.t
 
@@ -25,21 +26,6 @@ val spans : t -> Obs.Trace_ctx.t
 (** The run's causal-span allocator.  Ids are handed out whether or not
     tracing sinks are attached, so span assignment never depends on
     observability configuration. *)
-
-val emit : t -> time:Vtime.t -> tag:string -> string -> unit
-(** Record a string event (no-op when event recording is disabled). *)
-
-val emit_lazy : t -> time:Vtime.t -> tag:string -> (unit -> string) -> unit
-(** Like {!emit}, but the detail string is only computed when recording is
-    enabled — use on hot paths. *)
-
-val recording : t -> bool
-
-val events : t -> event list
-(** All recorded string events, oldest first. *)
-
-val events_tagged : t -> string -> event list
-(** Recorded string events with the given tag, oldest first. *)
 
 val incr : t -> string -> unit
 (** Bump a named counter by one. *)
@@ -54,5 +40,3 @@ val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
 val reset_counters : t -> unit
-
-val pp_event : Format.formatter -> event -> unit

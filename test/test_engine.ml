@@ -144,8 +144,68 @@ let test_fire_out_of_order () =
   check_false "unknown seq refused" (Sim.Engine.fire e ~seq:9999);
   check_true "both fired, chosen order" (List.rev !order = [ "x"; "y" ])
 
+(* [fire_labeled] must pick exactly the event the model checker used to
+   find by scanning the sorted [ready] snapshot: the (time, seq)-least
+   one carrying the label, i.e. the link's FIFO head.  Two engines get
+   the same schedule (same-instant ties, out-of-order instants, labels
+   reused, events that schedule more events) and the same seeded label
+   picks; one fires through [ready] + [fire ~seq], the other through
+   [fire_labeled].  Firing logs and clocks must agree step for step. *)
+let test_fire_labeled_matches_ready_scan () =
+  let labels = [| "link:a"; "link:b"; "link:c"; "" |] in
+  let build () =
+    let e = mk () in
+    let log = ref [] in
+    let ev tag () = log := (tag, Sim.Vtime.to_int (Sim.Engine.now e)) :: !log in
+    List.iteri
+      (fun i (label, delay) ->
+        Sim.Engine.schedule ~label e ~delay (fun () ->
+            ev (Printf.sprintf "%s#%d" label i) ();
+            if i mod 3 = 0 then
+              Sim.Engine.schedule ~label e ~delay:(i mod 4)
+                (ev (Printf.sprintf "%s#%d'" label i))))
+      [
+        ("link:a", 3); ("link:b", 1); ("link:a", 1); ("link:c", 2);
+        ("link:b", 1); ("", 1); ("link:a", 3); ("link:c", 0);
+        ("link:b", 5); ("link:a", 2);
+      ];
+    (e, log)
+  in
+  let via_ready e label =
+    match
+      List.find_opt
+        (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label label)
+        (Sim.Engine.ready e)
+    with
+    | None -> false
+    | Some r ->
+      Sim.Engine.advance_to e (Sim.Vtime.add (Sim.Engine.now e) 1);
+      Sim.Engine.fire e ~seq:r.r_seq
+  in
+  let via_label e label =
+    Sim.Engine.fire_labeled e ~label
+      ~not_before:(Sim.Vtime.add (Sim.Engine.now e) 1)
+  in
+  let ea, la = build () and eb, lb = build () in
+  let st = Random.State.make [| 7 |] in
+  for _ = 1 to 60 do
+    let label = labels.(Random.State.int st (Array.length labels)) in
+    let clock_before = Sim.Engine.now eb in
+    let fa = via_ready ea label and fb = via_label eb label in
+    check_bool ("same outcome on " ^ label) fa fb;
+    if not fb then
+      check_true "a miss leaves the clock alone"
+        (Sim.Vtime.compare clock_before (Sim.Engine.now eb) = 0);
+    check_true "same firing log" (!la = !lb);
+    check_int "same clock" (Sim.Vtime.to_int (Sim.Engine.now ea))
+      (Sim.Vtime.to_int (Sim.Engine.now eb))
+  done;
+  check_true "the picks drained the queue" (Sim.Engine.quiescent eb)
+
 let tests =
   [
+    case "fire_labeled matches the ready scan"
+      test_fire_labeled_matches_ready_scan;
     case "time advances" test_time_advances;
     case "same-time FIFO" test_same_time_fifo;
     case "nested scheduling" test_nested_scheduling;

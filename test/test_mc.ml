@@ -158,8 +158,213 @@ let test_guided_witness_finds_inversion () =
   | v ->
     Alcotest.failf "expected inversion, got %s" (Mc.Checker.verdict_kind v)
 
-let tests =
+(* --- golden fingerprints ---------------------------------------------- *)
+
+(* Committed mc artifacts carry terminal fingerprints, so the renderer's
+   bytes are part of the artifact format.  Each walk fires seeded random
+   moves through [Mc.Sys] (a pending menu item fires as soon as it is
+   enabled at or after step [corrupt_at]) and pins the final digest, the
+   final canonical renaming, and one digest over every visited state's
+   fingerprint, renaming and representative map. *)
+type walk = {
+  w_name : string;
+  w_cfg : Mc.Config.t;
+  w_seed : int;
+  w_steps : int;
+  w_corrupt_at : int;
+  w_fp : string;
+  w_ren : int list;
+  w_trail : string;
+}
+
+let n4_silent =
+  {
+    tiny_cfg with
+    Mc.Config.n = 4;
+    f = 1;
+    byz = [ (0, Mc.Config.Silent) ];
+  }
+
+let golden_walks =
   [
+    {
+      w_name = "regular n4 silent";
+      w_cfg = n4_silent;
+      w_seed = 1;
+      w_steps = 60;
+      w_corrupt_at = max_int;
+      w_fp = "d8674ff97e20302085e87cd9b8488e48";
+      w_ren = [ 3; 1; 2; 0 ];
+      w_trail = "d2da7a30079a8364d3dae24b2109b168";
+    };
+    {
+      w_name = "regular corrupt_server + collude";
+      w_cfg =
+        {
+          n4_silent with
+          Mc.Config.byz = [ (3, Mc.Config.Collude { sn = 5; v = 77 }) ];
+          menu = [ Mc.Config.Corrupt_server { server = 1; sn = 9; v = 99 } ];
+        };
+      w_seed = 2;
+      w_steps = 60;
+      w_corrupt_at = 3;
+      w_fp = "004685b11f3dcb472b62760bb4e59614";
+      w_ren = [ 1; 0; 2; 3 ];
+      w_trail = "d4af86feffa0ff8489b179d52655a033";
+    };
+    {
+      w_name = "regular corrupt_round (ordered mailbox)";
+      w_cfg =
+        {
+          tiny_cfg with
+          Mc.Config.menu =
+            [ Mc.Config.Corrupt_round { client = 101; round = 0 } ];
+        };
+      w_seed = 3;
+      w_steps = 60;
+      w_corrupt_at = 4;
+      w_fp = "4c832a3c7481bef422885e9e5bb25bfd";
+      w_ren = [ 0; 1; 2 ];
+      w_trail = "89b130aeabd93bfc518384c2abbf123a";
+    };
+    {
+      w_name = "regular tied anonymous servers";
+      w_cfg = tiny_cfg;
+      w_seed = 4;
+      w_steps = 60;
+      w_corrupt_at = max_int;
+      w_fp = "cc1b64512166c456f643a6802427d8ee";
+      w_ren = [ 0; 1; 2 ];
+      w_trail = "ba008cda6f7e25d364e56590d2428302";
+    };
+    {
+      w_name = "regular mailbox references break a block tie";
+      w_cfg = tiny_cfg;
+      w_seed = 13;
+      w_steps = 60;
+      w_corrupt_at = max_int;
+      w_fp = "69cea8c5ddaa389b5503de206350ae8c";
+      w_ren = [ 0; 1; 2 ];
+      w_trail = "a1b1ec1d3df9840f796957c2877c0272";
+    };
+    {
+      w_name = "regular ordered mailbox references";
+      w_cfg =
+        {
+          tiny_cfg with
+          Mc.Config.menu =
+            [ Mc.Config.Corrupt_round { client = 101; round = 0 } ];
+        };
+      w_seed = 2;
+      w_steps = 60;
+      w_corrupt_at = max_int;
+      w_fp = "aaf29f81a99646c4c876e7ca19a79819";
+      w_ren = [ 0; 1; 2 ];
+      w_trail = "4dae1b4daf2a25805676b76cd4493156";
+    };
+    {
+      w_name = "atomic reader/writer corruption";
+      w_cfg =
+        {
+          n4_silent with
+          Mc.Config.family = Mc.Config.Atomic;
+          menu =
+            [
+              Mc.Config.Corrupt_reader { pwsn = 3; v = 5 };
+              Mc.Config.Corrupt_writer_sn 7;
+            ];
+        };
+      w_seed = 5;
+      w_steps = 60;
+      w_corrupt_at = 2;
+      w_fp = "4f41bc2f6f1a3dabceb52a85b75300c0";
+      w_ren = [ 3; 0; 1; 2 ];
+      w_trail = "39609a28d3398c68609a555345c88495";
+    };
+    {
+      w_name = "mwmr crash_recover";
+      w_cfg =
+        {
+          n4_silent with
+          Mc.Config.family = Mc.Config.Mwmr;
+          byz = [];
+          menu = [ Mc.Config.Crash_recover { server = 2 } ];
+        };
+      w_seed = 6;
+      w_steps = 120;
+      w_corrupt_at = 5;
+      w_fp = "d3c4c6347d61dbe25b23c4f615492ab1";
+      w_ren = [ 2; 3; 0; 1 ];
+      w_trail = "f7e147d3ff77a57251628fc38f257383";
+    };
+  ]
+
+(* Returns (final hex, final renaming, trail hex, corruptions fired,
+   whether some state had two servers in one automorphism class). *)
+let run_walk w =
+  let st = Random.State.make [| w.w_seed |] in
+  let sys = Mc.Sys.create w.w_cfg in
+  let n = w.w_cfg.Mc.Config.n in
+  let trail = Buffer.create 4096 in
+  let tied = ref false in
+  let record () =
+    let fp, ren, rep = Mc.Sys.fingerprint_ex sys in
+    Buffer.add_string trail fp;
+    for s = 0 to n - 1 do
+      if rep s <> s then tied := true;
+      Buffer.add_string trail (Printf.sprintf "|%d>%d~%d" s (ren s) (rep s))
+    done;
+    Buffer.add_char trail '\n';
+    (fp, List.init n ren)
+  in
+  let rec go k last =
+    if k >= w.w_steps then last
+    else
+      match Mc.Sys.enabled sys with
+      | [] -> last
+      | moves ->
+        let mv =
+          match
+            List.find_opt (function Mc.Sys.Corrupt _ -> true | _ -> false) moves
+          with
+          | Some c when k >= w.w_corrupt_at -> Some c
+          | _ -> List.nth_opt moves (Random.State.int st (List.length moves))
+        in
+        check_true "walk move applies"
+          (Option.fold ~none:false ~some:(Mc.Sys.apply sys) mv);
+        go (k + 1) (record ())
+  in
+  let fp, ren = go 0 (record ()) in
+  ( fp,
+    ren,
+    Digest.to_hex (Digest.string (Buffer.contents trail)),
+    List.length (Mc.Sys.corrupt_times sys),
+    !tied )
+
+let test_golden_fingerprint w () =
+  let fp, ren, trail, fired, _ = run_walk w in
+  if w.w_corrupt_at < max_int then
+    check_true "the walk fired its menu items"
+      (fired = List.length w.w_cfg.Mc.Config.menu);
+  check_true "final fingerprint" (String.equal fp w.w_fp);
+  check_true "final renaming" (ren = w.w_ren);
+  check_true "every state's fingerprint and renaming"
+    (String.equal trail w.w_trail)
+
+let test_golden_walks_cover_ties () =
+  check_true "some walk reaches tied anonymous servers"
+    (List.exists
+       (fun w ->
+         let _, _, _, _, tied = run_walk w in
+         tied)
+       golden_walks)
+
+let tests =
+  List.map
+    (fun w -> case ("golden fingerprint: " ^ w.w_name) (test_golden_fingerprint w))
+    golden_walks
+  @ [
+    case "golden walks reach tied servers" test_golden_walks_cover_ties;
     case "tiny config verified exhaustively" test_tiny_exhaustive_clean;
     case "reduction soundness cross-check" test_reduction_soundness_cross_check;
     case "seeded order is sound and deterministic"

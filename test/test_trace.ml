@@ -13,28 +13,24 @@ let test_counters () =
   Sim.Trace.reset_counters tr;
   check_int "reset" 0 (Sim.Trace.counter tr "x")
 
-let test_events () =
+(* Hot paths (Net's per-class traffic counters, Link's "net.msgs") hold
+   refs resolved once with [counter_ref]; a reset must zero them in
+   place, not strand them outside the registry. *)
+let test_reset_keeps_cached_refs () =
   let tr = Sim.Trace.create () in
-  Sim.Trace.emit tr ~time:(Sim.Vtime.of_int 1) ~tag:"a" "first";
-  Sim.Trace.emit tr ~time:(Sim.Vtime.of_int 2) ~tag:"b" "second";
-  Sim.Trace.emit tr ~time:(Sim.Vtime.of_int 3) ~tag:"a" "third";
-  check_int "all events" 3 (List.length (Sim.Trace.events tr));
-  let tagged = Sim.Trace.events_tagged tr "a" in
-  check_int "tagged" 2 (List.length tagged);
-  check_true "oldest first"
-    (List.map (fun (e : Sim.Trace.event) -> e.detail) tagged
-    = [ "first"; "third" ])
-
-let test_recording_disabled () =
-  let tr = Sim.Trace.create ~record_events:false () in
-  Sim.Trace.emit tr ~time:Sim.Vtime.zero ~tag:"a" "dropped";
-  check_int "no events" 0 (List.length (Sim.Trace.events tr));
-  Sim.Trace.incr tr "still-counting";
-  check_int "counters alive" 1 (Sim.Trace.counter tr "still-counting")
+  let r = Obs.Metrics.counter_ref (Sim.Trace.metrics tr) "hot" in
+  incr r;
+  Sim.Trace.reset_counters tr;
+  check_int "zeroed" 0 !r;
+  incr r;
+  incr r;
+  check_int "the cached ref still feeds the registry" 2
+    (Sim.Trace.counter tr "hot");
+  check_true "same ref after reset"
+    (r == Obs.Metrics.counter_ref (Sim.Trace.metrics tr) "hot")
 
 let tests =
   [
     case "counters" test_counters;
-    case "events" test_events;
-    case "recording disabled" test_recording_disabled;
+    case "reset keeps cached refs" test_reset_keeps_cached_refs;
   ]

@@ -84,7 +84,7 @@ let swsr_regular_ops ?(n = 9) ?(f = 1) () () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Swsr_regular.write w (Value.int !k);
+        ignore (Swsr_regular.write w (Value.int !k));
         ignore (Swsr_regular.read r))
 
 let swsr_atomic_ops ?(n = 9) ?(f = 1) ?(mode = Params.Async) ?medium () () =
@@ -95,7 +95,7 @@ let swsr_atomic_ops ?(n = 9) ?(f = 1) ?(mode = Params.Async) ?medium () () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Swsr_atomic.write w (Value.int !k);
+        ignore (Swsr_atomic.write w (Value.int !k));
         ignore (Swsr_atomic.read r))
 
 (* The deadline/health layer with no faults: every first attempt
@@ -109,11 +109,11 @@ let swsr_regular_retry_ops ?(n = 9) ?(f = 1) () () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        (match Swsr_regular.write_o w (Value.int !k) with
+        (match Swsr_regular.write w (Value.int !k) with
         | Outcome.Ok () -> ()
         | Outcome.Degraded _ | Outcome.Timed_out _ ->
           failwith "no-fault bench degraded");
-        ignore (Swsr_regular.read_o r))
+        ignore (Swsr_regular.read r))
 
 (* The degraded path itself: 4 of 9 slots crashed (beyond the f = 1
    bound), so every write burns the full retry budget and reports
@@ -131,7 +131,7 @@ let swsr_regular_degraded_ops ?(n = 9) ?(f = 1) () () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        match Swsr_regular.write_o w (Value.int !k) with
+        match Swsr_regular.write w (Value.int !k) with
         | Outcome.Degraded _ -> ()
         | Outcome.Ok () | Outcome.Timed_out _ ->
           failwith "crash-burst bench expected Degraded")
@@ -144,7 +144,7 @@ let swmr_ops () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Swmr.write w (Value.int !k);
+        ignore (Swmr.write w (Value.int !k));
         ignore (Swmr.read r))
 
 let swmr_wb_ops () =
@@ -155,7 +155,7 @@ let swmr_wb_ops () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Swmr_wb.write w (Value.int !k);
+        ignore (Swmr_wb.write w (Value.int !k));
         ignore (Swmr_wb.read r))
 
 let kv_ops () =
@@ -167,8 +167,8 @@ let kv_ops () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Kv.Store.set s0 ~key:"a" (Value.int !k);
-        ignore (Kv.Store.get s1 ~key:"a"))
+        ignore (Kv.Store.set_o s0 ~key:"a" (Value.int !k));
+        ignore (Kv.Store.get_o s1 ~key:"a"))
 
 let mwmr_ops () =
   let engine, net = deployment () in
@@ -179,7 +179,7 @@ let mwmr_ops () =
   fun () ->
     incr k;
     run_op engine (fun () ->
-        Mwmr.write p0 (Value.int !k);
+        ignore (Mwmr.write p0 (Value.int !k));
         ignore (Mwmr.read p1))
 
 (* --- oracles --- *)

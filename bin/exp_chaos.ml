@@ -116,7 +116,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
   violations
 
 (* Replay a repro artifact; Ok when the replay reproduces the recorded
-   verdict kind. *)
+   verdict exactly: kind, count and detail. *)
 let replay path =
   match Obs.Json.parse (read_file path) with
   | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
@@ -145,7 +145,7 @@ let replay path =
              ( "replayed",
                Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
            ]);
-      if Campaign.same_verdict repro.Campaign.verdict outcome.Campaign.verdict
+      if Campaign.verdict_equal repro.Campaign.verdict outcome.Campaign.verdict
       then begin
         Printf.printf "replay reproduced the recorded verdict\n";
         Ok ()

@@ -17,9 +17,9 @@ let run_one ~seed ~moves =
       ( "wr",
         fun () ->
           for i = 1 to moves do
-            Swsr_atomic.write w (Value.int i);
+            ignore (Swsr_atomic.write w (Value.int i));
             incr total;
-            (match Swsr_atomic.read r with
+            (match Outcome.to_option (Swsr_atomic.read r) with
             | Some v when Value.equal v (Value.int i) -> incr correct
             | Some _ | None -> ());
             Byzantine.Adversary.move adv ~from:((i - 1) mod 9) ~to_:(i mod 9)

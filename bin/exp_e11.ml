@@ -27,11 +27,12 @@ let run_one ~seed ~loss =
             ignore
               (Harness.Scenario.record scn ~proc:"writer"
                  ~kind:Oracles.History.Write (fun () ->
-                   Swsr_atomic.write w (Value.int i);
+                   ignore (Swsr_atomic.write w (Value.int i));
                    Some (Value.int i)));
             ignore
               (Harness.Scenario.record scn ~proc:"reader"
-                 ~kind:Oracles.History.Read (fun () -> Swsr_atomic.read r))
+                 ~kind:Oracles.History.Read (fun () ->
+                     Outcome.to_option (Swsr_atomic.read r)))
           done );
     ];
   Common.observe_scn scn;

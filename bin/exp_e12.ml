@@ -28,7 +28,7 @@ let recovery_reads ~seed ~sanity_check =
       ( "wr",
         fun () ->
           for i = 1 to 5 do
-            Swsr_atomic.write w (Value.int i)
+            ignore (Swsr_atomic.write w (Value.int i))
           done;
           (* Worst-case transient fault: pwsn lands clockwise-AHEAD of the
              writer's counter (5), so the 13M3 guard keeps preferring the
@@ -38,8 +38,8 @@ let recovery_reads ~seed ~sanity_check =
             ~pwsn:(10 + Sim.Rng.int rng 40)
             ~pv:(Value.str "stale");
           for i = 6 to 105 do
-            Swsr_atomic.write w (Value.int i);
-            match Swsr_atomic.read r with
+            ignore (Swsr_atomic.write w (Value.int i));
+            match Outcome.to_option (Swsr_atomic.read r) with
             | Some v when Value.equal v (Value.int i) ->
               if !recovered_at = None then recovered_at := Some (i - 5)
             | Some _ | None ->

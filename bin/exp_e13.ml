@@ -42,7 +42,7 @@ let random_workload ~seed kind =
         fun () ->
           for i = 1 to 25 do
             let inv = Harness.Scenario.now scn in
-            write (Value.int i);
+            ignore (write (Value.int i));
             record "writer" Oracles.History.Write inv (Value.int i)
           done );
       ( "r0",
@@ -51,8 +51,8 @@ let random_workload ~seed kind =
           for _ = 1 to 20 do
             let inv = Harness.Scenario.now scn in
             (match read0 () with
-            | Some v -> record "r0" Oracles.History.Read inv v
-            | None -> ());
+            | Outcome.Ok v -> record "r0" Oracles.History.Read inv v
+            | Outcome.Degraded _ | Outcome.Timed_out _ -> ());
             Harness.Scenario.sleep scn (Sim.Rng.int_in rng 0 10)
           done );
       ( "r1",
@@ -61,8 +61,8 @@ let random_workload ~seed kind =
           for _ = 1 to 20 do
             let inv = Harness.Scenario.now scn in
             (match read1 () with
-            | Some v -> record "r1" Oracles.History.Read inv v
-            | None -> ());
+            | Outcome.Ok v -> record "r1" Oracles.History.Read inv v
+            | Outcome.Degraded _ | Outcome.Timed_out _ -> ());
             Harness.Scenario.sleep scn (Sim.Rng.int_in rng 0 10)
           done );
     ];

@@ -79,7 +79,7 @@ let consistent_corruption_timeline ~seed =
     [
       ( "timeline",
         fun () ->
-          Swsr_atomic.write w (Value.int 1);
+          ignore (Swsr_atomic.write w (Value.int 1));
           (* transient fault: every server agrees on junk; reader state
              scrambled *)
           Array.iter
@@ -89,11 +89,11 @@ let consistent_corruption_timeline ~seed =
               i.Registers.Server.helping <- None)
             (Byzantine.Adversary.servers scn.Harness.Scenario.adversary);
           Swsr_atomic.corrupt_reader r (Harness.Scenario.split_rng scn);
-          before := Swsr_atomic.read r;
-          Swsr_atomic.write w (Value.int 2);
-          after := Swsr_atomic.read r;
-          Swsr_atomic.write w (Value.int 3);
-          later := Swsr_atomic.read r );
+          before := Outcome.to_option (Swsr_atomic.read r);
+          ignore (Swsr_atomic.write w (Value.int 2));
+          after := Outcome.to_option (Swsr_atomic.read r);
+          ignore (Swsr_atomic.write w (Value.int 3));
+          later := Outcome.to_option (Swsr_atomic.read r) );
     ];
   (!before, !after, !later, junk)
 

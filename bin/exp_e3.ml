@@ -21,12 +21,12 @@ let random_starved ~seed ~n ~f =
       ( "writer",
         fun () ->
           for i = 1 to 100 do
-            Swsr_regular.write w (Value.int i)
+            ignore (Swsr_regular.write w (Value.int i))
           done );
       ( "reader",
         fun () ->
           for _ = 1 to 12 do
-            match Swsr_regular.read ~max_iterations:4 r with
+            match Outcome.to_option (Swsr_regular.read ~max_iterations:4 r) with
             | None -> incr starved
             | Some _ -> ()
           done );

@@ -19,7 +19,7 @@ let run_one ~seed ~n ~delay =
       ( "writer",
         fun () ->
           for i = 1 to 600 do
-            Swsr_atomic.write w (Value.int i)
+            ignore (Swsr_atomic.write w (Value.int i))
           done );
       ( "reader",
         fun () ->

@@ -46,7 +46,7 @@ let run_sequential ~seed ~seq_bound =
             if k mod 2 = 0 then begin
               let v = Harness.Workload.value_for ~writer:(100 + pid) k in
               let inv = Harness.Scenario.now scn in
-              Mwmr.write p v;
+              ignore (Mwmr.write p v);
               let resp = Harness.Scenario.now scn in
               match Mwmr.last_write_timestamp p with
               | Some (e, s) ->
@@ -57,7 +57,7 @@ let run_sequential ~seed ~seq_bound =
             end
             else begin
               let inv = Harness.Scenario.now scn in
-              let result = Mwmr.read_timestamped p in
+              let result = Outcome.to_option (Mwmr.read_timestamped p) in
               let resp = Harness.Scenario.now scn in
               List.iter
                 (fun (v, e, s) ->

@@ -51,11 +51,11 @@ let poison_comparison ~seed =
     [
       ( "wr",
         fun () ->
-          Swsr_atomic.write w (Value.int 1);
+          ignore (Swsr_atomic.write w (Value.int 1));
           plant scn2;
           for i = 2 to 11 do
-            Swsr_atomic.write w (Value.int i);
-            match Swsr_atomic.read r with
+            ignore (Swsr_atomic.write w (Value.int i));
+            match Outcome.to_option (Swsr_atomic.read r) with
             | Some v when Value.equal v (Value.int i) -> incr recovered
             | Some _ | None -> ()
           done );
@@ -104,12 +104,14 @@ let pressure_comparison ~seed =
         ( "writer",
           fun () ->
             for i = 1 to 80 do
-              Swsr_regular.write w (Value.int i)
+              ignore (Swsr_regular.write w (Value.int i))
             done );
         ( "reader",
           fun () ->
             for _ = 1 to 12 do
-              match Swsr_regular.read ~max_iterations:4 r with
+              match
+                Outcome.to_option (Swsr_regular.read ~max_iterations:4 r)
+              with
               | None -> incr failures
               | Some _ -> ()
             done );

@@ -17,7 +17,7 @@ let measure ~seed ~n ~f which =
         ( "wr",
           fun () ->
             for i = 1 to ops do
-              Swsr_regular.write w (Value.int i);
+              ignore (Swsr_regular.write w (Value.int i));
               ignore (Swsr_regular.read r)
             done );
       ]
@@ -28,7 +28,7 @@ let measure ~seed ~n ~f which =
         ( "wr",
           fun () ->
             for i = 1 to ops do
-              Swsr_atomic.write w (Value.int i);
+              ignore (Swsr_atomic.write w (Value.int i));
               ignore (Swsr_atomic.read r)
             done );
       ]
@@ -46,7 +46,7 @@ let measure ~seed ~n ~f which =
         ( "wr",
           fun () ->
             for i = 1 to ops do
-              Swmr.write w (Value.int i);
+              ignore (Swmr.write w (Value.int i));
               ignore (Swmr.read r)
             done );
       ]
@@ -59,7 +59,7 @@ let measure ~seed ~n ~f which =
         ( "wr",
           fun () ->
             for i = 1 to ops do
-              Mwmr.write p0 (Value.int i);
+              ignore (Mwmr.write p0 (Value.int i));
               ignore (Mwmr.read p1)
             done );
       ]);

@@ -50,12 +50,14 @@ let () =
                    feed.((i + round) mod Array.length feed)
                    i round
                in
-               Mwmr.write console (Value.str revision);
-               log "[console%d] pushed %S" i revision;
+               (match Mwmr.write console (Value.str revision) with
+               | Outcome.Ok () -> log "[console%d] pushed %S" i revision
+               | o -> log "[console%d] push %s" i (Outcome.kind o));
                Harness.Scenario.sleep scn (Sim.Rng.int_in rng 40 120);
                (match Mwmr.read console with
-               | Some v -> log "[console%d] sees   %s" i (Value.to_string v)
-               | None -> log "[console%d] read failed" i);
+               | Outcome.Ok v ->
+                 log "[console%d] sees   %s" i (Value.to_string v)
+               | o -> log "[console%d] read %s" i (Outcome.kind o));
                Harness.Scenario.sleep scn (Sim.Rng.int_in rng 40 120)
              done)))
     consoles;
@@ -66,7 +68,8 @@ let () =
   Array.iteri
     (fun i console ->
       ignore
-        (Sim.Fiber.spawn (fun () -> finals.(i) <- Mwmr.read console)))
+        (Sim.Fiber.spawn (fun () ->
+             finals.(i) <- Outcome.to_option (Mwmr.read console))))
     consoles;
   Harness.Scenario.run scn;
   print_endline "--- final audit ---";

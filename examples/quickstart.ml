@@ -28,8 +28,11 @@ let () =
     Sim.Fiber.spawn ~name:"writer" (fun () ->
         List.iter
           (fun word ->
-            Swsr_atomic.write writer (Value.str word);
-            Printf.printf "[writer] wrote %S\n" word;
+            (* Operations report how they finished: Ok, or Degraded /
+               Timed_out with a reason when too few servers answered. *)
+            (match Swsr_atomic.write writer (Value.str word) with
+            | Outcome.Ok () -> Printf.printf "[writer] wrote %S\n" word
+            | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
             Harness.Scenario.sleep scn 20)
           [ "tyranny"; "is"; "a"; "habit" ])
   in
@@ -37,11 +40,11 @@ let () =
     Sim.Fiber.spawn ~name:"reader" (fun () ->
         for _ = 1 to 6 do
           (match Swsr_atomic.read reader with
-          | Some v ->
+          | Outcome.Ok v ->
             Printf.printf "[reader] t=%-4d read %s\n"
               (Sim.Vtime.to_int (Harness.Scenario.now scn))
               (Value.to_string v)
-          | None -> assert false);
+          | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
           Harness.Scenario.sleep scn 15
         done)
   in

@@ -30,8 +30,9 @@ let () =
     (Sim.Fiber.spawn ~name:"writer" (fun () ->
          for i = 1 to 30 do
            let v = Value.int (1000 + i) in
-           Swsr_atomic.write w v;
-           expected := v;
+           (match Swsr_atomic.write w v with
+           | Outcome.Ok () -> expected := v
+           | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
            Harness.Scenario.sleep scn 25
          done));
   ignore
@@ -39,13 +40,13 @@ let () =
          for _ = 1 to 30 do
            let t = Sim.Vtime.to_int (Harness.Scenario.now scn) in
            (match Swsr_atomic.read r with
-           | Some v ->
+           | Outcome.Ok v ->
              let fresh = Value.equal v !expected in
              Printf.printf "t=%-5d read %-14s %s\n" t (Value.to_string v)
                (if fresh then "(current)"
                 else if t > 380 && t < 480 then "<-- fault window"
                 else "(admissible overlap)")
-           | None -> assert false);
+           | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
            Harness.Scenario.sleep scn 25
          done));
   Harness.Scenario.run scn;

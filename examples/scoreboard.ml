@@ -30,9 +30,11 @@ let () =
            let p = Sim.Rng.int rng m in
            let score = 100 + Sim.Rng.int rng 900 in
            let entry = Printf.sprintf "player%d:%d" p score in
-           Mwmr.write players.(p) (Value.str entry);
+           (match Mwmr.write players.(p) (Value.str entry) with
+           | Outcome.Ok () -> ()
+           | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
            (match Mwmr.read players.((p + 1) mod m) with
-           | Some v ->
+           | Outcome.Ok v ->
              let shown = Value.to_string v in
              let fresh = Value.equal v (Value.str entry) in
              if not fresh then incr blips;
@@ -40,7 +42,7 @@ let () =
                round entry shown
                (if fresh then ""
                 else " <- epoch-boundary blip (Fig 4, line 11)")
-           | None -> assert false);
+           | Outcome.Degraded _ | Outcome.Timed_out _ -> assert false);
            Harness.Scenario.sleep scn 30
          done));
   Harness.Scenario.run scn;

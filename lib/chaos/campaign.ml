@@ -75,6 +75,14 @@ let verdict_kind = function
 
 let same_verdict a b = String.equal (verdict_kind a) (verdict_kind b)
 
+let verdict_equal a b =
+  match (a, b) with
+  | Clean, Clean -> true
+  | Violation a, Violation b ->
+    String.equal a.kind b.kind && Int.equal a.count b.count
+    && String.equal a.detail b.detail
+  | Clean, Violation _ | Violation _, Clean -> false
+
 let pp_verdict fmt = function
   | Clean -> Format.pp_print_string fmt "clean"
   | Violation { kind; count; detail } ->

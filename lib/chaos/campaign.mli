@@ -68,6 +68,10 @@ val verdict_kind : verdict -> string
 (** ["clean"] or the violation kind — the identity shrinking preserves. *)
 
 val same_verdict : verdict -> verdict -> bool
+(** Same {!verdict_kind}. *)
+
+val verdict_equal : verdict -> verdict -> bool
+(** Same kind, count and detail — what a replay must reproduce. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

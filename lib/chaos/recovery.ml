@@ -106,8 +106,9 @@ let stabilization h ~lo ~hi =
 let run ?on_scenario cfg ~seed =
   let params =
     Registers.Params.create_unchecked
-      ?retry:
-        (if cfg.retry then Some Registers.Params.default_retry else None)
+      ~retry:
+        (if cfg.retry then Registers.Params.default_retry
+         else Registers.Params.paper_wait)
       ~n:cfg.n ~f:cfg.f ~mode:Registers.Params.Async ()
   in
   let scn = Harness.Scenario.create ~seed ~params () in
@@ -128,7 +129,7 @@ let run ?on_scenario cfg ~seed =
     for k = 1 to cfg.writes do
       let v = Registers.Value.int k in
       let inv = Harness.Scenario.now scn in
-      let o = Registers.Swsr_regular.write_o w v in
+      let o = Registers.Swsr_regular.write w v in
       let resp = Harness.Scenario.now scn in
       (* Even a degraded write reached a read quorum of servers, so the
          oracle must treat it as a write that may be read. *)
@@ -146,7 +147,7 @@ let run ?on_scenario cfg ~seed =
     for _ = 1 to cfg.reads do
       let inv = Harness.Scenario.now scn in
       let o =
-        Registers.Swsr_regular.read_o ~max_iterations:cfg.read_budget r
+        Registers.Swsr_regular.read ~max_iterations:cfg.read_budget r
       in
       let resp = Harness.Scenario.now scn in
       (match o with

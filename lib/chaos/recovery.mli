@@ -26,7 +26,9 @@ type config = {
   reads : int;  (** op counts for the workload pair *)
   read_budget : int;  (** inquiry-iteration budget per read *)
   gap_hi : int;  (** think time uniform in [0, gap_hi] *)
-  retry : bool;  (** install {!Registers.Params.default_retry} *)
+  retry : bool;
+      (** {!Registers.Params.default_retry} if set, else
+          {!Registers.Params.paper_wait} *)
 }
 
 val default_config : config

@@ -76,33 +76,37 @@ let run ?(instrument = fun _ -> ()) kind =
     let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
     ignore
       (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           Registers.Swsr_regular.write w v0;
+           ignore (Registers.Swsr_regular.write w v0);
            write1_start := Sim.Engine.now engine;
-           Registers.Swsr_regular.write w v1;
+           ignore (Registers.Swsr_regular.write w v1);
            write1_end := Sim.Engine.now engine));
     ignore
       (Sim.Fiber.spawn ~name:"reader" (fun () ->
            sleep 10;
            read1_start := Sim.Engine.now engine;
-           read1 := Registers.Swsr_regular.read r;
+           read1 :=
+             Registers.Outcome.to_option (Registers.Swsr_regular.read r);
            read2_start := Sim.Engine.now engine;
-           read2 := Registers.Swsr_regular.read r))
+           read2 :=
+             Registers.Outcome.to_option (Registers.Swsr_regular.read r)))
   | `Atomic ->
     let w = Registers.Swsr_atomic.writer ~net ~client_id:100 ~inst:0 () in
     let r = Registers.Swsr_atomic.reader ~net ~client_id:101 ~inst:0 () in
     ignore
       (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           Registers.Swsr_atomic.write w v0;
+           ignore (Registers.Swsr_atomic.write w v0);
            write1_start := Sim.Engine.now engine;
-           Registers.Swsr_atomic.write w v1;
+           ignore (Registers.Swsr_atomic.write w v1);
            write1_end := Sim.Engine.now engine));
     ignore
       (Sim.Fiber.spawn ~name:"reader" (fun () ->
            sleep 10;
            read1_start := Sim.Engine.now engine;
-           read1 := Registers.Swsr_atomic.read r;
+           read1 :=
+             Registers.Outcome.to_option (Registers.Swsr_atomic.read r);
            read2_start := Sim.Engine.now engine;
-           read2 := Registers.Swsr_atomic.read r)));
+           read2 :=
+             Registers.Outcome.to_option (Registers.Swsr_atomic.read r))));
   Sim.Engine.run engine;
   let inversion =
     match (!read1, !read2) with

@@ -88,12 +88,14 @@ let run ~n ~f ?(sync = false) ?(budget = 6) ?(instrument = fun _ -> ()) () =
   ignore
     (Sim.Fiber.spawn ~name:"writer" (fun () ->
          for i = 1 to writes do
-           Registers.Swsr_regular.write w (Registers.Value.int i)
+           ignore (Registers.Swsr_regular.write w (Registers.Value.int i))
          done));
   ignore
     (Sim.Fiber.spawn ~name:"reader" (fun () ->
          sleep 15;
-         returned := Registers.Swsr_regular.read ~max_iterations:budget r));
+         returned :=
+           Registers.Outcome.to_option
+             (Registers.Swsr_regular.read ~max_iterations:budget r)));
   (* The asynchronous schedule keeps a write pending essentially forever;
      cap the run well past the reader's budget. *)
   Sim.Engine.run ~until:(Sim.Vtime.of_int (far / 2)) engine;

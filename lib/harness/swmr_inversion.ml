@@ -53,13 +53,15 @@ let run kind =
     let r1 = Registers.Swmr.reader ~net ~client_id:201 ~base_inst:0 ~reader_index:1 () in
     ignore
       (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           Registers.Swmr.write w v1;
-           Registers.Swmr.write w v2));
+           ignore (Registers.Swmr.write w v1);
+           ignore (Registers.Swmr.write w v2)));
     ignore
       (Sim.Fiber.spawn ~name:"readers" (fun () ->
            sleep 60;
-           read_r0 := Registers.Swmr.read r0;
-           read_r1 := Registers.Swmr.read r1))
+           read_r0 :=
+             Registers.Outcome.to_option (Registers.Swmr.read r0);
+           read_r1 :=
+             Registers.Outcome.to_option (Registers.Swmr.read r1)))
   | `Write_back ->
     let w =
       Registers.Swmr_wb.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 ()
@@ -74,13 +76,15 @@ let run kind =
     in
     ignore
       (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           Registers.Swmr_wb.write w v1;
-           Registers.Swmr_wb.write w v2));
+           ignore (Registers.Swmr_wb.write w v1);
+           ignore (Registers.Swmr_wb.write w v2)));
     ignore
       (Sim.Fiber.spawn ~name:"readers" (fun () ->
            sleep 60;
-           read_r0 := Registers.Swmr_wb.read r0;
-           read_r1 := Registers.Swmr_wb.read r1)));
+           read_r0 :=
+             Registers.Outcome.to_option (Registers.Swmr_wb.read r0);
+           read_r1 :=
+             Registers.Outcome.to_option (Registers.Swmr_wb.read r1))));
   Sim.Engine.run ~until:(Sim.Vtime.of_int (far / 2)) engine;
   let inversion =
     match (!read_r0, !read_r1) with

@@ -16,7 +16,7 @@ let writer_job scn ?(proc = "writer") ?(writer_id = 0) ~write ~count ~gap ()
     let v = value_for ~writer:writer_id k in
     ignore
       (Scenario.record scn ~proc ~kind:Oracles.History.Write (fun () ->
-           write v;
+           ignore (write v);
            Some v));
     pause scn rng gap
   done
@@ -24,7 +24,9 @@ let writer_job scn ?(proc = "writer") ?(writer_id = 0) ~write ~count ~gap ()
 let reader_job scn ?(proc = "reader") ~read ~count ~gap () =
   let rng = Scenario.split_rng scn in
   for _ = 1 to count do
-    ignore (Scenario.record scn ~proc ~kind:Oracles.History.Read read);
+    ignore
+      (Scenario.record scn ~proc ~kind:Oracles.History.Read (fun () ->
+           Registers.Outcome.to_option (read ())));
     pause scn rng gap
   done
 
@@ -38,7 +40,7 @@ let mwmr_job scn ~proc ~process ~ops ~write_ratio ~gap ?max_iterations () =
       incr k;
       let v = value_for ~writer:writer_id !k in
       let inv = Scenario.now scn in
-      Registers.Mwmr.write process v;
+      ignore (Registers.Mwmr.write process v);
       let resp = Scenario.now scn in
       let ts =
         match Registers.Mwmr.last_write_timestamp process with
@@ -60,10 +62,10 @@ let mwmr_job scn ~proc ~process ~ops ~write_ratio ~gap ?max_iterations () =
             ~kind:Oracles.History.Write ~inv ~resp ~ts:(e, s, pid) v)
         (Registers.Mwmr.take_restamps process);
       match result with
-      | Some (v, e, s, j) ->
+      | Registers.Outcome.Ok (v, e, s, j) ->
         Oracles.History.record scn.Scenario.history ~proc
           ~kind:Oracles.History.Read ~inv ~resp ~ts:(e, s, j) v
-      | None ->
+      | Registers.Outcome.Degraded _ | Registers.Outcome.Timed_out _ ->
         Oracles.History.record scn.Scenario.history ~proc
           ~kind:Oracles.History.Read ~inv ~resp ~ok:false Registers.Value.bot
     end;

@@ -19,7 +19,7 @@ val writer_job :
   Scenario.t ->
   ?proc:string ->
   ?writer_id:int ->
-  write:(Registers.Value.t -> unit) ->
+  write:(Registers.Value.t -> unit Registers.Outcome.t) ->
   count:int ->
   gap:gap ->
   unit ->
@@ -29,7 +29,7 @@ val writer_job :
 val reader_job :
   Scenario.t ->
   ?proc:string ->
-  read:(unit -> Registers.Value.t option) ->
+  read:(unit -> Registers.Value.t Registers.Outcome.t) ->
   count:int ->
   gap:gap ->
   unit ->

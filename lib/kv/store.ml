@@ -50,27 +50,12 @@ let register t key =
   | None -> raise Not_found
 
 let set_o t ~key v =
-  let span = Registers.Instr.start t.wprobe in
-  let o =
-    Registers.Mwmr.write_o ~parent:(Registers.Instr.ctx span) (register t key)
-      v
-  in
-  Registers.Instr.finish ~ok:(Registers.Outcome.is_ok o) t.wprobe span;
-  o
+  Registers.Instr.run t.wprobe (fun parent ->
+      Registers.Mwmr.write ~parent (register t key) v)
 
 let get_o t ~key =
-  let span = Registers.Instr.start t.rprobe in
-  let o =
-    Registers.Mwmr.read_o ~parent:(Registers.Instr.ctx span) (register t key)
-  in
-  Registers.Instr.finish ~ok:(Registers.Outcome.is_ok o) t.rprobe span;
-  o
-
-(* The legacy untyped API is a forgetful view of the typed one — same
-   protocol runs, outcome dropped (set) or collapsed to option (get). *)
-let set t ~key v = ignore (set_o t ~key v)
-
-let get t ~key = Registers.Outcome.to_option (get_o t ~key)
+  Registers.Instr.run t.rprobe (fun parent ->
+      Registers.Mwmr.read ~parent (register t key))
 
 let keys t = t.cfg.keys
 
@@ -78,7 +63,8 @@ let snapshot t =
   List.map
     (fun key ->
       ( key,
-        match get t ~key with
-        | Some v -> v
-        | None -> Registers.Value.bot ))
+        match get_o t ~key with
+        | Registers.Outcome.Ok v -> v
+        | Registers.Outcome.Degraded _ | Registers.Outcome.Timed_out _ ->
+          Registers.Value.bot ))
     t.cfg.keys

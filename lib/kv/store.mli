@@ -34,8 +34,8 @@ val client : net:Registers.Net.t -> cfg:config -> id:int -> client_id:int -> t
 val set_o : t -> key:string -> Registers.Value.t -> unit Registers.Outcome.t
 (** Atomically write one key, reporting {e how} the operation finished
     (fully serviced, degraded, or timed out — see {!Registers.Outcome});
-    with no {!Registers.Params.retry} policy installed the wait is
-    unbounded and the result is always [Ok].  Must run inside a fiber.
+    under {!Registers.Params.paper_wait} the wait is unbounded and an
+    asynchronous deployment always returns [Ok].  Must run inside a fiber.
     Raises [Not_found] if [key] is not in the schema. *)
 
 val get_o : t -> key:string -> Registers.Value.t Registers.Outcome.t
@@ -43,17 +43,9 @@ val get_o : t -> key:string -> Registers.Value.t Registers.Outcome.t
     the operation finished.  Must run inside a fiber.  Raises
     [Not_found] if [key] is not in the schema. *)
 
-val set : t -> key:string -> Registers.Value.t -> unit
-(** [set_o] with the outcome dropped — the legacy untyped API.  Must run
-    inside a fiber.  Raises [Not_found] if [key] is not in the schema. *)
-
-val get : t -> key:string -> Registers.Value.t option
-(** [get_o] collapsed to an option ([None] on degraded/timeout).  Must
-    run inside a fiber.  Raises [Not_found] if [key] is not in the
-    schema. *)
-
 val keys : t -> string list
 
 val snapshot : t -> (string * Registers.Value.t) list
 (** Read every key in schema order (not an atomic multi-key snapshot:
-    each key is read atomically, one after the other). *)
+    each key is read atomically, one after the other); a key whose read
+    did not return [Ok] shows as [Bot]. *)

@@ -111,7 +111,7 @@ let create (cfg : Config.t) =
               for k = 1 to cfg.writes do
                 record ~proc:"writer" ~kind:Oracles.History.Write (fun () ->
                     let v = Value.int k in
-                    Swsr_regular.write w v;
+                    ignore (Swsr_regular.write w v);
                     (v, true, None))
               done );
           ( "reader",
@@ -121,8 +121,9 @@ let create (cfg : Config.t) =
                     match
                       Swsr_regular.read ~max_iterations:cfg.read_budget r
                     with
-                    | Some v -> (v, true, None)
-                    | None -> (Value.bot, false, None))
+                    | Outcome.Ok v -> (v, true, None)
+                    | Outcome.Degraded _ | Outcome.Timed_out _ ->
+                      (Value.bot, false, None))
               done );
         ] )
     | Config.Atomic ->
@@ -135,7 +136,7 @@ let create (cfg : Config.t) =
               for k = 1 to cfg.writes do
                 record ~proc:"writer" ~kind:Oracles.History.Write (fun () ->
                     let v = Value.int k in
-                    Swsr_atomic.write w v;
+                    ignore (Swsr_atomic.write w v);
                     (v, true, None))
               done );
           ( "reader",
@@ -145,8 +146,9 @@ let create (cfg : Config.t) =
                     match
                       Swsr_atomic.read ~max_iterations:cfg.read_budget r
                     with
-                    | Some v -> (v, true, None)
-                    | None -> (Value.bot, false, None))
+                    | Outcome.Ok v -> (v, true, None)
+                    | Outcome.Degraded _ | Outcome.Timed_out _ ->
+                      (Value.bot, false, None))
               done );
         ] )
     | Config.Mwmr ->
@@ -161,7 +163,7 @@ let create (cfg : Config.t) =
           for k = 1 to cfg.writes do
             let v = Value.int ((1000 * (i + 1)) + k) in
             let inv = Sim.Engine.now engine in
-            Mwmr.write p v;
+            ignore (Mwmr.write p v);
             let resp = Sim.Engine.now engine in
             let ts =
               match Mwmr.last_write_timestamp p with
@@ -185,10 +187,10 @@ let create (cfg : Config.t) =
                   ~kind:Oracles.History.Write ~inv ~resp ~ts:(e, s, i) v)
               (Mwmr.take_restamps p);
             match result with
-            | Some (v, e, s, j) ->
+            | Outcome.Ok (v, e, s, j) ->
               Oracles.History.record history ~proc
                 ~kind:Oracles.History.Read ~inv ~resp ~ts:(e, s, j) v
-            | None ->
+            | Outcome.Degraded _ | Outcome.Timed_out _ ->
               Oracles.History.record history ~proc
                 ~kind:Oracles.History.Read ~inv ~resp ~ok:false Value.bot
           done
@@ -511,10 +513,13 @@ let fingerprint_raw_ex t =
   in
   (* Each queued ack is rendered once, with origin 0: that is its
      reference key below, and the client section splices the renamed
-     origin back in.  The only mailbox consumer is [Collect.acks], which
-     files responses into a per-server slots array — so the arrival ORDER
-     of queued acks is semantically inert and the mailbox can be treated
-     as a multiset.  The one exception: an envelope whose round tag has
+     origin back in.  The only mailbox consumer is
+     [Collect.attempt_once], which files responses into a per-server
+     slots array — so the arrival ORDER of queued acks is semantically
+     inert and the mailbox can be treated as a multiset.  Its [Health]
+     bookkeeping is left out too: only an attempt with a policy deadline
+     feeds it, and mc deployments run [Params.paper_wait].  The one
+     exception to order-blindness: an envelope whose round tag has
      gone stale is normally dead forever, but a pending [Corrupt_round]
      item could resurrect it, and whether a stale envelope was
      consumed-and-dropped or still queued does depend on order.  So order

@@ -1,3 +1,10 @@
+(* The [last_val]s one READ round collected, in server-id order. *)
+let round_lasts ~net ~port ~round =
+  (Collect.attempt_once ~net ~port ~round ~attempt:0
+     ~filter:Collect.read_filter)
+    .Collect.payloads
+  |> List.map fst
+
 module Nonstab = struct
   type writer = {
     net : Net.t;
@@ -41,7 +48,9 @@ module Nonstab = struct
       Net.ss_broadcast w.net w.port ~inst:w.inst
         (Messages.Write { sn = w.sn; v })
     in
-    ignore (Collect.ack_writes ~net:w.net ~port:w.port ~round)
+    ignore
+      (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
+         ~filter:Collect.write_filter)
 
   let read ?(max_iterations = 64) (r : reader) =
     let params = Net.params r.net in
@@ -52,9 +61,7 @@ module Nonstab = struct
         let round =
           Net.ss_broadcast r.net r.port ~inst:r.inst (Messages.Read false)
         in
-        let lasts =
-          Collect.ack_reads ~net:r.net ~port:r.port ~round |> List.map fst
-        in
+        let lasts = round_lasts ~net:r.net ~port:r.port ~round in
         (* Candidates vouched for by at least t+1 servers; take the highest
            timestamp under the ordinary integer order: with unbounded
            counters and no transient faults this is the classical read, and
@@ -106,7 +113,9 @@ module Quiescent = struct
       Net.ss_broadcast w.net w.port ~inst:w.inst
         (Messages.Write { sn = Seqnum.zero; v })
     in
-    ignore (Collect.ack_writes ~net:w.net ~port:w.port ~round)
+    ignore
+      (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
+         ~filter:Collect.write_filter)
 
   let read ?(max_iterations = 64) (r : reader) =
     let threshold = Params.read_quorum (Net.params r.net) in
@@ -117,9 +126,7 @@ module Quiescent = struct
         let round =
           Net.ss_broadcast r.net r.port ~inst:r.inst (Messages.Read false)
         in
-        let lasts =
-          Collect.ack_reads ~net:r.net ~port:r.port ~round |> List.map fst
-        in
+        let lasts = round_lasts ~net:r.net ~port:r.port ~round in
         match Quorum.find_cell ~threshold lasts with
         | Some c -> Some c.Messages.v
         | None -> loop (budget - 1)

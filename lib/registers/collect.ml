@@ -42,35 +42,6 @@ let gather ~net ~port ~round ~filter ~stop_at ~deadline =
     done);
   (slots, !filled, !expired)
 
-let acks ~net ~port ~round ~filter =
-  let params = Net.params net in
-  let slots, _, _ =
-    match Params.sync_timeout params with
-    | None ->
-      gather ~net ~port ~round ~filter ~stop_at:(Params.ack_wait params)
-        ~deadline:None
-    | Some timeout ->
-      (* Synchronous model: wait for all n servers or the round-trip
-         bound. *)
-      let engine = Net.engine net in
-      let deadline = Sim.Vtime.add (Sim.Engine.now engine) timeout in
-      gather ~net ~port ~round ~filter ~stop_at:(params : Params.t).n
-        ~deadline:(Some deadline)
-  in
-  Array.to_list slots |> List.filter_map (fun s -> s)
-
-let ack_writes ~net ~port ~round =
-  acks ~net ~port ~round ~filter:(function
-    | Messages.Ack_write h -> Some h
-    | Messages.Ack_read _ -> None)
-
-let ack_reads ~net ~port ~round =
-  acks ~net ~port ~round ~filter:(function
-    | Messages.Ack_read (c, h) -> Some (c, h)
-    | Messages.Ack_write _ -> None)
-
-(* --- deadline-bounded attempts with health tracking --- *)
-
 type 'a attempt = { payloads : 'a list; acks : int; expired : bool }
 
 (* How many distinct answers attempt number [attempt] (0-based) waits for.
@@ -85,25 +56,31 @@ let attempt_target params ~health ~attempt =
 
 let attempt_once ~net ~port ~round ~attempt ~filter =
   let params = Net.params net in
-  match Params.retry params with
-  | None ->
-    (* No policy installed: exactly the legacy blocking collection. *)
-    let payloads = acks ~net ~port ~round ~filter in
-    { payloads; acks = List.length payloads; expired = false }
-  | Some r ->
-    let engine = Net.engine net in
-    let deadline = Sim.Vtime.add (Sim.Engine.now engine) r.Params.deadline in
-    let stop_at = attempt_target params ~health:port.Net.health ~attempt in
+  let health = port.Net.health in
+  let stop_at = attempt_target params ~health ~attempt in
+  let after span =
+    Some (Sim.Vtime.add (Sim.Engine.now (Net.engine net)) span)
+  in
+  let payloads slots = Array.to_list slots |> List.filter_map (fun s -> s) in
+  match (Params.retry params).Params.deadline with
+  | Some d ->
     let slots, filled, expired =
-      gather ~net ~port ~round ~filter ~stop_at ~deadline:(Some deadline)
+      gather ~net ~port ~round ~filter ~stop_at ~deadline:(after d)
     in
-    let health = port.Net.health in
     Array.iteri
-      (fun s slot ->
-        Health.note health ~server:s ~answered:(slot <> None))
+      (fun s slot -> Health.note health ~server:s ~answered:(slot <> None))
       slots;
-    let payloads = Array.to_list slots |> List.filter_map (fun s -> s) in
-    { payloads; acks = filled; expired }
+    { payloads = payloads slots; acks = filled; expired }
+  | None ->
+    (* The paper's wait: block for the quota (async), or collect until the
+       round-trip bound (sync, lines 02.M / 11.M) — the normal end of a
+       synchronous round, not an expiry.  No suspicion without a deadline:
+       the model checker's fingerprints leave [Health] out. *)
+    let slots, filled, _ =
+      gather ~net ~port ~round ~filter ~stop_at
+        ~deadline:(Option.bind (Params.sync_timeout params) after)
+    in
+    { payloads = payloads slots; acks = filled; expired = false }
 
 let sleep ~net span =
   if span > 0 then
@@ -115,26 +92,23 @@ let sleep ~net span =
    exponential curve plus jitter from the port's own deterministic
    stream. *)
 let backoff_wait ~net ~port ~attempt =
-  match Params.retry (Net.params net) with
-  | None -> ()
-  | Some r ->
-    let base = Params.backoff_span r ~attempt in
-    let jitter =
-      if r.Params.jitter > 0 then
-        Sim.Rng.int port.Net.retry_rng (r.Params.jitter + 1)
-      else 0
-    in
-    Obs.Metrics.incr (Sim.Engine.metrics (Net.engine net)) "collect.retries";
-    let hub = Sim.Engine.hub (Net.engine net) in
-    if Obs.Hub.active hub then
-      Obs.Hub.emit hub
-        (Obs.Event.Mark
-           {
-             time = Sim.Vtime.to_int (Sim.Engine.now (Net.engine net));
-             label =
-               Printf.sprintf "retry.c%d.a%d" port.Net.client_id attempt;
-           });
-    sleep ~net (base + jitter)
+  let r = Params.retry (Net.params net) in
+  let base = Params.backoff_span r ~attempt in
+  let jitter =
+    if r.Params.jitter > 0 then
+      Sim.Rng.int port.Net.retry_rng (r.Params.jitter + 1)
+    else 0
+  in
+  Obs.Metrics.incr (Sim.Engine.metrics (Net.engine net)) "collect.retries";
+  let hub = Sim.Engine.hub (Net.engine net) in
+  if Obs.Hub.active hub then
+    Obs.Hub.emit hub
+      (Obs.Event.Mark
+         {
+           time = Sim.Vtime.to_int (Sim.Engine.now (Net.engine net));
+           label = Printf.sprintf "retry.c%d.a%d" port.Net.client_id attempt;
+         });
+  sleep ~net (base + jitter)
 
 type 'a collected = {
   payloads : 'a list;
@@ -143,40 +117,28 @@ type 'a collected = {
   complete : bool;
 }
 
-let reason_of ~net ~port ~attempts ~acks ~need =
-  {
-    Outcome.attempts;
-    acks;
-    need;
-    suspects =
-      (match Params.retry (Net.params net) with
-      | None -> []
-      | Some _ -> Health.suspects port.Net.health);
-  }
+(* An operation that fell short of [need]: degraded if at least a read
+   quorum answered, timed out otherwise. *)
+let shortfall params ~port ~attempts ~acks ~need =
+  let r =
+    { Outcome.attempts; acks; need; suspects = Health.suspects port.Net.health }
+  in
+  if acks >= Params.read_quorum params then Outcome.Degraded r
+  else Outcome.Timed_out r
 
 let judge ~net ~port (c : 'a collected) =
   let params = Net.params net in
-  if c.acks >= Params.write_ok_threshold params then Outcome.Ok ()
-  else
-    let r =
-      reason_of ~net ~port ~attempts:c.attempts ~acks:c.acks
-        ~need:(Params.write_ok_threshold params)
-    in
-    if c.acks >= Params.read_quorum params then Outcome.Degraded r
-    else Outcome.Timed_out r
+  let need = Params.write_ok_threshold params in
+  if c.acks >= need then Outcome.Ok ()
+  else shortfall params ~port ~attempts:c.attempts ~acks:c.acks ~need
 
 (* One logical collect — broadcast, gather, and retry with backoff until
    the full quota answers or the policy's attempts run out.  Returns the
-   best attempt seen.  With no retry policy this is a single legacy
-   (blocking or sync-timeout) round. *)
+   best attempt seen. *)
 let retrying ?span ~net ~port ~inst ~body ~filter () =
   let params = Net.params net in
   let full = Params.ack_wait params in
-  let max_attempts =
-    match Params.retry params with
-    | None -> 1
-    | Some r -> max 1 r.Params.attempts
-  in
+  let max_attempts = max 1 (Params.retry params).Params.attempts in
   let rec go k best_payloads best_acks =
     let round = Net.ss_broadcast ?span net port ~inst body in
     let a = attempt_once ~net ~port ~round ~attempt:k ~filter in
@@ -207,3 +169,96 @@ let write_filter = function
 let read_filter = function
   | Messages.Ack_read (c, h) -> Some (c, h)
   | Messages.Ack_write _ -> None
+
+(* --- the operation skeleton shared by the SWSR families --- *)
+
+type endpoint = {
+  net : Net.t;
+  port : Net.client_port;
+  inst : int;
+  probe : Instr.probe;
+  mutable iterations : int;
+  mutable help_returns : int;
+}
+
+let endpoint ~net ~client_id ~inst ~reg op =
+  let port = Net.add_client net ~id:client_id in
+  {
+    net;
+    port;
+    inst;
+    probe = Instr.probe ~engine:(Net.engine net) ~client:client_id ~reg op;
+    iterations = 0;
+    help_returns = 0;
+  }
+
+let op ?parent ep body =
+  Instr.run ?parent ep.probe (fun span ->
+      let outcome = body span in
+      Instr.count_op ep.probe;
+      outcome)
+
+(* Lines 02-06: collect the write's acknowledgments, refresh the helping
+   values unless enough servers already vouch for one (line 03), and
+   judge the service level. *)
+let write_round ~span ep cell =
+  let net = ep.net and port = ep.port in
+  let c =
+    retrying ~span ~net ~port ~inst:ep.inst ~body:(Messages.Write cell)
+      ~filter:write_filter ()
+  in
+  let threshold = Params.help_refresh_threshold (Net.params net) in
+  (match Quorum.find_help ~threshold c.payloads with
+  | Some _ -> ()
+  | None ->
+    ignore
+      (Net.ss_broadcast ~span net port ~inst:ep.inst (Messages.New_help cell)));
+  judge ~net ~port c
+
+(* Lines 07-18: inquire until a read quorum vouches for a [last_val]
+   (line 13) or a helping value (line 15), each round bounded by the
+   wait policy and the expired rounds capped by its attempt budget. *)
+let read_loop ~span ?(max_iterations = max_int) ep ~on_cell ~on_help =
+  let net = ep.net and port = ep.port in
+  let params = Net.params net in
+  let threshold = Params.read_quorum params in
+  let timeout_budget = max 1 (Params.retry params).Params.attempts in
+  let new_read = ref true in
+  let attempts = ref 0 in
+  let timeouts = ref 0 in
+  let best_acks = ref 0 in
+  let rec loop budget =
+    if budget <= 0 || !timeouts >= timeout_budget then None
+    else begin
+      ep.iterations <- ep.iterations + 1;
+      incr attempts;
+      let round =
+        Net.ss_broadcast ~span net port ~inst:ep.inst (Messages.Read !new_read)
+      in
+      new_read := false;
+      let a =
+        attempt_once ~net ~port ~round ~attempt:(!attempts - 1)
+          ~filter:read_filter
+      in
+      if a.acks > !best_acks then best_acks := a.acks;
+      match Quorum.find_cell ~threshold (List.map fst a.payloads) with
+      | Some cell -> Some (on_cell cell)
+      | None -> (
+        match Quorum.find_help ~threshold (List.map snd a.payloads) with
+        | Some cell ->
+          ep.help_returns <- ep.help_returns + 1;
+          Some (on_help cell)
+        | None ->
+          if a.expired then begin
+            incr timeouts;
+            if !timeouts < timeout_budget && budget > 1 then
+              backoff_wait ~net ~port ~attempt:!timeouts
+          end;
+          loop (budget - 1))
+    end
+  in
+  match loop max_iterations with
+  | Some v -> Outcome.Ok v
+  | None ->
+    shortfall params ~port ~attempts:(max 1 !attempts) ~acks:!best_acks
+      ~need:(Params.ack_wait params)

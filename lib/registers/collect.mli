@@ -1,51 +1,34 @@
 (** Waiting for acknowledgments from distinct servers (the [wait]
-    statements of lines 02 and 11).
+    statements of lines 02 and 11), and the one operation skeleton every
+    SWSR register client runs.
 
-    Only acknowledgments tagged with the port's current round are
-    considered (see {!Net} on the round tag); at most one acknowledgment
-    per server counts, per the paper's "from (n-t) {e different} servers".
-    In async mode the wait blocks until [Params.ack_wait] distinct servers
-    answered; in sync mode it collects until all [n] answered or the
-    round-trip timeout elapses (lines 02.M / 11.M of Fig. 5). *)
+    Only acknowledgments tagged with the round of the broadcast being
+    answered count (see {!Net} on the round tag); at most one
+    acknowledgment per server counts, per the paper's "from (n-t)
+    {e different} servers".
 
-val acks :
-  net:Net.t ->
-  port:Net.client_port ->
-  round:int ->
-  filter:(Messages.to_client -> 'a option) ->
-  'a list
-(** [acks ~net ~port ~round ~filter] returns the filtered payloads
-    collected, in server-id order.  [round] is the tag returned by the
-    {!Net.ss_broadcast} this wait answers.  [filter] selects/decodes the
-    expected acknowledgment kind; non-matching bodies from a server are
-    ignored (a Byzantine server may send anything). *)
+    {2 Attempts}
 
-val ack_writes :
-  net:Net.t -> port:Net.client_port -> round:int -> Messages.help list
-(** Collect ACK_WRITE payloads (helping values). *)
+    An {e attempt} collects one broadcast's acknowledgments.  How its wait
+    ends depends on the deployment's {!Params.retry} policy and mode:
+    - with a policy [deadline], at that deadline, which counts as
+      [expired]; the attempt then feeds the port's {!Health} tracker with
+      who answered;
+    - otherwise, in sync mode, at the round-trip bound (lines 02.M /
+      11.M of Fig. 5) — the normal end of a synchronous round, not an
+      expiry;
+    - otherwise it blocks until [Params.ack_wait] servers answered, as
+      the asynchronous paper client does.
 
-val ack_reads :
-  net:Net.t ->
-  port:Net.client_port ->
-  round:int ->
-  (Messages.cell * Messages.help) list
-(** Collect ACK_READ payloads ((last_val, helping_val) pairs). *)
-
-(** {2 Deadline-bounded attempts}
-
-    When the deployment's {!Params.retry} policy is installed, waits are
-    bounded: each {e attempt} collects until its target count or a
-    per-attempt deadline, feeds the port's {!Health} tracker with who
-    answered, and retries after deterministic exponential backoff.  The
-    first attempt waits for the paper's full quota; retries stop counting
-    on suspected slots (floored at the read quorum).  With no policy these
-    entry points degenerate to the legacy blocking semantics, tick for
-    tick. *)
+    The first attempt waits for the paper's full quota; retries stop
+    counting on suspected slots (floored at the read quorum).  Under
+    {!Params.paper_wait} no slot is ever suspected, so every attempt waits
+    for the full quota. *)
 
 type 'a attempt = {
   payloads : 'a list;  (** filtered payloads, in server-id order *)
   acks : int;  (** distinct servers that answered in time *)
-  expired : bool;  (** the attempt deadline fired *)
+  expired : bool;  (** the policy deadline fired *)
 }
 
 val attempt_once :
@@ -55,16 +38,10 @@ val attempt_once :
   attempt:int ->
   filter:(Messages.to_client -> 'a option) ->
   'a attempt
-(** One deadline-bounded collection pass for broadcast [round] ([attempt]
-    is 0-based; it selects the target count as described above). *)
-
-val backoff_wait : net:Net.t -> port:Net.client_port -> attempt:int -> unit
-(** Sleep the policy's backoff (plus per-port jitter) before retry number
-    [attempt] (1-based); bumps the ["collect.retries"] metric and emits a
-    ["retry.c<id>.a<k>"] mark.  No-op without a policy. *)
-
-val sleep : net:Net.t -> Sim.Vtime.span -> unit
-(** Park the calling fiber for [span] ticks of virtual time. *)
+(** One collection pass for broadcast [round] ([attempt] is 0-based; it
+    selects the target count as described above).  [filter]
+    selects/decodes the expected acknowledgment kind; non-matching bodies
+    from a server are ignored (a Byzantine server may send anything). *)
 
 type 'a collected = {
   payloads : 'a list;  (** from the best attempt *)
@@ -83,10 +60,11 @@ val retrying :
   unit ->
   'a collected
 (** One logical collect: ss-broadcast [body], gather, and retry (fresh
-    broadcast each time) until the full quota answers or the policy's
-    attempt budget runs out; returns the best attempt.  Each re-broadcast
-    opens its own child span of [span], so retry rounds are visible in
-    traces. *)
+    broadcast each time, after the policy's backoff plus per-port jitter;
+    each retry bumps ["collect.retries"] and emits a ["retry.c<id>.a<k>"]
+    mark) until the full quota answers or the policy's attempt budget runs
+    out; returns the best attempt.  Each re-broadcast opens its own child
+    span of [span], so retry rounds are visible in traces. *)
 
 val judge :
   net:Net.t -> port:Net.client_port -> 'a collected -> unit Outcome.t
@@ -94,15 +72,57 @@ val judge :
     and {!Params.read_quorum} (degraded vs timed out), naming the port's
     current suspects in the reason. *)
 
-val reason_of :
-  net:Net.t ->
-  port:Net.client_port ->
-  attempts:int ->
-  acks:int ->
-  need:int ->
-  Outcome.reason
-
 val write_filter : Messages.to_client -> Messages.help option
 
 val read_filter :
   Messages.to_client -> (Messages.cell * Messages.help) option
+
+(** {2 The operation skeleton} *)
+
+type endpoint = private {
+  net : Net.t;
+  port : Net.client_port;
+  inst : int;
+  probe : Instr.probe;
+  mutable iterations : int;  (** inquiry rounds run by {!read_loop} *)
+  mutable help_returns : int;  (** reads returned through line 15 *)
+}
+(** One client endpoint of one register instance. *)
+
+val endpoint :
+  net:Net.t ->
+  client_id:int ->
+  inst:int ->
+  reg:string ->
+  Obs.Event.op_kind ->
+  endpoint
+(** The endpoint's port is [Net.add_client net ~id:client_id]. *)
+
+val op :
+  ?parent:Obs.Trace_ctx.span ->
+  endpoint ->
+  (Obs.Trace_ctx.span -> 'a Outcome.t) ->
+  'a Outcome.t
+(** Run one operation inside a fresh span of the endpoint's probe (a
+    child of [parent] when given; see {!Instr.run}) and count it with
+    {!Instr.count_op}. *)
+
+val write_round :
+  span:Obs.Trace_ctx.span -> endpoint -> Messages.cell -> unit Outcome.t
+(** Lines 02–06: {!retrying} WRITE([cell]), broadcast NEW_HELP_VAL([cell])
+    unless a {!Params.help_refresh_threshold} of helping values agree, and
+    {!judge} the collect. *)
+
+val read_loop :
+  span:Obs.Trace_ctx.span ->
+  ?max_iterations:int ->
+  endpoint ->
+  on_cell:(Messages.cell -> 'a) ->
+  on_help:(Messages.cell -> 'a) ->
+  'a Outcome.t
+(** Lines 07–18: READ(true) then READ(false) rounds until a
+    {!Params.read_quorum} of [last_val]s agrees (line 13: return
+    [on_cell c]) or of helping values (line 15: return [on_help c]).  Gives
+    up after [max_iterations] rounds (default unlimited), or once the
+    policy's attempt budget of expired rounds is spent, with [Degraded]
+    (a read quorum answered some round) or [Timed_out]. *)

@@ -4,6 +4,7 @@ type probe = {
   reg : string;
   op : Obs.Event.op_kind;
   hist : Obs.Metrics.histogram;
+  mutable ops : int ref option;
 }
 
 type span = { id : int; t0 : Sim.Vtime.t; ctx : Obs.Trace_ctx.span }
@@ -18,6 +19,7 @@ let probe ~engine ~client ~reg op =
       Obs.Metrics.histogram
         (Sim.Engine.metrics engine)
         ("op." ^ reg ^ "." ^ Obs.Event.op_name op);
+    ops = None;
   }
 
 let start ?parent p =
@@ -43,9 +45,7 @@ let start ?parent p =
          });
   { id; t0; ctx }
 
-let ctx span = span.ctx
-
-let finish ?(ok = true) p span =
+let finish ~ok p span =
   let now = Sim.Engine.now p.engine in
   Obs.Metrics.observe p.hist (float_of_int (Sim.Vtime.diff now span.t0));
   let hub = Sim.Engine.hub p.engine in
@@ -61,3 +61,23 @@ let finish ?(ok = true) p span =
            ok;
            span = span.ctx;
          })
+
+(* Resolved at the first count, so a probe that never counts leaves no
+   counter behind in reports. *)
+let count_op p =
+  match p.ops with
+  | Some r -> incr r
+  | None ->
+    let r =
+      Obs.Metrics.counter_ref
+        (Sim.Engine.metrics p.engine)
+        (Obs.Event.op_name p.op ^ ".ops")
+    in
+    incr r;
+    p.ops <- Some r
+
+let run ?parent p body =
+  let span = start ?parent p in
+  let outcome = body span.ctx in
+  finish ~ok:(Outcome.is_ok outcome) p span;
+  outcome

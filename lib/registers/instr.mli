@@ -11,8 +11,6 @@
 
 type probe
 
-type span
-
 val probe :
   engine:Sim.Engine.t -> client:int -> reg:string -> Obs.Event.op_kind -> probe
 (** [reg] names the register class (["swsr_regular"], ["swsr_atomic"],
@@ -20,16 +18,20 @@ val probe :
     client, which events name as process ["c<client>"].  The latency
     histogram is ["op.<reg>.<read|write>"]. *)
 
-val start : ?parent:Obs.Trace_ctx.span -> probe -> span
-(** Open an operation span.  Without [parent] the operation starts a
-    fresh causal tree (the normal top-level case); composite registers
-    pass the enclosing layer's context so one user-level operation stays
-    a single tree across layers. *)
+val count_op : probe -> unit
+(** Bump the ["write.ops"] / ["read.ops"] counter of the probe's
+    operation kind.  The counter is resolved at the first call, so a
+    probe that never counts leaves no counter in the registry. *)
 
-val ctx : span -> Obs.Trace_ctx.span
-(** The causal context of an open operation; pass it to
-    [Net.ss_broadcast ?span] so the round trips parent under it. *)
-
-val finish : ?ok:bool -> probe -> span -> unit
-(** [ok] defaults to [true]; pass [false] for operations that abort
-    (e.g. an MWMR write losing its epoch race). *)
+val run :
+  ?parent:Obs.Trace_ctx.span ->
+  probe ->
+  (Obs.Trace_ctx.span -> 'a Outcome.t) ->
+  'a Outcome.t
+(** Run one operation inside a span: emit [Op_invoke], pass the body the
+    span's causal context (for [Net.ss_broadcast ?span] and for the
+    sub-operations of composite registers), then record the latency and
+    emit [Op_return] with [ok = Outcome.is_ok].  Without [parent] the
+    operation starts a fresh causal tree (the normal top-level case);
+    composite registers pass the enclosing layer's context so one
+    user-level operation stays a single tree across layers. *)

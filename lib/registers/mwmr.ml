@@ -73,7 +73,7 @@ let decode ~k v =
    triple; see the [view_budget] documentation.  Returns the views plus
    the worst sub-read outcome, so a view assembled while servers were
    unreachable is reported as degraded rather than silently partial. *)
-let read_views_o ?parent ?max_iterations p =
+let read_views ?parent ?max_iterations p =
   let k = epoch_k p.cfg in
   let budget =
     match max_iterations with Some b -> b | None -> p.cfg.view_budget
@@ -82,7 +82,7 @@ let read_views_o ?parent ?max_iterations p =
   let views =
     Array.map
       (fun r ->
-        match Swmr.read_o ?parent ~max_iterations:budget r with
+        match Swmr.read ?parent ~max_iterations:budget r with
         | Outcome.Ok v -> decode ~k v
         | (Outcome.Degraded _ | Outcome.Timed_out _) as o ->
           worst := Outcome.worse !worst (Outcome.map (fun _ -> ()) o);
@@ -91,12 +91,12 @@ let read_views_o ?parent ?max_iterations p =
   in
   (views, !worst)
 
-(* Degraded views only surface in the typed outcome when a retry policy
-   is installed: without one, absorption of failed sub-reads as genesis
-   triples is the algorithm's normal (and only) path, and the legacy
-   option API must keep returning the absorbed result. *)
+(* Degraded views only surface in the typed outcome when waits have a
+   deadline: under the paper's unbounded wait, absorbing failed sub-reads
+   as genesis triples is the algorithm's normal (and only) path, and the
+   operation succeeds with the absorbed result. *)
 let view_gate p o =
-  match Params.retry (Net.params p.net) with
+  match (Params.retry (Net.params p.net)).Params.deadline with
   | None -> Outcome.Ok ()
   | Some _ -> o
 
@@ -128,30 +128,25 @@ let frontier views =
     in
     Some (me, seq_max, holders)
 
-let write_o ?parent p v =
-  let span = Instr.start ?parent p.wprobe in
-  let ctx = Instr.ctx span in
-  let views, view_health = read_views_o ~parent:ctx p in
-  if must_open_epoch p views then begin
-    let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
-    p.epochs_opened <- p.epochs_opened + 1;
-    views.(p.id) <- (v, ne, 0) (* line 03 *)
-  end;
-  match frontier views with
-  | None -> assert false (* next_epoch dominates every view epoch *)
-  | Some (me, seq_max, _) ->
-    let ts_seq = seq_max + 1 in
-    p.last_ts <- Some (me, ts_seq);
-    (* line 07 *)
-    let wo =
-      Swmr.write_o ~parent:ctx p.own
-        (Value.stamped ~data:v ~epoch:me ~seq:ts_seq)
-    in
-    let outcome = Outcome.worse wo (view_gate p view_health) in
-    Instr.finish ~ok:(Outcome.is_ok outcome) p.wprobe span;
-    outcome
-
-let write ?parent p v = ignore (write_o ?parent p v)
+let write ?parent p v =
+  Instr.run ?parent p.wprobe (fun ctx ->
+      let views, view_health = read_views ~parent:ctx p in
+      if must_open_epoch p views then begin
+        let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
+        p.epochs_opened <- p.epochs_opened + 1;
+        views.(p.id) <- (v, ne, 0) (* line 03 *)
+      end;
+      match frontier views with
+      | None -> assert false (* next_epoch dominates every view epoch *)
+      | Some (me, seq_max, _) ->
+        let ts_seq = seq_max + 1 in
+        p.last_ts <- Some (me, ts_seq);
+        (* line 07 *)
+        let wo =
+          Swmr.write ~parent:ctx p.own
+            (Value.stamped ~data:v ~epoch:me ~seq:ts_seq)
+        in
+        Outcome.worse wo (view_gate p view_health))
 
 let pick_return p (_me, seq_max, holders) =
   let candidates = List.filter (fun (_, _, _, s) -> s = seq_max) holders in
@@ -164,43 +159,32 @@ let pick_return p (_me, seq_max, holders) =
   | Some (j, v, _, _) -> (j, v)
   | None -> (0, Value.bot) (* unreachable: holders is non-empty *)
 
-let read_timestamped_o ?parent ?max_iterations p =
-  let span = Instr.start ?parent p.rprobe in
-  let ctx = Instr.ctx span in
-  let views, view_health = read_views_o ~parent:ctx ?max_iterations p in
-  if must_open_epoch p views then begin
-    (* Line 11: restamp our own current value into a fresh epoch. *)
-    let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
-    p.epochs_opened <- p.epochs_opened + 1;
-    let own_v, _, _ = views.(p.id) in
-    views.(p.id) <- (own_v, ne, 0);
-    p.restamps_rev <- (own_v, ne, 0) :: p.restamps_rev;
-    Swmr.write ~parent:ctx p.own (Value.stamped ~data:own_v ~epoch:ne ~seq:0)
-  end;
-  match frontier views with
-  | None ->
-    Instr.finish ~ok:false p.rprobe span;
-    (match Outcome.reason (view_gate p view_health) with
-    | Some re -> Outcome.Timed_out re
-    | None -> Outcome.Timed_out Outcome.no_reason)
-  | Some ((me, seq_max, _) as fr) ->
-    let j, v = pick_return p fr in
-    let outcome =
-      Outcome.worse
-        (Outcome.Ok (v, me, seq_max, j))
-        (Outcome.map (fun () -> (v, me, seq_max, j)) (view_gate p view_health))
-    in
-    Instr.finish ~ok:(Outcome.is_ok outcome) p.rprobe span;
-    outcome
-
 let read_timestamped ?parent ?max_iterations p =
-  Outcome.to_option (read_timestamped_o ?parent ?max_iterations p)
-
-let read_o ?parent ?max_iterations p =
-  Outcome.map (fun (v, _, _, _) -> v) (read_timestamped_o ?parent ?max_iterations p)
+  Instr.run ?parent p.rprobe (fun ctx ->
+      let views, view_health = read_views ~parent:ctx ?max_iterations p in
+      if must_open_epoch p views then begin
+        (* Line 11: restamp our own current value into a fresh epoch. *)
+        let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
+        p.epochs_opened <- p.epochs_opened + 1;
+        let own_v, _, _ = views.(p.id) in
+        views.(p.id) <- (own_v, ne, 0);
+        p.restamps_rev <- (own_v, ne, 0) :: p.restamps_rev;
+        ignore
+          (Swmr.write ~parent:ctx p.own
+             (Value.stamped ~data:own_v ~epoch:ne ~seq:0))
+      end;
+      let gate = view_gate p view_health in
+      match frontier views with
+      | None ->
+        Outcome.Timed_out
+          (Option.value ~default:Outcome.no_reason (Outcome.reason gate))
+      | Some ((me, seq_max, _) as fr) ->
+        let j, v = pick_return p fr in
+        Outcome.map (fun () -> (v, me, seq_max, j)) gate)
 
 let read ?parent ?max_iterations p =
-  Outcome.to_option (read_o ?parent ?max_iterations p)
+  read_timestamped ?parent ?max_iterations p
+  |> Outcome.map (fun (v, _, _, _) -> v)
 
 let id p = p.id
 

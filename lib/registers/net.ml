@@ -139,12 +139,7 @@ let add_client t ~id =
        would shift every later split (link samplers, fault draws) and
        silently invalidate all committed seeded artifacts. *)
     let retry_rng =
-      let seed =
-        match t.params.Params.retry with
-        | Some r -> r.Params.jitter_seed
-        | None -> 0
-      in
-      Sim.Rng.create (seed + (1_000_003 * id))
+      Sim.Rng.create (t.params.Params.retry.jitter_seed + (1_000_003 * id))
     in
     let mk_sampler () = t.link_delay (Sim.Rng.split (Sim.Engine.rng t.engine)) in
     let port =

@@ -139,8 +139,8 @@ val ss_broadcast :
   int
 (** Blocking (fiber) ss-broadcast of one protocol message to all servers;
     bumps the trace counter ["ss.broadcasts"].  Returns the data-link round
-    tag used, which the caller passes to {!Collect.acks} — capturing it at
-    broadcast time keeps the matching correct even if a transient fault
-    corrupts the port's tag while the round trip is in flight.  The round
-    gets a fresh causal span, a child of [span] (normally the operation's
-    root span from [Instr.start]). *)
+    tag used, which the caller passes to {!Collect.attempt_once} —
+    capturing it at broadcast time keeps the matching correct even if a
+    transient fault corrupts the port's tag while the round trip is in
+    flight.  The round gets a fresh causal span, a child of [span]
+    (normally the operation's root span from [Instr.start]). *)

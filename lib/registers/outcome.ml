@@ -44,8 +44,8 @@ let merge_reason a b =
    on ties of rank; failure reasons merge. *)
 let worse a b =
   match (a, b) with
-  | Ok _, _ -> b
-  | _, Ok _ -> a
+  | Ok _, Ok _ | (Degraded _ | Timed_out _), Ok _ -> a
+  | Ok _, (Degraded _ | Timed_out _) -> b
   | Degraded ra, Degraded rb -> Degraded (merge_reason ra rb)
   | (Degraded ra | Timed_out ra), (Degraded rb | Timed_out rb) ->
     Timed_out (merge_reason ra rb)

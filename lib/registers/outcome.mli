@@ -1,12 +1,13 @@
-(** Typed result of a bounded-wait register operation.
+(** Typed result of every register operation.
 
     The paper's clients block until their acknowledgment quota arrives;
     under a crash burst past the fault bound that is a silent hang.  With a
-    {!Params.retry} policy installed, operations instead return within a
-    bounded number of deadline-limited attempts and report {e how} they
-    finished: fully serviced ([Ok]), answered by enough servers to be
-    meaningful but below the paper's quota ([Degraded]), or starved even of
-    a read quorum ([Timed_out]).  Degradation is diagnosed, never silent:
+    {!Params.retry} policy that has a deadline, operations instead return
+    within a bounded number of deadline-limited attempts.  Either way they
+    report {e how} they finished: fully serviced ([Ok]), answered by
+    enough servers to be meaningful but below the paper's quota
+    ([Degraded]), or starved even of a read quorum ([Timed_out]).
+    Degradation is diagnosed, never silent:
     the [reason] carries the retry effort, the best acknowledgment count
     seen, the quota it was measured against, and the health module's
     current suspects. *)
@@ -30,8 +31,7 @@ val no_reason : reason
 val is_ok : 'a t -> bool
 
 val to_option : 'a t -> 'a option
-(** Forgetful view: [Ok v] is [Some v]; this is what the legacy (option)
-    register APIs return. *)
+(** Forgetful view: [Ok v] is [Some v], a failure is [None]. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 

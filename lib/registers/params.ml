@@ -3,7 +3,7 @@ type mode =
   | Sync of { max_delay : int; slack : int }
 
 type retry = {
-  deadline : Sim.Vtime.span;
+  deadline : Sim.Vtime.span option;
   attempts : int;
   backoff : Sim.Vtime.span;
   backoff_factor : int;
@@ -12,9 +12,20 @@ type retry = {
   jitter_seed : int;
 }
 
+let paper_wait =
+  {
+    deadline = None;
+    attempts = 1;
+    backoff = 0;
+    backoff_factor = 1;
+    backoff_max = 0;
+    jitter = 0;
+    jitter_seed = 0;
+  }
+
 let default_retry =
   {
-    deadline = 60;
+    deadline = Some 60;
     attempts = 4;
     backoff = 8;
     backoff_factor = 2;
@@ -38,20 +49,21 @@ let backoff_span r ~attempt =
     min !d r.backoff_max
   end
 
-type t = { n : int; f : int; mode : mode; retry : retry option }
+type t = { n : int; f : int; mode : mode; retry : retry }
 
 let satisfies_bound t =
   match t.mode with
   | Async -> t.n >= (8 * t.f) + 1
   | Sync _ -> t.n >= (3 * t.f) + 1
 
-let create_unchecked ?retry ~n ~f ~mode () =
+let create_unchecked ?(retry = paper_wait) ~n ~f ~mode () =
   if n <= 0 then invalid_arg "Params: n must be positive";
   if f < 0 then invalid_arg "Params: f must be non-negative";
-  (match retry with
-  | Some r when r.attempts <= 0 || r.deadline <= 0 ->
-    invalid_arg "Params: retry needs attempts > 0 and deadline > 0"
-  | Some _ | None -> ());
+  let bad_deadline =
+    match retry.deadline with Some d -> d <= 0 | None -> false
+  in
+  if retry.attempts <= 0 || bad_deadline then
+    invalid_arg "Params: retry needs attempts > 0 and deadline > 0";
   { n; f; mode; retry }
 
 let create ?retry ~n ~f ~mode () =
@@ -92,6 +104,6 @@ let sync_timeout t =
 let pp ppf t =
   Format.fprintf ppf "{n=%d; t=%d; %s%s}" t.n t.f
     (match t.mode with Async -> "async" | Sync _ -> "sync")
-    (match t.retry with
+    (match t.retry.deadline with
     | None -> ""
-    | Some r -> Printf.sprintf "; retry=%dx%d" r.attempts r.deadline)
+    | Some d -> Printf.sprintf "; retry=%dx%d" t.retry.attempts d)

@@ -19,8 +19,10 @@ type mode =
           a round trip plus [slack]. *)
 
 type retry = {
-  deadline : Sim.Vtime.span;
-      (** per-attempt wait for acknowledgments, in ticks *)
+  deadline : Sim.Vtime.span option;
+      (** per-attempt wait for acknowledgments, in ticks; [None] waits as
+          the paper does: until the quota answers (async) or the round-trip
+          bound passes (sync) *)
   attempts : int;  (** max collection attempts per operation *)
   backoff : Sim.Vtime.span;  (** backoff before the second attempt *)
   backoff_factor : int;  (** multiplier per further attempt *)
@@ -30,24 +32,30 @@ type retry = {
           deterministic per-port stream seeded by [jitter_seed] *)
   jitter_seed : int;
 }
-(** Client-side robustness policy: bound every acknowledgment wait (even in
-    the asynchronous model, where the paper's client blocks until [n - t]
-    answers) and retry with deterministic exponential backoff.  Purely
-    vtime-based — two runs with the same seed take identical schedules. *)
+(** Client-side wait policy.  With a [deadline], every acknowledgment wait
+    is bounded (even in the asynchronous model, where the paper's client
+    blocks until [n - t] answers), expired attempts feed the port's
+    {!Health} tracker, and the client retries with deterministic
+    exponential backoff.  Purely vtime-based — two runs with the same seed
+    take identical schedules. *)
+
+val paper_wait : retry
+(** The paper's unbounded wait: [{deadline = None; attempts = 1}], no
+    backoff, no jitter, [jitter_seed = 0].  No server is ever suspected
+    under it. *)
 
 val default_retry : retry
-(** [{deadline = 60; attempts = 4; backoff = 8; backoff_factor = 2;
+(** [{deadline = Some 60; attempts = 4; backoff = 8; backoff_factor = 2;
     backoff_max = 64; jitter = 5; jitter_seed = 0x5eed}]. *)
 
 val backoff_span : retry -> attempt:int -> Sim.Vtime.span
 (** Backoff (without jitter) before retry number [attempt] (1-based):
     [backoff * backoff_factor^(attempt-1)] capped at [backoff_max]. *)
 
-type t = private { n : int; f : int; mode : mode; retry : retry option }
+type t = private { n : int; f : int; mode : mode; retry : retry }
 (** [n] servers of which at most [f] are Byzantine (the paper's [t];
     renamed to avoid clashing with the conventional type name [t]).
-    [retry = None] (the default) reproduces the paper's unbounded waits
-    exactly. *)
+    [retry] defaults to {!paper_wait}. *)
 
 val create : ?retry:retry -> n:int -> f:int -> mode:mode -> unit -> (t, string) result
 (** Validates the resilience bound for the mode. *)
@@ -58,10 +66,10 @@ val create_unchecked : ?retry:retry -> n:int -> f:int -> mode:mode -> unit -> t
 (** Skip the resilience validation — used by the tightness experiments that
     deliberately run the algorithms outside their assumptions. *)
 
-val with_retry : t -> retry option -> t
-(** Same deployment, different client robustness policy. *)
+val with_retry : t -> retry -> t
+(** Same deployment, different client wait policy. *)
 
-val retry : t -> retry option
+val retry : t -> retry
 
 val satisfies_bound : t -> bool
 (** [n >= 8f+1] (async) resp. [n >= 3f+1] (sync). *)

@@ -27,30 +27,16 @@ let reader ~net ~client_id ~base_inst ~reader_index
         ~reg:"swmr" `Read;
   }
 
-let write_o ?parent (w : writer) v =
-  let span = Instr.start ?parent w.probe in
-  let ctx = Instr.ctx span in
-  (* The composite write is as healthy as its least healthy copy. *)
-  let outcome =
-    Array.fold_left
-      (fun acc c -> Outcome.worse acc (Swsr_atomic.write_o ~parent:ctx c v))
-      (Outcome.Ok ()) w.copies
-  in
-  Instr.finish ~ok:(Outcome.is_ok outcome) w.probe span;
-  outcome
-
-let write ?parent (w : writer) v = ignore (write_o ?parent w v)
-
-let read_o ?parent ?max_iterations (r : reader) =
-  let span = Instr.start ?parent r.probe in
-  let result =
-    Swsr_atomic.read_o ~parent:(Instr.ctx span) ?max_iterations r.sr
-  in
-  Instr.finish ~ok:(Outcome.is_ok result) r.probe span;
-  result
+(* The composite write is as healthy as its least healthy copy. *)
+let write ?parent (w : writer) v =
+  Instr.run ?parent w.probe (fun ctx ->
+      Array.fold_left
+        (fun acc c -> Outcome.worse acc (Swsr_atomic.write ~parent:ctx c v))
+        (Outcome.Ok ()) w.copies)
 
 let read ?parent ?max_iterations (r : reader) =
-  Outcome.to_option (read_o ?parent ?max_iterations r)
+  Instr.run ?parent r.probe (fun ctx ->
+      Swsr_atomic.read ~parent:ctx ?max_iterations r.sr)
 
 let copies w = w.copies
 

@@ -28,25 +28,19 @@ val reader :
   unit ->
   reader
 
-val write : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit
+val write :
+  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
 (** swmr_write(v): prac_at_write the value to every reader's copy, in
-    reader-index order.  Must run inside a fiber. *)
+    reader-index order.  Must run inside a fiber.  The outcome is the
+    worst over the per-reader copies (a write that starved on any copy is
+    degraded — that reader may not see it). *)
 
 val read :
-  ?parent:Obs.Trace_ctx.span -> ?max_iterations:int -> reader -> Value.t option
-(** swmr_read() by this reader: prac_at_read its own copy. *)
-
-val write_o : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
-(** {!write} with a typed outcome: the worst outcome over the per-reader
-    copies (a write that starved on any copy is degraded — that reader may
-    not see it). *)
-
-val read_o :
   ?parent:Obs.Trace_ctx.span ->
   ?max_iterations:int ->
   reader ->
   Value.t Outcome.t
-(** {!read} with a typed service-level outcome. *)
+(** swmr_read() by this reader: prac_at_read its own copy. *)
 
 val copies : writer -> Swsr_atomic.writer array
 (** The underlying per-reader SWSR writers (inspection/fault targets). *)

@@ -70,25 +70,18 @@ let reader ~net ~client_id ~base_inst ~reader_index ?(readers = 2)
     wb_writes = 0;
   }
 
-let write_o ?parent (w : writer) v =
-  let span = Instr.start ?parent w.probe in
-  let ctx = Instr.ctx span in
-  (* One shared sequence number for all copies: re-impose it on each copy
-     so that cross-copy comparisons stay meaningful even after transient
-     faults desynchronized the per-copy counters. *)
-  w.shared_sn <- Seqnum.succ ~modulus:w.modulus w.shared_sn;
-  let outcome =
-    Array.fold_left
-      (fun acc c ->
-        Swsr_atomic.set_wsn c
-          (Seqnum.norm ~modulus:w.modulus (w.shared_sn - 1));
-        Outcome.worse acc (Swsr_atomic.write_o ~parent:ctx c v))
-      (Outcome.Ok ()) w.copies
-  in
-  Instr.finish ~ok:(Outcome.is_ok outcome) w.probe span;
-  outcome
-
-let write ?parent (w : writer) v = ignore (write_o ?parent w v)
+let write ?parent (w : writer) v =
+  Instr.run ?parent w.probe (fun ctx ->
+      (* One shared sequence number for all copies: re-impose it on each
+         copy so that cross-copy comparisons stay meaningful even after
+         transient faults desynchronized the per-copy counters. *)
+      w.shared_sn <- Seqnum.succ ~modulus:w.modulus w.shared_sn;
+      Array.fold_left
+        (fun acc c ->
+          Swsr_atomic.set_wsn c
+            (Seqnum.norm ~modulus:w.modulus (w.shared_sn - 1));
+          Outcome.worse acc (Swsr_atomic.write ~parent:ctx c v))
+        (Outcome.Ok ()) w.copies)
 
 (* Exchange payloads embed (wsn, value) as a genesis-stamped value. *)
 let encode ~sn v = Value.stamped ~data:v ~epoch:(Epoch.genesis ~k:2) ~seq:sn
@@ -97,52 +90,40 @@ let decode ~modulus = function
   | Value.Stamped { data; seq; _ } -> (Seqnum.norm ~modulus seq, data)
   | (Value.Bot | Value.Int _ | Value.Str _) as v -> (Seqnum.zero, v)
 
-let read_o ?parent ?max_iterations (r : reader) =
-  let span = Instr.start ?parent r.probe in
-  let ctx = Instr.ctx span in
-  match Swsr_atomic.read_o ~parent:ctx ?max_iterations r.own with
-  | Outcome.Degraded re ->
-    Instr.finish ~ok:false r.probe span;
-    Outcome.Degraded re
-  | Outcome.Timed_out re ->
-    Instr.finish ~ok:false r.probe span;
-    Outcome.Timed_out re
-  | Outcome.Ok own_v ->
-    let own = (Swsr_atomic.pwsn r.own, own_v) in
-    (* Exchange reads stay best-effort: a degraded or starved exchange
-       cannot invalidate the value read from our own copy, it only loses
-       freshness hints — so failures are absorbed, not propagated. *)
-    let candidates =
-      own
-      :: (Array.to_list r.incoming
-         |> List.filter_map (fun ex ->
-                match Swsr_atomic.read ~parent:ctx ?max_iterations ex with
-                | Some v -> Some (decode ~modulus:r.modulus v)
-                | None -> None))
-    in
-    let best_sn, best_v =
-      List.fold_left
-        (fun (bsn, bv) (sn, v) ->
-          if Seqnum.gt_cd ~modulus:r.modulus sn bsn then (sn, v)
-          else (bsn, bv))
-        own candidates
-    in
-    (* Write-back: inform the other readers before returning.  A degraded
-       write-back degrades the read — other readers may miss the
-       freshness this read is about to rely on. *)
-    let wb =
-      Array.fold_left
-        (fun acc out ->
-          r.wb_writes <- r.wb_writes + 1;
-          Outcome.worse acc
-            (Swsr_atomic.write_o ~parent:ctx out (encode ~sn:best_sn best_v)))
-        (Outcome.Ok ()) r.outgoing
-    in
-    let outcome = Outcome.worse (Outcome.Ok best_v) (Outcome.map (fun () -> best_v) wb) in
-    Instr.finish ~ok:(Outcome.is_ok outcome) r.probe span;
-    outcome
-
 let read ?parent ?max_iterations (r : reader) =
-  Outcome.to_option (read_o ?parent ?max_iterations r)
+  Instr.run ?parent r.probe (fun ctx ->
+      match Swsr_atomic.read ~parent:ctx ?max_iterations r.own with
+      | (Outcome.Degraded _ | Outcome.Timed_out _) as failed -> failed
+      | Outcome.Ok own_v ->
+        let own = (Swsr_atomic.pwsn r.own, own_v) in
+        (* Exchange reads stay best-effort: a degraded or starved exchange
+           cannot invalidate the value read from our own copy, it only
+           loses freshness hints — so failures are absorbed, not
+           propagated. *)
+        let candidates =
+          own
+          :: (Array.to_list r.incoming
+             |> List.filter_map (fun ex ->
+                    Swsr_atomic.read ~parent:ctx ?max_iterations ex
+                    |> Outcome.to_option
+                    |> Option.map (decode ~modulus:r.modulus)))
+        in
+        let best_sn, best_v =
+          List.fold_left
+            (fun (bsn, bv) (sn, v) ->
+              if Seqnum.gt_cd ~modulus:r.modulus sn bsn then (sn, v)
+              else (bsn, bv))
+            own candidates
+        in
+        (* Write-back: inform the other readers before returning.  A
+           degraded write-back degrades the read — other readers may miss
+           the freshness this read is about to rely on. *)
+        Array.fold_left
+          (fun acc out ->
+            r.wb_writes <- r.wb_writes + 1;
+            Outcome.worse acc
+              (Swsr_atomic.write ~parent:ctx out (encode ~sn:best_sn best_v)))
+          (Outcome.Ok ()) r.outgoing
+        |> Outcome.map (fun () -> best_v))
 
 let exchange_writes r = r.wb_writes

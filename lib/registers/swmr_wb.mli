@@ -44,26 +44,21 @@ val reader :
   reader
 (** [readers] (default 2) must match the writer's. *)
 
-val write : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit
+val write :
+  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
 (** Write the value to every reader's copy, all under one shared sequence
-    number.  Must run inside a fiber. *)
+    number.  Must run inside a fiber.  The outcome is the worst over the
+    per-reader copies. *)
 
 val read :
-  ?parent:Obs.Trace_ctx.span -> ?max_iterations:int -> reader -> Value.t option
-(** Read with write-back.  Must run inside a fiber. *)
-
-val write_o : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
-(** {!write} with a typed outcome: worst over the per-reader copies. *)
-
-val read_o :
   ?parent:Obs.Trace_ctx.span ->
   ?max_iterations:int ->
   reader ->
   Value.t Outcome.t
-(** {!read} with a typed outcome.  The own-copy read's failure propagates;
-    incoming exchange reads stay best-effort (absorbed); a degraded
-    write-back degrades the read (other readers may miss the freshness it
-    relied on). *)
+(** Read with write-back.  Must run inside a fiber.  The own-copy read's
+    failure propagates; incoming exchange reads stay best-effort
+    (absorbed); a degraded write-back degrades the read (other readers may
+    miss the freshness it relied on). *)
 
 val exchange_writes : reader -> int
 (** Total write-back (exchange-register) writes performed by this reader

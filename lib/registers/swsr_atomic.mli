@@ -34,27 +34,20 @@ val reader :
     {e above} the writer's counter keeps returning its stale [pv] until the
     bounded counter wraps past the corruption. *)
 
-val write : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit
-(** prac_at_write(v): lines N1, 01M, 02–06. Must run inside a fiber. *)
+val write :
+  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+(** prac_at_write(v): lines N1, 01M, 02–06, with a typed service-level
+    outcome (see {!Swsr_regular.write}).  Must run inside a fiber. *)
 
 val read :
-  ?parent:Obs.Trace_ctx.span -> ?max_iterations:int -> reader -> Value.t option
-(** prac_at_read(): lines N2–N7, 07–18 with the 13M/15M modifications.
-    Must run inside a fiber.  [None] only under a finite [max_iterations]
-    budget exhausted (see {!Swsr_regular.read}). *)
-
-val write_o : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
-(** {!write} with a typed service-level outcome (see
-    {!Swsr_regular.write_o}). *)
-
-val read_o :
   ?parent:Obs.Trace_ctx.span ->
   ?max_iterations:int ->
   reader ->
   Value.t Outcome.t
-(** {!read} with a typed service-level outcome (see
-    {!Swsr_regular.read_o}); the sanity phase's collection attempt is also
-    deadline-bounded (and skipped when it expires — it is advisory). *)
+(** prac_at_read(): lines N2–N7, 07–18 with the 13M/15M modifications,
+    with a typed service-level outcome (see {!Swsr_regular.read}).  Must
+    run inside a fiber.  The sanity phase's collection attempt waits like
+    any other and is skipped when it expires — it is advisory. *)
 
 val wsn : writer -> Seqnum.t
 (** Current write sequence number (inspection). *)

@@ -20,31 +20,25 @@ val writer : net:Net.t -> client_id:int -> inst:int -> writer
 val reader : net:Net.t -> client_id:int -> inst:int -> reader
 (** The (unique) reader endpoint for register instance [inst]. *)
 
-val write : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit
-(** REG.write(v), lines 01–06.  Must run inside a fiber. *)
+val write :
+  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+(** REG.write(v), lines 01–06.  Must run inside a fiber.  Under
+    {!Params.paper_wait} an asynchronous write always returns [Ok]; a
+    synchronous one is [Ok] once [t+1] servers acknowledged within the
+    round trip.  Under a bounded policy it retries with backoff and
+    reports [Degraded] / [Timed_out] instead of hanging. *)
 
 val read :
-  ?parent:Obs.Trace_ctx.span -> ?max_iterations:int -> reader -> Value.t option
-(** REG.read(), lines 07–18.  Must run inside a fiber.  Returns [None] only
-    if [max_iterations] (default unlimited) inquiry rounds all failed —
-    the paper's loop is unbounded and provably terminates under the model
-    assumptions; the bound exists so experiments can run the algorithm
-    outside those assumptions without hanging. *)
-
-val write_o : ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
-(** Like {!write} but reporting the service level.  With a {!Params.retry}
-    policy installed the wait is deadline-bounded with retry/backoff and
-    never hangs; without one this is exactly {!write} (always [Ok] in the
-    asynchronous model). *)
-
-val read_o :
   ?parent:Obs.Trace_ctx.span ->
   ?max_iterations:int ->
   reader ->
   Value.t Outcome.t
-(** Like {!read} but reporting the service level; under a retry policy each
-    inquiry round is deadline-bounded and the total number of expired
-    rounds is capped by the policy's attempt budget. *)
+(** REG.read(), lines 07–18.  Must run inside a fiber.  Fails only if
+    [max_iterations] (default unlimited) inquiry rounds all failed — the
+    paper's loop is unbounded and provably terminates under the model
+    assumptions; the bound exists so experiments can run the algorithm
+    outside those assumptions without hanging — or, under a bounded
+    policy, once its attempt budget of expired rounds is spent. *)
 
 val reader_iterations : reader -> int
 (** Total inquiry-loop iterations executed by this reader so far (cost

@@ -206,8 +206,9 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
   else begin
     let params =
       Registers.Params.create_unchecked
-        ?retry:
-          (if cfg.retry then Some Registers.Params.default_retry else None)
+        ~retry:
+          (if cfg.retry then Registers.Params.default_retry
+           else Registers.Params.paper_wait)
         ~n:cfg.n ~f:cfg.f ~mode:Registers.Params.Async ()
     in
     let scn = Harness.Scenario.create ~seed:(shard_seed ~seed shard) ~params () in

@@ -40,7 +40,9 @@ type config = {
   vnodes : int;  (** ring points per shard *)
   n : int;  (** servers per shard *)
   f : int;  (** tolerated Byzantine servers per shard *)
-  retry : bool;  (** install {!Registers.Params.default_retry} *)
+  retry : bool;
+      (** {!Registers.Params.default_retry} if set, else
+          {!Registers.Params.paper_wait} *)
   workload : Workload.Openloop.config;
   chaos : chaos option;
 }

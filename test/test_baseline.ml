@@ -55,11 +55,11 @@ let test_paper_register_shrugs_off_same_poison () =
   let poison = Value.str "poison" in
   let observed = ref [] in
   run_fiber scn "wr" (fun () ->
-      Swsr_atomic.write w (int_value 1);
+      ignore (Swsr_atomic.write w (int_value 1));
       plant_poison scn ~servers:[ 4; 5; 6 ] ~sn:1_000_000 poison;
       for i = 2 to 8 do
-        Swsr_atomic.write w (int_value i);
-        observed := (i, Swsr_atomic.read r) :: !observed
+        ignore (Swsr_atomic.write w (int_value i));
+        observed := (i, Outcome.to_option (Swsr_atomic.read r)) :: !observed
       done);
   List.iter
     (fun (i, v) ->
@@ -147,12 +147,14 @@ let read_pressure_comparison seed =
       ( "writer",
         fun () ->
           for i = 1 to 80 do
-            Swsr_regular.write hw (int_value i)
+            ignore (Swsr_regular.write hw (int_value i))
           done );
       ( "reader",
         fun () ->
           for _ = 1 to 12 do
-            match Swsr_regular.read ~max_iterations:4 hr with
+            match
+              Outcome.to_option (Swsr_regular.read ~max_iterations:4 hr)
+            with
             | None -> incr h_fail
             | Some _ -> ()
           done );

@@ -12,8 +12,8 @@ let run_with_behavior ?(seed = 7) behavior =
   let r = Swsr_regular.reader ~net:scn.Harness.Scenario.net ~client_id:101 ~inst:0 in
   let got = ref None in
   run_fiber scn "wr" (fun () ->
-      Swsr_regular.write w (int_value 8);
-      got := Swsr_regular.read r);
+      ignore (Swsr_regular.write w (int_value 8));
+      got := Outcome.to_option (Swsr_regular.read r));
   (scn, !got)
 
 let test_silent () =
@@ -115,7 +115,7 @@ let test_collude_at_quorum_forges_reads () =
   done;
   let r = Swsr_regular.reader ~net:scn.Harness.Scenario.net ~client_id:101 ~inst:0 in
   let got = ref None in
-  run_fiber scn "r" (fun () -> got := Swsr_regular.read r);
+  run_fiber scn "r" (fun () -> got := Outcome.to_option (Swsr_regular.read r));
   Alcotest.(check (option value)) "forged value read"
     (Some (Value.str "forged")) !got
 
@@ -129,8 +129,8 @@ let test_crash_after () =
   let results = ref [] in
   run_fiber scn "wr" (fun () ->
       for i = 1 to 6 do
-        Swsr_regular.write w (int_value i);
-        results := (i, Swsr_regular.read r) :: !results
+        ignore (Swsr_regular.write w (int_value i));
+        results := (i, Outcome.to_option (Swsr_regular.read r)) :: !results
       done);
   List.iter
     (fun (i, v) ->
@@ -157,7 +157,7 @@ let test_restore_corrupts_state () =
   let scn = async_scenario () in
   let adv = scn.Harness.Scenario.adversary in
   let w = Swsr_regular.writer ~net:scn.Harness.Scenario.net ~client_id:100 ~inst:0 in
-  run_fiber scn "w" (fun () -> Swsr_regular.write w (int_value 1));
+  run_fiber scn "w" (fun () -> ignore (Swsr_regular.write w (int_value 1)));
   Byzantine.Adversary.compromise adv 0 Byzantine.Behavior.silent;
   Byzantine.Adversary.restore adv 0;
   let i = Server.instance (Byzantine.Adversary.server adv 0) 0 in
@@ -175,8 +175,8 @@ let test_mobile_byzantine_between_ops () =
   let results = ref [] in
   run_fiber scn "wr" (fun () ->
       for i = 1 to 8 do
-        Swsr_regular.write w (int_value i);
-        results := (i, Swsr_regular.read r) :: !results;
+        ignore (Swsr_regular.write w (int_value i));
+        results := (i, Outcome.to_option (Swsr_regular.read r)) :: !results;
         (* Move the fault to the next server between operations. *)
         Byzantine.Adversary.move adv ~from:((i - 1) mod 9) ~to_:(i mod 9)
           Byzantine.Behavior.garbage

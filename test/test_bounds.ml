@@ -32,12 +32,14 @@ let test_random_schedules_do_not_starve () =
         ( "writer",
           fun () ->
             for i = 1 to 120 do
-              Swsr_regular.write w (int_value i)
+              ignore (Swsr_regular.write w (int_value i))
             done );
         ( "reader",
           fun () ->
             for _ = 1 to 15 do
-              match Swsr_regular.read ~max_iterations:4 r with
+              match
+                Outcome.to_option (Swsr_regular.read ~max_iterations:4 r)
+              with
               | None -> incr starved
               | Some _ -> ()
             done );
@@ -93,8 +95,8 @@ let forged_read ~colluders ~seed =
       ( "wr",
         fun () ->
           for i = 1 to 5 do
-            Swsr_regular.write w (int_value i);
-            match Swsr_regular.read ~max_iterations:8 r with
+            ignore (Swsr_regular.write w (int_value i));
+            match Outcome.to_option (Swsr_regular.read ~max_iterations:8 r) with
             | Some v when Value.equal v (Value.str "forged") ->
               saw_forged := true
             | Some _ | None -> ()

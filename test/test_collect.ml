@@ -74,7 +74,7 @@ let test_retry_filters_late_previous_attempt_acks () =
     check_false "never reached the full quota" c.complete;
     check_int "late stale acks never counted" 7 c.acks;
     check_int "all retry attempts spent"
-      (Option.get (Params.retry (Net.params net))).Params.attempts
+      (Params.retry (Net.params net)).Params.attempts
       c.attempts
 
 let test_retrying_full_service () =
@@ -137,28 +137,31 @@ let test_retrying_timed_out () =
   | Some (Outcome.Ok _ | Outcome.Degraded _) ->
     Alcotest.fail "expected Timed_out"
 
-let test_no_policy_is_legacy_blocking () =
-  (* Without a retry policy the bounded entry points degenerate to the
-     legacy semantics: a full complement of honest servers answers and
-     no attempt accounting happens. *)
+(* --- the paper's wait: [Params.paper_wait] -------------------------- *)
+
+let paper_net ~mode ~n ~f ~honest =
   let rng = Sim.Rng.create 5 in
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
-  let params = Params.create_exn ~n:9 ~f:1 ~mode:Params.Async () in
+  let params = Params.create_exn ~retry:Params.paper_wait ~n ~f ~mode () in
   let net =
     Net.create ~engine ~params ~link_delay:(fun rng ->
         Sim.Link.uniform rng ~lo:1 ~hi:10) ()
   in
-  for i = 0 to 8 do
+  for i = 0 to honest - 1 do
     Net.install_honest_server net (Server.create ~id:i)
   done;
+  (engine, net)
+
+let test_paper_wait_async () =
+  (* Asynchronous: block for the n - t quota, in one attempt. *)
+  let engine, net = paper_net ~mode:Params.Async ~n:9 ~f:1 ~honest:9 in
   let port = Net.add_client net ~id:0 in
   let got = ref None in
   run_engine_fiber engine (fun () ->
-      let c =
-        Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~filter:Collect.write_filter ()
-      in
-      got := Some c);
+      got :=
+        Some
+          (Collect.retrying ~net ~port ~inst:0 ~body:write_body
+             ~filter:Collect.write_filter ()));
   match !got with
   | Some (c : _ Collect.collected) ->
     check_true "complete" c.complete;
@@ -166,13 +169,69 @@ let test_no_policy_is_legacy_blocking () =
     check_int "quota met" 8 c.acks
   | None -> Alcotest.fail "collect never returned"
 
+let test_paper_wait_sync_silent_slot () =
+  (* Synchronous with one silent slot: every round waits out exactly the
+     round-trip bound, which is the normal end of a synchronous round —
+     no expiry, no retry, and (the rule the model checker's state merging
+     relies on, since its fingerprints leave Health out) no suspicion,
+     however many rounds the slot stays silent. *)
+  let mode = Params.Sync { max_delay = 10; slack = 3 } in
+  let engine, net = paper_net ~mode ~n:4 ~f:1 ~honest:3 in
+  let timeout =
+    match Params.sync_timeout (Net.params net) with
+    | Some t -> t
+    | None -> Alcotest.fail "sync mode has a round-trip bound"
+  in
+  let port = Net.add_client net ~id:0 in
+  let rounds = 5 in
+  let ends = ref [] in
+  run_engine_fiber engine (fun () ->
+      for attempt = 0 to rounds - 1 do
+        let round = Net.ss_broadcast net port ~inst:0 write_body in
+        let start = Sim.Engine.now engine in
+        let a =
+          Collect.attempt_once ~net ~port ~round ~attempt
+            ~filter:Collect.write_filter
+        in
+        check_false "a synchronous round is not an expiry" a.expired;
+        check_int "the honest slots answered" 3 a.acks;
+        ends :=
+          (Sim.Vtime.diff (Sim.Engine.now engine) start = timeout) :: !ends
+      done;
+      let c =
+        Collect.retrying ~net ~port ~inst:0 ~body:write_body
+          ~filter:Collect.write_filter ()
+      in
+      check_int "one attempt per collect" 1 c.attempts);
+  check_int "every round ended at now + sync_timeout" rounds
+    (List.length (List.filter Fun.id !ends));
+  check_int "no collect.retries" 0
+    (Obs.Metrics.counter (Sim.Engine.metrics engine) "collect.retries");
+  check_true "no server suspected" (Health.suspects port.Net.health = [])
+
+let test_worse_keeps_first_on_ties () =
+  let ok_value = function
+    | Outcome.Ok v -> v
+    | Outcome.Degraded _ | Outcome.Timed_out _ -> -1
+  in
+  check_int "Ok vs Ok keeps a" 1
+    (ok_value (Outcome.worse (Outcome.Ok 1) (Outcome.Ok 2)));
+  let r = { Outcome.no_reason with Outcome.acks = 3 } in
+  check_int "a failure beats Ok on either side" 1
+    (Outcome.rank (Outcome.worse (Outcome.Ok 1) (Outcome.Degraded r)));
+  check_int "Timed_out is the worst" 2
+    (Outcome.rank (Outcome.worse (Outcome.Degraded r) (Outcome.Timed_out r)))
+
 let tests =
   [
+    case "Outcome.worse keeps a on ties" test_worse_keeps_first_on_ties;
     case "attempt ignores stale rounds" test_attempt_ignores_stale_round;
     case "retry filters late previous-attempt acks"
       test_retry_filters_late_previous_attempt_acks;
     case "retrying: full service" test_retrying_full_service;
     case "retrying: degraded" test_retrying_degraded;
     case "retrying: timed out" test_retrying_timed_out;
-    case "no policy = legacy blocking" test_no_policy_is_legacy_blocking;
+    case "paper_wait async: one attempt" test_paper_wait_async;
+    case "paper_wait sync: rounds end at the bound"
+      test_paper_wait_sync_silent_slot;
   ]

@@ -21,9 +21,9 @@ let test_swmr_sync () =
     [
       ( "all",
         fun () ->
-          Swmr.write w (int_value 11);
-          a := Swmr.read r0;
-          b := Swmr.read r1 );
+          ignore (Swmr.write w (int_value 11));
+          a := Outcome.to_option (Swmr.read r0);
+          b := Outcome.to_option (Swmr.read r1) );
     ];
   Alcotest.(check (option value)) "r0" (Some (int_value 11)) !a;
   Alcotest.(check (option value)) "r1" (Some (int_value 11)) !b
@@ -40,9 +40,9 @@ let test_mwmr_sync () =
     [
       ( "seq",
         fun () ->
-          Mwmr.write p0 (int_value 1);
-          Mwmr.write p1 (int_value 2);
-          got := Mwmr.read p0 );
+          ignore (Mwmr.write p0 (int_value 1));
+          ignore (Mwmr.write p1 (int_value 2));
+          got := Outcome.to_option (Mwmr.read p0) );
     ];
   Alcotest.(check (option value)) "latest over sync links" (Some (int_value 2))
     !got
@@ -59,8 +59,8 @@ let test_kv_sync () =
     [
       ( "seq",
         fun () ->
-          Kv.Store.set s0 ~key:"x" (int_value 5);
-          got := Kv.Store.get s1 ~key:"x" );
+          ignore (Kv.Store.set_o s0 ~key:"x" (int_value 5));
+          got := Outcome.to_option (Kv.Store.get_o s1 ~key:"x") );
     ];
   Alcotest.(check (option value)) "kv over sync links" (Some (int_value 5)) !got
 
@@ -75,9 +75,9 @@ let test_swmr_wb_sync_inversion_free () =
     [
       ( "all",
         fun () ->
-          Swmr_wb.write w (int_value 3);
-          a := Swmr_wb.read r0;
-          b := Swmr_wb.read r1 );
+          ignore (Swmr_wb.write w (int_value 3));
+          a := Outcome.to_option (Swmr_wb.read r0);
+          b := Outcome.to_option (Swmr_wb.read r1) );
     ];
   Alcotest.(check (option value)) "r0" (Some (int_value 3)) !a;
   Alcotest.(check (option value)) "r1" (Some (int_value 3)) !b
@@ -100,10 +100,12 @@ let test_many_instances_isolated () =
         fun () ->
           (* Interleave writes across all instances, then read each. *)
           Array.iteri
-            (fun i (w, _) -> Swsr_atomic.write w (int_value (1000 + i)))
+            (fun i (w, _) ->
+                ignore (Swsr_atomic.write w (int_value (1000 + i))))
             pairs;
           Array.iteri
-            (fun i (_, r) -> results.(i) <- Swsr_atomic.read r)
+            (fun i (_, r) ->
+                results.(i) <- Outcome.to_option (Swsr_atomic.read r))
             pairs );
     ];
   Array.iteri
@@ -138,7 +140,7 @@ let test_concurrent_instances_under_byzantine () =
           ( Printf.sprintf "r%d" i,
             fun () ->
               for _ = 1 to 8 do
-                (match Swsr_atomic.read r with
+                (match Outcome.to_option (Swsr_atomic.read r) with
                 | Some _ -> ()
                 | None -> Alcotest.fail "read failed");
                 Harness.Scenario.sleep scn 10
@@ -168,9 +170,9 @@ let test_mwmr_over_lossy () =
     [
       ( "seq",
         fun () ->
-          Mwmr.write p0 (int_value 1);
-          Mwmr.write p1 (int_value 2);
-          got := Mwmr.read p0 );
+          ignore (Mwmr.write p0 (int_value 1));
+          ignore (Mwmr.write p1 (int_value 2));
+          got := Outcome.to_option (Mwmr.read p0) );
     ];
   Alcotest.(check (option value)) "mwmr over lossy links" (Some (int_value 2))
     !got
@@ -188,8 +190,8 @@ let test_kv_over_lossy () =
     [
       ( "seq",
         fun () ->
-          Kv.Store.set s0 ~key:"k" (int_value 7);
-          got := Kv.Store.get s1 ~key:"k" );
+          ignore (Kv.Store.set_o s0 ~key:"k" (int_value 7));
+          got := Outcome.to_option (Kv.Store.get_o s1 ~key:"k") );
     ];
   Alcotest.(check (option value)) "kv over lossy links" (Some (int_value 7))
     !got

@@ -26,16 +26,18 @@ let test_set_get () =
   let scn, stores = setup () in
   let got = ref None in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 1);
-      got := Kv.Store.get stores.(0) ~key:"alpha");
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 1));
+      got :=
+        Registers.Outcome.to_option (Kv.Store.get_o stores.(0) ~key:"alpha"));
   Alcotest.(check (option value)) "read own write" (Some (int_value 1)) !got
 
 let test_cross_client_visibility () =
   let scn, stores = setup () in
   let got = ref None in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"beta" (int_value 7);
-      got := Kv.Store.get stores.(1) ~key:"beta");
+      ignore (Kv.Store.set_o stores.(0) ~key:"beta" (int_value 7));
+      got :=
+        Registers.Outcome.to_option (Kv.Store.get_o stores.(1) ~key:"beta"));
   Alcotest.(check (option value)) "visible to the other client"
     (Some (int_value 7)) !got
 
@@ -43,11 +45,12 @@ let test_keys_isolated () =
   let scn, stores = setup () in
   let a = ref None and b = ref None and c = ref None in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 1);
-      Kv.Store.set stores.(1) ~key:"beta" (int_value 2);
-      a := Kv.Store.get stores.(0) ~key:"alpha";
-      b := Kv.Store.get stores.(0) ~key:"beta";
-      c := Kv.Store.get stores.(0) ~key:"gamma");
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 1));
+      ignore (Kv.Store.set_o stores.(1) ~key:"beta" (int_value 2));
+      a := Registers.Outcome.to_option (Kv.Store.get_o stores.(0) ~key:"alpha");
+      b := Registers.Outcome.to_option (Kv.Store.get_o stores.(0) ~key:"beta");
+      c :=
+        Registers.Outcome.to_option (Kv.Store.get_o stores.(0) ~key:"gamma"));
   Alcotest.(check (option value)) "alpha" (Some (int_value 1)) !a;
   Alcotest.(check (option value)) "beta" (Some (int_value 2)) !b;
   Alcotest.(check (option value)) "gamma unwritten"
@@ -56,7 +59,7 @@ let test_keys_isolated () =
 let test_unknown_key () =
   let scn, stores = setup () in
   run_fiber scn "kv" (fun () ->
-      match Kv.Store.get stores.(0) ~key:"nope" with
+      match Kv.Store.get_o stores.(0) ~key:"nope" with
       | exception Not_found -> ()
       | _ -> Alcotest.fail "expected Not_found")
 
@@ -64,8 +67,8 @@ let test_snapshot () =
   let scn, stores = setup () in
   let snap = ref [] in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 1);
-      Kv.Store.set stores.(1) ~key:"gamma" (int_value 3);
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 1));
+      ignore (Kv.Store.set_o stores.(1) ~key:"gamma" (int_value 3));
       snap := Kv.Store.snapshot stores.(1));
   check_true "snapshot in schema order"
     (List.map fst !snap = schema);
@@ -77,10 +80,11 @@ let test_last_writer_wins_per_key () =
   let scn, stores = setup () in
   let got = ref None in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 1);
-      Kv.Store.set stores.(1) ~key:"alpha" (int_value 2);
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 3);
-      got := Kv.Store.get stores.(1) ~key:"alpha");
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 1));
+      ignore (Kv.Store.set_o stores.(1) ~key:"alpha" (int_value 2));
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 3));
+      got :=
+        Registers.Outcome.to_option (Kv.Store.get_o stores.(1) ~key:"alpha"));
   Alcotest.(check (option value)) "latest" (Some (int_value 3)) !got
 
 let test_survives_byzantine_and_corruption () =
@@ -89,14 +93,15 @@ let test_survives_byzantine_and_corruption () =
     Byzantine.Behavior.garbage;
   let final = ref None in
   run_fiber scn "kv" (fun () ->
-      Kv.Store.set stores.(0) ~key:"alpha" (int_value 1);
+      ignore (Kv.Store.set_o stores.(0) ~key:"alpha" (int_value 1));
       (* transient fault on every server *)
       ignore
         (Sim.Fault.inject_matching scn.Harness.Scenario.fault
            ~rng:(Harness.Scenario.split_rng scn) ~prefix:"server.");
       (* the fault burst ends; the next write stabilizes the key *)
-      Kv.Store.set stores.(1) ~key:"alpha" (int_value 2);
-      final := Kv.Store.get stores.(0) ~key:"alpha");
+      ignore (Kv.Store.set_o stores.(1) ~key:"alpha" (int_value 2));
+      final :=
+        Registers.Outcome.to_option (Kv.Store.get_o stores.(0) ~key:"alpha"));
   Alcotest.(check (option value)) "recovered" (Some (int_value 2)) !final
 
 let test_concurrent_clients_atomic_per_key () =
@@ -113,20 +118,21 @@ let test_concurrent_clients_atomic_per_key () =
                for k = 1 to 8 do
                  let v = Harness.Workload.value_for ~writer:(500 + i) k in
                  let inv = Harness.Scenario.now scn in
-                 Kv.Store.set store ~key:"alpha" v;
+                 ignore (Kv.Store.set_o store ~key:"alpha" v);
                  let resp = Harness.Scenario.now scn in
                  Oracles.History.record scn.Harness.Scenario.history
                    ~proc:(Printf.sprintf "c%d" i)
                    ~kind:Oracles.History.Write ~inv ~resp v;
                  Harness.Scenario.sleep scn (Sim.Rng.int_in rng 0 30);
                  let inv = Harness.Scenario.now scn in
-                 (match Kv.Store.get store ~key:"alpha" with
-                 | Some v ->
+                 (match Kv.Store.get_o store ~key:"alpha" with
+                 | Registers.Outcome.Ok v ->
                    Oracles.History.record scn.Harness.Scenario.history
                      ~proc:(Printf.sprintf "c%d" i)
                      ~kind:Oracles.History.Read ~inv
                      ~resp:(Harness.Scenario.now scn) v
-                 | None -> Alcotest.fail "read failed");
+                 | Registers.Outcome.(Degraded _ | Timed_out _) ->
+                   Alcotest.fail "read failed");
                  Harness.Scenario.sleep scn (Sim.Rng.int_in rng 0 30)
                done ))
          stores)

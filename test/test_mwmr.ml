@@ -16,8 +16,8 @@ let test_write_then_read_same_process () =
   let scn, _, procs = setup () in
   let got = ref None in
   run_fiber scn "p0" (fun () ->
-      Mwmr.write procs.(0) (int_value 9);
-      got := Mwmr.read procs.(0));
+      ignore (Mwmr.write procs.(0) (int_value 9));
+      got := Outcome.to_option (Mwmr.read procs.(0)));
   Alcotest.(check (option value)) "own write visible" (Some (int_value 9)) !got
 
 let test_cross_process_visibility () =
@@ -27,8 +27,8 @@ let test_cross_process_visibility () =
     [
       ( "seq",
         fun () ->
-          Mwmr.write procs.(0) (int_value 4);
-          got := Mwmr.read procs.(2) );
+          ignore (Mwmr.write procs.(0) (int_value 4));
+          got := Outcome.to_option (Mwmr.read procs.(2)) );
     ];
   Alcotest.(check (option value)) "p2 sees p0's write" (Some (int_value 4)) !got
 
@@ -39,10 +39,10 @@ let test_last_writer_wins () =
     [
       ( "seq",
         fun () ->
-          Mwmr.write procs.(0) (int_value 1);
-          Mwmr.write procs.(1) (int_value 2);
-          Mwmr.write procs.(2) (int_value 3);
-          got := Mwmr.read procs.(0) );
+          ignore (Mwmr.write procs.(0) (int_value 1));
+          ignore (Mwmr.write procs.(1) (int_value 2));
+          ignore (Mwmr.write procs.(2) (int_value 3));
+          got := Outcome.to_option (Mwmr.read procs.(0)) );
     ];
   Alcotest.(check (option value)) "latest value" (Some (int_value 3)) !got
 
@@ -104,8 +104,8 @@ let test_epoch_wraparound_sequential () =
       ( "seq",
         fun () ->
           for k = 1 to 12 do
-            Mwmr.write procs.(0) (int_value k);
-            reads := (k, Mwmr.read procs.(0)) :: !reads
+            ignore (Mwmr.write procs.(0) (int_value k));
+            reads := (k, Outcome.to_option (Mwmr.read procs.(0))) :: !reads
           done );
     ];
   List.iter
@@ -129,12 +129,12 @@ let test_foreign_reader_at_exhaustion_restamps_own () =
       ( "seq",
         fun () ->
           for k = 1 to 3 do
-            Mwmr.write procs.(0) (int_value k)
+            ignore (Mwmr.write procs.(0) (int_value k))
           done;
           (* seq now equals the bound: p1's read crosses the boundary. *)
-          at_boundary := Mwmr.read procs.(1);
-          Mwmr.write procs.(0) (int_value 4);
-          healed := Mwmr.read procs.(1) );
+          at_boundary := Outcome.to_option (Mwmr.read procs.(1));
+          ignore (Mwmr.write procs.(0) (int_value 4));
+          healed := Outcome.to_option (Mwmr.read procs.(1)) );
     ];
   Alcotest.(check (option value)) "boundary read restamps p1's own value"
     (Some Registers.Value.bot) !at_boundary;
@@ -149,7 +149,7 @@ let test_epoch_count_matches_bound () =
       ( "seq",
         fun () ->
           for k = 1 to 10 do
-            Mwmr.write procs.(0) (int_value k)
+            ignore (Mwmr.write procs.(0) (int_value k))
           done );
     ];
   (* Sequence numbers 1..2 per epoch: roughly one epoch per two writes. *)
@@ -165,9 +165,9 @@ let test_read_restamps_on_exhaustion () =
     [
       ( "seq",
         fun () ->
-          Mwmr.write procs.(0) (int_value 5);
+          ignore (Mwmr.write procs.(0) (int_value 5));
           (* seq bound 1: the next operation sees seq >= bound. *)
-          got := Mwmr.read procs.(0) );
+          got := Outcome.to_option (Mwmr.read procs.(0)) );
     ];
   Alcotest.(check (option value)) "value survives restamping"
     (Some (int_value 5)) !got;

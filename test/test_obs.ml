@@ -263,7 +263,7 @@ let test_instrumented_scenario () =
   in
   run_fiber scn "wr" (fun () ->
       for i = 1 to 5 do
-        Registers.Swsr_atomic.write w (int_value i);
+        ignore (Registers.Swsr_atomic.write w (int_value i));
         ignore (Registers.Swsr_atomic.read r)
       done);
   let m = Harness.Scenario.metrics scn in
@@ -307,7 +307,8 @@ let test_uninstrumented_scenario_still_counts () =
     Registers.Swsr_atomic.writer ~net:scn.Harness.Scenario.net ~client_id:100
       ~inst:0 ()
   in
-  run_fiber scn "w" (fun () -> Registers.Swsr_atomic.write w (int_value 1));
+  run_fiber scn "w" (fun () ->
+      ignore (Registers.Swsr_atomic.write w (int_value 1)));
   let m = Harness.Scenario.metrics scn in
   check_int "WRITE sent" 9 (Obs.Metrics.counter m "msg.sent.WRITE.count");
   check_int "write span" 1

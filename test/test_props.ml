@@ -91,7 +91,7 @@ let run_swsr_atomic_heavy_tail (seed, n, f, strategies, gap_hi, writes, reads) =
     Sim.Fiber.spawn (fun () ->
         for i = 1 to writes do
           let inv = Sim.Engine.now engine in
-          Swsr_atomic.write w (Value.int i);
+          ignore (Swsr_atomic.write w (Value.int i));
           Oracles.History.record h ~proc:"w" ~kind:Oracles.History.Write ~inv
             ~resp:(Sim.Engine.now engine) (Value.int i);
           sleep (Sim.Rng.int_in job_rng 0 gap_hi)
@@ -101,7 +101,7 @@ let run_swsr_atomic_heavy_tail (seed, n, f, strategies, gap_hi, writes, reads) =
     Sim.Fiber.spawn (fun () ->
         for _ = 1 to reads do
           let inv = Sim.Engine.now engine in
-          (match Swsr_atomic.read r with
+          (match Outcome.to_option (Swsr_atomic.read r) with
           | Some v ->
             Oracles.History.record h ~proc:"r" ~kind:Oracles.History.Read ~inv
               ~resp:(Sim.Engine.now engine) v

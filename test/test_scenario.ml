@@ -11,7 +11,7 @@ let test_deterministic_replay () =
         ( "wr",
           fun () ->
             for i = 1 to 10 do
-              Swsr_regular.write w (int_value i);
+              ignore (Swsr_regular.write w (int_value i));
               ignore (Swsr_regular.read r)
             done );
       ];
@@ -80,7 +80,7 @@ let test_sync_delay_validation () =
 let test_message_accounting () =
   let scn = async_scenario () in
   let w = Swsr_regular.writer ~net:scn.Harness.Scenario.net ~client_id:100 ~inst:0 in
-  run_fiber scn "w" (fun () -> Swsr_regular.write w (int_value 1));
+  run_fiber scn "w" (fun () -> ignore (Swsr_regular.write w (int_value 1)));
   (* WRITE to 9 servers + 9 acks + NEW_HELP_VAL to 9 servers. *)
   check_int "messages counted" 27 (Harness.Scenario.messages_sent scn);
   check_int "broadcasts counted" 2 (Harness.Scenario.broadcasts scn)

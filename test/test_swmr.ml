@@ -21,8 +21,9 @@ let test_all_readers_see_write () =
     [
       ( "all",
         fun () ->
-          Swmr.write w (int_value 5);
-          Array.iteri (fun j r -> got.(j) <- Swmr.read r) rs );
+          ignore (Swmr.write w (int_value 5));
+          Array.iteri (fun j r ->
+              got.(j) <- Outcome.to_option (Swmr.read r)) rs );
     ]
   ;
   Array.iteri
@@ -35,7 +36,7 @@ let test_all_readers_see_write () =
 
 let test_readers_are_independent_instances () =
   let scn, w, _rs = setup () in
-  run_fiber scn "w" (fun () -> Swmr.write w (int_value 1));
+  run_fiber scn "w" (fun () -> ignore (Swmr.write w (int_value 1)));
   check_int "one instance per reader" 3 (Array.length (Swmr.copies w))
 
 let test_per_reader_atomicity_under_concurrency () =
@@ -51,7 +52,7 @@ let test_per_reader_atomicity_under_concurrency () =
         for k = 1 to 20 do
           let v = Harness.Workload.value_for ~writer:0 k in
           let inv = Harness.Scenario.now scn in
-          Swmr.write w v;
+          ignore (Swmr.write w v);
           let resp = Harness.Scenario.now scn in
           Oracles.History.record writer_history ~proc:"writer"
             ~kind:Oracles.History.Write ~inv ~resp v;
@@ -65,7 +66,7 @@ let test_per_reader_atomicity_under_concurrency () =
                    let rng = Harness.Scenario.split_rng scn in
                    for _ = 1 to 15 do
                      let inv = Harness.Scenario.now scn in
-                     let v = Swmr.read r in
+                     let v = Outcome.to_option (Swmr.read r) in
                      let resp = Harness.Scenario.now scn in
                      (match v with
                      | Some v ->
@@ -106,8 +107,9 @@ let test_with_byzantine () =
     [
       ( "all",
         fun () ->
-          Swmr.write w (int_value 77);
-          Array.iteri (fun j r -> got.(j) <- Swmr.read r) rs );
+          ignore (Swmr.write w (int_value 77));
+          Array.iteri (fun j r ->
+              got.(j) <- Outcome.to_option (Swmr.read r)) rs );
     ];
   Array.iteri
     (fun j v ->
@@ -124,8 +126,8 @@ let test_single_reader_degenerates_to_swsr () =
     [
       ( "all",
         fun () ->
-          Swmr.write w (int_value 3);
-          got := Swmr.read rs.(0) );
+          ignore (Swmr.write w (int_value 3));
+          got := Outcome.to_option (Swmr.read rs.(0)) );
     ];
   Alcotest.(check (option value)) "single reader" (Some (int_value 3)) !got
 
@@ -165,8 +167,9 @@ let test_wb_basic () =
     [
       ( "all",
         fun () ->
-          Swmr_wb.write w (int_value 5);
-          Array.iteri (fun j r -> got.(j) <- Swmr_wb.read r) rs );
+          ignore (Swmr_wb.write w (int_value 5));
+          Array.iteri (fun j r ->
+              got.(j) <- Outcome.to_option (Swmr_wb.read r)) rs );
     ];
   Array.iteri
     (fun j v ->
@@ -186,8 +189,8 @@ let test_wb_byzantine () =
     [
       ( "all",
         fun () ->
-          Swmr_wb.write w (int_value 9);
-          got := Swmr_wb.read rs.(1) );
+          ignore (Swmr_wb.write w (int_value 9));
+          got := Outcome.to_option (Swmr_wb.read rs.(1)) );
     ];
   Alcotest.(check (option value)) "tolerates byzantine" (Some (int_value 9)) !got
 
@@ -207,7 +210,7 @@ let test_wb_cross_reader_atomic_random () =
            fun () ->
              for i = 1 to 15 do
                let inv = Harness.Scenario.now scn in
-               Swmr_wb.write w (int_value i);
+               ignore (Swmr_wb.write w (int_value i));
                record "writer" Oracles.History.Write inv (int_value i)
              done );
        ]
@@ -219,7 +222,7 @@ let test_wb_cross_reader_atomic_random () =
                     let rng = Harness.Scenario.split_rng scn in
                     for _ = 1 to 12 do
                       let inv = Harness.Scenario.now scn in
-                      (match Swmr_wb.read r with
+                      (match Outcome.to_option (Swmr_wb.read r) with
                       | Some v ->
                         record (Printf.sprintf "r%d" j) Oracles.History.Read
                           inv v

@@ -44,8 +44,8 @@ let test_write_then_read () =
   let scn, w, r = setup () in
   let got = ref None in
   run_fiber scn "wr" (fun () ->
-      Swsr_atomic.write w (int_value 42);
-      got := Swsr_atomic.read r);
+      ignore (Swsr_atomic.write w (int_value 42));
+      got := Outcome.to_option (Swsr_atomic.read r));
   Alcotest.(check (option value)) "read back" (Some (int_value 42)) !got;
   check_int "wsn advanced" 1 (Swsr_atomic.wsn w);
   check_int "pwsn tracked" 1 (Swsr_atomic.pwsn r)
@@ -103,8 +103,8 @@ let test_wraparound_small_modulus () =
       ( "wr",
         fun () ->
           for i = 1 to 50 do
-            Swsr_atomic.write w (int_value i);
-            got := Swsr_atomic.read r :: !got
+            ignore (Swsr_atomic.write w (int_value i));
+            got := Outcome.to_option (Swsr_atomic.read r) :: !got
           done );
     ];
   List.iteri
@@ -126,11 +126,11 @@ let test_reader_corruption_recovers () =
     [
       ( "job",
         fun () ->
-          Swsr_atomic.write w (int_value 1);
+          ignore (Swsr_atomic.write w (int_value 1));
           Swsr_atomic.corrupt_reader r (Harness.Scenario.split_rng scn);
           for i = 2 to 14 do
-            Swsr_atomic.write w (int_value i);
-            let v = Swsr_atomic.read r in
+            ignore (Swsr_atomic.write w (int_value i));
+            let v = Outcome.to_option (Swsr_atomic.read r) in
             if i > 12 then tail_reads := (i, v) :: !tail_reads
           done );
     ];
@@ -150,12 +150,12 @@ let test_writer_corruption_recovers () =
       ( "job",
         fun () ->
           for i = 1 to 5 do
-            Swsr_atomic.write w (int_value i)
+            ignore (Swsr_atomic.write w (int_value i))
           done;
           Swsr_atomic.corrupt_writer w (Harness.Scenario.split_rng scn);
           for i = 6 to 20 do
-            Swsr_atomic.write w (int_value i);
-            let v = Swsr_atomic.read r in
+            ignore (Swsr_atomic.write w (int_value i));
+            let v = Outcome.to_option (Swsr_atomic.read r) in
             if i > 17 then tail_reads := (i, v) :: !tail_reads
           done );
     ];
@@ -216,12 +216,12 @@ let test_sanity_phase_repairs_worst_case_corruption () =
         ( "wr",
           fun () ->
             for i = 1 to 5 do
-              Swsr_atomic.write w (int_value i)
+              ignore (Swsr_atomic.write w (int_value i))
             done;
             Swsr_atomic.corrupt_reader_to r ~pwsn:30 ~pv:(Value.str "stale");
             for i = 6 to 40 do
-              Swsr_atomic.write w (int_value i);
-              match Swsr_atomic.read r with
+              ignore (Swsr_atomic.write w (int_value i));
+              match Outcome.to_option (Swsr_atomic.read r) with
               | Some v when Value.equal v (int_value i) -> ()
               | Some _ | None -> incr stale
             done );

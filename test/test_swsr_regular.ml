@@ -13,8 +13,8 @@ let test_write_then_read () =
   let scn, w, r = setup () in
   let got = ref None in
   run_fiber scn "wr" (fun () ->
-      Swsr_regular.write w (int_value 42);
-      got := Swsr_regular.read r);
+      ignore (Swsr_regular.write w (int_value 42));
+      got := Outcome.to_option (Swsr_regular.read r));
   Alcotest.(check (option value)) "last written value" (Some (int_value 42)) !got
 
 let test_read_before_any_write_terminates () =
@@ -22,7 +22,7 @@ let test_read_before_any_write_terminates () =
      configuration being uniform, returns Bot. *)
   let scn, _w, r = setup () in
   let got = ref None in
-  run_fiber scn "r" (fun () -> got := Swsr_regular.read r);
+  run_fiber scn "r" (fun () -> got := Outcome.to_option (Swsr_regular.read r));
   Alcotest.(check (option value)) "bot" (Some Value.bot) !got
 
 let test_sequence_of_writes () =
@@ -30,8 +30,8 @@ let test_sequence_of_writes () =
   let got = ref [] in
   run_fiber scn "wr" (fun () ->
       for i = 1 to 10 do
-        Swsr_regular.write w (int_value i);
-        got := Swsr_regular.read r :: !got
+        ignore (Swsr_regular.write w (int_value i));
+        got := Outcome.to_option (Swsr_regular.read r) :: !got
       done);
   List.iteri
     (fun i v ->
@@ -125,8 +125,8 @@ let test_trivial_system () =
   let scn, w, r = setup ~n:1 ~f:0 () in
   let got = ref None in
   run_fiber scn "wr" (fun () ->
-      Swsr_regular.write w (int_value 5);
-      got := Swsr_regular.read r);
+      ignore (Swsr_regular.write w (int_value 5));
+      got := Outcome.to_option (Swsr_regular.read r));
   Alcotest.(check (option value)) "single server" (Some (int_value 5)) !got
 
 (* --- stabilization after transient faults (Theorem 1) --- *)

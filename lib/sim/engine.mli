@@ -1,14 +1,14 @@
 (** Discrete-event simulation engine.
 
-    The engine owns virtual time and a priority queue of pending actions.
+    The engine owns virtual time and the queue of pending actions.
     Everything else (links, fibers, fault plans) schedules thunks here.
-    Two events at the same instant fire in scheduling order, which keeps
-    executions deterministic (see {!Heap} for why the tie-break lives in
-    the comparison function rather than the heap).
+    Events fire in (time, seq) order: by instant, and within an instant
+    first in, first out, in scheduling order, which keeps executions
+    deterministic.
 
     Besides the classic [run] loop the engine exposes the pending set
     ({!ready}) and out-of-order firing ({!fire}) so that a model checker
-    can enumerate delivery interleavings instead of following heap
+    can enumerate delivery interleavings instead of following queue
     order. *)
 
 type t
@@ -63,7 +63,7 @@ val ready : t -> ready_event list
 
 val fire : t -> seq:int -> bool
 (** [fire t ~seq] fires the queued event with sequence number [seq]
-    regardless of its heap position, advancing the clock to
+    regardless of its place in (time, seq) order, advancing the clock to
     [max (now t) time].  Returns [false] if no such event is queued.
     Out-of-order firing never rewinds the clock, so timestamps stay
     monotone. *)

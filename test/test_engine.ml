@@ -202,6 +202,224 @@ let test_fire_labeled_matches_ready_scan () =
   done;
   check_true "the picks drained the queue" (Sim.Engine.quiescent eb)
 
+(* The bucket window must never start past the clock.  A [run ~until]
+   that stops short of the next event leaves the clock behind it; an
+   event scheduled after that, earlier than the stranded one, must still
+   fire first and at its own instant. *)
+let test_until_then_earlier () =
+  let e = mk () in
+  let log = ref [] in
+  let at tag () = log := (tag, Sim.Vtime.to_int (Sim.Engine.now e)) :: !log in
+  Sim.Engine.schedule e ~delay:100 (at "late");
+  Sim.Engine.run ~until:(Sim.Vtime.of_int 10) e;
+  Sim.Engine.schedule e ~delay:5 (at "early");
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "early at 15, then late at 100"
+    [ ("early", 15); ("late", 100) ]
+    (List.rev !log)
+
+(* --- The queue against a reference model ------------------------------ *)
+
+(* A random program of engine calls runs against the engine and against
+   the simplest pending set that could be right: a list sorted by
+   (time, seq).  After every call the firing logs, the clocks, [ready]
+   and [pending] must agree, and a final [run] must drain both alike.
+   Delays reach far past the engine's bucket window, small ones collide
+   on the same instant, and a fired event may schedule one more. *)
+
+type op =
+  | Schedule of { delay : int; label : string; child : int option }
+  | Schedule_at of { offset : int; label : string }  (** from the clock; may be past *)
+  | Step
+  | Run_until of int  (** ticks past the clock *)
+  | Run_max of int
+  | Fire of int  (** index into [ready]; past its end, a seq nobody holds *)
+  | Fire_labeled of { label : string; gap : int }  (** [not_before] past the clock *)
+  | Advance of int
+
+let show_op = function
+  | Schedule { delay; label; child } ->
+    Printf.sprintf "schedule %d %S%s" delay label
+      (match child with Some c -> Printf.sprintf " then %d" c | None -> "")
+  | Schedule_at { offset; label } -> Printf.sprintf "schedule_at %+d %S" offset label
+  | Step -> "step"
+  | Run_until k -> Printf.sprintf "run ~until:+%d" k
+  | Run_max k -> Printf.sprintf "run ~max_events:%d" k
+  | Fire i -> Printf.sprintf "fire #%d" i
+  | Fire_labeled { label; gap } -> Printf.sprintf "fire_labeled %S +%d" label gap
+  | Advance k -> Printf.sprintf "advance_to +%d" k
+
+type mevent = { m_time : int; m_seq : int; m_label : string; m_child : int option }
+
+type model = {
+  mutable clock : int;
+  mutable next_seq : int;
+  mutable queue : mevent list;  (** sorted by (time, seq) *)
+  mutable log : (int * int) list;  (** (seq, instant) per firing, newest first *)
+}
+
+let m_schedule m ~time ~label ~child =
+  let ev =
+    { m_time = max time m.clock; m_seq = m.next_seq; m_label = label; m_child = child }
+  in
+  m.next_seq <- m.next_seq + 1;
+  (* The newest seq goes after every event of its instant. *)
+  let rec insert = function
+    | e :: rest when e.m_time <= ev.m_time -> e :: insert rest
+    | later -> ev :: later
+  in
+  m.queue <- insert m.queue
+
+let m_fire m ev =
+  m.queue <- List.filter (fun e -> e.m_seq <> ev.m_seq) m.queue;
+  m.clock <- max m.clock ev.m_time;
+  m.log <- (ev.m_seq, m.clock) :: m.log;
+  Option.iter
+    (fun d -> m_schedule m ~time:(m.clock + d) ~label:ev.m_label ~child:None)
+    ev.m_child
+
+let m_run m ?until ~max_events () =
+  let due ev = match until with Some u -> ev.m_time <= u | None -> true in
+  let fired = ref 0 in
+  let rec loop () =
+    match m.queue with
+    | ev :: _ when !fired < max_events && due ev ->
+      incr fired;
+      m_fire m ev;
+      loop ()
+    | _ -> ()
+  in
+  loop ();
+  match until with
+  | Some u when m.clock < u && !fired < max_events -> m.clock <- u
+  | _ -> ()
+
+let m_take m pred =
+  match List.find_opt pred m.queue with
+  | None -> false
+  | Some ev ->
+    m_fire m ev;
+    true
+
+(* The engine side tags each event with the seq the model gives it; the
+   [ready] comparison checks that the engine agrees. *)
+type real = { e : Sim.Engine.t; mutable tag : int; mutable r_log : (int * int) list }
+
+let rec r_schedule r ~label ~child sched =
+  let tag = r.tag in
+  r.tag <- tag + 1;
+  sched ~label r.e (fun () ->
+      r.r_log <- (tag, Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log;
+      Option.iter
+        (fun d ->
+          r_schedule r ~label ~child:None (fun ~label e ->
+              Sim.Engine.schedule ~label e ~delay:d))
+        child)
+
+let apply r m op =
+  let vt = Sim.Vtime.of_int in
+  match op with
+  | Schedule { delay; label; child } ->
+    r_schedule r ~label ~child (fun ~label e -> Sim.Engine.schedule ~label e ~delay);
+    m_schedule m ~time:(m.clock + delay) ~label ~child;
+    true
+  | Schedule_at { offset; label } ->
+    let at = max 0 (m.clock + offset) in
+    r_schedule r ~label ~child:None (fun ~label e ->
+        Sim.Engine.schedule_at ~label e (vt at));
+    m_schedule m ~time:at ~label ~child:None;
+    true
+  | Step ->
+    let fired = Sim.Engine.step r.e in
+    Bool.equal fired (m_take m (fun _ -> true))
+  | Run_until k ->
+    let until = m.clock + k in
+    Sim.Engine.run ~until:(vt until) r.e;
+    m_run m ~until ~max_events:max_int ();
+    true
+  | Run_max k ->
+    Sim.Engine.run ~max_events:k r.e;
+    m_run m ~max_events:k ();
+    true
+  | Fire i ->
+    let seq =
+      match List.nth_opt m.queue i with Some ev -> ev.m_seq | None -> m.next_seq + i
+    in
+    let fired = Sim.Engine.fire r.e ~seq in
+    Bool.equal fired (m_take m (fun ev -> ev.m_seq = seq))
+  | Fire_labeled { label; gap } ->
+    let not_before = m.clock + gap in
+    let fired = Sim.Engine.fire_labeled r.e ~label ~not_before:(vt not_before) in
+    let pred ev = String.equal ev.m_label label in
+    if List.exists pred m.queue then m.clock <- max m.clock not_before;
+    Bool.equal fired (m_take m pred)
+  | Advance k ->
+    Sim.Engine.advance_to r.e (vt (m.clock + k));
+    m.clock <- m.clock + k;
+    true
+
+let agree r m =
+  let log_equal = List.equal (fun (a, b) (c, d) -> Int.equal a c && Int.equal b d) in
+  log_equal r.r_log m.log
+  && Int.equal (Sim.Vtime.to_int (Sim.Engine.now r.e)) m.clock
+  && Int.equal (Sim.Engine.pending r.e) (List.length m.queue)
+  && Bool.equal (Sim.Engine.quiescent r.e) (List.is_empty m.queue)
+  && List.equal
+       (fun (t1, s1, l1) (t2, s2, l2) ->
+         Int.equal t1 t2 && Int.equal s1 s2 && String.equal l1 l2)
+       (List.map
+          (fun (x : Sim.Engine.ready_event) ->
+            (Sim.Vtime.to_int x.r_time, x.r_seq, x.r_label))
+          (Sim.Engine.ready r.e))
+       (List.map (fun ev -> (ev.m_time, ev.m_seq, ev.m_label)) m.queue)
+
+let gen_op =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [
+        (6, int_range (-2) 12); (2, int_range 55 75); (1, int_range 100 300);
+        (1, int_range 0 1000);
+      ]
+  in
+  let label = oneofl [ ""; "a"; "b" ] in
+  frequency
+    [
+      ( 8,
+        map3
+          (fun delay label child -> Schedule { delay; label; child })
+          delay label (opt delay) );
+      ( 2,
+        map2
+          (fun offset label -> Schedule_at { offset; label })
+          (int_range (-20) 200) label );
+      (3, return Step);
+      (2, map (fun k -> Run_until k) (int_range 0 300));
+      (2, map (fun k -> Run_max k) (int_range 0 6));
+      (2, map (fun i -> Fire i) (int_range 0 8));
+      (2, map2 (fun label gap -> Fire_labeled { label; gap }) label (int_range 0 3));
+      (1, map (fun k -> Advance k) (int_range 0 200));
+    ]
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"queue matches a sorted model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 80) gen_op))
+    (fun ops ->
+      let r = { e = mk (); tag = 0; r_log = [] } in
+      let m = { clock = 0; next_seq = 0; queue = []; log = [] } in
+      List.iteri
+        (fun i op ->
+          if not (apply r m op && agree r m) then
+            QCheck.Test.fail_reportf "diverged at op %d (%s)" i (show_op op))
+        ops;
+      Sim.Engine.run r.e;
+      m_run m ~max_events:max_int ();
+      agree r m)
+
 let tests =
   [
     case "fire_labeled matches the ready scan"
@@ -219,4 +437,6 @@ let tests =
     case "step on empty queue" test_step_empty;
     case "ready snapshot" test_ready_snapshot;
     case "fire out of order" test_fire_out_of_order;
+    case "until, then an earlier event" test_until_then_earlier;
+    qcheck prop_queue_matches_model;
   ]

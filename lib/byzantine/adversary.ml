@@ -22,7 +22,7 @@ let mark t label i =
 
 let sync_correct t =
   let byz = t.byz in
-  Net.set_correct t.net (fun i -> not (List.mem i byz))
+  Net.set_correct t.net (fun i -> not (List.exists (Int.equal i) byz))
 
 let deploy ~net ~rng =
   let n = (Net.params net : Params.t).n in

@@ -37,7 +37,7 @@ val run : ?until:Sim.Vtime.t -> t -> unit
 exception Deadlock of string
 (** The engine quiesced while job fibers were still suspended — the
     message lists each wedged fiber with the suspension point it blocks on
-    (e.g. ["Mailbox.recv"], ["Collect.backoff"]). *)
+    (e.g. ["Mailbox.collect"], ["Collect.backoff"]). *)
 
 val stuck_jobs : (string * Sim.Fiber.handle) list -> string list
 (** Human-readable descriptions of the still-running fibers among

@@ -12,9 +12,11 @@ let config ~keys ~clients =
   if clients <= 0 then invalid_arg "Kv.config: need at least one client";
   { keys; clients; base_inst = 0; seq_bound = 1 lsl 61 }
 
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   cfg : config;
-  registers : (string * Registers.Mwmr.process) list;
+  registers : Registers.Mwmr.process Stbl.t;
   wprobe : Registers.Instr.probe;
   rprobe : Registers.Instr.probe;
 }
@@ -23,19 +25,18 @@ let client ~net ~cfg ~id ~client_id =
   (* Each key's MWMR register occupies a disjoint instance range of size
      m*m, derived from its schema position. *)
   let m = cfg.clients in
-  let registers =
-    List.mapi
-      (fun idx key ->
-        let mwmr_cfg =
-          {
-            (Registers.Mwmr.default_config ~m) with
-            Registers.Mwmr.base_inst = cfg.base_inst + (idx * m * m);
-            seq_bound = cfg.seq_bound;
-          }
-        in
-        (key, Registers.Mwmr.process ~net ~cfg:mwmr_cfg ~id ~client_id))
-      cfg.keys
-  in
+  let registers = Stbl.create (List.length cfg.keys) in
+  List.iteri
+    (fun idx key ->
+      let mwmr_cfg =
+        {
+          (Registers.Mwmr.default_config ~m) with
+          Registers.Mwmr.base_inst = cfg.base_inst + (idx * m * m);
+          seq_bound = cfg.seq_bound;
+        }
+      in
+      Stbl.add registers key (Registers.Mwmr.process ~net ~cfg:mwmr_cfg ~id ~client_id))
+    cfg.keys;
   let engine = Registers.Net.engine net in
   {
     cfg;
@@ -44,10 +45,7 @@ let client ~net ~cfg ~id ~client_id =
     rprobe = Registers.Instr.probe ~engine ~client:client_id ~reg:"kv" `Read;
   }
 
-let register t key =
-  match List.assoc_opt key t.registers with
-  | Some r -> r
-  | None -> raise Not_found
+let register t key = Stbl.find t.registers key
 
 let set_o t ~key v =
   Registers.Instr.run t.wprobe (fun parent ->

@@ -3,7 +3,9 @@
    [deadline] (when given) passes.  The round tag was captured at broadcast
    time: the wait matches the broadcast that was just issued even if a
    transient fault corrupts the port's tag while the round trip is in
-   flight. *)
+   flight.  Without a deadline this is the paper's asynchronous client:
+   it blocks until enough distinct servers answered, however long that
+   takes. *)
 let gather ~net ~port ~round ~filter ~stop_at ~deadline =
   let params = Net.params net in
   let n = (params : Params.t).n in
@@ -15,32 +17,21 @@ let gather ~net ~port ~round ~filter ~stop_at ~deadline =
       env.server >= 0 && env.server < n
       && match slots.(env.server) with None -> true | Some _ -> false
     in
-    if env.round = expected_round && slot_free then
-      match filter env.body with
-      | None -> ()
-      | Some payload ->
-        slots.(env.server) <- Some payload;
-        incr filled
+    (if env.round = expected_round && slot_free then
+       match filter env.body with
+       | None -> ()
+       | Some payload ->
+         slots.(env.server) <- Some payload;
+         incr filled);
+    !filled >= stop_at
   in
-  let expired = ref false in
-  (match deadline with
-  | None ->
-    (* The paper's asynchronous client: block until enough distinct
-       servers answered, however long that takes. *)
-    while !filled < stop_at do
-      consider (Sim.Mailbox.recv port.Net.mailbox)
-    done
-  | Some deadline ->
-    let engine = Net.engine net in
-    let continue = ref true in
-    while !continue && !filled < stop_at do
-      match Sim.Mailbox.recv_until ~engine ~deadline port.Net.mailbox with
-      | None ->
-        continue := false;
-        expired := true
-      | Some env -> consider env
-    done);
-  (slots, !filled, !expired)
+  let expired =
+    stop_at > 0
+    && not
+         (Sim.Mailbox.collect ~engine:(Net.engine net) ~deadline
+            port.Net.mailbox consider)
+  in
+  (slots, !filled, expired)
 
 type 'a attempt = { payloads : 'a list; acks : int; expired : bool }
 

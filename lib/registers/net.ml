@@ -27,8 +27,8 @@ type t = {
   params : Params.t;
   medium : medium;
   endpoints : endpoint array;
-  mutable correct : int -> bool;
-  mutable ports : (int * client_port) list;
+  mutable correct : bool array; (* by server slot *)
+  mutable ports : (int * client_port) list; (* ascending by client id *)
   link_delay : Sim.Rng.t -> Sim.Link.sampler;
   (* Per-message-class traffic accounting, indexed by
      [Obs.Event.class_index]; the refs are resolved once here so the send
@@ -63,7 +63,7 @@ let create ~engine ~params ?(medium = Reliable_fifo) ~link_delay () =
     params;
     medium;
     endpoints = Array.init n (fun _ -> { on_deliver = (fun _ -> ()) });
-    correct = (fun _ -> true);
+    correct = Array.make n true;
     ports = [];
     link_delay;
     sent_count = refs sent_count_names;
@@ -72,37 +72,39 @@ let create ~engine ~params ?(medium = Reliable_fifo) ~link_delay () =
     broadcasts = Obs.Metrics.counter_ref metrics "ss.broadcasts";
   }
 
-let record_send t ~src ~dst ~span cls bytes =
+(* The typed traffic events, built only for an active hub: their peers
+   and a receipt's size would otherwise cost allocations and work on
+   every message. *)
+let emit_traffic t ~send ~client ~server ~to_server ~span cls bytes =
+  let c = Obs.Event.Client client and s = Obs.Event.Server server in
+  let src, dst = if to_server then (c, s) else (s, c) in
+  let time = Sim.Vtime.to_int (Sim.Engine.now t.engine) in
+  Obs.Hub.emit (Sim.Engine.hub t.engine)
+    (if send then Obs.Event.Send { time; src; dst; cls; bytes; span }
+     else Obs.Event.Recv { time; src; dst; cls; bytes; span })
+
+let record_send t ~client ~server ~to_server ~span cls bytes =
   let i = Obs.Event.class_index cls in
   incr t.sent_count.(i);
   (t.sent_bytes.(i) := !(t.sent_bytes.(i)) + bytes);
-  let hub = Sim.Engine.hub t.engine in
-  if Obs.Hub.active hub then
-    Obs.Hub.emit hub
-      (Obs.Event.Send
-         {
-           time = Sim.Vtime.to_int (Sim.Engine.now t.engine);
-           src;
-           dst;
-           cls;
-           bytes;
-           span;
-         })
+  if Obs.Hub.active (Sim.Engine.hub t.engine) then
+    emit_traffic t ~send:true ~client ~server ~to_server ~span cls bytes
 
-let record_recv t ~src ~dst ~span cls bytes =
+let record_ack_recv t ~client (env : Messages.client_envelope) =
+  let cls = Messages.class_of_to_client env.body in
   incr t.recv_count.(Obs.Event.class_index cls);
-  let hub = Sim.Engine.hub t.engine in
-  if Obs.Hub.active hub then
-    Obs.Hub.emit hub
-      (Obs.Event.Recv
-         {
-           time = Sim.Vtime.to_int (Sim.Engine.now t.engine);
-           src;
-           dst;
-           cls;
-           bytes;
-           span;
-         })
+  if Obs.Hub.active (Sim.Engine.hub t.engine) then
+    emit_traffic t ~send:false ~client ~server:env.server ~to_server:false
+      ~span:env.span cls
+      (Messages.client_envelope_bytes env)
+
+let record_request_recv t ~server (env : Messages.server_envelope) =
+  let cls = Messages.class_of_to_server env.body in
+  incr t.recv_count.(Obs.Event.class_index cls);
+  if Obs.Hub.active (Sim.Engine.hub t.engine) then
+    emit_traffic t ~send:false ~client:env.client ~server ~to_server:true
+      ~span:env.span cls
+      (Messages.server_envelope_bytes env)
 
 let engine t = t.engine
 
@@ -110,9 +112,9 @@ let params t = t.params
 
 let endpoints t = t.endpoints
 
-let set_correct t f = t.correct <- f
+let set_correct t f = t.correct <- Array.init (Array.length t.correct) f
 
-let is_correct t i = t.correct i
+let is_correct t i = t.correct.(i)
 
 let round_modulus = 1 lsl 30
 
@@ -127,8 +129,17 @@ let link_name p a arrow b =
   Value.add_decimal buf b;
   Buffer.contents buf
 
+let rec find_port id = function
+  | [] -> None
+  | (k, port) :: rest -> if Int.equal k id then Some port else find_port id rest
+
+let rec insert_port id port = function
+  | (k, _) :: _ as later when id < k -> (id, port) :: later
+  | entry :: rest -> entry :: insert_port id port rest
+  | [] -> [ (id, port) ]
+
 let add_client t ~id =
-  match List.assoc_opt id t.ports with
+  match find_port id t.ports with
   | Some port -> port
   | None ->
     let n = t.params.Params.n in
@@ -142,6 +153,10 @@ let add_client t ~id =
       Sim.Rng.create (t.params.Params.retry.jitter_seed + (1_000_003 * id))
     in
     let mk_sampler () = t.link_delay (Sim.Rng.split (Sim.Engine.rng t.engine)) in
+    let receive env =
+      record_ack_recv t ~client:id env;
+      Sim.Mailbox.push mailbox env
+    in
     let port =
       match t.medium with
       | Reliable_fifo ->
@@ -155,14 +170,7 @@ let add_client t ~id =
           Array.init n (fun s ->
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
                 ~name:(link_name "s" s "->c" id)
-                ~deliver:(fun env ->
-                  record_recv t
-                    ~src:(Obs.Event.Server env.Messages.server)
-                    ~dst:(Obs.Event.Client id)
-                    ~span:env.Messages.span
-                    (Messages.class_of_to_client env.Messages.body)
-                    (Messages.client_envelope_bytes env);
-                  Sim.Mailbox.push mailbox env))
+                ~deliver:receive)
         in
         {
           client_id = id;
@@ -193,15 +201,7 @@ let add_client t ~id =
                 ~classify:(fun (env : Messages.client_envelope) ->
                   Messages.class_of_to_client env.body)
                 ~name:(link_name "s" s "=>c" id)
-                ~deliver:(fun env ->
-                  record_recv t
-                    ~src:(Obs.Event.Server env.Messages.server)
-                    ~dst:(Obs.Event.Client id)
-                    ~span:env.Messages.span
-                    (Messages.class_of_to_client env.Messages.body)
-                    (Messages.client_envelope_bytes env);
-                  Sim.Mailbox.push mailbox env)
-                ())
+                ~deliver:receive ())
         in
         {
           client_id = id;
@@ -214,24 +214,20 @@ let add_client t ~id =
           retry_rng;
         }
     in
-    t.ports <- (id, port) :: t.ports;
+    t.ports <- insert_port id port t.ports;
     port
 
-let client_ports t =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) t.ports
+let client_ports t = t.ports
 
 let reply ?(parent = Obs.Trace_ctx.none) t ~server ~client body ~round =
-  match List.assoc_opt client t.ports with
+  match find_port client t.ports with
   | None -> ()
   | Some port -> (
     (* The acknowledgment is a new causal node under the broadcast round
        it answers (or a fresh root for unsolicited Byzantine chatter). *)
     let span = Obs.Trace_ctx.child (Sim.Engine.spans t.engine) parent in
     let env = { Messages.round; server; body; span } in
-    record_send t
-      ~src:(Obs.Event.Server server)
-      ~dst:(Obs.Event.Client client)
-      ~span
+    record_send t ~client ~server ~to_server:false ~span
       (Messages.class_of_to_client body)
       (Messages.client_envelope_bytes env);
     match port.transport with
@@ -243,12 +239,7 @@ let install_honest_server t srv =
   let s = Server.id srv in
   t.endpoints.(s).on_deliver <-
     (fun env ->
-      record_recv t
-        ~src:(Obs.Event.Client env.Messages.client)
-        ~dst:(Obs.Event.Server s)
-        ~span:env.Messages.span
-        (Messages.class_of_to_server env.Messages.body)
-        (Messages.server_envelope_bytes env);
+      record_request_recv t ~server:s env;
       let hub = Sim.Engine.hub t.engine in
       if Obs.Hub.active hub then
         Obs.Hub.emit hub
@@ -286,9 +277,8 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
   let cls = Messages.class_of_to_server body in
   let env_bytes = Messages.server_envelope_bytes env in
   for s = 0 to t.params.Params.n - 1 do
-    record_send t
-      ~src:(Obs.Event.Client port.client_id)
-      ~dst:(Obs.Event.Server s) ~span:bspan cls env_bytes
+    record_send t ~client:port.client_id ~server:s ~to_server:true ~span:bspan
+      cls env_bytes
   done;
   (* Synchronized delivery: the invocation spans the first (n - 2t) correct
      deliveries.  If the adversary corrupts more than t servers (tightness
@@ -296,73 +286,39 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
      still terminates. *)
   let quorum = t.params.Params.n - (2 * t.params.Params.f) in
   let correct_total =
-    let c = ref 0 in
-    for s = 0 to t.params.Params.n - 1 do
-      if t.correct s then incr c
-    done;
-    !c
+    Array.fold_left (fun c ok -> if ok then c + 1 else c) 0 t.correct
   in
   let target = min quorum correct_total in
   (* Both transports count actual delivery callbacks rather than
      precomputing arrival instants: the synchronized-delivery property must
      hold under *any* admissible firing order (the model checker reorders
-     deliveries across links), not just the heap order of a fresh run. *)
-  (match port.transport with
-  | Direct ->
-    Sim.Fiber.suspend ~label:"Net.ss_broadcast" (fun resume ->
-        let confirmed = ref 0 in
-        let resumed = ref false in
-        let maybe_resume () =
-          if (not !resumed) && !confirmed >= target then begin
-            resumed := true;
-            resume ()
-          end
-        in
-        Array.iteri
-          (fun s link ->
-            let was_correct = t.correct s in
-            ignore
-              (Sim.Link.send_timed link
-                 ~on_delivered:(fun () ->
-                   if was_correct then begin
-                     incr confirmed;
-                     maybe_resume ()
-                   end)
-                 env))
-          port.to_servers;
-        if target = 0 then
-          Sim.Engine.schedule t.engine ~delay:0 (fun () ->
-              if not !resumed then begin
-                resumed := true;
-                resume ()
-              end))
-  | Lossy { to_servers; _ } ->
-    Sim.Fiber.suspend ~label:"Net.ss_broadcast" (fun resume ->
-        let confirmed = ref 0 in
-        let resumed = ref false in
-        let maybe_resume () =
-          if (not !resumed) && !confirmed >= target then begin
-            resumed := true;
-            resume ()
-          end
-        in
-        Array.iteri
-          (fun s sender ->
-            let was_correct = t.correct s in
-            Ss_transport.send sender
-              ~on_delivered:(fun () ->
-                if was_correct then begin
-                  incr confirmed;
-                  maybe_resume ()
-                end)
-              env)
-          to_servers;
-        if target = 0 then
-          Sim.Engine.schedule t.engine ~delay:0 (fun () ->
-              if not !resumed then begin
-                resumed := true;
-                resume ()
-              end)));
+     deliveries across links), not just the queue order of a fresh run.
+     Only deliveries at servers correct when the broadcast went out count,
+     so those links share one callback and the others get none. *)
+  Sim.Fiber.suspend ~label:"Net.ss_broadcast" (fun resume ->
+      let confirmed = ref 0 in
+      let resumed = ref false in
+      let settle () =
+        if not !resumed then begin
+          resumed := true;
+          resume ()
+        end
+      in
+      let on_correct =
+        Some
+          (fun () ->
+            incr confirmed;
+            if !confirmed >= target then settle ())
+      in
+      for s = 0 to t.params.Params.n - 1 do
+        let on_delivered = if t.correct.(s) then on_correct else None in
+        match port.transport with
+        | Direct ->
+          ignore (Sim.Link.send_timed port.to_servers.(s) ?on_delivered env)
+        | Lossy { to_servers; _ } ->
+          Ss_transport.send to_servers.(s) ?on_delivered env
+      done;
+      if target = 0 then Sim.Engine.schedule t.engine ~delay:0 settle);
   env.Messages.round
 
 type chaos_dir = [ `To_servers | `From_servers | `Both ]

@@ -103,7 +103,8 @@ val endpoints : t -> endpoint array
 
 val set_correct : t -> (int -> bool) -> unit
 (** Ground truth for the synchronized-delivery property; updated by the
-    adversary when Byzantine faults are mobile (footnote 1). *)
+    adversary when Byzantine faults are mobile (footnote 1).  The
+    predicate is evaluated once per server slot, here. *)
 
 val is_correct : t -> int -> bool
 
@@ -111,6 +112,7 @@ val add_client : t -> id:int -> client_port
 (** Create (or return the existing) port for client [id]. *)
 
 val client_ports : t -> (int * client_port) list
+(** Every port, by ascending client id. *)
 
 val reply :
   ?parent:Obs.Trace_ctx.span ->

@@ -1,21 +1,31 @@
 type instance = { mutable last_val : Messages.cell; mutable helping : Messages.help }
 
-type t = { id : int; insts : (int, instance) Hashtbl.t }
+(* Instance numbers are small consecutive ints, so they hash to
+   themselves: no generic hashing on every delivery. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-let create ~id = { id; insts = Hashtbl.create 4 }
+  let equal = Int.equal
+
+  let hash i = i land max_int
+end)
+
+type t = { id : int; insts : instance Itbl.t }
+
+let create ~id = { id; insts = Itbl.create 4 }
 
 let id t = t.id
 
 let instance t inst =
-  match Hashtbl.find_opt t.insts inst with
-  | Some i -> i
-  | None ->
+  match Itbl.find t.insts inst with
+  | i -> i
+  | exception Not_found ->
     let i = { last_val = Messages.bot_cell; helping = None } in
-    Hashtbl.add t.insts inst i;
+    Itbl.add t.insts inst i;
     i
 
 let instances t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.insts []
+  Itbl.fold (fun k v acc -> (k, v) :: acc) t.insts []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let handle t (env : Messages.server_envelope) =

@@ -16,15 +16,21 @@
    [width] is a power of two, so a mask finds the slot, and the first
    above the delays the protocols schedule: link delays of 1-10 ticks,
    retry deadlines of +60 and backoffs of at most 69.  Under 0.1% of the
-   benchmark workloads' events take the overflow path. *)
+   benchmark workloads' events take the overflow path.
+
+   An event is queued exactly when its [next] is not [nil]: a ring event
+   links into its bucket, an overflow event points at itself.  A queued
+   event sits in the ring when its instant is below [base + width] and in
+   the overflow otherwise.  A timer is an event that can be queued again
+   after it fired, or moved while queued. *)
 
 let width = 128
 
 let mask = width - 1
 
 type event = {
-  time : Vtime.t;
-  seq : int;
+  mutable time : Vtime.t;
+  mutable seq : int;
   label : string;
   action : unit -> unit;
   mutable next : event; (* the next event of its bucket; the tail's is the head *)
@@ -92,14 +98,25 @@ let rec insert ev = function
   | e :: rest when Vtime.( <= ) e.time ev.time -> e :: insert ev rest
   | later -> ev :: later
 
-let schedule_at ?(label = "") t time action =
-  let time = Vtime.max time t.clock in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+(* An event not yet queued. *)
+let event t ~label action =
+  { time = Vtime.zero; seq = -1; label; action; next = t.nil }
+
+(* Queue [ev], which is not queued, at [time] (clamped to the clock) with
+   the next seq. *)
+let enqueue t ev time =
+  ev.time <- Vtime.max time t.clock;
+  ev.seq <- t.next_seq;
+  t.next_seq <- ev.seq + 1;
   t.pending <- t.pending + 1;
-  let ev = { time; seq; label; action; next = t.nil } in
-  if Vtime.to_int time < t.base + width then append t ev
-  else t.overflow <- insert ev t.overflow
+  if Vtime.to_int ev.time < t.base + width then append t ev
+  else begin
+    ev.next <- ev;
+    t.overflow <- insert ev t.overflow
+  end
+
+let schedule_at ?(label = "") t time action =
+  enqueue t (event t ~label action) time
 
 let schedule ?label t ~delay action =
   schedule_at ?label t (Vtime.add t.clock (max delay 0)) action
@@ -231,6 +248,7 @@ and take_in_overflow t pred seen = function
   | ev :: rest ->
     if pred ev then begin
       t.overflow <- List.rev_append seen rest;
+      forget t ev;
       t.pending <- t.pending - 1;
       ev
     end
@@ -263,3 +281,35 @@ let fire_labeled t ~label ~not_before =
 let pending t = t.pending
 
 let quiescent t = t.pending = 0
+
+type timer = { engine : t; ev : event }
+
+let timer t action = { engine = t; ev = event t ~label:"" action }
+
+let due tm = tm.ev.time
+
+let rec prev_in_bucket ev prev =
+  if prev.next == ev then prev else prev_in_bucket ev prev.next
+
+(* Unlink a queued [ev] from wherever it sits. *)
+let unlink t ev =
+  if Vtime.to_int ev.time < t.base + width then begin
+    let i = Vtime.to_int ev.time land mask in
+    let tail = t.ring.(i) in
+    if ev.next == ev then t.ring.(i) <- t.nil
+    else begin
+      let prev = prev_in_bucket ev tail in
+      prev.next <- ev.next;
+      if ev == tail then t.ring.(i) <- prev
+    end;
+    t.in_ring <- t.in_ring - 1
+  end
+  else t.overflow <- List.filter (fun e -> e != ev) t.overflow;
+  forget t ev;
+  t.pending <- t.pending - 1
+
+let cancel { engine = t; ev } = if ev.next != t.nil then unlink t ev
+
+let arm tm time =
+  cancel tm;
+  enqueue tm.engine tm.ev time

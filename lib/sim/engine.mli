@@ -1,7 +1,8 @@
 (** Discrete-event simulation engine.
 
     The engine owns virtual time and the queue of pending actions.
-    Everything else (links, fibers, fault plans) schedules thunks here.
+    Everything else (links, fibers, fault plans) schedules thunks here,
+    or re-arms a {!timer}.
     Events fire in (time, seq) order: by instant, and within an instant
     first in, first out, in scheduling order, which keeps executions
     deterministic.
@@ -85,3 +86,29 @@ val pending : t -> int
 
 val quiescent : t -> bool
 (** [true] when no events are queued. *)
+
+(** {2 Timers}
+
+    A timer is one unlabeled event that can be queued again after it
+    fired, or moved while it is queued, without allocating.  Queued, it
+    is an ordinary event: {!ready}, {!pending}, {!step} and {!fire} see it
+    like any other. *)
+
+type timer
+
+val timer : t -> (unit -> unit) -> timer
+(** [timer t action] is a timer of [t], not queued, that runs [action]
+    each time it fires. *)
+
+val arm : timer -> Vtime.t -> unit
+(** [arm tm time] queues [tm] at [time] (clamped to {!now}) with the next
+    sequence number, exactly as {!schedule_at} would queue a new event at
+    this point; a queued [tm] leaves its old place first.  Re-arming at
+    the same instant therefore moves the timer behind every event
+    scheduled for that instant since it was last armed. *)
+
+val cancel : timer -> unit
+(** Unqueue [tm]; no-op when it is not queued. *)
+
+val due : timer -> Vtime.t
+(** The instant [tm] was last armed for ({!Vtime.zero} if never). *)

@@ -25,8 +25,21 @@ let suspend ?label register =
   (match !current with Some h -> h.blocked <- None | None -> ());
   v
 
+(* Continue [k] with [v] as fiber [self], restoring the previous [current]
+   however it ends.  A plain handler rather than [Fun.protect]: this runs
+   on every resumption. *)
+let resume_as self k v =
+  let prev = !current in
+  current := self;
+  match continue k v with
+  | () -> current := prev
+  | exception e ->
+    current := prev;
+    raise e
+
 let spawn ?(name = "fiber") f =
   let h = { status = Running; name; blocked = None } in
+  let self = Some h in
   let handler =
     {
       retc =
@@ -44,17 +57,12 @@ let spawn ?(name = "fiber") f =
           | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
-                register (fun v ->
-                    let prev = !current in
-                    current := Some h;
-                    Fun.protect
-                      ~finally:(fun () -> current := prev)
-                      (fun () -> continue k v)))
+                register (fun v -> resume_as self k v))
           | _ -> None);
     }
   in
   let prev = !current in
-  current := Some h;
+  current := self;
   Fun.protect
     ~finally:(fun () -> current := prev)
     (fun () -> match_with f () handler);

@@ -1,4 +1,8 @@
-type 'm entry = { id : int; mutable payload : 'm option; arrival : Vtime.t }
+type 'm entry = {
+  mutable payload : 'm;
+  mutable live : bool; (* false once a transient fault dropped the payload *)
+  on_delivered : (unit -> unit) option;
+}
 
 type 'm t = {
   engine : Engine.t;
@@ -7,8 +11,8 @@ type 'm t = {
   msgs : int ref; (* the engine's ["net.msgs"] counter *)
   deliver : 'm -> unit;
   mutable last_arrival : Vtime.t;
-  mutable next_id : int;
-  mutable flight : 'm entry list; (* newest first *)
+  flight : 'm entry Queue.t; (* oldest first: the head arrives next *)
+  mutable arrive : unit -> unit; (* the delivery action of every event *)
 }
 
 type sampler = unit -> Vtime.span
@@ -30,42 +34,49 @@ let bimodal rng ~fast:(flo, fhi) ~slow:(slo, shi) ~slow_probability =
     if Rng.float rng 1.0 < slow_probability then Rng.int_in rng slo shi
     else Rng.int_in rng flo fhi
 
+(* A link's deliveries fire in the order they were sent: arrivals are
+   monotone per link, [Engine.run]/[Engine.step] fire in (time, seq)
+   order, and [Engine.fire_labeled] takes a label's least event.  So the
+   event firing now is always the head entry's. *)
+let arrive t () =
+  let e = Queue.pop t.flight in
+  (* Read the payload at fire time: a transient fault may have rewritten
+     or dropped it while in transit. *)
+  if e.live then begin
+    incr t.msgs;
+    t.deliver e.payload
+  end;
+  (* Notify after the receiver processed the message, even if a
+     transient fault dropped the payload: the delivery *slot* happened,
+     which is what synchronized-broadcast waiters count. *)
+  match e.on_delivered with None -> () | Some f -> f ()
+
 let create ~engine ~delay ~name ~deliver =
-  {
-    engine;
-    delay;
-    label = "link:" ^ name;
-    msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
-    deliver;
-    last_arrival = Vtime.zero;
-    next_id = 0;
-    flight = [];
-  }
+  let t =
+    {
+      engine;
+      delay;
+      label = "link:" ^ name;
+      msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
+      deliver;
+      last_arrival = Vtime.zero;
+      flight = Queue.create ();
+      arrive = ignore;
+    }
+  in
+  t.arrive <- arrive t;
+  t
 
 let transmit_timed ?on_delivered t payload =
   let proposed = Vtime.add (Engine.now t.engine) (t.delay ()) in
   (* FIFO: never overtake a message already in flight. *)
   let arrival = Vtime.max proposed t.last_arrival in
   t.last_arrival <- arrival;
-  let entry = { id = t.next_id; payload = Some payload; arrival } in
-  t.next_id <- entry.id + 1;
-  t.flight <- entry :: t.flight;
+  Queue.push { payload; live = true; on_delivered } t.flight;
   (* Label the event with the link name so an external scheduling policy
      (the model checker) can tell which channel each pending delivery
      belongs to and preserve per-link FIFO while reordering across links. *)
-  Engine.schedule_at ~label:t.label t.engine arrival (fun () ->
-      t.flight <- List.filter (fun e -> e.id <> entry.id) t.flight;
-      (* Read the payload at fire time: a transient fault may have rewritten
-         or dropped it while in transit. *)
-      (match entry.payload with
-      | None -> ()
-      | Some m ->
-        incr t.msgs;
-        t.deliver m);
-      (* Notify after the receiver processed the message, even if a
-         transient fault dropped the payload: the delivery *slot* happened,
-         which is what synchronized-broadcast waiters count. *)
-      match on_delivered with None -> () | Some f -> f ());
+  Engine.schedule_at ~label:t.label t.engine arrival t.arrive;
   arrival
 
 let send t m = ignore (transmit_timed t m)
@@ -73,13 +84,17 @@ let send t m = ignore (transmit_timed t m)
 let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
 
 let in_flight t =
-  List.rev t.flight
-  |> List.filter_map (fun e -> e.payload)
+  List.rev
+    (Queue.fold (fun acc e -> if e.live then e.payload :: acc else acc) [] t.flight)
 
+(* Newest first: the order the rewrites draw from a fault's generator. *)
 let corrupt_in_flight t f =
   List.iter
     (fun e ->
-      match e.payload with None -> () | Some m -> e.payload <- f m)
-    t.flight
+      if e.live then
+        match f e.payload with
+        | None -> e.live <- false
+        | Some m -> e.payload <- m)
+    (Queue.fold (fun acc e -> e :: acc) [] t.flight)
 
 let inject t m = ignore (transmit_timed t m)

@@ -8,7 +8,15 @@
 
     In the synchronous model of Section 3.3, delays on every link touching
     a correct process are bounded; build such links with a bounded
-    {!sampler}. *)
+    {!sampler}.
+
+    Each message is one engine event labeled ["link:" ^ name], and every
+    such event of a link runs the same action: deliver the oldest message
+    in flight.  That pairing holds because a link's events fire in the
+    order they were scheduled — {!Engine.run}, {!Engine.step} and
+    {!Engine.fire_labeled} all guarantee it.  Firing a link's event out
+    of that order with {!Engine.fire} would deliver the head message at
+    the later event's instant. *)
 
 type 'm t
 
@@ -48,7 +56,10 @@ val in_flight : 'm t -> 'm list
 
 val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
 (** Transient-fault hook: rewrite each in-transit message; [None] drops it.
-    Arrival times are unchanged. *)
+    Messages are visited newest first (a rewrite that draws from a
+    generator draws in that order).  Arrival times are unchanged, and a
+    dropped message still occupies its delivery event: it fires, delivers
+    nothing, and still calls its [on_delivered]. *)
 
 val inject : 'm t -> 'm -> unit
 (** Transient-fault hook: add a spurious message to the link (it obeys the

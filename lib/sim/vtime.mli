@@ -6,7 +6,7 @@
     ticks keep the simulator fully deterministic (no floating-point drift
     across platforms). *)
 
-type t
+type t [@@immediate]
 (** An absolute instant. *)
 
 type span = int

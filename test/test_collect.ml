@@ -222,6 +222,115 @@ let test_worse_keeps_first_on_ties () =
   check_int "Timed_out is the worst" 2
     (Outcome.rank (Outcome.worse (Outcome.Degraded r) (Outcome.Timed_out r)))
 
+(* --- golden runs: the collect path's observable schedule -------------- *)
+
+(* Two kv clients over three keys, driven event by event.  The summary
+   pins what the wait of every round decides: each op's outcome and
+   virtual duration, the retries, the final clock, and a digest of the
+   (time, label) of every link delivery in firing order — a deadline
+   that fires one event too early or too late within its instant moves
+   the digest even when no outcome changes.  [byz] compromises slots
+   with behaviors built from their automaton. *)
+let golden_summary ~seed ~params ?(byz = []) ?crash () =
+  let scn = Harness.Scenario.create ~seed ~params () in
+  let engine = scn.Harness.Scenario.engine in
+  let adv = scn.Harness.Scenario.adversary in
+  List.iter
+    (fun (s, behavior) ->
+      Byzantine.Adversary.compromise adv s
+        (behavior (Byzantine.Adversary.server adv s)))
+    byz;
+  Option.iter
+    (fun (s, down, up) ->
+      Sim.Engine.schedule_at engine (Sim.Vtime.of_int down) (fun () ->
+          Byzantine.Adversary.crash adv s);
+      Sim.Engine.schedule_at engine (Sim.Vtime.of_int up) (fun () ->
+          Byzantine.Adversary.recover ~wipe:`Reset adv s))
+    crash;
+  let keys = [| "a"; "b"; "c" |] in
+  let cfg = Kv.Store.config ~keys:(Array.to_list keys) ~clients:2 in
+  let logs = Array.make 2 [] in
+  let client id () =
+    let st =
+      Kv.Store.client ~net:scn.Harness.Scenario.net ~cfg ~id ~client_id:(100 + id)
+    in
+    for i = 0 to 11 do
+      let inv = Sim.Engine.now engine in
+      let rank =
+        if i mod 3 = id then
+          Outcome.rank (Kv.Store.set_o st ~key:keys.(i mod 3) (int_value i))
+        else Outcome.rank (Kv.Store.get_o st ~key:keys.((i + id) mod 3))
+      in
+      let dt = Sim.Vtime.diff (Sim.Engine.now engine) inv in
+      logs.(id) <- Printf.sprintf "%d:%d" rank dt :: logs.(id)
+    done
+  in
+  let handles = List.init 2 (fun id -> Sim.Fiber.spawn (client id)) in
+  let deliveries = Buffer.create 4096 and count = ref 0 in
+  let rec drive () =
+    match Sim.Engine.ready engine with
+    | [] -> ()
+    | r :: _ ->
+      if not (String.equal r.r_label "") then begin
+        incr count;
+        Printf.bprintf deliveries "%d %s;" (Sim.Vtime.to_int r.r_time) r.r_label
+      end;
+      ignore (Sim.Engine.step engine);
+      drive ()
+  in
+  drive ();
+  List.iter
+    (fun h -> check_true "client finished" (Sim.Fiber.status h = Sim.Fiber.Done))
+    handles;
+  Printf.sprintf "%s | %s | retries=%d clock=%d deliveries=%d digest=%s"
+    (String.concat " " (List.rev logs.(0)))
+    (String.concat " " (List.rev logs.(1)))
+    (Obs.Metrics.counter (Sim.Engine.metrics engine) "collect.retries")
+    (Sim.Vtime.to_int (Sim.Engine.now engine))
+    !count
+    (Digest.to_hex (Digest.string (Buffer.contents deliveries)))
+
+let check_golden name expected got =
+  Alcotest.(check string) name expected got
+
+let test_golden_clean () =
+  let params =
+    Params.create_exn ~retry:Params.default_retry ~n:9 ~f:1 ~mode:Params.Async ()
+  in
+  check_golden "clean kv run"
+    "0:106 0:58 0:56 0:97 0:61 0:60 0:99 0:58 0:57 0:108 0:60 0:61 | 0:59 0:108 0:59 0:59 0:106 0:58 0:59 0:103 0:64 0:65 0:91 0:65 | retries=0 clock=947 deliveries=2151 digest=654093c2cf1bb18d1c069cdab1f3dc84"
+    (golden_summary ~seed:11 ~params ())
+
+let silent _ = Byzantine.Behavior.silent
+
+(* One silent slot plus a crash window: 7 of 9 slots answer an n - t = 8
+   quota, so rounds inside the window expire, back off and retry.  A slow
+   slot's acks land close to the 60-tick deadline, before or after it,
+   at instants where other deliveries are due too. *)
+let test_golden_timeouts () =
+  let params =
+    Params.create_exn ~retry:Params.default_retry ~n:9 ~f:1 ~mode:Params.Async ()
+  in
+  check_golden "silent slot + crash window"
+    "1:863 0:244 0:234 0:365 0:241 0:246 0:367 0:254 0:242 0:383 0:228 0:231 | 0:253 1:784 0:246 0:242 0:389 0:246 0:238 0:365 0:237 0:228 0:371 0:226 | retries=11 clock=3911 deliveries=2215 digest=6ab5db2dfebe57cafc8b466f8be9d809"
+    (golden_summary ~seed:12 ~params
+       ~byz:[ (0, silent); (5, Byzantine.Behavior.delayed ~by:48) ]
+       ~crash:(3, 150, 900) ())
+
+(* Synchronous rounds under the paper's wait end at [Params.sync_timeout]:
+   with a silent slot no round reaches the n quota, so every one of them
+   runs to that deadline, which a slow slot's acks straddle. *)
+let test_golden_sync () =
+  let params =
+    Params.create_exn ~retry:Params.paper_wait ~n:4 ~f:1
+      ~mode:(Params.Sync { max_delay = 10; slack = 3 }) ()
+  in
+  check_golden "sync rounds"
+    "0:197 0:120 0:127 0:191 0:118 0:120 0:187 0:124 0:120 0:195 0:125 0:126 | 0:118 0:195 0:122 0:117 0:197 0:113 0:114 0:192 0:123 0:125 0:194 0:114 | retries=0 clock=1750 deliveries=848 digest=3306771ec53c583ae9f8d1e5f52c8fc8"
+    (golden_summary ~seed:13 ~params
+       ~byz:[ (2, silent); (1, Byzantine.Behavior.delayed ~by:9) ]
+       ())
+
 let tests =
   [
     case "Outcome.worse keeps a on ties" test_worse_keeps_first_on_ties;
@@ -234,4 +343,7 @@ let tests =
     case "paper_wait async: one attempt" test_paper_wait_async;
     case "paper_wait sync: rounds end at the bound"
       test_paper_wait_sync_silent_slot;
+    case "golden: clean kv run" test_golden_clean;
+    case "golden: silent slot and crash window" test_golden_timeouts;
+    case "golden: sync rounds" test_golden_sync;
   ]

@@ -226,7 +226,9 @@ let test_until_then_earlier () =
    (time, seq).  After every call the firing logs, the clocks, [ready]
    and [pending] must agree, and a final [run] must drain both alike.
    Delays reach far past the engine's bucket window, small ones collide
-   on the same instant, and a fired event may schedule one more. *)
+   on the same instant, and a fired event may schedule one more.  Three
+   timers are armed, re-armed and cancelled among the events: a timer is
+   one model event that leaves the list before it is queued again. *)
 
 type op =
   | Schedule of { delay : int; label : string; child : int option }
@@ -237,6 +239,9 @@ type op =
   | Fire of int  (** index into [ready]; past its end, a seq nobody holds *)
   | Fire_labeled of { label : string; gap : int }  (** [not_before] past the clock *)
   | Advance of int
+  | Arm of { timer : int; offset : int }  (** from the clock; may be past *)
+  | Rearm of int  (** at the instant the timer is due *)
+  | Cancel of int
 
 let show_op = function
   | Schedule { delay; label; child } ->
@@ -249,19 +254,37 @@ let show_op = function
   | Fire i -> Printf.sprintf "fire #%d" i
   | Fire_labeled { label; gap } -> Printf.sprintf "fire_labeled %S +%d" label gap
   | Advance k -> Printf.sprintf "advance_to +%d" k
+  | Arm { timer; offset } -> Printf.sprintf "arm timer %d at %+d" timer offset
+  | Rearm i -> Printf.sprintf "re-arm timer %d" i
+  | Cancel i -> Printf.sprintf "cancel timer %d" i
 
-type mevent = { m_time : int; m_seq : int; m_label : string; m_child : int option }
+type mevent = {
+  m_time : int;
+  m_seq : int;
+  m_label : string;
+  m_child : int option;
+  m_timer : int;  (** the timer it is, or -1 *)
+}
 
 type model = {
   mutable clock : int;
   mutable next_seq : int;
   mutable queue : mevent list;  (** sorted by (time, seq) *)
   mutable log : (int * int) list;  (** (seq, instant) per firing, newest first *)
+  due : int array;  (** per timer: the instant last armed for *)
 }
 
-let m_schedule m ~time ~label ~child =
+let timers = 3
+
+let m_schedule ?(timer = -1) m ~time ~label ~child =
   let ev =
-    { m_time = max time m.clock; m_seq = m.next_seq; m_label = label; m_child = child }
+    {
+      m_time = max time m.clock;
+      m_seq = m.next_seq;
+      m_label = label;
+      m_child = child;
+      m_timer = timer;
+    }
   in
   m.next_seq <- m.next_seq + 1;
   (* The newest seq goes after every event of its instant. *)
@@ -302,9 +325,38 @@ let m_take m pred =
     m_fire m ev;
     true
 
+let m_cancel m i = m.queue <- List.filter (fun e -> e.m_timer <> i) m.queue
+
+let m_arm m i time =
+  m_cancel m i;
+  m.due.(i) <- max time m.clock;
+  m_schedule ~timer:i m ~time ~label:"" ~child:None
+
 (* The engine side tags each event with the seq the model gives it; the
-   [ready] comparison checks that the engine agrees. *)
-type real = { e : Sim.Engine.t; mutable tag : int; mutable r_log : (int * int) list }
+   [ready] comparison checks that the engine agrees.  A timer logs the
+   tag of its latest arming. *)
+type real = {
+  e : Sim.Engine.t;
+  mutable tag : int;
+  mutable r_log : (int * int) list;
+  mutable r_timers : Sim.Engine.timer array;
+  timer_tag : int array;
+}
+
+let real () =
+  let r =
+    { e = mk (); tag = 0; r_log = []; r_timers = [||]; timer_tag = Array.make timers (-1) }
+  in
+  r.r_timers <-
+    Array.init timers (fun i ->
+        Sim.Engine.timer r.e (fun () ->
+            r.r_log <- (r.timer_tag.(i), Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log));
+  r
+
+let r_arm r i time =
+  r.timer_tag.(i) <- r.tag;
+  r.tag <- r.tag + 1;
+  Sim.Engine.arm r.r_timers.(i) time
 
 let rec r_schedule r ~label ~child sched =
   let tag = r.tag in
@@ -358,6 +410,19 @@ let apply r m op =
     Sim.Engine.advance_to r.e (vt (m.clock + k));
     m.clock <- m.clock + k;
     true
+  | Arm { timer; offset } ->
+    let at = max 0 (m.clock + offset) in
+    r_arm r timer (vt at);
+    m_arm m timer at;
+    true
+  | Rearm i ->
+    r_arm r i (Sim.Engine.due r.r_timers.(i));
+    m_arm m i m.due.(i);
+    true
+  | Cancel i ->
+    Sim.Engine.cancel r.r_timers.(i);
+    m_cancel m i;
+    true
 
 let agree r m =
   let log_equal = List.equal (fun (a, b) (c, d) -> Int.equal a c && Int.equal b d) in
@@ -373,6 +438,9 @@ let agree r m =
             (Sim.Vtime.to_int x.r_time, x.r_seq, x.r_label))
           (Sim.Engine.ready r.e))
        (List.map (fun ev -> (ev.m_time, ev.m_seq, ev.m_label)) m.queue)
+  && Array.for_all2
+       (fun tm due -> Int.equal (Sim.Vtime.to_int (Sim.Engine.due tm)) due)
+       r.r_timers m.due
 
 let gen_op =
   let open QCheck.Gen in
@@ -400,7 +468,32 @@ let gen_op =
       (2, map (fun i -> Fire i) (int_range 0 8));
       (2, map2 (fun label gap -> Fire_labeled { label; gap }) label (int_range 0 3));
       (1, map (fun k -> Advance k) (int_range 0 200));
+      ( 3,
+        map2
+          (fun timer offset -> Arm { timer; offset })
+          (int_range 0 (timers - 1))
+          (frequency
+             [ (6, int_range (-3) 12); (2, int_range 120 140); (1, int_range 200 600) ])
+      );
+      (2, map (fun i -> Rearm i) (int_range 0 (timers - 1)));
+      (1, map (fun i -> Cancel i) (int_range 0 (timers - 1)));
     ]
+
+(* Run [ops] against the engine and the model; [Some (i, op)] names the
+   first call after which they disagree. *)
+let diverges ops =
+  let r = real () in
+  let m =
+    { clock = 0; next_seq = 0; queue = []; log = []; due = Array.make timers 0 }
+  in
+  let rec go i = function
+    | [] ->
+      Sim.Engine.run r.e;
+      m_run m ~max_events:max_int ();
+      if agree r m then None else Some (i, "final run")
+    | op :: rest -> if apply r m op && agree r m then go (i + 1) rest else Some (i, show_op op)
+  in
+  go 0 ops
 
 let prop_queue_matches_model =
   QCheck.Test.make ~name:"queue matches a sorted model" ~count:500
@@ -409,16 +502,50 @@ let prop_queue_matches_model =
        ~shrink:QCheck.Shrink.list
        QCheck.Gen.(list_size (int_range 0 80) gen_op))
     (fun ops ->
-      let r = { e = mk (); tag = 0; r_log = [] } in
-      let m = { clock = 0; next_seq = 0; queue = []; log = [] } in
-      List.iteri
-        (fun i op ->
-          if not (apply r m op && agree r m) then
-            QCheck.Test.fail_reportf "diverged at op %d (%s)" i (show_op op))
-        ops;
-      Sim.Engine.run r.e;
-      m_run m ~max_events:max_int ();
-      agree r m)
+      match diverges ops with
+      | None -> true
+      | Some (i, op) -> QCheck.Test.fail_reportf "diverged at op %d (%s)" i op)
+
+(* The timer moves the random programs reach only by chance, each as a
+   fixed program checked against the model: a timer that is its bucket's
+   only event, its head, its tail; one resident in the overflow; re-arms
+   that cross the window's edge both ways. *)
+let test_timer_positions () =
+  let sched delay = Schedule { delay; label = ""; child = None } in
+  let programs =
+    [
+      ("only event, cancelled", [ Arm { timer = 0; offset = 5 }; Cancel 0; Step ]);
+      ("only event, re-armed", [ Arm { timer = 0; offset = 5 }; Rearm 0; Step ]);
+      ( "head, re-armed behind the bucket",
+        [ Arm { timer = 0; offset = 5 }; sched 5; sched 5; Rearm 0; Step; Step ] );
+      ("head, cancelled", [ Arm { timer = 0; offset = 5 }; sched 5; Cancel 0; Step ]);
+      ( "middle, cancelled",
+        [ sched 5; Arm { timer = 0; offset = 5 }; sched 5; Cancel 0; Step; Step ] );
+      ("tail, cancelled", [ sched 5; sched 5; Arm { timer = 0; offset = 5 }; Cancel 0 ]);
+      ("tail, re-armed", [ sched 5; Arm { timer = 0; offset = 5 }; Rearm 0; Step ]);
+      ( "two timers in one bucket",
+        [ Arm { timer = 0; offset = 3 }; Arm { timer = 1; offset = 3 }; Rearm 0; Cancel 1 ] );
+      ( "overflow resident",
+        [ Arm { timer = 0; offset = 400 }; sched 400; Rearm 0; Cancel 0; Step ] );
+      ( "overflow, cancelled among others",
+        [ sched 300; Arm { timer = 0; offset = 300 }; sched 300; Cancel 0 ] );
+      ( "re-armed into the window",
+        [ Arm { timer = 0; offset = 300 }; Arm { timer = 0; offset = 5 }; Step ] );
+      ( "re-armed out of the window",
+        [ Arm { timer = 0; offset = 5 }; Arm { timer = 0; offset = 300 }; Step ] );
+      ( "window moves under an overflow timer",
+        [ Arm { timer = 0; offset = 130 }; sched 100; Step; Rearm 0; Step ] );
+      ( "fired, then armed again",
+        [ Arm { timer = 0; offset = 2 }; Step; Rearm 0; Arm { timer = 0; offset = 7 } ] );
+      ("armed in the past", [ Advance 20; Arm { timer = 2; offset = -10 }; Step ]);
+    ]
+  in
+  List.iter
+    (fun (name, ops) ->
+      match diverges ops with
+      | None -> ()
+      | Some (i, op) -> Alcotest.failf "%s: diverged at op %d (%s)" name i op)
+    programs
 
 let tests =
   [
@@ -439,4 +566,5 @@ let tests =
     case "fire out of order" test_fire_out_of_order;
     case "until, then an earlier event" test_until_then_earlier;
     qcheck prop_queue_matches_model;
+    case "timer positions match the model" test_timer_positions;
   ]

@@ -1,5 +1,7 @@
 open Util
 
+let check_strings = Alcotest.(check (list string))
+
 let mk ?(lo = 1) ?(hi = 10) () =
   let rng = Sim.Rng.create 3 in
   let e = Sim.Engine.create ~rng () in
@@ -15,7 +17,7 @@ let test_delivery () =
   let e, link, received = mk () in
   Sim.Link.send link "hello";
   Sim.Engine.run e;
-  check_true "delivered" (!received = [ "hello" ]);
+  check_strings "delivered" [ "hello" ] !received;
   let t = Sim.Vtime.to_int (Sim.Engine.now e) in
   check_true "delay in range" (t >= 1 && t <= 10)
 
@@ -25,8 +27,9 @@ let test_fifo_order () =
     Sim.Link.send link (string_of_int i)
   done;
   Sim.Engine.run e;
-  check_true "FIFO preserved despite random delays"
-    (List.rev !received = List.init 50 (fun i -> string_of_int (i + 1)))
+  check_strings "FIFO preserved despite random delays"
+    (List.init 50 (fun i -> string_of_int (i + 1)))
+    (List.rev !received)
 
 let test_fifo_across_time () =
   let e, link, received = mk ~lo:1 ~hi:20 () in
@@ -34,7 +37,7 @@ let test_fifo_across_time () =
   Sim.Engine.schedule e ~delay:2 (fun () -> Sim.Link.send link "b");
   Sim.Engine.schedule e ~delay:4 (fun () -> Sim.Link.send link "c");
   Sim.Engine.run e;
-  check_true "order kept" (List.rev !received = [ "a"; "b"; "c" ])
+  check_strings "order kept" [ "a"; "b"; "c" ] (List.rev !received)
 
 let test_send_timed_reports_arrival () =
   let e, link, received = mk () in
@@ -50,19 +53,52 @@ let test_in_flight_and_corruption () =
   Sim.Link.send link "rewrite";
   Sim.Link.send link "drop";
   check_int "three in flight" 3 (List.length (Sim.Link.in_flight link));
-  Sim.Link.corrupt_in_flight link (function
-    | "rewrite" -> Some "rewritten"
-    | "drop" -> None
-    | m -> Some m);
+  let visited = ref [] in
+  Sim.Link.corrupt_in_flight link (fun m ->
+      visited := m :: !visited;
+      match m with "rewrite" -> Some "rewritten" | "drop" -> None | m -> Some m);
+  check_strings "visited newest first" [ "drop"; "rewrite"; "keep" ] (List.rev !visited);
   Sim.Engine.run e;
-  check_true "corruption applied"
-    (List.rev !received = [ "keep"; "rewritten" ])
+  check_strings "corruption applied" [ "keep"; "rewritten" ] (List.rev !received)
+
+(* A dropped payload keeps its delivery event, which delivers nothing;
+   every later event must still deliver the next message, at that
+   message's own arrival.  Fired through the link label, as the model
+   checker fires deliveries. *)
+let test_drop_keeps_heads () =
+  let rng = Sim.Rng.create 3 in
+  let e = Sim.Engine.create ~rng () in
+  let got = ref [] and slots = ref [] in
+  let link =
+    Sim.Link.create ~engine:e
+      ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
+      ~name:"t"
+      ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
+  in
+  let arrival =
+    List.map
+      (fun m ->
+        ( m,
+          Sim.Vtime.to_int
+            (Sim.Link.send_timed link ~on_delivered:(fun () -> slots := m :: !slots) m) ))
+      [ "a"; "b"; "c"; "d" ]
+  in
+  Sim.Link.corrupt_in_flight link (function "b" -> None | m -> Some m);
+  let fire () = Sim.Engine.fire_labeled e ~label:"link:t" ~not_before:(Sim.Engine.now e) in
+  check_true "a delivered" (fire ());
+  check_strings "the drop is no longer in flight" [ "c"; "d" ] (Sim.Link.in_flight link);
+  while fire () do () done;
+  Alcotest.(check (list (pair string int)))
+    "each survivor at its own arrival"
+    (List.filter (fun (m, _) -> not (String.equal m "b")) arrival)
+    (List.rev !got);
+  check_strings "every slot notified, in order" [ "a"; "b"; "c"; "d" ] (List.rev !slots)
 
 let test_inject () =
   let e, link, received = mk () in
   Sim.Link.inject link "spurious";
   Sim.Engine.run e;
-  check_true "injected message arrives" (!received = [ "spurious" ])
+  check_strings "injected message arrives" [ "spurious" ] !received
 
 let test_message_counter () =
   let e, link, _received = mk () in
@@ -100,6 +136,7 @@ let tests =
     case "FIFO across time" test_fifo_across_time;
     case "send_timed arrival" test_send_timed_reports_arrival;
     case "in-flight corruption" test_in_flight_and_corruption;
+    case "a dropped payload keeps the heads aligned" test_drop_keeps_heads;
     case "inject" test_inject;
     case "message counter" test_message_counter;
     case "fixed delay" test_fixed_delay;

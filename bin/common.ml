@@ -4,6 +4,40 @@ open Registers
 
 let async_params ~n ~f = Params.create_unchecked ~n ~f ~mode:Params.Async ()
 
+(* --- artifact files --- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [open_out], creating missing parent directories first. *)
+let open_out_mkdir path =
+  let parent = Filename.dirname path in
+  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
+  open_out path
+
+(* Writes [s] verbatim; callers supply any trailing newline. *)
+let write_file path s =
+  let oc = open_out_mkdir path in
+  output_string oc s;
+  close_out oc
+
+(* Parse an artifact file and decode it; errors are prefixed with the
+   path. *)
+let read_artifact path decode =
+  match Obs.Json.parse (read_file path) with
+  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
+  | Ok j -> Result.map_error (Printf.sprintf "%s: %s" path) (decode j)
+
+let write_artifact path j =
+  write_file path (Obs.Json.to_string_pretty j ^ "\n")
+
+let write_profile path r =
+  write_artifact path (Obs.Profile.to_json r);
+  Printf.printf "profile written to %s (%s)\n" path Obs.Profile.schema_version
+
 (* --- run reports and trace sinks (--json / --trace-out) --- *)
 
 let json_dir : string option ref = ref None
@@ -31,9 +65,7 @@ let attach_trace_sink hub =
       match !trace_channel with
       | Some oc -> oc
       | None ->
-        let parent = Filename.dirname path in
-        if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-        let oc = open_out path in
+        let oc = open_out_mkdir path in
         let experiment, seed = !trace_meta in
         output_string oc
           (Obs.Json.to_string (Obs.Tracefile.header ~experiment ~seed));
@@ -57,32 +89,28 @@ let report () = !current_report
 
 let first_observation () = !current_report <> None && not !observed
 
-let observe_scn scn =
-  match !current_report with
-  | Some r when not !observed ->
-    observed := true;
-    Harness.Run_report.observe r scn
-  | Some _ | None -> ()
-
-let observe_trace ?params trace =
-  match !current_report with
-  | Some r when not !observed ->
-    observed := true;
-    (match params with
-    | Some p -> Harness.Run_report.observe_params r p
-    | None -> ());
-    Harness.Run_report.observe_trace r trace
-  | Some _ | None -> ()
-
+(* The first observation of a run fills the report; later ones are
+   no-ops. *)
 let observe_metrics ?params metrics =
   match !current_report with
   | Some r when not !observed ->
     observed := true;
     (match params with
-    | Some p -> Harness.Run_report.observe_params r p
-    | None -> ());
-    Harness.Run_report.observe_metrics r metrics
+    | Some (p : Params.t) when not (Obs.Report.has_params r) ->
+      Obs.Report.set_params r ~n:p.n ~f:p.f
+        ~mode:
+          (match p.mode with Params.Async -> "async" | Params.Sync _ -> "sync")
+    | Some _ | None -> ());
+    Obs.Report.observe_metrics r metrics
   | Some _ | None -> ()
+
+let observe_scn scn =
+  observe_metrics
+    ~params:(Net.params scn.Harness.Scenario.net)
+    (Harness.Scenario.metrics scn)
+
+let observe_trace ?params trace =
+  observe_metrics ?params (Sim.Trace.metrics trace)
 
 let set_stabilization ticks =
   match !current_report with
@@ -108,17 +136,6 @@ let with_report ~exp ~seed f =
         let path = Obs.Report.write ~dir r in
         Printf.printf "\n[%s] report written to %s\n" exp path
       | None -> ())
-
-(* Write a flight-recorder profile to an explicit file path (unlike
-   [Obs.Profile.write], which derives the name). *)
-let write_profile path r =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string_pretty (Obs.Profile.to_json r));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "profile written to %s (%s)\n" path Obs.Profile.schema_version
 
 let scenario ?(seed = 1) ?delay ?medium ~params () =
   let scn = Harness.Scenario.create ~seed ?delay ?medium ~params () in

@@ -9,21 +9,6 @@
 
 open Chaos
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let artifact_path ~out ~family ~index ~trial_seed =
   Filename.concat out
     (Printf.sprintf "%s-trial%d-seed%d.json"
@@ -83,8 +68,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
             artifact_path ~out ~family ~index:t.index
               ~trial_seed:t.trial_seed
           in
-          write_file path
-            (Obs.Json.to_string_pretty (Campaign.repro_to_json repro));
+          Common.write_artifact path (Campaign.repro_to_json repro);
           Printf.printf
             "trial %d: %s -> shrunk to %d event(s) in %d run(s), repro: %s\n"
             t.index
@@ -118,12 +102,9 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
 (* Replay a repro artifact; Ok when the replay reproduces the recorded
    verdict exactly: kind, count and detail. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Campaign.repro_of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok repro ->
+  match Common.read_artifact path Campaign.repro_of_json with
+  | Error _ as e -> e
+  | Ok repro -> (
       let on_scenario scn =
         Common.attach_trace_sink (Harness.Scenario.hub scn);
         Common.observe_scn scn

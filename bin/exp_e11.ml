@@ -51,7 +51,7 @@ let run_one ~seed ~loss =
   in
   ( Oracles.Atomicity.Sw.is_clean report,
     float_of_int pkts /. float_of_int (2 * ops),
-    (Harness.Metrics.summary lat).Harness.Metrics.mean )
+    (Obs.Metrics.summary lat).Obs.Metrics.mean )
 
 let run ~seed =
   Harness.Report.section

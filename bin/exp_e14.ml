@@ -35,18 +35,18 @@ let measure ~seed ~n =
     ];
   Common.observe_scn scn;
   let rd =
-    Harness.Metrics.summary
+    Obs.Metrics.summary
       (Harness.Metrics.latencies ~kind:Oracles.History.Read
          scn.Harness.Scenario.history)
   in
   let wr =
-    Harness.Metrics.summary
+    Obs.Metrics.summary
       (Harness.Metrics.latencies ~kind:Oracles.History.Write
          scn.Harness.Scenario.history)
   in
   ( f,
-    wr.Harness.Metrics.mean,
-    rd.Harness.Metrics.mean,
+    wr.Obs.Metrics.mean,
+    rd.Obs.Metrics.mean,
     float_of_int (Harness.Scenario.messages_sent scn) /. float_of_int (2 * ops)
   )
 

@@ -9,21 +9,6 @@
 
 open Mc
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let stats_to_json (s : Checker.stats) =
   Obs.Json.Obj
     [
@@ -67,7 +52,7 @@ let emit_cex ~out cfg (result : Checker.run) =
   | None -> None
   | Some cex ->
     let path = artifact_path ~out cfg cex.Checker.verdict in
-    write_file path (Obs.Json.to_string_pretty (Checker.cex_to_json cex));
+    Common.write_artifact path (Checker.cex_to_json cex);
     Printf.printf "counterexample: %d move(s) after %d shrink run(s) -> %s\n"
       (List.length cex.Checker.trace)
       result.shrink_runs path;
@@ -239,12 +224,9 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
    violation is shrunk into the same replayable artifact the search
    produces. *)
 let guide ~expect ~out path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Checker.guide_of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok (cfg, schedule) -> (
+  match Common.read_artifact path Checker.guide_of_json with
+  | Error _ as e -> e
+  | Ok (cfg, schedule) -> (
       Printf.printf "guide: %s (%d scheduled move(s))\n" path
         (List.length schedule);
       let result = Checker.guided ~log:print_endline cfg schedule in
@@ -276,16 +258,13 @@ let guide ~expect ~out path =
           | Error e -> Error ("violation artifact failed to replay: " ^ e))
         | None -> Error "violation found but no artifact was produced")
       | Some `Violation, Checker.Clean ->
-        Error "expected a violation, guided run came back clean"))
+        Error "expected a violation, guided run came back clean")
 
 (* Replay a counterexample artifact; Ok when it reproduces bit-for-bit. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Checker.cex_of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok cex ->
+  match Common.read_artifact path Checker.cex_of_json with
+  | Error _ as e -> e
+  | Ok cex -> (
       Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
         Checker.pp_verdict cex.Checker.verdict
         (List.length cex.Checker.trace)

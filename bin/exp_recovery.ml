@@ -8,21 +8,6 @@
 
 open Chaos
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let artifact_path ~out ~n ~seed =
   Filename.concat out (Printf.sprintf "recovery-n%d-seed%d.json" n seed)
 
@@ -97,7 +82,7 @@ let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
         let r = Recovery.run ~on_scenario cfg ~seed in
         print_report r;
         let path = artifact_path ~out ~n ~seed in
-        write_file path (Obs.Json.to_string_pretty (Recovery.to_json r));
+        Common.write_artifact path (Recovery.to_json r);
         Printf.printf "  artifact: %s\n\n" path;
         (n, r, path))
       ns
@@ -123,12 +108,9 @@ let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
 (* Replay a committed stabreg/recovery/v1 artifact; Ok only when the
    re-execution reproduces the recorded report bit-for-bit. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Recovery.of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok recorded ->
+  match Common.read_artifact path Recovery.of_json with
+  | Error _ as e -> e
+  | Ok recorded -> (
       let on_scenario scn =
         Common.attach_trace_sink (Harness.Scenario.hub scn);
         Common.observe_scn scn

@@ -6,21 +6,6 @@
      dune exec bin/experiments.exe -- shard --replay examples/shard/....json
 *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let artifact_path ~out ~shards ~seed =
   Filename.concat out (Printf.sprintf "shard-S%d-seed%d.json" shards seed)
 
@@ -94,7 +79,7 @@ let run ~shards_list ~base_cfg ~domains ~seed ~out () =
         print_report r;
         Printf.printf "  wall: %.3fs -> %.0f ops/sec\n" dt ops_per_sec;
         let path = artifact_path ~out ~shards ~seed in
-        write_file path (Obs.Json.to_string_pretty (Shard.Tier.to_json r));
+        Common.write_artifact path (Shard.Tier.to_json r);
         Printf.printf "  artifact: %s\n\n" path;
         (shards, r, ops_per_sec, path))
       shards_list
@@ -131,9 +116,8 @@ let chaos ~target ~trials ~base_cfg ~domains ~seed ~out () =
       print_report t.Chaos.Shard_campaign.report;
       let path = trial_path ~out ~index:t.Chaos.Shard_campaign.index
           ~seed:t.Chaos.Shard_campaign.trial_seed in
-      write_file path
-        (Obs.Json.to_string_pretty
-           (Shard.Tier.to_json t.Chaos.Shard_campaign.report));
+      Common.write_artifact path
+        (Shard.Tier.to_json t.Chaos.Shard_campaign.report);
       Printf.printf "  artifact: %s\n\n" path)
     result.Chaos.Shard_campaign.trials;
   let breaches = Chaos.Shard_campaign.breaches result in
@@ -150,12 +134,9 @@ let chaos ~target ~trials ~base_cfg ~domains ~seed ~out () =
 (* Replay a committed stabreg/shard-report/v1 artifact; Ok only when the
    re-execution reproduces the recorded report bit-for-bit. *)
 let replay ~domains path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Shard.Tier.of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok recorded ->
+  match Common.read_artifact path Shard.Tier.of_json with
+  | Error _ as e -> e
+  | Ok recorded -> (
       let on_scenario scn =
         Common.attach_trace_sink (Harness.Scenario.hub scn);
         Common.observe_scn scn

@@ -84,88 +84,13 @@ let run_cmd =
     Term.(ret (const run $ ids_arg $ seed_arg $ json_arg $ trace_out_arg))
 
 let validate_cmd =
-  let read_file path =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (* Dispatch on the artifact's own schema tag: whole-file JSON documents
-     carry a "schema" (or "traceEvents") field, trace files are JSONL
-     whose header line names stabreg/trace/v1. *)
-  let validate_one path =
-    let contents = read_file path in
-    match Obs.Json.parse contents with
-    | Error _ ->
-      (* Not a single JSON document: try the JSONL trace schema. *)
-      Result.map
-        (fun () -> Obs.Tracefile.schema_version)
-        (Obs.Tracefile.validate contents)
-    | Ok j -> (
-      match Obs.Json.member "schema" j with
-      | Some s when Obs.Json.to_string_opt s = Some Obs.Report.schema_version
-        ->
-        Result.map (fun () -> Obs.Report.schema_version) (Obs.Report.validate j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Obs.Profile.schema_version ->
-        Result.map
-          (fun () -> Obs.Profile.schema_version)
-          (Obs.Profile.validate j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Obs.Tracefile.schema_version ->
-        (* A one-line trace (header only) parses as a single document. *)
-        Result.map
-          (fun () -> Obs.Tracefile.schema_version)
-          (Obs.Tracefile.validate contents)
-      | Some s when Obs.Json.to_string_opt s = Some Mc.Checker.cex_schema ->
-        Result.map
-          (fun (_ : Mc.Checker.cex) -> Mc.Checker.cex_schema)
-          (Mc.Checker.cex_of_json j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Chaos.Campaign.repro_schema ->
-        Result.map
-          (fun (_ : Chaos.Campaign.repro) -> Chaos.Campaign.repro_schema)
-          (Chaos.Campaign.repro_of_json j)
-      | Some s when Obs.Json.to_string_opt s = Some Chaos.Recovery.schema ->
-        Result.map
-          (fun (_ : Chaos.Recovery.report) -> Chaos.Recovery.schema)
-          (Chaos.Recovery.of_json j)
-      | Some s when Obs.Json.to_string_opt s = Some Shard.Tier.schema ->
-        Result.map
-          (fun (_ : Shard.Tier.report) -> Shard.Tier.schema)
-          (Shard.Tier.of_json j)
-      | Some s
-        when List.exists
-               (fun v -> Obs.Json.to_string_opt s = Some v)
-               [
-                 Lint.Report.schema_version;
-                 Lint.Report.baseline_schema_version;
-                 Lint.Report.domains_schema_version;
-               ] ->
-        Result.map
-          (fun () ->
-            match Obs.Json.to_string_opt s with
-            | Some str -> str
-            | None -> "lint")
-          (Lint.Report.validate_any j)
-      | Some s ->
-        Error
-          (Printf.sprintf "unknown schema %s"
-             (match Obs.Json.to_string_opt s with
-             | Some str -> Printf.sprintf "%S" str
-             | None -> "(not a string)"))
-      | None -> (
-        match Obs.Json.member "traceEvents" j with
-        | Some _ ->
-          Result.map (fun () -> "chrome-trace") (Obs.Chrome_trace.validate j)
-        | None -> Error "no schema field and no traceEvents"))
-  in
   let validate files =
     let problems =
       List.filter_map
         (fun path ->
-          match validate_one path with
+          match
+            Exp_drivers.Artifacts.validate (Exp_drivers.Common.read_file path)
+          with
           | Ok schema ->
             Printf.printf "%s: valid (%s)\n" path schema;
             None
@@ -181,8 +106,8 @@ let validate_cmd =
   let files_arg =
     let doc =
       "Artifact files to check: run reports, JSONL traces, mc profiles, \
-       Chrome-trace exports, mc counterexamples, chaos repros, recovery \
-       or shard reports, lint reports/baselines and lint-domains \
+       Chrome-trace exports, mc counterexamples and guides, chaos repros, \
+       recovery or shard reports, lint reports/baselines and lint-domains \
        inventories — the schema is sniffed from the file itself."
     in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
@@ -213,13 +138,6 @@ let trace_cmd =
        Perfetto or chrome://tracing)."
     in
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
-  in
-  let write_file path s =
-    let parent = Filename.dirname path in
-    if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
   in
   let trace seed out chrome =
     let fault_at = 300 in
@@ -345,7 +263,7 @@ let trace_cmd =
           Buffer.add_string buf (Obs.Json.to_string (Obs.Event.to_json e));
           Buffer.add_char buf '\n')
         events;
-      write_file path (Buffer.contents buf);
+      Exp_drivers.Common.write_file path (Buffer.contents buf);
       Printf.printf "trace written to %s (%s)\n" path
         Obs.Tracefile.schema_version);
     match chrome with
@@ -355,7 +273,7 @@ let trace_cmd =
       match Obs.Chrome_trace.validate j with
       | Error e -> `Error (false, "chrome export failed validation: " ^ e)
       | Ok () ->
-        write_file path (Obs.Json.to_string_pretty j ^ "\n");
+        Exp_drivers.Common.write_artifact path j;
         Printf.printf "chrome trace written to %s\n" path;
         `Ok ())
   in

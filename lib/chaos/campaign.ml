@@ -624,46 +624,40 @@ let repro_to_json r =
       ("verdict", verdict_to_json r.verdict);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let initial_of_json ctx item =
+  let open Obs.Json in
+  let* slot = int_field ctx "slot" item in
+  let* s = str_field ctx "strategy" item in
+  let* s = Strategy.of_string s in
+  Ok (slot, s)
 
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_string ctx j =
-  match Obs.Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let str_field ctx key j =
-  let* v = field ctx key j in
-  as_string (ctx ^ "." ^ key) v
-
-let initial_of_json ctx j =
-  match Obs.Json.to_list_opt j with
-  | None -> Error (ctx ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* slot = int_field ctx "slot" item in
-        let* s = str_field ctx "strategy" item in
-        let* s = Strategy.of_string s in
-        Ok ((slot, s) :: acc))
-      (Ok []) items
-    |> Result.map List.rev
+(* Everything [run_trial] and [generate] would otherwise reject with
+   [Invalid_argument] or an out-of-range slot.  Exceeding the resilience
+   bound is not an error: campaigns break it on purpose. *)
+let check_config (c : config) =
+  let bad fmt = Printf.ksprintf (fun s -> Error ("config: " ^ s)) fmt in
+  let counts =
+    [
+      ("writes", c.writes); ("reads", c.reads); ("injections", c.injections);
+      ("roams", c.roams); ("roam_max", c.roam_max); ("windows", c.windows);
+      ("window_max", c.window_max); ("crashes", c.crashes);
+      ("crash_down", c.crash_down); ("gap_hi", c.gap_hi);
+    ]
+  in
+  if c.n <= 0 then bad "n must be positive"
+  else if c.f < 0 then bad "f must be non-negative"
+  else if c.horizon <= 0 then bad "horizon must be positive"
+  else if c.read_budget <= 0 then bad "read_budget must be positive"
+  else
+    match List.find_opt (fun (_, v) -> v < 0) counts with
+    | Some (key, _) -> bad "%s must be non-negative" key
+    | None ->
+      if List.exists (fun (slot, _) -> slot < 0 || slot >= c.n) c.initial then
+        bad "initial slot out of range"
+      else Ok ()
 
 let config_of_json j =
+  let open Obs.Json in
   let ctx = "config" in
   let* family = str_field ctx "family" j in
   let* family = family_of_string family in
@@ -671,8 +665,7 @@ let config_of_json j =
   let* f = int_field ctx "f" j in
   let* medium = str_field ctx "medium" j in
   let* medium = medium_of_string medium in
-  let* initial = field ctx "initial" j in
-  let* initial = initial_of_json (ctx ^ ".initial") initial in
+  let* initial = list_field ctx "initial" initial_of_json j in
   let* writes = int_field ctx "writes" j in
   let* reads = int_field ctx "reads" j in
   let* read_budget = int_field ctx "read_budget" j in
@@ -685,14 +678,9 @@ let config_of_json j =
   let* window_max = int_field ctx "window_max" j in
   (* Crash fields postdate the v1 schema; artifacts written before them
      parse with the (inert) defaults. *)
-  let opt_int key default =
-    match Obs.Json.member key j with
-    | None | Some Obs.Json.Null -> Ok default
-    | Some v -> as_int (ctx ^ "." ^ key) v
-  in
-  let* crashes = opt_int "crashes" 0 in
-  let* crash_down = opt_int "crash_down" 250 in
-  Ok
+  let* crashes = opt_field ctx "crashes" as_int j in
+  let* crash_down = opt_field ctx "crash_down" as_int j in
+  let c =
     {
       family;
       n;
@@ -709,11 +697,15 @@ let config_of_json j =
       roam_max;
       windows;
       window_max;
-      crashes;
-      crash_down;
+      crashes = Option.value crashes ~default:0;
+      crash_down = Option.value crash_down ~default:250;
     }
+  in
+  let* () = check_config c in
+  Ok c
 
 let verdict_of_json j =
+  let open Obs.Json in
   let* kind = str_field "verdict" "kind" j in
   if String.equal kind "clean" then Ok Clean
   else
@@ -722,19 +714,17 @@ let verdict_of_json j =
     Ok (Violation { kind; count; detail })
 
 let repro_of_json j =
-  let* schema = str_field "repro" "schema" j in
-  if not (String.equal schema repro_schema) then
-    Error (Printf.sprintf "unsupported repro schema %S (want %S)" schema
-             repro_schema)
-  else
-    let* seed = int_field "repro" "seed" j in
-    let* config = field "repro" "config" j in
-    let* config = config_of_json config in
-    let* schedule = field "repro" "schedule" j in
-    let* schedule = Schedule.of_json schedule in
-    let* verdict = field "repro" "verdict" j in
-    let* verdict = verdict_of_json verdict in
-    Ok { seed; config; schedule; verdict }
+  let open Obs.Json in
+  let* () = expect_schema "repro" repro_schema j in
+  let* seed = int_field "repro" "seed" j in
+  let* config = field "repro" "config" j in
+  let* config = config_of_json config in
+  let* schedule = field "repro" "schedule" j in
+  let* schedule = Schedule.of_json schedule in
+  let* () = Schedule.check ~n:config.n schedule in
+  let* verdict = field "repro" "verdict" j in
+  let* verdict = verdict_of_json verdict in
+  Ok { seed; config; schedule; verdict }
 
 let replay ?on_scenario r =
   run_trial ?on_scenario r.config ~seed:r.seed r.schedule

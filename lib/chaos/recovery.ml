@@ -260,29 +260,28 @@ let to_json r =
       ("converged", Obs.Json.Bool r.converged);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let bool_field ctx key j =
-  let* v = field ctx key j in
-  match v with
-  | Obs.Json.Bool b -> Ok b
-  | _ -> Error (ctx ^ "." ^ key ^ ": expected a boolean")
+(* Everything [run] would otherwise reject with [Invalid_argument];
+   more crashed slots than [f] is allowed (an over-bound burst). *)
+let check_config (c : config) =
+  let bad fmt = Printf.ksprintf (fun s -> Error ("config: " ^ s)) fmt in
+  let counts =
+    [
+      ("bursts", c.bursts); ("crashed", c.crashed); ("first_at", c.first_at);
+      ("gap", c.gap); ("writes", c.writes); ("reads", c.reads);
+      ("gap_hi", c.gap_hi);
+    ]
+  in
+  if c.n <= 0 then bad "n must be positive"
+  else if c.f < 0 then bad "f must be non-negative"
+  else if c.down_for <= 0 then bad "down_for must be positive"
+  else if c.read_budget <= 0 then bad "read_budget must be positive"
+  else
+    match List.find_opt (fun (_, v) -> v < 0) counts with
+    | Some (key, _) -> bad "%s must be non-negative" key
+    | None -> Ok ()
 
 let config_of_json j =
+  let open Obs.Json in
   let ctx = "config" in
   let* n = int_field ctx "n" j in
   let* f = int_field ctx "f" j in
@@ -296,7 +295,7 @@ let config_of_json j =
   let* read_budget = int_field ctx "read_budget" j in
   let* gap_hi = int_field ctx "gap_hi" j in
   let* retry = bool_field ctx "retry" j in
-  Ok
+  let c =
     {
       n;
       f;
@@ -311,71 +310,41 @@ let config_of_json j =
       gap_hi;
       retry;
     }
+  in
+  let* () = check_config c in
+  Ok c
 
 let tally_of_json ctx j =
+  let open Obs.Json in
   let* ok = int_field ctx "ok" j in
   let* degraded = int_field ctx "degraded" j in
   let* timed_out = int_field ctx "timed_out" j in
   Ok { ok; degraded; timed_out }
 
-let burst_of_json j =
-  let ctx = "burst" in
+let burst_of_json ctx j =
+  let open Obs.Json in
   let* burst = int_field ctx "burst" j in
   let* crash_at = int_field ctx "crash_at" j in
   let* recovery_at = int_field ctx "recovery_at" j in
-  let* stab_time =
-    match Obs.Json.member "stab_time" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some v ->
-      let* s = as_int "burst.stab_time" v in
-      Ok (Some s)
-  in
+  let* stab_time = opt_field ctx "stab_time" as_int j in
   Ok { burst; crash_at; recovery_at; stab_time }
 
-let list_field ctx key of_item j =
-  let* v = field ctx key j in
-  match Obs.Json.to_list_opt v with
-  | None -> Error (ctx ^ "." ^ key ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* x = of_item item in
-        Ok (x :: acc))
-      (Ok []) items
-    |> Result.map List.rev
-
 let of_json j =
+  let open Obs.Json in
   let ctx = "recovery" in
-  let* s = field ctx "schema" j in
-  let* s =
-    match Obs.Json.to_string_opt s with
-    | Some s -> Ok s
-    | None -> Error "recovery.schema: expected a string"
-  in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "unsupported recovery schema %S (want %S)" s schema)
-  else
-    let* seed = int_field ctx "seed" j in
-    let* config = field ctx "config" j in
-    let* config = config_of_json config in
-    let* bursts = list_field ctx "bursts" burst_of_json j in
-    let* write_ops = field ctx "write_ops" j in
-    let* write_ops = tally_of_json (ctx ^ ".write_ops") write_ops in
-    let* read_ops = field ctx "read_ops" j in
-    let* read_ops = tally_of_json (ctx ^ ".read_ops") read_ops in
-    let* duration = int_field ctx "duration" j in
-    let* stuck =
-      list_field ctx "stuck"
-        (fun item ->
-          match Obs.Json.to_string_opt item with
-          | Some s -> Ok s
-          | None -> Error "recovery.stuck: expected strings")
-        j
-    in
-    let* converged = bool_field ctx "converged" j in
-    Ok
-      { seed; config; bursts; write_ops; read_ops; duration; stuck; converged }
+  let* () = expect_schema ctx schema j in
+  let* seed = int_field ctx "seed" j in
+  let* config = field ctx "config" j in
+  let* config = config_of_json config in
+  let* bursts = list_field ctx "bursts" burst_of_json j in
+  let* write_ops = field ctx "write_ops" j in
+  let* write_ops = tally_of_json (ctx ^ ".write_ops") write_ops in
+  let* read_ops = field ctx "read_ops" j in
+  let* read_ops = tally_of_json (ctx ^ ".read_ops") read_ops in
+  let* duration = int_field ctx "duration" j in
+  let* stuck = list_field ctx "stuck" as_string j in
+  let* converged = bool_field ctx "converged" j in
+  Ok { seed; config; bursts; write_ops; read_ops; duration; stuck; converged }
 
 let replay ?on_scenario r = run ?on_scenario r.config ~seed:r.seed
 

@@ -94,100 +94,56 @@ let event_to_json = function
 
 let to_json events = Obs.Json.List (List.map event_to_json events)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let assign_of_json ctx item =
+  let open Obs.Json in
+  let* slot = int_field ctx "slot" item in
+  let* s = str_field ctx "strategy" item in
+  let* s = Strategy.of_string s in
+  Ok (slot, s)
 
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_float ctx j =
-  match Obs.Json.to_float_opt j with
-  | Some x -> Ok x
-  | None -> Error (ctx ^ ": expected a number")
-
-let as_string ctx j =
-  match Obs.Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let assign_of_json ctx j =
-  match Obs.Json.to_list_opt j with
-  | None -> Error (ctx ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* slot = field ctx "slot" item in
-        let* slot = as_int (ctx ^ ".slot") slot in
-        let* s = field ctx "strategy" item in
-        let* s = as_string (ctx ^ ".strategy") s in
-        let* s = Strategy.of_string s in
-        Ok ((slot, s) :: acc))
-      (Ok []) items
-    |> Result.map List.rev
-
-let event_of_json j =
-  let* kind = field "event" "kind" j in
-  let* kind = as_string "event.kind" kind in
-  let* at = field "event" "at" j in
-  let* at = as_int "event.at" at in
+let event_of_json ctx j =
+  let open Obs.Json in
+  let* kind = str_field ctx "kind" j in
+  let* at = int_field ctx "at" j in
   match kind with
   | "inject" ->
-    let* prefix = field "inject" "prefix" j in
-    let* prefix = as_string "inject.prefix" prefix in
+    let* prefix = str_field ctx "prefix" j in
     Ok (Inject { at; prefix })
   | "roam" ->
-    let* assign = field "roam" "assign" j in
-    let* assign = assign_of_json "roam.assign" assign in
+    let* assign = list_field ctx "assign" assign_of_json j in
     Ok (Roam { at; assign })
   | "window" ->
-    let* duration = field "window" "duration" j in
-    let* duration = as_int "window.duration" duration in
-    let* loss = field "window" "loss" j in
-    let* loss = as_float "window.loss" loss in
-    let* dup = field "window" "dup" j in
-    let* dup = as_float "window.dup" dup in
-    let* dir = field "window" "dir" j in
-    let* dir = as_string "window.dir" dir in
+    let* duration = int_field ctx "duration" j in
+    let* loss = float_field ctx "loss" j in
+    let* dup = float_field ctx "dup" j in
+    let* dir = str_field ctx "dir" j in
     let* dir = direction_of_string dir in
-    let* server =
-      match Obs.Json.member "server" j with
-      | None | Some Obs.Json.Null -> Ok None
-      | Some s ->
-        let* s = as_int "window.server" s in
-        Ok (Some s)
-    in
+    let* server = opt_field ctx "server" as_int j in
     Ok (Window { at; duration; loss; dup; dir; server })
   | "crash" ->
-    let* server = field "crash" "server" j in
-    let* server = as_int "crash.server" server in
-    let* down_for =
-      match Obs.Json.member "down_for" j with
-      | None | Some Obs.Json.Null -> Ok None
-      | Some d ->
-        let* d = as_int "crash.down_for" d in
-        Ok (Some d)
-    in
+    let* server = int_field ctx "server" j in
+    let* down_for = opt_field ctx "down_for" as_int j in
     Ok (Crash { at; server; down_for })
-  | k -> Error (Printf.sprintf "unknown event kind %S" k)
+  | k -> Error (Printf.sprintf "%s: unknown event kind %S" ctx k)
 
-let of_json j =
-  match Obs.Json.to_list_opt j with
-  | None -> Error "schedule: expected a list"
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* ev = event_of_json item in
-        Ok (ev :: acc))
-      (Ok []) items
-    |> Result.map (fun evs -> sort (List.rev evs))
+let of_json j = Result.map sort (Obs.Json.as_list event_of_json "schedule" j)
+
+let check ~n events =
+  let slot_ok s = s >= 0 && s < n in
+  let rate_ok p = p >= 0.0 && p <= 1.0 in
+  let event_ok = function
+    | Inject { at; _ } -> at >= 0
+    | Roam { at; assign } ->
+      at >= 0 && List.for_all (fun (s, _) -> slot_ok s) assign
+    | Window { at; duration; loss; dup; _ } ->
+      at >= 0 && duration >= 0 && rate_ok loss && rate_ok dup
+    | Crash { at; down_for; _ } ->
+      at >= 0 && (match down_for with Some d -> d > 0 | None -> true)
+  in
+  match List.find_opt (fun e -> not (event_ok e)) events with
+  | None -> Ok ()
+  | Some e ->
+    Error (Printf.sprintf "schedule: event at %d out of range" (time e))
 
 let event_equal a b =
   match (a, b) with

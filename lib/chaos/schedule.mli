@@ -51,6 +51,11 @@ val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result
 
+val check : n:int -> t -> (unit, string) result
+(** Every event is replayable against [n] servers: non-negative
+    instants and durations, roam slots in [\[0, n)], window rates in
+    [\[0, 1]], positive recovery windows. *)
+
 val equal : t -> t -> bool
 
 val pp_event : Format.formatter -> event -> unit

@@ -60,8 +60,6 @@ let to_string = function
   | Crash_recover { down; wipe } ->
     Printf.sprintf "crashrec:%d:%s" down (wipe_to_string wipe)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
 let of_string s =
   let arg prefix =
     let pl = String.length prefix in
@@ -99,8 +97,9 @@ let of_string s =
             in
             match int_of_string_opt down with
             | Some down when down >= 0 ->
-              let* wipe = wipe_of_string wipe in
-              Ok (Crash_recover { down; wipe })
+              Result.map
+                (fun wipe -> Crash_recover { down; wipe })
+                (wipe_of_string wipe)
             | Some _ | None ->
               Error (Printf.sprintf "bad crashrec down window %S" down)))
         | None -> (

@@ -1,22 +1,6 @@
-(** Aggregate statistics over histories and traces, for the experiment
-    tables and benchmarks. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-}
-
-val summary : float list -> summary
-(** Raises [Invalid_argument] on an empty list. *)
-
-val summary_opt : float list -> summary option
+(** History statistics for the experiment tables: latencies, read
+    counts and the empirical stabilization point.  Latency summaries
+    are {!Obs.Metrics.summary}. *)
 
 val latencies : kind:Oracles.History.kind -> Oracles.History.t -> float list
 (** Operation latencies (ticks) of the given kind, successful ops only. *)
@@ -31,5 +15,3 @@ val stabilization_read_index :
     subsequent reads satisfy [valid] — the empirically observed
     stabilization point; [None] if no suffix is clean or there are no
     reads. *)
-
-val pp_summary : Format.formatter -> summary -> unit

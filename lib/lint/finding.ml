@@ -44,24 +44,19 @@ let to_json t =
       ("message", Obs.Json.Str t.message);
     ]
 
-let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Obs.Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "finding: missing or ill-typed %S" name)
-  in
-  let* file = field "file" Obs.Json.to_string_opt in
-  let* line = field "line" Obs.Json.to_int_opt in
-  let* col = field "col" Obs.Json.to_int_opt in
-  let* rule = field "rule" Obs.Json.to_string_opt in
-  let* sev = field "severity" Obs.Json.to_string_opt in
+let of_json ctx j =
+  let open Obs.Json in
+  let* file = str_field ctx "file" j in
+  let* line = int_field ctx "line" j in
+  let* col = int_field ctx "col" j in
+  let* rule = str_field ctx "rule" j in
+  let* sev = str_field ctx "severity" j in
   let* severity =
     match severity_of_string sev with
     | Some s -> Ok s
-    | None -> Error (Printf.sprintf "finding: unknown severity %S" sev)
+    | None -> Error (Printf.sprintf "%s: unknown severity %S" ctx sev)
   in
-  let* message = field "message" Obs.Json.to_string_opt in
+  let* message = str_field ctx "message" j in
   Ok { file; line; col; rule; severity; message }
 
 let pp ppf t =

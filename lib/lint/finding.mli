@@ -34,7 +34,7 @@ val severity_of_string : string -> severity option
 
 val to_json : t -> Obs.Json.t
 
-val of_json : Obs.Json.t -> (t, string) result
+val of_json : t Obs.Json.decoder
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: [rule] severity: message], the human-readable line

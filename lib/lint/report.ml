@@ -101,59 +101,44 @@ let render t = Json.to_string_pretty (to_json t) ^ "\n"
 
 (* --- validation ------------------------------------------------------ *)
 
-let ( let* ) r f = Result.bind r f
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed %S" name)
-
-let check_schema want j =
-  let* got = field "schema" Json.to_string_opt j in
-  if String.equal got want then Ok ()
-  else Error (Printf.sprintf "schema mismatch: got %S, want %S" got want)
+let int_members ctx keys j =
+  let open Json in
+  List.fold_left
+    (fun acc key ->
+      let* () = acc in
+      let* _ = int_field ctx key j in
+      Ok ())
+    (Ok ()) keys
 
 let validate j =
-  let* () = check_schema schema_version j in
-  let* _tool = field "tool" Json.to_string_opt j in
-  let* paths = field "paths" Json.to_list_opt j in
+  let open Json in
+  let ctx = "report" in
+  let* () = expect_schema ctx schema_version j in
+  let* _tool = str_field ctx "tool" j in
+  let* _paths = list_field ctx "paths" as_string j in
+  let* _files = int_field ctx "files_scanned" j in
+  let* summary = field ctx "summary" j in
   let* () =
-    if List.for_all (fun p -> Json.to_string_opt p <> None) paths then Ok ()
-    else Error "paths: expected a list of strings"
+    int_members "summary" [ "new"; "baselined"; "suppressed"; "stale_baseline" ]
+      summary
   in
-  let* _files = field "files_scanned" Json.to_int_opt j in
-  let* summary = field "summary" Json.to_obj_opt j in
-  let* () =
-    List.fold_left
-      (fun acc key ->
-        let* () = acc in
-        match List.assoc_opt key summary with
-        | Some (Json.Int _) -> Ok ()
-        | _ -> Error (Printf.sprintf "summary.%s: expected an integer" key))
-      (Ok ())
-      [ "new"; "baselined"; "suppressed"; "stale_baseline" ]
+  let* _rules =
+    list_field ctx "rules"
+      (fun ctx r ->
+        let* _id = str_field ctx "id" r in
+        let* _name = str_field ctx "name" r in
+        let* _summary = str_field ctx "summary" r in
+        int_field ctx "findings" r)
+      j
   in
-  let* rules = field "rules" Json.to_list_opt j in
-  let* () =
-    List.fold_left
-      (fun acc r ->
-        let* () = acc in
-        let* _id = field "id" Json.to_string_opt r in
-        let* _name = field "name" Json.to_string_opt r in
-        let* _summary = field "summary" Json.to_string_opt r in
-        let* _count = field "findings" Json.to_int_opt r in
-        Ok ())
-      (Ok ()) rules
+  let* _findings =
+    list_field ctx "findings"
+      (fun ctx f ->
+        let* _ = Finding.of_json ctx f in
+        bool_field ctx "baselined" f)
+      j
   in
-  let* findings = field "findings" Json.to_list_opt j in
-  List.fold_left
-    (fun acc f ->
-      let* () = acc in
-      let* _ = Finding.of_json f in
-      match Json.member "baselined" f with
-      | Some (Json.Bool _) -> Ok ()
-      | _ -> Error "finding: missing or ill-typed \"baselined\"")
-    (Ok ()) findings
+  Ok ()
 
 (* --- baseline -------------------------------------------------------- *)
 
@@ -178,23 +163,21 @@ let baseline_of_findings findings =
 let render_baseline j = Json.to_string_pretty j ^ "\n"
 
 let baseline_entries j =
-  let* () = check_schema baseline_schema_version j in
-  let* entries = field "entries" Json.to_list_opt j in
-  let* parsed =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* file = field "file" Json.to_string_opt e in
-        let* rule = field "rule" Json.to_string_opt e in
-        let* line = field "line" Json.to_int_opt e in
-        Ok ({ file; rule; line } :: acc))
-      (Ok []) entries
+  let open Json in
+  let ctx = "baseline" in
+  let* () = expect_schema ctx baseline_schema_version j in
+  let* entries =
+    list_field ctx "entries"
+      (fun ctx e ->
+        let* file = str_field ctx "file" e in
+        let* rule = str_field ctx "rule" e in
+        let* line = int_field ctx "line" e in
+        Ok { file; rule; line })
+      j
   in
-  Ok (List.sort entry_compare parsed)
+  Ok (List.sort entry_compare entries)
 
-let validate_baseline j =
-  let* _ = baseline_entries j in
-  Ok ()
+let validate_baseline j = Result.map ignore (baseline_entries j)
 
 (* --- shared-state inventory (lint-domains/v1) ------------------------ *)
 
@@ -285,22 +268,14 @@ let render_domains ~paths inventory =
   Json.to_string_pretty (domains_to_json ~paths inventory) ^ "\n"
 
 let validate_domains j =
-  let* () = check_schema domains_schema_version j in
-  let* _tool = field "tool" Json.to_string_opt j in
-  let* paths = field "paths" Json.to_list_opt j in
+  let open Json in
+  let ctx = "domains" in
+  let* () = expect_schema ctx domains_schema_version j in
+  let* _tool = str_field ctx "tool" j in
+  let* _paths = list_field ctx "paths" as_string j in
+  let* summary = field ctx "summary" j in
   let* () =
-    if List.for_all (fun p -> Json.to_string_opt p <> None) paths then Ok ()
-    else Error "paths: expected a list of strings"
-  in
-  let* summary = field "summary" Json.to_obj_opt j in
-  let* () =
-    List.fold_left
-      (fun acc key ->
-        let* () = acc in
-        match List.assoc_opt key summary with
-        | Some (Json.Int _) -> Ok ()
-        | _ -> Error (Printf.sprintf "summary.%s: expected an integer" key))
-      (Ok ())
+    int_members "summary"
       [
         "modules";
         "values";
@@ -309,41 +284,38 @@ let validate_domains j =
         "escapes_guarded";
         "escapes_unsync";
       ]
+      summary
   in
-  let* modules = field "modules" Json.to_list_opt j in
-  List.fold_left
-    (fun acc m ->
-      let* () = acc in
-      let* _file = field "file" Json.to_string_opt m in
-      let* _mod = field "module" Json.to_string_opt m in
-      let* lines = field "boundary_lines" Json.to_list_opt m in
-      let* () =
-        if List.for_all (fun l -> Json.to_int_opt l <> None) lines then Ok ()
-        else Error "boundary_lines: expected a list of integers"
-      in
-      let* values = field "values" Json.to_list_opt m in
-      List.fold_left
-        (fun acc v ->
-          let* () = acc in
-          let* _name = field "name" Json.to_string_opt v in
-          let* _kind = field "kind" Json.to_string_opt v in
-          let* _line = field "line" Json.to_int_opt v in
-          let* verdict = field "verdict" Json.to_string_opt v in
-          match verdict with
-          | "local" -> Ok ()
-          | "escapes-sync" | "escapes-unsync" ->
-            let* _ = field "capture_line" Json.to_int_opt v in
-            Ok ()
-          | "escapes-guarded" ->
-            let* _ = field "capture_line" Json.to_int_opt v in
-            let* _reason = field "reason" Json.to_string_opt v in
-            Ok ()
-          | other -> Error (Printf.sprintf "unknown verdict %S" other))
-        (Ok ()) values)
-    (Ok ()) modules
+  let value ctx v =
+    let* _name = str_field ctx "name" v in
+    let* _kind = str_field ctx "kind" v in
+    let* _line = int_field ctx "line" v in
+    let* verdict = str_field ctx "verdict" v in
+    match verdict with
+    | "local" -> Ok ()
+    | "escapes-sync" | "escapes-unsync" ->
+      let* _ = int_field ctx "capture_line" v in
+      Ok ()
+    | "escapes-guarded" ->
+      let* _ = int_field ctx "capture_line" v in
+      let* _reason = str_field ctx "reason" v in
+      Ok ()
+    | other -> Error (Printf.sprintf "%s: unknown verdict %S" ctx other)
+  in
+  let* _modules =
+    list_field ctx "modules"
+      (fun ctx m ->
+        let* _file = str_field ctx "file" m in
+        let* _mod = str_field ctx "module" m in
+        let* _lines = list_field ctx "boundary_lines" as_int m in
+        list_field ctx "values" value m)
+      j
+  in
+  Ok ()
 
 let validate_any j =
-  let* schema = field "schema" Json.to_string_opt j in
+  let open Json in
+  let* schema = str_field "artifact" "schema" j in
   if String.equal schema schema_version then validate j
   else if String.equal schema baseline_schema_version then validate_baseline j
   else if String.equal schema domains_schema_version then validate_domains j

@@ -1128,39 +1128,23 @@ let cex_to_json c =
       ("digest", Obs.Json.Str c.digest);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let str_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_string_opt v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "%s.%s: expected a string" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let int_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_int_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s.%s: expected an integer" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let move_of_json j =
-  let* kind = str_field "move" "move" j in
+let move_of_json ctx j =
+  let open Obs.Json in
+  let* kind = str_field ctx "move" j in
   match kind with
   | "deliver" ->
-    let* label = str_field "move" "label" j in
+    let* label = str_field ctx "label" j in
     Ok (Sys.Deliver label)
   | "tick" ->
-    let* i = int_field "move" "index" j in
+    let* i = int_field ctx "index" j in
     Ok (Sys.Tick i)
   | "corrupt" ->
-    let* i = int_field "move" "item" j in
+    let* i = int_field ctx "item" j in
     Ok (Sys.Corrupt i)
-  | s -> Error (Printf.sprintf "move: unknown kind %S" s)
+  | s -> Error (Printf.sprintf "%s: unknown move kind %S" ctx s)
 
 let verdict_of_json j =
+  let open Obs.Json in
   let* kind = str_field "verdict" "kind" j in
   if String.equal kind "clean" then Ok Clean
   else
@@ -1168,41 +1152,23 @@ let verdict_of_json j =
     let* detail = str_field "verdict" "detail" j in
     Ok (Violation { kind; count; detail })
 
-let trace_of_json ctx j =
-  match Obs.Json.member "trace" j with
-  | Some t -> (
-    match Obs.Json.to_list_opt t with
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* mv = move_of_json item in
-          Ok (mv :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | None -> Error (ctx ^ ".trace: expected a list"))
-  | None -> Error (ctx ^ ": missing field \"trace\"")
+(* The fields a cex and a guide share: the config and the move list. *)
+let schedule_of_json ctx j =
+  let open Obs.Json in
+  let* config = field ctx "config" j in
+  let* config = Config.of_json config in
+  let* trace = list_field ctx "trace" move_of_json j in
+  Ok (config, trace)
 
 let cex_of_json j =
-  let* schema = str_field "cex" "schema" j in
-  if not (String.equal schema cex_schema) then
-    Error
-      (Printf.sprintf "unsupported cex schema %S (want %S)" schema cex_schema)
-  else
-    let* config =
-      match Obs.Json.member "config" j with
-      | Some c -> Config.of_json c
-      | None -> Error "cex: missing field \"config\""
-    in
-    let* trace = trace_of_json "cex" j in
-    let* verdict =
-      match Obs.Json.member "verdict" j with
-      | Some v -> verdict_of_json v
-      | None -> Error "cex: missing field \"verdict\""
-    in
-    let* states = int_field "cex" "states" j in
-    let* digest = str_field "cex" "digest" j in
-    Ok { config; trace; verdict; states; digest }
+  let open Obs.Json in
+  let* () = expect_schema "cex" cex_schema j in
+  let* config, trace = schedule_of_json "cex" j in
+  let* verdict = field "cex" "verdict" j in
+  let* verdict = verdict_of_json verdict in
+  let* states = int_field "cex" "states" j in
+  let* digest = str_field "cex" "digest" j in
+  Ok { config; trace; verdict; states; digest }
 
 let guide_schema = "stabreg/mc-guide/v1"
 
@@ -1210,22 +1176,13 @@ let guide_schema = "stabreg/mc-guide/v1"
    schedule of moves to force.  A full cex artifact is accepted too (its
    recorded outcome is ignored — the schedule is re-judged from scratch). *)
 let guide_of_json j =
-  let* schema = str_field "guide" "schema" j in
-  if
-    not
-      (String.equal schema guide_schema || String.equal schema cex_schema)
-  then
-    Error
-      (Printf.sprintf "unsupported guide schema %S (want %S or %S)" schema
-         guide_schema cex_schema)
-  else
-    let* config =
-      match Obs.Json.member "config" j with
-      | Some c -> Config.of_json c
-      | None -> Error "guide: missing field \"config\""
-    in
-    let* trace = trace_of_json "guide" j in
-    Ok (config, trace)
+  let open Obs.Json in
+  let* () =
+    match member "schema" j with
+    | Some (Str s) when String.equal s cex_schema -> Ok ()
+    | _ -> expect_schema "guide" guide_schema j
+  in
+  schedule_of_json "guide" j
 
 (* Strict bit-for-bit replay: every recorded move must fire, the terminal
    verdict must be structurally equal, and the terminal fingerprint must

@@ -150,61 +150,20 @@ let to_json c =
       ("oracle", Obs.Json.Str (oracle_to_string c.oracle));
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_string ctx j =
-  match Obs.Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let str_field ctx key j =
-  let* v = field ctx key j in
-  as_string (ctx ^ "." ^ key) v
-
-let list_field ctx key j =
-  let* v = field ctx key j in
-  match Obs.Json.to_list_opt v with
-  | Some items -> Ok items
-  | None -> Error (Printf.sprintf "%s.%s: expected a list" ctx key)
-
-let fold_results f items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* v = f item in
-      Ok (v :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let byz_of_json ctx j =
-  fold_results
-    (fun item ->
-      let* slot = int_field ctx "slot" item in
-      let* kind = str_field ctx "kind" item in
-      match kind with
-      | "silent" -> Ok (slot, Silent)
-      | "collude" ->
-        let* sn = int_field ctx "sn" item in
-        let* v = int_field ctx "v" item in
-        Ok (slot, Collude { sn; v })
-      | s -> Error (Printf.sprintf "%s: unknown byzantine kind %S" ctx s))
-    j
+let byz_of_json ctx item =
+  let open Obs.Json in
+  let* slot = int_field ctx "slot" item in
+  let* kind = str_field ctx "kind" item in
+  match kind with
+  | "silent" -> Ok (slot, Silent)
+  | "collude" ->
+    let* sn = int_field ctx "sn" item in
+    let* v = int_field ctx "v" item in
+    Ok (slot, Collude { sn; v })
+  | s -> Error (Printf.sprintf "%s: unknown byzantine kind %S" ctx s)
 
 let corruption_of_json ctx item =
+  let open Obs.Json in
   let* kind = str_field ctx "kind" item in
   match kind with
   | "server" ->
@@ -229,18 +188,17 @@ let corruption_of_json ctx item =
   | s -> Error (Printf.sprintf "%s: unknown corruption kind %S" ctx s)
 
 let of_json j =
+  let open Obs.Json in
   let ctx = "config" in
   let* family = str_field ctx "family" j in
   let* family = family_of_string family in
   let* n = int_field ctx "n" j in
   let* f = int_field ctx "f" j in
-  let* byz = list_field ctx "byz" j in
-  let* byz = byz_of_json (ctx ^ ".byz") byz in
+  let* byz = list_field ctx "byz" byz_of_json j in
   let* writes = int_field ctx "writes" j in
   let* reads = int_field ctx "reads" j in
   let* read_budget = int_field ctx "read_budget" j in
-  let* menu = list_field ctx "menu" j in
-  let* menu = fold_results (corruption_of_json (ctx ^ ".menu")) menu in
+  let* menu = list_field ctx "menu" corruption_of_json j in
   let* oracle = str_field ctx "oracle" j in
   let* oracle = oracle_of_string oracle in
   let c = { family; n; f; byz; writes; reads; read_budget; menu; oracle } in

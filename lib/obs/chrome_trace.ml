@@ -133,25 +133,8 @@ let to_json events =
 
 (* --- validation ------------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let int_field ctx key j =
-  match Json.member key j with
-  | Some v -> (
-    match Json.to_int_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s.%s: expected an integer" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let str_field ctx key j =
-  match Json.member key j with
-  | Some v -> (
-    match Json.to_string_opt v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "%s.%s: expected a string" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
 let validate_entry ctx j =
+  let open Json in
   let* ph = str_field ctx "ph" j in
   let* _ = int_field ctx "pid" j in
   let* _ = int_field ctx "tid" j in
@@ -172,18 +155,4 @@ let validate_entry ctx j =
   | other -> Error (Printf.sprintf "%s: unexpected phase %S" ctx other)
 
 let validate j =
-  let* events =
-    match Json.member "traceEvents" j with
-    | Some v -> (
-      match Json.to_list_opt v with
-      | Some l -> Ok l
-      | None -> Error "traceEvents: expected a list")
-    | None -> Error "missing field \"traceEvents\""
-  in
-  let rec go i = function
-    | [] -> Ok ()
-    | e :: rest ->
-      let* () = validate_entry (Printf.sprintf "traceEvents[%d]" i) e in
-      go (i + 1) rest
-  in
-  go 0 events
+  Result.map ignore (Json.list_field "chrome" "traceEvents" validate_entry j)

@@ -293,6 +293,82 @@ let to_list_opt = function List l -> Some l | _ -> None
 
 let to_obj_opt = function Obj fields -> Some fields | _ -> None
 
+(* --- decoding --- *)
+
+type 'a decoder = string -> t -> ('a, string) result
+
+let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+let expected what conv ctx j =
+  match conv j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: expected %s" ctx what)
+
+let as_int ctx j = expected "an integer" to_int_opt ctx j
+
+let as_float ctx j = expected "a number" to_float_opt ctx j
+
+let as_string ctx j = expected "a string" to_string_opt ctx j
+
+let as_bool ctx j =
+  expected "a boolean" (function Bool b -> Some b | _ -> None) ctx j
+
+let as_obj ctx j = expected "an object" to_obj_opt ctx j
+
+let field ctx key j =
+  match member key j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
+
+let decode_field decode ctx key j =
+  let* v = field ctx key j in
+  decode (ctx ^ "." ^ key) v
+
+let int_field ctx key j = decode_field as_int ctx key j
+
+let str_field ctx key j = decode_field as_string ctx key j
+
+let float_field ctx key j = decode_field as_float ctx key j
+
+let bool_field ctx key j = decode_field as_bool ctx key j
+
+let map_result f items =
+  List.fold_left
+    (fun acc item ->
+      let* acc = acc in
+      let* x = f item in
+      Ok (x :: acc))
+    (Ok []) items
+  |> Result.map List.rev
+
+let as_list decode ctx j =
+  let* items = expected "a list" to_list_opt ctx j in
+  map_result
+    (fun (i, item) -> decode (Printf.sprintf "%s[%d]" ctx i) item)
+    (List.mapi (fun i item -> (i, item)) items)
+
+let list_field ctx key decode j = decode_field (as_list decode) ctx key j
+
+let obj_field ctx key decode j =
+  let* members = decode_field as_obj ctx key j in
+  let ctx = ctx ^ "." ^ key in
+  map_result
+    (fun (name, v) ->
+      let* x = decode (ctx ^ "." ^ name) v in
+      Ok (name, x))
+    members
+
+let opt_field ctx key decode j =
+  match member key j with
+  | None | Some Null -> Ok None
+  | Some v -> Result.map Option.some (decode (ctx ^ "." ^ key) v)
+
+let expect_schema ctx want j =
+  let* got = str_field ctx "schema" j in
+  if String.equal got want then Ok ()
+  else
+    Error (Printf.sprintf "%s: schema mismatch: got %S, want %S" ctx got want)
+
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

@@ -77,7 +77,7 @@ let quantile h q =
   else if q <= 0.0 then h.min_v
   else if q >= 1.0 then h.max_v
   else begin
-    (* 1-based rank, same convention as Harness.Metrics.percentile. *)
+    (* 1-based rank, same convention as [percentile] below. *)
     let rank =
       Stdlib.max 1
         (int_of_float (Float.ceil (q *. float_of_int h.count)))
@@ -103,6 +103,85 @@ let quantile h q =
      with Exit -> ());
     Stdlib.min (Stdlib.max !result h.min_v) h.max_v
   end
+
+(* --- summaries --- *)
+
+type summary = {
+  count : int;
+  mean : float;
+  min : float;
+  p50 : float;
+  p90 : float;
+  p95 : float;
+  p99 : float;
+  p999 : float;
+  max : float;
+}
+
+let percentile sorted p =
+  if p <= 0.0 then sorted.(0)
+  else
+    let n = Array.length sorted in
+    let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
+    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) idx))
+
+let summary xs =
+  if xs = [] then invalid_arg "Metrics.summary: empty sample";
+  let arr = Array.of_list xs in
+  Array.sort Float.compare arr;
+  let n = Array.length arr in
+  let total = Array.fold_left ( +. ) 0.0 arr in
+  {
+    count = n;
+    mean = total /. float_of_int n;
+    min = arr.(0);
+    p50 = percentile arr 0.5;
+    p90 = percentile arr 0.9;
+    p95 = percentile arr 0.95;
+    p99 = percentile arr 0.99;
+    p999 = percentile arr 0.999;
+    max = arr.(n - 1);
+  }
+
+let summary_of_histogram h =
+  {
+    count = hist_count h;
+    mean = hist_mean h;
+    min = hist_min h;
+    p50 = quantile h 0.5;
+    p90 = quantile h 0.9;
+    p95 = quantile h 0.95;
+    p99 = quantile h 0.99;
+    p999 = quantile h 0.999;
+    max = hist_max h;
+  }
+
+let summary_to_json s =
+  Json.Obj
+    [
+      ("count", Json.Int s.count);
+      ("mean", Json.Float s.mean);
+      ("min", Json.Float s.min);
+      ("p50", Json.Float s.p50);
+      ("p90", Json.Float s.p90);
+      ("p95", Json.Float s.p95);
+      ("p99", Json.Float s.p99);
+      ("p999", Json.Float s.p999);
+      ("max", Json.Float s.max);
+    ]
+
+let summary_of_json ctx j =
+  let open Json in
+  let* count = int_field ctx "count" j in
+  let* mean = float_field ctx "mean" j in
+  let* min = float_field ctx "min" j in
+  let* p50 = float_field ctx "p50" j in
+  let* p90 = float_field ctx "p90" j in
+  let* p95 = float_field ctx "p95" j in
+  let* p99 = float_field ctx "p99" j in
+  let* p999 = float_field ctx "p999" j in
+  let* max = float_field ctx "max" j in
+  Ok { count; mean; min; p50; p90; p95; p99; p999; max }
 
 (* --- registry --- *)
 
@@ -167,29 +246,3 @@ let observe_named t name v = observe (histogram t name) v
 let histograms t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let hist_to_json h =
-  Json.Obj
-    [
-      ("count", Json.Int h.count);
-      ("mean", Json.Float (hist_mean h));
-      ("min", Json.Float (hist_min h));
-      ("p50", Json.Float (quantile h 0.5));
-      ("p90", Json.Float (quantile h 0.9));
-      ("p95", Json.Float (quantile h 0.95));
-      ("p99", Json.Float (quantile h 0.99));
-      ("p999", Json.Float (quantile h 0.999));
-      ("max", Json.Float (hist_max h));
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ( "gauges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (gauges t)) );
-      ( "histograms",
-        Json.Obj (List.map (fun (k, h) -> (k, hist_to_json h)) (histograms t))
-      );
-    ]

@@ -41,8 +41,33 @@ val bucket_bounds : int -> float * float
 
 val num_buckets : int
 
-val hist_to_json : histogram -> Json.t
+(** {1 Summaries} *)
+
+type summary = {
+  count : int;
+  mean : float;
+  min : float;
+  p50 : float;
+  p90 : float;
+  p95 : float;
+  p99 : float;
+  p999 : float;
+  max : float;
+}
+(** Nine-number summary of a latency sample, as run reports and the
+    experiment tables print it. *)
+
+val summary : float list -> summary
+(** Exact, over the whole sample (1-based nearest-rank percentiles).
+    Raises [Invalid_argument] on an empty list. *)
+
+val summary_of_histogram : histogram -> summary
+(** Approximate: quantiles by {!quantile}, count/mean/min/max exact. *)
+
+val summary_to_json : summary -> Json.t
 (** [{count, mean, min, p50, p90, p95, p99, p999, max}]. *)
+
+val summary_of_json : summary Json.decoder
 
 (** {1 Registry} *)
 
@@ -80,5 +105,3 @@ val histogram : t -> string -> histogram
 val observe_named : t -> string -> float -> unit
 
 val histograms : t -> (string * histogram) list
-
-val to_json : t -> Json.t

@@ -65,72 +65,25 @@ let to_json t =
 
 (* --- validation ------------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
 let validate j =
-  let* schema = field "profile" "schema" j in
+  let open Json in
+  let ctx = "profile" in
+  let* () = expect_schema ctx schema_version j in
+  let* _ = str_field ctx "kind" j in
+  let* every = int_field ctx "every" j in
   let* () =
-    match Json.to_string_opt schema with
-    | Some s when String.equal s schema_version -> Ok ()
-    | Some s ->
-      Error
-        (Printf.sprintf "profile: schema mismatch: got %S, want %S" s
-           schema_version)
-    | None -> Error "profile.schema: expected a string"
+    if every > 0 then Ok ()
+    else Error "profile.every: expected a positive integer"
   in
-  let* kind = field "profile" "kind" j in
-  let* () =
-    match Json.to_string_opt kind with
-    | Some _ -> Ok ()
-    | None -> Error "profile.kind: expected a string"
+  let* _ =
+    list_field ctx "samples"
+      (fun ctx s ->
+        let* _ = int_field ctx "tick" s in
+        float_field ctx "elapsed_s" s)
+      j
   in
-  let* every = field "profile" "every" j in
-  let* () =
-    match Json.to_int_opt every with
-    | Some e when e > 0 -> Ok ()
-    | Some _ -> Error "profile.every: expected a positive integer"
-    | None -> Error "profile.every: expected an integer"
-  in
-  let* samples = field "profile" "samples" j in
-  let* sample_list =
-    match Json.to_list_opt samples with
-    | Some l -> Ok l
-    | None -> Error "profile.samples: expected a list"
-  in
-  let check_sample i s =
-    let ctx = Printf.sprintf "profile.samples[%d]" i in
-    let* _ =
-      match Json.to_obj_opt s with
-      | Some fields -> Ok fields
-      | None -> Error (ctx ^ ": expected an object")
-    in
-    let* tick = field ctx "tick" s in
-    let* () =
-      match Json.to_int_opt tick with
-      | Some _ -> Ok ()
-      | None -> Error (ctx ^ ".tick: expected an integer")
-    in
-    let* elapsed = field ctx "elapsed_s" s in
-    match Json.to_float_opt elapsed with
-    | Some _ -> Ok ()
-    | None -> Error (ctx ^ ".elapsed_s: expected a number")
-  in
-  let rec go i = function
-    | [] -> Ok ()
-    | s :: rest ->
-      let* () = check_sample i s in
-      go (i + 1) rest
-  in
-  let* () = go 0 sample_list in
-  let* sections = field "profile" "sections" j in
-  match Json.to_obj_opt sections with
-  | Some _ -> Ok ()
-  | None -> Error "profile.sections: expected an object"
+  let* _ = obj_field ctx "sections" (fun _ v -> Ok v) j in
+  Ok ()
 
 let write ~dir ~name t =
   Report.mkdir_p dir;

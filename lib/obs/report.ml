@@ -1,17 +1,5 @@
 let schema_version = "stabreg/run-report/v1"
 
-type op_summary = {
-  count : int;
-  mean : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-}
-
 type msg_stats = { sent : int; recv : int; bytes : int }
 
 type t = {
@@ -19,7 +7,7 @@ type t = {
   seed : int;
   mutable params : (int * int * string) option;
   mutable messages : (string * msg_stats) list; (* insertion order *)
-  mutable ops : (string * op_summary) list;
+  mutable ops : (string * Metrics.summary) list;
   mutable stabilization : int option;
   mutable counters : (string * int) list;
   mutable extra : (string * Json.t) list;
@@ -50,36 +38,42 @@ let add_message_class t ~name ~sent ~recv ~bytes =
 
 let add_op_summary t ~name s = t.ops <- t.ops @ [ (name, s) ]
 
-let op_summary_of_histogram h =
-  {
-    count = Metrics.hist_count h;
-    mean = Metrics.hist_mean h;
-    min = Metrics.hist_min h;
-    p50 = Metrics.quantile h 0.5;
-    p90 = Metrics.quantile h 0.9;
-    p95 = Metrics.quantile h 0.95;
-    p99 = Metrics.quantile h 0.99;
-    p999 = Metrics.quantile h 0.999;
-    max = Metrics.hist_max h;
-  }
-
 let set_counters t cs = t.counters <- cs
 
 let add_extra t key v = t.extra <- t.extra @ [ (key, v) ]
 
-let op_summary_to_json s =
-  Json.Obj
-    [
-      ("count", Json.Int s.count);
-      ("mean", Json.Float s.mean);
-      ("min", Json.Float s.min);
-      ("p50", Json.Float s.p50);
-      ("p90", Json.Float s.p90);
-      ("p95", Json.Float s.p95);
-      ("p99", Json.Float s.p99);
-      ("p999", Json.Float s.p999);
-      ("max", Json.Float s.max);
-    ]
+let op_prefix = "op."
+
+let observe_metrics t metrics =
+  List.iter
+    (fun cls ->
+      let name = Event.class_name cls in
+      let count key = Metrics.counter metrics (Printf.sprintf key name) in
+      let sent = count "msg.sent.%s.count" in
+      let recv = count "msg.recv.%s.count" in
+      let bytes = count "msg.sent.%s.bytes" in
+      if sent > 0 || recv > 0 then add_message_class t ~name ~sent ~recv ~bytes)
+    Event.all_classes;
+  List.iter
+    (fun (name, h) ->
+      let plen = String.length op_prefix in
+      if
+        String.length name > plen
+        && String.equal (String.sub name 0 plen) op_prefix
+        && Metrics.hist_count h > 0
+      then
+        add_op_summary t
+          ~name:(String.sub name plen (String.length name - plen))
+          (Metrics.summary_of_histogram h))
+    (Metrics.histograms metrics);
+  (* The per-class message counters are already structured above; keep the
+     counters section to the scalar diagnostics. *)
+  set_counters t
+    (List.filter
+       (fun (name, _) ->
+         not
+           (String.length name >= 4 && String.equal (String.sub name 0 4) "msg."))
+       (Metrics.counters metrics))
 
 let to_json t =
   let n, f, mode =
@@ -107,7 +101,8 @@ let to_json t =
              t.messages) );
       ( "ops",
         Json.Obj
-          (List.map (fun (name, s) -> (name, op_summary_to_json s)) t.ops) );
+          (List.map (fun (name, s) -> (name, Metrics.summary_to_json s)) t.ops)
+      );
       ( "stabilization_time",
         match t.stabilization with Some d -> Json.Int d | None -> Json.Null );
       ( "counters",
@@ -117,113 +112,31 @@ let to_json t =
 
 (* --- schema validation --- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_float ctx j =
-  match Json.to_float_opt j with
-  | Some x -> Ok x
-  | None -> Error (ctx ^ ": expected a number")
-
-let as_string ctx j =
-  match Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let as_obj ctx j =
-  match Json.to_obj_opt j with
-  | Some fields -> Ok fields
-  | None -> Error (ctx ^ ": expected an object")
-
-let validate_op_summary ctx j =
-  let* _ = as_obj ctx j in
-  let* count = field ctx "count" j in
-  let* _ = as_int (ctx ^ ".count") count in
-  let check_stat acc key =
-    let* () = acc in
-    let* v = field ctx key j in
-    let* _ = as_float (ctx ^ "." ^ key) v in
-    Ok ()
-  in
-  List.fold_left check_stat (Ok ())
-    [ "mean"; "min"; "p50"; "p90"; "p95"; "p99"; "p999"; "max" ]
-
-let validate_msg_stats ctx j =
-  let* _ = as_obj ctx j in
-  let check acc key =
-    let* () = acc in
-    let* v = field ctx key j in
-    let* _ = as_int (ctx ^ "." ^ key) v in
-    Ok ()
-  in
-  List.fold_left check (Ok ()) [ "sent"; "recv"; "bytes" ]
+let msg_stats_of_json ctx j =
+  let open Json in
+  let* sent = int_field ctx "sent" j in
+  let* recv = int_field ctx "recv" j in
+  let* bytes = int_field ctx "bytes" j in
+  Ok { sent; recv; bytes }
 
 let validate j =
-  let* _ = as_obj "report" j in
-  let* schema = field "report" "schema" j in
-  let* schema = as_string "schema" schema in
+  let open Json in
+  let ctx = "report" in
+  let* () = expect_schema ctx schema_version j in
+  let* _ = str_field ctx "experiment" j in
+  let* _ = int_field ctx "seed" j in
+  let* params = field ctx "params" j in
+  let* _ = int_field "params" "n" params in
+  let* _ = int_field "params" "f" params in
+  let* _ = str_field "params" "mode" params in
+  let* _ = obj_field ctx "messages" msg_stats_of_json j in
+  let* _ = obj_field ctx "ops" Metrics.summary_of_json j in
   let* () =
-    if String.equal schema schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema mismatch: got %S, want %S" schema
-           schema_version)
+    match member "stabilization_time" j with
+    | Some (Null | Int _) -> Ok ()
+    | _ -> Error "report.stabilization_time: expected null or an integer"
   in
-  let* experiment = field "report" "experiment" j in
-  let* _ = as_string "experiment" experiment in
-  let* seed = field "report" "seed" j in
-  let* _ = as_int "seed" seed in
-  let* params = field "report" "params" j in
-  let* _ = as_obj "params" params in
-  let* n = field "params" "n" params in
-  let* _ = as_int "params.n" n in
-  let* f = field "params" "f" params in
-  let* _ = as_int "params.f" f in
-  let* mode = field "params" "mode" params in
-  let* _ = as_string "params.mode" mode in
-  let* messages = field "report" "messages" j in
-  let* message_fields = as_obj "messages" messages in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        validate_msg_stats ("messages." ^ name) v)
-      (Ok ()) message_fields
-  in
-  let* ops = field "report" "ops" j in
-  let* op_fields = as_obj "ops" ops in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        validate_op_summary ("ops." ^ name) v)
-      (Ok ()) op_fields
-  in
-  let* stab = field "report" "stabilization_time" j in
-  let* () =
-    match stab with
-    | Json.Null | Json.Int _ -> Ok ()
-    | _ -> Error "stabilization_time: expected null or an integer"
-  in
-  let* counters = field "report" "counters" j in
-  let* counter_fields = as_obj "counters" counters in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        let* _ = as_int ("counters." ^ name) v in
-        Ok ())
-      (Ok ()) counter_fields
-  in
+  let* _ = obj_field ctx "counters" as_int j in
   Ok ()
 
 (* --- file output --- *)

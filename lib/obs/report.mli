@@ -7,18 +7,6 @@
 
 val schema_version : string
 
-type op_summary = {
-  count : int;
-  mean : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-}
-
 type t
 
 val create : experiment:string -> seed:int -> t
@@ -36,11 +24,17 @@ val set_stabilization : t -> int -> unit
 val add_message_class :
   t -> name:string -> sent:int -> recv:int -> bytes:int -> unit
 
-val add_op_summary : t -> name:string -> op_summary -> unit
-
-val op_summary_of_histogram : Metrics.histogram -> op_summary
+val add_op_summary : t -> name:string -> Metrics.summary -> unit
 
 val set_counters : t -> (string * int) list -> unit
+
+val observe_metrics : t -> Metrics.t -> unit
+(** Copy a deployment's registry into the report: the per-message-class
+    traffic counters ([msg.sent.*] / [msg.recv.*]), a
+    {!Metrics.summary_of_histogram} of every populated
+    ["op.<reg>.<op>"] histogram, and the remaining scalar counters.
+    Calling it twice on one report duplicates the message and op
+    sections, so the caller observes once. *)
 
 val add_extra : t -> string -> Json.t -> unit
 (** Free-form driver-specific payload under the ["extra"] key; not

@@ -10,51 +10,22 @@ let header ~experiment ~seed =
 
 (* --- validation ------------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_string ctx j =
-  match Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let str_field ctx key j =
-  let* v = field ctx key j in
-  as_string (ctx ^ "." ^ key) v
-
 let validate_header j =
-  let* schema = str_field "header" "schema" j in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "header: schema mismatch: got %S, want %S" schema
-           schema_version)
-  in
+  let open Json in
+  let* () = expect_schema "header" schema_version j in
   let* _ = str_field "header" "experiment" j in
   let* _ = int_field "header" "seed" j in
   Ok ()
 
 let span_fields ctx j =
+  let open Json in
   let* _ = int_field ctx "trace" j in
   let* _ = int_field ctx "span" j in
   let* _ = int_field ctx "parent" j in
   Ok ()
 
 let validate_event j =
+  let open Json in
   let* kind = str_field "event" "ev" j in
   let ctx = kind in
   let* _ = int_field ctx "t" j in
@@ -65,26 +36,20 @@ let validate_event j =
     let* _ = str_field ctx "msg" j in
     let* _ = int_field ctx "bytes" j in
     span_fields ctx j
-  | "drop" ->
+  | "drop" -> (
     let* _ = str_field ctx "link" j in
     let* v = field ctx "msg" j in
-    (match v with
-    | Json.Null | Json.Str _ -> Ok ()
-    | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _ | Json.Obj _ ->
+    match v with
+    | Null | Str _ -> Ok ()
+    | Bool _ | Int _ | Float _ | List _ | Obj _ ->
       Error (ctx ^ ".msg: expected a string or null"))
   | "op-invoke" | "op-return" ->
     let* _ = int_field ctx "op_id" j in
     let* _ = str_field ctx "proc" j in
     let* _ = str_field ctx "reg" j in
     let* _ = str_field ctx "op" j in
-    let* () =
-      if String.equal kind "op-return" then
-        let* ok = field ctx "ok" j in
-        match ok with
-        | Json.Bool _ -> Ok ()
-        | Json.Null | Json.Str _ | Json.Int _ | Json.Float _ | Json.List _
-        | Json.Obj _ -> Error (ctx ^ ".ok: expected a boolean")
-      else Ok ()
+    let* _ =
+      if String.equal kind "op-return" then bool_field ctx "ok" j else Ok true
     in
     span_fields ctx j
   | "phase" ->
@@ -118,26 +83,17 @@ let fold_lines s f init =
 let validate s =
   if String.equal s "" then Error "empty trace file"
   else
-    let* (_ : bool) =
-      fold_lines s
-        (fun seen_header n line ->
-          let* j =
-            match Json.parse line with
-            | Ok j -> Ok j
-            | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-          in
-          let* () =
-            let r =
-              if not seen_header then validate_header j else validate_event j
-            in
-            match r with
-            | Ok () -> Ok ()
-            | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-          in
-          Ok true)
-        false
-    in
-    Ok ()
+    fold_lines s
+      (fun seen_header n line ->
+        (let open Json in
+         let* j = parse line in
+         let* () =
+           if seen_header then validate_event j else validate_header j
+         in
+         Ok true)
+        |> Result.map_error (Printf.sprintf "line %d: %s" n))
+      false
+    |> Result.map ignore
 
 (* --- causal-tree reconstruction --------------------------------------- *)
 

@@ -573,71 +573,22 @@ let to_json (r : report) =
       ("clean", Obs.Json.Bool r.clean);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_float ctx j =
-  match Obs.Json.to_float_opt j with
-  | Some f -> Ok f
-  | None -> Error (ctx ^ ": expected a number")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let float_field ctx key j =
-  let* v = field ctx key j in
-  as_float (ctx ^ "." ^ key) v
-
-let bool_field ctx key j =
-  let* v = field ctx key j in
-  match v with
-  | Obs.Json.Bool b -> Ok b
-  | _ -> Error (ctx ^ "." ^ key ^ ": expected a boolean")
-
-let list_field ctx key of_item j =
-  let* v = field ctx key j in
-  match Obs.Json.to_list_opt v with
-  | None -> Error (ctx ^ "." ^ key ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* x = of_item item in
-        Ok (x :: acc))
-      (Ok []) items
-    |> Result.map List.rev
-
-let crash_of_json j =
-  let ctx = "crash" in
+let crash_of_json ctx j =
+  let open Obs.Json in
   let* at = int_field ctx "at" j in
   let* server = int_field ctx "server" j in
-  let* down_for =
-    match Obs.Json.member "down_for" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some v ->
-      let* d = as_int "crash.down_for" v in
-      Ok (Some d)
-  in
+  let* down_for = opt_field ctx "down_for" as_int j in
   Ok { at; server; down_for }
 
-let chaos_of_json j =
-  let ctx = "chaos" in
+let chaos_of_json ctx j =
+  let open Obs.Json in
   let* target = int_field ctx "target" j in
-  let* injections = list_field ctx "injections" (as_int "chaos.injections") j in
+  let* injections = list_field ctx "injections" as_int j in
   let* crashes = list_field ctx "crashes" crash_of_json j in
   Ok { target; injections; crashes }
 
 let config_of_json j =
+  let open Obs.Json in
   let ctx = "config" in
   let* shards = int_field ctx "shards" j in
   let* vnodes = int_field ctx "vnodes" j in
@@ -646,23 +597,20 @@ let config_of_json j =
   let* retry = bool_field ctx "retry" j in
   let* workload = field ctx "workload" j in
   let* workload = Workload.Openloop.config_of_json workload in
-  let* chaos =
-    match Obs.Json.member "chaos" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some c ->
-      let* c = chaos_of_json c in
-      Ok (Some c)
-  in
-  Ok { shards; vnodes; n; f; retry; workload; chaos }
+  let* chaos = opt_field ctx "chaos" chaos_of_json j in
+  let cfg = { shards; vnodes; n; f; retry; workload; chaos } in
+  let* () = validate cfg in
+  Ok cfg
 
 let tally_of_json ctx j =
+  let open Obs.Json in
   let* ok = int_field ctx "ok" j in
   let* degraded = int_field ctx "degraded" j in
   let* timed_out = int_field ctx "timed_out" j in
   Ok { ok; degraded; timed_out }
 
-let latency_of_json j =
-  let ctx = "latency" in
+let latency_of_json ctx j =
+  let open Obs.Json in
   let* count = int_field ctx "count" j in
   let* mean = float_field ctx "mean" j in
   let* p50 = float_field ctx "p50" j in
@@ -671,8 +619,8 @@ let latency_of_json j =
   let* max = float_field ctx "max" j in
   Ok { count; mean; p50; p99; p999; max }
 
-let shard_report_of_json j =
-  let ctx = "shard" in
+let shard_report_of_json ctx j =
+  let open Obs.Json in
   let* shard = int_field ctx "shard" j in
   let* keys = int_field ctx "keys" j in
   let* ops = int_field ctx "ops" j in
@@ -685,16 +633,9 @@ let shard_report_of_json j =
   let* write_batches = int_field ctx "write_batches" j in
   let* read_batches = int_field ctx "read_batches" j in
   let* latency = field ctx "latency" j in
-  let* latency = latency_of_json latency in
+  let* latency = latency_of_json (ctx ^ ".latency") latency in
   let* duration = int_field ctx "duration" j in
-  let* stuck =
-    list_field ctx "stuck"
-      (fun item ->
-        match Obs.Json.to_string_opt item with
-        | Some s -> Ok s
-        | None -> Error "shard.stuck: expected strings")
-      j
-  in
+  let* stuck = list_field ctx "stuck" as_string j in
   let* reads_checked = int_field ctx "reads_checked" j in
   let* violations = int_field ctx "violations" j in
   let* liveness = int_field ctx "liveness" j in
@@ -720,42 +661,35 @@ let shard_report_of_json j =
     }
 
 let of_json j =
+  let open Obs.Json in
   let ctx = "shard-report" in
-  let* s = field ctx "schema" j in
-  let* s =
-    match Obs.Json.to_string_opt s with
-    | Some s -> Ok s
-    | None -> Error "shard-report.schema: expected a string"
-  in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "unsupported shard-report schema %S (want %S)" s schema)
-  else
-    let* seed = int_field ctx "seed" j in
-    let* config = field ctx "config" j in
-    let* config = config_of_json config in
-    let* key_owners = list_field ctx "key_owners" (as_int "key_owners") j in
-    let* shards = list_field ctx "shards" shard_report_of_json j in
-    let* ops = int_field ctx "ops" j in
-    let* writes = field ctx "writes" j in
-    let* writes = tally_of_json (ctx ^ ".writes") writes in
-    let* reads = field ctx "reads" j in
-    let* reads = tally_of_json (ctx ^ ".reads") reads in
-    let* duration = int_field ctx "duration" j in
-    let* isolated = bool_field ctx "isolated" j in
-    let* clean = bool_field ctx "clean" j in
-    Ok
-      {
-        seed;
-        config;
-        key_owners;
-        shards;
-        ops;
-        writes;
-        reads;
-        duration;
-        isolated;
-        clean;
-      }
+  let* () = expect_schema ctx schema j in
+  let* seed = int_field ctx "seed" j in
+  let* config = field ctx "config" j in
+  let* config = config_of_json config in
+  let* key_owners = list_field ctx "key_owners" as_int j in
+  let* shards = list_field ctx "shards" shard_report_of_json j in
+  let* ops = int_field ctx "ops" j in
+  let* writes = field ctx "writes" j in
+  let* writes = tally_of_json (ctx ^ ".writes") writes in
+  let* reads = field ctx "reads" j in
+  let* reads = tally_of_json (ctx ^ ".reads") reads in
+  let* duration = int_field ctx "duration" j in
+  let* isolated = bool_field ctx "isolated" j in
+  let* clean = bool_field ctx "clean" j in
+  Ok
+    {
+      seed;
+      config;
+      key_owners;
+      shards;
+      ops;
+      writes;
+      reads;
+      duration;
+      isolated;
+      clean;
+    }
 
 let replay ?on_scenario ?domains r = run ?on_scenario ?domains r.config ~seed:r.seed
 

@@ -107,25 +107,8 @@ let config_to_json c =
             ] );
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let int_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_int_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s.%s: expected an integer" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let float_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_float_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s.%s: expected a number" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
 let config_of_json j =
+  let open Obs.Json in
   let ctx = "workload" in
   let* keys = int_field ctx "keys" j in
   let* clients = int_field ctx "clients" j in
@@ -134,14 +117,13 @@ let config_of_json j =
   let* write_ratio = float_field ctx "write_ratio" j in
   let* mean_gap = int_field ctx "mean_gap" j in
   let* burst =
-    match Obs.Json.member "burst" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some b ->
-      let ctx = "workload.burst" in
-      let* every = int_field ctx "every" b in
-      let* len = int_field ctx "len" b in
-      let* factor = int_field ctx "factor" b in
-      Ok (Some { every; len; factor })
+    opt_field ctx "burst"
+      (fun ctx b ->
+        let* every = int_field ctx "every" b in
+        let* len = int_field ctx "len" b in
+        let* factor = int_field ctx "factor" b in
+        Ok { every; len; factor })
+      j
   in
   let cfg = { keys; clients; ops; theta; write_ratio; mean_gap; burst } in
   let* () = validate cfg in

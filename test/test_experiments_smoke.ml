@@ -25,13 +25,6 @@ let drivers =
     ("E14", Exp_drivers.Exp_e14.run);
   ]
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let smoke id run () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "stabreg-smoke"
@@ -45,7 +38,7 @@ let smoke id run () =
   if not (Sys.file_exists path) then
     Alcotest.failf "%s: no report written to %s" id path;
   let j =
-    match Obs.Json.parse (read_file path) with
+    match Obs.Json.parse (Exp_drivers.Common.read_file path) with
     | Ok j -> j
     | Error e -> Alcotest.failf "%s: report unparsable: %s" id e
   in

@@ -213,12 +213,6 @@ let test_baseline_partition () =
 
 (* --- the repo's own lint run ------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_self_lint_matches_baseline () =
   let s =
     Lint.Driver.scan ~root:".."
@@ -227,8 +221,7 @@ let test_self_lint_matches_baseline () =
   check_true "scanned the real tree" (s.Lint.Driver.files_scanned > 100);
   let entries =
     match
-      Result.bind
-        (Obs.Json.parse (read_file "../lint-baseline.json"))
+      Exp_drivers.Common.read_artifact "../lint-baseline.json"
         Lint.Report.baseline_entries
     with
     | Ok e -> e

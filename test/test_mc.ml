@@ -26,15 +26,8 @@ let overbound_cfg =
     read_budget = 8;
   }
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let parse_json path =
-  match Obs.Json.parse (read_file path) with
+  match Obs.Json.parse (Exp_drivers.Common.read_file path) with
   | Ok j -> j
   | Error e -> Alcotest.failf "%s: parse error: %s" path e
 

@@ -2,37 +2,37 @@ open Util
 open Harness
 
 let test_summary_basic () =
-  let s = Metrics.summary [ 1.0; 2.0; 3.0; 4.0 ] in
-  check_int "count" 4 s.Metrics.count;
-  Alcotest.(check (float 0.001)) "mean" 2.5 s.Metrics.mean;
-  Alcotest.(check (float 0.001)) "min" 1.0 s.Metrics.min;
-  Alcotest.(check (float 0.001)) "p50" 2.0 s.Metrics.p50;
-  Alcotest.(check (float 0.001)) "p99" 4.0 s.Metrics.p99;
-  Alcotest.(check (float 0.001)) "max" 4.0 s.Metrics.max
+  let s = Obs.Metrics.summary [ 1.0; 2.0; 3.0; 4.0 ] in
+  check_int "count" 4 s.Obs.Metrics.count;
+  Alcotest.(check (float 0.001)) "mean" 2.5 s.Obs.Metrics.mean;
+  Alcotest.(check (float 0.001)) "min" 1.0 s.Obs.Metrics.min;
+  Alcotest.(check (float 0.001)) "p50" 2.0 s.Obs.Metrics.p50;
+  Alcotest.(check (float 0.001)) "p99" 4.0 s.Obs.Metrics.p99;
+  Alcotest.(check (float 0.001)) "max" 4.0 s.Obs.Metrics.max
 
 let test_summary_singleton () =
-  let s = Metrics.summary [ 7.0 ] in
-  Alcotest.(check (float 0.001)) "all stats" 7.0 s.Metrics.p95
+  let s = Obs.Metrics.summary [ 7.0 ] in
+  Alcotest.(check (float 0.001)) "all stats" 7.0 s.Obs.Metrics.p95
 
 let test_summary_empty_rejected () =
-  Alcotest.check_raises "empty" (Invalid_argument "Metrics.summary: empty sample")
-    (fun () -> ignore (Metrics.summary []));
-  check_true "opt none" (Metrics.summary_opt [] = None)
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Metrics.summary: empty sample")
+    (fun () -> ignore (Obs.Metrics.summary []))
 
 let test_percentiles_unordered_input () =
-  let s = Metrics.summary [ 9.0; 1.0; 5.0; 3.0; 7.0 ] in
-  Alcotest.(check (float 0.001)) "min" 1.0 s.Metrics.min;
-  Alcotest.(check (float 0.001)) "median" 5.0 s.Metrics.p50;
-  Alcotest.(check (float 0.001)) "p95 ~ max" 9.0 s.Metrics.p95;
-  Alcotest.(check (float 0.001)) "p99 ~ max" 9.0 s.Metrics.p99
+  let s = Obs.Metrics.summary [ 9.0; 1.0; 5.0; 3.0; 7.0 ] in
+  Alcotest.(check (float 0.001)) "min" 1.0 s.Obs.Metrics.min;
+  Alcotest.(check (float 0.001)) "median" 5.0 s.Obs.Metrics.p50;
+  Alcotest.(check (float 0.001)) "p95 ~ max" 9.0 s.Obs.Metrics.p95;
+  Alcotest.(check (float 0.001)) "p99 ~ max" 9.0 s.Obs.Metrics.p99
 
 let test_summary_skewed () =
   (* A heavy tail: p50 stays low while p99 picks up the outlier. *)
   let xs = List.init 98 (fun _ -> 1.0) @ [ 1000.0; 1000.0 ] in
-  let s = Metrics.summary xs in
-  Alcotest.(check (float 0.001)) "p50 low" 1.0 s.Metrics.p50;
-  Alcotest.(check (float 0.001)) "p99 tail" 1000.0 s.Metrics.p99;
-  Alcotest.(check (float 0.001)) "min floor" 1.0 s.Metrics.min
+  let s = Obs.Metrics.summary xs in
+  Alcotest.(check (float 0.001)) "p50 low" 1.0 s.Obs.Metrics.p50;
+  Alcotest.(check (float 0.001)) "p99 tail" 1000.0 s.Obs.Metrics.p99;
+  Alcotest.(check (float 0.001)) "min floor" 1.0 s.Obs.Metrics.min
 
 let mk_history () =
   let h = Oracles.History.create () in

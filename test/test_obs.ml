@@ -85,7 +85,7 @@ let mk_report () =
   Obs.Report.add_message_class r ~name:"ACK_WRITE" ~sent:9 ~recv:9 ~bytes:99;
   Obs.Report.add_op_summary r ~name:"swsr_atomic.write"
     {
-      Obs.Report.count = 10;
+      Obs.Metrics.count = 10;
       mean = 12.0;
       min = 4.0;
       p50 = 11.0;
@@ -187,10 +187,10 @@ let test_histogram_stats () =
   let p50 = Obs.Metrics.quantile h 0.5 in
   (* Within the containing log bucket's ~19% relative width of 4. *)
   check_true "p50 near 4" (p50 >= 3.0 && p50 <= 5.0);
-  let s = Obs.Report.op_summary_of_histogram h in
-  check_int "summary count" 5 s.Obs.Report.count;
-  check_true "summary min" (s.Obs.Report.min = 1.0);
-  check_true "summary max" (s.Obs.Report.max = 100.0)
+  let s = Obs.Metrics.summary_of_histogram h in
+  check_int "summary count" 5 s.Obs.Metrics.count;
+  check_true "summary min" (s.Obs.Metrics.min = 1.0);
+  check_true "summary max" (s.Obs.Metrics.max = 100.0)
 
 (* Snapshot accessors sort by key, so report and debug output never
    depend on hash-table layout (stablint R1 pin). *)

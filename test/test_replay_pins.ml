@@ -8,14 +8,8 @@
 
 open Util
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse path =
-  let text = read_file path in
+  let text = Exp_drivers.Common.read_file path in
   match Obs.Json.parse text with
   | Ok j -> (text, j)
   | Error e -> Alcotest.failf "%s: parse error: %s" path e

@@ -122,6 +122,8 @@ let add_extra key v =
   | Some r -> Obs.Report.add_extra r key v
   | None -> ()
 
+(* Run [f] under a fresh run report named [exp], written to [json_dir]
+   (when set) after [f] returns; the result is [f]'s. *)
 let with_report ~exp ~seed f =
   let r = Obs.Report.create ~experiment:exp ~seed in
   current_report := Some r;
@@ -130,12 +132,56 @@ let with_report ~exp ~seed f =
   Fun.protect
     ~finally:(fun () -> current_report := None)
     (fun () ->
-      f ();
-      match !json_dir with
+      let result = f () in
+      (match !json_dir with
       | Some dir ->
         let path = Obs.Report.write ~dir r in
         Printf.printf "\n[%s] report written to %s\n" exp path
-      | None -> ())
+      | None -> ());
+      result)
+
+(* Trace and observe a deployment: the hook every campaign, sweep and
+   replay hands its runner. *)
+let observe_scenario scn =
+  attach_trace_sink (Harness.Scenario.hub scn);
+  observe_scn scn
+
+(* [observe_scenario] for the first deployment only: a sweep's headline
+   run. *)
+let on_first_scenario () =
+  let first = ref true in
+  fun scn ->
+    if !first then begin
+      first := false;
+      observe_scenario scn
+    end
+
+(* A replay's [show] when both sides are the same kind of report. *)
+let show_sides print recorded replayed =
+  Printf.printf "recorded:\n";
+  print recorded;
+  Printf.printf "replayed:\n";
+  print replayed
+
+(* Replay the artifact at [path]: decode it, re-execute it with every
+   deployment traced and observed, let [show] print both sides, and
+   record the artifact plus [extra] under [key] in the run report.
+   [Ok replayed] when [same] holds; [what] names what had to match. *)
+let replay_artifact ~key ~decode ~replay ~show ~same ~extra ~what path =
+  match read_artifact path decode with
+  | Error _ as e -> e
+  | Ok recorded ->
+    let replayed = replay ?on_scenario:(Some observe_scenario) recorded in
+    show recorded replayed;
+    let same = same recorded replayed in
+    add_extra key
+      (Obs.Json.Obj
+         (("artifact", Obs.Json.Str path) :: extra recorded replayed ~same));
+    if same then begin
+      Printf.printf "replay reproduced %s\n" what;
+      Ok replayed
+    end
+    else Error ("replay did NOT reproduce " ^ what)
 
 let scenario ?(seed = 1) ?delay ?medium ~params () =
   let scn = Harness.Scenario.create ~seed ?delay ?medium ~params () in

@@ -47,12 +47,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
         "race-check: a deterministic %.0f%% of trials run twice with \
          inverted scheduling order\n"
         (race_fraction *. 100.);
-  let on_scenario ~trial scn =
-    if trial = 0 then begin
-      Common.attach_trace_sink (Harness.Scenario.hub scn);
-      Common.observe_scn scn
-    end
-  in
+  let on_scenario ~trial scn = if trial = 0 then Common.observe_scenario scn in
   let result =
     Campaign.run ~on_scenario ~log:print_endline ?recorder ~race_check
       ~race_fraction ~domains cfg ~seed ~trials
@@ -99,36 +94,25 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
        ]);
   violations
 
-(* Replay a repro artifact; Ok when the replay reproduces the recorded
-   verdict exactly: kind, count and detail. *)
+(* Replay a repro artifact; [Ok outcome] when the replay reproduces the
+   recorded verdict exactly: kind, count and detail. *)
 let replay path =
-  match Common.read_artifact path Campaign.repro_of_json with
-  | Error _ as e -> e
-  | Ok repro -> (
-      let on_scenario scn =
-        Common.attach_trace_sink (Harness.Scenario.hub scn);
-        Common.observe_scn scn
-      in
-      let outcome = Campaign.replay ~on_scenario repro in
+  Common.replay_artifact ~key:"chaos_replay" ~decode:Campaign.repro_of_json
+    ~replay:Campaign.replay ~what:"the recorded verdict"
+    ~show:(fun repro outcome ->
       Format.printf "recorded verdict: %a@." Campaign.pp_verdict
         repro.Campaign.verdict;
       Format.printf "replayed verdict: %a@." Campaign.pp_verdict
         outcome.Campaign.verdict;
       Printf.printf "schedule: %d event(s), %d ops, %d ticks\n"
         (List.length repro.Campaign.schedule)
-        outcome.Campaign.ops outcome.Campaign.duration;
-      Common.add_extra "chaos_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ( "recorded",
-               Obs.Json.Str (Campaign.verdict_kind repro.Campaign.verdict) );
-             ( "replayed",
-               Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
-           ]);
-      if Campaign.verdict_equal repro.Campaign.verdict outcome.Campaign.verdict
-      then begin
-        Printf.printf "replay reproduced the recorded verdict\n";
-        Ok ()
-      end
-      else Error "replay did NOT reproduce the recorded verdict")
+        outcome.Campaign.ops outcome.Campaign.duration)
+    ~same:(fun repro outcome ->
+      Campaign.verdict_equal repro.Campaign.verdict outcome.Campaign.verdict)
+    ~extra:(fun repro outcome ~same:_ ->
+      [
+        ("recorded", Obs.Json.Str (Campaign.verdict_kind repro.Campaign.verdict));
+        ( "replayed",
+          Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
+      ])
+    path

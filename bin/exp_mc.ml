@@ -1,13 +1,15 @@
 (* MC: bounded model checking of the register protocols — exhaustive
    interleaving + corruption exploration with replayable counterexamples.
 
-     dune exec bin/experiments.exe -- mc --family regular --servers 3 --t 0
+     dune exec bin/experiments.exe -- mc --family regular --servers 3 -t 0
      dune exec bin/experiments.exe -- mc --family regular --byz 2 \
        --expect violation --out results/mc
      dune exec bin/experiments.exe -- mc --replay examples/mc/....json
 *)
 
 open Mc
+
+let ( let* ) = Result.bind
 
 let stats_to_json (s : Checker.stats) =
   Obs.Json.Obj
@@ -60,6 +62,29 @@ let emit_cex ~out cfg (result : Checker.run) =
     | Ok _ -> Printf.printf "artifact replays bit-for-bit\n"
     | Error e -> Printf.printf "REPLAY FAILED: %s\n" e);
     Some (path, cex)
+
+(* --expect against the verdict of the run the command made (search,
+   guided run or replay): clean must not be a budget-truncated search,
+   and a violation must come with an artifact that replays. *)
+let expect_verdict ~expect ~tag ~truncated ~artifact verdict =
+  match (expect, verdict) with
+  | None, _ -> Ok ()
+  | Some `Clean, Checker.Clean when truncated ->
+    Error
+      "expected an exhaustive clean verdict, but a budget truncated the \
+       search (raise --max-states/--depth)"
+  | Some `Clean, Checker.Clean -> Ok ()
+  | Some `Clean, v ->
+    Error (Format.asprintf "expected clean, found %a" Checker.pp_verdict v)
+  | Some `Violation, Checker.Violation _ -> (
+    match artifact with
+    | Some cex ->
+      Result.map_error
+        (fun e -> "violation artifact failed to replay: " ^ e)
+        (Result.map ignore (Checker.replay cex))
+    | None -> Error "violation found but no artifact was produced")
+  | Some `Violation, Checker.Clean ->
+    Error (Printf.sprintf "expected a violation, %s came back clean" tag)
 
 (* Run one search (plus the optional no-reduction cross-check); returns
    [Ok ()] or a CI-facing error. *)
@@ -159,23 +184,13 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
          ]
        | None -> []));
   let verdict_errors =
-    match (expect, result.outcome.verdict) with
-    | None, _ -> []
-    | Some `Clean, Checker.Clean when result.outcome.exhaustive -> []
-    | Some `Clean, Checker.Clean ->
-      [ "expected an exhaustive clean verdict, but a budget truncated the \
-         search (raise --max-states/--depth)" ]
-    | Some `Clean, v ->
-      [ Format.asprintf "expected clean, found %a" Checker.pp_verdict v ]
-    | Some `Violation, Checker.Violation _ -> (
-      match artifact with
-      | Some (_, cex) -> (
-        match Checker.replay cex with
-        | Ok _ -> []
-        | Error e -> [ "violation artifact failed to replay: " ^ e ])
-      | None -> [ "violation found but no artifact was produced" ])
-    | Some `Violation, Checker.Clean ->
-      [ "expected a violation, search came back clean" ]
+    match
+      expect_verdict ~expect ~tag:"search"
+        ~truncated:(not result.outcome.exhaustive)
+        ~artifact:(Option.map snd artifact) result.outcome.verdict
+    with
+    | Ok () -> []
+    | Error e -> [ e ]
   in
   let sequential_errors =
     match sequential with
@@ -245,46 +260,36 @@ let guide ~expect ~out path =
            match artifact with
            | Some (p, _) -> [ ("artifact", Obs.Json.Str p) ]
            | None -> []));
-      match (expect, result.outcome.verdict) with
-      | None, _ -> Ok ()
-      | Some `Clean, Checker.Clean -> Ok ()
-      | Some `Clean, v ->
-        Error (Format.asprintf "expected clean, found %a" Checker.pp_verdict v)
-      | Some `Violation, Checker.Violation _ -> (
-        match artifact with
-        | Some (_, cex) -> (
-          match Checker.replay cex with
-          | Ok _ -> Ok ()
-          | Error e -> Error ("violation artifact failed to replay: " ^ e))
-        | None -> Error "violation found but no artifact was produced")
-      | Some `Violation, Checker.Clean ->
-        Error "expected a violation, guided run came back clean")
+      expect_verdict ~expect ~tag:"guided run" ~truncated:false
+        ~artifact:(Option.map snd artifact) result.outcome.verdict)
 
-(* Replay a counterexample artifact; Ok when it reproduces bit-for-bit. *)
-let replay path =
-  match Common.read_artifact path Checker.cex_of_json with
-  | Error _ as e -> e
-  | Ok cex -> (
-      Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
-        Checker.pp_verdict cex.Checker.verdict
-        (List.length cex.Checker.trace)
-        cex.Checker.digest;
-      let outcome = Checker.replay cex in
-      Common.add_extra "mc_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ( "recorded",
-               Obs.Json.Str (Checker.verdict_kind cex.Checker.verdict) );
-             ( "replayed",
-               Obs.Json.Str
-                 (match outcome with
-                 | Ok v -> Checker.verdict_kind v
-                 | Error _ -> "error") );
-           ]);
-      (match outcome with
-      | Ok v ->
-        Format.printf "replayed verdict: %a@." Checker.pp_verdict v;
-        Printf.printf "replay reproduced the artifact bit-for-bit\n";
-        Ok ()
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)))
+(* Replay a counterexample artifact; Ok when it reproduces bit-for-bit
+   and its verdict meets [expect]. *)
+let replay ~expect path =
+  let* cex, replayed =
+    Common.replay_artifact ~key:"mc_replay" ~decode:Checker.cex_of_json
+      ~replay:(fun ?on_scenario:_ cex -> (cex, Checker.replay cex))
+      ~what:"the artifact bit-for-bit"
+      ~show:(fun cex (_, replayed) ->
+        Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
+          Checker.pp_verdict cex.Checker.verdict
+          (List.length cex.Checker.trace)
+          cex.Checker.digest;
+        match replayed with
+        | Ok v -> Format.printf "replayed verdict: %a@." Checker.pp_verdict v
+        | Error e -> Printf.printf "replay failed: %s\n" e)
+      ~same:(fun _ (_, replayed) -> Result.is_ok replayed)
+      ~extra:(fun cex (_, replayed) ~same:_ ->
+        [
+          ("recorded", Obs.Json.Str (Checker.verdict_kind cex.Checker.verdict));
+          ( "replayed",
+            Obs.Json.Str
+              (match replayed with
+              | Ok v -> Checker.verdict_kind v
+              | Error _ -> "error") );
+        ])
+      path
+  in
+  let* verdict = replayed in
+  expect_verdict ~expect ~tag:"replay" ~truncated:false ~artifact:(Some cex)
+    verdict

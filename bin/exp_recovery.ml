@@ -2,7 +2,7 @@
    stabilization-time oracle.
 
      dune exec bin/experiments.exe -- recovery
-     dune exec bin/experiments.exe -- recovery --n 9 --bursts 3 --out results/recovery
+     dune exec bin/experiments.exe -- recovery -n 9 --bursts 3 --out results/recovery
      dune exec bin/experiments.exe -- recovery --replay examples/recovery/....json
 *)
 
@@ -50,22 +50,15 @@ let report_json ~n (r : Recovery.report) path =
       ("artifact", Obs.Json.Str path);
     ]
 
-(* Run the convergence sweep; returns the ns that failed to converge (or
-   got stuck), for the caller's exit-status logic. *)
+(* Run the convergence sweep; returns each size's report, labelled, for
+   the caller's expectation logic. *)
 let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
   Printf.printf
     "recovery sweep: n=[%s] bursts=%d crashed=%d down_for=%d retry=%b \
      seed=%d\n\n"
     (String.concat "; " (List.map string_of_int ns))
     bursts crashed down_for retry seed;
-  let first = ref true in
-  let on_scenario scn =
-    if !first then begin
-      first := false;
-      Common.attach_trace_sink (Harness.Scenario.hub scn);
-      Common.observe_scn scn
-    end
-  in
+  let on_scenario = Common.on_first_scenario () in
   let results =
     List.map
       (fun n ->
@@ -100,36 +93,18 @@ let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
              (List.map (fun (n, r, path) -> report_json ~n r path) results)
          );
        ]);
-  List.filter_map
-    (fun (n, r, _) ->
-      if r.Recovery.converged && r.Recovery.stuck = [] then None else Some n)
-    results
+  List.map (fun (n, r, _) -> (Printf.sprintf "n=%d" n, r)) results
 
-(* Replay a committed stabreg/recovery/v1 artifact; Ok only when the
-   re-execution reproduces the recorded report bit-for-bit. *)
+(* Replay a committed stabreg/recovery/v1 artifact; [Ok replayed] only
+   when the re-execution reproduces the recorded report bit-for-bit. *)
 let replay path =
-  match Common.read_artifact path Recovery.of_json with
-  | Error _ as e -> e
-  | Ok recorded -> (
-      let on_scenario scn =
-        Common.attach_trace_sink (Harness.Scenario.hub scn);
-        Common.observe_scn scn
-      in
-      let replayed = Recovery.replay ~on_scenario recorded in
-      Printf.printf "recorded:\n";
-      print_report recorded;
-      Printf.printf "replayed:\n";
-      print_report replayed;
-      let same = Recovery.matches recorded replayed in
-      Common.add_extra "recovery_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ("identical", Obs.Json.Bool same);
-             ("converged", Obs.Json.Bool replayed.Recovery.converged);
-           ]);
-      if same then begin
-        Printf.printf "replay reproduced the recorded report bit-for-bit\n";
-        Ok ()
-      end
-      else Error "replay did NOT reproduce the recorded report")
+  Common.replay_artifact ~key:"recovery_replay" ~decode:Recovery.of_json
+    ~replay:Recovery.replay ~what:"the recorded report bit-for-bit"
+    ~show:(Common.show_sides print_report)
+    ~same:Recovery.matches
+    ~extra:(fun _ replayed ~same ->
+      [
+        ("identical", Obs.Json.Bool same);
+        ("converged", Obs.Json.Bool replayed.Recovery.converged);
+      ])
+    path

@@ -45,17 +45,8 @@ let report_extra ~shards ~ops_per_sec (r : Shard.Tier.report) path =
       ("artifact", Obs.Json.Str path);
     ]
 
-let on_first_scenario () =
-  let first = ref true in
-  fun scn ->
-    if !first then begin
-      first := false;
-      Common.attach_trace_sink (Harness.Scenario.hub scn);
-      Common.observe_scn scn
-    end
-
-(* Sweep the shard counts; returns (S, report, wall-clock ops/sec) per
-   size for the caller's expectation logic. *)
+(* Sweep the shard counts; returns each size's report, labelled, for the
+   caller's expectation logic. *)
 let run ~shards_list ~base_cfg ~domains ~seed ~out () =
   let wl = base_cfg.Shard.Tier.workload in
   Printf.printf
@@ -65,7 +56,7 @@ let run ~shards_list ~base_cfg ~domains ~seed ~out () =
     wl.Workload.Openloop.keys wl.Workload.Openloop.clients
     wl.Workload.Openloop.ops wl.Workload.Openloop.theta
     wl.Workload.Openloop.write_ratio domains seed;
-  let on_scenario = on_first_scenario () in
+  let on_scenario = Common.on_first_scenario () in
   let results =
     List.map
       (fun shards ->
@@ -96,16 +87,16 @@ let run ~shards_list ~base_cfg ~domains ~seed ~out () =
                   report_extra ~shards ~ops_per_sec r path)
                 results) );
        ]);
-  List.map (fun (shards, r, ops_per_sec, _) -> (shards, r, ops_per_sec)) results
+  List.map (fun (shards, r, _, _) -> (Printf.sprintf "S=%d" shards, r)) results
 
-(* Single-shard fault campaign; returns the breached trials. *)
+(* Single-shard fault campaign; returns each trial's report, labelled. *)
 let chaos ~target ~trials ~base_cfg ~domains ~seed ~out () =
   let cfg = { Chaos.Shard_campaign.default_config with tier = base_cfg; target } in
   Printf.printf
     "shard chaos campaign: target=%d trials=%d (2 corruptions + 1 \
      crash-recovery per trial) seed=%d\n\n"
     target trials seed;
-  let on_scenario = on_first_scenario () in
+  let on_scenario = Common.on_first_scenario () in
   let result =
     Chaos.Shard_campaign.run ~on_scenario ~domains cfg ~seed ~trials
   in
@@ -129,33 +120,22 @@ let chaos ~target ~trials ~base_cfg ~domains ~seed ~out () =
          ("trials", Obs.Json.Int trials);
          ("breaches", Obs.Json.Int (List.length breaches));
        ]);
-  breaches
+  List.map
+    (fun (t : Chaos.Shard_campaign.trial) ->
+      (Printf.sprintf "trial %d" t.index, t.report))
+    result.Chaos.Shard_campaign.trials
 
-(* Replay a committed stabreg/shard-report/v1 artifact; Ok only when the
-   re-execution reproduces the recorded report bit-for-bit. *)
+(* Replay a committed stabreg/shard-report/v1 artifact; [Ok replayed]
+   only when the re-execution reproduces the recorded report
+   bit-for-bit. *)
 let replay ~domains path =
-  match Common.read_artifact path Shard.Tier.of_json with
-  | Error _ as e -> e
-  | Ok recorded -> (
-      let on_scenario scn =
-        Common.attach_trace_sink (Harness.Scenario.hub scn);
-        Common.observe_scn scn
-      in
-      let replayed = Shard.Tier.replay ~on_scenario ~domains recorded in
-      Printf.printf "recorded:\n";
-      print_report recorded;
-      Printf.printf "replayed:\n";
-      print_report replayed;
-      let same = Shard.Tier.matches recorded replayed in
-      Common.add_extra "shard_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ("identical", Obs.Json.Bool same);
-             ("isolated", Obs.Json.Bool replayed.Shard.Tier.isolated);
-           ]);
-      if same then begin
-        Printf.printf "replay reproduced the recorded report bit-for-bit\n";
-        Ok replayed
-      end
-      else Error "replay did NOT reproduce the recorded report")
+  Common.replay_artifact ~key:"shard_replay" ~decode:Shard.Tier.of_json
+    ~replay:(Shard.Tier.replay ~domains) ~what:"the recorded report bit-for-bit"
+    ~show:(Common.show_sides print_report)
+    ~same:Shard.Tier.matches
+    ~extra:(fun _ replayed ~same ->
+      [
+        ("identical", Obs.Json.Bool same);
+        ("isolated", Obs.Json.Bool replayed.Shard.Tier.isolated);
+      ])
+    path

@@ -3,8 +3,8 @@
      dune exec bin/lint.exe                        # scan lib/ and bin/
      dune exec bin/lint.exe -- --json lint-report.json
      dune exec bin/lint.exe -- --update-baseline
-     dune exec bin/lint.exe -- validate lint-report.json
 
+   [experiments validate] schema-checks the artifacts it writes.
    Exit status 0 means no findings outside the committed baseline;
    1 means new findings (printed one per line); 2 means usage error. *)
 
@@ -181,42 +181,6 @@ let run_cmd =
         (const run $ root_arg $ paths_arg $ json_arg $ domains_json_arg
        $ baseline_arg $ no_baseline_arg $ update_baseline_arg))
 
-(* --- validate -------------------------------------------------------- *)
-
-let validate_cmd =
-  let validate files =
-    let problems =
-      List.filter_map
-        (fun path ->
-          match Obs.Json.parse (read_file path) with
-          | Error e -> Some (Printf.sprintf "%s: parse error: %s" path e)
-          | Ok j -> (
-            match Lint.Report.validate_any j with
-            | Ok () -> None
-            | Error e -> Some (Printf.sprintf "%s: %s" path e)))
-        files
-    in
-    match problems with
-    | [] ->
-      Printf.printf "%d artifact(s) valid (%s | %s | %s)\n"
-        (List.length files) Lint.Report.schema_version
-        Lint.Report.baseline_schema_version
-        Lint.Report.domains_schema_version;
-      `Ok ()
-    | _ :: _ -> `Error (false, String.concat "\n" problems)
-  in
-  let files_arg =
-    let doc = "Lint report, baseline or domains-inventory files to \
-               schema-check." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Validate lint-report/baseline files against their versioned \
-          schemas.")
-    Term.(ret (const validate $ files_arg))
-
 let () =
   let doc = "stablint: determinism/totality static analysis for stabreg" in
   let default =
@@ -229,4 +193,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default
           (Cmd.info "lint" ~doc ~version:"%%VERSION%%")
-          [ run_cmd; validate_cmd ]))
+          [ run_cmd ]))

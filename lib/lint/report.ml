@@ -312,14 +312,3 @@ let validate_domains j =
       j
   in
   Ok ()
-
-let validate_any j =
-  let open Json in
-  let* schema = str_field "artifact" "schema" j in
-  if String.equal schema schema_version then validate j
-  else if String.equal schema baseline_schema_version then validate_baseline j
-  else if String.equal schema domains_schema_version then validate_domains j
-  else
-    Error
-      (Printf.sprintf "unknown schema %S (expected %S, %S or %S)" schema
-         schema_version baseline_schema_version domains_schema_version)

@@ -71,7 +71,3 @@ val render_domains :
 
 val validate_domains : Obs.Json.t -> (unit, string) result
 (** Structural schema check of a lint-domains inventory. *)
-
-val validate_any : Obs.Json.t -> (unit, string) result
-(** Dispatch on the [schema] member: accepts lint reports, lint
-    baselines and lint-domains inventories. *)

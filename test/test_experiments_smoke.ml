@@ -7,24 +7,6 @@
 
 open Util
 
-let drivers =
-  [
-    ("E1", Exp_drivers.Exp_e1.run);
-    ("E2", Exp_drivers.Exp_e2.run);
-    ("E3", Exp_drivers.Exp_e3.run);
-    ("E4", Exp_drivers.Exp_e4.run);
-    ("E5", Exp_drivers.Exp_e5.run);
-    ("E6", Exp_drivers.Exp_e6.run);
-    ("E7", Exp_drivers.Exp_e7.run);
-    ("E8", Exp_drivers.Exp_e8.run);
-    ("E9", Exp_drivers.Exp_e9.run);
-    ("E10", Exp_drivers.Exp_e10.run);
-    ("E11", Exp_drivers.Exp_e11.run);
-    ("E12", Exp_drivers.Exp_e12.run);
-    ("E13", Exp_drivers.Exp_e13.run);
-    ("E14", Exp_drivers.Exp_e14.run);
-  ]
-
 let smoke id run () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "stabreg-smoke"
@@ -65,4 +47,6 @@ let smoke id run () =
     (nonempty_obj "messages" || nonempty_obj "counters")
 
 let tests =
-  List.map (fun (id, run) -> case (Printf.sprintf "%s runs" id) (smoke id run)) drivers
+  List.map
+    (fun (id, _, run) -> case (Printf.sprintf "%s runs" id) (smoke id run))
+    Exp_drivers.Cli.experiments

@@ -168,9 +168,10 @@ let test_report_roundtrip_and_schema () =
     (match Lint.Report.validate j with
      | Ok () -> ()
      | Error e -> Alcotest.failf "report does not validate: %s" e);
-    match Lint.Report.validate_any j with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "validate_any rejects a report: %s" e)
+    match Exp_drivers.Artifacts.validate rendered with
+    | Ok schema ->
+      Alcotest.(check string) "validated as" Lint.Report.schema_version schema
+    | Error e -> Alcotest.failf "experiments validate rejects a report: %s" e)
 
 let test_report_deterministic () =
   let a = Lint.Report.render (report_of_scan (tree_scan ())) in
@@ -180,7 +181,7 @@ let test_report_deterministic () =
 let test_validate_rejects_junk () =
   let bad = Obs.Json.Obj [ ("schema", Obs.Json.Str "stabreg/other/v1") ] in
   check_true "wrong schema rejected"
-    (Result.is_error (Lint.Report.validate_any bad));
+    (Result.is_error (Exp_drivers.Artifacts.validate (Obs.Json.to_string bad)));
   check_true "missing fields rejected"
     (Result.is_error
        (Lint.Report.validate

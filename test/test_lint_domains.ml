@@ -166,9 +166,12 @@ let test_inventory_deterministic_and_valid () =
     (match Lint.Report.validate_domains j with
      | Ok () -> ()
      | Error e -> Alcotest.failf "inventory does not validate: %s" e);
-    match Lint.Report.validate_any j with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "validate_any rejects an inventory: %s" e)
+    match Exp_drivers.Artifacts.validate a with
+    | Ok schema ->
+      Alcotest.(check string)
+        "validated as" Lint.Report.domains_schema_version schema
+    | Error e ->
+      Alcotest.failf "experiments validate rejects an inventory: %s" e)
 
 let test_validate_domains_rejects_junk () =
   check_true "wrong schema rejected"

@@ -7,6 +7,7 @@
 *)
 
 open Cmdliner
+module Stab = Oracles.Stabilization
 
 let ( let* ) = Result.bind
 
@@ -276,7 +277,7 @@ let chaos_cmd =
                $(b,mwmr)." in
     Arg.(
       value
-      & opt (result_conv Campaign.family_of_string Campaign.family_to_string)
+      & opt (result_conv Stab.family_of_string Stab.family_to_string)
           Campaign.Regular
       & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
@@ -364,9 +365,9 @@ let chaos_cmd =
               ~dirty:
                 (match o.Campaign.verdict with
                 | Campaign.Clean -> None
-                | v -> Some (Format.asprintf "%a" Campaign.pp_verdict v)) )
+                | v -> Some (Format.asprintf "%a" Stab.pp_verdict v)) )
       | None ->
-        ( "CHAOS-" ^ Campaign.family_to_string family,
+        ( "CHAOS-" ^ Stab.family_to_string family,
           fun () ->
             let violations =
               Exp_chaos.run ~family ~medium ~byz ~strategy ~seed:c.seed
@@ -469,7 +470,7 @@ let mc_cmd =
     in
     Arg.(
       value
-      & opt (result_conv Config.family_of_string Config.family_to_string)
+      & opt (result_conv Stab.family_of_string Stab.family_to_string)
           Config.Regular
       & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
@@ -666,7 +667,7 @@ let mc_cmd =
       match Config.validate cfg with
       | Error e -> `Error (false, e)
       | Ok () ->
-        session ?profile c ~exp:("MC-" ^ Config.family_to_string family)
+        session ?profile c ~exp:("MC-" ^ Stab.family_to_string family)
           (fun () ->
             Exp_mc.run ~cfg
               ~budgets:{ Checker.max_states; max_depth = depth }

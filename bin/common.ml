@@ -202,11 +202,6 @@ let value_str = function
   | Some v -> Value.to_string v
   | None -> "-"
 
-let first_write_resp scn =
-  match Oracles.History.writes scn.Harness.Scenario.history with
-  | w :: _ -> Some w.Oracles.History.resp
-  | [] -> None
-
 let bool_str b = if b then "yes" else "no"
 
 (* A standard concurrent writer/reader pair over a SWSR atomic register. *)

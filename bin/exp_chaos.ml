@@ -8,11 +8,12 @@
 *)
 
 open Chaos
+module Stab = Oracles.Stabilization
 
 let artifact_path ~out ~family ~index ~trial_seed =
   Filename.concat out
     (Printf.sprintf "%s-trial%d-seed%d.json"
-       (Campaign.family_to_string family)
+       (Stab.family_to_string family)
        index trial_seed)
 
 (* Run one campaign; returns the violating trials' artifact paths. *)
@@ -29,7 +30,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
   Printf.printf
     "chaos campaign: family=%s medium=%s n=%d t=%d initial=[%s] trials=%d \
      seed=%d domains=%d\n\n"
-    (Campaign.family_to_string family)
+    (Stab.family_to_string family)
     (match medium with Campaign.Fifo -> "fifo" | Campaign.Lossy -> "lossy")
     cfg.Campaign.n cfg.Campaign.f
     (String.concat "; "
@@ -67,7 +68,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
           Printf.printf
             "trial %d: %s -> shrunk to %d event(s) in %d run(s), repro: %s\n"
             t.index
-            (Campaign.verdict_kind t.outcome.Campaign.verdict)
+            (Stab.verdict_kind t.outcome.Campaign.verdict)
             (List.length repro.Campaign.schedule)
             t.shrink_runs path;
           Some path)
@@ -78,7 +79,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
   Common.add_extra "chaos"
     (Obs.Json.Obj
        [
-         ("family", Obs.Json.Str (Campaign.family_to_string family));
+         ("family", Obs.Json.Str (Stab.family_to_string family));
          ("trials", Obs.Json.Int trials);
          ("domains", Obs.Json.Int domains);
          ("race_check", Obs.Json.Bool race_check);
@@ -88,7 +89,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
            Obs.Json.List
              (List.map
                 (fun (t : Campaign.trial) ->
-                  Obs.Json.Str (Campaign.verdict_kind t.outcome.Campaign.verdict))
+                  Obs.Json.Str (Stab.verdict_kind t.outcome.Campaign.verdict))
                 result.Campaign.trials) );
          ("artifacts", Obs.Json.List (List.map (fun p -> Obs.Json.Str p) artifacts));
        ]);
@@ -100,19 +101,19 @@ let replay path =
   Common.replay_artifact ~key:"chaos_replay" ~decode:Campaign.repro_of_json
     ~replay:Campaign.replay ~what:"the recorded verdict"
     ~show:(fun repro outcome ->
-      Format.printf "recorded verdict: %a@." Campaign.pp_verdict
+      Format.printf "recorded verdict: %a@." Stab.pp_verdict
         repro.Campaign.verdict;
-      Format.printf "replayed verdict: %a@." Campaign.pp_verdict
+      Format.printf "replayed verdict: %a@." Stab.pp_verdict
         outcome.Campaign.verdict;
       Printf.printf "schedule: %d event(s), %d ops, %d ticks\n"
         (List.length repro.Campaign.schedule)
         outcome.Campaign.ops outcome.Campaign.duration)
     ~same:(fun repro outcome ->
-      Campaign.verdict_equal repro.Campaign.verdict outcome.Campaign.verdict)
+      Stab.verdict_equal repro.Campaign.verdict outcome.Campaign.verdict)
     ~extra:(fun repro outcome ~same:_ ->
       [
-        ("recorded", Obs.Json.Str (Campaign.verdict_kind repro.Campaign.verdict));
+        ("recorded", Obs.Json.Str (Stab.verdict_kind repro.Campaign.verdict));
         ( "replayed",
-          Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
+          Obs.Json.Str (Stab.verdict_kind outcome.Campaign.verdict) );
       ])
     path

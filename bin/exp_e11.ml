@@ -36,15 +36,14 @@ let run_one ~seed ~loss =
           done );
     ];
   Common.observe_scn scn;
+  let h = scn.Harness.Scenario.history in
   let cutoff =
-    match Common.first_write_resp scn with
-    | Some t -> t
-    | None -> Sim.Vtime.zero
+    Option.value ~default:Sim.Vtime.zero
+      (Oracles.Stabilization.cutoff_from h ~lo:0)
   in
-  let report = Oracles.Atomicity.Sw.check ~cutoff scn.Harness.Scenario.history in
+  let report = Oracles.Atomicity.Sw.check ~cutoff h in
   let lat =
-    Harness.Metrics.latencies ~kind:Oracles.History.Read
-      scn.Harness.Scenario.history
+    Harness.Metrics.latencies ~kind:Oracles.History.Read h
   in
   let pkts =
     Sim.Trace.counter (Sim.Engine.trace scn.Harness.Scenario.engine) "net.pkts"

@@ -68,7 +68,8 @@ let random_workload ~seed kind =
     ];
   Common.observe_scn scn;
   let cutoff =
-    match Common.first_write_resp scn with Some t -> t | None -> Sim.Vtime.zero
+    Option.value ~default:Sim.Vtime.zero
+      (Oracles.Stabilization.cutoff_from h ~lo:0)
   in
   let report = Oracles.Atomicity.Sw.check ~cutoff h in
   ( List.length report.Oracles.Atomicity.Sw.inversions,

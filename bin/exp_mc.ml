@@ -8,6 +8,7 @@
 *)
 
 open Mc
+module Stab = Oracles.Stabilization
 
 let ( let* ) = Result.bind
 
@@ -38,7 +39,7 @@ let pp_stats (s : Checker.stats) =
     (if s.truncated then " TRUNCATED" else "")
 
 let describe_outcome tag (o : Checker.outcome) =
-  Format.printf "%s: %a — %s@." tag Checker.pp_verdict o.verdict
+  Format.printf "%s: %a — %s@." tag Stab.pp_verdict o.verdict
     (if o.exhaustive then "exhaustive (every reachable state checked)"
      else "bounded (budget truncated the search)");
   pp_stats o.stats
@@ -46,8 +47,8 @@ let describe_outcome tag (o : Checker.outcome) =
 let artifact_path ~out (cfg : Config.t) v =
   Filename.concat out
     (Printf.sprintf "mc-%s-%s.json"
-       (Config.family_to_string cfg.family)
-       (Checker.verdict_kind v))
+       (Stab.family_to_string cfg.family)
+       (Stab.verdict_kind v))
 
 let emit_cex ~out cfg (result : Checker.run) =
   match result.cex with
@@ -75,7 +76,7 @@ let expect_verdict ~expect ~tag ~truncated ~artifact verdict =
        search (raise --max-states/--depth)"
   | Some `Clean, Checker.Clean -> Ok ()
   | Some `Clean, v ->
-    Error (Format.asprintf "expected clean, found %a" Checker.pp_verdict v)
+    Error (Format.asprintf "expected clean, found %a" Stab.pp_verdict v)
   | Some `Violation, Checker.Violation _ -> (
     match artifact with
     | Some cex ->
@@ -93,7 +94,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
   Printf.printf
     "mc: family=%s n=%d t=%d byz=%d writes=%d reads=%d menu=%d oracle=%s \
      reduction=%s max_states=%d max_depth=%d domains=%d%s%s\n\n"
-    (Config.family_to_string cfg.Config.family)
+    (Stab.family_to_string cfg.Config.family)
     cfg.Config.n cfg.Config.f
     (List.length cfg.Config.byz)
     cfg.Config.writes cfg.Config.reads
@@ -159,7 +160,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
             | None -> Obs.Json.Null
             | Some t -> Obs.Json.Str t );
           ( "verdict",
-            Obs.Json.Str (Checker.verdict_kind result.outcome.verdict) );
+            Obs.Json.Str (Stab.verdict_kind result.outcome.verdict) );
           ("exhaustive", Obs.Json.Bool result.outcome.exhaustive);
           ("stats", stats_to_json result.outcome.stats);
           ("seconds", Obs.Json.Float dt);
@@ -177,7 +178,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
            ( "cross_check",
              Obs.Json.Obj
                [
-                 ("verdict", Obs.Json.Str (Checker.verdict_kind o.verdict));
+                 ("verdict", Obs.Json.Str (Stab.verdict_kind o.verdict));
                  ("exhaustive", Obs.Json.Bool o.exhaustive);
                  ("stats", stats_to_json o.stats);
                ] );
@@ -203,7 +204,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
           List.length a = List.length b && List.for_all2 Sys.move_equal a b
         | _ -> false
       in
-      if Checker.verdict_equal result.outcome.verdict o.Checker.verdict
+      if Stab.verdict_equal result.outcome.verdict o.Checker.verdict
          && traces_equal
       then []
       else
@@ -211,7 +212,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
           Format.asprintf
             "sequential-check disagrees: parallel search found %a, \
              sequential found %a%s"
-            Checker.pp_verdict result.outcome.verdict Checker.pp_verdict
+            Stab.pp_verdict result.outcome.verdict Stab.pp_verdict
             o.Checker.verdict
             (if traces_equal then "" else " (traces differ)");
         ]
@@ -220,13 +221,13 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     match cross with
     | None -> []
     | Some o ->
-      if Checker.same_verdict o.verdict result.outcome.verdict then []
+      if Stab.same_kind o.verdict result.outcome.verdict then []
       else
         [
           Format.asprintf
             "cross-check disagrees: reduced search found %a, unreduced \
              found %a"
-            Checker.pp_verdict result.outcome.verdict Checker.pp_verdict
+            Stab.pp_verdict result.outcome.verdict Stab.pp_verdict
             o.verdict;
         ]
   in
@@ -253,7 +254,7 @@ let guide ~expect ~out path =
               ("schedule", Obs.Json.Str path);
               ("config", Config.to_json cfg);
               ( "verdict",
-                Obs.Json.Str (Checker.verdict_kind result.outcome.verdict)
+                Obs.Json.Str (Stab.verdict_kind result.outcome.verdict)
               );
             ]
            @
@@ -272,20 +273,20 @@ let replay ~expect path =
       ~what:"the artifact bit-for-bit"
       ~show:(fun cex (_, replayed) ->
         Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
-          Checker.pp_verdict cex.Checker.verdict
+          Stab.pp_verdict cex.Checker.verdict
           (List.length cex.Checker.trace)
           cex.Checker.digest;
         match replayed with
-        | Ok v -> Format.printf "replayed verdict: %a@." Checker.pp_verdict v
+        | Ok v -> Format.printf "replayed verdict: %a@." Stab.pp_verdict v
         | Error e -> Printf.printf "replay failed: %s\n" e)
       ~same:(fun _ (_, replayed) -> Result.is_ok replayed)
       ~extra:(fun cex (_, replayed) ~same:_ ->
         [
-          ("recorded", Obs.Json.Str (Checker.verdict_kind cex.Checker.verdict));
+          ("recorded", Obs.Json.Str (Stab.verdict_kind cex.Checker.verdict));
           ( "replayed",
             Obs.Json.Str
               (match replayed with
-              | Ok v -> Checker.verdict_kind v
+              | Ok v -> Stab.verdict_kind v
               | Error _ -> "error") );
         ])
       path

@@ -1,15 +1,6 @@
-type family = Regular | Atomic | Mwmr
+module Stab = Oracles.Stabilization
 
-let family_to_string = function
-  | Regular -> "regular"
-  | Atomic -> "atomic"
-  | Mwmr -> "mwmr"
-
-let family_of_string = function
-  | "regular" -> Ok Regular
-  | "atomic" -> Ok Atomic
-  | "mwmr" -> Ok Mwmr
-  | s -> Error (Printf.sprintf "unknown register family %S" s)
+type family = Stab.family = Regular | Atomic | Mwmr
 
 type medium = Fifo | Lossy
 
@@ -65,28 +56,13 @@ let default_config ~family =
     crash_down = 250;
   }
 
-type verdict =
+type verdict = Stab.verdict =
   | Clean
   | Violation of { kind : string; count : int; detail : string }
 
-let verdict_kind = function
-  | Clean -> "clean"
-  | Violation { kind; _ } -> kind
+let verdict_kind = Stab.verdict_kind
 
-let same_verdict a b = String.equal (verdict_kind a) (verdict_kind b)
-
-let verdict_equal a b =
-  match (a, b) with
-  | Clean, Clean -> true
-  | Violation a, Violation b ->
-    String.equal a.kind b.kind && Int.equal a.count b.count
-    && String.equal a.detail b.detail
-  | Clean, Violation _ | Violation _, Clean -> false
-
-let pp_verdict fmt = function
-  | Clean -> Format.pp_print_string fmt "clean"
-  | Violation { kind; count; detail } ->
-    Format.fprintf fmt "%s x%d (%s)" kind count detail
+let pp_verdict = Stab.pp_verdict
 
 type outcome = {
   verdict : verdict;
@@ -281,124 +257,10 @@ let deploy_jobs cfg scn =
 (* ------------------------------------------------------------------ *)
 (* Segment checking                                                   *)
 
-(* The oracle cannot expect anything across a disturbance: the register
-   condition is only guaranteed from the first write completed after
-   faults stop (eventual regularity).  So time is cut at every
-   disturbance point, and each segment is checked independently with a
-   cutoff at the first write invoked inside it.  Under the Lossy medium
-   the transports themselves need a beat to re-stabilize after
-   corruption, so segments start a grace period after the disturbance. *)
-
+(* Under the Lossy medium the transports themselves need a beat to
+   re-stabilize after corruption, so each segment starts a grace period
+   after its disturbance (see Oracles.Stabilization for the rest). *)
 let grace = function Fifo -> 0 | Lossy -> 100
-
-let sub_history h ~lo ~hi =
-  let sub = Oracles.History.create () in
-  List.iter
-    (fun (o : Oracles.History.op) ->
-      let keep =
-        match o.kind with
-        | Oracles.History.Write -> true
-        | Oracles.History.Read ->
-          Sim.Vtime.to_int o.inv >= lo && Sim.Vtime.to_int o.resp < hi
-      in
-      if keep then
-        Oracles.History.record sub ~proc:o.proc ~kind:o.kind ~inv:o.inv
-          ~resp:o.resp ?ts:o.ts ~ok:o.ok o.value)
-    (Oracles.History.ops h);
-  sub
-
-(* First write invoked at or after [lo]: its response is the segment's
-   stabilization cutoff.  [None] when no write lands in the segment —
-   then nothing re-established the register and the segment is vacuous. *)
-let cutoff_from h ~lo =
-  Oracles.History.writes h
-  |> List.find_opt (fun (o : Oracles.History.op) ->
-         Sim.Vtime.to_int o.inv >= lo)
-  |> Option.map (fun (o : Oracles.History.op) -> o.Oracles.History.resp)
-
-let describe_read (o : Oracles.History.op) =
-  Format.asprintf "%a" Oracles.History.pp_op o
-
-let regularity_issues (r : Oracles.Regularity.report) =
-  List.map
-    (fun (v : Oracles.Regularity.violation) ->
-      ("regularity", describe_read v.read))
-    r.violations
-  @
-  if r.liveness_failures > 0 then
-    [ ("liveness", Printf.sprintf "%d reads exhausted their budget"
-                     r.liveness_failures) ]
-  else []
-
-let segment_issues cfg h schedule =
-  let points =
-    Schedule.disturbance_points schedule
-    |> List.map (fun p -> p + grace cfg.medium)
-  in
-  let bounds = 0 :: points in
-  let rec segments = function
-    | [] -> []
-    | [ lo ] -> [ (lo, max_int) ]
-    | lo :: (hi :: _ as rest) -> (lo, hi) :: segments rest
-  in
-  segments bounds
-  |> List.concat_map (fun (lo, hi) ->
-         let sub = sub_history h ~lo ~hi in
-         match cutoff_from sub ~lo with
-         | None -> []
-         | Some cutoff -> (
-           match cfg.family with
-           | Regular ->
-             regularity_issues (Oracles.Regularity.check ~cutoff sub)
-           | Atomic ->
-             let r = Oracles.Atomicity.Sw.check ~cutoff sub in
-             regularity_issues r.regularity
-             @ List.map
-                 (fun (i : Oracles.Atomicity.inversion) ->
-                   ("inversion", describe_read i.later_read))
-                 r.inversions
-             @ List.map (fun m -> ("regularity", m)) r.malformed
-           | Mwmr -> []))
-
-(* MWMR timestamps are global (bounded epochs + sequence numbers), so a
-   per-segment check would mis-flag legitimate cross-segment evolution;
-   the checker instead runs once over the suffix after the last
-   disturbance. *)
-let mwmr_issues cfg h schedule =
-  match cfg.family with
-  | Regular | Atomic -> []
-  | Mwmr ->
-    let lo =
-      match List.rev (Schedule.disturbance_points schedule) with
-      | [] -> 0
-      | p :: _ -> p + grace cfg.medium
-    in
-    (match cutoff_from h ~lo with
-    | None -> []
-    | Some cutoff ->
-      let r =
-        Oracles.Atomicity.Mw.check ~cutoff ~tie:`Min_index h
-      in
-      List.map
-        (fun (v : Oracles.Atomicity.Mw.violation) ->
-          ("mw", v.kind ^ ": " ^ v.detail))
-        r.violations)
-
-let verdict_of_issues issues =
-  match issues with
-  | [] -> Clean
-  | _ ->
-    let severity = function "liveness" -> 1 | _ -> 0 in
-    let kind, detail =
-      List.stable_sort
-        (fun (a, _) (b, _) -> Int.compare (severity a) (severity b))
-        issues
-      |> List.hd (* lint: allow R4 -- issues is non-empty in this branch *)
-    in
-    let count =
-      List.length (List.filter (fun (k, _) -> String.equal k kind) issues)
-    in
-    Violation { kind; count; detail }
 
 let medium_of cfg =
   match cfg.medium with
@@ -439,17 +301,12 @@ let run_trial ?on_scenario cfg ~seed schedule =
       handles
   in
   let h = scn.Harness.Scenario.history in
+  let points =
+    Schedule.disturbance_points schedule
+    |> List.map (fun p -> p + grace cfg.medium)
+  in
   let verdict =
-    if stuck <> [] then
-      Violation
-        {
-          kind = "stuck";
-          count = List.length stuck;
-          detail =
-            "fibers never finished: " ^ String.concat ", " stuck;
-        }
-    else
-      verdict_of_issues (segment_issues cfg h schedule @ mwmr_issues cfg h schedule)
+    Stab.check ~stuck (Stab.condition_of_family cfg.family) ~points h
   in
   {
     verdict;
@@ -477,7 +334,7 @@ let shrink ?(log = ignore) cfg ~seed schedule verdict =
   let runs = ref 0 in
   let reproduces sched =
     incr runs;
-    same_verdict (run_trial cfg ~seed sched).verdict verdict
+    Stab.same_kind (run_trial cfg ~seed sched).verdict verdict
   in
   (* Phase 1: ddmin over the event list. *)
   let rec ddmin items n =
@@ -585,7 +442,7 @@ let initial_to_json initial =
 let config_to_json c =
   Obs.Json.Obj
     [
-      ("family", Obs.Json.Str (family_to_string c.family));
+      ("family", Obs.Json.Str (Stab.family_to_string c.family));
       ("n", Obs.Json.Int c.n);
       ("f", Obs.Json.Int c.f);
       ("medium", Obs.Json.Str (medium_to_string c.medium));
@@ -604,16 +461,6 @@ let config_to_json c =
       ("crash_down", Obs.Json.Int c.crash_down);
     ]
 
-let verdict_to_json = function
-  | Clean -> Obs.Json.Obj [ ("kind", Obs.Json.Str "clean") ]
-  | Violation { kind; count; detail } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str kind);
-        ("count", Obs.Json.Int count);
-        ("detail", Obs.Json.Str detail);
-      ]
-
 let repro_to_json r =
   Obs.Json.Obj
     [
@@ -621,7 +468,7 @@ let repro_to_json r =
       ("seed", Obs.Json.Int r.seed);
       ("config", config_to_json r.config);
       ("schedule", Schedule.to_json r.schedule);
-      ("verdict", verdict_to_json r.verdict);
+      ("verdict", Stab.verdict_to_json r.verdict);
     ]
 
 let initial_of_json ctx item =
@@ -660,7 +507,7 @@ let config_of_json j =
   let open Obs.Json in
   let ctx = "config" in
   let* family = str_field ctx "family" j in
-  let* family = family_of_string family in
+  let* family = Stab.family_of_string family in
   let* n = int_field ctx "n" j in
   let* f = int_field ctx "f" j in
   let* medium = str_field ctx "medium" j in
@@ -704,15 +551,6 @@ let config_of_json j =
   let* () = check_config c in
   Ok c
 
-let verdict_of_json j =
-  let open Obs.Json in
-  let* kind = str_field "verdict" "kind" j in
-  if String.equal kind "clean" then Ok Clean
-  else
-    let* count = int_field "verdict" "count" j in
-    let* detail = str_field "verdict" "detail" j in
-    Ok (Violation { kind; count; detail })
-
 let repro_of_json j =
   let open Obs.Json in
   let* () = expect_schema "repro" repro_schema j in
@@ -723,7 +561,7 @@ let repro_of_json j =
   let* schedule = Schedule.of_json schedule in
   let* () = Schedule.check ~n:config.n schedule in
   let* verdict = field "repro" "verdict" j in
-  let* verdict = verdict_of_json verdict in
+  let* verdict = Stab.verdict_of_json verdict in
   Ok { seed; config; schedule; verdict }
 
 let replay ?on_scenario r =
@@ -744,7 +582,7 @@ type trial = {
 type result = { config : config; seed : int; trials : trial list }
 
 let violations r =
-  List.filter (fun t -> not (same_verdict t.outcome.verdict Clean)) r.trials
+  List.filter (fun t -> not (Stab.same_kind t.outcome.verdict Clean)) r.trials
 
 let trial_seed_for ~seed i = seed + (1_000_003 * i)
 
@@ -766,7 +604,7 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
   and last_recorded = ref (-1) in
   let note t =
     incr noted;
-    if not (same_verdict t.outcome.verdict Clean) then incr viol_count;
+    if not (Stab.same_kind t.outcome.verdict Clean) then incr viol_count;
     event_count := !event_count + t.events;
     shrink_count := !shrink_count + t.shrink_runs;
     match recorder with
@@ -895,7 +733,7 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
             let viols =
               List.length
                 (List.filter
-                   (fun t -> not (same_verdict t.outcome.verdict Clean))
+                   (fun t -> not (Stab.same_kind t.outcome.verdict Clean))
                    mine)
             in
             Obs.Json.Obj

@@ -14,11 +14,7 @@
     identical schedules, histories and verdicts, and a repro artifact
     re-executes to the verdict it records. *)
 
-type family = Regular | Atomic | Mwmr
-
-val family_to_string : family -> string
-
-val family_of_string : string -> (family, string) result
+type family = Oracles.Stabilization.family = Regular | Atomic | Mwmr
 
 type medium = Fifo | Lossy
 (** [Fifo] is {!Registers.Net.Reliable_fifo}; [Lossy] is the
@@ -58,20 +54,13 @@ val default_config : family:family -> config
     slot, 2 windows of up to 400 ticks (inert under [Fifo]), no crashes
     ([crashes = 0], [crash_down = 250]). *)
 
-type verdict =
+type verdict = Oracles.Stabilization.verdict =
   | Clean
   | Violation of { kind : string; count : int; detail : string }
-      (** [kind] is one of ["regularity"], ["inversion"], ["mw"],
-          ["liveness"], ["stuck"]. *)
+      (** See {!Oracles.Stabilization.verdict}. *)
 
 val verdict_kind : verdict -> string
-(** ["clean"] or the violation kind — the identity shrinking preserves. *)
-
-val same_verdict : verdict -> verdict -> bool
-(** Same {!verdict_kind}. *)
-
-val verdict_equal : verdict -> verdict -> bool
-(** Same kind, count and detail — what a replay must reproduce. *)
+(** {!Oracles.Stabilization.verdict_kind}. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -95,26 +84,17 @@ val apply_event : Harness.Scenario.t -> Schedule.event -> unit
     runs): injections and crashes through the scenario's fault plan, roams
     and windows through engine-scheduled callbacks. *)
 
-val sub_history : Oracles.History.t -> lo:int -> hi:int -> Oracles.History.t
-(** Segment slice for the oracles: reads invoked in [\[lo, hi)], all
-    writes kept (a write before the segment still determines what reads
-    inside it may return). *)
-
-val cutoff_from : Oracles.History.t -> lo:int -> Sim.Vtime.t option
-(** Response instant of the first write invoked at or after [lo] — the
-    segment's stabilization cutoff; [None] when no write lands there. *)
-
 val run_trial :
   ?on_scenario:(Harness.Scenario.t -> unit) ->
   config ->
   seed:int ->
   Schedule.t ->
   outcome
-(** Deploy, apply the schedule, run the workload to quiescence, and check
-    the family's register condition over every inter-disturbance segment
-    (cutoff at the first write completing after each disturbance, plus a
-    link-stabilization grace under [Lossy]).  [on_scenario] runs right
-    after deployment, before the engine starts — attach sinks there. *)
+(** Deploy, apply the schedule, run the workload to quiescence, and judge
+    the history with {!Oracles.Stabilization.check}, cut at the schedule's
+    disturbance points shifted by a link-stabilization grace under
+    [Lossy].  [on_scenario] runs right after deployment, before the
+    engine starts — attach sinks there. *)
 
 val shrink :
   ?log:(string -> unit) ->
@@ -123,7 +103,8 @@ val shrink :
   Schedule.t ->
   verdict ->
   Schedule.t * int
-(** Minimize a violating schedule while {!same_verdict} holds: ddmin
+(** Minimize a violating schedule while the verdict keeps its kind
+    ({!Oracles.Stabilization.same_kind}): ddmin
     (delta debugging) over the event list, then a halving pass over
     window durations, then dropping individual roam assignments.  Returns
     the minimal schedule and how many re-executions it took. *)

@@ -5,7 +5,8 @@
    state (a transient fault by construction), while a writer/reader pair
    keeps operating through the typed-outcome API.  The oracle measures,
    per burst, the virtual time from the recovery instant to the first
-   read certified correct by the regularity checker on that segment. *)
+   read certified correct by the regularity checker on that segment
+   (Oracles.Stabilization.time). *)
 
 type config = {
   n : int;
@@ -83,26 +84,6 @@ type report = {
   converged : bool;
 }
 
-(* First read the regularity checker certifies in [lo, hi): invoked at or
-   after the segment's stabilization cutoff, successful, and not among
-   the checker's violations. *)
-let stabilization h ~lo ~hi =
-  let sub = Campaign.sub_history h ~lo ~hi in
-  match Campaign.cutoff_from sub ~lo with
-  | None -> None
-  | Some cutoff ->
-    let rep = Oracles.Regularity.check ~cutoff sub in
-    let bad =
-      List.map (fun (v : Oracles.Regularity.violation) -> v.read) rep.violations
-    in
-    Oracles.History.reads sub
-    |> List.find_opt (fun (o : Oracles.History.op) ->
-           o.ok
-           && Sim.Vtime.to_int o.inv >= Sim.Vtime.to_int cutoff
-           && not (List.mem o bad))
-    |> Option.map (fun (o : Oracles.History.op) ->
-           Sim.Vtime.to_int o.resp - lo)
-
 let run ?on_scenario cfg ~seed =
   let params =
     Registers.Params.create_unchecked
@@ -179,7 +160,7 @@ let run ?on_scenario cfg ~seed =
         let hi =
           if b + 1 < cfg.bursts then burst_at cfg (b + 1) else max_int
         in
-        let stab_time = stabilization h ~lo:recovery_at ~hi in
+        let stab_time = Oracles.Stabilization.time h ~lo:recovery_at ~hi in
         Option.iter
           (fun s ->
             Obs.Metrics.observe_named metrics "recovery.stab_time"

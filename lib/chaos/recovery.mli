@@ -8,7 +8,7 @@
     (so operations degrade or time out instead of hanging), and the
     oracle measures, per burst, the virtual time from the recovery
     instant to the first read the {!Oracles.Regularity} checker certifies
-    on that burst's segment.
+    on that burst's segment ({!Oracles.Stabilization.time}).
 
     Everything is deterministic in the seed: the same config and seed
     reproduce the report bit-for-bit, which is what the committed
@@ -62,11 +62,6 @@ type report = {
   stuck : string list;  (** watchdog: fibers that never finished *)
   converged : bool;  (** the last burst stabilized *)
 }
-
-val stabilization : Oracles.History.t -> lo:int -> hi:int -> int option
-(** The oracle itself: first read in [\[lo, hi)] invoked at or after the
-    segment's cutoff, successful, and not flagged by the regularity
-    checker — returns its response minus [lo]. *)
 
 val run :
   ?on_scenario:(Harness.Scenario.t -> unit) -> config -> seed:int -> report

@@ -1,0 +1,187 @@
+type family = Regular | Atomic | Mwmr
+
+let family_to_string = function
+  | Regular -> "regular"
+  | Atomic -> "atomic"
+  | Mwmr -> "mwmr"
+
+let family_of_string = function
+  | "regular" -> Ok Regular
+  | "atomic" -> Ok Atomic
+  | "mwmr" -> Ok Mwmr
+  | s -> Error (Printf.sprintf "unknown register family %S" s)
+
+type verdict =
+  | Clean
+  | Violation of { kind : string; count : int; detail : string }
+
+let verdict_kind = function
+  | Clean -> "clean"
+  | Violation { kind; _ } -> kind
+
+let same_kind a b = String.equal (verdict_kind a) (verdict_kind b)
+
+let verdict_equal a b =
+  match (a, b) with
+  | Clean, Clean -> true
+  | Violation a, Violation b ->
+    String.equal a.kind b.kind && Int.equal a.count b.count
+    && String.equal a.detail b.detail
+  | Clean, Violation _ | Violation _, Clean -> false
+
+let pp_verdict fmt = function
+  | Clean -> Format.pp_print_string fmt "clean"
+  | Violation { kind; count; detail } ->
+    Format.fprintf fmt "%s x%d (%s)" kind count detail
+
+let verdict_to_json = function
+  | Clean -> Obs.Json.Obj [ ("kind", Obs.Json.Str "clean") ]
+  | Violation { kind; count; detail } ->
+    Obs.Json.Obj
+      [
+        ("kind", Obs.Json.Str kind);
+        ("count", Obs.Json.Int count);
+        ("detail", Obs.Json.Str detail);
+      ]
+
+let violation_kinds = [ "regularity"; "inversion"; "mw"; "liveness"; "stuck" ]
+
+let verdict_of_json j =
+  let open Obs.Json in
+  let* kind = str_field "verdict" "kind" j in
+  if String.equal kind "clean" then Ok Clean
+  else if not (List.mem kind violation_kinds) then
+    Error (Printf.sprintf "verdict: unknown kind %S" kind)
+  else
+    let* count = int_field "verdict" "count" j in
+    let* detail = str_field "verdict" "detail" j in
+    if count < 1 then
+      Error (Printf.sprintf "verdict: count %d must be positive" count)
+    else Ok (Violation { kind; count; detail })
+
+let sub_history h ~lo ~hi =
+  let sub = History.create () in
+  List.iter
+    (fun (o : History.op) ->
+      let keep =
+        match o.kind with
+        | History.Write -> true
+        | History.Read ->
+          Sim.Vtime.to_int o.inv >= lo && Sim.Vtime.to_int o.resp < hi
+      in
+      if keep then
+        History.record sub ~proc:o.proc ~kind:o.kind ~inv:o.inv ~resp:o.resp
+          ?ts:o.ts ~ok:o.ok o.value)
+    (History.ops h);
+  sub
+
+let cutoff_from h ~lo =
+  History.writes h
+  |> List.find_opt (fun (o : History.op) -> Sim.Vtime.to_int o.inv >= lo)
+  |> Option.map (fun (o : History.op) -> o.resp)
+
+type condition = Regular_cond | Sw_atomic | Mw_atomic
+
+let condition_of_family = function
+  | Regular -> Regular_cond
+  | Atomic -> Sw_atomic
+  | Mwmr -> Mw_atomic
+
+let describe_read (o : History.op) = Format.asprintf "%a" History.pp_op o
+
+let regularity_issues (r : Regularity.report) =
+  List.map
+    (fun (v : Regularity.violation) -> ("regularity", describe_read v.read))
+    r.violations
+  @
+  if r.liveness_failures > 0 then
+    [
+      ( "liveness",
+        Printf.sprintf "%d reads exhausted their budget" r.liveness_failures
+      );
+    ]
+  else []
+
+let sw_issues (r : Atomicity.Sw.report) =
+  regularity_issues r.regularity
+  @ List.map
+      (fun (i : Atomicity.inversion) ->
+        ("inversion", describe_read i.later_read))
+      r.inversions
+  @ List.map (fun m -> ("regularity", m)) r.malformed
+
+let segments points =
+  let rec go = function
+    | [] -> []
+    | [ lo ] -> [ (lo, max_int) ]
+    | lo :: (hi :: _ as rest) -> (lo, hi) :: go rest
+  in
+  go (0 :: points)
+
+let segment_issues ~atomic h points =
+  segments points
+  |> List.concat_map (fun (lo, hi) ->
+         let sub = sub_history h ~lo ~hi in
+         match cutoff_from sub ~lo with
+         | None -> []
+         | Some cutoff ->
+           if atomic then sw_issues (Atomicity.Sw.check ~cutoff sub)
+           else regularity_issues (Regularity.check ~cutoff sub))
+
+let suffix_issues h points =
+  let lo = match List.rev points with [] -> 0 | p :: _ -> p in
+  match cutoff_from h ~lo with
+  | None -> []
+  | Some cutoff ->
+    let r = Atomicity.Mw.check ~cutoff ~tie:`Min_index h in
+    List.map
+      (fun (v : Atomicity.Mw.violation) -> ("mw", v.kind ^ ": " ^ v.detail))
+      r.violations
+
+let verdict_of_issues issues =
+  match issues with
+  | [] -> Clean
+  | _ ->
+    let severity = function "liveness" -> 1 | _ -> 0 in
+    let kind, detail =
+      List.stable_sort
+        (fun (a, _) (b, _) -> Int.compare (severity a) (severity b))
+        issues
+      |> List.hd (* lint: allow R4 -- issues is non-empty in this branch *)
+    in
+    let count =
+      List.length (List.filter (fun (k, _) -> String.equal k kind) issues)
+    in
+    Violation { kind; count; detail }
+
+let check ?(stuck = []) condition ~points h =
+  match stuck with
+  | _ :: _ ->
+    Violation
+      {
+        kind = "stuck";
+        count = List.length stuck;
+        detail = "fibers never finished: " ^ String.concat ", " stuck;
+      }
+  | [] ->
+    verdict_of_issues
+      (match condition with
+      | Regular_cond -> segment_issues ~atomic:false h points
+      | Sw_atomic -> segment_issues ~atomic:true h points
+      | Mw_atomic -> suffix_issues h points)
+
+let time h ~lo ~hi =
+  let sub = sub_history h ~lo ~hi in
+  match cutoff_from sub ~lo with
+  | None -> None
+  | Some cutoff ->
+    let rep = Regularity.check ~cutoff sub in
+    let bad =
+      List.map (fun (v : Regularity.violation) -> v.read) rep.violations
+    in
+    History.reads sub
+    |> List.find_opt (fun (o : History.op) ->
+           o.ok
+           && Sim.Vtime.to_int o.inv >= Sim.Vtime.to_int cutoff
+           && not (List.mem o bad))
+    |> Option.map (fun (o : History.op) -> Sim.Vtime.to_int o.resp - lo)

@@ -1,157 +1,24 @@
-type verdict =
+module Stab = Oracles.Stabilization
+
+type verdict = Stab.verdict =
   | Clean
   | Violation of { kind : string; count : int; detail : string }
 
-let verdict_kind = function
-  | Clean -> "clean"
-  | Violation { kind; _ } -> kind
-
-let same_verdict a b = String.equal (verdict_kind a) (verdict_kind b)
-
-let verdict_equal a b =
-  match (a, b) with
-  | Clean, Clean -> true
-  | Violation a, Violation b ->
-    String.equal a.kind b.kind && a.count = b.count
-    && String.equal a.detail b.detail
-  | _ -> false
-
-let pp_verdict fmt = function
-  | Clean -> Format.pp_print_string fmt "clean"
-  | Violation { kind; count; detail } ->
-    Format.fprintf fmt "%s x%d (%s)" kind count detail
+let pp_verdict = Stab.pp_verdict
 
 (* ------------------------------------------------------------------ *)
 (* Terminal-state oracle                                              *)
 
-(* Mirrors the chaos campaign's stabilization semantics: the register
-   condition is only guaranteed from the first write completed after a
-   disturbance, so the history is cut at every corruption instant and each
-   segment checked independently with a cutoff at its first write's
-   response ("every quiescent suffix after the last corruption is
-   legal").  A segment without a write is vacuous — nothing
-   re-established the register. *)
-
-let sub_history h ~lo ~hi =
-  let sub = Oracles.History.create () in
-  List.iter
-    (fun (o : Oracles.History.op) ->
-      let keep =
-        match o.kind with
-        | Oracles.History.Write -> true
-        | Oracles.History.Read ->
-          Sim.Vtime.to_int o.inv >= lo && Sim.Vtime.to_int o.resp < hi
-      in
-      if keep then
-        Oracles.History.record sub ~proc:o.proc ~kind:o.kind ~inv:o.inv
-          ~resp:o.resp ?ts:o.ts ~ok:o.ok o.value)
-    (Oracles.History.ops h);
-  sub
-
-let cutoff_from h ~lo =
-  Oracles.History.writes h
-  |> List.find_opt (fun (o : Oracles.History.op) ->
-         Sim.Vtime.to_int o.inv >= lo)
-  |> Option.map (fun (o : Oracles.History.op) -> o.Oracles.History.resp)
-
-let describe_read (o : Oracles.History.op) =
-  Format.asprintf "%a" Oracles.History.pp_op o
-
-let regularity_issues (r : Oracles.Regularity.report) =
-  List.map
-    (fun (v : Oracles.Regularity.violation) ->
-      ("regularity", describe_read v.read))
-    r.violations
-  @
-  if r.liveness_failures > 0 then
-    [
-      ( "liveness",
-        Printf.sprintf "%d reads exhausted their budget" r.liveness_failures
-      );
-    ]
-  else []
-
-let sw_issues (r : Oracles.Atomicity.Sw.report) =
-  regularity_issues r.regularity
-  @ List.map
-      (fun (i : Oracles.Atomicity.inversion) ->
-        ("inversion", describe_read i.later_read))
-      r.inversions
-  @ List.map (fun m -> ("regularity", m)) r.malformed
-
-let segments points =
-  let bounds = 0 :: points in
-  let rec go = function
-    | [] -> []
-    | [ lo ] -> [ (lo, max_int) ]
-    | lo :: (hi :: _ as rest) -> (lo, hi) :: go rest
-  in
-  go bounds
-
-let segment_issues (cfg : Config.t) h points =
-  segments points
-  |> List.concat_map (fun (lo, hi) ->
-         let sub = sub_history h ~lo ~hi in
-         match cutoff_from sub ~lo with
-         | None -> []
-         | Some cutoff -> (
-           let atomic_check () =
-             sw_issues (Oracles.Atomicity.Sw.check ~cutoff sub)
-           in
-           match (cfg.family, cfg.oracle) with
-           | Config.Regular, Config.Family_default ->
-             regularity_issues (Oracles.Regularity.check ~cutoff sub)
-           | Config.Regular, Config.Atomic_oracle -> atomic_check ()
-           | Config.Atomic, _ -> atomic_check ()
-           | Config.Mwmr, _ -> []))
-
-(* MWMR timestamps are global, so only the suffix after the last
-   disturbance is checked (see the chaos campaign for the rationale). *)
-let mwmr_issues (cfg : Config.t) h points =
-  match cfg.family with
-  | Config.Regular | Config.Atomic -> []
-  | Config.Mwmr -> (
-    let lo = match List.rev points with [] -> 0 | p :: _ -> p in
-    match cutoff_from h ~lo with
-    | None -> []
-    | Some cutoff ->
-      Oracles.Atomicity.Mw.check ~cutoff ~tie:`Min_index h
-      |> fun (r : Oracles.Atomicity.Mw.report) ->
-      List.map
-        (fun (v : Oracles.Atomicity.Mw.violation) ->
-          ("mw", v.kind ^ ": " ^ v.detail))
-        r.violations)
-
-let verdict_of_issues issues =
-  match issues with
-  | [] -> Clean
-  | _ ->
-    let severity = function "liveness" -> 1 | _ -> 0 in
-    let kind, detail =
-      List.stable_sort
-        (fun (a, _) (b, _) -> Int.compare (severity a) (severity b))
-        issues
-      |> List.hd (* lint: allow R4 -- issues is non-empty in this branch *)
-    in
-    let count =
-      List.length (List.filter (fun (k, _) -> String.equal k kind) issues)
-    in
-    Violation { kind; count; detail }
-
 let terminal_verdict sys =
-  let stuck = Sys.stuck sys in
-  if stuck <> [] then
-    Violation
-      {
-        kind = "stuck";
-        count = List.length stuck;
-        detail = "fibers never finished: " ^ String.concat ", " stuck;
-      }
-  else
-    let cfg = Sys.config sys in
-    let h = Sys.history sys in
-    let points = Sys.corrupt_times sys in
-    verdict_of_issues (segment_issues cfg h points @ mwmr_issues cfg h points)
+  let cfg = Sys.config sys in
+  let condition =
+    match (cfg.Config.family, cfg.Config.oracle) with
+    | Config.Regular, Config.Atomic_oracle -> Stab.Sw_atomic
+    | family, (Config.Family_default | Config.Atomic_oracle) ->
+      Stab.condition_of_family family
+  in
+  Stab.check ~stuck:(Sys.stuck sys) condition ~points:(Sys.corrupt_times sys)
+    (Sys.history sys)
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                             *)
@@ -486,7 +353,7 @@ let search ?(budgets = default_budgets) ?(reduction = Sleep_sets)
       keep =
         (match target with
         | None -> fun _ -> true
-        | Some kind -> fun v -> String.equal (verdict_kind v) kind);
+        | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind);
       visited = Hashtbl.create 4096;
       visited_entries = 0;
       stats = fresh_stats ();
@@ -871,7 +738,7 @@ let frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
 (* The schedule-independent projection of an outcome: what the race
    harness compares between the normal and inverted-stealing passes. *)
 let projection_equal (a : outcome) (b : outcome) =
-  verdict_equal a.verdict b.verdict
+  Stab.verdict_equal a.verdict b.verdict
   && Bool.equal a.exhaustive b.exhaustive
   && (match (a.trace, b.trace) with
      | None, None -> true
@@ -907,7 +774,7 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
     let keep =
       match target with
       | None -> fun _ -> true
-      | Some kind -> fun v -> String.equal (verdict_kind v) kind
+      | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind
     in
     let run ~reverse_steal ~recorder =
       frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
@@ -1038,7 +905,7 @@ let shrink ?(log = ignore) cfg trace verdict =
   let try_prefix prefix =
     incr runs;
     let _, fired, v = run_forced cfg prefix in
-    if same_verdict v verdict then Some (fired, v) else None
+    if Stab.same_kind v verdict then Some (fired, v) else None
   in
   (* Phase 1: shortest forced prefix whose canonical completion still
      violates.  Linear scan from the empty prefix: each candidate run is a
@@ -1107,23 +974,13 @@ let move_to_json = function
   | Sys.Corrupt i ->
     Obs.Json.Obj [ ("move", Obs.Json.Str "corrupt"); ("item", Obs.Json.Int i) ]
 
-let verdict_to_json = function
-  | Clean -> Obs.Json.Obj [ ("kind", Obs.Json.Str "clean") ]
-  | Violation { kind; count; detail } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str kind);
-        ("count", Obs.Json.Int count);
-        ("detail", Obs.Json.Str detail);
-      ]
-
 let cex_to_json c =
   Obs.Json.Obj
     [
       ("schema", Obs.Json.Str cex_schema);
       ("config", Config.to_json c.config);
       ("trace", Obs.Json.List (List.map move_to_json c.trace));
-      ("verdict", verdict_to_json c.verdict);
+      ("verdict", Stab.verdict_to_json c.verdict);
       ("states", Obs.Json.Int c.states);
       ("digest", Obs.Json.Str c.digest);
     ]
@@ -1143,15 +1000,6 @@ let move_of_json ctx j =
     Ok (Sys.Corrupt i)
   | s -> Error (Printf.sprintf "%s: unknown move kind %S" ctx s)
 
-let verdict_of_json j =
-  let open Obs.Json in
-  let* kind = str_field "verdict" "kind" j in
-  if String.equal kind "clean" then Ok Clean
-  else
-    let* count = int_field "verdict" "count" j in
-    let* detail = str_field "verdict" "detail" j in
-    Ok (Violation { kind; count; detail })
-
 (* The fields a cex and a guide share: the config and the move list. *)
 let schedule_of_json ctx j =
   let open Obs.Json in
@@ -1165,7 +1013,7 @@ let cex_of_json j =
   let* () = expect_schema "cex" cex_schema j in
   let* config, trace = schedule_of_json "cex" j in
   let* verdict = field "cex" "verdict" j in
-  let* verdict = verdict_of_json verdict in
+  let* verdict = Stab.verdict_of_json verdict in
   let* states = int_field "cex" "states" j in
   let* digest = str_field "cex" "digest" j in
   Ok { config; trace; verdict; states; digest }
@@ -1202,7 +1050,7 @@ let replay (c : cex) =
   | () ->
     let v = terminal_verdict sys in
     let digest = Sys.fingerprint sys in
-    if not (verdict_equal v c.verdict) then
+    if not (Stab.verdict_equal v c.verdict) then
       Error
         (Format.asprintf "replay verdict %a differs from recorded %a"
            pp_verdict v pp_verdict c.verdict)

@@ -14,29 +14,18 @@
     both keeps the sleep-set/visited-set combination sound and avoids
     re-expanding already-covered successors. *)
 
-type verdict =
+type verdict = Oracles.Stabilization.verdict =
   | Clean
   | Violation of { kind : string; count : int; detail : string }
-      (** [kind] is the oracle's issue class (e.g. ["new-old-inversion"],
-          ["stuck"]); [detail] is the first offending witness. *)
-
-val verdict_kind : verdict -> string
-
-val same_verdict : verdict -> verdict -> bool
-(** Same kind (used by the shrinker: any violation of the same class
-    counts as a reproduction). *)
-
-val verdict_equal : verdict -> verdict -> bool
-(** Structural equality (used by strict artifact replay). *)
+      (** See {!Oracles.Stabilization.verdict}. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val terminal_verdict : Sys.t -> verdict
-(** Judge a terminal (no enabled moves) execution: deadlocked fibers
-    first, then the stabilization-segmented register condition — the
-    history is cut at every corruption instant and each segment checked
-    from its first completed write, so only quiescent suffixes after the
-    last disturbance must be legal. *)
+(** Judge a terminal (no enabled moves) execution with
+    {!Oracles.Stabilization.check}: deadlocked fibers first, then the
+    family's condition (or SW atomicity under [Atomic_oracle]) on the
+    history cut at every corruption instant. *)
 
 type reduction = No_reduction | Sleep_sets
 

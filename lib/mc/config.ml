@@ -1,15 +1,4 @@
-type family = Regular | Atomic | Mwmr
-
-let family_to_string = function
-  | Regular -> "regular"
-  | Atomic -> "atomic"
-  | Mwmr -> "mwmr"
-
-let family_of_string = function
-  | "regular" -> Ok Regular
-  | "atomic" -> Ok Atomic
-  | "mwmr" -> Ok Mwmr
-  | s -> Error (Printf.sprintf "unknown register family %S" s)
+type family = Oracles.Stabilization.family = Regular | Atomic | Mwmr
 
 type byz_kind = Silent | Collude of { sn : int; v : int }
 
@@ -139,7 +128,7 @@ let corruption_to_json = function
 let to_json c =
   Obs.Json.Obj
     [
-      ("family", Obs.Json.Str (family_to_string c.family));
+      ("family", Obs.Json.Str (Oracles.Stabilization.family_to_string c.family));
       ("n", Obs.Json.Int c.n);
       ("f", Obs.Json.Int c.f);
       ("byz", byz_to_json c.byz);
@@ -191,7 +180,7 @@ let of_json j =
   let open Obs.Json in
   let ctx = "config" in
   let* family = str_field ctx "family" j in
-  let* family = family_of_string family in
+  let* family = Oracles.Stabilization.family_of_string family in
   let* n = int_field ctx "n" j in
   let* f = int_field ctx "f" j in
   let* byz = list_field ctx "byz" byz_of_json j in

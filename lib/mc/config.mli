@@ -8,11 +8,7 @@
     (if any) strikes} — the nondeterminism the paper's theorems quantify
     over. *)
 
-type family = Regular | Atomic | Mwmr
-
-val family_to_string : family -> string
-
-val family_of_string : string -> (family, string) result
+type family = Oracles.Stabilization.family = Regular | Atomic | Mwmr
 
 type byz_kind =
   | Silent  (** never replies — the strongest omission adversary *)

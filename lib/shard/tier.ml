@@ -363,17 +363,11 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
         let rep =
           match cutoff_after with
           | None -> Some (Oracles.Regularity.check ~initial_ok:true h)
-          | Some l -> (
-            let first_write_after =
-              List.find_opt
-                (fun (o : Oracles.History.op) ->
-                  Sim.Vtime.to_int o.inv >= l)
-                (Oracles.History.writes h)
-            in
-            match first_write_after with
+          | Some lo -> (
+            match Oracles.Stabilization.cutoff_from h ~lo with
             | None -> None (* never rewritten: nothing certifiable *)
-            | Some w ->
-              Some (Oracles.Regularity.check ~cutoff:w.resp ~initial_ok:true h))
+            | Some cutoff ->
+              Some (Oracles.Regularity.check ~cutoff ~initial_ok:true h))
         in
         match rep with
         | None -> ()

@@ -114,13 +114,23 @@ let rec set path v j =
 
 let decodes decode j = Result.is_ok (decode j)
 
-(* Each mutation would otherwise reach the runner and raise
-   Invalid_argument there. *)
+(* Each config mutation would otherwise reach the runner and raise
+   Invalid_argument there; a verdict outside the oracle's vocabulary
+   could never be reproduced by a replay. *)
 let test_bad_configs_rejected () =
   let shard = parse "../examples/shard/chaos_isolation_t0.json" in
   let recovery = parse "../examples/recovery/crash_burst_n9.json" in
   let chaos = parse "../examples/chaos/regular_collude_repro.json" in
+  let cex = parse "../examples/mc/mc-regular-stuck.json" in
   let zero = Obs.Json.Int 0 in
+  let verdict kind count =
+    Obs.Json.Obj
+      [
+        ("kind", Obs.Json.Str kind);
+        ("count", Obs.Json.Int count);
+        ("detail", Obs.Json.Str "");
+      ]
+  in
   let rejected name decode j =
     check_false name (decodes decode j);
     check_invalid name (Obs.Json.to_string j)
@@ -152,7 +162,16 @@ let test_bad_configs_rejected () =
   (* Beyond the resilience bound is a campaign's point, not an error. *)
   check_true "repro beyond t < n/8 decodes"
     (decodes Chaos.Campaign.repro_of_json
-       (set [ "config"; "f" ] (Obs.Json.Int 4) chaos))
+       (set [ "config"; "f" ] (Obs.Json.Int 4) chaos));
+  check_true "committed cex decodes" (decodes Mc.Checker.cex_of_json cex);
+  rejected "repro verdict bogus x-3" Chaos.Campaign.repro_of_json
+    (set [ "verdict" ] (verdict "bogus" (-3)) chaos);
+  rejected "cex verdict bogus x-3" Mc.Checker.cex_of_json
+    (set [ "verdict" ] (verdict "bogus" (-3)) cex);
+  rejected "repro verdict regularity x0" Chaos.Campaign.repro_of_json
+    (set [ "verdict" ] (verdict "regularity" 0) chaos);
+  rejected "cex verdict frobnicated x1" Mc.Checker.cex_of_json
+    (set [ "verdict" ] (verdict "frobnicated" 1) cex)
 
 let tests =
   [

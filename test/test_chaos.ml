@@ -174,7 +174,7 @@ let test_run_trial_deterministic () =
   let sched = Campaign.generate cfg ~seed:7 in
   let a = Campaign.run_trial cfg ~seed:7 sched in
   let b = Campaign.run_trial cfg ~seed:7 sched in
-  check_true "same verdict" (Campaign.same_verdict a.verdict b.verdict);
+  check_true "same verdict" (Stab.same_kind a.verdict b.verdict);
   check_int "same op count" a.Campaign.ops b.Campaign.ops;
   check_int "same duration" a.Campaign.duration b.Campaign.duration
 
@@ -216,7 +216,7 @@ let test_collusion_above_bound_violates_and_replays () =
   match Campaign.violations r with
   | [ t ] -> (
     check_true "regularity violated"
-      (Campaign.verdict_kind t.outcome.Campaign.verdict = "regularity");
+      (Stab.verdict_kind t.outcome.Campaign.verdict = "regularity");
     match t.repro with
     | None -> Alcotest.fail "violating trial must carry a repro"
     | Some repro ->
@@ -238,7 +238,7 @@ let test_collusion_above_bound_violates_and_replays () =
           && repro.Campaign.seed = repro'.Campaign.seed);
         let replayed = Campaign.replay repro' in
         check_true "replay reproduces the verdict"
-          (Campaign.same_verdict replayed.Campaign.verdict
+          (Stab.same_kind replayed.Campaign.verdict
              repro.Campaign.verdict)))
   | other -> Alcotest.failf "expected 1 violation, got %d" (List.length other)
 
@@ -266,7 +266,7 @@ let test_shrink_keeps_the_essential_roam () =
   in
   let outcome = Campaign.run_trial cfg ~seed:31 sched in
   check_true "colluding roam violates regularity"
-    (Campaign.verdict_kind outcome.Campaign.verdict = "regularity");
+    (Stab.verdict_kind outcome.Campaign.verdict = "regularity");
   let shrunk, runs =
     Campaign.shrink cfg ~seed:31 sched outcome.Campaign.verdict
   in
@@ -280,7 +280,7 @@ let test_shrink_keeps_the_essential_roam () =
   (* The minimal schedule still reproduces. *)
   let replayed = Campaign.run_trial cfg ~seed:31 shrunk in
   check_true "minimal schedule reproduces"
-    (Campaign.same_verdict replayed.Campaign.verdict outcome.Campaign.verdict)
+    (Stab.same_kind replayed.Campaign.verdict outcome.Campaign.verdict)
 
 (* --- mobile adversary bookkeeping --- *)
 

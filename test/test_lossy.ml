@@ -304,12 +304,13 @@ let test_register_over_lossy_medium_concurrent () =
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:15 ~gap:(Harness.Workload.gap 0 30) () );
     ];
+  let h = scn.Harness.Scenario.history in
   let cutoff =
-    match Oracles.History.writes scn.Harness.Scenario.history with
-    | w :: _ -> w.Oracles.History.resp
-    | [] -> Alcotest.fail "no writes"
+    match Oracles.Stabilization.cutoff_from h ~lo:0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no writes"
   in
-  let report = Oracles.Atomicity.Sw.check ~cutoff scn.Harness.Scenario.history in
+  let report = Oracles.Atomicity.Sw.check ~cutoff h in
   if not (Oracles.Atomicity.Sw.is_clean report) then
     Alcotest.failf "%a" Oracles.Atomicity.Sw.pp report
 

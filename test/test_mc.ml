@@ -51,7 +51,7 @@ let test_reduction_soundness_cross_check () =
   check_true "both exhaustive"
     (reduced.Mc.Checker.exhaustive && full.Mc.Checker.exhaustive);
   check_true "same verdict"
-    (Mc.Checker.same_verdict reduced.Mc.Checker.verdict
+    (Stab.same_kind reduced.Mc.Checker.verdict
        full.Mc.Checker.verdict);
   (* No state-count inequality: sleep-set subsumption may re-expand a
      state the plain visited set would prune (different sleep sets), so
@@ -68,7 +68,7 @@ let test_order_seed_deterministic () =
   let b = Mc.Checker.search ~seed:5 tiny_cfg in
   check_true "seeded run is exhaustive" a.Mc.Checker.exhaustive;
   check_true "seeded verdict matches default order"
-    (Mc.Checker.same_verdict a.Mc.Checker.verdict
+    (Stab.same_kind a.Mc.Checker.verdict
        (Mc.Checker.search tiny_cfg).Mc.Checker.verdict);
   check_int "same seed, same exploration"
     a.Mc.Checker.stats.Mc.Checker.states
@@ -80,7 +80,7 @@ let test_overbound_stuck_found_and_replayable () =
   let r = Mc.Checker.check overbound_cfg in
   (match r.Mc.Checker.outcome.Mc.Checker.verdict with
   | Mc.Checker.Violation { kind = "stuck"; _ } -> ()
-  | v -> Alcotest.failf "expected stuck, got %s" (Mc.Checker.verdict_kind v));
+  | v -> Alcotest.failf "expected stuck, got %s" (Stab.verdict_kind v));
   match r.Mc.Checker.cex with
   | None -> Alcotest.fail "violation produced no counterexample"
   | Some cex -> (
@@ -88,7 +88,7 @@ let test_overbound_stuck_found_and_replayable () =
     match Mc.Checker.replay cex with
     | Ok v ->
       check_true "replay reproduces the verdict"
-        (Mc.Checker.verdict_equal v cex.Mc.Checker.verdict)
+        (Stab.verdict_equal v cex.Mc.Checker.verdict)
     | Error e -> Alcotest.failf "replay failed: %s" e)
 
 (* The target filter skips violations of other kinds instead of stopping
@@ -117,7 +117,7 @@ let test_cex_json_round_trip () =
       (List.for_all2 Mc.Sys.move_equal c.Mc.Checker.trace
          cex.Mc.Checker.trace);
     check_true "verdict survives"
-      (Mc.Checker.verdict_equal c.Mc.Checker.verdict cex.Mc.Checker.verdict);
+      (Stab.verdict_equal c.Mc.Checker.verdict cex.Mc.Checker.verdict);
     check_true "digest survives"
       (String.equal c.Mc.Checker.digest cex.Mc.Checker.digest)
 
@@ -129,7 +129,7 @@ let replay_committed name () =
     match Mc.Checker.replay cex with
     | Ok v ->
       check_true "replay reproduces the recorded verdict bit-for-bit"
-        (Mc.Checker.verdict_equal v cex.Mc.Checker.verdict)
+        (Stab.verdict_equal v cex.Mc.Checker.verdict)
     | Error e -> Alcotest.failf "%s: replay failed: %s" path e)
 
 (* --- guided witness schedules --------------------------------------- *)
@@ -149,7 +149,7 @@ let test_guided_witness_finds_inversion () =
   match r.Mc.Checker.outcome.Mc.Checker.verdict with
   | Mc.Checker.Violation { kind = "inversion"; _ } -> ()
   | v ->
-    Alcotest.failf "expected inversion, got %s" (Mc.Checker.verdict_kind v)
+    Alcotest.failf "expected inversion, got %s" (Stab.verdict_kind v)
 
 (* --- golden fingerprints ---------------------------------------------- *)
 

@@ -408,7 +408,7 @@ let test_parallel_agrees_with_sequential () =
             Printf.sprintf "%s @%d domain(s)" name domains
           in
           check_true (tag ^ ": verdicts equal")
-            (Mc.Checker.verdict_equal s.Mc.Checker.verdict
+            (Stab.verdict_equal s.Mc.Checker.verdict
                p.Mc.Checker.verdict);
           check_true (tag ^ ": traces equal")
             (trace_equal s.Mc.Checker.trace p.Mc.Checker.trace);
@@ -431,7 +431,7 @@ let test_parallel_reproducible () =
   let p1 = Mc.Checker.search_parallel ~domains:4 cfg in
   let p2 = Mc.Checker.search_parallel ~domains:4 cfg in
   check_true "verdict reproducible"
-    (Mc.Checker.verdict_equal p1.Mc.Checker.verdict p2.Mc.Checker.verdict);
+    (Stab.verdict_equal p1.Mc.Checker.verdict p2.Mc.Checker.verdict);
   check_true "trace reproducible"
     (trace_equal p1.Mc.Checker.trace p2.Mc.Checker.trace);
   check_true "exhaustiveness reproducible"
@@ -480,7 +480,7 @@ let test_race_check_agrees () =
       let p = Mc.Checker.search_parallel ~domains cfg in
       let r = Mc.Checker.search_parallel ~domains ~race_check:true cfg in
       check_true "verdicts equal"
-        (Mc.Checker.verdict_equal p.Mc.Checker.verdict r.Mc.Checker.verdict);
+        (Stab.verdict_equal p.Mc.Checker.verdict r.Mc.Checker.verdict);
       check_true "traces equal"
         (trace_equal p.Mc.Checker.trace r.Mc.Checker.trace);
       if domains = 1 then
@@ -546,7 +546,7 @@ let test_campaign_domains_deterministic () =
   let verdicts r =
     List.map
       (fun (t : Chaos.Campaign.trial) ->
-        Chaos.Campaign.verdict_kind t.outcome.Chaos.Campaign.verdict)
+        Stab.verdict_kind t.outcome.Chaos.Campaign.verdict)
       r.Chaos.Campaign.trials
   in
   check_true "verdicts identical" (verdicts r1 = verdicts r2);
@@ -587,7 +587,7 @@ let test_campaign_race_check_agrees () =
   let verdicts r =
     List.map
       (fun (t : Chaos.Campaign.trial) ->
-        Chaos.Campaign.verdict_kind t.outcome.Chaos.Campaign.verdict)
+        Stab.verdict_kind t.outcome.Chaos.Campaign.verdict)
       r.Chaos.Campaign.trials
   in
   check_true "verdicts identical" (verdicts r1 = verdicts r2);

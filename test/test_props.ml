@@ -124,22 +124,19 @@ let prop_swsr_atomic_heavy_tail =
       let h =
         run_swsr_atomic_heavy_tail (seed, n, f, strategies, gap_hi, writes, reads)
       in
-      match Oracles.History.writes h with
-      | [] -> true
-      | w :: _ ->
-        Oracles.Atomicity.Sw.is_clean
-          (Oracles.Atomicity.Sw.check ~cutoff:w.Oracles.History.resp h))
+      match Oracles.Stabilization.cutoff_from h ~lo:0 with
+      | None -> true
+      | Some cutoff ->
+        Oracles.Atomicity.Sw.is_clean (Oracles.Atomicity.Sw.check ~cutoff h))
 
 let prop_swsr_atomic_always_atomic =
   QCheck.Test.make ~name:"SWSR atomic register is atomic for any adversary mix"
     ~count:120 arb_config (fun cfg ->
-      let scn = run_swsr_atomic cfg in
-      match Oracles.History.writes scn.Harness.Scenario.history with
-      | [] -> true
-      | w :: _ ->
-        Oracles.Atomicity.Sw.is_clean
-          (Oracles.Atomicity.Sw.check ~cutoff:w.Oracles.History.resp
-             scn.Harness.Scenario.history))
+      let h = (run_swsr_atomic cfg).Harness.Scenario.history in
+      match Oracles.Stabilization.cutoff_from h ~lo:0 with
+      | None -> true
+      | Some cutoff ->
+        Oracles.Atomicity.Sw.is_clean (Oracles.Atomicity.Sw.check ~cutoff h))
 
 let prop_swsr_stabilizes_after_random_fault =
   QCheck.Test.make
@@ -184,17 +181,11 @@ let prop_swsr_stabilizes_after_random_fault =
          post-fault write pending are not liveness failures of the
          algorithm, so only the regular-condition violations count when
          budget exhaustion happened before that write. *)
-      let post =
-        Oracles.History.writes scn.Harness.Scenario.history
-        |> List.filter (fun (o : Oracles.History.op) ->
-               Sim.Vtime.to_int o.inv >= fault_at)
-      in
-      match post with
-      | [] -> true (* workload ended before the fault: nothing to check *)
-      | w :: _ ->
-        Oracles.Regularity.is_clean
-          (Oracles.Regularity.check ~cutoff:w.Oracles.History.resp
-             scn.Harness.Scenario.history))
+      let h = scn.Harness.Scenario.history in
+      match Oracles.Stabilization.cutoff_from h ~lo:fault_at with
+      | None -> true (* workload ended before the fault: nothing to check *)
+      | Some cutoff ->
+        Oracles.Regularity.is_clean (Oracles.Regularity.check ~cutoff h))
 
 let prop_mwmr_atomic =
   QCheck.Test.make ~name:"MWMR register is atomic for any adversary mix"

@@ -37,12 +37,9 @@ let test_swsr_long_run_with_repeated_faults () =
   check_int "all reads done" reads (Harness.Metrics.ok_reads h);
   (* After the last fault's first subsequent write, everything is atomic. *)
   let cutoff =
-    Oracles.History.writes h
-    |> List.filter (fun (o : Oracles.History.op) ->
-           Sim.Vtime.to_int o.inv >= 25_000)
-    |> function
-    | o :: _ -> o.Oracles.History.resp
-    | [] -> Alcotest.fail "no write after the last fault"
+    match Oracles.Stabilization.cutoff_from h ~lo:25_000 with
+    | Some c -> c
+    | None -> Alcotest.fail "no write after the last fault"
   in
   let report = Oracles.Atomicity.Sw.check ~cutoff h in
   if not (Oracles.Atomicity.Sw.is_clean report) then

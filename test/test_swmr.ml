@@ -80,9 +80,9 @@ let test_per_reader_atomicity_under_concurrency () =
   in
   run_fibers scn jobs;
   let cutoff =
-    match Oracles.History.writes writer_history with
-    | w :: _ -> w.Oracles.History.resp
-    | [] -> Alcotest.fail "no writes"
+    match Oracles.Stabilization.cutoff_from writer_history ~lo:0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no writes"
   in
   Array.iteri
     (fun j h ->
@@ -231,9 +231,9 @@ let test_wb_cross_reader_atomic_random () =
                     done ))
               rs)));
     let cutoff =
-      match Oracles.History.writes h with
-      | w :: _ -> w.Oracles.History.resp
-      | [] -> Alcotest.fail "no writes"
+      match Oracles.Stabilization.cutoff_from h ~lo:0 with
+      | Some c -> c
+      | None -> Alcotest.fail "no writes"
     in
     let report = Oracles.Atomicity.Sw.check ~cutoff h in
     if not (Oracles.Atomicity.Sw.is_clean report) then

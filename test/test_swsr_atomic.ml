@@ -27,16 +27,14 @@ let concurrent_workload ?(writes = 30) ?(reads = 30) ?(gap_hi = 20) scn w r =
             ~count:reads ~gap:(Harness.Workload.gap 0 gap_hi) () );
     ]
 
-let first_write_completion scn =
-  match Oracles.History.writes scn.Harness.Scenario.history with
-  | w :: _ -> w.Oracles.History.resp
-  | [] -> Alcotest.fail "no writes recorded"
-
 let check_atomic ?cutoff scn =
+  let h = scn.Harness.Scenario.history in
   let cutoff =
-    match cutoff with Some c -> c | None -> first_write_completion scn
+    match (cutoff, Oracles.Stabilization.cutoff_from h ~lo:0) with
+    | Some c, _ | None, Some c -> c
+    | None, None -> Alcotest.fail "no writes recorded"
   in
-  let report = Oracles.Atomicity.Sw.check ~cutoff scn.Harness.Scenario.history in
+  let report = Oracles.Atomicity.Sw.check ~cutoff h in
   if not (Oracles.Atomicity.Sw.is_clean report) then
     Alcotest.failf "%a" Oracles.Atomicity.Sw.pp report
 

@@ -55,18 +55,16 @@ let concurrent_workload ?(writes = 30) ?(reads = 30) scn w r =
             ~count:reads ~gap:(Harness.Workload.gap 0 20) () );
     ]
 
-let first_write_completion scn =
-  match Oracles.History.writes scn.Harness.Scenario.history with
-  | w :: _ -> w.Oracles.History.resp
-  | [] -> Alcotest.fail "no writes recorded"
-
-let check_regular ?cutoff scn =
-  let cutoff =
-    match cutoff with Some c -> c | None -> first_write_completion scn
-  in
-  let report = Oracles.Regularity.check ~cutoff scn.Harness.Scenario.history in
-  if not (Oracles.Regularity.is_clean report) then
-    Alcotest.failf "%a" Oracles.Regularity.pp report
+(* Reads invoked after the first write invoked at or after [lo]
+   completed must be regular. *)
+let check_regular ?(lo = 0) scn =
+  let h = scn.Harness.Scenario.history in
+  match Oracles.Stabilization.cutoff_from h ~lo with
+  | None -> Alcotest.failf "no write invoked at or after %d" lo
+  | Some cutoff ->
+    let report = Oracles.Regularity.check ~cutoff h in
+    if not (Oracles.Regularity.is_clean report) then
+      Alcotest.failf "%a" Oracles.Regularity.pp report
 
 let test_concurrent_reads_writes_regular () =
   let scn, w, r = setup () in
@@ -140,17 +138,7 @@ let test_stabilizes_after_corruption () =
     ~engine:scn.Harness.Scenario.engine ~at:(Sim.Vtime.of_int 300)
     ~prefix:"server.";
   concurrent_workload ~writes:40 ~reads:40 scn w r;
-  (* Find the first write completing after the fault; reads invoked after
-     it must be regular. *)
-  let cutoff =
-    Oracles.History.writes scn.Harness.Scenario.history
-    |> List.filter (fun (o : Oracles.History.op) ->
-           Sim.Vtime.to_int o.Oracles.History.inv >= 300)
-    |> function
-    | o :: _ -> o.Oracles.History.resp
-    | [] -> Alcotest.fail "no write after fault"
-  in
-  check_regular ~cutoff scn
+  check_regular ~lo:300 scn
 
 let tests =
   [

@@ -23,15 +23,16 @@ let concurrent_workload ?(writes = 20) ?(reads = 20) scn w r =
             ~count:reads ~gap:(Harness.Workload.gap 0 20) () );
     ]
 
-let check_regular scn =
-  let cutoff =
-    match Oracles.History.writes scn.Harness.Scenario.history with
-    | w :: _ -> w.Oracles.History.resp
-    | [] -> Alcotest.fail "no writes"
-  in
-  let report = Oracles.Regularity.check ~cutoff scn.Harness.Scenario.history in
-  if not (Oracles.Regularity.is_clean report) then
-    Alcotest.failf "%a" Oracles.Regularity.pp report
+(* Reads invoked after the first write invoked at or after [lo]
+   completed must be regular. *)
+let check_regular ?(lo = 0) scn =
+  let h = scn.Harness.Scenario.history in
+  match Oracles.Stabilization.cutoff_from h ~lo with
+  | None -> Alcotest.failf "no write invoked at or after %d" lo
+  | Some cutoff ->
+    let report = Oracles.Regularity.check ~cutoff h in
+    if not (Oracles.Regularity.is_clean report) then
+      Alcotest.failf "%a" Oracles.Regularity.pp report
 
 let test_write_then_read () =
   let scn, w, r = setup () in
@@ -85,17 +86,7 @@ let test_stabilizes_after_corruption () =
     ~engine:scn.Harness.Scenario.engine ~at:(Sim.Vtime.of_int 400)
     ~prefix:"server.";
   concurrent_workload ~writes:30 ~reads:30 scn w r;
-  let cutoff =
-    Oracles.History.writes scn.Harness.Scenario.history
-    |> List.filter (fun (o : Oracles.History.op) ->
-           Sim.Vtime.to_int o.Oracles.History.inv >= 400)
-    |> function
-    | o :: _ -> o.Oracles.History.resp
-    | [] -> Alcotest.fail "no write after fault"
-  in
-  let report = Oracles.Regularity.check ~cutoff scn.Harness.Scenario.history in
-  if not (Oracles.Regularity.is_clean report) then
-    Alcotest.failf "%a" Oracles.Regularity.pp report
+  check_regular ~lo:400 scn
 
 let test_sync_atomic_variant () =
   (* The §4 remark: the same Fig. 3 extension works over synchronous links
@@ -121,12 +112,13 @@ let test_sync_atomic_variant () =
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:20 ~gap:(Harness.Workload.gap 0 15) () );
     ];
+  let h = scn.Harness.Scenario.history in
   let cutoff =
-    match Oracles.History.writes scn.Harness.Scenario.history with
-    | w :: _ -> w.Oracles.History.resp
-    | [] -> Alcotest.fail "no writes"
+    match Oracles.Stabilization.cutoff_from h ~lo:0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no writes"
   in
-  let report = Oracles.Atomicity.Sw.check ~cutoff scn.Harness.Scenario.history in
+  let report = Oracles.Atomicity.Sw.check ~cutoff h in
   if not (Oracles.Atomicity.Sw.is_clean report) then
     Alcotest.failf "%a" Oracles.Atomicity.Sw.pp report
 

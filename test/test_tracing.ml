@@ -346,7 +346,7 @@ let test_mc_recorder () =
     (stats_tuple plain.Mc.Checker.stats
     = stats_tuple profiled.Mc.Checker.stats);
   check_true "verdicts agree"
-    (Mc.Checker.verdict_equal plain.Mc.Checker.verdict
+    (Stab.verdict_equal plain.Mc.Checker.verdict
        profiled.Mc.Checker.verdict);
   check_true "samples recorded" (Obs.Profile.samples rec_ > 0);
   (match Obs.Profile.validate (Obs.Profile.to_json rec_) with
@@ -369,7 +369,7 @@ let test_mc_recorder_domains () =
   in
   let plain = Mc.Checker.search tiny_cfg in
   check_true "frontier verdict matches sequential"
-    (Mc.Checker.verdict_equal frontier.Mc.Checker.verdict
+    (Stab.verdict_equal frontier.Mc.Checker.verdict
        plain.Mc.Checker.verdict);
   let j = Obs.Profile.to_json rec_ in
   (match Obs.Profile.validate j with
@@ -411,7 +411,7 @@ let test_chaos_recorder () =
   let verdicts r =
     List.map
       (fun (t : Chaos.Campaign.trial) ->
-        Chaos.Campaign.verdict_kind t.Chaos.Campaign.outcome.Chaos.Campaign.verdict)
+        Stab.verdict_kind t.Chaos.Campaign.outcome.Chaos.Campaign.verdict)
       r.Chaos.Campaign.trials
   in
   let plain = Chaos.Campaign.run cfg ~seed:5 ~trials:3 in

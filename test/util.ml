@@ -1,5 +1,7 @@
 (* Shared helpers for the test suite. *)
 
+module Stab = Oracles.Stabilization
+
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)

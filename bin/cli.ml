@@ -37,6 +37,27 @@ let result_conv parse print =
     ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
       fun fmt v -> Format.pp_print_string fmt (print v) )
 
+(* Range-checked numbers: a count below [min], or a fraction outside
+   [0, 1], is a usage error (exit 124) rather than an uncaught
+   [Invalid_argument] from deep inside the run. *)
+let int_at_least min =
+  result_conv
+    (fun s ->
+      match int_of_string_opt s with
+      | Some v when v >= min -> Ok v
+      | Some _ -> Error (Printf.sprintf "%s is below the minimum %d" s min)
+      | None -> Error (Printf.sprintf "invalid value %S, expected an int" s))
+    string_of_int
+
+let fraction =
+  result_conv
+    (fun s ->
+      match float_of_string_opt s with
+      | Some v when v >= 0. && v <= 1. -> Ok v
+      | Some _ -> Error (Printf.sprintf "%s is not a fraction in [0, 1]" s)
+      | None -> Error (Printf.sprintf "invalid value %S, expected a number" s))
+    (Format.asprintf "%a" (Arg.conv_printer Arg.float))
+
 let seed =
   let doc = "Root random seed; every table is deterministic given it." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -94,7 +115,8 @@ let expect =
   Arg.(
     value & opt (some expect_conv) None & info [ "expect" ] ~docv:"WHAT" ~doc)
 
-let domains ~doc = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
+let domains ~doc =
+  Arg.(value & opt (int_at_least 1) 1 & info [ "domains" ] ~docv:"K" ~doc)
 
 let no_retry =
   let doc =
@@ -283,7 +305,7 @@ let chaos_cmd =
   in
   let trials =
     let doc = "Number of randomized trials in the campaign." in
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 5 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let byz =
     let doc =
@@ -344,7 +366,7 @@ let chaos_cmd =
        not double its wall-clock.  1.0 (the default) re-checks every \
        trial."
     in
-    Arg.(value & opt float 1.0 & info [ "race-fraction" ] ~docv:"F" ~doc)
+    Arg.(value & opt fraction 1.0 & info [ "race-fraction" ] ~docv:"F" ~doc)
   in
   let profile =
     profile_out ~kind:"chaos"
@@ -805,7 +827,10 @@ let shard_cmd =
   in
   let keys =
     let doc = "Number of keys in the keyspace." in
-    Arg.(value & opt int default_config.keys & info [ "keys" ] ~docv:"K" ~doc)
+    Arg.(
+      value
+      & opt (int_at_least 1) default_config.keys
+      & info [ "keys" ] ~docv:"K" ~doc)
   in
   let clients =
     let doc = "Logical clients in the open-loop workload." in
@@ -853,7 +878,7 @@ let shard_cmd =
   in
   let trials =
     let doc = "Trials in the $(b,--chaos-target) campaign." in
-    Arg.(value & opt int 3 & info [ "trials" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 3 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let expect_isolated =
     let doc =

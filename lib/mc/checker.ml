@@ -78,6 +78,11 @@ exception Found of Sys.move list * verdict
 
 exception Out_of_states
 
+(* Everything a search shares, sequential or cooperative — each piece
+   either immutable or internally synchronized (the sharded visited set,
+   the atomic admission counter), so frontier workers never hold a lock
+   and never mutate a captured structure themselves.  Per-worker
+   counters live in a [stats] passed beside it. *)
 type ctx = {
   cfg : Config.t;
   budgets : budgets;
@@ -87,19 +92,14 @@ type ctx = {
      from the seed).  Sleep sets, subsumption and symmetry pruning are all
      order-agnostic, so any order explores the same reduced state space —
      but a different order reaches different corners of it first, which is
-     what a bug hunt under a state budget needs. *)
+     what a bug hunt under a state budget needs.  Sequential search only:
+     a [Random.State.t] is not shared across domains. *)
   rng : Random.State.t option;
   (* Violations whose kind the caller is not hunting are recorded in the
      stats but do not stop the search. *)
   keep : verdict -> bool;
-  (* The visited table, two layers deep.
-
-     Keying: states are interned under a 64-bit structural key folded
-     from the first 8 bytes of the raw 16-byte canonical digest.  Int
-     keys hash in constant time (no walk over a 32-char hex string) and
-     halve the per-entry key memory; each bucket keeps the full raw
-     digests so a key collision is verified against the whole digest
-     before two states are ever merged.
+  (* The visited set, keyed by raw fingerprint (two layers deep: see
+     {!Parallel.Pool.Fp_map}).
 
      Value: the residual sleep set (sorted, canonical coordinates) — the
      enabled moves no visit has explored from this state yet.  The first
@@ -110,14 +110,29 @@ type ctx = {
      to its intersection with [s] (Godefroid's sleep sets combined with
      state matching).  A revisit with an empty difference is pruned
      outright, which subsumes the classic "some stored sleep is a subset
-     of ours" condition. *)
-  visited : (int, (string * Sys.move list) list) Hashtbl.t;
-  mutable visited_entries : int;
-  stats : stats;
-  (* Flight recorder, sampled on the deterministic state counter. *)
-  recorder : Obs.Profile.t option;
-  mutable sys : Sys.t;
+     of ours" condition.  The lookup and the write-back happen atomically
+     under the state's shard lock, which keeps the combination exactly as
+     sound across domains as on one. *)
+  visited : Sys.move list Parallel.Pool.Fp_map.t;
+  (* Nodes that have asked the state budget for admission. *)
+  admitted : int Atomic.t;
 }
+
+let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
+    ?(use_visited = true) ?seed ?target ~shards cfg =
+  {
+    cfg;
+    budgets;
+    reduction;
+    use_visited;
+    rng = Option.map (fun s -> Random.State.make [| s |]) seed;
+    keep =
+      (match target with
+      | None -> fun _ -> true
+      | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind);
+    visited = Parallel.Pool.Fp_map.create ~shards ();
+    admitted = Atomic.make 0;
+  }
 
 let sorted_moves l = List.sort_uniq Sys.compare_move l
 
@@ -131,83 +146,36 @@ let shuffle st l =
   done;
   Array.to_list a
 
-let fp_key raw = Int64.to_int (String.get_int64_le raw 0)
+(* The state [moves] reach from the initial one: the checker's stand-in
+   for snapshots (fiber continuations cannot be copied).  Raises
+   [Invalid_argument] naming the first move that does not fire. *)
+let replay_prefix cfg moves =
+  let sys = Sys.create cfg in
+  List.iteri
+    (fun i mv ->
+      if not (Sys.apply ~strict:false sys mv) then
+        invalid_arg
+          (Printf.sprintf "move %d (%s) did not apply" i
+             (Sys.move_to_string mv)))
+    moves;
+  sys
 
-let fp_find ctx raw =
-  match Hashtbl.find_opt ctx.visited (fp_key raw) with
-  | None -> None
-  | Some bucket ->
-    List.find_map
-      (fun (r, residual) ->
-        if String.equal r raw then Some residual else None)
-      bucket
-
-let fp_store ctx raw residual =
-  let key = fp_key raw in
-  let bucket =
-    match Hashtbl.find_opt ctx.visited key with None -> [] | Some b -> b
-  in
-  let fresh = not (List.exists (fun (r, _) -> String.equal r raw) bucket) in
-  let bucket =
-    if fresh then (raw, residual) :: bucket
-    else
-      List.map
-        (fun (r, v) -> if String.equal r raw then (r, residual) else (r, v))
-        bucket
-  in
-  Hashtbl.replace ctx.visited key bucket;
-  if fresh then begin
-    if List.length bucket > 1 then
-      ctx.stats.fp_collisions <- ctx.stats.fp_collisions + 1;
-    ctx.visited_entries <- ctx.visited_entries + 1;
-    if ctx.visited_entries > ctx.stats.peak_visited then
-      ctx.stats.peak_visited <- ctx.visited_entries
-  end
-
-(* The expansion plan for a state arrival: explore every non-slept move
-   (first visit), only the canonical moves listed (revisit with a
-   non-empty residual), or nothing (revisit already covered). *)
-type expansion = Expand_all | Expand_only of Sys.move list | Covered
-
-let plan_expansion ctx fp sleep_canon =
-  if not ctx.use_visited then Expand_all
-  else
-    match fp_find ctx fp with
-    | None ->
-      fp_store ctx fp sleep_canon;
-      Expand_all
-    | Some residual ->
-      ctx.stats.revisits <- ctx.stats.revisits + 1;
-      let need =
-        List.filter
-          (fun m -> not (List.exists (Sys.move_equal m) sleep_canon))
-          residual
-      in
-      if need = [] then Covered
-      else begin
-        fp_store ctx fp
-          (List.filter
-             (fun m -> List.exists (Sys.move_equal m) sleep_canon)
-             residual);
-        Expand_only need
-      end
-
-let replay_prefix ctx prefix_rev =
-  ctx.stats.replays <- ctx.stats.replays + 1;
-  let sys = Sys.create ctx.cfg in
-  List.iter (fun mv -> ignore (Sys.apply sys mv)) (List.rev prefix_rev);
-  ctx.sys <- sys
+(* The visited-set facts of a stats record are global table facts, not
+   per-worker sums: [peak_visited] is the number of unique states
+   resident in the set (it never shrinks). *)
+let record_table ctx stats =
+  stats.peak_visited <- Parallel.Pool.Fp_map.length ctx.visited;
+  stats.fp_collisions <- Parallel.Pool.Fp_map.collisions ctx.visited
 
 (* One flight-recorder snapshot: the full stats record plus the live
    frontier depth and visited-set occupancy at the sampled state. *)
-let profile_fields ctx ~depth =
-  let s = ctx.stats in
+let profile_fields s ~depth =
   [
     ("states", Obs.Json.Int s.states);
     ("transitions", Obs.Json.Int s.transitions);
     ("depth", Obs.Json.Int depth);
     ("max_depth", Obs.Json.Int s.max_depth_seen);
-    ("visited", Obs.Json.Int ctx.visited_entries);
+    ("visited", Obs.Json.Int s.peak_visited);
     ("revisits", Obs.Json.Int s.revisits);
     ("sleep_skips", Obs.Json.Int s.sleep_skips);
     ("sym_skips", Obs.Json.Int s.sym_skips);
@@ -216,184 +184,212 @@ let profile_fields ctx ~depth =
     ("terminals", Obs.Json.Int s.terminals);
   ]
 
-let rec explore ctx ~prefix_rev ~depth ~sleep =
-  if ctx.stats.states >= ctx.budgets.max_states then begin
-    ctx.stats.truncated <- true;
-    raise Out_of_states
-  end;
-  ctx.stats.states <- ctx.stats.states + 1;
-  if depth > ctx.stats.max_depth_seen then ctx.stats.max_depth_seen <- depth;
-  (match ctx.recorder with
-  | None -> ()
-  | Some r ->
-    Obs.Profile.sample r ~tick:ctx.stats.states (fun () ->
-        profile_fields ctx ~depth));
-  let moves = Sys.enabled ctx.sys in
-  if moves = [] then begin
-    ctx.stats.terminals <- ctx.stats.terminals + 1;
-    match terminal_verdict ctx.sys with
-    | Clean -> ()
-    | Violation _ as v ->
-      if ctx.keep v then raise (Found (List.rev prefix_rev, v))
-      else ctx.stats.off_target <- ctx.stats.off_target + 1
-  end
-  else if depth >= ctx.budgets.max_depth then ctx.stats.truncated <- true
-  else begin
-    (* Sleep sets are compared across states the fingerprint merged, and
-       the fingerprint canonicalizes server identities (symmetry
-       reduction) — so the comparison must happen in the same canonical
-       coordinates, via the renaming the fingerprint chose. *)
-    let need_rep = ctx.reduction = Sleep_sets in
-    let fp, ren, rep =
-      if ctx.use_visited || need_rep then Sys.fingerprint_raw_ex ctx.sys
-      else ("", Fun.id, Fun.id)
-    in
-    let sleep_canon =
-      sorted_moves (List.map (Sys.canonical_move ren) sleep)
-    in
-    match plan_expansion ctx fp sleep_canon with
-    | Covered -> ()
-    | (Expand_all | Expand_only _) as plan ->
-      (* Symmetric-move pruning: deliveries aimed at servers of the same
-         automorphism class have isomorphic successors; keep one per
-         class. *)
-      let moves =
-        if not need_rep then moves
-        else begin
-          let seen = ref [] in
-          List.filter
-            (fun mv ->
-              let r = Sys.canonical_move rep mv in
-              if List.exists (Sys.move_equal r) !seen then begin
-                ctx.stats.sym_skips <- ctx.stats.sym_skips + 1;
-                false
-              end
-              else begin
-                seen := r :: !seen;
-                true
-              end)
-            moves
-        end
-      in
-      (* On a partial re-expansion, moves outside the residual were
-         explored from this state by an earlier visit; they are exactly
-         as covered as a slept move, and they must sleep (not vanish) so
-         the children explored now inherit them through the independence
-         filter. *)
-      let moves, covered =
-        match plan with
-        | Expand_all | Covered -> (moves, [])
-        | Expand_only need ->
+(* The expansion plan for a state arrival: explore every non-slept move
+   (first visit), only the canonical moves listed (revisit with a
+   non-empty residual), or nothing (revisit already covered). *)
+type expansion = Expand_all | Expand_only of Sys.move list | Covered
+
+(* Look the state up and write back its new residual as one atomic step
+   under its shard lock; an arrival at a known state counts as a
+   revisit. *)
+let plan ctx stats fp sleep_canon =
+  if not ctx.use_visited then Expand_all
+  else
+    Parallel.Pool.Fp_map.update ctx.visited fp (function
+      | None -> (Some sleep_canon, Expand_all)
+      | Some residual ->
+        stats.revisits <- stats.revisits + 1;
+        let slept, need =
           List.partition
-            (fun mv ->
-              List.exists
-                (Sys.move_equal (Sys.canonical_move ren mv))
-                need)
+            (fun m -> List.exists (Sys.move_equal m) sleep_canon)
+            residual
+        in
+        if need = [] then (Some residual, Covered)
+        else (Some slept, Expand_only need))
+
+(* What one node expansion hands its driver. *)
+type step =
+  | Out_of_budget  (** the state budget is spent: stop the search *)
+  | Violating of verdict  (** a terminal violation the caller hunts *)
+  | Children of (Sys.move * Sys.move list) list
+      (** the moves to explore, in order, each with the sleep set its
+          child arrives with; empty for a clean or off-target terminal, a
+          depth cut or an already-covered revisit *)
+
+(* The one expansion step both drivers share: admit the node under the
+   state budget, count it into [stats] ([sample] sees it right after),
+   judge a terminal, cut at the depth budget, plan the node against the
+   visited set, prune symmetric moves, and compute every child's sleep
+   set.  Only how the children are scheduled — and so when a replay or
+   a transition is paid — is left to the driver. *)
+let expand ctx stats ~sample sys ~depth ~sleep =
+  if Atomic.fetch_and_add ctx.admitted 1 >= ctx.budgets.max_states then begin
+    stats.truncated <- true;
+    Out_of_budget
+  end
+  else begin
+    stats.states <- stats.states + 1;
+    if depth > stats.max_depth_seen then stats.max_depth_seen <- depth;
+    sample depth;
+    let moves = Sys.enabled sys in
+    if moves = [] then begin
+      stats.terminals <- stats.terminals + 1;
+      match terminal_verdict sys with
+      | Clean -> Children []
+      | Violation _ as v when ctx.keep v -> Violating v
+      | Violation _ ->
+        stats.off_target <- stats.off_target + 1;
+        Children []
+    end
+    else if depth >= ctx.budgets.max_depth then begin
+      stats.truncated <- true;
+      Children []
+    end
+    else begin
+      (* Sleep sets are compared across states the fingerprint merged,
+         and the fingerprint canonicalizes server identities (symmetry
+         reduction) — so the comparison must happen in the same canonical
+         coordinates, via the renaming the fingerprint chose. *)
+      let need_rep = ctx.reduction = Sleep_sets in
+      let fp, ren, rep =
+        if ctx.use_visited || need_rep then Sys.fingerprint_raw_ex sys
+        else ("", Fun.id, Fun.id)
+      in
+      let sleep_canon =
+        sorted_moves (List.map (Sys.canonical_move ren) sleep)
+      in
+      match plan ctx stats fp sleep_canon with
+      | Covered -> Children []
+      | (Expand_all | Expand_only _) as plan ->
+        (* Symmetric-move pruning: deliveries aimed at servers of the
+           same automorphism class have isomorphic successors; keep one
+           per class. *)
+        let moves =
+          if not need_rep then moves
+          else begin
+            let seen = ref [] in
+            List.filter
+              (fun mv ->
+                let r = Sys.canonical_move rep mv in
+                if List.exists (Sys.move_equal r) !seen then begin
+                  stats.sym_skips <- stats.sym_skips + 1;
+                  false
+                end
+                else begin
+                  seen := r :: !seen;
+                  true
+                end)
+              moves
+          end
+        in
+        (* On a partial re-expansion, moves outside the residual were
+           explored from this state by an earlier visit; they are exactly
+           as covered as a slept move, and they must sleep (not vanish)
+           so the children explored now inherit them through the
+           independence filter. *)
+        let moves, covered =
+          match plan with
+          | Expand_all | Covered -> (moves, [])
+          | Expand_only need ->
+            List.partition
+              (fun mv ->
+                List.exists (Sys.move_equal (Sys.canonical_move ren mv)) need)
+              moves
+        in
+        stats.sleep_skips <- stats.sleep_skips + List.length covered;
+        let moves =
+          match ctx.rng with None -> moves | Some st -> shuffle st moves
+        in
+        let base_sleep = covered @ sleep in
+        (* Enabled moves are distinct, so exploring a sibling can never
+           put a later *candidate* to sleep — only child sleeps grow as
+           siblings are explored — and the whole child list is known up
+           front. *)
+        let to_explore =
+          List.filter
+            (fun mv -> not (List.exists (Sys.move_equal mv) base_sleep))
             moves
-      in
-      ctx.stats.sleep_skips <- ctx.stats.sleep_skips + List.length covered;
-      let moves =
-        match ctx.rng with None -> moves | Some st -> shuffle st moves
-      in
-      let sleep = ref (covered @ sleep) in
-      (* The children to explore are known up front: enabled moves are
-         distinct, so sibling exploration can never put a later
-         *candidate* to sleep (only child sleeps grow as siblings are
-         explored).  Knowing the list lets the node keep its own live
-         state for the LAST child instead of donating it to the first:
-         earlier children run on replicas rebuilt by replay while the
-         entry state waits untouched, and the final child consumes it
-         with no replay at all.  Each node still pays exactly
-         [children - 1] replays — what changes is that no replay is ever
-         issued against a state the node still needs, which is what lets
-         the replica for child [i] be built *before* child [i-1]'s
-         subtree has been torn through the live state. *)
-      let to_explore =
-        List.filter
-          (fun mv -> not (List.exists (Sys.move_equal mv) !sleep))
-          moves
-      in
-      ctx.stats.sleep_skips <-
-        ctx.stats.sleep_skips
-        + (List.length moves - List.length to_explore);
-      let last = List.length to_explore - 1 in
-      let entry = ctx.sys in
-      List.iteri
-        (fun i mv ->
-          if i < last then replay_prefix ctx prefix_rev
-          else ctx.sys <- entry;
-          ignore (Sys.apply ctx.sys mv);
-          ctx.stats.transitions <- ctx.stats.transitions + 1;
-          let child_sleep =
+        in
+        stats.sleep_skips <-
+          stats.sleep_skips + (List.length moves - List.length to_explore);
+        (* Child [i] sleeps on the covered and inherited sleeps plus the
+           siblings ordered before it, filtered by independence with its
+           own move. *)
+        let rec child_sleeps sleep = function
+          | [] -> []
+          | mv :: rest -> (
             match ctx.reduction with
-            | Sleep_sets -> List.filter (Sys.independent mv) !sleep
-            | No_reduction -> []
-          in
-          explore ctx
-            ~prefix_rev:(mv :: prefix_rev)
-            ~depth:(depth + 1) ~sleep:child_sleep;
-          match ctx.reduction with
-          | Sleep_sets -> sleep := mv :: !sleep
-          | No_reduction -> ())
-        to_explore
+            | Sleep_sets ->
+              (mv, List.filter (Sys.independent mv) sleep)
+              :: child_sleeps (mv :: sleep) rest
+            | No_reduction -> (mv, []) :: child_sleeps sleep rest)
+        in
+        Children (child_sleeps base_sleep to_explore)
+    end
   end
 
-let search ?(budgets = default_budgets) ?(reduction = Sleep_sets)
-    ?(use_visited = true) ?seed ?target ?recorder (cfg : Config.t) =
+(* The sequential DFS.  Each node keeps its own live state for the LAST
+   child: earlier children run on replicas rebuilt by replay while the
+   entry state waits untouched, and the final child consumes it with no
+   replay at all.  Each node pays exactly [children - 1] replays, and no
+   replay is ever issued against a state the node still needs. *)
+let rec explore ctx stats ~sample sys ~prefix_rev ~depth ~sleep =
+  match expand ctx stats ~sample sys ~depth ~sleep with
+  | Out_of_budget -> raise Out_of_states
+  | Violating v -> raise (Found (List.rev prefix_rev, v))
+  | Children children ->
+    let last = List.length children - 1 in
+    List.iteri
+      (fun i (mv, child_sleep) ->
+        let sys =
+          if i < last then begin
+            stats.replays <- stats.replays + 1;
+            replay_prefix ctx.cfg (List.rev prefix_rev)
+          end
+          else sys
+        in
+        ignore (Sys.apply sys mv);
+        stats.transitions <- stats.transitions + 1;
+        explore ctx stats ~sample sys ~prefix_rev:(mv :: prefix_rev)
+          ~depth:(depth + 1) ~sleep:child_sleep)
+      children
+
+let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
+    (cfg : Config.t) =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Mc.Checker.search: " ^ e));
+  (* One shard: the sequential search never contends, and each shard
+     preallocates its table. *)
   let ctx =
-    {
-      cfg;
-      budgets;
-      reduction;
-      use_visited;
-      rng = Option.map (fun s -> Random.State.make [| s |]) seed;
-      keep =
-        (match target with
-        | None -> fun _ -> true
-        | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind);
-      visited = Hashtbl.create 4096;
-      visited_entries = 0;
-      stats = fresh_stats ();
-      recorder;
-      sys = Sys.create cfg;
-    }
+    make_ctx ?budgets ?reduction ?use_visited ?seed ?target ~shards:1 cfg
   in
-  let finish outcome =
-    (match ctx.recorder with
+  let stats = fresh_stats () in
+  (* Flight recorder, sampled on the deterministic state counter. *)
+  let sample ~force depth =
+    match recorder with
     | None -> ()
     | Some r ->
-      Obs.Profile.sample ~force:true r ~tick:ctx.stats.states (fun () ->
-          profile_fields ctx ~depth:ctx.stats.max_depth_seen));
-    outcome
+      Obs.Profile.sample ~force r ~tick:stats.states (fun () ->
+          record_table ctx stats;
+          profile_fields stats ~depth)
   in
-  match explore ctx ~prefix_rev:[] ~depth:0 ~sleep:[] with
-  | () ->
-    finish
-      {
-        verdict = Clean;
-        exhaustive = not ctx.stats.truncated;
-        stats = ctx.stats;
-        trace = None;
-      }
-  | exception Found (trace, v) ->
-    finish
-      {
-        verdict = v;
-        exhaustive = false;
-        stats = ctx.stats;
-        trace = Some trace;
-      }
-  | exception Out_of_states ->
-    finish
-      {
-        verdict = Clean;
-        exhaustive = false;
-        stats = ctx.stats;
-        trace = None;
-      }
+  let verdict, trace =
+    match
+      explore ctx stats ~sample:(sample ~force:false) (replay_prefix cfg [])
+        ~prefix_rev:[] ~depth:0 ~sleep:[]
+    with
+    | () | (exception Out_of_states) -> (Clean, None)
+    | exception Found (trace, v) -> (v, Some trace)
+  in
+  record_table ctx stats;
+  sample ~force:true stats.max_depth_seen;
+  {
+    verdict;
+    exhaustive = Option.is_none trace && not stats.truncated;
+    stats;
+    trace;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Cooperative frontier search                                        *)
@@ -430,23 +426,6 @@ type task = {
    that the fixed cost stays trivial. *)
 let frontier_shards = 64
 
-(* Everything a frontier worker shares — each piece either immutable or
-   internally synchronized (sharded table, work-stealing deques, atomic
-   counters), so workers never hold a lock and never mutate a captured
-   structure themselves. *)
-type fctx = {
-  fr_cfg : Config.t;
-  fr_budgets : budgets;
-  fr_reduction : reduction;
-  fr_use_visited : bool;
-  fr_keep : verdict -> bool;
-  fr_table : Sys.move list Parallel.Pool.Fp_map.t;
-  fr_frontier : task Parallel.Pool.Frontier.t;
-  fr_counter : int Atomic.t;
-  fr_truncated : bool Atomic.t;
-  fr_recorder : Obs.Profile.t option;
-}
-
 (* What a worker sends back, by value, through the join. *)
 type worker_report = {
   wr_stats : stats;
@@ -454,18 +433,18 @@ type worker_report = {
   wr_samples : Obs.Json.t list;
 }
 
-let frontier_worker fc w =
+let frontier_worker ctx frontier recorder w =
   let stats = fresh_stats () in
   let violations = ref [] in
   (* Branched off the parent recorder *inside* the worker: recorders are
      single-domain mutable state, so each domain owns its branch and
      returns the samples by value. *)
-  let branch = Option.map Obs.Profile.branch fc.fr_recorder in
-  let sample ?force ~depth () =
+  let branch = Option.map Obs.Profile.branch recorder in
+  let sample ~force depth =
     match branch with
     | None -> ()
     | Some r ->
-      Obs.Profile.sample ?force r ~tick:stats.states (fun () ->
+      Obs.Profile.sample ~force r ~tick:stats.states (fun () ->
           [
             ("worker", Obs.Json.Int w);
             ("states", Obs.Json.Int stats.states);
@@ -480,181 +459,58 @@ let frontier_worker fc w =
           ])
   in
   (* Expand the node the live [sys] currently sits on, descending into
-     its first child in place and pushing the later siblings as
-     stealable tasks.  Mirrors the sequential [explore] step for step;
-     the one genuinely concurrent act — look up the residual sleep set
-     and write back its replacement — happens atomically under the
-     state's shard lock, which keeps the sleep-set/state-matching
-     combination exactly as sound as the single-domain version. *)
+     its first child in place — no replay, the sequential explorer's
+     last-child reuse at the other end of the sibling list — and pushing
+     the later siblings as stealable tasks. *)
   let rec descend sys prefix_rev depth sleep =
-    if not (Parallel.Pool.Frontier.stopped fc.fr_frontier) then begin
-      let n = Atomic.fetch_and_add fc.fr_counter 1 in
-      if n >= fc.fr_budgets.max_states then begin
-        stats.truncated <- true;
-        Atomic.set fc.fr_truncated true;
-        Parallel.Pool.Frontier.stop fc.fr_frontier
-      end
-      else begin
-        stats.states <- stats.states + 1;
-        if depth > stats.max_depth_seen then stats.max_depth_seen <- depth;
-        sample ~depth ();
-        let moves = Sys.enabled sys in
-        if moves = [] then begin
-          stats.terminals <- stats.terminals + 1;
-          match terminal_verdict sys with
-          | Clean -> ()
-          | Violation _ as v ->
-            if fc.fr_keep v then begin
-              violations := (List.rev prefix_rev, v) :: !violations;
-              (* Early exit: the reported counterexample is re-derived
-                 sequentially anyway, so there is nothing deterministic
-                 left for the other workers to add. *)
-              Parallel.Pool.Frontier.stop fc.fr_frontier
-            end
-            else stats.off_target <- stats.off_target + 1
-        end
-        else if depth >= fc.fr_budgets.max_depth then begin
-          stats.truncated <- true;
-          Atomic.set fc.fr_truncated true
-        end
-        else begin
-          let need_rep = fc.fr_reduction = Sleep_sets in
-          let fp, ren, rep =
-            if fc.fr_use_visited || need_rep then Sys.fingerprint_raw_ex sys
-            else ("", Fun.id, Fun.id)
-          in
-          let sleep_canon =
-            sorted_moves (List.map (Sys.canonical_move ren) sleep)
-          in
-          let plan =
-            if not fc.fr_use_visited then Expand_all
-            else
-              Parallel.Pool.Fp_map.update fc.fr_table fp (fun cur ->
-                  match cur with
-                  | None -> (Some sleep_canon, Expand_all)
-                  | Some residual ->
-                    let need =
-                      List.filter
-                        (fun m ->
-                          not (List.exists (Sys.move_equal m) sleep_canon))
-                        residual
-                    in
-                    if need = [] then (Some residual, Covered)
-                    else
-                      ( Some
-                          (List.filter
-                             (fun m ->
-                               List.exists (Sys.move_equal m) sleep_canon)
-                             residual),
-                        Expand_only need ))
-          in
-          (match plan with
-          | Expand_all -> ()
-          | Covered | Expand_only _ -> stats.revisits <- stats.revisits + 1);
-          match plan with
-          | Covered -> ()
-          | (Expand_all | Expand_only _) as plan ->
-            (* Symmetric-move pruning, as in the sequential explorer. *)
-            let moves =
-              if not need_rep then moves
-              else begin
-                let seen = ref [] in
-                List.filter
-                  (fun mv ->
-                    let r = Sys.canonical_move rep mv in
-                    if List.exists (Sys.move_equal r) !seen then begin
-                      stats.sym_skips <- stats.sym_skips + 1;
-                      false
-                    end
-                    else begin
-                      seen := r :: !seen;
-                      true
-                    end)
-                  moves
-              end
-            in
-            let moves, covered =
-              match plan with
-              | Expand_all | Covered -> (moves, [])
-              | Expand_only need ->
-                List.partition
-                  (fun mv ->
-                    List.exists
-                      (Sys.move_equal (Sys.canonical_move ren mv))
-                      need)
-                  moves
-            in
-            stats.sleep_skips <- stats.sleep_skips + List.length covered;
-            let base_sleep = covered @ sleep in
-            let to_explore =
-              List.filter
-                (fun mv -> not (List.exists (Sys.move_equal mv) base_sleep))
-                moves
-            in
-            stats.sleep_skips <-
-              stats.sleep_skips
-              + (List.length moves - List.length to_explore);
-            (* Child [i]'s sleep set is known at push time: the covered
-               and inherited sleeps plus the siblings ordered before it,
-               filtered by independence with the child's own move —
-               exactly what the sequential explorer accumulates between
-               siblings. *)
-            let rec plan_children before = function
-              | [] -> []
-              | mv :: rest ->
-                let s =
-                  match fc.fr_reduction with
-                  | Sleep_sets ->
-                    List.filter (Sys.independent mv) (before @ base_sleep)
-                  | No_reduction -> []
-                in
-                (mv, s) :: plan_children (mv :: before) rest
-            in
-            match plan_children [] to_explore with
-            | [] -> ()
-            | (m0, s0) :: laters ->
-              stats.transitions <-
-                stats.transitions + List.length to_explore;
-              (* Later siblings become stealable tasks.  Pushed in
-                 reverse so the owner's LIFO pop recovers left-to-right
-                 sibling order, while thieves take the oldest end. *)
-              List.iter
-                (fun (mv, s) ->
-                  Parallel.Pool.Frontier.push fc.fr_frontier ~worker:w
-                    {
-                      t_prefix_rev = mv :: prefix_rev;
-                      t_sleep = s;
-                      t_depth = depth + 1;
-                    })
-                (List.rev laters);
-              (* Descend into the first child on the live state — no
-                 replay, same as the sequential explorer's last-child
-                 reuse, just at the other end of the sibling list. *)
-              ignore (Sys.apply sys m0);
-              descend sys (m0 :: prefix_rev) (depth + 1) s0
-        end
-      end
-    end
+    if not (Parallel.Pool.Frontier.stopped frontier) then
+      match
+        expand ctx stats ~sample:(sample ~force:false) sys ~depth ~sleep
+      with
+      | Out_of_budget -> Parallel.Pool.Frontier.stop frontier
+      | Violating v ->
+        violations := (List.rev prefix_rev, v) :: !violations;
+        (* Early exit: the reported counterexample is re-derived
+           sequentially anyway, so there is nothing deterministic left
+           for the other workers to add. *)
+        Parallel.Pool.Frontier.stop frontier
+      | Children [] -> ()
+      | Children (((m0, s0) :: laters) as children) ->
+        stats.transitions <- stats.transitions + List.length children;
+        (* Pushed in reverse so the owner's LIFO pop recovers
+           left-to-right sibling order, while thieves take the oldest
+           end. *)
+        List.iter
+          (fun (mv, s) ->
+            Parallel.Pool.Frontier.push frontier ~worker:w
+              {
+                t_prefix_rev = mv :: prefix_rev;
+                t_sleep = s;
+                t_depth = depth + 1;
+              })
+          (List.rev laters);
+        ignore (Sys.apply sys m0);
+        descend sys (m0 :: prefix_rev) (depth + 1) s0
   in
   let process t =
     if t.t_prefix_rev <> [] then stats.replays <- stats.replays + 1;
-    let sys = Sys.create fc.fr_cfg in
-    List.iter (fun mv -> ignore (Sys.apply sys mv)) (List.rev t.t_prefix_rev);
-    descend sys t.t_prefix_rev t.t_depth t.t_sleep
+    descend
+      (replay_prefix ctx.cfg (List.rev t.t_prefix_rev))
+      t.t_prefix_rev t.t_depth t.t_sleep
   in
   let rec loop () =
-    match Parallel.Pool.Frontier.take fc.fr_frontier ~worker:w with
+    match Parallel.Pool.Frontier.take frontier ~worker:w with
     | `Done -> ()
     | `Retry ->
       Domain.cpu_relax ();
       loop ()
     | `Task t ->
       process t;
-      Parallel.Pool.Frontier.finish fc.fr_frontier ~worker:w;
+      Parallel.Pool.Frontier.finish frontier ~worker:w;
       loop ()
   in
   loop ();
-  sample ~force:true ~depth:stats.max_depth_seen ();
+  sample ~force:true stats.max_depth_seen;
   {
     wr_stats = stats;
     wr_violations = List.rev !violations;
@@ -674,27 +530,20 @@ type frontier_pass = {
 
 (* One cooperative pass over the state space: seed the frontier with the
    root, scatter the workers, merge their reports. *)
-let frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
+let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
     ~reverse_steal ~domains cfg =
-  let fc =
-    {
-      fr_cfg = cfg;
-      fr_budgets = budgets;
-      fr_reduction = reduction;
-      fr_use_visited = use_visited;
-      fr_keep = keep;
-      fr_table = Parallel.Pool.Fp_map.create ~shards:frontier_shards ();
-      fr_frontier =
-        Parallel.Pool.Frontier.create ~reverse_steal ~workers:domains ();
-      fr_counter = Atomic.make 0;
-      fr_truncated = Atomic.make false;
-      fr_recorder = recorder;
-    }
+  let ctx =
+    make_ctx ?budgets ?reduction ?use_visited ?target ~shards:frontier_shards
+      cfg
   in
-  Parallel.Pool.Frontier.push fc.fr_frontier ~worker:0
+  let frontier =
+    Parallel.Pool.Frontier.create ~reverse_steal ~workers:domains ()
+  in
+  Parallel.Pool.Frontier.push frontier ~worker:0
     { t_prefix_rev = []; t_sleep = []; t_depth = 0 };
   let reports =
-    Parallel.Pool.scatter ~domains (fun w -> frontier_worker fc w)
+    Parallel.Pool.scatter ~domains (fun w ->
+        frontier_worker ctx frontier recorder w)
   in
   let agg = fresh_stats () in
   List.iter
@@ -708,16 +557,11 @@ let frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
       agg.sym_skips <- agg.sym_skips + s.sym_skips;
       agg.replays <- agg.replays + s.replays;
       agg.off_target <- agg.off_target + s.off_target;
+      agg.truncated <- agg.truncated || s.truncated;
       if s.max_depth_seen > agg.max_depth_seen then
         agg.max_depth_seen <- s.max_depth_seen)
     reports;
-  (* Shared-table statistics are global facts, not per-worker sums:
-     [peak_visited] is the number of *unique* states resident in the
-     sharded set (the portfolio used to report the sum of K overlapping
-     tables here). *)
-  agg.peak_visited <- Parallel.Pool.Fp_map.length fc.fr_table;
-  agg.fp_collisions <- Parallel.Pool.Fp_map.collisions fc.fr_table;
-  agg.truncated <- Atomic.get fc.fr_truncated;
+  record_table ctx agg;
   let candidate =
     List.concat_map (fun r -> r.wr_violations) reports
     |> List.fold_left
@@ -732,7 +576,7 @@ let frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
     fp_agg = agg;
     fp_candidate = candidate;
     fp_reports = reports;
-    fp_steals = Parallel.Pool.Frontier.steals fc.fr_frontier;
+    fp_steals = Parallel.Pool.Frontier.steals frontier;
   }
 
 (* The schedule-independent projection of an outcome: what the race
@@ -768,16 +612,8 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
     first
   end
   else begin
-    let budgets = Option.value budgets ~default:default_budgets in
-    let reduction = Option.value reduction ~default:Sleep_sets in
-    let use_visited = Option.value use_visited ~default:true in
-    let keep =
-      match target with
-      | None -> fun _ -> true
-      | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind
-    in
     let run ~reverse_steal ~recorder =
-      frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
+      frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
         ~reverse_steal ~domains cfg
     in
     (* The cooperative pass covers the reduced space once, shared.  Its
@@ -802,7 +638,7 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
           },
           false )
       | _ ->
-        (search ~budgets ~reduction ~use_visited ?seed ?target cfg, true)
+        (search ?budgets ?reduction ?use_visited ?seed ?target cfg, true)
     in
     let pass1 = run ~reverse_steal:false ~recorder in
     let outcome1, rederived = report_of pass1 in
@@ -846,19 +682,7 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
              ("workers", Obs.Json.List workers_json);
            ]);
       Obs.Profile.sample ~force:true r ~tick:agg.states (fun () ->
-          [
-            ("states", Obs.Json.Int agg.states);
-            ("transitions", Obs.Json.Int agg.transitions);
-            ("depth", Obs.Json.Int agg.max_depth_seen);
-            ("max_depth", Obs.Json.Int agg.max_depth_seen);
-            ("visited", Obs.Json.Int agg.peak_visited);
-            ("revisits", Obs.Json.Int agg.revisits);
-            ("sleep_skips", Obs.Json.Int agg.sleep_skips);
-            ("sym_skips", Obs.Json.Int agg.sym_skips);
-            ("fp_collisions", Obs.Json.Int agg.fp_collisions);
-            ("replays", Obs.Json.Int agg.replays);
-            ("terminals", Obs.Json.Int agg.terminals);
-          ]));
+          profile_fields agg ~depth:agg.max_depth_seen));
     outcome1
   end
 
@@ -1036,18 +860,9 @@ let guide_of_json j =
    verdict must be structurally equal, and the terminal fingerprint must
    match the recorded digest. *)
 let replay (c : cex) =
-  let sys = Sys.create c.config in
-  match
-    List.iteri
-      (fun i mv ->
-        if not (Sys.apply ~strict:false sys mv) then
-          failwith
-            (Printf.sprintf "move %d (%s) did not apply" i
-               (Sys.move_to_string mv)))
-      c.trace
-  with
-  | exception Failure msg -> Error msg
-  | () ->
+  match replay_prefix c.config c.trace with
+  | exception Invalid_argument msg -> Error msg
+  | sys ->
     let v = terminal_verdict sys in
     let digest = Sys.fingerprint sys in
     if not (Stab.verdict_equal v c.verdict) then
@@ -1077,9 +892,7 @@ let package ~shrink_violations ~log cfg (outcome : outcome) =
            records its own digest *)
         (trace, v, 0)
     in
-    let sys = Sys.create cfg in
-    List.iter (fun mv -> ignore (Sys.apply sys mv)) trace;
-    let digest = Sys.fingerprint sys in
+    let digest = Sys.fingerprint (replay_prefix cfg trace) in
     let cex =
       { config = cfg; trace; verdict; states = outcome.stats.states; digest }
     in

@@ -6,8 +6,8 @@
     corruption-menu strikes up to the configured budgets, re-executing
     prefixes from scratch where a snapshot would be needed (OCaml fibers
     cannot be cloned).  States are merged by {!Sys.fingerprint}, interned
-    in the visited table under a 64-bit structural key with full-digest
-    collision verification.  Each visited state keeps the residual sleep
+    in a {!Parallel.Pool.Fp_map} visited set under a 64-bit structural
+    key with full-digest collision verification.  Each visited state keeps the residual sleep
     set — the enabled moves no visit has explored from it yet: a revisit
     re-explores exactly that residual minus its own sleep set and nothing
     else (Godefroid's sleep sets combined with state matching), which

@@ -257,9 +257,10 @@ module Fp_map = struct
 
   let shards t = Array.length t.fpm_shards
 
-  (* The same 64-bit structural key the sequential checker folds from
-     the first 8 bytes of the raw digest.  [Int64.to_int] can go
-     negative, so the shard index normalizes the remainder. *)
+  (* The 64-bit structural key folded from the first 8 bytes of the raw
+     digest: an int key hashes in constant time and halves the per-entry
+     key memory.  [Int64.to_int] can go negative, so the shard index
+     normalizes the remainder. *)
   let fp_key raw = Int64.to_int (String.get_int64_le raw 0)
 
   let shard_of t raw =

@@ -101,19 +101,22 @@ module Deque : sig
   val length : 'a t -> int
 end
 
-(** Sharded fingerprint-keyed map: the cooperative visited set.  Keys
-    are raw digests of at least 8 bytes; each digest is interned under
-    the 64-bit key folded from its first 8 bytes, in the shard
-    [key mod shards], each shard an independently-locked [Hashtbl].
-    Buckets keep the full raw digests, so an 8-byte key collision is
-    verified against the whole digest before two keys are ever merged
-    ([collisions] counts how often that second layer fired). *)
+(** Sharded fingerprint-keyed map: the visited set of both model-checker
+    searches — the sequential DFS on one shard, the cooperative frontier
+    on many.  Keys are raw digests of at least 8 bytes; each digest is
+    interned under the 64-bit key folded from its first 8 bytes, in the
+    shard [key mod shards], each shard an independently-locked
+    [Hashtbl].  Buckets keep the full raw digests, so an 8-byte key
+    collision is verified against the whole digest before two keys are
+    ever merged ([collisions] counts how often that second layer
+    fired). *)
 module Fp_map : sig
   type 'v t
 
   val create : ?shards:int -> unit -> 'v t
-  (** [shards] defaults to 64.  Raises [Invalid_argument] if
-      [shards < 1]. *)
+  (** [shards] defaults to 64; each shard preallocates its table, so a
+      single-domain caller should ask for one.  Raises
+      [Invalid_argument] if [shards < 1]. *)
 
   val update : 'v t -> string -> ('v option -> 'v option * 'r) -> 'r
   (** [update t raw f] applies [f] to the current binding of [raw]

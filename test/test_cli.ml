@@ -191,6 +191,28 @@ let test_usage_errors () =
     (String.starts_with
        ~prefix:"stabreg-experiments: unknown experiment(s): E99" err)
 
+(* Out-of-range counts and fractions are usage errors that name the
+   flag, not uncaught exceptions from inside the run (exit 125). *)
+let test_range_checked_numbers () =
+  List.iter
+    (fun (flag, args) ->
+      let code, err = eval args in
+      let what = String.concat " " args in
+      check_int (what ^ " exits 124") 124 code;
+      check_true (what ^ " names the flag")
+        (String.starts_with
+           ~prefix:(Printf.sprintf "stabreg-experiments: option '%s': " flag)
+           err))
+    [
+      ("--domains", [ "mc"; "--domains"; "0" ]);
+      ("--domains", [ "chaos"; "--domains"; "0" ]);
+      ("--domains", [ "shard"; "--domains"; "0" ]);
+      ("--trials", [ "chaos"; "--trials=-1" ]);
+      ("--trials", [ "shard"; "--chaos-target"; "0"; "--trials=-1" ]);
+      ("--race-fraction", [ "chaos"; "--race-check"; "--race-fraction"; "2" ]);
+      ("--keys", [ "shard"; "--keys"; "0" ]);
+    ]
+
 let test_chaos_replay_expect () =
   let repro = "../examples/chaos/regular_collude_repro.json" in
   check_exit "violating repro --expect clean" 124
@@ -240,6 +262,7 @@ let tests =
   [
     case "help surface pinned" test_help_surface;
     case "usage errors exit 124" test_usage_errors;
+    case "out-of-range numbers exit 124" test_range_checked_numbers;
     case "chaos replay honours --expect" test_chaos_replay_expect;
     case "mc replay honours --expect" test_mc_replay_expect;
     case "recovery replay honours --expect-converged"

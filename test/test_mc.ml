@@ -352,6 +352,101 @@ let test_golden_walks_cover_ties () =
          tied)
        golden_walks)
 
+(* --- stats golden ------------------------------------------------------ *)
+
+(* Every counter of a sequential search, pinned.  The visited set, the
+   sleep-set and symmetry reductions, the budgets and the replay
+   accounting all feed them, so a change to the expansion step that is
+   not a pure refactor moves at least one.  [trace] is the violating
+   trace's length, -1 when there is none. *)
+let stats_line (o : Mc.Checker.outcome) =
+  let s = o.Mc.Checker.stats in
+  Printf.sprintf
+    "%s exhaustive=%b trace=%d states=%d transitions=%d terminals=%d \
+     revisits=%d sleep_skips=%d sym_skips=%d replays=%d off_target=%d \
+     fp_collisions=%d peak_visited=%d max_depth_seen=%d truncated=%b"
+    (Stab.verdict_kind o.Mc.Checker.verdict)
+    o.Mc.Checker.exhaustive
+    (match o.Mc.Checker.trace with None -> -1 | Some t -> List.length t)
+    s.Mc.Checker.states s.transitions s.terminals s.revisits s.sleep_skips
+    s.sym_skips s.replays s.off_target s.fp_collisions s.peak_visited
+    s.max_depth_seen s.truncated
+
+let stats_goldens =
+  let budgets max_states = { Mc.Checker.max_states; max_depth = 10_000 } in
+  [
+    (* [n4_silent] is perfbench's mc-n4-silent config at its default
+       size. *)
+    ( "mc-n4-silent seed 1",
+      (fun () -> Mc.Checker.search ~seed:1 n4_silent),
+      "clean exhaustive=true trace=-1 states=27475 transitions=27474 \
+       terminals=44 revisits=20739 sleep_skips=23528 sym_skips=6011 \
+       replays=15840 off_target=0 fp_collisions=0 peak_visited=6692 \
+       max_depth_seen=25 truncated=false" );
+    ( "tiny regular",
+      (fun () -> Mc.Checker.search tiny_cfg),
+      "clean exhaustive=true trace=-1 states=1805 transitions=1804 \
+       terminals=13 revisits=1193 sleep_skips=1139 sym_skips=406 \
+       replays=923 off_target=0 fp_collisions=0 peak_visited=599 \
+       max_depth_seen=15 truncated=false" );
+    ( "tiny atomic",
+      (fun () ->
+        Mc.Checker.search { tiny_cfg with Mc.Config.family = Mc.Config.Atomic }),
+      "clean exhaustive=true trace=-1 states=3540 transitions=3539 \
+       terminals=13 revisits=2383 sleep_skips=2150 sym_skips=796 \
+       replays=1856 off_target=0 fp_collisions=0 peak_visited=1144 \
+       max_depth_seen=21 truncated=false" );
+    ( "tiny regular, no reduction",
+      (fun () -> Mc.Checker.search ~reduction:Mc.Checker.No_reduction tiny_cfg),
+      "clean exhaustive=true trace=-1 states=2233 transitions=2232 \
+       terminals=13 revisits=1619 sleep_skips=0 sym_skips=0 replays=1631 \
+       off_target=0 fp_collisions=0 peak_visited=601 max_depth_seen=15 \
+       truncated=false" );
+    ( "tiny regular, no visited set, truncated",
+      (fun () ->
+        Mc.Checker.search ~use_visited:false ~budgets:(budgets 500) tiny_cfg),
+      "clean exhaustive=false trace=-1 states=500 transitions=500 \
+       terminals=95 revisits=0 sleep_skips=147 sym_skips=185 replays=187 \
+       off_target=0 fp_collisions=0 peak_visited=0 max_depth_seen=15 \
+       truncated=true" );
+    ( "over-bound early stop",
+      (fun () -> Mc.Checker.search overbound_cfg),
+      "stuck exhaustive=false trace=32 states=33 transitions=32 terminals=1 \
+       revisits=0 sleep_skips=0 sym_skips=274 replays=31 off_target=0 \
+       fp_collisions=0 peak_visited=32 max_depth_seen=32 truncated=false" );
+    ( "over-bound inversion hunt",
+      (fun () ->
+        Mc.Checker.search ~budgets:(budgets 2_000) ~target:"inversion"
+          overbound_cfg),
+      "clean exhaustive=false trace=-1 states=2000 transitions=2000 \
+       terminals=2 revisits=1446 sleep_skips=1712 sym_skips=3283 \
+       replays=1119 off_target=2 fp_collisions=0 peak_visited=552 \
+       max_depth_seen=32 truncated=true" );
+  ]
+
+let test_stats_golden (search, expected) () =
+  Alcotest.(check string) "stats" expected (stats_line (search ()))
+
+(* The flight recorder of one sequential search, under a frozen clock so
+   the timeline is byte-stable (one sample a line below; the rendering
+   has no newlines). *)
+let profile_golden =
+  {|{"schema":"stabreg/mc-profile/v1","kind":"mc","every":600,"samples":[
+{"tick":1,"elapsed_s":0.0,"states":1,"transitions":0,"depth":0,"max_depth":0,"visited":0,"revisits":0,"sleep_skips":0,"sym_skips":0,"fp_collisions":0,"replays":0,"terminals":0},
+{"tick":601,"elapsed_s":0.0,"states":601,"transitions":600,"depth":7,"max_depth":15,"visited":232,"revisits":358,"sleep_skips":279,"sym_skips":182,"fp_collisions":0,"replays":302,"terminals":10},
+{"tick":1201,"elapsed_s":0.0,"states":1201,"transitions":1200,"depth":8,"max_depth":15,"visited":420,"revisits":768,"sleep_skips":676,"sym_skips":259,"fp_collisions":0,"replays":619,"terminals":12},
+{"tick":1801,"elapsed_s":0.0,"states":1801,"transitions":1800,"depth":3,"max_depth":15,"visited":599,"revisits":1188,"sleep_skips":1129,"sym_skips":404,"fp_collisions":0,"replays":923,"terminals":13},
+{"tick":1805,"elapsed_s":0.0,"states":1805,"transitions":1804,"depth":15,"max_depth":15,"visited":599,"revisits":1193,"sleep_skips":1139,"sym_skips":406,"fp_collisions":0,"replays":923,"terminals":13}],
+"sections":{}}|}
+
+let test_profile_golden () =
+  let r = Obs.Profile.create ~every:600 ~clock:(fun () -> 0.) ~kind:"mc" () in
+  ignore (Mc.Checker.search ~recorder:r tiny_cfg);
+  Alcotest.(check string)
+    "profile"
+    (String.concat "" (String.split_on_char '\n' profile_golden))
+    (Obs.Json.to_string (Obs.Profile.to_json r))
+
 let tests =
   List.map
     (fun w -> case ("golden fingerprint: " ^ w.w_name) (test_golden_fingerprint w))
@@ -372,4 +467,9 @@ let tests =
       (replay_committed "mc-regular-inversion.json");
     case "guided witness finds the inversion"
       test_guided_witness_finds_inversion;
+    case "sequential profile golden" test_profile_golden;
   ]
+  @ List.map
+      (fun (name, search, expected) ->
+        case ("stats golden: " ^ name) (test_stats_golden (search, expected)))
+      stats_goldens

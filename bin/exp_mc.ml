@@ -198,11 +198,8 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     | None -> []
     | Some o ->
       let traces_equal =
-        match (result.outcome.trace, o.Checker.trace) with
-        | None, None -> true
-        | Some a, Some b ->
-          List.length a = List.length b && List.for_all2 Sys.move_equal a b
-        | _ -> false
+        Option.equal (List.equal Sys.move_equal) result.outcome.trace
+          o.Checker.trace
       in
       if Stab.verdict_equal result.outcome.verdict o.Checker.verdict
          && traces_equal

@@ -45,7 +45,7 @@ let json_arg =
 
 let domains_json_arg =
   let doc =
-    "Write the shared-state inventory as a $(b,stabreg/lint-domains/v1) \
+    "Write the shared-state inventory as a $(b,stabreg/lint-domains/v2) \
      artifact to $(docv)."
   in
   Arg.(

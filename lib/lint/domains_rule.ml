@@ -5,7 +5,7 @@ open Parsetree
 (* Sharing a mutable value across a domain boundary is sanctioned only
    here, with a rationale.  Each entry names (file, value) exactly; the
    escape pass turns a matching capture into [Escapes_guarded] instead
-   of a finding, and the rationale travels into the lint-domains/v1
+   of a finding, and the rationale travels into the lint-domains/v2
    inventory artifact. *)
 let sanctioned =
   [

@@ -4,7 +4,7 @@ let schema_version = "stabreg/lint-report/v1"
 
 let baseline_schema_version = "stabreg/lint-baseline/v1"
 
-let domains_schema_version = "stabreg/lint-domains/v1"
+let domains_schema_version = "stabreg/lint-domains/v2"
 
 type entry = { file : string; rule : string; line : int }
 
@@ -179,57 +179,44 @@ let baseline_entries j =
 
 let validate_baseline j = Result.map ignore (baseline_entries j)
 
-(* --- shared-state inventory (lint-domains/v1) ------------------------ *)
+(* --- shared-state inventory (lint-domains/v2) ------------------------ *)
 
-let verdict_fields = function
-  | Escape.Local -> [ ("verdict", Json.Str "local") ]
-  | Escape.Escapes_sync line ->
-    [ ("verdict", Json.Str "escapes-sync"); ("capture_line", Json.Int line) ]
-  | Escape.Escapes_guarded (line, reason) ->
-    [
-      ("verdict", Json.Str "escapes-guarded");
-      ("capture_line", Json.Int line);
-      ("reason", Json.Str reason);
-    ]
-  | Escape.Escapes_unsync line ->
-    [ ("verdict", Json.Str "escapes-unsync"); ("capture_line", Json.Int line) ]
-
-let entry_json (e : Escape.entry) =
-  Json.Obj
-    ([
-       ("name", Json.Str e.Escape.value.Escape.name);
-       ("kind", Json.Str (Escape.kind_to_string e.Escape.value.Escape.kind));
-       ("line", Json.Int e.Escape.value.Escape.line);
-       ("col", Json.Int e.Escape.value.Escape.col);
-     ]
-    @ verdict_fields e.Escape.verdict)
-
-let module_json (m : Escape.module_inventory) =
-  Json.Obj
-    [
-      ("file", Json.Str m.Escape.file);
-      ("module", Json.Str m.Escape.module_name);
-      ( "boundary_lines",
-        Json.List (List.map (fun l -> Json.Int l) m.Escape.boundary_lines) );
-      ("values", Json.List (List.map entry_json m.Escape.entries));
-    ]
-
-let count_verdict pred inventory =
-  List.fold_left
-    (fun n (m : Escape.module_inventory) ->
-      n
-      + List.length
-          (List.filter (fun (e : Escape.entry) -> pred e.Escape.verdict)
-             m.Escape.entries))
-    0 inventory
+(* Only the values that are not [local] are listed, keyed by module and
+   binding with no source positions: the inventory moves when shared
+   state does, not when the code around it does.  The counts of every
+   verdict stay in the summary. *)
+let shared_json (m : Escape.module_inventory) =
+  List.filter_map
+    (fun (e : Escape.entry) ->
+      let listed verdict extra =
+        Some
+          (Json.Obj
+             ([
+                ("module", Json.Str m.Escape.module_name);
+                ("binding", Json.Str e.Escape.value.Escape.name);
+                ("file", Json.Str m.Escape.file);
+                ( "kind",
+                  Json.Str (Escape.kind_to_string e.Escape.value.Escape.kind) );
+                ("verdict", Json.Str verdict);
+              ]
+             @ extra))
+      in
+      match e.Escape.verdict with
+      | Escape.Local -> None
+      | Escape.Escapes_sync _ -> listed "escapes-sync" []
+      | Escape.Escapes_guarded (_, reason) ->
+        listed "escapes-guarded" [ ("reason", Json.Str reason) ]
+      | Escape.Escapes_unsync _ -> listed "escapes-unsync" [])
+    m.Escape.entries
 
 let domains_to_json ~paths inventory =
-  let values =
-    List.fold_left
-      (fun n (m : Escape.module_inventory) ->
-        n + List.length m.Escape.entries)
-      0 inventory
+  let verdicts =
+    List.concat_map
+      (fun (m : Escape.module_inventory) ->
+        List.map (fun (e : Escape.entry) -> e.Escape.verdict) m.Escape.entries)
+      inventory
   in
+  let count pred = Json.Int (List.length (List.filter pred verdicts)) in
   Json.Obj
     [
       ("schema", Json.Str domains_schema_version);
@@ -239,29 +226,16 @@ let domains_to_json ~paths inventory =
         Json.Obj
           [
             ("modules", Json.Int (List.length inventory));
-            ("values", Json.Int values);
-            ( "local",
-              Json.Int
-                (count_verdict
-                   (function Escape.Local -> true | _ -> false)
-                   inventory) );
+            ("values", Json.Int (List.length verdicts));
+            ("local", count (function Escape.Local -> true | _ -> false));
             ( "escapes_sync",
-              Json.Int
-                (count_verdict
-                   (function Escape.Escapes_sync _ -> true | _ -> false)
-                   inventory) );
+              count (function Escape.Escapes_sync _ -> true | _ -> false) );
             ( "escapes_guarded",
-              Json.Int
-                (count_verdict
-                   (function Escape.Escapes_guarded _ -> true | _ -> false)
-                   inventory) );
+              count (function Escape.Escapes_guarded _ -> true | _ -> false) );
             ( "escapes_unsync",
-              Json.Int
-                (count_verdict
-                   (function Escape.Escapes_unsync _ -> true | _ -> false)
-                   inventory) );
+              count (function Escape.Escapes_unsync _ -> true | _ -> false) );
           ] );
-      ("modules", Json.List (List.map module_json inventory));
+      ("shared", Json.List (List.concat_map shared_json inventory));
     ]
 
 let render_domains ~paths inventory =
@@ -287,28 +261,17 @@ let validate_domains j =
       summary
   in
   let value ctx v =
-    let* _name = str_field ctx "name" v in
+    let* _module = str_field ctx "module" v in
+    let* _binding = str_field ctx "binding" v in
+    let* _file = str_field ctx "file" v in
     let* _kind = str_field ctx "kind" v in
-    let* _line = int_field ctx "line" v in
     let* verdict = str_field ctx "verdict" v in
     match verdict with
-    | "local" -> Ok ()
-    | "escapes-sync" | "escapes-unsync" ->
-      let* _ = int_field ctx "capture_line" v in
-      Ok ()
+    | "escapes-sync" | "escapes-unsync" -> Ok ()
     | "escapes-guarded" ->
-      let* _ = int_field ctx "capture_line" v in
       let* _reason = str_field ctx "reason" v in
       Ok ()
-    | other -> Error (Printf.sprintf "%s: unknown verdict %S" ctx other)
+    | other -> Error (Printf.sprintf "%s: unlisted verdict %S" ctx other)
   in
-  let* _modules =
-    list_field ctx "modules"
-      (fun ctx m ->
-        let* _file = str_field ctx "file" m in
-        let* _mod = str_field ctx "module" m in
-        let* _lines = list_field ctx "boundary_lines" as_int m in
-        list_field ctx "values" value m)
-      j
-  in
+  let* _shared = list_field ctx "shared" value j in
   Ok ()

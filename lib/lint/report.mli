@@ -16,8 +16,9 @@ val schema_version : string
 val baseline_schema_version : string
 
 val domains_schema_version : string
-(** [stabreg/lint-domains/v1]: the per-module shared-state inventory
-    (mutable values and their domain-escape verdicts). *)
+(** [stabreg/lint-domains/v2]: the shared-state inventory (verdict
+    counts over every mutable value, and each value that is not [local]
+    by module and binding). *)
 
 type entry = { file : string; rule : string; line : int }
 
@@ -62,8 +63,10 @@ val validate_baseline : Obs.Json.t -> (unit, string) result
 val domains_to_json :
   paths:string list -> Escape.module_inventory list -> Obs.Json.t
 (** Serialize a scan's shared-state inventory as
-    [stabreg/lint-domains/v1].  Canonical: module order follows the
-    (sorted) scan order, entries are line-sorted, no timestamps. *)
+    [stabreg/lint-domains/v2].  Canonical: values follow the (sorted)
+    scan order and each module's source order, with no source positions
+    and no timestamps, so the document changes only when shared state
+    does. *)
 
 val render_domains :
   paths:string list -> Escape.module_inventory list -> string

@@ -402,13 +402,7 @@ let outcome_equal (a : outcome) (b : outcome) = a = b
 (* Schedules compared lexicographically in the deterministic move order,
    shorter prefix first — the merge order for violations collected by
    concurrent workers. *)
-let rec compare_trace a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: xs, y :: ys -> (
-    match Sys.compare_move x y with 0 -> compare_trace xs ys | c -> c)
+let compare_trace a b = List.compare Sys.compare_move a b
 
 (* A replayable unit of work: a DFS node identified by its concrete move
    prefix (reverse order), the sleep set it arrived with, and its depth.
@@ -584,10 +578,7 @@ let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
 let projection_equal (a : outcome) (b : outcome) =
   Stab.verdict_equal a.verdict b.verdict
   && Bool.equal a.exhaustive b.exhaustive
-  && (match (a.trace, b.trace) with
-     | None, None -> true
-     | Some x, Some y -> compare_trace x y = 0
-     | Some _, None | None, Some _ -> false)
+  && Option.equal (List.equal Sys.move_equal) a.trace b.trace
 
 let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
     ?(race_check = false) ?(domains = 1) cfg =
@@ -790,7 +781,8 @@ type cex = {
 }
 
 let move_to_json = function
-  | Sys.Deliver label ->
+  | Sys.Deliver { client; server; to_server } ->
+    let label = Sys.link_label ~client ~server ~to_server in
     Obs.Json.Obj
       [ ("move", Obs.Json.Str "deliver"); ("label", Obs.Json.Str label) ]
   | Sys.Tick i ->
@@ -809,13 +801,35 @@ let cex_to_json c =
       ("digest", Obs.Json.Str c.digest);
     ]
 
+(* A label names a link only in exactly the form [Sys.link_label]
+   renders; one that does not round-trip (a typo, a leading zero, a stray
+   arrow) would name a link no deployment has. *)
+let deliver_of_label ctx label =
+  let error = Error (Printf.sprintf "%s: malformed deliver label %S" ctx label) in
+  let id a b = int_of_string_opt (String.sub label a (b - a)) in
+  let deliver client server to_server =
+    if
+      client >= 0 && server >= 0
+      && String.equal label (Sys.link_label ~client ~server ~to_server)
+    then Ok (Sys.Deliver { client; server; to_server })
+    else error
+  in
+  match String.index_opt label '>' with
+  | Some i when i >= 7 && i + 2 <= String.length label -> (
+    let last = String.length label in
+    match (String.sub label 0 6, id 6 (i - 1), id (i + 2) last) with
+    | "link:c", Some client, Some server -> deliver client server true
+    | "link:s", Some server, Some client -> deliver client server false
+    | _ -> error)
+  | Some _ | None -> error
+
 let move_of_json ctx j =
   let open Obs.Json in
   let* kind = str_field ctx "move" j in
   match kind with
   | "deliver" ->
     let* label = str_field ctx "label" j in
-    Ok (Sys.Deliver label)
+    deliver_of_label (ctx ^ ".label") label
   | "tick" ->
     let* i = int_field ctx "index" j in
     Ok (Sys.Tick i)

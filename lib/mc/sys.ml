@@ -1,52 +1,69 @@
 open Registers
 
 type move =
-  | Deliver of string
+  | Deliver of { client : int; server : int; to_server : bool }
   | Tick of int
   | Corrupt of int
 
+let link_label ~client ~server ~to_server =
+  if to_server then Printf.sprintf "link:c%d->s%d" client server
+  else Printf.sprintf "link:s%d->c%d" server client
+
 let move_to_string = function
-  | Deliver label -> "deliver " ^ label
+  | Deliver { client; server; to_server } ->
+    "deliver " ^ link_label ~client ~server ~to_server
   | Tick i -> Printf.sprintf "tick %d" i
   | Corrupt i -> Printf.sprintf "corrupt %d" i
 
-let move_equal (a : move) b = a = b
+let move_equal a b =
+  match (a, b) with
+  | Deliver x, Deliver y ->
+    Int.equal x.client y.client && Int.equal x.server y.server
+    && Bool.equal x.to_server y.to_server
+  | Tick i, Tick j | Corrupt i, Corrupt j -> Int.equal i j
+  | _ -> false
 
-let compare_move (a : move) b = compare a b
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
 
-(* "link:c100->s3" -> ("c100", "s3"); anything unparsable gets no
-   endpoints, which makes it dependent with everything (safe). *)
-let endpoints label =
-  match String.index_opt label ':' with
-  | None -> None
-  | Some i -> (
-    let name = String.sub label (i + 1) (String.length label - i - 1) in
-    match String.index_opt name '-' with
-    | Some j
-      when j + 1 < String.length name
-           && Char.equal name.[j + 1] '>' ->
-      let src = String.sub name 0 j in
-      let dst = String.sub name (j + 2) (String.length name - j - 2) in
-      Some (src, dst)
-    | Some _ | None -> None)
+let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
 
-(* Two moves are independent when they commute from every state: firing
-   them in either order yields the same global state.  Deliveries on links
-   with disjoint endpoint sets touch disjoint process/link state, so they
-   commute; anything sharing an endpoint (same server's automaton, same
-   client's mailbox/fiber) — and every corruption — is treated as
-   dependent.  This conservative relation is what the sleep-set reduction
-   is sound for; [--cross-check] re-runs without it. *)
+(* The order of two non-negative ids' decimal renderings, without
+   rendering them: their leading digits decide, then the shorter (a
+   prefix) sorts first — "10" < "100" < "2". *)
+let compare_decimal a b =
+  let da = digits a and db = digits b in
+  let common = min da db in
+  match Int.compare (a / pow10 (da - common)) (b / pow10 (db - common)) with
+  | 0 -> Int.compare da db
+  | c -> c
+
+let compare_ids a1 a2 b1 b2 =
+  match compare_decimal a1 a2 with 0 -> compare_decimal b1 b2 | c -> c
+
+let rank = function Deliver _ -> 0 | Tick _ -> 1 | Corrupt _ -> 2
+
+(* Deliveries sort as [String.compare] of their labels: "link:c..."
+   before "link:s...", then by the label's first id and its second (the
+   '-' after an id sorts below any digit). *)
+let compare_move a b =
+  match (a, b) with
+  | Deliver x, Deliver y -> (
+    match Bool.compare y.to_server x.to_server with
+    | 0 when x.to_server -> compare_ids x.client y.client x.server y.server
+    | 0 -> compare_ids x.server y.server x.client y.client
+    | c -> c)
+  | Tick i, Tick j | Corrupt i, Corrupt j -> Int.compare i j
+  | _ -> Int.compare (rank a) (rank b)
+
+(* Deliveries with another client and another server touch disjoint
+   process and link state, so they commute from every state.  Anything
+   sharing an endpoint (a server's automaton, a client's mailbox and
+   fiber), and every corruption, is dependent: the conservative relation
+   the sleep-set reduction is sound for ([--cross-check] runs without
+   it). *)
 let independent a b =
   match (a, b) with
-  | Deliver la, Deliver lb -> (
-    match (endpoints la, endpoints lb) with
-    | Some (sa, da), Some (sb, db) ->
-      (not (String.equal sa sb))
-      && (not (String.equal sa db))
-      && (not (String.equal da sb))
-      && not (String.equal da db)
-    | _ -> false)
+  | Deliver x, Deliver y -> x.client <> y.client && x.server <> y.server
   | _ -> false
 
 type clients =
@@ -259,27 +276,24 @@ let stuck t =
 (* ------------------------------------------------------------------ *)
 (* Enabled moves                                                      *)
 
+(* One [Deliver] per link with an entry in flight, live or dropped: each
+   entry holds one queued event.  The engine's other events are the
+   unlabeled ones [Tick]s fire. *)
 let enabled t =
-  let ready = Sim.Engine.ready t.engine in
-  let seen = Hashtbl.create 16 in
-  let delivers =
-    List.filter_map
-      (fun (r : Sim.Engine.ready_event) ->
-        if String.equal r.r_label "" then None
-        else if Hashtbl.mem seen r.r_label then None
-        else begin
-          Hashtbl.add seen r.r_label ();
-          Some (Deliver r.r_label)
-        end)
-      ready
-    |> List.sort compare_move
+  let ticks = ref (Sim.Engine.pending t.engine) and delivers = ref [] in
+  let add ~client ~to_server server k =
+    if k > 0 then begin
+      ticks := !ticks - k;
+      delivers := Deliver { client; server; to_server } :: !delivers
+    end
   in
-  let ticks =
-    List.filter
-      (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label "")
-      ready
-    |> List.mapi (fun i _ -> Tick i)
-  in
+  List.iter
+    (fun ((client, port) : int * Net.client_port) ->
+      for s = 0 to Array.length port.to_servers - 1 do
+        add ~client ~to_server:true s (Sim.Link.pending port.to_servers.(s));
+        add ~client ~to_server:false s (Sim.Link.pending port.from_servers.(s))
+      done)
+    (Net.client_ports t.net);
   let corrupts =
     if t.cfg.menu = [] || not (client_active t) then []
     else
@@ -287,7 +301,9 @@ let enabled t =
       |> List.filter (fun i -> not (List.mem i t.applied))
       |> List.map (fun i -> Corrupt i)
   in
-  delivers @ ticks @ corrupts
+  match (List.sort compare_move !delivers, corrupts) with
+  | sorted, [] when !ticks = 0 -> sorted
+  | sorted, _ -> sorted @ List.init !ticks (fun i -> Tick i) @ corrupts
 
 (* ------------------------------------------------------------------ *)
 (* Applying a move                                                    *)
@@ -346,10 +362,15 @@ let apply ?(strict = true) t mv =
     else false
   in
   match mv with
-  | Deliver label ->
-    (* The (time, seq)-least event of the link is its FIFO head — the
-       only delivery the paper's model admits next on this channel. *)
-    Sim.Engine.fire_labeled t.engine ~label ~not_before:(next_instant t)
+  | Deliver { client; server; to_server } ->
+    (* The link's FIFO head: the only delivery the paper's model admits
+       next on this channel. *)
+    (match List.assoc_opt client (Net.client_ports t.net) with
+    | Some port when server >= 0 && server < Array.length port.Net.to_servers ->
+      let not_before = next_instant t in
+      if to_server then Sim.Link.fire_head port.to_servers.(server) ~not_before
+      else Sim.Link.fire_head port.from_servers.(server) ~not_before
+    | Some _ | None -> false)
     || fail "no pending delivery on that link"
   | Tick i -> (
     let unlabeled =
@@ -685,38 +706,8 @@ let fingerprint t =
   let d, _, _ = fingerprint_ex t in
   d
 
-(* Rewrite every "s<digits>" token of a link label through the canonical
-   renaming, so a sleep-set move recorded at one member of a symmetry
-   class is comparable with the same move at another member. *)
-let rename_servers_in_label ren label =
-  let n = String.length label in
-  let b = Buffer.create n in
-  let is_digit c = c >= '0' && c <= '9' in
-  let is_word c =
-    is_digit c || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-  in
-  let i = ref 0 in
-  while !i < n do
-    if
-      Char.equal label.[!i] 's'
-      && !i + 1 < n
-      && is_digit label.[!i + 1]
-      && (!i = 0 || not (is_word label.[!i - 1]))
-    then begin
-      let j = ref (!i + 1) in
-      while !j < n && is_digit label.[!j] do incr j done;
-      let id = int_of_string (String.sub label (!i + 1) (!j - !i - 1)) in
-      Buffer.add_char b 's';
-      Buffer.add_string b (string_of_int (ren id));
-      i := !j
-    end
-    else begin
-      Buffer.add_char b label.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 let canonical_move ren = function
-  | Deliver label -> Deliver (rename_servers_in_label ren label)
+  | Deliver d as m ->
+    let server = ren d.server in
+    if Int.equal server d.server then m else Deliver { d with server }
   | (Tick _ | Corrupt _) as m -> m

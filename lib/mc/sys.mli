@@ -11,8 +11,8 @@
     the DFS uses instead of snapshotting (OCaml fibers cannot be cloned).
 
     Soundness of the move menu w.r.t. the paper's model:
-    - per-link FIFO: a [Deliver] always fires the oldest pending event of
-      its link, never an overtaking one;
+    - per-link FIFO: a [Deliver] always fires the oldest pending delivery
+      of its link ({!Sim.Link.fire_head}), never an overtaking one;
     - synchronized ss-broadcast delivery: {!Registers.Net.ss_broadcast}
       counts actual delivery callbacks, so the (n-2t)-th-correct-delivery
       resume point is respected under any interleaving the explorer picks;
@@ -21,24 +21,40 @@
       between any two events. *)
 
 type move =
-  | Deliver of string
-      (** fire the FIFO-head pending delivery of the named link *)
+  | Deliver of { client : int; server : int; to_server : bool }
+      (** fire the FIFO-head delivery of one link of client port
+          [client]: towards server [server] when [to_server], from it
+          otherwise *)
   | Tick of int
       (** fire the [i]-th pending unlabeled engine event (rare: only
           degenerate configurations schedule unlabeled events) *)
   | Corrupt of int  (** fire menu item [i] *)
+(** Plain data: label strings exist only in {!link_label}, hence in
+    {!move_to_string} and the artifact codec ({!Checker}). *)
+
+val link_label : client:int -> server:int -> to_server:bool -> string
+(** The label of a delivery's link, as the engine schedules it and as
+    artifacts record a [Deliver]: ["link:c100->s3"] towards a server,
+    ["link:s3->c100"] from one. *)
 
 val move_to_string : move -> string
+(** ["deliver link:c100->s3"], ["tick 0"], ["corrupt 1"]. *)
 
 val move_equal : move -> move -> bool
 
 val compare_move : move -> move -> int
+(** The deterministic move order behind DFS child order (so every stats
+    counter) and the violation reported first: [Deliver]s, then [Tick]s,
+    then [Corrupt]s.  Deliveries sort as [String.compare] of their
+    {!link_label}s, computed without rendering: client-to-server first,
+    then the label's first id and its second, as decimal strings (["s10"]
+    before ["s2"]). *)
 
 val independent : move -> move -> bool
 (** Conservative commutation relation for the sleep-set reduction: [true]
-    only for two deliveries on links with disjoint {src, dst} endpoint
-    sets.  Corruptions and unlabeled events are dependent with
-    everything. *)
+    exactly for two deliveries whose clients differ and whose servers
+    differ (links with disjoint endpoints).  Corruptions and unlabeled
+    events are dependent with everything. *)
 
 type t
 
@@ -57,8 +73,8 @@ val corrupt_times : t -> int list
 (** Instants at which corruption moves fired so far, ascending. *)
 
 val enabled : t -> move list
-(** The current choice menu, deterministically ordered: one [Deliver] per
-    link with pending traffic (label order), then [Tick]s, then the unused
+(** The current choice menu in {!compare_move} order: one [Deliver] per
+    link with pending traffic, then [Tick]s, then the unused
     [Corrupt] items (only while some client fiber is still running).
     Empty iff the execution is terminal. *)
 
@@ -106,5 +122,6 @@ val fingerprint_ex : t -> string * (int -> int) * (int -> int)
     isomorphic). *)
 
 val canonical_move : (int -> int) -> move -> move
-(** Rewrite the server ids inside a [Deliver] label through a canonical
-    renaming; [Tick] and [Corrupt] are unchanged. *)
+(** Rename the [server] of a [Deliver] through a canonical renaming,
+    returning the move itself when the renaming fixes it; [Tick] and
+    [Corrupt] are unchanged. *)

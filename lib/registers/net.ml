@@ -118,9 +118,8 @@ let is_correct t i = t.correct.(i)
 
 let round_modulus = 1 lsl 30
 
-(* "c100->s3" and friends: the model checker names links (and parses
-   their endpoints) by these strings.  Each client port builds 2n of
-   them, so no [Printf]. *)
+(* "c100->s3" and friends: the engine labels each link's events with
+   these names.  Each client port builds 2n of them, so no [Printf]. *)
 let link_name p a arrow b =
   let buf = Buffer.create 16 in
   Buffer.add_string buf p;

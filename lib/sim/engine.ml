@@ -10,7 +10,7 @@
    Invariant: [base <= clock] and [base <=] every pending time.  A new
    event (time >= clock) therefore never lands before the window.  Only
    firing the least event moves [base]: to that event's instant, which
-   the clock then reaches.  Out-of-order firing ([fire], [fire_labeled])
+   the clock then reaches.  Out-of-order firing ([fire], [fire_action])
    and a [run ~until] that stops short leave it alone.
 
    [width] is a power of two, so a mask finds the slot, and the first
@@ -269,8 +269,8 @@ let fire t ~seq =
 
 let advance_to t time = if Vtime.( < ) t.clock time then t.clock <- time
 
-let fire_labeled t ~label ~not_before =
-  let ev = take t (fun ev -> String.equal ev.label label) in
+let fire_action t ~action ~not_before =
+  let ev = take t (fun ev -> ev.action == action) in
   ev != t.nil
   && begin
     advance_to t not_before;

@@ -74,12 +74,13 @@ val advance_to : t -> Vtime.t -> unit
     [time] is in the past).  The model checker uses this to give every
     explored step a distinct instant. *)
 
-val fire_labeled : t -> label:string -> not_before:Vtime.t -> bool
-(** Fire the (time, seq)-least queued event scheduled under [label] —
-    for a link, its FIFO head — after {!advance_to}[ not_before]; the
-    same event {!ready} would list first for [label], without building
-    the snapshot.  Returns [false], touching nothing, when no queued event
-    carries [label]. *)
+val fire_action : t -> action:(unit -> unit) -> not_before:Vtime.t -> bool
+(** Fire the (time, seq)-least queued event scheduled with exactly
+    [action] (physical equality) after {!advance_to}[ not_before].  Every
+    event of a {!Link} runs the same delivery closure, so for a link this
+    is its FIFO head: the same event {!ready} would list first for the
+    link's label, found without building the snapshot.  Returns [false],
+    touching nothing, when no queued event runs [action]. *)
 
 val pending : t -> int
 (** Number of queued events. *)

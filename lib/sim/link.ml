@@ -36,8 +36,8 @@ let bimodal rng ~fast:(flo, fhi) ~slow:(slo, shi) ~slow_probability =
 
 (* A link's deliveries fire in the order they were sent: arrivals are
    monotone per link, [Engine.run]/[Engine.step] fire in (time, seq)
-   order, and [Engine.fire_labeled] takes a label's least event.  So the
-   event firing now is always the head entry's. *)
+   order, and [fire_head] takes the least event running [arrive].  So
+   the event firing now is always the head entry's. *)
 let arrive t () =
   let e = Queue.pop t.flight in
   (* Read the payload at fire time: a transient fault may have rewritten
@@ -73,15 +73,20 @@ let transmit_timed ?on_delivered t payload =
   let arrival = Vtime.max proposed t.last_arrival in
   t.last_arrival <- arrival;
   Queue.push { payload; live = true; on_delivered } t.flight;
-  (* Label the event with the link name so an external scheduling policy
-     (the model checker) can tell which channel each pending delivery
-     belongs to and preserve per-link FIFO while reordering across links. *)
+  (* Label the event with the link name so a look at [Engine.ready] can
+     tell which channel each pending delivery belongs to. *)
   Engine.schedule_at ~label:t.label t.engine arrival t.arrive;
   arrival
 
 let send t m = ignore (transmit_timed t m)
 
 let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
+
+let pending t = Queue.length t.flight
+
+let fire_head t ~not_before =
+  (not (Queue.is_empty t.flight))
+  && Engine.fire_action t.engine ~action:t.arrive ~not_before
 
 let in_flight t =
   List.rev

@@ -14,9 +14,9 @@
     such event of a link runs the same action: deliver the oldest message
     in flight.  That pairing holds because a link's events fire in the
     order they were scheduled — {!Engine.run}, {!Engine.step} and
-    {!Engine.fire_labeled} all guarantee it.  Firing a link's event out
-    of that order with {!Engine.fire} would deliver the head message at
-    the later event's instant. *)
+    {!fire_head} all guarantee it.  Firing a link's event out of that
+    order with {!Engine.fire} would deliver the head message at the
+    later event's instant. *)
 
 type 'm t
 
@@ -50,6 +50,16 @@ val send_timed : ?on_delivered:(unit -> unit) -> 'm t -> 'm -> Vtime.t
     ss-broadcast implementation counts these callbacks to realize the
     synchronized delivery property (return after the (n-2t)-th correct
     delivery) under any scheduling order. *)
+
+val pending : 'm t -> int
+(** Messages in transit, live or dropped by a transient fault: each one
+    holds exactly one queued delivery event. *)
+
+val fire_head : 'm t -> not_before:Vtime.t -> bool
+(** Fire the link's FIFO head delivery out of engine order, after
+    {!Engine.advance_to}[ not_before] — how a model checker picks the
+    next channel to deliver on.  Returns [false], touching nothing, when
+    nothing is in transit. *)
 
 val in_flight : 'm t -> 'm list
 (** Messages currently in transit, in arrival order. *)

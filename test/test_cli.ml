@@ -229,6 +229,40 @@ let test_mc_replay_expect () =
 
 let tmp_dir name = Filename.concat (Filename.get_temp_dir_name ()) name
 
+(* A copy of [path] with its first [old] replaced by [by]. *)
+let doctored path ~old ~by name =
+  let s = Exp_drivers.Common.read_file path in
+  let n = String.length old in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%s: no %s" path old
+    else if String.equal (String.sub s i n) old then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let copy = tmp_dir name in
+  Out_channel.with_open_bin copy (fun oc ->
+      output_string oc
+        (String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)));
+  copy
+
+(* A delivery label that names no link is a decoding error, not a move
+   that silently never fires. *)
+let test_mc_malformed_labels () =
+  let bogus =
+    doctored "../examples/mc/mc-regular-stuck.json" ~old:"link:c100->s0"
+      ~by:"link:bogus" "stabreg-cli-bogus-label.json"
+  in
+  check_exit "validate" 124 [ "validate"; bogus ];
+  check_exit "mc --replay" 124 [ "mc"; "--replay"; bogus ];
+  let witness =
+    doctored "../examples/mc/inversion-witness.json" ~old:"link:c100->s0"
+      ~by:"link:c100-s0" "stabreg-cli-bad-witness.json"
+  in
+  check_exit "mc --guide" 124
+    [ "mc"; "--guide"; witness; "--out"; tmp_dir "stabreg-cli-guide" ];
+  Sys.remove bogus;
+  Sys.remove witness
+
 let test_recovery_replay_expect () =
   (* Every slot down at once with no retry layer: the run never
      converges, and its artifact replays bit-for-bit. *)
@@ -265,6 +299,7 @@ let tests =
     case "out-of-range numbers exit 124" test_range_checked_numbers;
     case "chaos replay honours --expect" test_chaos_replay_expect;
     case "mc replay honours --expect" test_mc_replay_expect;
+    case "malformed mc labels exit 124" test_mc_malformed_labels;
     case "recovery replay honours --expect-converged"
       test_recovery_replay_expect;
     case "shard expectations judge every mode" test_shard_expect_every_mode;

@@ -144,32 +144,43 @@ let test_fire_out_of_order () =
   check_false "unknown seq refused" (Sim.Engine.fire e ~seq:9999);
   check_true "both fired, chosen order" (List.rev !order = [ "x"; "y" ])
 
-(* [fire_labeled] must pick exactly the event the model checker used to
-   find by scanning the sorted [ready] snapshot: the (time, seq)-least
-   one carrying the label, i.e. the link's FIFO head.  Two engines get
-   the same schedule (same-instant ties, out-of-order instants, labels
-   reused, events that schedule more events) and the same seeded label
-   picks; one fires through [ready] + [fire ~seq], the other through
-   [fire_labeled].  Firing logs and clocks must agree step for step. *)
+(* [fire_action] must pick exactly the event a scan of the sorted
+   [ready] snapshot finds: the (time, seq)-least one carrying the label,
+   i.e. the link's FIFO head, when every event of a label runs one shared
+   action as a link's do.  Two engines get the same schedule (same-instant
+   ties, out-of-order instants, labels reused, events that schedule more
+   events) and the same seeded label picks; one fires through [ready] +
+   [fire ~seq], the other through [fire_action].  Firing logs and clocks
+   must agree step for step. *)
 let test_fire_labeled_matches_ready_scan () =
   let labels = [| "link:a"; "link:b"; "link:c"; "" |] in
   let build () =
     let e = mk () in
     let log = ref [] in
-    let ev tag () = log := (tag, Sim.Vtime.to_int (Sim.Engine.now e)) :: !log in
-    List.iteri
-      (fun i (label, delay) ->
-        Sim.Engine.schedule ~label e ~delay (fun () ->
-            ev (Printf.sprintf "%s#%d" label i) ();
-            if i mod 3 = 0 then
-              Sim.Engine.schedule ~label e ~delay:(i mod 4)
-                (ev (Printf.sprintf "%s#%d'" label i))))
+    (* The first of every three firings of a label schedules one more
+       event of it. *)
+    let action label =
+      let fired = ref 0 in
+      let rec act () =
+        log := (label, Sim.Vtime.to_int (Sim.Engine.now e)) :: !log;
+        incr fired;
+        if !fired mod 3 = 1 then
+          Sim.Engine.schedule ~label e ~delay:(!fired mod 4) act
+      in
+      act
+    in
+    let actions =
+      List.map (fun label -> (label, action label)) (Array.to_list labels)
+    in
+    let action_of label = List.assoc label actions in
+    List.iter
+      (fun (label, delay) -> Sim.Engine.schedule ~label e ~delay (action_of label))
       [
         ("link:a", 3); ("link:b", 1); ("link:a", 1); ("link:c", 2);
         ("link:b", 1); ("", 1); ("link:a", 3); ("link:c", 0);
         ("link:b", 5); ("link:a", 2);
       ];
-    (e, log)
+    (e, log, action_of)
   in
   let via_ready e label =
     match
@@ -182,16 +193,16 @@ let test_fire_labeled_matches_ready_scan () =
       Sim.Engine.advance_to e (Sim.Vtime.add (Sim.Engine.now e) 1);
       Sim.Engine.fire e ~seq:r.r_seq
   in
-  let via_label e label =
-    Sim.Engine.fire_labeled e ~label
+  let via_action e action_of label =
+    Sim.Engine.fire_action e ~action:(action_of label)
       ~not_before:(Sim.Vtime.add (Sim.Engine.now e) 1)
   in
-  let ea, la = build () and eb, lb = build () in
+  let ea, la, _ = build () and eb, lb, action_of = build () in
   let st = Random.State.make [| 7 |] in
   for _ = 1 to 60 do
     let label = labels.(Random.State.int st (Array.length labels)) in
     let clock_before = Sim.Engine.now eb in
-    let fa = via_ready ea label and fb = via_label eb label in
+    let fa = via_ready ea label and fb = via_action eb action_of label in
     check_bool ("same outcome on " ^ label) fa fb;
     if not fb then
       check_true "a miss leaves the clock alone"
@@ -237,7 +248,9 @@ type op =
   | Run_until of int  (** ticks past the clock *)
   | Run_max of int
   | Fire of int  (** index into [ready]; past its end, a seq nobody holds *)
-  | Fire_labeled of { label : string; gap : int }  (** [not_before] past the clock *)
+  | Fire_action of { pick : int; gap : int }
+      (** the action of the [pick]-th queued labeled event, past their end
+          one nobody scheduled; [not_before] [gap] past the clock *)
   | Advance of int
   | Arm of { timer : int; offset : int }  (** from the clock; may be past *)
   | Rearm of int  (** at the instant the timer is due *)
@@ -252,7 +265,7 @@ let show_op = function
   | Run_until k -> Printf.sprintf "run ~until:+%d" k
   | Run_max k -> Printf.sprintf "run ~max_events:%d" k
   | Fire i -> Printf.sprintf "fire #%d" i
-  | Fire_labeled { label; gap } -> Printf.sprintf "fire_labeled %S +%d" label gap
+  | Fire_action { pick; gap } -> Printf.sprintf "fire_action #%d +%d" pick gap
   | Advance k -> Printf.sprintf "advance_to +%d" k
   | Arm { timer; offset } -> Printf.sprintf "arm timer %d at %+d" timer offset
   | Rearm i -> Printf.sprintf "re-arm timer %d" i
@@ -294,10 +307,17 @@ let m_schedule ?(timer = -1) m ~time ~label ~child =
   in
   m.queue <- insert m.queue
 
+(* What a firing logs: an unlabeled event its seq, a labeled one the tag
+   of the action it shares with every event of its label and child. *)
+let shared_tag label child = -1 - Hashtbl.hash (label, child)
+
+let log_tag ev =
+  if String.equal ev.m_label "" then ev.m_seq else shared_tag ev.m_label ev.m_child
+
 let m_fire m ev =
   m.queue <- List.filter (fun e -> e.m_seq <> ev.m_seq) m.queue;
   m.clock <- max m.clock ev.m_time;
-  m.log <- (ev.m_seq, m.clock) :: m.log;
+  m.log <- (log_tag ev, m.clock) :: m.log;
   Option.iter
     (fun d -> m_schedule m ~time:(m.clock + d) ~label:ev.m_label ~child:None)
     ev.m_child
@@ -334,18 +354,29 @@ let m_arm m i time =
 
 (* The engine side tags each event with the seq the model gives it; the
    [ready] comparison checks that the engine agrees.  A timer logs the
-   tag of its latest arming. *)
+   tag of its latest arming.  Labeled events behave like a link's: all
+   events of one label and child share one action, which logs its
+   [shared_tag], so [fire_action] must tell them apart by (time, seq)
+   alone. *)
 type real = {
   e : Sim.Engine.t;
   mutable tag : int;
   mutable r_log : (int * int) list;
   mutable r_timers : Sim.Engine.timer array;
   timer_tag : int array;
+  mutable shared : ((string * int option) * (unit -> unit)) list;
 }
 
 let real () =
   let r =
-    { e = mk (); tag = 0; r_log = []; r_timers = [||]; timer_tag = Array.make timers (-1) }
+    {
+      e = mk ();
+      tag = 0;
+      r_log = [];
+      r_timers = [||];
+      timer_tag = Array.make timers (-1);
+      shared = [];
+    }
   in
   r.r_timers <-
     Array.init timers (fun i ->
@@ -361,13 +392,25 @@ let r_arm r i time =
 let rec r_schedule r ~label ~child sched =
   let tag = r.tag in
   r.tag <- tag + 1;
-  sched ~label r.e (fun () ->
-      r.r_log <- (tag, Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log;
-      Option.iter
-        (fun d ->
-          r_schedule r ~label ~child:None (fun ~label e ->
-              Sim.Engine.schedule ~label e ~delay:d))
-        child)
+  sched ~label r.e
+    (if String.equal label "" then r_action r ~label ~child tag
+     else shared_action r label child)
+
+and r_action r ~label ~child tag () =
+  r.r_log <- (tag, Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log;
+  Option.iter
+    (fun d ->
+      r_schedule r ~label ~child:None (fun ~label e ->
+          Sim.Engine.schedule ~label e ~delay:d))
+    child
+
+and shared_action r label child =
+  match List.assoc_opt (label, child) r.shared with
+  | Some action -> action
+  | None ->
+    let action = r_action r ~label ~child (shared_tag label child) in
+    r.shared <- ((label, child), action) :: r.shared;
+    action
 
 let apply r m op =
   let vt = Sim.Vtime.of_int in
@@ -400,10 +443,22 @@ let apply r m op =
     in
     let fired = Sim.Engine.fire r.e ~seq in
     Bool.equal fired (m_take m (fun ev -> ev.m_seq = seq))
-  | Fire_labeled { label; gap } ->
+  | Fire_action { pick; gap } ->
     let not_before = m.clock + gap in
-    let fired = Sim.Engine.fire_labeled r.e ~label ~not_before:(vt not_before) in
-    let pred ev = String.equal ev.m_label label in
+    let action, pred =
+      match
+        List.nth_opt
+          (List.filter (fun ev -> not (String.equal ev.m_label "")) m.queue)
+          pick
+      with
+      | Some target ->
+        ( shared_action r target.m_label target.m_child,
+          fun ev ->
+            String.equal ev.m_label target.m_label
+            && Option.equal Int.equal ev.m_child target.m_child )
+      | None -> (ignore, fun _ -> false)
+    in
+    let fired = Sim.Engine.fire_action r.e ~action ~not_before:(vt not_before) in
     if List.exists pred m.queue then m.clock <- max m.clock not_before;
     Bool.equal fired (m_take m pred)
   | Advance k ->
@@ -466,7 +521,10 @@ let gen_op =
       (2, map (fun k -> Run_until k) (int_range 0 300));
       (2, map (fun k -> Run_max k) (int_range 0 6));
       (2, map (fun i -> Fire i) (int_range 0 8));
-      (2, map2 (fun label gap -> Fire_labeled { label; gap }) label (int_range 0 3));
+      ( 2,
+        map2
+          (fun pick gap -> Fire_action { pick; gap })
+          (int_range 0 8) (int_range 0 3) );
       (1, map (fun k -> Advance k) (int_range 0 200));
       ( 3,
         map2

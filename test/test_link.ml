@@ -63,7 +63,7 @@ let test_in_flight_and_corruption () =
 
 (* A dropped payload keeps its delivery event, which delivers nothing;
    every later event must still deliver the next message, at that
-   message's own arrival.  Fired through the link label, as the model
+   message's own arrival.  Fired through [fire_head], as the model
    checker fires deliveries. *)
 let test_drop_keeps_heads () =
   let rng = Sim.Rng.create 3 in
@@ -84,7 +84,7 @@ let test_drop_keeps_heads () =
       [ "a"; "b"; "c"; "d" ]
   in
   Sim.Link.corrupt_in_flight link (function "b" -> None | m -> Some m);
-  let fire () = Sim.Engine.fire_labeled e ~label:"link:t" ~not_before:(Sim.Engine.now e) in
+  let fire () = Sim.Link.fire_head link ~not_before:(Sim.Engine.now e) in
   check_true "a delivered" (fire ());
   check_strings "the drop is no longer in flight" [ "c"; "d" ] (Sim.Link.in_flight link);
   while fire () do () done;

@@ -1,7 +1,7 @@
 (* stablint domain-safety pass: R6-R9 fire at the expected places on
    known-bad fixtures, the cross-file boundary environment discovers
    wrapper functions interprocedurally, the repo's own tree is clean
-   (only the allowlisted captures), and the lint-domains/v1 inventory
+   (only the allowlisted captures), and the lint-domains/v2 inventory
    artifact is deterministic and schema-valid. *)
 
 open Util
@@ -151,7 +151,7 @@ let test_self_tree_clean_with_allowlist () =
   in
   check_true "no unsynchronized escapes anywhere" (not unsync)
 
-(* --- the lint-domains/v1 artifact ------------------------------------- *)
+(* --- the lint-domains/v2 artifact ------------------------------------- *)
 
 let test_inventory_deterministic_and_valid () =
   let render () =

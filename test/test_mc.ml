@@ -352,6 +352,151 @@ let test_golden_walks_cover_ties () =
          tied)
        golden_walks)
 
+(* --- typed moves against their label-string definitions --------------- *)
+
+(* Every link of an n = 12 deployment: two clients, both directions,
+   server ids past one digit, where decimal and numeric order part. *)
+let n12_links =
+  List.concat_map
+    (fun client ->
+      List.concat_map
+        (fun server ->
+          [
+            Mc.Sys.Deliver { client; server; to_server = true };
+            Mc.Sys.Deliver { client; server; to_server = false };
+          ])
+        (List.init 12 Fun.id))
+    [ 100; 101 ]
+
+let label mv =
+  let s = Mc.Sys.move_to_string mv in
+  String.sub s 8 (String.length s - 8)
+
+(* The endpoints of a "link:<src>-><dst>" label. *)
+let label_endpoints l =
+  let name = String.sub l 5 (String.length l - 5) in
+  let j = String.index name '-' in
+  (String.sub name 0 j, String.sub name (j + 2) (String.length name - j - 2))
+
+(* Every "s<digits>" token of a label through [ren]. *)
+let rename_label ren l =
+  let src, dst = label_endpoints l in
+  let token t =
+    if Char.equal t.[0] 's' then
+      "s" ^ string_of_int (ren (int_of_string (String.sub t 1 (String.length t - 1))))
+    else t
+  in
+  "link:" ^ token src ^ "->" ^ token dst
+
+let sign c = Int.compare c 0
+
+let test_n12_moves_match_labels () =
+  List.iter
+    (fun a ->
+      check_true ("renders " ^ label a) (String.starts_with ~prefix:"link:" (label a));
+      List.iter
+        (fun b ->
+          let la = label a and lb = label b in
+          check_int
+            (Printf.sprintf "compare %s %s" la lb)
+            (sign (String.compare la lb))
+            (sign (Mc.Sys.compare_move a b));
+          check_bool
+            (Printf.sprintf "equal %s %s" la lb)
+            (String.equal la lb) (Mc.Sys.move_equal a b);
+          let sa, da = label_endpoints la and sb, db = label_endpoints lb in
+          check_bool
+            (Printf.sprintf "independent %s %s" la lb)
+            (not (List.exists (fun x -> List.mem x [ sb; db ]) [ sa; da ]))
+            (Mc.Sys.independent a b))
+        n12_links;
+      List.iter
+        (fun ren ->
+          let c = Mc.Sys.canonical_move ren a in
+          check_true
+            ("canonical " ^ label a)
+            (String.equal (label c) (rename_label ren (label a)));
+          if String.equal (label c) (label a) then check_true "unchanged is the move itself" (c == a))
+        [ Fun.id; (fun s -> 11 - s); (fun s -> (s * 5) mod 12) ])
+    n12_links;
+  (* Deliveries, then ticks, then corruptions, each kind by index. *)
+  let first = Mc.Sys.Deliver { client = 100; server = 0; to_server = true } in
+  let kinds =
+    [ first; Mc.Sys.Tick 0; Mc.Sys.Tick 10; Mc.Sys.Tick 2;
+      Mc.Sys.Corrupt 0; Mc.Sys.Corrupt 10; Mc.Sys.Corrupt 2 ]
+  in
+  check_true "kind order"
+    (List.equal Mc.Sys.move_equal
+       (List.sort Mc.Sys.compare_move (List.rev kinds))
+       [ first; Mc.Sys.Tick 0; Mc.Sys.Tick 2; Mc.Sys.Tick 10;
+         Mc.Sys.Corrupt 0; Mc.Sys.Corrupt 2; Mc.Sys.Corrupt 10 ]);
+  check_false "a tick is dependent"
+    (Mc.Sys.independent (Mc.Sys.Tick 0) first)
+
+(* A cex whose first delivery carries [l]. *)
+let with_first_label l j =
+  let open Obs.Json in
+  let first = ref true in
+  let move = function
+    | Obj fields when !first && List.mem_assoc "label" fields ->
+      first := false;
+      Obj
+        (List.map
+           (fun (k, v) -> if String.equal k "label" then (k, Str l) else (k, v))
+           fields)
+    | m -> m
+  in
+  match j with
+  | Obj fields ->
+    Obj
+      (List.map
+         (function
+           | "trace", List moves -> ("trace", List (List.map move moves))
+           | kv -> kv)
+         fields)
+  | _ -> j
+
+let test_deliver_labels_decode_strictly () =
+  let cex = parse_json (Filename.concat examples "mc-regular-stuck.json") in
+  List.iter
+    (fun (l, expected) ->
+      match Mc.Checker.cex_of_json (with_first_label l cex) with
+      | Error e -> Alcotest.failf "%s rejected: %s" l e
+      | Ok c -> (
+        match c.Mc.Checker.trace with
+        | mv :: _ ->
+          check_true (l ^ " decodes") (Mc.Sys.move_equal mv expected);
+          check_true (l ^ " renders back") (String.equal (label mv) l)
+        | [] -> Alcotest.fail "empty trace"))
+    [
+      ("link:c100->s0", Mc.Sys.Deliver { client = 100; server = 0; to_server = true });
+      ("link:s11->c101", Mc.Sys.Deliver { client = 101; server = 11; to_server = false });
+      ("link:c300->s10", Mc.Sys.Deliver { client = 300; server = 10; to_server = true });
+    ];
+  List.iter
+    (fun l ->
+      let names_it = function
+        | Ok _ -> false
+        | Error e ->
+          let needle = Printf.sprintf "%S" l in
+          let n = String.length needle in
+          let rec scan i =
+            i + n <= String.length e
+            && (String.equal (String.sub e i n) needle || scan (i + 1))
+          in
+          scan 0
+      in
+      let j = with_first_label l cex in
+      check_true (l ^ " rejected by the cex decoder, naming it")
+        (names_it (Mc.Checker.cex_of_json j));
+      check_true (l ^ " rejected by the guide decoder, naming it")
+        (names_it (Result.map ignore (Mc.Checker.guide_of_json j))))
+    [
+      "link:bogus"; "link:c100-s0"; "link:c100->s"; "link:c0100->s3";
+      "link:c100->s3 "; "link:c100->c3"; "link:s3->s100"; "c100->s3";
+      "link:c-1->s3"; "link:c100->s3->s4"; "link:c1_0->s3"; "";
+    ]
+
 (* --- stats golden ------------------------------------------------------ *)
 
 (* Every counter of a sequential search, pinned.  The visited set, the
@@ -414,6 +559,17 @@ let stats_goldens =
       "stuck exhaustive=false trace=32 states=33 transitions=32 terminals=1 \
        revisits=0 sleep_skips=0 sym_skips=274 replays=31 off_target=0 \
        fp_collisions=0 peak_visited=32 max_depth_seen=32 truncated=false" );
+    (* Two-digit server ids, where label order is not numeric order:
+       [mc --family regular --servers 12 -t 1 --byz 1 --max-states
+       3000]. *)
+    ( "n12 budgeted",
+      (fun () ->
+        Mc.Checker.search ~budgets:(budgets 3_000)
+          { n4_silent with Mc.Config.n = 12; read_budget = 8 }),
+      "clean exhaustive=false trace=-1 states=3000 transitions=3000 \
+       terminals=3 revisits=2079 sleep_skips=726 sym_skips=8257 \
+       replays=1990 off_target=0 fp_collisions=0 peak_visited=918 \
+       max_depth_seen=58 truncated=true" );
     ( "over-bound inversion hunt",
       (fun () ->
         Mc.Checker.search ~budgets:(budgets 2_000) ~target:"inversion"
@@ -468,6 +624,8 @@ let tests =
     case "guided witness finds the inversion"
       test_guided_witness_finds_inversion;
     case "sequential profile golden" test_profile_golden;
+    case "n = 12 moves match their labels" test_n12_moves_match_labels;
+    case "deliver labels decode strictly" test_deliver_labels_decode_strictly;
   ]
   @ List.map
       (fun (name, search, expected) ->

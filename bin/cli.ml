@@ -40,14 +40,22 @@ let result_conv parse print =
 (* Range-checked numbers: a count below [min], or a fraction outside
    [0, 1], is a usage error (exit 124) rather than an uncaught
    [Invalid_argument] from deep inside the run. *)
-let int_at_least min =
+let checked_int ok why =
   result_conv
     (fun s ->
       match int_of_string_opt s with
-      | Some v when v >= min -> Ok v
-      | Some _ -> Error (Printf.sprintf "%s is below the minimum %d" s min)
+      | Some v when ok v -> Ok v
+      | Some _ -> Error (Printf.sprintf "%s %s" s why)
       | None -> Error (Printf.sprintf "invalid value %S, expected an int" s))
     string_of_int
+
+let int_at_least min =
+  checked_int (fun v -> v >= min) (Printf.sprintf "is below the minimum %d" min)
+
+let int_within ~min ~max =
+  checked_int
+    (fun v -> v >= min && v <= max)
+    (Printf.sprintf "is not in %d..%d" min max)
 
 let fraction =
   result_conv
@@ -313,7 +321,8 @@ let chaos_cmd =
        (beyond the schedule's own mobile roams).  More than t slots \
        deliberately exceeds the resilience bound."
     in
-    Arg.(value & opt int 1 & info [ "byz" ] ~docv:"K" ~doc)
+    let n = (Campaign.default_config ~family:Campaign.Regular).Campaign.n in
+    Arg.(value & opt (int_within ~min:0 ~max:n) 1 & info [ "byz" ] ~docv:"K" ~doc)
   in
   let strategy =
     let doc =
@@ -509,7 +518,7 @@ let mc_cmd =
       "Make the first $(docv) server slots Byzantine.  More than t slots \
        deliberately exceeds the paper's t < n/8 resilience bound."
     in
-    Arg.(value & opt int 0 & info [ "byz" ] ~docv:"K" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "byz" ] ~docv:"K" ~doc)
   in
   let strategy =
     let doc =
@@ -809,7 +818,7 @@ let shard_cmd =
       "Shard counts to sweep (repeatable); default is the bench ladder 1, \
        2, 4, 8."
     in
-    Arg.(value & opt_all int [] & info [ "shards" ] ~docv:"S" ~doc)
+    Arg.(value & opt_all (int_at_least 1) [] & info [ "shards" ] ~docv:"S" ~doc)
   in
   let vnodes =
     let doc = "Virtual nodes per shard on the consistent-hash ring." in

@@ -6,17 +6,12 @@ type t = ctx -> Messages.server_envelope -> unit
 
 let silent _ctx _env = ()
 
-let reply ctx (env : Messages.server_envelope) body =
-  (* Even a Byzantine answer is causally a response to the request it
-     fakes an answer for: keep it in the operation's tree so traces show
-     which adversarial replies a client consumed. *)
-  Net.reply ~parent:env.span ctx.net ~server:ctx.server_id ~client:env.client
-    body ~round:env.round
+(* Even a Byzantine answer is causally a response to the request it
+   fakes an answer for: keep it in the operation's tree so traces show
+   which adversarial replies a client consumed. *)
+let reply ctx env body = Net.answer ctx.net ~server:ctx.server_id env body
 
-let honest srv ctx (env : Messages.server_envelope) =
-  match Server.handle srv env with
-  | None -> ()
-  | Some body -> reply ctx env body
+let honest srv ctx env = Server.handle srv env ~ack:(reply ctx)
 
 type wipe = [ `Arbitrary | `Reset | `Keep ]
 

@@ -130,7 +130,8 @@ let register_port t (port : Registers.Net.client_port) =
                       Some (Registers.Messages.arbitrary_cell rng) );
                 (* Debris from the arbitrary initial state has no causal
                    ancestry. *)
-                span = Obs.Trace_ctx.none;
+                cause = Obs.Trace_ctx.none;
+                span_id = 0;
               })
         port.Registers.Net.from_servers)
 

@@ -31,20 +31,21 @@ let histogram_create () =
 let pow_quarter j =
   Float.pow 2.0 (float_of_int j /. float_of_int buckets_per_doubling)
 
+(* [lower.(i)] is the lower bound of bucket [i + 1]: the powers
+   [bucket_bounds] reports, computed once. *)
+let lower = Array.init (num_buckets - 1) pow_quarter
+
+(* The least index in [lo, hi) whose bound exceeds [v], or [hi]. *)
+let rec first_above v lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if v < lower.(mid) then first_above v lo mid else first_above v (mid + 1) hi
+
+(* The bucket holding [v] is the number of lower bounds at or below it. *)
 let bucket_index v =
   if not (Float.is_finite v) || v < 1.0 then 0
-  else
-    let i =
-      1
-      + int_of_float
-          (Float.floor (Float.log2 v *. float_of_int buckets_per_doubling))
-    in
-    let i = Stdlib.min i (num_buckets - 1) in
-    (* log2 rounding can misplace an exact bucket bound by one; settle
-       against the same powers bucket_bounds reports. *)
-    if i < num_buckets - 1 && v >= pow_quarter i then i + 1
-    else if v < pow_quarter (i - 1) then i - 1
-    else i
+  else first_above v 0 (num_buckets - 1)
 
 let bucket_bounds i =
   if i <= 0 then (0.0, 1.0)

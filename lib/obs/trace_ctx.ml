@@ -8,18 +8,19 @@ let is_none s = s.id = 0
 
 let create () = { next = 1 }
 
-let root t =
+let fresh t =
   let id = t.next in
   t.next <- id + 1;
-  { trace = id; id; parent = 0 }
+  id
 
-let child t parent =
-  if is_none parent then root t
-  else begin
-    let id = t.next in
-    t.next <- id + 1;
-    { trace = parent.trace; id; parent = parent.id }
-  end
+let child_with parent ~id =
+  if id = 0 then none
+  else if is_none parent then { trace = id; id; parent = 0 }
+  else { trace = parent.trace; id; parent = parent.id }
+
+let root t = child_with none ~id:(fresh t)
+
+let child t parent = child_with parent ~id:(fresh t)
 
 let allocated t = t.next - 1
 

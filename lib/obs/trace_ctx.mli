@@ -36,6 +36,16 @@ val child : t -> span -> span
     [child t none] degenerates to [root t] so that unattributed
     contexts still produce well-formed trees. *)
 
+val fresh : t -> int
+(** Allocate a span id without building the span: [child t parent] is
+    [child_with parent ~id:(fresh t)].  A message that carries its span
+    as a parent and an id pays for the record only when a sink reads
+    it. *)
+
+val child_with : span -> id:int -> span
+(** The child of [parent] with the id [id] drew from {!fresh} (a root
+    when [parent] is {!none}); {!none} when [id] is 0. *)
+
 val allocated : t -> int
 (** Number of spans allocated so far. *)
 

@@ -1,9 +1,14 @@
 (* The [last_val]s one READ round collected, in server-id order. *)
 let round_lasts ~net ~port ~round =
-  (Collect.attempt_once ~net ~port ~round ~attempt:0
-     ~filter:Collect.read_filter)
-    .Collect.payloads
-  |> List.map fst
+  let a =
+    Collect.attempt_once ~net ~port ~round ~attempt:0 ~wanted:Collect.Read_acks
+  in
+  Array.fold_right
+    (fun body lasts ->
+      match body with
+      | Messages.Ack_read (c, _) -> c :: lasts
+      | Messages.Ack_write _ -> lasts)
+    a.Collect.answers []
 
 module Nonstab = struct
   type writer = {
@@ -27,13 +32,11 @@ module Nonstab = struct
               (* Classical monotone-timestamp update rule. *)
               if c.Messages.sn > i.Server.last_val.Messages.sn then
                 i.Server.last_val <- c;
-              Net.reply ~parent:env.span net ~server:s ~client:env.client
-                (Messages.Ack_write None) ~round:env.round
+              Net.answer net ~server:s env (Messages.Ack_write None)
             | Messages.New_help _ -> ()
             | Messages.Read _ ->
-              Net.reply ~parent:env.span net ~server:s ~client:env.client
-                (Messages.Ack_read (i.Server.last_val, None))
-                ~round:env.round))
+              Net.answer net ~server:s env
+                (Messages.Ack_read (i.Server.last_val, None))))
       servers
 
   let writer ~net ~client_id ~inst =
@@ -50,7 +53,7 @@ module Nonstab = struct
     in
     ignore
       (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
-         ~filter:Collect.write_filter)
+         ~wanted:Collect.Write_acks)
 
   let read ?(max_iterations = 64) (r : reader) =
     let params = Net.params r.net in
@@ -115,7 +118,7 @@ module Quiescent = struct
     in
     ignore
       (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
-         ~filter:Collect.write_filter)
+         ~wanted:Collect.Write_acks)
 
   let read ?(max_iterations = 64) (r : reader) =
     let threshold = Params.read_quorum (Net.params r.net) in

@@ -1,39 +1,56 @@
-(* One collection pass over the port's mailbox: fill per-server slots with
-   acknowledgments of [round] until [stop_at] distinct servers answered or
-   [deadline] (when given) passes.  The round tag was captured at broadcast
-   time: the wait matches the broadcast that was just issued even if a
-   transient fault corrupts the port's tag while the round trip is in
-   flight.  Without a deadline this is the paper's asynchronous client:
-   it blocks until enough distinct servers answered, however long that
-   takes. *)
-let gather ~net ~port ~round ~filter ~stop_at ~deadline =
-  let params = Net.params net in
-  let n = (params : Params.t).n in
-  let slots : 'a option array = Array.make n None in
-  let filled = ref 0 in
-  let expected_round = round in
-  let consider (env : Messages.client_envelope) =
-    let slot_free =
-      env.server >= 0 && env.server < n
-      && match slots.(env.server) with None -> true | Some _ -> false
-    in
-    (if env.round = expected_round && slot_free then
-       match filter env.body with
-       | None -> ()
-       | Some payload ->
-         slots.(env.server) <- Some payload;
-         incr filled);
-    !filled >= stop_at
-  in
-  let expired =
-    stop_at > 0
-    && not
-         (Sim.Mailbox.collect ~engine:(Net.engine net) ~deadline
-            port.Net.mailbox consider)
-  in
-  (slots, !filled, expired)
+type acks = Write_acks | Read_acks
 
-type 'a attempt = { payloads : 'a list; acks : int; expired : bool }
+(* A slot no counted acknowledgment filled.  It is compared physically, and
+   it is an [Ack_write None]: a body that vouches for no [last_val] and no
+   helping value, so quorum counts pass over it. *)
+let no_answer = Messages.Ack_write None
+
+(* The per-server slots of one collection pass and what fills them. *)
+type intake = {
+  answers : Messages.to_client array;
+  round : int;
+  wanted : acks;
+  stop_at : int;
+  mutable acks : int;
+}
+
+let kind_matches wanted (body : Messages.to_client) =
+  match (wanted, body) with
+  | Write_acks, Messages.Ack_write _ | Read_acks, Messages.Ack_read _ -> true
+  | Write_acks, Messages.Ack_read _ | Read_acks, Messages.Ack_write _ -> false
+
+let consider g (env : Messages.client_envelope) =
+  let s = env.server in
+  if
+    env.round = g.round && s >= 0
+    && s < Array.length g.answers
+    && g.answers.(s) == no_answer
+    && kind_matches g.wanted env.body
+  then begin
+    g.answers.(s) <- env.body;
+    g.acks <- g.acks + 1
+  end;
+  g.acks >= g.stop_at
+
+(* One collection pass over the port's mailbox: file the bodies of
+   [round]'s acknowledgments of the wanted kind until [stop_at] distinct
+   servers answered or [deadline] (when given) passes; true when it
+   expired.  The round tag was captured at broadcast time: the wait
+   matches the broadcast that was just issued even if a transient fault
+   corrupts the port's tag while the round trip is in flight.  Without a
+   deadline this is the paper's asynchronous client: it blocks until
+   enough distinct servers answered, however long that takes. *)
+let gather ~engine ~port ~deadline g =
+  g.stop_at > 0
+  && not (Sim.Mailbox.collect ~engine ~deadline port.Net.mailbox (consider g))
+
+let after engine span = Some (Sim.Vtime.add (Sim.Engine.now engine) span)
+
+type attempt = {
+  answers : Messages.to_client array;
+  acks : int;
+  expired : bool;
+}
 
 (* How many distinct answers attempt number [attempt] (0-based) waits for.
    The first attempt wants the paper's full quota; retries stop counting on
@@ -45,33 +62,39 @@ let attempt_target params ~health ~attempt =
   if attempt = 0 then full
   else max (Params.read_quorum params) (min full (Health.responsive health))
 
-let attempt_once ~net ~port ~round ~attempt ~filter =
+let attempt_once ~net ~port ~round ~attempt ~wanted =
   let params = Net.params net in
+  let engine = Net.engine net in
   let health = port.Net.health in
-  let stop_at = attempt_target params ~health ~attempt in
-  let after span =
-    Some (Sim.Vtime.add (Sim.Engine.now (Net.engine net)) span)
+  let n = (params : Params.t).n in
+  let g =
+    {
+      answers = Array.make n no_answer;
+      round;
+      wanted;
+      stop_at = attempt_target params ~health ~attempt;
+      acks = 0;
+    }
   in
-  let payloads slots = Array.to_list slots |> List.filter_map (fun s -> s) in
   match (Params.retry params).Params.deadline with
   | Some d ->
-    let slots, filled, expired =
-      gather ~net ~port ~round ~filter ~stop_at ~deadline:(after d)
-    in
-    Array.iteri
-      (fun s slot -> Health.note health ~server:s ~answered:(slot <> None))
-      slots;
-    { payloads = payloads slots; acks = filled; expired }
+    let expired = gather ~engine ~port ~deadline:(after engine d) g in
+    for s = 0 to n - 1 do
+      Health.note health ~server:s ~answered:(g.answers.(s) != no_answer)
+    done;
+    { answers = g.answers; acks = g.acks; expired }
   | None ->
     (* The paper's wait: block for the quota (async), or collect until the
        round-trip bound (sync, lines 02.M / 11.M) — the normal end of a
        synchronous round, not an expiry.  No suspicion without a deadline:
        the model checker's fingerprints leave [Health] out. *)
-    let slots, filled, _ =
-      gather ~net ~port ~round ~filter ~stop_at
-        ~deadline:(Option.bind (Params.sync_timeout params) after)
+    let deadline =
+      match Params.sync_timeout params with
+      | Some d -> after engine d
+      | None -> None
     in
-    { payloads = payloads slots; acks = filled; expired = false }
+    ignore (gather ~engine ~port ~deadline g);
+    { answers = g.answers; acks = g.acks; expired = false }
 
 let sleep ~net span =
   if span > 0 then
@@ -101,8 +124,8 @@ let backoff_wait ~net ~port ~attempt =
          });
   sleep ~net (base + jitter)
 
-type 'a collected = {
-  payloads : 'a list;
+type collected = {
+  answers : Messages.to_client array;
   acks : int;
   attempts : int;
   complete : bool;
@@ -117,7 +140,7 @@ let shortfall params ~port ~attempts ~acks ~need =
   if acks >= Params.read_quorum params then Outcome.Degraded r
   else Outcome.Timed_out r
 
-let judge ~net ~port (c : 'a collected) =
+let judge ~net ~port (c : collected) =
   let params = Net.params net in
   let need = Params.write_ok_threshold params in
   if c.acks >= need then Outcome.Ok ()
@@ -126,40 +149,29 @@ let judge ~net ~port (c : 'a collected) =
 (* One logical collect — broadcast, gather, and retry with backoff until
    the full quota answers or the policy's attempts run out.  Returns the
    best attempt seen. *)
-let retrying ?span ~net ~port ~inst ~body ~filter () =
+let retrying ?span ~net ~port ~inst ~body ~wanted () =
   let params = Net.params net in
   let full = Params.ack_wait params in
   let max_attempts = max 1 (Params.retry params).Params.attempts in
-  let rec go k best_payloads best_acks =
+  let rec go k (best : attempt) =
     let round = Net.ss_broadcast ?span net port ~inst body in
-    let a = attempt_once ~net ~port ~round ~attempt:k ~filter in
-    let best_payloads, best_acks =
-      if a.acks >= best_acks then (a.payloads, a.acks)
-      else (best_payloads, best_acks)
-    in
+    let a = attempt_once ~net ~port ~round ~attempt:k ~wanted in
+    let best = if a.acks >= best.acks then a else best in
     if a.acks >= full then
-      { payloads = a.payloads; acks = a.acks; attempts = k + 1; complete = true }
+      { answers = a.answers; acks = a.acks; attempts = k + 1; complete = true }
     else if k + 1 >= max_attempts then
       {
-        payloads = best_payloads;
-        acks = best_acks;
+        answers = best.answers;
+        acks = best.acks;
         attempts = k + 1;
         complete = false;
       }
     else begin
       backoff_wait ~net ~port ~attempt:(k + 1);
-      go (k + 1) best_payloads best_acks
+      go (k + 1) best
     end
   in
-  go 0 [] 0
-
-let write_filter = function
-  | Messages.Ack_write h -> Some h
-  | Messages.Ack_read _ -> None
-
-let read_filter = function
-  | Messages.Ack_read (c, h) -> Some (c, h)
-  | Messages.Ack_write _ -> None
+  go 0 { answers = [||]; acks = 0; expired = false }
 
 (* --- the operation skeleton shared by the SWSR families --- *)
 
@@ -196,10 +208,10 @@ let write_round ~span ep cell =
   let net = ep.net and port = ep.port in
   let c =
     retrying ~span ~net ~port ~inst:ep.inst ~body:(Messages.Write cell)
-      ~filter:write_filter ()
+      ~wanted:Write_acks ()
   in
   let threshold = Params.help_refresh_threshold (Net.params net) in
-  (match Quorum.find_help ~threshold c.payloads with
+  (match Quorum.find_ack_help ~threshold c.answers with
   | Some _ -> ()
   | None ->
     ignore
@@ -229,13 +241,13 @@ let read_loop ~span ?(max_iterations = max_int) ep ~on_cell ~on_help =
       new_read := false;
       let a =
         attempt_once ~net ~port ~round ~attempt:(!attempts - 1)
-          ~filter:read_filter
+          ~wanted:Read_acks
       in
       if a.acks > !best_acks then best_acks := a.acks;
-      match Quorum.find_cell ~threshold (List.map fst a.payloads) with
+      match Quorum.find_ack_cell ~threshold a.answers with
       | Some cell -> Some (on_cell cell)
       | None -> (
-        match Quorum.find_help ~threshold (List.map snd a.payloads) with
+        match Quorum.find_ack_help ~threshold a.answers with
         | Some cell ->
           ep.help_returns <- ep.help_returns + 1;
           Some (on_help cell)

@@ -25,8 +25,21 @@
     {!Params.paper_wait} no slot is ever suspected, so every attempt waits
     for the full quota. *)
 
-type 'a attempt = {
-  payloads : 'a list;  (** filtered payloads, in server-id order *)
+type acks =
+  | Write_acks  (** a WRITE round: only [Ack_write] bodies count *)
+  | Read_acks  (** a READ round: only [Ack_read] bodies count *)
+(** The acknowledgment kind a round files; bodies of the other kind from a
+    server are ignored (a Byzantine server may send anything). *)
+
+val no_answer : Messages.to_client
+(** What the slot of a server with no counted acknowledgment holds,
+    compared physically.  It is an [Ack_write None], so the
+    {!Quorum.find_ack_cell} and {!Quorum.find_ack_help} counts pass over
+    it. *)
+
+type attempt = {
+  answers : Messages.to_client array;
+      (** by server slot: the acknowledgment counted, or {!no_answer} *)
   acks : int;  (** distinct servers that answered in time *)
   expired : bool;  (** the policy deadline fired *)
 }
@@ -36,15 +49,14 @@ val attempt_once :
   port:Net.client_port ->
   round:int ->
   attempt:int ->
-  filter:(Messages.to_client -> 'a option) ->
-  'a attempt
+  wanted:acks ->
+  attempt
 (** One collection pass for broadcast [round] ([attempt] is 0-based; it
-    selects the target count as described above).  [filter]
-    selects/decodes the expected acknowledgment kind; non-matching bodies
-    from a server are ignored (a Byzantine server may send anything). *)
+    selects the target count as described above), filing the first
+    acknowledgment of the [wanted] kind from each server. *)
 
-type 'a collected = {
-  payloads : 'a list;  (** from the best attempt *)
+type collected = {
+  answers : Messages.to_client array;  (** from the best attempt *)
   acks : int;
   attempts : int;  (** attempts spent (1 = first try sufficed) *)
   complete : bool;  (** the full [Params.ack_wait] quota answered *)
@@ -56,9 +68,9 @@ val retrying :
   port:Net.client_port ->
   inst:int ->
   body:Messages.to_server ->
-  filter:(Messages.to_client -> 'a option) ->
+  wanted:acks ->
   unit ->
-  'a collected
+  collected
 (** One logical collect: ss-broadcast [body], gather, and retry (fresh
     broadcast each time, after the policy's backoff plus per-port jitter;
     each retry bumps ["collect.retries"] and emits a ["retry.c<id>.a<k>"]
@@ -66,16 +78,10 @@ val retrying :
     out; returns the best attempt.  Each re-broadcast opens its own child
     span of [span], so retry rounds are visible in traces. *)
 
-val judge :
-  net:Net.t -> port:Net.client_port -> 'a collected -> unit Outcome.t
+val judge : net:Net.t -> port:Net.client_port -> collected -> unit Outcome.t
 (** Classify a collect against {!Params.write_ok_threshold} (full service)
     and {!Params.read_quorum} (degraded vs timed out), naming the port's
     current suspects in the reason. *)
-
-val write_filter : Messages.to_client -> Messages.help option
-
-val read_filter :
-  Messages.to_client -> (Messages.cell * Messages.help) option
 
 (** {2 The operation skeleton} *)
 

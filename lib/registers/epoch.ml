@@ -12,21 +12,42 @@ let is_wellformed ~k e =
   && List.for_all in_range e.a
   && List.sort_uniq Int.compare e.a = e.a
 
-let equal e1 e2 = e1.s = e2.s && e1.a = e2.a
+let rec ints_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | x :: a, y :: b -> Int.equal x y && ints_equal a b
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
+
+let equal e1 e2 = e1 == e2 || (e1.s = e2.s && ints_equal e1.a e2.a)
 
 let compare_structural e1 e2 =
   match Int.compare e1.s e2.s with
   | 0 -> List.compare Int.compare e1.a e2.a
   | c -> c
 
-let mem x set = List.exists (fun y -> y = x) set
+let rec mem x = function [] -> false | y :: set -> Int.equal x y || mem x set
 
 let gt ei ej = mem ej.s ei.a && not (mem ei.s ej.a)
 
 let ge ei ej = equal ei ej || gt ei ej
 
-let max_epoch epochs =
-  List.find_opt (fun e -> List.for_all (fun e' -> ge e e') epochs) epochs
+(* Scans in place over [items] through the projection [epoch], a
+   top-level function at the hot call site, so a scan allocates nothing. *)
+let rec dominates epoch items e j =
+  j >= Array.length items
+  || (ge e (epoch items.(j)) && dominates epoch items e (j + 1))
+
+let rec first_max epoch items i =
+  if i >= Array.length items then None
+  else
+    let e = epoch items.(i) in
+    if dominates epoch items e 0 then Some e else first_max epoch items (i + 1)
+
+let max_epoch_by epoch items = first_max epoch items 0
+
+let max_epoch epochs = max_epoch_by Fun.id (Array.of_list epochs)
 
 let next_epoch ~k epochs =
   if List.length epochs > k then

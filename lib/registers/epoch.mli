@@ -39,6 +39,10 @@ val max_epoch : t list -> t option
 (** The element [>=] all others, if one exists (the paper's
     [max_epoch] predicate/selector). *)
 
+val max_epoch_by : ('a -> t) -> 'a array -> t option
+(** [max_epoch] of the epochs of [items], in order, without building the
+    list. *)
+
 val next_epoch : k:int -> t list -> t
 (** An epoch [>] every one of the (at most [k]) given epochs: [s] is a
     ground-set element in none of their [a]-sets, and [a] contains all

@@ -1,6 +1,6 @@
 type cell = { sn : Seqnum.t; v : Value.t }
 
-let cell_equal c1 c2 = c1.sn = c2.sn && Value.equal c1.v c2.v
+let cell_equal c1 c2 = c1 == c2 || (c1.sn = c2.sn && Value.equal c1.v c2.v)
 
 let bot_cell = { sn = Seqnum.zero; v = Value.bot }
 
@@ -28,8 +28,12 @@ type client_envelope = {
   round : int;
   server : int;
   body : to_client;
-  span : Obs.Trace_ctx.span;
+  cause : Obs.Trace_ctx.span;
+  span_id : int;
 }
+
+let client_span (env : client_envelope) =
+  Obs.Trace_ctx.child_with env.cause ~id:env.span_id
 
 let class_of_to_server : to_server -> Obs.Event.msg_class = function
   | Write _ -> Obs.Event.Write

@@ -51,8 +51,18 @@ type client_envelope = {
   round : int;
   server : int;
   body : to_client;
-  span : Obs.Trace_ctx.span;
+  cause : Obs.Trace_ctx.span;
+  span_id : int;
 }
+(** An acknowledgment's causal span is a child of [cause] (the span of
+    the request it answers, {!Obs.Trace_ctx.none} for unsolicited
+    chatter) with id [span_id] (0 for debris with no causal context).
+    The envelope carries the two fields instead of the span, which is
+    built by {!client_span} only when a sink reads it.  Like a request's
+    [span], they take part in no protocol decision and do not count toward
+    the wire-byte estimate. *)
+
+val client_span : client_envelope -> Obs.Trace_ctx.span
 
 val class_of_to_server : to_server -> Obs.Event.msg_class
 

@@ -100,33 +100,37 @@ let view_gate p o =
   | None -> Outcome.Ok ()
   | Some _ -> o
 
-let view_epochs views =
-  Array.to_list views |> List.map (fun (_, e, _) -> e)
+let view_epoch (_, e, _) = e
+
+let view_epochs views = Array.fold_right (fun v es -> view_epoch v :: es) views []
+
+(* The scans below walk the views in place, in view order, and are
+   top-level functions so a scan allocates nothing. *)
+let rec exhausted ~seq_bound views me j =
+  j < Array.length views
+  && ((let _, e, s = views.(j) in
+       Epoch.equal e me && s >= seq_bound)
+     || exhausted ~seq_bound views me (j + 1))
 
 (* Lines 02 / 10: no greatest epoch, or its sequence space is exhausted. *)
 let must_open_epoch p views =
-  match Epoch.max_epoch (view_epochs views) with
+  match Epoch.max_epoch_by view_epoch views with
   | None -> true
-  | Some me ->
-    Array.exists
-      (fun (_, e, s) -> Epoch.equal e me && s >= p.cfg.seq_bound)
-      views
+  | Some me -> exhausted ~seq_bound:p.cfg.seq_bound views me 0
 
-(* Lines 05-06 / 13-14: the indices holding the greatest epoch and the
-   maximal sequence number among them. *)
+let rec holders_seq_max views me j acc =
+  if j >= Array.length views then acc
+  else
+    let _, e, s = views.(j) in
+    holders_seq_max views me (j + 1)
+      (if Epoch.equal e me then Int.max acc s else acc)
+
+(* Lines 05-06 / 13-14: the greatest epoch and the maximal sequence number
+   among the views holding it. *)
 let frontier views =
-  match Epoch.max_epoch (view_epochs views) with
+  match Epoch.max_epoch_by view_epoch views with
   | None -> None
-  | Some me ->
-    let holders =
-      Array.to_list views
-      |> List.mapi (fun j (v, e, s) -> (j, v, e, s))
-      |> List.filter (fun (_, _, e, _) -> Epoch.equal e me)
-    in
-    let seq_max =
-      List.fold_left (fun acc (_, _, _, s) -> max acc s) min_int holders
-    in
-    Some (me, seq_max, holders)
+  | Some me -> Some (me, holders_seq_max views me 0 min_int)
 
 let write ?parent p v =
   Instr.run ?parent p.wprobe (fun ctx ->
@@ -138,7 +142,7 @@ let write ?parent p v =
       end;
       match frontier views with
       | None -> assert false (* next_epoch dominates every view epoch *)
-      | Some (me, seq_max, _) ->
+      | Some (me, seq_max) ->
         let ts_seq = seq_max + 1 in
         p.last_ts <- Some (me, ts_seq);
         (* line 07 *)
@@ -148,16 +152,22 @@ let write ?parent p v =
         in
         Outcome.worse wo (view_gate p view_health))
 
-let pick_return p (_me, seq_max, holders) =
-  let candidates = List.filter (fun (_, _, _, s) -> s = seq_max) holders in
-  let chosen =
-    match p.cfg.tie with
-    | `Min_index -> List.nth_opt candidates 0 (* line 15: minimal index *)
-    | `Max_index -> List.nth_opt (List.rev candidates) 0
-  in
-  match chosen with
-  | Some (j, v, _, _) -> (j, v)
-  | None -> (0, Value.bot) (* unreachable: holders is non-empty *)
+(* From view [j] on, by [step]: the first view holding the frontier
+   timestamp. *)
+let rec newest views ((me, seq_max) as fr) j ~step =
+  if j < 0 || j >= Array.length views then (0, Value.bot)
+    (* unreachable: some view holds the frontier *)
+  else
+    let v, e, s = views.(j) in
+    if Epoch.equal e me && s = seq_max then (j, v)
+    else newest views fr (j + step) ~step
+
+(* Line 15: among the views holding the frontier timestamp, the minimal
+   index (or the maximal one, as configured). *)
+let pick_return p views fr =
+  match p.cfg.tie with
+  | `Min_index -> newest views fr 0 ~step:1
+  | `Max_index -> newest views fr (Array.length views - 1) ~step:(-1)
 
 let read_timestamped ?parent ?max_iterations p =
   Instr.run ?parent p.rprobe (fun ctx ->
@@ -178,8 +188,8 @@ let read_timestamped ?parent ?max_iterations p =
       | None ->
         Outcome.Timed_out
           (Option.value ~default:Outcome.no_reason (Outcome.reason gate))
-      | Some ((me, seq_max, _) as fr) ->
-        let j, v = pick_return p fr in
+      | Some ((me, seq_max) as fr) ->
+        let j, v = pick_return p views fr in
         Outcome.map (fun () -> (v, me, seq_max, j)) gate)
 
 let read ?parent ?max_iterations p =

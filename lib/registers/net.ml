@@ -83,19 +83,19 @@ let emit_traffic t ~send ~client ~server ~to_server ~span cls bytes =
     (if send then Obs.Event.Send { time; src; dst; cls; bytes; span }
      else Obs.Event.Recv { time; src; dst; cls; bytes; span })
 
-let record_send t ~client ~server ~to_server ~span cls bytes =
+(* Account [copies] sends of one message; with an active hub the caller
+   emits their [Send] events. *)
+let count_sends t cls bytes ~copies =
   let i = Obs.Event.class_index cls in
-  incr t.sent_count.(i);
-  (t.sent_bytes.(i) := !(t.sent_bytes.(i)) + bytes);
-  if Obs.Hub.active (Sim.Engine.hub t.engine) then
-    emit_traffic t ~send:true ~client ~server ~to_server ~span cls bytes
+  (t.sent_count.(i) := !(t.sent_count.(i)) + copies);
+  t.sent_bytes.(i) := !(t.sent_bytes.(i)) + (copies * bytes)
 
 let record_ack_recv t ~client (env : Messages.client_envelope) =
   let cls = Messages.class_of_to_client env.body in
   incr t.recv_count.(Obs.Event.class_index cls);
   if Obs.Hub.active (Sim.Engine.hub t.engine) then
     emit_traffic t ~send:false ~client ~server:env.server ~to_server:false
-      ~span:env.span cls
+      ~span:(Messages.client_span env) cls
       (Messages.client_envelope_bytes env)
 
 let record_request_recv t ~server (env : Messages.server_envelope) =
@@ -218,24 +218,37 @@ let add_client t ~id =
 
 let client_ports t = t.ports
 
-let reply ?(parent = Obs.Trace_ctx.none) t ~server ~client body ~round =
+(* The acknowledgment is a new causal node under [cause], the span of
+   the request it answers (or a fresh root for unsolicited Byzantine
+   chatter).  Its id is drawn here, in the order replies are sent, but
+   the span itself is only built when a sink reads it. *)
+let send_reply t ~server ~client ~round ~cause body =
   match find_port client t.ports with
   | None -> ()
   | Some port -> (
-    (* The acknowledgment is a new causal node under the broadcast round
-       it answers (or a fresh root for unsolicited Byzantine chatter). *)
-    let span = Obs.Trace_ctx.child (Sim.Engine.spans t.engine) parent in
-    let env = { Messages.round; server; body; span } in
-    record_send t ~client ~server ~to_server:false ~span
-      (Messages.class_of_to_client body)
-      (Messages.client_envelope_bytes env);
+    let span_id = Obs.Trace_ctx.fresh (Sim.Engine.spans t.engine) in
+    let env = { Messages.round; server; body; cause; span_id } in
+    let cls = Messages.class_of_to_client body in
+    let bytes = Messages.client_envelope_bytes env in
+    count_sends t cls bytes ~copies:1;
+    if Obs.Hub.active (Sim.Engine.hub t.engine) then
+      emit_traffic t ~send:true ~client ~server ~to_server:false
+        ~span:(Messages.client_span env) cls bytes;
     match port.transport with
     | Direct -> Sim.Link.send port.from_servers.(server) env
     | Lossy { reply_senders; _ } ->
       Ss_transport.send reply_senders.(server) env)
 
+let reply ?(parent = Obs.Trace_ctx.none) t ~server ~client body ~round =
+  send_reply t ~server ~client ~round ~cause:parent body
+
+let answer t ~server (env : Messages.server_envelope) body =
+  send_reply t ~server ~client:env.client ~round:env.round ~cause:env.span
+    body
+
 let install_honest_server t srv =
   let s = Server.id srv in
+  let ack = answer t ~server:s in
   t.endpoints.(s).on_deliver <-
     (fun env ->
       record_request_recv t ~server:s env;
@@ -252,11 +265,7 @@ let install_honest_server t srv =
                      (Messages.class_of_to_server env.Messages.body);
                span = env.Messages.span;
              });
-      match Server.handle srv env with
-      | None -> ()
-      | Some body ->
-        reply ~parent:env.Messages.span t ~server:s ~client:env.Messages.client
-          body ~round:env.Messages.round)
+      Server.handle srv env ~ack)
 
 let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
   incr t.broadcasts;
@@ -273,12 +282,15 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
       span = bspan;
     }
   in
+  let n = t.params.Params.n in
   let cls = Messages.class_of_to_server body in
   let env_bytes = Messages.server_envelope_bytes env in
-  for s = 0 to t.params.Params.n - 1 do
-    record_send t ~client:port.client_id ~server:s ~to_server:true ~span:bspan
-      cls env_bytes
-  done;
+  count_sends t cls env_bytes ~copies:n;
+  if Obs.Hub.active (Sim.Engine.hub t.engine) then
+    for s = 0 to n - 1 do
+      emit_traffic t ~send:true ~client:port.client_id ~server:s
+        ~to_server:true ~span:bspan cls env_bytes
+    done;
   (* Synchronized delivery: the invocation spans the first (n - 2t) correct
      deliveries.  If the adversary corrupts more than t servers (tightness
      experiments), fall back to the last correct delivery so the broadcast

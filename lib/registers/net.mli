@@ -123,11 +123,16 @@ val reply :
   round:int ->
   unit
 (** Send an acknowledgment from server [server] to client [client] on
-    their FIFO link (used by server deployments, honest or Byzantine).
-    The acknowledgment gets a fresh causal span, a child of [parent]
-    (normally the span of the request being answered; default
-    {!Obs.Trace_ctx.none}, which makes it a causal root — unsolicited
-    chatter). *)
+    their FIFO link.  The acknowledgment gets a fresh causal span id, a
+    child of [parent] (default {!Obs.Trace_ctx.none}, which makes it a
+    causal root — unsolicited chatter); the span record is built only
+    when a sink reads it.  To answer a request, use {!answer}. *)
+
+val answer :
+  t -> server:int -> Messages.server_envelope -> Messages.to_client -> unit
+(** [answer t ~server req body] is {!reply} from [server] to the client,
+    round and span of the request [req]: how a server deployment, honest
+    or Byzantine, acknowledges a request. *)
 
 val install_honest_server : t -> Server.t -> unit
 (** Wire server slot [Server.id] to the honest automaton. *)

@@ -1,45 +1,55 @@
 type instance = { mutable last_val : Messages.cell; mutable helping : Messages.help }
 
-(* Instance numbers are small consecutive ints, so they hash to
-   themselves: no generic hashing on every delivery. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* Instance numbers are small consecutive ints from 0, so the table is
+   dense: indexed by instance, [absent] in the slots not created yet, and
+   grown by doubling past the largest instance touched.  [absent] is never
+   handed out, so it is never written. *)
+let absent = { last_val = Messages.bot_cell; helping = None }
 
-  let equal = Int.equal
+type t = { id : int; mutable insts : instance array }
 
-  let hash i = i land max_int
-end)
-
-type t = { id : int; insts : instance Itbl.t }
-
-let create ~id = { id; insts = Itbl.create 4 }
+let create ~id = { id; insts = Array.make 4 absent }
 
 let id t = t.id
 
+let grow t inst =
+  let len = ref (Array.length t.insts) in
+  while !len <= inst do
+    len := 2 * !len
+  done;
+  let insts = Array.make !len absent in
+  Array.blit t.insts 0 insts 0 (Array.length t.insts);
+  t.insts <- insts
+
 let instance t inst =
-  match Itbl.find t.insts inst with
-  | i -> i
-  | exception Not_found ->
+  if inst < 0 then invalid_arg "Server.instance: negative instance";
+  if inst >= Array.length t.insts then grow t inst;
+  let i = t.insts.(inst) in
+  if i != absent then i
+  else begin
     let i = { last_val = Messages.bot_cell; helping = None } in
-    Itbl.add t.insts inst i;
+    t.insts.(inst) <- i;
     i
+  end
 
 let instances t =
-  Itbl.fold (fun k v acc -> (k, v) :: acc) t.insts []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let acc = ref [] in
+  for k = Array.length t.insts - 1 downto 0 do
+    let i = t.insts.(k) in
+    if i != absent then acc := (k, i) :: !acc
+  done;
+  !acc
 
-let handle t (env : Messages.server_envelope) =
+let handle t (env : Messages.server_envelope) ~ack =
   let i = instance t env.inst in
   match env.body with
   | Messages.Write c ->
     i.last_val <- c;
-    Some (Messages.Ack_write i.helping)
-  | Messages.New_help c ->
-    i.helping <- Some c;
-    None
+    ack env (Messages.Ack_write i.helping)
+  | Messages.New_help c -> i.helping <- Some c
   | Messages.Read new_read ->
     if new_read then i.helping <- None;
-    Some (Messages.Ack_read (i.last_val, i.helping))
+    ack env (Messages.Ack_read (i.last_val, i.helping))
 
 (* A crash-recovery wipe loses the volatile state entirely: every known
    instance goes back to the pristine bot content a fresh automaton would
@@ -52,10 +62,8 @@ let reset t =
       i.helping <- None)
     (instances t)
 
-(* Corrupt instances in sorted-key order: the rng draws then depend only
-   on which instances exist, not on hash-table layout, so a corruption at
-   a given seed is reproducible across insertion orders and OCaml
-   versions. *)
+(* Corrupt instances in ascending order: the rng draws then depend only
+   on which instances exist, not on the order they were created in. *)
 let corrupt t rng =
   List.iter
     (fun (_, i) ->

@@ -16,9 +16,13 @@ val create : id:int -> t
 
 val id : t -> int
 
-val handle : t -> Messages.server_envelope -> Messages.to_client option
-(** Process one ss-delivered message and return the acknowledgment to send
-    back to the emitting client, if any:
+val handle :
+  t ->
+  Messages.server_envelope ->
+  ack:(Messages.server_envelope -> Messages.to_client -> unit) ->
+  unit
+(** Process one ss-delivered message and pass the acknowledgment to send
+    back to the emitting client, if any, to [ack] with the message:
     - [Write c]: store [c] in [last_val]; ack with the current helping value
       (lines 19–20).
     - [New_help c]: store [Some c] in [helping_val]; no ack (line 21).
@@ -27,9 +31,11 @@ val handle : t -> Messages.server_envelope -> Messages.to_client option
 
 val instance : t -> int -> instance
 (** The state for a register instance (created with [bot] content on first
-    access). *)
+    access).  Instances are non-negative and index a dense table, so keep
+    them small and consecutive. *)
 
 val instances : t -> (int * instance) list
+(** The instances created so far, ascending. *)
 
 val reset : t -> unit
 (** Crash-recovery wipe: every instance back to pristine [bot] content —

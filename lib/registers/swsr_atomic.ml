@@ -42,11 +42,10 @@ let sanity_round ~span (r : reader) =
   let { Collect.net; port; inst; _ } = r.ep in
   let round = Net.ss_broadcast ~span net port ~inst (Messages.Read false) in
   let a =
-    Collect.attempt_once ~net ~port ~round ~attempt:0
-      ~filter:Collect.read_filter
+    Collect.attempt_once ~net ~port ~round ~attempt:0 ~wanted:Collect.Read_acks
   in
   let threshold = Params.read_quorum (Net.params net) in
-  match Quorum.find_help ~threshold (List.map snd a.Collect.payloads) with
+  match Quorum.find_ack_help ~threshold a.Collect.answers with
   | Some { Messages.sn; v } ->
     if Seqnum.gt_cd ~modulus:r.modulus r.pwsn sn then begin
       r.pwsn <- sn;

@@ -115,8 +115,9 @@ let enqueue t ev time =
     t.overflow <- insert ev t.overflow
   end
 
-let schedule_at ?(label = "") t time action =
-  enqueue t (event t ~label action) time
+let post t ~label time action = enqueue t (event t ~label action) time
+
+let schedule_at ?(label = "") t time action = post t ~label time action
 
 let schedule ?label t ~delay action =
   schedule_at ?label t (Vtime.add t.clock (max delay 0)) action

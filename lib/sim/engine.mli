@@ -47,6 +47,10 @@ val schedule_at : ?label:string -> t -> Vtime.t -> (unit -> unit) -> unit
 (** Like {!schedule} with an absolute instant; instants in the past fire at
     the current time. *)
 
+val post : t -> label:string -> Vtime.t -> (unit -> unit) -> unit
+(** {!schedule_at} with a label that is not optional: a link posts one
+    event per message, and an optional label would box it every time. *)
+
 val run : ?until:Vtime.t -> ?max_events:int -> t -> unit
 (** Process events until the queue is empty, [until] is reached, or
     [max_events] events have fired.  Events scheduled exactly at [until]

@@ -6,7 +6,7 @@ type status = Running | Done | Failed of exn
 type handle = {
   mutable status : status;
   name : string;
-  mutable blocked : string option;
+  mutable blocked : string; (* the label of the current wait; "" for none *)
 }
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -17,12 +17,10 @@ type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
    watchdog can read the stamps of wedged fibers afterwards. *)
 let current : handle option ref = ref None
 
-let suspend ?label register =
-  (match (!current, label) with
-  | Some h, Some l -> h.blocked <- Some l
-  | Some _, None | None, _ -> ());
+let suspend ?(label = "") register =
+  (match !current with Some h -> h.blocked <- label | None -> ());
   let v = perform (Suspend register) in
-  (match !current with Some h -> h.blocked <- None | None -> ());
+  (match !current with Some h -> h.blocked <- "" | None -> ());
   v
 
 (* Continue [k] with [v] as fiber [self], restoring the previous [current]
@@ -38,17 +36,17 @@ let resume_as self k v =
     raise e
 
 let spawn ?(name = "fiber") f =
-  let h = { status = Running; name; blocked = None } in
+  let h = { status = Running; name; blocked = "" } in
   let self = Some h in
   let handler =
     {
       retc =
         (fun () ->
-          h.blocked <- None;
+          h.blocked <- "";
           h.status <- Done);
       exnc =
         (fun e ->
-          h.blocked <- None;
+          h.blocked <- "";
           h.status <- Failed e;
           raise e);
       effc =
@@ -72,4 +70,7 @@ let status h = h.status
 
 let name h = h.name
 
-let blocked_on h = match h.status with Running -> h.blocked | _ -> None
+let blocked_on h =
+  match h.status with
+  | Running when not (String.equal h.blocked "") -> Some h.blocked
+  | Running | Done | Failed _ -> None

@@ -75,7 +75,7 @@ let transmit_timed ?on_delivered t payload =
   Queue.push { payload; live = true; on_delivered } t.flight;
   (* Label the event with the link name so a look at [Engine.ready] can
      tell which channel each pending delivery belongs to. *)
-  Engine.schedule_at ~label:t.label t.engine arrival t.arrive;
+  Engine.post t.engine ~label:t.label arrival t.arrive;
   arrival
 
 let send t m = ignore (transmit_timed t m)

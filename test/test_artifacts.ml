@@ -27,7 +27,7 @@ let check_invalid name contents =
     (Result.is_error (Exp_drivers.Artifacts.validate contents))
 
 let committed () =
-  let dirs = [ "chaos"; "mc"; "recovery"; "shard" ] in
+  let dirs = [ "chaos"; "mc"; "recovery"; "runs"; "shard" ] in
   List.concat_map
     (fun d ->
       let dir = Filename.concat "../examples" d in

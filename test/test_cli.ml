@@ -211,6 +211,11 @@ let test_range_checked_numbers () =
       ("--trials", [ "shard"; "--chaos-target"; "0"; "--trials=-1" ]);
       ("--race-fraction", [ "chaos"; "--race-check"; "--race-fraction"; "2" ]);
       ("--keys", [ "shard"; "--keys"; "0" ]);
+      ("--byz", [ "chaos"; "--byz=-1" ]);
+      ("--byz", [ "chaos"; "--byz"; "10" ]);
+      ("--byz", [ "mc"; "--byz=-1" ]);
+      ("--shards", [ "shard"; "--shards"; "0" ]);
+      ("--shards", [ "shard"; "--shards"; "1"; "--shards=-2" ]);
     ]
 
 let test_chaos_replay_expect () =

@@ -40,13 +40,17 @@ let test_attempt_ignores_stale_round () =
       got :=
         Some
           (Collect.attempt_once ~net ~port ~round ~attempt:0
-             ~filter:Collect.write_filter));
+             ~wanted:Collect.Write_acks));
   match !got with
   | None -> Alcotest.fail "collect never returned"
-  | Some (a : _ Collect.attempt) ->
+  | Some (a : Collect.attempt) ->
     check_true "attempt deadline expired" a.expired;
     check_int "only current-round acks counted" 7 a.acks;
-    check_int "stale payload filtered out" 7 (List.length a.payloads)
+    check_int "stale payload filtered out" 7
+      (Array.fold_left
+         (fun k body -> if body != Collect.no_answer then k + 1 else k)
+         0 a.answers);
+    check_true "stale slot left empty" (a.answers.(8) == Collect.no_answer)
 
 let test_retry_filters_late_previous_attempt_acks () =
   (* 7 fast slots plus one slow slot that acknowledges every request 100
@@ -67,10 +71,10 @@ let test_retry_filters_late_previous_attempt_acks () =
       got :=
         Some
           (Collect.retrying ~net ~port ~inst:0 ~body:write_body
-             ~filter:Collect.write_filter ()));
+             ~wanted:Collect.Write_acks ()));
   match !got with
   | None -> Alcotest.fail "collect never returned"
-  | Some (c : _ Collect.collected) ->
+  | Some (c : Collect.collected) ->
     check_false "never reached the full quota" c.complete;
     check_int "late stale acks never counted" 7 c.acks;
     check_int "all retry attempts spent"
@@ -84,12 +88,12 @@ let test_retrying_full_service () =
   run_engine_fiber engine (fun () ->
       let c =
         Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~filter:Collect.write_filter ()
+          ~wanted:Collect.Write_acks ()
       in
       got := Some (c, Collect.judge ~net ~port c));
   match !got with
   | None -> Alcotest.fail "collect never returned"
-  | Some ((c : _ Collect.collected), o) ->
+  | Some ((c : Collect.collected), o) ->
     check_true "full quota" c.complete;
     check_int "first try sufficed" 1 c.attempts;
     check_true "judged Ok" (Outcome.is_ok o)
@@ -103,12 +107,12 @@ let test_retrying_degraded () =
   run_engine_fiber engine (fun () ->
       let c =
         Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~filter:Collect.write_filter ()
+          ~wanted:Collect.Write_acks ()
       in
       got := Some (c, Collect.judge ~net ~port c));
   match !got with
   | None -> Alcotest.fail "collect never returned"
-  | Some ((c : _ Collect.collected), o) -> (
+  | Some ((c : Collect.collected), o) -> (
     check_false "below the quota" c.complete;
     check_int "best attempt saw the responders" 5 c.acks;
     match o with
@@ -127,7 +131,7 @@ let test_retrying_timed_out () =
   run_engine_fiber engine (fun () ->
       let c =
         Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~filter:Collect.write_filter ()
+          ~wanted:Collect.Write_acks ()
       in
       got := Some (Collect.judge ~net ~port c));
   match !got with
@@ -161,9 +165,9 @@ let test_paper_wait_async () =
       got :=
         Some
           (Collect.retrying ~net ~port ~inst:0 ~body:write_body
-             ~filter:Collect.write_filter ()));
+             ~wanted:Collect.Write_acks ()));
   match !got with
-  | Some (c : _ Collect.collected) ->
+  | Some (c : Collect.collected) ->
     check_true "complete" c.complete;
     check_int "one attempt" 1 c.attempts;
     check_int "quota met" 8 c.acks
@@ -191,7 +195,7 @@ let test_paper_wait_sync_silent_slot () =
         let start = Sim.Engine.now engine in
         let a =
           Collect.attempt_once ~net ~port ~round ~attempt
-            ~filter:Collect.write_filter
+            ~wanted:Collect.Write_acks
         in
         check_false "a synchronous round is not an expiry" a.expired;
         check_int "the honest slots answered" 3 a.acks;
@@ -200,7 +204,7 @@ let test_paper_wait_sync_silent_slot () =
       done;
       let c =
         Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~filter:Collect.write_filter ()
+          ~wanted:Collect.Write_acks ()
       in
       check_int "one attempt per collect" 1 c.attempts);
   check_int "every round ended at now + sync_timeout" rounds

@@ -173,6 +173,36 @@ let test_bucket_boundaries () =
   let _, last_hi = Obs.Metrics.bucket_bounds (Obs.Metrics.num_buckets - 1) in
   check_true "last bucket open" (last_hi = infinity)
 
+(* [bucket_index] searches a table of the bucket bounds; pin it against
+   the definition, [bucket_bounds], on every integer up to 2^21 (latencies
+   in ticks are integers) and on every bound and its float neighbours. *)
+let test_bucket_index_definition () =
+  let module M = Obs.Metrics in
+  let mismatches = ref [] in
+  let expect v i =
+    if M.bucket_index v <> i then mismatches := (v, i) :: !mismatches
+  in
+  expect 0.0 0;
+  let bucket = ref 1 in
+  for k = 1 to 1 lsl 21 do
+    let v = float_of_int k in
+    while v >= snd (M.bucket_bounds !bucket) do
+      incr bucket
+    done;
+    expect v !bucket
+  done;
+  for i = 1 to M.num_buckets - 1 do
+    let lo, _ = M.bucket_bounds i in
+    expect (Float.pred lo) (i - 1);
+    expect lo i;
+    expect (Float.succ lo) i
+  done;
+  match !mismatches with
+  | [] -> ()
+  | (v, i) :: _ ->
+    Alcotest.failf "%d mismatches, e.g. %h: want bucket %d, got %d"
+      (List.length !mismatches) v i (M.bucket_index v)
+
 let test_histogram_stats () =
   let m = Obs.Metrics.create () in
   let h = Obs.Metrics.histogram m "op.t.read" in
@@ -324,6 +354,8 @@ let tests =
     case "report write + reparse" test_report_write_and_reparse;
     case "report rejects malformed" test_report_rejects;
     case "histogram bucket boundaries" test_bucket_boundaries;
+    case "histogram bucket index matches its definition"
+      test_bucket_index_definition;
     case "histogram stats" test_histogram_stats;
     case "metric snapshots are key-sorted" test_metrics_snapshots_sorted;
     case "hub inactive fast path" test_hub_inactive_fast_path;

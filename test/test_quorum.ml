@@ -45,6 +45,65 @@ let prop_find_counts =
       let found = Quorum.find ~eq:Int.equal ~threshold xs <> None in
       naive = found)
 
+(* The slot-array kernels against the list functions they replace: up to
+   9 slots holding acknowledgments with duplicate cells and ⊥ helps,
+   empty slots among them, and thresholds 1-10. *)
+let prop_ack_kernels_match_lists =
+  let slot =
+    QCheck.Gen.(
+      let c = map2 cell (int_bound 2) (int_bound 2) in
+      let h = option c in
+      frequency
+        [
+          (1, return Collect.no_answer);
+          (3, map2 (fun c h -> Messages.Ack_read (c, h)) c h);
+          (1, map (fun h -> Messages.Ack_write h) h);
+        ])
+  in
+  let show_cell (c : Messages.cell) =
+    Printf.sprintf "%d:%s" c.sn (Value.to_string c.v)
+  in
+  let show_body = function
+    | b when b == Collect.no_answer -> "-"
+    | Messages.Ack_read (c, h) ->
+      Printf.sprintf "R(%s,%s)" (show_cell c)
+        (Option.fold ~none:"_" ~some:show_cell h)
+    | Messages.Ack_write h ->
+      Printf.sprintf "W(%s)" (Option.fold ~none:"_" ~some:show_cell h)
+  in
+  let print (acks, threshold) =
+    Printf.sprintf "threshold %d: [%s]" threshold
+      (String.concat "; " (List.map show_body (Array.to_list acks)))
+  in
+  QCheck.Test.make ~name:"slot kernels agree with the list functions"
+    ~count:2000
+    (QCheck.make ~print
+       QCheck.Gen.(pair (array_size (int_bound 9) slot) (int_range 1 10)))
+    (fun (acks, threshold) ->
+      let bodies = List.filter (fun b -> b != Collect.no_answer) (Array.to_list acks) in
+      let cells =
+        List.filter_map
+          (function Messages.Ack_read (c, _) -> Some c | Messages.Ack_write _ -> None)
+          bodies
+      in
+      let helps =
+        List.map
+          (function Messages.Ack_read (_, h) | Messages.Ack_write h -> h)
+          bodies
+      in
+      let same a b =
+        match (a, b) with
+        | Some x, Some y -> x == y
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      same
+        (Quorum.find_ack_cell ~threshold acks)
+        (Quorum.find_cell ~threshold cells)
+      && same
+           (Quorum.find_ack_help ~threshold acks)
+           (Quorum.find_help ~threshold helps))
+
 let tests =
   [
     case "find basic" test_find_basic;
@@ -53,4 +112,5 @@ let tests =
     case "find_cell" test_find_cell;
     case "find_help ignores bot" test_find_help_ignores_bot;
     qcheck prop_find_counts;
+    qcheck prop_ack_kernels_match_lists;
   ]

@@ -4,7 +4,13 @@
    verdict its replay produced must reproduce the committed file, so the
    violation's kind, count and detail all stay put.  Recovery and shard
    reports are pinned through their own [matches], which compares every
-   deterministic field of the replayed report. *)
+   deterministic field of the replayed report.
+
+   The reports of [experiments run all --json --seed 1] are committed
+   under examples/runs and pinned byte for byte, and the two exports of
+   [experiments trace --seed 3] by digest.  A change that moves any of
+   them regenerates the pinned file (or digest) in the same commit and
+   names the cause. *)
 
 open Util
 
@@ -56,8 +62,62 @@ let shard_report name () =
     check_true "replay matches the recorded report"
       (Shard.Tier.matches r (Shard.Tier.replay r))
 
+(* Run the experiments command line in-process. *)
+let experiments args =
+  match
+    Cmdliner.Cmd.eval
+      ~argv:(Array.of_list ("stabreg-experiments" :: args))
+      Exp_drivers.Cli.main
+  with
+  | 0 -> ()
+  | code -> Alcotest.failf "experiments %s: exit %d" (String.concat " " args) code
+
+let json_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort String.compare
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "stabreg-pins" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let read = Exp_drivers.Common.read_file
+
+let run_reports () =
+  with_temp_dir (fun out ->
+      experiments [ "run"; "all"; "--json=" ^ out; "--seed"; "1" ];
+      let committed = "../examples/runs" in
+      Alcotest.(check (list string))
+        "one report per experiment" (json_files committed) (json_files out);
+      List.iter
+        (fun f ->
+          Alcotest.(check string)
+            (f ^ " is byte-identical")
+            (read (Filename.concat committed f))
+            (read (Filename.concat out f)))
+        (json_files committed))
+
+(* The JSONL export is 239 KB, too big to commit; the digests were taken
+   from the export the commit that added this pin wrote. *)
+let trace_digests () =
+  with_temp_dir (fun out ->
+      let jsonl = Filename.concat out "trace.jsonl"
+      and chrome = Filename.concat out "trace.json" in
+      experiments [ "trace"; "--seed"; "3"; "--out"; jsonl; "--chrome"; chrome ];
+      let digest path = Digest.to_hex (Digest.file path) in
+      Alcotest.(check string)
+        "JSONL export" "d8f17c16e83bb8426f232f992a8857b6" (digest jsonl);
+      Alcotest.(check string)
+        "Chrome export" "2fe3db3fd76d7f9b1177e16b77cd6d7b" (digest chrome))
+
 let tests =
   [
+    case "run all --json --seed 1 reports are byte-identical" run_reports;
+    case "trace --seed 3 exports match their digests" trace_digests;
     case "chaos regular_collude_repro replays byte-identically"
       (chaos_repro "regular_collude_repro.json");
     case "chaos mwmr_mobile_roam_stuck replays byte-identically"

@@ -6,9 +6,15 @@ let env ?(round = 1) ?(client = 0) ?(inst = 0) body =
 
 let cell sn v = { Messages.sn; v = Value.int v }
 
+(* The acknowledgment [Server.handle] passes to its [ack], if any. *)
+let handle srv env =
+  let got = ref None in
+  Server.handle srv env ~ack:(fun _ body -> got := Some body);
+  !got
+
 let test_write_updates_and_acks () =
   let srv = Server.create ~id:0 in
-  match Server.handle srv (env (Messages.Write (cell 1 42))) with
+  match handle srv (env (Messages.Write (cell 1 42))) with
   | Some (Messages.Ack_write h) ->
     check_true "fresh helping is bot" (h = None);
     let i = Server.instance srv 0 in
@@ -18,28 +24,28 @@ let test_write_updates_and_acks () =
 let test_new_help_silent () =
   let srv = Server.create ~id:0 in
   check_true "no ack for NEW_HELP_VAL"
-    (Server.handle srv (env (Messages.New_help (cell 2 7))) = None);
+    (handle srv (env (Messages.New_help (cell 2 7))) = None);
   let i = Server.instance srv 0 in
   check_true "helping stored"
     (Messages.help_equal i.Server.helping (Some (cell 2 7)))
 
 let test_read_resets_helping_when_new () =
   let srv = Server.create ~id:0 in
-  ignore (Server.handle srv (env (Messages.New_help (cell 2 7))));
+  ignore (handle srv (env (Messages.New_help (cell 2 7))));
   (* READ(false) leaves helping alone. *)
-  (match Server.handle srv (env (Messages.Read false)) with
+  (match handle srv (env (Messages.Read false)) with
   | Some (Messages.Ack_read (_, h)) ->
     check_true "helping survives" (Messages.help_equal h (Some (cell 2 7)))
   | Some (Messages.Ack_write _) | None -> Alcotest.fail "expected Ack_read");
   (* READ(true) resets it — line 22. *)
-  match Server.handle srv (env (Messages.Read true)) with
+  match handle srv (env (Messages.Read true)) with
   | Some (Messages.Ack_read (_, h)) -> check_true "helping reset" (h = None)
   | Some (Messages.Ack_write _) | None -> Alcotest.fail "expected Ack_read"
 
 let test_ack_write_carries_helping () =
   let srv = Server.create ~id:0 in
-  ignore (Server.handle srv (env (Messages.New_help (cell 3 9))));
-  match Server.handle srv (env (Messages.Write (cell 4 10))) with
+  ignore (handle srv (env (Messages.New_help (cell 3 9))));
+  match handle srv (env (Messages.Write (cell 4 10))) with
   | Some (Messages.Ack_write h) ->
     check_true "current helping returned"
       (Messages.help_equal h (Some (cell 3 9)))
@@ -47,8 +53,8 @@ let test_ack_write_carries_helping () =
 
 let test_instances_isolated () =
   let srv = Server.create ~id:0 in
-  ignore (Server.handle srv (env ~inst:0 (Messages.Write (cell 1 1))));
-  ignore (Server.handle srv (env ~inst:5 (Messages.Write (cell 9 9))));
+  ignore (handle srv (env ~inst:0 (Messages.Write (cell 1 1))));
+  ignore (handle srv (env ~inst:5 (Messages.Write (cell 9 9))));
   let i0 = Server.instance srv 0 and i5 = Server.instance srv 5 in
   check_true "inst 0" (Messages.cell_equal i0.Server.last_val (cell 1 1));
   check_true "inst 5" (Messages.cell_equal i5.Server.last_val (cell 9 9));
@@ -63,7 +69,7 @@ let test_unwritten_instance_is_bot () =
 
 let test_corrupt_changes_state () =
   let srv = Server.create ~id:0 in
-  ignore (Server.handle srv (env (Messages.Write (cell 1 42))));
+  ignore (handle srv (env (Messages.Write (cell 1 42))));
   let rng = Sim.Rng.create 99 in
   Server.corrupt srv rng;
   let i = Server.instance srv 0 in

@@ -25,8 +25,18 @@ lint-baseline:
 experiments:
 	dune exec bin/experiments.exe -- run all
 
+# The repo benchmark (perfbench/, named by BENCHMARK.json), written as
+# the next committed trajectory file: five untraced 20 s runs of every
+# workload (the end-to-end rows, seeds 1..5) and one traced seed-1 run
+# (the exact per-layer rows that CI compares), merged into one
+# perfbench/results/v1 file with a note on the host.  About 8 minutes.
 bench:
-	dune exec bench/main.exe
+	mkdir -p perfbench/results
+	sh perfbench/run.sh --runs 5 --seconds 20 --trace 0 --json perfbench/results/untraced.json
+	sh perfbench/run.sh --seed 1 --seconds 2 --trace 1 --json perfbench/results/traced.json
+	jq -s --argjson cores "$$(nproc)" \
+	  '{schema: .[0].schema, host: {cores: $$cores, note: "a shared \($$cores)-vCPU VM; every run uses one core"}, runs: (.[0].runs + .[1].runs)}' \
+	  perfbench/results/untraced.json perfbench/results/traced.json > BENCH_7.json
 
 examples:
 	dune exec examples/quickstart.exe
@@ -38,7 +48,7 @@ examples:
 # The final artifacts recorded in the repository.
 outputs:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
+	sh perfbench/run.sh --seed 1 --seconds 2 --trace 1 2>&1 | tee bench_output.txt
 	dune exec bin/experiments.exe -- run all 2>&1 | tee experiments_output.txt
 
 clean:

@@ -574,7 +574,7 @@ let mc_cmd =
     let doc = "State budget (nodes expanded before truncating)." in
     Arg.(
       value
-      & opt int Checker.default_budgets.Checker.max_states
+      & opt (int_at_least 1) Checker.default_budgets.Checker.max_states
       & info [ "max-states" ] ~docv:"S" ~doc)
   in
   let no_reduction =
@@ -735,20 +735,20 @@ let recovery_cmd =
       "Run a single system size instead of the default convergence sweep \
        over n = 6..9."
     in
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "n" ] ~docv:"N" ~doc)
   in
   let bursts =
     let doc = "Number of crash-recovery bursts." in
     Arg.(
       value
-      & opt int Recovery.default_config.Recovery.bursts
+      & opt (int_at_least 0) Recovery.default_config.Recovery.bursts
       & info [ "bursts" ] ~docv:"K" ~doc)
   in
   let crashed =
     let doc = "Server slots crashed per burst (rotating)." in
     Arg.(
       value
-      & opt int Recovery.default_config.Recovery.crashed
+      & opt (int_at_least 0) Recovery.default_config.Recovery.crashed
       & info [ "crashed" ] ~docv:"K" ~doc)
   in
   let down_for =
@@ -758,7 +758,7 @@ let recovery_cmd =
     in
     Arg.(
       value
-      & opt int Recovery.default_config.Recovery.down_for
+      & opt (int_at_least 0) Recovery.default_config.Recovery.down_for
       & info [ "down-for" ] ~docv:"TICKS" ~doc)
   in
   let expect_converged =
@@ -849,7 +849,9 @@ let shard_cmd =
   in
   let ops =
     let doc = "Total operations in the workload." in
-    Arg.(value & opt int default_config.ops & info [ "ops" ] ~docv:"K" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) default_config.ops
+      & info [ "ops" ] ~docv:"K" ~doc)
   in
   let theta =
     let doc = "Zipf exponent of key popularity (0 = uniform)." in

@@ -11,10 +11,6 @@ open Chaos
 let artifact_path ~out ~n ~seed =
   Filename.concat out (Printf.sprintf "recovery-n%d-seed%d.json" n seed)
 
-let pp_tally fmt (t : Recovery.tally) =
-  Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.Recovery.ok
-    t.Recovery.degraded t.Recovery.timed_out
-
 let print_report (r : Recovery.report) =
   let cfg = r.Recovery.config in
   Printf.printf
@@ -24,6 +20,7 @@ let print_report (r : Recovery.report) =
   List.iter
     (fun b -> Format.printf "  %a@." Recovery.pp_burst b)
     r.Recovery.bursts;
+  let pp_tally = Registers.Outcome.pp_tally in
   Format.printf "  writes: %a@." pp_tally r.Recovery.write_ops;
   Format.printf "  reads:  %a@." pp_tally r.Recovery.read_ops;
   (match r.Recovery.stuck with

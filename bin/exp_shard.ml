@@ -22,8 +22,9 @@ let print_report (r : Shard.Tier.report) =
   List.iter
     (fun s -> Format.printf "  %a@." Shard.Tier.pp_shard s)
     r.Shard.Tier.shards;
-  Format.printf "  writes: %a@." Shard.Tier.pp_tally r.Shard.Tier.writes;
-  Format.printf "  reads:  %a@." Shard.Tier.pp_tally r.Shard.Tier.reads;
+  let pp_tally = Registers.Outcome.pp_tally in
+  Format.printf "  writes: %a@." pp_tally r.Shard.Tier.writes;
+  Format.printf "  reads:  %a@." pp_tally r.Shard.Tier.reads;
   (match
      List.concat_map (fun (s : Shard.Tier.shard_report) -> s.Shard.Tier.stuck)
        r.Shard.Tier.shards

@@ -54,16 +54,6 @@ let schedule cfg =
                })))
   |> Schedule.sort
 
-type tally = { ok : int; degraded : int; timed_out : int }
-
-let zero_tally = { ok = 0; degraded = 0; timed_out = 0 }
-
-let tally_outcome t (o : _ Registers.Outcome.t) =
-  match o with
-  | Registers.Outcome.Ok _ -> { t with ok = t.ok + 1 }
-  | Registers.Outcome.Degraded _ -> { t with degraded = t.degraded + 1 }
-  | Registers.Outcome.Timed_out _ -> { t with timed_out = t.timed_out + 1 }
-
 type burst_report = {
   burst : int;
   crash_at : int;
@@ -77,8 +67,8 @@ type report = {
   seed : int;
   config : config;
   bursts : burst_report list;
-  write_ops : tally;
-  read_ops : tally;
+  write_ops : Registers.Outcome.tally;
+  read_ops : Registers.Outcome.tally;
   duration : int;
   stuck : string list;
   converged : bool;
@@ -103,7 +93,8 @@ let run ?on_scenario cfg ~seed =
   Harness.Scenario.register_port scn (Registers.Swsr_regular.reader_port r);
   let metrics = Harness.Scenario.metrics scn in
   let h = scn.Harness.Scenario.history in
-  let write_ops = ref zero_tally and read_ops = ref zero_tally in
+  let write_ops = ref Registers.Outcome.zero_tally
+  and read_ops = ref Registers.Outcome.zero_tally in
   let g = Harness.Workload.gap 0 cfg.gap_hi in
   let writer_job () =
     let rng = Harness.Scenario.split_rng scn in
@@ -116,7 +107,7 @@ let run ?on_scenario cfg ~seed =
          oracle must treat it as a write that may be read. *)
       Oracles.History.record h ~proc:"writer" ~kind:Oracles.History.Write ~inv
         ~resp v;
-      write_ops := tally_outcome !write_ops o;
+      write_ops := Registers.Outcome.bump !write_ops o ~count:1;
       Obs.Metrics.incr metrics ("recovery.write." ^ Registers.Outcome.kind o);
       if g.Harness.Workload.hi > 0 then
         Harness.Scenario.sleep scn
@@ -138,7 +129,7 @@ let run ?on_scenario cfg ~seed =
       | Registers.Outcome.Degraded _ | Registers.Outcome.Timed_out _ ->
         Oracles.History.record h ~proc:"reader" ~kind:Oracles.History.Read
           ~inv ~resp ~ok:false Registers.Value.bot);
-      read_ops := tally_outcome !read_ops o;
+      read_ops := Registers.Outcome.bump !read_ops o ~count:1;
       Obs.Metrics.incr metrics ("recovery.read." ^ Registers.Outcome.kind o);
       if g.Harness.Workload.hi > 0 then
         Harness.Scenario.sleep scn
@@ -206,14 +197,6 @@ let config_to_json c =
       ("retry", Obs.Json.Bool c.retry);
     ]
 
-let tally_to_json t =
-  Obs.Json.Obj
-    [
-      ("ok", Obs.Json.Int t.ok);
-      ("degraded", Obs.Json.Int t.degraded);
-      ("timed_out", Obs.Json.Int t.timed_out);
-    ]
-
 let burst_to_json b =
   Obs.Json.Obj
     [
@@ -234,8 +217,8 @@ let to_json r =
       ("config", config_to_json r.config);
       ("schedule", Schedule.to_json (schedule r.config));
       ("bursts", Obs.Json.List (List.map burst_to_json r.bursts));
-      ("write_ops", tally_to_json r.write_ops);
-      ("read_ops", tally_to_json r.read_ops);
+      ("write_ops", Registers.Outcome.tally_to_json r.write_ops);
+      ("read_ops", Registers.Outcome.tally_to_json r.read_ops);
       ("duration", Obs.Json.Int r.duration);
       ("stuck", Obs.Json.List (List.map (fun s -> Obs.Json.Str s) r.stuck));
       ("converged", Obs.Json.Bool r.converged);
@@ -295,13 +278,6 @@ let config_of_json j =
   let* () = check_config c in
   Ok c
 
-let tally_of_json ctx j =
-  let open Obs.Json in
-  let* ok = int_field ctx "ok" j in
-  let* degraded = int_field ctx "degraded" j in
-  let* timed_out = int_field ctx "timed_out" j in
-  Ok { ok; degraded; timed_out }
-
 let burst_of_json ctx j =
   let open Obs.Json in
   let* burst = int_field ctx "burst" j in
@@ -319,9 +295,13 @@ let of_json j =
   let* config = config_of_json config in
   let* bursts = list_field ctx "bursts" burst_of_json j in
   let* write_ops = field ctx "write_ops" j in
-  let* write_ops = tally_of_json (ctx ^ ".write_ops") write_ops in
+  let* write_ops =
+    Registers.Outcome.tally_of_json (ctx ^ ".write_ops") write_ops
+  in
   let* read_ops = field ctx "read_ops" j in
-  let* read_ops = tally_of_json (ctx ^ ".read_ops") read_ops in
+  let* read_ops =
+    Registers.Outcome.tally_of_json (ctx ^ ".read_ops") read_ops
+  in
   let* duration = int_field ctx "duration" j in
   let* stuck = list_field ctx "stuck" as_string j in
   let* converged = bool_field ctx "converged" j in

@@ -39,9 +39,6 @@ val schedule : config -> Schedule.t
 (** The fully concrete crash events the config denotes (all
     crash-recovery, rotating slots). *)
 
-type tally = { ok : int; degraded : int; timed_out : int }
-(** Typed-outcome counts for one operation kind. *)
-
 type burst_report = {
   burst : int;
   crash_at : int;
@@ -56,8 +53,8 @@ type report = {
   seed : int;
   config : config;
   bursts : burst_report list;
-  write_ops : tally;
-  read_ops : tally;
+  write_ops : Registers.Outcome.tally;
+  read_ops : Registers.Outcome.tally;
   duration : int;
   stuck : string list;  (** watchdog: fibers that never finished *)
   converged : bool;  (** the last burst stabilized *)

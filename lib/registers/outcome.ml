@@ -71,3 +71,39 @@ let reason_to_json r =
       ("need", Obs.Json.Int r.need);
       ("suspects", Obs.Json.List (List.map (fun s -> Obs.Json.Int s) r.suspects));
     ]
+
+type tally = { ok : int; degraded : int; timed_out : int }
+
+let zero_tally = { ok = 0; degraded = 0; timed_out = 0 }
+
+let add_tally a b =
+  {
+    ok = a.ok + b.ok;
+    degraded = a.degraded + b.degraded;
+    timed_out = a.timed_out + b.timed_out;
+  }
+
+let bump t o ~count =
+  match o with
+  | Ok _ -> { t with ok = t.ok + count }
+  | Degraded _ -> { t with degraded = t.degraded + count }
+  | Timed_out _ -> { t with timed_out = t.timed_out + count }
+
+let tally_to_json t =
+  Obs.Json.Obj
+    [
+      ("ok", Obs.Json.Int t.ok);
+      ("degraded", Obs.Json.Int t.degraded);
+      ("timed_out", Obs.Json.Int t.timed_out);
+    ]
+
+let tally_of_json ctx j =
+  let open Obs.Json in
+  let* ok = int_field ctx "ok" j in
+  let* degraded = int_field ctx "degraded" j in
+  let* timed_out = int_field ctx "timed_out" j in
+  Stdlib.Ok { ok; degraded; timed_out }
+
+let pp_tally fmt t =
+  Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.ok t.degraded
+    t.timed_out

@@ -55,3 +55,25 @@ val pp :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 
 val reason_to_json : reason -> Obs.Json.t
+
+(** {1 Tallies}
+
+    How a batch of operations finished, one count per kind.  The recovery
+    and shard artifacts carry it as [{"ok", "degraded", "timed_out"}]. *)
+
+type tally = { ok : int; degraded : int; timed_out : int }
+
+val zero_tally : tally
+
+val add_tally : tally -> tally -> tally
+
+val bump : tally -> 'a t -> count:int -> tally
+(** [bump t o ~count] adds [count] operations that finished as [o]. *)
+
+val tally_to_json : tally -> Obs.Json.t
+
+val tally_of_json : string -> Obs.Json.t -> (tally, string) result
+(** [tally_of_json ctx j]; errors name [ctx]. *)
+
+val pp_tally : Format.formatter -> tally -> unit
+(** ["3 ok / 1 degraded / 0 timed out"]. *)

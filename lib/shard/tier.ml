@@ -97,22 +97,11 @@ let last_disturbance c =
       max acc (match cr.down_for with Some d -> cr.at + d | None -> cr.at))
     inj c.crashes
 
-type tally = { ok : int; degraded : int; timed_out : int }
-
-let zero_tally = { ok = 0; degraded = 0; timed_out = 0 }
-
-let add_tally a b =
-  {
-    ok = a.ok + b.ok;
-    degraded = a.degraded + b.degraded;
-    timed_out = a.timed_out + b.timed_out;
-  }
-
-let bump_tally t (o : _ Registers.Outcome.t) ~count =
-  match o with
-  | Registers.Outcome.Ok _ -> { t with ok = t.ok + count }
-  | Registers.Outcome.Degraded _ -> { t with degraded = t.degraded + count }
-  | Registers.Outcome.Timed_out _ -> { t with timed_out = t.timed_out + count }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 
 type latency = {
   count : int;
@@ -185,8 +174,8 @@ let empty_shard_report ~shard ~keys =
     shard;
     keys;
     ops = 0;
-    writes = zero_tally;
-    reads = zero_tally;
+    writes = Registers.Outcome.zero_tally;
+    reads = Registers.Outcome.zero_tally;
     register_writes = 0;
     register_reads = 0;
     write_batches = 0;
@@ -258,7 +247,8 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
            ops)
     in
     let n_reads = List.length ops - n_writes in
-    let writes = ref zero_tally and reads = ref zero_tally in
+    let writes = ref Registers.Outcome.zero_tally
+    and reads = ref Registers.Outcome.zero_tally in
     let register_writes = ref 0 and register_reads = ref 0 in
     let write_batches = ref 0 and read_batches = ref 0 in
     let now_int () = Sim.Vtime.to_int (Harness.Scenario.now scn) in
@@ -300,7 +290,8 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
                  oracle must treat it as a write that may be read. *)
               Oracles.History.record (history_for k) ~proc:"router.w"
                 ~kind:Oracles.History.Write ~inv ~resp v;
-              writes := bump_tally !writes o ~count:(List.length ops_k);
+              writes :=
+                Registers.Outcome.bump !writes o ~count:(List.length ops_k);
               List.iter
                 (fun op ->
                   observe_op ~kind_label:"write" o op
@@ -330,7 +321,7 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
               Oracles.History.record (history_for k) ~proc:"router.r"
                 ~kind:Oracles.History.Read ~inv ~resp ~ok:false
                 Registers.Value.bot);
-            reads := bump_tally !reads o ~count:(List.length ops_k);
+            reads := Registers.Outcome.bump !reads o ~count:(List.length ops_k);
             List.iter
               (fun op ->
                 observe_op ~kind_label:"read" o op
@@ -443,13 +434,13 @@ let run ?on_scenario ?(domains = 1) cfg ~seed =
   in
   let writes =
     List.fold_left
-      (fun acc (r : shard_report) -> add_tally acc r.writes)
-      zero_tally shard_reports
+      (fun acc (r : shard_report) -> Registers.Outcome.add_tally acc r.writes)
+      Registers.Outcome.zero_tally shard_reports
   in
   let reads =
     List.fold_left
-      (fun acc (r : shard_report) -> add_tally acc r.reads)
-      zero_tally shard_reports
+      (fun acc (r : shard_report) -> Registers.Outcome.add_tally acc r.reads)
+      Registers.Outcome.zero_tally shard_reports
   in
   let target = match cfg.chaos with Some c -> c.target | None -> -1 in
   let isolated =
@@ -510,14 +501,6 @@ let config_to_json (c : config) =
       );
     ]
 
-let tally_to_json (t : tally) =
-  Obs.Json.Obj
-    [
-      ("ok", Obs.Json.Int t.ok);
-      ("degraded", Obs.Json.Int t.degraded);
-      ("timed_out", Obs.Json.Int t.timed_out);
-    ]
-
 let latency_to_json (l : latency) =
   Obs.Json.Obj
     [
@@ -535,8 +518,8 @@ let shard_report_to_json (r : shard_report) =
       ("shard", Obs.Json.Int r.shard);
       ("keys", Obs.Json.Int r.keys);
       ("ops", Obs.Json.Int r.ops);
-      ("writes", tally_to_json r.writes);
-      ("reads", tally_to_json r.reads);
+      ("writes", Registers.Outcome.tally_to_json r.writes);
+      ("reads", Registers.Outcome.tally_to_json r.reads);
       ("register_writes", Obs.Json.Int r.register_writes);
       ("register_reads", Obs.Json.Int r.register_reads);
       ("write_batches", Obs.Json.Int r.write_batches);
@@ -560,8 +543,8 @@ let to_json (r : report) =
         Obs.Json.List (List.map (fun s -> Obs.Json.Int s) r.key_owners) );
       ("shards", Obs.Json.List (List.map shard_report_to_json r.shards));
       ("ops", Obs.Json.Int r.ops);
-      ("writes", tally_to_json r.writes);
-      ("reads", tally_to_json r.reads);
+      ("writes", Registers.Outcome.tally_to_json r.writes);
+      ("reads", Registers.Outcome.tally_to_json r.reads);
       ("duration", Obs.Json.Int r.duration);
       ("isolated", Obs.Json.Bool r.isolated);
       ("clean", Obs.Json.Bool r.clean);
@@ -596,13 +579,6 @@ let config_of_json j =
   let* () = validate cfg in
   Ok cfg
 
-let tally_of_json ctx j =
-  let open Obs.Json in
-  let* ok = int_field ctx "ok" j in
-  let* degraded = int_field ctx "degraded" j in
-  let* timed_out = int_field ctx "timed_out" j in
-  Ok { ok; degraded; timed_out }
-
 let latency_of_json ctx j =
   let open Obs.Json in
   let* count = int_field ctx "count" j in
@@ -619,9 +595,9 @@ let shard_report_of_json ctx j =
   let* keys = int_field ctx "keys" j in
   let* ops = int_field ctx "ops" j in
   let* writes = field ctx "writes" j in
-  let* writes = tally_of_json (ctx ^ ".writes") writes in
+  let* writes = Registers.Outcome.tally_of_json (ctx ^ ".writes") writes in
   let* reads = field ctx "reads" j in
-  let* reads = tally_of_json (ctx ^ ".reads") reads in
+  let* reads = Registers.Outcome.tally_of_json (ctx ^ ".reads") reads in
   let* register_writes = int_field ctx "register_writes" j in
   let* register_reads = int_field ctx "register_reads" j in
   let* write_batches = int_field ctx "write_batches" j in
@@ -665,9 +641,9 @@ let of_json j =
   let* shards = list_field ctx "shards" shard_report_of_json j in
   let* ops = int_field ctx "ops" j in
   let* writes = field ctx "writes" j in
-  let* writes = tally_of_json (ctx ^ ".writes") writes in
+  let* writes = Registers.Outcome.tally_of_json (ctx ^ ".writes") writes in
   let* reads = field ctx "reads" j in
-  let* reads = tally_of_json (ctx ^ ".reads") reads in
+  let* reads = Registers.Outcome.tally_of_json (ctx ^ ".reads") reads in
   let* duration = int_field ctx "duration" j in
   let* isolated = bool_field ctx "isolated" j in
   let* clean = bool_field ctx "clean" j in
@@ -692,10 +668,6 @@ let matches (a : report) (b : report) =
   && a.shards = b.shards && a.ops = b.ops && a.writes = b.writes
   && a.reads = b.reads && a.duration = b.duration
   && a.isolated = b.isolated && a.clean = b.clean
-
-let pp_tally fmt (t : tally) =
-  Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.ok t.degraded
-    t.timed_out
 
 let pp_shard fmt (r : shard_report) =
   Format.fprintf fmt

@@ -56,7 +56,11 @@ val validate : config -> (unit, string) result
 val key_name : int -> string
 (** The schema name of key rank [k] (["key-007"] style). *)
 
-type tally = { ok : int; degraded : int; timed_out : int }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 (** Typed-outcome counts over {e logical} ops (each op in a coalesced
     batch inherits its register op's outcome). *)
 
@@ -137,7 +141,5 @@ val matches : report -> report -> bool
 val last_disturbance : chaos -> int
 (** The instant after which the target shard must re-stabilize: the
     last corruption, or the last crash's recovery edge. *)
-
-val pp_tally : Format.formatter -> tally -> unit
 
 val pp_shard : Format.formatter -> shard_report -> unit

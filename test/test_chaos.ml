@@ -155,13 +155,13 @@ let test_recovery_run_and_artifact () =
   check_true "no stuck fibers" (r.Recovery.stuck = []);
   check_true "the burst stabilized" r.Recovery.converged;
   check_int "every write accounted for" cfg.Recovery.writes
-    (r.Recovery.write_ops.Recovery.ok
-    + r.Recovery.write_ops.Recovery.degraded
-    + r.Recovery.write_ops.Recovery.timed_out);
+    (r.Recovery.write_ops.Registers.Outcome.ok
+    + r.Recovery.write_ops.Registers.Outcome.degraded
+    + r.Recovery.write_ops.Registers.Outcome.timed_out);
   check_int "every read accounted for" cfg.Recovery.reads
-    (r.Recovery.read_ops.Recovery.ok
-    + r.Recovery.read_ops.Recovery.degraded
-    + r.Recovery.read_ops.Recovery.timed_out);
+    (r.Recovery.read_ops.Registers.Outcome.ok
+    + r.Recovery.read_ops.Registers.Outcome.degraded
+    + r.Recovery.read_ops.Registers.Outcome.timed_out);
   (match Recovery.of_json (Recovery.to_json r) with
   | Error e -> Alcotest.fail e
   | Ok r' -> check_true "report JSON round-trips" (Recovery.matches r r'));

@@ -216,6 +216,12 @@ let test_range_checked_numbers () =
       ("--byz", [ "mc"; "--byz=-1" ]);
       ("--shards", [ "shard"; "--shards"; "0" ]);
       ("--shards", [ "shard"; "--shards"; "1"; "--shards=-2" ]);
+      ("-n", [ "recovery"; "-n"; "0" ]);
+      ("--crashed", [ "recovery"; "--crashed=-1" ]);
+      ("--bursts", [ "recovery"; "--bursts=-1" ]);
+      ("--down-for", [ "recovery"; "--down-for=-5" ]);
+      ("--ops", [ "shard"; "--ops=-1" ]);
+      ("--max-states", [ "mc"; "--max-states=-1" ]);
     ]
 
 let test_chaos_replay_expect () =

@@ -94,13 +94,12 @@ let equivocate ctx (env : Messages.server_envelope) =
   in
   reply ctx env body
 
-let collude ~cell ctx (env : Messages.server_envelope) =
-  let body =
-    match env.body with
-    | Messages.Write _ | Messages.New_help _ -> Messages.Ack_write (Some cell)
-    | Messages.Read _ -> Messages.Ack_read (cell, Some cell)
-  in
-  reply ctx env body
+let collude_reply ~cell (env : Messages.server_envelope) =
+  match env.body with
+  | Messages.Write _ | Messages.New_help _ -> Messages.Ack_write (Some cell)
+  | Messages.Read _ -> Messages.Ack_read (cell, Some cell)
+
+let collude ~cell ctx env = reply ctx env (collude_reply ~cell env)
 
 let flaky ~drop_probability srv ctx env =
   if Sim.Rng.float ctx.rng 1.0 >= drop_probability then honest srv ctx env

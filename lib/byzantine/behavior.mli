@@ -61,6 +61,10 @@ val equivocate : t
     deterministically from the client id), attacking agreement between the
     writer's and the reader's views. *)
 
+val collude_reply :
+  cell:Registers.Messages.cell -> Registers.Messages.server_envelope -> Registers.Messages.to_client
+(** The acknowledgment {!collude} answers a request with. *)
+
 val collude : cell:Registers.Messages.cell -> t
 (** All colluders vouch for the same fabricated cell in both the
     [last_val] and [helping_val] positions.  With enough colluders

@@ -14,6 +14,8 @@ type t = { mutable ops_rev : op list; mutable count : int }
 
 let create () = { ops_rev = []; count = 0 }
 
+let copy t = { ops_rev = t.ops_rev; count = t.count }
+
 let record t ~proc ~kind ~inv ~resp ?ts ?(ok = true) value =
   t.ops_rev <- { proc; kind; inv; resp; value; ok; ts } :: t.ops_rev;
   t.count <- t.count + 1

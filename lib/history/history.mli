@@ -28,6 +28,9 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent history holding the same operations. *)
+
 val record :
   t ->
   proc:string ->

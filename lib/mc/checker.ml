@@ -40,7 +40,9 @@ type stats = {
   mutable revisits : int;  (** pruned by the visited set *)
   mutable sleep_skips : int;  (** moves skipped by sleep sets *)
   mutable sym_skips : int;  (** moves skipped as symmetric to a sibling *)
-  mutable replays : int;  (** prefix re-executions (no snapshots) *)
+  mutable replays : int;
+      (** schedules re-executed from the initial state: 1 for a guided
+          run, 0 for a search, which clones states instead *)
   mutable off_target : int;  (** violations ignored by a [target] filter *)
   mutable fp_collisions : int;
       (** distinct digests interned under an already-occupied 8-byte key *)
@@ -146,8 +148,9 @@ let shuffle st l =
   done;
   Array.to_list a
 
-(* The state [moves] reach from the initial one: the checker's stand-in
-   for snapshots (fiber continuations cannot be copied).  Raises
+(* The state [moves] reach from the initial one — how an artifact's
+   schedule is re-executed (cex replay and digest, guided runs, shrink
+   candidates); the search itself clones states.  Raises
    [Invalid_argument] naming the first move that does not fire. *)
 let replay_prefix cfg moves =
   let sys = Sys.create cfg in
@@ -220,7 +223,7 @@ type step =
    state budget, count it into [stats] ([sample] sees it right after),
    judge a terminal, cut at the depth budget, plan the node against the
    visited set, prune symmetric moves, and compute every child's sleep
-   set.  Only how the children are scheduled — and so when a replay or
+   set.  Only how the children are scheduled — and so when a clone or
    a transition is paid — is left to the driver. *)
 let expand ctx stats ~sample sys ~depth ~sleep =
   if Atomic.fetch_and_add ctx.admitted 1 >= ctx.budgets.max_states then begin
@@ -329,10 +332,10 @@ let expand ctx stats ~sample sys ~depth ~sleep =
   end
 
 (* The sequential DFS.  Each node keeps its own live state for the LAST
-   child: earlier children run on replicas rebuilt by replay while the
-   entry state waits untouched, and the final child consumes it with no
-   replay at all.  Each node pays exactly [children - 1] replays, and no
-   replay is ever issued against a state the node still needs. *)
+   child: earlier children run on clones while the entry state waits
+   untouched, and the final child consumes it.  Each node pays exactly
+   [children - 1] clones, and no clone is ever taken of a state a child
+   already changed. *)
 let rec explore ctx stats ~sample sys ~prefix_rev ~depth ~sleep =
   match expand ctx stats ~sample sys ~depth ~sleep with
   | Out_of_budget -> raise Out_of_states
@@ -341,13 +344,7 @@ let rec explore ctx stats ~sample sys ~prefix_rev ~depth ~sleep =
     let last = List.length children - 1 in
     List.iteri
       (fun i (mv, child_sleep) ->
-        let sys =
-          if i < last then begin
-            stats.replays <- stats.replays + 1;
-            replay_prefix ctx.cfg (List.rev prefix_rev)
-          end
-          else sys
-        in
+        let sys = if i < last then Sys.clone sys else sys in
         ignore (Sys.apply sys mv);
         stats.transitions <- stats.transitions + 1;
         explore ctx stats ~sample sys ~prefix_rev:(mv :: prefix_rev)
@@ -376,7 +373,7 @@ let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
   in
   let verdict, trace =
     match
-      explore ctx stats ~sample:(sample ~force:false) (replay_prefix cfg [])
+      explore ctx stats ~sample:(sample ~force:false) (Sys.create cfg)
         ~prefix_rev:[] ~depth:0 ~sleep:[]
     with
     | () | (exception Out_of_states) -> (Clean, None)
@@ -404,12 +401,16 @@ let outcome_equal (a : outcome) (b : outcome) = a = b
    concurrent workers. *)
 let compare_trace a b = List.compare Sys.compare_move a b
 
-(* A replayable unit of work: a DFS node identified by its concrete move
-   prefix (reverse order), the sleep set it arrived with, and its depth.
-   Rebuilding the live [Sys.t] costs one prefix replay — the price of
-   not having snapshots — so thieves steal the *oldest* (shallowest)
-   task: the biggest outstanding subtree, which amortizes the replay. *)
+(* A unit of work: a DFS node as its frozen parent state and the move
+   that leaves it ([None] for the root, whose state is its own), with its
+   concrete move prefix (reverse order, for the violating trace), the
+   sleep set it arrived with, and its depth.  The frozen state is shared
+   by every sibling task and never changed: a worker clones it before
+   applying the move.  Thieves steal the *oldest* (shallowest) task: the
+   biggest outstanding subtree. *)
 type task = {
+  t_parent : Sys.t;
+  t_move : Sys.move option;
   t_prefix_rev : Sys.move list;
   t_sleep : Sys.move list;
   t_depth : int;
@@ -453,9 +454,9 @@ let frontier_worker ctx frontier recorder w =
           ])
   in
   (* Expand the node the live [sys] currently sits on, descending into
-     its first child in place — no replay, the sequential explorer's
-     last-child reuse at the other end of the sibling list — and pushing
-     the later siblings as stealable tasks. *)
+     its first child in place — the sequential explorer's last-child
+     reuse at the other end of the sibling list — and pushing the later
+     siblings as stealable tasks over one frozen copy of the node. *)
   let rec descend sys prefix_rev depth sleep =
     if not (Parallel.Pool.Frontier.stopped frontier) then
       match
@@ -474,23 +475,33 @@ let frontier_worker ctx frontier recorder w =
         (* Pushed in reverse so the owner's LIFO pop recovers
            left-to-right sibling order, while thieves take the oldest
            end. *)
-        List.iter
-          (fun (mv, s) ->
-            Parallel.Pool.Frontier.push frontier ~worker:w
-              {
-                t_prefix_rev = mv :: prefix_rev;
-                t_sleep = s;
-                t_depth = depth + 1;
-              })
-          (List.rev laters);
+        if laters <> [] then begin
+          let frozen = Sys.clone sys in
+          List.iter
+            (fun (mv, s) ->
+              Parallel.Pool.Frontier.push frontier ~worker:w
+                {
+                  t_parent = frozen;
+                  t_move = Some mv;
+                  t_prefix_rev = mv :: prefix_rev;
+                  t_sleep = s;
+                  t_depth = depth + 1;
+                })
+            (List.rev laters)
+        end;
         ignore (Sys.apply sys m0);
         descend sys (m0 :: prefix_rev) (depth + 1) s0
   in
   let process t =
-    if t.t_prefix_rev <> [] then stats.replays <- stats.replays + 1;
-    descend
-      (replay_prefix ctx.cfg (List.rev t.t_prefix_rev))
-      t.t_prefix_rev t.t_depth t.t_sleep
+    let sys =
+      match t.t_move with
+      | None -> t.t_parent
+      | Some mv ->
+        let sys = Sys.clone t.t_parent in
+        ignore (Sys.apply sys mv);
+        sys
+    in
+    descend sys t.t_prefix_rev t.t_depth t.t_sleep
   in
   let rec loop () =
     match Parallel.Pool.Frontier.take frontier ~worker:w with
@@ -534,7 +545,13 @@ let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
     Parallel.Pool.Frontier.create ~reverse_steal ~workers:domains ()
   in
   Parallel.Pool.Frontier.push frontier ~worker:0
-    { t_prefix_rev = []; t_sleep = []; t_depth = 0 };
+    {
+      t_parent = Sys.create cfg;
+      t_move = None;
+      t_prefix_rev = [];
+      t_sleep = [];
+      t_depth = 0;
+    };
   let reports =
     Parallel.Pool.scatter ~domains (fun w ->
         frontier_worker ctx frontier recorder w)
@@ -825,16 +842,21 @@ let deliver_of_label ctx label =
 
 let move_of_json ctx j =
   let open Obs.Json in
+  let index name =
+    let* i = int_field ctx name j in
+    if i < 0 then Error (Printf.sprintf "%s.%s: negative index %d" ctx name i)
+    else Ok i
+  in
   let* kind = str_field ctx "move" j in
   match kind with
   | "deliver" ->
     let* label = str_field ctx "label" j in
     deliver_of_label (ctx ^ ".label") label
   | "tick" ->
-    let* i = int_field ctx "index" j in
+    let* i = index "index" in
     Ok (Sys.Tick i)
   | "corrupt" ->
-    let* i = int_field ctx "item" j in
+    let* i = index "item" in
     Ok (Sys.Corrupt i)
   | s -> Error (Printf.sprintf "%s: unknown move kind %S" ctx s)
 

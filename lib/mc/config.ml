@@ -32,6 +32,10 @@ type t = {
   oracle : oracle;
 }
 
+let client_ids = function
+  | Regular | Atomic -> [ 100; 101 ]
+  | Mwmr -> [ 300; 301 ]
+
 let default ~family =
   {
     family;
@@ -73,7 +77,18 @@ let validate c =
         | _ -> false)
       c.menu
   then err "corruption target server out of range"
-  else Ok ()
+  else
+    match
+      List.find_opt
+        (function
+          | Corrupt_round { client; _ } -> not (List.mem client (client_ids c.family))
+          | _ -> false)
+        c.menu
+    with
+    | Some (Corrupt_round { client; _ }) ->
+      err "round corruption names client %d, which the %s family lacks" client
+        (Oracles.Stabilization.family_to_string c.family)
+    | _ -> Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)

@@ -56,6 +56,11 @@ type t = {
   oracle : oracle;
 }
 
+val client_ids : family -> int list
+(** The family's client ports, ascending: the writer 100 and the reader
+    101 for [Regular] and [Atomic], processes 300 and 301 for [Mwmr].
+    [Corrupt_round] items may name only these. *)
+
 val default : family:family -> t
 (** n = 9, f = 1, no byzantine servers, 1 write, 1 read, budget 8, empty
     menu, family-default oracle. *)

@@ -66,234 +66,352 @@ let independent a b =
   | Deliver x, Deliver y -> x.client <> y.client && x.server <> y.server
   | _ -> false
 
-type clients =
-  | Regular_c of Swsr_regular.writer * Swsr_regular.reader
-  | Atomic_c of Swsr_atomic.writer * Swsr_atomic.reader
-  | Mwmr_c of Mwmr.process array
-
+(* The explicit global state.  Everything mutable is owned by exactly one
+   [t] — {!clone} copies it — and everything shared between clones is
+   immutable: envelopes, queued lists, history ops and the suspended
+   operations' continuations, which reach their client state only through
+   the [t] they are resumed with. *)
 type t = {
   cfg : Config.t;
-  engine : Sim.Engine.t;
-  net : Net.t;
-  adv : Byzantine.Adversary.t;
-  history : Oracles.History.t;
-  clients : clients;
-  fibers : (string * Sim.Fiber.handle) list;
-  mutable applied : int list; (* menu indices fired so far, newest first *)
-  mutable corrupt_times : Sim.Vtime.t list; (* newest first *)
+  params : Params.t;
+  health : Health.t; (* never fed: mc deployments run [Params.paper_wait] *)
+  correct : bool array; (* by server slot: not Byzantine *)
+  target : int; (* correct deliveries an ss-broadcast waits for *)
   named : int list; (* server slots a menu item names, ascending *)
   mailbox_ordered : bool; (* the menu can corrupt a round tag *)
-  fp_buf : Buffer.t; (* fingerprint rendering, reused across calls *)
-  block_buf : Buffer.t; (* per-server blocks and mailbox keys *)
+  servers : Server.t array;
+  (* [requests.(ci).(s)]: in flight from client [ci] to server [s], oldest
+     first, each with the number of the broadcast it belongs to;
+     [replies.(ci).(s)] the other way *)
+  requests : (Messages.server_envelope * int) list array array;
+  replies : Messages.client_envelope list array array;
+  clients : client array; (* ascending client id *)
+  proto : proto;
+  history : Oracles.History.t;
+  mutable clock : int;
+  (* pending broadcast settlements of a zero target, oldest first: the
+     unlabeled events [Tick]s fire *)
+  mutable ticks : (int * int) list;
+  mutable applied : int list; (* menu indices fired so far, newest first *)
+  mutable corrupt_times : int list; (* newest first *)
 }
 
-let behavior_of = function
-  | Config.Silent -> Byzantine.Behavior.silent
-  | Config.Collude { sn; v } ->
-    Byzantine.Behavior.collude ~cell:{ Messages.sn; v = Value.int v }
+and client = {
+  id : int;
+  name : string;
+  mutable round : int; (* the port's data-link round tag *)
+  mutable mailbox : Messages.client_envelope list; (* oldest first *)
+  mutable broadcasts : int;
+  mutable wait : wait;
+}
 
-let mwmr_m = 2
+and wait =
+  | Confirming of {
+      left : int; (* correct deliveries still awaited *)
+      tag : int;
+      wanted : Collect.acks option;
+      attempt : int;
+      k : resume;
+    }  (** in an ss-broadcast *)
+  | Gathering of { g : Collect.intake; k : resume }
+      (** collecting acknowledgments *)
+  | Finished
 
-let create (cfg : Config.t) =
-  let rng = Sim.Rng.create 42 in
-  let engine = Sim.Engine.create ~rng () in
-  let params =
-    Params.create_unchecked ~n:cfg.n ~f:cfg.f ~mode:Params.Async ()
-  in
-  (* Fixed unit delay: the explorer owns all ordering nondeterminism, so
-     sampled delays would only smear states apart without adding behaviors. *)
-  let net =
-    Net.create ~engine ~params ~link_delay:(fun _ -> Sim.Link.fixed 1) ()
-  in
-  let adv = Byzantine.Adversary.deploy ~net ~rng:(Sim.Rng.split rng) in
-  List.iter
-    (fun (slot, k) -> Byzantine.Adversary.compromise adv slot (behavior_of k))
-    cfg.byz;
-  let history = Oracles.History.create () in
-  let record ~proc ~kind f =
-    let inv = Sim.Engine.now engine in
-    let v, ok, ts = f () in
-    let resp = Sim.Engine.now engine in
-    Oracles.History.record history ~proc ~kind ~inv ~resp ?ts ~ok v
-  in
-  let clients, jobs =
-    match cfg.family with
-    | Config.Regular ->
-      let w = Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-      let r = Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
-      ( Regular_c (w, r),
-        [
-          ( "writer",
-            fun () ->
-              for k = 1 to cfg.writes do
-                record ~proc:"writer" ~kind:Oracles.History.Write (fun () ->
-                    let v = Value.int k in
-                    ignore (Swsr_regular.write w v);
-                    (v, true, None))
-              done );
-          ( "reader",
-            fun () ->
-              for _ = 1 to cfg.reads do
-                record ~proc:"reader" ~kind:Oracles.History.Read (fun () ->
-                    match
-                      Swsr_regular.read ~max_iterations:cfg.read_budget r
-                    with
-                    | Outcome.Ok v -> (v, true, None)
-                    | Outcome.Degraded _ | Outcome.Timed_out _ ->
-                      (Value.bot, false, None))
-              done );
-        ] )
-    | Config.Atomic ->
-      let w = Swsr_atomic.writer ~net ~client_id:100 ~inst:0 () in
-      let r = Swsr_atomic.reader ~net ~client_id:101 ~inst:0 () in
-      ( Atomic_c (w, r),
-        [
-          ( "writer",
-            fun () ->
-              for k = 1 to cfg.writes do
-                record ~proc:"writer" ~kind:Oracles.History.Write (fun () ->
-                    let v = Value.int k in
-                    ignore (Swsr_atomic.write w v);
-                    (v, true, None))
-              done );
-          ( "reader",
-            fun () ->
-              for _ = 1 to cfg.reads do
-                record ~proc:"reader" ~kind:Oracles.History.Read (fun () ->
-                    match
-                      Swsr_atomic.read ~max_iterations:cfg.read_budget r
-                    with
-                    | Outcome.Ok v -> (v, true, None)
-                    | Outcome.Degraded _ | Outcome.Timed_out _ ->
-                      (Value.bot, false, None))
-              done );
-        ] )
-    | Config.Mwmr ->
-      let mcfg = Mwmr.default_config ~m:mwmr_m in
-      let procs =
-        Array.init mwmr_m (fun i ->
-            Mwmr.process ~net ~cfg:mcfg ~id:i ~client_id:(300 + i))
-      in
-      let job i p =
-        let proc = Printf.sprintf "p%d" i in
-        fun () ->
-          for k = 1 to cfg.writes do
-            let v = Value.int ((1000 * (i + 1)) + k) in
-            let inv = Sim.Engine.now engine in
-            ignore (Mwmr.write p v);
-            let resp = Sim.Engine.now engine in
-            let ts =
-              match Mwmr.last_write_timestamp p with
-              | Some (e, s) -> Some (e, s, i)
-              | None -> None
-            in
-            Oracles.History.record history ~proc
-              ~kind:Oracles.History.Write ~inv ~resp ?ts v
-          done;
-          for _ = 1 to cfg.reads do
-            let inv = Sim.Engine.now engine in
-            let result =
-              Mwmr.read_timestamped ~max_iterations:cfg.read_budget p
-            in
-            let resp = Sim.Engine.now engine in
-            (* Epoch-crossing reads perform the line-11 internal write; the
-               checker must see it as a write. *)
-            List.iter
-              (fun (v, e, s) ->
-                Oracles.History.record history ~proc
-                  ~kind:Oracles.History.Write ~inv ~resp ~ts:(e, s, i) v)
-              (Mwmr.take_restamps p);
-            match result with
-            | Outcome.Ok (v, e, s, j) ->
-              Oracles.History.record history ~proc
-                ~kind:Oracles.History.Read ~inv ~resp ~ts:(e, s, j) v
-            | Outcome.Degraded _ | Outcome.Timed_out _ ->
-              Oracles.History.record history ~proc
-                ~kind:Oracles.History.Read ~inv ~resp ~ok:false Value.bot
-          done
-      in
-      ( Mwmr_c procs,
-        Array.to_list (Array.mapi (fun i p -> (Printf.sprintf "p%d" i, job i p)) procs)
-      )
-  in
-  let fibers =
-    List.map (fun (name, f) -> (name, Sim.Fiber.spawn ~name f)) jobs
-  in
+and resume = Collect.attempt -> t -> (t, unit) Collect.step
+
+and proto =
+  | Regular_p of Collect.tally (* the reader's *)
+  | Atomic_p of Swsr_atomic.wstate * Swsr_atomic.rstate
+  | Mwmr_p of Mwmr.state array
+
+let mwmr_cfg = Mwmr.default_config ~m:(List.length (Config.client_ids Mwmr))
+
+let copy_proto = function
+  | Regular_p tally -> Regular_p (Collect.copy_tally tally)
+  | Atomic_p (w, r) ->
+    Atomic_p (Swsr_atomic.copy_wstate w, Swsr_atomic.copy_rstate r)
+  | Mwmr_p procs -> Mwmr_p (Array.map Mwmr.copy_state procs)
+
+let clone t =
   {
-    cfg;
-    engine;
-    net;
-    adv;
-    history;
-    clients;
-    fibers;
-    applied = [];
-    corrupt_times = [];
-    named =
-      List.filter_map
-        (function
-          | Config.Corrupt_server { server; _ } | Config.Crash_recover { server }
-            ->
-            Some server
-          | _ -> None)
-        cfg.menu
-      |> List.sort_uniq Int.compare;
-    mailbox_ordered =
-      List.exists
-        (function Config.Corrupt_round _ -> true | _ -> false)
-        cfg.menu;
-    fp_buf = Buffer.create 1024;
-    block_buf = Buffer.create 256;
+    t with
+    servers = Array.map Server.copy t.servers;
+    requests = Array.map Array.copy t.requests;
+    replies = Array.map Array.copy t.replies;
+    clients =
+      Array.map
+        (fun c ->
+          let wait =
+            match c.wait with
+            | Gathering w -> Gathering { w with g = Collect.copy_intake w.g }
+            | (Confirming _ | Finished) as w -> w
+          in
+          { c with wait })
+        t.clients;
+    proto = copy_proto t.proto;
+    history = Oracles.History.copy t.history;
   }
 
 let config t = t.cfg
 
-let engine t = t.engine
-
 let history t = t.history
 
-let corrupt_times t =
-  List.rev_map Sim.Vtime.to_int t.corrupt_times |> List.sort Int.compare
+let corrupt_times t = List.sort Int.compare t.corrupt_times
 
-let client_active t =
-  List.exists
-    (fun (_, h) ->
-      match Sim.Fiber.status h with
-      | Sim.Fiber.Running -> true
-      | Sim.Fiber.Done | Sim.Fiber.Failed _ -> false)
-    t.fibers
+let running c = match c.wait with Finished -> false | Confirming _ | Gathering _ -> true
+
+let client_active t = Array.exists running t.clients
 
 let stuck t =
-  List.filter_map
-    (fun (name, h) ->
-      match Sim.Fiber.status h with
-      | Sim.Fiber.Done -> None
-      | Sim.Fiber.Running -> Some name
-      | Sim.Fiber.Failed e ->
-        Some (name ^ " (raised: " ^ Printexc.to_string e ^ ")"))
-    t.fibers
+  Array.fold_right
+    (fun c acc -> if running c then c.name :: acc else acc)
+    t.clients []
+
+let index t id =
+  let rec go ci =
+    if ci >= Array.length t.clients then None
+    else if t.clients.(ci).id = id then Some ci
+    else go (ci + 1)
+  in
+  go 0
+
+let push q x = q @ [ x ]
+
+(* ------------------------------------------------------------------ *)
+(* Running the clients                                                *)
+
+(* Resume client [ci]'s automaton to its next round, which it broadcasts
+   at once: one envelope queued on each link, in server order, and the
+   client waits for [target] correct deliveries of them. *)
+let rec run t ci = function
+  | Collect.Return () -> t.clients.(ci).wait <- Finished
+  | Collect.Enter { next; _ } -> run t ci (next t)
+  | Collect.Leave { outcome; next } -> run t ci (next outcome t)
+  | Collect.Round r ->
+    if r.backoff > 0 then invalid_arg "Mc.Sys: backoff needs a retry policy";
+    let c = t.clients.(ci) and q = t.requests.(ci) in
+    c.round <- (c.round + 1) mod Net.round_modulus;
+    c.broadcasts <- c.broadcasts + 1;
+    let env =
+      { Messages.round = c.round; client = c.id; inst = r.inst; body = r.body;
+        span = Obs.Trace_ctx.none }
+    in
+    Array.iteri (fun s l -> q.(s) <- push l (env, c.broadcasts)) q;
+    if t.target = 0 then t.ticks <- push t.ticks (ci, c.broadcasts);
+    c.wait <- Confirming { left = t.target; tag = c.round; wanted = r.wanted;
+                           attempt = r.attempt; k = r.k }
+
+(* Broadcast number [b] of client [ci] is delivered: resume a round that
+   collects nothing, or start its collection with the acknowledgments
+   already queued. *)
+and settle t ci b =
+  let c = t.clients.(ci) in
+  match c.wait with
+  | Confirming { wanted = None; k; _ } when c.broadcasts = b ->
+    run t ci (k Collect.skipped t)
+  | Confirming { wanted = Some wanted; tag; attempt; k; _ } when c.broadcasts = b ->
+    let g = Collect.intake t.params ~health:t.health ~round:tag ~attempt ~wanted in
+    let rec drain () =
+      match c.mailbox with
+      | [] -> false
+      | env :: rest -> c.mailbox <- rest; Collect.consider g env || drain ()
+    in
+    if g.stop_at <= 0 || drain () then
+      run t ci (k (Collect.attempt_of g ~expired:false) t)
+    else c.wait <- Gathering { g; k }
+  | Confirming _ | Gathering _ | Finished -> ()
+
+(* Server [s] handles a request; its acknowledgment joins the reply
+   link.  Byzantine slots answer as {!Config.byz_kind} says. *)
+let serve t ci s (env : Messages.server_envelope) =
+  let ack (env : Messages.server_envelope) body =
+    t.replies.(ci).(s) <- push t.replies.(ci).(s)
+        { Messages.round = env.round; server = s; body; cause = env.span; span_id = 0 }
+  in
+  match List.assoc_opt s t.cfg.byz with
+  | None -> Server.handle t.servers.(s) env ~ack
+  | Some Config.Silent -> ()
+  | Some (Config.Collude { sn; v }) ->
+    ack env (Byzantine.Behavior.collude_reply ~cell:{ Messages.sn; v = Value.int v } env)
+
+(* Every explored step advances the clock by one tick before firing, so
+   execution order and virtual-time order coincide: the history the
+   oracles see has strictly increasing instants along the explored
+   interleaving, exactly as if a wall clock had witnessed it. *)
+let bump t = t.clock <- t.clock + 1
+
+(* The FIFO head of a link fires: a request is handled, then counts
+   towards its broadcast if the server is correct; an acknowledgment is
+   considered by a collecting client and queued otherwise. *)
+let deliver t ci s ~to_server =
+  let c = t.clients.(ci) in
+  match (to_server, t.requests.(ci).(s), t.replies.(ci).(s)) with
+  | true, (env, b) :: rest, _ ->
+    bump t;
+    t.requests.(ci).(s) <- rest;
+    serve t ci s env;
+    (match c.wait with
+    | Confirming w when t.correct.(s) && c.broadcasts = b ->
+      if w.left <= 1 then settle t ci b
+      else c.wait <- Confirming { w with left = w.left - 1 }
+    | Confirming _ | Gathering _ | Finished -> ());
+    true
+  | false, _, env :: rest ->
+    bump t;
+    t.replies.(ci).(s) <- rest;
+    (match c.wait with
+    | Gathering { g; k } ->
+      if Collect.consider g env then
+        run t ci (k (Collect.attempt_of g ~expired:false) t)
+    | Confirming _ | Finished -> c.mailbox <- push c.mailbox env);
+    true
+  | true, [], _ | false, _, [] -> false
+
+(* ------------------------------------------------------------------ *)
+(* The clients' workloads                                             *)
+
+let record t ~proc ~kind ~inv ?ts ?ok v =
+  Oracles.History.record t.history ~proc ~kind ~inv:(Sim.Vtime.of_int inv)
+    ~resp:(Sim.Vtime.of_int t.clock) ?ts ?ok v
+
+(* [op 1], ..., [op last] in sequence, then [k]. *)
+let rec times i last op k t =
+  if i > last then k t else op i (fun t -> times (i + 1) last op k t) t
+
+let finished _ = Collect.Return ()
+
+(* Each client's job, as the automaton it starts with: the writer writes
+   1..writes and the reader reads [reads] times (MWMR processes do
+   both), each operation recorded in the history when it returns. *)
+let jobs (cfg : Config.t) params =
+  let site = { Collect.params; inst = 0; probe = None } in
+  let write ~proc op k next t =
+    let inv = t.clock and v = Value.int k in
+    op v (fun _ t -> record t ~proc ~kind:Oracles.History.Write ~inv v; next t) t
+  in
+  let read ~proc op _ next t =
+    let inv = t.clock in
+    op (fun o t ->
+        (match o with
+        | Outcome.Ok v -> record t ~proc ~kind:Oracles.History.Read ~inv v
+        | Outcome.Degraded _ | Outcome.Timed_out _ ->
+          record t ~proc ~kind:Oracles.History.Read ~inv ~ok:false Value.bot);
+        next t)
+      t
+  in
+  let writer op = times 1 cfg.writes (write ~proc:"writer" op) finished in
+  let reader op = times 1 cfg.reads (read ~proc:"reader" op) finished in
+  let max_iterations = cfg.read_budget and modulus = Seqnum.default_modulus in
+  match cfg.family with
+  | Config.Regular ->
+    let tally t = match t.proto with Regular_p r -> r | _ -> assert false in
+    [ writer (Swsr_regular.write_op site);
+      reader (Swsr_regular.read_op ~max_iterations site ~tally) ]
+  | Config.Atomic ->
+    let w t = match t.proto with Atomic_p (w, _) -> w | _ -> assert false in
+    let r t = match t.proto with Atomic_p (_, r) -> r | _ -> assert false in
+    [ writer (Swsr_atomic.write_op site ~modulus w);
+      reader (Swsr_atomic.read_op ~max_iterations site ~modulus ~sanity_check:true r) ]
+  | Config.Mwmr ->
+    List.mapi
+      (fun i client_id ->
+        let proc = Printf.sprintf "p%d" i in
+        let l = Mwmr.layout ~params ~cfg:mwmr_cfg ~id:i ~client_id () in
+        let st t = match t.proto with Mwmr_p p -> p.(i) | _ -> assert false in
+        let write k next t =
+          let inv = t.clock and v = Value.int ((1000 * (i + 1)) + k) in
+          Mwmr.write_op l st v
+            (fun _ t ->
+              let ts = Option.map (fun (e, s) -> (e, s, i)) (st t).last_ts in
+              record t ~proc ~kind:Oracles.History.Write ~inv ?ts v;
+              next t)
+            t
+        in
+        let read _ next t =
+          let inv = t.clock in
+          Mwmr.read_op ~max_iterations l st
+            (fun result t ->
+              (* Epoch-crossing reads perform the line-11 internal write;
+                 the checker must see it as a write. *)
+              let p = st t in
+              List.iter
+                (fun (v, e, s) ->
+                  record t ~proc ~kind:Oracles.History.Write ~inv ~ts:(e, s, i) v)
+                (List.rev p.restamps_rev);
+              p.restamps_rev <- [];
+              (match result with
+              | Outcome.Ok (v, e, s, j) ->
+                record t ~proc ~kind:Oracles.History.Read ~inv ~ts:(e, s, j) v
+              | Outcome.Degraded _ | Outcome.Timed_out _ ->
+                record t ~proc ~kind:Oracles.History.Read ~inv ~ok:false Value.bot);
+              next t)
+            t
+        in
+        times 1 cfg.writes write (times 1 cfg.reads read finished))
+      (Config.client_ids Config.Mwmr)
+
+let create (cfg : Config.t) =
+  let n = cfg.n and ids = Config.client_ids cfg.family in
+  let params = Params.create_unchecked ~n ~f:cfg.f ~mode:Params.Async () in
+  let correct = Array.init n (fun s -> not (List.mem_assoc s cfg.byz)) in
+  let client i id =
+    { id; round = 0; mailbox = []; broadcasts = 0; wait = Finished;
+      name =
+        (match cfg.family with
+        | Config.Mwmr -> Printf.sprintf "p%d" i
+        | Config.Regular | Config.Atomic -> if i = 0 then "writer" else "reader") }
+  in
+  let t =
+    { cfg; params; correct;
+      health = Health.create ~n ();
+      (* the first (n - 2t) correct deliveries, as [Net.ss_broadcast] *)
+      target =
+        min (n - (2 * cfg.f)) (List.length (List.filter Fun.id (Array.to_list correct)));
+      named =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (function
+               | Config.Corrupt_server { server; _ } | Config.Crash_recover { server } ->
+                 Some server
+               | _ -> None)
+             cfg.menu);
+      mailbox_ordered =
+        List.exists (function Config.Corrupt_round _ -> true | _ -> false) cfg.menu;
+      servers = Array.init n (fun id -> Server.create ~id);
+      requests = Array.init (List.length ids) (fun _ -> Array.make n []);
+      replies = Array.init (List.length ids) (fun _ -> Array.make n []);
+      clients = Array.of_list (List.mapi client ids);
+      proto =
+        (match cfg.family with
+        | Config.Regular -> Regular_p (Collect.fresh_tally ())
+        | Config.Atomic ->
+          Atomic_p (Swsr_atomic.fresh_wstate (), Swsr_atomic.fresh_rstate ())
+        | Config.Mwmr -> Mwmr_p (Array.of_list (List.map (fun _ -> Mwmr.fresh_state mwmr_cfg) ids)));
+      history = Oracles.History.create ();
+      clock = 0; ticks = []; applied = []; corrupt_times = [] }
+  in
+  (* Each client runs to its first broadcast, in client order. *)
+  List.iteri (fun ci job -> run t ci (job t)) (jobs cfg params);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Enabled moves                                                      *)
 
-(* One [Deliver] per link with an entry in flight, live or dropped: each
-   entry holds one queued event.  The engine's other events are the
-   unlabeled ones [Tick]s fire. *)
+(* One [Deliver] per link with an envelope in flight; the pending
+   settlements are the [Tick]s. *)
 let enabled t =
-  let ticks = ref (Sim.Engine.pending t.engine) and delivers = ref [] in
-  let add ~client ~to_server server k =
-    if k > 0 then begin
-      ticks := !ticks - k;
-      delivers := Deliver { client; server; to_server } :: !delivers
-    end
+  let delivers = ref [] in
+  let add ~client ~to_server server = function
+    | [] -> ()
+    | _ :: _ -> delivers := Deliver { client; server; to_server } :: !delivers
   in
-  List.iter
-    (fun ((client, port) : int * Net.client_port) ->
-      for s = 0 to Array.length port.to_servers - 1 do
-        add ~client ~to_server:true s (Sim.Link.pending port.to_servers.(s));
-        add ~client ~to_server:false s (Sim.Link.pending port.from_servers.(s))
+  Array.iteri
+    (fun ci c ->
+      for s = 0 to t.cfg.n - 1 do
+        add ~client:c.id ~to_server:true s t.requests.(ci).(s);
+        add ~client:c.id ~to_server:false s t.replies.(ci).(s)
       done)
-    (Net.client_ports t.net);
+    t.clients;
   let corrupts =
     if t.cfg.menu = [] || not (client_active t) then []
     else
@@ -302,15 +420,15 @@ let enabled t =
       |> List.map (fun i -> Corrupt i)
   in
   match (List.sort compare_move !delivers, corrupts) with
-  | sorted, [] when !ticks = 0 -> sorted
-  | sorted, _ -> sorted @ List.init !ticks (fun i -> Tick i) @ corrupts
+  | sorted, [] when t.ticks = [] -> sorted
+  | sorted, _ -> sorted @ List.mapi (fun i _ -> Tick i) t.ticks @ corrupts
 
 (* ------------------------------------------------------------------ *)
 (* Applying a move                                                    *)
 
 let apply_corruption t = function
   | Config.Corrupt_server { server; sn; v } ->
-    let srv = Byzantine.Adversary.server t.adv server in
+    let srv = t.servers.(server) in
     let insts =
       match Server.instances srv with
       | [] -> [ (0, Server.instance srv 0) ]
@@ -323,36 +441,31 @@ let apply_corruption t = function
         i.helping <- Some cell)
       insts
   | Config.Corrupt_reader { pwsn; v } -> (
-    match t.clients with
-    | Atomic_c (_, r) ->
-      Swsr_atomic.corrupt_reader_to r ~pwsn ~pv:(Value.int v)
-    | Regular_c _ | Mwmr_c _ -> ())
+    match t.proto with
+    | Atomic_p (_, r) ->
+      r.pwsn <- Seqnum.norm ~modulus:Seqnum.default_modulus pwsn;
+      r.pv <- Value.int v
+    | Regular_p _ | Mwmr_p _ -> ())
   | Config.Corrupt_writer_sn sn -> (
-    match t.clients with
-    | Atomic_c (w, _) -> Swsr_atomic.set_wsn w sn
-    | Regular_c _ | Mwmr_c _ -> ())
+    match t.proto with
+    | Atomic_p (w, _) -> w.wsn <- Seqnum.norm ~modulus:Seqnum.default_modulus sn
+    | Regular_p _ | Mwmr_p _ -> ())
   | Config.Corrupt_round { client; round } -> (
-    match List.assoc_opt client (Net.client_ports t.net) with
-    | Some port -> port.Net.round <- abs round mod (1 lsl 30)
+    match index t client with
+    | Some ci -> t.clients.(ci).round <- abs round mod Net.round_modulus
     | None -> ())
   | Config.Crash_recover { server } ->
     (* Crash plus recovery with lost volatile state, collapsed into one
        model step: the automaton keeps running (deliveries during the
        down window are a scheduling choice the explorer already owns) but
        its state reverts to pristine bot content. *)
-    let srv = Byzantine.Adversary.server t.adv server in
+    let srv = t.servers.(server) in
     (match Server.instances srv with
     | [] -> ignore (Server.instance srv 0)
     | _ :: _ -> ());
     Server.reset srv
 
-(* Every explored step advances the clock by one tick before firing, so
-   execution order and virtual-time order coincide: the history the
-   oracles see has strictly increasing instants along the explored
-   interleaving, exactly as if a wall clock had witnessed it. *)
-let next_instant t = Sim.Vtime.add (Sim.Engine.now t.engine) 1
-
-let bump t = Sim.Engine.advance_to t.engine (next_instant t)
+let nth l i = if i < 0 then None else List.nth_opt l i
 
 let apply ?(strict = true) t mv =
   let fail msg =
@@ -365,34 +478,28 @@ let apply ?(strict = true) t mv =
   | Deliver { client; server; to_server } ->
     (* The link's FIFO head: the only delivery the paper's model admits
        next on this channel. *)
-    (match List.assoc_opt client (Net.client_ports t.net) with
-    | Some port when server >= 0 && server < Array.length port.Net.to_servers ->
-      let not_before = next_instant t in
-      if to_server then Sim.Link.fire_head port.to_servers.(server) ~not_before
-      else Sim.Link.fire_head port.from_servers.(server) ~not_before
+    (match index t client with
+    | Some ci when server >= 0 && server < t.cfg.n ->
+      deliver t ci server ~to_server
     | Some _ | None -> false)
     || fail "no pending delivery on that link"
   | Tick i -> (
-    let unlabeled =
-      List.filter
-        (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label "")
-        (Sim.Engine.ready t.engine)
-    in
-    match List.nth_opt unlabeled i with
+    match nth t.ticks i with
     | None -> fail "no such unlabeled event"
-    | Some r ->
+    | Some (ci, b) ->
       bump t;
-      ignore (Sim.Engine.fire t.engine ~seq:r.r_seq);
+      t.ticks <- List.filteri (fun j _ -> j <> i) t.ticks;
+      settle t ci b;
       true)
   | Corrupt i ->
     if List.mem i t.applied then fail "menu item already fired"
     else (
-      match List.nth_opt t.cfg.menu i with
+      match nth t.cfg.menu i with
       | None -> fail "no such menu item"
       | Some c ->
         bump t;
         t.applied <- i :: t.applied;
-        t.corrupt_times <- Sim.Engine.now t.engine :: t.corrupt_times;
+        t.corrupt_times <- t.clock :: t.corrupt_times;
         apply_corruption t c;
         true)
 
@@ -448,7 +555,7 @@ let add_ts b = function
    its index among the sorted distinct instants. *)
 let add_history b t =
   let ops = Oracles.History.ops t.history in
-  let corrupt = List.sort Int.compare (List.map Sim.Vtime.to_int t.corrupt_times) in
+  let corrupt = corrupt_times t in
   let times =
     List.fold_left
       (fun acc (o : Oracles.History.op) ->
@@ -487,7 +594,7 @@ let add_history b t =
    must not be interchangeable) and the in-flight payloads on its links,
    per client in client order.  Two servers with equal blocks are
    observationally interchangeable. *)
-let server_block t ports b srv =
+let server_block t b srv =
   let s = Server.id srv in
   (match List.assoc_opt s t.cfg.byz with
   | Some Config.Silent -> str b "Bs"
@@ -498,19 +605,19 @@ let server_block t ports b srv =
         num b inst; chr b '='; add_cell b i.last_val;
         chr b '+'; add_help b i.helping; chr b ',')
       (Server.instances srv));
-  List.iter
-    (fun ((id, port) : int * Net.client_port) ->
-      str b "|c"; num b id; chr b '>';
+  Array.iteri
+    (fun ci c ->
+      str b "|c"; num b c.id; chr b '>';
       List.iter
-        (fun env -> add_to_server b env; chr b ';')
-        (Sim.Link.in_flight port.Net.to_servers.(s));
+        (fun (env, _) -> add_to_server b env; chr b ';')
+        t.requests.(ci).(s);
       chr b '<';
       (* the server field of an ack on this server's own reply link is
          self-referential; it stays 0 *)
       List.iter
         (fun env -> add_to_client b env; chr b ';')
-        (Sim.Link.in_flight port.Net.from_servers.(s)))
-    ports
+        t.replies.(ci).(s))
+    t.clients
 
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
@@ -523,14 +630,14 @@ let server_block t ports b srv =
    checker can put sleep sets into the same coordinates (comparing sleep
    sets across symmetry-merged states is only sound canonically). *)
 let fingerprint_raw_ex t =
-  let servers = Byzantine.Adversary.servers t.adv in
+  let servers = t.servers in
   let n = Array.length servers in
-  let ports = Net.client_ports t.net in
+  let block_buf = Buffer.create 256 in
   let render f =
-    Buffer.clear t.block_buf; f t.block_buf; Buffer.contents t.block_buf
+    Buffer.clear block_buf; f block_buf; Buffer.contents block_buf
   in
   let blocks =
-    Array.map (fun srv -> render (fun b -> server_block t ports b srv)) servers
+    Array.map (fun srv -> render (fun b -> server_block t b srv)) servers
   in
   (* Each queued ack is rendered once, with origin 0: that is its
      reference key below, and the client section splices the renamed
@@ -546,15 +653,15 @@ let fingerprint_raw_ex t =
      consumed-and-dropped or still queued does depend on order.  So order
      is only erased when the menu carries no round corruption. *)
   let mailboxes =
-    List.map
-      (fun ((id, port) : int * Net.client_port) ->
-        ( id,
-          port,
-          List.map
-            (fun (env : Messages.client_envelope) ->
-              (env.server, render (fun b -> add_to_client b env)))
-            (Sim.Mailbox.to_list port.Net.mailbox) ))
-      ports
+    Array.to_list
+      (Array.map
+         (fun c ->
+           ( c,
+             List.map
+               (fun (env : Messages.client_envelope) ->
+                 (env.server, render (fun b -> add_to_client b env)))
+               c.mailbox ))
+         t.clients)
   in
   (* A server id also escapes into client mailboxes (ack envelopes name
      their origin).  The references to a server — rendered without ids —
@@ -566,7 +673,7 @@ let fingerprint_raw_ex t =
      [(client index, occurrences)], last client first. *)
   let refs = Array.make n [] in
   List.iteri
-    (fun ci (_, _, keys) ->
+    (fun ci (_, keys) ->
       let occ = Array.make n [] in
       List.iteri
         (fun pos (s, key) ->
@@ -625,8 +732,7 @@ let fingerprint_raw_ex t =
        prev := Some s)
      anonymous);
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
-  let b = t.fp_buf in
-  Buffer.clear b;
+  let b = Buffer.create 1024 in
   (* servers in canonical order *)
   Array.iteri
     (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
@@ -636,8 +742,8 @@ let fingerprint_raw_ex t =
      could make order matter); link traffic lives inside the server
      blocks *)
   List.iter
-    (fun (id, (port : Net.client_port), keys) ->
-      chr b 'c'; num b id; str b " r"; num b port.round; str b " q[";
+    (fun (c, keys) ->
+      chr b 'c'; num b c.id; str b " r"; num b c.round; str b " q[";
       if t.mailbox_ordered then
         List.iter (fun (s, key) -> add_renamed b key (ren s); chr b ';') keys
       else
@@ -652,48 +758,41 @@ let fingerprint_raw_ex t =
       str b "]\n")
     mailboxes;
   (* client persistent state *)
-  (match t.clients with
-  | Regular_c _ -> str b "reg"
-  | Atomic_c (w, r) ->
-    str b "wsn="; num b (Swsr_atomic.wsn w); str b ";pwsn="; num b (Swsr_atomic.pwsn r);
-    str b ";pv="; Value.add_to_buffer b (Swsr_atomic.pv r)
-  | Mwmr_c procs ->
-    Array.iter
-      (fun p ->
-        chr b 'p'; num b (Mwmr.id p); chr b ':';
-        (match Mwmr.last_write_timestamp p with
+  (match t.proto with
+  | Regular_p _ -> str b "reg"
+  | Atomic_p (w, r) ->
+    str b "wsn="; num b w.wsn; str b ";pwsn="; num b r.pwsn;
+    str b ";pv="; Value.add_to_buffer b r.pv
+  | Mwmr_p procs ->
+    Array.iteri
+      (fun i (p : Mwmr.state) ->
+        chr b 'p'; num b i; chr b ':';
+        (match p.last_ts with
         | None -> chr b '-'
         | Some (e, s) -> add_epoch b e; chr b '/'; num b s);
-        str b ";eo="; num b (Mwmr.epochs_opened p); chr b ';';
+        str b ";eo="; num b p.epochs_opened; chr b ';';
         List.iter
           (fun (v, e, s) ->
             Value.add_to_buffer b v; chr b '@';
             add_epoch b e; chr b '/'; num b s; chr b ',')
-          (Mwmr.restamps p);
+          (List.rev p.restamps_rev);
         Array.iter
-          (fun w -> chr b 'w'; num b (Swsr_atomic.wsn w); chr b ',')
-          (Swmr.copies (Mwmr.own p));
+          (fun (w : Swsr_atomic.wstate) -> chr b 'w'; num b w.wsn; chr b ',')
+          p.own;
         Array.iter
-          (fun rd ->
-            let sr = Swmr.sr_reader rd in
-            chr b 'r'; num b (Swsr_atomic.pwsn sr); chr b ':';
-            Value.add_to_buffer b (Swsr_atomic.pv sr); chr b ',')
-          (Mwmr.views p);
+          (fun (r : Swsr_atomic.rstate) ->
+            chr b 'r'; num b r.pwsn; chr b ':';
+            Value.add_to_buffer b r.pv; chr b ',')
+          p.views;
         chr b '\n')
       procs);
   (* which corruption choices are still available *)
   str b "\nM:";
   List.iter (fun i -> num b i; chr b ' ') (List.sort Int.compare t.applied);
-  (* fiber progress *)
-  List.iter
-    (fun (name, h) ->
-      str b name;
-      chr b
-        (match Sim.Fiber.status h with
-        | Sim.Fiber.Running -> 'r'
-        | Sim.Fiber.Done -> 'd'
-        | Sim.Fiber.Failed _ -> 'f'))
-    t.fibers;
+  (* client progress *)
+  Array.iter
+    (fun c -> str b c.name; chr b (if running c then 'r' else 'd'))
+    t.clients;
   chr b '\n';
   add_history b t;
   (Digest.string (Buffer.contents b), ren, rep)

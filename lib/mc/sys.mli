@@ -1,21 +1,25 @@
-(** A live register deployment under model-checker control.
+(** A register deployment under model-checker control, as an explicit
+    state.
 
     One {!t} is one execution-in-progress of the configured system: the
-    protocol automata run unchanged over {!Registers.Net}, but nothing
-    fires by itself — the explorer repeatedly asks for the {!enabled}
-    moves and {!apply}s its choice.  All residual nondeterminism is pinned
-    (fixed unit link delays, deterministic Byzantine behaviors, concrete
-    corruption payloads), so an execution is exactly its move sequence:
-    replaying the same moves from a fresh {!create} reproduces the same
-    global state bit for bit.  That replay-from-choices property is what
-    the DFS uses instead of snapshotting (OCaml fibers cannot be cloned).
+    servers' automata ({!Registers.Server.handle}), per-link FIFO queues,
+    client mailboxes, the clients' protocol state with their suspended
+    round automata ({!Registers.Collect.step}), the history and a clock.
+    Nothing fires by itself — the explorer repeatedly asks for the
+    {!enabled} moves and {!apply}s its choice — and no simulator engine,
+    network or fiber takes part.  All residual nondeterminism is pinned
+    (deterministic Byzantine replies, concrete corruption payloads), so an
+    execution is exactly its move sequence: replaying the same moves from
+    a fresh {!create} reproduces the same global state bit for bit, and
+    {!clone} copies a state so both copies continue alike.
 
     Soundness of the move menu w.r.t. the paper's model:
     - per-link FIFO: a [Deliver] always fires the oldest pending delivery
-      of its link ({!Sim.Link.fire_head}), never an overtaking one;
-    - synchronized ss-broadcast delivery: {!Registers.Net.ss_broadcast}
-      counts actual delivery callbacks, so the (n-2t)-th-correct-delivery
-      resume point is respected under any interleaving the explorer picks;
+      of its link, never an overtaking one;
+    - synchronized ss-broadcast delivery: a broadcast counts actual
+      deliveries at correct servers, as {!Registers.Net.ss_broadcast}
+      does, so the (n-2t)-th-correct-delivery resume point is respected
+      under any interleaving the explorer picks;
     - transient corruption: a [Corrupt] move applies one menu item
       (at most once per execution), modelling a transient fault striking
       between any two events. *)
@@ -26,8 +30,9 @@ type move =
           [client]: towards server [server] when [to_server], from it
           otherwise *)
   | Tick of int
-      (** fire the [i]-th pending unlabeled engine event (rare: only
-          degenerate configurations schedule unlabeled events) *)
+      (** fire the [i]-th pending unlabeled event: the settlement of a
+          broadcast whose delivery target is zero (only degenerate
+          configurations, [n <= 2t] or no correct server, have one) *)
   | Corrupt of int  (** fire menu item [i] *)
 (** Plain data: label strings exist only in {!link_label}, hence in
     {!move_to_string} and the artifact codec ({!Checker}). *)
@@ -59,13 +64,16 @@ val independent : move -> move -> bool
 type t
 
 val create : Config.t -> t
-(** Build the deployment and start the client fibers (they run to their
-    first suspension, scheduling the first broadcasts).  Deterministic:
-    two [create]s of the same config are indistinguishable. *)
+(** Build the deployment and start the clients (each runs to its first
+    broadcast).  Deterministic: two [create]s of the same config are
+    indistinguishable. *)
+
+val clone : t -> t
+(** An independent copy: applying moves to either leaves the other as it
+    was.  Copies every mutable record (server instances, link and mailbox
+    heads, client records, the history) and shares the immutable rest. *)
 
 val config : t -> Config.t
-
-val engine : t -> Sim.Engine.t
 
 val history : t -> Oracles.History.t
 
@@ -75,29 +83,26 @@ val corrupt_times : t -> int list
 val enabled : t -> move list
 (** The current choice menu in {!compare_move} order: one [Deliver] per
     link with pending traffic, then [Tick]s, then the unused
-    [Corrupt] items (only while some client fiber is still running).
+    [Corrupt] items (only while some client is still running).
     Empty iff the execution is terminal. *)
 
 val apply : ?strict:bool -> t -> move -> bool
 (** Fire one move: advance the clock one tick, then execute it (and
-    whatever protocol code it resumes, synchronously to the next
-    suspension).  Returns [true] on success.  An inapplicable move raises
+    whatever protocol code it resumes, up to the client's next
+    broadcast).  Returns [true] on success.  An inapplicable move raises
     [Invalid_argument] under [strict] (the default, for artifact replay)
     and returns [false] otherwise (for shrink candidates, where a dropped
     prefix may invalidate later moves). *)
 
-val client_active : t -> bool
-(** Some client fiber is still running. *)
-
 val stuck : t -> string list
-(** Names of fibers that are not [Done] — non-empty at a terminal state
-    means the execution deadlocked (or crashed). *)
+(** Names of clients that have not finished their workload — non-empty
+    at a terminal state means the execution deadlocked. *)
 
 val fingerprint : t -> string
 (** Canonical digest of the global state: server instances, Byzantine
     assignment, per-link in-flight payloads, mailbox contents, port round
-    tags, client persistent bookkeeping, remaining corruption menu, fiber
-    statuses, and the recorded history with instants canonicalized to
+    tags, client persistent bookkeeping, remaining corruption menu, client
+    progress, and the recorded history with instants canonicalized to
     their rank (order type) so order-isomorphic pasts merge.  Server
     slots not named by any corruption-menu item are additionally
     canonicalized up to permutation (symmetry reduction): the protocols

@@ -32,6 +32,8 @@ let consider g (env : Messages.client_envelope) =
   end;
   g.acks >= g.stop_at
 
+let copy_intake g = { g with answers = Array.copy g.answers }
+
 (* One collection pass over the port's mailbox: file the bodies of
    [round]'s acknowledgments of the wanted kind until [stop_at] distinct
    servers answered or [deadline] (when given) passes; true when it
@@ -62,27 +64,29 @@ let attempt_target params ~health ~attempt =
   if attempt = 0 then full
   else max (Params.read_quorum params) (min full (Health.responsive health))
 
+let intake params ~health ~round ~attempt ~wanted =
+  {
+    answers = Array.make (params : Params.t).n no_answer;
+    round;
+    wanted;
+    stop_at = attempt_target params ~health ~attempt;
+    acks = 0;
+  }
+
+let attempt_of (g : intake) ~expired = { answers = g.answers; acks = g.acks; expired }
+
 let attempt_once ~net ~port ~round ~attempt ~wanted =
   let params = Net.params net in
   let engine = Net.engine net in
   let health = port.Net.health in
-  let n = (params : Params.t).n in
-  let g =
-    {
-      answers = Array.make n no_answer;
-      round;
-      wanted;
-      stop_at = attempt_target params ~health ~attempt;
-      acks = 0;
-    }
-  in
+  let g = intake params ~health ~round ~attempt ~wanted in
   match (Params.retry params).Params.deadline with
   | Some d ->
     let expired = gather ~engine ~port ~deadline:(after engine d) g in
-    for s = 0 to n - 1 do
+    for s = 0 to params.n - 1 do
       Health.note health ~server:s ~answered:(g.answers.(s) != no_answer)
     done;
-    { answers = g.answers; acks = g.acks; expired }
+    attempt_of g ~expired
   | None ->
     (* The paper's wait: block for the quota (async), or collect until the
        round-trip bound (sync, lines 02.M / 11.M) — the normal end of a
@@ -94,7 +98,7 @@ let attempt_once ~net ~port ~round ~attempt ~wanted =
       | None -> None
     in
     ignore (gather ~engine ~port ~deadline g);
-    { answers = g.answers; acks = g.acks; expired = false }
+    attempt_of g ~expired:false
 
 let sleep ~net span =
   if span > 0 then
@@ -132,136 +136,194 @@ type collected = {
 }
 
 (* An operation that fell short of [need]: degraded if at least a read
-   quorum answered, timed out otherwise. *)
-let shortfall params ~port ~attempts ~acks ~need =
-  let r =
-    { Outcome.attempts; acks; need; suspects = Health.suspects port.Net.health }
-  in
+   quorum answered, timed out otherwise.  Round automata build it without
+   suspects; {!run} names the port's suspects when the operation ends. *)
+let shortfall params ~suspects ~attempts ~acks ~need =
+  let r = { Outcome.attempts; acks; need; suspects } in
   if acks >= Params.read_quorum params then Outcome.Degraded r
   else Outcome.Timed_out r
 
-let judge ~net ~port (c : collected) =
-  let params = Net.params net in
+let judged params ~suspects (c : collected) =
   let need = Params.write_ok_threshold params in
   if c.acks >= need then Outcome.Ok ()
-  else shortfall params ~port ~attempts:c.attempts ~acks:c.acks ~need
+  else shortfall params ~suspects ~attempts:c.attempts ~acks:c.acks ~need
+
+let judge ~net ~port c =
+  judged (Net.params net) ~suspects:(Health.suspects port.Net.health) c
+
+(* --- operations as round automata --- *)
+
+type tally = { mutable iterations : int; mutable help_returns : int }
+
+let fresh_tally () = { iterations = 0; help_returns = 0 }
+
+let copy_tally t = { iterations = t.iterations; help_returns = t.help_returns }
+
+type site = { params : Params.t; inst : int; probe : Instr.probe option }
+
+let probe ?engine ~client ~reg op =
+  Option.map (fun engine -> Instr.probe ~engine ~client ~reg op) engine
+
+let site ?engine ~params ~client ~inst ~reg op =
+  { params; inst; probe = probe ?engine ~client ~reg op }
+
+type ('c, 'r) step =
+  | Return : 'r -> ('c, 'r) step
+  | Round : {
+      inst : int;
+      body : Messages.to_server;
+      wanted : acks option;
+      attempt : int;
+      backoff : int;
+      k : attempt -> 'c -> ('c, 'r) step;
+    } -> ('c, 'r) step
+  | Enter : { probe : Instr.probe; leaf : bool; next : 'c -> ('c, 'r) step }
+      -> ('c, 'r) step
+  | Leave : { outcome : 'x Outcome.t; next : 'x Outcome.t -> 'c -> ('c, 'r) step }
+      -> ('c, 'r) step
+
+type ('c, 'a, 'r) op = ('a -> 'c -> ('c, 'r) step) -> 'c -> ('c, 'r) step
+
+let round ?wanted ~inst body k _ = Round { inst; body; wanted; attempt = 0; backoff = 0; k }
+
+let scoped ?(leaf = false) probe body =
+  match probe with
+  | None -> body
+  | Some probe ->
+    fun k _ ->
+      Enter { probe; leaf; next = body (fun outcome _ -> Leave { outcome; next = k }) }
+
+let skipped = { answers = [||]; acks = 0; expired = false }
 
 (* One logical collect — broadcast, gather, and retry with backoff until
-   the full quota answers or the policy's attempts run out.  Returns the
-   best attempt seen. *)
-let retrying ?span ~net ~port ~inst ~body ~wanted () =
-  let params = Net.params net in
+   the full quota answers or the policy's attempts run out.  Continues
+   with the best attempt seen. *)
+let collect_rounds ~params ~inst ~body ~wanted k _ =
   let full = Params.ack_wait params in
   let max_attempts = max 1 (Params.retry params).Params.attempts in
-  let rec go k (best : attempt) =
-    let round = Net.ss_broadcast ?span net port ~inst body in
-    let a = attempt_once ~net ~port ~round ~attempt:k ~wanted in
-    let best = if a.acks >= best.acks then a else best in
-    if a.acks >= full then
-      { answers = a.answers; acks = a.acks; attempts = k + 1; complete = true }
-    else if k + 1 >= max_attempts then
-      {
-        answers = best.answers;
-        acks = best.acks;
-        attempts = k + 1;
-        complete = false;
-      }
-    else begin
-      backoff_wait ~net ~port ~attempt:(k + 1);
-      go (k + 1) best
-    end
+  let wanted = Some wanted in
+  let rec go n (best : attempt) =
+    let k (a : attempt) c =
+      let best = if a.acks >= best.acks then a else best in
+      if a.acks >= full || n + 1 >= max_attempts then
+        let pick = if a.acks >= full then a else best in
+        k { answers = pick.answers; acks = pick.acks; attempts = n + 1;
+            complete = a.acks >= full } c
+      else go (n + 1) best
+    in
+    Round { inst; body; wanted; attempt = n; backoff = n; k }
   in
-  go 0 { answers = [||]; acks = 0; expired = false }
-
-(* --- the operation skeleton shared by the SWSR families --- *)
-
-type endpoint = {
-  net : Net.t;
-  port : Net.client_port;
-  inst : int;
-  probe : Instr.probe;
-  mutable iterations : int;
-  mutable help_returns : int;
-}
-
-let endpoint ~net ~client_id ~inst ~reg op =
-  let port = Net.add_client net ~id:client_id in
-  {
-    net;
-    port;
-    inst;
-    probe = Instr.probe ~engine:(Net.engine net) ~client:client_id ~reg op;
-    iterations = 0;
-    help_returns = 0;
-  }
-
-let op ?parent ep body =
-  Instr.run ?parent ep.probe (fun span ->
-      let outcome = body span in
-      Instr.count_op ep.probe;
-      outcome)
+  go 0 skipped
 
 (* Lines 02-06: collect the write's acknowledgments, refresh the helping
    values unless enough servers already vouch for one (line 03), and
    judge the service level. *)
-let write_round ~span ep cell =
-  let net = ep.net and port = ep.port in
-  let c =
-    retrying ~span ~net ~port ~inst:ep.inst ~body:(Messages.Write cell)
-      ~wanted:Write_acks ()
-  in
-  let threshold = Params.help_refresh_threshold (Net.params net) in
-  (match Quorum.find_ack_help ~threshold c.answers with
-  | Some _ -> ()
-  | None ->
-    ignore
-      (Net.ss_broadcast ~span net port ~inst:ep.inst (Messages.New_help cell)));
-  judge ~net ~port c
+let write_round (site : site) cell k c =
+  let params = site.params and inst = site.inst in
+  collect_rounds ~params ~inst ~body:(Messages.Write cell) ~wanted:Write_acks
+    (fun coll c ->
+      let outcome = judged params ~suspects:[] coll in
+      let threshold = Params.help_refresh_threshold params in
+      match Quorum.find_ack_help ~threshold coll.answers with
+      | Some _ -> k outcome c
+      | None -> round ~inst (Messages.New_help cell) (fun _ -> k outcome) c)
+    c
+
+let read_acks = Some Read_acks
 
 (* Lines 07-18: inquire until a read quorum vouches for a [last_val]
    (line 13) or a helping value (line 15), each round bounded by the
-   wait policy and the expired rounds capped by its attempt budget. *)
-let read_loop ~span ?(max_iterations = max_int) ep ~on_cell ~on_help =
-  let net = ep.net and port = ep.port in
-  let params = Net.params net in
+   wait policy and the expired rounds capped by its attempt budget.
+   [on_cell] and [on_help] get the client state the round resumed with. *)
+let read_loop ?(max_iterations = max_int) (site : site) ~tally ~on_cell
+    ~on_help k c =
+  let params = site.params in
   let threshold = Params.read_quorum params in
   let timeout_budget = max 1 (Params.retry params).Params.attempts in
-  let new_read = ref true in
-  let attempts = ref 0 in
-  let timeouts = ref 0 in
-  let best_acks = ref 0 in
-  let rec loop budget =
-    if budget <= 0 || !timeouts >= timeout_budget then None
-    else begin
-      ep.iterations <- ep.iterations + 1;
-      incr attempts;
-      let round =
-        Net.ss_broadcast ~span net port ~inst:ep.inst (Messages.Read !new_read)
+  let rec loop ~attempts ~timeouts ~best ~backoff budget c =
+    if budget <= 0 || timeouts >= timeout_budget then
+      k
+        (shortfall params ~suspects:[] ~attempts:(max 1 attempts) ~acks:best
+           ~need:(Params.ack_wait params))
+        c
+    else
+      let t = tally c in
+      t.iterations <- t.iterations + 1;
+      let k (a : attempt) c =
+        match Quorum.find_ack_cell ~threshold a.answers with
+        | Some cell -> k (Outcome.Ok (on_cell c cell)) c
+        | None -> (
+          match Quorum.find_ack_help ~threshold a.answers with
+          | Some cell ->
+            let t = tally c in
+            t.help_returns <- t.help_returns + 1;
+            k (Outcome.Ok (on_help c cell)) c
+          | None ->
+            let timeouts = if a.expired then timeouts + 1 else timeouts in
+            let backoff =
+              if a.expired && timeouts < timeout_budget && budget > 1 then timeouts
+              else 0
+            in
+            loop ~attempts:(attempts + 1) ~timeouts ~best:(max best a.acks)
+              ~backoff (budget - 1) c)
       in
-      new_read := false;
-      let a =
-        attempt_once ~net ~port ~round ~attempt:(!attempts - 1)
-          ~wanted:Read_acks
-      in
-      if a.acks > !best_acks then best_acks := a.acks;
-      match Quorum.find_ack_cell ~threshold a.answers with
-      | Some cell -> Some (on_cell cell)
-      | None -> (
-        match Quorum.find_ack_help ~threshold a.answers with
-        | Some cell ->
-          ep.help_returns <- ep.help_returns + 1;
-          Some (on_help cell)
-        | None ->
-          if a.expired then begin
-            incr timeouts;
-            if !timeouts < timeout_budget && budget > 1 then
-              backoff_wait ~net ~port ~attempt:!timeouts
-          end;
-          loop (budget - 1))
-    end
+      Round { inst = site.inst; body = Messages.Read (attempts = 0);
+              wanted = read_acks; attempt = attempts; backoff; k }
   in
-  match loop max_iterations with
-  | Some v -> Outcome.Ok v
-  | None ->
-    shortfall params ~port ~attempts:(max 1 !attempts) ~acks:!best_acks
-      ~need:(Params.ack_wait params)
+  loop ~attempts:0 ~timeouts:0 ~best:0 ~backoff:0 max_iterations c
+
+(* --- the fiber adapter --- *)
+
+let with_suspects port = function
+  | Outcome.Ok _ as o -> o
+  | Outcome.Degraded r -> Outcome.Degraded { r with suspects = Health.suspects port.Net.health }
+  | Outcome.Timed_out r -> Outcome.Timed_out { r with suspects = Health.suspects port.Net.health }
+
+(* An open operation span and the context it was opened under. *)
+type scope = { probe : Instr.probe; span : Instr.span; leaf : bool; under : Obs.Trace_ctx.span option }
+
+(* Drive an automaton in the calling fiber: each round is one
+   ss-broadcast and, unless it collects nothing, one attempt, under the
+   innermost span [context]; each scope is one operation span.  A leaf
+   scope counts its operation and names the port's suspects in a failed
+   outcome. *)
+let rec drive ~net ~port c context scopes = function
+  | Return v -> v
+  | Enter { probe; leaf; next } ->
+    let span = Instr.start ?parent:context probe in
+    drive ~net ~port c (Some (Instr.context span))
+      ({ probe; span; leaf; under = context } :: scopes) (next c)
+  | Leave { outcome; next } -> (
+    match scopes with
+    | [] -> invalid_arg "Collect.run: unbalanced scope"
+    | s :: rest ->
+      let outcome = if s.leaf then with_suspects port outcome else outcome in
+      if s.leaf then Instr.count_op s.probe;
+      Instr.finish ~ok:(Outcome.is_ok outcome) s.probe s.span;
+      drive ~net ~port c s.under rest (next outcome c))
+  | Round r ->
+    if r.backoff > 0 then backoff_wait ~net ~port ~attempt:r.backoff;
+    let round = Net.ss_broadcast ?span:context net port ~inst:r.inst r.body in
+    let a =
+      match r.wanted with
+      | None -> skipped
+      | Some wanted -> attempt_once ~net ~port ~round ~attempt:r.attempt ~wanted
+    in
+    drive ~net ~port c context scopes (r.k a c)
+
+let finish v _ = Return v
+
+let run ?span ~net ~port c op = drive ~net ~port c span [] (op finish c)
+
+let retrying ?span ~net ~port ~inst ~body ~wanted () =
+  run ?span ~net ~port ()
+    (collect_rounds ~params:(Net.params net) ~inst ~body ~wanted)
+
+(* --- one SWSR client endpoint --- *)
+
+type endpoint = { net : Net.t; port : Net.client_port; site : site }
+
+let endpoint ~net ~client_id ~inst ~reg op =
+  let port = Net.add_client net ~id:client_id in
+  { net; port;
+    site = site ~engine:(Net.engine net) ~params:(Net.params net) ~client:client_id ~inst ~reg op }

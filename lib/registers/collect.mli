@@ -37,12 +37,37 @@ val no_answer : Messages.to_client
     {!Quorum.find_ack_cell} and {!Quorum.find_ack_help} counts pass over
     it. *)
 
+type intake = private {
+  answers : Messages.to_client array;
+  round : int;
+  wanted : acks;
+  stop_at : int;
+  mutable acks : int;
+}
+(** One collection pass for broadcast [round], filled in place by
+    {!consider} until [stop_at] servers answered. *)
+
+val intake :
+  Params.t -> health:Health.t -> round:int -> attempt:int -> wanted:acks -> intake
+(** [attempt] (0-based) and [health] select the target as described above. *)
+
+val consider : intake -> Messages.client_envelope -> bool
+(** File the first acknowledgment of the wanted kind and round from each
+    server; [true] once the target is reached. *)
+
+val copy_intake : intake -> intake
+
 type attempt = {
   answers : Messages.to_client array;
       (** by server slot: the acknowledgment counted, or {!no_answer} *)
   acks : int;  (** distinct servers that answered in time *)
   expired : bool;  (** the policy deadline fired *)
 }
+
+val attempt_of : intake -> expired:bool -> attempt
+
+val skipped : attempt
+(** What a round that collects nothing resumes with. *)
 
 val attempt_once :
   net:Net.t ->
@@ -51,9 +76,8 @@ val attempt_once :
   attempt:int ->
   wanted:acks ->
   attempt
-(** One collection pass for broadcast [round] ([attempt] is 0-based; it
-    selects the target count as described above), filing the first
-    acknowledgment of the [wanted] kind from each server. *)
+(** One collection pass for broadcast [round] over the port's mailbox,
+    blocking the calling fiber until it ends. *)
 
 type collected = {
   answers : Messages.to_client array;  (** from the best attempt *)
@@ -83,52 +107,96 @@ val judge : net:Net.t -> port:Net.client_port -> collected -> unit Outcome.t
     and {!Params.read_quorum} (degraded vs timed out), naming the port's
     current suspects in the reason. *)
 
-(** {2 The operation skeleton} *)
+(** {2 Operations as round automata}
 
-type endpoint = private {
-  net : Net.t;
-  port : Net.client_port;
-  inst : int;
-  probe : Instr.probe;
-  mutable iterations : int;  (** inquiry rounds run by {!read_loop} *)
-  mutable help_returns : int;  (** reads returned through line 15 *)
-}
-(** One client endpoint of one register instance. *)
+    An operation runs until it must wait for a round; the {!step} it
+    returns names the broadcast and a continuation, resumed with that
+    round's acknowledgments and the client state ['c].  Continuations
+    capture no mutable state: whatever an operation changes lives in the
+    client state, so a suspended operation is copied with it.  {!run}
+    drives an automaton in a simulator fiber; the model checker drives it
+    over its own explicit state. *)
 
-val endpoint :
-  net:Net.t ->
-  client_id:int ->
-  inst:int ->
-  reg:string ->
-  Obs.Event.op_kind ->
-  endpoint
-(** The endpoint's port is [Net.add_client net ~id:client_id]. *)
+type tally = { mutable iterations : int; mutable help_returns : int }
+(** A reader's counters: inquiry rounds, and reads returned by line 15. *)
 
-val op :
-  ?parent:Obs.Trace_ctx.span ->
-  endpoint ->
-  (Obs.Trace_ctx.span -> 'a Outcome.t) ->
-  'a Outcome.t
-(** Run one operation inside a fresh span of the endpoint's probe (a
-    child of [parent] when given; see {!Instr.run}) and count it with
-    {!Instr.count_op}. *)
+val fresh_tally : unit -> tally
 
-val write_round :
-  span:Obs.Trace_ctx.span -> endpoint -> Messages.cell -> unit Outcome.t
-(** Lines 02–06: {!retrying} WRITE([cell]), broadcast NEW_HELP_VAL([cell])
-    unless a {!Params.help_refresh_threshold} of helping values agree, and
-    {!judge} the collect. *)
+val copy_tally : tally -> tally
+
+type site = { params : Params.t; inst : int; probe : Instr.probe option }
+(** Where an operation runs; without a probe it opens no spans. *)
+
+val probe :
+  ?engine:Sim.Engine.t -> client:int -> reg:string -> Obs.Event.op_kind ->
+  Instr.probe option
+(** {!Instr.probe} when an [engine] is given. *)
+
+val site :
+  ?engine:Sim.Engine.t -> params:Params.t -> client:int -> inst:int ->
+  reg:string -> Obs.Event.op_kind -> site
+
+type ('c, 'r) step =
+  | Return : 'r -> ('c, 'r) step
+  | Round : {
+      inst : int;
+      body : Messages.to_server;
+      wanted : acks option;  (** [None]: nothing to collect (NEW_HELP_VAL) *)
+      attempt : int;  (** 0-based, see {!attempt_once} *)
+      backoff : int;  (** the retry to back off for first; 0 for none *)
+      k : attempt -> 'c -> ('c, 'r) step;
+    }
+      -> ('c, 'r) step  (** one ss-broadcast and its collection *)
+  | Enter : { probe : Instr.probe; leaf : bool; next : 'c -> ('c, 'r) step }
+      -> ('c, 'r) step  (** an operation span opens *)
+  | Leave : { outcome : 'x Outcome.t; next : 'x Outcome.t -> 'c -> ('c, 'r) step }
+      -> ('c, 'r) step  (** the innermost span closes *)
+
+type ('c, 'a, 'r) op = ('a -> 'c -> ('c, 'r) step) -> 'c -> ('c, 'r) step
+(** An operation producing ['a]: given its continuation and the client
+    state, it runs to its first step. *)
+
+val round : ?wanted:acks -> inst:int -> Messages.to_server -> ('c, attempt, 'r) op
+(** One first-attempt round, collecting nothing without [wanted]. *)
+
+val scoped :
+  ?leaf:bool -> Instr.probe option -> ('c, 'a Outcome.t, 'r) op ->
+  ('c, 'a Outcome.t, 'r) op
+(** The operation inside a span of the probe, if any.  A [leaf] span
+    (default [false]) is one register operation, which {!run} counts. *)
+
+val write_round : site -> Messages.cell -> ('c, unit Outcome.t, 'r) op
+(** Lines 02–06: WRITE([cell]) collected as by {!retrying}, then
+    NEW_HELP_VAL([cell]) unless a {!Params.help_refresh_threshold} of
+    helping values agree, judged as by {!judge}. *)
 
 val read_loop :
-  span:Obs.Trace_ctx.span ->
   ?max_iterations:int ->
-  endpoint ->
-  on_cell:(Messages.cell -> 'a) ->
-  on_help:(Messages.cell -> 'a) ->
-  'a Outcome.t
+  site ->
+  tally:('c -> tally) ->
+  on_cell:('c -> Messages.cell -> 'a) ->
+  on_help:('c -> Messages.cell -> 'a) ->
+  ('c, 'a Outcome.t, 'r) op
 (** Lines 07–18: READ(true) then READ(false) rounds until a
     {!Params.read_quorum} of [last_val]s agrees (line 13: return
     [on_cell c]) or of helping values (line 15: return [on_help c]).  Gives
     up after [max_iterations] rounds (default unlimited), or once the
     policy's attempt budget of expired rounds is spent, with [Degraded]
     (a read quorum answered some round) or [Timed_out]. *)
+
+val run :
+  ?span:Obs.Trace_ctx.span -> net:Net.t -> port:Net.client_port -> 'c ->
+  ('c, 'a, 'a) op -> 'a
+(** Drive an automaton in the calling fiber: a round is one
+    {!Net.ss_broadcast} after its backoff, then one {!attempt_once}; a
+    scope is one {!Instr} span under the enclosing one ([span] outside
+    all).  A failed leaf outcome names the port's current suspects. *)
+
+(** {2 One SWSR client endpoint} *)
+
+type endpoint = private { net : Net.t; port : Net.client_port; site : site }
+
+val endpoint :
+  net:Net.t -> client_id:int -> inst:int -> reg:string -> Obs.Event.op_kind ->
+  endpoint
+(** The endpoint's port is [Net.add_client net ~id:client_id]. *)

@@ -45,6 +45,8 @@ let start ?parent p =
          });
   { id; t0; ctx }
 
+let context s = s.ctx
+
 let finish ~ok p span =
   let now = Sim.Engine.now p.engine in
   Obs.Metrics.observe p.hist (float_of_int (Sim.Vtime.diff now span.t0));

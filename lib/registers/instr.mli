@@ -23,6 +23,17 @@ val count_op : probe -> unit
     operation kind.  The counter is resolved at the first call, so a
     probe that never counts leaves no counter in the registry. *)
 
+type span
+(** One operation in progress. *)
+
+val start : ?parent:Obs.Trace_ctx.span -> probe -> span
+(** {!run}'s first half: emit [Op_invoke], open the span. *)
+
+val context : span -> Obs.Trace_ctx.span
+
+val finish : ok:bool -> probe -> span -> unit
+(** {!run}'s second half: record the latency, emit [Op_return]. *)
+
 val run :
   ?parent:Obs.Trace_ctx.span ->
   probe ->

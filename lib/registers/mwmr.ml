@@ -19,45 +19,46 @@ let default_config ~m =
 
 let epoch_k cfg = max cfg.m 2
 
-type process = {
-  id : int;
-  net : Net.t;
-  cfg : config;
-  own : Swmr.writer;
-  views : Swmr.reader array;
-  wprobe : Instr.probe;
-  rprobe : Instr.probe;
+type state = {
+  own : Swsr_atomic.wstate array;
+  views : Swsr_atomic.rstate array;
   mutable last_ts : (Epoch.t * int) option;
   mutable epochs_opened : int;
   mutable restamps_rev : (Value.t * Epoch.t * int) list;
 }
 
-let process ~net ~cfg ~id ~client_id =
+let fresh_state cfg =
+  { own = Array.init cfg.m (fun _ -> Swsr_atomic.fresh_wstate ());
+    views = Array.init cfg.m (fun _ -> Swsr_atomic.fresh_rstate ());
+    last_ts = None; epochs_opened = 0; restamps_rev = [] }
+
+let copy_state st =
+  { st with own = Array.map Swsr_atomic.copy_wstate st.own;
+            views = Array.map Swsr_atomic.copy_rstate st.views }
+
+type layout = {
+  id : int;
+  cfg : config;
+  params : Params.t;
+  own : Swmr.layout;
+  views : Swmr.layout array;
+  wprobe : Instr.probe option;
+  rprobe : Instr.probe option;
+}
+
+let layout ?engine ~params ~cfg ~id ~client_id () =
   if id < 0 || id >= cfg.m then invalid_arg "Mwmr.process: id out of range";
-  let engine = Net.engine net in
-  let own =
-    Swmr.writer ~net ~client_id
-      ~base_inst:(cfg.base_inst + (id * cfg.m))
-      ~readers:cfg.m ~modulus:cfg.modulus ()
-  in
-  let views =
-    Array.init cfg.m (fun j ->
-        Swmr.reader ~net ~client_id
-          ~base_inst:(cfg.base_inst + (j * cfg.m))
-          ~reader_index:id ~modulus:cfg.modulus ())
-  in
-  {
-    id;
-    net;
-    cfg;
-    own;
-    views;
-    wprobe = Instr.probe ~engine ~client:client_id ~reg:"mwmr" `Write;
-    rprobe = Instr.probe ~engine ~client:client_id ~reg:"mwmr" `Read;
-    last_ts = None;
-    epochs_opened = 0;
-    restamps_rev = [];
-  }
+  Seqnum.validate_modulus cfg.modulus;
+  { id; cfg; params;
+    own =
+      Swmr.layout ?engine ~params ~client_id `Write
+        (Array.init cfg.m (fun j -> cfg.base_inst + (id * cfg.m) + j));
+    views =
+      Array.init cfg.m (fun j ->
+          Swmr.layout ?engine ~params ~client_id `Read
+            [| cfg.base_inst + (j * cfg.m) + id |]);
+    wprobe = Collect.probe ?engine ~client:client_id ~reg:"mwmr" `Write;
+    rprobe = Collect.probe ?engine ~client:client_id ~reg:"mwmr" `Read }
 
 (* A value read back from an underlying SWMR register is expected to be a
    (data, epoch, seq) triple; anything else is debris from corruption or an
@@ -70,33 +71,34 @@ let decode ~k v =
 (* Lines 01 and 09: collect this process's view of REG[1..m].  A sub-read
    that exhausts the inquiry budget (possible only before the registers'
    writers have written post-fault) is absorbed as a genesis-stamped Bot
-   triple; see the [view_budget] documentation.  Returns the views plus
-   the worst sub-read outcome, so a view assembled while servers were
+   triple; see the [view_budget] documentation.  Continues with the views
+   plus the worst sub-read outcome, so a view assembled while servers were
    unreachable is reported as degraded rather than silently partial. *)
-let read_views ?parent ?max_iterations p =
-  let k = epoch_k p.cfg in
+let read_views ?max_iterations l get k =
+  let k_epoch = epoch_k l.cfg in
   let budget =
-    match max_iterations with Some b -> b | None -> p.cfg.view_budget
+    match max_iterations with Some b -> b | None -> l.cfg.view_budget
   in
-  let worst = ref (Outcome.Ok ()) in
-  let views =
-    Array.map
-      (fun r ->
-        match Swmr.read ?parent ~max_iterations:budget r with
-        | Outcome.Ok v -> decode ~k v
-        | (Outcome.Degraded _ | Outcome.Timed_out _) as o ->
-          worst := Outcome.worse !worst (Outcome.map (fun _ -> ()) o);
-          (Value.bot, Epoch.genesis ~k, 0))
-      p.views
+  let rec go j views worst =
+    if j = Array.length l.views then k (Array.of_list (List.rev views), worst)
+    else
+      Swmr.read_op ~max_iterations:budget l.views.(j) ~modulus:l.cfg.modulus
+        (fun c -> (get c : state).views.(j))
+        (function
+          | Outcome.Ok v -> go (j + 1) (decode ~k:k_epoch v :: views) worst
+          | (Outcome.Degraded _ | Outcome.Timed_out _) as o ->
+            go (j + 1)
+              ((Value.bot, Epoch.genesis ~k:k_epoch, 0) :: views)
+              (Outcome.worse worst (Outcome.map (fun _ -> ()) o)))
   in
-  (views, !worst)
+  go 0 [] (Outcome.Ok ())
 
 (* Degraded views only surface in the typed outcome when waits have a
    deadline: under the paper's unbounded wait, absorbing failed sub-reads
    as genesis triples is the algorithm's normal (and only) path, and the
    operation succeeds with the absorbed result. *)
-let view_gate p o =
-  match (Params.retry (Net.params p.net)).Params.deadline with
+let view_gate l o =
+  match (Params.retry l.params).Params.deadline with
   | None -> Outcome.Ok ()
   | Some _ -> o
 
@@ -113,10 +115,10 @@ let rec exhausted ~seq_bound views me j =
      || exhausted ~seq_bound views me (j + 1))
 
 (* Lines 02 / 10: no greatest epoch, or its sequence space is exhausted. *)
-let must_open_epoch p views =
+let must_open_epoch l views =
   match Epoch.max_epoch_by view_epoch views with
   | None -> true
-  | Some me -> exhausted ~seq_bound:p.cfg.seq_bound views me 0
+  | Some me -> exhausted ~seq_bound:l.cfg.seq_bound views me 0
 
 let rec holders_seq_max views me j acc =
   if j >= Array.length views then acc
@@ -132,25 +134,26 @@ let frontier views =
   | None -> None
   | Some me -> Some (me, holders_seq_max views me 0 min_int)
 
-let write ?parent p v =
-  Instr.run ?parent p.wprobe (fun ctx ->
-      let views, view_health = read_views ~parent:ctx p in
-      if must_open_epoch p views then begin
-        let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
-        p.epochs_opened <- p.epochs_opened + 1;
-        views.(p.id) <- (v, ne, 0) (* line 03 *)
-      end;
-      match frontier views with
-      | None -> assert false (* next_epoch dominates every view epoch *)
-      | Some (me, seq_max) ->
-        let ts_seq = seq_max + 1 in
-        p.last_ts <- Some (me, ts_seq);
-        (* line 07 *)
-        let wo =
-          Swmr.write ~parent:ctx p.own
-            (Value.stamped ~data:v ~epoch:me ~seq:ts_seq)
-        in
-        Outcome.worse wo (view_gate p view_health))
+let write_own l get v =
+  Swmr.write_op l.own ~modulus:l.cfg.modulus (fun j c -> (get c : state).own.(j)) v
+
+let write_op l get v =
+  Collect.scoped l.wprobe (fun k ->
+      read_views l get (fun (views, view_health) c ->
+          let p : state = get c in
+          if must_open_epoch l views then begin
+            let ne = Epoch.next_epoch ~k:(epoch_k l.cfg) (view_epochs views) in
+            p.epochs_opened <- p.epochs_opened + 1;
+            views.(l.id) <- (v, ne, 0) (* line 03 *)
+          end;
+          match frontier views with
+          | None -> assert false (* next_epoch dominates every view epoch *)
+          | Some (me, seq_max) ->
+            let ts_seq = seq_max + 1 in
+            p.last_ts <- Some (me, ts_seq);
+            (* line 07 *)
+            write_own l get (Value.stamped ~data:v ~epoch:me ~seq:ts_seq)
+              (fun wo -> k (Outcome.worse wo (view_gate l view_health))) c))
 
 (* From view [j] on, by [step]: the first view holding the frontier
    timestamp. *)
@@ -164,51 +167,68 @@ let rec newest views ((me, seq_max) as fr) j ~step =
 
 (* Line 15: among the views holding the frontier timestamp, the minimal
    index (or the maximal one, as configured). *)
-let pick_return p views fr =
-  match p.cfg.tie with
+let pick_return l views fr =
+  match l.cfg.tie with
   | `Min_index -> newest views fr 0 ~step:1
   | `Max_index -> newest views fr (Array.length views - 1) ~step:(-1)
 
+let read_op ?max_iterations l get =
+  Collect.scoped l.rprobe (fun k ->
+      read_views ?max_iterations l get (fun (views, view_health) c ->
+          let restamp =
+            if not (must_open_epoch l views) then None
+            else begin
+              (* Line 11: restamp our own current value into a fresh epoch. *)
+              let ne = Epoch.next_epoch ~k:(epoch_k l.cfg) (view_epochs views) in
+              let own_v, _, _ = views.(l.id) in
+              views.(l.id) <- (own_v, ne, 0);
+              Some (own_v, ne)
+            end
+          in
+          let gate = view_gate l view_health in
+          let result =
+            match frontier views with
+            | None ->
+              Outcome.Timed_out
+                (Option.value ~default:Outcome.no_reason (Outcome.reason gate))
+            | Some ((me, seq_max) as fr) ->
+              let j, v = pick_return l views fr in
+              Outcome.map (fun () -> (v, me, seq_max, j)) gate
+          in
+          match restamp with
+          | None -> k result c
+          | Some (own_v, ne) ->
+            let p : state = get c in
+            p.epochs_opened <- p.epochs_opened + 1;
+            p.restamps_rev <- (own_v, ne, 0) :: p.restamps_rev;
+            write_own l get (Value.stamped ~data:own_v ~epoch:ne ~seq:0) (fun _ -> k result) c))
+
+type process = { net : Net.t; port : Net.client_port; layout : layout; st : state }
+
+let process ~net ~cfg ~id ~client_id =
+  let layout = layout ~engine:(Net.engine net) ~params:(Net.params net) ~cfg ~id ~client_id () in
+  { net; port = Net.add_client net ~id:client_id; layout; st = fresh_state cfg }
+
+let state (p : process) = p.st
+
+let run ?parent p op = Collect.run ?span:parent ~net:p.net ~port:p.port p op
+
+let write ?parent p v = run ?parent p (write_op p.layout state v)
+
 let read_timestamped ?parent ?max_iterations p =
-  Instr.run ?parent p.rprobe (fun ctx ->
-      let views, view_health = read_views ~parent:ctx ?max_iterations p in
-      if must_open_epoch p views then begin
-        (* Line 11: restamp our own current value into a fresh epoch. *)
-        let ne = Epoch.next_epoch ~k:(epoch_k p.cfg) (view_epochs views) in
-        p.epochs_opened <- p.epochs_opened + 1;
-        let own_v, _, _ = views.(p.id) in
-        views.(p.id) <- (own_v, ne, 0);
-        p.restamps_rev <- (own_v, ne, 0) :: p.restamps_rev;
-        ignore
-          (Swmr.write ~parent:ctx p.own
-             (Value.stamped ~data:own_v ~epoch:ne ~seq:0))
-      end;
-      let gate = view_gate p view_health in
-      match frontier views with
-      | None ->
-        Outcome.Timed_out
-          (Option.value ~default:Outcome.no_reason (Outcome.reason gate))
-      | Some ((me, seq_max) as fr) ->
-        let j, v = pick_return p views fr in
-        Outcome.map (fun () -> (v, me, seq_max, j)) gate)
+  run ?parent p (read_op ?max_iterations p.layout state)
 
 let read ?parent ?max_iterations p =
   read_timestamped ?parent ?max_iterations p
   |> Outcome.map (fun (v, _, _, _) -> v)
 
-let id p = p.id
+let id p = p.layout.id
 
-let last_write_timestamp p = p.last_ts
+let last_write_timestamp p = p.st.last_ts
 
-let epochs_opened p = p.epochs_opened
-
-let restamps p = List.rev p.restamps_rev
-
-let own p = p.own
-
-let views p = p.views
+let epochs_opened p = p.st.epochs_opened
 
 let take_restamps p =
-  let log = List.rev p.restamps_rev in
-  p.restamps_rev <- [];
+  let log = List.rev p.st.restamps_rev in
+  p.st.restamps_rev <- [];
   log

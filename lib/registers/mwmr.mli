@@ -76,20 +76,40 @@ val last_write_timestamp : process -> (Epoch.t * int) option
 val epochs_opened : process -> int
 (** How many times this process executed the next_epoch branch. *)
 
-val restamps : process -> (Value.t * Epoch.t * int) list
-(** The pending line-11 internal-write log, oldest first, without clearing
-    it — for state fingerprinting by the model checker. *)
-
-val own : process -> Swmr.writer
-(** The underlying SWMR writer endpoint this process owns (for state
-    inspection; mutating it directly voids the register's guarantees). *)
-
-val views : process -> Swmr.reader array
-(** The underlying SWMR reader endpoints, one per register (for state
-    inspection). *)
-
 val take_restamps : process -> (Value.t * Epoch.t * int) list
 (** Line-11 internal writes performed by this process's reads since the
     last call (value restamped, fresh epoch, seq = 0), oldest first, and
     clear the log.  Histories fed to the {!Oracles.Atomicity.Mw} checker
     must include these as writes: they modify the register. *)
+
+(** {2 As round automata} *)
+
+type state = {
+  own : Swsr_atomic.wstate array;  (** [REG\[id\]]'s copy for each reader *)
+  views : Swsr_atomic.rstate array;  (** this reader's copy of each [REG\[j\]] *)
+  mutable last_ts : (Epoch.t * int) option;
+  mutable epochs_opened : int;
+  mutable restamps_rev : (Value.t * Epoch.t * int) list;
+      (** what {!take_restamps} drains, newest first *)
+}
+
+val fresh_state : config -> state
+
+val copy_state : state -> state
+
+type layout
+(** One process's id, configuration, register sites and probes. *)
+
+val layout :
+  ?engine:Sim.Engine.t -> params:Params.t -> cfg:config -> id:int ->
+  client_id:int -> unit -> layout
+(** Probes only with an [engine]. *)
+
+val write_op :
+  layout -> ('c -> state) -> Value.t -> ('c, unit Outcome.t, 'r) Collect.op
+(** {!write}; the getter finds the process's state in the client state. *)
+
+val read_op :
+  ?max_iterations:int -> layout -> ('c -> state) ->
+  ('c, (Value.t * Epoch.t * int * int) Outcome.t, 'r) Collect.op
+(** {!read_timestamped}. *)

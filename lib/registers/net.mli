@@ -137,6 +137,10 @@ val answer :
 val install_honest_server : t -> Server.t -> unit
 (** Wire server slot [Server.id] to the honest automaton. *)
 
+val round_modulus : int
+(** Round tags live in [\[0, round_modulus)]: a broadcast's tag is the
+    port's previous one plus one, modulo this. *)
+
 val ss_broadcast :
   ?span:Obs.Trace_ctx.span ->
   t ->

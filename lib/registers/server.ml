@@ -32,6 +32,9 @@ let instance t inst =
     i
   end
 
+let copy t =
+  { t with insts = Array.map (fun i -> if i == absent then i else { i with helping = i.helping }) t.insts }
+
 let instances t =
   let acc = ref [] in
   for k = Array.length t.insts - 1 downto 0 do

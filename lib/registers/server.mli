@@ -34,6 +34,9 @@ val instance : t -> int -> instance
     access).  Instances are non-negative and index a dense table, so keep
     them small and consecutive. *)
 
+val copy : t -> t
+(** An independent server with the same instances and content. *)
+
 val instances : t -> (int * instance) list
 (** The instances created so far, ascending. *)
 

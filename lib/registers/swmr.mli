@@ -42,8 +42,27 @@ val read :
   Value.t Outcome.t
 (** swmr_read() by this reader: prac_at_read its own copy. *)
 
-val copies : writer -> Swsr_atomic.writer array
-(** The underlying per-reader SWSR writers (inspection/fault targets). *)
+val copies : writer -> Swsr_atomic.wstate array
+(** The writer's state for each per-reader SWSR copy (inspection/fault
+    targets). *)
 
-val sr_reader : reader -> Swsr_atomic.reader
-(** The underlying SWSR reader (inspection/fault target). *)
+(** {2 As round automata} *)
+
+type layout = { probe : Instr.probe option; sites : Collect.site array }
+(** The composite's span probe and the sites of the SWSR copies it runs:
+    one per reader for a writer, the reader's own for a reader. *)
+
+val layout :
+  ?engine:Sim.Engine.t -> params:Params.t -> client_id:int ->
+  Obs.Event.op_kind -> int array -> layout
+(** The layout over the given register instances; probes only with an
+    [engine]. *)
+
+val write_op :
+  layout -> modulus:int -> (int -> 'c -> Swsr_atomic.wstate) -> Value.t ->
+  ('c, unit Outcome.t, 'r) Collect.op
+(** {!write}; the getter finds copy [j]'s state. *)
+
+val read_op :
+  ?max_iterations:int -> layout -> modulus:int -> ('c -> Swsr_atomic.rstate) ->
+  ('c, Value.t Outcome.t, 'r) Collect.op

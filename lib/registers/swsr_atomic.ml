@@ -1,62 +1,65 @@
-type writer = { ep : Collect.endpoint; modulus : int; mutable wsn : Seqnum.t }
+type wstate = { mutable wsn : Seqnum.t }
 
-type reader = {
-  ep : Collect.endpoint;
-  modulus : int;
-  sanity_check : bool;
+type rstate = {
   mutable pwsn : Seqnum.t;
   mutable pv : Value.t;
   mutable preventions : int;
+  tally : Collect.tally;
 }
+
+let fresh_wstate () = { wsn = Seqnum.zero }
+
+let fresh_rstate () =
+  { pwsn = Seqnum.zero; pv = Value.bot; preventions = 0; tally = Collect.fresh_tally () }
+
+let copy_wstate w = { wsn = w.wsn }
+
+let copy_rstate r = { r with tally = Collect.copy_tally r.tally }
+
+type writer = { ep : Collect.endpoint; modulus : int; st : wstate }
+
+type reader = { ep : Collect.endpoint; modulus : int; sanity_check : bool; st : rstate }
 
 let writer ~net ~client_id ~inst ?(modulus = Seqnum.default_modulus) () =
   Seqnum.validate_modulus modulus;
-  {
-    ep = Collect.endpoint ~net ~client_id ~inst ~reg:"swsr_atomic" `Write;
-    modulus;
-    wsn = Seqnum.zero;
-  }
+  { ep = Collect.endpoint ~net ~client_id ~inst ~reg:"swsr_atomic" `Write;
+    modulus; st = fresh_wstate () }
 
 let reader ~net ~client_id ~inst ?(modulus = Seqnum.default_modulus)
     ?(sanity_check = true) () =
   Seqnum.validate_modulus modulus;
-  {
-    ep = Collect.endpoint ~net ~client_id ~inst ~reg:"swsr_atomic" `Read;
-    modulus;
-    sanity_check;
-    pwsn = Seqnum.zero;
-    pv = Value.bot;
-    preventions = 0;
-  }
+  { ep = Collect.endpoint ~net ~client_id ~inst ~reg:"swsr_atomic" `Read;
+    modulus; sanity_check; st = fresh_rstate () }
 
 (* prac_at_write(v): lines N1, 01M, 02-06. *)
-let write ?parent (w : writer) v =
-  Collect.op ?parent w.ep (fun span ->
-      w.wsn <- Seqnum.succ ~modulus:w.modulus w.wsn;
-      Collect.write_round ~span w.ep { Messages.sn = w.wsn; v })
+let write_op (site : Collect.site) ~modulus get v =
+  Collect.scoped ~leaf:true site.probe (fun k c ->
+      let w = get c in
+      w.wsn <- Seqnum.succ ~modulus w.wsn;
+      Collect.write_round site { Messages.sn = w.wsn; v } k c)
 
 (* Lines N2-N7: sanity-check the local pair (pwsn, pv) against a quorum of
    helping values.  READ(false) does not reset any helping_val.  The check
    is advisory, so an expired attempt simply skips it. *)
-let sanity_round ~span (r : reader) =
-  let { Collect.net; port; inst; _ } = r.ep in
-  let round = Net.ss_broadcast ~span net port ~inst (Messages.Read false) in
-  let a =
-    Collect.attempt_once ~net ~port ~round ~attempt:0 ~wanted:Collect.Read_acks
-  in
-  let threshold = Params.read_quorum (Net.params net) in
-  match Quorum.find_ack_help ~threshold a.Collect.answers with
-  | Some { Messages.sn; v } ->
-    if Seqnum.gt_cd ~modulus:r.modulus r.pwsn sn then begin
-      r.pwsn <- sn;
-      r.pv <- v
-    end
-  | None -> ()
+let sanity_round (site : Collect.site) ~modulus get k =
+  let threshold = Params.read_quorum site.params in
+  Collect.round ~wanted:Collect.Read_acks ~inst:site.inst (Messages.Read false)
+    (fun a c ->
+      (match Quorum.find_ack_help ~threshold a.Collect.answers with
+      | Some { Messages.sn; v } ->
+        let r = get c in
+        if Seqnum.gt_cd ~modulus r.pwsn sn then begin
+          r.pwsn <- sn;
+          r.pv <- v
+        end
+      | None -> ());
+      k () c)
 
 (* prac_at_read(): lines N2-N7 (sanity check) then 07-18 with 13M/15M. *)
-let read ?parent ?max_iterations (r : reader) =
-  let on_cell { Messages.sn; v } =
-    if Seqnum.gt_cd ~modulus:r.modulus sn r.pwsn then begin
+let read_op ?max_iterations (site : Collect.site) ~modulus ~sanity_check get =
+  let on_cell c { Messages.sn; v } =
+    let r = get c in
+    if Seqnum.gt_cd ~modulus sn r.pwsn then begin
       (* line 13M2 *)
       r.pwsn <- sn;
       r.pv <- v;
@@ -68,40 +71,52 @@ let read ?parent ?max_iterations (r : reader) =
       r.pv
     end
   in
-  let on_help { Messages.sn; v } =
+  let on_help c { Messages.sn; v } =
     (* line 15M: already atomic *)
+    let r = get c in
     r.pwsn <- sn;
     r.pv <- v;
     v
   in
-  Collect.op ?parent r.ep (fun span ->
-      if r.sanity_check then sanity_round ~span r;
-      Collect.read_loop ~span ?max_iterations r.ep ~on_cell ~on_help)
+  let loop = Collect.read_loop ?max_iterations site ~tally:(fun c -> (get c).tally) ~on_cell ~on_help in
+  Collect.scoped ~leaf:true site.probe
+    (if sanity_check then fun k ->
+       sanity_round site ~modulus get (fun () -> loop k)
+     else loop)
 
-let wsn w = w.wsn
+let write ?parent (w : writer) v =
+  Collect.run ?span:parent ~net:w.ep.net ~port:w.ep.port w
+    (write_op w.ep.site ~modulus:w.modulus (fun (w : writer) -> w.st) v)
 
-let set_wsn (w : writer) sn = w.wsn <- Seqnum.norm ~modulus:w.modulus sn
+let read ?parent ?max_iterations (r : reader) =
+  Collect.run ?span:parent ~net:r.ep.net ~port:r.ep.port r
+    (read_op ?max_iterations r.ep.site ~modulus:r.modulus
+       ~sanity_check:r.sanity_check (fun (r : reader) -> r.st))
 
-let pwsn r = r.pwsn
+let wsn (w : writer) = w.st.wsn
 
-let pv r = r.pv
+let set_wsn (w : writer) sn = w.st.wsn <- Seqnum.norm ~modulus:w.modulus sn
 
-let corrupt_writer (w : writer) rng = w.wsn <- Sim.Rng.int rng w.modulus
+let pwsn (r : reader) = r.st.pwsn
 
-let corrupt_reader r rng =
-  r.pwsn <- Sim.Rng.int rng r.modulus;
-  r.pv <- Value.arbitrary rng
+let pv (r : reader) = r.st.pv
 
-let corrupt_reader_to r ~pwsn ~pv =
-  r.pwsn <- Seqnum.norm ~modulus:r.modulus pwsn;
-  r.pv <- pv
+let corrupt_writer (w : writer) rng = w.st.wsn <- Sim.Rng.int rng w.modulus
 
-let reader_iterations r = r.ep.Collect.iterations
+let corrupt_reader (r : reader) rng =
+  r.st.pwsn <- Sim.Rng.int rng r.modulus;
+  r.st.pv <- Value.arbitrary rng
 
-let help_returns r = r.ep.Collect.help_returns
+let corrupt_reader_to (r : reader) ~pwsn ~pv =
+  r.st.pwsn <- Seqnum.norm ~modulus:r.modulus pwsn;
+  r.st.pv <- pv
 
-let inversion_preventions r = r.preventions
+let reader_iterations (r : reader) = r.st.tally.iterations
 
-let writer_port (w : writer) = w.ep.Collect.port
+let help_returns (r : reader) = r.st.tally.help_returns
 
-let reader_port (r : reader) = r.ep.Collect.port
+let inversion_preventions (r : reader) = r.st.preventions
+
+let writer_port (w : writer) = w.ep.port
+
+let reader_port (r : reader) = r.ep.port

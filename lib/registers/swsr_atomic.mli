@@ -10,6 +10,25 @@
     exactly the process-local state transient faults may corrupt — register
     them with a {!Sim.Fault} plan via {!corrupt_writer} / {!corrupt_reader}. *)
 
+type wstate = { mutable wsn : Seqnum.t }
+(** The writer's protocol state. *)
+
+type rstate = {
+  mutable pwsn : Seqnum.t;
+  mutable pv : Value.t;
+  mutable preventions : int;
+  tally : Collect.tally;
+}
+(** The reader's protocol state. *)
+
+val fresh_wstate : unit -> wstate
+
+val fresh_rstate : unit -> rstate
+
+val copy_wstate : wstate -> wstate
+
+val copy_rstate : rstate -> rstate
+
 type writer
 
 type reader
@@ -48,6 +67,16 @@ val read :
     with a typed service-level outcome (see {!Swsr_regular.read}).  Must
     run inside a fiber.  The sanity phase's collection attempt waits like
     any other and is skipped when it expires — it is advisory. *)
+
+val write_op :
+  Collect.site -> modulus:int -> ('c -> wstate) -> Value.t ->
+  ('c, unit Outcome.t, 'r) Collect.op
+(** {!write} as a round automaton; the getter finds the writer's state in
+    the client state each time the operation resumes. *)
+
+val read_op :
+  ?max_iterations:int -> Collect.site -> modulus:int -> sanity_check:bool ->
+  ('c -> rstate) -> ('c, Value.t Outcome.t, 'r) Collect.op
 
 val wsn : writer -> Seqnum.t
 (** Current write sequence number (inspection). *)

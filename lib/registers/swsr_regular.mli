@@ -40,6 +40,13 @@ val read :
     outside those assumptions without hanging — or, under a bounded
     policy, once its attempt budget of expired rounds is spent. *)
 
+val write_op : Collect.site -> Value.t -> ('c, unit Outcome.t, 'r) Collect.op
+(** {!write} as a round automaton. *)
+
+val read_op :
+  ?max_iterations:int -> Collect.site -> tally:('c -> Collect.tally) ->
+  ('c, Value.t Outcome.t, 'r) Collect.op
+
 val reader_iterations : reader -> int
 (** Total inquiry-loop iterations executed by this reader so far (cost
     metric for experiment E5). *)

@@ -82,8 +82,6 @@ let send t m = ignore (transmit_timed t m)
 
 let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
 
-let pending t = Queue.length t.flight
-
 let fire_head t ~not_before =
   (not (Queue.is_empty t.flight))
   && Engine.fire_action t.engine ~action:t.arrive ~not_before

@@ -51,10 +51,6 @@ val send_timed : ?on_delivered:(unit -> unit) -> 'm t -> 'm -> Vtime.t
     synchronized delivery property (return after the (n-2t)-th correct
     delivery) under any scheduling order. *)
 
-val pending : 'm t -> int
-(** Messages in transit, live or dropped by a transient fault: each one
-    holds exactly one queued delivery event. *)
-
 val fire_head : 'm t -> not_before:Vtime.t -> bool
 (** Fire the link's FIFO head delivery out of engine order, after
     {!Engine.advance_to}[ not_before] — how a model checker picks the

@@ -97,6 +97,4 @@ let drain t =
   in
   loop []
 
-let to_list t = List.of_seq (Queue.to_seq t.queue)
-
 let length t = Queue.length t.queue

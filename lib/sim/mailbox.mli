@@ -41,8 +41,4 @@ val collect :
 val drain : 'm t -> 'm list
 (** Dequeue everything currently queued, without blocking. *)
 
-val to_list : 'm t -> 'm list
-(** Everything currently queued, oldest first, without dequeuing — for
-    state fingerprinting by the model checker. *)
-
 val length : 'm t -> int

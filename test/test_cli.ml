@@ -303,6 +303,21 @@ let test_shard_expect_every_mode () =
   check_exit "sweep --expect-isolated" 124 (sweep @ [ "--expect-isolated" ]);
   Sys.remove (Filename.concat out "shard-S1-seed1.json")
 
+(* A round corruption aimed at a client the family does not have would
+   be a silent no-op move: the config is rejected before any search. *)
+let test_mc_round_client_checked () =
+  let code, err =
+    eval
+      [
+        "mc"; "--family"; "regular"; "--servers"; "3"; "-t"; "0"; "--corrupt";
+        "round:999:5"; "--expect"; "clean";
+      ]
+  in
+  check_int "round:999 exits 124" 124 code;
+  check_true "names the client"
+    (String.starts_with
+       ~prefix:"stabreg-experiments: round corruption names client 999" err)
+
 let tests =
   [
     case "help surface pinned" test_help_surface;
@@ -311,6 +326,8 @@ let tests =
     case "chaos replay honours --expect" test_chaos_replay_expect;
     case "mc replay honours --expect" test_mc_replay_expect;
     case "malformed mc labels exit 124" test_mc_malformed_labels;
+    case "mc round corruption names a real client"
+      test_mc_round_client_checked;
     case "recovery replay honours --expect-converged"
       test_recovery_replay_expect;
     case "shard expectations judge every mode" test_shard_expect_every_mode;

@@ -352,6 +352,84 @@ let test_golden_walks_cover_ties () =
          tied)
        golden_walks)
 
+(* --- cloned states ------------------------------------------------------ *)
+
+(* One config per family, with every corruption kind the family admits
+   on the menu and a colluding server, so walks cross server, client,
+   round-tag and crash-recovery corruption. *)
+let clone_cfgs =
+  let server = Mc.Config.Corrupt_server { server = 1; sn = 9; v = 99 } in
+  let crash = Mc.Config.Crash_recover { server = 2 } in
+  let byz = [ (3, Mc.Config.Collude { sn = 5; v = 77 }) ] in
+  [|
+    {
+      n4_silent with
+      Mc.Config.byz;
+      menu =
+        [ server; Mc.Config.Corrupt_round { client = 101; round = 0 }; crash ];
+    };
+    {
+      n4_silent with
+      Mc.Config.family = Mc.Config.Atomic;
+      byz;
+      menu =
+        [
+          server; Mc.Config.Corrupt_round { client = 100; round = 3 }; crash;
+          Mc.Config.Corrupt_reader { pwsn = 3; v = 5 };
+          Mc.Config.Corrupt_writer_sn 7;
+        ];
+    };
+    {
+      n4_silent with
+      Mc.Config.family = Mc.Config.Mwmr;
+      byz;
+      menu =
+        [ server; Mc.Config.Corrupt_round { client = 301; round = 0 }; crash ];
+    };
+  |]
+
+(* Fire up to [steps] uniformly drawn enabled moves; the moves fired. *)
+let random_walk st sys steps =
+  let rec go k acc =
+    match Mc.Sys.enabled sys with
+    | [] -> List.rev acc
+    | _ when k = 0 -> List.rev acc
+    | moves ->
+      let moves = Array.of_list moves in
+      let mv = moves.(Random.State.int st (Array.length moves)) in
+      check_true "walk move applies" (Mc.Sys.apply sys mv);
+      go (k - 1) (mv :: acc)
+  in
+  go steps []
+
+(* A clone starts equal to its original and evolves independently: the
+   original's fingerprint, menu and history stay put while the clone
+   walks on, and the same moves then bring both to the same state. *)
+let prop_clone_isolation =
+  QCheck.Test.make ~count:60 ~name:"a cloned state evolves independently"
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 100_000) (int_range 0 40)
+        (int_range 1 30))
+    (fun (family, seed, prefix, steps) ->
+      let cfg = clone_cfgs.(family) in
+      let st = Random.State.make [| seed |] in
+      let sys = Mc.Sys.create cfg in
+      ignore (random_walk st sys prefix);
+      let fp = Mc.Sys.fingerprint sys in
+      let moves = Mc.Sys.enabled sys in
+      let ops = Oracles.History.ops (Mc.Sys.history sys) in
+      let copy = Mc.Sys.clone sys in
+      let same_start = String.equal (Mc.Sys.fingerprint copy) fp in
+      let walked = random_walk st copy steps in
+      let untouched =
+        String.equal (Mc.Sys.fingerprint sys) fp
+        && List.equal Mc.Sys.move_equal (Mc.Sys.enabled sys) moves
+        && Oracles.History.ops (Mc.Sys.history sys) = ops
+      in
+      List.iter (fun mv -> ignore (Mc.Sys.apply sys mv)) walked;
+      same_start && untouched
+      && String.equal (Mc.Sys.fingerprint sys) (Mc.Sys.fingerprint copy))
+
 (* --- typed moves against their label-string definitions --------------- *)
 
 (* Every link of an n = 12 deployment: two clients, both directions,
@@ -495,15 +573,48 @@ let test_deliver_labels_decode_strictly () =
       "link:bogus"; "link:c100-s0"; "link:c100->s"; "link:c0100->s3";
       "link:c100->s3 "; "link:c100->c3"; "link:s3->s100"; "c100->s3";
       "link:c-1->s3"; "link:c100->s3->s4"; "link:c1_0->s3"; "";
-    ]
+    ];
+  (* A negative menu item or tick index names no move: both decoders
+     reject it, naming the field. *)
+  List.iter
+    (fun (kind, name) ->
+      let j =
+        let open Obs.Json in
+        match cex with
+        | Obj fields ->
+          Obj
+            (List.map
+               (function
+                 | "trace", List (_ :: rest) ->
+                   ("trace", List (Obj [ ("move", Str kind); (name, Int (-1)) ] :: rest))
+                 | kv -> kv)
+               fields)
+        | _ -> cex
+      in
+      let names_field = function
+        | Ok _ -> false
+        | Error e ->
+          let needle = "." ^ name ^ ": negative" in
+          let n = String.length needle in
+          let rec scan i =
+            i + n <= String.length e
+            && (String.equal (String.sub e i n) needle || scan (i + 1))
+          in
+          scan 0
+      in
+      check_true (kind ^ " -1 rejected by the cex decoder")
+        (names_field (Result.map ignore (Mc.Checker.cex_of_json j)));
+      check_true (kind ^ " -1 rejected by the guide decoder")
+        (names_field (Result.map ignore (Mc.Checker.guide_of_json j))))
+    [ ("corrupt", "item"); ("tick", "index") ]
 
 (* --- stats golden ------------------------------------------------------ *)
 
 (* Every counter of a sequential search, pinned.  The visited set, the
-   sleep-set and symmetry reductions, the budgets and the replay
-   accounting all feed them, so a change to the expansion step that is
-   not a pure refactor moves at least one.  [trace] is the violating
-   trace's length, -1 when there is none. *)
+   sleep-set and symmetry reductions and the budgets all feed them, so a
+   change to the expansion step that is not a pure refactor moves at
+   least one; [replays] stays 0, as a search clones states.  [trace] is
+   the violating trace's length, -1 when there is none. *)
 let stats_line (o : Mc.Checker.outcome) =
   let s = o.Mc.Checker.stats in
   Printf.sprintf
@@ -526,38 +637,38 @@ let stats_goldens =
       (fun () -> Mc.Checker.search ~seed:1 n4_silent),
       "clean exhaustive=true trace=-1 states=27475 transitions=27474 \
        terminals=44 revisits=20739 sleep_skips=23528 sym_skips=6011 \
-       replays=15840 off_target=0 fp_collisions=0 peak_visited=6692 \
+       replays=0 off_target=0 fp_collisions=0 peak_visited=6692 \
        max_depth_seen=25 truncated=false" );
     ( "tiny regular",
       (fun () -> Mc.Checker.search tiny_cfg),
       "clean exhaustive=true trace=-1 states=1805 transitions=1804 \
        terminals=13 revisits=1193 sleep_skips=1139 sym_skips=406 \
-       replays=923 off_target=0 fp_collisions=0 peak_visited=599 \
+       replays=0 off_target=0 fp_collisions=0 peak_visited=599 \
        max_depth_seen=15 truncated=false" );
     ( "tiny atomic",
       (fun () ->
         Mc.Checker.search { tiny_cfg with Mc.Config.family = Mc.Config.Atomic }),
       "clean exhaustive=true trace=-1 states=3540 transitions=3539 \
        terminals=13 revisits=2383 sleep_skips=2150 sym_skips=796 \
-       replays=1856 off_target=0 fp_collisions=0 peak_visited=1144 \
+       replays=0 off_target=0 fp_collisions=0 peak_visited=1144 \
        max_depth_seen=21 truncated=false" );
     ( "tiny regular, no reduction",
       (fun () -> Mc.Checker.search ~reduction:Mc.Checker.No_reduction tiny_cfg),
       "clean exhaustive=true trace=-1 states=2233 transitions=2232 \
-       terminals=13 revisits=1619 sleep_skips=0 sym_skips=0 replays=1631 \
+       terminals=13 revisits=1619 sleep_skips=0 sym_skips=0 replays=0 \
        off_target=0 fp_collisions=0 peak_visited=601 max_depth_seen=15 \
        truncated=false" );
     ( "tiny regular, no visited set, truncated",
       (fun () ->
         Mc.Checker.search ~use_visited:false ~budgets:(budgets 500) tiny_cfg),
       "clean exhaustive=false trace=-1 states=500 transitions=500 \
-       terminals=95 revisits=0 sleep_skips=147 sym_skips=185 replays=187 \
+       terminals=95 revisits=0 sleep_skips=147 sym_skips=185 replays=0 \
        off_target=0 fp_collisions=0 peak_visited=0 max_depth_seen=15 \
        truncated=true" );
     ( "over-bound early stop",
       (fun () -> Mc.Checker.search overbound_cfg),
       "stuck exhaustive=false trace=32 states=33 transitions=32 terminals=1 \
-       revisits=0 sleep_skips=0 sym_skips=274 replays=31 off_target=0 \
+       revisits=0 sleep_skips=0 sym_skips=274 replays=0 off_target=0 \
        fp_collisions=0 peak_visited=32 max_depth_seen=32 truncated=false" );
     (* Two-digit server ids, where label order is not numeric order:
        [mc --family regular --servers 12 -t 1 --byz 1 --max-states
@@ -568,7 +679,7 @@ let stats_goldens =
           { n4_silent with Mc.Config.n = 12; read_budget = 8 }),
       "clean exhaustive=false trace=-1 states=3000 transitions=3000 \
        terminals=3 revisits=2079 sleep_skips=726 sym_skips=8257 \
-       replays=1990 off_target=0 fp_collisions=0 peak_visited=918 \
+       replays=0 off_target=0 fp_collisions=0 peak_visited=918 \
        max_depth_seen=58 truncated=true" );
     ( "over-bound inversion hunt",
       (fun () ->
@@ -576,7 +687,7 @@ let stats_goldens =
           overbound_cfg),
       "clean exhaustive=false trace=-1 states=2000 transitions=2000 \
        terminals=2 revisits=1446 sleep_skips=1712 sym_skips=3283 \
-       replays=1119 off_target=2 fp_collisions=0 peak_visited=552 \
+       replays=0 off_target=2 fp_collisions=0 peak_visited=552 \
        max_depth_seen=32 truncated=true" );
   ]
 
@@ -589,10 +700,10 @@ let test_stats_golden (search, expected) () =
 let profile_golden =
   {|{"schema":"stabreg/mc-profile/v1","kind":"mc","every":600,"samples":[
 {"tick":1,"elapsed_s":0.0,"states":1,"transitions":0,"depth":0,"max_depth":0,"visited":0,"revisits":0,"sleep_skips":0,"sym_skips":0,"fp_collisions":0,"replays":0,"terminals":0},
-{"tick":601,"elapsed_s":0.0,"states":601,"transitions":600,"depth":7,"max_depth":15,"visited":232,"revisits":358,"sleep_skips":279,"sym_skips":182,"fp_collisions":0,"replays":302,"terminals":10},
-{"tick":1201,"elapsed_s":0.0,"states":1201,"transitions":1200,"depth":8,"max_depth":15,"visited":420,"revisits":768,"sleep_skips":676,"sym_skips":259,"fp_collisions":0,"replays":619,"terminals":12},
-{"tick":1801,"elapsed_s":0.0,"states":1801,"transitions":1800,"depth":3,"max_depth":15,"visited":599,"revisits":1188,"sleep_skips":1129,"sym_skips":404,"fp_collisions":0,"replays":923,"terminals":13},
-{"tick":1805,"elapsed_s":0.0,"states":1805,"transitions":1804,"depth":15,"max_depth":15,"visited":599,"revisits":1193,"sleep_skips":1139,"sym_skips":406,"fp_collisions":0,"replays":923,"terminals":13}],
+{"tick":601,"elapsed_s":0.0,"states":601,"transitions":600,"depth":7,"max_depth":15,"visited":232,"revisits":358,"sleep_skips":279,"sym_skips":182,"fp_collisions":0,"replays":0,"terminals":10},
+{"tick":1201,"elapsed_s":0.0,"states":1201,"transitions":1200,"depth":8,"max_depth":15,"visited":420,"revisits":768,"sleep_skips":676,"sym_skips":259,"fp_collisions":0,"replays":0,"terminals":12},
+{"tick":1801,"elapsed_s":0.0,"states":1801,"transitions":1800,"depth":3,"max_depth":15,"visited":599,"revisits":1188,"sleep_skips":1129,"sym_skips":404,"fp_collisions":0,"replays":0,"terminals":13},
+{"tick":1805,"elapsed_s":0.0,"states":1805,"transitions":1804,"depth":15,"max_depth":15,"visited":599,"revisits":1193,"sleep_skips":1139,"sym_skips":406,"fp_collisions":0,"replays":0,"terminals":13}],
 "sections":{}}|}
 
 let test_profile_golden () =
@@ -631,3 +742,4 @@ let tests =
       (fun (name, search, expected) ->
         case ("stats golden: " ^ name) (test_stats_golden (search, expected)))
       stats_goldens
+  @ [ qcheck prop_clone_isolation ]

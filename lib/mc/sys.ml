@@ -29,13 +29,16 @@ let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
 
 (* The order of two non-negative ids' decimal renderings, without
    rendering them: their leading digits decide, then the shorter (a
-   prefix) sorts first — "10" < "100" < "2". *)
+   prefix) sorts first — "10" < "100" < "2".  Ids of one length, the
+   common case, are in numeric order. *)
 let compare_decimal a b =
   let da = digits a and db = digits b in
-  let common = min da db in
-  match Int.compare (a / pow10 (da - common)) (b / pow10 (db - common)) with
-  | 0 -> Int.compare da db
-  | c -> c
+  if da = db then Int.compare a b
+  else
+    let common = min da db in
+    match Int.compare (a / pow10 (da - common)) (b / pow10 (db - common)) with
+    | 0 -> Int.compare da db
+    | c -> c
 
 let compare_ids a1 a2 b1 b2 =
   match compare_decimal a1 a2 with 0 -> compare_decimal b1 b2 | c -> c
@@ -88,6 +91,16 @@ type t = {
   clients : client array; (* ascending client id *)
   proto : proto;
   history : Oracles.History.t;
+  (* The fingerprint's rendered sections, kept with the state they
+     render: [blocks.(s)] is server [s]'s block and [hist] the history
+     section, each [""] (no rendering is empty) once a move changed what
+     it renders.  The renderer fills a stale section and writes nothing
+     else, so only a state being fingerprinted is ever written here: a
+     frontier worker's frozen parent is fingerprinted before
+     {!clone} freezes it and never after, and the workers cloning it
+     concurrently only read its caches. *)
+  blocks : string array;
+  mutable hist : string;
   mutable clock : int;
   (* pending broadcast settlements of a zero target, oldest first: the
      unlabeled events [Tick]s fire *)
@@ -150,6 +163,7 @@ let clone t =
         t.clients;
     proto = copy_proto t.proto;
     history = Oracles.History.copy t.history;
+    blocks = Array.copy t.blocks;
   }
 
 let config t = t.cfg
@@ -177,6 +191,10 @@ let index t id =
 
 let push q x = q @ [ x ]
 
+(* Server [s]'s instances or one of its links changed: its cached block
+   is stale. *)
+let touch t s = t.blocks.(s) <- ""
+
 (* ------------------------------------------------------------------ *)
 (* Running the clients                                                *)
 
@@ -197,6 +215,7 @@ let rec run t ci = function
         span = Obs.Trace_ctx.none }
     in
     Array.iteri (fun s l -> q.(s) <- push l (env, c.broadcasts)) q;
+    Array.fill t.blocks 0 (Array.length t.blocks) "";
     if t.target = 0 then t.ticks <- push t.ticks (ci, c.broadcasts);
     c.wait <- Confirming { left = t.target; tag = c.round; wanted = r.wanted;
                            attempt = r.attempt; k = r.k }
@@ -248,6 +267,7 @@ let deliver t ci s ~to_server =
   match (to_server, t.requests.(ci).(s), t.replies.(ci).(s)) with
   | true, (env, b) :: rest, _ ->
     bump t;
+    touch t s;
     t.requests.(ci).(s) <- rest;
     serve t ci s env;
     (match c.wait with
@@ -258,6 +278,7 @@ let deliver t ci s ~to_server =
     true
   | false, _, env :: rest ->
     bump t;
+    touch t s;
     t.replies.(ci).(s) <- rest;
     (match c.wait with
     | Gathering { g; k } ->
@@ -271,6 +292,7 @@ let deliver t ci s ~to_server =
 (* The clients' workloads                                             *)
 
 let record t ~proc ~kind ~inv ?ts ?ok v =
+  t.hist <- "";
   Oracles.History.record t.history ~proc ~kind ~inv:(Sim.Vtime.of_int inv)
     ~resp:(Sim.Vtime.of_int t.clock) ?ts ?ok v
 
@@ -388,6 +410,7 @@ let create (cfg : Config.t) =
           Atomic_p (Swsr_atomic.fresh_wstate (), Swsr_atomic.fresh_rstate ())
         | Config.Mwmr -> Mwmr_p (Array.of_list (List.map (fun _ -> Mwmr.fresh_state mwmr_cfg) ids)));
       history = Oracles.History.create ();
+      blocks = Array.make n ""; hist = "";
       clock = 0; ticks = []; applied = []; corrupt_times = [] }
   in
   (* Each client runs to its first broadcast, in client order. *)
@@ -428,6 +451,7 @@ let enabled t =
 
 let apply_corruption t = function
   | Config.Corrupt_server { server; sn; v } ->
+    touch t server;
     let srv = t.servers.(server) in
     let insts =
       match Server.instances srv with
@@ -459,6 +483,7 @@ let apply_corruption t = function
        model step: the automaton keeps running (deliveries during the
        down window are a scheduling choice the explorer already owns) but
        its state reverts to pristine bot content. *)
+    touch t server;
     let srv = t.servers.(server) in
     (match Server.instances srv with
     | [] -> ignore (Server.instance srv 0)
@@ -493,6 +518,7 @@ let apply ?(strict = true) t mv =
       true)
   | Corrupt i ->
     if List.mem i t.applied then fail "menu item already fired"
+    else if not (client_active t) then fail "no client is running"
     else (
       match nth t.cfg.menu i with
       | None -> fail "no such menu item"
@@ -500,6 +526,7 @@ let apply ?(strict = true) t mv =
         bump t;
         t.applied <- i :: t.applied;
         t.corrupt_times <- t.clock :: t.corrupt_times;
+        t.hist <- "";
         apply_corruption t c;
         true)
 
@@ -507,8 +534,8 @@ let apply ?(strict = true) t mv =
 (* State fingerprint                                                  *)
 
 (* The renderer appends straight to one buffer: no Printf, no Format, and
-   no intermediate strings beyond the per-server blocks and mailbox keys
-   the canonical sort compares.  Its bytes are an artifact format —
+   no intermediate strings beyond the cached sections and the mailbox
+   keys the canonical sort compares.  Its bytes are an artifact format —
    committed mc counterexamples store terminal fingerprints — and the
    golden table in test/test_mc.ml pins them. *)
 let str = Buffer.add_string
@@ -526,20 +553,12 @@ let add_to_server b (env : Messages.server_envelope) =
   | Messages.New_help c -> chr b 'H'; add_cell b c
   | Messages.Read nr -> str b (if nr then "Rn" else "Ro")
 
-(* An ack as [round/origin/body] with the origin written as 0; a renamed
-   origin is spliced in by [add_renamed]. *)
-let add_to_client b (env : Messages.client_envelope) =
-  num b env.round;
-  str b "/0/";
+(* An ack as [round/origin/body], its origin given by the caller. *)
+let add_to_client b ~origin (env : Messages.client_envelope) =
+  num b env.round; chr b '/'; num b origin; chr b '/';
   match env.body with
   | Messages.Ack_write h -> chr b 'a'; add_help b h
   | Messages.Ack_read (c, h) -> chr b 'A'; add_cell b c; chr b ','; add_help b h
-
-let add_renamed b key s =
-  let cut = String.index key '/' + 1 in
-  Buffer.add_substring b key 0 cut;
-  num b s;
-  Buffer.add_substring b key (cut + 1) (String.length key - cut - 1)
 
 let add_epoch b (e : Epoch.t) =
   num b e.s; chr b '{'; List.iter (fun x -> num b x; chr b ' ') e.a; chr b '}'
@@ -615,9 +634,26 @@ let server_block t b srv =
       (* the server field of an ack on this server's own reply link is
          self-referential; it stays 0 *)
       List.iter
-        (fun env -> add_to_client b env; chr b ';')
+        (fun env -> add_to_client b ~origin:0 env; chr b ';')
         t.replies.(ci).(s))
     t.clients
+
+(* Sort [a.(lo)], ..., [a.(hi - 1)] in place: a handful of slots, so by
+   insertion. *)
+let sort_range a lo hi cmp =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) and j = ref (i - 1) in
+    while !j >= lo && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let ack_key ~origin env =
+  let b = Buffer.create 32 in
+  add_to_client b ~origin env;
+  Buffer.contents b
 
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
@@ -630,89 +666,71 @@ let server_block t b srv =
    checker can put sleep sets into the same coordinates (comparing sleep
    sets across symmetry-merged states is only sound canonically). *)
 let fingerprint_raw_ex t =
-  let servers = t.servers in
-  let n = Array.length servers in
-  let block_buf = Buffer.create 256 in
-  let render f =
-    Buffer.clear block_buf; f block_buf; Buffer.contents block_buf
-  in
-  let blocks =
-    Array.map (fun srv -> render (fun b -> server_block t b srv)) servers
-  in
-  (* Each queued ack is rendered once, with origin 0: that is its
-     reference key below, and the client section splices the renamed
-     origin back in.  The only mailbox consumer is
-     [Collect.attempt_once], which files responses into a per-server
-     slots array — so the arrival ORDER of queued acks is semantically
-     inert and the mailbox can be treated as a multiset.  Its [Health]
-     bookkeeping is left out too: only an attempt with a policy deadline
-     feeds it, and mc deployments run [Params.paper_wait].  The one
-     exception to order-blindness: an envelope whose round tag has
-     gone stale is normally dead forever, but a pending [Corrupt_round]
-     item could resurrect it, and whether a stale envelope was
-     consumed-and-dropped or still queued does depend on order.  So order
-     is only erased when the menu carries no round corruption. *)
-  let mailboxes =
-    Array.to_list
-      (Array.map
-         (fun c ->
-           ( c,
-             List.map
-               (fun (env : Messages.client_envelope) ->
-                 (env.server, render (fun b -> add_to_client b env)))
-               c.mailbox ))
-         t.clients)
-  in
+  let n = Array.length t.servers in
+  let b = Buffer.create 512 in
+  let render f = Buffer.clear b; f b; Buffer.contents b in
+  (* the sections the moves since the last fingerprint left stale *)
+  let blocks = t.blocks in
+  Array.iteri
+    (fun s block ->
+      if String.equal block "" then blocks.(s) <- render (fun b -> server_block t b t.servers.(s)))
+    blocks;
+  if String.equal t.hist "" then t.hist <- render (fun b -> add_history b t);
   (* A server id also escapes into client mailboxes (ack envelopes name
      their origin).  The references to a server — rendered without ids —
      are permutation-invariant, so refining the sort key with them makes
      the canonical form complete: two states that differ only by a
      permutation of anonymous servers always render identically, and
      servers left tied (equal block, equal references) are true
-     automorphisms, so the id tie-break is harmless.  [refs.(s)] collects
-     [(client index, occurrences)], last client first. *)
-  let refs = Array.make n [] in
-  List.iteri
-    (fun ci (_, keys) ->
-      let occ = Array.make n [] in
-      List.iteri
-        (fun pos (s, key) ->
-          if s >= 0 && s < n then
-            occ.(s) <-
-              (if t.mailbox_ordered then "@" ^ string_of_int pos else key)
-              :: occ.(s))
-        keys;
-      Array.iteri (fun s l -> if l <> [] then refs.(s) <- (ci, l) :: refs.(s)) occ)
-    mailboxes;
-  let refkeys =
-    Array.map
-      (fun per_client ->
-        render (fun b ->
-            List.iter
-              (fun (ci, occurrences) ->
-                num b ci;
-                chr b '[';
-                str b (String.concat "," (List.sort String.compare occurrences));
-                str b "];")
-              (List.rev per_client)))
-      refs
+     automorphisms, so the id tie-break is harmless.  A server's
+     reference key lists, per client in client order, its queued acks
+     rendered with origin 0 — or their queue positions when order
+     matters, see below — and it is only ever compared between servers
+     with equal blocks, so only those render it.
+
+     The only mailbox consumer is [Collect.attempt_once], which files
+     responses into a per-server slots array — so the arrival ORDER of
+     queued acks is semantically inert and the mailbox can be treated as
+     a multiset.  Its [Health] bookkeeping is left out too: only an
+     attempt with a policy deadline feeds it, and mc deployments run
+     [Params.paper_wait].  The one exception to order-blindness: an
+     envelope whose round tag has gone stale is normally dead forever,
+     but a pending [Corrupt_round] item could resurrect it, and whether a
+     stale envelope was consumed-and-dropped or still queued does depend
+     on order.  So order is only erased when the menu carries no round
+     corruption. *)
+  let refkey s =
+    let occurrences c =
+      List.concat
+        (List.mapi
+           (fun pos (env : Messages.client_envelope) ->
+             if env.server <> s then []
+             else if t.mailbox_ordered then [ "@" ^ string_of_int pos ]
+             else [ ack_key ~origin:0 env ])
+           c.mailbox)
+    in
+    let per_client = Array.map occurrences t.clients in
+    render (fun b ->
+        Array.iteri
+          (fun ci occ ->
+            if occ <> [] then begin
+              num b ci; chr b '[';
+              str b (String.concat "," (List.sort String.compare occ));
+              str b "];"
+            end)
+          per_client)
   in
-  let anonymous =
-    List.filter
-      (fun s -> not (List.mem s t.named))
-      (List.init n Fun.id)
-    |> List.sort (fun a b ->
-           match String.compare blocks.(a) blocks.(b) with
-           | 0 -> (
-             match String.compare refkeys.(a) refkeys.(b) with
-             | 0 -> Int.compare a b
-             | c -> c)
-           | c -> c)
-  in
-  let order = Array.of_list (t.named @ anonymous) in
-  let canon = Array.make n 0 in
-  Array.iteri (fun pos s -> canon.(s) <- pos) order;
-  let ren s = if s >= 0 && s < n then canon.(s) else s in
+  (* with every mailbox empty, every reference key is empty *)
+  let quiet = Array.for_all (fun c -> c.mailbox = []) t.clients in
+  (* named slots first, in id order, then the anonymous ones by block *)
+  let order = Array.make n 0 and named = List.length t.named in
+  List.iteri (fun i s -> order.(i) <- s) t.named;
+  let k = ref named in
+  for s = 0 to n - 1 do
+    if not (List.mem s t.named) then begin order.(!k) <- s; incr k end
+  done;
+  sort_range order named n (fun a b ->
+      match String.compare blocks.(a) blocks.(b) with 0 -> Int.compare a b | c -> c);
   (* Servers still tied after the (block, refkey) sort are genuinely
      interchangeable — swapping them is a state automorphism.  Map each
      to the least member of its tie group: the explorer only fires
@@ -720,19 +738,31 @@ let fingerprint_raw_ex t =
      isomorphic (equal blocks include the link contents, so a
      representative's move is enabled whenever a class member's is). *)
   let rep_arr = Array.init n Fun.id in
-  (let prev = ref None in
-   List.iter
-     (fun s ->
-       (match !prev with
-       | Some p
-         when String.equal blocks.(p) blocks.(s)
-              && String.equal refkeys.(p) refkeys.(s) ->
-         rep_arr.(s) <- rep_arr.(p)
-       | _ -> ());
-       prev := Some s)
-     anonymous);
+  let rec runs i =
+    if i < n then begin
+      let j = ref (i + 1) in
+      while !j < n && String.equal blocks.(order.(i)) blocks.(order.(!j)) do incr j done;
+      if !j - i > 1 then begin
+        let keys = Array.make n "" in
+        if not quiet then begin
+          for k = i to !j - 1 do keys.(order.(k)) <- refkey order.(k) done;
+          sort_range order i !j (fun a b ->
+              match String.compare keys.(a) keys.(b) with 0 -> Int.compare a b | c -> c)
+        end;
+        for k = i + 1 to !j - 1 do
+          if String.equal keys.(order.(k - 1)) keys.(order.(k)) then
+            rep_arr.(order.(k)) <- rep_arr.(order.(k - 1))
+        done
+      end;
+      runs !j
+    end
+  in
+  runs named;
+  let canon = Array.make n 0 in
+  Array.iteri (fun pos s -> canon.(s) <- pos) order;
+  let ren s = if s >= 0 && s < n then canon.(s) else s in
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
-  let b = Buffer.create 1024 in
+  Buffer.clear b;
   (* servers in canonical order *)
   Array.iteri
     (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
@@ -741,22 +771,22 @@ let fingerprint_raw_ex t =
      the queue rendered as a sorted multiset unless a round corruption
      could make order matter); link traffic lives inside the server
      blocks *)
-  List.iter
-    (fun (c, keys) ->
+  Array.iter
+    (fun c ->
       chr b 'c'; num b c.id; str b " r"; num b c.round; str b " q[";
       if t.mailbox_ordered then
-        List.iter (fun (s, key) -> add_renamed b key (ren s); chr b ';') keys
+        List.iter
+          (fun (env : Messages.client_envelope) ->
+            add_to_client b ~origin:(ren env.server) env; chr b ';')
+          c.mailbox
       else
         List.map
-          (fun (s, key) ->
-            match ren s with
-            | 0 -> key
-            | r -> render (fun kb -> add_renamed kb key r))
-          keys
+          (fun (env : Messages.client_envelope) -> ack_key ~origin:(ren env.server) env)
+          c.mailbox
         |> List.sort String.compare
         |> List.iter (fun key -> str b key; chr b ';');
       str b "]\n")
-    mailboxes;
+    t.clients;
   (* client persistent state *)
   (match t.proto with
   | Regular_p _ -> str b "reg"
@@ -794,7 +824,7 @@ let fingerprint_raw_ex t =
     (fun c -> str b c.name; chr b (if running c then 'r' else 'd'))
     t.clients;
   chr b '\n';
-  add_history b t;
+  str b t.hist;
   (Digest.string (Buffer.contents b), ren, rep)
 
 let fingerprint_ex t =

@@ -71,7 +71,11 @@ val create : Config.t -> t
 val clone : t -> t
 (** An independent copy: applying moves to either leaves the other as it
     was.  Copies every mutable record (server instances, link and mailbox
-    heads, client records, the history) and shares the immutable rest. *)
+    heads, client records, the history, the table of cached fingerprint
+    sections) and shares the immutable rest, the cached sections' strings
+    included.  Fingerprinting a state writes its caches, so a state that
+    other domains clone concurrently (a frontier worker's frozen parent)
+    is fingerprinted before it is frozen and never after. *)
 
 val config : t -> Config.t
 
@@ -92,7 +96,8 @@ val apply : ?strict:bool -> t -> move -> bool
     broadcast).  Returns [true] on success.  An inapplicable move raises
     [Invalid_argument] under [strict] (the default, for artifact replay)
     and returns [false] otherwise (for shrink candidates, where a dropped
-    prefix may invalidate later moves). *)
+    prefix may invalidate later moves).  A [Corrupt] is inapplicable once
+    no client is running, as {!enabled} never offers it then. *)
 
 val stuck : t -> string list
 (** Names of clients that have not finished their workload — non-empty
@@ -114,7 +119,14 @@ val fingerprint_raw_ex : t -> string * (int -> int) * (int -> int)
 (** {!fingerprint_ex} with the digest kept in its raw 16-byte form (no
     hex rendering).  This is the hot-path variant: the checker's visited
     table interns raw digests under a folded 64-bit key, and hex only
-    ever appears in artifacts via {!fingerprint}. *)
+    ever appears in artifacts via {!fingerprint}.  The state keeps its
+    rendered server blocks and history section: a call re-renders only
+    those the moves since the last call changed (a delivery its server's
+    block, a broadcast every block, a server corruption its server's
+    block, a recorded operation or a corruption the history) and renders
+    the rest of the text, which is small, afresh.  A state never
+    fingerprinted renders every section; the bytes are the same either
+    way. *)
 
 val fingerprint_ex : t -> string * (int -> int) * (int -> int)
 (** [(digest, ren, rep)]: {!fingerprint} plus the canonical server

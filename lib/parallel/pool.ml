@@ -194,9 +194,7 @@ module Deque = struct
     d.dq_buf <- buf;
     d.dq_head <- 0
 
-  let locked d f =
-    Mutex.lock d.dq_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.dq_lock) f
+  let locked d f = Mutex.protect d.dq_lock f
 
   let push d x =
     locked d (fun () ->
@@ -269,9 +267,7 @@ module Fp_map = struct
     let i = ((key mod s) + s) mod s in
     (key, t.fpm_shards.(i))
 
-  let locked sh f =
-    Mutex.lock sh.sh_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_lock) f
+  let locked sh f = Mutex.protect sh.sh_lock f
 
   let update t raw f =
     let key, sh = shard_of t raw in
@@ -293,6 +289,9 @@ module Fp_map = struct
           if bucket <> [] then sh.sh_collisions <- sh.sh_collisions + 1;
           Hashtbl.replace sh.sh_tbl key ((raw, v) :: bucket);
           sh.sh_entries <- sh.sh_entries + 1
+        | Some v0, Some v when v == v0 ->
+          (* handed back as found (a covered revisit): nothing to write *)
+          ()
         | Some _, Some v ->
           Hashtbl.replace sh.sh_tbl key
             (List.map

@@ -430,6 +430,72 @@ let prop_clone_isolation =
       same_start && untouched
       && String.equal (Mc.Sys.fingerprint sys) (Mc.Sys.fingerprint copy))
 
+(* --- the fingerprint's cached sections ----------------------------------- *)
+
+(* What a fingerprint tells the checker: the digest, and the renaming and
+   representative maps on every server slot. *)
+let fingerprint_view sys =
+  let d, ren, rep = Mc.Sys.fingerprint_ex sys in
+  let n = (Mc.Sys.config sys).Mc.Config.n in
+  (d, Array.init n ren, Array.init n rep)
+
+(* The same moves on a fresh state that was never fingerprinted, so its
+   fingerprint renders every section from scratch. *)
+let replay cfg moves =
+  let sys = Mc.Sys.create cfg in
+  List.iter (fun mv -> check_true "replayed move applies" (Mc.Sys.apply sys mv)) moves;
+  sys
+
+(* A state fingerprinted after every step re-renders only what the last
+   move changed; it must read exactly as a cold replay of its moves.
+   Halfway, the walk goes on in a clone, and the state it left must still
+   read as its own replay once the clone has walked away. *)
+let prop_warm_fingerprint_is_cold =
+  QCheck.Test.make ~count:60 ~name:"a warm fingerprint equals a cold one"
+    QCheck.(triple (int_range 0 2) (int_range 1 100_000) (int_range 0 60))
+    (fun (family, seed, steps) ->
+      let cfg = clone_cfgs.(family) in
+      let st = Random.State.make [| seed |] in
+      let cold fired = fingerprint_view (replay cfg (List.rev fired)) in
+      let rec walk sys k fired =
+        fingerprint_view sys = cold fired
+        &&
+        match Mc.Sys.enabled sys with
+        | [] -> true
+        | _ when k = steps -> true
+        | moves ->
+          let moves = Array.of_list moves in
+          let mv = moves.(Random.State.int st (Array.length moves)) in
+          let next = if k = steps / 2 then Mc.Sys.clone sys else sys in
+          check_true "walk move applies" (Mc.Sys.apply next mv);
+          walk next (k + 1) (mv :: fired)
+          && (next == sys || fingerprint_view sys = cold fired)
+      in
+      walk (Mc.Sys.create cfg) 0 [])
+
+(* A corruption fires only while some client runs, the condition under
+   which [enabled] offers it: at a terminal state [apply] refuses one,
+   raising under [strict] and returning [false] otherwise. *)
+let test_terminal_refuses_corruption () =
+  let cfg =
+    { tiny_cfg with
+      Mc.Config.menu = [ Mc.Config.Corrupt_server { server = 0; sn = 9; v = 99 } ] }
+  in
+  let sys = Mc.Sys.create cfg in
+  let rec complete () =
+    match List.filter (function Mc.Sys.Corrupt _ -> false | _ -> true) (Mc.Sys.enabled sys) with
+    | [] -> ()
+    | mv :: _ ->
+      check_true "completion move applies" (Mc.Sys.apply sys mv);
+      complete ()
+  in
+  complete ();
+  check_true "terminal" (Mc.Sys.enabled sys = []);
+  check_true "lenient apply refuses" (not (Mc.Sys.apply ~strict:false sys (Mc.Sys.Corrupt 0)));
+  Alcotest.check_raises "strict apply raises"
+    (Invalid_argument "Mc.Sys.apply: no client is running (corrupt 0)") (fun () ->
+      ignore (Mc.Sys.apply sys (Mc.Sys.Corrupt 0)))
+
 (* --- typed moves against their label-string definitions --------------- *)
 
 (* Every link of an n = 12 deployment: two clients, both directions,
@@ -742,4 +808,8 @@ let tests =
       (fun (name, search, expected) ->
         case ("stats golden: " ^ name) (test_stats_golden (search, expected)))
       stats_goldens
-  @ [ qcheck prop_clone_isolation ]
+  @ [
+      qcheck prop_clone_isolation;
+      case "a terminal state refuses a corruption" test_terminal_refuses_corruption;
+      qcheck prop_warm_fingerprint_is_cold;
+    ]

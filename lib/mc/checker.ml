@@ -45,7 +45,7 @@ type stats = {
           run, 0 for a search, which clones states instead *)
   mutable off_target : int;  (** violations ignored by a [target] filter *)
   mutable fp_collisions : int;
-      (** distinct digests interned under an already-occupied 8-byte key *)
+      (** keys stored beside a resident key with the same first word *)
   mutable peak_visited : int;
   mutable max_depth_seen : int;
   mutable truncated : bool;  (** some budget cut the search *)
@@ -100,25 +100,36 @@ type ctx = {
   (* Violations whose kind the caller is not hunting are recorded in the
      stats but do not stop the search. *)
   keep : verdict -> bool;
-  (* The visited set, keyed by raw fingerprint (two layers deep: see
-     {!Parallel.Pool.Fp_map}).
+  (* The visited set, keyed by {!Sys.search_key} (never by the MD5
+     digest, which only artifacts record).
 
-     Value: the residual sleep set (sorted, canonical coordinates) — the
-     enabled moves no visit has explored from this state yet.  The first
-     visit stores its arrival sleep (it explores everything else); a
-     revisit with sleep [s] only needs the residual minus [s] — every
-     other move was either explored by an earlier visit or is covered by
-     a sibling of the current path — and afterwards the residual shrinks
-     to its intersection with [s] (Godefroid's sleep sets combined with
-     state matching).  A revisit with an empty difference is pruned
-     outright, which subsumes the classic "some stored sleep is a subset
-     of ours" condition.  The lookup and the write-back happen atomically
-     under the state's shard lock, which keeps the combination exactly as
-     sound across domains as on one. *)
-  visited : Sys.move list Parallel.Pool.Fp_map.t;
+     Value: the residual sleep set, as a bitset over the canonical links
+     ({!Sys.link_index}) — the enabled moves no visit has explored from
+     this state yet.  A sleep set only ever holds deliveries
+     ({!Sys.independent} relates nothing else), so its bits fit a width
+     fixed per search.  The first visit stores its arrival sleep (it
+     explores everything else); a revisit with sleep [s] only needs the
+     residual minus [s] — every other move was either explored by an
+     earlier visit or is covered by a sibling of the current path — and
+     afterwards the residual shrinks to its intersection with [s]
+     (Godefroid's sleep sets combined with state matching).  A revisit
+     with an empty difference is pruned outright, which subsumes the
+     classic "some stored sleep is a subset of ours" condition.  The
+     lookup and the write-back happen atomically under the state's shard
+     lock ({!Parallel.Pool.Visited.arrive}), which keeps the combination
+     exactly as sound across domains as on one. *)
+  visited : Parallel.Pool.Visited.t;
   (* Nodes that have asked the state budget for admission. *)
   admitted : int Atomic.t;
 }
+
+(* A residual sleep set's bits, [bits_per_word] to an int. *)
+let bits_per_word = 63
+
+let mem bits i = i >= 0 && (bits.(i / bits_per_word) lsr (i mod bits_per_word)) land 1 = 1
+
+let add bits i =
+  bits.(i / bits_per_word) <- bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
 let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
     ?(use_visited = true) ?seed ?target ~shards cfg =
@@ -132,11 +143,12 @@ let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
       (match target with
       | None -> fun _ -> true
       | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind);
-    visited = Parallel.Pool.Fp_map.create ~shards ();
+    visited =
+      Parallel.Pool.Visited.create ~shards
+        ~width:((Sys.links cfg + bits_per_word - 1) / bits_per_word)
+        ();
     admitted = Atomic.make 0;
   }
-
-let sorted_moves l = List.sort_uniq Sys.compare_move l
 
 let shuffle st l =
   let a = Array.of_list l in
@@ -167,8 +179,8 @@ let replay_prefix cfg moves =
    per-worker sums: [peak_visited] is the number of unique states
    resident in the set (it never shrinks). *)
 let record_table ctx stats =
-  stats.peak_visited <- Parallel.Pool.Fp_map.length ctx.visited;
-  stats.fp_collisions <- Parallel.Pool.Fp_map.collisions ctx.visited
+  stats.peak_visited <- Parallel.Pool.Visited.length ctx.visited;
+  stats.fp_collisions <- Parallel.Pool.Visited.collisions ctx.visited
 
 (* One flight-recorder snapshot: the full stats record plus the live
    frontier depth and visited-set occupancy at the sampled state. *)
@@ -188,27 +200,32 @@ let profile_fields s ~depth =
   ]
 
 (* The expansion plan for a state arrival: explore every non-slept move
-   (first visit), only the canonical moves listed (revisit with a
-   non-empty residual), or nothing (revisit already covered). *)
-type expansion = Expand_all | Expand_only of Sys.move list | Covered
+   (first visit), only the canonical links set in the residual (revisit
+   with a non-empty residual), or nothing (revisit already covered). *)
+type expansion = Expand_all | Expand_only of int array | Covered
+
+(* The links a sleep set holds, renamed through [ren]. *)
+let sleep_bits ctx sys ren sleep =
+  let bits = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
+  List.iter
+    (fun mv ->
+      let i = Sys.link_index sys ren mv in
+      if i < 0 then invalid_arg "Mc.Checker: a sleep set holds a move that is not a delivery";
+      add bits i)
+    sleep;
+  bits
 
 (* Look the state up and write back its new residual as one atomic step
    under its shard lock; an arrival at a known state counts as a
    revisit. *)
-let plan ctx stats fp sleep_canon =
+let plan ctx stats sys ~k1 ~k2 ren sleep =
   if not ctx.use_visited then Expand_all
   else
-    Parallel.Pool.Fp_map.update ctx.visited fp (function
-      | None -> (Some sleep_canon, Expand_all)
-      | Some residual ->
-        stats.revisits <- stats.revisits + 1;
-        let slept, need =
-          List.partition
-            (fun m -> List.exists (Sys.move_equal m) sleep_canon)
-            residual
-        in
-        if need = [] then (Some residual, Covered)
-        else (Some slept, Expand_only need))
+    match Parallel.Pool.Visited.arrive ctx.visited ~k1 ~k2 (sleep_bits ctx sys ren sleep) with
+    | None -> Expand_all
+    | Some need ->
+      stats.revisits <- stats.revisits + 1;
+      if Array.for_all (Int.equal 0) need then Covered else Expand_only need
 
 (* What one node expansion hands its driver. *)
 type step =
@@ -254,14 +271,11 @@ let expand ctx stats ~sample sys ~depth ~sleep =
          reduction) — so the comparison must happen in the same canonical
          coordinates, via the renaming the fingerprint chose. *)
       let need_rep = ctx.reduction = Sleep_sets in
-      let fp, ren, rep =
-        if ctx.use_visited || need_rep then Sys.fingerprint_raw_ex sys
-        else ("", Fun.id, Fun.id)
+      let k1, k2, ren, rep =
+        if ctx.use_visited || need_rep then Sys.search_key sys
+        else (0, 0, Fun.id, Fun.id)
       in
-      let sleep_canon =
-        sorted_moves (List.map (Sys.canonical_move ren) sleep)
-      in
-      match plan ctx stats fp sleep_canon with
+      match plan ctx stats sys ~k1 ~k2 ren sleep with
       | Covered -> Children []
       | (Expand_all | Expand_only _) as plan ->
         (* Symmetric-move pruning: deliveries aimed at servers of the
@@ -270,16 +284,16 @@ let expand ctx stats ~sample sys ~depth ~sleep =
         let moves =
           if not need_rep then moves
           else begin
-            let seen = ref [] in
+            let seen = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
             List.filter
               (fun mv ->
-                let r = Sys.canonical_move rep mv in
-                if List.exists (Sys.move_equal r) !seen then begin
+                let r = Sys.link_index sys rep mv in
+                if mem seen r then begin
                   stats.sym_skips <- stats.sym_skips + 1;
                   false
                 end
                 else begin
-                  seen := r :: !seen;
+                  if r >= 0 then add seen r;
                   true
                 end)
               moves
@@ -294,25 +308,22 @@ let expand ctx stats ~sample sys ~depth ~sleep =
           match plan with
           | Expand_all | Covered -> (moves, [])
           | Expand_only need ->
-            List.partition
-              (fun mv ->
-                List.exists (Sys.move_equal (Sys.canonical_move ren mv)) need)
-              moves
+            List.partition (fun mv -> mem need (Sys.link_index sys ren mv)) moves
         in
         stats.sleep_skips <- stats.sleep_skips + List.length covered;
         let moves =
           match ctx.rng with None -> moves | Some st -> shuffle st moves
         in
-        let base_sleep = covered @ sleep in
         (* Enabled moves are distinct, so exploring a sibling can never
            put a later *candidate* to sleep — only child sleeps grow as
            siblings are explored — and the whole child list is known up
-           front. *)
+           front.  No candidate is covered, so only the arrival sleep
+           can skip one. *)
+        let slept = sleep_bits ctx sys Fun.id sleep in
         let to_explore =
-          List.filter
-            (fun mv -> not (List.exists (Sys.move_equal mv) base_sleep))
-            moves
+          List.filter (fun mv -> not (mem slept (Sys.link_index sys Fun.id mv))) moves
         in
+        let base_sleep = covered @ sleep in
         stats.sleep_skips <-
           stats.sleep_skips + (List.length moves - List.length to_explore);
         (* Child [i] sleeps on the covered and inherited sleeps plus the

@@ -3,13 +3,25 @@
     and replayable counterexample artifacts.
 
     The explorer enumerates every interleaving of pending deliveries and
-    corruption-menu strikes up to the configured budgets, re-executing
-    prefixes from scratch where a snapshot would be needed (OCaml fibers
-    cannot be cloned).  States are merged by {!Sys.fingerprint}, interned
-    in a {!Parallel.Pool.Fp_map} visited set under a 64-bit structural
-    key with full-digest collision verification.  Each visited state keeps the residual sleep
-    set — the enabled moves no visit has explored from it yet: a revisit
-    re-explores exactly that residual minus its own sleep set and nothing
+    corruption-menu strikes up to the configured budgets.  {!Sys.t} is an
+    explicit state, so a node's children run on {!Sys.clone}s of it; a
+    schedule is re-executed from {!Sys.create} only where an artifact
+    asks for one (cex replay and digest, guided runs, shrink
+    candidates).
+
+    States are merged by {!Sys.search_key}, not by the MD5
+    {!Sys.fingerprint}: two 63-bit words folded from the hashes of the
+    fingerprint's cached sections (server blocks, history) in canonical
+    order and of its small uncached tail, equal iff the fingerprints are
+    (up to a hash collision of both words).  MD5 runs only where an
+    artifact records a digest: cex terminals, [--replay] and the golden
+    walks.  The visited set is a {!Parallel.Pool.Visited}: per shard, one
+    open-addressing table in [Bytes] of fixed-width slots — the key's two
+    words, then the residual sleep set as a bitset over the canonical
+    links ({!Sys.link_index}), ⌈links / 63⌉ words, a width fixed per
+    search by the config.  Each visited state keeps that residual — the
+    enabled moves no visit has explored from it yet: a revisit
+    re-explores exactly the residual minus its own sleep set and nothing
     else (Godefroid's sleep sets combined with state matching), which
     both keeps the sleep-set/visited-set combination sound and avoids
     re-expanding already-covered successors. *)
@@ -45,12 +57,14 @@ type stats = {
           partially re-expanded from the stored residual) *)
   mutable sleep_skips : int;  (** moves skipped by sleep sets *)
   mutable sym_skips : int;  (** moves skipped as symmetric to a sibling *)
-  mutable replays : int;  (** prefix re-executions (no snapshots) *)
+  mutable replays : int;
+      (** schedules re-executed from the initial state: 1 for a guided
+          run, 0 for a search, which clones states instead *)
   mutable off_target : int;  (** violations ignored by a [target] filter *)
   mutable fp_collisions : int;
-      (** distinct full digests interned under an already-occupied 8-byte
-          visited-set key — how often the two-layer table actually needed
-          its second layer *)
+      (** states keyed beside a resident state whose key has the same
+          first word — how often the second key word alone told two
+          states apart *)
   mutable peak_visited : int;
   mutable max_depth_seen : int;
   mutable truncated : bool;  (** some budget cut the search *)
@@ -109,11 +123,12 @@ val search_parallel :
   Config.t ->
   outcome
 (** {!search} as a cooperative shared-frontier search: [domains] workers
-    share one work-stealing frontier of replayable DFS prefixes (pop
+    share one work-stealing frontier of DFS nodes, each a frozen parent
+    state and the move that leaves it (pop
     newest locally for depth-first locality, steal oldest — the
     shallowest, biggest subtree — from a sibling) over one visited set
-    sharded by the 64-bit fingerprint key
-    ({!Parallel.Pool.Fp_map}), so the domains explore one state space
+    sharded by the first word of the search key
+    ({!Parallel.Pool.Visited}), so the domains explore one state space
     together instead of [K] overlapping copies.
 
     The reported outcome is bit-identical to {!search} for every domain
@@ -134,7 +149,7 @@ val search_parallel :
     [stats] of a cooperative pass are summed across workers, except the
     shared-table facts: [peak_visited] is the number of *unique* states
     resident in the sharded visited set and [fp_collisions] its
-    full-digest second-layer hits.  A re-derived outcome carries the
+    first-word collisions.  A re-derived outcome carries the
     sequential search's stats verbatim.
 
     With [recorder] and [domains > 1], each worker branches the recorder

@@ -94,13 +94,17 @@ type t = {
   (* The fingerprint's rendered sections, kept with the state they
      render: [blocks.(s)] is server [s]'s block and [hist] the history
      section, each [""] (no rendering is empty) once a move changed what
-     it renders.  The renderer fills a stale section and writes nothing
-     else, so only a state being fingerprinted is ever written here: a
-     frontier worker's frozen parent is fingerprinted before
-     {!clone} freezes it and never after, and the workers cloning it
-     concurrently only read its caches. *)
+     it renders.  [hashes] holds each section's two hash words, server
+     [s]'s at [2s] and [2s + 1], the history's at [2n] and [2n + 1],
+     written with the section and valid while it is.  The renderer
+     fills a stale section and writes nothing else, so only a state
+     being keyed or fingerprinted is ever written here: a frontier
+     worker's frozen parent is keyed before {!clone} freezes it and
+     never after, and the workers cloning it concurrently only read its
+     caches. *)
   blocks : string array;
   mutable hist : string;
+  hashes : int array;
   mutable clock : int;
   (* pending broadcast settlements of a zero target, oldest first: the
      unlabeled events [Tick]s fire *)
@@ -164,6 +168,7 @@ let clone t =
     proto = copy_proto t.proto;
     history = Oracles.History.copy t.history;
     blocks = Array.copy t.blocks;
+    hashes = Array.copy t.hashes;
   }
 
 let config t = t.cfg
@@ -181,10 +186,11 @@ let stuck t =
     (fun c acc -> if running c then c.name :: acc else acc)
     t.clients []
 
+(* Client [id]'s index, or -1 if no client has that id. *)
 let index t id =
   let rec go ci =
-    if ci >= Array.length t.clients then None
-    else if t.clients.(ci).id = id then Some ci
+    if ci >= Array.length t.clients then -1
+    else if t.clients.(ci).id = id then ci
     else go (ci + 1)
   in
   go 0
@@ -410,7 +416,7 @@ let create (cfg : Config.t) =
           Atomic_p (Swsr_atomic.fresh_wstate (), Swsr_atomic.fresh_rstate ())
         | Config.Mwmr -> Mwmr_p (Array.of_list (List.map (fun _ -> Mwmr.fresh_state mwmr_cfg) ids)));
       history = Oracles.History.create ();
-      blocks = Array.make n ""; hist = "";
+      blocks = Array.make n ""; hist = ""; hashes = Array.make ((2 * n) + 2) 0;
       clock = 0; ticks = []; applied = []; corrupt_times = [] }
   in
   (* Each client runs to its first broadcast, in client order. *)
@@ -474,10 +480,9 @@ let apply_corruption t = function
     match t.proto with
     | Atomic_p (w, _) -> w.wsn <- Seqnum.norm ~modulus:Seqnum.default_modulus sn
     | Regular_p _ | Mwmr_p _ -> ())
-  | Config.Corrupt_round { client; round } -> (
-    match index t client with
-    | Some ci -> t.clients.(ci).round <- abs round mod Net.round_modulus
-    | None -> ())
+  | Config.Corrupt_round { client; round } ->
+    let ci = index t client in
+    if ci >= 0 then t.clients.(ci).round <- abs round mod Net.round_modulus
   | Config.Crash_recover { server } ->
     (* Crash plus recovery with lost volatile state, collapsed into one
        model step: the automaton keeps running (deliveries during the
@@ -503,10 +508,8 @@ let apply ?(strict = true) t mv =
   | Deliver { client; server; to_server } ->
     (* The link's FIFO head: the only delivery the paper's model admits
        next on this channel. *)
-    (match index t client with
-    | Some ci when server >= 0 && server < t.cfg.n ->
-      deliver t ci server ~to_server
-    | Some _ | None -> false)
+    (let ci = index t client in
+     ci >= 0 && server >= 0 && server < t.cfg.n && deliver t ci server ~to_server)
     || fail "no pending delivery on that link"
   | Tick i -> (
     match nth t.ticks i with
@@ -655,6 +658,41 @@ let ack_key ~origin env =
   add_to_client b ~origin env;
   Buffer.contents b
 
+(* ------------------------------------------------------------------ *)
+(* Section hashes                                                     *)
+
+(* Two multiply-xorshift lanes, each with its own odd multiplier and
+   shift.  Not cryptographic: the search key is made of them, and no
+   artifact ever records one. *)
+let lane_a h w = let x = (h lxor w) * 0x2545F4914F6CDD1D in x lxor (x lsr 29)
+
+let lane_b h w = let x = (h + w) * 0x1E3779B97F4A7C15 in x lxor (x lsr 32)
+
+let avalanche h =
+  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
+  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
+  h lxor (h lsr 32)
+
+let seed_a = 0x0123456789ABCDEF and seed_b = 0x3DC94C3A046D678B
+
+(* Fold [s]'s length and bytes into the lanes seeded [a] and [b], 7 bytes
+   a word (the low 56 bits of an 8-byte load, so no byte loses a bit to
+   a 63-bit int); the finished lanes go to [dst.(off)] and
+   [dst.(off + 1)]. *)
+let hash_into dst off ~a ~b s =
+  let len = String.length s in
+  let a = ref (lane_a a len) and b = ref (lane_b b len) and i = ref 0 in
+  while !i + 8 <= len do
+    let w = Int64.to_int (String.get_int64_le s !i) land 0xFF_FFFF_FFFF_FFFF in
+    a := lane_a !a w;
+    b := lane_b !b w;
+    i := !i + 7
+  done;
+  let w = ref 0 in
+  for j = len - 1 downto !i do w := (!w lsl 8) lor Char.code s.[j] done;
+  dst.(off) <- avalanche (lane_a !a !w);
+  dst.(off + 1) <- avalanche (lane_b !b !w)
+
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
    client-side history, so permuting server slots yields an isomorphic
@@ -665,17 +703,24 @@ let ack_key ~origin env =
    sorted by their serialized block — and returns the renaming so the
    checker can put sleep sets into the same coordinates (comparing sleep
    sets across symmetry-merged states is only sound canonically). *)
-let fingerprint_raw_ex t =
+let canonical t b =
   let n = Array.length t.servers in
-  let b = Buffer.create 512 in
   let render f = Buffer.clear b; f b; Buffer.contents b in
-  (* the sections the moves since the last fingerprint left stale *)
+  (* the sections the moves since the last call left stale, each hashed
+     as it is rendered *)
   let blocks = t.blocks in
   Array.iteri
     (fun s block ->
-      if String.equal block "" then blocks.(s) <- render (fun b -> server_block t b t.servers.(s)))
+      if String.equal block "" then begin
+        let block = render (fun b -> server_block t b t.servers.(s)) in
+        blocks.(s) <- block;
+        hash_into t.hashes (2 * s) ~a:seed_a ~b:seed_b block
+      end)
     blocks;
-  if String.equal t.hist "" then t.hist <- render (fun b -> add_history b t);
+  if String.equal t.hist "" then begin
+    t.hist <- render (fun b -> add_history b t);
+    hash_into t.hashes (2 * n) ~a:seed_a ~b:seed_b t.hist
+  end;
   (* A server id also escapes into client mailboxes (ack envelopes name
      their origin).  The references to a server — rendered without ids —
      are permutation-invariant, so refining the sort key with them makes
@@ -762,11 +807,12 @@ let fingerprint_raw_ex t =
   Array.iteri (fun pos s -> canon.(s) <- pos) order;
   let ren s = if s >= 0 && s < n then canon.(s) else s in
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
-  Buffer.clear b;
-  (* servers in canonical order *)
-  Array.iteri
-    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
-    order;
+  (order, ren, rep)
+
+(* Everything between the server blocks and the history: client ports,
+   client persistent state, the spent menu and client progress — the
+   part of the text no section caches, rendered afresh on every call. *)
+let add_tail b t ren =
   (* client ports: round tag and queued acks (ack origins renamed, and
      the queue rendered as a sorted multiset unless a round corruption
      could make order matter); link traffic lives inside the server
@@ -823,20 +869,47 @@ let fingerprint_raw_ex t =
   Array.iter
     (fun c -> str b c.name; chr b (if running c then 'r' else 'd'))
     t.clients;
-  chr b '\n';
-  str b t.hist;
-  (Digest.string (Buffer.contents b), ren, rep)
+  chr b '\n'
 
+(* The only place a state meets MD5: the digest artifacts record. *)
 let fingerprint_ex t =
-  let d, ren, rep = fingerprint_raw_ex t in
-  (Digest.to_hex d, ren, rep)
+  let b = Buffer.create 512 in
+  let order, ren, rep = canonical t b in
+  Buffer.clear b;
+  (* servers in canonical order *)
+  Array.iteri
+    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b t.blocks.(s); chr b '\n')
+    order;
+  add_tail b t ren;
+  str b t.hist;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), ren, rep)
 
 let fingerprint t =
   let d, _, _ = fingerprint_ex t in
   d
 
-let canonical_move ren = function
-  | Deliver d as m ->
-    let server = ren d.server in
-    if Int.equal server d.server then m else Deliver { d with server }
-  | (Tick _ | Corrupt _) as m -> m
+(* The fingerprint's text with every cached section replaced by its two
+   hash words: the servers' in canonical order, then the history's,
+   folded into the lanes, which then take the tail's bytes.  Only the
+   tail is rendered. *)
+let search_key t =
+  let b = Buffer.create 128 in
+  let order, ren, rep = canonical t b in
+  let h = t.hashes and hist = 2 * Array.length order in
+  let a = ref seed_a and c = ref seed_b in
+  Array.iter (fun s -> a := lane_a !a h.(2 * s); c := lane_b !c h.((2 * s) + 1)) order;
+  a := lane_a !a h.(hist);
+  c := lane_b !c h.(hist + 1);
+  Buffer.clear b;
+  add_tail b t ren;
+  let key = Array.make 2 0 in
+  hash_into key 0 ~a:!a ~b:!c (Buffer.contents b);
+  (key.(0), key.(1), ren, rep)
+
+let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
+
+let link_index t ren = function
+  | Deliver { client; server; to_server } ->
+    let ci = index t client in
+    if ci < 0 then -1 else (((ci * t.cfg.n) + ren server) * 2) + if to_server then 0 else 1
+  | Tick _ | Corrupt _ -> -1

@@ -71,11 +71,12 @@ val create : Config.t -> t
 val clone : t -> t
 (** An independent copy: applying moves to either leaves the other as it
     was.  Copies every mutable record (server instances, link and mailbox
-    heads, client records, the history, the table of cached fingerprint
-    sections) and shares the immutable rest, the cached sections' strings
-    included.  Fingerprinting a state writes its caches, so a state that
-    other domains clone concurrently (a frontier worker's frozen parent)
-    is fingerprinted before it is frozen and never after. *)
+    heads, client records, the history, the tables of cached fingerprint
+    sections and their hashes) and shares the immutable rest, the cached
+    sections' strings included.  Keying or fingerprinting a state writes
+    its caches, so a state that other domains clone concurrently (a
+    frontier worker's frozen parent) is keyed before it is frozen and
+    never after. *)
 
 val config : t -> Config.t
 
@@ -115,30 +116,46 @@ val fingerprint : t -> string
     isomorphic futures and identical verdicts.  Two states with equal
     fingerprints have indistinguishable futures and verdicts. *)
 
-val fingerprint_raw_ex : t -> string * (int -> int) * (int -> int)
-(** {!fingerprint_ex} with the digest kept in its raw 16-byte form (no
-    hex rendering).  This is the hot-path variant: the checker's visited
-    table interns raw digests under a folded 64-bit key, and hex only
-    ever appears in artifacts via {!fingerprint}.  The state keeps its
-    rendered server blocks and history section: a call re-renders only
-    those the moves since the last call changed (a delivery its server's
-    block, a broadcast every block, a server corruption its server's
-    block, a recorded operation or a corruption the history) and renders
-    the rest of the text, which is small, afresh.  A state never
-    fingerprinted renders every section; the bytes are the same either
-    way. *)
-
 val fingerprint_ex : t -> string * (int -> int) * (int -> int)
 (** [(digest, ren, rep)]: {!fingerprint} plus the canonical server
     renaming it chose ([ren]: original slot -> canonical slot) and the
     automorphism-class representative map ([rep]: original slot -> least
-    interchangeable slot).  The checker must pass sleep sets through
-    {!canonical_move}[ ren] before comparing them across states merged by
-    the symmetry reduction, and may restrict branching to moves fixed by
-    {!canonical_move}[ rep] (successors of class members are
-    isomorphic). *)
+    interchangeable slot).  The checker must rename sleep sets through
+    [ren] ({!link_index}) before comparing them across states merged by
+    the symmetry reduction, and may restrict branching to one delivery
+    per link under [rep] (successors of class members are isomorphic).
+    The digest is the MD5 of the whole rendered text, the one digest
+    artifacts record (cex terminals, [--replay], the golden walks); the
+    search never computes it ({!search_key}).  The state
+    keeps its rendered server blocks and history section: a call
+    re-renders only those the moves since the last call changed (a
+    delivery its server's block, a broadcast every block, a server
+    corruption its server's block, a recorded operation or a corruption
+    the history) and renders the rest of the text, which is small,
+    afresh.  A state never keyed or fingerprinted renders every section;
+    the bytes are the same either way. *)
 
-val canonical_move : (int -> int) -> move -> move
-(** Rename the [server] of a [Deliver] through a canonical renaming,
-    returning the move itself when the renaming fixes it; [Tick] and
-    [Corrupt] are unchanged. *)
+val search_key : t -> int * int * (int -> int) * (int -> int)
+(** [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
+    the renaming and representative maps of {!fingerprint_ex}.  Two
+    states have equal keys iff they have equal fingerprints, up to a
+    2{^-126}-scale hash collision: the key is the fingerprint's text with
+    each cached section — a server block, the history — replaced by two
+    63-bit words of a non-cryptographic multiply-xorshift hash, folded
+    in the same canonical order.  A section's words are computed once,
+    when the section is rendered, and cached beside it under the same
+    rule: written only while the state is keyed or fingerprinted, so a
+    state other domains clone concurrently is keyed before it is frozen
+    and never after.  Only the small uncached part (client ports,
+    protocol state, spent menu, progress) is rendered per call, and no
+    MD5 runs: {!fingerprint} is the artifact digest, the key is not. *)
+
+val links : Config.t -> int
+(** The number of links of a deployment: clients × servers × 2
+    directions, the width in bits of a residual sleep set. *)
+
+val link_index : t -> (int -> int) -> move -> int
+(** [link_index t ren mv]: the slot in [0, links) of a [Deliver]'s link
+    with its server renamed through [ren] —
+    [(client index × n + ren server) × 2], plus 1 from the server — and
+    [-1] for a [Tick] or [Corrupt]. *)

@@ -227,96 +227,184 @@ module Deque = struct
   let length d = locked d (fun () -> d.dq_len)
 end
 
-(* --- sharded fingerprint map ------------------------------------------ *)
+(* --- the packed visited set -------------------------------------------- *)
 
-module Fp_map = struct
-  type 'v shard = {
-    sh_lock : Mutex.t;
-    sh_tbl : (int, (string * 'v) list) Hashtbl.t;
-    mutable sh_entries : int;
-    mutable sh_collisions : int;
+module Visited = struct
+  (* One open-addressing table per shard, linear probing, in one [Bytes]
+     of fixed-width slots: [2 + width] 64-bit words, the key's two words
+     and then the bitset.  Key word 0 is stored with its top bit flipped:
+     an OCaml int's bits 63 and 62 are equal once sign-extended, so a
+     stored word 0 is never zero, an all-zero word marks an empty slot,
+     and [Int64.to_int] reads the key word back unchanged.  Bytes, not a
+     Bigarray: the table lives in the OCaml heap, where heap statistics
+     count it, and the GC never scans it. *)
+  type shard = {
+    vs_lock : Mutex.t;
+    mutable vs_slots : Bytes.t;
+    mutable vs_cap : int;  (* slots, a power of two *)
+    mutable vs_entries : int;
+    mutable vs_collisions : int;
   }
 
-  type 'v t = { fpm_shards : 'v shard array }
+  type t = { vs_width : int; vs_shards : shard array }
 
-  let create ?(shards = 64) () =
+  let initial_slots = 1024
+
+  let create ?(shards = 64) ~width () =
     if shards < 1 then
-      invalid_arg "Parallel.Pool.Fp_map.create: shards must be >= 1";
+      invalid_arg "Parallel.Pool.Visited.create: shards must be >= 1";
+    if width < 1 then
+      invalid_arg "Parallel.Pool.Visited.create: width must be >= 1";
     {
-      fpm_shards =
+      vs_width = width;
+      vs_shards =
         Array.init shards (fun _ ->
             {
-              sh_lock = Mutex.create ();
-              sh_tbl = Hashtbl.create 1024;
-              sh_entries = 0;
-              sh_collisions = 0;
+              vs_lock = Mutex.create ();
+              vs_slots = Bytes.make (initial_slots * 8 * (2 + width)) '\000';
+              vs_cap = initial_slots;
+              vs_entries = 0;
+              vs_collisions = 0;
             });
     }
 
-  let shards t = Array.length t.fpm_shards
+  let width t = t.vs_width
+  let stride t = 8 * (2 + t.vs_width)
 
-  (* The 64-bit structural key folded from the first 8 bytes of the raw
-     digest: an int key hashes in constant time and halves the per-entry
-     key memory.  [Int64.to_int] can go negative, so the shard index
-     normalizes the remainder. *)
-  let fp_key raw = Int64.to_int (String.get_int64_le raw 0)
+  (* The shard takes [k1]'s remainder, the home slot bits well above
+     it. *)
+  let shard_of t k1 =
+    let s = Array.length t.vs_shards in
+    t.vs_shards.(((k1 mod s) + s) mod s)
 
-  let shard_of t raw =
-    let s = Array.length t.fpm_shards in
-    let key = fp_key raw in
-    let i = ((key mod s) + s) mod s in
-    (key, t.fpm_shards.(i))
+  let home sh k1 = (k1 lsr 24) land (sh.vs_cap - 1)
+  let word b off = Int64.to_int (Bytes.get_int64_le b off)
+  let empty b off = Int64.equal (Bytes.get_int64_le b off) 0L
 
-  let locked sh f = Mutex.protect sh.sh_lock f
+  let store_key b off k1 k2 =
+    Bytes.set_int64_le b off (Int64.logxor (Int64.of_int k1) Int64.min_int);
+    Bytes.set_int64_le b (off + 8) (Int64.of_int k2)
 
-  let update t raw f =
-    let key, sh = shard_of t raw in
+  (* The slot holding [(k1, k2)], or [lnot i] for the empty slot [i]
+     that ends its probe run. *)
+  let locate t sh k1 k2 =
+    let b = sh.vs_slots and st = stride t and last = sh.vs_cap - 1 in
+    let rec go i =
+      let off = i * st in
+      if empty b off then lnot i
+      else if word b off = k1 && word b (off + 8) = k2 then i
+      else go ((i + 1) land last)
+    in
+    go (home sh k1)
+
+  (* Whether a resident between [k1]'s home slot and slot [stop] shares
+     the first key word: the collision the counter records. *)
+  let shares_first_word t sh k1 stop =
+    let st = stride t and last = sh.vs_cap - 1 in
+    let rec go i = i <> stop && (word sh.vs_slots (i * st) = k1 || go ((i + 1) land last)) in
+    go (home sh k1)
+
+  let read_bits t b off =
+    Array.init t.vs_width (fun w -> word b (off + 16 + (8 * w)))
+
+  let write_bits t b off bits =
+    for w = 0 to t.vs_width - 1 do
+      Bytes.set_int64_le b (off + 16 + (8 * w)) (Int64.of_int bits.(w))
+    done
+
+  (* Double the slots once the load passes 0.7, re-placing every
+     resident. *)
+  let grow t sh =
+    let st = stride t and old = sh.vs_slots and cap = sh.vs_cap in
+    sh.vs_cap <- cap * 2;
+    sh.vs_slots <- Bytes.make (sh.vs_cap * st) '\000';
+    for i = 0 to cap - 1 do
+      let off = i * st in
+      if not (empty old off) then begin
+        let j = lnot (locate t sh (word old off) (word old (off + 8))) in
+        Bytes.blit old off sh.vs_slots (j * st) st
+      end
+    done
+
+  let check_width t bits =
+    if Array.length bits <> t.vs_width then
+      invalid_arg "Parallel.Pool.Visited: bitset of the wrong width"
+
+  let locked sh f = Mutex.protect sh.vs_lock f
+
+  let arrive t ~k1 ~k2 bits =
+    check_width t bits;
+    let sh = shard_of t k1 in
     locked sh (fun () ->
-        let bucket =
-          match Hashtbl.find_opt sh.sh_tbl key with
-          | None -> []
-          | Some b -> b
-        in
-        let cur =
-          List.find_map
-            (fun (r, v) -> if String.equal r raw then Some v else None)
-            bucket
-        in
-        let next, ret = f cur in
-        (match (cur, next) with
-        | None, None -> ()
-        | None, Some v ->
-          if bucket <> [] then sh.sh_collisions <- sh.sh_collisions + 1;
-          Hashtbl.replace sh.sh_tbl key ((raw, v) :: bucket);
-          sh.sh_entries <- sh.sh_entries + 1
-        | Some v0, Some v when v == v0 ->
-          (* handed back as found (a covered revisit): nothing to write *)
-          ()
-        | Some _, Some v ->
-          Hashtbl.replace sh.sh_tbl key
-            (List.map
-               (fun (r, v0) -> if String.equal r raw then (r, v) else (r, v0))
-               bucket)
-        | Some _, None ->
-          let bucket =
-            List.filter (fun (r, _) -> not (String.equal r raw)) bucket
+        match locate t sh k1 k2 with
+        | i when i >= 0 ->
+          let b = sh.vs_slots and off = (i * stride t) + 16 in
+          let outside = Array.make t.vs_width 0 in
+          for w = 0 to t.vs_width - 1 do
+            let r = word b (off + (8 * w)) in
+            outside.(w) <- r land lnot bits.(w);
+            (* a word with nothing outside keeps its bits *)
+            if outside.(w) <> 0 then
+              Bytes.set_int64_le b (off + (8 * w)) (Int64.of_int (r land bits.(w)))
+          done;
+          Some outside
+        | i ->
+          let i =
+            if 10 * (sh.vs_entries + 1) > 7 * sh.vs_cap then begin
+              grow t sh;
+              locate t sh k1 k2
+            end
+            else i
           in
-          if bucket = [] then Hashtbl.remove sh.sh_tbl key
-          else Hashtbl.replace sh.sh_tbl key bucket;
-          sh.sh_entries <- sh.sh_entries - 1);
-        ret)
+          let i = lnot i in
+          if shares_first_word t sh k1 i then
+            sh.vs_collisions <- sh.vs_collisions + 1;
+          let off = i * stride t in
+          store_key sh.vs_slots off k1 k2;
+          write_bits t sh.vs_slots off bits;
+          sh.vs_entries <- sh.vs_entries + 1;
+          None)
 
-  let find t raw = update t raw (fun cur -> (cur, cur))
+  let find t ~k1 ~k2 =
+    let sh = shard_of t k1 in
+    locked sh (fun () ->
+        match locate t sh k1 k2 with
+        | i when i >= 0 -> Some (read_bits t sh.vs_slots (i * stride t))
+        | _ -> None)
+
+  (* Backward-shift deletion: each later resident of the run moves into
+     the gap unless its home slot lies cyclically in (gap, its slot], so
+     no probe run ever crosses an empty slot it should not. *)
+  let remove t ~k1 ~k2 =
+    let sh = shard_of t k1 in
+    locked sh (fun () ->
+        match locate t sh k1 k2 with
+        | i when i >= 0 ->
+          let b = sh.vs_slots and st = stride t and last = sh.vs_cap - 1 in
+          let rec shift gap j =
+            let off = j * st in
+            if empty b off then Bytes.fill b (gap * st) st '\000'
+            else
+              let h = home sh (word b off) in
+              let stays = if gap <= j then gap < h && h <= j else gap < h || h <= j in
+              if stays then shift gap ((j + 1) land last)
+              else begin
+                Bytes.blit b off b (gap * st) st;
+                shift j ((j + 1) land last)
+              end
+          in
+          shift i ((i + 1) land last);
+          sh.vs_entries <- sh.vs_entries - 1;
+          true
+        | _ -> false)
 
   let length t =
-    Array.fold_left
-      (fun acc sh -> acc + locked sh (fun () -> sh.sh_entries))
-      0 t.fpm_shards
+    Array.fold_left (fun acc sh -> acc + locked sh (fun () -> sh.vs_entries)) 0 t.vs_shards
 
   let collisions t =
     Array.fold_left
-      (fun acc sh -> acc + locked sh (fun () -> sh.sh_collisions))
-      0 t.fpm_shards
+      (fun acc sh -> acc + locked sh (fun () -> sh.vs_collisions))
+      0 t.vs_shards
 end
 
 (* --- the shared work-stealing frontier -------------------------------- *)

@@ -10,7 +10,7 @@
     self-contained: it runs concurrently with the other items and must
     not touch shared mutable state.
 
-    The frontier primitives ({!Deque}, {!Fp_map}, {!Frontier},
+    The frontier primitives ({!Deque}, {!Visited}, {!Frontier},
     {!scatter}) deliberately relax that contract: they are the
     *sanctioned* shared state for cooperative search, each internally
     synchronized (per-shard or per-deque mutexes, atomic counters) so
@@ -42,7 +42,7 @@ val scatter : domains:int -> (int -> 'a) -> 'a list
     and returns the results in index order.  Unlike {!map} this is the
     *cooperative* fan-out: all calls run concurrently by construction,
     so the [f i] may communicate through internally-synchronized
-    structures ({!Frontier}, {!Fp_map}, [Atomic.t]) handed to them.
+    structures ({!Frontier}, {!Visited}, [Atomic.t]) handed to them.
     Failures are reported as [Worker_failure] with the lowest failing
     index.  Raises [Invalid_argument] if [domains < 1]. *)
 
@@ -101,39 +101,46 @@ module Deque : sig
   val length : 'a t -> int
 end
 
-(** Sharded fingerprint-keyed map: the visited set of both model-checker
-    searches — the sequential DFS on one shard, the cooperative frontier
-    on many.  Keys are raw digests of at least 8 bytes; each digest is
-    interned under the 64-bit key folded from its first 8 bytes, in the
-    shard [key mod shards], each shard an independently-locked
-    [Hashtbl].  Buckets keep the full raw digests, so an 8-byte key
-    collision is verified against the whole digest before two keys are
-    ever merged ([collisions] counts how often that second layer
-    fired). *)
-module Fp_map : sig
-  type 'v t
+(** The model checker's visited set, packed: a set of two-word keys,
+    each with a fixed-width bitset ([width] ints of 63 bits), sharded by
+    the first key word and locked per shard.  Each shard is one
+    open-addressing table in one [Bytes] of fixed-width slots — the two
+    key words, then the bitset, 8 bytes a word — doubled when its load
+    passes 0.7.  A key is trusted whole: two keys are one entry iff both
+    words are equal.  [collisions] counts the insertions of a key whose
+    first word a resident key of its shard already has: how often the
+    second word alone told two keys apart. *)
+module Visited : sig
+  type t
 
-  val create : ?shards:int -> unit -> 'v t
-  (** [shards] defaults to 64; each shard preallocates its table, so a
+  val create : ?shards:int -> width:int -> unit -> t
+  (** [shards] defaults to 64; each shard preallocates 1024 slots, so a
       single-domain caller should ask for one.  Raises
-      [Invalid_argument] if [shards < 1]. *)
+      [Invalid_argument] if [shards < 1] or [width < 1]. *)
 
-  val update : 'v t -> string -> ('v option -> 'v option * 'r) -> 'r
-  (** [update t raw f] applies [f] to the current binding of [raw]
-      ([None] if absent) *atomically*, holding the shard lock across
-      the lookup and the write-back: [f] returns the new binding
-      ([None] removes) and a result passed through to the caller.
-      This is the linearization point callers build "check then insert"
-      plans on; [f] must be quick and must not touch [t]. *)
+  val arrive : t -> k1:int -> k2:int -> int array -> int array option
+  (** [arrive t ~k1 ~k2 bits], *atomically* under the shard lock: if the
+      key is absent, insert it with [bits] and return [None]; otherwise
+      return [Some outside], the resident bits outside [bits], and keep
+      only the resident bits inside [bits] (nothing is written when
+      [outside] is empty).  This is the model checker's sleep-set
+      revisit: the resident bitset is the residual, [bits] the
+      arrival's sleep set.  Raises [Invalid_argument] if [bits] is not
+      [width] long. *)
 
-  val find : 'v t -> string -> 'v option
-  val length : 'v t -> int
-  (** Total distinct digests interned, across all shards. *)
+  val find : t -> k1:int -> k2:int -> int array option
+  (** A copy of the key's bitset, if it is resident. *)
 
-  val collisions : 'v t -> int
-  (** Distinct digests interned under an already-occupied 64-bit key. *)
+  val remove : t -> k1:int -> k2:int -> bool
+  (** Drop the key; [false] if it was absent. *)
 
-  val shards : 'v t -> int
+  val length : t -> int
+  (** Keys resident, across all shards. *)
+
+  val collisions : t -> int
+  (** Keys inserted beside a resident key with the same first word. *)
+
+  val width : t -> int
 end
 
 (** The shared work-stealing frontier: one {!Deque} per worker plus an

@@ -402,6 +402,11 @@ let random_walk st sys steps =
   in
   go steps []
 
+(* The visited set's key of a state, without the renaming maps. *)
+let search_key sys =
+  let k1, k2, _, _ = Mc.Sys.search_key sys in
+  (k1, k2)
+
 (* A clone starts equal to its original and evolves independently: the
    original's fingerprint, menu and history stay put while the clone
    walks on, and the same moves then bring both to the same state. *)
@@ -416,18 +421,23 @@ let prop_clone_isolation =
       let sys = Mc.Sys.create cfg in
       ignore (random_walk st sys prefix);
       let fp = Mc.Sys.fingerprint sys in
+      let key = search_key sys in
       let moves = Mc.Sys.enabled sys in
       let ops = Oracles.History.ops (Mc.Sys.history sys) in
       let copy = Mc.Sys.clone sys in
       let same_start = String.equal (Mc.Sys.fingerprint copy) fp in
       let walked = random_walk st copy steps in
+      let copy_key = search_key copy in
       let untouched =
         String.equal (Mc.Sys.fingerprint sys) fp
+        && search_key sys = key
         && List.equal Mc.Sys.move_equal (Mc.Sys.enabled sys) moves
         && Oracles.History.ops (Mc.Sys.history sys) = ops
       in
       List.iter (fun mv -> ignore (Mc.Sys.apply sys mv)) walked;
       same_start && untouched
+      (* the clone's key stays put while its original moves on *)
+      && search_key copy = copy_key
       && String.equal (Mc.Sys.fingerprint sys) (Mc.Sys.fingerprint copy))
 
 (* --- the fingerprint's cached sections ----------------------------------- *)
@@ -534,6 +544,8 @@ let rename_label ren l =
 
 let sign c = Int.compare c 0
 
+let n12_sys = Mc.Sys.create { n4_silent with Mc.Config.n = 12 }
+
 let test_n12_moves_match_labels () =
   List.iter
     (fun a ->
@@ -554,15 +566,19 @@ let test_n12_moves_match_labels () =
             (not (List.exists (fun x -> List.mem x [ sb; db ]) [ sa; da ]))
             (Mc.Sys.independent a b))
         n12_links;
+      (* a link's slot under a renaming is the slot of the link its
+         renamed label names *)
       List.iter
         (fun ren ->
-          let c = Mc.Sys.canonical_move ren a in
-          check_true
-            ("canonical " ^ label a)
-            (String.equal (label c) (rename_label ren (label a)));
-          if String.equal (label c) (label a) then check_true "unchanged is the move itself" (c == a))
+          let renamed = rename_label ren (label a) in
+          let b = List.find (fun b -> String.equal (label b) renamed) n12_links in
+          check_int ("slot of " ^ label a ^ " renamed")
+            (Mc.Sys.link_index n12_sys Fun.id b) (Mc.Sys.link_index n12_sys ren a))
         [ Fun.id; (fun s -> 11 - s); (fun s -> (s * 5) mod 12) ])
     n12_links;
+  check_true "every link has its own slot below links"
+    (List.sort Int.compare (List.map (Mc.Sys.link_index n12_sys Fun.id) n12_links)
+    = List.init (Mc.Sys.links (Mc.Sys.config n12_sys)) Fun.id);
   (* Deliveries, then ticks, then corruptions, each kind by index. *)
   let first = Mc.Sys.Deliver { client = 100; server = 0; to_server = true } in
   let kinds =
@@ -575,7 +591,8 @@ let test_n12_moves_match_labels () =
        [ first; Mc.Sys.Tick 0; Mc.Sys.Tick 2; Mc.Sys.Tick 10;
          Mc.Sys.Corrupt 0; Mc.Sys.Corrupt 2; Mc.Sys.Corrupt 10 ]);
   check_false "a tick is dependent"
-    (Mc.Sys.independent (Mc.Sys.Tick 0) first)
+    (Mc.Sys.independent (Mc.Sys.Tick 0) first);
+  check_int "a tick has no link" (-1) (Mc.Sys.link_index n12_sys Fun.id (Mc.Sys.Tick 0))
 
 (* A cex whose first delivery carries [l]. *)
 let with_first_label l j =
@@ -780,6 +797,72 @@ let test_profile_golden () =
     (String.concat "" (String.split_on_char '\n' profile_golden))
     (Obs.Json.to_string (Obs.Profile.to_json r))
 
+(* Two-word residual sleep sets: n = 20 has 80 links, so every sleep
+   set naming a link of the reader's to server 12 or above reaches the
+   second word.  [mc --family regular --servers 20 -t 1 --byz 1
+   --read-budget 8 --max-states 3000]. *)
+let n20_golden =
+  ( "n20 budgeted, two-word residuals",
+    (fun () ->
+      Mc.Checker.search
+        ~budgets:{ Mc.Checker.max_states = 3_000; max_depth = 10_000 }
+        { n4_silent with Mc.Config.n = 20; read_budget = 8 }),
+    "clean exhaustive=false trace=-1 states=3000 transitions=3000 \
+     terminals=3 revisits=2052 sleep_skips=561 sym_skips=11907 \
+     replays=0 off_target=0 fp_collisions=0 peak_visited=945 \
+     max_depth_seen=98 truncated=true" )
+
+(* Every state a full search reaches — every enabled move from every
+   state, no reduction, expanding each fingerprint once, up to [budget]
+   arrivals: merged arrivals included, with the key taken on the warm
+   state the walk left. *)
+let reached_states cfg ~budget =
+  let expanded = Hashtbl.create 1024 and arrivals = ref [] and count = ref 0 in
+  let rec go sys =
+    if !count < budget then begin
+      incr count;
+      let key = search_key sys and fp = Mc.Sys.fingerprint sys in
+      arrivals := (key, fp) :: !arrivals;
+      if not (Hashtbl.mem expanded fp) then begin
+        Hashtbl.add expanded fp ();
+        List.iter
+          (fun mv ->
+            let child = Mc.Sys.clone sys in
+            check_true "search move applies" (Mc.Sys.apply child mv);
+            go child)
+          (Mc.Sys.enabled sys)
+      end
+    end
+  in
+  go (Mc.Sys.create cfg);
+  !arrivals
+
+(* The key stands in for the digest in the visited set: two reached
+   states have equal keys iff they have equal fingerprints. *)
+let test_key_agrees_with_fingerprint () =
+  List.iter
+    (fun (name, cfg, budget) ->
+      let arrivals = reached_states cfg ~budget in
+      let by_key = Hashtbl.create 1024 and by_fp = Hashtbl.create 1024 in
+      List.iter
+        (fun (key, fp) ->
+          (match Hashtbl.find_opt by_key key with
+          | Some fp' -> check_true (name ^ ": one fingerprint per key") (String.equal fp fp')
+          | None -> Hashtbl.add by_key key fp);
+          match Hashtbl.find_opt by_fp fp with
+          | Some key' -> check_true (name ^ ": one key per fingerprint") (key = key')
+          | None -> Hashtbl.add by_fp fp key)
+        arrivals;
+      check_true (name ^ ": some states merged")
+        (Hashtbl.length by_fp < List.length arrivals);
+      check_int (name ^ ": as many keys as fingerprints") (Hashtbl.length by_fp)
+        (Hashtbl.length by_key))
+    [
+      ("tiny regular", tiny_cfg, max_int);
+      ("tiny atomic", { tiny_cfg with Mc.Config.family = Mc.Config.Atomic }, max_int);
+      ("budgeted mwmr", clone_cfgs.(2), 20_000);
+    ]
+
 let tests =
   List.map
     (fun w -> case ("golden fingerprint: " ^ w.w_name) (test_golden_fingerprint w))
@@ -812,4 +895,7 @@ let tests =
       qcheck prop_clone_isolation;
       case "a terminal state refuses a corruption" test_terminal_refuses_corruption;
       qcheck prop_warm_fingerprint_is_cold;
+      (let name, search, expected = n20_golden in
+       case ("stats golden: " ^ name) (test_stats_golden (search, expected)));
+      case "a search key agrees with the fingerprint" test_key_agrees_with_fingerprint;
     ]

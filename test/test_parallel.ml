@@ -248,109 +248,152 @@ let test_deque_grows () =
        (List.filteri (fun i _ -> i < n / 2) pairs)
        (List.init (n / 2) (fun i -> i + 1)))
 
-(* --- Parallel.Pool.Fp_map (the sharded visited set) ------------------- *)
+(* --- Parallel.Pool.Visited (the packed visited set) --------------------- *)
 
-(* Deterministic fingerprint pool: 16-byte strings whose first 8 bytes
-   are the 64-bit shard key.  [collide] pairs share that key (the
-   two-layer scheme's slow path) but differ in the tail. *)
-let fp ~key ~tail =
-  let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 (Int64.of_int key);
-  Bytes.set_int64_le b 8 (Int64.of_int tail);
-  Bytes.to_string b
+(* Hand-crafted keys: [key] is the first word (it picks the shard and
+   the home slot), [tail] the second; keys sharing [key] but not [tail]
+   are the collisions the table counts. *)
+let arrive m ~key ~tail bits = Parallel.Pool.Visited.arrive m ~k1:key ~k2:tail bits
+let find m ~key ~tail = Parallel.Pool.Visited.find m ~k1:key ~k2:tail
+let bits_equal = Option.equal (Array.for_all2 Int.equal)
 
-let test_fp_map_agrees_with_hashtbl_oracle () =
+(* The table against a Hashtbl model of [arrive]: absent, insert the
+   bits; resident, report the bits outside the arrival's and keep the
+   ones inside. *)
+let test_visited_agrees_with_hashtbl_oracle () =
   let rng = Random.State.make [| 2025 |] in
-  (* a stream with repeats and forced same-key collisions, replayed
-     identically against every shard count and a sequential oracle *)
+  (* a stream with repeats and forced same-first-word collisions,
+     replayed identically against every shard count and the model *)
   let stream =
     List.init 2_000 (fun _ ->
         let key = Random.State.int rng 150 in
         let tail =
           if Random.State.bool rng then 0 else Random.State.int rng 3
         in
-        fp ~key ~tail)
+        (key, tail, [| Random.State.bits rng lor (Random.State.bits rng lsl 30) |]))
   in
-  let oracle = Hashtbl.create 64 in
-  List.iteri
-    (fun i s -> if not (Hashtbl.mem oracle s) then Hashtbl.add oracle s i)
-    stream;
   List.iter
     (fun shards ->
-      let m = Parallel.Pool.Fp_map.create ~shards () in
+      let oracle = Hashtbl.create 64 in
+      let m = Parallel.Pool.Visited.create ~shards ~width:1 () in
       List.iteri
-        (fun i s ->
-          let inserted =
-            Parallel.Pool.Fp_map.update m s (fun cur ->
-                match cur with
-                | None -> (Some i, true)
-                | Some v -> (Some v, false))
+        (fun i (key, tail, bits) ->
+          let expected =
+            match Hashtbl.find_opt oracle (key, tail) with
+            | None ->
+              Hashtbl.replace oracle (key, tail) bits;
+              None
+            | Some r ->
+              Hashtbl.replace oracle (key, tail) [| r.(0) land bits.(0) |];
+              Some [| r.(0) land lnot bits.(0) |]
           in
           check_true
-            (Printf.sprintf "S=%d op %d insert agrees" shards i)
-            (Bool.equal inserted (Hashtbl.find oracle s = i)))
+            (Printf.sprintf "S=%d op %d arrival agrees" shards i)
+            (bits_equal (arrive m ~key ~tail bits) expected))
         stream;
       check_int
         (Printf.sprintf "S=%d cardinality" shards)
         (Hashtbl.length oracle)
-        (Parallel.Pool.Fp_map.length m);
+        (Parallel.Pool.Visited.length m);
       Hashtbl.iter
-        (fun s v ->
+        (fun (key, tail) bits ->
           check_true
-            (Printf.sprintf "S=%d member %d" shards v)
-            (Option.equal Int.equal (Parallel.Pool.Fp_map.find m s) (Some v)))
+            (Printf.sprintf "S=%d member %d/%d" shards key tail)
+            (bits_equal (find m ~key ~tail) (Some bits)))
         oracle;
       check_true
         (Printf.sprintf "S=%d absent key" shards)
-        (Option.is_none (Parallel.Pool.Fp_map.find m (fp ~key:9_999 ~tail:0)));
+        (Option.is_none (find m ~key:9_999 ~tail:0));
       check_true
         (Printf.sprintf "S=%d collisions counted" shards)
-        (Parallel.Pool.Fp_map.collisions m > 0))
+        (Parallel.Pool.Visited.collisions m > 0))
     [ 1; 2; 4; 8 ]
 
-let test_fp_map_collision_fixture () =
-  (* two fingerprints with the same 64-bit key must stay distinct
-     entries — the full-digest compare, not the folded key, decides *)
-  let a = fp ~key:77 ~tail:1 and b = fp ~key:77 ~tail:2 in
-  let m = Parallel.Pool.Fp_map.create ~shards:4 () in
-  ignore (Parallel.Pool.Fp_map.update m a (fun _ -> (Some "a", ())));
-  ignore (Parallel.Pool.Fp_map.update m b (fun _ -> (Some "b", ())));
-  check_int "both kept" 2 (Parallel.Pool.Fp_map.length m);
-  check_true "a intact"
-    (Option.equal String.equal (Parallel.Pool.Fp_map.find m a) (Some "a"));
-  check_true "b intact"
-    (Option.equal String.equal (Parallel.Pool.Fp_map.find m b) (Some "b"));
-  check_int "collision recorded" 1 (Parallel.Pool.Fp_map.collisions m);
-  (* no-collision control: distinct keys, silent counter *)
-  let m2 = Parallel.Pool.Fp_map.create ~shards:4 () in
-  ignore (Parallel.Pool.Fp_map.update m2 (fp ~key:1 ~tail:0) (fun _ -> (Some "x", ())));
-  ignore (Parallel.Pool.Fp_map.update m2 (fp ~key:2 ~tail:0) (fun _ -> (Some "y", ())));
-  check_int "distinct keys do not count" 0 (Parallel.Pool.Fp_map.collisions m2)
+let test_visited_collision_fixture () =
+  (* two keys with the same first word must stay distinct entries — the
+     second word, not the first alone, decides *)
+  let m = Parallel.Pool.Visited.create ~shards:4 ~width:1 () in
+  ignore (arrive m ~key:77 ~tail:1 [| 0b01 |]);
+  ignore (arrive m ~key:77 ~tail:2 [| 0b10 |]);
+  check_int "both kept" 2 (Parallel.Pool.Visited.length m);
+  check_true "a intact" (bits_equal (find m ~key:77 ~tail:1) (Some [| 0b01 |]));
+  check_true "b intact" (bits_equal (find m ~key:77 ~tail:2) (Some [| 0b10 |]));
+  check_int "collision recorded" 1 (Parallel.Pool.Visited.collisions m);
+  (* no-collision control: distinct first words, silent counter *)
+  let m2 = Parallel.Pool.Visited.create ~shards:4 ~width:1 () in
+  ignore (arrive m2 ~key:1 ~tail:0 [| 1 |]);
+  ignore (arrive m2 ~key:2 ~tail:0 [| 1 |]);
+  check_int "distinct keys do not count" 0 (Parallel.Pool.Visited.collisions m2)
 
-let test_fp_map_update_removes () =
-  let m = Parallel.Pool.Fp_map.create ~shards:2 () in
-  let k = fp ~key:5 ~tail:0 in
-  ignore (Parallel.Pool.Fp_map.update m k (fun _ -> (Some 1, ())));
-  ignore (Parallel.Pool.Fp_map.update m k (fun _ -> (None, ())));
-  check_true "removed" (Option.is_none (Parallel.Pool.Fp_map.find m k));
-  check_int "length back to zero" 0 (Parallel.Pool.Fp_map.length m)
+let test_visited_remove () =
+  let m = Parallel.Pool.Visited.create ~shards:2 ~width:1 () in
+  ignore (arrive m ~key:5 ~tail:0 [| 1 |]);
+  check_true "removed" (Parallel.Pool.Visited.remove m ~k1:5 ~k2:0);
+  check_true "gone" (Option.is_none (find m ~key:5 ~tail:0));
+  check_int "length back to zero" 0 (Parallel.Pool.Visited.length m);
+  check_true "absent key not removed" (not (Parallel.Pool.Visited.remove m ~k1:5 ~k2:0));
+  (* three keys of one home slot form one probe run; removing the middle
+     one must leave the last findable *)
+  List.iter (fun tail -> ignore (arrive m ~key:6 ~tail [| tail |])) [ 1; 2; 3 ];
+  check_true "middle removed" (Parallel.Pool.Visited.remove m ~k1:6 ~k2:2);
+  check_true "run head kept" (bits_equal (find m ~key:6 ~tail:1) (Some [| 1 |]));
+  check_true "run tail kept" (bits_equal (find m ~key:6 ~tail:3) (Some [| 3 |]));
+  check_int "two left" 2 (Parallel.Pool.Visited.length m)
 
-let test_fp_map_concurrent_inserts () =
+let test_visited_concurrent_arrivals () =
   (* 4 domains hammer overlapping key ranges; the final table must hold
      exactly the union, sharded consistently *)
-  let m = Parallel.Pool.Fp_map.create ~shards:8 () in
+  let m = Parallel.Pool.Visited.create ~shards:8 ~width:1 () in
   ignore
     (Parallel.Pool.scatter ~domains:4 (fun w ->
          for i = 0 to 499 do
-           let k = fp ~key:((i + (w * 250)) mod 800) ~tail:0 in
-           ignore
-             (Parallel.Pool.Fp_map.update m k (fun cur ->
-                  match cur with
-                  | None -> (Some 1, ())
-                  | Some n -> (Some (n + 1), ())))
+           ignore (arrive m ~key:((i + (w * 250)) mod 800) ~tail:0 [| 1 lsl w |])
          done));
   check_int "exactly the union of the ranges" 800
-    (Parallel.Pool.Fp_map.length m)
+    (Parallel.Pool.Visited.length m)
+
+(* Far more keys than a shard's initial 1024 slots, spread over home
+   slots, every tenth sharing its first word with its predecessor: each
+   doubling re-places every resident with its bits. *)
+let test_visited_grows () =
+  let m = Parallel.Pool.Visited.create ~shards:1 ~width:1 () in
+  let key i = (i / 10 * 10) + (if i mod 10 = 1 then 0 else i mod 10) in
+  let spread i = key i * 0x9E3779B97F4A7C1 in
+  for i = 0 to 19_999 do
+    check_true "fresh key" (Option.is_none (arrive m ~key:(spread i) ~tail:i [| i |]))
+  done;
+  check_int "every key kept" 20_000 (Parallel.Pool.Visited.length m);
+  check_int "shared first words counted" 2_000 (Parallel.Pool.Visited.collisions m);
+  check_true "every key finds its bits"
+    (List.for_all
+       (fun i -> bits_equal (find m ~key:(spread i) ~tail:i) (Some [| i |]))
+       (List.init 20_000 Fun.id))
+
+(* A deployment with more than 63 links keeps its residual sleep sets in
+   two words: n = 20 with two clients has 80 links, the last 17 of them
+   in the second word. *)
+let test_visited_multi_word_residual () =
+  let cfg = { (Mc.Config.default ~family:Mc.Config.Regular) with Mc.Config.n = 20 } in
+  let links = Mc.Sys.links cfg in
+  check_int "links" 80 links;
+  let width = (links + 62) / 63 in
+  check_int "two words" 2 width;
+  let sys = Mc.Sys.create cfg in
+  let last = Mc.Sys.Deliver { client = 101; server = 19; to_server = false } in
+  let first = Mc.Sys.Deliver { client = 100; server = 0; to_server = true } in
+  let i_last = Mc.Sys.link_index sys Fun.id last in
+  check_int "the last link's slot" 79 i_last;
+  check_int "the first link's slot" 0 (Mc.Sys.link_index sys Fun.id first);
+  let m = Parallel.Pool.Visited.create ~shards:1 ~width () in
+  let both = [| 1; 1 lsl (i_last - 63) |] in
+  check_true "first arrival" (Option.is_none (arrive m ~key:3 ~tail:4 both));
+  check_true "a revisit asleep on the first link still needs the last"
+    (bits_equal (arrive m ~key:3 ~tail:4 [| 1; 0 |]) (Some [| 0; 1 lsl 16 |]));
+  check_true "the residual keeps the first link only"
+    (bits_equal (find m ~key:3 ~tail:4) (Some [| 1; 0 |]));
+  Alcotest.check_raises "a one-word bitset is refused"
+    (Invalid_argument "Parallel.Pool.Visited: bitset of the wrong width") (fun () ->
+      ignore (arrive m ~key:3 ~tail:4 [| 1 |]))
 
 (* --- search_parallel ≡ search ---------------------------------------- *)
 
@@ -629,12 +672,12 @@ let tests =
       test_check_fraction_invalid;
     case "deque: pop newest, steal oldest" test_deque_pop_newest_steal_oldest;
     case "deque: grows past its initial capacity" test_deque_grows;
-    case "fp_map: agrees with Hashtbl oracle (S=1,2,4,8)"
-      test_fp_map_agrees_with_hashtbl_oracle;
-    case "fp_map: 64-bit key collision fixture" test_fp_map_collision_fixture;
-    case "fp_map: update can remove" test_fp_map_update_removes;
-    case "fp_map: concurrent inserts keep the union"
-      test_fp_map_concurrent_inserts;
+    case "visited: agrees with Hashtbl oracle (S=1,2,4,8)"
+      test_visited_agrees_with_hashtbl_oracle;
+    case "visited: shared first word collision fixture" test_visited_collision_fixture;
+    case "visited: remove keeps probe runs" test_visited_remove;
+    case "visited: concurrent arrivals keep the union"
+      test_visited_concurrent_arrivals;
     case "mc: frontier ≡ sequential on config grid"
       test_parallel_agrees_with_sequential;
     case "mc: parallel search reproducible" test_parallel_reproducible;
@@ -647,4 +690,6 @@ let tests =
       test_campaign_domains_deterministic;
     case "chaos: race-checked campaign agrees"
       test_campaign_race_check_agrees;
+    case "visited: grows past its initial slots" test_visited_grows;
+    case "visited: multi-word residual (n = 20)" test_visited_multi_word_residual;
   ]

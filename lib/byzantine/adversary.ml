@@ -73,11 +73,6 @@ let recover ?(wipe = `Arbitrary) ?rng t i =
 
 let byzantine_ids t = List.sort Int.compare t.byz
 
-let compromise_first t ~count mk =
-  for i = 0 to count - 1 do
-    compromise t i (mk i)
-  done
-
 let move t ~from ~to_ behavior =
   restore t from;
   compromise t to_ behavior

@@ -45,9 +45,6 @@ val recover : ?wipe:Behavior.wipe -> ?rng:Sim.Rng.t -> t -> int -> unit
 val byzantine_ids : t -> int list
 (** Currently compromised slots, ascending. *)
 
-val compromise_first : t -> count:int -> (int -> Behavior.t) -> unit
-(** Compromise slots [0 .. count-1] (strategy chosen per slot). *)
-
 val move : t -> from:int -> to_:int -> Behavior.t -> unit
 (** Mobile step: {!restore} [from], then {!compromise} [to_]. *)
 

@@ -17,9 +17,6 @@
    never hold a lock themselves and never block inside their own
    closures. *)
 
-let available_domains () =
-  max 1 (Domain.recommended_domain_count () - 1)
-
 exception Worker_failure of int * exn
 
 let map ~domains f items =

@@ -18,10 +18,6 @@
     stole what, who visited a state first) stay internal; callers are
     responsible for reporting only schedule-independent projections. *)
 
-val available_domains : unit -> int
-(** Domains worth spawning beside the caller's:
-    [recommended_domain_count () - 1], floored at 1. *)
-
 exception Worker_failure of int * exn
 (** [Worker_failure (i, e)]: applying [f] to item [i] raised [e].  When
     several items fail, the lowest index wins — deterministically —

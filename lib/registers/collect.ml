@@ -132,7 +132,6 @@ type collected = {
   answers : Messages.to_client array;
   acks : int;
   attempts : int;
-  complete : bool;
 }
 
 (* An operation that fell short of [need]: degraded if at least a read
@@ -143,13 +142,10 @@ let shortfall params ~suspects ~attempts ~acks ~need =
   if acks >= Params.read_quorum params then Outcome.Degraded r
   else Outcome.Timed_out r
 
-let judged params ~suspects (c : collected) =
+let judged params (c : collected) =
   let need = Params.write_ok_threshold params in
   if c.acks >= need then Outcome.Ok ()
-  else shortfall params ~suspects ~attempts:c.attempts ~acks:c.acks ~need
-
-let judge ~net ~port c =
-  judged (Net.params net) ~suspects:(Health.suspects port.Net.health) c
+  else shortfall params ~suspects:[] ~attempts:c.attempts ~acks:c.acks ~need
 
 (* --- operations as round automata --- *)
 
@@ -207,8 +203,7 @@ let collect_rounds ~params ~inst ~body ~wanted k _ =
       let best = if a.acks >= best.acks then a else best in
       if a.acks >= full || n + 1 >= max_attempts then
         let pick = if a.acks >= full then a else best in
-        k { answers = pick.answers; acks = pick.acks; attempts = n + 1;
-            complete = a.acks >= full } c
+        k { answers = pick.answers; acks = pick.acks; attempts = n + 1 } c
       else go (n + 1) best
     in
     Round { inst; body; wanted; attempt = n; backoff = n; k }
@@ -222,7 +217,7 @@ let write_round (site : site) cell k c =
   let params = site.params and inst = site.inst in
   collect_rounds ~params ~inst ~body:(Messages.Write cell) ~wanted:Write_acks
     (fun coll c ->
-      let outcome = judged params ~suspects:[] coll in
+      let outcome = judged params coll in
       let threshold = Params.help_refresh_threshold params in
       match Quorum.find_ack_help ~threshold coll.answers with
       | Some _ -> k outcome c
@@ -314,10 +309,6 @@ let rec drive ~net ~port c context scopes = function
 let finish v _ = Return v
 
 let run ?span ~net ~port c op = drive ~net ~port c span [] (op finish c)
-
-let retrying ?span ~net ~port ~inst ~body ~wanted () =
-  run ?span ~net ~port ()
-    (collect_rounds ~params:(Net.params net) ~inst ~body ~wanted)
 
 (* --- one SWSR client endpoint --- *)
 

@@ -79,34 +79,6 @@ val attempt_once :
 (** One collection pass for broadcast [round] over the port's mailbox,
     blocking the calling fiber until it ends. *)
 
-type collected = {
-  answers : Messages.to_client array;  (** from the best attempt *)
-  acks : int;
-  attempts : int;  (** attempts spent (1 = first try sufficed) *)
-  complete : bool;  (** the full [Params.ack_wait] quota answered *)
-}
-
-val retrying :
-  ?span:Obs.Trace_ctx.span ->
-  net:Net.t ->
-  port:Net.client_port ->
-  inst:int ->
-  body:Messages.to_server ->
-  wanted:acks ->
-  unit ->
-  collected
-(** One logical collect: ss-broadcast [body], gather, and retry (fresh
-    broadcast each time, after the policy's backoff plus per-port jitter;
-    each retry bumps ["collect.retries"] and emits a ["retry.c<id>.a<k>"]
-    mark) until the full quota answers or the policy's attempt budget runs
-    out; returns the best attempt.  Each re-broadcast opens its own child
-    span of [span], so retry rounds are visible in traces. *)
-
-val judge : net:Net.t -> port:Net.client_port -> collected -> unit Outcome.t
-(** Classify a collect against {!Params.write_ok_threshold} (full service)
-    and {!Params.read_quorum} (degraded vs timed out), naming the port's
-    current suspects in the reason. *)
-
 (** {2 Operations as round automata}
 
     An operation runs until it must wait for a round; the {!step} it
@@ -166,9 +138,13 @@ val scoped :
     (default [false]) is one register operation, which {!run} counts. *)
 
 val write_round : site -> Messages.cell -> ('c, unit Outcome.t, 'r) op
-(** Lines 02–06: WRITE([cell]) collected as by {!retrying}, then
-    NEW_HELP_VAL([cell]) unless a {!Params.help_refresh_threshold} of
-    helping values agree, judged as by {!judge}. *)
+(** Lines 02–06: WRITE([cell]) re-broadcast (after the policy's backoff
+    plus per-port jitter; each retry bumps ["collect.retries"] and emits a
+    ["retry.c<id>.a<k>"] mark) until the full quota answers or the
+    policy's attempt budget runs out, then NEW_HELP_VAL([cell]) unless a
+    {!Params.help_refresh_threshold} of the best attempt's helping values
+    agree.  The outcome is [Ok] when {!Params.write_ok_threshold} servers
+    answered, else [Degraded] or [Timed_out] by {!Params.read_quorum}. *)
 
 val read_loop :
   ?max_iterations:int ->

@@ -5,18 +5,10 @@ let create ?(threshold = 2) ~n () =
   if threshold <= 0 then invalid_arg "Health: threshold must be positive";
   { misses = Array.make n 0; threshold }
 
-let n t = Array.length t.misses
-
 let note t ~server ~answered =
   if server >= 0 && server < Array.length t.misses then
     if answered then t.misses.(server) <- 0
     else t.misses.(server) <- t.misses.(server) + 1
-
-let misses t server =
-  if server >= 0 && server < Array.length t.misses then t.misses.(server)
-  else 0
-
-let suspected t server = misses t server >= t.threshold
 
 let suspects t =
   let acc = ref [] in
@@ -26,5 +18,3 @@ let suspects t =
   !acc
 
 let responsive t = Array.length t.misses - List.length (suspects t)
-
-let forget t = Array.fill t.misses 0 (Array.length t.misses) 0

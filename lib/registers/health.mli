@@ -15,22 +15,12 @@ val create : ?threshold:int -> n:int -> unit -> t
 (** [threshold] consecutive missed attempts before a slot is suspected
     (default 2). *)
 
-val n : t -> int
-
 val note : t -> server:int -> answered:bool -> unit
 (** Record one attempt's evidence for a slot.  An answer resets the miss
     count; out-of-range slots are ignored. *)
-
-val misses : t -> int -> int
-(** Current consecutive-miss count of a slot. *)
-
-val suspected : t -> int -> bool
 
 val suspects : t -> int list
 (** Suspected slots, ascending. *)
 
 val responsive : t -> int
 (** [n] minus the number of suspects. *)
-
-val forget : t -> unit
-(** Clear all evidence (e.g. after a transient fault wipes the client). *)

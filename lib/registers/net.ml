@@ -118,8 +118,9 @@ let is_correct t i = t.correct.(i)
 
 let round_modulus = 1 lsl 30
 
-(* "c100->s3" and friends: the engine labels each link's events with
-   these names.  Each client port builds 2n of them, so no [Printf]. *)
+(* "c100=>s3" and friends: the ss-transport links carry these names into
+   their [Drop] events and marks.  Each client port builds 2n of them, so
+   no [Printf]. *)
 let link_name p a arrow b =
   let buf = Buffer.create 16 in
   Buffer.add_string buf p;
@@ -162,14 +163,11 @@ let add_client t ~id =
         let to_servers =
           Array.init n (fun s ->
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
-                ~name:(link_name "c" id "->s" s)
                 ~deliver:(fun env -> t.endpoints.(s).on_deliver env))
         in
         let from_servers =
-          Array.init n (fun s ->
-              Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
-                ~name:(link_name "s" s "->c" id)
-                ~deliver:receive)
+          Array.init n (fun _ ->
+              Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ()) ~deliver:receive)
         in
         {
           client_id = id;

@@ -81,8 +81,6 @@ let create_exn ?retry ~n ~f ~mode () =
   | Ok t -> t
   | Error msg -> invalid_arg msg
 
-let with_retry t retry = { t with retry }
-
 let retry t = t.retry
 
 let ack_wait t = match t.mode with Async -> t.n - t.f | Sync _ -> t.n

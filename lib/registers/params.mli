@@ -66,9 +66,6 @@ val create_unchecked : ?retry:retry -> n:int -> f:int -> mode:mode -> unit -> t
 (** Skip the resilience validation — used by the tightness experiments that
     deliberately run the algorithms outside their assumptions. *)
 
-val with_retry : t -> retry -> t
-(** Same deployment, different client wait policy. *)
-
 val retry : t -> retry
 
 val satisfies_bound : t -> bool

@@ -10,8 +10,8 @@
    Invariant: [base <= clock] and [base <=] every pending time.  A new
    event (time >= clock) therefore never lands before the window.  Only
    firing the least event moves [base]: to that event's instant, which
-   the clock then reaches.  Out-of-order firing ([fire], [fire_action])
-   and a [run ~until] that stops short leave it alone.
+   the clock then reaches.  A [run ~until] that stops short leaves it
+   alone.
 
    [width] is a power of two, so a mask finds the slot, and the first
    above the delays the protocols schedule: link delays of 1-10 ticks,
@@ -31,12 +31,9 @@ let mask = width - 1
 type event = {
   mutable time : Vtime.t;
   mutable seq : int;
-  label : string;
   action : unit -> unit;
   mutable next : event; (* the next event of its bucket; the tail's is the head *)
 }
-
-type ready_event = { r_time : Vtime.t; r_seq : int; r_label : string }
 
 type t = {
   mutable clock : Vtime.t;
@@ -53,9 +50,7 @@ type t = {
 
 let create ?trace ~rng () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let rec nil =
-    { time = Vtime.zero; seq = -1; label = ""; action = ignore; next = nil }
-  in
+  let rec nil = { time = Vtime.zero; seq = -1; action = ignore; next = nil } in
   {
     clock = Vtime.zero;
     next_seq = 0;
@@ -99,8 +94,7 @@ let rec insert ev = function
   | later -> ev :: later
 
 (* An event not yet queued. *)
-let event t ~label action =
-  { time = Vtime.zero; seq = -1; label; action; next = t.nil }
+let event t action = { time = Vtime.zero; seq = -1; action; next = t.nil }
 
 (* Queue [ev], which is not queued, at [time] (clamped to the clock) with
    the next seq. *)
@@ -115,16 +109,12 @@ let enqueue t ev time =
     t.overflow <- insert ev t.overflow
   end
 
-let post t ~label time action = enqueue t (event t ~label action) time
+let schedule_at t time action = enqueue t (event t action) time
 
-let schedule_at ?(label = "") t time action = post t ~label time action
+let schedule t ~delay action = schedule_at t (Vtime.add t.clock (max delay 0)) action
 
-let schedule ?label t ~delay action =
-  schedule_at ?label t (Vtime.add t.clock (max delay 0)) action
-
-(* The scans are top-level functions taking everything they use as
-   arguments: local closures over [t], [f] or [pred] would be allocated on
-   every event, or on every move of the model checker. *)
+(* A top-level scan taking everything it uses as arguments: a local
+   closure over [t] would be allocated on every event. *)
 let rec first_full t tick =
   if t.ring.(tick land mask) == t.nil then first_full t (tick + 1) else tick
 
@@ -164,7 +154,7 @@ let pop_least t tick =
   t.pending <- t.pending - 1;
   head
 
-(* The single place an event is consumed: run, step and fire all funnel
+(* The single place an event is consumed: run and step both funnel
    through here, so they cannot disagree on clock handling. *)
 let fire_event t ev =
   t.clock <- Vtime.max t.clock ev.time;
@@ -197,95 +187,13 @@ let run ?until ?(max_events = max_int) t =
   | Some u when Vtime.( < ) t.clock u && !fired < max_events -> t.clock <- u
   | _ -> ()
 
-(* [f] on [ev] and the rest of its bucket up to [tail]; [n] plus the
-   number of events visited. *)
-let rec iter_bucket f tail ev n =
-  f ev;
-  if ev == tail then n + 1 else iter_bucket f tail ev.next (n + 1)
-
-let rec iter_ring t f tick left =
-  if left > 0 then begin
-    let tail = t.ring.(tick land mask) in
-    if tail == t.nil then iter_ring t f (tick + 1) left
-    else iter_ring t f (tick + 1) (left - iter_bucket f tail tail.next 0)
-  end
-
-(* In (time, seq) order: the ring from [base], each bucket head to tail,
-   then the overflow. *)
-let ready t =
-  let acc = ref [] in
-  let add ev = acc := { r_time = ev.time; r_seq = ev.seq; r_label = ev.label } :: !acc in
-  iter_ring t add t.base t.in_ring;
-  List.iter add t.overflow;
-  List.rev !acc
-
-(* [prev] is the event before the one examined: the tail, for the head. *)
-let rec take_in_bucket t pred tick tail prev left =
-  let ev = prev.next in
-  if pred ev then begin
-    let i = tick land mask in
-    if ev == prev then t.ring.(i) <- t.nil
-    else begin
-      prev.next <- ev.next;
-      if ev == tail then t.ring.(i) <- prev
-    end;
-    forget t ev;
-    t.in_ring <- t.in_ring - 1;
-    t.pending <- t.pending - 1;
-    ev
-  end
-  else if ev == tail then take_in_ring t pred (tick + 1) (left - 1)
-  else take_in_bucket t pred tick tail ev (left - 1)
-
-and take_in_ring t pred tick left =
-  if left = 0 then take_in_overflow t pred [] t.overflow
-  else
-    let tail = t.ring.(tick land mask) in
-    if tail == t.nil then take_in_ring t pred (tick + 1) left
-    else take_in_bucket t pred tick tail tail left
-
-and take_in_overflow t pred seen = function
-  | [] -> t.nil
-  | ev :: rest ->
-    if pred ev then begin
-      t.overflow <- List.rev_append seen rest;
-      forget t ev;
-      t.pending <- t.pending - 1;
-      ev
-    end
-    else take_in_overflow t pred (ev :: seen) rest
-
-(* Unlink and return the first event in (time, seq) order satisfying
-   [pred], or [t.nil] when none does.  [base] does not move: the events
-   left behind may be earlier than the one taken. *)
-let take t pred = take_in_ring t pred t.base t.in_ring
-
-let fire t ~seq =
-  let ev = take t (fun ev -> ev.seq = seq) in
-  ev != t.nil
-  && begin
-    fire_event t ev;
-    true
-  end
-
-let advance_to t time = if Vtime.( < ) t.clock time then t.clock <- time
-
-let fire_action t ~action ~not_before =
-  let ev = take t (fun ev -> ev.action == action) in
-  ev != t.nil
-  && begin
-    advance_to t not_before;
-    fire_event t ev;
-    true
-  end
-
 let pending t = t.pending
 
 let quiescent t = t.pending = 0
 
 type timer = { engine : t; ev : event }
 
-let timer t action = { engine = t; ev = event t ~label:"" action }
+let timer t action = { engine = t; ev = event t action }
 
 let due tm = tm.ev.time
 

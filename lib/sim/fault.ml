@@ -20,8 +20,6 @@ let names t = List.rev_map (fun tg -> tg.name) t.targets
 let register_process t ~name ~crash ~recover =
   t.processes <- { pname = name; crash; recover } :: t.processes
 
-let process_names t = List.rev_map (fun p -> p.pname) t.processes
-
 (* Matching respects dot-separated segment boundaries: "server.1" hits
    "server.1" and "server.1.cell" but never "server.10" — a bare prefix
    must cover whole segments, while a prefix ending in '.' (or the empty

@@ -52,9 +52,6 @@ val register_process :
     silence it; [recover rng] must resume it, drawing any arbitrary
     rejoin-state from [rng]. *)
 
-val process_names : t -> string list
-(** Registered process names, in registration order (duplicates kept). *)
-
 val crash_matching : t -> prefix:string -> int
 (** Crash every registered process [prefix] matches; returns the number
     hit. *)

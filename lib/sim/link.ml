@@ -7,7 +7,6 @@ type 'm entry = {
 type 'm t = {
   engine : Engine.t;
   delay : unit -> Vtime.span;
-  label : string; (* engine event label, ["link:" ^ name] *)
   msgs : int ref; (* the engine's ["net.msgs"] counter *)
   deliver : 'm -> unit;
   mutable last_arrival : Vtime.t;
@@ -35,9 +34,8 @@ let bimodal rng ~fast:(flo, fhi) ~slow:(slo, shi) ~slow_probability =
     else Rng.int_in rng flo fhi
 
 (* A link's deliveries fire in the order they were sent: arrivals are
-   monotone per link, [Engine.run]/[Engine.step] fire in (time, seq)
-   order, and [fire_head] takes the least event running [arrive].  So
-   the event firing now is always the head entry's. *)
+   monotone per link and the engine fires in (time, seq) order.  So the
+   event firing now is always the head entry's. *)
 let arrive t () =
   let e = Queue.pop t.flight in
   (* Read the payload at fire time: a transient fault may have rewritten
@@ -51,12 +49,11 @@ let arrive t () =
      which is what synchronized-broadcast waiters count. *)
   match e.on_delivered with None -> () | Some f -> f ()
 
-let create ~engine ~delay ~name ~deliver =
+let create ~engine ~delay ~deliver =
   let t =
     {
       engine;
       delay;
-      label = "link:" ^ name;
       msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
       deliver;
       last_arrival = Vtime.zero;
@@ -73,22 +70,12 @@ let transmit_timed ?on_delivered t payload =
   let arrival = Vtime.max proposed t.last_arrival in
   t.last_arrival <- arrival;
   Queue.push { payload; live = true; on_delivered } t.flight;
-  (* Label the event with the link name so a look at [Engine.ready] can
-     tell which channel each pending delivery belongs to. *)
-  Engine.post t.engine ~label:t.label arrival t.arrive;
+  Engine.schedule_at t.engine arrival t.arrive;
   arrival
 
 let send t m = ignore (transmit_timed t m)
 
 let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
-
-let fire_head t ~not_before =
-  (not (Queue.is_empty t.flight))
-  && Engine.fire_action t.engine ~action:t.arrive ~not_before
-
-let in_flight t =
-  List.rev
-    (Queue.fold (fun acc e -> if e.live then e.payload :: acc else acc) [] t.flight)
 
 (* Newest first: the order the rewrites draw from a fault's generator. *)
 let corrupt_in_flight t f =

@@ -10,13 +10,11 @@
     a correct process are bounded; build such links with a bounded
     {!sampler}.
 
-    Each message is one engine event labeled ["link:" ^ name], and every
-    such event of a link runs the same action: deliver the oldest message
-    in flight.  That pairing holds because a link's events fire in the
-    order they were scheduled — {!Engine.run}, {!Engine.step} and
-    {!fire_head} all guarantee it.  Firing a link's event out of that
-    order with {!Engine.fire} would deliver the head message at the
-    later event's instant. *)
+    Each message is one engine event, and every such event of a link runs
+    the same action: deliver the oldest message in flight.  That pairing
+    holds because arrivals are monotone per link and the engine fires in
+    (time, seq) order, so a link's events fire in the order they were
+    scheduled. *)
 
 type 'm t
 
@@ -32,9 +30,8 @@ val bimodal : Rng.t -> fast:int * int -> slow:int * int -> slow_probability:floa
     heavier-tailed medium that exercises interleavings uniform sampling
     rarely produces. *)
 
-val create :
-  engine:Engine.t -> delay:sampler -> name:string -> deliver:('m -> unit) -> 'm t
-(** [create ~engine ~delay ~name ~deliver] is a link whose receiving end
+val create : engine:Engine.t -> delay:sampler -> deliver:('m -> unit) -> 'm t
+(** [create ~engine ~delay ~deliver] is a link whose receiving end
     processes each message with [deliver].  Every delivery bumps the
     engine-trace counter ["net.msgs"]. *)
 
@@ -50,15 +47,6 @@ val send_timed : ?on_delivered:(unit -> unit) -> 'm t -> 'm -> Vtime.t
     ss-broadcast implementation counts these callbacks to realize the
     synchronized delivery property (return after the (n-2t)-th correct
     delivery) under any scheduling order. *)
-
-val fire_head : 'm t -> not_before:Vtime.t -> bool
-(** Fire the link's FIFO head delivery out of engine order, after
-    {!Engine.advance_to}[ not_before] — how a model checker picks the
-    next channel to deliver on.  Returns [false], touching nothing, when
-    nothing is in transit. *)
-
-val in_flight : 'm t -> 'm list
-(** Messages currently in transit, in arrival order. *)
 
 val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
 (** Transient-fault hook: rewrite each in-transit message; [None] drops it.

@@ -111,5 +111,3 @@ let corrupt_in_flight t f =
   List.iter
     (fun e -> match e.payload with None -> () | Some m -> e.payload <- f m)
     t.flight
-
-let in_flight t = List.filter_map (fun e -> e.payload) t.flight

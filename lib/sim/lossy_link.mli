@@ -55,7 +55,3 @@ val inject : 'm t -> 'm -> unit
 val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
 (** Transient-fault hook: rewrite or drop the packets in flight, newest
     first. *)
-
-val in_flight : 'm t -> 'm list
-(** The packets in flight, newest first (the order they were sent in,
-    reversed; a lossy link has no arrival order to report). *)

@@ -23,8 +23,6 @@ let[@inline] next t =
   Bytes.set_int64_le t 0 s;
   mix s
 
-let int64 t = next t
-
 let split t = of_state (next t)
 
 let int t bound =

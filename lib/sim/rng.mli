@@ -13,9 +13,6 @@ val create : int -> t
 val split : t -> t
 (** [split rng] derives an independent generator and advances [rng]. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)].  Raises [Invalid_argument]
     if [bound <= 0]. *)

@@ -23,7 +23,38 @@ let setup ?(n = 9) ?(f = 1) ?(honest = 9) ?(seed = 5) () =
   done;
   (engine, net)
 
-let write_body = Messages.Write { sn = 1; v = Value.int 7 }
+let write_cell = { Messages.sn = 1; v = Value.int 7 }
+
+let write_body = Messages.Write write_cell
+
+(* One register WRITE of [write_cell] — WRITE rounds retried until the
+   full quota answers or the policy's attempts run out, then the
+   helping-value refresh — driven in the calling fiber as one leaf
+   operation, so a failed outcome names the port's suspects. *)
+let write_once ~engine ~net ~port =
+  let site =
+    Collect.site ~engine ~params:(Net.params net) ~client:port.Net.client_id
+      ~inst:0 ~reg:"collect" `Write
+  in
+  Collect.run ~net ~port ()
+    (Collect.scoped ~leaf:true site.Collect.probe (Collect.write_round site write_cell))
+
+let retries engine = Obs.Metrics.counter (Sim.Engine.metrics engine) "collect.retries"
+
+(* The write's outcome, and whether its first attempt sufficed. *)
+let run_write engine net =
+  let port = Net.add_client net ~id:0 in
+  let got = ref None in
+  run_engine_fiber engine (fun () ->
+      let o = write_once ~engine ~net ~port in
+      got := Some (o, Int.equal (retries engine) 0));
+  match !got with
+  | None -> Alcotest.fail "collect never returned"
+  | Some got -> got
+
+let shortfall = function
+  | Outcome.Degraded r | Outcome.Timed_out r -> r
+  | Outcome.Ok () -> Alcotest.fail "expected a shortfall, got Ok"
 
 let test_attempt_ignores_stale_round () =
   (* 7 honest slots against an ack_wait quota of 8; slot 8 answers with
@@ -57,7 +88,7 @@ let test_retry_filters_late_previous_attempt_acks () =
      ticks later — past the attempt deadline.  During attempt k+1's
      window, the slow ack for attempt k's round arrives; it is tagged
      with the retired round and must not count, so every attempt tops
-     out at 7 and the collect ends incomplete. *)
+     out at 7 and the write ends short of its quota. *)
   let engine, net = setup ~honest:7 () in
   let slow = 8 in
   (Net.endpoints net).(slow).Net.on_deliver <-
@@ -65,81 +96,37 @@ let test_retry_filters_late_previous_attempt_acks () =
       Sim.Engine.schedule engine ~delay:100 (fun () ->
           Net.reply net ~server:slow ~client:env.Messages.client
             (Messages.Ack_write None) ~round:env.Messages.round));
-  let port = Net.add_client net ~id:0 in
-  let got = ref None in
-  run_engine_fiber engine (fun () ->
-      got :=
-        Some
-          (Collect.retrying ~net ~port ~inst:0 ~body:write_body
-             ~wanted:Collect.Write_acks ()));
-  match !got with
-  | None -> Alcotest.fail "collect never returned"
-  | Some (c : Collect.collected) ->
-    check_false "never reached the full quota" c.complete;
-    check_int "late stale acks never counted" 7 c.acks;
-    check_int "all retry attempts spent"
-      (Params.retry (Net.params net)).Params.attempts
-      c.attempts
+  let o, _ = run_write engine net in
+  check_false "never reached the full quota" (Outcome.is_ok o);
+  let r = shortfall o in
+  check_int "late stale acks never counted" 7 r.Outcome.acks;
+  check_int "all retry attempts spent"
+    (Params.retry (Net.params net)).Params.attempts
+    r.Outcome.attempts
 
 let test_retrying_full_service () =
   let engine, net = setup ~honest:9 () in
-  let port = Net.add_client net ~id:0 in
-  let got = ref None in
-  run_engine_fiber engine (fun () ->
-      let c =
-        Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~wanted:Collect.Write_acks ()
-      in
-      got := Some (c, Collect.judge ~net ~port c));
-  match !got with
-  | None -> Alcotest.fail "collect never returned"
-  | Some ((c : Collect.collected), o) ->
-    check_true "full quota" c.complete;
-    check_int "first try sufficed" 1 c.attempts;
-    check_true "judged Ok" (Outcome.is_ok o)
+  let o, first_try = run_write engine net in
+  check_true "full quota, judged Ok" (Outcome.is_ok o);
+  check_true "first try sufficed" first_try
 
 let test_retrying_degraded () =
   (* 5 responders: at least a read quorum (2f+1 = 3) but below the full
      n-f = 8 quota -> Degraded, with the silent slots suspected. *)
   let engine, net = setup ~honest:5 () in
-  let port = Net.add_client net ~id:0 in
-  let got = ref None in
-  run_engine_fiber engine (fun () ->
-      let c =
-        Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~wanted:Collect.Write_acks ()
-      in
-      got := Some (c, Collect.judge ~net ~port c));
-  match !got with
-  | None -> Alcotest.fail "collect never returned"
-  | Some ((c : Collect.collected), o) -> (
-    check_false "below the quota" c.complete;
-    check_int "best attempt saw the responders" 5 c.acks;
-    match o with
-    | Outcome.Degraded r ->
-      check_int "reason: acks" 5 r.Outcome.acks;
-      check_int "reason: need" 8 r.Outcome.need;
-      check_true "silent slots suspected" (r.Outcome.suspects <> [])
-    | Outcome.Ok _ | Outcome.Timed_out _ ->
-      Alcotest.fail "expected Degraded")
+  match run_write engine net with
+  | Outcome.Degraded r, _ ->
+    check_int "reason: acks, the best attempt's responders" 5 r.Outcome.acks;
+    check_int "reason: need" 8 r.Outcome.need;
+    check_true "silent slots suspected" (r.Outcome.suspects <> [])
+  | (Outcome.Ok _ | Outcome.Timed_out _), _ -> Alcotest.fail "expected Degraded"
 
 let test_retrying_timed_out () =
   (* 2 responders: below even the read quorum -> Timed_out. *)
   let engine, net = setup ~honest:2 () in
-  let port = Net.add_client net ~id:0 in
-  let got = ref None in
-  run_engine_fiber engine (fun () ->
-      let c =
-        Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~wanted:Collect.Write_acks ()
-      in
-      got := Some (Collect.judge ~net ~port c));
-  match !got with
-  | None -> Alcotest.fail "collect never returned"
-  | Some (Outcome.Timed_out r) ->
-    check_int "reason: acks" 2 r.Outcome.acks
-  | Some (Outcome.Ok _ | Outcome.Degraded _) ->
-    Alcotest.fail "expected Timed_out"
+  match run_write engine net with
+  | Outcome.Timed_out r, _ -> check_int "reason: acks" 2 r.Outcome.acks
+  | (Outcome.Ok _ | Outcome.Degraded _), _ -> Alcotest.fail "expected Timed_out"
 
 (* --- the paper's wait: [Params.paper_wait] -------------------------- *)
 
@@ -159,19 +146,10 @@ let paper_net ~mode ~n ~f ~honest =
 let test_paper_wait_async () =
   (* Asynchronous: block for the n - t quota, in one attempt. *)
   let engine, net = paper_net ~mode:Params.Async ~n:9 ~f:1 ~honest:9 in
-  let port = Net.add_client net ~id:0 in
-  let got = ref None in
-  run_engine_fiber engine (fun () ->
-      got :=
-        Some
-          (Collect.retrying ~net ~port ~inst:0 ~body:write_body
-             ~wanted:Collect.Write_acks ()));
-  match !got with
-  | Some (c : Collect.collected) ->
-    check_true "complete" c.complete;
-    check_int "one attempt" 1 c.attempts;
-    check_int "quota met" 8 c.acks
-  | None -> Alcotest.fail "collect never returned"
+  check_int "the quota is n - t" 8 (Params.write_ok_threshold (Net.params net));
+  let o, first_try = run_write engine net in
+  check_true "complete: quota met" (Outcome.is_ok o);
+  check_true "one attempt" first_try
 
 let test_paper_wait_sync_silent_slot () =
   (* Synchronous with one silent slot: every round waits out exactly the
@@ -202,15 +180,11 @@ let test_paper_wait_sync_silent_slot () =
         ends :=
           (Sim.Vtime.diff (Sim.Engine.now engine) start = timeout) :: !ends
       done;
-      let c =
-        Collect.retrying ~net ~port ~inst:0 ~body:write_body
-          ~wanted:Collect.Write_acks ()
-      in
-      check_int "one attempt per collect" 1 c.attempts);
+      check_true "the write is served" (Outcome.is_ok (write_once ~engine ~net ~port));
+      check_int "one attempt per collect: no retry" 0 (retries engine));
   check_int "every round ended at now + sync_timeout" rounds
     (List.length (List.filter Fun.id !ends));
-  check_int "no collect.retries" 0
-    (Obs.Metrics.counter (Sim.Engine.metrics engine) "collect.retries");
+  check_int "no collect.retries" 0 (retries engine);
   check_true "no server suspected" (Health.suspects port.Net.health = [])
 
 let test_worse_keeps_first_on_ties () =
@@ -231,25 +205,49 @@ let test_worse_keeps_first_on_ties () =
 (* Two kv clients over three keys, driven event by event.  The summary
    pins what the wait of every round decides: each op's outcome and
    virtual duration, the retries, the final clock, and a digest of the
-   (time, label) of every link delivery in firing order — a deadline
+   (time, link) of every link delivery in firing order — a deadline
    that fires one event too early or too late within its instant moves
-   the digest even when no outcome changes.  [byz] compromises slots
-   with behaviors built from their automaton. *)
+   the digest even when no outcome changes.  A request is logged by a
+   wrapper around its server's handler, re-wrapped whenever a crash or
+   recovery replaces the handler; an acknowledgment by a hub sink on its
+   [Recv] event.  [byz] compromises slots with behaviors built from
+   their automaton. *)
 let golden_summary ~seed ~params ?(byz = []) ?crash () =
   let scn = Harness.Scenario.create ~seed ~params () in
   let engine = scn.Harness.Scenario.engine in
   let adv = scn.Harness.Scenario.adversary in
+  let deliveries = Buffer.create 4096 and count = ref 0 in
+  let log_delivery src dst =
+    incr count;
+    Printf.bprintf deliveries "%d link:%s->%s;" (Sim.Vtime.to_int (Sim.Engine.now engine)) src dst
+  in
+  let endpoints = Net.endpoints scn.Harness.Scenario.net in
+  let observe s =
+    let handler = endpoints.(s).Net.on_deliver in
+    endpoints.(s).Net.on_deliver <-
+      (fun (env : Messages.server_envelope) ->
+        log_delivery (Printf.sprintf "c%d" env.Messages.client) (Printf.sprintf "s%d" s);
+        handler env)
+  in
+  Obs.Hub.attach (Sim.Engine.hub engine)
+    (Obs.Sink.make ~name:"deliveries" (function
+      | Obs.Event.Recv { src = Obs.Event.Server s; dst = Obs.Event.Client c; _ } ->
+        log_delivery (Printf.sprintf "s%d" s) (Printf.sprintf "c%d" c)
+      | _ -> ()));
   List.iter
     (fun (s, behavior) ->
       Byzantine.Adversary.compromise adv s
         (behavior (Byzantine.Adversary.server adv s)))
     byz;
+  Array.iteri (fun s _ -> observe s) endpoints;
   Option.iter
     (fun (s, down, up) ->
       Sim.Engine.schedule_at engine (Sim.Vtime.of_int down) (fun () ->
-          Byzantine.Adversary.crash adv s);
+          Byzantine.Adversary.crash adv s;
+          observe s);
       Sim.Engine.schedule_at engine (Sim.Vtime.of_int up) (fun () ->
-          Byzantine.Adversary.recover ~wipe:`Reset adv s))
+          Byzantine.Adversary.recover ~wipe:`Reset adv s;
+          observe s))
     crash;
   let keys = [| "a"; "b"; "c" |] in
   let cfg = Kv.Store.config ~keys:(Array.to_list keys) ~clients:2 in
@@ -270,19 +268,7 @@ let golden_summary ~seed ~params ?(byz = []) ?crash () =
     done
   in
   let handles = List.init 2 (fun id -> Sim.Fiber.spawn (client id)) in
-  let deliveries = Buffer.create 4096 and count = ref 0 in
-  let rec drive () =
-    match Sim.Engine.ready engine with
-    | [] -> ()
-    | r :: _ ->
-      if not (String.equal r.r_label "") then begin
-        incr count;
-        Printf.bprintf deliveries "%d %s;" (Sim.Vtime.to_int r.r_time) r.r_label
-      end;
-      ignore (Sim.Engine.step engine);
-      drive ()
-  in
-  drive ();
+  while Sim.Engine.step engine do () done;
   List.iter
     (fun h -> check_true "client finished" (Sim.Fiber.status h = Sim.Fiber.Done))
     handles;

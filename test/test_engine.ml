@@ -114,104 +114,18 @@ let test_step_empty () =
   check_false "step on empty queue" (Sim.Engine.step e);
   check_int "clock untouched" 0 (Sim.Vtime.to_int (Sim.Engine.now e))
 
-let test_ready_snapshot () =
-  let e = mk () in
-  Sim.Engine.schedule ~label:"b" e ~delay:2 ignore;
-  Sim.Engine.schedule ~label:"a" e ~delay:1 ignore;
-  Sim.Engine.schedule ~label:"c" e ~delay:1 ignore;
-  let rs = Sim.Engine.ready e in
-  let labels = List.map (fun (r : Sim.Engine.ready_event) -> r.r_label) rs in
-  check_true "(time, seq) order: a and c tie on time, a was first"
-    (labels = [ "a"; "c"; "b" ]);
-  check_int "snapshot does not consume" 3 (Sim.Engine.pending e);
-  check_true "ready is stable" (Sim.Engine.ready e = rs)
-
-let test_fire_out_of_order () =
+let test_step_order () =
   let e = mk () in
   let order = ref [] in
-  Sim.Engine.schedule ~label:"x" e ~delay:5 (fun () -> order := "x" :: !order);
-  Sim.Engine.schedule ~label:"y" e ~delay:1 (fun () -> order := "y" :: !order);
-  let seq_of label =
-    (List.find
-       (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label label)
-       (Sim.Engine.ready e))
-      .r_seq
-  in
-  check_true "fire the later event first" (Sim.Engine.fire e ~seq:(seq_of "x"));
-  check_int "clock jumps to it" 5 (Sim.Vtime.to_int (Sim.Engine.now e));
-  check_true "fire the earlier event" (Sim.Engine.fire e ~seq:(seq_of "y"));
-  check_int "clock never rewinds" 5 (Sim.Vtime.to_int (Sim.Engine.now e));
-  check_false "unknown seq refused" (Sim.Engine.fire e ~seq:9999);
-  check_true "both fired, chosen order" (List.rev !order = [ "x"; "y" ])
-
-(* [fire_action] must pick exactly the event a scan of the sorted
-   [ready] snapshot finds: the (time, seq)-least one carrying the label,
-   i.e. the link's FIFO head, when every event of a label runs one shared
-   action as a link's do.  Two engines get the same schedule (same-instant
-   ties, out-of-order instants, labels reused, events that schedule more
-   events) and the same seeded label picks; one fires through [ready] +
-   [fire ~seq], the other through [fire_action].  Firing logs and clocks
-   must agree step for step. *)
-let test_fire_labeled_matches_ready_scan () =
-  let labels = [| "link:a"; "link:b"; "link:c"; "" |] in
-  let build () =
-    let e = mk () in
-    let log = ref [] in
-    (* The first of every three firings of a label schedules one more
-       event of it. *)
-    let action label =
-      let fired = ref 0 in
-      let rec act () =
-        log := (label, Sim.Vtime.to_int (Sim.Engine.now e)) :: !log;
-        incr fired;
-        if !fired mod 3 = 1 then
-          Sim.Engine.schedule ~label e ~delay:(!fired mod 4) act
-      in
-      act
-    in
-    let actions =
-      List.map (fun label -> (label, action label)) (Array.to_list labels)
-    in
-    let action_of label = List.assoc label actions in
-    List.iter
-      (fun (label, delay) -> Sim.Engine.schedule ~label e ~delay (action_of label))
-      [
-        ("link:a", 3); ("link:b", 1); ("link:a", 1); ("link:c", 2);
-        ("link:b", 1); ("", 1); ("link:a", 3); ("link:c", 0);
-        ("link:b", 5); ("link:a", 2);
-      ];
-    (e, log, action_of)
-  in
-  let via_ready e label =
-    match
-      List.find_opt
-        (fun (r : Sim.Engine.ready_event) -> String.equal r.r_label label)
-        (Sim.Engine.ready e)
-    with
-    | None -> false
-    | Some r ->
-      Sim.Engine.advance_to e (Sim.Vtime.add (Sim.Engine.now e) 1);
-      Sim.Engine.fire e ~seq:r.r_seq
-  in
-  let via_action e action_of label =
-    Sim.Engine.fire_action e ~action:(action_of label)
-      ~not_before:(Sim.Vtime.add (Sim.Engine.now e) 1)
-  in
-  let ea, la, _ = build () and eb, lb, action_of = build () in
-  let st = Random.State.make [| 7 |] in
-  for _ = 1 to 60 do
-    let label = labels.(Random.State.int st (Array.length labels)) in
-    let clock_before = Sim.Engine.now eb in
-    let fa = via_ready ea label and fb = via_action eb action_of label in
-    check_bool ("same outcome on " ^ label) fa fb;
-    if not fb then
-      check_true "a miss leaves the clock alone"
-        (Sim.Vtime.compare clock_before (Sim.Engine.now eb) = 0);
-    check_true "same firing log" (!la = !lb);
-    check_int "same clock" (Sim.Vtime.to_int (Sim.Engine.now ea))
-      (Sim.Vtime.to_int (Sim.Engine.now eb))
-  done;
-  check_true "the picks drained the queue" (Sim.Engine.quiescent eb)
+  let fire tag () = order := tag :: !order in
+  Sim.Engine.schedule e ~delay:2 (fire "b");
+  Sim.Engine.schedule e ~delay:1 (fire "a");
+  Sim.Engine.schedule e ~delay:1 (fire "c");
+  check_int "scheduling consumes nothing" 3 (Sim.Engine.pending e);
+  while Sim.Engine.step e do () done;
+  Alcotest.(check (list string))
+    "(time, seq) order: a and c tie on time, a was first" [ "a"; "c"; "b" ]
+    (List.rev !order)
 
 (* The bucket window must never start past the clock.  A [run ~until]
    that stops short of the next event leaves the clock behind it; an
@@ -234,39 +148,32 @@ let test_until_then_earlier () =
 
 (* A random program of engine calls runs against the engine and against
    the simplest pending set that could be right: a list sorted by
-   (time, seq).  After every call the firing logs, the clocks, [ready]
-   and [pending] must agree, and a final [run] must drain both alike.
+   (time, seq).  After every call the firing logs, the clocks and
+   [pending] must agree, and a final [run] must drain both alike, so
+   every queued event's (time, seq) place shows in the firing log.
    Delays reach far past the engine's bucket window, small ones collide
    on the same instant, and a fired event may schedule one more.  Three
    timers are armed, re-armed and cancelled among the events: a timer is
    one model event that leaves the list before it is queued again. *)
 
 type op =
-  | Schedule of { delay : int; label : string; child : int option }
-  | Schedule_at of { offset : int; label : string }  (** from the clock; may be past *)
+  | Schedule of { delay : int; child : int option }
+  | Schedule_at of int  (** from the clock; may be past *)
   | Step
   | Run_until of int  (** ticks past the clock *)
   | Run_max of int
-  | Fire of int  (** index into [ready]; past its end, a seq nobody holds *)
-  | Fire_action of { pick : int; gap : int }
-      (** the action of the [pick]-th queued labeled event, past their end
-          one nobody scheduled; [not_before] [gap] past the clock *)
-  | Advance of int
   | Arm of { timer : int; offset : int }  (** from the clock; may be past *)
   | Rearm of int  (** at the instant the timer is due *)
   | Cancel of int
 
 let show_op = function
-  | Schedule { delay; label; child } ->
-    Printf.sprintf "schedule %d %S%s" delay label
+  | Schedule { delay; child } ->
+    Printf.sprintf "schedule %d%s" delay
       (match child with Some c -> Printf.sprintf " then %d" c | None -> "")
-  | Schedule_at { offset; label } -> Printf.sprintf "schedule_at %+d %S" offset label
+  | Schedule_at offset -> Printf.sprintf "schedule_at %+d" offset
   | Step -> "step"
   | Run_until k -> Printf.sprintf "run ~until:+%d" k
   | Run_max k -> Printf.sprintf "run ~max_events:%d" k
-  | Fire i -> Printf.sprintf "fire #%d" i
-  | Fire_action { pick; gap } -> Printf.sprintf "fire_action #%d +%d" pick gap
-  | Advance k -> Printf.sprintf "advance_to +%d" k
   | Arm { timer; offset } -> Printf.sprintf "arm timer %d at %+d" timer offset
   | Rearm i -> Printf.sprintf "re-arm timer %d" i
   | Cancel i -> Printf.sprintf "cancel timer %d" i
@@ -274,7 +181,6 @@ let show_op = function
 type mevent = {
   m_time : int;
   m_seq : int;
-  m_label : string;
   m_child : int option;
   m_timer : int;  (** the timer it is, or -1 *)
 }
@@ -289,16 +195,8 @@ type model = {
 
 let timers = 3
 
-let m_schedule ?(timer = -1) m ~time ~label ~child =
-  let ev =
-    {
-      m_time = max time m.clock;
-      m_seq = m.next_seq;
-      m_label = label;
-      m_child = child;
-      m_timer = timer;
-    }
-  in
+let m_schedule ?(timer = -1) m ~time ~child =
+  let ev = { m_time = max time m.clock; m_seq = m.next_seq; m_child = child; m_timer = timer } in
   m.next_seq <- m.next_seq + 1;
   (* The newest seq goes after every event of its instant. *)
   let rec insert = function
@@ -307,20 +205,11 @@ let m_schedule ?(timer = -1) m ~time ~label ~child =
   in
   m.queue <- insert m.queue
 
-(* What a firing logs: an unlabeled event its seq, a labeled one the tag
-   of the action it shares with every event of its label and child. *)
-let shared_tag label child = -1 - Hashtbl.hash (label, child)
-
-let log_tag ev =
-  if String.equal ev.m_label "" then ev.m_seq else shared_tag ev.m_label ev.m_child
-
 let m_fire m ev =
   m.queue <- List.filter (fun e -> e.m_seq <> ev.m_seq) m.queue;
   m.clock <- max m.clock ev.m_time;
-  m.log <- (log_tag ev, m.clock) :: m.log;
-  Option.iter
-    (fun d -> m_schedule m ~time:(m.clock + d) ~label:ev.m_label ~child:None)
-    ev.m_child
+  m.log <- (ev.m_seq, m.clock) :: m.log;
+  Option.iter (fun d -> m_schedule m ~time:(m.clock + d) ~child:None) ev.m_child
 
 let m_run m ?until ~max_events () =
   let due ev = match until with Some u -> ev.m_time <= u | None -> true in
@@ -338,10 +227,10 @@ let m_run m ?until ~max_events () =
   | Some u when m.clock < u && !fired < max_events -> m.clock <- u
   | _ -> ()
 
-let m_take m pred =
-  match List.find_opt pred m.queue with
-  | None -> false
-  | Some ev ->
+let m_step m =
+  match m.queue with
+  | [] -> false
+  | ev :: _ ->
     m_fire m ev;
     true
 
@@ -350,34 +239,21 @@ let m_cancel m i = m.queue <- List.filter (fun e -> e.m_timer <> i) m.queue
 let m_arm m i time =
   m_cancel m i;
   m.due.(i) <- max time m.clock;
-  m_schedule ~timer:i m ~time ~label:"" ~child:None
+  m_schedule ~timer:i m ~time ~child:None
 
-(* The engine side tags each event with the seq the model gives it; the
-   [ready] comparison checks that the engine agrees.  A timer logs the
-   tag of its latest arming.  Labeled events behave like a link's: all
-   events of one label and child share one action, which logs its
-   [shared_tag], so [fire_action] must tell them apart by (time, seq)
-   alone. *)
+(* The engine side tags each event with the seq the model gives it, so
+   the firing logs compare directly.  A timer logs the tag of its latest
+   arming. *)
 type real = {
   e : Sim.Engine.t;
   mutable tag : int;
   mutable r_log : (int * int) list;
   mutable r_timers : Sim.Engine.timer array;
   timer_tag : int array;
-  mutable shared : ((string * int option) * (unit -> unit)) list;
 }
 
 let real () =
-  let r =
-    {
-      e = mk ();
-      tag = 0;
-      r_log = [];
-      r_timers = [||];
-      timer_tag = Array.make timers (-1);
-      shared = [];
-    }
-  in
+  let r = { e = mk (); tag = 0; r_log = []; r_timers = [||]; timer_tag = Array.make timers (-1) } in
   r.r_timers <-
     Array.init timers (fun i ->
         Sim.Engine.timer r.e (fun () ->
@@ -389,45 +265,30 @@ let r_arm r i time =
   r.tag <- r.tag + 1;
   Sim.Engine.arm r.r_timers.(i) time
 
-let rec r_schedule r ~label ~child sched =
+let rec r_schedule r ~child sched =
   let tag = r.tag in
   r.tag <- tag + 1;
-  sched ~label r.e
-    (if String.equal label "" then r_action r ~label ~child tag
-     else shared_action r label child)
+  sched r.e (r_action r ~child tag)
 
-and r_action r ~label ~child tag () =
+and r_action r ~child tag () =
   r.r_log <- (tag, Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log;
   Option.iter
-    (fun d ->
-      r_schedule r ~label ~child:None (fun ~label e ->
-          Sim.Engine.schedule ~label e ~delay:d))
+    (fun d -> r_schedule r ~child:None (fun e -> Sim.Engine.schedule e ~delay:d))
     child
-
-and shared_action r label child =
-  match List.assoc_opt (label, child) r.shared with
-  | Some action -> action
-  | None ->
-    let action = r_action r ~label ~child (shared_tag label child) in
-    r.shared <- ((label, child), action) :: r.shared;
-    action
 
 let apply r m op =
   let vt = Sim.Vtime.of_int in
   match op with
-  | Schedule { delay; label; child } ->
-    r_schedule r ~label ~child (fun ~label e -> Sim.Engine.schedule ~label e ~delay);
-    m_schedule m ~time:(m.clock + delay) ~label ~child;
+  | Schedule { delay; child } ->
+    r_schedule r ~child (fun e -> Sim.Engine.schedule e ~delay);
+    m_schedule m ~time:(m.clock + delay) ~child;
     true
-  | Schedule_at { offset; label } ->
+  | Schedule_at offset ->
     let at = max 0 (m.clock + offset) in
-    r_schedule r ~label ~child:None (fun ~label e ->
-        Sim.Engine.schedule_at ~label e (vt at));
-    m_schedule m ~time:at ~label ~child:None;
+    r_schedule r ~child:None (fun e -> Sim.Engine.schedule_at e (vt at));
+    m_schedule m ~time:at ~child:None;
     true
-  | Step ->
-    let fired = Sim.Engine.step r.e in
-    Bool.equal fired (m_take m (fun _ -> true))
+  | Step -> Bool.equal (Sim.Engine.step r.e) (m_step m)
   | Run_until k ->
     let until = m.clock + k in
     Sim.Engine.run ~until:(vt until) r.e;
@@ -436,34 +297,6 @@ let apply r m op =
   | Run_max k ->
     Sim.Engine.run ~max_events:k r.e;
     m_run m ~max_events:k ();
-    true
-  | Fire i ->
-    let seq =
-      match List.nth_opt m.queue i with Some ev -> ev.m_seq | None -> m.next_seq + i
-    in
-    let fired = Sim.Engine.fire r.e ~seq in
-    Bool.equal fired (m_take m (fun ev -> ev.m_seq = seq))
-  | Fire_action { pick; gap } ->
-    let not_before = m.clock + gap in
-    let action, pred =
-      match
-        List.nth_opt
-          (List.filter (fun ev -> not (String.equal ev.m_label "")) m.queue)
-          pick
-      with
-      | Some target ->
-        ( shared_action r target.m_label target.m_child,
-          fun ev ->
-            String.equal ev.m_label target.m_label
-            && Option.equal Int.equal ev.m_child target.m_child )
-      | None -> (ignore, fun _ -> false)
-    in
-    let fired = Sim.Engine.fire_action r.e ~action ~not_before:(vt not_before) in
-    if List.exists pred m.queue then m.clock <- max m.clock not_before;
-    Bool.equal fired (m_take m pred)
-  | Advance k ->
-    Sim.Engine.advance_to r.e (vt (m.clock + k));
-    m.clock <- m.clock + k;
     true
   | Arm { timer; offset } ->
     let at = max 0 (m.clock + offset) in
@@ -485,14 +318,6 @@ let agree r m =
   && Int.equal (Sim.Vtime.to_int (Sim.Engine.now r.e)) m.clock
   && Int.equal (Sim.Engine.pending r.e) (List.length m.queue)
   && Bool.equal (Sim.Engine.quiescent r.e) (List.is_empty m.queue)
-  && List.equal
-       (fun (t1, s1, l1) (t2, s2, l2) ->
-         Int.equal t1 t2 && Int.equal s1 s2 && String.equal l1 l2)
-       (List.map
-          (fun (x : Sim.Engine.ready_event) ->
-            (Sim.Vtime.to_int x.r_time, x.r_seq, x.r_label))
-          (Sim.Engine.ready r.e))
-       (List.map (fun ev -> (ev.m_time, ev.m_seq, ev.m_label)) m.queue)
   && Array.for_all2
        (fun tm due -> Int.equal (Sim.Vtime.to_int (Sim.Engine.due tm)) due)
        r.r_timers m.due
@@ -506,26 +331,13 @@ let gen_op =
         (1, int_range 0 1000);
       ]
   in
-  let label = oneofl [ ""; "a"; "b" ] in
   frequency
     [
-      ( 8,
-        map3
-          (fun delay label child -> Schedule { delay; label; child })
-          delay label (opt delay) );
-      ( 2,
-        map2
-          (fun offset label -> Schedule_at { offset; label })
-          (int_range (-20) 200) label );
+      (8, map2 (fun delay child -> Schedule { delay; child }) delay (opt delay));
+      (2, map (fun offset -> Schedule_at offset) (int_range (-20) 200));
       (3, return Step);
       (2, map (fun k -> Run_until k) (int_range 0 300));
       (2, map (fun k -> Run_max k) (int_range 0 6));
-      (2, map (fun i -> Fire i) (int_range 0 8));
-      ( 2,
-        map2
-          (fun pick gap -> Fire_action { pick; gap })
-          (int_range 0 8) (int_range 0 3) );
-      (1, map (fun k -> Advance k) (int_range 0 200));
       ( 3,
         map2
           (fun timer offset -> Arm { timer; offset })
@@ -569,7 +381,7 @@ let prop_queue_matches_model =
    only event, its head, its tail; one resident in the overflow; re-arms
    that cross the window's edge both ways. *)
 let test_timer_positions () =
-  let sched delay = Schedule { delay; label = ""; child = None } in
+  let sched delay = Schedule { delay; child = None } in
   let programs =
     [
       ("only event, cancelled", [ Arm { timer = 0; offset = 5 }; Cancel 0; Step ]);
@@ -595,7 +407,7 @@ let test_timer_positions () =
         [ Arm { timer = 0; offset = 130 }; sched 100; Step; Rearm 0; Step ] );
       ( "fired, then armed again",
         [ Arm { timer = 0; offset = 2 }; Step; Rearm 0; Arm { timer = 0; offset = 7 } ] );
-      ("armed in the past", [ Advance 20; Arm { timer = 2; offset = -10 }; Step ]);
+      ("armed in the past", [ Run_until 20; Arm { timer = 2; offset = -10 }; Step ]);
     ]
   in
   List.iter
@@ -607,8 +419,6 @@ let test_timer_positions () =
 
 let tests =
   [
-    case "fire_labeled matches the ready scan"
-      test_fire_labeled_matches_ready_scan;
     case "time advances" test_time_advances;
     case "same-time FIFO" test_same_time_fifo;
     case "nested scheduling" test_nested_scheduling;
@@ -620,8 +430,7 @@ let tests =
     case "quiescence" test_quiescent;
     case "run equals iterated step" test_run_equals_iterated_step;
     case "step on empty queue" test_step_empty;
-    case "ready snapshot" test_ready_snapshot;
-    case "fire out of order" test_fire_out_of_order;
+    case "step order: time, then seq" test_step_order;
     case "until, then an earlier event" test_until_then_earlier;
     qcheck prop_queue_matches_model;
     case "timer positions match the model" test_timer_positions;

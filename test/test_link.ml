@@ -9,7 +9,7 @@ let mk ?(lo = 1) ?(hi = 10) () =
   let link =
     Sim.Link.create ~engine:e
       ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo ~hi)
-      ~name:"test" ~deliver:(fun m -> received := m :: !received)
+      ~deliver:(fun m -> received := m :: !received)
   in
   (e, link, received)
 
@@ -52,7 +52,7 @@ let test_in_flight_and_corruption () =
   Sim.Link.send link "keep";
   Sim.Link.send link "rewrite";
   Sim.Link.send link "drop";
-  check_int "three in flight" 3 (List.length (Sim.Link.in_flight link));
+  check_strings "nothing delivered before the run" [] !received;
   let visited = ref [] in
   Sim.Link.corrupt_in_flight link (fun m ->
       visited := m :: !visited;
@@ -63,8 +63,7 @@ let test_in_flight_and_corruption () =
 
 (* A dropped payload keeps its delivery event, which delivers nothing;
    every later event must still deliver the next message, at that
-   message's own arrival.  Fired through [fire_head], as the model
-   checker fires deliveries. *)
+   message's own arrival.  Fired one engine step at a time. *)
 let test_drop_keeps_heads () =
   let rng = Sim.Rng.create 3 in
   let e = Sim.Engine.create ~rng () in
@@ -72,7 +71,6 @@ let test_drop_keeps_heads () =
   let link =
     Sim.Link.create ~engine:e
       ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
-      ~name:"t"
       ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
   in
   let arrival =
@@ -84,10 +82,12 @@ let test_drop_keeps_heads () =
       [ "a"; "b"; "c"; "d" ]
   in
   Sim.Link.corrupt_in_flight link (function "b" -> None | m -> Some m);
-  let fire () = Sim.Link.fire_head link ~not_before:(Sim.Engine.now e) in
-  check_true "a delivered" (fire ());
-  check_strings "the drop is no longer in flight" [ "c"; "d" ] (Sim.Link.in_flight link);
-  while fire () do () done;
+  let delivered () = List.rev_map fst !got in
+  check_true "a delivered" (Sim.Engine.step e);
+  check_strings "only a so far" [ "a" ] (delivered ());
+  check_true "b's slot fires" (Sim.Engine.step e);
+  check_strings "the drop delivered nothing" [ "a" ] (delivered ());
+  while Sim.Engine.step e do () done;
   Alcotest.(check (list (pair string int)))
     "each survivor at its own arrival"
     (List.filter (fun (m, _) -> not (String.equal m "b")) arrival)
@@ -113,8 +113,7 @@ let test_fixed_delay () =
   let rng = Sim.Rng.create 3 in
   let e = Sim.Engine.create ~rng () in
   let link =
-    Sim.Link.create ~engine:e ~delay:(Sim.Link.fixed 7) ~name:"fixed"
-      ~deliver:ignore
+    Sim.Link.create ~engine:e ~delay:(Sim.Link.fixed 7) ~deliver:ignore
   in
   Sim.Link.send link ();
   Sim.Engine.run e;

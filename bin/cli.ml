@@ -659,7 +659,7 @@ let mc_cmd =
   let profile =
     let every =
       let doc = "Minimum states between $(b,--profile-out) samples." in
-      Arg.(value & opt int 1000 & info [ "profile-every" ] ~docv:"N" ~doc)
+      Arg.(value & opt (int_at_least 1) 1000 & info [ "profile-every" ] ~docv:"N" ~doc)
     in
     profile_out ~kind:"mc"
       ~doc:

@@ -266,10 +266,10 @@ let expand ctx stats ~sample sys ~depth ~sleep =
       Children []
     end
     else begin
-      (* Sleep sets are compared across states the fingerprint merged,
-         and the fingerprint canonicalizes server identities (symmetry
-         reduction) — so the comparison must happen in the same canonical
-         coordinates, via the renaming the fingerprint chose. *)
+      (* Sleep sets are compared across states the key merged, and the
+         key canonicalizes server identities (symmetry reduction) — so
+         the comparison must happen in the same canonical coordinates,
+         via the renaming the key chose. *)
       let need_rep = ctx.reduction = Sleep_sets in
       let k1, k2, ren, rep =
         if ctx.use_visited || need_rep then Sys.search_key sys

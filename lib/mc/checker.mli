@@ -10,10 +10,10 @@
     candidates).
 
     States are merged by {!Sys.search_key}, not by the MD5
-    {!Sys.fingerprint}: two 63-bit words folded from the hashes of the
-    fingerprint's cached sections (server blocks, history) in canonical
-    order and of its small uncached tail, equal iff the fingerprints are
-    (up to a hash collision of both words).  MD5 runs only where an
+    {!Sys.fingerprint}: two 63-bit words hashed from the state's fields
+    in canonical order (each server block's and the history's words
+    cached in the state), equal iff the fingerprints are (up to a hash
+    collision of both words).  MD5 runs only where an
     artifact records a digest: cex terminals, [--replay] and the golden
     walks.  The visited set is a {!Parallel.Pool.Visited}: per shard, one
     open-addressing table in [Bytes] of fixed-width slots — the key's two

@@ -91,20 +91,17 @@ type t = {
   clients : client array; (* ascending client id *)
   proto : proto;
   history : Oracles.History.t;
-  (* The fingerprint's rendered sections, kept with the state they
-     render: [blocks.(s)] is server [s]'s block and [hist] the history
-     section, each [""] (no rendering is empty) once a move changed what
-     it renders.  [hashes] holds each section's two hash words, server
-     [s]'s at [2s] and [2s + 1], the history's at [2n] and [2n + 1],
-     written with the section and valid while it is.  The renderer
-     fills a stale section and writes nothing else, so only a state
-     being keyed or fingerprinted is ever written here: a frontier
-     worker's frozen parent is keyed before {!clone} freezes it and
-     never after, and the workers cloning it concurrently only read its
-     caches. *)
-  blocks : string array;
-  mutable hist : string;
+  (* The search key's cached section hashes: [hashes] holds server [s]'s
+     two words at [2s] and [2s + 1], the history's at [2n] and [2n + 1];
+     a section's words are valid while its flag ([stale.(s)],
+     [hist_stale]) is down, and a move that changes what a section hashes
+     raises its flag.  Only {!search_key} writes the words and lowers the
+     flags, so a frontier worker's frozen parent is keyed before {!clone}
+     freezes it and never after, and the workers cloning it concurrently
+     only read it. *)
   hashes : int array;
+  stale : bool array;
+  mutable hist_stale : bool;
   mutable clock : int;
   (* pending broadcast settlements of a zero target, oldest first: the
      unlabeled events [Tick]s fire *)
@@ -167,8 +164,8 @@ let clone t =
         t.clients;
     proto = copy_proto t.proto;
     history = Oracles.History.copy t.history;
-    blocks = Array.copy t.blocks;
     hashes = Array.copy t.hashes;
+    stale = Array.copy t.stale;
   }
 
 let config t = t.cfg
@@ -198,8 +195,8 @@ let index t id =
 let push q x = q @ [ x ]
 
 (* Server [s]'s instances or one of its links changed: its cached block
-   is stale. *)
-let touch t s = t.blocks.(s) <- ""
+   hash is stale. *)
+let touch t s = t.stale.(s) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Running the clients                                                *)
@@ -221,7 +218,7 @@ let rec run t ci = function
         span = Obs.Trace_ctx.none }
     in
     Array.iteri (fun s l -> q.(s) <- push l (env, c.broadcasts)) q;
-    Array.fill t.blocks 0 (Array.length t.blocks) "";
+    Array.fill t.stale 0 (Array.length t.stale) true;
     if t.target = 0 then t.ticks <- push t.ticks (ci, c.broadcasts);
     c.wait <- Confirming { left = t.target; tag = c.round; wanted = r.wanted;
                            attempt = r.attempt; k = r.k }
@@ -298,7 +295,7 @@ let deliver t ci s ~to_server =
 (* The clients' workloads                                             *)
 
 let record t ~proc ~kind ~inv ?ts ?ok v =
-  t.hist <- "";
+  t.hist_stale <- true;
   Oracles.History.record t.history ~proc ~kind ~inv:(Sim.Vtime.of_int inv)
     ~resp:(Sim.Vtime.of_int t.clock) ?ts ?ok v
 
@@ -416,7 +413,7 @@ let create (cfg : Config.t) =
           Atomic_p (Swsr_atomic.fresh_wstate (), Swsr_atomic.fresh_rstate ())
         | Config.Mwmr -> Mwmr_p (Array.of_list (List.map (fun _ -> Mwmr.fresh_state mwmr_cfg) ids)));
       history = Oracles.History.create ();
-      blocks = Array.make n ""; hist = ""; hashes = Array.make ((2 * n) + 2) 0;
+      hashes = Array.make ((2 * n) + 2) 0; stale = Array.make n true; hist_stale = true;
       clock = 0; ticks = []; applied = []; corrupt_times = [] }
   in
   (* Each client runs to its first broadcast, in client order. *)
@@ -426,21 +423,28 @@ let create (cfg : Config.t) =
 (* ------------------------------------------------------------------ *)
 (* Enabled moves                                                      *)
 
-(* One [Deliver] per link with an envelope in flight; the pending
-   settlements are the [Tick]s. *)
+(* [f s] for every server slot [s < n], in descending {!compare_decimal}
+   order: an id's one-digit extensions sort right after it and before
+   the next id, so in reverse they come first.  Below eleven slots this
+   is [n - 1], ..., [0]. *)
+let rec down_from n f p =
+  if p > 0 && p * 10 < n then
+    for d = 9 downto 0 do
+      if (p * 10) + d < n then down_from n f ((p * 10) + d)
+    done;
+  f p
+
+let servers_descending n f =
+  for d = min 9 (n - 1) downto 0 do
+    down_from n f d
+  done
+
+(* One [Deliver] per link with an envelope in flight, produced in
+   {!compare_move} order — requests by (client, server), then replies by
+   (server, client) — and built back to front onto the pending
+   settlements (the [Tick]s) and the unused menu items.  Client ids all
+   have three digits, so client order is their decimal order. *)
 let enabled t =
-  let delivers = ref [] in
-  let add ~client ~to_server server = function
-    | [] -> ()
-    | _ :: _ -> delivers := Deliver { client; server; to_server } :: !delivers
-  in
-  Array.iteri
-    (fun ci c ->
-      for s = 0 to t.cfg.n - 1 do
-        add ~client:c.id ~to_server:true s t.requests.(ci).(s);
-        add ~client:c.id ~to_server:false s t.replies.(ci).(s)
-      done)
-    t.clients;
   let corrupts =
     if t.cfg.menu = [] || not (client_active t) then []
     else
@@ -448,9 +452,22 @@ let enabled t =
       |> List.filter (fun i -> not (List.mem i t.applied))
       |> List.map (fun i -> Corrupt i)
   in
-  match (List.sort compare_move !delivers, corrupts) with
-  | sorted, [] when t.ticks = [] -> sorted
-  | sorted, _ -> sorted @ List.mapi (fun i _ -> Tick i) t.ticks @ corrupts
+  let acc =
+    ref (match t.ticks with [] -> corrupts | ticks -> List.mapi (fun i _ -> Tick i) ticks @ corrupts)
+  in
+  let add ci ~to_server server = function
+    | [] -> ()
+    | _ :: _ -> acc := Deliver { client = t.clients.(ci).id; server; to_server } :: !acc
+  in
+  let n = t.cfg.n and clients = Array.length t.clients in
+  servers_descending n (fun s ->
+      for ci = clients - 1 downto 0 do
+        add ci ~to_server:false s t.replies.(ci).(s)
+      done);
+  for ci = clients - 1 downto 0 do
+    servers_descending n (fun s -> add ci ~to_server:true s t.requests.(ci).(s))
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Applying a move                                                    *)
@@ -529,18 +546,17 @@ let apply ?(strict = true) t mv =
         bump t;
         t.applied <- i :: t.applied;
         t.corrupt_times <- t.clock :: t.corrupt_times;
-        t.hist <- "";
+        t.hist_stale <- true;
         apply_corruption t c;
         true)
 
 (* ------------------------------------------------------------------ *)
 (* State fingerprint                                                  *)
 
-(* The renderer appends straight to one buffer: no Printf, no Format, and
-   no intermediate strings beyond the cached sections and the mailbox
-   keys the canonical sort compares.  Its bytes are an artifact format —
-   committed mc counterexamples store terminal fingerprints — and the
-   golden table in test/test_mc.ml pins them. *)
+(* The renderer appends to a buffer: no Printf and no Format.  Its bytes
+   are an artifact format — committed mc counterexamples store terminal
+   fingerprints — and the golden table in test/test_mc.ml pins them.
+   The search never renders ({!search_key}). *)
 let str = Buffer.add_string
 let chr = Buffer.add_char
 let num = Value.add_decimal
@@ -574,10 +590,9 @@ let add_ts b = function
    the order type of the recorded instants rather than their absolute
    values: order-isomorphic pasts merge, which is what lets permuted
    interleavings converge on one canonical state.  An instant's rank is
-   its index among the sorted distinct instants. *)
-let add_history b t =
-  let ops = Oracles.History.ops t.history in
-  let corrupt = corrupt_times t in
+   its index among the sorted distinct instants of [ops] and
+   [corrupt]. *)
+let ranks ops corrupt =
   let times =
     List.fold_left
       (fun acc (o : Oracles.History.op) ->
@@ -585,14 +600,18 @@ let add_history b t =
       corrupt ops
     |> List.sort_uniq Int.compare |> Array.of_list
   in
-  let rank v =
+  fun v ->
     let lo = ref 0 and hi = ref (Array.length times - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if times.(mid) < v then lo := mid + 1 else hi := mid
     done;
     !lo
-  in
+
+let add_history b t =
+  let ops = Oracles.History.ops t.history in
+  let corrupt = corrupt_times t in
+  let rank = ranks ops corrupt in
   List.iter
     (fun (o : Oracles.History.op) ->
       str b o.proc;
@@ -658,115 +677,44 @@ let ack_key ~origin env =
   add_to_client b ~origin env;
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* Section hashes                                                     *)
-
-(* Two multiply-xorshift lanes, each with its own odd multiplier and
-   shift.  Not cryptographic: the search key is made of them, and no
-   artifact ever records one. *)
-let lane_a h w = let x = (h lxor w) * 0x2545F4914F6CDD1D in x lxor (x lsr 29)
-
-let lane_b h w = let x = (h + w) * 0x1E3779B97F4A7C15 in x lxor (x lsr 32)
-
-let avalanche h =
-  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
-  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
-  h lxor (h lsr 32)
-
-let seed_a = 0x0123456789ABCDEF and seed_b = 0x3DC94C3A046D678B
-
-(* Fold [s]'s length and bytes into the lanes seeded [a] and [b], 7 bytes
-   a word (the low 56 bits of an 8-byte load, so no byte loses a bit to
-   a 63-bit int); the finished lanes go to [dst.(off)] and
-   [dst.(off + 1)]. *)
-let hash_into dst off ~a ~b s =
-  let len = String.length s in
-  let a = ref (lane_a a len) and b = ref (lane_b b len) and i = ref 0 in
-  while !i + 8 <= len do
-    let w = Int64.to_int (String.get_int64_le s !i) land 0xFF_FFFF_FFFF_FFFF in
-    a := lane_a !a w;
-    b := lane_b !b w;
-    i := !i + 7
-  done;
-  let w = ref 0 in
-  for j = len - 1 downto !i do w := (!w lsl 8) lor Char.code s.[j] done;
-  dst.(off) <- avalanche (lane_a !a !w);
-  dst.(off + 1) <- avalanche (lane_b !b !w)
-
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
    client-side history, so permuting server slots yields an isomorphic
    state with the same verdicts.  Only slots named by a corruption-menu
    item must keep their identity (a pending [Corrupt_server {server=2}]
-   distinguishes slot 2).  The fingerprint renders the state in canonical
-   coordinates — named slots first in id order, then the anonymous slots
-   sorted by their serialized block — and returns the renaming so the
-   checker can put sleep sets into the same coordinates (comparing sleep
-   sets across symmetry-merged states is only sound canonically). *)
-let canonical t b =
-  let n = Array.length t.servers in
-  let render f = Buffer.clear b; f b; Buffer.contents b in
-  (* the sections the moves since the last call left stale, each hashed
-     as it is rendered *)
-  let blocks = t.blocks in
-  Array.iteri
-    (fun s block ->
-      if String.equal block "" then begin
-        let block = render (fun b -> server_block t b t.servers.(s)) in
-        blocks.(s) <- block;
-        hash_into t.hashes (2 * s) ~a:seed_a ~b:seed_b block
-      end)
-    blocks;
-  if String.equal t.hist "" then begin
-    t.hist <- render (fun b -> add_history b t);
-    hash_into t.hashes (2 * n) ~a:seed_a ~b:seed_b t.hist
-  end;
-  (* A server id also escapes into client mailboxes (ack envelopes name
-     their origin).  The references to a server — rendered without ids —
-     are permutation-invariant, so refining the sort key with them makes
-     the canonical form complete: two states that differ only by a
-     permutation of anonymous servers always render identically, and
-     servers left tied (equal block, equal references) are true
-     automorphisms, so the id tie-break is harmless.  A server's
-     reference key lists, per client in client order, its queued acks
-     rendered with origin 0 — or their queue positions when order
-     matters, see below — and it is only ever compared between servers
-     with equal blocks, so only those render it.
+   distinguishes slot 2).  Both the fingerprint and the search key see
+   the state in canonical coordinates — named slots first in id order,
+   then the anonymous slots sorted by their blocks under [block], a total
+   preorder whose ties are exactly the equal blocks — and return the
+   renaming so the checker can put sleep sets into the same coordinates
+   (comparing sleep sets across symmetry-merged states is only sound
+   canonically).
 
-     The only mailbox consumer is [Collect.attempt_once], which files
-     responses into a per-server slots array — so the arrival ORDER of
-     queued acks is semantically inert and the mailbox can be treated as
-     a multiset.  Its [Health] bookkeeping is left out too: only an
-     attempt with a policy deadline feeds it, and mc deployments run
-     [Params.paper_wait].  The one exception to order-blindness: an
-     envelope whose round tag has gone stale is normally dead forever,
-     but a pending [Corrupt_round] item could resurrect it, and whether a
-     stale envelope was consumed-and-dropped or still queued does depend
-     on order.  So order is only erased when the menu carries no round
-     corruption. *)
-  let refkey s =
-    let occurrences c =
-      List.concat
-        (List.mapi
-           (fun pos (env : Messages.client_envelope) ->
-             if env.server <> s then []
-             else if t.mailbox_ordered then [ "@" ^ string_of_int pos ]
-             else [ ack_key ~origin:0 env ])
-           c.mailbox)
-    in
-    let per_client = Array.map occurrences t.clients in
-    render (fun b ->
-        Array.iteri
-          (fun ci occ ->
-            if occ <> [] then begin
-              num b ci; chr b '[';
-              str b (String.concat "," (List.sort String.compare occ));
-              str b "];"
-            end)
-          per_client)
-  in
+   A server id also escapes into client mailboxes (ack envelopes name
+   their origin).  The references to a server ([refkey], ordered by
+   [compare_refs]) are permutation-invariant, so refining the sort with
+   them makes the canonical form complete: two states that differ only by
+   a permutation of anonymous servers always read identically, and
+   servers left tied (equal block, equal references) are true
+   automorphisms, so the id tie-break is harmless.  A reference key is
+   only ever compared between servers with equal blocks, so only those
+   compute one.
+
+   The only mailbox consumer is [Collect.attempt_once], which files
+   responses into a per-server slots array — so the arrival ORDER of
+   queued acks is semantically inert and a mailbox, a server's references
+   included, is treated as a multiset.  Its [Health] bookkeeping is left
+   out too: only an attempt with a policy deadline feeds it, and mc
+   deployments run [Params.paper_wait].  The one exception to
+   order-blindness: an envelope whose round tag has gone stale is
+   normally dead forever, but a pending [Corrupt_round] item could
+   resurrect it, and whether a stale envelope was consumed-and-dropped or
+   still queued does depend on order.  So order is only erased when the
+   menu carries no round corruption ([mailbox_ordered] is down). *)
+let canonical t ~block ~refkey ~compare_refs =
+  let n = Array.length t.servers in
   (* with every mailbox empty, every reference key is empty *)
-  let quiet = Array.for_all (fun c -> c.mailbox = []) t.clients in
+  let quiet = Array.for_all (fun c -> match c.mailbox with [] -> true | _ :: _ -> false) t.clients in
   (* named slots first, in id order, then the anonymous ones by block *)
   let order = Array.make n 0 and named = List.length t.named in
   List.iteri (fun i s -> order.(i) <- s) t.named;
@@ -774,8 +722,7 @@ let canonical t b =
   for s = 0 to n - 1 do
     if not (List.mem s t.named) then begin order.(!k) <- s; incr k end
   done;
-  sort_range order named n (fun a b ->
-      match String.compare blocks.(a) blocks.(b) with 0 -> Int.compare a b | c -> c);
+  sort_range order named n (fun a b -> match block a b with 0 -> Int.compare a b | c -> c);
   (* Servers still tied after the (block, refkey) sort are genuinely
      interchangeable — swapping them is a state automorphism.  Map each
      to the least member of its tie group: the explorer only fires
@@ -786,18 +733,20 @@ let canonical t b =
   let rec runs i =
     if i < n then begin
       let j = ref (i + 1) in
-      while !j < n && String.equal blocks.(order.(i)) blocks.(order.(!j)) do incr j done;
+      while !j < n && block order.(i) order.(!j) = 0 do incr j done;
       if !j - i > 1 then begin
-        let keys = Array.make n "" in
-        if not quiet then begin
-          for k = i to !j - 1 do keys.(order.(k)) <- refkey order.(k) done;
+        if quiet then
+          for k = i + 1 to !j - 1 do rep_arr.(order.(k)) <- order.(i) done
+        else begin
+          let keys = Array.make n (refkey order.(i)) in
+          for k = i + 1 to !j - 1 do keys.(order.(k)) <- refkey order.(k) done;
           sort_range order i !j (fun a b ->
-              match String.compare keys.(a) keys.(b) with 0 -> Int.compare a b | c -> c)
-        end;
-        for k = i + 1 to !j - 1 do
-          if String.equal keys.(order.(k - 1)) keys.(order.(k)) then
-            rep_arr.(order.(k)) <- rep_arr.(order.(k - 1))
-        done
+              match compare_refs keys.(a) keys.(b) with 0 -> Int.compare a b | c -> c);
+          for k = i + 1 to !j - 1 do
+            if compare_refs keys.(order.(k - 1)) keys.(order.(k)) = 0 then
+              rep_arr.(order.(k)) <- rep_arr.(order.(k - 1))
+          done
+        end
       end;
       runs !j
     end
@@ -809,9 +758,30 @@ let canonical t b =
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
   (order, ren, rep)
 
+(* Server [s]'s reference key as text: per client in client order, its
+   queued acks rendered with origin 0 — or their queue positions when
+   order matters — sorted. *)
+let add_refkey b t s =
+  Array.iteri
+    (fun ci c ->
+      let occ =
+        List.concat
+          (List.mapi
+             (fun pos (env : Messages.client_envelope) ->
+               if env.server <> s then []
+               else if t.mailbox_ordered then [ "@" ^ string_of_int pos ]
+               else [ ack_key ~origin:0 env ])
+             c.mailbox)
+      in
+      if occ <> [] then begin
+        num b ci; chr b '[';
+        str b (String.concat "," (List.sort String.compare occ));
+        str b "];"
+      end)
+    t.clients
+
 (* Everything between the server blocks and the history: client ports,
-   client persistent state, the spent menu and client progress — the
-   part of the text no section caches, rendered afresh on every call. *)
+   client persistent state, the spent menu and client progress. *)
 let add_tail b t ren =
   (* client ports: round tag and queued acks (ack origins renamed, and
      the queue rendered as a sorted multiset unless a round corruption
@@ -871,40 +841,237 @@ let add_tail b t ren =
     t.clients;
   chr b '\n'
 
-(* The only place a state meets MD5: the digest artifacts record. *)
+(* The only place a state meets MD5: the digest artifacts record.  The
+   whole text is rendered afresh on every call and nothing is written
+   into the state. *)
 let fingerprint_ex t =
   let b = Buffer.create 512 in
-  let order, ren, rep = canonical t b in
+  let render f = Buffer.clear b; f b; Buffer.contents b in
+  let blocks = Array.map (fun srv -> render (fun b -> server_block t b srv)) t.servers in
+  let order, ren, rep =
+    canonical t
+      ~block:(fun x y -> String.compare blocks.(x) blocks.(y))
+      ~refkey:(fun s -> render (fun b -> add_refkey b t s))
+      ~compare_refs:String.compare
+  in
   Buffer.clear b;
   (* servers in canonical order *)
   Array.iteri
-    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b t.blocks.(s); chr b '\n')
+    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
     order;
   add_tail b t ren;
-  str b t.hist;
+  add_history b t;
   (Digest.to_hex (Digest.string (Buffer.contents b)), ren, rep)
 
 let fingerprint t =
   let d, _, _ = fingerprint_ex t in
   d
 
-(* The fingerprint's text with every cached section replaced by its two
-   hash words: the servers' in canonical order, then the history's,
-   folded into the lanes, which then take the tail's bytes.  Only the
-   tail is rendered. *)
+(* ------------------------------------------------------------------ *)
+(* The search key                                                     *)
+
+(* Two multiply-xorshift lanes, each with its own odd multiplier and
+   shift.  Not cryptographic: the search key is made of them, and no
+   artifact ever records one. *)
+let lane_a h w = let x = (h lxor w) * 0x2545F4914F6CDD1D in x lxor (x lsr 29)
+
+let lane_b h w = let x = (h + w) * 0x1E3779B97F4A7C15 in x lxor (x lsr 32)
+
+let avalanche h =
+  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
+  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
+  h lxor (h lsr 32)
+
+(* A hash being fed, one word into both lanes at a time.  A section
+   feeds the fields its text renders, in the same order, with
+   constructor tags and list lengths where the text has punctuation, so
+   two sections feed the same words iff they render the same text. *)
+type lanes = { mutable a : int; mutable b : int }
+
+let lanes () = { a = 0x0123456789ABCDEF; b = 0x3DC94C3A046D678B }
+
+let word h w = h.a <- lane_a h.a w; h.b <- lane_b h.b w
+
+(* A finished hash as one element: its first word into lane a, its
+   second into lane b. *)
+let words h a b = h.a <- lane_a h.a a; h.b <- lane_b h.b b
+
+let hash_string h s = word h (String.length s); String.iter (fun c -> word h (Char.code c)) s
+
+let hash_epoch h (e : Epoch.t) = word h e.s; word h (List.length e.a); List.iter (word h) e.a
+
+let rec hash_value h = function
+  | Value.Bot -> word h 0
+  | Value.Int i -> word h 1; word h i
+  | Value.Str s -> word h 2; hash_string h s
+  | Value.Stamped { data; epoch; seq } ->
+    word h 3; hash_value h data; hash_epoch h epoch; word h seq
+
+let hash_cell h (c : Messages.cell) = word h c.sn; hash_value h c.v
+
+let hash_help h = function None -> word h 0 | Some c -> word h 1; hash_cell h c
+
+let hash_to_server h (env : Messages.server_envelope) =
+  word h env.round; word h env.client; word h env.inst;
+  match env.body with
+  | Messages.Write c -> word h 0; hash_cell h c
+  | Messages.New_help c -> word h 1; hash_cell h c
+  | Messages.Read nr -> word h (if nr then 2 else 3)
+
+let hash_to_client h ~origin (env : Messages.client_envelope) =
+  word h env.round; word h origin;
+  match env.body with
+  | Messages.Ack_write hp -> word h 0; hash_help h hp
+  | Messages.Ack_read (c, hp) -> word h 1; hash_cell h c; hash_help h hp
+
+(* A multiset of acks hashes as the lane-wise sum of its members'
+   finished hashes, which ignores their order. *)
+let add_ack sum ~origin env =
+  let e = lanes () in
+  hash_to_client e ~origin env;
+  sum.a <- sum.a + avalanche e.a;
+  sum.b <- sum.b + avalanche e.b
+
+(* Finish [h] into the section words at [t.hashes.(off)] and
+   [t.hashes.(off + 1)]. *)
+let store t off h =
+  t.hashes.(off) <- avalanche h.a;
+  t.hashes.(off + 1) <- avalanche h.b
+
+(* {!server_block}'s content: the Byzantine marker or the instances, then
+   per client the payloads queued on the slot's two links. *)
+let hash_block t s =
+  let h = lanes () in
+  (match List.assoc_opt s t.cfg.byz with
+  | Some Config.Silent -> word h 1
+  | Some (Config.Collude { sn; v }) -> word h 2; word h sn; word h v
+  | None ->
+    let insts = Server.instances t.servers.(s) in
+    word h 0;
+    word h (List.length insts);
+    List.iter
+      (fun ((inst, i) : int * Server.instance) ->
+        word h inst; hash_cell h i.last_val; hash_help h i.helping)
+      insts);
+  for ci = 0 to Array.length t.clients - 1 do
+    let reqs = t.requests.(ci).(s) and reps = t.replies.(ci).(s) in
+    word h (List.length reqs);
+    List.iter (fun (env, _) -> hash_to_server h env) reqs;
+    word h (List.length reps);
+    List.iter (hash_to_client h ~origin:0) reps
+  done;
+  store t (2 * s) h;
+  t.stale.(s) <- false
+
+(* {!add_history}'s content. *)
+let hash_history t =
+  let ops = Oracles.History.ops t.history and corrupt = corrupt_times t in
+  let rank = ranks ops corrupt and h = lanes () in
+  word h (List.length ops);
+  List.iter
+    (fun (o : Oracles.History.op) ->
+      hash_string h o.proc;
+      word h (match o.kind with Oracles.History.Write -> 0 | Oracles.History.Read -> 1);
+      word h (rank (Sim.Vtime.to_int o.inv));
+      word h (rank (Sim.Vtime.to_int o.resp));
+      hash_value h o.value;
+      word h (Bool.to_int o.ok);
+      match o.ts with
+      | None -> word h 0
+      | Some (e, s, j) -> word h 1; hash_epoch h e; word h s; word h j)
+    ops;
+  word h (List.length corrupt);
+  List.iter (fun ct -> word h (rank ct)) corrupt;
+  store t (2 * Array.length t.servers) h;
+  t.hist_stale <- false
+
+(* {!add_refkey}'s content, finished. *)
+let hash_refkey t s =
+  let h = lanes () in
+  Array.iteri
+    (fun ci c ->
+      let mine (env : Messages.client_envelope) = env.server = s in
+      match List.fold_left (fun k env -> if mine env then k + 1 else k) 0 c.mailbox with
+      | 0 -> ()
+      | count ->
+        word h ci;
+        word h count;
+        if t.mailbox_ordered then
+          List.iteri (fun pos env -> if mine env then word h pos) c.mailbox
+        else begin
+          let sum = { a = 0; b = 0 } in
+          List.iter (fun env -> if mine env then add_ack sum ~origin:0 env) c.mailbox;
+          words h sum.a sum.b
+        end)
+    t.clients;
+  (avalanche h.a, avalanche h.b)
+
+let compare_pairs (a1, b1) (a2, b2) = match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
+
+(* {!add_tail}'s content, ack origins renamed through [ren]. *)
+let hash_tail h t ren =
+  Array.iter
+    (fun c ->
+      word h c.id; word h c.round; word h (List.length c.mailbox);
+      if t.mailbox_ordered then
+        List.iter
+          (fun (env : Messages.client_envelope) ->
+            hash_to_client h ~origin:(ren env.server) env)
+          c.mailbox
+      else begin
+        let sum = { a = 0; b = 0 } in
+        List.iter
+          (fun (env : Messages.client_envelope) -> add_ack sum ~origin:(ren env.server) env)
+          c.mailbox;
+        words h sum.a sum.b
+      end)
+    t.clients;
+  (match t.proto with
+  | Regular_p _ -> word h 0
+  | Atomic_p (w, r) -> word h 1; word h w.wsn; word h r.pwsn; hash_value h r.pv
+  | Mwmr_p procs ->
+    word h 2;
+    Array.iter
+      (fun (p : Mwmr.state) ->
+        (match p.last_ts with
+        | None -> word h 0
+        | Some (e, s) -> word h 1; hash_epoch h e; word h s);
+        word h p.epochs_opened;
+        word h (List.length p.restamps_rev);
+        List.iter
+          (fun (v, e, s) -> hash_value h v; hash_epoch h e; word h s)
+          p.restamps_rev;
+        Array.iter (fun (w : Swsr_atomic.wstate) -> word h w.wsn) p.own;
+        Array.iter (fun (r : Swsr_atomic.rstate) -> word h r.pwsn; hash_value h r.pv) p.views)
+      procs);
+  word h (List.length t.applied);
+  List.iter (word h) (List.sort Int.compare t.applied);
+  Array.iter (fun c -> word h (Bool.to_int (running c))) t.clients
+
+(* The fingerprint's content, hashed from the state's fields: the stale
+   section hashes are refreshed, the anonymous slots sorted by their
+   hash words, and the blocks' words in that order, the tail and the
+   history's words folded into one pair of lanes.  Nothing is rendered,
+   and no MD5 runs. *)
 let search_key t =
-  let b = Buffer.create 128 in
-  let order, ren, rep = canonical t b in
-  let h = t.hashes and hist = 2 * Array.length order in
-  let a = ref seed_a and c = ref seed_b in
-  Array.iter (fun s -> a := lane_a !a h.(2 * s); c := lane_b !c h.((2 * s) + 1)) order;
-  a := lane_a !a h.(hist);
-  c := lane_b !c h.(hist + 1);
-  Buffer.clear b;
-  add_tail b t ren;
-  let key = Array.make 2 0 in
-  hash_into key 0 ~a:!a ~b:!c (Buffer.contents b);
-  (key.(0), key.(1), ren, rep)
+  let n = Array.length t.servers and h = t.hashes in
+  for s = 0 to n - 1 do
+    if t.stale.(s) then hash_block t s
+  done;
+  if t.hist_stale then hash_history t;
+  let block x y =
+    match Int.compare h.(2 * x) h.(2 * y) with
+    | 0 -> Int.compare h.((2 * x) + 1) h.((2 * y) + 1)
+    | c -> c
+  in
+  let order, ren, rep =
+    canonical t ~block ~refkey:(hash_refkey t) ~compare_refs:compare_pairs
+  in
+  let key = lanes () in
+  Array.iter (fun s -> words key h.(2 * s) h.((2 * s) + 1)) order;
+  hash_tail key t ren;
+  words key h.(2 * n) h.((2 * n) + 1);
+  (avalanche key.a, avalanche key.b, ren, rep)
 
 let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
 

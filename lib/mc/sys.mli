@@ -71,12 +71,11 @@ val create : Config.t -> t
 val clone : t -> t
 (** An independent copy: applying moves to either leaves the other as it
     was.  Copies every mutable record (server instances, link and mailbox
-    heads, client records, the history, the tables of cached fingerprint
-    sections and their hashes) and shares the immutable rest, the cached
-    sections' strings included.  Keying or fingerprinting a state writes
-    its caches, so a state that other domains clone concurrently (a
-    frontier worker's frozen parent) is keyed before it is frozen and
-    never after. *)
+    heads, client records, the history, the search key's cached section
+    hashes and their stale flags) and shares the immutable rest.  Keying
+    a state writes its caches, so a state that other domains clone
+    concurrently (a frontier worker's frozen parent) is keyed before it
+    is frozen and never after. *)
 
 val config : t -> Config.t
 
@@ -118,37 +117,45 @@ val fingerprint : t -> string
 
 val fingerprint_ex : t -> string * (int -> int) * (int -> int)
 (** [(digest, ren, rep)]: {!fingerprint} plus the canonical server
-    renaming it chose ([ren]: original slot -> canonical slot) and the
+    renaming its text uses ([ren]: original slot -> canonical slot, the
+    anonymous slots ordered by their rendered blocks) and the
     automorphism-class representative map ([rep]: original slot -> least
-    interchangeable slot).  The checker must rename sleep sets through
-    [ren] ({!link_index}) before comparing them across states merged by
-    the symmetry reduction, and may restrict branching to one delivery
-    per link under [rep] (successors of class members are isomorphic).
-    The digest is the MD5 of the whole rendered text, the one digest
-    artifacts record (cex terminals, [--replay], the golden walks); the
-    search never computes it ({!search_key}).  The state
-    keeps its rendered server blocks and history section: a call
-    re-renders only those the moves since the last call changed (a
-    delivery its server's block, a broadcast every block, a server
-    corruption its server's block, a recorded operation or a corruption
-    the history) and renders the rest of the text, which is small,
-    afresh.  A state never keyed or fingerprinted renders every section;
-    the bytes are the same either way. *)
+    interchangeable slot).  The digest is the MD5 of the whole rendered
+    text, the one digest artifacts record (cex terminals, [--replay],
+    the golden walks, shrink); the search never computes it
+    ({!search_key}).  Every call renders the whole text afresh and
+    writes nothing into the state. *)
 
 val search_key : t -> int * int * (int -> int) * (int -> int)
 (** [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
-    the renaming and representative maps of {!fingerprint_ex}.  Two
-    states have equal keys iff they have equal fingerprints, up to a
-    2{^-126}-scale hash collision: the key is the fingerprint's text with
-    each cached section — a server block, the history — replaced by two
-    63-bit words of a non-cryptographic multiply-xorshift hash, folded
-    in the same canonical order.  A section's words are computed once,
-    when the section is rendered, and cached beside it under the same
-    rule: written only while the state is keyed or fingerprinted, so a
-    state other domains clone concurrently is keyed before it is frozen
-    and never after.  Only the small uncached part (client ports,
-    protocol state, spent menu, progress) is rendered per call, and no
-    MD5 runs: {!fingerprint} is the artifact digest, the key is not. *)
+    its own canonical renaming and the representative map.  The key
+    hashes the fingerprint's content straight from the state's fields —
+    server instances and link contents, client ports, protocol state,
+    spent menu, progress and the ranked history — into two 63-bit lanes
+    of a non-cryptographic multiply-xorshift hash; nothing is rendered
+    and no MD5 runs.  Two states have equal keys iff they have equal
+    fingerprints, up to a 2{^-126}-scale hash collision.  A mailbox
+    hashes as the sum of its acks' hashes, which ignores their order,
+    unless the menu can corrupt a round tag.
+
+    [ren] orders the anonymous slots by their blocks' hash words, with
+    ties between equal blocks broken by hashed reference keys (the acks
+    that name the slot), so it need not be {!fingerprint_ex}'s; it is
+    consistent across all states with equal keys, and the checker
+    compares sleep sets only within it.  Two unequal blocks can only tie
+    through a hash collision, the risk the key already takes.  [rep] is
+    {!fingerprint_ex}'s: the least slot of each automorphism class.  The
+    checker renames sleep sets through [ren] ({!link_index}) and may
+    restrict branching to one delivery per link under [rep] (successors
+    of class members are isomorphic).
+
+    Each server block's and the history's two hash words are cached in
+    the state and recomputed only once a move changed what they hash (a
+    delivery its server's block, a broadcast every block, a server
+    corruption its server's block, a recorded operation or a corruption
+    the history).  Only this function writes the caches, so a state other
+    domains clone concurrently is keyed before it is frozen and never
+    after. *)
 
 val links : Config.t -> int
 (** The number of links of a deployment: clients × servers × 2

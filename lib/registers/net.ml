@@ -300,10 +300,12 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
   let target = min quorum correct_total in
   (* Both transports count actual delivery callbacks rather than
      precomputing arrival instants: the synchronized-delivery property must
-     hold under *any* admissible firing order (the model checker reorders
-     deliveries across links), not just the queue order of a fresh run.
-     Only deliveries at servers correct when the broadcast went out count,
-     so those links share one callback and the others get none. *)
+     hold under *any* admissible arrival order across links (link delays,
+     losses and retransmissions decide it), not just the queue order of a
+     fresh run; the model checker's explicit state, [Mc.Sys], counts
+     deliveries the same way.  Only deliveries at servers correct when the
+     broadcast went out count, so those links share one callback and the
+     others get none. *)
   Sim.Fiber.suspend ~label:"Net.ss_broadcast" (fun resume ->
       let confirmed = ref 0 in
       let resumed = ref false in

@@ -222,6 +222,7 @@ let test_range_checked_numbers () =
       ("--down-for", [ "recovery"; "--down-for=-5" ]);
       ("--ops", [ "shard"; "--ops=-1" ]);
       ("--max-states", [ "mc"; "--max-states=-1" ]);
+      ("--profile-every", [ "mc"; "--profile-every=0"; "--profile-out"; "profile.json" ]);
     ]
 
 let test_chaos_replay_expect () =

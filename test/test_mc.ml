@@ -815,12 +815,13 @@ let n20_golden =
 (* Every state a full search reaches — every enabled move from every
    state, no reduction, expanding each fingerprint once, up to [budget]
    arrivals: merged arrivals included, with the key taken on the warm
-   state the walk left. *)
-let reached_states cfg ~budget =
+   state the walk left, after [check] has seen it. *)
+let reached_states ?(check = ignore) cfg ~budget =
   let expanded = Hashtbl.create 1024 and arrivals = ref [] and count = ref 0 in
   let rec go sys =
     if !count < budget then begin
       incr count;
+      check sys;
       let key = search_key sys and fp = Mc.Sys.fingerprint sys in
       arrivals := (key, fp) :: !arrivals;
       if not (Hashtbl.mem expanded fp) then begin
@@ -837,31 +838,102 @@ let reached_states cfg ~budget =
   go (Mc.Sys.create cfg);
   !arrivals
 
+(* Two arrivals have equal keys iff they have equal fingerprints. *)
+let check_key_partition name arrivals =
+  let by_key = Hashtbl.create 1024 and by_fp = Hashtbl.create 1024 in
+  List.iter
+    (fun (key, fp) ->
+      (match Hashtbl.find_opt by_key key with
+      | Some fp' -> check_true (name ^ ": one fingerprint per key") (String.equal fp fp')
+      | None -> Hashtbl.add by_key key fp);
+      match Hashtbl.find_opt by_fp fp with
+      | Some key' -> check_true (name ^ ": one key per fingerprint") (key = key')
+      | None -> Hashtbl.add by_fp fp key)
+    arrivals;
+  check_true (name ^ ": some states merged")
+    (Hashtbl.length by_fp < List.length arrivals);
+  check_int (name ^ ": as many keys as fingerprints") (Hashtbl.length by_fp)
+    (Hashtbl.length by_key)
+
 (* The key stands in for the digest in the visited set: two reached
    states have equal keys iff they have equal fingerprints. *)
 let test_key_agrees_with_fingerprint () =
   List.iter
-    (fun (name, cfg, budget) ->
-      let arrivals = reached_states cfg ~budget in
-      let by_key = Hashtbl.create 1024 and by_fp = Hashtbl.create 1024 in
-      List.iter
-        (fun (key, fp) ->
-          (match Hashtbl.find_opt by_key key with
-          | Some fp' -> check_true (name ^ ": one fingerprint per key") (String.equal fp fp')
-          | None -> Hashtbl.add by_key key fp);
-          match Hashtbl.find_opt by_fp fp with
-          | Some key' -> check_true (name ^ ": one key per fingerprint") (key = key')
-          | None -> Hashtbl.add by_fp fp key)
-        arrivals;
-      check_true (name ^ ": some states merged")
-        (Hashtbl.length by_fp < List.length arrivals);
-      check_int (name ^ ": as many keys as fingerprints") (Hashtbl.length by_fp)
-        (Hashtbl.length by_key))
+    (fun (name, cfg, budget) -> check_key_partition name (reached_states cfg ~budget))
     [
       ("tiny regular", tiny_cfg, max_int);
       ("tiny atomic", { tiny_cfg with Mc.Config.family = Mc.Config.Atomic }, max_int);
       ("budgeted mwmr", clone_cfgs.(2), 20_000);
     ]
+
+(* What a search key tells the checker: the key, and the representative
+   and renaming maps on every server slot. *)
+let key_view sys =
+  let k1, k2, ren, rep = Mc.Sys.search_key sys in
+  let n = (Mc.Sys.config sys).Mc.Config.n in
+  (k1, k2, Array.init n rep, Array.init n ren)
+
+(* A state keyed after every step rehashes only the sections the last
+   move marked stale; its key must equal that of a never-keyed replay of
+   its moves.  Halfway, the walk goes on in a clone, and the state it
+   left must still key as its own replay once the clone has walked
+   away. *)
+let prop_warm_key_is_cold =
+  QCheck.Test.make ~count:60 ~name:"a warm search key equals a cold one"
+    QCheck.(triple (int_range 0 2) (int_range 1 100_000) (int_range 0 60))
+    (fun (family, seed, steps) ->
+      let cfg = clone_cfgs.(family) in
+      let st = Random.State.make [| seed |] in
+      let cold fired = key_view (replay cfg (List.rev fired)) in
+      let rec walk sys k fired =
+        key_view sys = cold fired
+        &&
+        match Mc.Sys.enabled sys with
+        | [] -> true
+        | _ when k = steps -> true
+        | moves ->
+          let moves = Array.of_list moves in
+          let mv = moves.(Random.State.int st (Array.length moves)) in
+          let next = if k = steps / 2 then Mc.Sys.clone sys else sys in
+          check_true "walk move applies" (Mc.Sys.apply next mv);
+          walk next (k + 1) (mv :: fired)
+          && (next == sys || key_view sys = cold fired)
+      in
+      walk (Mc.Sys.create cfg) 0 [])
+
+(* The bijection again, over configs whose menus name slots, order the
+   mailboxes (round corruption) and keep a colluding server; and the
+   key's representative map is the fingerprint's on every state. *)
+let test_key_agrees_under_every_menu () =
+  Array.iteri
+    (fun i cfg ->
+      let name = Printf.sprintf "clone config %d" i in
+      let n = cfg.Mc.Config.n in
+      let same_rep sys =
+        let _, _, _, rep = Mc.Sys.search_key sys and _, _, rep' = Mc.Sys.fingerprint_ex sys in
+        check_true (name ^ ": one representative map") (List.init n rep = List.init n rep')
+      in
+      check_key_partition name (reached_states ~check:same_rep cfg ~budget:8_000))
+    clone_cfgs
+
+(* [Sys.enabled] produces its deliveries already sorted: the [Deliver]
+   prefix is strictly increasing under [compare_move], also where server
+   ids pass one digit (n = 12, n = 20). *)
+let test_enabled_is_sorted () =
+  let sorted sys =
+    let rec go = function
+      | (Mc.Sys.Deliver _ as a) :: (Mc.Sys.Deliver _ as b) :: rest ->
+        Mc.Sys.compare_move a b < 0 && go (b :: rest)
+      | _ -> true
+    in
+    check_true "deliveries in compare_move order" (go (Mc.Sys.enabled sys))
+  in
+  List.iter
+    (fun (cfg, budget) -> ignore (reached_states ~check:sorted cfg ~budget))
+    ([ (tiny_cfg, max_int);
+       ({ n4_silent with Mc.Config.n = 12 }, 2_000);
+       ({ n4_silent with Mc.Config.n = 20; read_budget = 8 }, 1_000) ]
+    @ List.map (fun cfg -> (cfg, 2_000)) (Array.to_list clone_cfgs))
 
 let tests =
   List.map
@@ -898,4 +970,8 @@ let tests =
       (let name, search, expected = n20_golden in
        case ("stats golden: " ^ name) (test_stats_golden (search, expected)));
       case "a search key agrees with the fingerprint" test_key_agrees_with_fingerprint;
+      qcheck prop_warm_key_is_cold;
+      case "a search key agrees with the fingerprint under every menu"
+        test_key_agrees_under_every_menu;
+      case "enabled deliveries are sorted" test_enabled_is_sorted;
     ]

@@ -567,7 +567,7 @@ let mc_cmd =
     let doc = "Depth budget (moves per execution)." in
     Arg.(
       value
-      & opt int Checker.default_budgets.Checker.max_depth
+      & opt (int_at_least 1) Checker.default_budgets.Checker.max_depth
       & info [ "depth" ] ~docv:"D" ~doc)
   in
   let max_states =

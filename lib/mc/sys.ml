@@ -551,40 +551,114 @@ let apply ?(strict = true) t mv =
         true)
 
 (* ------------------------------------------------------------------ *)
-(* State fingerprint                                                  *)
+(* One walk, two sinks                                                *)
 
-(* The renderer appends to a buffer: no Printf and no Format.  Its bytes
-   are an artifact format — committed mc counterexamples store terminal
-   fingerprints — and the golden table in test/test_mc.ml pins them.
-   The search never renders ({!search_key}). *)
-let str = Buffer.add_string
-let chr = Buffer.add_char
-let num = Value.add_decimal
+(* Two multiply-xorshift lanes, each with its own odd multiplier and
+   shift.  Not cryptographic: the search key is made of them, and no
+   artifact ever records one. *)
+let lane_a h w = let x = (h lxor w) * 0x2545F4914F6CDD1D in x lxor (x lsr 29)
 
-let add_cell b (c : Messages.cell) = num b c.sn; chr b ':'; Value.add_to_buffer b c.v
+let lane_b h w = let x = (h + w) * 0x1E3779B97F4A7C15 in x lxor (x lsr 32)
 
-let add_help b = function None -> chr b '-' | Some c -> add_cell b c
+let avalanche h =
+  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
+  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
+  h lxor (h lsr 32)
 
-let add_to_server b (env : Messages.server_envelope) =
-  num b env.round; chr b '/'; num b env.client; chr b '/'; num b env.inst; chr b '/';
+(* A hash being fed, one word into both lanes at a time. *)
+type lanes = { mutable a : int; mutable b : int }
+
+let lanes () = { a = 0x0123456789ABCDEF; b = 0x3DC94C3A046D678B }
+
+let word h w = h.a <- lane_a h.a w; h.b <- lane_b h.b w
+
+(* A finished hash as one element: its first word into lane a, its
+   second into lane b. *)
+let words h a b = h.a <- lane_a h.a a; h.b <- lane_b h.b b
+
+let finish h = (avalanche h.a, avalanche h.b)
+
+(* Each section of a state is described once, by a walk that writes into
+   a sink: the fingerprint's text, or the search key's hash words.  The
+   text's bytes are an artifact format — committed mc counterexamples
+   store terminal fingerprints — and the golden table in
+   test/test_mc.ml pins them; the search never renders.  The key must
+   partition states exactly as the text does, so wherever the text
+   relies on punctuation to be unambiguous ([lit]), the walk also feeds
+   the key a list length ([len]) or a constructor tag ([tag]). *)
+type sink = Text of Buffer.t | Words of lanes
+
+let num k n = match k with Text b -> Value.add_decimal b n | Words h -> word h n
+
+let lit k s = match k with Text b -> Buffer.add_string b s | Words _ -> ()
+
+let tag k s w = match k with Text b -> Buffer.add_string b s | Words h -> word h w
+
+let len k n = match k with Text _ -> () | Words h -> word h n
+
+let name k s =
+  match k with
+  | Text b -> Buffer.add_string b s
+  | Words h -> word h (String.length s); String.iter (fun c -> word h (Char.code c)) s
+
+let epoch k (e : Epoch.t) =
+  num k e.s; lit k "{"; len k (List.length e.a);
+  List.iter (fun x -> num k x; lit k " ") e.a;
+  lit k "}"
+
+(* The text is {!Value.add_to_buffer}'s; the key feeds the same fields. *)
+let value k v =
+  let rec go h = function
+    | Value.Bot -> word h 0
+    | Value.Int i -> word h 1; word h i
+    | Value.Str s -> word h 2; name (Words h) s
+    | Value.Stamped { data; epoch = e; seq } -> word h 3; go h data; epoch (Words h) e; word h seq
+  in
+  match k with Text b -> Value.add_to_buffer b v | Words h -> go h v
+
+let render f = let b = Buffer.create 64 in f (Text b); Buffer.contents b
+
+(* A multiset: the text writes its members' renderings sorted, [sep]
+   between them; the key sums the members' finished hashes, which
+   ignores their order. *)
+let bag k ~sep f xs =
+  match k with
+  | Text b ->
+    List.map (fun x -> render (fun m -> f m x)) xs
+    |> List.sort String.compare
+    |> List.iteri (fun i m -> if i > 0 then Buffer.add_string b sep; Buffer.add_string b m)
+  | Words h ->
+    let sa = ref 0 and sb = ref 0 in
+    List.iter
+      (fun x ->
+        let e = lanes () in
+        f (Words e) x;
+        sa := !sa + avalanche e.a;
+        sb := !sb + avalanche e.b)
+      xs;
+    words h !sa !sb
+
+let cell k (c : Messages.cell) = num k c.sn; lit k ":"; value k c.v
+
+let help k = function None -> tag k "-" 0 | Some c -> tag k "" 1; cell k c
+
+let to_server k (env : Messages.server_envelope) =
+  num k env.round; lit k "/"; num k env.client; lit k "/"; num k env.inst; lit k "/";
   match env.body with
-  | Messages.Write c -> chr b 'W'; add_cell b c
-  | Messages.New_help c -> chr b 'H'; add_cell b c
-  | Messages.Read nr -> str b (if nr then "Rn" else "Ro")
+  | Messages.Write c -> tag k "W" 0; cell k c
+  | Messages.New_help c -> tag k "H" 1; cell k c
+  | Messages.Read nr -> if nr then tag k "Rn" 2 else tag k "Ro" 3
 
 (* An ack as [round/origin/body], its origin given by the caller. *)
-let add_to_client b ~origin (env : Messages.client_envelope) =
-  num b env.round; chr b '/'; num b origin; chr b '/';
+let to_client k ~origin (env : Messages.client_envelope) =
+  num k env.round; lit k "/"; num k origin; lit k "/";
   match env.body with
-  | Messages.Ack_write h -> chr b 'a'; add_help b h
-  | Messages.Ack_read (c, h) -> chr b 'A'; add_cell b c; chr b ','; add_help b h
+  | Messages.Ack_write h -> tag k "a" 0; help k h
+  | Messages.Ack_read (c, h) -> tag k "A" 1; cell k c; lit k ","; help k h
 
-let add_epoch b (e : Epoch.t) =
-  num b e.s; chr b '{'; List.iter (fun x -> num b x; chr b ' ') e.a; chr b '}'
-
-let add_ts b = function
-  | None -> chr b '-'
-  | Some (e, s, j) -> add_epoch b e; chr b '/'; num b s; chr b '/'; num b j
+let ts k = function
+  | None -> tag k "-" 0
+  | Some (e, s, j) -> tag k "" 1; epoch k e; lit k "/"; num k s; lit k "/"; num k j
 
 (* The oracles only compare instants for order, so the fingerprint keeps
    the order type of the recorded instants rather than their absolute
@@ -608,57 +682,126 @@ let ranks ops corrupt =
     done;
     !lo
 
-let add_history b t =
-  let ops = Oracles.History.ops t.history in
-  let corrupt = corrupt_times t in
+let ranked_history k t =
+  let ops = Oracles.History.ops t.history and corrupt = corrupt_times t in
   let rank = ranks ops corrupt in
+  len k (List.length ops);
   List.iter
     (fun (o : Oracles.History.op) ->
-      str b o.proc;
-      str b
-        (match o.kind with
-        | Oracles.History.Write -> "|W|"
-        | Oracles.History.Read -> "|R|");
-      num b (rank (Sim.Vtime.to_int o.inv)); chr b '|';
-      num b (rank (Sim.Vtime.to_int o.resp)); chr b '|';
-      Value.add_to_buffer b o.value;
-      str b (if o.ok then "|true|" else "|false|");
-      add_ts b o.ts;
-      chr b ';')
+      name k o.proc;
+      (match o.kind with
+      | Oracles.History.Write -> tag k "|W|" 0
+      | Oracles.History.Read -> tag k "|R|" 1);
+      num k (rank (Sim.Vtime.to_int o.inv)); lit k "|";
+      num k (rank (Sim.Vtime.to_int o.resp)); lit k "|";
+      value k o.value;
+      if o.ok then tag k "|true|" 1 else tag k "|false|" 0;
+      ts k o.ts;
+      lit k ";")
     ops;
-  str b "X:";
-  List.iter (fun ct -> num b (rank ct); chr b ' ') corrupt
+  lit k "X:"; len k (List.length corrupt);
+  List.iter (fun ct -> num k (rank ct); lit k " ") corrupt
 
-(* Everything attached to one server slot, rendered WITHOUT its id: the
-   automaton instances (or the byzantine behavior marker — the assignment
-   is config-constant, but two byzantine slots with different behaviors
+(* Everything attached to server slot [s], WITHOUT its id: the automaton
+   instances (or the byzantine behavior marker — the assignment is
+   config-constant, but two byzantine slots with different behaviors
    must not be interchangeable) and the in-flight payloads on its links,
    per client in client order.  Two servers with equal blocks are
    observationally interchangeable. *)
-let server_block t b srv =
-  let s = Server.id srv in
+let server_block k t s =
   (match List.assoc_opt s t.cfg.byz with
-  | Some Config.Silent -> str b "Bs"
-  | Some (Config.Collude { sn; v }) -> str b "Bc"; num b sn; chr b ':'; num b v
+  | Some Config.Silent -> tag k "Bs" 1
+  | Some (Config.Collude { sn; v }) -> tag k "Bc" 2; num k sn; lit k ":"; num k v
   | None ->
+    let insts = Server.instances t.servers.(s) in
+    tag k "" 0; len k (List.length insts);
     List.iter
       (fun ((inst, i) : int * Server.instance) ->
-        num b inst; chr b '='; add_cell b i.last_val;
-        chr b '+'; add_help b i.helping; chr b ',')
-      (Server.instances srv));
+        num k inst; lit k "="; cell k i.last_val;
+        lit k "+"; help k i.helping; lit k ",")
+      insts);
   Array.iteri
     (fun ci c ->
-      str b "|c"; num b c.id; chr b '>';
-      List.iter
-        (fun (env, _) -> add_to_server b env; chr b ';')
-        t.requests.(ci).(s);
-      chr b '<';
+      let reqs = t.requests.(ci).(s) and reps = t.replies.(ci).(s) in
+      lit k "|c"; num k c.id; lit k ">"; len k (List.length reqs);
+      List.iter (fun (env, _) -> to_server k env; lit k ";") reqs;
+      lit k "<"; len k (List.length reps);
       (* the server field of an ack on this server's own reply link is
          self-referential; it stays 0 *)
-      List.iter
-        (fun env -> add_to_client b ~origin:0 env; chr b ';')
-        t.replies.(ci).(s))
+      List.iter (fun env -> to_client k ~origin:0 env; lit k ";") reps)
     t.clients
+
+(* Server [s]'s reference key: per client in client order, the bag of its
+   queued acks with origin 0 — or of their queue positions when order
+   matters. *)
+let refkey k t s =
+  Array.iteri
+    (fun ci c ->
+      let mine (env : Messages.client_envelope) = env.server = s in
+      match List.filter mine c.mailbox with
+      | [] -> ()
+      | acks ->
+        num k ci; lit k "["; len k (List.length acks);
+        (if t.mailbox_ordered then
+           bag k ~sep:","
+             (fun k pos -> lit k "@"; num k pos)
+             (List.concat (List.mapi (fun pos env -> if mine env then [ pos ] else []) c.mailbox))
+         else bag k ~sep:"," (to_client ~origin:0) acks);
+        lit k "];")
+    t.clients
+
+(* Everything between the server blocks and the history: client ports,
+   client persistent state, the spent menu and client progress. *)
+let tail k t ren =
+  (* client ports: round tag and queued acks (ack origins renamed, and
+     the queue a multiset unless a round corruption could make order
+     matter); link traffic lives inside the server blocks *)
+  Array.iter
+    (fun c ->
+      let ack k (env : Messages.client_envelope) = to_client k ~origin:(ren env.server) env in
+      lit k "c"; num k c.id; lit k " r"; num k c.round; lit k " q[";
+      len k (List.length c.mailbox);
+      if t.mailbox_ordered then List.iter (fun env -> ack k env; lit k ";") c.mailbox
+      else begin
+        bag k ~sep:";" ack c.mailbox;
+        if c.mailbox <> [] then lit k ";"
+      end;
+      lit k "]\n")
+    t.clients;
+  (* client persistent state *)
+  (match t.proto with
+  | Regular_p _ -> tag k "reg" 0
+  | Atomic_p (w, r) ->
+    tag k "wsn=" 1; num k w.wsn; lit k ";pwsn="; num k r.pwsn;
+    lit k ";pv="; value k r.pv
+  | Mwmr_p procs ->
+    tag k "" 2;
+    Array.iteri
+      (fun i (p : Mwmr.state) ->
+        lit k "p"; num k i; lit k ":";
+        (match p.last_ts with
+        | None -> tag k "-" 0
+        | Some (e, s) -> tag k "" 1; epoch k e; lit k "/"; num k s);
+        lit k ";eo="; num k p.epochs_opened; lit k ";";
+        len k (List.length p.restamps_rev);
+        List.iter
+          (fun (v, e, s) -> value k v; lit k "@"; epoch k e; lit k "/"; num k s; lit k ",")
+          (List.rev p.restamps_rev);
+        Array.iter (fun (w : Swsr_atomic.wstate) -> lit k "w"; num k w.wsn; lit k ",") p.own;
+        Array.iter
+          (fun (r : Swsr_atomic.rstate) ->
+            lit k "r"; num k r.pwsn; lit k ":"; value k r.pv; lit k ",")
+          p.views;
+        lit k "\n")
+      procs);
+  (* which corruption choices are still available *)
+  lit k "\nM:"; len k (List.length t.applied);
+  List.iter (fun i -> num k i; lit k " ") (List.sort Int.compare t.applied);
+  (* client progress; the names are config constants *)
+  Array.iter
+    (fun c -> lit k c.name; if running c then tag k "r" 1 else tag k "d" 0)
+    t.clients;
+  lit k "\n"
 
 (* Sort [a.(lo)], ..., [a.(hi - 1)] in place: a handful of slots, so by
    insertion. *)
@@ -671,11 +814,6 @@ let sort_range a lo hi cmp =
     done;
     a.(!j + 1) <- x
   done
-
-let ack_key ~origin env =
-  let b = Buffer.create 32 in
-  add_to_client b ~origin env;
-  Buffer.contents b
 
 (* Symmetry reduction: the protocols never branch on a server's identity
    (uniform broadcast, uniform links) and the oracles only read the
@@ -758,320 +896,74 @@ let canonical t ~block ~refkey ~compare_refs =
   let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
   (order, ren, rep)
 
-(* Server [s]'s reference key as text: per client in client order, its
-   queued acks rendered with origin 0 — or their queue positions when
-   order matters — sorted. *)
-let add_refkey b t s =
-  Array.iteri
-    (fun ci c ->
-      let occ =
-        List.concat
-          (List.mapi
-             (fun pos (env : Messages.client_envelope) ->
-               if env.server <> s then []
-               else if t.mailbox_ordered then [ "@" ^ string_of_int pos ]
-               else [ ack_key ~origin:0 env ])
-             c.mailbox)
-      in
-      if occ <> [] then begin
-        num b ci; chr b '[';
-        str b (String.concat "," (List.sort String.compare occ));
-        str b "];"
-      end)
-    t.clients
-
-(* Everything between the server blocks and the history: client ports,
-   client persistent state, the spent menu and client progress. *)
-let add_tail b t ren =
-  (* client ports: round tag and queued acks (ack origins renamed, and
-     the queue rendered as a sorted multiset unless a round corruption
-     could make order matter); link traffic lives inside the server
-     blocks *)
-  Array.iter
-    (fun c ->
-      chr b 'c'; num b c.id; str b " r"; num b c.round; str b " q[";
-      if t.mailbox_ordered then
-        List.iter
-          (fun (env : Messages.client_envelope) ->
-            add_to_client b ~origin:(ren env.server) env; chr b ';')
-          c.mailbox
-      else
-        List.map
-          (fun (env : Messages.client_envelope) -> ack_key ~origin:(ren env.server) env)
-          c.mailbox
-        |> List.sort String.compare
-        |> List.iter (fun key -> str b key; chr b ';');
-      str b "]\n")
-    t.clients;
-  (* client persistent state *)
-  (match t.proto with
-  | Regular_p _ -> str b "reg"
-  | Atomic_p (w, r) ->
-    str b "wsn="; num b w.wsn; str b ";pwsn="; num b r.pwsn;
-    str b ";pv="; Value.add_to_buffer b r.pv
-  | Mwmr_p procs ->
-    Array.iteri
-      (fun i (p : Mwmr.state) ->
-        chr b 'p'; num b i; chr b ':';
-        (match p.last_ts with
-        | None -> chr b '-'
-        | Some (e, s) -> add_epoch b e; chr b '/'; num b s);
-        str b ";eo="; num b p.epochs_opened; chr b ';';
-        List.iter
-          (fun (v, e, s) ->
-            Value.add_to_buffer b v; chr b '@';
-            add_epoch b e; chr b '/'; num b s; chr b ',')
-          (List.rev p.restamps_rev);
-        Array.iter
-          (fun (w : Swsr_atomic.wstate) -> chr b 'w'; num b w.wsn; chr b ',')
-          p.own;
-        Array.iter
-          (fun (r : Swsr_atomic.rstate) ->
-            chr b 'r'; num b r.pwsn; chr b ':';
-            Value.add_to_buffer b r.pv; chr b ',')
-          p.views;
-        chr b '\n')
-      procs);
-  (* which corruption choices are still available *)
-  str b "\nM:";
-  List.iter (fun i -> num b i; chr b ' ') (List.sort Int.compare t.applied);
-  (* client progress *)
-  Array.iter
-    (fun c -> str b c.name; chr b (if running c then 'r' else 'd'))
-    t.clients;
-  chr b '\n'
-
 (* The only place a state meets MD5: the digest artifacts record.  The
    whole text is rendered afresh on every call and nothing is written
    into the state. *)
 let fingerprint_ex t =
-  let b = Buffer.create 512 in
-  let render f = Buffer.clear b; f b; Buffer.contents b in
-  let blocks = Array.map (fun srv -> render (fun b -> server_block t b srv)) t.servers in
+  let blocks = Array.init (Array.length t.servers) (fun s -> render (fun k -> server_block k t s)) in
   let order, ren, rep =
     canonical t
       ~block:(fun x y -> String.compare blocks.(x) blocks.(y))
-      ~refkey:(fun s -> render (fun b -> add_refkey b t s))
+      ~refkey:(fun s -> render (fun k -> refkey k t s))
       ~compare_refs:String.compare
   in
-  Buffer.clear b;
+  let b = Buffer.create 512 in
   (* servers in canonical order *)
   Array.iteri
-    (fun pos s -> chr b 's'; num b pos; chr b ':'; str b blocks.(s); chr b '\n')
+    (fun pos s ->
+      Buffer.add_char b 's'; Value.add_decimal b pos; Buffer.add_char b ':';
+      Buffer.add_string b blocks.(s); Buffer.add_char b '\n')
     order;
-  add_tail b t ren;
-  add_history b t;
+  tail (Text b) t ren;
+  ranked_history (Text b) t;
   (Digest.to_hex (Digest.string (Buffer.contents b)), ren, rep)
 
 let fingerprint t =
   let d, _, _ = fingerprint_ex t in
   d
 
-(* ------------------------------------------------------------------ *)
-(* The search key                                                     *)
-
-(* Two multiply-xorshift lanes, each with its own odd multiplier and
-   shift.  Not cryptographic: the search key is made of them, and no
-   artifact ever records one. *)
-let lane_a h w = let x = (h lxor w) * 0x2545F4914F6CDD1D in x lxor (x lsr 29)
-
-let lane_b h w = let x = (h + w) * 0x1E3779B97F4A7C15 in x lxor (x lsr 32)
-
-let avalanche h =
-  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
-  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
-  h lxor (h lsr 32)
-
-(* A hash being fed, one word into both lanes at a time.  A section
-   feeds the fields its text renders, in the same order, with
-   constructor tags and list lengths where the text has punctuation, so
-   two sections feed the same words iff they render the same text. *)
-type lanes = { mutable a : int; mutable b : int }
-
-let lanes () = { a = 0x0123456789ABCDEF; b = 0x3DC94C3A046D678B }
-
-let word h w = h.a <- lane_a h.a w; h.b <- lane_b h.b w
-
-(* A finished hash as one element: its first word into lane a, its
-   second into lane b. *)
-let words h a b = h.a <- lane_a h.a a; h.b <- lane_b h.b b
-
-let hash_string h s = word h (String.length s); String.iter (fun c -> word h (Char.code c)) s
-
-let hash_epoch h (e : Epoch.t) = word h e.s; word h (List.length e.a); List.iter (word h) e.a
-
-let rec hash_value h = function
-  | Value.Bot -> word h 0
-  | Value.Int i -> word h 1; word h i
-  | Value.Str s -> word h 2; hash_string h s
-  | Value.Stamped { data; epoch; seq } ->
-    word h 3; hash_value h data; hash_epoch h epoch; word h seq
-
-let hash_cell h (c : Messages.cell) = word h c.sn; hash_value h c.v
-
-let hash_help h = function None -> word h 0 | Some c -> word h 1; hash_cell h c
-
-let hash_to_server h (env : Messages.server_envelope) =
-  word h env.round; word h env.client; word h env.inst;
-  match env.body with
-  | Messages.Write c -> word h 0; hash_cell h c
-  | Messages.New_help c -> word h 1; hash_cell h c
-  | Messages.Read nr -> word h (if nr then 2 else 3)
-
-let hash_to_client h ~origin (env : Messages.client_envelope) =
-  word h env.round; word h origin;
-  match env.body with
-  | Messages.Ack_write hp -> word h 0; hash_help h hp
-  | Messages.Ack_read (c, hp) -> word h 1; hash_cell h c; hash_help h hp
-
-(* A multiset of acks hashes as the lane-wise sum of its members'
-   finished hashes, which ignores their order. *)
-let add_ack sum ~origin env =
-  let e = lanes () in
-  hash_to_client e ~origin env;
-  sum.a <- sum.a + avalanche e.a;
-  sum.b <- sum.b + avalanche e.b
-
-(* Finish [h] into the section words at [t.hashes.(off)] and
-   [t.hashes.(off + 1)]. *)
-let store t off h =
+(* Walk [f] into fresh lanes and finish them into the section words at
+   [t.hashes.(off)] and [t.hashes.(off + 1)]. *)
+let store t off f =
+  let h = lanes () in
+  f (Words h);
   t.hashes.(off) <- avalanche h.a;
   t.hashes.(off + 1) <- avalanche h.b
 
-(* {!server_block}'s content: the Byzantine marker or the instances, then
-   per client the payloads queued on the slot's two links. *)
-let hash_block t s =
-  let h = lanes () in
-  (match List.assoc_opt s t.cfg.byz with
-  | Some Config.Silent -> word h 1
-  | Some (Config.Collude { sn; v }) -> word h 2; word h sn; word h v
-  | None ->
-    let insts = Server.instances t.servers.(s) in
-    word h 0;
-    word h (List.length insts);
-    List.iter
-      (fun ((inst, i) : int * Server.instance) ->
-        word h inst; hash_cell h i.last_val; hash_help h i.helping)
-      insts);
-  for ci = 0 to Array.length t.clients - 1 do
-    let reqs = t.requests.(ci).(s) and reps = t.replies.(ci).(s) in
-    word h (List.length reqs);
-    List.iter (fun (env, _) -> hash_to_server h env) reqs;
-    word h (List.length reps);
-    List.iter (hash_to_client h ~origin:0) reps
-  done;
-  store t (2 * s) h;
-  t.stale.(s) <- false
-
-(* {!add_history}'s content. *)
-let hash_history t =
-  let ops = Oracles.History.ops t.history and corrupt = corrupt_times t in
-  let rank = ranks ops corrupt and h = lanes () in
-  word h (List.length ops);
-  List.iter
-    (fun (o : Oracles.History.op) ->
-      hash_string h o.proc;
-      word h (match o.kind with Oracles.History.Write -> 0 | Oracles.History.Read -> 1);
-      word h (rank (Sim.Vtime.to_int o.inv));
-      word h (rank (Sim.Vtime.to_int o.resp));
-      hash_value h o.value;
-      word h (Bool.to_int o.ok);
-      match o.ts with
-      | None -> word h 0
-      | Some (e, s, j) -> word h 1; hash_epoch h e; word h s; word h j)
-    ops;
-  word h (List.length corrupt);
-  List.iter (fun ct -> word h (rank ct)) corrupt;
-  store t (2 * Array.length t.servers) h;
-  t.hist_stale <- false
-
-(* {!add_refkey}'s content, finished. *)
-let hash_refkey t s =
-  let h = lanes () in
-  Array.iteri
-    (fun ci c ->
-      let mine (env : Messages.client_envelope) = env.server = s in
-      match List.fold_left (fun k env -> if mine env then k + 1 else k) 0 c.mailbox with
-      | 0 -> ()
-      | count ->
-        word h ci;
-        word h count;
-        if t.mailbox_ordered then
-          List.iteri (fun pos env -> if mine env then word h pos) c.mailbox
-        else begin
-          let sum = { a = 0; b = 0 } in
-          List.iter (fun env -> if mine env then add_ack sum ~origin:0 env) c.mailbox;
-          words h sum.a sum.b
-        end)
-    t.clients;
-  (avalanche h.a, avalanche h.b)
-
 let compare_pairs (a1, b1) (a2, b2) = match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
-(* {!add_tail}'s content, ack origins renamed through [ren]. *)
-let hash_tail h t ren =
-  Array.iter
-    (fun c ->
-      word h c.id; word h c.round; word h (List.length c.mailbox);
-      if t.mailbox_ordered then
-        List.iter
-          (fun (env : Messages.client_envelope) ->
-            hash_to_client h ~origin:(ren env.server) env)
-          c.mailbox
-      else begin
-        let sum = { a = 0; b = 0 } in
-        List.iter
-          (fun (env : Messages.client_envelope) -> add_ack sum ~origin:(ren env.server) env)
-          c.mailbox;
-        words h sum.a sum.b
-      end)
-    t.clients;
-  (match t.proto with
-  | Regular_p _ -> word h 0
-  | Atomic_p (w, r) -> word h 1; word h w.wsn; word h r.pwsn; hash_value h r.pv
-  | Mwmr_p procs ->
-    word h 2;
-    Array.iter
-      (fun (p : Mwmr.state) ->
-        (match p.last_ts with
-        | None -> word h 0
-        | Some (e, s) -> word h 1; hash_epoch h e; word h s);
-        word h p.epochs_opened;
-        word h (List.length p.restamps_rev);
-        List.iter
-          (fun (v, e, s) -> hash_value h v; hash_epoch h e; word h s)
-          p.restamps_rev;
-        Array.iter (fun (w : Swsr_atomic.wstate) -> word h w.wsn) p.own;
-        Array.iter (fun (r : Swsr_atomic.rstate) -> word h r.pwsn; hash_value h r.pv) p.views)
-      procs);
-  word h (List.length t.applied);
-  List.iter (word h) (List.sort Int.compare t.applied);
-  Array.iter (fun c -> word h (Bool.to_int (running c))) t.clients
-
-(* The fingerprint's content, hashed from the state's fields: the stale
-   section hashes are refreshed, the anonymous slots sorted by their
-   hash words, and the blocks' words in that order, the tail and the
-   history's words folded into one pair of lanes.  Nothing is rendered,
-   and no MD5 runs. *)
+(* The fingerprint's walk into hash words: the stale section hashes are
+   refreshed, the anonymous slots sorted by their hash words, and the
+   blocks' words in that order, the tail and the history's words folded
+   into one pair of lanes.  Nothing is rendered, and no MD5 runs. *)
 let search_key t =
   let n = Array.length t.servers and h = t.hashes in
   for s = 0 to n - 1 do
-    if t.stale.(s) then hash_block t s
+    if t.stale.(s) then begin
+      store t (2 * s) (fun k -> server_block k t s);
+      t.stale.(s) <- false
+    end
   done;
-  if t.hist_stale then hash_history t;
+  if t.hist_stale then begin
+    store t (2 * n) (fun k -> ranked_history k t);
+    t.hist_stale <- false
+  end;
   let block x y =
     match Int.compare h.(2 * x) h.(2 * y) with
     | 0 -> Int.compare h.((2 * x) + 1) h.((2 * y) + 1)
     | c -> c
   in
   let order, ren, rep =
-    canonical t ~block ~refkey:(hash_refkey t) ~compare_refs:compare_pairs
+    canonical t ~block
+      ~refkey:(fun s -> let r = lanes () in refkey (Words r) t s; finish r)
+      ~compare_refs:compare_pairs
   in
   let key = lanes () in
   Array.iter (fun s -> words key h.(2 * s) h.((2 * s) + 1)) order;
-  hash_tail key t ren;
+  tail (Words key) t ren;
   words key h.(2 * n) h.((2 * n) + 1);
-  (avalanche key.a, avalanche key.b, ren, rep)
+  let k1, k2 = finish key in
+  (k1, k2, ren, rep)
 
 let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
 

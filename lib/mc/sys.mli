@@ -120,23 +120,25 @@ val fingerprint_ex : t -> string * (int -> int) * (int -> int)
     renaming its text uses ([ren]: original slot -> canonical slot, the
     anonymous slots ordered by their rendered blocks) and the
     automorphism-class representative map ([rep]: original slot -> least
-    interchangeable slot).  The digest is the MD5 of the whole rendered
-    text, the one digest artifacts record (cex terminals, [--replay],
-    the golden walks, shrink); the search never computes it
-    ({!search_key}).  Every call renders the whole text afresh and
-    writes nothing into the state. *)
+    interchangeable slot).  The digest is the MD5 of the text the state's
+    walks write into a text sink, the one digest artifacts record (cex
+    terminals, [--replay], the golden walks, shrink); the search never
+    computes it ({!search_key}).  Every call renders the whole text
+    afresh and writes nothing into the state. *)
 
 val search_key : t -> int * int * (int -> int) * (int -> int)
 (** [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
-    its own canonical renaming and the representative map.  The key
-    hashes the fingerprint's content straight from the state's fields —
-    server instances and link contents, client ports, protocol state,
-    spent menu, progress and the ranked history — into two 63-bit lanes
-    of a non-cryptographic multiply-xorshift hash; nothing is rendered
-    and no MD5 runs.  Two states have equal keys iff they have equal
-    fingerprints, up to a 2{^-126}-scale hash collision.  A mailbox
-    hashes as the sum of its acks' hashes, which ignores their order,
-    unless the menu can corrupt a round tag.
+    its own canonical renaming and the representative map.  The key runs
+    the very walks {!fingerprint_ex} renders — server instances and link
+    contents, client ports, protocol state, spent menu, progress and the
+    ranked history — into a word sink: two 63-bit lanes of a
+    non-cryptographic multiply-xorshift hash.  Nothing is rendered and
+    no MD5 runs.  Where the text leans on punctuation, the walk feeds
+    the key a list length or a constructor tag instead, so two states
+    have equal keys iff they have equal fingerprints, up to a
+    2{^-126}-scale hash collision.  A mailbox hashes as the sum of its
+    acks' hashes, which ignores their order, unless the menu can corrupt
+    a round tag.
 
     [ren] orders the anonymous slots by their blocks' hash words, with
     ties between equal blocks broken by hashed reference keys (the acks

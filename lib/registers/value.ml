@@ -60,8 +60,9 @@ let rec add_decimal b i =
     Buffer.add_char b (Char.chr (48 + (i mod 10)))
   end
 
-(* Buffer-direct rendering (no Format): the model checker renders values
-   into every state fingerprint, so this is a hot path. *)
+(* Buffer-direct rendering (no Format).  The model checker renders
+   values only into the fingerprints artifacts record; its search hashes
+   them instead. *)
 let rec add_to_buffer b = function
   | Bot -> Buffer.add_string b "\xe2\x8a\xa5" (* ⊥ *)
   | Int i -> add_decimal b i

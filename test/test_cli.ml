@@ -222,6 +222,8 @@ let test_range_checked_numbers () =
       ("--down-for", [ "recovery"; "--down-for=-5" ]);
       ("--ops", [ "shard"; "--ops=-1" ]);
       ("--max-states", [ "mc"; "--max-states=-1" ]);
+      ("--depth", [ "mc"; "--depth=0" ]);
+      ("--depth", [ "mc"; "--depth=-3" ]);
       ("--profile-every", [ "mc"; "--profile-every=0"; "--profile-out"; "profile.json" ]);
     ]
 

@@ -440,7 +440,7 @@ let prop_clone_isolation =
       && search_key copy = copy_key
       && String.equal (Mc.Sys.fingerprint sys) (Mc.Sys.fingerprint copy))
 
-(* --- the fingerprint's cached sections ----------------------------------- *)
+(* --- fingerprints of walked and replayed states ------------------------- *)
 
 (* What a fingerprint tells the checker: the digest, and the renaming and
    representative maps on every server slot. *)
@@ -449,15 +449,15 @@ let fingerprint_view sys =
   let n = (Mc.Sys.config sys).Mc.Config.n in
   (d, Array.init n ren, Array.init n rep)
 
-(* The same moves on a fresh state that was never fingerprinted, so its
-   fingerprint renders every section from scratch. *)
+(* The same moves on a fresh state that was never fingerprinted or
+   keyed. *)
 let replay cfg moves =
   let sys = Mc.Sys.create cfg in
   List.iter (fun mv -> check_true "replayed move applies" (Mc.Sys.apply sys mv)) moves;
   sys
 
-(* A state fingerprinted after every step re-renders only what the last
-   move changed; it must read exactly as a cold replay of its moves.
+(* A state fingerprinted after every step must read exactly as a cold
+   replay of its moves: a fingerprint caches nothing in the state.
    Halfway, the walk goes on in a clone, and the state it left must still
    read as its own replay once the clone has walked away. *)
 let prop_warm_fingerprint_is_cold =
@@ -864,6 +864,7 @@ let test_key_agrees_with_fingerprint () =
       ("tiny regular", tiny_cfg, max_int);
       ("tiny atomic", { tiny_cfg with Mc.Config.family = Mc.Config.Atomic }, max_int);
       ("budgeted mwmr", clone_cfgs.(2), 20_000);
+      ("budgeted n4 silent", n4_silent, 20_000);
     ]
 
 (* What a search key tells the checker: the key, and the representative

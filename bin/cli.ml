@@ -57,14 +57,18 @@ let int_within ~min ~max =
     (fun v -> v >= min && v <= max)
     (Printf.sprintf "is not in %d..%d" min max)
 
-let fraction =
+let checked_float ok why =
   result_conv
     (fun s ->
       match float_of_string_opt s with
-      | Some v when v >= 0. && v <= 1. -> Ok v
-      | Some _ -> Error (Printf.sprintf "%s is not a fraction in [0, 1]" s)
+      | Some v when ok v -> Ok v
+      | Some _ -> Error (Printf.sprintf "%s %s" s why)
       | None -> Error (Printf.sprintf "invalid value %S, expected a number" s))
     (Format.asprintf "%a" (Arg.conv_printer Arg.float))
+
+let fraction = checked_float (fun v -> v >= 0. && v <= 1.) "is not a fraction in [0, 1]"
+
+let non_negative = checked_float (fun v -> v >= 0.) "is negative"
 
 let seed =
   let doc = "Root random seed; every table is deterministic given it." in
@@ -824,14 +828,14 @@ let shard_cmd =
     let doc = "Virtual nodes per shard on the consistent-hash ring." in
     Arg.(
       value
-      & opt int Shard.Tier.default_config.Shard.Tier.vnodes
+      & opt (int_at_least 1) Shard.Tier.default_config.Shard.Tier.vnodes
       & info [ "vnodes" ] ~docv:"V" ~doc)
   in
   let n =
     let doc = "Servers per shard." in
     Arg.(
       value
-      & opt int Shard.Tier.default_config.Shard.Tier.n
+      & opt (int_at_least 1) Shard.Tier.default_config.Shard.Tier.n
       & info [ "n" ] ~docv:"N" ~doc)
   in
   let keys =
@@ -844,7 +848,7 @@ let shard_cmd =
   let clients =
     let doc = "Logical clients in the open-loop workload." in
     Arg.(
-      value & opt int default_config.clients
+      value & opt (int_at_least 1) default_config.clients
       & info [ "clients" ] ~docv:"C" ~doc)
   in
   let ops =
@@ -856,19 +860,19 @@ let shard_cmd =
   let theta =
     let doc = "Zipf exponent of key popularity (0 = uniform)." in
     Arg.(
-      value & opt float default_config.theta & info [ "theta" ] ~docv:"T" ~doc)
+      value & opt non_negative default_config.theta & info [ "theta" ] ~docv:"T" ~doc)
   in
   let write_ratio =
     let doc = "Fraction of operations that are writes." in
     Arg.(
       value
-      & opt float default_config.write_ratio
+      & opt fraction default_config.write_ratio
       & info [ "write-ratio" ] ~docv:"R" ~doc)
   in
   let mean_gap =
     let doc = "Mean inter-arrival gap, in virtual ticks." in
     Arg.(
-      value & opt int default_config.mean_gap
+      value & opt (int_at_least 0) default_config.mean_gap
       & info [ "mean-gap" ] ~docv:"G" ~doc)
   in
   let domains =
@@ -885,7 +889,9 @@ let shard_cmd =
        only, and the oracle asserts the other shards' histories stay \
        clean."
     in
-    Arg.(value & opt (some int) None & info [ "chaos-target" ] ~docv:"S" ~doc)
+    (* Chaos mode always runs the default shard count. *)
+    let target = int_within ~min:0 ~max:(Shard.Tier.default_config.Shard.Tier.shards - 1) in
+    Arg.(value & opt (some target) None & info [ "chaos-target" ] ~docv:"S" ~doc)
   in
   let trials =
     let doc = "Trials in the $(b,--chaos-target) campaign." in

@@ -109,9 +109,6 @@ let observe_scn scn =
     ~params:(Net.params scn.Harness.Scenario.net)
     (Harness.Scenario.metrics scn)
 
-let observe_trace ?params trace =
-  observe_metrics ?params (Sim.Trace.metrics trace)
-
 let set_stabilization ticks =
   match !current_report with
   | Some r -> Obs.Report.set_stabilization r ticks

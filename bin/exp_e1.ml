@@ -10,10 +10,10 @@ let run ~seed:_ =
         ~instrument:(fun e -> Common.attach_trace_sink (Sim.Engine.hub e))
         kind
     in
-    Common.observe_trace
+    Common.observe_metrics
       ~params:
         (Registers.Params.create_exn ~n:9 ~f:1 ~mode:Registers.Params.Async ())
-      o.Harness.Fig1.trace;
+      o.Harness.Fig1.metrics;
     [
       label;
       Common.value_str o.Harness.Fig1.read1;

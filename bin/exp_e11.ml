@@ -46,7 +46,7 @@ let run_one ~seed ~loss =
     Harness.Metrics.latencies ~kind:Oracles.History.Read h
   in
   let pkts =
-    Sim.Trace.counter (Sim.Engine.trace scn.Harness.Scenario.engine) "net.pkts"
+    Obs.Metrics.counter (Sim.Engine.metrics scn.Harness.Scenario.engine) "net.pkts"
   in
   ( Oracles.Atomicity.Sw.is_clean report,
     float_of_int pkts /. float_of_int (2 * ops),

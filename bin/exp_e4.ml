@@ -15,8 +15,8 @@ let run ~seed:_ =
             ~instrument:(fun e -> Common.attach_trace_sink (Sim.Engine.hub e))
             ()
         in
-        Common.observe_trace ~params:o.Harness.Starvation.params
-          o.Harness.Starvation.trace;
+        Common.observe_metrics ~params:o.Harness.Starvation.params
+          o.Harness.Starvation.metrics;
         [
           string_of_int n;
           string_of_int f;

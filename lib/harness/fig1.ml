@@ -17,7 +17,7 @@ type outcome = {
   read2 : Registers.Value.t option;
   write1_pending_during_reads : bool;
   inversion : bool;
-  trace : Sim.Trace.t;
+  metrics : Obs.Metrics.t;
 }
 
 let scripted = Script.scripted
@@ -123,5 +123,5 @@ let run ?(instrument = fun _ -> ()) kind =
       Sim.Vtime.( < ) !write1_start !read1_start
       && Sim.Vtime.( < ) !read2_start !write1_end;
     inversion;
-    trace = Sim.Engine.trace engine;
+    metrics = Sim.Engine.metrics engine;
   }

@@ -16,7 +16,7 @@ type outcome = {
       (** sanity: the schedule really kept write(1) concurrent with both
           reads *)
   inversion : bool;  (** read1 = 1 and read2 = 0 *)
-  trace : Sim.Trace.t;  (** the run's trace/metrics, for run reports *)
+  metrics : Obs.Metrics.t;  (** the run's metrics, for run reports *)
 }
 
 val run : ?instrument:(Sim.Engine.t -> unit) -> [ `Regular | `Atomic ] -> outcome

@@ -160,7 +160,7 @@ let metrics t = Sim.Engine.metrics t.engine
 
 let hub t = Sim.Engine.hub t.engine
 
-let messages_sent t = Sim.Trace.counter (Sim.Engine.trace t.engine) "net.msgs"
+let messages_sent t = Obs.Metrics.counter (Sim.Engine.metrics t.engine) "net.msgs"
 
 let broadcasts t =
-  Sim.Trace.counter (Sim.Engine.trace t.engine) "ss.broadcasts"
+  Obs.Metrics.counter (Sim.Engine.metrics t.engine) "ss.broadcasts"

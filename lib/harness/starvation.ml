@@ -3,7 +3,7 @@ type outcome = {
   rounds_used : int;
   returned : Registers.Value.t option;
   params : Registers.Params.t;
-  trace : Sim.Trace.t;
+  metrics : Obs.Metrics.t;
 }
 
 let predicted_starvation ~n ~f ~sync =
@@ -104,5 +104,5 @@ let run ~n ~f ?(sync = false) ?(budget = 6) ?(instrument = fun _ -> ()) () =
     rounds_used = Registers.Swsr_regular.reader_iterations r;
     returned = !returned;
     params;
-    trace = Sim.Engine.trace engine;
+    metrics = Sim.Engine.metrics engine;
   }

@@ -25,7 +25,7 @@ type outcome = {
   rounds_used : int;
   returned : Registers.Value.t option;  (** the value, when not starved *)
   params : Registers.Params.t;
-  trace : Sim.Trace.t;  (** the run's trace/metrics, for run reports *)
+  metrics : Obs.Metrics.t;  (** the run's metrics, for run reports *)
 }
 
 val run :

@@ -16,9 +16,10 @@
 type config = {
   keys : string list;  (** the fixed schema, in canonical order *)
   clients : int;  (** number of store clients ([m] writers/readers) *)
-  base_inst : int;  (** first register instance to use (default 0) *)
-  seq_bound : int;  (** MWMR timestamp bound (default 2^61) *)
 }
+(** Key [i] of the schema is backed by register instances
+    [i*m*m .. (i+1)*m*m - 1], under {!Registers.Mwmr.default_config}'s
+    timestamp bound of [2^61]. *)
 
 val config : keys:string list -> clients:int -> config
 (** Standard configuration; raises [Invalid_argument] on an empty or
@@ -29,18 +30,23 @@ type t
 
 val client : net:Registers.Net.t -> cfg:config -> id:int -> client_id:int -> t
 (** The handle for store client [id] (0-based, [< cfg.clients]),
-    communicating as network client [client_id]. *)
+    communicating as network client [client_id]: one port, and per key
+    the {!Registers.Mwmr.layout} and {!Registers.Mwmr.state} of process
+    [id] of that key's register. *)
 
 val set_o : t -> key:string -> Registers.Value.t -> unit Registers.Outcome.t
-(** Atomically write one key, reporting {e how} the operation finished
+(** Atomically write one key — one {!Registers.Collect.run} of the key's
+    {!Registers.Mwmr.write_op} under a ["kv"] span — reporting {e how}
+    the operation finished
     (fully serviced, degraded, or timed out — see {!Registers.Outcome});
     under {!Registers.Params.paper_wait} the wait is unbounded and an
     asynchronous deployment always returns [Ok].  Must run inside a fiber.
     Raises [Not_found] if [key] is not in the schema. *)
 
 val get_o : t -> key:string -> Registers.Value.t Registers.Outcome.t
-(** Atomically read one key ([Ok Bot] if never written), reporting how
-    the operation finished.  Must run inside a fiber.  Raises
+(** Atomically read one key ([Ok Bot] if never written) — one
+    {!Registers.Collect.run} of the key's {!Registers.Mwmr.read_op} under
+    a ["kv"] span — reporting how the operation finished.  Must run inside a fiber.  Raises
     [Not_found] if [key] is not in the schema. *)
 
 val keys : t -> string list

@@ -1,7 +1,7 @@
 (** The metrics registry: named counters, gauges, and log-bucketed
     latency histograms.
 
-    One registry lives next to each engine (via [Sim.Trace]); protocol
+    One registry lives in each engine ([Sim.Engine.metrics]); protocol
     and substrate code bump counters and observe latencies, run reports
     serialize the registry.  Counters are plain [int ref]s — hot paths
     can resolve {!counter_ref} once and skip the name lookup. *)

@@ -4,7 +4,7 @@
     the operation itself is a root span, every ss-broadcast round and
     every reply message gets a child span, and parent links tie them
     back together.  Ids are allocated from a deterministic per-run
-    counter (owned by [Sim.Trace]), so two runs with the same seed
+    counter (owned by the engine), so two runs with the same seed
     assign byte-identical ids — and allocation happens whether or not
     any sink is attached, so enabling tracing cannot perturb a run.
 

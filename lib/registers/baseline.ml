@@ -1,8 +1,10 @@
-(* The [last_val]s one READ round collected, in server-id order. *)
-let round_lasts ~net ~port ~round =
-  let a =
-    Collect.attempt_once ~net ~port ~round ~attempt:0 ~wanted:Collect.Read_acks
-  in
+(* One broadcast and its first-attempt collection. *)
+let round ~net ~port ~inst ~wanted body =
+  Collect.run ~net ~port () (Collect.round ~wanted ~inst body)
+
+(* The [last_val]s one READ(false) round collected, in server-id order. *)
+let read_lasts ~net ~port ~inst =
+  let a = round ~net ~port ~inst ~wanted:Collect.Read_acks (Messages.Read false) in
   Array.fold_right
     (fun body lasts ->
       match body with
@@ -47,13 +49,9 @@ module Nonstab = struct
 
   let write (w : writer) v =
     w.sn <- w.sn + 1;
-    let round =
-      Net.ss_broadcast w.net w.port ~inst:w.inst
-        (Messages.Write { sn = w.sn; v })
-    in
     ignore
-      (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
-         ~wanted:Collect.Write_acks)
+      (round ~net:w.net ~port:w.port ~inst:w.inst ~wanted:Collect.Write_acks
+         (Messages.Write { sn = w.sn; v }))
 
   let read ?(max_iterations = 64) (r : reader) =
     let params = Net.params r.net in
@@ -61,10 +59,7 @@ module Nonstab = struct
     let rec loop budget =
       if budget <= 0 then None
       else begin
-        let round =
-          Net.ss_broadcast r.net r.port ~inst:r.inst (Messages.Read false)
-        in
-        let lasts = round_lasts ~net:r.net ~port:r.port ~round in
+        let lasts = read_lasts ~net:r.net ~port:r.port ~inst:r.inst in
         (* Candidates vouched for by at least t+1 servers; take the highest
            timestamp under the ordinary integer order: with unbounded
            counters and no transient faults this is the classical read, and
@@ -112,13 +107,9 @@ module Quiescent = struct
     { net; port = Net.add_client net ~id:client_id; inst; iterations = 0 }
 
   let write (w : writer) v =
-    let round =
-      Net.ss_broadcast w.net w.port ~inst:w.inst
-        (Messages.Write { sn = Seqnum.zero; v })
-    in
     ignore
-      (Collect.attempt_once ~net:w.net ~port:w.port ~round ~attempt:0
-         ~wanted:Collect.Write_acks)
+      (round ~net:w.net ~port:w.port ~inst:w.inst ~wanted:Collect.Write_acks
+         (Messages.Write { sn = Seqnum.zero; v }))
 
   let read ?(max_iterations = 64) (r : reader) =
     let threshold = Params.read_quorum (Net.params r.net) in
@@ -126,10 +117,7 @@ module Quiescent = struct
       if budget <= 0 then None
       else begin
         r.iterations <- r.iterations + 1;
-        let round =
-          Net.ss_broadcast r.net r.port ~inst:r.inst (Messages.Read false)
-        in
-        let lasts = round_lasts ~net:r.net ~port:r.port ~round in
+        let lasts = read_lasts ~net:r.net ~port:r.port ~inst:r.inst in
         match Quorum.find_cell ~threshold lasts with
         | Some c -> Some c.Messages.v
         | None -> loop (budget - 1)

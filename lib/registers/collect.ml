@@ -308,7 +308,7 @@ let rec drive ~net ~port c context scopes = function
 
 let finish v _ = Return v
 
-let run ?span ~net ~port c op = drive ~net ~port c span [] (op finish c)
+let run ~net ~port c op = drive ~net ~port c None [] (op finish c)
 
 (* --- one SWSR client endpoint --- *)
 

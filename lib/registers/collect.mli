@@ -160,13 +160,13 @@ val read_loop :
     policy's attempt budget of expired rounds is spent, with [Degraded]
     (a read quorum answered some round) or [Timed_out]. *)
 
-val run :
-  ?span:Obs.Trace_ctx.span -> net:Net.t -> port:Net.client_port -> 'c ->
-  ('c, 'a, 'a) op -> 'a
+val run : net:Net.t -> port:Net.client_port -> 'c -> ('c, 'a, 'a) op -> 'a
 (** Drive an automaton in the calling fiber: a round is one
     {!Net.ss_broadcast} after its backoff, then one {!attempt_once}; a
-    scope is one {!Instr} span under the enclosing one ([span] outside
-    all).  A failed leaf outcome names the port's current suspects. *)
+    scope is one {!Instr} span under the enclosing one.  A top-level
+    scope starts a fresh causal tree, so one call is one tree however
+    many layers its scopes nest.  A failed leaf outcome names the port's
+    current suspects. *)
 
 (** {2 One SWSR client endpoint} *)
 

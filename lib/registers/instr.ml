@@ -77,9 +77,3 @@ let count_op p =
     in
     incr r;
     p.ops <- Some r
-
-let run ?parent p body =
-  let span = start ?parent p in
-  let outcome = body span.ctx in
-  finish ~ok:(Outcome.is_ok outcome) p span;
-  outcome

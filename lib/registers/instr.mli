@@ -7,7 +7,11 @@
     event emission when a sink is attached).  Composite registers (SWMR
     over SWSR, MWMR over SWMR, KV over MWMR) each carry their own probes
     under distinct [reg] labels, so a single top-level operation shows
-    up once per layer it crosses. *)
+    up once per layer it crosses.
+
+    Spans open only through {!Collect.run}: an automaton's [Enter] step
+    calls {!start} under the innermost open span, and the matching
+    [Leave] calls {!finish}. *)
 
 type probe
 
@@ -27,22 +31,12 @@ type span
 (** One operation in progress. *)
 
 val start : ?parent:Obs.Trace_ctx.span -> probe -> span
-(** {!run}'s first half: emit [Op_invoke], open the span. *)
+(** Emit [Op_invoke] and open the span: a child of [parent], or the root
+    of a fresh causal tree without one. *)
 
 val context : span -> Obs.Trace_ctx.span
+(** The span's causal context, which the operation's broadcast rounds
+    and nested spans hang under. *)
 
 val finish : ok:bool -> probe -> span -> unit
-(** {!run}'s second half: record the latency, emit [Op_return]. *)
-
-val run :
-  ?parent:Obs.Trace_ctx.span ->
-  probe ->
-  (Obs.Trace_ctx.span -> 'a Outcome.t) ->
-  'a Outcome.t
-(** Run one operation inside a span: emit [Op_invoke], pass the body the
-    span's causal context (for [Net.ss_broadcast ?span] and for the
-    sub-operations of composite registers), then record the latency and
-    emit [Op_return] with [ok = Outcome.is_ok].  Without [parent] the
-    operation starts a fresh causal tree (the normal top-level case);
-    composite registers pass the enclosing layer's context so one
-    user-level operation stays a single tree across layers. *)
+(** Record the latency and emit [Op_return]. *)

@@ -211,15 +211,14 @@ let process ~net ~cfg ~id ~client_id =
 
 let state (p : process) = p.st
 
-let run ?parent p op = Collect.run ?span:parent ~net:p.net ~port:p.port p op
+let run p op = Collect.run ~net:p.net ~port:p.port p op
 
-let write ?parent p v = run ?parent p (write_op p.layout state v)
+let write p v = run p (write_op p.layout state v)
 
-let read_timestamped ?parent ?max_iterations p =
-  run ?parent p (read_op ?max_iterations p.layout state)
+let read_timestamped ?max_iterations p = run p (read_op ?max_iterations p.layout state)
 
-let read ?parent ?max_iterations p =
-  read_timestamped ?parent ?max_iterations p
+let read ?max_iterations p =
+  read_timestamped ?max_iterations p
   |> Outcome.map (fun (v, _, _, _) -> v)
 
 let id p = p.layout.id

@@ -46,24 +46,16 @@ type process
 val process : net:Net.t -> cfg:config -> id:int -> client_id:int -> process
 (** Endpoint for process [id] (0-based, [< cfg.m]). *)
 
-val write :
-  ?parent:Obs.Trace_ctx.span -> process -> Value.t -> unit Outcome.t
+val write : process -> Value.t -> unit Outcome.t
 (** mwmr_write(v): lines 01–08.  Must run inside a fiber.  The outcome is
     the worst of the line-07 SWMR write and (when waits have a deadline)
     the line-01 view collection. *)
 
-val read :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  process ->
-  Value.t Outcome.t
+val read : ?max_iterations:int -> process -> Value.t Outcome.t
 (** mwmr_read(): lines 09–16.  Must run inside a fiber. *)
 
 val read_timestamped :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  process ->
-  (Value.t * Epoch.t * int * int) Outcome.t
+  ?max_iterations:int -> process -> (Value.t * Epoch.t * int * int) Outcome.t
 (** Like {!read} but exposing the returned value's full timestamp
     [(epoch, seq, writer-index)] for the atomicity checker. *)
 

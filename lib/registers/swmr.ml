@@ -51,12 +51,12 @@ let reader ~net ~client_id ~base_inst ~reader_index
   endpoint ~net ~client_id ~modulus `Read [| base_inst + reader_index |]
     (Swsr_atomic.fresh_rstate ())
 
-let write ?parent (w : writer) v =
-  Collect.run ?span:parent ~net:w.net ~port:w.port w
+let write (w : writer) v =
+  Collect.run ~net:w.net ~port:w.port w
     (write_op w.layout ~modulus:w.modulus (fun j (w : writer) -> w.st.(j)) v)
 
-let read ?parent ?max_iterations (r : reader) =
-  Collect.run ?span:parent ~net:r.net ~port:r.port r
+let read ?max_iterations (r : reader) =
+  Collect.run ~net:r.net ~port:r.port r
     (read_op ?max_iterations r.layout ~modulus:r.modulus (fun (r : reader) -> r.st))
 
 let copies (w : writer) = w.st

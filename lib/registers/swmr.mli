@@ -28,18 +28,13 @@ val reader :
   unit ->
   reader
 
-val write :
-  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+val write : writer -> Value.t -> unit Outcome.t
 (** swmr_write(v): prac_at_write the value to every reader's copy, in
     reader-index order.  Must run inside a fiber.  The outcome is the
     worst over the per-reader copies (a write that starved on any copy is
     degraded — that reader may not see it). *)
 
-val read :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  reader ->
-  Value.t Outcome.t
+val read : ?max_iterations:int -> reader -> Value.t Outcome.t
 (** swmr_read() by this reader: prac_at_read its own copy. *)
 
 val copies : writer -> Swsr_atomic.wstate array

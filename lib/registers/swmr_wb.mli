@@ -44,21 +44,20 @@ val reader :
   reader
 (** [readers] (default 2) must match the writer's. *)
 
-val write :
-  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+val write : writer -> Value.t -> unit Outcome.t
 (** Write the value to every reader's copy, all under one shared sequence
-    number.  Must run inside a fiber.  The outcome is the worst over the
-    per-reader copies. *)
+    number: the {!Swmr.write_op} automaton under a ["swmr_wb"] span, after
+    the shared number is re-imposed on every copy.  Must run inside a
+    fiber.  The outcome is the worst over the per-reader copies. *)
 
-val read :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  reader ->
-  Value.t Outcome.t
-(** Read with write-back.  Must run inside a fiber.  The own-copy read's
-    failure propagates; incoming exchange reads stay best-effort
-    (absorbed); a degraded write-back degrades the read (other readers may
-    miss the freshness it relied on). *)
+val read : ?max_iterations:int -> reader -> Value.t Outcome.t
+(** Read with write-back, one {!Collect.run} of an automaton under a
+    ["swmr_wb"] span: the own copy's {!Swsr_atomic.read_op}, then each
+    incoming exchange register's, then a {!Swsr_atomic.write_op} to each
+    outgoing one.  Must run inside a fiber.  The own-copy read's failure
+    propagates; incoming exchange reads stay best-effort (absorbed); a
+    degraded write-back degrades the read (other readers may miss the
+    freshness it relied on). *)
 
 val exchange_writes : reader -> int
 (** Total write-back (exchange-register) writes performed by this reader

@@ -84,18 +84,16 @@ let read_op ?max_iterations (site : Collect.site) ~modulus ~sanity_check get =
        sanity_round site ~modulus get (fun () -> loop k)
      else loop)
 
-let write ?parent (w : writer) v =
-  Collect.run ?span:parent ~net:w.ep.net ~port:w.ep.port w
+let write (w : writer) v =
+  Collect.run ~net:w.ep.net ~port:w.ep.port w
     (write_op w.ep.site ~modulus:w.modulus (fun (w : writer) -> w.st) v)
 
-let read ?parent ?max_iterations (r : reader) =
-  Collect.run ?span:parent ~net:r.ep.net ~port:r.ep.port r
+let read ?max_iterations (r : reader) =
+  Collect.run ~net:r.ep.net ~port:r.ep.port r
     (read_op ?max_iterations r.ep.site ~modulus:r.modulus
        ~sanity_check:r.sanity_check (fun (r : reader) -> r.st))
 
 let wsn (w : writer) = w.st.wsn
-
-let set_wsn (w : writer) sn = w.st.wsn <- Seqnum.norm ~modulus:w.modulus sn
 
 let pwsn (r : reader) = r.st.pwsn
 

@@ -53,16 +53,11 @@ val reader :
     {e above} the writer's counter keeps returning its stale [pv] until the
     bounded counter wraps past the corruption. *)
 
-val write :
-  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+val write : writer -> Value.t -> unit Outcome.t
 (** prac_at_write(v): lines N1, 01M, 02–06, with a typed service-level
     outcome (see {!Swsr_regular.write}).  Must run inside a fiber. *)
 
-val read :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  reader ->
-  Value.t Outcome.t
+val read : ?max_iterations:int -> reader -> Value.t Outcome.t
 (** prac_at_read(): lines N2–N7, 07–18 with the 13M/15M modifications,
     with a typed service-level outcome (see {!Swsr_regular.read}).  Must
     run inside a fiber.  The sanity phase's collection attempt waits like
@@ -80,12 +75,6 @@ val read_op :
 
 val wsn : writer -> Seqnum.t
 (** Current write sequence number (inspection). *)
-
-val set_wsn : writer -> Seqnum.t -> unit
-(** Composition hook: force the counter (normalized into the modulus).
-    Multi-copy compositions ({!Swmr_wb}) keep their copies' counters in
-    lockstep through it so that sequence numbers are comparable across
-    copies even after a transient fault desynchronizes them. *)
 
 val pwsn : reader -> Seqnum.t
 

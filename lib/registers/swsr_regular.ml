@@ -24,11 +24,10 @@ let read_op ?max_iterations (site : Collect.site) ~tally =
     (Collect.read_loop ?max_iterations site ~tally ~on_cell:value
        ~on_help:value)
 
-let write ?parent (w : writer) v =
-  Collect.run ?span:parent ~net:w.net ~port:w.port () (write_op w.site v)
+let write (w : writer) v = Collect.run ~net:w.net ~port:w.port () (write_op w.site v)
 
-let read ?parent ?max_iterations (r : reader) =
-  Collect.run ?span:parent ~net:r.ep.net ~port:r.ep.port r
+let read ?max_iterations (r : reader) =
+  Collect.run ~net:r.ep.net ~port:r.ep.port r
     (read_op ?max_iterations r.ep.site ~tally:(fun (r : reader) -> r.tally))
 
 let reader_iterations (r : reader) = r.tally.iterations

@@ -20,19 +20,14 @@ val writer : net:Net.t -> client_id:int -> inst:int -> writer
 val reader : net:Net.t -> client_id:int -> inst:int -> reader
 (** The (unique) reader endpoint for register instance [inst]. *)
 
-val write :
-  ?parent:Obs.Trace_ctx.span -> writer -> Value.t -> unit Outcome.t
+val write : writer -> Value.t -> unit Outcome.t
 (** REG.write(v), lines 01–06.  Must run inside a fiber.  Under
     {!Params.paper_wait} an asynchronous write always returns [Ok]; a
     synchronous one is [Ok] once [t+1] servers acknowledged within the
     round trip.  Under a bounded policy it retries with backoff and
     reports [Degraded] / [Timed_out] instead of hanging. *)
 
-val read :
-  ?parent:Obs.Trace_ctx.span ->
-  ?max_iterations:int ->
-  reader ->
-  Value.t Outcome.t
+val read : ?max_iterations:int -> reader -> Value.t Outcome.t
 (** REG.read(), lines 07–18.  Must run inside a fiber.  Fails only if
     [max_iterations] (default unlimited) inquiry rounds all failed — the
     paper's loop is unbounded and provably terminates under the model

@@ -45,11 +45,12 @@ type t = {
   mutable pending : int;
   nil : event; (* the empty-slot sentinel; never queued *)
   rng : Rng.t;
-  trace : Trace.t;
+  metrics : Obs.Metrics.t;
+  hub : Obs.Hub.t;
+  spans : Obs.Trace_ctx.t;
 }
 
-let create ?trace ~rng () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+let create ~rng () =
   let rec nil = { time = Vtime.zero; seq = -1; action = ignore; next = nil } in
   {
     clock = Vtime.zero;
@@ -61,20 +62,20 @@ let create ?trace ~rng () =
     pending = 0;
     nil;
     rng;
-    trace;
+    metrics = Obs.Metrics.create ();
+    hub = Obs.Hub.create ();
+    spans = Obs.Trace_ctx.create ();
   }
 
 let now t = t.clock
 
 let rng t = t.rng
 
-let trace t = t.trace
+let metrics t = t.metrics
 
-let metrics t = Trace.metrics t.trace
+let hub t = t.hub
 
-let hub t = Trace.hub t.trace
-
-let spans t = Trace.spans t.trace
+let spans t = t.spans
 
 (* Append [ev] to the bucket of its instant, which must be in the window. *)
 let append t ev =

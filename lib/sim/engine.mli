@@ -9,24 +9,28 @@
 
 type t
 
-val create : ?trace:Trace.t -> rng:Rng.t -> unit -> t
-(** A fresh engine at time {!Vtime.zero}. [rng] is the root generator from
-    which component generators should be {!Rng.split}. *)
+val create : rng:Rng.t -> unit -> t
+(** A fresh engine at time {!Vtime.zero}, with its own metrics registry,
+    event hub and span allocator. [rng] is the root generator from which
+    component generators should be {!Rng.split}. *)
 
 val now : t -> Vtime.t
 
 val rng : t -> Rng.t
 
-val trace : t -> Trace.t
-
 val metrics : t -> Obs.Metrics.t
-(** The metrics registry of the engine's trace. *)
+(** The run's metrics registry: the counters, gauges and latency
+    histograms instrumented code bumps, which run reports read. *)
 
 val hub : t -> Obs.Hub.t
-(** The typed-event hub of the engine's trace. *)
+(** The run's typed-event hub.  With no sink attached nothing is
+    formatted or buffered; attach one to see what the run did (the
+    [experiments trace] subcommand, [--trace-out FILE]). *)
 
 val spans : t -> Obs.Trace_ctx.t
-(** The causal-span allocator of the engine's trace. *)
+(** The run's causal-span allocator.  Ids are handed out whether or not
+    a sink is attached, so span assignment never depends on
+    observability configuration. *)
 
 val schedule : t -> delay:Vtime.span -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t + max delay 0]. *)

@@ -67,7 +67,7 @@ let recover_matching t ~rng ~prefix =
   !hit
 
 let emit_process_event ~engine ~tag ~prefix ~hit =
-  Trace.add (Engine.trace engine) (Printf.sprintf "fault.%s" tag) hit;
+  Obs.Metrics.add (Engine.metrics engine) (Printf.sprintf "fault.%s" tag) hit;
   let hub = Engine.hub engine in
   if Obs.Hub.active hub then
     Obs.Hub.emit hub
@@ -98,7 +98,7 @@ let schedule t ~engine ~at ~prefix =
   let rng = Rng.split (Engine.rng engine) in
   Engine.schedule_at engine at (fun () ->
       let hit = inject_matching t ~rng ~prefix in
-      Trace.add (Engine.trace engine) "fault.injections" hit;
+      Obs.Metrics.add (Engine.metrics engine) "fault.injections" hit;
       let hub = Engine.hub engine in
       if Obs.Hub.active hub then
         Obs.Hub.emit hub

@@ -225,6 +225,13 @@ let test_range_checked_numbers () =
       ("--depth", [ "mc"; "--depth=0" ]);
       ("--depth", [ "mc"; "--depth=-3" ]);
       ("--profile-every", [ "mc"; "--profile-every=0"; "--profile-out"; "profile.json" ]);
+      ("-n", [ "shard"; "-n"; "0" ]);
+      ("--vnodes", [ "shard"; "--vnodes"; "0" ]);
+      ("--clients", [ "shard"; "--clients"; "0" ]);
+      ("--mean-gap", [ "shard"; "--mean-gap=-5" ]);
+      ("--theta", [ "shard"; "--theta=-1" ]);
+      ("--write-ratio", [ "shard"; "--write-ratio=1.5" ]);
+      ("--chaos-target", [ "shard"; "--chaos-target=9" ]);
     ]
 
 let test_chaos_replay_expect () =

@@ -87,7 +87,7 @@ let test_scheduled_injection () =
   Sim.Engine.run e;
   check_int "fired at the right instant" 25 !corrupted_at;
   check_int "counter recorded" 1
-    (Sim.Trace.counter (Sim.Engine.trace e) "fault.injections")
+    (Obs.Metrics.counter (Sim.Engine.metrics e) "fault.injections")
 
 let tests =
   [

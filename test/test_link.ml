@@ -107,7 +107,7 @@ let test_message_counter () =
   done;
   Sim.Engine.run e;
   check_int "net.msgs counts deliveries" 5
-    (Sim.Trace.counter (Sim.Engine.trace e) "net.msgs")
+    (Obs.Metrics.counter (Sim.Engine.metrics e) "net.msgs")
 
 let test_fixed_delay () =
   let rng = Sim.Rng.create 3 in

@@ -448,6 +448,108 @@ let test_profile_write () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "written profile invalid: %s" e
 
+(* --- composite operations' span trees -------------------------------- *)
+
+(* Every event of a run rendered as a trace line, then every causal tree
+   it builds.  One user-level operation of a composite register is one
+   tree whose nested spans name each layer it crosses. *)
+let render_spans events =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun e ->
+      Buffer.add_string buf (Obs.Json.to_string (Obs.Event.to_json e));
+      Buffer.add_char buf '\n')
+    events;
+  List.iter
+    (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Obs.Tracefile.pp_tree t))
+    (Obs.Tracefile.trees events);
+  Buffer.contents buf
+
+let recorded_run ?(seed = 7) ?(compromise = fun _ -> ()) jobs =
+  let scn = async_scenario ~seed () in
+  compromise scn;
+  let mem, recorded = Obs.Sink.memory () in
+  Obs.Hub.attach (Harness.Scenario.hub scn) mem;
+  run_fibers scn (jobs scn.Harness.Scenario.net);
+  render_spans (recorded ())
+
+let kv_spans () =
+  recorded_run ~seed:5
+    ~compromise:(fun scn ->
+      Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 3
+        Byzantine.Behavior.equivocate)
+    (fun net ->
+      let cfg = Kv.Store.config ~keys:[ "x"; "y" ] ~clients:2 in
+      let s0 = Kv.Store.client ~net ~cfg ~id:0 ~client_id:400 in
+      let s1 = Kv.Store.client ~net ~cfg ~id:1 ~client_id:401 in
+      [
+        ( "c0",
+          fun () ->
+            ignore (Kv.Store.set_o s0 ~key:"x" (int_value 1));
+            ignore (Kv.Store.get_o s0 ~key:"y") );
+        ( "c1",
+          fun () ->
+            ignore (Kv.Store.set_o s1 ~key:"y" (int_value 2));
+            ignore (Kv.Store.get_o s1 ~key:"x") );
+      ])
+
+let swmr_wb_spans () =
+  recorded_run (fun net ->
+      let w = Registers.Swmr_wb.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 () in
+      let r j =
+        Registers.Swmr_wb.reader ~net ~client_id:(200 + j) ~base_inst:0
+          ~reader_index:j ()
+      in
+      let r0 = r 0 and r1 = r 1 in
+      [
+        ( "wb",
+          fun () ->
+            ignore (Registers.Swmr_wb.write w (int_value 3));
+            ignore (Registers.Swmr_wb.read r0);
+            ignore (Registers.Swmr_wb.read r1) );
+      ])
+
+let baseline_spans () =
+  let nonstab =
+    recorded_run
+      ~compromise:(fun scn ->
+        Registers.Baseline.Nonstab.install_servers ~net:scn.Harness.Scenario.net
+          (Byzantine.Adversary.servers scn.Harness.Scenario.adversary))
+      (fun net ->
+        let w = Registers.Baseline.Nonstab.writer ~net ~client_id:100 ~inst:0 in
+        let r = Registers.Baseline.Nonstab.reader ~net ~client_id:101 ~inst:0 in
+        [
+          ( "nonstab",
+            fun () ->
+              Registers.Baseline.Nonstab.write w (int_value 4);
+              ignore (Registers.Baseline.Nonstab.read r) );
+        ])
+  in
+  let quiescent =
+    recorded_run (fun net ->
+        let w = Registers.Baseline.Quiescent.writer ~net ~client_id:100 ~inst:0 in
+        let r = Registers.Baseline.Quiescent.reader ~net ~client_id:101 ~inst:0 in
+        [
+          ( "quiescent",
+            fun () ->
+              Registers.Baseline.Quiescent.write w (int_value 5);
+              ignore (Registers.Baseline.Quiescent.read r) );
+        ])
+  in
+  nonstab ^ quiescent
+
+(* The events and trees of kv set/get under an equivocator, a write-back
+   SWMR write and reads, and both E7 baselines, pinned by digest: how a
+   composite operation is driven must not move a span, an event or a
+   tick. *)
+let test_composite_span_trees () =
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "kv set/get" "ac3845c6931f8783271d87598b3f0c64" (digest (kv_spans ()));
+  Alcotest.(check string) "swmr_wb write, reads with write-back" "9bcf9a275d94c995729683c092dbf3a8"
+    (digest (swmr_wb_spans ()));
+  Alcotest.(check string) "nonstab and quiescent write/read" "0f3d3a453a6b81558b1aa8c317cff40b"
+    (digest (baseline_spans ()))
+
 let tests =
   [
     case "span allocator: roots, children, orphans" test_span_allocator;
@@ -464,4 +566,5 @@ let tests =
     case "mc recorder across domains" test_mc_recorder_domains;
     case "chaos campaign flight recorder" test_chaos_recorder;
     case "profile write/reparse" test_profile_write;
+    case "composite span trees are pinned" test_composite_span_trees;
   ]

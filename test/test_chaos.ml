@@ -301,6 +301,47 @@ let test_roam_bookkeeping () =
        (Registers.Net.is_correct scn.Harness.Scenario.net)
        (List.init 17 Fun.id))
 
+(* --- a pinned lossy campaign --- *)
+
+(* The regular family over the lossy medium, with transient injections and
+   link-chaos windows but no roams and no initial compromise: the
+   ss-transport's retransmissions under fault injection, which no other
+   byte-level pin reaches.  Every trial's traffic counters and verdict
+   are pinned by one digest. *)
+let test_lossy_campaign_pinned () =
+  let lossy_cfg =
+    {
+      cfg with
+      Campaign.medium = Campaign.Lossy;
+      initial = [];
+      roams = 0;
+    }
+  in
+  let trials = 20 in
+  let scenarios = Array.make trials None in
+  let on_scenario ~trial scn = scenarios.(trial) <- Some scn in
+  let r =
+    Campaign.run ~on_scenario ~shrink_violations:false lossy_cfg ~seed:1 ~trials
+  in
+  let line (t : Campaign.trial) =
+    let counter name =
+      match scenarios.(t.index) with
+      | Some scn -> Obs.Metrics.counter (Harness.Scenario.metrics scn) name
+      | None -> Alcotest.failf "trial %d deployed no scenario" t.index
+    in
+    Printf.sprintf
+      "%d %d %s ops=%d duration=%d msgs=%d pkts=%d dropped=%d retrans=%d\n"
+      t.index t.events
+      (Campaign.verdict_kind t.outcome.verdict)
+      t.outcome.ops t.outcome.duration (counter "net.msgs")
+      (counter "net.pkts") (counter "net.dropped")
+      (counter "transport.retrans")
+  in
+  check_int "trials" trials (List.length r.trials);
+  Alcotest.(check string)
+    "per-trial traffic and verdicts" "3b7b6297bf7ab6b0229dade873b53452"
+    (Digest.to_hex (Digest.string (String.concat "" (List.map line r.trials))))
+
 let tests =
   [
     case "strategy wire names round-trip" test_strategy_round_trip;
@@ -314,6 +355,7 @@ let tests =
     case "trials are seed-deterministic" test_run_trial_deterministic;
     case "campaign clean under the bound" test_campaign_clean_under_bound;
     case "atomic campaign over lossy links" test_campaign_atomic_lossy_clean;
+    case "lossy campaign traffic pinned" test_lossy_campaign_pinned;
     case "collusion above the bound: violate, shrink, replay"
       test_collusion_above_bound_violates_and_replays;
     case "shrinking keeps the essential roam" test_shrink_keeps_the_essential_roam;

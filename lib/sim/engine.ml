@@ -3,9 +3,10 @@
    the window [base, base + width) owns the bucket [ring.(tick land mask)],
    a circular list of its events reached through the newest one, whose
    [next] is the oldest.  Later instants wait in [overflow], sorted by
-   (time, seq).  [seq] grows in scheduling order, so appending to an
-   instant's bucket keeps each instant FIFO and the whole queue in
-   (time, seq) order.
+   time and, within an instant, in scheduling order.  An event is always
+   appended behind every event of its instant, so each bucket is FIFO and
+   firing bucket heads in tick order is firing in (time, scheduling
+   order): a sequence number would only restate bucket position.
 
    Invariant: [base <= clock] and [base <=] every pending time.  A new
    event (time >= clock) therefore never lands before the window.  Only
@@ -13,37 +14,56 @@
    the clock then reaches.  A [run ~until] that stops short leaves it
    alone.
 
-   [width] is a power of two, so a mask finds the slot, and the first
+   [width] is a power of two, so a mask finds the bucket, and the first
    above the delays the protocols schedule: link delays of 1-10 ticks,
    retry deadlines of +60 and backoffs of at most 69.  Under 0.1% of the
    benchmark workloads' events take the overflow path.
 
-   An event is queued exactly when its [next] is not [nil]: a ring event
-   links into its bucket, an overflow event points at itself.  A queued
-   event sits in the ring when its instant is below [base + width] and in
-   the overflow otherwise.  A timer is an event that can be queued again
-   after it fired, or moved while queued. *)
+   Events are not records but slots: an index into three parallel
+   arrays, [time], [next] and [action], that grow together.  Free slots
+   wait on the stack [free.(0 .. n_free - 1)]; a full pool doubles.
+   Bucket links are indices, so threading a bucket writes only into an
+   int array: no write barrier, and no young event pinned by an old one
+   through the remembered set, which is what a linked record costs on
+   every enqueue once the bucket's tail has been promoted.  The ring
+   holds each bucket's tail slot, or [none] when it is empty.
+
+   A slot is queued exactly when its [next] is not [none]: a ring slot
+   links into its bucket, an overflow slot points at itself.  A queued
+   slot sits in the ring when its instant is below [base + width] and in
+   the overflow otherwise.  Firing takes the slot out of its bucket,
+   resets its action to [ignore], returns the slot to the free stack and
+   only then runs the action, so the pool holds no closure of an event
+   that has fired and an action that schedules reuses its own slot.
+
+   A timer borrows a slot while it is queued and returns it when it fires
+   or is cancelled; it keeps its own [due].  Re-arming a queued timer
+   moves the same slot to the tail of its new instant.  A timer that is
+   dropped unqueued, or whose last arming has fired, holds no slot, so
+   the pool never keeps it alive. *)
 
 let width = 128
 
 let mask = width - 1
 
-type event = {
-  mutable time : Vtime.t;
-  mutable seq : int;
-  action : unit -> unit;
-  mutable next : event; (* the next event of its bucket; the tail's is the head *)
-}
+let none = -1
+
+let initial_slots = 32
 
 type t = {
   mutable clock : Vtime.t;
-  mutable next_seq : int;
   mutable base : int;
-  ring : event array; (* each slot: its bucket's newest event, or [nil] *)
+  ring : int array; (* each bucket: its newest slot, or [none] *)
   mutable in_ring : int;
-  mutable overflow : event list; (* instants >= base + width *)
+  mutable overflow : int list; (* slots of instants >= base + width *)
   mutable pending : int;
-  nil : event; (* the empty-slot sentinel; never queued *)
+  mutable time : Vtime.t array; (* per slot: its instant while queued *)
+  mutable next : int array;
+      (* per slot: the next slot of its bucket (the tail's is the head),
+         itself in the overflow, [none] when not queued *)
+  mutable action : (unit -> unit) array; (* per slot; [ignore] when free *)
+  mutable free : int array; (* [free.(0 .. n_free - 1)]: the free slots *)
+  mutable n_free : int;
   rng : Rng.t;
   metrics : Obs.Metrics.t;
   hub : Obs.Hub.t;
@@ -51,16 +71,18 @@ type t = {
 }
 
 let create ~rng () =
-  let rec nil = { time = Vtime.zero; seq = -1; action = ignore; next = nil } in
   {
     clock = Vtime.zero;
-    next_seq = 0;
     base = 0;
-    ring = Array.make width nil;
+    ring = Array.make width none;
     in_ring = 0;
     overflow = [];
     pending = 0;
-    nil;
+    time = Array.make initial_slots Vtime.zero;
+    next = Array.make initial_slots none;
+    action = Array.make initial_slots ignore;
+    free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
+    n_free = initial_slots;
     rng;
     metrics = Obs.Metrics.create ();
     hub = Obs.Hub.create ();
@@ -77,70 +99,91 @@ let hub t = t.hub
 
 let spans t = t.spans
 
-(* Append [ev] to the bucket of its instant, which must be in the window. *)
-let append t ev =
-  let i = Vtime.to_int ev.time land mask in
+(* Double the pool; the new slots go on the free stack, lowest on top. *)
+let grow t =
+  let cap = Array.length t.next in
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.time <- extend t.time Vtime.zero;
+  t.next <- extend t.next none;
+  t.action <- extend t.action ignore;
+  t.free <-
+    Array.init (2 * cap) (fun i -> if i < cap then (2 * cap) - 1 - i else 0);
+  t.n_free <- cap
+
+(* A free slot holding [action], not yet queued. *)
+let take t action =
+  if t.n_free = 0 then grow t;
+  t.n_free <- t.n_free - 1;
+  let s = t.free.(t.n_free) in
+  t.action.(s) <- action;
+  s
+
+(* Return a dequeued slot, dropping its action. *)
+let release t s =
+  t.action.(s) <- ignore;
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
+(* Append [s] to the bucket of its instant [tick], which must be in the
+   window. *)
+let append t s tick =
+  let i = tick land mask in
   let tail = t.ring.(i) in
-  if tail == t.nil then ev.next <- ev
+  if tail = none then t.next.(s) <- s
   else begin
-    ev.next <- tail.next;
-    tail.next <- ev
+    t.next.(s) <- t.next.(tail);
+    t.next.(tail) <- s
   end;
-  t.ring.(i) <- ev;
+  t.ring.(i) <- s;
   t.in_ring <- t.in_ring + 1
 
-(* [ev] carries the newest seq, so it goes after every event of its instant. *)
-let rec insert ev = function
-  | e :: rest when Vtime.( <= ) e.time ev.time -> e :: insert ev rest
-  | later -> ev :: later
+(* [s] is the newest event, so it goes after every event of its instant. *)
+let rec insert t s = function
+  | e :: rest when Vtime.( <= ) t.time.(e) t.time.(s) -> e :: insert t s rest
+  | later -> s :: later
 
-(* An event not yet queued. *)
-let event t action = { time = Vtime.zero; seq = -1; action; next = t.nil }
-
-(* Queue [ev], which is not queued, at [time] (clamped to the clock) with
-   the next seq. *)
-let enqueue t ev time =
-  ev.time <- Vtime.max time t.clock;
-  ev.seq <- t.next_seq;
-  t.next_seq <- ev.seq + 1;
+(* Queue [s], which is not queued, at [time] (clamped to the clock). *)
+let enqueue t s time =
+  let time = Vtime.max time t.clock in
+  let tick = Vtime.to_int time in
+  t.time.(s) <- time;
   t.pending <- t.pending + 1;
-  if Vtime.to_int ev.time < t.base + width then append t ev
+  if tick < t.base + width then append t s tick
   else begin
-    ev.next <- ev;
-    t.overflow <- insert ev t.overflow
+    t.next.(s) <- s;
+    t.overflow <- insert t s t.overflow
   end
 
-let schedule_at t time action = enqueue t (event t action) time
+let schedule_at t time action = enqueue t (take t action) time
 
-let schedule t ~delay action = schedule_at t (Vtime.add t.clock (max delay 0)) action
+let schedule t ~delay action =
+  schedule_at t (Vtime.add t.clock (Int.max delay 0)) action
 
 (* A top-level scan taking everything it uses as arguments: a local
    closure over [t] would be allocated on every event. *)
 let rec first_full t tick =
-  if t.ring.(tick land mask) == t.nil then first_full t (tick + 1) else tick
+  if t.ring.(tick land mask) = none then first_full t (tick + 1) else tick
 
 (* The instant of the least pending event.  Requires [t.pending > 0]. *)
 let least_tick t =
   if t.in_ring = 0 then
-    match t.overflow with e :: _ -> Vtime.to_int e.time | [] -> t.base
+    match t.overflow with s :: _ -> Vtime.to_int t.time.(s) | [] -> t.base
   else first_full t t.base
 
 let rec refill t = function
-  | e :: rest when Vtime.to_int e.time < t.base + width ->
-    append t e;
+  | s :: rest when Vtime.to_int t.time.(s) < t.base + width ->
+    append t s (Vtime.to_int t.time.(s));
     refill t rest
   | rest -> t.overflow <- rest
 
-(* Clear a dequeued event's link.  The event may already sit in the
-   major heap with its [next] in the remembered set; left pointing at a
-   young event, that link would promote the young one at the next minor
-   collection, whether or not it was still queued. *)
-let forget t ev = ev.next <- t.nil
-
 (* Unlink and return the head of the bucket at [tick], the least pending
    instant.  The window first moves to start at [tick], pulling the
-   overflow events it now covers into the ring in (time, seq) order; their
-   slots alias the instants before [tick], which are empty. *)
+   overflow events it now covers into the ring in order; their buckets
+   alias the instants before [tick], which are empty. *)
 let pop_least t tick =
   if tick <> t.base then begin
     t.base <- tick;
@@ -148,23 +191,26 @@ let pop_least t tick =
   end;
   let i = tick land mask in
   let tail = t.ring.(i) in
-  let head = tail.next in
-  if head == tail then t.ring.(i) <- t.nil else tail.next <- head.next;
-  forget t head;
+  let head = t.next.(tail) in
+  if head = tail then t.ring.(i) <- none else t.next.(tail) <- t.next.(head);
+  t.next.(head) <- none;
   t.in_ring <- t.in_ring - 1;
   t.pending <- t.pending - 1;
   head
 
 (* The single place an event is consumed: run and step both funnel
-   through here, so they cannot disagree on clock handling. *)
-let fire_event t ev =
-  t.clock <- Vtime.max t.clock ev.time;
-  ev.action ()
+   through here, so they cannot disagree on clock handling.  The slot is
+   free before the action runs. *)
+let fire_slot t s =
+  t.clock <- Vtime.max t.clock t.time.(s);
+  let action = t.action.(s) in
+  release t s;
+  action ()
 
 let step t =
   t.pending > 0
   && begin
-    fire_event t (pop_least t (least_tick t));
+    fire_slot t (pop_least t (least_tick t));
     true
   end
 
@@ -180,7 +226,7 @@ let run ?until ?(max_events = max_int) t =
       if tick > last then continue := false
       else begin
         incr fired;
-        fire_event t (pop_least t tick)
+        fire_slot t (pop_least t tick)
       end
     end
   done;
@@ -192,34 +238,69 @@ let pending t = t.pending
 
 let quiescent t = t.pending = 0
 
-type timer = { engine : t; ev : event }
+type timer = {
+  engine : t;
+  mutable slot : int; (* the borrowed slot while queued, else [none] *)
+  mutable due : Vtime.t;
+  fire : unit -> unit; (* the slot's action: forgets the slot, then runs *)
+}
 
-let timer t action = { engine = t; ev = event t action }
+let timer t action =
+  let rec tm =
+    {
+      engine = t;
+      slot = none;
+      due = Vtime.zero;
+      fire =
+        (fun () ->
+          tm.slot <- none;
+          action ());
+    }
+  in
+  tm
 
-let due tm = tm.ev.time
+let due tm = tm.due
 
-let rec prev_in_bucket ev prev =
-  if prev.next == ev then prev else prev_in_bucket ev prev.next
+let rec prev_in_bucket t s prev =
+  let p = t.next.(prev) in
+  if p = s then prev else prev_in_bucket t s p
 
-(* Unlink a queued [ev] from wherever it sits. *)
-let unlink t ev =
-  if Vtime.to_int ev.time < t.base + width then begin
-    let i = Vtime.to_int ev.time land mask in
+(* Unlink a queued [s] from wherever it sits; the slot stays taken. *)
+let unlink t s =
+  let tick = Vtime.to_int t.time.(s) in
+  if tick < t.base + width then begin
+    let i = tick land mask in
     let tail = t.ring.(i) in
-    if ev.next == ev then t.ring.(i) <- t.nil
+    if t.next.(s) = s then t.ring.(i) <- none
     else begin
-      let prev = prev_in_bucket ev tail in
-      prev.next <- ev.next;
-      if ev == tail then t.ring.(i) <- prev
+      let prev = prev_in_bucket t s tail in
+      t.next.(prev) <- t.next.(s);
+      if s = tail then t.ring.(i) <- prev
     end;
     t.in_ring <- t.in_ring - 1
   end
-  else t.overflow <- List.filter (fun e -> e != ev) t.overflow;
-  forget t ev;
+  else t.overflow <- List.filter (fun e -> e <> s) t.overflow;
+  t.next.(s) <- none;
   t.pending <- t.pending - 1
 
-let cancel { engine = t; ev } = if ev.next != t.nil then unlink t ev
+let cancel tm =
+  let s = tm.slot in
+  if s <> none then begin
+    let t = tm.engine in
+    unlink t s;
+    release t s;
+    tm.slot <- none
+  end
 
 let arm tm time =
-  cancel tm;
-  enqueue tm.engine tm.ev time
+  let t = tm.engine in
+  let s =
+    if tm.slot = none then take t tm.fire
+    else begin
+      unlink t tm.slot;
+      tm.slot
+    end
+  in
+  tm.slot <- s;
+  enqueue t s time;
+  tm.due <- t.time.(s)

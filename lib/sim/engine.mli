@@ -5,7 +5,12 @@
     or re-arms a {!timer}.
     Events fire in (time, seq) order, and only in that order: by instant,
     and within an instant first in, first out, in scheduling order, which
-    keeps executions deterministic. *)
+    keeps executions deterministic.  The seq is an event's place in its
+    instant, not a stored number.
+
+    Pending events are slots of a pool the engine owns, which grows by
+    doubling and never shrinks, so queueing an event within the next 128
+    ticks allocates nothing. *)
 
 type t
 
@@ -61,7 +66,12 @@ val quiescent : t -> bool
     A timer is one event that can be queued again after it fired, or
     moved while it is queued, without allocating.  Queued, it is an
     ordinary event: {!pending}, {!step} and {!run} see it like any
-    other. *)
+    other.
+
+    A timer borrows a slot of the engine's pool only while it is queued:
+    firing or {!cancel} gives the slot back, and the timer keeps its own
+    {!due}.  So a timer dropped while unqueued, or whose last arming has
+    fired, leaves nothing behind in the engine. *)
 
 type timer
 
@@ -70,11 +80,11 @@ val timer : t -> (unit -> unit) -> timer
     each time it fires. *)
 
 val arm : timer -> Vtime.t -> unit
-(** [arm tm time] queues [tm] at [time] (clamped to {!now}) with the next
-    sequence number, exactly as {!schedule_at} would queue a new event at
-    this point; a queued [tm] leaves its old place first.  Re-arming at
-    the same instant therefore moves the timer behind every event
-    scheduled for that instant since it was last armed. *)
+(** [arm tm time] queues [tm] at [time] (clamped to {!now}) at the tail
+    of that instant, exactly where {!schedule_at} would queue a new event
+    at this point; a queued [tm] leaves its old place first, keeping its
+    slot.  Re-arming at the same instant therefore moves the timer behind
+    every event scheduled for that instant since it was last armed. *)
 
 val cancel : timer -> unit
 (** Unqueue [tm]; no-op when it is not queued. *)

@@ -28,9 +28,9 @@ let push t m =
       c.resume true
     end
     else
-      (* Re-arm in place: the deadline keeps its instant and takes the
-         seq a fresh timer scheduled now would get, so it still fires
-         after everything scheduled for that instant so far. *)
+      (* Re-arm in place: the deadline keeps its instant and moves to
+         its tail, so it still fires after everything scheduled for that
+         instant so far. *)
       Option.iter (fun tm -> Engine.arm tm (Engine.due tm)) c.timer
 
 let check_idle t =

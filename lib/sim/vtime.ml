@@ -20,6 +20,6 @@ let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 
-let max (a : t) (b : t) = Stdlib.max a b
+let max (a : t) (b : t) = if a >= b then a else b
 
 let pp ppf t = Format.fprintf ppf "t=%d" t

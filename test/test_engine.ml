@@ -417,6 +417,101 @@ let test_timer_positions () =
       | Some (i, op) -> Alcotest.failf "%s: diverged at op %d (%s)" name i op)
     programs
 
+(* --- The slot pool ------------------------------------------------------ *)
+
+(* The engine keeps pending events in a pool of 32 slots that doubles when
+   full.  A fixed program, checked against the model like the random
+   ones, queues past 32, 64, 128 and 256 pending events (each burst adds
+   more than it fires), and arms, re-arms in place and cancels the three
+   timers around every growth, in the ring and in the overflow. *)
+let test_pool_growth () =
+  let burst k =
+    List.init k (fun i ->
+        let delay = (i * 37 mod 200) - 2 in
+        Schedule { delay; child = (if i mod 5 = 0 then Some (i mod 9) else None) })
+  in
+  let arm timer offset = Arm { timer; offset } in
+  let program =
+    List.concat
+      [
+        [ arm 0 5; arm 1 140; arm 2 8 ];
+        burst 40;
+        [ Rearm 0; Cancel 1; Step; arm 1 9; Rearm 2 ];
+        burst 40;
+        [ Rearm 2; Rearm 0; Cancel 2; Step; Step; arm 2 300 ];
+        burst 80;
+        [ Rearm 1; Cancel 0; arm 0 2; Rearm 2; Step ];
+        burst 160;
+        [ Rearm 0; Rearm 1; Cancel 2; Run_max 5; arm 2 (-1); Rearm 1 ];
+        burst 40;
+        [ Run_until 50; Rearm 0; Rearm 2; Cancel 1 ];
+      ]
+  in
+  match diverges program with
+  | None -> ()
+  | Some (i, op) -> Alcotest.failf "diverged at op %d (%s)" i op
+
+(* Firing frees an event's slot before its action runs, and the next
+   event queued (here by that very action) takes it; a cancelled timer's
+   slot is taken the same way.  Each event must run its own action, and
+   a timer that no longer holds a slot must leave the new owner alone. *)
+let test_freed_slot_runs_new_action () =
+  let e = mk () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  Sim.Engine.schedule e ~delay:1 (fun () ->
+      note "a" ();
+      Sim.Engine.schedule e ~delay:0 (note "b"));
+  let tm = Sim.Engine.timer e (note "timer") in
+  Sim.Engine.arm tm (Sim.Vtime.of_int 2);
+  Sim.Engine.cancel tm;
+  Sim.Engine.schedule e ~delay:2 (note "c");
+  Sim.Engine.arm tm (Sim.Vtime.of_int 3);
+  Sim.Engine.run e;
+  Sim.Engine.schedule e ~delay:1 (note "d");
+  Sim.Engine.cancel tm;
+  check_int "the fired timer's cancel leaves d queued" 1 (Sim.Engine.pending e);
+  Sim.Engine.arm tm (Sim.Vtime.of_int 4);
+  Sim.Engine.run e;
+  Alcotest.(check (list string))
+    "each event ran its own action, once"
+    [ "a"; "b"; "c"; "timer"; "d"; "timer" ]
+    (List.rev !log)
+
+(* An action that captures [v], registered in [w] at index [i].  Apart
+   from the action, nothing keeps [v] alive. *)
+let[@inline never] captured w i =
+  let v = ref i in
+  Weak.set w i (Some v);
+  fun () -> ignore (Sys.opaque_identity !v)
+
+let[@inline never] arm_and_cancel e w =
+  let tm = Sim.Engine.timer e (captured w 1) in
+  Sim.Engine.arm tm (Sim.Vtime.of_int 5);
+  Sim.Engine.cancel tm
+
+let[@inline never] arm_and_drop e w =
+  Sim.Engine.arm (Sim.Engine.timer e (captured w 2)) (Sim.Vtime.of_int 3)
+
+(* The pool never pins what an action captured once the slot is free:
+   after a major collection, the value captured by a fired event, by a
+   cancelled and dropped timer, and by a timer dropped while queued that
+   has since fired, is gone while the engine itself lives on.  A fiber's
+   continuation is such a value. *)
+let test_pool_pins_nothing () =
+  let e = mk () in
+  let w = Weak.create 3 in
+  Sim.Engine.schedule e ~delay:1 (captured w 0);
+  arm_and_cancel e w;
+  arm_and_drop e w;
+  Sim.Engine.run e;
+  Gc.full_major ();
+  List.iter
+    (fun (i, what) -> check_false (what ^ " released") (Weak.check w i))
+    [ (0, "a fired event's capture"); (1, "a cancelled timer's capture");
+      (2, "a dropped, fired timer's capture") ];
+  check_true "engine alive and drained" (Sim.Engine.quiescent (Sys.opaque_identity e))
+
 let tests =
   [
     case "time advances" test_time_advances;
@@ -434,4 +529,7 @@ let tests =
     case "until, then an earlier event" test_until_then_earlier;
     qcheck prop_queue_matches_model;
     case "timer positions match the model" test_timer_positions;
+    case "pool growth matches the model" test_pool_growth;
+    case "a freed slot runs its new action" test_freed_slot_runs_new_action;
+    case "the pool pins no fired or cancelled action" test_pool_pins_nothing;
   ]

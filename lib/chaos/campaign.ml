@@ -88,7 +88,7 @@ let gen_prefix cfg rng =
 
 let gen_roam cfg rng =
   let at = Sim.Rng.int_in rng 1 cfg.horizon in
-  let budget = max 0 (min cfg.roam_max cfg.f) in
+  let budget = Int.max 0 (Int.min cfg.roam_max cfg.f) in
   let count = Sim.Rng.int_in rng 0 budget in
   let slots = Array.init cfg.n Fun.id in
   Sim.Rng.shuffle rng slots;
@@ -103,7 +103,9 @@ let gen_roam cfg rng =
 
 let gen_window cfg rng =
   let at = Sim.Rng.int_in rng 1 cfg.horizon in
-  let duration = Sim.Rng.int_in rng (min 50 cfg.window_max) cfg.window_max in
+  let duration =
+    Sim.Rng.int_in rng (Int.min 50 cfg.window_max) cfg.window_max
+  in
   let dir =
     Sim.Rng.pick rng
       [| Schedule.Both; Schedule.To_servers; Schedule.From_servers |]
@@ -243,7 +245,7 @@ let deploy_jobs cfg scn =
     let m = 2 in
     let mcfg = Registers.Mwmr.default_config ~m in
     let total = cfg.writes + cfg.reads in
-    let ratio = float_of_int cfg.writes /. float_of_int (max 1 total) in
+    let ratio = float_of_int cfg.writes /. float_of_int (Int.max 1 total) in
     List.init m (fun i ->
         let p =
           Registers.Mwmr.process ~net ~cfg:mcfg ~id:i ~client_id:(300 + i)
@@ -355,12 +357,12 @@ let shrink ?(log = ignore) cfg ~seed schedule verdict =
         | Some c ->
           log
             (Printf.sprintf "shrink: reduced to %d events" (List.length c));
-          ddmin c (max (n - 1) 2)
-        | None -> if n < len then ddmin items (min (2 * n) len) else items)
+          ddmin c (Int.max (n - 1) 2)
+        | None -> if n < len then ddmin items (Int.min (2 * n) len) else items)
   in
   let minimal =
     if reproduces [] then []
-    else ddmin schedule (min 2 (max 1 (List.length schedule)))
+    else ddmin schedule (Int.min 2 (Int.max 1 (List.length schedule)))
   in
   (* Phase 2: halve window durations while the verdict survives. *)
   let rec halve_window sched i =

@@ -162,6 +162,23 @@ let is_structured e =
   | Pexp_variant (_, Some _) -> true
   | _ -> false
 
+(* [max]/[min] are ordinary polymorphic functions, never specialized at
+   a known type: every call is a C compare.  Checked in the hot-path
+   libraries as well as the protocol ones, but not in test/ or
+   examples/. *)
+let poly_extrema = [ "max"; "min" ]
+
+let extrema_scope s = in_libs protocol_libs s || in_libs hot_path_libs s
+
+(* [{ max }] reads a local [max], not the function. *)
+let punned e = function
+  | { pexp_desc = Pexp_record (fields, _); _ } :: _ ->
+    List.exists
+      (fun ((lid : _ Location.loc), v) ->
+        v == e && lid.loc.loc_start.pos_cnum = e.pexp_loc.loc_start.pos_cnum)
+      fields
+  | _ -> false
+
 let r2 =
   let rec rule =
     {
@@ -169,17 +186,24 @@ let r2 =
       name = "no-polymorphic-compare";
       summary =
         "no Stdlib.compare / bare compare comparators / polymorphic =,<> \
-         on structured values in protocol and oracle code";
+         on structured values in protocol and oracle code, and no \
+         polymorphic max/min in protocol and hot-path code";
       severity = Finding.Error;
-      applies = (fun s -> in_libs protocol_libs s || relaxed_scope s);
+      applies =
+        (fun s ->
+          in_libs protocol_libs s || relaxed_scope s || extrema_scope s);
       kind = Rule.Ast (fun ctx str -> check ctx str);
     }
   and check ctx str =
-    iter_with_ancestors str (fun ~ancestors:_ e ->
+    let scope = ctx.Rule.scope in
+    let compares = in_libs protocol_libs scope || relaxed_scope scope in
+    let extrema = extrema_scope scope in
+    iter_with_ancestors str (fun ~ancestors e ->
         match e.pexp_desc with
         | Pexp_ident { txt; _ } -> (
           match flatten txt with
-          | [ ("Stdlib" | "Pervasives"); op ] when List.mem op poly_ops ->
+          | [ ("Stdlib" | "Pervasives"); op ]
+            when compares && List.mem op poly_ops ->
             Rule.finding ctx rule ~loc:e.pexp_loc
               (Printf.sprintf
                  "polymorphic %s compares arbitrary representations; use a \
@@ -187,7 +211,16 @@ let r2 =
                   Value.compare, ...)"
                  (if String.equal op "compare" then "Stdlib.compare"
                   else Printf.sprintf "Stdlib.(%s)" op))
+          | ([ op ] | [ ("Stdlib" | "Pervasives"); op ])
+            when extrema && List.mem op poly_extrema && not (punned e ancestors)
+            ->
+            Rule.finding ctx rule ~loc:e.pexp_loc
+              (Printf.sprintf
+                 "polymorphic %s is a C compare on every call; use Int.%s \
+                  for ints, or a typed if for floats"
+                 op op)
           | _ -> ())
+        | Pexp_apply _ when not compares -> ()
         | Pexp_apply (f, args) -> (
           (* bare [compare] passed as a comparator argument *)
           List.iter

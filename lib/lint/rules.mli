@@ -18,7 +18,11 @@
       syntactically structured operand (record, tuple, constructor
       application, list/array literal).  Scoped to protocol/oracle code
       ([registers], [history], [mc], [chaos], [shard]) plus — as the
-      relaxed subset — [test/] and [examples/].
+      relaxed subset — [test/] and [examples/].  Also no polymorphic
+      [max]/[min], bare or [Stdlib.]-qualified: a call to a function
+      that is never specialized, so every call is a C compare.  That
+      check covers the protocol and hot-path libraries ([sim] and
+      [datalink] too), but not [test/] or [examples/].
     - {b R3 no-wildcard-message-match}: no [_ ->] (or or-pattern
       containing [_]) in a [match]/[function] that elsewhere names a
       message/event constructor (a constructor qualified by a module

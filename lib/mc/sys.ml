@@ -35,7 +35,7 @@ let compare_decimal a b =
   let da = digits a and db = digits b in
   if da = db then Int.compare a b
   else
-    let common = min da db in
+    let common = Int.min da db in
     match Int.compare (a / pow10 (da - common)) (b / pow10 (db - common)) with
     | 0 -> Int.compare da db
     | c -> c
@@ -391,7 +391,9 @@ let create (cfg : Config.t) =
       health = Health.create ~n ();
       (* the first (n - 2t) correct deliveries, as [Net.ss_broadcast] *)
       target =
-        min (n - (2 * cfg.f)) (List.length (List.filter Fun.id (Array.to_list correct)));
+        Int.min
+          (n - (2 * cfg.f))
+          (List.length (List.filter Fun.id (Array.to_list correct)));
       named =
         List.sort_uniq Int.compare
           (List.filter_map
@@ -435,7 +437,7 @@ let rec down_from n f p =
   f p
 
 let servers_descending n f =
-  for d = min 9 (n - 1) downto 0 do
+  for d = Int.min 9 (n - 1) downto 0 do
     down_from n f d
   done
 

@@ -54,7 +54,7 @@ let bucket_bounds i =
     (pow_quarter (i - 1), hi)
 
 let observe h v =
-  let v = Stdlib.max v 0.0 in
+  let v = if v >= 0.0 then v else 0.0 in
   h.count <- h.count + 1;
   h.sum <- h.sum +. v;
   if v < h.min_v then h.min_v <- v;

@@ -62,7 +62,9 @@ type attempt = {
 let attempt_target params ~health ~attempt =
   let full = Params.ack_wait params in
   if attempt = 0 then full
-  else max (Params.read_quorum params) (min full (Health.responsive health))
+  else
+    Int.max (Params.read_quorum params)
+      (Int.min full (Health.responsive health))
 
 let intake params ~health ~round ~attempt ~wanted =
   {
@@ -196,7 +198,7 @@ let skipped = { answers = [||]; acks = 0; expired = false }
    with the best attempt seen. *)
 let collect_rounds ~params ~inst ~body ~wanted k _ =
   let full = Params.ack_wait params in
-  let max_attempts = max 1 (Params.retry params).Params.attempts in
+  let max_attempts = Int.max 1 (Params.retry params).Params.attempts in
   let wanted = Some wanted in
   let rec go n (best : attempt) =
     let k (a : attempt) c =
@@ -234,11 +236,11 @@ let read_loop ?(max_iterations = max_int) (site : site) ~tally ~on_cell
     ~on_help k c =
   let params = site.params in
   let threshold = Params.read_quorum params in
-  let timeout_budget = max 1 (Params.retry params).Params.attempts in
+  let timeout_budget = Int.max 1 (Params.retry params).Params.attempts in
   let rec loop ~attempts ~timeouts ~best ~backoff budget c =
     if budget <= 0 || timeouts >= timeout_budget then
       k
-        (shortfall params ~suspects:[] ~attempts:(max 1 attempts) ~acks:best
+        (shortfall params ~suspects:[] ~attempts:(Int.max 1 attempts) ~acks:best
            ~need:(Params.ack_wait params))
         c
     else
@@ -259,7 +261,7 @@ let read_loop ?(max_iterations = max_int) (site : site) ~tally ~on_cell
               if a.expired && timeouts < timeout_budget && budget > 1 then timeouts
               else 0
             in
-            loop ~attempts:(attempts + 1) ~timeouts ~best:(max best a.acks)
+            loop ~attempts:(attempts + 1) ~timeouts ~best:(Int.max best a.acks)
               ~backoff (budget - 1) c)
       in
       Round { inst = site.inst; body = Messages.Read (attempts = 0);

@@ -17,7 +17,7 @@ let default_config ~m =
     view_budget = 64;
   }
 
-let epoch_k cfg = max cfg.m 2
+let epoch_k cfg = Int.max cfg.m 2
 
 type state = {
   own : Swsr_atomic.wstate array;

@@ -297,7 +297,7 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
   let correct_total =
     Array.fold_left (fun c ok -> if ok then c + 1 else c) 0 t.correct
   in
-  let target = min quorum correct_total in
+  let target = Int.min quorum correct_total in
   (* Both transports count actual delivery callbacks rather than
      precomputing arrival instants: the synchronized-delivery property must
      hold under *any* admissible arrival order across links (link delays,

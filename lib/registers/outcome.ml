@@ -33,9 +33,9 @@ let kind = function
    service level actually seen, the union of suspicions. *)
 let merge_reason a b =
   {
-    attempts = max a.attempts b.attempts;
-    acks = min a.acks b.acks;
-    need = max a.need b.need;
+    attempts = Int.max a.attempts b.attempts;
+    acks = Int.min a.acks b.acks;
+    need = Int.max a.need b.need;
     suspects = List.sort_uniq Int.compare (a.suspects @ b.suspects);
   }
 

@@ -43,10 +43,10 @@ let backoff_span r ~attempt =
     let d = ref r.backoff in
     let k = ref (attempt - 1) in
     while !k > 0 && !d < r.backoff_max do
-      d := !d * max 1 r.backoff_factor;
+      d := !d * Int.max 1 r.backoff_factor;
       decr k
     done;
-    min !d r.backoff_max
+    Int.min !d r.backoff_max
   end
 
 type t = { n : int; f : int; mode : mode; retry : retry }

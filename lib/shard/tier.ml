@@ -91,10 +91,10 @@ let shard_seed ~seed s = seed + (1_000_003 * (s + 1))
 (* The instant after which the target shard must have re-stabilized:
    the last corruption, or the last crash's recovery edge. *)
 let last_disturbance c =
-  let inj = List.fold_left (fun acc at -> max acc at) 0 c.injections in
+  let inj = List.fold_left (fun acc at -> Int.max acc at) 0 c.injections in
   List.fold_left
     (fun acc cr ->
-      max acc (match cr.down_for with Some d -> cr.at + d | None -> cr.at))
+      Int.max acc (match cr.down_for with Some d -> cr.at + d | None -> cr.at))
     inj c.crashes
 
 type tally = Registers.Outcome.tally = {
@@ -458,7 +458,7 @@ let run ?on_scenario ?(domains = 1) cfg ~seed =
     reads;
     duration =
       List.fold_left
-        (fun acc (r : shard_report) -> max acc r.duration)
+        (fun acc (r : shard_report) -> Int.max acc r.duration)
         0 shard_reports;
     isolated;
     clean = List.for_all (fun (r : shard_report) -> r.clean) shard_reports;

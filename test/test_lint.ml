@@ -51,6 +51,24 @@ let test_r2_fixture () =
     [ ("R2", 5); ("R2", 7); ("R2", 9); ("R2", 11); ("R2", 13) ]
     (rule_lines r)
 
+(* Polymorphic max/min: flagged in the hot-path libraries too, where the
+   compare checks stay off, and in neither test/ nor lib/obs.  A record
+   pun reads a local, not the function. *)
+let test_r2_extrema_fixture () =
+  let lint display =
+    rule_lines (fixture ~rules:[ Lint.Rules.r2 ] ~display "r2_extrema.ml")
+  in
+  let sites = [ ("R2", 4); ("R2", 6); ("R2", 8) ] in
+  finding_list "R2 extrema in sim" sites (lint "lib/sim/r2_extrema.ml");
+  finding_list "R2 extrema in registers" sites
+    (lint "lib/registers/r2_extrema.ml");
+  finding_list "test/ is out of extrema scope" [] (lint "test/r2_extrema.ml");
+  finding_list "obs is out of extrema scope" [] (lint "lib/obs/r2_extrema.ml");
+  let r = fixture ~rules:[ Lint.Rules.r2 ] ~display:"lib/sim/r2_bad.ml"
+      "tree/lib/registers/r2_bad.ml"
+  in
+  finding_list "sim is out of compare scope" [] (rule_lines r)
+
 let test_r3_fixture () =
   let r = fixture ~rules:[ Lint.Rules.r3 ]
       ~display:"lib/registers/r3_bad.ml" "tree/lib/registers/r3_bad.ml"
@@ -247,6 +265,7 @@ let tests =
     case "R1 no-nondeterminism fixture" test_r1_fixture;
     case "R1 wall-clock fixture (trace modules)" test_r1_wallclock_fixture;
     case "R2 no-polymorphic-compare fixture" test_r2_fixture;
+    case "R2 polymorphic max/min fixture" test_r2_extrema_fixture;
     case "R3 no-wildcard-message-match fixture" test_r3_fixture;
     case "R4 no-partial-functions fixture" test_r4_fixture;
     case "rules are library-scoped" test_scoping;

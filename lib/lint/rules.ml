@@ -189,9 +189,7 @@ let r2 =
          on structured values in protocol and oracle code, and no \
          polymorphic max/min in protocol and hot-path code";
       severity = Finding.Error;
-      applies =
-        (fun s ->
-          in_libs protocol_libs s || relaxed_scope s || extrema_scope s);
+      applies = (fun s -> extrema_scope s || relaxed_scope s);
       kind = Rule.Ast (fun ctx str -> check ctx str);
     }
   and check ctx str =

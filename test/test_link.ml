@@ -128,6 +128,39 @@ let test_bad_samplers_rejected () =
     (Invalid_argument "Link.uniform: bad delay range") (fun () ->
       ignore (Sim.Link.uniform rng ~lo:5 ~hi:2 : Sim.Link.sampler))
 
+(* A payload and a delivery callback, registered in [w] at [i] and
+   [i + 1]; apart from the link, nothing keeps them alive. *)
+let[@inline never] send_tracked link w i =
+  let payload = ref i and notified = ref i in
+  Weak.set w i (Some payload);
+  Weak.set w (i + 1) (Some notified);
+  ignore
+    (Sim.Link.send_timed link
+       ~on_delivered:(fun () -> ignore (Sys.opaque_identity !notified))
+       payload)
+
+(* Once a message is delivered the link holds neither its payload nor
+   its callback: after a major collection both are gone while the link
+   itself lives on, with later messages still in flight. *)
+let test_delivered_not_retained () =
+  let rng = Sim.Rng.create 3 in
+  let e = Sim.Engine.create ~rng () in
+  let link = Sim.Link.create ~engine:e ~delay:(Sim.Link.fixed 2) ~deliver:ignore in
+  let w = Weak.create 4 in
+  send_tracked link w 0;
+  Sim.Engine.run e;
+  send_tracked link w 2;
+  Gc.full_major ();
+  check_false "a delivered payload is released" (Weak.check w 0);
+  check_false "a delivered message's callback is released" (Weak.check w 1);
+  check_true "an in-flight payload is kept" (Weak.check w 2);
+  check_true "an in-flight message's callback is kept" (Weak.check w 3);
+  Sim.Engine.run e;
+  Gc.full_major ();
+  check_false "the last payload is released" (Weak.check w 2);
+  check_int "link alive and drained" 0 (Sim.Engine.pending (Sys.opaque_identity e));
+  ignore (Sys.opaque_identity link)
+
 let tests =
   [
     case "delivery" test_delivery;
@@ -140,4 +173,5 @@ let tests =
     case "message counter" test_message_counter;
     case "fixed delay" test_fixed_delay;
     case "bad samplers rejected" test_bad_samplers_rejected;
+    case "a delivered message is not retained" test_delivered_not_retained;
   ]

@@ -10,6 +10,7 @@ type 'm t = {
   queue : ('m * (unit -> unit) option) Queue.t;
   mutable current : ('m * (unit -> unit) option) option;
   mutable tag : int;
+  timer : Sim.Engine.recurring; (* the retransmission timer's action *)
   mutable timer_armed : bool;
   mutable sent : int;
   retrans_ctr : int ref;
@@ -22,25 +23,28 @@ type 'm t = {
 
 let resync_threshold = 3
 
-let rec arm_timer t =
-  if not t.timer_armed then begin
-    t.timer_armed <- true;
-    Sim.Engine.schedule t.engine ~delay:t.retrans (fun () ->
-        t.timer_armed <- false;
-        match t.current with
-        | Some _ ->
-          incr t.retrans_ctr;
-          xmit t;
-          arm_timer t
-        | None -> ())
-  end
-
-and xmit t =
+let xmit t =
   match t.current with
   | None -> ()
   | Some (body, _) ->
     t.sent <- t.sent + 1;
     Sim.Lossy_link.send t.data { tag = t.tag; body }
+
+let arm_timer t =
+  if not t.timer_armed then begin
+    t.timer_armed <- true;
+    Sim.Engine.schedule_recurring t.engine ~delay:t.retrans t.timer
+  end
+
+(* The timer's action: retransmit the unacknowledged message, if any. *)
+let on_timer t =
+  t.timer_armed <- false;
+  match t.current with
+  | Some _ ->
+    incr t.retrans_ctr;
+    xmit t;
+    arm_timer t
+  | None -> ()
 
 let pump t =
   match t.current with
@@ -123,33 +127,36 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
     | Some f -> Some (fun pkt -> f pkt.body)
     | None -> None
   in
-  let rec t =
-    lazy
-      {
-        engine;
-        retrans;
-        tag_space;
-        data =
-          Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng)
-            ~delay ~loss ~dup ?classify:classify_pkt ~name:(name ^ ".data")
-            ~deliver:(fun pkt -> on_packet (Lazy.force t) ~deliver pkt)
-            ();
-        acks = None;
-        queue = Queue.create ();
-        current = None;
-        tag = 0;
-        timer_armed = false;
-        sent = 0;
-        retrans_ctr =
-          Obs.Metrics.counter_ref (Sim.Engine.metrics engine)
-            "transport.retrans";
-        last_tag = 0;
-        stale_tag = -1;
-        stale_streak = 0;
-        stale_seen_at = Sim.Vtime.zero;
-      }
+  (* The data link and the timer call back into the transport, which
+     holds them: each goes through a cell assigned once it exists. *)
+  let on_data = ref ignore and on_tick = ref ignore in
+  let t =
+    {
+      engine;
+      retrans;
+      tag_space;
+      data =
+        Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss
+          ~dup ?classify:classify_pkt ~name:(name ^ ".data")
+          ~deliver:(fun pkt -> !on_data pkt)
+          ();
+      acks = None;
+      queue = Queue.create ();
+      current = None;
+      tag = 0;
+      timer = Sim.Engine.recurring engine (fun () -> !on_tick ());
+      timer_armed = false;
+      sent = 0;
+      retrans_ctr =
+        Obs.Metrics.counter_ref (Sim.Engine.metrics engine) "transport.retrans";
+      last_tag = 0;
+      stale_tag = -1;
+      stale_streak = 0;
+      stale_seen_at = Sim.Vtime.zero;
+    }
   in
-  let t = Lazy.force t in
+  on_data := on_packet t ~deliver;
+  (on_tick := fun () -> on_timer t);
   t.acks <-
     Some
       (Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss

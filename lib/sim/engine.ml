@@ -40,7 +40,16 @@
    or is cancelled; it keeps its own [due].  Re-arming a queued timer
    moves the same slot to the tail of its new instant.  A timer that is
    dropped unqueued, or whose last arming has fired, holds no slot, so
-   the pool never keeps it alive. *)
+   the pool never keeps it alive.
+
+   A recurring action is registered once, in [registered], and queued by
+   its index: the slot keeps the index in a fourth array, [handle], and
+   its [action] stays [ignore].  Queueing and firing one therefore
+   store only ints, where a closure costs a pointer store into [action]
+   on taking the slot and another on releasing it, each a write barrier
+   once the array is old.  A free slot has [handle = none] and
+   [action = ignore]; firing restores whichever of the two it used.
+   Registered actions live as long as the engine. *)
 
 let width = 128
 
@@ -49,6 +58,8 @@ let mask = width - 1
 let none = -1
 
 let initial_slots = 32
+
+let initial_registered = 16
 
 type t = {
   mutable clock : Vtime.t;
@@ -62,8 +73,12 @@ type t = {
       (* per slot: the next slot of its bucket (the tail's is the head),
          itself in the overflow, [none] when not queued *)
   mutable action : (unit -> unit) array; (* per slot; [ignore] when free *)
+  mutable handle : int array;
+      (* per slot: the registered action it runs, or [none] for [action] *)
   mutable free : int array; (* [free.(0 .. n_free - 1)]: the free slots *)
   mutable n_free : int;
+  mutable registered : (unit -> unit) array; (* the recurring actions *)
+  mutable n_registered : int;
   rng : Rng.t;
   metrics : Obs.Metrics.t;
   hub : Obs.Hub.t;
@@ -81,8 +96,11 @@ let create ~rng () =
     time = Array.make initial_slots Vtime.zero;
     next = Array.make initial_slots none;
     action = Array.make initial_slots ignore;
+    handle = Array.make initial_slots none;
     free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
     n_free = initial_slots;
+    registered = Array.make initial_registered ignore;
+    n_registered = 0;
     rng;
     metrics = Obs.Metrics.create ();
     hub = Obs.Hub.create ();
@@ -110,23 +128,32 @@ let grow t =
   t.time <- extend t.time Vtime.zero;
   t.next <- extend t.next none;
   t.action <- extend t.action ignore;
+  t.handle <- extend t.handle none;
   t.free <-
     Array.init (2 * cap) (fun i -> if i < cap then (2 * cap) - 1 - i else 0);
   t.n_free <- cap
 
-(* A free slot holding [action], not yet queued. *)
-let take t action =
+(* A free slot, not yet queued: its action is [ignore], its handle
+   [none]. *)
+let take_free t =
   if t.n_free = 0 then grow t;
   t.n_free <- t.n_free - 1;
-  let s = t.free.(t.n_free) in
+  t.free.(t.n_free)
+
+(* A free slot holding [action], not yet queued. *)
+let take t action =
+  let s = take_free t in
   t.action.(s) <- action;
   s
 
-(* Return a dequeued slot, dropping its action. *)
-let release t s =
-  t.action.(s) <- ignore;
+let push_free t s =
   t.free.(t.n_free) <- s;
   t.n_free <- t.n_free + 1
+
+(* Return a dequeued slot that holds a closure, dropping it. *)
+let release t s =
+  t.action.(s) <- ignore;
+  push_free t s
 
 (* Append [s] to the bucket of its instant [tick], which must be in the
    window. *)
@@ -162,6 +189,27 @@ let schedule_at t time action = enqueue t (take t action) time
 
 let schedule t ~delay action =
   schedule_at t (Vtime.add t.clock (Int.max delay 0)) action
+
+type recurring = int
+
+let recurring t action =
+  let n = t.n_registered in
+  if n = Array.length t.registered then begin
+    let b = Array.make (2 * n) ignore in
+    Array.blit t.registered 0 b 0 n;
+    t.registered <- b
+  end;
+  t.registered.(n) <- action;
+  t.n_registered <- n + 1;
+  n
+
+let schedule_recurring_at t time r =
+  let s = take_free t in
+  t.handle.(s) <- r;
+  enqueue t s time
+
+let schedule_recurring t ~delay r =
+  schedule_recurring_at t (Vtime.add t.clock (Int.max delay 0)) r
 
 (* A top-level scan taking everything it uses as arguments: a local
    closure over [t] would be allocated on every event. *)
@@ -203,9 +251,17 @@ let pop_least t tick =
    free before the action runs. *)
 let fire_slot t s =
   t.clock <- Vtime.max t.clock t.time.(s);
-  let action = t.action.(s) in
-  release t s;
-  action ()
+  let r = t.handle.(s) in
+  if r = none then begin
+    let action = t.action.(s) in
+    release t s;
+    action ()
+  end
+  else begin
+    t.handle.(s) <- none;
+    push_free t s;
+    t.registered.(r) ()
+  end
 
 let step t =
   t.pending > 0

@@ -10,7 +10,10 @@
 
     Pending events are slots of a pool the engine owns, which grows by
     doubling and never shrinks, so queueing an event within the next 128
-    ticks allocates nothing. *)
+    ticks allocates nothing.  An action that is queued over and over (a
+    link's delivery, a retransmission timer) can be registered once as a
+    {!recurring} action; queueing it by its handle then stores no
+    pointer at all. *)
 
 type t
 
@@ -60,6 +63,32 @@ val pending : t -> int
 
 val quiescent : t -> bool
 (** [true] when no events are queued. *)
+
+(** {2 Recurring actions}
+
+    A recurring action is registered once and then queued any number of
+    times, each time as an ordinary event: it takes a slot, its place is
+    exactly where {!schedule_at} would have put a closure at that point,
+    and {!pending}, {!step} and {!run} see it like any other event.  The
+    slot keeps only the action's handle, an int, so neither queueing
+    nor firing it stores a pointer.
+
+    Registered actions are never released: they live, and keep what they
+    capture alive, as long as the engine.  Register an action per
+    long-lived component (a link, a transport), not per event. *)
+
+type recurring
+
+val recurring : t -> (unit -> unit) -> recurring
+(** [recurring t action] registers [action] with [t] and returns its
+    handle, valid with [t] only. *)
+
+val schedule_recurring_at : t -> Vtime.t -> recurring -> unit
+(** [schedule_recurring_at t time r] queues the action registered as [r]
+    as {!schedule_at} would queue it. *)
+
+val schedule_recurring : t -> delay:Vtime.span -> recurring -> unit
+(** [schedule_recurring t ~delay r] queues [r] as {!schedule} would. *)
 
 (** {2 Timers}
 

@@ -1,17 +1,33 @@
-type 'm entry = {
-  mutable payload : 'm;
-  mutable live : bool; (* false once a transient fault dropped the payload *)
-  on_delivered : (unit -> unit) option;
+(* The messages in flight sit in a ring of two parallel arrays, oldest
+   first from [head]: [count] slots, wrapping at the capacity, a power of
+   two that starts at 8 and doubles when the ring is full.  A slot's
+   payload is [None] once a transient fault dropped it; its callback is
+   [None] when the sender gave none.  Delivery clears both, so the link
+   keeps nothing of a message that has arrived (a stale payload would
+   only be promoted, and scanned, with the ring).
+
+   Every delivery event runs the same action, [arrive] on the ring,
+   registered once with the engine as a recurring action: queueing a
+   message stores its payload and nothing else that is a pointer.  The
+   action captures the ring, not the link, which holds its handle. *)
+
+let initial_ring = 8
+
+type 'm flight = {
+  msgs : int ref; (* the engine's ["net.msgs"] counter *)
+  deliver : 'm -> unit;
+  mutable payload : 'm option array;
+  mutable notify : (unit -> unit) option array;
+  mutable head : int; (* the slot of the oldest message: it arrives next *)
+  mutable count : int; (* messages in flight *)
 }
 
 type 'm t = {
   engine : Engine.t;
   delay : unit -> Vtime.span;
-  msgs : int ref; (* the engine's ["net.msgs"] counter *)
-  deliver : 'm -> unit;
   mutable last_arrival : Vtime.t;
-  flight : 'm entry Queue.t; (* oldest first: the head arrives next *)
-  mutable arrive : unit -> unit; (* the delivery action of every event *)
+  flight : 'm flight;
+  arrive : Engine.recurring; (* the delivery action of every event *)
 }
 
 type sampler = unit -> Vtime.span
@@ -35,42 +51,72 @@ let bimodal rng ~fast:(flo, fhi) ~slow:(slo, shi) ~slow_probability =
 
 (* A link's deliveries fire in the order they were sent: arrivals are
    monotone per link and the engine fires in (time, seq) order.  So the
-   event firing now is always the head entry's. *)
-let arrive t () =
-  let e = Queue.pop t.flight in
+   event firing now is always the head slot's.  The slot is cleared and
+   the ring advanced before the receiver runs, which may send on this
+   link again. *)
+let arrive f =
+  let i = f.head in
   (* Read the payload at fire time: a transient fault may have rewritten
      or dropped it while in transit. *)
-  if e.live then begin
-    incr t.msgs;
-    t.deliver e.payload
-  end;
+  let payload = f.payload.(i) and notify = f.notify.(i) in
+  (match payload with Some _ -> f.payload.(i) <- None | None -> ());
+  (match notify with Some _ -> f.notify.(i) <- None | None -> ());
+  f.head <- (i + 1) land (Array.length f.payload - 1);
+  f.count <- f.count - 1;
+  (match payload with
+   | Some m ->
+     incr f.msgs;
+     f.deliver m
+   | None -> ());
   (* Notify after the receiver processed the message, even if a
      transient fault dropped the payload: the delivery *slot* happened,
      which is what synchronized-broadcast waiters count. *)
-  match e.on_delivered with None -> () | Some f -> f ()
+  match notify with None -> () | Some callback -> callback ()
 
 let create ~engine ~delay ~deliver =
-  let t =
+  let flight =
     {
-      engine;
-      delay;
       msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
       deliver;
-      last_arrival = Vtime.zero;
-      flight = Queue.create ();
-      arrive = ignore;
+      payload = Array.make initial_ring None;
+      notify = Array.make initial_ring None;
+      head = 0;
+      count = 0;
     }
   in
-  t.arrive <- arrive t;
-  t
+  {
+    engine;
+    delay;
+    last_arrival = Vtime.zero;
+    flight;
+    arrive = Engine.recurring engine (fun () -> arrive flight);
+  }
+
+(* Double the ring, unrolled so that the oldest message is at slot 0. *)
+let grow f =
+  let cap = Array.length f.payload in
+  let unroll a =
+    let b = Array.make (2 * cap) None in
+    Array.blit a f.head b 0 (cap - f.head);
+    Array.blit a 0 b (cap - f.head) f.head;
+    b
+  in
+  f.payload <- unroll f.payload;
+  f.notify <- unroll f.notify;
+  f.head <- 0
 
 let transmit_timed ?on_delivered t payload =
   let proposed = Vtime.add (Engine.now t.engine) (t.delay ()) in
   (* FIFO: never overtake a message already in flight. *)
   let arrival = Vtime.max proposed t.last_arrival in
   t.last_arrival <- arrival;
-  Queue.push { payload; live = true; on_delivered } t.flight;
-  Engine.schedule_at t.engine arrival t.arrive;
+  let f = t.flight in
+  if f.count = Array.length f.payload then grow f;
+  let i = (f.head + f.count) land (Array.length f.payload - 1) in
+  f.payload.(i) <- Some payload;
+  (match on_delivered with Some _ -> f.notify.(i) <- on_delivered | None -> ());
+  f.count <- f.count + 1;
+  Engine.schedule_recurring_at t.engine arrival t.arrive;
   arrival
 
 let send t m = ignore (transmit_timed t m)
@@ -78,13 +124,12 @@ let send t m = ignore (transmit_timed t m)
 let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
 
 (* Newest first: the order the rewrites draw from a fault's generator. *)
-let corrupt_in_flight t f =
-  List.iter
-    (fun e ->
-      if e.live then
-        match f e.payload with
-        | None -> e.live <- false
-        | Some m -> e.payload <- m)
-    (Queue.fold (fun acc e -> e :: acc) [] t.flight)
+let corrupt_in_flight t rewrite =
+  let f = t.flight in
+  let mask = Array.length f.payload - 1 in
+  for k = f.count - 1 downto 0 do
+    let i = (f.head + k) land mask in
+    match f.payload.(i) with Some m -> f.payload.(i) <- rewrite m | None -> ()
+  done
 
 let inject t m = ignore (transmit_timed t m)

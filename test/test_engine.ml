@@ -154,7 +154,9 @@ let test_until_then_earlier () =
    Delays reach far past the engine's bucket window, small ones collide
    on the same instant, and a fired event may schedule one more.  Three
    timers are armed, re-armed and cancelled among the events: a timer is
-   one model event that leaves the list before it is queued again. *)
+   one model event that leaves the list before it is queued again.  Two
+   recurring actions are queued among them too; each firing logs the
+   action, not a seq, and the second one queues the first 3 ticks on. *)
 
 type op =
   | Schedule of { delay : int; child : int option }
@@ -165,6 +167,8 @@ type op =
   | Arm of { timer : int; offset : int }  (** from the clock; may be past *)
   | Rearm of int  (** at the instant the timer is due *)
   | Cancel of int
+  | Recur of { action : int; delay : int }
+  | Recur_at of { action : int; offset : int }  (** from the clock; may be past *)
 
 let show_op = function
   | Schedule { delay; child } ->
@@ -177,12 +181,15 @@ let show_op = function
   | Arm { timer; offset } -> Printf.sprintf "arm timer %d at %+d" timer offset
   | Rearm i -> Printf.sprintf "re-arm timer %d" i
   | Cancel i -> Printf.sprintf "cancel timer %d" i
+  | Recur { action; delay } -> Printf.sprintf "recurring %d after %d" action delay
+  | Recur_at { action; offset } -> Printf.sprintf "recurring %d at %+d" action offset
 
 type mevent = {
   m_time : int;
   m_seq : int;
   m_child : int option;
   m_timer : int;  (** the timer it is, or -1 *)
+  m_recur : int;  (** the recurring action it is, or -1 *)
 }
 
 type model = {
@@ -195,8 +202,17 @@ type model = {
 
 let timers = 3
 
-let m_schedule ?(timer = -1) m ~time ~child =
-  let ev = { m_time = max time m.clock; m_seq = m.next_seq; m_child = child; m_timer = timer } in
+(* Recurring action 1 queues action 0 this many ticks after it fires. *)
+let recur_child_delay = 3
+
+(* What a firing logs in place of a seq: the firings of one recurring
+   action are interchangeable. *)
+let recur_mark action = -1 - action
+
+let m_schedule ?(timer = -1) ?(recur = -1) m ~time ~child =
+  let ev =
+    { m_time = max time m.clock; m_seq = m.next_seq; m_child = child; m_timer = timer; m_recur = recur }
+  in
   m.next_seq <- m.next_seq + 1;
   (* The newest seq goes after every event of its instant. *)
   let rec insert = function
@@ -208,8 +224,10 @@ let m_schedule ?(timer = -1) m ~time ~child =
 let m_fire m ev =
   m.queue <- List.filter (fun e -> e.m_seq <> ev.m_seq) m.queue;
   m.clock <- max m.clock ev.m_time;
-  m.log <- (ev.m_seq, m.clock) :: m.log;
-  Option.iter (fun d -> m_schedule m ~time:(m.clock + d) ~child:None) ev.m_child
+  m.log <- ((if ev.m_recur < 0 then ev.m_seq else recur_mark ev.m_recur), m.clock) :: m.log;
+  Option.iter (fun d -> m_schedule m ~time:(m.clock + d) ~child:None) ev.m_child;
+  if ev.m_recur = 1 then
+    m_schedule ~recur:0 m ~time:(m.clock + recur_child_delay) ~child:None
 
 let m_run m ?until ~max_events () =
   let due ev = match until with Some u -> ev.m_time <= u | None -> true in
@@ -250,15 +268,36 @@ type real = {
   mutable r_log : (int * int) list;
   mutable r_timers : Sim.Engine.timer array;
   timer_tag : int array;
+  mutable r_recur : Sim.Engine.recurring array;
 }
 
 let real () =
-  let r = { e = mk (); tag = 0; r_log = []; r_timers = [||]; timer_tag = Array.make timers (-1) } in
-  r.r_timers <-
-    Array.init timers (fun i ->
-        Sim.Engine.timer r.e (fun () ->
-            r.r_log <- (r.timer_tag.(i), Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log));
+  let r =
+    {
+      e = mk ();
+      tag = 0;
+      r_log = [];
+      r_timers = [||];
+      timer_tag = Array.make timers (-1);
+      r_recur = [||];
+    }
+  in
+  let log tag = r.r_log <- (tag, Sim.Vtime.to_int (Sim.Engine.now r.e)) :: r.r_log in
+  r.r_timers <- Array.init timers (fun i -> Sim.Engine.timer r.e (fun () -> log r.timer_tag.(i)));
+  let first = Sim.Engine.recurring r.e (fun () -> log (recur_mark 0)) in
+  let second =
+    Sim.Engine.recurring r.e (fun () ->
+        log (recur_mark 1);
+        r.tag <- r.tag + 1;
+        Sim.Engine.schedule_recurring r.e ~delay:recur_child_delay first)
+  in
+  r.r_recur <- [| first; second |];
   r
+
+(* A recurring action has no tag, but takes a seq like any event. *)
+let r_recur r sched =
+  r.tag <- r.tag + 1;
+  sched r.e
 
 let r_arm r i time =
   r.timer_tag.(i) <- r.tag;
@@ -311,6 +350,15 @@ let apply r m op =
     Sim.Engine.cancel r.r_timers.(i);
     m_cancel m i;
     true
+  | Recur { action; delay } ->
+    r_recur r (fun e -> Sim.Engine.schedule_recurring e ~delay r.r_recur.(action));
+    m_schedule ~recur:action m ~time:(m.clock + delay) ~child:None;
+    true
+  | Recur_at { action; offset } ->
+    let at = max 0 (m.clock + offset) in
+    r_recur r (fun e -> Sim.Engine.schedule_recurring_at e (vt at) r.r_recur.(action));
+    m_schedule ~recur:action m ~time:at ~child:None;
+    true
 
 let agree r m =
   let log_equal = List.equal (fun (a, b) (c, d) -> Int.equal a c && Int.equal b d) in
@@ -347,6 +395,11 @@ let gen_op =
       );
       (2, map (fun i -> Rearm i) (int_range 0 (timers - 1)));
       (1, map (fun i -> Cancel i) (int_range 0 (timers - 1)));
+      (4, map2 (fun action delay -> Recur { action; delay }) (int_range 0 1) delay);
+      ( 1,
+        map2
+          (fun action offset -> Recur_at { action; offset })
+          (int_range 0 1) (int_range (-20) 200) );
     ]
 
 (* Run [ops] against the engine and the model; [Some (i, op)] names the
@@ -422,13 +475,15 @@ let test_timer_positions () =
 (* The engine keeps pending events in a pool of 32 slots that doubles when
    full.  A fixed program, checked against the model like the random
    ones, queues past 32, 64, 128 and 256 pending events (each burst adds
-   more than it fires), and arms, re-arms in place and cancels the three
-   timers around every growth, in the ring and in the overflow. *)
+   more than it fires, every seventh event a recurring one), and arms,
+   re-arms in place and cancels the three timers around every growth, in
+   the ring and in the overflow. *)
 let test_pool_growth () =
   let burst k =
     List.init k (fun i ->
         let delay = (i * 37 mod 200) - 2 in
-        Schedule { delay; child = (if i mod 5 = 0 then Some (i mod 9) else None) })
+        if i mod 7 = 3 then Recur { action = i mod 2; delay }
+        else Schedule { delay; child = (if i mod 5 = 0 then Some (i mod 9) else None) })
   in
   let arm timer offset = Arm { timer; offset } in
   let program =
@@ -477,6 +532,41 @@ let test_freed_slot_runs_new_action () =
     "each event ran its own action, once"
     [ "a"; "b"; "c"; "timer"; "d"; "timer" ]
     (List.rev !log)
+
+(* A slot freed by a closure event is taken by a recurring one and the
+   other way round, also from inside the firing action, whose own slot is
+   already free: each event must run the action it was queued with.
+   The runs are bounded: a slot that kept its old action could loop. *)
+let test_freed_slot_changes_kind () =
+  let e = mk () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let r = Sim.Engine.recurring e (note "r") in
+  let s =
+    Sim.Engine.recurring e (fun () ->
+        note "s" ();
+        Sim.Engine.schedule e ~delay:0 (note "after s"))
+  in
+  Sim.Engine.schedule_recurring e ~delay:1 r;
+  check_true "r fires" (Sim.Engine.step e);
+  Sim.Engine.schedule e ~delay:1 (note "closure");
+  check_true "the closure fires" (Sim.Engine.step e);
+  Sim.Engine.schedule_recurring e ~delay:1 r;
+  Sim.Engine.schedule e ~delay:2 (fun () ->
+      note "c" ();
+      Sim.Engine.schedule_recurring e ~delay:0 s);
+  Sim.Engine.run ~max_events:10 e;
+  let tm = Sim.Engine.timer e (note "timer") in
+  Sim.Engine.arm tm (Sim.Vtime.of_int 10);
+  Sim.Engine.cancel tm;
+  Sim.Engine.schedule_recurring_at e (Sim.Vtime.of_int 10) r;
+  Sim.Engine.arm tm (Sim.Vtime.of_int 10);
+  Sim.Engine.run ~max_events:10 e;
+  Alcotest.(check (list string))
+    "each event ran its own action, once"
+    [ "r"; "closure"; "r"; "c"; "s"; "after s"; "r"; "timer" ]
+    (List.rev !log);
+  check_true "drained" (Sim.Engine.quiescent e)
 
 (* An action that captures [v], registered in [w] at index [i].  Apart
    from the action, nothing keeps [v] alive. *)
@@ -531,5 +621,6 @@ let tests =
     case "timer positions match the model" test_timer_positions;
     case "pool growth matches the model" test_pool_growth;
     case "a freed slot runs its new action" test_freed_slot_runs_new_action;
+    case "a freed slot changes kind" test_freed_slot_changes_kind;
     case "the pool pins no fired or cancelled action" test_pool_pins_nothing;
   ]

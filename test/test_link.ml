@@ -94,6 +94,61 @@ let test_drop_keeps_heads () =
     (List.rev !got);
   check_strings "every slot notified, in order" [ "a"; "b"; "c"; "d" ] (List.rev !slots)
 
+(* A link's ring holds 8 messages, then 16, 32 and 64.  Messages go out
+   8 at a time and the 3 oldest arrive after each batch, so the ring has
+   wrapped whenever it grows.  With more than 8, 16 and 32 messages in
+   flight, a transient fault visits them newest first, dropping every
+   third and rewriting the one after; every survivor then arrives in
+   order, at its own arrival, and every message's callback fires in
+   order, the dropped ones' included. *)
+let test_ring_wraps_and_grows () =
+  List.iter
+    (fun target ->
+      let rng = Sim.Rng.create target in
+      let e = Sim.Engine.create ~rng () in
+      let got = ref [] and slots = ref [] in
+      let link =
+        Sim.Link.create ~engine:e
+          ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
+          ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
+      in
+      let sent = ref [] and arrived = ref 0 in
+      while List.length !sent - !arrived <= target do
+        for _ = 1 to 8 do
+          let m = string_of_int (List.length !sent) in
+          let at = Sim.Link.send_timed link ~on_delivered:(fun () -> slots := m :: !slots) m in
+          sent := (m, Sim.Vtime.to_int at) :: !sent
+        done;
+        for _ = 1 to 3 do
+          check_true "an old message arrives" (Sim.Engine.step e)
+        done;
+        arrived := !arrived + 3
+      done;
+      let sent = List.rev !sent in
+      let in_flight = List.filteri (fun i _ -> i >= !arrived) sent in
+      let label = Printf.sprintf "%d in flight" (List.length in_flight) in
+      check_int label (List.length in_flight) (Sim.Engine.pending e);
+      let fate m = if List.mem_assoc m in_flight then int_of_string m mod 3 else 2 in
+      let visited = ref [] in
+      Sim.Link.corrupt_in_flight link (fun m ->
+          visited := m :: !visited;
+          match fate m with 0 -> None | 1 -> Some (m ^ "'") | _ -> Some m);
+      check_strings (label ^ ", visited newest first")
+        (List.rev_map fst in_flight) (List.rev !visited);
+      while Sim.Engine.step e do () done;
+      let expected =
+        List.filter_map
+          (fun (m, at) ->
+            match fate m with 0 -> None | 1 -> Some (m ^ "'", at) | _ -> Some (m, at))
+          sent
+      in
+      Alcotest.(check (list (pair string int)))
+        (label ^ ", each survivor at its own arrival")
+        expected (List.rev !got);
+      check_strings (label ^ ", every slot notified, in order") (List.map fst sent)
+        (List.rev !slots))
+    [ 8; 16; 32 ]
+
 let test_inject () =
   let e, link, received = mk () in
   Sim.Link.inject link "spurious";
@@ -169,6 +224,7 @@ let tests =
     case "send_timed arrival" test_send_timed_reports_arrival;
     case "in-flight corruption" test_in_flight_and_corruption;
     case "a dropped payload keeps the heads aligned" test_drop_keeps_heads;
+    case "the ring wraps and grows" test_ring_wraps_and_grows;
     case "inject" test_inject;
     case "message counter" test_message_counter;
     case "fixed delay" test_fixed_delay;

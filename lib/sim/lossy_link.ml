@@ -10,8 +10,8 @@ type 'm t = {
   classify : ('m -> Obs.Event.msg_class) option;
   deliver : 'm -> unit;
   dropped : int ref;
-  pkts : int ref Lazy.t; (* ["net.pkts"] *)
-  msgs : int ref Lazy.t; (* ["net.msgs"] *)
+  mutable pkts : int ref option; (* ["net.pkts"], once resolved *)
+  mutable msgs : int ref option; (* ["net.msgs"], once resolved *)
   mutable next_id : int;
   mutable flight : 'm entry list;
 }
@@ -34,8 +34,8 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?classify ~name
     dropped = Obs.Metrics.counter_ref (Engine.metrics engine) "net.dropped";
     (* Resolved at first use: a link that never carries a packet adds no
        zero counter to the report. *)
-    pkts = lazy (Obs.Metrics.counter_ref (Engine.metrics engine) "net.pkts");
-    msgs = lazy (Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs");
+    pkts = None;
+    msgs = None;
     next_id = 0;
     flight = [];
   }
@@ -82,8 +82,26 @@ let record_drop t payload =
            cls = (match t.classify with Some f -> Some (f payload) | None -> None);
          })
 
+(* The counters, resolved at first use.  Not [Lazy]: every force of a
+   lazy value is a C call. *)
+let pkts t =
+  match t.pkts with
+  | Some r -> r
+  | None ->
+    let r = Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.pkts" in
+    t.pkts <- Some r;
+    r
+
+let msgs t =
+  match t.msgs with
+  | Some r -> r
+  | None ->
+    let r = Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.msgs" in
+    t.msgs <- Some r;
+    r
+
 let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
-  incr (Lazy.force t.pkts);
+  incr (pkts t);
   if (not lossless) && Rng.float t.rng 1.0 < t.loss then record_drop t payload
   else begin
     let entry = { id = t.next_id; payload = Some payload } in
@@ -94,7 +112,7 @@ let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
         match entry.payload with
         | None -> ()
         | Some m ->
-          incr (Lazy.force t.msgs);
+          incr (msgs t);
           (* Duplication: the packet is delivered once more after another
              (lossless) transit.  A copy never re-duplicates: the medium
              has bounded capacity, so duplicate chains are bounded. *)

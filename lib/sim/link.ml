@@ -59,7 +59,7 @@ let arrive f =
   (* Read the payload at fire time: a transient fault may have rewritten
      or dropped it while in transit. *)
   let payload = f.payload.(i) and notify = f.notify.(i) in
-  (match payload with Some _ -> f.payload.(i) <- None | None -> ());
+  f.payload.(i) <- None;
   (match notify with Some _ -> f.notify.(i) <- None | None -> ());
   f.head <- (i + 1) land (Array.length f.payload - 1);
   f.count <- f.count - 1;

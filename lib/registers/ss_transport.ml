@@ -128,8 +128,9 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
     | None -> None
   in
   (* The data link and the timer call back into the transport, which
-     holds them: each goes through a cell assigned once it exists. *)
-  let on_data = ref ignore and on_tick = ref ignore in
+     holds them: both reach it through [self], assigned once it exists.
+     Not [Lazy]: every force of a lazy value is a C call. *)
+  let self = ref None in
   let t =
     {
       engine;
@@ -138,13 +139,16 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
       data =
         Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss
           ~dup ?classify:classify_pkt ~name:(name ^ ".data")
-          ~deliver:(fun pkt -> !on_data pkt)
+          ~deliver:(fun pkt ->
+            match !self with Some t -> on_packet t ~deliver pkt | None -> ())
           ();
       acks = None;
       queue = Queue.create ();
       current = None;
       tag = 0;
-      timer = Sim.Engine.recurring engine (fun () -> !on_tick ());
+      timer =
+        Sim.Engine.recurring engine (fun () ->
+            match !self with Some t -> on_timer t | None -> ());
       timer_armed = false;
       sent = 0;
       retrans_ctr =
@@ -155,8 +159,7 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
       stale_seen_at = Sim.Vtime.zero;
     }
   in
-  on_data := on_packet t ~deliver;
-  (on_tick := fun () -> on_timer t);
+  self := Some t;
   t.acks <-
     Some
       (Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss

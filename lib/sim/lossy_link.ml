@@ -10,8 +10,8 @@ type 'm t = {
   classify : ('m -> Obs.Event.msg_class) option;
   deliver : 'm -> unit;
   dropped : int ref;
-  mutable pkts : int ref option; (* ["net.pkts"], once resolved *)
-  mutable msgs : int ref option; (* ["net.msgs"], once resolved *)
+  mutable pkts : int ref; (* ["net.pkts"]; [dropped] until resolved *)
+  mutable msgs : int ref; (* ["net.msgs"]; [dropped] until resolved *)
   mutable next_id : int;
   mutable flight : 'm entry list;
 }
@@ -22,6 +22,7 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?classify ~name
     invalid_arg "Lossy_link.create: loss must be in [0,1)";
   if dup < 0.0 || dup >= 1.0 then
     invalid_arg "Lossy_link.create: dup must be in [0,1)";
+  let dropped = Obs.Metrics.counter_ref (Engine.metrics engine) "net.dropped" in
   {
     engine;
     rng;
@@ -31,11 +32,11 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?classify ~name
     name;
     classify;
     deliver;
-    dropped = Obs.Metrics.counter_ref (Engine.metrics engine) "net.dropped";
+    dropped;
     (* Resolved at first use: a link that never carries a packet adds no
        zero counter to the report. *)
-    pkts = None;
-    msgs = None;
+    pkts = dropped;
+    msgs = dropped;
     next_id = 0;
     flight = [];
   }
@@ -82,23 +83,19 @@ let record_drop t payload =
            cls = (match t.classify with Some f -> Some (f payload) | None -> None);
          })
 
-(* The counters, resolved at first use.  Not [Lazy]: every force of a
-   lazy value is a C call. *)
+(* The counters, resolved at first use.  Not [Lazy], whose every force
+   is a C call, and not an option, whose [Some] each link would keep:
+   until resolved a counter field holds the link's own [dropped], which
+   is never its packet or message counter. *)
 let pkts t =
-  match t.pkts with
-  | Some r -> r
-  | None ->
-    let r = Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.pkts" in
-    t.pkts <- Some r;
-    r
+  if t.pkts == t.dropped then
+    t.pkts <- Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.pkts";
+  t.pkts
 
 let msgs t =
-  match t.msgs with
-  | Some r -> r
-  | None ->
-    let r = Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.msgs" in
-    t.msgs <- Some r;
-    r
+  if t.msgs == t.dropped then
+    t.msgs <- Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.msgs";
+  t.msgs
 
 let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
   incr (pkts t);

@@ -14,7 +14,11 @@
     the same action: deliver the oldest message in flight.  That pairing
     holds because arrivals are monotone per link and the engine fires in
     (time, seq) order, so a link's events fire in the order they were
-    scheduled. *)
+    scheduled.  The action is an {!Engine.recurring} action, registered
+    when the link is created, so it lives as long as the engine; the
+    messages in flight sit in a ring of arrays that starts at 8 slots
+    and doubles, and a delivered message's slot is cleared, so the link
+    keeps nothing of a message once it has arrived. *)
 
 type 'm t
 

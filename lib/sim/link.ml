@@ -8,8 +8,9 @@
 
    Every delivery event runs the same action, [arrive] on the ring,
    registered once with the engine as a recurring action: queueing a
-   message stores its payload and nothing else that is a pointer.  The
-   action captures the ring, not the link, which holds its handle. *)
+   message stores its payload, and its callback if it has one, and no
+   other pointer.  The action captures the ring, not the link, which
+   holds its handle. *)
 
 let initial_ring = 8
 

@@ -173,17 +173,10 @@ let apply_event scn = function
              (fun (slot, s) -> (slot, Strategy.to_behavior adv ~slot s))
              assign))
   | Schedule.Window { at; duration; loss; dup; dir; server } ->
-    let dir =
-      match dir with
-      | Schedule.To_servers -> `To_servers
-      | Schedule.From_servers -> `From_servers
-      | Schedule.Both -> `Both
-    in
     let set ~loss ~dup =
       List.iter
         (fun (_, port) ->
-          ignore
-            (Registers.Net.set_port_chaos port ~dir ?server ~loss ~dup ()))
+          Registers.Net.set_port_chaos port ~dir ?server ~loss ~dup ())
         (Registers.Net.client_ports scn.Harness.Scenario.net)
     in
     Sim.Engine.schedule_at scn.Harness.Scenario.engine (Sim.Vtime.of_int at)

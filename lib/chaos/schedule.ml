@@ -1,4 +1,4 @@
-type direction = To_servers | From_servers | Both
+type direction = Registers.Net.direction = To_servers | From_servers | Both
 
 type event =
   | Inject of { at : int; prefix : string }

@@ -5,7 +5,7 @@
     resolved at generation time, so a schedule replays bit-identically, can
     be serialized to JSON, and shrinks by plain list surgery. *)
 
-type direction = To_servers | From_servers | Both
+type direction = Registers.Net.direction = To_servers | From_servers | Both
 
 type event =
   | Inject of { at : int; prefix : string }

@@ -1,6 +1,6 @@
-(** History statistics for the experiment tables: latencies, read
-    counts and the empirical stabilization point.  Latency summaries
-    are {!Obs.Metrics.summary}. *)
+(** History statistics for the experiment tables: latencies and read
+    counts.  Latency summaries are {!Obs.Metrics.summary}; the
+    post-fault verdict is {!Oracles.Stabilization}. *)
 
 val latencies : kind:Oracles.History.kind -> Oracles.History.t -> float list
 (** Operation latencies (ticks) of the given kind, successful ops only. *)
@@ -8,10 +8,3 @@ val latencies : kind:Oracles.History.kind -> Oracles.History.t -> float list
 val ok_reads : Oracles.History.t -> int
 
 val failed_reads : Oracles.History.t -> int
-
-val stabilization_read_index :
-  valid:(Oracles.History.op -> bool) -> Oracles.History.t -> int option
-(** Index (0-based, in invocation order) of the first read from which all
-    subsequent reads satisfy [valid] — the empirically observed
-    stabilization point; [None] if no suffix is clean or there are no
-    reads. *)

@@ -88,52 +88,10 @@ let register_port t (port : Registers.Net.client_port) =
   let id = port.Registers.Net.client_id in
   Sim.Fault.register t.fault
     ~name:(Printf.sprintf "client.%d.round" id)
-    (fun rng -> port.Registers.Net.round <- Sim.Rng.int rng 1024);
+    (Registers.Net.corrupt_round port);
   Sim.Fault.register t.fault
     ~name:(Printf.sprintf "link.c%d" id)
-    (fun rng ->
-      (* Garble what is in transit towards the servers.  Deliveries and
-         their round tags survive — the self-stabilizing data link's
-         retransmission completes every in-flight handshake — but the
-         protocol contents are arbitrary. *)
-      Array.iter
-        (fun link ->
-          Sim.Link.corrupt_in_flight link
-            (fun (env : Registers.Messages.server_envelope) ->
-              let body =
-                match env.body with
-                | Registers.Messages.Write _ ->
-                  Registers.Messages.Write (Registers.Messages.arbitrary_cell rng)
-                | Registers.Messages.New_help _ ->
-                  Registers.Messages.New_help
-                    (Registers.Messages.arbitrary_cell rng)
-                | Registers.Messages.Read _ ->
-                  Registers.Messages.Read (Sim.Rng.bool rng)
-              in
-              Some { env with body }))
-        port.Registers.Net.to_servers;
-      (* Under the Stabilizing medium: scramble the transports' tag state
-         and packets instead. *)
-      Registers.Net.corrupt_transport port rng;
-      (* And plant spurious acknowledgments on the return links: the
-         arbitrary initial link state of the model. *)
-      Array.iteri
-        (fun server link ->
-          if Sim.Rng.bool rng then
-            Sim.Link.inject link
-              {
-                Registers.Messages.round = Sim.Rng.int rng 1024;
-                server;
-                body =
-                  Registers.Messages.Ack_read
-                    ( Registers.Messages.arbitrary_cell rng,
-                      Some (Registers.Messages.arbitrary_cell rng) );
-                (* Debris from the arbitrary initial state has no causal
-                   ancestry. *)
-                cause = Obs.Trace_ctx.none;
-                span_id = 0;
-              })
-        port.Registers.Net.from_servers)
+    (Registers.Net.corrupt_links port)
 
 let register_atomic_writer t ~name w =
   Sim.Fault.register t.fault

@@ -58,9 +58,9 @@ val sleep : t -> Sim.Vtime.span -> unit
 (** Suspend the calling fiber for a duration. *)
 
 val register_port : t -> Registers.Net.client_port -> unit
-(** Expose a client port's data-link round tag (and in-flight link
-    contents) to the fault injector, under ["client.<id>.round"] and
-    ["link.c<id>"]. *)
+(** Name a client port's transient faults for the fault injector:
+    ["client.<id>.round"] ({!Registers.Net.corrupt_round}), then
+    ["link.c<id>"] ({!Registers.Net.corrupt_links}). *)
 
 val register_atomic_writer : t -> name:string -> Registers.Swsr_atomic.writer -> unit
 (** Register the writer's persistent [wsn] under ["client.<name>.wsn"]. *)

@@ -52,8 +52,6 @@ type t =
 
 let all_classes = [ Write; New_help; Read; Ack_write; Ack_read; Link_ack ]
 
-let num_classes = List.length all_classes
-
 let class_index = function
   | Write -> 0
   | New_help -> 1

@@ -69,10 +69,9 @@ type t =
 
 val all_classes : msg_class list
 
-val num_classes : int
-
 val class_index : msg_class -> int
-(** Dense index in [0, num_classes), for per-class counter arrays. *)
+(** Dense index in [0, List.length all_classes), for per-class counter
+    arrays. *)
 
 val class_name : msg_class -> string
 

@@ -65,8 +65,6 @@ let observe h v =
 
 let hist_count h = h.count
 
-let hist_sum h = h.sum
-
 let hist_min h = if h.count = 0 then 0.0 else h.min_v
 
 let hist_max h = if h.count = 0 then 0.0 else h.max_v
@@ -188,16 +186,11 @@ let summary_of_json ctx j =
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
   hists : (string, histogram) Hashtbl.t;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
-    hists = Hashtbl.create 8;
-  }
+  { counters = Hashtbl.create 32; hists = Hashtbl.create 8 }
 
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
@@ -225,14 +218,6 @@ let counters t =
    no reader looks. *)
 let reset_counters t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters (* lint: allow R1 -- order-insensitive *)
-
-let set_gauge t name v = Hashtbl.replace t.gauges name v
-
-let gauge t name = Hashtbl.find_opt t.gauges name
-
-let gauges t =
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let histogram t name =
   match Hashtbl.find_opt t.hists name with

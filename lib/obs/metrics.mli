@@ -1,5 +1,5 @@
-(** The metrics registry: named counters, gauges, and log-bucketed
-    latency histograms.
+(** The metrics registry: named counters and log-bucketed latency
+    histograms.
 
     One registry lives in each engine ([Sim.Engine.metrics]); protocol
     and substrate code bump counters and observe latencies, run reports
@@ -14,8 +14,6 @@ val observe : histogram -> float -> unit
 (** Record one sample (negative samples clamp to 0). *)
 
 val hist_count : histogram -> int
-
-val hist_sum : histogram -> float
 
 val hist_min : histogram -> float
 
@@ -92,12 +90,6 @@ val counters : t -> (string * int) list
 val reset_counters : t -> unit
 (** Zero every counter in place; refs taken earlier keep counting into
     the registry. *)
-
-val set_gauge : t -> string -> float -> unit
-
-val gauge : t -> string -> float option
-
-val gauges : t -> (string * float) list
 
 val histogram : t -> string -> histogram
 (** Find-or-create. *)

@@ -1,23 +1,26 @@
 type endpoint = { mutable on_deliver : Messages.server_envelope -> unit }
 
-type medium =
-  | Reliable_fifo
-  | Stabilizing of { loss : float; dup : float; retrans : int }
-
-type port_transport =
-  | Direct
-  | Lossy of {
+(* A port's links under the deployment's medium, in one place: every
+   send, chaos knob and transient fault on them is one match here. *)
+type links =
+  | Fifo of {
+      to_servers : Messages.server_envelope Sim.Link.t array;
+      from_servers : Messages.client_envelope Sim.Link.t array;
+    }
+  | Stabilizing of {
       to_servers : Messages.server_envelope Ss_transport.t array;
       reply_senders : Messages.client_envelope Ss_transport.t array;
     }
 
+type medium =
+  | Reliable_fifo
+  | Stabilizing of { loss : float; dup : float; retrans : int }
+
 type client_port = {
   client_id : int;
   mailbox : Messages.client_envelope Sim.Mailbox.t;
-  to_servers : Messages.server_envelope Sim.Link.t array;
-  from_servers : Messages.client_envelope Sim.Link.t array;
   mutable round : int;
-  transport : port_transport;
+  links : links;
   health : Health.t;
   retry_rng : Sim.Rng.t;
 }
@@ -157,7 +160,11 @@ let add_client t ~id =
       record_ack_recv t ~client:id env;
       Sim.Mailbox.push mailbox env
     in
-    let port =
+    (* Bound one after the other, never inside a record literal, whose
+       fields OCaml evaluates in no promised order: every sampler and
+       transport splits the engine's generator, to-server links first,
+       each array in server order. *)
+    let links : links =
       match t.medium with
       | Reliable_fifo ->
         let to_servers =
@@ -169,16 +176,7 @@ let add_client t ~id =
           Array.init n (fun _ ->
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ()) ~deliver:receive)
         in
-        {
-          client_id = id;
-          mailbox;
-          to_servers;
-          from_servers;
-          round = 0;
-          transport = Direct;
-          health;
-          retry_rng;
-        }
+        Fifo { to_servers; from_servers }
       | Stabilizing { loss; dup; retrans } ->
         let rng () = Sim.Rng.split (Sim.Engine.rng t.engine) in
         let to_servers =
@@ -200,17 +198,9 @@ let add_client t ~id =
                 ~name:(link_name "s" s "=>c" id)
                 ~deliver:receive ())
         in
-        {
-          client_id = id;
-          mailbox;
-          to_servers = [||];
-          from_servers = [||];
-          round = 0;
-          transport = Lossy { to_servers; reply_senders };
-          health;
-          retry_rng;
-        }
+        Stabilizing { to_servers; reply_senders }
     in
+    let port = { client_id = id; mailbox; round = 0; links; health; retry_rng } in
     t.ports <- insert_port id port t.ports;
     port
 
@@ -232,9 +222,9 @@ let send_reply t ~server ~client ~round ~cause body =
     if Obs.Hub.active (Sim.Engine.hub t.engine) then
       emit_traffic t ~send:true ~client ~server ~to_server:false
         ~span:(Messages.client_span env) cls bytes;
-    match port.transport with
-    | Direct -> Sim.Link.send port.from_servers.(server) env
-    | Lossy { reply_senders; _ } ->
+    match port.links with
+    | Fifo { from_servers; _ } -> Sim.Link.send from_servers.(server) env
+    | Stabilizing { reply_senders; _ } ->
       Ss_transport.send reply_senders.(server) env)
 
 let reply ?(parent = Obs.Trace_ctx.none) t ~server ~client body ~round =
@@ -323,22 +313,20 @@ let ss_broadcast ?(span = Obs.Trace_ctx.none) t port ~inst body =
       in
       for s = 0 to t.params.Params.n - 1 do
         let on_delivered = if t.correct.(s) then on_correct else None in
-        match port.transport with
-        | Direct ->
-          ignore (Sim.Link.send_timed port.to_servers.(s) ?on_delivered env)
-        | Lossy { to_servers; _ } ->
+        match port.links with
+        | Fifo { to_servers; _ } -> Sim.Link.send to_servers.(s) ?on_delivered env
+        | Stabilizing { to_servers; _ } ->
           Ss_transport.send to_servers.(s) ?on_delivered env
       done;
       if target = 0 then Sim.Engine.schedule t.engine ~delay:0 settle);
   env.Messages.round
 
-type chaos_dir = [ `To_servers | `From_servers | `Both ]
+type direction = To_servers | From_servers | Both
 
-let set_port_chaos port ?(dir = `Both) ?server ~loss ~dup () =
-  match port.transport with
-  | Direct -> 0
-  | Lossy { to_servers; reply_senders } ->
-    let touched = ref 0 in
+let set_port_chaos port ~dir ?server ~loss ~dup () =
+  match port.links with
+  | Fifo _ -> ()
+  | Stabilizing { to_servers; reply_senders } -> (
     let apply arr =
       Array.iteri
         (fun s tr ->
@@ -346,21 +334,56 @@ let set_port_chaos port ?(dir = `Both) ?server ~loss ~dup () =
           | Some k when k <> s -> ()
           | Some _ | None ->
             Ss_transport.set_loss tr loss;
-            Ss_transport.set_dup tr dup;
-            incr touched)
+            Ss_transport.set_dup tr dup)
         arr
     in
-    (match dir with
-    | `To_servers -> apply to_servers
-    | `From_servers -> apply reply_senders
-    | `Both ->
+    match dir with
+    | To_servers -> apply to_servers
+    | From_servers -> apply reply_senders
+    | Both ->
       apply to_servers;
-      apply reply_senders);
-    !touched
+      apply reply_senders)
 
-let corrupt_transport port rng =
-  match port.transport with
-  | Direct -> ()
-  | Lossy { to_servers; reply_senders } ->
+let corrupt_round port rng = port.round <- Sim.Rng.int rng 1024
+
+let corrupt_links port rng =
+  match port.links with
+  | Fifo { to_servers; from_servers } ->
+    (* Garble what is in transit towards the servers.  Deliveries and
+       their round tags survive — the self-stabilizing data link's
+       retransmission completes every in-flight handshake — but the
+       protocol contents are arbitrary. *)
+    Array.iter
+      (fun link ->
+        Sim.Link.corrupt_in_flight link (fun (env : Messages.server_envelope) ->
+            let body =
+              match env.body with
+              | Messages.Write _ -> Messages.Write (Messages.arbitrary_cell rng)
+              | Messages.New_help _ ->
+                Messages.New_help (Messages.arbitrary_cell rng)
+              | Messages.Read _ -> Messages.Read (Sim.Rng.bool rng)
+            in
+            Some { env with body }))
+      to_servers;
+    (* And plant spurious acknowledgments on the return links: the
+       arbitrary initial link state of the model. *)
+    Array.iteri
+      (fun server link ->
+        if Sim.Rng.bool rng then
+          Sim.Link.send link
+            {
+              Messages.round = Sim.Rng.int rng 1024;
+              server;
+              body =
+                Messages.Ack_read
+                  ( Messages.arbitrary_cell rng,
+                    Some (Messages.arbitrary_cell rng) );
+              (* Debris from the arbitrary initial state has no causal
+                 ancestry. *)
+              cause = Obs.Trace_ctx.none;
+              span_id = 0;
+            })
+      from_servers
+  | Stabilizing { to_servers; reply_senders } ->
     Array.iter (fun s -> Ss_transport.corrupt s rng) to_servers;
     Array.iter (fun s -> Ss_transport.corrupt s rng) reply_senders

@@ -7,6 +7,13 @@
     link to every server, an incoming acknowledgment link from every
     server, and a mailbox merging arrivals.
 
+    This module alone knows what a port's links are: it builds them for
+    the deployment's {!medium}, sends on them, retunes them
+    ({!set_port_chaos}) and applies the transient faults of §2.1 that
+    rewrite the messages in transit ({!corrupt_links}) or the port's
+    round tag ({!corrupt_round}).  Callers name these faults; they never
+    reach a link.
+
     {2 ss-broadcast realization}
 
     {!ss_broadcast} schedules an ss-delivery at every server (per-link
@@ -36,18 +43,17 @@ type medium =
           transport's own delivery acknowledgments — the registers then
           run end-to-end over genuinely unreliable links *)
 
-type port_transport
-(** Internals of a port's [Stabilizing]-medium transports (opaque). *)
+type links
+(** A port's links under the deployment's medium: FIFO links under
+    [Reliable_fifo], {!Ss_transport}s under [Stabilizing].  Only this
+    module sends on them, retunes them ({!set_port_chaos}) or corrupts
+    them ({!corrupt_links}). *)
 
-type client_port = {
+type client_port = private {
   client_id : int;
   mailbox : Messages.client_envelope Sim.Mailbox.t;
-  to_servers : Messages.server_envelope Sim.Link.t array;
-      (** [Reliable_fifo] links; empty under [Stabilizing] *)
-  from_servers : Messages.client_envelope Sim.Link.t array;
-      (** [Reliable_fifo] links; empty under [Stabilizing] *)
   mutable round : int;
-  transport : port_transport;
+  links : links;
   health : Health.t;
       (** per-server responsiveness evidence, fed by deadline-bounded
           collection attempts (see {!Collect}) *)
@@ -72,28 +78,36 @@ val create :
     links touching correct processes.  [medium] defaults to
     [Reliable_fifo]. *)
 
-type chaos_dir = [ `To_servers | `From_servers | `Both ]
+type direction = To_servers | From_servers | Both
+(** Which of a port's links a chaos knob retunes: the client-to-server
+    links, the acknowledgment links, or both. *)
 
 val set_port_chaos :
   client_port ->
-  ?dir:chaos_dir ->
+  dir:direction ->
   ?server:int ->
   loss:float ->
   dup:float ->
   unit ->
-  int
+  unit
 (** Runtime link-chaos knob (only meaningful under the [Stabilizing]
-    medium): retune loss/duplication on the port's transports.  [dir]
-    (default [`Both]) selects the client-to-server direction, the
-    acknowledgment direction, or both; [server], when given, restricts the
-    change to the links touching that one server slot — [loss = 1.0] on a
-    single slot is a directed partition.  Returns how many transports were
-    adjusted ([0] under [Reliable_fifo], where links are reliable by
-    assumption and there is nothing to retune). *)
+    medium): retune loss/duplication on the port's transports in
+    direction [dir]; [server], when given, restricts the change to the
+    links touching that one server slot — [loss = 1.0] on a single slot
+    is a directed partition.  A no-op under [Reliable_fifo], where links
+    are reliable by assumption and there is nothing to retune. *)
 
-val corrupt_transport : client_port -> Sim.Rng.t -> unit
-(** Transient fault on the port's [Stabilizing] transports (both ends' tag
-    state and packets in flight); no-op under [Reliable_fifo]. *)
+val corrupt_round : client_port -> Sim.Rng.t -> unit
+(** Transient fault on the port's data-link round tag: an arbitrary tag
+    in [\[0, 1024)]. *)
+
+val corrupt_links : client_port -> Sim.Rng.t -> unit
+(** Transient fault on the port's links.  Under [Reliable_fifo] it
+    rewrites the bodies of the requests in flight (newest first on each
+    link, in server order; their count and round tags survive), then
+    plants a spurious acknowledgment, with probability 1/2, on each
+    return link.  Under [Stabilizing] it scrambles every transport (both
+    ends' tag state and packets in flight), to-server transports first. *)
 
 val engine : t -> Sim.Engine.t
 

@@ -5,7 +5,7 @@ type 'm t = {
   retrans : int;
   tag_space : int;
   data : 'm packet Sim.Lossy_link.t;
-  mutable acks : int Sim.Lossy_link.t option; (* ack channel, built second *)
+  acks : int Sim.Lossy_link.t;
   (* sender state *)
   queue : ('m * (unit -> unit) option) Queue.t;
   mutable current : ('m * (unit -> unit) option) option;
@@ -71,11 +71,7 @@ let on_ack t tag =
    acknowledging a rejected packet would let the sender advance past a
    message the receiver dropped, losing it for good. *)
 let on_packet t ~deliver (pkt : 'm packet) =
-  let ack () =
-    match t.acks with
-    | Some acks -> Sim.Lossy_link.send acks pkt.tag
-    | None -> ()
-  in
+  let ack () = Sim.Lossy_link.send t.acks pkt.tag in
   let newer =
     (* Clockwise order with a window of half the tag space. *)
     pkt.tag <> t.last_tag
@@ -127,22 +123,33 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
     | Some f -> Some (fun pkt -> f pkt.body)
     | None -> None
   in
-  (* The data link and the timer call back into the transport, which
-     holds them: both reach it through [self], assigned once it exists.
-     Not [Lazy]: every force of a lazy value is a C call. *)
+  (* The links and the timer call back into the transport, which holds
+     them: they reach it through [self], assigned once it exists.  Not
+     [Lazy]: every force of a lazy value is a C call.  The data link's
+     generator is split before the ack link's. *)
   let self = ref None in
+  let data =
+    Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss ~dup
+      ?classify:classify_pkt ~name:(name ^ ".data")
+      ~deliver:(fun pkt ->
+        match !self with Some t -> on_packet t ~deliver pkt | None -> ())
+      ()
+  in
+  let acks =
+    Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss ~dup
+      ~classify:(fun _ -> Obs.Event.Link_ack)
+      ~name:(name ^ ".ack")
+      ~deliver:(fun tag ->
+        match !self with Some t -> on_ack t tag | None -> ())
+      ()
+  in
   let t =
     {
       engine;
       retrans;
       tag_space;
-      data =
-        Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss
-          ~dup ?classify:classify_pkt ~name:(name ^ ".data")
-          ~deliver:(fun pkt ->
-            match !self with Some t -> on_packet t ~deliver pkt | None -> ())
-          ();
-      acks = None;
+      data;
+      acks;
       queue = Queue.create ();
       current = None;
       tag = 0;
@@ -160,23 +167,15 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
     }
   in
   self := Some t;
-  t.acks <-
-    Some
-      (Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng) ~delay ~loss
-         ~dup
-         ~classify:(fun _ -> Obs.Event.Link_ack)
-         ~name:(name ^ ".ack")
-         ~deliver:(fun tag -> on_ack t tag)
-         ());
   t
 
 let set_loss t p =
   Sim.Lossy_link.set_loss t.data p;
-  match t.acks with Some acks -> Sim.Lossy_link.set_loss acks p | None -> ()
+  Sim.Lossy_link.set_loss t.acks p
 
 let set_dup t p =
   Sim.Lossy_link.set_dup t.data p;
-  match t.acks with Some acks -> Sim.Lossy_link.set_dup acks p | None -> ()
+  Sim.Lossy_link.set_dup t.acks p
 
 let send t ?on_delivered m =
   Queue.push (m, on_delivered) t.queue;
@@ -195,8 +194,5 @@ let corrupt t rng =
   Sim.Lossy_link.corrupt_in_flight t.data (fun pkt ->
       if Sim.Rng.bool rng then None
       else Some { pkt with tag = Sim.Rng.int rng t.tag_space });
-  match t.acks with
-  | Some acks ->
-    Sim.Lossy_link.corrupt_in_flight acks (fun _ ->
-        Some (Sim.Rng.int rng t.tag_space))
-  | None -> ()
+  Sim.Lossy_link.corrupt_in_flight t.acks (fun _ ->
+      Some (Sim.Rng.int rng t.tag_space))

@@ -27,8 +27,8 @@ val now : t -> Vtime.t
 val rng : t -> Rng.t
 
 val metrics : t -> Obs.Metrics.t
-(** The run's metrics registry: the counters, gauges and latency
-    histograms instrumented code bumps, which run reports read. *)
+(** The run's metrics registry: the counters and latency histograms
+    instrumented code bumps, which run reports read. *)
 
 val hub : t -> Obs.Hub.t
 (** The run's typed-event hub.  With no sink attached nothing is

@@ -106,7 +106,7 @@ let grow f =
   f.notify <- unroll f.notify;
   f.head <- 0
 
-let transmit_timed ?on_delivered t payload =
+let send ?on_delivered t payload =
   let proposed = Vtime.add (Engine.now t.engine) (t.delay ()) in
   (* FIFO: never overtake a message already in flight. *)
   let arrival = Vtime.max proposed t.last_arrival in
@@ -117,12 +117,7 @@ let transmit_timed ?on_delivered t payload =
   f.payload.(i) <- Some payload;
   (match on_delivered with Some _ -> f.notify.(i) <- on_delivered | None -> ());
   f.count <- f.count + 1;
-  Engine.schedule_recurring_at t.engine arrival t.arrive;
-  arrival
-
-let send t m = ignore (transmit_timed t m)
-
-let send_timed ?on_delivered t m = transmit_timed ?on_delivered t m
+  Engine.schedule_recurring_at t.engine arrival t.arrive
 
 (* Newest first: the order the rewrites draw from a fault's generator. *)
 let corrupt_in_flight t rewrite =
@@ -132,5 +127,3 @@ let corrupt_in_flight t rewrite =
     let i = (f.head + k) land mask in
     match f.payload.(i) with Some m -> f.payload.(i) <- rewrite m | None -> ()
   done
-
-let inject t m = ignore (transmit_timed t m)

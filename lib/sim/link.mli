@@ -3,8 +3,10 @@
     Matches the paper's communication model (Section 2.1): each link is
     FIFO and reliable — no loss, corruption, duplication or creation —
     during normal operation.  Transient faults, however, may arbitrarily
-    modify the link state (the messages in transit); {!corrupt_in_flight}
-    and {!inject} exist for the fault injector, not for protocols.
+    modify the link state (the messages in transit): {!corrupt_in_flight}
+    rewrites it, and {!send} plants spurious messages.  [Registers.Net]
+    owns every link of a deployment and applies these faults; protocols
+    never reach a link.
 
     In the synchronous model of Section 3.3, delays on every link touching
     a correct process are bounded; build such links with a bounded
@@ -39,18 +41,16 @@ val create : engine:Engine.t -> delay:sampler -> deliver:('m -> unit) -> 'm t
     processes each message with [deliver].  Every delivery bumps the
     engine-trace counter ["net.msgs"]. *)
 
-val send : 'm t -> 'm -> unit
+val send : ?on_delivered:(unit -> unit) -> 'm t -> 'm -> unit
 (** Transmit a message.  Arrival time is [now + delay ()], pushed later if
-    needed to preserve FIFO order with messages already in flight. *)
-
-val send_timed : ?on_delivered:(unit -> unit) -> 'm t -> 'm -> Vtime.t
-(** Like {!send}, also returning the chosen arrival instant.
+    needed to preserve FIFO order with messages already in flight.
     [on_delivered] fires when the message's delivery event does, after the
     receiver processed it — and even if a transient fault dropped the
     payload in transit (the delivery slot still happened).  The
     ss-broadcast implementation counts these callbacks to realize the
     synchronized delivery property (return after the (n-2t)-th correct
-    delivery) under any scheduling order. *)
+    delivery) under any scheduling order.  A transient fault plants a
+    spurious message the same way. *)
 
 val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
 (** Transient-fault hook: rewrite each in-transit message; [None] drops it.
@@ -58,7 +58,3 @@ val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
     generator draws in that order).  Arrival times are unchanged, and a
     dropped message still occupies its delivery event: it fires, delivers
     nothing, and still calls its [on_delivered]. *)
-
-val inject : 'm t -> 'm -> unit
-(** Transient-fault hook: add a spurious message to the link (it obeys the
-    same FIFO arrival discipline as {!send}). *)

@@ -39,13 +39,31 @@ let test_fifo_across_time () =
   Sim.Engine.run e;
   check_strings "order kept" [ "a"; "b"; "c" ] (List.rev !received)
 
-let test_send_timed_reports_arrival () =
-  let e, link, received = mk () in
-  let at = Sim.Link.send_timed link "x" in
+(* A message arrives its sampled delay after its send, pushed later when
+   that would overtake one already in flight: delays 5, 1, 8, 2 from
+   instant 0 deliver at 5, 5, 8, 8. *)
+let test_arrival_instant () =
+  let rng = Sim.Rng.create 3 in
+  let e = Sim.Engine.create ~rng () in
+  let delays = ref [ 5; 1; 8; 2 ] in
+  let delay () =
+    match !delays with
+    | d :: rest ->
+      delays := rest;
+      d
+    | [] -> 1
+  in
+  let got = ref [] in
+  let link =
+    Sim.Link.create ~engine:e ~delay
+      ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
+  in
+  List.iter (Sim.Link.send link) [ "a"; "b"; "c"; "d" ];
   Sim.Engine.run e;
-  ignore !received;
-  check_int "engine stops at arrival" (Sim.Vtime.to_int at)
-    (Sim.Vtime.to_int (Sim.Engine.now e))
+  Alcotest.(check (list (pair string int)))
+    "FIFO arrival instants"
+    [ ("a", 5); ("b", 5); ("c", 8); ("d", 8) ]
+    (List.rev !got)
 
 let test_in_flight_and_corruption () =
   let e, link, received = mk () in
@@ -73,14 +91,8 @@ let test_drop_keeps_heads () =
       ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
       ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
   in
-  let arrival =
-    List.map
-      (fun m ->
-        ( m,
-          Sim.Vtime.to_int
-            (Sim.Link.send_timed link ~on_delivered:(fun () -> slots := m :: !slots) m) ))
-      [ "a"; "b"; "c"; "d" ]
-  in
+  let slot m () = slots := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !slots in
+  List.iter (fun m -> Sim.Link.send link ~on_delivered:(slot m) m) [ "a"; "b"; "c"; "d" ];
   Sim.Link.corrupt_in_flight link (function "b" -> None | m -> Some m);
   let delivered () = List.rev_map fst !got in
   check_true "a delivered" (Sim.Engine.step e);
@@ -88,11 +100,13 @@ let test_drop_keeps_heads () =
   check_true "b's slot fires" (Sim.Engine.step e);
   check_strings "the drop delivered nothing" [ "a" ] (delivered ());
   while Sim.Engine.step e do () done;
+  let slots = List.rev !slots in
+  check_strings "every slot notified, in order" [ "a"; "b"; "c"; "d" ]
+    (List.map fst slots);
   Alcotest.(check (list (pair string int)))
     "each survivor at its own arrival"
-    (List.filter (fun (m, _) -> not (String.equal m "b")) arrival)
-    (List.rev !got);
-  check_strings "every slot notified, in order" [ "a"; "b"; "c"; "d" ] (List.rev !slots)
+    (List.filter (fun (m, _) -> not (String.equal m "b")) slots)
+    (List.rev !got)
 
 (* A link's ring holds 8 messages, then 16, 32 and 64.  Messages go out
    8 at a time and the 3 oldest arrive after each batch, so the ring has
@@ -113,11 +127,12 @@ let test_ring_wraps_and_grows () =
           ~deliver:(fun m -> got := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !got)
       in
       let sent = ref [] and arrived = ref 0 in
+      let slot m () = slots := (m, Sim.Vtime.to_int (Sim.Engine.now e)) :: !slots in
       while List.length !sent - !arrived <= target do
         for _ = 1 to 8 do
           let m = string_of_int (List.length !sent) in
-          let at = Sim.Link.send_timed link ~on_delivered:(fun () -> slots := m :: !slots) m in
-          sent := (m, Sim.Vtime.to_int at) :: !sent
+          Sim.Link.send link ~on_delivered:(slot m) m;
+          sent := m :: !sent
         done;
         for _ = 1 to 3 do
           check_true "an old message arrives" (Sim.Engine.step e)
@@ -128,32 +143,29 @@ let test_ring_wraps_and_grows () =
       let in_flight = List.filteri (fun i _ -> i >= !arrived) sent in
       let label = Printf.sprintf "%d in flight" (List.length in_flight) in
       check_int label (List.length in_flight) (Sim.Engine.pending e);
-      let fate m = if List.mem_assoc m in_flight then int_of_string m mod 3 else 2 in
+      let fate m =
+        if List.exists (String.equal m) in_flight then int_of_string m mod 3 else 2
+      in
       let visited = ref [] in
       Sim.Link.corrupt_in_flight link (fun m ->
           visited := m :: !visited;
           match fate m with 0 -> None | 1 -> Some (m ^ "'") | _ -> Some m);
       check_strings (label ^ ", visited newest first")
-        (List.rev_map fst in_flight) (List.rev !visited);
+        (List.rev in_flight) (List.rev !visited);
       while Sim.Engine.step e do () done;
+      let slots = List.rev !slots in
+      check_strings (label ^ ", every slot notified, in order") sent
+        (List.map fst slots);
       let expected =
         List.filter_map
           (fun (m, at) ->
             match fate m with 0 -> None | 1 -> Some (m ^ "'", at) | _ -> Some (m, at))
-          sent
+          slots
       in
       Alcotest.(check (list (pair string int)))
         (label ^ ", each survivor at its own arrival")
-        expected (List.rev !got);
-      check_strings (label ^ ", every slot notified, in order") (List.map fst sent)
-        (List.rev !slots))
+        expected (List.rev !got))
     [ 8; 16; 32 ]
-
-let test_inject () =
-  let e, link, received = mk () in
-  Sim.Link.inject link "spurious";
-  Sim.Engine.run e;
-  check_strings "injected message arrives" [ "spurious" ] !received
 
 let test_message_counter () =
   let e, link, _received = mk () in
@@ -189,10 +201,9 @@ let[@inline never] send_tracked link w i =
   let payload = ref i and notified = ref i in
   Weak.set w i (Some payload);
   Weak.set w (i + 1) (Some notified);
-  ignore
-    (Sim.Link.send_timed link
-       ~on_delivered:(fun () -> ignore (Sys.opaque_identity !notified))
-       payload)
+  Sim.Link.send link
+    ~on_delivered:(fun () -> ignore (Sys.opaque_identity !notified))
+    payload
 
 (* Once a message is delivered the link holds neither its payload nor
    its callback: after a major collection both are gone while the link
@@ -221,11 +232,10 @@ let tests =
     case "delivery" test_delivery;
     case "FIFO order" test_fifo_order;
     case "FIFO across time" test_fifo_across_time;
-    case "send_timed arrival" test_send_timed_reports_arrival;
+    case "arrival instant" test_arrival_instant;
     case "in-flight corruption" test_in_flight_and_corruption;
     case "a dropped payload keeps the heads aligned" test_drop_keeps_heads;
     case "the ring wraps and grows" test_ring_wraps_and_grows;
-    case "inject" test_inject;
     case "message counter" test_message_counter;
     case "fixed delay" test_fixed_delay;
     case "bad samplers rejected" test_bad_samplers_rejected;

@@ -251,11 +251,104 @@ let test_transport_validation () =
            ~tag_space:4 ~name:"x" ~deliver:ignore ()
           : int Ss_transport.t))
 
-let test_corrupt_transport_noop_on_direct () =
-  let scn = async_scenario () in
-  let port = Net.add_client scn.Harness.Scenario.net ~id:77 in
-  (* Must be a silent no-op for Reliable_fifo ports. *)
-  Net.corrupt_transport port (Sim.Rng.create 1)
+(* --- a port's transient link faults, on both media --- *)
+
+(* A deployment whose nine servers only record what reaches them, and
+   one client port. *)
+let recording_net ?medium () =
+  let rng = Sim.Rng.create 5 in
+  let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
+  let params = Params.create_exn ~n:9 ~f:1 ~mode:Params.Async () in
+  let net =
+    Net.create ~engine ~params ?medium
+      ~link_delay:(fun rng -> Sim.Link.uniform rng ~lo:1 ~hi:10)
+      ()
+  in
+  let got = Array.make 9 [] in
+  Array.iteri
+    (fun s (ep : Net.endpoint) ->
+      ep.Net.on_deliver <- (fun env -> got.(s) <- env :: got.(s)))
+    (Net.endpoints net);
+  (engine, net, Net.add_client net ~id:0, got)
+
+(* Two requests in flight on every link when the fault hits: each server
+   still receives two, with their round tags, but the write's cell is
+   arbitrary.  The return links carry only the planted acknowledgments. *)
+let test_corrupt_links_fifo () =
+  let engine, net, port, got = recording_net () in
+  let cell = { Messages.sn = 1; v = Value.int 5 } in
+  let r0 = port.Net.round in
+  List.iter
+    (fun body ->
+      ignore (Sim.Fiber.spawn (fun () -> ignore (Net.ss_broadcast net port ~inst:0 body))))
+    [ Messages.Write cell; Messages.Read true ];
+  Net.corrupt_links port (Sim.Rng.create 99);
+  Sim.Engine.run engine;
+  Array.iteri
+    (fun s envs ->
+      let envs = List.rev envs in
+      let label = Printf.sprintf "server %d" s in
+      Alcotest.(check (list int))
+        (label ^ ": same count, same round tags")
+        [ r0 + 1; r0 + 2 ]
+        (List.map (fun (env : Messages.server_envelope) -> env.round) envs);
+      match List.map (fun (env : Messages.server_envelope) -> env.body) envs with
+      | [ Messages.Write c; Messages.Read _ ] ->
+        check_false (label ^ ": write body rewritten") (Messages.cell_equal c cell)
+      | _ -> Alcotest.failf "%s: request kinds changed" label)
+    got;
+  let planted = Sim.Mailbox.drain port.Net.mailbox in
+  check_true "acknowledgments planted" (not (List.is_empty planted));
+  check_true "only planted acknowledgments"
+    (List.for_all
+       (fun (env : Messages.client_envelope) ->
+         match env.body with Messages.Ack_read _ -> true | Messages.Ack_write _ -> false)
+       planted)
+
+(* Quiescent transports scrambled: the next messages take longer to get
+   through than without the fault (a receiver rejects the live sender's
+   tag until its retransmissions re-synchronize it), then every server
+   delivers each exactly once, in order. *)
+let test_corrupt_links_stabilizing () =
+  let post_fault ~fault =
+    let engine, net, port, got =
+      recording_net ~medium:(Net.Stabilizing { loss = 0.0; dup = 0.0; retrans = 25 }) ()
+    in
+    let broadcast_all sns =
+      ignore
+        (Sim.Fiber.spawn (fun () ->
+             List.iter
+               (fun sn ->
+                 ignore
+                   (Net.ss_broadcast net port ~inst:0
+                      (Messages.Write { sn; v = Value.int sn })))
+               sns));
+      Sim.Engine.run engine
+    in
+    broadcast_all (List.init 5 (fun i -> i + 1));
+    Array.fill got 0 9 [];
+    if fault then Net.corrupt_links port (Sim.Rng.create 99);
+    broadcast_all (List.init 10 (fun i -> i + 6));
+    let sns envs =
+      List.rev_map
+        (fun (env : Messages.server_envelope) ->
+          match env.body with
+          | Messages.Write c -> c.Messages.sn
+          | Messages.New_help _ | Messages.Read _ -> -1)
+        envs
+    in
+    (Sim.Vtime.to_int (Sim.Engine.now engine), Array.map sns got)
+  in
+  let clean_end, _ = post_fault ~fault:false in
+  let fault_end, delivered = post_fault ~fault:true in
+  check_true "the scrambled tags held the senders back" (fault_end > clean_end);
+  Array.iteri
+    (fun s sns ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "server %d: exactly once, in order" s)
+        (List.init 10 (fun i -> i + 6))
+        sns)
+    delivered
 
 (* --- registers end-to-end over the Stabilizing medium --- *)
 
@@ -363,7 +456,8 @@ let tests =
     case "transport: recovers from corruption" test_transport_recovers_from_corruption;
     case "transport: tag wrap" test_transport_tag_wrap;
     case "transport: validation" test_transport_validation;
-    case "corrupt_transport no-op on direct" test_corrupt_transport_noop_on_direct;
+    case "corrupt_links on reliable fifo" test_corrupt_links_fifo;
+    case "corrupt_links on stabilizing" test_corrupt_links_stabilizing;
     case "register over lossy links" test_register_over_lossy_medium;
     case "register over lossy links, concurrent" test_register_over_lossy_medium_concurrent;
     case "register over lossy links, transport fault" test_register_over_lossy_medium_with_transport_fault;

@@ -55,35 +55,6 @@ let test_read_counts () =
   check_int "ok reads" 1 (Metrics.ok_reads h);
   check_int "failed reads" 1 (Metrics.failed_reads h)
 
-let test_stabilization_index () =
-  let h = Oracles.History.create () in
-  let t = Sim.Vtime.of_int in
-  List.iteri
-    (fun i v ->
-      Oracles.History.record h ~proc:"r" ~kind:Oracles.History.Read
-        ~inv:(t (i * 10))
-        ~resp:(t ((i * 10) + 5))
-        (int_value v))
-    [ 99; 98; 1; 1; 1 ];
-  let valid (o : Oracles.History.op) =
-    Registers.Value.equal o.Oracles.History.value (int_value 1)
-  in
-  check_true "index of first clean suffix"
-    (Metrics.stabilization_read_index ~valid h = Some 2)
-
-let test_stabilization_none_cases () =
-  let valid _ = true in
-  check_true "empty history"
-    (Metrics.stabilization_read_index ~valid (Oracles.History.create ()) = None);
-  let h = Oracles.History.create () in
-  Oracles.History.record h ~proc:"r" ~kind:Oracles.History.Read
-    ~inv:Sim.Vtime.zero ~resp:Sim.Vtime.zero (int_value 1);
-  check_true "all clean -> 0"
-    (Metrics.stabilization_read_index ~valid h = Some 0);
-  let invalid _ = false in
-  check_true "never clean -> None"
-    (Metrics.stabilization_read_index ~valid:invalid h = None)
-
 let tests =
   [
     case "summary basic" test_summary_basic;
@@ -93,6 +64,4 @@ let tests =
     case "summary skewed tail" test_summary_skewed;
     case "latencies" test_latencies;
     case "read counts" test_read_counts;
-    case "stabilization index" test_stabilization_index;
-    case "stabilization corner cases" test_stabilization_none_cases;
   ]

@@ -231,21 +231,17 @@ let test_metrics_snapshots_sorted () =
     List.iter
       (fun k ->
         Obs.Metrics.incr m k;
-        Obs.Metrics.set_gauge m k 1.0;
         Obs.Metrics.observe_named m k 1.0)
       order;
     ( List.map fst (Obs.Metrics.counters m),
-      List.map fst (Obs.Metrics.gauges m),
       List.map fst (Obs.Metrics.histograms m) )
   in
   let sorted = List.sort String.compare keys in
-  let c1, g1, h1 = snapshot keys in
-  let c2, g2, h2 = snapshot (List.rev keys) in
+  let c1, h1 = snapshot keys in
+  let c2, h2 = snapshot (List.rev keys) in
   Alcotest.(check (list string)) "counters sorted" sorted c1;
-  Alcotest.(check (list string)) "gauges sorted" sorted g1;
   Alcotest.(check (list string)) "histograms sorted" sorted h1;
   Alcotest.(check (list string)) "counters order-independent" c1 c2;
-  Alcotest.(check (list string)) "gauges order-independent" g1 g2;
   Alcotest.(check (list string)) "histograms order-independent" h1 h2
 
 (* --- hub fast path --- *)

@@ -195,21 +195,28 @@ let run_jobs scn jobs =
   Harness.Scenario.run scn;
   Harness.Scenario.check_jobs handles
 
+(* One fiber that writes [i] then reads, for i = 1..[ops], on a SWSR
+   atomic register. *)
+let run_alternating scn w r ~ops =
+  run_jobs scn
+    [
+      ( "wr",
+        fun () ->
+          for i = 1 to ops do
+            ignore
+              (Harness.Scenario.record scn ~proc:"writer"
+                 ~kind:Oracles.History.Write (fun () ->
+                   ignore (Swsr_atomic.write w (Value.int i));
+                   Some (Value.int i)));
+            ignore
+              (Harness.Scenario.record scn ~proc:"reader"
+                 ~kind:Oracles.History.Read (fun () ->
+                   Outcome.to_option (Swsr_atomic.read r)))
+          done );
+    ]
+
 let value_str = function
   | Some v -> Value.to_string v
   | None -> "-"
 
 let bool_str b = if b then "yes" else "no"
-
-(* A standard concurrent writer/reader pair over a SWSR atomic register. *)
-let atomic_pair scn =
-  let net = scn.Harness.Scenario.net in
-  let w = Swsr_atomic.writer ~net ~client_id:100 ~inst:0 () in
-  let r = Swsr_atomic.reader ~net ~client_id:101 ~inst:0 () in
-  (w, r)
-
-let regular_pair scn =
-  let net = scn.Harness.Scenario.net in
-  let w = Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-  let r = Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
-  (w, r)

@@ -10,7 +10,7 @@ let run_one ~seed ~moves =
   let scn = Common.scenario ~seed ~params () in
   let adv = scn.Harness.Scenario.adversary in
   Byzantine.Adversary.compromise adv 0 Byzantine.Behavior.garbage;
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   let correct = ref 0 and total = ref 0 in
   Common.run_jobs scn
     [

@@ -13,28 +13,13 @@ open Registers
 
 let run_one ~seed ~loss =
   let params = Common.async_params ~n:9 ~f:1 in
-  let medium = Net.Stabilizing { loss; dup = 0.1; retrans = 30 } in
+  let medium = Net.Stabilizing { loss; dup = 0.1 } in
   let scn = Common.scenario ~seed ~medium ~params () in
   Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 2
     Byzantine.Behavior.garbage;
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   let ops = 15 in
-  Common.run_jobs scn
-    [
-      ( "wr",
-        fun () ->
-          for i = 1 to ops do
-            ignore
-              (Harness.Scenario.record scn ~proc:"writer"
-                 ~kind:Oracles.History.Write (fun () ->
-                   ignore (Swsr_atomic.write w (Value.int i));
-                   Some (Value.int i)));
-            ignore
-              (Harness.Scenario.record scn ~proc:"reader"
-                 ~kind:Oracles.History.Read (fun () ->
-                     Outcome.to_option (Swsr_atomic.read r)))
-          done );
-    ];
+  Common.run_alternating scn w r ~ops;
   Common.observe_scn scn;
   let h = scn.Harness.Scenario.history in
   let cutoff =

@@ -4,8 +4,6 @@
    linear in n, and latency is delay-bound (two round trips per atomic
    write+read pair) rather than n-bound. *)
 
-open Registers
-
 let measure ~seed ~n =
   let f = (n - 1) / 8 in
   let params = Common.async_params ~n ~f in
@@ -15,24 +13,9 @@ let measure ~seed ~n =
     Byzantine.Adversary.compromise scn.Harness.Scenario.adversary s
       Byzantine.Behavior.garbage
   done;
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   let ops = 20 in
-  Common.run_jobs scn
-    [
-      ( "wr",
-        fun () ->
-          for i = 1 to ops do
-            ignore
-              (Harness.Scenario.record scn ~proc:"writer"
-                 ~kind:Oracles.History.Write (fun () ->
-                   ignore (Swsr_atomic.write w (Value.int i));
-                   Some (Value.int i)));
-            ignore
-              (Harness.Scenario.record scn ~proc:"reader"
-                 ~kind:Oracles.History.Read (fun () ->
-                     Outcome.to_option (Swsr_atomic.read r)))
-          done );
-    ];
+  Common.run_alternating scn w r ~ops;
   Common.observe_scn scn;
   let rd =
     Obs.Metrics.summary

@@ -11,7 +11,7 @@ open Registers
 let run_one ~seed ~n ~f =
   let params = Common.async_params ~n ~f in
   let scn = Common.scenario ~seed ~params () in
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   Harness.Scenario.register_port scn (Swsr_atomic.writer_port w);
   Harness.Scenario.register_port scn (Swsr_atomic.reader_port r);
   Harness.Scenario.register_atomic_writer scn ~name:"w" w;
@@ -20,15 +20,16 @@ let run_one ~seed ~n ~f =
   Sim.Fault.schedule scn.Harness.Scenario.fault
     ~engine:scn.Harness.Scenario.engine
     ~at:(Sim.Vtime.of_int fault_at) ~prefix:"";
+  let tally = Harness.Workload.tally () in
   Common.run_jobs scn
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally ~write:(Swsr_atomic.write w)
             ~count:80 ~gap:(Harness.Workload.gap 0 10) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:80 ~gap:(Harness.Workload.gap 0 10) () );
     ];
@@ -72,7 +73,7 @@ let run_one ~seed ~n ~f =
 let consistent_corruption_timeline ~seed =
   let params = Common.async_params ~n:9 ~f:1 in
   let scn = Common.scenario ~seed ~params () in
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   let junk = Value.str "corrupt-state" in
   let before = ref None and after = ref None and later = ref None in
   Common.run_jobs scn

@@ -14,7 +14,7 @@ let random_starved ~seed ~n ~f =
   let scn = Common.scenario ~seed ~params () in
   Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 0
     Byzantine.Behavior.equivocate;
-  let w, r = Common.regular_pair scn in
+  let w, r = Harness.Workload.regular_pair scn in
   let starved = ref 0 in
   Common.run_jobs scn
     [

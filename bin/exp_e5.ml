@@ -13,7 +13,7 @@ let run_one ~seed ~n ~delay =
   let scn = Common.scenario ~seed ~delay ~params () in
   Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 0
     Byzantine.Behavior.equivocate;
-  let w, r = Common.atomic_pair scn in
+  let w, r = Harness.Workload.atomic_pair scn in
   Common.run_jobs scn
     [
       ( "writer",

@@ -84,13 +84,14 @@ let run_sequential ~seed ~seq_bound =
 (* Concurrent regime: one fiber per process. *)
 let run_concurrent ~seed ~seq_bound =
   let scn, cfg, procs = mk ~seed ~seq_bound in
+  let outcomes = Harness.Workload.tally () in
   Common.run_jobs scn
     (Array.to_list
        (Array.mapi
           (fun i p ->
             ( Printf.sprintf "p%d" i,
               fun () ->
-                Harness.Workload.mwmr_job scn
+                Harness.Workload.mwmr_job scn ~tally:outcomes
                   ~proc:(Printf.sprintf "p%d" i)
                   ~process:p ~ops:10 ~write_ratio:0.5
                   ~gap:(Harness.Workload.gap 0 40) () ))

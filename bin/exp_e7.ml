@@ -45,7 +45,7 @@ let poison_comparison ~seed =
     ];
   (* The Fig. 3 register under the identical fault. *)
   let scn2 = Common.scenario ~seed ~params:(Common.async_params ~n:9 ~f:1) () in
-  let w, r = Common.atomic_pair scn2 in
+  let w, r = Harness.Workload.atomic_pair scn2 in
   let recovered = ref 0 in
   Common.run_jobs scn2
     [
@@ -97,7 +97,7 @@ let pressure_comparison ~seed =
     in
     Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 0
       Byzantine.Behavior.equivocate;
-    let w, r = Common.regular_pair scn in
+    let w, r = Harness.Workload.regular_pair scn in
     let failures = ref 0 in
     Common.run_jobs scn
       [

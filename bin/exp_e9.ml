@@ -11,7 +11,7 @@ let measure ~seed ~n ~f which =
   let ops = 20 in
   (match which with
   | `Swsr_regular ->
-    let w, r = Common.regular_pair scn in
+    let w, r = Harness.Workload.regular_pair scn in
     Common.run_jobs scn
       [
         ( "wr",
@@ -22,7 +22,7 @@ let measure ~seed ~n ~f which =
             done );
       ]
   | `Swsr_atomic ->
-    let w, r = Common.atomic_pair scn in
+    let w, r = Harness.Workload.atomic_pair scn in
     Common.run_jobs scn
       [
         ( "wr",

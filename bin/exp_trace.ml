@@ -16,9 +16,7 @@ let run ~seed ~out ~chrome =
   let scn = Harness.Scenario.create ~seed ~params () in
   let mem, recorded = Obs.Sink.memory () in
   Obs.Hub.attach (Harness.Scenario.hub scn) mem;
-  let net = scn.Harness.Scenario.net in
-  let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-  let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
+  let w, r = Harness.Workload.regular_pair scn in
   Harness.Scenario.register_port scn
     (Registers.Swsr_regular.writer_port w);
   Harness.Scenario.register_port scn
@@ -28,16 +26,17 @@ let run ~seed ~out ~chrome =
   Sim.Fault.schedule scn.Harness.Scenario.fault
     ~engine:scn.Harness.Scenario.engine
     ~at:(Sim.Vtime.of_int fault_at) ~prefix:"server.";
+  let tally = Harness.Workload.tally () in
   Common.run_jobs scn
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn
+          Harness.Workload.writer_job scn ~tally
             ~write:(Registers.Swsr_regular.write w)
             ~count:20 ~gap:(Harness.Workload.gap 5 25) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally
             ~read:(fun () -> Registers.Swsr_regular.read r)
             ~count:20 ~gap:(Harness.Workload.gap 5 25) () );
     ];

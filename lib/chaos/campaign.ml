@@ -13,8 +13,6 @@ let medium_of_string = function
 
 let lossy_base = (0.05, 0.02)
 
-let lossy_retrans = 30
-
 type config = {
   family : family;
   n : int;
@@ -186,68 +184,7 @@ let apply_event scn = function
       (Sim.Vtime.of_int (at + duration))
       (fun () -> set ~loss:base_loss ~dup:base_dup)
   | Schedule.Crash { at; server; down_for } ->
-    Sim.Fault.schedule_crash scn.Harness.Scenario.fault
-      ~engine:scn.Harness.Scenario.engine ~at:(Sim.Vtime.of_int at) ?down_for
-      ~prefix:(Printf.sprintf "server.%d" server)
-      ()
-
-(* Jobs for one trial: (fiber name, body) pairs. *)
-let deploy_jobs cfg scn =
-  let net = scn.Harness.Scenario.net in
-  let g = Harness.Workload.gap 0 cfg.gap_hi in
-  match cfg.family with
-  | Regular ->
-    let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-    let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
-    Harness.Scenario.register_port scn (Registers.Swsr_regular.writer_port w);
-    Harness.Scenario.register_port scn (Registers.Swsr_regular.reader_port r);
-    [
-      ( "writer",
-        fun () ->
-          Harness.Workload.writer_job scn
-            ~write:(Registers.Swsr_regular.write w)
-            ~count:cfg.writes ~gap:g () );
-      ( "reader",
-        fun () ->
-          Harness.Workload.reader_job scn
-            ~read:(fun () ->
-              Registers.Swsr_regular.read ~max_iterations:cfg.read_budget r)
-            ~count:cfg.reads ~gap:g () );
-    ]
-  | Atomic ->
-    let w = Registers.Swsr_atomic.writer ~net ~client_id:100 ~inst:0 () in
-    let r = Registers.Swsr_atomic.reader ~net ~client_id:101 ~inst:0 () in
-    Harness.Scenario.register_port scn (Registers.Swsr_atomic.writer_port w);
-    Harness.Scenario.register_port scn (Registers.Swsr_atomic.reader_port r);
-    Harness.Scenario.register_atomic_writer scn ~name:"writer" w;
-    Harness.Scenario.register_atomic_reader scn ~name:"reader" r;
-    [
-      ( "writer",
-        fun () ->
-          Harness.Workload.writer_job scn
-            ~write:(Registers.Swsr_atomic.write w)
-            ~count:cfg.writes ~gap:g () );
-      ( "reader",
-        fun () ->
-          Harness.Workload.reader_job scn
-            ~read:(fun () ->
-              Registers.Swsr_atomic.read ~max_iterations:cfg.read_budget r)
-            ~count:cfg.reads ~gap:g () );
-    ]
-  | Mwmr ->
-    let m = 2 in
-    let mcfg = Registers.Mwmr.default_config ~m in
-    let total = cfg.writes + cfg.reads in
-    let ratio = float_of_int cfg.writes /. float_of_int (Int.max 1 total) in
-    List.init m (fun i ->
-        let p =
-          Registers.Mwmr.process ~net ~cfg:mcfg ~id:i ~client_id:(300 + i)
-        in
-        let proc = Printf.sprintf "p%d" i in
-        ( proc,
-          fun () ->
-            Harness.Workload.mwmr_job scn ~proc ~process:p ~ops:(total / m)
-              ~write_ratio:ratio ~gap:g ~max_iterations:cfg.read_budget () ))
+    Harness.Scenario.crash scn ~at ~server ~down_for
 
 (* ------------------------------------------------------------------ *)
 (* Segment checking                                                   *)
@@ -262,7 +199,7 @@ let medium_of cfg =
   | Fifo -> Registers.Net.Reliable_fifo
   | Lossy ->
     let loss, dup = lossy_base in
-    Registers.Net.Stabilizing { loss; dup; retrans = lossy_retrans }
+    Registers.Net.Stabilizing { loss; dup }
 
 let run_trial ?on_scenario cfg ~seed schedule =
   let params =
@@ -278,7 +215,12 @@ let run_trial ?on_scenario cfg ~seed schedule =
       Byzantine.Adversary.compromise adv slot
         (Strategy.to_behavior adv ~slot s))
     cfg.initial;
-  let jobs = deploy_jobs cfg scn in
+  let jobs =
+    Harness.Workload.deploy scn cfg.family ~writes:cfg.writes ~reads:cfg.reads
+      ~read_budget:cfg.read_budget
+      ~gap:(Harness.Workload.gap 0 cfg.gap_hi)
+      ~tally:(Harness.Workload.tally ())
+  in
   List.iter (apply_event scn) schedule;
   Option.iter (fun f -> f scn) on_scenario;
   let handles =

@@ -81,8 +81,9 @@ val generate : config -> seed:int -> Schedule.t
 
 val apply_event : Harness.Scenario.t -> Schedule.event -> unit
 (** Arm one schedule event on a deployed scenario (before the engine
-    runs): injections and crashes through the scenario's fault plan, roams
-    and windows through engine-scheduled callbacks. *)
+    runs): injections through the scenario's fault plan, crashes through
+    {!Harness.Scenario.crash}, roams and windows through engine-scheduled
+    callbacks. *)
 
 val run_trial :
   ?on_scenario:(Harness.Scenario.t -> unit) ->

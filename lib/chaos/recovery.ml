@@ -3,7 +3,9 @@
    A recovery run crashes a rotating subset of server slots in periodic
    bursts, each slot rejoining after a fixed down window over arbitrary
    state (a transient fault by construction), while a writer/reader pair
-   keeps operating through the typed-outcome API.  The oracle measures,
+   keeps operating through the typed-outcome API.  The pair is the
+   regular family of Harness.Workload.deploy and the crashes go through
+   Harness.Scenario.crash, as in a chaos trial.  The oracle measures,
    per burst, the virtual time from the recovery instant to the first
    read certified correct by the regularity checker on that segment
    (Oracles.Stabilization.time). *)
@@ -86,64 +88,32 @@ let run ?on_scenario cfg ~seed =
   let events = schedule cfg in
   List.iter (Campaign.apply_event scn) events;
   Option.iter (fun f -> f scn) on_scenario;
-  let net = scn.Harness.Scenario.net in
-  let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-  let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
-  Harness.Scenario.register_port scn (Registers.Swsr_regular.writer_port w);
-  Harness.Scenario.register_port scn (Registers.Swsr_regular.reader_port r);
-  let metrics = Harness.Scenario.metrics scn in
-  let h = scn.Harness.Scenario.history in
-  let write_ops = ref Registers.Outcome.zero_tally
-  and read_ops = ref Registers.Outcome.zero_tally in
-  let g = Harness.Workload.gap 0 cfg.gap_hi in
-  let writer_job () =
-    let rng = Harness.Scenario.split_rng scn in
-    for k = 1 to cfg.writes do
-      let v = Registers.Value.int k in
-      let inv = Harness.Scenario.now scn in
-      let o = Registers.Swsr_regular.write w v in
-      let resp = Harness.Scenario.now scn in
-      (* Even a degraded write reached a read quorum of servers, so the
-         oracle must treat it as a write that may be read. *)
-      Oracles.History.record h ~proc:"writer" ~kind:Oracles.History.Write ~inv
-        ~resp v;
-      write_ops := Registers.Outcome.bump !write_ops o ~count:1;
-      Obs.Metrics.incr metrics ("recovery.write." ^ Registers.Outcome.kind o);
-      if g.Harness.Workload.hi > 0 then
-        Harness.Scenario.sleep scn
-          (Sim.Rng.int_in rng g.Harness.Workload.lo g.Harness.Workload.hi)
-    done
+  let tally = Harness.Workload.tally () in
+  let jobs =
+    Harness.Workload.deploy scn Campaign.Regular ~writes:cfg.writes
+      ~reads:cfg.reads ~read_budget:cfg.read_budget
+      ~gap:(Harness.Workload.gap 0 cfg.gap_hi)
+      ~tally
   in
-  let reader_job () =
-    let rng = Harness.Scenario.split_rng scn in
-    for _ = 1 to cfg.reads do
-      let inv = Harness.Scenario.now scn in
-      let o =
-        Registers.Swsr_regular.read ~max_iterations:cfg.read_budget r
-      in
-      let resp = Harness.Scenario.now scn in
-      (match o with
-      | Registers.Outcome.Ok v ->
-        Oracles.History.record h ~proc:"reader" ~kind:Oracles.History.Read
-          ~inv ~resp v
-      | Registers.Outcome.Degraded _ | Registers.Outcome.Timed_out _ ->
-        Oracles.History.record h ~proc:"reader" ~kind:Oracles.History.Read
-          ~inv ~resp ~ok:false Registers.Value.bot);
-      read_ops := Registers.Outcome.bump !read_ops o ~count:1;
-      Obs.Metrics.incr metrics ("recovery.read." ^ Registers.Outcome.kind o);
-      if g.Harness.Workload.hi > 0 then
-        Harness.Scenario.sleep scn
-          (Sim.Rng.int_in rng g.Harness.Workload.lo g.Harness.Workload.hi)
-    done
-  in
+  (* The reader's fiber starts first, as it did when the committed
+     recovery artifacts were recorded. *)
   let handles =
-    [
-      ("writer", Sim.Fiber.spawn ~name:"writer" writer_job);
-      ("reader", Sim.Fiber.spawn ~name:"reader" reader_job);
-    ]
+    List.rev_map
+      (fun (name, f) -> (name, Sim.Fiber.spawn ~name f))
+      (List.rev jobs)
   in
   Harness.Scenario.run scn;
   let stuck = Harness.Scenario.stuck_jobs handles in
+  let metrics = Harness.Scenario.metrics scn in
+  List.iter
+    (fun (op, (t : Registers.Outcome.tally)) ->
+      List.iter
+        (fun (kind, n) ->
+          if n > 0 then
+            Obs.Metrics.add metrics (Printf.sprintf "recovery.%s.%s" op kind) n)
+        [ ("ok", t.ok); ("degraded", t.degraded); ("timeout", t.timed_out) ])
+    [ ("write", tally.writes); ("read", tally.reads) ];
+  let h = scn.Harness.Scenario.history in
   let bursts =
     List.init cfg.bursts (fun b ->
         let crash_at = burst_at cfg b in
@@ -168,8 +138,8 @@ let run ?on_scenario cfg ~seed =
     seed;
     config = cfg;
     bursts;
-    write_ops = !write_ops;
-    read_ops = !read_ops;
+    write_ops = tally.writes;
+    read_ops = tally.reads;
     duration = Sim.Vtime.to_int (Harness.Scenario.now scn);
     stuck;
     converged;

@@ -5,7 +5,9 @@
     ticks over arbitrary state — recovery is a transient fault by
     construction, exactly what the paper's registers must stabilize from.
     A writer/reader pair operates throughout via the typed-outcome API
-    (so operations degrade or time out instead of hanging), and the
+    (so operations degrade or time out instead of hanging): the regular
+    family as {!Harness.Workload.deploy} builds it for a chaos trial, with
+    the crashes scheduled by {!Harness.Scenario.crash}.  The
     oracle measures, per burst, the virtual time from the recovery
     instant to the first read the {!Oracles.Regularity} checker certifies
     on that burst's segment ({!Oracles.Stabilization.time}).
@@ -63,9 +65,10 @@ type report = {
 val run :
   ?on_scenario:(Harness.Scenario.t -> unit) -> config -> seed:int -> report
 (** Execute one recovery run.  Per-burst stabilization times are also
-    observed into the scenario metrics histogram ["recovery.stab_time"],
-    and per-op outcome kinds into ["recovery.read.<kind>"] /
-    ["recovery.write.<kind>"] counters. *)
+    observed into the scenario metrics histogram ["recovery.stab_time"].
+    After the run the report's tallies are added to the
+    ["recovery.write.<kind>"] / ["recovery.read.<kind>"] counters; a kind
+    no operation finished as gets no counter. *)
 
 val schema : string
 (** ["stabreg/recovery/v1"]. *)

@@ -27,7 +27,7 @@ type event =
           [loss]/[dup] from [at] until [at + duration], then return to the
           medium's base rates.  A no-op under the [Reliable_fifo] medium. *)
   | Crash of { at : int; server : int; down_for : int option }
-      (** {!Sim.Fault.schedule_crash} on ["server.<server>"]: crash-stop
+      (** {!Harness.Scenario.crash} of slot [server]: crash-stop
           when [down_for] is [None], crash-recovery (rejoining over
           arbitrary state at [at + down_for]) otherwise. *)
 

@@ -31,11 +31,11 @@ let deliver t =
   | [] -> None
   | transit ->
     let i = Sim.Rng.int t.rng (List.length transit) in
-    let p = List.nth transit i in
+    let p = List.nth_opt transit i in
     let keep_copy = Sim.Rng.float t.rng 1.0 < t.dup in
     if not keep_copy then
       t.transit <- List.filteri (fun j _ -> j <> i) transit;
-    Some p
+    p
 
 let size t = List.length t.transit
 

@@ -7,6 +7,8 @@ type t = {
   history : Oracles.History.t;
 }
 
+let server_name id = Printf.sprintf "server.%d" id
+
 let create ?(seed = 1) ?delay ?medium ~params () =
   let rng = Sim.Rng.create seed in
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
@@ -31,7 +33,7 @@ let create ?(seed = 1) ?delay ?medium ~params () =
   let fault = Sim.Fault.create () in
   Array.iter
     (fun srv ->
-      let name = Printf.sprintf "server.%d" (Registers.Server.id srv) in
+      let name = server_name (Registers.Server.id srv) in
       Sim.Fault.register fault ~name (fun rng ->
           Registers.Server.corrupt srv rng);
       Sim.Fault.register_process fault ~name
@@ -83,6 +85,10 @@ let split_rng t = Sim.Rng.split (rng t)
 let sleep t span =
   Sim.Fiber.suspend (fun resume ->
       Sim.Engine.schedule t.engine ~delay:span resume)
+
+let crash t ~at ~server ~down_for =
+  Sim.Fault.schedule_crash t.fault ~engine:t.engine ~at:(Sim.Vtime.of_int at)
+    ?down_for ~prefix:(server_name server) ()
 
 let register_port t (port : Registers.Net.client_port) =
   let id = port.Registers.Net.client_id in

@@ -4,7 +4,8 @@
     [n] server slots behind an adversary controller, FIFO links with
     sampled delays, a transient-fault injector with every piece of
     corruptible state registered, and an operation history fed by the
-    workload jobs. *)
+    workload jobs.  It schedules the deployment's server crashes
+    ({!crash}); {!Workload.deploy} builds the clients and their jobs. *)
 
 type t = {
   seed : int;
@@ -27,9 +28,8 @@ val create :
     is the mode's [max_delay], and a custom [delay] must respect it).
     Server state is registered with the fault injector under
     ["server.<i>"] — both as a corruptible state target and as a crashable
-    process ({!Sim.Fault.schedule_crash} with prefix ["server.<i>"] crashes
-    it; with [down_for] it recovers over arbitrary state); client-side
-    state is registered by the [register_*] helpers below. *)
+    process ({!crash}); client-side state is registered by the
+    [register_*] helpers below. *)
 
 val run : ?until:Sim.Vtime.t -> t -> unit
 (** Drive the engine until quiescence (or [until]). *)
@@ -56,6 +56,11 @@ val split_rng : t -> Sim.Rng.t
 
 val sleep : t -> Sim.Vtime.span -> unit
 (** Suspend the calling fiber for a duration. *)
+
+val crash : t -> at:int -> server:int -> down_for:int option -> unit
+(** The one crash scheduler: server slot [server] crashes at tick [at]
+    and, with [down_for = Some d], recovers [d] ticks later over arbitrary
+    state; with [None] it stays down. *)
 
 val register_port : t -> Registers.Net.client_port -> unit
 (** Name a client port's transient faults for the fault injector:

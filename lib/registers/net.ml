@@ -14,7 +14,7 @@ type links =
 
 type medium =
   | Reliable_fifo
-  | Stabilizing of { loss : float; dup : float; retrans : int }
+  | Stabilizing of { loss : float; dup : float }
 
 type client_port = {
   client_id : int;
@@ -177,12 +177,12 @@ let add_client t ~id =
               Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ()) ~deliver:receive)
         in
         Fifo { to_servers; from_servers }
-      | Stabilizing { loss; dup; retrans } ->
+      | Stabilizing { loss; dup } ->
         let rng () = Sim.Rng.split (Sim.Engine.rng t.engine) in
         let to_servers =
           Array.init n (fun s ->
               Ss_transport.create ~engine:t.engine ~rng:(rng ())
-                ~delay:(mk_sampler ()) ~loss ~dup ~retrans
+                ~delay:(mk_sampler ()) ~loss ~dup
                 ~classify:(fun (env : Messages.server_envelope) ->
                   Messages.class_of_to_server env.body)
                 ~name:(link_name "c" id "=>s" s)
@@ -192,7 +192,7 @@ let add_client t ~id =
         let reply_senders =
           Array.init n (fun s ->
               Ss_transport.create ~engine:t.engine ~rng:(rng ())
-                ~delay:(mk_sampler ()) ~loss ~dup ~retrans
+                ~delay:(mk_sampler ()) ~loss ~dup
                 ~classify:(fun (env : Messages.client_envelope) ->
                   Messages.class_of_to_client env.body)
                 ~name:(link_name "s" s "=>c" id)

@@ -37,7 +37,7 @@ type medium =
   | Reliable_fifo
       (** the model of §2.1: FIFO reliable links; synchronized delivery
           realized from the simulator's ground truth *)
-  | Stabilizing of { loss : float; dup : float; retrans : int }
+  | Stabilizing of { loss : float; dup : float }
       (** every link is an {!Ss_transport} over a lossy, duplicating,
           reordering medium; synchronized delivery realized from the
           transport's own delivery acknowledgments — the registers then

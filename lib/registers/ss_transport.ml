@@ -2,7 +2,6 @@ type 'm packet = { tag : int; body : 'm }
 
 type 'm t = {
   engine : Sim.Engine.t;
-  retrans : int;
   tag_space : int;
   data : 'm packet Sim.Lossy_link.t;
   acks : int Sim.Lossy_link.t;
@@ -23,6 +22,11 @@ type 'm t = {
 
 let resync_threshold = 3
 
+(* Must exceed the round trip of the 1–10 tick links every deployment
+   samples (up to 20 ticks), or the sender retransmits packets whose
+   acknowledgment is still on its way. *)
+let retrans = 30
+
 let xmit t =
   match t.current with
   | None -> ()
@@ -33,7 +37,7 @@ let xmit t =
 let arm_timer t =
   if not t.timer_armed then begin
     t.timer_armed <- true;
-    Sim.Engine.schedule_recurring t.engine ~delay:t.retrans t.timer
+    Sim.Engine.schedule_recurring t.engine ~delay:retrans t.timer
   end
 
 (* The timer's action: retransmit the unacknowledged message, if any. *)
@@ -95,7 +99,7 @@ let on_packet t ~deliver (pkt : 'm packet) =
        duplicates drain in bursts.  Count the streak only across spaced
        arrivals. *)
     let now = Sim.Engine.now t.engine in
-    if Sim.Vtime.diff now t.stale_seen_at >= t.retrans / 2 then begin
+    if Sim.Vtime.diff now t.stale_seen_at >= retrans / 2 then begin
       t.stale_streak <- t.stale_streak + 1;
       t.stale_seen_at <- now
     end;
@@ -114,9 +118,8 @@ let on_packet t ~deliver (pkt : 'm packet) =
     t.stale_seen_at <- Sim.Engine.now t.engine
   end
 
-let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
-    ?(tag_space = 1024) ?classify ~name ~deliver () =
-  if retrans <= 0 then invalid_arg "Ss_transport.create: retrans must be positive";
+let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(tag_space = 1024)
+    ?classify ~name ~deliver () =
   if tag_space < 8 then invalid_arg "Ss_transport.create: tag space too small";
   let classify_pkt =
     match classify with
@@ -146,7 +149,6 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(retrans = 25)
   let t =
     {
       engine;
-      retrans;
       tag_space;
       data;
       acks;

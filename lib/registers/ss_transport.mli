@@ -6,7 +6,7 @@
     One {!t} carries one direction of one link.  The sender is
     stop-and-wait with a bounded, wrapping transfer tag (the generalized
     alternating bit): it retransmits the current [(tag, body)] packet every
-    [retrans] ticks until an acknowledgment echoing [tag] returns, then
+    30 ticks until an acknowledgment echoing [tag] returns, then
     advances the tag and takes the next queued message.  The receiver
     acknowledges every packet; it delivers a packet when its tag is
     clockwise-newer than the last delivered tag, and re-synchronizes on a
@@ -28,16 +28,14 @@ val create :
   delay:Sim.Link.sampler ->
   ?loss:float ->
   ?dup:float ->
-  ?retrans:int ->
   ?tag_space:int ->
   ?classify:('m -> Obs.Event.msg_class) ->
   name:string ->
   deliver:('m -> unit) ->
   unit ->
   'm t
-(** [retrans] defaults to 25 ticks (pick > the round-trip time to avoid
-    useless retransmissions); [tag_space] to 1024 (must exceed a few times
-    the plausible number of stale packets in flight).  [classify] labels
+(** [tag_space] defaults to 1024 (must exceed a few times the plausible
+    number of stale packets in flight).  [classify] labels
     the data link's typed drop events; the acknowledgment link always
     classifies as [Link_ack].  Retransmissions bump the
     ["transport.retrans"] counter. *)

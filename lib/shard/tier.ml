@@ -211,11 +211,8 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
         c.injections;
       List.iter
         (fun cr ->
-          Sim.Fault.schedule_crash scn.Harness.Scenario.fault
-            ~engine:scn.Harness.Scenario.engine ~at:(Sim.Vtime.of_int cr.at)
-            ?down_for:cr.down_for
-            ~prefix:(Printf.sprintf "server.%d" cr.server)
-            ())
+          Harness.Scenario.crash scn ~at:cr.at ~server:cr.server
+            ~down_for:cr.down_for)
         c.crashes
     | Some _ | None -> ());
     Option.iter (fun f -> f scn) on_scenario;

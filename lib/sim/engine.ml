@@ -36,9 +36,9 @@
    only then runs the action, so the pool holds no closure of an event
    that has fired and an action that schedules reuses its own slot.
 
-   A timer borrows a slot while it is queued and returns it when it fires
-   or is cancelled; it keeps its own [due].  Re-arming a queued timer
-   moves the same slot to the tail of its new instant.  A timer that is
+   A timer borrows a slot while it is queued and returns it when it
+   fires; it keeps its own [due].  Re-arming a queued timer moves the
+   same slot to the tail of its new instant.  A timer that is
    dropped unqueued, or whose last arming has fired, holds no slot, so
    the pool never keeps it alive.
 
@@ -338,15 +338,6 @@ let unlink t s =
   else t.overflow <- List.filter (fun e -> e <> s) t.overflow;
   t.next.(s) <- none;
   t.pending <- t.pending - 1
-
-let cancel tm =
-  let s = tm.slot in
-  if s <> none then begin
-    let t = tm.engine in
-    unlink t s;
-    release t s;
-    tm.slot <- none
-  end
 
 let arm tm time =
   let t = tm.engine in

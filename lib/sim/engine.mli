@@ -98,9 +98,9 @@ val schedule_recurring : t -> delay:Vtime.span -> recurring -> unit
     other.
 
     A timer borrows a slot of the engine's pool only while it is queued:
-    firing or {!cancel} gives the slot back, and the timer keeps its own
-    {!due}.  So a timer dropped while unqueued, or whose last arming has
-    fired, leaves nothing behind in the engine. *)
+    firing gives the slot back, and the timer keeps its own {!due}.  So
+    a timer dropped while unqueued, or whose last arming has fired,
+    leaves nothing behind in the engine. *)
 
 type timer
 
@@ -114,9 +114,6 @@ val arm : timer -> Vtime.t -> unit
     at this point; a queued [tm] leaves its old place first, keeping its
     slot.  Re-arming at the same instant therefore moves the timer behind
     every event scheduled for that instant since it was last armed. *)
-
-val cancel : timer -> unit
-(** Unqueue [tm]; no-op when it is not queued. *)
 
 val due : timer -> Vtime.t
 (** The instant [tm] was last armed for ({!Vtime.zero} if never). *)

@@ -97,9 +97,9 @@ let msgs t =
     t.msgs <- Obs.Metrics.counter_ref (Engine.metrics t.engine) "net.msgs";
   t.msgs
 
-let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
+let rec transmit ~copy t payload =
   incr (pkts t);
-  if (not lossless) && Rng.float t.rng 1.0 < t.loss then record_drop t payload
+  if (not copy) && Rng.float t.rng 1.0 < t.loss then record_drop t payload
   else begin
     let entry = { id = t.next_id; payload = Some payload } in
     t.next_id <- entry.id + 1;
@@ -113,14 +113,12 @@ let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
           (* Duplication: the packet is delivered once more after another
              (lossless) transit.  A copy never re-duplicates: the medium
              has bounded capacity, so duplicate chains are bounded. *)
-          if can_dup && Rng.float t.rng 1.0 < t.dup then
-            transmit ~lossless:true ~can_dup:false t m;
+          if (not copy) && Rng.float t.rng 1.0 < t.dup then
+            transmit ~copy:true t m;
           t.deliver m)
   end
 
-let send t m = transmit t m
-
-let inject t m = transmit ~lossless:true t m
+let send t m = transmit ~copy:false t m
 
 let corrupt_in_flight t f =
   List.iter

@@ -29,10 +29,10 @@ val create :
 val set_loss : 'm t -> float -> unit
 (** Runtime chaos knob: retune the loss probability of a live link.
     Accepts the full [\[0,1\]] range — [1.0] is a directed partition that
-    drops every subsequent non-injected packet until lowered again.  A
-    change emits an [Obs.Event.Mark] (["link.<name>.loss:<old>-><new>"]) so
-    chaos windows are visible in event traces.  Raises [Invalid_argument]
-    outside [\[0,1\]]. *)
+    drops every subsequent packet until lowered again.  A change emits an
+    [Obs.Event.Mark] (["link.<name>.loss:<old>-><new>"]) so chaos windows
+    are visible in event traces.  Raises [Invalid_argument] outside
+    [\[0,1\]]. *)
 
 val set_dup : 'm t -> float -> unit
 (** Runtime chaos knob for the duplication probability; same contract and
@@ -47,10 +47,6 @@ val dup : 'm t -> float
 val send : 'm t -> 'm -> unit
 (** Transmit one packet (counted in the trace counter ["net.pkts"] even
     when subsequently lost; deliveries bump ["net.msgs"]). *)
-
-val inject : 'm t -> 'm -> unit
-(** Transient-fault hook: place a spurious packet in flight (never lost,
-    may still duplicate). *)
 
 val corrupt_in_flight : 'm t -> ('m -> 'm option) -> unit
 (** Transient-fault hook: rewrite or drop the packets in flight, newest

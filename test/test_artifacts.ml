@@ -58,12 +58,12 @@ let traced_run () =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
             ~write:(Registers.Swsr_regular.write w)
             ~count:3 ~gap:(Harness.Workload.gap 0 5) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Registers.Swsr_regular.read r)
             ~count:3 ~gap:(Harness.Workload.gap 0 5) () );
     ];

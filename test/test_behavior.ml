@@ -71,11 +71,11 @@ let soak_atomic_with ?(seed = 23) behavior =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ()) ~write:(Swsr_atomic.write w)
             ~count:120 ~gap:(Harness.Workload.gap 0 15) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:100 ~gap:(Harness.Workload.gap 0 20) () );
     ];

@@ -342,6 +342,36 @@ let test_lossy_campaign_pinned () =
     "per-trial traffic and verdicts" "3b7b6297bf7ab6b0229dade873b53452"
     (Digest.to_hex (Digest.string (String.concat "" (List.map line r.trials))))
 
+(* An over-bound burst (7 of 9 slots down for 400 ticks) makes writes
+   finish in all three ways and reads ok or timed out.  The run's
+   [recovery.<op>.<kind>] counters must equal its report's tallies, kind
+   by kind, and a kind no operation finished as has no counter. *)
+let test_recovery_counters_match_tallies () =
+  let cfg = { Recovery.default_config with Recovery.crashed = 7; down_for = 400 } in
+  let scn = ref None in
+  let r = Recovery.run ~on_scenario:(fun s -> scn := Some s) cfg ~seed:42 in
+  let metrics =
+    match !scn with
+    | Some s -> Harness.Scenario.metrics s
+    | None -> Alcotest.fail "no scenario"
+  in
+  List.iter
+    (fun (op, (t : Registers.Outcome.tally)) ->
+      List.iter
+        (fun (kind, n) ->
+          let name = Printf.sprintf "recovery.%s.%s" op kind in
+          check_int name n (Obs.Metrics.counter metrics name))
+        [ ("ok", t.ok); ("degraded", t.degraded); ("timeout", t.timed_out) ])
+    [ ("write", r.Recovery.write_ops); ("read", r.Recovery.read_ops) ];
+  check_true "some operations failed"
+    (r.Recovery.write_ops.Registers.Outcome.timed_out > 0
+    && r.Recovery.read_ops.Registers.Outcome.timed_out > 0);
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"recovery." name then
+        check_true (name ^ " is not zero") (v > 0))
+    (Obs.Metrics.counters metrics)
+
 let tests =
   [
     case "strategy wire names round-trip" test_strategy_round_trip;
@@ -351,6 +381,8 @@ let tests =
     case "crash events round-trip" test_crash_events_round_trip;
     case "crash-recovery burst stabilizes and replays"
       test_recovery_run_and_artifact;
+    case "recovery counters equal the report's tallies"
+      test_recovery_counters_match_tallies;
     case "disturbance points" test_disturbance_points;
     case "trials are seed-deterministic" test_run_trial_deterministic;
     case "campaign clean under the bound" test_campaign_clean_under_bound;

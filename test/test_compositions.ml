@@ -133,7 +133,7 @@ let test_concurrent_instances_under_byzantine () =
         [
           ( Printf.sprintf "w%d" i,
             fun () ->
-              Harness.Workload.writer_job scn
+              Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
                 ~proc:(Printf.sprintf "w%d" i)
                 ~writer_id:i ~write:(Swsr_atomic.write w) ~count:8
                 ~gap:(Harness.Workload.gap 0 15) () );
@@ -157,7 +157,7 @@ let test_concurrent_instances_under_byzantine () =
 
 (* --- compositions over the Stabilizing (lossy) medium --- *)
 
-let lossy = Net.Stabilizing { loss = 0.2; dup = 0.1; retrans = 30 }
+let lossy = Net.Stabilizing { loss = 0.2; dup = 0.1 }
 
 let test_mwmr_over_lossy () =
   let params = Params.create_exn ~n:9 ~f:1 ~mode:Params.Async () in

@@ -153,7 +153,7 @@ let test_until_then_earlier () =
    every queued event's (time, seq) place shows in the firing log.
    Delays reach far past the engine's bucket window, small ones collide
    on the same instant, and a fired event may schedule one more.  Three
-   timers are armed, re-armed and cancelled among the events: a timer is
+   timers are armed and re-armed among the events: a timer is
    one model event that leaves the list before it is queued again.  Two
    recurring actions are queued among them too; each firing logs the
    action, not a seq, and the second one queues the first 3 ticks on. *)
@@ -166,7 +166,6 @@ type op =
   | Run_max of int
   | Arm of { timer : int; offset : int }  (** from the clock; may be past *)
   | Rearm of int  (** at the instant the timer is due *)
-  | Cancel of int
   | Recur of { action : int; delay : int }
   | Recur_at of { action : int; offset : int }  (** from the clock; may be past *)
 
@@ -180,7 +179,6 @@ let show_op = function
   | Run_max k -> Printf.sprintf "run ~max_events:%d" k
   | Arm { timer; offset } -> Printf.sprintf "arm timer %d at %+d" timer offset
   | Rearm i -> Printf.sprintf "re-arm timer %d" i
-  | Cancel i -> Printf.sprintf "cancel timer %d" i
   | Recur { action; delay } -> Printf.sprintf "recurring %d after %d" action delay
   | Recur_at { action; offset } -> Printf.sprintf "recurring %d at %+d" action offset
 
@@ -252,10 +250,8 @@ let m_step m =
     m_fire m ev;
     true
 
-let m_cancel m i = m.queue <- List.filter (fun e -> e.m_timer <> i) m.queue
-
 let m_arm m i time =
-  m_cancel m i;
+  m.queue <- List.filter (fun e -> e.m_timer <> i) m.queue;
   m.due.(i) <- max time m.clock;
   m_schedule ~timer:i m ~time ~child:None
 
@@ -346,10 +342,6 @@ let apply r m op =
     r_arm r i (Sim.Engine.due r.r_timers.(i));
     m_arm m i m.due.(i);
     true
-  | Cancel i ->
-    Sim.Engine.cancel r.r_timers.(i);
-    m_cancel m i;
-    true
   | Recur { action; delay } ->
     r_recur r (fun e -> Sim.Engine.schedule_recurring e ~delay r.r_recur.(action));
     m_schedule ~recur:action m ~time:(m.clock + delay) ~child:None;
@@ -394,7 +386,6 @@ let gen_op =
              [ (6, int_range (-3) 12); (2, int_range 120 140); (1, int_range 200 600) ])
       );
       (2, map (fun i -> Rearm i) (int_range 0 (timers - 1)));
-      (1, map (fun i -> Cancel i) (int_range 0 (timers - 1)));
       (4, map2 (fun action delay -> Recur { action; delay }) (int_range 0 1) delay);
       ( 1,
         map2
@@ -430,28 +421,31 @@ let prop_queue_matches_model =
       | Some (i, op) -> QCheck.Test.fail_reportf "diverged at op %d (%s)" i op)
 
 (* The timer moves the random programs reach only by chance, each as a
-   fixed program checked against the model: a timer that is its bucket's
-   only event, its head, its tail; one resident in the overflow; re-arms
-   that cross the window's edge both ways. *)
+   fixed program checked against the model: a timer that leaves its
+   bucket as the only event, its head, its middle, its tail; one resident
+   in the overflow; re-arms that cross the window's edge both ways. *)
 let test_timer_positions () =
   let sched delay = Schedule { delay; child = None } in
   let programs =
     [
-      ("only event, cancelled", [ Arm { timer = 0; offset = 5 }; Cancel 0; Step ]);
+      ( "only event, moved",
+        [ Arm { timer = 0; offset = 5 }; Arm { timer = 0; offset = 9 }; Step ] );
       ("only event, re-armed", [ Arm { timer = 0; offset = 5 }; Rearm 0; Step ]);
       ( "head, re-armed behind the bucket",
         [ Arm { timer = 0; offset = 5 }; sched 5; sched 5; Rearm 0; Step; Step ] );
-      ("head, cancelled", [ Arm { timer = 0; offset = 5 }; sched 5; Cancel 0; Step ]);
-      ( "middle, cancelled",
-        [ sched 5; Arm { timer = 0; offset = 5 }; sched 5; Cancel 0; Step; Step ] );
-      ("tail, cancelled", [ sched 5; sched 5; Arm { timer = 0; offset = 5 }; Cancel 0 ]);
+      ( "head, moved",
+        [ Arm { timer = 0; offset = 5 }; sched 5; Arm { timer = 0; offset = 9 }; Step ] );
+      ( "middle, moved",
+        [ sched 5; Arm { timer = 0; offset = 5 }; sched 5; Arm { timer = 0; offset = 9 }; Step; Step ] );
+      ( "tail, moved",
+        [ sched 5; sched 5; Arm { timer = 0; offset = 5 }; Arm { timer = 0; offset = 9 } ] );
       ("tail, re-armed", [ sched 5; Arm { timer = 0; offset = 5 }; Rearm 0; Step ]);
       ( "two timers in one bucket",
-        [ Arm { timer = 0; offset = 3 }; Arm { timer = 1; offset = 3 }; Rearm 0; Cancel 1 ] );
+        [ Arm { timer = 0; offset = 3 }; Arm { timer = 1; offset = 3 }; Rearm 0; Arm { timer = 1; offset = 7 } ] );
       ( "overflow resident",
-        [ Arm { timer = 0; offset = 400 }; sched 400; Rearm 0; Cancel 0; Step ] );
-      ( "overflow, cancelled among others",
-        [ sched 300; Arm { timer = 0; offset = 300 }; sched 300; Cancel 0 ] );
+        [ Arm { timer = 0; offset = 400 }; sched 400; Rearm 0; Arm { timer = 0; offset = 450 }; Step ] );
+      ( "overflow, moved among others",
+        [ sched 300; Arm { timer = 0; offset = 300 }; sched 300; Arm { timer = 0; offset = 350 } ] );
       ( "re-armed into the window",
         [ Arm { timer = 0; offset = 300 }; Arm { timer = 0; offset = 5 }; Step ] );
       ( "re-armed out of the window",
@@ -476,7 +470,7 @@ let test_timer_positions () =
    full.  A fixed program, checked against the model like the random
    ones, queues past 32, 64, 128 and 256 pending events (each burst adds
    more than it fires, every seventh event a recurring one), and arms,
-   re-arms in place and cancels the three timers around every growth, in
+   re-arms in place and moves the three timers around every growth, in
    the ring and in the overflow. *)
 let test_pool_growth () =
   let burst k =
@@ -491,15 +485,15 @@ let test_pool_growth () =
       [
         [ arm 0 5; arm 1 140; arm 2 8 ];
         burst 40;
-        [ Rearm 0; Cancel 1; Step; arm 1 9; Rearm 2 ];
+        [ Rearm 0; arm 1 60; Step; arm 1 9; Rearm 2 ];
         burst 40;
-        [ Rearm 2; Rearm 0; Cancel 2; Step; Step; arm 2 300 ];
+        [ Rearm 2; Rearm 0; arm 2 20; Step; Step; arm 2 300 ];
         burst 80;
-        [ Rearm 1; Cancel 0; arm 0 2; Rearm 2; Step ];
+        [ Rearm 1; arm 0 250; arm 0 2; Rearm 2; Step ];
         burst 160;
-        [ Rearm 0; Rearm 1; Cancel 2; Run_max 5; arm 2 (-1); Rearm 1 ];
+        [ Rearm 0; Rearm 1; arm 2 7; Run_max 5; arm 2 (-1); Rearm 1 ];
         burst 40;
-        [ Run_until 50; Rearm 0; Rearm 2; Cancel 1 ];
+        [ Run_until 50; Rearm 0; Rearm 2; arm 1 180 ];
       ]
   in
   match diverges program with
@@ -507,7 +501,7 @@ let test_pool_growth () =
   | Some (i, op) -> Alcotest.failf "diverged at op %d (%s)" i op
 
 (* Firing frees an event's slot before its action runs, and the next
-   event queued (here by that very action) takes it; a cancelled timer's
+   event queued (here by that very action) takes it; a fired timer's
    slot is taken the same way.  Each event must run its own action, and
    a timer that no longer holds a slot must leave the new owner alone. *)
 let test_freed_slot_runs_new_action () =
@@ -518,15 +512,12 @@ let test_freed_slot_runs_new_action () =
       note "a" ();
       Sim.Engine.schedule e ~delay:0 (note "b"));
   let tm = Sim.Engine.timer e (note "timer") in
-  Sim.Engine.arm tm (Sim.Vtime.of_int 2);
-  Sim.Engine.cancel tm;
-  Sim.Engine.schedule e ~delay:2 (note "c");
   Sim.Engine.arm tm (Sim.Vtime.of_int 3);
+  Sim.Engine.schedule e ~delay:2 (note "c");
   Sim.Engine.run e;
   Sim.Engine.schedule e ~delay:1 (note "d");
-  Sim.Engine.cancel tm;
-  check_int "the fired timer's cancel leaves d queued" 1 (Sim.Engine.pending e);
   Sim.Engine.arm tm (Sim.Vtime.of_int 4);
+  check_int "arming the fired timer leaves d queued" 2 (Sim.Engine.pending e);
   Sim.Engine.run e;
   Alcotest.(check (list string))
     "each event ran its own action, once"
@@ -558,13 +549,13 @@ let test_freed_slot_changes_kind () =
   Sim.Engine.run ~max_events:10 e;
   let tm = Sim.Engine.timer e (note "timer") in
   Sim.Engine.arm tm (Sim.Vtime.of_int 10);
-  Sim.Engine.cancel tm;
+  Sim.Engine.run ~max_events:10 e;
   Sim.Engine.schedule_recurring_at e (Sim.Vtime.of_int 10) r;
   Sim.Engine.arm tm (Sim.Vtime.of_int 10);
   Sim.Engine.run ~max_events:10 e;
   Alcotest.(check (list string))
     "each event ran its own action, once"
-    [ "r"; "closure"; "r"; "c"; "s"; "after s"; "r"; "timer" ]
+    [ "r"; "closure"; "r"; "c"; "s"; "after s"; "timer"; "r"; "timer" ]
     (List.rev !log);
   check_true "drained" (Sim.Engine.quiescent e)
 
@@ -575,31 +566,23 @@ let[@inline never] captured w i =
   Weak.set w i (Some v);
   fun () -> ignore (Sys.opaque_identity !v)
 
-let[@inline never] arm_and_cancel e w =
-  let tm = Sim.Engine.timer e (captured w 1) in
-  Sim.Engine.arm tm (Sim.Vtime.of_int 5);
-  Sim.Engine.cancel tm
-
 let[@inline never] arm_and_drop e w =
-  Sim.Engine.arm (Sim.Engine.timer e (captured w 2)) (Sim.Vtime.of_int 3)
+  Sim.Engine.arm (Sim.Engine.timer e (captured w 1)) (Sim.Vtime.of_int 3)
 
 (* The pool never pins what an action captured once the slot is free:
-   after a major collection, the value captured by a fired event, by a
-   cancelled and dropped timer, and by a timer dropped while queued that
-   has since fired, is gone while the engine itself lives on.  A fiber's
-   continuation is such a value. *)
+   after a major collection, the value captured by a fired event, and by
+   a timer dropped while queued that has since fired, is gone while the
+   engine itself lives on.  A fiber's continuation is such a value. *)
 let test_pool_pins_nothing () =
   let e = mk () in
-  let w = Weak.create 3 in
+  let w = Weak.create 2 in
   Sim.Engine.schedule e ~delay:1 (captured w 0);
-  arm_and_cancel e w;
   arm_and_drop e w;
   Sim.Engine.run e;
   Gc.full_major ();
   List.iter
     (fun (i, what) -> check_false (what ^ " released") (Weak.check w i))
-    [ (0, "a fired event's capture"); (1, "a cancelled timer's capture");
-      (2, "a dropped, fired timer's capture") ];
+    [ (0, "a fired event's capture"); (1, "a dropped, fired timer's capture") ];
   check_true "engine alive and drained" (Sim.Engine.quiescent (Sys.opaque_identity e))
 
 let tests =
@@ -622,5 +605,5 @@ let tests =
     case "pool growth matches the model" test_pool_growth;
     case "a freed slot runs its new action" test_freed_slot_runs_new_action;
     case "a freed slot changes kind" test_freed_slot_changes_kind;
-    case "the pool pins no fired or cancelled action" test_pool_pins_nothing;
+    case "the pool pins no fired action" test_pool_pins_nothing;
   ]

@@ -91,12 +91,12 @@ let test_cross_validates_sw_oracle () =
       [
         ( "writer",
           fun () ->
-            Harness.Workload.writer_job scn
+            Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
               ~write:(Registers.Swsr_atomic.write wtr) ~count:6
               ~gap:(Harness.Workload.gap 0 15) () );
         ( "reader",
           fun () ->
-            Harness.Workload.reader_job scn
+            Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
               ~read:(fun () -> Registers.Swsr_atomic.read rdr)
               ~count:6 ~gap:(Harness.Workload.gap 0 15) () );
       ];

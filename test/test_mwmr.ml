@@ -54,7 +54,7 @@ let run_mixed ?(ops = 12) ?(write_ratio = 0.5) ?(gap = Harness.Workload.gap 0 30
           (fun i p ->
             ( Printf.sprintf "p%d" i,
               fun () ->
-                Harness.Workload.mwmr_job scn
+                Harness.Workload.mwmr_job scn ~tally:(Harness.Workload.tally ())
                   ~proc:(Printf.sprintf "p%d" i)
                   ~process:p ~ops ~write_ratio ~gap () ))
           procs))

@@ -48,11 +48,11 @@ let run_swsr_atomic (seed, n, f, strategies, gap_hi, writes, reads) =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ()) ~write:(Swsr_atomic.write w)
             ~count:writes ~gap:(Harness.Workload.gap 0 gap_hi) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:reads ~gap:(Harness.Workload.gap 0 gap_hi) () );
     ];
@@ -160,7 +160,7 @@ let prop_swsr_stabilizes_after_random_fault =
         [
           ( "writer",
             fun () ->
-              Harness.Workload.writer_job scn ~write:(Swsr_regular.write w)
+              Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ()) ~write:(Swsr_regular.write w)
                 ~count:(writes + 20)
                 ~gap:(Harness.Workload.gap 0 gap_hi)
                 () );
@@ -170,7 +170,7 @@ let prop_swsr_stabilizes_after_random_fault =
                  writer's last write, the paper's assumption (b) (a write
                  after tau_no_tr) is unmet and unbounded reads could
                  legitimately retry forever. *)
-              Harness.Workload.reader_job scn
+              Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
                 ~read:(fun () -> Swsr_regular.read ~max_iterations:80 r)
                 ~count:(reads + 20)
                 ~gap:(Harness.Workload.gap 0 gap_hi)
@@ -214,7 +214,7 @@ let prop_mwmr_atomic =
               (fun i p ->
                 ( Printf.sprintf "p%d" i,
                   fun () ->
-                    Harness.Workload.mwmr_job scn
+                    Harness.Workload.mwmr_job scn ~tally:(Harness.Workload.tally ())
                       ~proc:(Printf.sprintf "p%d" i)
                       ~process:p ~ops:6 ~write_ratio:0.5
                       ~gap:(Harness.Workload.gap 0 gap_hi) () ))
@@ -243,7 +243,7 @@ let prop_transport_exactly_once =
       let tr =
         Ss_transport.create ~engine ~rng:(Sim.Rng.split rng)
           ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
-          ~loss ~dup ~retrans:25 ~name:"p"
+          ~loss ~dup ~name:"p"
           ~deliver:(fun m -> received := m :: !received)
           ()
       in

@@ -24,11 +24,12 @@ let test_swsr_long_run_with_repeated_faults () =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
+            ~write:(Swsr_atomic.write w)
             ~count:writes ~gap:(Harness.Workload.gap 0 20) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:reads ~gap:(Harness.Workload.gap 0 25) () );
     ];
@@ -75,7 +76,7 @@ let test_transport_soak_with_corruptions () =
   let tr =
     Ss_transport.create ~engine ~rng:(Sim.Rng.split rng)
       ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
-      ~loss:0.3 ~dup:0.2 ~retrans:25 ~name:"soak"
+      ~loss:0.3 ~dup:0.2 ~name:"soak"
       ~deliver:(fun m ->
         incr received;
         if m < !last then incr reordered;
@@ -112,7 +113,7 @@ let test_mwmr_soak () =
           (fun i p ->
             ( Printf.sprintf "p%d" i,
               fun () ->
-                Harness.Workload.mwmr_job scn
+                Harness.Workload.mwmr_job scn ~tally:(Harness.Workload.tally ())
                   ~proc:(Printf.sprintf "p%d" i)
                   ~process:p ~ops:60 ~write_ratio:0.4
                   ~gap:(Harness.Workload.gap 0 30) () ))

@@ -18,11 +18,11 @@ let concurrent_workload ?(writes = 30) ?(reads = 30) ?(gap_hi = 20) scn w r =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ()) ~write:(Swsr_atomic.write w)
             ~count:writes ~gap:(Harness.Workload.gap 0 gap_hi) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:reads ~gap:(Harness.Workload.gap 0 gap_hi) () );
     ]

@@ -46,11 +46,12 @@ let concurrent_workload ?(writes = 30) ?(reads = 30) scn w r =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_regular.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
+            ~write:(Swsr_regular.write w)
             ~count:writes ~gap:(Harness.Workload.gap 0 20) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_regular.read r)
             ~count:reads ~gap:(Harness.Workload.gap 0 20) () );
     ]

@@ -14,11 +14,12 @@ let concurrent_workload ?(writes = 20) ?(reads = 20) scn w r =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_regular.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
+            ~write:(Swsr_regular.write w)
             ~count:writes ~gap:(Harness.Workload.gap 0 20) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_regular.read r)
             ~count:reads ~gap:(Harness.Workload.gap 0 20) () );
     ]
@@ -104,11 +105,12 @@ let test_sync_atomic_variant () =
     [
       ( "writer",
         fun () ->
-          Harness.Workload.writer_job scn ~write:(Swsr_atomic.write w)
+          Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ())
+            ~write:(Swsr_atomic.write w)
             ~count:20 ~gap:(Harness.Workload.gap 0 15) () );
       ( "reader",
         fun () ->
-          Harness.Workload.reader_job scn
+          Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
             ~read:(fun () -> Swsr_atomic.read r)
             ~count:20 ~gap:(Harness.Workload.gap 0 15) () );
     ];

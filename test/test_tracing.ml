@@ -84,11 +84,11 @@ let corrupted_run ?(seed = 3) ?(attach = true) () =
     ~engine:scn.Harness.Scenario.engine
     ~at:(Sim.Vtime.of_int fault_at) ~prefix:"server.";
   let writer () =
-    Harness.Workload.writer_job scn ~write:(Registers.Swsr_regular.write w)
+    Harness.Workload.writer_job scn ~tally:(Harness.Workload.tally ()) ~write:(Registers.Swsr_regular.write w)
       ~count:15 ~gap:(Harness.Workload.gap 5 25) ()
   in
   let reader () =
-    Harness.Workload.reader_job scn
+    Harness.Workload.reader_job scn ~tally:(Harness.Workload.tally ())
       ~read:(fun () -> Registers.Swsr_regular.read r)
       ~count:15 ~gap:(Harness.Workload.gap 5 25) ()
   in

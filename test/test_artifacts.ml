@@ -173,10 +173,242 @@ let test_bad_configs_rejected () =
   rejected "cex verdict frobnicated x1" Mc.Checker.cex_of_json
     (set [ "verdict" ] (verdict "frobnicated" 1) cex)
 
+(* Decoding a committed artifact and encoding it again gives back the
+   file byte for byte: the two directions of each codec agree on every
+   member the examples carry.  The chaos repros predate the crash
+   members, which re-encode at their defaults after the committed
+   config's last member. *)
+let reencode j =
+  let via decode encode =
+    match decode j with
+    | Ok x -> encode x
+    | Error e -> Alcotest.failf "decode: %s" e
+  in
+  let schema = schema_of j in
+  if String.equal schema Chaos.Recovery.schema then
+    via Chaos.Recovery.of_json Chaos.Recovery.to_json
+  else if String.equal schema Shard.Tier.schema then
+    via Shard.Tier.of_json Shard.Tier.to_json
+  else if String.equal schema Mc.Checker.cex_schema then
+    via Mc.Checker.cex_of_json Mc.Checker.cex_to_json
+  else if String.equal schema Chaos.Campaign.repro_schema then
+    via Chaos.Campaign.repro_of_json Chaos.Campaign.repro_to_json
+  else Alcotest.failf "no codec for %s" schema
+
+let pretty j = Obs.Json.to_string_pretty j ^ "\n"
+
+let test_committed_reencode () =
+  let reencoded = ref 0 in
+  List.iter
+    (fun path ->
+      let text = read_file path in
+      let j = parse path in
+      let schema = schema_of j in
+      if
+        List.mem schema
+          [ Chaos.Recovery.schema; Shard.Tier.schema; Mc.Checker.cex_schema ]
+      then begin
+        incr reencoded;
+        Alcotest.(check string) (path ^ " re-encodes") text (pretty (reencode j))
+      end)
+    (committed ());
+  check_int "recovery, shard and cex examples" 4 !reencoded;
+  List.iter
+    (fun name ->
+      let path = Filename.concat "../examples/chaos" name in
+      let j = parse path in
+      let config =
+        match Obs.Json.member "config" j with
+        | Some (Obs.Json.Obj members) -> members
+        | Some _ | None -> Alcotest.failf "%s: no config object" path
+      in
+      check_false (path ^ " predates the crash members")
+        (List.mem_assoc "crashes" config || List.mem_assoc "crash_down" config);
+      let defaulted =
+        Obs.Json.Obj
+          (config @ [ ("crashes", Obs.Json.Int 0); ("crash_down", Obs.Json.Int 250) ])
+      in
+      Alcotest.(check string)
+        (path ^ " re-encodes with the crash defaults")
+        (pretty (set [ "config" ] defaulted j))
+        (pretty (reencode j)))
+    [ "mwmr_mobile_roam_stuck.json"; "regular_collude_repro.json" ]
+
+(* Random valid configs, each wrapped in the smallest artifact that
+   carries it, survive encode, print, parse and decode unchanged. *)
+let gen_family = QCheck.Gen.oneofl Stab.[ Regular; Atomic; Mwmr ]
+
+let gen_campaign_repro =
+  QCheck.Gen.(
+    let* family = gen_family in
+    let* n = int_range 1 12 in
+    let* f = int_range 0 4 in
+    let* medium = oneofl Chaos.Campaign.[ Fifo; Lossy ] in
+    let* initial =
+      list_size (int_range 0 3) (pair (int_range 0 (n - 1)) Test_chaos.gen_strategy)
+    in
+    let count = int_range 0 5000 in
+    let* writes = count and* reads = count and* gap_hi = count in
+    let* injections = count and* roams = count and* roam_max = count in
+    let* windows = count and* window_max = count in
+    let* crashes = count and* crash_down = count in
+    let* read_budget = int_range 1 100 in
+    let* horizon = int_range 1 10_000 in
+    let* seed = int_range 0 1_000_000 in
+    let config =
+      {
+        Chaos.Campaign.family; n; f; medium; initial; writes; reads;
+        read_budget; gap_hi; horizon; injections; roams; roam_max; windows;
+        window_max; crashes; crash_down;
+      }
+    in
+    return
+      { Chaos.Campaign.seed; config; schedule = []; verdict = Stab.Clean })
+
+let gen_recovery_report =
+  QCheck.Gen.(
+    let count = int_range 0 2000 in
+    let* f = int_range 0 4 and* bursts = int_range 0 5 in
+    let* crashed = int_range 0 3 and* first_at = count and* gap = count in
+    let* writes = count and* reads = count and* gap_hi = count in
+    let* n = int_range 1 12 in
+    let* down_for = int_range 1 500 in
+    let* read_budget = int_range 1 100 in
+    let* retry = bool in
+    let* seed = int_range 0 1_000_000 and* duration = count in
+    let config =
+      {
+        Chaos.Recovery.n; f; bursts; crashed; down_for; first_at; gap;
+        writes; reads; read_budget; gap_hi; retry;
+      }
+    in
+    return
+      {
+        Chaos.Recovery.seed; config; bursts = [];
+        write_ops = Registers.Outcome.zero_tally;
+        read_ops = Registers.Outcome.zero_tally;
+        duration; stuck = []; converged = false;
+      })
+
+let gen_tier_report =
+  QCheck.Gen.(
+    let* shards = int_range 1 6 in
+    let* vnodes = int_range 1 32 in
+    let* n = int_range 1 12 in
+    let* f = int_range 0 3 in
+    let* retry = bool in
+    let* keys = int_range 1 200 in
+    let* clients = int_range 1 40 in
+    let* ops = int_range 0 1000 in
+    let* theta = float_bound_inclusive 2.0 in
+    let* write_ratio = oneof [ return 0.0; return 1.0; float_bound_inclusive 1.0 ] in
+    let* mean_gap = int_range 0 10 in
+    let* burst =
+      opt
+        (let* every = int_range 1 500 in
+         let* len = int_range 0 every in
+         let* factor = int_range 1 8 in
+         return { Workload.Openloop.every; len; factor })
+    in
+    let crash =
+      let* at = int_range 0 5000 in
+      let* server = int_range 0 (n - 1) in
+      let* down_for = opt (int_range 1 500) in
+      return { Shard.Tier.at; server; down_for }
+    in
+    let* chaos =
+      opt
+        (let* target = int_range 0 (shards - 1) in
+         let* injections = list_size (int_range 0 3) (int_range 0 5000) in
+         let* crashes = list_size (int_range 0 3) crash in
+         return { Shard.Tier.target; injections; crashes })
+    in
+    let* seed = int_range 0 1_000_000 in
+    let workload =
+      { Workload.Openloop.keys; clients; ops; theta; write_ratio; mean_gap; burst }
+    in
+    let config = { Shard.Tier.shards; vnodes; n; f; retry; workload; chaos } in
+    return
+      {
+        Shard.Tier.seed; config; key_owners = []; shards = []; ops = 0;
+        writes = Registers.Outcome.zero_tally;
+        reads = Registers.Outcome.zero_tally;
+        duration = 0; isolated = true; clean = true;
+      })
+
+let gen_mc_config =
+  QCheck.Gen.(
+    let* family = gen_family in
+    let* n = int_range 1 12 in
+    let* f = int_range 0 3 in
+    let* slots = shuffle_l (List.init n Fun.id) in
+    let* nbyz = int_range 0 (min 3 n) in
+    let* byz =
+      flatten_l
+        (List.map
+           (fun slot ->
+             let* k =
+               oneof
+                 [
+                   return Mc.Config.Silent;
+                   map2 (fun sn v -> Mc.Config.Collude { sn; v }) small_nat small_int;
+                 ]
+             in
+             return (slot, k))
+           (List.filteri (fun i _ -> i < nbyz) slots))
+    in
+    let server = int_range 0 (n - 1) in
+    let item =
+      oneof
+        ([
+           map3 (fun server sn v -> Mc.Config.Corrupt_server { server; sn; v })
+             server small_nat small_int;
+           map2
+             (fun client round -> Mc.Config.Corrupt_round { client; round })
+             (oneofl (Mc.Config.client_ids family)) small_nat;
+           map (fun server -> Mc.Config.Crash_recover { server }) server;
+         ]
+        @
+        if family = Stab.Atomic then
+          [
+            map2 (fun pwsn v -> Mc.Config.Corrupt_reader { pwsn; v }) small_nat small_int;
+            map (fun sn -> Mc.Config.Corrupt_writer_sn sn) small_nat;
+          ]
+        else [])
+    in
+    let* menu = list_size (int_range 0 4) item in
+    let* writes = int_range 0 3 in
+    let* reads = int_range 0 3 in
+    let* read_budget = int_range 1 16 in
+    let* oracle = oneofl Mc.Config.[ Family_default; Atomic_oracle ] in
+    return
+      { Mc.Config.family; n; f; byz; writes; reads; read_budget; menu; oracle })
+
+let round_trips name gen encode decode =
+  qcheck
+    (QCheck.Test.make ~count:200 ~name
+       (QCheck.make gen ~print:(fun x -> Obs.Json.to_string (encode x)))
+       (fun x ->
+         match Obs.Json.parse (Obs.Json.to_string (encode x)) with
+         | Error e -> QCheck.Test.fail_report e
+         | Ok j -> (
+           match decode j with
+           | Ok y -> y = x
+           | Error e -> QCheck.Test.fail_report e)))
+
 let tests =
   [
     case "committed examples validate" test_committed_validate;
     case "fresh artifacts validate" test_fresh_artifacts_validate;
     case "unknown schemas rejected" test_unknown_schemas_rejected;
     case "unrunnable configs rejected" test_bad_configs_rejected;
+    case "committed artifacts re-encode byte for byte" test_committed_reencode;
+    round_trips "campaign repro configs round-trip" gen_campaign_repro
+      Chaos.Campaign.repro_to_json Chaos.Campaign.repro_of_json;
+    round_trips "recovery configs round-trip" gen_recovery_report
+      Chaos.Recovery.to_json Chaos.Recovery.of_json;
+    round_trips "shard tier configs round-trip" gen_tier_report
+      Shard.Tier.to_json Shard.Tier.of_json;
+    round_trips "mc configs round-trip" gen_mc_config Mc.Config.to_json
+      Mc.Config.of_json;
   ]

@@ -365,141 +365,60 @@ type repro = {
 
 let repro_schema = "stabreg/chaos-repro/v1"
 
-let initial_to_json initial =
-  Obs.Json.List
-    (List.map
-       (fun (slot, s) ->
-         Obs.Json.Obj
-           [
-             ("slot", Obs.Json.Int slot);
-             ("strategy", Obs.Json.Str (Strategy.to_string s));
-           ])
-       initial)
+(* The decoder rejects everything [run_trial] and [generate] would
+   otherwise reject with [Invalid_argument] or an out-of-range slot.
+   Exceeding the resilience bound is not an error: campaigns break it on
+   purpose.  The crash members postdate the v1 schema; artifacts written
+   before them decode with the (inert) defaults. *)
+let config_codec () =
+  let d = default_config ~family:Regular in
+  Obs.Json.(
+    record
+      (fun family n f medium initial writes reads read_budget gap_hi horizon
+           injections roams roam_max windows window_max crashes crash_down ->
+        {
+          family; n; f; medium; initial; writes; reads; read_budget; gap_hi;
+          horizon; injections; roams; roam_max; windows; window_max; crashes;
+          crash_down;
+        })
+    |> field "family" (enum Stab.family_to_string Stab.family_of_string)
+         (fun c -> c.family)
+    |> field "n" pos (fun c -> c.n)
+    |> field "f" nat (fun c -> c.f)
+    |> field "medium" (enum medium_to_string medium_of_string) (fun c ->
+           c.medium)
+    |> field "initial" (list (Schedule.assignment ())) (fun c -> c.initial)
+    |> field "writes" nat (fun c -> c.writes)
+    |> field "reads" nat (fun c -> c.reads)
+    |> field "read_budget" pos (fun c -> c.read_budget)
+    |> field "gap_hi" nat (fun c -> c.gap_hi)
+    |> field "horizon" pos (fun c -> c.horizon)
+    |> field "injections" nat (fun c -> c.injections)
+    |> field "roams" nat (fun c -> c.roams)
+    |> field "roam_max" nat (fun c -> c.roam_max)
+    |> field "windows" nat (fun c -> c.windows)
+    |> field "window_max" nat (fun c -> c.window_max)
+    |> field "crashes" ~default:d.crashes nat (fun c -> c.crashes)
+    |> field "crash_down" ~default:d.crash_down nat (fun c -> c.crash_down)
+    |> seal ~check:(fun c ->
+           if List.for_all (fun (s, _) -> s >= 0 && s < c.n) c.initial then
+             Ok ()
+           else Error "config: initial slot out of range"))
 
-let config_to_json c =
-  Obs.Json.Obj
-    [
-      ("family", Obs.Json.Str (Stab.family_to_string c.family));
-      ("n", Obs.Json.Int c.n);
-      ("f", Obs.Json.Int c.f);
-      ("medium", Obs.Json.Str (medium_to_string c.medium));
-      ("initial", initial_to_json c.initial);
-      ("writes", Obs.Json.Int c.writes);
-      ("reads", Obs.Json.Int c.reads);
-      ("read_budget", Obs.Json.Int c.read_budget);
-      ("gap_hi", Obs.Json.Int c.gap_hi);
-      ("horizon", Obs.Json.Int c.horizon);
-      ("injections", Obs.Json.Int c.injections);
-      ("roams", Obs.Json.Int c.roams);
-      ("roam_max", Obs.Json.Int c.roam_max);
-      ("windows", Obs.Json.Int c.windows);
-      ("window_max", Obs.Json.Int c.window_max);
-      ("crashes", Obs.Json.Int c.crashes);
-      ("crash_down", Obs.Json.Int c.crash_down);
-    ]
+let repro_codec () =
+  Obs.Json.(
+    record (fun seed config schedule verdict ->
+        { seed; config; schedule; verdict })
+    |> field "seed" int (fun r -> r.seed)
+    |> field "config" (config_codec ()) (fun (r : repro) -> r.config)
+    |> field "schedule" Schedule.codec (fun r -> r.schedule)
+    |> field "verdict" Stab.verdict_codec (fun r -> r.verdict)
+    |> seal ~check:(fun r -> Schedule.check ~n:r.config.n r.schedule)
+    |> with_schema repro_schema)
 
-let repro_to_json r =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str repro_schema);
-      ("seed", Obs.Json.Int r.seed);
-      ("config", config_to_json r.config);
-      ("schedule", Schedule.to_json r.schedule);
-      ("verdict", Stab.verdict_to_json r.verdict);
-    ]
+let repro_to_json r = Obs.Json.encode (repro_codec ()) r
 
-let initial_of_json ctx item =
-  let open Obs.Json in
-  let* slot = int_field ctx "slot" item in
-  let* s = str_field ctx "strategy" item in
-  let* s = Strategy.of_string s in
-  Ok (slot, s)
-
-(* Everything [run_trial] and [generate] would otherwise reject with
-   [Invalid_argument] or an out-of-range slot.  Exceeding the resilience
-   bound is not an error: campaigns break it on purpose. *)
-let check_config (c : config) =
-  let bad fmt = Printf.ksprintf (fun s -> Error ("config: " ^ s)) fmt in
-  let counts =
-    [
-      ("writes", c.writes); ("reads", c.reads); ("injections", c.injections);
-      ("roams", c.roams); ("roam_max", c.roam_max); ("windows", c.windows);
-      ("window_max", c.window_max); ("crashes", c.crashes);
-      ("crash_down", c.crash_down); ("gap_hi", c.gap_hi);
-    ]
-  in
-  if c.n <= 0 then bad "n must be positive"
-  else if c.f < 0 then bad "f must be non-negative"
-  else if c.horizon <= 0 then bad "horizon must be positive"
-  else if c.read_budget <= 0 then bad "read_budget must be positive"
-  else
-    match List.find_opt (fun (_, v) -> v < 0) counts with
-    | Some (key, _) -> bad "%s must be non-negative" key
-    | None ->
-      if List.exists (fun (slot, _) -> slot < 0 || slot >= c.n) c.initial then
-        bad "initial slot out of range"
-      else Ok ()
-
-let config_of_json j =
-  let open Obs.Json in
-  let ctx = "config" in
-  let* family = str_field ctx "family" j in
-  let* family = Stab.family_of_string family in
-  let* n = int_field ctx "n" j in
-  let* f = int_field ctx "f" j in
-  let* medium = str_field ctx "medium" j in
-  let* medium = medium_of_string medium in
-  let* initial = list_field ctx "initial" initial_of_json j in
-  let* writes = int_field ctx "writes" j in
-  let* reads = int_field ctx "reads" j in
-  let* read_budget = int_field ctx "read_budget" j in
-  let* gap_hi = int_field ctx "gap_hi" j in
-  let* horizon = int_field ctx "horizon" j in
-  let* injections = int_field ctx "injections" j in
-  let* roams = int_field ctx "roams" j in
-  let* roam_max = int_field ctx "roam_max" j in
-  let* windows = int_field ctx "windows" j in
-  let* window_max = int_field ctx "window_max" j in
-  (* Crash fields postdate the v1 schema; artifacts written before them
-     parse with the (inert) defaults. *)
-  let* crashes = opt_field ctx "crashes" as_int j in
-  let* crash_down = opt_field ctx "crash_down" as_int j in
-  let c =
-    {
-      family;
-      n;
-      f;
-      medium;
-      initial;
-      writes;
-      reads;
-      read_budget;
-      gap_hi;
-      horizon;
-      injections;
-      roams;
-      roam_max;
-      windows;
-      window_max;
-      crashes = Option.value crashes ~default:0;
-      crash_down = Option.value crash_down ~default:250;
-    }
-  in
-  let* () = check_config c in
-  Ok c
-
-let repro_of_json j =
-  let open Obs.Json in
-  let* () = expect_schema "repro" repro_schema j in
-  let* seed = int_field "repro" "seed" j in
-  let* config = field "repro" "config" j in
-  let* config = config_of_json config in
-  let* schedule = field "repro" "schedule" j in
-  let* schedule = Schedule.of_json schedule in
-  let* () = Schedule.check ~n:config.n schedule in
-  let* verdict = field "repro" "verdict" j in
-  let* verdict = Stab.verdict_of_json verdict in
-  Ok { seed; config; schedule; verdict }
+let repro_of_json j = Obs.Json.decode (repro_codec ()) "repro" j
 
 let replay ?on_scenario r =
   run_trial ?on_scenario r.config ~seed:r.seed r.schedule

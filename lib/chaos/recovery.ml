@@ -150,140 +150,69 @@ let run ?on_scenario cfg ~seed =
 
 let schema = "stabreg/recovery/v1"
 
-let config_to_json c =
-  Obs.Json.Obj
-    [
-      ("n", Obs.Json.Int c.n);
-      ("f", Obs.Json.Int c.f);
-      ("bursts", Obs.Json.Int c.bursts);
-      ("crashed", Obs.Json.Int c.crashed);
-      ("down_for", Obs.Json.Int c.down_for);
-      ("first_at", Obs.Json.Int c.first_at);
-      ("gap", Obs.Json.Int c.gap);
-      ("writes", Obs.Json.Int c.writes);
-      ("reads", Obs.Json.Int c.reads);
-      ("read_budget", Obs.Json.Int c.read_budget);
-      ("gap_hi", Obs.Json.Int c.gap_hi);
-      ("retry", Obs.Json.Bool c.retry);
-    ]
+(* The decoder rejects everything [run] would otherwise reject with
+   [Invalid_argument]; more crashed slots than [f] is allowed (an
+   over-bound burst). *)
+let config_codec () =
+  Obs.Json.(
+    record
+      (fun n f bursts crashed down_for first_at gap writes reads read_budget
+           gap_hi retry ->
+        {
+          n; f; bursts; crashed; down_for; first_at; gap; writes; reads;
+          read_budget; gap_hi; retry;
+        })
+    |> field "n" pos (fun c -> c.n)
+    |> field "f" nat (fun c -> c.f)
+    |> field "bursts" nat (fun (c : config) -> c.bursts)
+    |> field "crashed" nat (fun c -> c.crashed)
+    |> field "down_for" pos (fun c -> c.down_for)
+    |> field "first_at" nat (fun c -> c.first_at)
+    |> field "gap" nat (fun c -> c.gap)
+    |> field "writes" nat (fun c -> c.writes)
+    |> field "reads" nat (fun c -> c.reads)
+    |> field "read_budget" pos (fun c -> c.read_budget)
+    |> field "gap_hi" nat (fun c -> c.gap_hi)
+    |> field "retry" bool (fun c -> c.retry)
+    |> seal)
 
-let burst_to_json b =
-  Obs.Json.Obj
-    [
-      ("burst", Obs.Json.Int b.burst);
-      ("crash_at", Obs.Json.Int b.crash_at);
-      ("recovery_at", Obs.Json.Int b.recovery_at);
-      ( "stab_time",
-        match b.stab_time with
-        | Some s -> Obs.Json.Int s
-        | None -> Obs.Json.Null );
-    ]
+let burst_codec () =
+  Obs.Json.(
+    record (fun burst crash_at recovery_at stab_time ->
+        { burst; crash_at; recovery_at; stab_time })
+    |> field "burst" int (fun b -> b.burst)
+    |> field "crash_at" int (fun b -> b.crash_at)
+    |> field "recovery_at" int (fun b -> b.recovery_at)
+    |> field "stab_time" (nullable int) (fun b -> b.stab_time)
+    |> seal)
 
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str schema);
-      ("seed", Obs.Json.Int r.seed);
-      ("config", config_to_json r.config);
-      ("schedule", Schedule.to_json (schedule r.config));
-      ("bursts", Obs.Json.List (List.map burst_to_json r.bursts));
-      ("write_ops", Registers.Outcome.tally_to_json r.write_ops);
-      ("read_ops", Registers.Outcome.tally_to_json r.read_ops);
-      ("duration", Obs.Json.Int r.duration);
-      ("stuck", Obs.Json.List (List.map (fun s -> Obs.Json.Str s) r.stuck));
-      ("converged", Obs.Json.Bool r.converged);
-    ]
+let codec () =
+  let tally = Registers.Outcome.tally_codec () in
+  Obs.Json.(
+    record
+      (fun seed config bursts write_ops read_ops duration stuck converged ->
+        {
+          seed; config; bursts; write_ops; read_ops; duration; stuck;
+          converged;
+        })
+    |> field "seed" int (fun r -> r.seed)
+    |> field "config" (config_codec ()) (fun r -> r.config)
+    |> derived "schedule" Schedule.codec (fun r -> schedule r.config)
+    |> field "bursts" (list (burst_codec ())) (fun r -> r.bursts)
+    |> field "write_ops" tally (fun r -> r.write_ops)
+    |> field "read_ops" tally (fun r -> r.read_ops)
+    |> field "duration" int (fun r -> r.duration)
+    |> field "stuck" (list string) (fun r -> r.stuck)
+    |> field "converged" bool (fun r -> r.converged)
+    |> seal |> with_schema schema)
 
-(* Everything [run] would otherwise reject with [Invalid_argument];
-   more crashed slots than [f] is allowed (an over-bound burst). *)
-let check_config (c : config) =
-  let bad fmt = Printf.ksprintf (fun s -> Error ("config: " ^ s)) fmt in
-  let counts =
-    [
-      ("bursts", c.bursts); ("crashed", c.crashed); ("first_at", c.first_at);
-      ("gap", c.gap); ("writes", c.writes); ("reads", c.reads);
-      ("gap_hi", c.gap_hi);
-    ]
-  in
-  if c.n <= 0 then bad "n must be positive"
-  else if c.f < 0 then bad "f must be non-negative"
-  else if c.down_for <= 0 then bad "down_for must be positive"
-  else if c.read_budget <= 0 then bad "read_budget must be positive"
-  else
-    match List.find_opt (fun (_, v) -> v < 0) counts with
-    | Some (key, _) -> bad "%s must be non-negative" key
-    | None -> Ok ()
+let to_json r = Obs.Json.encode (codec ()) r
 
-let config_of_json j =
-  let open Obs.Json in
-  let ctx = "config" in
-  let* n = int_field ctx "n" j in
-  let* f = int_field ctx "f" j in
-  let* bursts = int_field ctx "bursts" j in
-  let* crashed = int_field ctx "crashed" j in
-  let* down_for = int_field ctx "down_for" j in
-  let* first_at = int_field ctx "first_at" j in
-  let* gap = int_field ctx "gap" j in
-  let* writes = int_field ctx "writes" j in
-  let* reads = int_field ctx "reads" j in
-  let* read_budget = int_field ctx "read_budget" j in
-  let* gap_hi = int_field ctx "gap_hi" j in
-  let* retry = bool_field ctx "retry" j in
-  let c =
-    {
-      n;
-      f;
-      bursts;
-      crashed;
-      down_for;
-      first_at;
-      gap;
-      writes;
-      reads;
-      read_budget;
-      gap_hi;
-      retry;
-    }
-  in
-  let* () = check_config c in
-  Ok c
-
-let burst_of_json ctx j =
-  let open Obs.Json in
-  let* burst = int_field ctx "burst" j in
-  let* crash_at = int_field ctx "crash_at" j in
-  let* recovery_at = int_field ctx "recovery_at" j in
-  let* stab_time = opt_field ctx "stab_time" as_int j in
-  Ok { burst; crash_at; recovery_at; stab_time }
-
-let of_json j =
-  let open Obs.Json in
-  let ctx = "recovery" in
-  let* () = expect_schema ctx schema j in
-  let* seed = int_field ctx "seed" j in
-  let* config = field ctx "config" j in
-  let* config = config_of_json config in
-  let* bursts = list_field ctx "bursts" burst_of_json j in
-  let* write_ops = field ctx "write_ops" j in
-  let* write_ops =
-    Registers.Outcome.tally_of_json (ctx ^ ".write_ops") write_ops
-  in
-  let* read_ops = field ctx "read_ops" j in
-  let* read_ops =
-    Registers.Outcome.tally_of_json (ctx ^ ".read_ops") read_ops
-  in
-  let* duration = int_field ctx "duration" j in
-  let* stuck = list_field ctx "stuck" as_string j in
-  let* converged = bool_field ctx "converged" j in
-  Ok { seed; config; bursts; write_ops; read_ops; duration; stuck; converged }
+let of_json j = Obs.Json.decode (codec ()) "recovery" j
 
 let replay ?on_scenario r = run ?on_scenario r.config ~seed:r.seed
 
-let matches a b =
-  a.seed = b.seed && a.config = b.config && a.bursts = b.bursts
-  && a.write_ops = b.write_ops && a.read_ops = b.read_ops
-  && a.duration = b.duration && a.stuck = b.stuck
-  && a.converged = b.converged
+let matches a b = Obs.Json.equal (to_json a) (to_json b)
 
 let pp_burst fmt b =
   match b.stab_time with

@@ -42,64 +42,33 @@ let direction_of_string = function
   | "both" -> Ok Both
   | s -> Error (Printf.sprintf "unknown window direction %S" s)
 
-let event_to_json = function
-  | Inject { at; prefix } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "inject");
-        ("at", Obs.Json.Int at);
-        ("prefix", Obs.Json.Str prefix);
-      ]
+let assignment () =
+  Obs.Json.(
+    record (fun slot s -> (slot, s))
+    |> field "slot" int fst
+    |> field "strategy" (enum Strategy.to_string Strategy.of_string) snd
+    |> seal)
+
+let event_to_json e =
+  let open Obs.Json in
+  let event kind at members =
+    Obj (("kind", Str kind) :: ("at", Int at) :: members)
+  in
+  let opt_int = encode (nullable int) in
+  match e with
+  | Inject { at; prefix } -> event "inject" at [ ("prefix", Str prefix) ]
   | Roam { at; assign } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "roam");
-        ("at", Obs.Json.Int at);
-        ( "assign",
-          Obs.Json.List
-            (List.map
-               (fun (slot, s) ->
-                 Obs.Json.Obj
-                   [
-                     ("slot", Obs.Json.Int slot);
-                     ("strategy", Obs.Json.Str (Strategy.to_string s));
-                   ])
-               assign) );
-      ]
+    event "roam" at [ ("assign", encode (list (assignment ())) assign) ]
   | Window { at; duration; loss; dup; dir; server } ->
-    Obs.Json.Obj
+    event "window" at
       [
-        ("kind", Obs.Json.Str "window");
-        ("at", Obs.Json.Int at);
-        ("duration", Obs.Json.Int duration);
-        ("loss", Obs.Json.Float loss);
-        ("dup", Obs.Json.Float dup);
-        ("dir", Obs.Json.Str (direction_to_string dir));
-        ( "server",
-          match server with
-          | Some s -> Obs.Json.Int s
-          | None -> Obs.Json.Null );
+        ("duration", Int duration); ("loss", Float loss); ("dup", Float dup);
+        ("dir", Str (direction_to_string dir)); ("server", opt_int server);
       ]
   | Crash { at; server; down_for } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "crash");
-        ("at", Obs.Json.Int at);
-        ("server", Obs.Json.Int server);
-        ( "down_for",
-          match down_for with
-          | Some d -> Obs.Json.Int d
-          | None -> Obs.Json.Null );
-      ]
+    event "crash" at [ ("server", Int server); ("down_for", opt_int down_for) ]
 
 let to_json events = Obs.Json.List (List.map event_to_json events)
-
-let assign_of_json ctx item =
-  let open Obs.Json in
-  let* slot = int_field ctx "slot" item in
-  let* s = str_field ctx "strategy" item in
-  let* s = Strategy.of_string s in
-  Ok (slot, s)
 
 let event_of_json ctx j =
   let open Obs.Json in
@@ -110,7 +79,7 @@ let event_of_json ctx j =
     let* prefix = str_field ctx "prefix" j in
     Ok (Inject { at; prefix })
   | "roam" ->
-    let* assign = list_field ctx "assign" assign_of_json j in
+    let* assign = list_field ctx "assign" (decode (assignment ())) j in
     Ok (Roam { at; assign })
   | "window" ->
     let* duration = int_field ctx "duration" j in
@@ -126,7 +95,11 @@ let event_of_json ctx j =
     Ok (Crash { at; server; down_for })
   | k -> Error (Printf.sprintf "%s: unknown event kind %S" ctx k)
 
-let of_json j = Result.map sort (Obs.Json.as_list event_of_json "schedule" j)
+let codec =
+  Obs.Json.codec to_json (fun ctx j ->
+      Result.map sort (Obs.Json.as_list event_of_json ctx j))
+
+let of_json = Obs.Json.decode codec "schedule"
 
 let check ~n events =
   let slot_ok s = s >= 0 && s < n in

@@ -45,7 +45,12 @@ val disturbance_points : t -> int list
     recovery instant (the rejoin over arbitrary state is itself a
     transient fault). *)
 
-val event_to_json : event -> Obs.Json.t
+val assignment : unit -> (int * Strategy.t) Obs.Json.codec
+(** One slot's strategy, [{"slot", "strategy"}]: a roam's [assign] items
+    and a campaign config's [initial] ones. *)
+
+val codec : t Obs.Json.codec
+(** A JSON list of events; the decoder sorts it by instant. *)
 
 val to_json : t -> Obs.Json.t
 

@@ -57,7 +57,9 @@ let stuck_jobs handles =
         Some
           (Printf.sprintf "%s (blocked on %s)" name
              (Option.value ~default:"unknown" (Sim.Fiber.blocked_on h)))
-      | Sim.Fiber.Done | Sim.Fiber.Failed _ -> None)
+      | Sim.Fiber.Failed e ->
+        Some (Printf.sprintf "%s (raised: %s)" name (Printexc.to_string e))
+      | Sim.Fiber.Done -> None)
     handles
 
 let check_jobs handles =

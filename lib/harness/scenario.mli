@@ -40,8 +40,10 @@ exception Deadlock of string
     (e.g. ["Mailbox.collect"], ["Collect.backoff"]). *)
 
 val stuck_jobs : (string * Sim.Fiber.handle) list -> string list
-(** Human-readable descriptions of the still-running fibers among
-    [(name, handle)] pairs, with their {!Sim.Fiber.blocked_on} labels. *)
+(** Human-readable descriptions of the fibers among [(name, handle)]
+    pairs that did not finish: a still-running one as
+    ["name (blocked on <label>)"] with its {!Sim.Fiber.blocked_on} label,
+    one that raised as ["name (raised: <exn>)"]. *)
 
 val check_jobs : (string * Sim.Fiber.handle) list -> unit
 (** Watchdog: re-raise the first failed job's exception, then raise

@@ -34,30 +34,31 @@ let pp_verdict fmt = function
   | Violation { kind; count; detail } ->
     Format.fprintf fmt "%s x%d (%s)" kind count detail
 
-let verdict_to_json = function
-  | Clean -> Obs.Json.Obj [ ("kind", Obs.Json.Str "clean") ]
+let verdict_to_json v =
+  let open Obs.Json in
+  match v with
+  | Clean -> Obj [ ("kind", Str "clean") ]
   | Violation { kind; count; detail } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str kind);
-        ("count", Obs.Json.Int count);
-        ("detail", Obs.Json.Str detail);
-      ]
+    Obj [ ("kind", Str kind); ("count", Int count); ("detail", Str detail) ]
 
 let violation_kinds = [ "regularity"; "inversion"; "mw"; "liveness"; "stuck" ]
 
-let verdict_of_json j =
+let decode_verdict ctx j =
   let open Obs.Json in
-  let* kind = str_field "verdict" "kind" j in
+  let* kind = str_field ctx "kind" j in
   if String.equal kind "clean" then Ok Clean
   else if not (List.mem kind violation_kinds) then
-    Error (Printf.sprintf "verdict: unknown kind %S" kind)
+    Error (Printf.sprintf "%s: unknown kind %S" ctx kind)
   else
-    let* count = int_field "verdict" "count" j in
-    let* detail = str_field "verdict" "detail" j in
+    let* count = int_field ctx "count" j in
+    let* detail = str_field ctx "detail" j in
     if count < 1 then
-      Error (Printf.sprintf "verdict: count %d must be positive" count)
+      Error (Printf.sprintf "%s: count %d must be positive" ctx count)
     else Ok (Violation { kind; count; detail })
+
+let verdict_codec = Obs.Json.codec verdict_to_json decode_verdict
+
+let verdict_of_json = Obs.Json.decode verdict_codec "verdict"
 
 let sub_history h ~lo ~hi =
   let sub = History.create () in

@@ -42,11 +42,15 @@ val verdict_equal : verdict -> verdict -> bool
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+val verdict_codec : verdict Obs.Json.codec
+(** [{"kind": "clean"}] or [{"kind", "count", "detail"}].  The decoder
+    rejects a kind outside [clean|regularity|inversion|mw|liveness|stuck]
+    and a violation with [count < 1]. *)
+
 val verdict_to_json : verdict -> Obs.Json.t
 
 val verdict_of_json : Obs.Json.t -> (verdict, string) result
-(** Rejects a kind outside [clean|regularity|inversion|mw|liveness|stuck]
-    and a violation with [count < 1]. *)
+(** {!verdict_codec}'s decoder at context ["verdict"]. *)
 
 (** {2 Segments and cutoffs} *)
 

@@ -29,35 +29,26 @@ let compare a b =
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
 let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
+  | "error" -> Ok Error
+  | "warning" -> Ok Warning
+  | s -> Stdlib.Error (Printf.sprintf "unknown severity %S" s)
 
-let to_json t =
-  Obs.Json.Obj
-    [
-      ("file", Obs.Json.Str t.file);
-      ("line", Obs.Json.Int t.line);
-      ("col", Obs.Json.Int t.col);
-      ("rule", Obs.Json.Str t.rule);
-      ("severity", Obs.Json.Str (severity_to_string t.severity));
-      ("message", Obs.Json.Str t.message);
-    ]
+let codec () =
+  Obs.Json.(
+    record (fun file line col rule severity message ->
+        { file; line; col; rule; severity; message })
+    |> field "file" string (fun t -> t.file)
+    |> field "line" int (fun t -> t.line)
+    |> field "col" int (fun t -> t.col)
+    |> field "rule" string (fun t -> t.rule)
+    |> field "severity" (enum severity_to_string severity_of_string) (fun t ->
+           t.severity)
+    |> field "message" string (fun t -> t.message)
+    |> seal)
 
-let of_json ctx j =
-  let open Obs.Json in
-  let* file = str_field ctx "file" j in
-  let* line = int_field ctx "line" j in
-  let* col = int_field ctx "col" j in
-  let* rule = str_field ctx "rule" j in
-  let* sev = str_field ctx "severity" j in
-  let* severity =
-    match severity_of_string sev with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "%s: unknown severity %S" ctx sev)
-  in
-  let* message = str_field ctx "message" j in
-  Ok { file; line; col; rule; severity; message }
+let to_json t = Obs.Json.encode (codec ()) t
+
+let of_json ctx j = Obs.Json.decode (codec ()) ctx j
 
 let pp ppf t =
   Format.fprintf ppf "%s:%d:%d: [%s] %s: %s" t.file t.line t.col t.rule

@@ -30,7 +30,7 @@ val compare : t -> t -> int
 
 val severity_to_string : severity -> string
 
-val severity_of_string : string -> severity option
+val severity_of_string : string -> (severity, string) result
 
 val to_json : t -> Obs.Json.t
 

@@ -117,7 +117,7 @@ let validate j =
   let* _tool = str_field ctx "tool" j in
   let* _paths = list_field ctx "paths" as_string j in
   let* _files = int_field ctx "files_scanned" j in
-  let* summary = field ctx "summary" j in
+  let* summary = required ctx "summary" j in
   let* () =
     int_members "summary" [ "new"; "baselined"; "suppressed"; "stale_baseline" ]
       summary
@@ -247,7 +247,7 @@ let validate_domains j =
   let* () = expect_schema ctx domains_schema_version j in
   let* _tool = str_field ctx "tool" j in
   let* _paths = list_field ctx "paths" as_string j in
-  let* summary = field ctx "summary" j in
+  let* summary = required ctx "summary" j in
   let* () =
     int_members "summary"
       [

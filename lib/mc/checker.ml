@@ -808,26 +808,14 @@ type cex = {
   digest : string;  (** terminal-state fingerprint *)
 }
 
-let move_to_json = function
+let move_to_json m =
+  let open Obs.Json in
+  match m with
   | Sys.Deliver { client; server; to_server } ->
     let label = Sys.link_label ~client ~server ~to_server in
-    Obs.Json.Obj
-      [ ("move", Obs.Json.Str "deliver"); ("label", Obs.Json.Str label) ]
-  | Sys.Tick i ->
-    Obs.Json.Obj [ ("move", Obs.Json.Str "tick"); ("index", Obs.Json.Int i) ]
-  | Sys.Corrupt i ->
-    Obs.Json.Obj [ ("move", Obs.Json.Str "corrupt"); ("item", Obs.Json.Int i) ]
-
-let cex_to_json c =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str cex_schema);
-      ("config", Config.to_json c.config);
-      ("trace", Obs.Json.List (List.map move_to_json c.trace));
-      ("verdict", Stab.verdict_to_json c.verdict);
-      ("states", Obs.Json.Int c.states);
-      ("digest", Obs.Json.Str c.digest);
-    ]
+    Obj [ ("move", Str "deliver"); ("label", Str label) ]
+  | Sys.Tick i -> Obj [ ("move", Str "tick"); ("index", Int i) ]
+  | Sys.Corrupt i -> Obj [ ("move", Str "corrupt"); ("item", Int i) ]
 
 (* A label names a link only in exactly the form [Sys.link_label]
    renders; one that does not round-trip (a typo, a leading zero, a stray
@@ -871,23 +859,30 @@ let move_of_json ctx j =
     Ok (Sys.Corrupt i)
   | s -> Error (Printf.sprintf "%s: unknown move kind %S" ctx s)
 
-(* The fields a cex and a guide share: the config and the move list. *)
-let schedule_of_json ctx j =
-  let open Obs.Json in
-  let* config = field ctx "config" j in
-  let* config = Config.of_json config in
-  let* trace = list_field ctx "trace" move_of_json j in
-  Ok (config, trace)
+let move_codec = Obs.Json.codec move_to_json move_of_json
 
-let cex_of_json j =
-  let open Obs.Json in
-  let* () = expect_schema "cex" cex_schema j in
-  let* config, trace = schedule_of_json "cex" j in
-  let* verdict = field "cex" "verdict" j in
-  let* verdict = Stab.verdict_of_json verdict in
-  let* states = int_field "cex" "states" j in
-  let* digest = str_field "cex" "digest" j in
-  Ok { config; trace; verdict; states; digest }
+(* The members a cex and a guide share, the config and the move list,
+   read through the given getters. *)
+let with_schedule ctor ~config ~trace =
+  Obs.Json.(
+    record ctor
+    |> field "config" (Config.codec ()) config
+    |> field "trace" (list move_codec) trace)
+
+let cex_codec () =
+  Obs.Json.(
+    with_schedule
+      (fun config trace verdict states digest ->
+        { config; trace; verdict; states; digest })
+      ~config:(fun c -> c.config) ~trace:(fun c -> c.trace)
+    |> field "verdict" Stab.verdict_codec (fun c -> c.verdict)
+    |> field "states" int (fun c -> c.states)
+    |> field "digest" string (fun c -> c.digest)
+    |> seal |> with_schema cex_schema)
+
+let cex_to_json c = Obs.Json.encode (cex_codec ()) c
+
+let cex_of_json j = Obs.Json.decode (cex_codec ()) "cex" j
 
 let guide_schema = "stabreg/mc-guide/v1"
 
@@ -901,7 +896,9 @@ let guide_of_json j =
     | Some (Str s) when String.equal s cex_schema -> Ok ()
     | _ -> expect_schema "guide" guide_schema j
   in
-  schedule_of_json "guide" j
+  decode
+    (seal (with_schedule (fun c t -> (c, t)) ~config:fst ~trace:snd))
+    "guide" j
 
 (* Strict bit-for-bit replay: every recorded move must fire, the terminal
    verdict must be structurally equal, and the terminal fingerprint must

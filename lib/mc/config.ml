@@ -93,66 +93,27 @@ let validate c =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)
 
-let byz_to_json byz =
-  Obs.Json.List
-    (List.map
-       (fun (slot, k) ->
-         match k with
-         | Silent ->
-           Obs.Json.Obj
-             [ ("slot", Obs.Json.Int slot); ("kind", Obs.Json.Str "silent") ]
-         | Collude { sn; v } ->
-           Obs.Json.Obj
-             [
-               ("slot", Obs.Json.Int slot);
-               ("kind", Obs.Json.Str "collude");
-               ("sn", Obs.Json.Int sn);
-               ("v", Obs.Json.Int v);
-             ])
-       byz)
+let byz_to_json (slot, k) =
+  let open Obs.Json in
+  let byz kind members =
+    Obj (("slot", Int slot) :: ("kind", Str kind) :: members)
+  in
+  match k with
+  | Silent -> byz "silent" []
+  | Collude { sn; v } -> byz "collude" [ ("sn", Int sn); ("v", Int v) ]
 
-let corruption_to_json = function
+let corruption_to_json c =
+  let open Obs.Json in
+  let item kind members = Obj (("kind", Str kind) :: members) in
+  match c with
   | Corrupt_server { server; sn; v } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "server");
-        ("server", Obs.Json.Int server);
-        ("sn", Obs.Json.Int sn);
-        ("v", Obs.Json.Int v);
-      ]
+    item "server" [ ("server", Int server); ("sn", Int sn); ("v", Int v) ]
   | Corrupt_reader { pwsn; v } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "reader");
-        ("pwsn", Obs.Json.Int pwsn);
-        ("v", Obs.Json.Int v);
-      ]
-  | Corrupt_writer_sn sn ->
-    Obs.Json.Obj [ ("kind", Obs.Json.Str "writer"); ("sn", Obs.Json.Int sn) ]
+    item "reader" [ ("pwsn", Int pwsn); ("v", Int v) ]
+  | Corrupt_writer_sn sn -> item "writer" [ ("sn", Int sn) ]
   | Corrupt_round { client; round } ->
-    Obs.Json.Obj
-      [
-        ("kind", Obs.Json.Str "round");
-        ("client", Obs.Json.Int client);
-        ("round", Obs.Json.Int round);
-      ]
-  | Crash_recover { server } ->
-    Obs.Json.Obj
-      [ ("kind", Obs.Json.Str "crashrec"); ("server", Obs.Json.Int server) ]
-
-let to_json c =
-  Obs.Json.Obj
-    [
-      ("family", Obs.Json.Str (Oracles.Stabilization.family_to_string c.family));
-      ("n", Obs.Json.Int c.n);
-      ("f", Obs.Json.Int c.f);
-      ("byz", byz_to_json c.byz);
-      ("writes", Obs.Json.Int c.writes);
-      ("reads", Obs.Json.Int c.reads);
-      ("read_budget", Obs.Json.Int c.read_budget);
-      ("menu", Obs.Json.List (List.map corruption_to_json c.menu));
-      ("oracle", Obs.Json.Str (oracle_to_string c.oracle));
-    ]
+    item "round" [ ("client", Int client); ("round", Int round) ]
+  | Crash_recover { server } -> item "crashrec" [ ("server", Int server) ]
 
 let byz_of_json ctx item =
   let open Obs.Json in
@@ -191,20 +152,27 @@ let corruption_of_json ctx item =
     Ok (Crash_recover { server })
   | s -> Error (Printf.sprintf "%s: unknown corruption kind %S" ctx s)
 
-let of_json j =
-  let open Obs.Json in
-  let ctx = "config" in
-  let* family = str_field ctx "family" j in
-  let* family = Oracles.Stabilization.family_of_string family in
-  let* n = int_field ctx "n" j in
-  let* f = int_field ctx "f" j in
-  let* byz = list_field ctx "byz" byz_of_json j in
-  let* writes = int_field ctx "writes" j in
-  let* reads = int_field ctx "reads" j in
-  let* read_budget = int_field ctx "read_budget" j in
-  let* menu = list_field ctx "menu" corruption_of_json j in
-  let* oracle = str_field ctx "oracle" j in
-  let* oracle = oracle_of_string oracle in
-  let c = { family; n; f; byz; writes; reads; read_budget; menu; oracle } in
-  let* () = validate c in
-  Ok c
+let codec () =
+  Obs.Json.(
+    record
+      (fun family n f byz writes reads read_budget menu oracle ->
+        { family; n; f; byz; writes; reads; read_budget; menu; oracle })
+    |> field "family"
+         (enum Oracles.Stabilization.family_to_string
+            Oracles.Stabilization.family_of_string)
+         (fun c -> c.family)
+    |> field "n" int (fun c -> c.n)
+    |> field "f" int (fun c -> c.f)
+    |> field "byz" (list (codec byz_to_json byz_of_json)) (fun c -> c.byz)
+    |> field "writes" int (fun c -> c.writes)
+    |> field "reads" int (fun c -> c.reads)
+    |> field "read_budget" int (fun c -> c.read_budget)
+    |> field "menu" (list (codec corruption_to_json corruption_of_json))
+         (fun c -> c.menu)
+    |> field "oracle" (enum oracle_to_string oracle_of_string) (fun c ->
+           c.oracle)
+    |> seal ~check:validate)
+
+let to_json c = Obs.Json.encode (codec ()) c
+
+let of_json j = Obs.Json.decode (codec ()) "config" j

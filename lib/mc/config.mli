@@ -67,6 +67,10 @@ val default : family:family -> t
 
 val validate : t -> (unit, string) result
 
+val codec : unit -> t Obs.Json.codec
+(** The config as mc counterexamples and guides embed it; the decoder
+    rejects what {!validate} rejects. *)
+
 val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result

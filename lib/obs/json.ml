@@ -315,13 +315,13 @@ let as_bool ctx j =
 
 let as_obj ctx j = expected "an object" to_obj_opt ctx j
 
-let field ctx key j =
-  match member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
+let missing ctx key = Error (Printf.sprintf "%s: missing field %S" ctx key)
+
+let required ctx key j =
+  match member key j with Some v -> Ok v | None -> missing ctx key
 
 let decode_field decode ctx key j =
-  let* v = field ctx key j in
+  let* v = required ctx key j in
   decode (ctx ^ "." ^ key) v
 
 let int_field ctx key j = decode_field as_int ctx key j
@@ -380,5 +380,103 @@ let rec equal a b =
   | Obj x, Obj y ->
     List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
   | (Null | Bool _ | Int _ | Float _ | Str _ | List _ | Obj _), _ -> false
+
+(* --- codecs --- *)
+
+type 'a codec = {
+  enc : 'a -> t;
+  dec : 'a decoder;
+  absent : 'a option;  (* what a missing member decodes to *)
+}
+
+let codec enc dec = { enc; dec; absent = None }
+
+let encode c = c.enc
+
+let decode c = c.dec
+
+let int = codec (fun i -> Int i) as_int
+
+let at_least lo what =
+  codec (fun i -> Int i) (fun ctx j ->
+      let* i = as_int ctx j in
+      if i >= lo then Ok i
+      else Error (Printf.sprintf "%s: expected %s" ctx what))
+
+let nat = at_least 0 "a non-negative integer"
+
+let pos = at_least 1 "a positive integer"
+
+let float = codec (fun x -> Float x) as_float
+
+let bool = codec (fun b -> Bool b) as_bool
+
+let string = codec (fun s -> Str s) as_string
+
+let list c = codec (fun xs -> List (List.map c.enc xs)) (as_list c.dec)
+
+let nullable c =
+  let dec ctx = function
+    | Null -> Ok None
+    | j -> Result.map Option.some (c.dec ctx j)
+  in
+  { enc = Option.fold ~none:Null ~some:c.enc; dec; absent = Some None }
+
+let enum to_string of_string =
+  codec (fun x -> Str (to_string x)) (fun ctx j ->
+      let* s = as_string ctx j in
+      Result.map_error (fun e -> ctx ^ ": " ^ e) (of_string s))
+
+(* A record under construction: its members' encoders in reverse order,
+   the decoder of the constructor applied to the members so far, and the
+   [derived] comparisons to run on the decoded record. *)
+type ('r, 'k) fields = {
+  members : ('r -> string * t) list;
+  build : string -> t -> ('k, string) result;
+  agree : string -> t -> 'r -> (unit, string) result;
+}
+
+let record ctor =
+  { members = []; build = (fun _ _ -> Ok ctor); agree = (fun _ _ _ -> Ok ()) }
+
+let field ?default name c get b =
+  let value ctx j =
+    match (member name j, default, c.absent) with
+    | (None | Some Null), Some d, _ | None, None, Some d -> Ok d
+    | None, None, None -> missing ctx name
+    | Some v, _, _ -> c.dec (ctx ^ "." ^ name) v
+  in
+  let build ctx j =
+    let* k = b.build ctx j in
+    Result.map k (value ctx j)
+  in
+  { b with members = (fun r -> (name, c.enc (get r))) :: b.members; build }
+
+let derived name c get b =
+  let agree ctx j r =
+    let* () = b.agree ctx j r in
+    let* v = decode_field c.dec ctx name j in
+    if equal (c.enc v) (c.enc (get r)) then Ok ()
+    else
+      Error (Printf.sprintf "%s.%s: disagrees with the other members" ctx name)
+  in
+  { b with members = (fun r -> (name, c.enc (get r))) :: b.members; agree }
+
+let seal ?(check = fun _ -> Ok ()) b =
+  codec
+    (fun r -> Obj (List.rev_map (fun m -> m r) b.members))
+    (fun ctx j ->
+      let* _ = as_obj ctx j in
+      let* r = b.build ctx j in
+      let* () = b.agree ctx j r in
+      Result.map (fun () -> r) (check r))
+
+let with_schema name c =
+  let enc x =
+    match c.enc x with Obj ms -> Obj (("schema", Str name) :: ms) | j -> j
+  in
+  codec enc (fun ctx j ->
+      let* () = expect_schema ctx name j in
+      c.dec ctx j)
 
 let pp ppf j = Format.pp_print_string ppf (to_string j)

@@ -65,8 +65,8 @@ val as_string : string decoder
 val as_list : 'a decoder -> 'a list decoder
 (** Each item decoded at context ["<ctx>[i]"]. *)
 
-val field : string -> string -> t -> (t, string) result
-(** [field ctx key j] is the member [key] of [j], present with any
+val required : string -> string -> t -> (t, string) result
+(** [required ctx key j] is the member [key] of [j], present with any
     value. *)
 
 val int_field : string -> string -> t -> (int, string) result
@@ -94,6 +94,103 @@ val opt_field :
 val expect_schema : string -> string -> t -> (unit, string) result
 (** [expect_schema ctx want j]: the ["schema"] member is the string
     [want]. *)
+
+(** {1 Codecs}
+
+    One declaration gives both directions of a JSON shape: an encoder,
+    and a decoder that threads the context string as above.  A record is
+    declared member by member, in the order the encoder writes them:
+
+    {[
+      let crash_codec () =
+        Obs.Json.(
+          record (fun at server down_for -> { at; server; down_for })
+          |> field "at" int (fun c -> c.at)
+          |> field "server" int (fun c -> c.server)
+          |> field "down_for" (nullable int) (fun c -> c.down_for)
+          |> seal)
+
+      let to_json c = Obs.Json.encode (crash_codec ()) c
+    ]}
+
+    The decoder reads the members in that order, so an error names the
+    first bad one.  Members it does not know are ignored.
+
+    A record codec is declared as a function of [unit] and built where it
+    is used.  Building one allocates a few closures per member; as a
+    top-level value it would be built at start-up by every program that
+    links its module, and that start-up data alone measurably raised a
+    simulator run's peak heap. *)
+
+type 'a codec
+
+val codec : ('a -> t) -> 'a decoder -> 'a codec
+(** Wrap a hand-written pair, such as a tagged union's. *)
+
+val encode : 'a codec -> 'a -> t
+
+val decode : 'a codec -> 'a decoder
+(** [decode c ctx j]: errors name [ctx] and the path below it. *)
+
+val int : int codec
+
+val nat : int codec
+(** An integer [>= 0]. *)
+
+val pos : int codec
+(** An integer [>= 1]. *)
+
+val float : float codec
+(** Decodes both [Float] and [Int]. *)
+
+val bool : bool codec
+
+val string : string codec
+
+val list : 'a codec -> 'a list codec
+(** Each item decoded at context ["<ctx>[i]"]. *)
+
+val nullable : 'a codec -> 'a option codec
+(** [None] is [null].  As a record member, an absent member decodes to
+    [None] too. *)
+
+val enum : ('a -> string) -> (string -> ('a, string) result) -> 'a codec
+(** A value written as one string; [of_string] must invert [to_string].
+    Its error is prefixed with the context. *)
+
+type ('r, 'k) fields
+(** A record codec under construction: ['r] is the record, ['k] what the
+    constructor still needs. *)
+
+val record : 'k -> ('r, 'k) fields
+(** Start from the constructor, taking the members in order. *)
+
+val field :
+  ?default:'a ->
+  string ->
+  'a codec ->
+  ('r -> 'a) ->
+  ('r, 'a -> 'k) fields ->
+  ('r, 'k) fields
+(** [field name c get]: the member [name], written from [get r].  With
+    [~default], a member that is absent or [null] decodes to it (for
+    members that older artifacts lack); the encoder always writes the
+    member. *)
+
+val derived :
+  string -> 'a codec -> ('r -> 'a) -> ('r, 'k) fields -> ('r, 'k) fields
+(** A member computed from the others: written from [get r], and on
+    decoding it must be present and re-encode exactly as [get] of the
+    decoded record does. *)
+
+val seal : ?check:('r -> (unit, string) result) -> ('r, 'r) fields -> 'r codec
+(** Finish a record.  The decoder wants an object, then runs the
+    [derived] comparisons and [check], a cross-member validation whose
+    error is returned as it is. *)
+
+val with_schema : string -> 'a codec -> 'a codec
+(** A versioned artifact: the encoder puts ["schema": name] first, the
+    decoder checks it before anything else. *)
 
 val equal : t -> t -> bool
 

@@ -155,32 +155,24 @@ let summary_of_histogram h =
     max = hist_max h;
   }
 
-let summary_to_json s =
-  Json.Obj
-    [
-      ("count", Json.Int s.count);
-      ("mean", Json.Float s.mean);
-      ("min", Json.Float s.min);
-      ("p50", Json.Float s.p50);
-      ("p90", Json.Float s.p90);
-      ("p95", Json.Float s.p95);
-      ("p99", Json.Float s.p99);
-      ("p999", Json.Float s.p999);
-      ("max", Json.Float s.max);
-    ]
+let summary_codec () =
+  Json.(
+    record (fun count mean min p50 p90 p95 p99 p999 max ->
+        { count; mean; min; p50; p90; p95; p99; p999; max })
+    |> field "count" int (fun s -> s.count)
+    |> field "mean" float (fun s -> s.mean)
+    |> field "min" float (fun s -> s.min)
+    |> field "p50" float (fun s -> s.p50)
+    |> field "p90" float (fun s -> s.p90)
+    |> field "p95" float (fun s -> s.p95)
+    |> field "p99" float (fun s -> s.p99)
+    |> field "p999" float (fun s -> s.p999)
+    |> field "max" float (fun s -> s.max)
+    |> seal)
 
-let summary_of_json ctx j =
-  let open Json in
-  let* count = int_field ctx "count" j in
-  let* mean = float_field ctx "mean" j in
-  let* min = float_field ctx "min" j in
-  let* p50 = float_field ctx "p50" j in
-  let* p90 = float_field ctx "p90" j in
-  let* p95 = float_field ctx "p95" j in
-  let* p99 = float_field ctx "p99" j in
-  let* p999 = float_field ctx "p999" j in
-  let* max = float_field ctx "max" j in
-  Ok { count; mean; min; p50; p90; p95; p99; p999; max }
+let summary_to_json s = Json.encode (summary_codec ()) s
+
+let summary_of_json ctx j = Json.decode (summary_codec ()) ctx j
 
 (* --- registry --- *)
 

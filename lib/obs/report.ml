@@ -125,7 +125,7 @@ let validate j =
   let* () = expect_schema ctx schema_version j in
   let* _ = str_field ctx "experiment" j in
   let* _ = int_field ctx "seed" j in
-  let* params = field ctx "params" j in
+  let* params = required ctx "params" j in
   let* _ = int_field "params" "n" params in
   let* _ = int_field "params" "f" params in
   let* _ = str_field "params" "mode" params in

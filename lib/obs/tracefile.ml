@@ -38,7 +38,7 @@ let validate_event j =
     span_fields ctx j
   | "drop" -> (
     let* _ = str_field ctx "link" j in
-    let* v = field ctx "msg" j in
+    let* v = required ctx "msg" j in
     match v with
     | Null | Str _ -> Ok ()
     | Bool _ | Int _ | Float _ | List _ | Obj _ ->

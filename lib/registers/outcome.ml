@@ -89,20 +89,13 @@ let bump t o ~count =
   | Degraded _ -> { t with degraded = t.degraded + count }
   | Timed_out _ -> { t with timed_out = t.timed_out + count }
 
-let tally_to_json t =
-  Obs.Json.Obj
-    [
-      ("ok", Obs.Json.Int t.ok);
-      ("degraded", Obs.Json.Int t.degraded);
-      ("timed_out", Obs.Json.Int t.timed_out);
-    ]
-
-let tally_of_json ctx j =
-  let open Obs.Json in
-  let* ok = int_field ctx "ok" j in
-  let* degraded = int_field ctx "degraded" j in
-  let* timed_out = int_field ctx "timed_out" j in
-  Stdlib.Ok { ok; degraded; timed_out }
+let tally_codec () =
+  Obs.Json.(
+    record (fun ok degraded timed_out -> { ok; degraded; timed_out })
+    |> field "ok" int (fun t -> t.ok)
+    |> field "degraded" int (fun t -> t.degraded)
+    |> field "timed_out" int (fun t -> t.timed_out)
+    |> seal)
 
 let pp_tally fmt t =
   Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.ok t.degraded

@@ -70,10 +70,7 @@ val add_tally : tally -> tally -> tally
 val bump : tally -> 'a t -> count:int -> tally
 (** [bump t o ~count] adds [count] operations that finished as [o]. *)
 
-val tally_to_json : tally -> Obs.Json.t
-
-val tally_of_json : string -> Obs.Json.t -> (tally, string) result
-(** [tally_of_json ctx j]; errors name [ctx]. *)
+val tally_codec : unit -> tally Obs.Json.codec
 
 val pp_tally : Format.formatter -> tally -> unit
 (** ["3 ok / 1 degraded / 0 timed out"]. *)

@@ -465,206 +465,107 @@ let run ?on_scenario ?(domains = 1) cfg ~seed =
 
 let schema = "stabreg/shard-report/v1"
 
-let crash_to_json (c : crash) =
-  Obs.Json.Obj
-    [
-      ("at", Obs.Json.Int c.at);
-      ("server", Obs.Json.Int c.server);
-      ( "down_for",
-        match c.down_for with
-        | Some d -> Obs.Json.Int d
-        | None -> Obs.Json.Null );
-    ]
+let crash_codec () =
+  Obs.Json.(
+    record (fun at server down_for -> { at; server; down_for })
+    |> field "at" int (fun c -> c.at)
+    |> field "server" int (fun c -> c.server)
+    |> field "down_for" (nullable int) (fun c -> c.down_for)
+    |> seal)
 
-let chaos_to_json (c : chaos) =
-  Obs.Json.Obj
-    [
-      ("target", Obs.Json.Int c.target);
-      ("injections", Obs.Json.List (List.map (fun i -> Obs.Json.Int i) c.injections));
-      ("crashes", Obs.Json.List (List.map crash_to_json c.crashes));
-    ]
+let chaos_codec () =
+  Obs.Json.(
+    record (fun target injections crashes -> { target; injections; crashes })
+    |> field "target" int (fun c -> c.target)
+    |> field "injections" (list int) (fun c -> c.injections)
+    |> field "crashes" (list (crash_codec ())) (fun c -> c.crashes)
+    |> seal)
 
-let config_to_json (c : config) =
-  Obs.Json.Obj
-    [
-      ("shards", Obs.Json.Int c.shards);
-      ("vnodes", Obs.Json.Int c.vnodes);
-      ("n", Obs.Json.Int c.n);
-      ("f", Obs.Json.Int c.f);
-      ("retry", Obs.Json.Bool c.retry);
-      ("workload", Workload.Openloop.config_to_json c.workload);
-      ( "chaos",
-        match c.chaos with None -> Obs.Json.Null | Some ch -> chaos_to_json ch
-      );
-    ]
+let config_codec () =
+  Obs.Json.(
+    record (fun shards vnodes n f retry workload chaos ->
+        { shards; vnodes; n; f; retry; workload; chaos })
+    |> field "shards" int (fun (c : config) -> c.shards)
+    |> field "vnodes" int (fun c -> c.vnodes)
+    |> field "n" int (fun c -> c.n)
+    |> field "f" int (fun c -> c.f)
+    |> field "retry" bool (fun c -> c.retry)
+    |> field "workload" (Workload.Openloop.config_codec ()) (fun c ->
+           c.workload)
+    |> field "chaos" (nullable (chaos_codec ())) (fun c -> c.chaos)
+    |> seal ~check:validate)
 
-let latency_to_json (l : latency) =
-  Obs.Json.Obj
-    [
-      ("count", Obs.Json.Int l.count);
-      ("mean", Obs.Json.Float l.mean);
-      ("p50", Obs.Json.Float l.p50);
-      ("p99", Obs.Json.Float l.p99);
-      ("p999", Obs.Json.Float l.p999);
-      ("max", Obs.Json.Float l.max);
-    ]
+let latency_codec () =
+  Obs.Json.(
+    record (fun count mean p50 p99 p999 max ->
+        { count; mean; p50; p99; p999; max })
+    |> field "count" int (fun l -> l.count)
+    |> field "mean" float (fun l -> l.mean)
+    |> field "p50" float (fun l -> l.p50)
+    |> field "p99" float (fun l -> l.p99)
+    |> field "p999" float (fun l -> l.p999)
+    |> field "max" float (fun l -> l.max)
+    |> seal)
 
-let shard_report_to_json (r : shard_report) =
-  Obs.Json.Obj
-    [
-      ("shard", Obs.Json.Int r.shard);
-      ("keys", Obs.Json.Int r.keys);
-      ("ops", Obs.Json.Int r.ops);
-      ("writes", Registers.Outcome.tally_to_json r.writes);
-      ("reads", Registers.Outcome.tally_to_json r.reads);
-      ("register_writes", Obs.Json.Int r.register_writes);
-      ("register_reads", Obs.Json.Int r.register_reads);
-      ("write_batches", Obs.Json.Int r.write_batches);
-      ("read_batches", Obs.Json.Int r.read_batches);
-      ("latency", latency_to_json r.latency);
-      ("duration", Obs.Json.Int r.duration);
-      ("stuck", Obs.Json.List (List.map (fun s -> Obs.Json.Str s) r.stuck));
-      ("reads_checked", Obs.Json.Int r.reads_checked);
-      ("violations", Obs.Json.Int r.violations);
-      ("liveness", Obs.Json.Int r.liveness);
-      ("clean", Obs.Json.Bool r.clean);
-    ]
+let shard_report_codec () =
+  let tally = Registers.Outcome.tally_codec () in
+  Obs.Json.(
+    record
+      (fun shard keys ops writes reads register_writes register_reads
+           write_batches read_batches latency duration stuck reads_checked
+           violations liveness clean ->
+        {
+          shard; keys; ops; writes; reads; register_writes; register_reads;
+          write_batches; read_batches; latency; duration; stuck;
+          reads_checked; violations; liveness; clean;
+        })
+    |> field "shard" int (fun r -> r.shard)
+    |> field "keys" int (fun r -> r.keys)
+    |> field "ops" int (fun (r : shard_report) -> r.ops)
+    |> field "writes" tally (fun (r : shard_report) -> r.writes)
+    |> field "reads" tally (fun (r : shard_report) -> r.reads)
+    |> field "register_writes" int (fun r -> r.register_writes)
+    |> field "register_reads" int (fun r -> r.register_reads)
+    |> field "write_batches" int (fun r -> r.write_batches)
+    |> field "read_batches" int (fun r -> r.read_batches)
+    |> field "latency" (latency_codec ()) (fun r -> r.latency)
+    |> field "duration" int (fun (r : shard_report) -> r.duration)
+    |> field "stuck" (list string) (fun r -> r.stuck)
+    |> field "reads_checked" int (fun r -> r.reads_checked)
+    |> field "violations" int (fun r -> r.violations)
+    |> field "liveness" int (fun r -> r.liveness)
+    |> field "clean" bool (fun (r : shard_report) -> r.clean)
+    |> seal)
 
-let to_json (r : report) =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str schema);
-      ("seed", Obs.Json.Int r.seed);
-      ("config", config_to_json r.config);
-      ( "key_owners",
-        Obs.Json.List (List.map (fun s -> Obs.Json.Int s) r.key_owners) );
-      ("shards", Obs.Json.List (List.map shard_report_to_json r.shards));
-      ("ops", Obs.Json.Int r.ops);
-      ("writes", Registers.Outcome.tally_to_json r.writes);
-      ("reads", Registers.Outcome.tally_to_json r.reads);
-      ("duration", Obs.Json.Int r.duration);
-      ("isolated", Obs.Json.Bool r.isolated);
-      ("clean", Obs.Json.Bool r.clean);
-    ]
+let codec () =
+  let tally = Registers.Outcome.tally_codec () in
+  Obs.Json.(
+    record
+      (fun seed config key_owners shards ops writes reads duration isolated
+           clean ->
+        {
+          seed; config; key_owners; shards; ops; writes; reads; duration;
+          isolated; clean;
+        })
+    |> field "seed" int (fun r -> r.seed)
+    |> field "config" (config_codec ()) (fun r -> r.config)
+    |> field "key_owners" (list int) (fun r -> r.key_owners)
+    |> field "shards" (list (shard_report_codec ())) (fun r -> r.shards)
+    |> field "ops" int (fun r -> r.ops)
+    |> field "writes" tally (fun r -> r.writes)
+    |> field "reads" tally (fun r -> r.reads)
+    |> field "duration" int (fun r -> r.duration)
+    |> field "isolated" bool (fun r -> r.isolated)
+    |> field "clean" bool (fun r -> r.clean)
+    |> seal |> with_schema schema)
 
-let crash_of_json ctx j =
-  let open Obs.Json in
-  let* at = int_field ctx "at" j in
-  let* server = int_field ctx "server" j in
-  let* down_for = opt_field ctx "down_for" as_int j in
-  Ok { at; server; down_for }
+let to_json r = Obs.Json.encode (codec ()) r
 
-let chaos_of_json ctx j =
-  let open Obs.Json in
-  let* target = int_field ctx "target" j in
-  let* injections = list_field ctx "injections" as_int j in
-  let* crashes = list_field ctx "crashes" crash_of_json j in
-  Ok { target; injections; crashes }
-
-let config_of_json j =
-  let open Obs.Json in
-  let ctx = "config" in
-  let* shards = int_field ctx "shards" j in
-  let* vnodes = int_field ctx "vnodes" j in
-  let* n = int_field ctx "n" j in
-  let* f = int_field ctx "f" j in
-  let* retry = bool_field ctx "retry" j in
-  let* workload = field ctx "workload" j in
-  let* workload = Workload.Openloop.config_of_json workload in
-  let* chaos = opt_field ctx "chaos" chaos_of_json j in
-  let cfg = { shards; vnodes; n; f; retry; workload; chaos } in
-  let* () = validate cfg in
-  Ok cfg
-
-let latency_of_json ctx j =
-  let open Obs.Json in
-  let* count = int_field ctx "count" j in
-  let* mean = float_field ctx "mean" j in
-  let* p50 = float_field ctx "p50" j in
-  let* p99 = float_field ctx "p99" j in
-  let* p999 = float_field ctx "p999" j in
-  let* max = float_field ctx "max" j in
-  Ok { count; mean; p50; p99; p999; max }
-
-let shard_report_of_json ctx j =
-  let open Obs.Json in
-  let* shard = int_field ctx "shard" j in
-  let* keys = int_field ctx "keys" j in
-  let* ops = int_field ctx "ops" j in
-  let* writes = field ctx "writes" j in
-  let* writes = Registers.Outcome.tally_of_json (ctx ^ ".writes") writes in
-  let* reads = field ctx "reads" j in
-  let* reads = Registers.Outcome.tally_of_json (ctx ^ ".reads") reads in
-  let* register_writes = int_field ctx "register_writes" j in
-  let* register_reads = int_field ctx "register_reads" j in
-  let* write_batches = int_field ctx "write_batches" j in
-  let* read_batches = int_field ctx "read_batches" j in
-  let* latency = field ctx "latency" j in
-  let* latency = latency_of_json (ctx ^ ".latency") latency in
-  let* duration = int_field ctx "duration" j in
-  let* stuck = list_field ctx "stuck" as_string j in
-  let* reads_checked = int_field ctx "reads_checked" j in
-  let* violations = int_field ctx "violations" j in
-  let* liveness = int_field ctx "liveness" j in
-  let* clean = bool_field ctx "clean" j in
-  Ok
-    {
-      shard;
-      keys;
-      ops;
-      writes;
-      reads;
-      register_writes;
-      register_reads;
-      write_batches;
-      read_batches;
-      latency;
-      duration;
-      stuck;
-      reads_checked;
-      violations;
-      liveness;
-      clean;
-    }
-
-let of_json j =
-  let open Obs.Json in
-  let ctx = "shard-report" in
-  let* () = expect_schema ctx schema j in
-  let* seed = int_field ctx "seed" j in
-  let* config = field ctx "config" j in
-  let* config = config_of_json config in
-  let* key_owners = list_field ctx "key_owners" as_int j in
-  let* shards = list_field ctx "shards" shard_report_of_json j in
-  let* ops = int_field ctx "ops" j in
-  let* writes = field ctx "writes" j in
-  let* writes = Registers.Outcome.tally_of_json (ctx ^ ".writes") writes in
-  let* reads = field ctx "reads" j in
-  let* reads = Registers.Outcome.tally_of_json (ctx ^ ".reads") reads in
-  let* duration = int_field ctx "duration" j in
-  let* isolated = bool_field ctx "isolated" j in
-  let* clean = bool_field ctx "clean" j in
-  Ok
-    {
-      seed;
-      config;
-      key_owners;
-      shards;
-      ops;
-      writes;
-      reads;
-      duration;
-      isolated;
-      clean;
-    }
+let of_json j = Obs.Json.decode (codec ()) "shard-report" j
 
 let replay ?on_scenario ?domains r = run ?on_scenario ?domains r.config ~seed:r.seed
 
-let matches (a : report) (b : report) =
-  a.seed = b.seed && a.config = b.config && a.key_owners = b.key_owners
-  && a.shards = b.shards && a.ops = b.ops && a.writes = b.writes
-  && a.reads = b.reads && a.duration = b.duration
-  && a.isolated = b.isolated && a.clean = b.clean
+let matches a b = Obs.Json.equal (to_json a) (to_json b)
 
 let pp_shard fmt (r : shard_report) =
   Format.fprintf fmt

@@ -1,4 +1,5 @@
-type 'm entry = { id : int; mutable payload : 'm option }
+(* A packet in flight; its delivery removes it by physical identity. *)
+type 'm entry = { mutable payload : 'm option }
 
 type 'm t = {
   engine : Engine.t;
@@ -12,7 +13,6 @@ type 'm t = {
   dropped : int ref;
   mutable pkts : int ref; (* ["net.pkts"]; [dropped] until resolved *)
   mutable msgs : int ref; (* ["net.msgs"]; [dropped] until resolved *)
-  mutable next_id : int;
   mutable flight : 'm entry list;
 }
 
@@ -37,7 +37,6 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?classify ~name
        zero counter to the report. *)
     pkts = dropped;
     msgs = dropped;
-    next_id = 0;
     flight = [];
   }
 
@@ -101,11 +100,10 @@ let rec transmit ~copy t payload =
   incr (pkts t);
   if (not copy) && Rng.float t.rng 1.0 < t.loss then record_drop t payload
   else begin
-    let entry = { id = t.next_id; payload = Some payload } in
-    t.next_id <- entry.id + 1;
+    let entry = { payload = Some payload } in
     t.flight <- entry :: t.flight;
     Engine.schedule t.engine ~delay:(t.delay ()) (fun () ->
-        t.flight <- List.filter (fun e -> e.id <> entry.id) t.flight;
+        t.flight <- List.filter (fun e -> e != entry) t.flight;
         match entry.payload with
         | None -> ()
         | Some m ->

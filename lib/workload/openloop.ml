@@ -86,45 +86,23 @@ let generate cfg ~seed =
 (* ------------------------------------------------------------------ *)
 (* Config (de)serialization, for embedding in versioned artifacts.    *)
 
-let config_to_json c =
-  Obs.Json.Obj
-    [
-      ("keys", Obs.Json.Int c.keys);
-      ("clients", Obs.Json.Int c.clients);
-      ("ops", Obs.Json.Int c.ops);
-      ("theta", Obs.Json.Float c.theta);
-      ("write_ratio", Obs.Json.Float c.write_ratio);
-      ("mean_gap", Obs.Json.Int c.mean_gap);
-      ( "burst",
-        match c.burst with
-        | None -> Obs.Json.Null
-        | Some b ->
-          Obs.Json.Obj
-            [
-              ("every", Obs.Json.Int b.every);
-              ("len", Obs.Json.Int b.len);
-              ("factor", Obs.Json.Int b.factor);
-            ] );
-    ]
+let burst_codec () =
+  Obs.Json.(
+    record (fun every len factor -> { every; len; factor })
+    |> field "every" int (fun b -> b.every)
+    |> field "len" int (fun b -> b.len)
+    |> field "factor" int (fun b -> b.factor)
+    |> seal)
 
-let config_of_json j =
-  let open Obs.Json in
-  let ctx = "workload" in
-  let* keys = int_field ctx "keys" j in
-  let* clients = int_field ctx "clients" j in
-  let* ops = int_field ctx "ops" j in
-  let* theta = float_field ctx "theta" j in
-  let* write_ratio = float_field ctx "write_ratio" j in
-  let* mean_gap = int_field ctx "mean_gap" j in
-  let* burst =
-    opt_field ctx "burst"
-      (fun ctx b ->
-        let* every = int_field ctx "every" b in
-        let* len = int_field ctx "len" b in
-        let* factor = int_field ctx "factor" b in
-        Ok { every; len; factor })
-      j
-  in
-  let cfg = { keys; clients; ops; theta; write_ratio; mean_gap; burst } in
-  let* () = validate cfg in
-  Ok cfg
+let config_codec () =
+  Obs.Json.(
+    record (fun keys clients ops theta write_ratio mean_gap burst ->
+        { keys; clients; ops; theta; write_ratio; mean_gap; burst })
+    |> field "keys" int (fun c -> c.keys)
+    |> field "clients" int (fun c -> c.clients)
+    |> field "ops" int (fun c -> c.ops)
+    |> field "theta" float (fun c -> c.theta)
+    |> field "write_ratio" float (fun c -> c.write_ratio)
+    |> field "mean_gap" int (fun c -> c.mean_gap)
+    |> field "burst" (nullable (burst_codec ())) (fun c -> c.burst)
+    |> seal ~check:validate)

@@ -55,6 +55,6 @@ val generate : config -> seed:int -> op list
 (** The full schedule, sorted by arrival instant.  Raises
     [Invalid_argument] on an invalid config. *)
 
-val config_to_json : config -> Obs.Json.t
-
-val config_of_json : Obs.Json.t -> (config, string) result
+val config_codec : unit -> config Obs.Json.codec
+(** The config as the shard tier's artifacts embed it; the decoder
+    rejects what {!validate} rejects. *)

@@ -209,7 +209,9 @@ let test_committed_reencode () =
           [ Chaos.Recovery.schema; Shard.Tier.schema; Mc.Checker.cex_schema ]
       then begin
         incr reencoded;
-        Alcotest.(check string) (path ^ " re-encodes") text (pretty (reencode j))
+        Alcotest.(check string)
+          (path ^ " re-encodes") text
+          (pretty (reencode j))
       end)
     (committed ());
   check_int "recovery, shard and cex examples" 4 !reencoded;
@@ -226,13 +228,50 @@ let test_committed_reencode () =
         (List.mem_assoc "crashes" config || List.mem_assoc "crash_down" config);
       let defaulted =
         Obs.Json.Obj
-          (config @ [ ("crashes", Obs.Json.Int 0); ("crash_down", Obs.Json.Int 250) ])
+          (config
+          @ [ ("crashes", Obs.Json.Int 0); ("crash_down", Obs.Json.Int 250) ])
       in
       Alcotest.(check string)
         (path ^ " re-encodes with the crash defaults")
         (pretty (set [ "config" ] defaulted j))
         (pretty (reencode j)))
     [ "mwmr_mobile_roam_stuck.json"; "regular_collude_repro.json" ]
+
+(* A recovery artifact's schedule is the one its config schedules: a
+   document whose schedule says otherwise is rejected, naming the
+   member, and [experiments validate] exits 124 on it. *)
+let test_doctored_recovery_schedule () =
+  let recovery = parse "../examples/recovery/crash_burst_n9.json" in
+  let config =
+    match Chaos.Recovery.of_json recovery with
+    | Ok r -> r.Chaos.Recovery.config
+    | Error e -> Alcotest.failf "committed recovery report: %s" e
+  in
+  let doctored =
+    match Chaos.Recovery.schedule config with
+    | Chaos.Schedule.Crash c :: rest ->
+      Chaos.Schedule.Crash { c with down_for = Some 1 } :: rest
+    | _ -> Alcotest.fail "the committed schedule starts with a crash"
+  in
+  let j = set [ "schedule" ] (Chaos.Schedule.to_json doctored) recovery in
+  (match Chaos.Recovery.of_json j with
+  | Ok _ -> Alcotest.fail "a doctored schedule decodes"
+  | Error e ->
+    let needle = "recovery.schedule" in
+    let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length e
+      && (String.equal (String.sub e i n) needle || scan (i + 1))
+    in
+    check_true ("the error names the member: " ^ e) (scan 0));
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      "stabreg-doctored-recovery.json"
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (pretty j));
+  let code, _ = Test_cli.eval [ "validate"; path ] in
+  Sys.remove path;
+  check_int "validate exits 124" 124 code
 
 (* Random valid configs, each wrapped in the smallest artifact that
    carries it, survive encode, print, parse and decode unchanged. *)
@@ -245,7 +284,8 @@ let gen_campaign_repro =
     let* f = int_range 0 4 in
     let* medium = oneofl Chaos.Campaign.[ Fifo; Lossy ] in
     let* initial =
-      list_size (int_range 0 3) (pair (int_range 0 (n - 1)) Test_chaos.gen_strategy)
+      list_size (int_range 0 3)
+        (pair (int_range 0 (n - 1)) Test_chaos.gen_strategy)
     in
     let count = int_range 0 5000 in
     let* writes = count and* reads = count and* gap_hi = count in
@@ -301,7 +341,9 @@ let gen_tier_report =
     let* clients = int_range 1 40 in
     let* ops = int_range 0 1000 in
     let* theta = float_bound_inclusive 2.0 in
-    let* write_ratio = oneof [ return 0.0; return 1.0; float_bound_inclusive 1.0 ] in
+    let* write_ratio =
+      oneof [ return 0.0; return 1.0; float_bound_inclusive 1.0 ]
+    in
     let* mean_gap = int_range 0 10 in
     let* burst =
       opt
@@ -325,7 +367,10 @@ let gen_tier_report =
     in
     let* seed = int_range 0 1_000_000 in
     let workload =
-      { Workload.Openloop.keys; clients; ops; theta; write_ratio; mean_gap; burst }
+      {
+        Workload.Openloop.keys; clients; ops; theta; write_ratio; mean_gap;
+        burst;
+      }
     in
     let config = { Shard.Tier.shards; vnodes; n; f; retry; workload; chaos } in
     return
@@ -351,7 +396,9 @@ let gen_mc_config =
                oneof
                  [
                    return Mc.Config.Silent;
-                   map2 (fun sn v -> Mc.Config.Collude { sn; v }) small_nat small_int;
+                   map2
+                     (fun sn v -> Mc.Config.Collude { sn; v })
+                     small_nat small_int;
                  ]
              in
              return (slot, k))
@@ -371,7 +418,9 @@ let gen_mc_config =
         @
         if family = Stab.Atomic then
           [
-            map2 (fun pwsn v -> Mc.Config.Corrupt_reader { pwsn; v }) small_nat small_int;
+            map2
+              (fun pwsn v -> Mc.Config.Corrupt_reader { pwsn; v })
+              small_nat small_int;
             map (fun sn -> Mc.Config.Corrupt_writer_sn sn) small_nat;
           ]
         else [])
@@ -403,6 +452,8 @@ let tests =
     case "unknown schemas rejected" test_unknown_schemas_rejected;
     case "unrunnable configs rejected" test_bad_configs_rejected;
     case "committed artifacts re-encode byte for byte" test_committed_reencode;
+    case "a doctored recovery schedule is rejected"
+      test_doctored_recovery_schedule;
     round_trips "campaign repro configs round-trip" gen_campaign_repro
       Chaos.Campaign.repro_to_json Chaos.Campaign.repro_of_json;
     round_trips "recovery configs round-trip" gen_recovery_report

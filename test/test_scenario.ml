@@ -117,6 +117,29 @@ let test_watchdog_diagnoses_deadlock () =
      check_true "deadlock message lists the fiber" (contains msg "starved"));
   Sim.Mailbox.push mb ()
 
+(* A job that raised did not finish either: it is reported with its
+   exception, so a run cannot read as clean or converged over it. *)
+exception Boom
+
+let test_stuck_jobs_names_raised () =
+  let scn = async_scenario () in
+  let handles =
+    [
+      ("boom", Sim.Fiber.spawn ~name:"boom" (fun () ->
+           Harness.Scenario.sleep scn 3;
+           raise Boom));
+      ("fine", Sim.Fiber.spawn ~name:"fine" (fun () ->
+           Harness.Scenario.sleep scn 1));
+    ]
+  in
+  (match Harness.Scenario.run scn with
+  | () -> Alcotest.fail "the job's exception must reach run"
+  | exception Boom -> ());
+  Alcotest.(check (list string))
+    "the raising job, with its exception"
+    [ Printf.sprintf "boom (raised: %s)" (Printexc.to_string Boom) ]
+    (Harness.Scenario.stuck_jobs handles)
+
 let tests =
   [
     case "deterministic replay" test_deterministic_replay;
@@ -127,4 +150,5 @@ let tests =
     case "sync delay validation" test_sync_delay_validation;
     case "message accounting" test_message_accounting;
     case "watchdog diagnoses deadlock" test_watchdog_diagnoses_deadlock;
+    case "stuck jobs name a job that raised" test_stuck_jobs_names_raised;
   ]

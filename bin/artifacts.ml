@@ -6,20 +6,18 @@ let decodes decode j = Result.map ignore (decode j)
 
 let schemas : (string * (Obs.Json.t -> (unit, string) result)) list =
   [
-    (Obs.Report.schema_version, Obs.Report.validate);
-    (* A header-only trace parses as one document; re-render it as the
-       one-line JSONL file it is. *)
-    ( Obs.Tracefile.schema_version,
-      fun j -> Obs.Tracefile.validate (Obs.Json.to_string j) );
-    (Obs.Profile.schema_version, Obs.Profile.validate);
+    (Obs.Report.schema_version, decodes Obs.Report.of_json);
+    (* A document that parses whole is a header-only trace. *)
+    (Obs.Tracefile.schema_version, decodes Obs.Tracefile.header_of_json);
+    (Obs.Profile.schema_version, decodes Obs.Profile.of_json);
     (Mc.Checker.cex_schema, decodes Mc.Checker.cex_of_json);
     (Mc.Checker.guide_schema, decodes Mc.Checker.guide_of_json);
     (Chaos.Campaign.repro_schema, decodes Chaos.Campaign.repro_of_json);
     (Chaos.Recovery.schema, decodes Chaos.Recovery.of_json);
     (Shard.Tier.schema, decodes Shard.Tier.of_json);
-    (Lint.Report.schema_version, Lint.Report.validate);
-    (Lint.Report.baseline_schema_version, Lint.Report.validate_baseline);
-    (Lint.Report.domains_schema_version, Lint.Report.validate_domains);
+    (Lint.Report.schema_version, decodes Lint.Report.of_json);
+    (Lint.Report.baseline_schema_version, decodes Lint.Report.baseline_entries);
+    (Lint.Report.domains_schema_version, decodes Lint.Report.domains_of_json);
   ]
 
 (* Validate a file's contents; [Ok schema] names what it was checked

@@ -283,7 +283,7 @@ let validate_cmd =
     let problems =
       List.filter_map
         (fun path ->
-          match Artifacts.validate (Common.read_file path) with
+          match Artifacts.validate (Obs.File.read path) with
           | Ok schema ->
             Printf.printf "%s: valid (%s)\n" path schema;
             None
@@ -345,12 +345,7 @@ let chaos_cmd =
        (self-stabilizing transports; enables link-chaos windows)."
     in
     let medium_conv =
-      result_conv
-        (function
-          | "fifo" -> Ok Campaign.Fifo
-          | "lossy" -> Ok Campaign.Lossy
-          | s -> Error (Printf.sprintf "unknown medium %S" s))
-        (function Campaign.Fifo -> "fifo" | Campaign.Lossy -> "lossy")
+      result_conv Campaign.medium_of_string Campaign.medium_to_string
     in
     Arg.(
       value & opt medium_conv Campaign.Fifo

@@ -6,33 +6,15 @@ let async_params ~n ~f = Params.create_unchecked ~n ~f ~mode:Params.Async ()
 
 (* --- artifact files --- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* [open_out], creating missing parent directories first. *)
-let open_out_mkdir path =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  open_out path
-
-(* Writes [s] verbatim; callers supply any trailing newline. *)
-let write_file path s =
-  let oc = open_out_mkdir path in
-  output_string oc s;
-  close_out oc
-
 (* Parse an artifact file and decode it; errors are prefixed with the
    path. *)
 let read_artifact path decode =
-  match Obs.Json.parse (read_file path) with
+  match Obs.Json.parse (Obs.File.read path) with
   | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
   | Ok j -> Result.map_error (Printf.sprintf "%s: %s" path) (decode j)
 
 let write_artifact path j =
-  write_file path (Obs.Json.to_string_pretty j ^ "\n")
+  Obs.File.write path (Obs.Json.to_string_pretty j ^ "\n")
 
 let write_profile path r =
   write_artifact path (Obs.Profile.to_json r);
@@ -65,7 +47,7 @@ let attach_trace_sink hub =
       match !trace_channel with
       | Some oc -> oc
       | None ->
-        let oc = open_out_mkdir path in
+        let oc = Obs.File.create path in
         let experiment, seed = !trace_meta in
         output_string oc
           (Obs.Json.to_string (Obs.Tracefile.header ~experiment ~seed));
@@ -132,7 +114,8 @@ let with_report ~exp ~seed f =
       let result = f () in
       (match !json_dir with
       | Some dir ->
-        let path = Obs.Report.write ~dir r in
+        let path = Filename.concat dir (Obs.Report.experiment r ^ ".json") in
+        write_artifact path (Obs.Report.to_json r);
         Printf.printf "\n[%s] report written to %s\n" exp path
       | None -> ());
       result)

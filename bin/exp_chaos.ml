@@ -31,7 +31,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
     "chaos campaign: family=%s medium=%s n=%d t=%d initial=[%s] trials=%d \
      seed=%d domains=%d\n\n"
     (Stab.family_to_string family)
-    (match medium with Campaign.Fifo -> "fifo" | Campaign.Lossy -> "lossy")
+    (Campaign.medium_to_string medium)
     cfg.Campaign.n cfg.Campaign.f
     (String.concat "; "
        (List.map

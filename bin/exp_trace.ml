@@ -131,7 +131,7 @@ let run ~seed ~out ~chrome =
         Buffer.add_string buf (Obs.Json.to_string (Obs.Event.to_json e));
         Buffer.add_char buf '\n')
       events;
-    Common.write_file path (Buffer.contents buf);
+    Obs.File.write path (Buffer.contents buf);
     Printf.printf "trace written to %s (%s)\n" path
       Obs.Tracefile.schema_version);
   match chrome with

@@ -10,18 +10,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 let default_baseline_name = "lint-baseline.json"
 
 (* --- run ------------------------------------------------------------- *)
@@ -72,7 +60,7 @@ let update_baseline_arg =
   Arg.(value & flag & info [ "update-baseline" ] ~doc)
 
 let load_baseline path =
-  match Obs.Json.parse (read_file path) with
+  match Obs.Json.parse (Obs.File.read path) with
   | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
   | Ok j -> (
     match Lint.Report.baseline_entries j with
@@ -93,7 +81,7 @@ let run root paths json domains_json baseline no_baseline update_baseline =
       Option.value baseline_path
         ~default:(Filename.concat root default_baseline_name)
     in
-    write_file p
+    Obs.File.write p
       (Lint.Report.render_baseline
          (Lint.Report.baseline_of_findings scan.findings));
     Printf.printf "wrote %s (%d entr%s)\n" p
@@ -127,7 +115,7 @@ let run root paths json domains_json baseline no_baseline update_baseline =
             prerr_endline
               ("internal error: emitted inventory is invalid: " ^ e);
             exit 3);
-          write_file file rendered)
+          Obs.File.write file rendered)
         domains_json;
       Option.iter
         (fun file ->
@@ -142,7 +130,7 @@ let run root paths json domains_json baseline no_baseline update_baseline =
           | Error e ->
             prerr_endline ("internal error: emitted report is invalid: " ^ e);
             exit 3);
-          write_file file rendered)
+          Obs.File.write file rendered)
         json;
       List.iter
         (fun f -> print_endline (Lint.Finding.to_string f))

@@ -21,6 +21,13 @@ type medium = Fifo | Lossy
     [Stabilizing] medium at {!lossy_base} rates — link windows only exist
     there (under [Fifo] links are reliable by assumption). *)
 
+val medium_to_string : medium -> string
+(** ["fifo"] or ["lossy"]. *)
+
+val medium_of_string : string -> (medium, string) result
+(** The inverse of {!medium_to_string}; any other string is
+    [unknown medium "<s>"]. *)
+
 val lossy_base : float * float
 (** Base (loss, dup) of the [Lossy] medium, restored when windows close. *)
 

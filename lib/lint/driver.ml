@@ -4,12 +4,6 @@ let parse_rule_id = "PARSE"
 
 let suppress_rule_id = "SUPPRESS"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_implementation ~file source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
@@ -98,7 +92,7 @@ let lint_file ?env ~rules ?scope ?display path =
   let scope =
     match scope with Some s -> s | None -> Rule.classify display
   in
-  lint_source ?env ~rules ~scope ~file:display (read_file path)
+  lint_source ?env ~rules ~scope ~file:display (Obs.File.read path)
 
 (* --- tree walk ------------------------------------------------------- *)
 
@@ -150,7 +144,7 @@ let scan ?(rules = Rules.all) ~root ~paths () =
   let loaded =
     List.map
       (fun (rel, fs) ->
-        let source = read_file fs in
+        let source = Obs.File.read fs in
         (rel, source, parse_implementation ~file:rel source))
       files
   in

@@ -123,10 +123,10 @@ type module_inventory = {
 
 type env = {
   boundary_fns : (string * string) list;
-  mutable_fields : string list;
+  record_types : (string list * string list) list;
 }
 
-let empty_env = { boundary_fns = []; mutable_fields = [] }
+let empty_env = { boundary_fns = []; record_types = [] }
 
 (* --- domain boundaries ------------------------------------------------ *)
 
@@ -191,7 +191,9 @@ let forwards_to_boundary ~env ~self ~params body =
   it.expr it body;
   !found
 
-let file_mutable_fields structure =
+(* Each record type declared in [structure]: its labels, and those of
+   them declared mutable. *)
+let file_record_types structure =
   let acc = ref [] in
   let it =
     {
@@ -200,12 +202,9 @@ let file_mutable_fields structure =
         (fun it td ->
           (match td.ptype_kind with
           | Ptype_record labels ->
-            List.iter
-              (fun l ->
-                match l.pld_mutable with
-                | Asttypes.Mutable -> acc := l.pld_name.txt :: !acc
-                | Asttypes.Immutable -> ())
-              labels
+            let names ls = List.map (fun l -> l.pld_name.txt) ls in
+            let mutable_ l = l.pld_mutable = Asttypes.Mutable in
+            acc := (names labels, names (List.filter mutable_ labels)) :: !acc
           | _ -> ());
           Ast_iterator.default_iterator.type_declaration it td);
     }
@@ -243,9 +242,8 @@ let compare_boundary (m1, f1) (m2, f2) =
   | c -> c
 
 let build_env files =
-  let mutable_fields =
-    List.sort_uniq String.compare
-      (List.concat_map (fun (_, str) -> file_mutable_fields str) files)
+  let record_types =
+    List.concat_map (fun (_, str) -> file_record_types str) files
   in
   (* Fixpoint: a function forwarding into a discovered boundary is
      itself a boundary (e.g. [Checker.check] -> [search_parallel] ->
@@ -258,7 +256,7 @@ let build_env files =
           let self = module_name file in
           let found =
             file_boundary_fns
-              ~env:{ boundary_fns = known; mutable_fields }
+              ~env:{ boundary_fns = known; record_types }
               ~self str
           in
           List.fold_left
@@ -269,20 +267,29 @@ let build_env files =
     if List.length next = List.length known then known else grow next
   in
   let boundary_fns = List.sort_uniq compare_boundary (grow []) in
-  { boundary_fns; mutable_fields }
+  { boundary_fns; record_types }
 
 (* --- mutable allocation classification -------------------------------- *)
+
+(* A record literal allocates mutable state when a declared type holding
+   all its labels has a mutable field.  When no scanned type holds them
+   (a type from outside the tree), any label declared mutable anywhere
+   counts. *)
+let mutable_literal ~env labels =
+  let holds (all, _) = List.for_all (fun l -> List.mem l all) labels in
+  match List.filter holds env.record_types with
+  | [] ->
+    List.exists
+      (fun l -> List.exists (fun (_, muts) -> List.mem l muts) env.record_types)
+      labels
+  | types -> List.exists (fun (_, muts) -> muts <> []) types
 
 let rec alloc_kind ~env e =
   match e.pexp_desc with
   | Pexp_array _ -> Some Array_val
   | Pexp_record (fields, _)
-    when List.exists
-           (fun ({ Location.txt; _ }, _) ->
-             match flatten txt with
-             | [ f ] | [ _; f ] -> List.mem f env.mutable_fields
-             | _ -> false)
-           fields ->
+    when let label ({ Location.txt; _ }, _) = Longident.last txt in
+         mutable_literal ~env (List.map label fields) ->
     Some Mutable_record
   | Pexp_let (_, _, body)
   | Pexp_sequence (_, body)

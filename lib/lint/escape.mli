@@ -61,7 +61,8 @@ type module_inventory = {
 type env = {
   boundary_fns : (string * string) list;
       (** (Module, function) pairs that forward closures across domains *)
-  mutable_fields : string list;  (** record field names declared mutable *)
+  record_types : (string list * string list) list;
+      (** each declared record type's labels, and those declared mutable *)
 }
 
 val empty_env : env
@@ -81,7 +82,8 @@ val boundary_closures :
     file, in source order. *)
 
 val alloc_kind : env:env -> Parsetree.expression -> kind option
-(** Classify the right-hand side of a [let] as a mutable allocation. *)
+(** Classify the right-hand side of a [let] as a mutable allocation (a
+    record literal by the declared types holding all its labels). *)
 
 val analyze :
   env:env ->

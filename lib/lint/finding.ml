@@ -46,10 +46,6 @@ let codec () =
     |> field "message" string (fun t -> t.message)
     |> seal)
 
-let to_json t = Obs.Json.encode (codec ()) t
-
-let of_json ctx j = Obs.Json.decode (codec ()) ctx j
-
 let pp ppf t =
   Format.fprintf ppf "%s:%d:%d: [%s] %s: %s" t.file t.line t.col t.rule
     (severity_to_string t.severity)

@@ -32,9 +32,8 @@ val severity_to_string : severity -> string
 
 val severity_of_string : string -> (severity, string) result
 
-val to_json : t -> Obs.Json.t
-
-val of_json : t Obs.Json.decoder
+val codec : unit -> t Obs.Json.codec
+(** [{file, line, col, rule, severity, message}]. *)
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: [rule] severity: message], the human-readable line

@@ -20,7 +20,12 @@ val domains_schema_version : string
     counts over every mutable value, and each value that is not [local]
     by module and binding). *)
 
-type entry = { file : string; rule : string; line : int }
+type entry = {
+  file : string;
+  rule : string;
+  line : int;
+  note : string;  (** the finding's message when accepted; informational *)
+}
 
 type t = {
   paths : string list;  (** scanned subdirectories, e.g. [["lib"; "bin"]] *)
@@ -43,11 +48,17 @@ val make :
 
 val to_json : t -> Obs.Json.t
 
+val of_json : Obs.Json.t -> (t, string) result
+(** Decode a report; the rule catalog and the summary's [new]/[baselined]
+    counts are checked for shape only. *)
+
 val render : t -> string
 (** Canonical pretty-printed JSON, trailing newline included. *)
 
 val validate : Obs.Json.t -> (unit, string) result
-(** Structural schema check of a lint report. *)
+(** {!of_json}, keeping only the verdict. *)
+
+val baseline_to_json : entry list -> Obs.Json.t
 
 val baseline_of_findings : Finding.t list -> Obs.Json.t
 (** Build a baseline artifact accepting exactly these findings (the
@@ -56,21 +67,24 @@ val baseline_of_findings : Finding.t list -> Obs.Json.t
 val render_baseline : Obs.Json.t -> string
 
 val baseline_entries : Obs.Json.t -> (entry list, string) result
-(** Parse and structurally validate a baseline artifact. *)
+(** Decode a baseline artifact, entries in file order; a missing [note]
+    decodes as [""]. *)
 
 val validate_baseline : Obs.Json.t -> (unit, string) result
 
-val domains_to_json :
-  paths:string list -> Escape.module_inventory list -> Obs.Json.t
-(** Serialize a scan's shared-state inventory as
-    [stabreg/lint-domains/v2].  Canonical: values follow the (sorted)
-    scan order and each module's source order, with no source positions
-    and no timestamps, so the document changes only when shared state
-    does. *)
+type domains
+(** A decoded {!domains_schema_version} document. *)
+
+val domains_to_json : domains -> Obs.Json.t
+
+val domains_of_json : Obs.Json.t -> (domains, string) result
 
 val render_domains :
   paths:string list -> Escape.module_inventory list -> string
-(** Canonical pretty-printed JSON, trailing newline included. *)
+(** A scan's shared-state inventory as canonical pretty-printed JSON,
+    trailing newline included.  Values follow the (sorted) scan order and
+    each module's source order, with no source positions and no
+    timestamps, so the document changes only when shared state does. *)
 
 val validate_domains : Obs.Json.t -> (unit, string) result
-(** Structural schema check of a lint-domains inventory. *)
+(** {!domains_of_json}, keeping only the verdict. *)

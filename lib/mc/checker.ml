@@ -891,14 +891,10 @@ let guide_schema = "stabreg/mc-guide/v1"
    recorded outcome is ignored — the schedule is re-judged from scratch). *)
 let guide_of_json j =
   let open Obs.Json in
-  let* () =
-    match member "schema" j with
-    | Some (Str s) when String.equal s cex_schema -> Ok ()
-    | _ -> expect_schema "guide" guide_schema j
-  in
-  decode
-    (seal (with_schedule (fun c t -> (c, t)) ~config:fst ~trace:snd))
-    "guide" j
+  let guide = seal (with_schedule (fun c t -> (c, t)) ~config:fst ~trace:snd) in
+  match member "schema" j with
+  | Some (Str s) when String.equal s cex_schema -> decode guide "guide" j
+  | _ -> decode (with_schema guide_schema guide) "guide" j
 
 (* Strict bit-for-bit replay: every recorded move must fire, the terminal
    verdict must be structurally equal, and the terminal fingerprint must

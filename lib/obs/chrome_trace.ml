@@ -18,8 +18,7 @@ let tid_of_owner = function
 
 let owner_name = function
   | Ambient -> "(ambient)"
-  | Peer (Event.Client i) -> Printf.sprintf "c%d" i
-  | Peer (Event.Server i) -> Printf.sprintf "s%d" i
+  | Peer p -> Event.peer_name p
 
 let span_owner (t : Tracefile.tree) =
   match t.Tracefile.events with

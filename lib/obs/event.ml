@@ -89,9 +89,33 @@ let span = function
   | Phase { span; _ } -> span
   | Drop _ | Fault_injected _ | Stabilized _ | Mark _ -> Trace_ctx.none
 
-let peer_to_json = function
-  | Client i -> Json.Str (Printf.sprintf "c%d" i)
-  | Server i -> Json.Str (Printf.sprintf "s%d" i)
+let class_of_name s =
+  match List.find_opt (fun c -> String.equal (class_name c) s) all_classes with
+  | Some c -> Ok c
+  | None -> Error (Printf.sprintf "unknown message class %S" s)
+
+let op_of_name = function
+  | "read" -> Ok `Read
+  | "write" -> Ok `Write
+  | s -> Error (Printf.sprintf "unknown operation %S" s)
+
+let peer_name = function
+  | Client i -> Printf.sprintf "c%d" i
+  | Server i -> Printf.sprintf "s%d" i
+
+(* Only the spelling [peer_name] writes is accepted ("c07" is not). *)
+let peer_of_name s =
+  let peer =
+    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+    | Some i when s.[0] = 'c' -> Some (Client i)
+    | Some i when s.[0] = 's' -> Some (Server i)
+    | Some _ | None | (exception Invalid_argument _) -> None
+  in
+  match peer with
+  | Some p when String.equal (peer_name p) s -> Ok p
+  | Some _ | None -> Error (Printf.sprintf "unknown peer %S" s)
+
+let peer_to_json p = Json.Str (peer_name p)
 
 let to_json e =
   let base kind time rest =
@@ -153,5 +177,58 @@ let to_json e =
       [ ("target", Json.Str target); ("hits", Json.Int hits) ]
   | Stabilized { time } -> base "stabilized" time []
   | Mark { time; label } -> base "mark" time [ ("label", Json.Str label) ]
+
+let of_json ctx j =
+  let open Json in
+  let get name c =
+    let* v = required ctx name j in
+    decode c (ctx ^ "." ^ name) v
+  in
+  let peer = enum peer_name peer_of_name in
+  let cls = enum class_name class_of_name in
+  let op = enum op_name op_of_name in
+  let span () = decode (Trace_ctx.codec ()) ctx j in
+  let* kind = get "ev" string in
+  let* time = get "t" int in
+  match kind with
+  | "send" | "recv" ->
+    let* src = get "src" peer in
+    let* dst = get "dst" peer in
+    let* cls = get "msg" cls in
+    let* bytes = get "bytes" int in
+    let* span = span () in
+    if String.equal kind "send" then
+      Ok (Send { time; src; dst; cls; bytes; span })
+    else Ok (Recv { time; src; dst; cls; bytes; span })
+  | "drop" ->
+    let* link = get "link" string in
+    let* cls = get "msg" (nullable cls) in
+    Ok (Drop { time; link; cls })
+  | "op-invoke" | "op-return" ->
+    let* id = get "op_id" int in
+    let* proc = get "proc" string in
+    let* reg = get "reg" string in
+    let* op = get "op" op in
+    if String.equal kind "op-invoke" then
+      let* span = span () in
+      Ok (Op_invoke { time; id; proc; reg; op; span })
+    else
+      let* ok = get "ok" bool in
+      let* span = span () in
+      Ok (Op_return { time; id; proc; reg; op; ok; span })
+  | "phase" ->
+    let* server = get "server" int in
+    let* phase = get "phase" string in
+    let* span = span () in
+    Ok (Phase { time; server; phase; span })
+  | "fault" ->
+    let* target = get "target" string in
+    let* hits = get "hits" int in
+    Ok (Fault_injected { time; target; hits })
+  | "stabilized" -> Ok (Stabilized { time })
+  | "mark" ->
+    let* label = get "label" string in
+    Ok (Mark { time; label })
+  | other -> Error (Printf.sprintf "%s: unknown kind %S" ctx other)
 
 let pp ppf e = Json.pp ppf (to_json e)

@@ -84,6 +84,14 @@ val span : t -> Trace_ctx.span
     span-less constructors ([Drop], [Fault_injected], [Stabilized],
     [Mark]). *)
 
+val peer_name : peer -> string
+(** ["c<id>"] or ["s<id>"], as events and traces spell a peer. *)
+
 val to_json : t -> Json.t
+
+val of_json : t Json.decoder
+(** The inverse of {!to_json}: every member its kind carries must be
+    present and well-typed, peers must be spelled as {!peer_name} spells
+    them, and message classes and operations must be known. *)
 
 val pp : Format.formatter -> t -> unit

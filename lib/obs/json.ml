@@ -330,8 +330,6 @@ let str_field ctx key j = decode_field as_string ctx key j
 
 let float_field ctx key j = decode_field as_float ctx key j
 
-let bool_field ctx key j = decode_field as_bool ctx key j
-
 let map_result f items =
   List.fold_left
     (fun acc item ->
@@ -349,25 +347,10 @@ let as_list decode ctx j =
 
 let list_field ctx key decode j = decode_field (as_list decode) ctx key j
 
-let obj_field ctx key decode j =
-  let* members = decode_field as_obj ctx key j in
-  let ctx = ctx ^ "." ^ key in
-  map_result
-    (fun (name, v) ->
-      let* x = decode (ctx ^ "." ^ name) v in
-      Ok (name, x))
-    members
-
 let opt_field ctx key decode j =
   match member key j with
   | None | Some Null -> Ok None
   | Some v -> Result.map Option.some (decode (ctx ^ "." ^ key) v)
-
-let expect_schema ctx want j =
-  let* got = str_field ctx "schema" j in
-  if String.equal got want then Ok ()
-  else
-    Error (Printf.sprintf "%s: schema mismatch: got %S, want %S" ctx got want)
 
 let rec equal a b =
   match (a, b) with
@@ -392,6 +375,8 @@ type 'a codec = {
 let codec enc dec = { enc; dec; absent = None }
 
 let encode c = c.enc
+
+let members c x = match c.enc x with Obj ms -> ms | _ -> []
 
 let decode c = c.dec
 
@@ -421,6 +406,18 @@ let nullable c =
     | j -> Result.map Option.some (c.dec ctx j)
   in
   { enc = Option.fold ~none:Null ~some:c.enc; dec; absent = Some None }
+
+let assoc c =
+  let dec ctx j =
+    let* members = as_obj ctx j in
+    map_result
+      (fun (name, v) ->
+        Result.map (fun x -> (name, x)) (c.dec (ctx ^ "." ^ name) v))
+      members
+  in
+  codec (fun ms -> Obj (List.map (fun (name, x) -> (name, c.enc x)) ms)) dec
+
+let raw = codec Fun.id (fun _ j -> Ok j)
 
 let enum to_string of_string =
   codec (fun x -> Str (to_string x)) (fun ctx j ->
@@ -476,7 +473,10 @@ let with_schema name c =
     match c.enc x with Obj ms -> Obj (("schema", Str name) :: ms) | j -> j
   in
   codec enc (fun ctx j ->
-      let* () = expect_schema ctx name j in
-      c.dec ctx j)
+      let* got = str_field ctx "schema" j in
+      if String.equal got name then c.dec ctx j
+      else
+        Error
+          (Printf.sprintf "%s: schema mismatch: got %S, want %S" ctx got name))
 
 let pp ppf j = Format.pp_print_string ppf (to_string j)

@@ -46,10 +46,10 @@ val to_obj_opt : t -> (string * t) list option
 
 (** {1 Decoding}
 
-    The vocabulary every artifact decoder is written in.  A context
-    string names where in the document a value sits (["config"],
-    ["repro.schedule[2]"]); errors read ["<ctx>: missing field \"k\""]
-    or ["<ctx>.k: expected an integer"]. *)
+    The vocabulary of the hand-written decoders a {!codec} wraps: tagged
+    unions and the Chrome export.  A context string names where in the
+    document a value sits (["config"], ["repro.schedule[2]"]); errors
+    read ["<ctx>: missing field \"k\""] or ["<ctx>.k: expected an integer"]. *)
 
 type 'a decoder = string -> t -> ('a, string) result
 (** Decode one value found at the given context. *)
@@ -59,8 +59,6 @@ val ( let* ) :
 (** [Result.bind], in scope wherever a decoder does [let open Obs.Json]. *)
 
 val as_int : int decoder
-
-val as_string : string decoder
 
 val as_list : 'a decoder -> 'a list decoder
 (** Each item decoded at context ["<ctx>[i]"]. *)
@@ -76,24 +74,13 @@ val str_field : string -> string -> t -> (string, string) result
 val float_field : string -> string -> t -> (float, string) result
 (** Accepts both [Float] and [Int]. *)
 
-val bool_field : string -> string -> t -> (bool, string) result
-
 val list_field :
   string -> string -> 'a decoder -> t -> ('a list, string) result
 (** A list member, each item decoded at context ["<ctx>.<key>[i]"]. *)
 
-val obj_field :
-  string -> string -> 'a decoder -> t -> ((string * 'a) list, string) result
-(** An object member, each value decoded at context
-    ["<ctx>.<key>.<name>"]; member order is kept. *)
-
 val opt_field :
   string -> string -> 'a decoder -> t -> ('a option, string) result
 (** An optional member: absent or [null] gives [None]. *)
-
-val expect_schema : string -> string -> t -> (unit, string) result
-(** [expect_schema ctx want j]: the ["schema"] member is the string
-    [want]. *)
 
 (** {1 Codecs}
 
@@ -129,6 +116,10 @@ val codec : ('a -> t) -> 'a decoder -> 'a codec
 
 val encode : 'a codec -> 'a -> t
 
+val members : 'a codec -> 'a -> (string * t) list
+(** The members of an object encoding ([[]] for any other value), for
+    splicing a record's members into a larger object. *)
+
 val decode : 'a codec -> 'a decoder
 (** [decode c ctx j]: errors name [ctx] and the path below it. *)
 
@@ -153,6 +144,13 @@ val list : 'a codec -> 'a list codec
 val nullable : 'a codec -> 'a option codec
 (** [None] is [null].  As a record member, an absent member decodes to
     [None] too. *)
+
+val assoc : 'a codec -> (string * 'a) list codec
+(** An object used as an ordered map: member order is kept, each value
+    decoded at context ["<ctx>.<name>"]. *)
+
+val raw : t codec
+(** Any JSON value, passed through as it is. *)
 
 val enum : ('a -> string) -> (string -> ('a, string) result) -> 'a codec
 (** A value written as one string; [of_string] must invert [to_string].

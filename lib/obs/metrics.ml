@@ -170,10 +170,6 @@ let summary_codec () =
     |> field "max" float (fun s -> s.max)
     |> seal)
 
-let summary_to_json s = Json.encode (summary_codec ()) s
-
-let summary_of_json ctx j = Json.decode (summary_codec ()) ctx j
-
 (* --- registry --- *)
 
 type t = {

@@ -62,10 +62,8 @@ val summary : float list -> summary
 val summary_of_histogram : histogram -> summary
 (** Approximate: quantiles by {!quantile}, count/mean/min/max exact. *)
 
-val summary_to_json : summary -> Json.t
+val summary_codec : unit -> summary Json.codec
 (** [{count, mean, min, p50, p90, p95, p99, p999, max}]. *)
-
-val summary_of_json : summary Json.decoder
 
 (** {1 Registry} *)
 

@@ -53,43 +53,34 @@ let samples t = List.length t.samples_rev
 
 let sample_jsons t = List.rev t.samples_rev
 
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.Str schema_version);
-      ("kind", Json.Str t.kind);
-      ("every", Json.Int t.every);
-      ("samples", Json.List (List.rev t.samples_rev));
-      ("sections", Json.Obj (List.rev t.sections_rev));
-    ]
-
-(* --- validation ------------------------------------------------------- *)
-
-let validate j =
+(* A sample is kept as it was recorded: its [tick] and [elapsed_s] are
+   checked, the engine's own members pass through. *)
+let sample_codec () =
   let open Json in
-  let ctx = "profile" in
-  let* () = expect_schema ctx schema_version j in
-  let* _ = str_field ctx "kind" j in
-  let* every = int_field ctx "every" j in
-  let* () =
-    if every > 0 then Ok ()
-    else Error "profile.every: expected a positive integer"
+  let head =
+    record (fun tick elapsed_s -> (tick, elapsed_s))
+    |> field "tick" int fst
+    |> field "elapsed_s" float snd
+    |> seal
   in
-  let* _ =
-    list_field ctx "samples"
-      (fun ctx s ->
-        let* _ = int_field ctx "tick" s in
-        float_field ctx "elapsed_s" s)
-      j
-  in
-  let* _ = obj_field ctx "sections" (fun _ v -> Ok v) j in
-  Ok ()
+  codec Fun.id (fun ctx j -> Result.map (fun _ -> j) (decode head ctx j))
 
-let write ~dir ~name t =
-  Report.mkdir_p dir;
-  let path = Filename.concat dir (name ^ ".json") in
-  let oc = open_out path in
-  output_string oc (Json.to_string_pretty (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  path
+let codec () =
+  Json.(
+    record (fun kind every samples sections ->
+        {
+          (create ~every ~kind ()) with
+          samples_rev = List.rev samples;
+          sections_rev = List.rev sections;
+        })
+    |> field "kind" string (fun t -> t.kind)
+    |> field "every" pos (fun t -> t.every)
+    |> field "samples" (list (sample_codec ())) sample_jsons
+    |> field "sections" (assoc raw) (fun t -> List.rev t.sections_rev)
+    |> seal |> with_schema schema_version)
+
+let to_json t = Json.encode (codec ()) t
+
+let of_json j = Json.decode (codec ()) "profile" j
+
+let validate j = Result.map ignore (of_json j)

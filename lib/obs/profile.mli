@@ -46,8 +46,9 @@ val sample_jsons : t -> Json.t list
 
 val to_json : t -> Json.t
 
-val validate : Json.t -> (unit, string) result
+val of_json : Json.t -> (t, string) result
+(** Decode a timeline; the recorder it gives has the constant-zero
+    clock. *)
 
-val write : dir:string -> name:string -> t -> string
-(** Write [<dir>/<name>.json] (pretty-printed), creating [dir] if
-    needed; returns the path. *)
+val validate : Json.t -> (unit, string) result
+(** {!of_json}, keeping only the verdict. *)

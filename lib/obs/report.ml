@@ -75,96 +75,45 @@ let observe_metrics t metrics =
            (String.length name >= 4 && String.equal (String.sub name 0 4) "msg."))
        (Metrics.counters metrics))
 
-let to_json t =
-  let n, f, mode =
-    match t.params with Some p -> p | None -> (0, 0, "unset")
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str schema_version);
-      ("experiment", Json.Str t.experiment);
-      ("seed", Json.Int t.seed);
-      ( "params",
-        Json.Obj
-          [ ("n", Json.Int n); ("f", Json.Int f); ("mode", Json.Str mode) ] );
-      ( "messages",
-        Json.Obj
-          (List.map
-             (fun (name, (m : msg_stats)) ->
-               ( name,
-                 Json.Obj
-                   [
-                     ("sent", Json.Int m.sent);
-                     ("recv", Json.Int m.recv);
-                     ("bytes", Json.Int m.bytes);
-                   ] ))
-             t.messages) );
-      ( "ops",
-        Json.Obj
-          (List.map (fun (name, s) -> (name, Metrics.summary_to_json s)) t.ops)
-      );
-      ( "stabilization_time",
-        match t.stabilization with Some d -> Json.Int d | None -> Json.Null );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
-      ("extra", Json.Obj t.extra);
-    ]
+let params_codec () =
+  Json.(
+    record (fun n f mode -> (n, f, mode))
+    |> field "n" int (fun (n, _, _) -> n)
+    |> field "f" int (fun (_, f, _) -> f)
+    |> field "mode" string (fun (_, _, mode) -> mode)
+    |> seal)
 
-(* --- schema validation --- *)
+let msg_stats_codec () =
+  Json.(
+    record (fun sent recv bytes -> { sent; recv; bytes })
+    |> field "sent" int (fun m -> m.sent)
+    |> field "recv" int (fun m -> m.recv)
+    |> field "bytes" int (fun m -> m.bytes)
+    |> seal)
 
-let msg_stats_of_json ctx j =
+let codec () =
   let open Json in
-  let* sent = int_field ctx "sent" j in
-  let* recv = int_field ctx "recv" j in
-  let* bytes = int_field ctx "bytes" j in
-  Ok { sent; recv; bytes }
+  (* Present, possibly null: a bare [nullable] would also accept a report
+     without the member. *)
+  let stabilization = codec (encode (nullable int)) (decode (nullable int)) in
+  record
+    (fun experiment seed params messages ops stabilization counters extra ->
+      let t = create ~experiment ~seed in
+      let params = Some params in
+      { t with params; messages; ops; stabilization; counters; extra })
+  |> field "experiment" string (fun t -> t.experiment)
+  |> field "seed" int (fun t -> t.seed)
+  |> field "params" (params_codec ()) (fun t ->
+         Option.value t.params ~default:(0, 0, "unset"))
+  |> field "messages" (assoc (msg_stats_codec ())) (fun t -> t.messages)
+  |> field "ops" (assoc (Metrics.summary_codec ())) (fun t -> t.ops)
+  |> field "stabilization_time" stabilization (fun t -> t.stabilization)
+  |> field "counters" (assoc int) (fun t -> t.counters)
+  |> field ~default:[] "extra" (assoc raw) (fun t -> t.extra)
+  |> seal |> with_schema schema_version
 
-let validate j =
-  let open Json in
-  let ctx = "report" in
-  let* () = expect_schema ctx schema_version j in
-  let* _ = str_field ctx "experiment" j in
-  let* _ = int_field ctx "seed" j in
-  let* params = required ctx "params" j in
-  let* _ = int_field "params" "n" params in
-  let* _ = int_field "params" "f" params in
-  let* _ = str_field "params" "mode" params in
-  let* _ = obj_field ctx "messages" msg_stats_of_json j in
-  let* _ = obj_field ctx "ops" Metrics.summary_of_json j in
-  let* () =
-    match member "stabilization_time" j with
-    | Some (Null | Int _) -> Ok ()
-    | _ -> Error "report.stabilization_time: expected null or an integer"
-  in
-  let* _ = obj_field ctx "counters" as_int j in
-  Ok ()
+let to_json t = Json.encode (codec ()) t
 
-(* --- file output --- *)
+let of_json j = Json.decode (codec ()) "report" j
 
-let mkdir_p dir =
-  let parts = String.split_on_char '/' dir in
-  ignore
-    (List.fold_left
-       (fun prefix part ->
-         if String.equal part "" then
-           if String.equal prefix "" then "/" else prefix
-         else begin
-           let path =
-             if String.equal prefix "" then part
-             else if String.equal prefix "/" then "/" ^ part
-             else prefix ^ "/" ^ part
-           in
-           (if not (Sys.file_exists path) then
-              try Sys.mkdir path 0o755 with Sys_error _ -> ());
-           path
-         end)
-       "" parts)
-
-let write ~dir t =
-  mkdir_p dir;
-  let path = Filename.concat dir (t.experiment ^ ".json") in
-  let oc = open_out path in
-  output_string oc (Json.to_string_pretty (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  path
+let validate j = Result.map ignore (of_json j)

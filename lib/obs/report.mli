@@ -42,14 +42,9 @@ val add_extra : t -> string -> Json.t -> unit
 
 val to_json : t -> Json.t
 
+val of_json : Json.t -> (t, string) result
+(** Decode a report; [extra] may be absent (it decodes empty) but must be
+    an object when present. *)
+
 val validate : Json.t -> (unit, string) result
-(** Structural check of the versioned schema: required fields, their
-    types, and the exact [schema] string. *)
-
-val mkdir_p : string -> unit
-(** [mkdir -p]: create the directory and any missing parents; existing
-    components are left alone. *)
-
-val write : dir:string -> t -> string
-(** Write [<dir>/<experiment>.json] (pretty-printed), creating [dir] if
-    needed; returns the path. *)
+(** {!of_json}, keeping only the verdict. *)

@@ -28,9 +28,12 @@ let pp ppf s =
   if is_none s then Format.pp_print_string ppf "span:-"
   else Format.fprintf ppf "span:%d/%d<-%d" s.trace s.id s.parent
 
-let fields s =
-  [
-    ("trace", Json.Int s.trace);
-    ("span", Json.Int s.id);
-    ("parent", Json.Int s.parent);
-  ]
+let codec () =
+  Json.(
+    record (fun trace id parent -> { trace; id; parent })
+    |> field "trace" int (fun s -> s.trace)
+    |> field "span" int (fun s -> s.id)
+    |> field "parent" int (fun s -> s.parent)
+    |> seal)
+
+let fields s = Json.members (codec ()) s

@@ -51,5 +51,8 @@ val allocated : t -> int
 
 val pp : Format.formatter -> span -> unit
 
+val codec : unit -> span Json.codec
+(** The object [{trace, span, parent}]. *)
+
 val fields : span -> (string * Json.t) list
-(** JSON fields [trace]/[span]/[parent] for event envelopes. *)
+(** {!codec}'s members, for event envelopes. *)

@@ -1,99 +1,35 @@
 let schema_version = "stabreg/trace/v1"
 
-let header ~experiment ~seed =
-  Json.Obj
-    [
-      ("schema", Json.Str schema_version);
-      ("experiment", Json.Str experiment);
-      ("seed", Json.Int seed);
-    ]
+let header_codec () =
+  Json.(
+    record (fun experiment seed -> (experiment, seed))
+    |> field "experiment" string fst
+    |> field "seed" int snd
+    |> seal |> with_schema schema_version)
 
-(* --- validation ------------------------------------------------------- *)
+let header ~experiment ~seed = Json.encode (header_codec ()) (experiment, seed)
 
-let validate_header j =
-  let open Json in
-  let* () = expect_schema "header" schema_version j in
-  let* _ = str_field "header" "experiment" j in
-  let* _ = int_field "header" "seed" j in
-  Ok ()
+let header_of_json j = Json.decode (header_codec ()) "header" j
 
-let span_fields ctx j =
-  let open Json in
-  let* _ = int_field ctx "trace" j in
-  let* _ = int_field ctx "span" j in
-  let* _ = int_field ctx "parent" j in
-  Ok ()
-
-let validate_event j =
-  let open Json in
-  let* kind = str_field "event" "ev" j in
-  let ctx = kind in
-  let* _ = int_field ctx "t" j in
-  match kind with
-  | "send" | "recv" ->
-    let* _ = str_field ctx "src" j in
-    let* _ = str_field ctx "dst" j in
-    let* _ = str_field ctx "msg" j in
-    let* _ = int_field ctx "bytes" j in
-    span_fields ctx j
-  | "drop" -> (
-    let* _ = str_field ctx "link" j in
-    let* v = required ctx "msg" j in
-    match v with
-    | Null | Str _ -> Ok ()
-    | Bool _ | Int _ | Float _ | List _ | Obj _ ->
-      Error (ctx ^ ".msg: expected a string or null"))
-  | "op-invoke" | "op-return" ->
-    let* _ = int_field ctx "op_id" j in
-    let* _ = str_field ctx "proc" j in
-    let* _ = str_field ctx "reg" j in
-    let* _ = str_field ctx "op" j in
-    let* _ =
-      if String.equal kind "op-return" then bool_field ctx "ok" j else Ok true
-    in
-    span_fields ctx j
-  | "phase" ->
-    let* _ = int_field ctx "server" j in
-    let* _ = str_field ctx "phase" j in
-    span_fields ctx j
-  | "fault" ->
-    let* _ = str_field ctx "target" j in
-    let* _ = int_field ctx "hits" j in
-    Ok ()
-  | "stabilized" -> Ok ()
-  | "mark" ->
-    let* _ = str_field ctx "label" j in
-    Ok ()
-  | other -> Error (Printf.sprintf "event: unknown kind %S" other)
-
-let fold_lines s f init =
-  (* Split on '\n', tolerating a trailing newline; blank lines are
-     rejected by the per-line callback receiving "". *)
+(* The header line, then one event per line; a trailing newline is
+   tolerated, a blank line is not. *)
+let validate s =
   let lines = String.split_on_char '\n' s in
   let lines =
     match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
   in
-  let rec go acc n = function
-    | [] -> acc
-    | l :: rest -> (
-      match acc with Error _ as e -> e | Ok v -> go (f v n l) (n + 1) rest)
+  let decode n j =
+    if n = 1 then Result.map ignore (header_of_json j)
+    else Result.map ignore (Event.of_json "event" j)
   in
-  go (Ok init) 1 lines
-
-let validate s =
-  if String.equal s "" then Error "empty trace file"
-  else
-    fold_lines s
-      (fun seen_header n line ->
-        (let open Json in
-         let* j = parse line in
-         let* () =
-           if seen_header then validate_event j else validate_header j
-         in
-         Ok true)
-        |> Result.map_error (Printf.sprintf "line %d: %s" n))
-      false
-    |> Result.map ignore
+  let rec check n = function
+    | [] -> Ok ()
+    | line :: rest -> (
+      match Result.bind (Json.parse line) (decode n) with
+      | Ok () -> check (n + 1) rest
+      | Error e -> Error (Printf.sprintf "line %d: %s" n e))
+  in
+  match lines with [] -> Error "empty trace file" | _ -> check 1 lines
 
 (* --- causal-tree reconstruction --------------------------------------- *)
 
@@ -104,10 +40,6 @@ type tree = {
   events : Event.t list;
   children : tree list;
 }
-
-let peer_name = function
-  | Event.Client i -> Printf.sprintf "c%d" i
-  | Event.Server i -> Printf.sprintf "s%d" i
 
 (* Group events by span id, then link children to parents.  Events within
    a span keep emission order (which is time order); children are ordered
@@ -173,10 +105,10 @@ let rec span_interval t =
 let describe_event e =
   match e with
   | Event.Send { src; dst; cls; _ } ->
-    Printf.sprintf "send %s->%s %s" (peer_name src) (peer_name dst)
+    Printf.sprintf "send %s->%s %s" (Event.peer_name src) (Event.peer_name dst)
       (Event.class_name cls)
   | Event.Recv { src; dst; cls; _ } ->
-    Printf.sprintf "recv %s->%s %s" (peer_name src) (peer_name dst)
+    Printf.sprintf "recv %s->%s %s" (Event.peer_name src) (Event.peer_name dst)
       (Event.class_name cls)
   | Event.Drop { link; _ } -> Printf.sprintf "drop on %s" link
   | Event.Op_invoke { proc; reg; op; _ } ->

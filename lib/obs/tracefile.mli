@@ -13,14 +13,13 @@ val schema_version : string
 val header : experiment:string -> seed:int -> Json.t
 (** The header object for the first line of a trace file. *)
 
-val validate_header : Json.t -> (unit, string) result
-
-val validate_event : Json.t -> (unit, string) result
-(** Check one event object against the per-kind field schema. *)
+val header_of_json : Json.t -> (string * int, string) result
+(** Decode a header line: its [(experiment, seed)]. *)
 
 val validate : string -> (unit, string) result
-(** Validate a whole trace file's contents (header line + every event
-    line); errors carry 1-based line numbers. *)
+(** Validate a whole trace file's contents: the header line decodes with
+    {!header_of_json}, every later line with {!Event.of_json}; errors
+    carry 1-based line numbers. *)
 
 (** {2 Causal trees}
 

@@ -5,7 +5,7 @@
 
 open Util
 
-let read_file = Exp_drivers.Common.read_file
+let read_file = Obs.File.read
 
 let parse path =
   match Obs.Json.parse (read_file path) with
@@ -193,6 +193,12 @@ let reencode j =
     via Mc.Checker.cex_of_json Mc.Checker.cex_to_json
   else if String.equal schema Chaos.Campaign.repro_schema then
     via Chaos.Campaign.repro_of_json Chaos.Campaign.repro_to_json
+  else if String.equal schema Obs.Report.schema_version then
+    via Obs.Report.of_json Obs.Report.to_json
+  else if String.equal schema Lint.Report.baseline_schema_version then
+    via Lint.Report.baseline_entries Lint.Report.baseline_to_json
+  else if String.equal schema Lint.Report.domains_schema_version then
+    via Lint.Report.domains_of_json Lint.Report.domains_to_json
   else Alcotest.failf "no codec for %s" schema
 
 let pretty j = Obs.Json.to_string_pretty j ^ "\n"
@@ -235,7 +241,27 @@ let test_committed_reencode () =
         (path ^ " re-encodes with the crash defaults")
         (pretty (set [ "config" ] defaulted j))
         (pretty (reencode j)))
-    [ "mwmr_mobile_roam_stuck.json"; "regular_collude_repro.json" ]
+    [ "mwmr_mobile_roam_stuck.json"; "regular_collude_repro.json" ];
+  let reports_and_lint =
+    List.filter
+      (fun path ->
+        List.mem
+          (schema_of (parse path))
+          [
+            Obs.Report.schema_version;
+            Lint.Report.baseline_schema_version;
+            Lint.Report.domains_schema_version;
+          ])
+      (committed ())
+  in
+  check_int "14 run reports, the lint baseline and inventory" 16
+    (List.length reports_and_lint);
+  List.iter
+    (fun path ->
+      Alcotest.(check string)
+        (path ^ " re-encodes") (read_file path)
+        (pretty (reencode (parse path))))
+    reports_and_lint
 
 (* A recovery artifact's schedule is the one its config schedules: a
    document whose schedule says otherwise is rejected, naming the
@@ -272,6 +298,162 @@ let test_doctored_recovery_schedule () =
   let code, _ = Test_cli.eval [ "validate"; path ] in
   Sys.remove path;
   check_int "validate exits 124" 124 code
+
+(* Every event a run can trace survives encode, print, parse, decode and
+   encode unchanged.  The corrupted run brings sends, receives, phases,
+   operations and a fault; two lossy links bring drops with and without a
+   message class ("msg": null) and a retuning mark.  No deployment emits
+   [Stabilized], so one is added by hand to cover all nine kinds. *)
+let lossy_link_events () =
+  let rng = Sim.Rng.create 5 in
+  let engine = Sim.Engine.create ~rng () in
+  let mem, recorded = Obs.Sink.memory () in
+  Obs.Hub.attach (Sim.Engine.hub engine) mem;
+  let link ?classify () =
+    Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng)
+      ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
+      ~loss:0.5 ?classify ~name:"probe" ~deliver:ignore ()
+  in
+  let bare = link () in
+  let labelled = link ~classify:(fun () -> Obs.Event.Ack_read) () in
+  Sim.Lossy_link.set_loss bare 0.9;
+  for _ = 1 to 20 do
+    Sim.Lossy_link.send bare ();
+    Sim.Lossy_link.send labelled ()
+  done;
+  Sim.Engine.run engine;
+  recorded ()
+
+let kind_of j =
+  match Obs.Json.member "ev" j with
+  | Some (Obs.Json.Str k) -> k
+  | _ -> Alcotest.fail "event without a kind"
+
+let test_events_round_trip () =
+  let _, traced = Test_tracing.corrupted_run () in
+  let events =
+    traced @ lossy_link_events () @ [ Obs.Event.Stabilized { time = 7 } ]
+  in
+  let lines =
+    List.map (fun e -> Obs.Json.to_string (Obs.Event.to_json e)) events
+  in
+  check_true "a drop with no message class"
+    (List.exists
+       (function
+         | Obs.Event.Drop { cls = None; _ } -> true
+         | _ -> false)
+       events);
+  Alcotest.(check (list string))
+    "all nine kinds"
+    [
+      "drop"; "fault"; "mark"; "op-invoke"; "op-return"; "phase"; "recv";
+      "send"; "stabilized";
+    ]
+    (List.sort_uniq String.compare
+       (List.map (fun l -> kind_of (Obs.Json.parse_exn l)) lines));
+  List.iter
+    (fun line ->
+      match Obs.Json.parse line with
+      | Error e -> Alcotest.failf "%s: %s" line e
+      | Ok j -> (
+        match Obs.Event.of_json "event" j with
+        | Error e -> Alcotest.failf "%s: %s" line e
+        | Ok e ->
+          Alcotest.(check string)
+            "re-encodes" line
+            (Obs.Json.to_string (Obs.Event.to_json e))))
+    lines
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length hay
+    && (String.equal (String.sub hay i n) needle || scan (i + 1))
+  in
+  scan 0
+
+(* The checks decoding added: each document was accepted before, and its
+   rejection names where the fault is. *)
+let test_stricter_checks () =
+  let rejected name want contents =
+    match Exp_drivers.Artifacts.validate contents with
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error e ->
+      List.iter
+        (fun w ->
+          check_true (Printf.sprintf "%s: %S names %s" name e w) (contains e w))
+        want
+  in
+  let header =
+    Obs.Json.to_string (Obs.Tracefile.header ~experiment:"T" ~seed:3)
+  in
+  let span = Obs.Trace_ctx.none in
+  let send =
+    Obs.Event.to_json
+      (Obs.Event.Send
+         {
+           time = 4; src = Obs.Event.Client 101; dst = Obs.Event.Server 3;
+           cls = Obs.Event.Read; bytes = 12; span;
+         })
+  in
+  let invoke =
+    Obs.Event.to_json
+      (Obs.Event.Op_invoke
+         {
+           time = 1; id = 1; proc = "reader"; reg = "swsr_regular"; op = `Read;
+           span;
+         })
+  in
+  let drop =
+    Obs.Event.to_json (Obs.Event.Drop { time = 2; link = "l"; cls = None })
+  in
+  let trace name want event =
+    rejected name ("line 2" :: want)
+      (header ^ "\n" ^ Obs.Json.to_string event ^ "\n")
+  in
+  trace "a peer x3" [ "src"; "x3" ] (set [ "src" ] (Obs.Json.Str "x3") send);
+  trace "a peer c07" [ "dst"; "c07" ] (set [ "dst" ] (Obs.Json.Str "c07") send);
+  trace "an unknown message class" [ "msg"; "HELLO" ]
+    (set [ "msg" ] (Obs.Json.Str "HELLO") send);
+  trace "a drop of an unknown class" [ "msg"; "HELLO" ]
+    (set [ "msg" ] (Obs.Json.Str "HELLO") drop);
+  trace "an unknown operation" [ "op"; "append" ]
+    (set [ "op" ] (Obs.Json.Str "append") invoke);
+  let report = parse "../examples/runs/E1.json" in
+  rejected "a run report whose extra is no object" [ "report.extra" ]
+    (Obs.Json.to_string (set [ "extra" ] (Obs.Json.Int 3) report));
+  let baseline = parse "../lint-baseline.json" in
+  let entries =
+    match Obs.Json.member "entries" baseline with
+    | Some (Obs.Json.List (e :: _)) -> e
+    | _ -> Alcotest.fail "the committed baseline has entries"
+  in
+  rejected "a baseline note that is no string" [ "baseline.entries[0].note" ]
+    (Obs.Json.to_string
+       (set [ "entries" ]
+          (Obs.Json.List [ set [ "note" ] (Obs.Json.Int 3) entries ])
+          baseline));
+  let lint_report =
+    Lint.Report.to_json
+      (Lint.Report.make ~paths:[ "lib" ] ~files_scanned:0 ~suppressed:0
+         ~baseline:[] [])
+  in
+  let rules =
+    match Obs.Json.member "rules" lint_report with
+    | Some (Obs.Json.List (r :: _)) -> r
+    | _ -> Alcotest.fail "a lint report lists its rules"
+  in
+  let with_rule r = set [ "rules" ] (Obs.Json.List [ r ]) lint_report in
+  rejected "a rule of unknown severity" [ "report.rules[0].severity" ]
+    (Obs.Json.to_string
+       (with_rule (set [ "severity" ] (Obs.Json.Str "fatal") rules)));
+  rejected "a rule without a severity" [ "report.rules[0]"; "severity" ]
+    (Obs.Json.to_string
+       (with_rule
+          (match rules with
+           | Obs.Json.Obj ms ->
+             Obs.Json.Obj (List.remove_assoc "severity" ms)
+           | j -> j)))
 
 (* Random valid configs, each wrapped in the smallest artifact that
    carries it, survive encode, print, parse and decode unchanged. *)
@@ -454,6 +636,10 @@ let tests =
     case "committed artifacts re-encode byte for byte" test_committed_reencode;
     case "a doctored recovery schedule is rejected"
       test_doctored_recovery_schedule;
+    case "every traced event round-trips through the event decoder"
+      test_events_round_trip;
+    case "decoding rejects what the hand validators let through"
+      test_stricter_checks;
     round_trips "campaign repro configs round-trip" gen_campaign_repro
       Chaos.Campaign.repro_to_json Chaos.Campaign.repro_of_json;
     round_trips "recovery configs round-trip" gen_recovery_report

@@ -252,7 +252,7 @@ let tmp_dir name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 (* A copy of [path] with its first [old] replaced by [by]. *)
 let doctored path ~old ~by name =
-  let s = Exp_drivers.Common.read_file path in
+  let s = Obs.File.read path in
   let n = String.length old in
   let rec find i =
     if i + n > String.length s then Alcotest.failf "%s: no %s" path old

@@ -20,7 +20,7 @@ let smoke id run () =
   if not (Sys.file_exists path) then
     Alcotest.failf "%s: no report written to %s" id path;
   let j =
-    match Obs.Json.parse (Exp_drivers.Common.read_file path) with
+    match Obs.Json.parse (Obs.File.read path) with
     | Ok j -> j
     | Error e -> Alcotest.failf "%s: report unparsable: %s" id e
   in

@@ -103,6 +103,36 @@ let test_interprocedural_boundary () =
     check_true "wrapper has a boundary line"
       (m.Lint.Escape.boundary_lines <> [])
 
+(* --- record literals in the inventory --------------------------------- *)
+
+let test_record_literal_kinds () =
+  let s =
+    Lint.Driver.scan ~rules:[] ~root:"lint_fixtures/domains/records"
+      ~paths:[ "lib" ] ()
+  in
+  let values =
+    List.concat_map
+      (fun (m : Lint.Escape.module_inventory) ->
+        List.map
+          (fun (e : Lint.Escape.entry) ->
+            let v = e.Lint.Escape.value in
+            ( v.Lint.Escape.name,
+              ( Lint.Escape.kind_to_string v.Lint.Escape.kind,
+                match e.Lint.Escape.verdict with
+                | Lint.Escape.Local -> "local"
+                | Lint.Escape.Escapes_sync _ | Lint.Escape.Escapes_guarded _
+                | Lint.Escape.Escapes_unsync _ ->
+                  "escapes" ) ))
+          m.Lint.Escape.entries)
+      s.Lint.Driver.inventory
+  in
+  check_false "an immutable literal sharing tally's labels allocates nothing"
+    (List.mem_assoc "config" values);
+  Alcotest.(check (option (pair string string)))
+    "a tally literal is a local mutable record"
+    (Some ("mutable-record", "local"))
+    (List.assoc_opt "tally" values)
+
 (* --- the repo's own tree under the domain rules ----------------------- *)
 
 let test_self_tree_clean_with_allowlist () =
@@ -195,6 +225,7 @@ let tests =
     case "boundary wrappers found interprocedurally"
       test_interprocedural_boundary;
     case "self tree clean; allowlist exact" test_self_tree_clean_with_allowlist;
+    case "record literals count by their type" test_record_literal_kinds;
     case "lint-domains inventory deterministic and valid"
       test_inventory_deterministic_and_valid;
     case "lint-domains validator rejects junk" test_validate_domains_rejects_junk;

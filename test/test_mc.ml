@@ -27,7 +27,7 @@ let overbound_cfg =
   }
 
 let parse_json path =
-  match Obs.Json.parse (Exp_drivers.Common.read_file path) with
+  match Obs.Json.parse (Obs.File.read path) with
   | Ok j -> j
   | Error e -> Alcotest.failf "%s: parse error: %s" path e
 

@@ -112,7 +112,9 @@ let test_report_validates () =
 
 let test_report_write_and_reparse () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "stabreg-obs-test" in
-  let path = Obs.Report.write ~dir (mk_report ()) in
+  let r = mk_report () in
+  let path = Filename.concat dir (Obs.Report.experiment r ^ ".json") in
+  Obs.File.write path (Obs.Json.to_string_pretty (Obs.Report.to_json r) ^ "\n");
   check_true "named after the experiment"
     (Filename.basename path = "T0.json");
   let ic = open_in path in

@@ -15,7 +15,7 @@
 open Util
 
 let parse path =
-  let text = Exp_drivers.Common.read_file path in
+  let text = Obs.File.read path in
   match Obs.Json.parse text with
   | Ok j -> (text, j)
   | Error e -> Alcotest.failf "%s: parse error: %s" path e
@@ -85,7 +85,7 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
-let read = Exp_drivers.Common.read_file
+let read = Obs.File.read
 
 let run_reports () =
   with_temp_dir (fun out ->

@@ -166,12 +166,15 @@ let common =
 
 let ret_of_result = function Ok () -> `Ok () | Error e -> `Error (false, e)
 
-(* Route --json/--trace-out for the run, then close the trace. *)
+(* Route --json/--trace-out for the run, then close the trace and drop
+   the routing, so that code run after the command traces nothing. *)
 let with_outputs c f =
   Common.json_dir := c.json;
   Common.trace_out := c.trace_out;
   let result = f () in
   Common.close_trace ();
+  Common.json_dir := None;
+  Common.trace_out := None;
   ret_of_result result
 
 (* One reporting command: [body] under a run report named [exp], then the
@@ -260,7 +263,11 @@ let trace_cmd =
     in
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
   in
-  let trace seed out chrome = ret_of_result (Exp_trace.run ~seed ~out ~chrome) in
+  (* --out is the session's --trace-out: the run's one trace writer. *)
+  let trace seed out chrome =
+    session { seed; json = None; trace_out = out } ~exp:"TRACE" (fun () ->
+        Exp_trace.run ~seed ~out ~chrome)
+  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:

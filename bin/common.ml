@@ -33,39 +33,31 @@ let current_report : Obs.Report.t option ref = ref None
    one driver are no-ops. *)
 let observed = ref false
 
-let trace_channel : out_channel option ref = ref None
+let trace_writer : Obs.Tracefile.writer option ref = ref None
 
 (* Header metadata for the stabreg/trace/v1 artifact; set by [with_report]
-   before any sink opens the file. *)
+   before the first traced deployment opens the file. *)
 let trace_meta : (string * int) ref = ref ("unknown", 0)
 
+(* Every deployment of a run traces into one file, opened by the first. *)
 let attach_trace_sink hub =
   match !trace_out with
   | None -> ()
   | Some path ->
-    let oc =
-      match !trace_channel with
-      | Some oc -> oc
+    let w =
+      match !trace_writer with
+      | Some w -> w
       | None ->
-        let oc = Obs.File.create path in
         let experiment, seed = !trace_meta in
-        output_string oc
-          (Obs.Json.to_string (Obs.Tracefile.header ~experiment ~seed));
-        output_char oc '\n';
-        trace_channel := Some oc;
-        oc
+        let w = Obs.Tracefile.create path ~experiment ~seed in
+        trace_writer := Some w;
+        w
     in
-    Obs.Hub.attach hub
-      (Obs.Sink.jsonl
-         ~flush:(fun () -> flush oc)
-         (fun line -> output_string oc line))
+    Obs.Hub.attach hub (Obs.Tracefile.write w)
 
 let close_trace () =
-  match !trace_channel with
-  | Some oc ->
-    close_out oc;
-    trace_channel := None
-  | None -> ()
+  Option.iter Obs.Tracefile.close !trace_writer;
+  trace_writer := None
 
 let report () = !current_report
 
@@ -107,7 +99,7 @@ let with_report ~exp ~seed f =
   let r = Obs.Report.create ~experiment:exp ~seed in
   current_report := Some r;
   observed := false;
-  if !trace_channel = None then trace_meta := (exp, seed);
+  if Option.is_none !trace_writer then trace_meta := (exp, seed);
   Fun.protect
     ~finally:(fun () -> current_report := None)
     (fun () ->

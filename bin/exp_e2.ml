@@ -11,28 +11,16 @@ open Registers
 let run_one ~seed ~n ~f =
   let params = Common.async_params ~n ~f in
   let scn = Common.scenario ~seed ~params () in
-  let w, r = Harness.Workload.atomic_pair scn in
-  Harness.Scenario.register_port scn (Swsr_atomic.writer_port w);
-  Harness.Scenario.register_port scn (Swsr_atomic.reader_port r);
-  Harness.Scenario.register_atomic_writer scn ~name:"w" w;
-  Harness.Scenario.register_atomic_reader scn ~name:"r" r;
+  let jobs =
+    Harness.Workload.deploy scn Oracles.Stabilization.Atomic ~writes:80
+      ~reads:80 ~read_budget:max_int ~gap:(Harness.Workload.gap 0 10)
+      ~tally:(Harness.Workload.tally ())
+  in
   let fault_at = 500 in
   Sim.Fault.schedule scn.Harness.Scenario.fault
     ~engine:scn.Harness.Scenario.engine
     ~at:(Sim.Vtime.of_int fault_at) ~prefix:"";
-  let tally = Harness.Workload.tally () in
-  Common.run_jobs scn
-    [
-      ( "writer",
-        fun () ->
-          Harness.Workload.writer_job scn ~tally ~write:(Swsr_atomic.write w)
-            ~count:80 ~gap:(Harness.Workload.gap 0 10) () );
-      ( "reader",
-        fun () ->
-          Harness.Workload.reader_job scn ~tally
-            ~read:(fun () -> Swsr_atomic.read r)
-            ~count:80 ~gap:(Harness.Workload.gap 0 10) () );
-    ];
+  Common.run_jobs scn jobs;
   let h = scn.Harness.Scenario.history in
   let writes = Oracles.History.writes h in
   let post_fault_reads =

@@ -3,44 +3,38 @@
    one issued after the burst, falling back to the slowest), reconstruct
    its causal tree from the span graph, and print a per-phase latency
    breakdown.  Optional exports: the whole run as a stabreg/trace/v1
-   JSONL file and/or a Perfetto-loadable Chrome trace_event JSON.
+   JSONL file (written by the run's session, as --trace-out is) and/or a
+   Perfetto-loadable Chrome trace_event JSON.
 
      dune exec bin/experiments.exe -- trace --seed 3 --out t.jsonl --chrome c.json
 *)
 
-let run ~seed ~out ~chrome =
-  let fault_at = 300 in
+let fault_at = 300
+
+(* The traced deployment: its scenario, and every event the run emitted
+   as [Obs.Hub.record] saw them.  A --trace-out file, when the session
+   routes one, gets the same events from the same hub. *)
+let traced_run ~seed =
   let params =
     Registers.Params.create_exn ~n:9 ~f:1 ~mode:Registers.Params.Async ()
   in
-  let scn = Harness.Scenario.create ~seed ~params () in
-  let mem, recorded = Obs.Sink.memory () in
-  Obs.Hub.attach (Harness.Scenario.hub scn) mem;
-  let w, r = Harness.Workload.regular_pair scn in
-  Harness.Scenario.register_port scn
-    (Registers.Swsr_regular.writer_port w);
-  Harness.Scenario.register_port scn
-    (Registers.Swsr_regular.reader_port r);
+  let scn = Common.scenario ~seed ~params () in
+  let recorded = Obs.Hub.record (Harness.Scenario.hub scn) in
+  let jobs =
+    Harness.Workload.deploy scn Oracles.Stabilization.Regular ~writes:20
+      ~reads:20 ~read_budget:max_int ~gap:(Harness.Workload.gap 5 25)
+      ~tally:(Harness.Workload.tally ())
+  in
   (* The transient-corruption window: every registered server target
      (cells, helping state) is scrambled mid-workload. *)
   Sim.Fault.schedule scn.Harness.Scenario.fault
     ~engine:scn.Harness.Scenario.engine
     ~at:(Sim.Vtime.of_int fault_at) ~prefix:"server.";
-  let tally = Harness.Workload.tally () in
-  Common.run_jobs scn
-    [
-      ( "writer",
-        fun () ->
-          Harness.Workload.writer_job scn ~tally
-            ~write:(Registers.Swsr_regular.write w)
-            ~count:20 ~gap:(Harness.Workload.gap 5 25) () );
-      ( "reader",
-        fun () ->
-          Harness.Workload.reader_job scn ~tally
-            ~read:(fun () -> Registers.Swsr_regular.read r)
-            ~count:20 ~gap:(Harness.Workload.gap 5 25) () );
-    ];
-  let events = recorded () in
+  Common.run_jobs scn jobs;
+  (scn, recorded ())
+
+let run ~seed ~out ~chrome =
+  let scn, events = traced_run ~seed in
   Printf.printf
     "swsr_regular workload, n=9 t=1, transient server corruption at \
      t=%d\n"
@@ -73,14 +67,13 @@ let run ~seed ~out ~chrome =
                 | Obs.Event.Op_return _ | Obs.Event.Op_invoke _
                 | Obs.Event.Send _ | Obs.Event.Recv _ | Obs.Event.Drop _
                 | Obs.Event.Phase _ | Obs.Event.Fault_injected _
-                | Obs.Event.Stabilized _ | Obs.Event.Mark _ -> None)
+                | Obs.Event.Mark _ -> None)
               events
           in
           Option.map (fun rt -> (time, rt, span)) ret
         | Obs.Event.Op_invoke _ | Obs.Event.Op_return _ | Obs.Event.Send _
         | Obs.Event.Recv _ | Obs.Event.Drop _ | Obs.Event.Phase _
-        | Obs.Event.Fault_injected _ | Obs.Event.Stabilized _
-        | Obs.Event.Mark _ -> None)
+        | Obs.Event.Fault_injected _ | Obs.Event.Mark _ -> None)
       events
   in
   let target =
@@ -118,22 +111,11 @@ let run ~seed ~out ~chrome =
       Format.printf "causal tree:@.%a@." Obs.Tracefile.pp_tree t;
       Format.printf "latency breakdown:@.%a@." Obs.Tracefile.pp_breakdown
         (Obs.Tracefile.breakdown t)));
-  (match out with
-  | None -> ()
-  | Some path ->
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf
-      (Obs.Json.to_string
-         (Obs.Tracefile.header ~experiment:"TRACE" ~seed));
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun e ->
-        Buffer.add_string buf (Obs.Json.to_string (Obs.Event.to_json e));
-        Buffer.add_char buf '\n')
-      events;
-    Obs.File.write path (Buffer.contents buf);
-    Printf.printf "trace written to %s (%s)\n" path
-      Obs.Tracefile.schema_version);
+  Option.iter
+    (fun path ->
+      Printf.printf "trace written to %s (%s)\n" path
+        Obs.Tracefile.schema_version)
+    out;
   match chrome with
   | None -> Ok ()
   | Some path -> (

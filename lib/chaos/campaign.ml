@@ -458,6 +458,14 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
   and event_count = ref 0
   and shrink_count = ref 0
   and last_recorded = ref (-1) in
+  let sample () =
+    [
+      ("trials", Obs.Json.Int !noted);
+      ("violations", Obs.Json.Int !viol_count);
+      ("events", Obs.Json.Int !event_count);
+      ("shrink_runs", Obs.Json.Int !shrink_count);
+    ]
+  in
   let note t =
     incr noted;
     if not (Stab.same_kind t.outcome.verdict Clean) then incr viol_count;
@@ -468,13 +476,7 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
     | Some r ->
       if Obs.Profile.due r ~tick:!noted then begin
         last_recorded := !noted;
-        Obs.Profile.sample r ~tick:!noted (fun () ->
-            [
-              ("trials", Obs.Json.Int !noted);
-              ("violations", Obs.Json.Int !viol_count);
-              ("events", Obs.Json.Int !event_count);
-              ("shrink_runs", Obs.Json.Int !shrink_count);
-            ])
+        Obs.Profile.sample r ~tick:!noted sample
       end
   in
   let one ?(attach = true) ~log i =
@@ -605,11 +607,5 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
       Obs.Profile.add_section r "domains" (Obs.Json.List per_domain)
     end;
     if !last_recorded <> !noted then
-      Obs.Profile.sample ~force:true r ~tick:!noted (fun () ->
-          [
-            ("trials", Obs.Json.Int !noted);
-            ("violations", Obs.Json.Int !viol_count);
-            ("events", Obs.Json.Int !event_count);
-            ("shrink_runs", Obs.Json.Int !shrink_count);
-          ]));
+      Obs.Profile.sample ~force:true r ~tick:!noted sample);
   { config = cfg; seed; trials = trials_list }

@@ -4,7 +4,7 @@
    Mapping: every causal span becomes one complete ("X") slice spanning
    its subtree's first..last event, placed on the thread of the peer that
    owns the span (the client for operation and broadcast-round spans, the
-   server for reply spans); span-less fault/mark/stabilized events become
+   server for reply spans); span-less fault and mark events become
    instant ("i") events.  Virtual-clock ticks are exported 1:1 as
    microseconds. *)
 
@@ -32,7 +32,7 @@ let span_owner (t : Tracefile.tree) =
           | Event.Send { src; _ } -> Some (Peer src)
           | Event.Recv _ | Event.Drop _ | Event.Op_invoke _
           | Event.Op_return _ | Event.Phase _ | Event.Fault_injected _
-          | Event.Stabilized _ | Event.Mark _ -> None)
+          | Event.Mark _ -> None)
         (List.concat_map (fun c -> c.Tracefile.events) t.Tracefile.children)
     with
     | Some o -> o
@@ -40,8 +40,7 @@ let span_owner (t : Tracefile.tree) =
   | Event.Send { src; _ } :: _ -> Peer src
   | Event.Recv { dst; _ } :: _ -> Peer dst
   | Event.Phase { server; _ } :: _ -> Peer (Event.Server server)
-  | ( Event.Drop _ | Event.Op_return _ | Event.Fault_injected _
-    | Event.Stabilized _ | Event.Mark _ )
+  | (Event.Drop _ | Event.Op_return _ | Event.Fault_injected _ | Event.Mark _)
     :: _
   | [] -> Ambient
 
@@ -112,8 +111,6 @@ let to_json events =
         match e with
         | Event.Fault_injected { time; target; _ } ->
           Some (instant ~name:("fault " ^ target) ~cat:"fault" ~ts:time)
-        | Event.Stabilized { time } ->
-          Some (instant ~name:"stabilized" ~cat:"milestone" ~ts:time)
         | Event.Mark { time; label } ->
           Some (instant ~name:label ~cat:"mark" ~ts:time)
         | Event.Send _ | Event.Recv _ | Event.Drop _ | Event.Op_invoke _

@@ -47,7 +47,6 @@ type t =
     }
   | Phase of { time : int; server : int; phase : string; span : Trace_ctx.span }
   | Fault_injected of { time : int; target : string; hits : int }
-  | Stabilized of { time : int }
   | Mark of { time : int; label : string }
 
 let all_classes = [ Write; New_help; Read; Ack_write; Ack_read; Link_ack ]
@@ -78,7 +77,6 @@ let time = function
   | Op_return { time; _ }
   | Phase { time; _ }
   | Fault_injected { time; _ }
-  | Stabilized { time }
   | Mark { time; _ } -> time
 
 let span = function
@@ -87,7 +85,7 @@ let span = function
   | Op_invoke { span; _ }
   | Op_return { span; _ }
   | Phase { span; _ } -> span
-  | Drop _ | Fault_injected _ | Stabilized _ | Mark _ -> Trace_ctx.none
+  | Drop _ | Fault_injected _ | Mark _ -> Trace_ctx.none
 
 let class_of_name s =
   match List.find_opt (fun c -> String.equal (class_name c) s) all_classes with
@@ -175,7 +173,6 @@ let to_json e =
   | Fault_injected { time; target; hits } ->
     base "fault" time
       [ ("target", Json.Str target); ("hits", Json.Int hits) ]
-  | Stabilized { time } -> base "stabilized" time []
   | Mark { time; label } -> base "mark" time [ ("label", Json.Str label) ]
 
 let of_json ctx j =
@@ -225,10 +222,7 @@ let of_json ctx j =
     let* target = get "target" string in
     let* hits = get "hits" int in
     Ok (Fault_injected { time; target; hits })
-  | "stabilized" -> Ok (Stabilized { time })
   | "mark" ->
     let* label = get "label" string in
     Ok (Mark { time; label })
   | other -> Error (Printf.sprintf "%s: unknown kind %S" ctx other)
-
-let pp ppf e = Json.pp ppf (to_json e)

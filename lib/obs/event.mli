@@ -64,7 +64,6 @@ type t =
       (** A server-side protocol phase transition (e.g. handling a WRITE),
           attributed to the span of the message that triggered it. *)
   | Fault_injected of { time : int; target : string; hits : int }
-  | Stabilized of { time : int }
   | Mark of { time : int; label : string }
 
 val all_classes : msg_class list
@@ -81,8 +80,7 @@ val time : t -> int
 
 val span : t -> Trace_ctx.span
 (** The causal span an event belongs to; {!Trace_ctx.none} for the
-    span-less constructors ([Drop], [Fault_injected], [Stabilized],
-    [Mark]). *)
+    span-less constructors ([Drop], [Fault_injected], [Mark]). *)
 
 val peer_name : peer -> string
 (** ["c<id>"] or ["s<id>"], as events and traces spell a peer. *)
@@ -93,5 +91,3 @@ val of_json : t Json.decoder
 (** The inverse of {!to_json}: every member its kind carries must be
     present and well-typed, peers must be spelled as {!peer_name} spells
     them, and message classes and operations must be known. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,8 @@
+(* [active] is [sinks <> []] kept in a field of its own: the guard hot
+   paths inline is then one load and a compare against [false], with the
+   inactive case falling through. *)
 type t = {
-  mutable sinks : Sink.t list;
+  mutable sinks : (Event.t -> unit) list;
   mutable active : bool;
   mutable next_op : int;
 }
@@ -12,21 +15,14 @@ let attach t sink =
   t.sinks <- t.sinks @ [ sink ];
   t.active <- true
 
-let detach t name =
-  t.sinks <- List.filter (fun (s : Sink.t) -> not (String.equal s.name name)) t.sinks;
-  t.active <- t.sinks <> []
+let emit t event = if t.active then List.iter (fun sink -> sink event) t.sinks
 
-let emit t event =
-  if t.active then List.iter (fun (s : Sink.t) -> s.emit event) t.sinks
-
-let emit_with t mk =
-  if t.active then
-    let event = mk () in
-    List.iter (fun (s : Sink.t) -> s.emit event) t.sinks
+let record t =
+  let events_rev = ref [] in
+  attach t (fun e -> events_rev := e :: !events_rev);
+  fun () -> List.rev !events_rev
 
 let next_op_id t =
   let id = t.next_op in
   t.next_op <- id + 1;
   id
-
-let flush t = List.iter (fun (s : Sink.t) -> s.flush ()) t.sinks

@@ -478,5 +478,3 @@ let with_schema name c =
       else
         Error
           (Printf.sprintf "%s: schema mismatch: got %S, want %S" ctx got name))
-
-let pp ppf j = Format.pp_print_string ppf (to_string j)

@@ -191,5 +191,3 @@ val with_schema : string -> 'a codec -> 'a codec
     decoder checks it before anything else. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

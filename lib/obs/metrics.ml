@@ -201,12 +201,6 @@ let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Zero in place rather than dropping the table: hot paths hold refs
-   from [counter_ref], and a fresh table would leave them counting where
-   no reader looks. *)
-let reset_counters t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counters (* lint: allow R1 -- order-insensitive *)
-
 let histogram t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h

@@ -80,14 +80,10 @@ val counter : t -> string -> int
 
 val counter_ref : t -> string -> int ref
 (** Find-or-create; the returned ref is the counter for the registry's
-    whole lifetime, {!reset_counters} included. *)
+    whole lifetime. *)
 
 val counters : t -> (string * int) list
 (** Sorted by name. *)
-
-val reset_counters : t -> unit
-(** Zero every counter in place; refs taken earlier keep counting into
-    the registry. *)
 
 val histogram : t -> string -> histogram
 (** Find-or-create. *)

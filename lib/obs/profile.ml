@@ -82,5 +82,3 @@ let codec () =
 let to_json t = Json.encode (codec ()) t
 
 let of_json j = Json.decode (codec ()) "profile" j
-
-let validate j = Result.map ignore (of_json j)

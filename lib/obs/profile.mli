@@ -49,6 +49,3 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Decode a timeline; the recorder it gives has the constant-zero
     clock. *)
-
-val validate : Json.t -> (unit, string) result
-(** {!of_json}, keeping only the verdict. *)

@@ -115,5 +115,3 @@ let codec () =
 let to_json t = Json.encode (codec ()) t
 
 let of_json j = Json.decode (codec ()) "report" j
-
-let validate j = Result.map ignore (of_json j)

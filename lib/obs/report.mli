@@ -45,6 +45,3 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Decode a report; [extra] may be absent (it decodes empty) but must be
     an object when present. *)
-
-val validate : Json.t -> (unit, string) result
-(** {!of_json}, keeping only the verdict. *)

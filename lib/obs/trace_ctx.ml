@@ -24,10 +24,6 @@ let child t parent = child_with parent ~id:(fresh t)
 
 let allocated t = t.next - 1
 
-let pp ppf s =
-  if is_none s then Format.pp_print_string ppf "span:-"
-  else Format.fprintf ppf "span:%d/%d<-%d" s.trace s.id s.parent
-
 let codec () =
   Json.(
     record (fun trace id parent -> { trace; id; parent })

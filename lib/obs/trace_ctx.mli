@@ -49,8 +49,6 @@ val child_with : span -> id:int -> span
 val allocated : t -> int
 (** Number of spans allocated so far. *)
 
-val pp : Format.formatter -> span -> unit
-
 val codec : unit -> span Json.codec
 (** The object [{trace, span, parent}]. *)
 

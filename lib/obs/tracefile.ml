@@ -11,6 +11,23 @@ let header ~experiment ~seed = Json.encode (header_codec ()) (experiment, seed)
 
 let header_of_json j = Json.decode (header_codec ()) "header" j
 
+(* --- the one writer ---------------------------------------------------- *)
+
+type writer = out_channel
+
+let line oc j =
+  output_string oc (Json.to_string j);
+  output_char oc '\n'
+
+let create path ~experiment ~seed =
+  let oc = File.create path in
+  line oc (header ~experiment ~seed);
+  oc
+
+let write oc e = line oc (Event.to_json e)
+
+let close = close_out
+
 (* The header line, then one event per line; a trailing newline is
    tolerated, a blank line is not. *)
 let validate s =
@@ -118,7 +135,6 @@ let describe_event e =
       (if ok then "" else " (failed)")
   | Event.Phase { server; phase; _ } -> Printf.sprintf "s%d %s" server phase
   | Event.Fault_injected { target; _ } -> Printf.sprintf "fault %s" target
-  | Event.Stabilized _ -> "stabilized"
   | Event.Mark { label; _ } -> Printf.sprintf "mark %s" label
 
 let span_label t =
@@ -132,8 +148,7 @@ let span_label t =
        opening on a Recv means the send was not observed. *)
     Printf.sprintf "reply %s" (Event.class_name cls)
   | Event.Phase _ :: _ -> "phase"
-  | ( Event.Drop _ | Event.Op_return _ | Event.Fault_injected _
-    | Event.Stabilized _ | Event.Mark _ )
+  | (Event.Drop _ | Event.Op_return _ | Event.Fault_injected _ | Event.Mark _)
     :: _
   | [] -> "span"
 

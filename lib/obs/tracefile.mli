@@ -1,5 +1,5 @@
-(** The [stabreg/trace/v1] artifact: schema, validation and causal-tree
-    reconstruction.
+(** The [stabreg/trace/v1] artifact: its one writer, validation and
+    causal-tree reconstruction.
 
     A trace file is JSONL: a header line
     [{"schema":"stabreg/trace/v1","experiment":...,"seed":...}] followed
@@ -11,7 +11,9 @@
 val schema_version : string
 
 val header : experiment:string -> seed:int -> Json.t
-(** The header object for the first line of a trace file. *)
+(** The header object for the first line of a trace file.  Outside this
+    module only tests build trace lines: every run writes through a
+    {!writer}. *)
 
 val header_of_json : Json.t -> (string * int, string) result
 (** Decode a header line: its [(experiment, seed)]. *)
@@ -21,9 +23,24 @@ val validate : string -> (unit, string) result
     {!header_of_json}, every later line with {!Event.of_json}; errors
     carry 1-based line numbers. *)
 
+(** {2 Writing} *)
+
+type writer
+(** An open trace file.  Every trace a run writes ([--trace-out], and
+    [experiments trace --out]) goes through one. *)
+
+val create : string -> experiment:string -> seed:int -> writer
+(** Create the file (missing parent directories too, as {!File.create})
+    and write its header line. *)
+
+val write : writer -> Event.t -> unit
+(** Append one event line: a sink for {!Hub.attach}. *)
+
+val close : writer -> unit
+
 (** {2 Causal trees}
 
-    Reconstruction works on typed events (from a memory sink or a parsed
+    Reconstruction works on typed events (from {!Hub.record} or a parsed
     file).  A {!tree} node is one span; its [events] are the events
     stamped with that span in emission order, its [children] the spans
     allocated under it, in allocation order. *)

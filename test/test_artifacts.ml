@@ -49,8 +49,7 @@ let test_committed_validate () =
    kept in memory and its registry copied into a run report. *)
 let traced_run () =
   let scn = async_scenario ~seed:3 () in
-  let mem, recorded = Obs.Sink.memory () in
-  Obs.Hub.attach (Harness.Scenario.hub scn) mem;
+  let recorded = Obs.Hub.record (Harness.Scenario.hub scn) in
   let net = scn.Harness.Scenario.net in
   let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
   let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
@@ -302,13 +301,11 @@ let test_doctored_recovery_schedule () =
 (* Every event a run can trace survives encode, print, parse, decode and
    encode unchanged.  The corrupted run brings sends, receives, phases,
    operations and a fault; two lossy links bring drops with and without a
-   message class ("msg": null) and a retuning mark.  No deployment emits
-   [Stabilized], so one is added by hand to cover all nine kinds. *)
+   message class ("msg": null) and a retuning mark: all eight kinds. *)
 let lossy_link_events () =
   let rng = Sim.Rng.create 5 in
   let engine = Sim.Engine.create ~rng () in
-  let mem, recorded = Obs.Sink.memory () in
-  Obs.Hub.attach (Sim.Engine.hub engine) mem;
+  let recorded = Obs.Hub.record (Sim.Engine.hub engine) in
   let link ?classify () =
     Sim.Lossy_link.create ~engine ~rng:(Sim.Rng.split rng)
       ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:1 ~hi:10)
@@ -331,9 +328,7 @@ let kind_of j =
 
 let test_events_round_trip () =
   let _, traced = Test_tracing.corrupted_run () in
-  let events =
-    traced @ lossy_link_events () @ [ Obs.Event.Stabilized { time = 7 } ]
-  in
+  let events = traced @ lossy_link_events () in
   let lines =
     List.map (fun e -> Obs.Json.to_string (Obs.Event.to_json e)) events
   in
@@ -344,10 +339,10 @@ let test_events_round_trip () =
          | _ -> false)
        events);
   Alcotest.(check (list string))
-    "all nine kinds"
+    "all eight kinds"
     [
       "drop"; "fault"; "mark"; "op-invoke"; "op-return"; "phase"; "recv";
-      "send"; "stabilized";
+      "send";
     ]
     (List.sort_uniq String.compare
        (List.map (fun l -> kind_of (Obs.Json.parse_exn l)) lines));

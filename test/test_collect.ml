@@ -230,10 +230,10 @@ let golden_summary ~seed ~params ?(byz = []) ?crash () =
         handler env)
   in
   Obs.Hub.attach (Sim.Engine.hub engine)
-    (Obs.Sink.make ~name:"deliveries" (function
+    (function
       | Obs.Event.Recv { src = Obs.Event.Server s; dst = Obs.Event.Client c; _ } ->
         log_delivery (Printf.sprintf "s%d" s) (Printf.sprintf "c%d" c)
-      | _ -> ()));
+      | _ -> ());
   List.iter
     (fun (s, behavior) ->
       Byzantine.Adversary.compromise adv s

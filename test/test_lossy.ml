@@ -64,8 +64,7 @@ let test_lossy_corrupt_in_flight () =
 let test_lossy_set_loss_window () =
   (* A loss:1.0 window drops everything; closing it restores delivery. *)
   let engine, link, received = mk_lossy ~seed:6 () in
-  let sink, events = Obs.Sink.memory () in
-  Obs.Hub.attach (Sim.Engine.hub engine) sink;
+  let events = Obs.Hub.record (Sim.Engine.hub engine) in
   Sim.Lossy_link.set_loss link 1.0;
   check_true "knob readable" (Sim.Lossy_link.loss link = 1.0);
   for i = 1 to 20 do

@@ -102,12 +102,12 @@ let mk_report () =
 
 let test_report_validates () =
   let j = Obs.Report.to_json (mk_report ()) in
-  (match Obs.Report.validate j with
-  | Ok () -> ()
+  (match Obs.Report.of_json j with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "expected valid: %s" e);
   (* And it survives serialization. *)
-  match Obs.Report.validate (Obs.Json.parse_exn (Obs.Json.to_string j)) with
-  | Ok () -> ()
+  match Obs.Report.of_json (Obs.Json.parse_exn (Obs.Json.to_string j)) with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "round-tripped report invalid: %s" e
 
 let test_report_write_and_reparse () =
@@ -122,8 +122,8 @@ let test_report_write_and_reparse () =
   let s = really_input_string ic len in
   close_in ic;
   Sys.remove path;
-  match Obs.Report.validate (Obs.Json.parse_exn s) with
-  | Ok () -> ()
+  match Obs.Report.of_json (Obs.Json.parse_exn s) with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "written report invalid: %s" e
 
 let test_report_rejects () =
@@ -141,17 +141,17 @@ let test_report_rejects () =
     | _ -> j
   in
   check_true "missing schema"
-    (Result.is_error (Obs.Report.validate (strip "schema" valid)));
+    (Result.is_error (Obs.Report.of_json (strip "schema" valid)));
   check_true "wrong schema string"
     (Result.is_error
-       (Obs.Report.validate (replace "schema" (Obs.Json.Str "v0") valid)));
+       (Obs.Report.of_json (replace "schema" (Obs.Json.Str "v0") valid)));
   check_true "missing params"
-    (Result.is_error (Obs.Report.validate (strip "params" valid)));
+    (Result.is_error (Obs.Report.of_json (strip "params" valid)));
   check_true "stabilization must be int or null"
     (Result.is_error
-       (Obs.Report.validate
+       (Obs.Report.of_json
           (replace "stabilization_time" (Obs.Json.Str "soon") valid)));
-  check_true "non-object" (Result.is_error (Obs.Report.validate (Obs.Json.Int 1)))
+  check_true "non-object" (Result.is_error (Obs.Report.of_json (Obs.Json.Int 1)))
 
 (* --- histogram buckets --- *)
 
@@ -251,23 +251,19 @@ let test_metrics_snapshots_sorted () =
 let test_hub_inactive_fast_path () =
   let hub = Obs.Hub.create () in
   check_false "inactive" (Obs.Hub.active hub);
-  let built = ref 0 in
-  Obs.Hub.emit_with hub (fun () ->
-      incr built;
-      Obs.Event.Mark { time = 0; label = "x" });
-  check_int "thunk not run when inactive" 0 !built;
-  let sink, events = Obs.Sink.memory () in
-  Obs.Hub.attach hub sink;
+  Obs.Hub.emit hub (Obs.Event.Mark { time = 0; label = "x" });
+  let events = Obs.Hub.record hub in
   check_true "active" (Obs.Hub.active hub);
-  Obs.Hub.emit_with hub (fun () ->
-      incr built;
-      Obs.Event.Mark { time = 1; label = "y" });
-  check_int "thunk runs when active" 1 !built;
+  check_int "nothing kept from before the attach" 0 (List.length (events ()));
+  Obs.Hub.emit hub (Obs.Event.Mark { time = 1; label = "y" });
   check_int "event delivered" 1 (List.length (events ()));
-  Obs.Hub.detach hub "memory";
-  check_false "inactive after detach" (Obs.Hub.active hub);
+  (* A second sink sees the events from its attach on; the first keeps
+     seeing every one. *)
+  let times = ref [] in
+  Obs.Hub.attach hub (fun e -> times := Obs.Event.time e :: !times);
   Obs.Hub.emit hub (Obs.Event.Mark { time = 2; label = "z" });
-  check_int "no delivery after detach" 1 (List.length (events ()))
+  Alcotest.(check (list int)) "second sink" [ 2 ] !times;
+  check_int "first sink still delivered" 2 (List.length (events ()))
 
 let test_op_ids_monotonic () =
   let hub = Obs.Hub.create () in
@@ -279,8 +275,7 @@ let test_op_ids_monotonic () =
 
 let test_instrumented_scenario () =
   let scn = async_scenario () in
-  let sink, events = Obs.Sink.memory () in
-  Obs.Hub.attach (Harness.Scenario.hub scn) sink;
+  let events = Obs.Hub.record (Harness.Scenario.hub scn) in
   let w =
     Registers.Swsr_atomic.writer ~net:scn.Harness.Scenario.net ~client_id:100
       ~inst:0 ()

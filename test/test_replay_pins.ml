@@ -102,7 +102,9 @@ let run_reports () =
         (json_files committed))
 
 (* The JSONL export is 239 KB, too big to commit; the digests were taken
-   from the export the commit that added this pin wrote. *)
+   from the export the commit that added this pin wrote.  The export goes
+   through the run's one trace writer: the header, then one line per
+   event the run's in-memory recorder saw. *)
 let trace_digests () =
   with_temp_dir (fun out ->
       let jsonl = Filename.concat out "trace.jsonl"
@@ -112,7 +114,16 @@ let trace_digests () =
       Alcotest.(check string)
         "JSONL export" "d8f17c16e83bb8426f232f992a8857b6" (digest jsonl);
       Alcotest.(check string)
-        "Chrome export" "2fe3db3fd76d7f9b1177e16b77cd6d7b" (digest chrome))
+        "Chrome export" "2fe3db3fd76d7f9b1177e16b77cd6d7b" (digest chrome);
+      let _, events = Exp_drivers.Exp_trace.traced_run ~seed:3 in
+      Alcotest.(check string)
+        "the header, then every recorded event"
+        (String.concat ""
+           (List.map
+              (fun j -> Obs.Json.to_string j ^ "\n")
+              (Obs.Tracefile.header ~experiment:"TRACE" ~seed:3
+              :: List.map Obs.Event.to_json events)))
+        (read jsonl))
 
 let tests =
   [

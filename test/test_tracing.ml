@@ -68,12 +68,7 @@ let fault_at = 300
 let corrupted_run ?(seed = 3) ?(attach = true) () =
   let scn = async_scenario ~seed ~n:9 ~f:1 () in
   let recorded =
-    if attach then begin
-      let mem, recorded = Obs.Sink.memory () in
-      Obs.Hub.attach (Harness.Scenario.hub scn) mem;
-      recorded
-    end
-    else fun () -> []
+    if attach then Obs.Hub.record (Harness.Scenario.hub scn) else fun () -> []
   in
   let net = scn.Harness.Scenario.net in
   let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
@@ -196,7 +191,12 @@ let test_trace_file_validates () =
          i + 6 <= String.length e
          && (String.sub e i 6 = "line 2" || contains (i + 1))
        in
-       contains 0))
+       contains 0));
+  (* No run emits a [stabilized] event, so the format has no such kind. *)
+  Alcotest.(check (result unit string))
+    "stabilized line rejected"
+    (Error "line 2: event: unknown kind \"stabilized\"")
+    (Obs.Tracefile.validate (header ^ "\n{\"ev\":\"stabilized\",\"t\":7}\n"))
 
 let test_trace_byte_identical () =
   let _, a = corrupted_run ~seed:11 () in
@@ -302,8 +302,8 @@ let test_profile_cadence () =
   check_int "branch starts empty" 0 (Obs.Profile.samples b);
   Obs.Profile.add_section p "domains" (Obs.Json.List []);
   let j = Obs.Profile.to_json p in
-  (match Obs.Profile.validate j with
-  | Ok () -> ()
+  (match Obs.Profile.of_json j with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "profile invalid: %s" e);
   check_true "section serialized"
     (match Obs.Json.member "sections" j with
@@ -349,8 +349,8 @@ let test_mc_recorder () =
     (Stab.verdict_equal plain.Mc.Checker.verdict
        profiled.Mc.Checker.verdict);
   check_true "samples recorded" (Obs.Profile.samples rec_ > 0);
-  (match Obs.Profile.validate (Obs.Profile.to_json rec_) with
-  | Ok () -> ()
+  (match Obs.Profile.of_json (Obs.Profile.to_json rec_) with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "mc profile invalid: %s" e);
   (* Every sample carries the full stat set. *)
   let last = List.hd (List.rev (Obs.Profile.sample_jsons rec_)) in
@@ -372,8 +372,8 @@ let test_mc_recorder_domains () =
     (Stab.verdict_equal frontier.Mc.Checker.verdict
        plain.Mc.Checker.verdict);
   let j = Obs.Profile.to_json rec_ in
-  (match Obs.Profile.validate j with
-  | Ok () -> ()
+  (match Obs.Profile.of_json j with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "frontier profile invalid: %s" e);
   match Obs.Json.member "sections" j with
   | None -> Alcotest.fail "no sections"
@@ -420,8 +420,8 @@ let test_chaos_recorder () =
   check_true "recording perturbs no trial"
     (verdicts plain = verdicts profiled);
   check_int "one sample per trial" 3 (Obs.Profile.samples rec_);
-  (match Obs.Profile.validate (Obs.Profile.to_json rec_) with
-  | Ok () -> ()
+  (match Obs.Profile.of_json (Obs.Profile.to_json rec_) with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "chaos profile invalid: %s" e);
   (* Fanning out over domains must not change the sample timeline (modulo
      the injected clock, which defaults to a constant here). *)
@@ -445,8 +445,8 @@ let test_profile_write () =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  match Obs.Profile.validate (Obs.Json.parse_exn s) with
-  | Ok () -> ()
+  match Obs.Profile.of_json (Obs.Json.parse_exn s) with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "written profile invalid: %s" e
 
 (* --- composite operations' span trees -------------------------------- *)
@@ -469,8 +469,7 @@ let render_spans events =
 let recorded_run ?(seed = 7) ?(compromise = fun _ -> ()) jobs =
   let scn = async_scenario ~seed () in
   compromise scn;
-  let mem, recorded = Obs.Sink.memory () in
-  Obs.Hub.attach (Harness.Scenario.hub scn) mem;
+  let recorded = Obs.Hub.record (Harness.Scenario.hub scn) in
   run_fibers scn (jobs scn.Harness.Scenario.net);
   render_spans (recorded ())
 

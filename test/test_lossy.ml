@@ -100,6 +100,99 @@ let test_lossy_set_knobs_validate () =
   check_true "dup knob readable" (Sim.Lossy_link.dup link = 0.25);
   ignore engine
 
+(* A seeded random program on one link: sends (some from inside a
+   delivery), single steps, in-flight rewrites and drops, and loss/dup
+   retuning, over delays of 0-4 ticks so that instants collide.  The
+   trail records every delivery with its instant and every packet the
+   corruption hook visits, in visiting order. *)
+let lossy_program seed =
+  let rng = Sim.Rng.create seed in
+  let engine = Sim.Engine.create ~rng () in
+  let link_rng = Sim.Rng.split rng in
+  let prog = Sim.Rng.split rng in
+  let trail = Buffer.create 4096 in
+  let self = ref None in
+  let send m = Option.iter (fun l -> Sim.Lossy_link.send l m) !self in
+  let link =
+    Sim.Lossy_link.create ~engine ~rng:link_rng
+      ~delay:(Sim.Link.uniform (Sim.Rng.split rng) ~lo:0 ~hi:4)
+      ~loss:0.2 ~dup:0.2 ~name:"pin"
+      ~deliver:(fun m ->
+        Printf.bprintf trail "d%d@%d " m
+          (Sim.Vtime.to_int (Sim.Engine.now engine));
+        if m mod 5 = 0 && m < 100_000 then send (m + 100_000))
+      ()
+  in
+  self := Some link;
+  let next = ref 0 in
+  for _ = 1 to 600 do
+    match Sim.Rng.int prog 12 with
+    | 0 | 1 | 2 | 3 ->
+      incr next;
+      send !next
+    | 4 | 5 | 6 | 7 -> ignore (Sim.Engine.step engine : bool)
+    | 8 ->
+      Sim.Lossy_link.corrupt_in_flight link (fun m ->
+          Printf.bprintf trail "c%d " m;
+          match Sim.Rng.int prog 3 with
+          | 0 -> None
+          | 1 -> Some (m + 1_000_000)
+          | _ -> Some m)
+    | 9 -> Sim.Lossy_link.set_loss link (Sim.Rng.pick prog [| 0.0; 0.2; 0.6; 1.0 |])
+    | 10 -> Sim.Lossy_link.set_dup link (Sim.Rng.pick prog [| 0.0; 0.2; 0.6 |])
+    | _ -> Sim.Engine.run ~max_events:(Sim.Rng.int prog 6) engine
+  done;
+  Sim.Engine.run engine;
+  let counter = Obs.Metrics.counter (Sim.Engine.metrics engine) in
+  ( Digest.to_hex (Digest.string (Buffer.contents trail)),
+    [ counter "net.pkts"; counter "net.msgs"; counter "net.dropped" ],
+    Sim.Rng.int link_rng 1_000_000 )
+
+(* Pinned from the list-based medium: the delivery sequence, the
+   counters and the link generator's next draw of three programs. *)
+let test_lossy_program_pinned () =
+  List.iter
+    (fun (seed, digest, counters, next_draw) ->
+      let d, c, n = lossy_program seed in
+      let name = Printf.sprintf "seed %d" seed in
+      Alcotest.(check string) (name ^ " trail") digest d;
+      Alcotest.(check (list int)) (name ^ " pkts, msgs, dropped") counters c;
+      check_int (name ^ " next draw") next_draw n)
+    [
+      (1, "9b02c8adc69ab342321ae3b55c622256", [ 250; 128; 98 ], 434069);
+      (2, "ff82a82900c4a7e5549ccc9d5e7795af", [ 246; 151; 73 ], 989755);
+      (3, "e01b0463967521fa3570d483404a7d8f", [ 235; 120; 100 ], 926942);
+    ]
+
+(* A payload registered in [w] at [i]; apart from the link, nothing
+   keeps it alive. *)
+let[@inline never] send_tracked link w i =
+  let payload = ref i in
+  Weak.set w i (Some payload);
+  Sim.Lossy_link.send link payload
+
+(* Once a packet is delivered the link no longer holds its payload,
+   while packets still in flight stay alive. *)
+let test_lossy_delivered_not_retained () =
+  let rng = Sim.Rng.create 3 in
+  let e = Sim.Engine.create ~rng () in
+  let link =
+    Sim.Lossy_link.create ~engine:e ~rng:(Sim.Rng.split rng)
+      ~delay:(Sim.Link.fixed 2) ~name:"weak" ~deliver:ignore ()
+  in
+  let w = Weak.create 2 in
+  send_tracked link w 0;
+  Sim.Engine.run e;
+  send_tracked link w 1;
+  Gc.full_major ();
+  check_false "a delivered payload is released" (Weak.check w 0);
+  check_true "an in-flight payload is kept" (Weak.check w 1);
+  Sim.Engine.run e;
+  Gc.full_major ();
+  check_false "the last payload is released" (Weak.check w 1);
+  check_int "link alive and drained" 0 (Sim.Engine.pending (Sys.opaque_identity e));
+  ignore (Sys.opaque_identity link)
+
 (* --- the self-stabilizing transport --- *)
 
 let mk_transport ?(loss = 0.3) ?(dup = 0.2) ?(seed = 7) () =
@@ -432,6 +525,8 @@ let tests =
     case "lossy: corrupt in flight" test_lossy_corrupt_in_flight;
     case "lossy: runtime loss window" test_lossy_set_loss_window;
     case "lossy: knob validation" test_lossy_set_knobs_validate;
+    case "lossy: random program pinned" test_lossy_program_pinned;
+    case "lossy: delivered payload not retained" test_lossy_delivered_not_retained;
     case "transport: total-loss window then recovery"
       test_transport_survives_total_loss_window;
     case "transport: exactly-once in order" test_transport_exactly_once_in_order;

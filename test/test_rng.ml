@@ -49,6 +49,29 @@ let test_float_bounds () =
     check_true "in [0,1)" (x >= 0.0 && x < 1.0)
   done
 
+(* The bits of the first 10^4 [float] draws, pinned per seed and bound:
+   a change of how a draw becomes a float must keep every bit. *)
+let test_float_draws_pinned () =
+  List.iter
+    (fun (seed, bound, digest) ->
+      let rng = Sim.Rng.create seed in
+      let b = Buffer.create (10_000 * 17) in
+      for _ = 1 to 10_000 do
+        Printf.bprintf b "%Lx " (Int64.bits_of_float (Sim.Rng.float rng bound))
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, bound %g" seed bound)
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (1, 1.0, "f5f74dfc3ec6f91214038ea4e370f7c5");
+      (2, 1.0, "69d6b6f177c796542e9665a0c7865056");
+      (3, 1.0, "23a5fa60cda455c57e48e3eaf3995669");
+      (1, 37.5, "407fdb17eb296bdab5f67c5004c5b0e3");
+      (2, 37.5, "415b832c5a6e84c31b6ca5686ec29121");
+      (3, 37.5, "6b112ab32ca42e990d96bcea56fd9415");
+    ]
+
 let test_bool_mixes () =
   let rng = Sim.Rng.create 5 in
   let trues = ref 0 in
@@ -81,6 +104,7 @@ let tests =
     case "int bounds" test_int_bounds;
     case "int_in bounds" test_int_in;
     case "float bounds" test_float_bounds;
+    case "float draws pinned" test_float_draws_pinned;
     case "bool mixes" test_bool_mixes;
     case "pick membership" test_pick;
     case "shuffle permutation" test_shuffle_permutation;

@@ -224,6 +224,12 @@ let run_cmd =
     match List.filter (fun id -> Option.is_none (lookup id)) wanted with
     | _ :: _ as unknown ->
       `Error (false, "unknown experiment(s): " ^ String.concat ", " unknown)
+    | [] when Option.is_some c.trace_out && List.length wanted > 1 ->
+      (* A trace file's header names one experiment. *)
+      `Error
+        ( false,
+          "--trace-out traces one experiment; got "
+          ^ String.concat ", " wanted )
     | [] ->
       with_outputs c (fun () ->
           List.iter

@@ -43,15 +43,15 @@ module Sw = struct
     in
     scan 0 writes
 
-  let check ?cutoff h =
-    let regularity = Regularity.check ?cutoff h in
-    let writes = History.writes h in
+  let check_index ?cutoff ix reads =
+    let regularity = Regularity.check_index ?cutoff ix reads in
+    let writes = Regularity.writes ix in
     let malformed = find_malformed writes in
     let after_cutoff (o : History.op) =
       match cutoff with None -> true | Some c -> Sim.Vtime.( <= ) c o.inv
     in
     let reads =
-      History.reads h
+      reads
       |> List.filter (fun (r : History.op) -> r.ok && after_cutoff r)
       |> List.filter_map (fun r ->
              match write_index writes r with
@@ -72,6 +72,10 @@ module Sw = struct
         @ pairs rest
     in
     { regularity; inversions = pairs reads; malformed }
+
+  let check ?cutoff h =
+    let writes, reads = History.split h in
+    check_index ?cutoff (Regularity.index writes) reads
 
   let is_clean r =
     Regularity.is_clean r.regularity && r.inversions = [] && r.malformed = []

@@ -25,6 +25,11 @@ module Sw : sig
 
   val check : ?cutoff:Sim.Vtime.t -> History.t -> report
 
+  val check_index :
+    ?cutoff:Sim.Vtime.t -> Regularity.index -> History.op list -> report
+  (** [check_index ix reads] is {!check} of the history made of the
+      writes of [ix] and of [reads], given in history order. *)
+
   val is_clean : report -> bool
 
   val pp : Format.formatter -> report -> unit

@@ -30,6 +30,8 @@ let writes t = List.filter (fun o -> o.kind = Write) (ops t)
 
 let reads t = List.filter (fun o -> o.kind = Read) (ops t)
 
+let split t = List.partition (fun o -> o.kind = Write) (ops t)
+
 let length t = t.count
 
 (* In the discrete-time recorder, an operation responding at the same

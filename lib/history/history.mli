@@ -49,6 +49,9 @@ val writes : t -> op list
 
 val reads : t -> op list
 
+val split : t -> op list * op list
+(** [(writes t, reads t)], from one sort. *)
+
 val length : t -> int
 
 val overlap : op -> op -> bool

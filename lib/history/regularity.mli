@@ -28,6 +28,29 @@ val check :
     may take effect before the concurrent first write) — useful for
     histories that legitimately start unwritten. *)
 
+(** {2 Checking with the writes indexed}
+
+    {!check} sorts the history once and indexes its writes once, so that
+    a read costs a binary search plus the writes that completed or ran
+    concurrently with it, not a pass over every write.  Checkers that cut
+    one history many ways ({!Stabilization}) build the index once and
+    check each slice of reads against it. *)
+
+type index
+(** The writes of a history, indexed. *)
+
+val index : History.op list -> index
+(** [index writes] indexes [writes], given in history order (as
+    {!History.writes} lists them). *)
+
+val writes : index -> History.op list
+(** The writes [index] was built from. *)
+
+val check_index :
+  ?cutoff:Sim.Vtime.t -> ?initial_ok:bool -> index -> History.op list -> report
+(** [check_index ix reads] is {!check} of the history made of the writes
+    of [ix] and of [reads], given in history order. *)
+
 val is_clean : report -> bool
 (** No violations and no liveness failures among checked reads. *)
 

@@ -60,27 +60,6 @@ let verdict_codec = Obs.Json.codec verdict_to_json decode_verdict
 
 let verdict_of_json = Obs.Json.decode verdict_codec "verdict"
 
-let sub_history h ~lo ~hi =
-  let sub = History.create () in
-  List.iter
-    (fun (o : History.op) ->
-      let keep =
-        match o.kind with
-        | History.Write -> true
-        | History.Read ->
-          Sim.Vtime.to_int o.inv >= lo && Sim.Vtime.to_int o.resp < hi
-      in
-      if keep then
-        History.record sub ~proc:o.proc ~kind:o.kind ~inv:o.inv ~resp:o.resp
-          ?ts:o.ts ~ok:o.ok o.value)
-    (History.ops h);
-  sub
-
-let cutoff_from h ~lo =
-  History.writes h
-  |> List.find_opt (fun (o : History.op) -> Sim.Vtime.to_int o.inv >= lo)
-  |> Option.map (fun (o : History.op) -> o.resp)
-
 type condition = Regular_cond | Sw_atomic | Mw_atomic
 
 let condition_of_family = function
@@ -119,15 +98,35 @@ let segments points =
   in
   go (0 :: points)
 
+(* The reads of the segment [\[lo, hi)]: invoked at or after [lo],
+   responded before [hi]. *)
+let segment_reads reads ~lo ~hi =
+  List.filter
+    (fun (o : History.op) ->
+      Sim.Vtime.to_int o.inv >= lo && Sim.Vtime.to_int o.resp < hi)
+    reads
+
+(* Response instant of the first of [writes] invoked at or after [lo]. *)
+let first_response writes ~lo =
+  List.find_opt (fun (o : History.op) -> Sim.Vtime.to_int o.inv >= lo) writes
+  |> Option.map (fun (o : History.op) -> o.resp)
+
+let cutoff_from h ~lo = first_response (History.writes h) ~lo
+
+(* Each segment is checked against every write (a write before the
+   segment still determines what reads inside it may return) and its own
+   reads, from one sort of the history and one index of its writes. *)
 let segment_issues ~atomic h points =
+  let writes, reads = History.split h in
+  let ix = Regularity.index writes in
   segments points
   |> List.concat_map (fun (lo, hi) ->
-         let sub = sub_history h ~lo ~hi in
-         match cutoff_from sub ~lo with
+         match first_response writes ~lo with
          | None -> []
          | Some cutoff ->
-           if atomic then sw_issues (Atomicity.Sw.check ~cutoff sub)
-           else regularity_issues (Regularity.check ~cutoff sub))
+           let reads = segment_reads reads ~lo ~hi in
+           if atomic then sw_issues (Atomicity.Sw.check_index ~cutoff ix reads)
+           else regularity_issues (Regularity.check_index ~cutoff ix reads))
 
 let suffix_issues h points =
   let lo = match List.rev points with [] -> 0 | p :: _ -> p in
@@ -172,15 +171,16 @@ let check ?(stuck = []) condition ~points h =
       | Mw_atomic -> suffix_issues h points)
 
 let time h ~lo ~hi =
-  let sub = sub_history h ~lo ~hi in
-  match cutoff_from sub ~lo with
+  let writes, reads = History.split h in
+  match first_response writes ~lo with
   | None -> None
   | Some cutoff ->
-    let rep = Regularity.check ~cutoff sub in
+    let reads = segment_reads reads ~lo ~hi in
+    let rep = Regularity.check_index ~cutoff (Regularity.index writes) reads in
     let bad =
       List.map (fun (v : Regularity.violation) -> v.read) rep.violations
     in
-    History.reads sub
+    reads
     |> List.find_opt (fun (o : History.op) ->
            o.ok
            && Sim.Vtime.to_int o.inv >= Sim.Vtime.to_int cutoff

@@ -54,11 +54,6 @@ val verdict_of_json : Obs.Json.t -> (verdict, string) result
 
 (** {2 Segments and cutoffs} *)
 
-val sub_history : History.t -> lo:int -> hi:int -> History.t
-(** Segment slice: reads invoked at or after [lo] that responded before
-    [hi], and every write (a write before the segment still determines
-    what reads inside it may return). *)
-
 val cutoff_from : History.t -> lo:int -> Sim.Vtime.t option
 (** Response instant of the first write invoked at or after [lo] — the
     segment's stabilization cutoff; [None] when no write lands there.

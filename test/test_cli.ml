@@ -189,7 +189,20 @@ let test_usage_errors () =
   check_int "unknown experiment exits 124" 124 code;
   check_true "names the unknown id"
     (String.starts_with
-       ~prefix:"stabreg-experiments: unknown experiment(s): E99" err)
+       ~prefix:"stabreg-experiments: unknown experiment(s): E99" err);
+  (* A trace file's header names one experiment: more than one is
+     refused before anything runs or any file is opened. *)
+  let trace = Filename.temp_file "stabreg-trace" ".jsonl" in
+  Sys.remove trace;
+  List.iter
+    (fun ids ->
+      let what = "run " ^ String.concat " " ids ^ " --trace-out" in
+      let code, err = eval (("run" :: ids) @ [ "--trace-out"; trace ]) in
+      check_int (what ^ " exits 124") 124 code;
+      check_true (what ^ " names --trace-out")
+        (String.starts_with ~prefix:"stabreg-experiments: --trace-out" err);
+      check_false (what ^ " writes no trace") (Sys.file_exists trace))
+    [ [ "E1"; "E2" ]; [ "all" ] ]
 
 (* Out-of-range counts and fractions are usage errors that name the
    flag, not uncaught exceptions from inside the run (exit 125). *)

@@ -76,8 +76,11 @@ val verdict_of_issues : (string * string) list -> verdict
 val check :
   ?stuck:string list -> condition -> points:int list -> History.t -> verdict
 (** [check cond ~points h] cuts [h] at each of [points] (ascending
-    instants) and checks every segment from its cutoff.  A non-empty
-    [stuck] (fibers that never finished) outranks every oracle issue. *)
+    instants) and checks every segment from its cutoff.  The segment
+    [\[lo, hi)] holds the reads invoked at or after [lo] that responded
+    before [hi], and every write (a write before the segment still
+    determines what reads inside it may return).  A non-empty [stuck]
+    (fibers that never finished) outranks every oracle issue. *)
 
 val time : History.t -> lo:int -> hi:int -> int option
 (** Stabilization time of the segment [\[lo, hi)]: the response of the

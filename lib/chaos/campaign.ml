@@ -190,8 +190,9 @@ let apply_event scn = function
 (* Segment checking                                                   *)
 
 (* Under the Lossy medium the transports themselves need a beat to
-   re-stabilize after corruption, so each segment starts a grace period
-   after its disturbance (see Oracles.Stabilization for the rest). *)
+   re-stabilize after corruption, so each segment after a disturbance
+   starts a grace period after it; the segment before still ends at the
+   disturbance (see Oracles.Stabilization for the rest). *)
 let grace = function Fifo -> 0 | Lossy -> 100
 
 let medium_of cfg =
@@ -238,12 +239,11 @@ let run_trial ?on_scenario cfg ~seed schedule =
       handles
   in
   let h = scn.Harness.Scenario.history in
-  let points =
-    Schedule.disturbance_points schedule
-    |> List.map (fun p -> p + grace cfg.medium)
-  in
   let verdict =
-    Stab.check ~stuck (Stab.condition_of_family cfg.family) ~points h
+    Stab.check ~stuck ~grace:(grace cfg.medium)
+      (Stab.condition_of_family cfg.family)
+      ~points:(Schedule.disturbance_points schedule)
+      h
   in
   {
     verdict;

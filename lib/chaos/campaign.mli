@@ -100,9 +100,10 @@ val run_trial :
   outcome
 (** Deploy, apply the schedule, run the workload to quiescence, and judge
     the history with {!Oracles.Stabilization.check}, cut at the schedule's
-    disturbance points shifted by a link-stabilization grace under
-    [Lossy].  [on_scenario] runs right after deployment, before the
-    engine starts — attach sinks there. *)
+    disturbance points, each segment after a point starting a
+    link-stabilization grace later under [Lossy].  [on_scenario] runs
+    right after deployment, before the engine starts — attach sinks
+    there. *)
 
 val shrink :
   ?log:(string -> unit) ->

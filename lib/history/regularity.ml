@@ -41,7 +41,7 @@ let index writes =
 let writes ix = ix.writes
 
 (* How many elements of the non-decreasing [a] are at most [x]. *)
-let count_le a x =
+let count_le (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in

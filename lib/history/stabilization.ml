@@ -90,13 +90,14 @@ let sw_issues (r : Atomicity.Sw.report) =
       r.inversions
   @ List.map (fun m -> ("regularity", m)) r.malformed
 
-let segments points =
-  let rec go = function
-    | [] -> []
-    | [ lo ] -> [ (lo, max_int) ]
-    | lo :: (hi :: _ as rest) -> (lo, hi) :: go rest
+(* [\[0, p1)], then [\[p_i + grace, p_(i+1))] for each point, the last
+   one open-ended. *)
+let segments ~grace points =
+  let rec go lo = function
+    | [] -> [ (lo, max_int) ]
+    | p :: rest -> (lo, p) :: go (p + grace) rest
   in
-  go (0 :: points)
+  go 0 points
 
 (* The reads of the segment [\[lo, hi)]: invoked at or after [lo],
    responded before [hi]. *)
@@ -116,10 +117,10 @@ let cutoff_from h ~lo = first_response (History.writes h) ~lo
 (* Each segment is checked against every write (a write before the
    segment still determines what reads inside it may return) and its own
    reads, from one sort of the history and one index of its writes. *)
-let segment_issues ~atomic h points =
+let segment_issues ~atomic ~grace h points =
   let writes, reads = History.split h in
   let ix = Regularity.index writes in
-  segments points
+  segments ~grace points
   |> List.concat_map (fun (lo, hi) ->
          match first_response writes ~lo with
          | None -> []
@@ -128,8 +129,8 @@ let segment_issues ~atomic h points =
            if atomic then sw_issues (Atomicity.Sw.check_index ~cutoff ix reads)
            else regularity_issues (Regularity.check_index ~cutoff ix reads))
 
-let suffix_issues h points =
-  let lo = match List.rev points with [] -> 0 | p :: _ -> p in
+let suffix_issues ~grace h points =
+  let lo = match List.rev points with [] -> 0 | p :: _ -> p + grace in
   match cutoff_from h ~lo with
   | None -> []
   | Some cutoff ->
@@ -154,7 +155,7 @@ let verdict_of_issues issues =
     in
     Violation { kind; count; detail }
 
-let check ?(stuck = []) condition ~points h =
+let check ?(stuck = []) ?(grace = 0) condition ~points h =
   match stuck with
   | _ :: _ ->
     Violation
@@ -166,9 +167,9 @@ let check ?(stuck = []) condition ~points h =
   | [] ->
     verdict_of_issues
       (match condition with
-      | Regular_cond -> segment_issues ~atomic:false h points
-      | Sw_atomic -> segment_issues ~atomic:true h points
-      | Mw_atomic -> suffix_issues h points)
+      | Regular_cond -> segment_issues ~atomic:false ~grace h points
+      | Sw_atomic -> segment_issues ~atomic:true ~grace h points
+      | Mw_atomic -> suffix_issues ~grace h points)
 
 let time h ~lo ~hi =
   let writes, reads = History.split h in

@@ -74,13 +74,24 @@ val verdict_of_issues : (string * string) list -> verdict
     issues of the chosen kind only. *)
 
 val check :
-  ?stuck:string list -> condition -> points:int list -> History.t -> verdict
+  ?stuck:string list ->
+  ?grace:int ->
+  condition ->
+  points:int list ->
+  History.t ->
+  verdict
 (** [check cond ~points h] cuts [h] at each of [points] (ascending
     instants) and checks every segment from its cutoff.  The segment
     [\[lo, hi)] holds the reads invoked at or after [lo] that responded
     before [hi], and every write (a write before the segment still
     determines what reads inside it may return).  A non-empty [stuck]
-    (fibers that never finished) outranks every oracle issue. *)
+    (fibers that never finished) outranks every oracle issue.
+
+    [grace] (default 0) delays the start of every segment after a point,
+    never the end of the one before it: the segments are [\[0, p1)],
+    [\[p1 + grace, p2)], ..., [\[pk + grace, ∞)], and the MWMR suffix
+    starts at [pk + grace].  A read invoked inside a grace period, or
+    straddling a point, is checked in no segment. *)
 
 val time : History.t -> lo:int -> hi:int -> int option
 (** Stabilization time of the segment [\[lo, hi)]: the response of the

@@ -11,6 +11,7 @@ type 'm t = {
   mutable tag : int;
   timer : Sim.Engine.recurring; (* the retransmission timer's action *)
   mutable timer_armed : bool;
+  mutable sent_at : Sim.Vtime.t; (* the current message's last transmission *)
   mutable sent : int;
   retrans_ctr : int ref;
   (* receiver state *)
@@ -32,21 +33,31 @@ let xmit t =
   | None -> ()
   | Some (body, _) ->
     t.sent <- t.sent + 1;
+    t.sent_at <- Sim.Engine.now t.engine;
     Sim.Lossy_link.send t.data { tag = t.tag; body }
 
+(* Queue the timer for the current message's deadline, unless it is
+   already queued (for this message's deadline or an earlier one). *)
 let arm_timer t =
   if not t.timer_armed then begin
     t.timer_armed <- true;
-    Sim.Engine.schedule_recurring t.engine ~delay:retrans t.timer
+    Sim.Engine.schedule_recurring_at t.engine
+      (Sim.Vtime.add t.sent_at retrans)
+      t.timer
   end
 
-(* The timer's action: retransmit the unacknowledged message, if any. *)
+(* The timer's action: retransmit the unacknowledged message once
+   [retrans] ticks have passed since it last went out.  A timer queued
+   for an earlier message fires before that deadline: it re-queues
+   itself at the deadline instead. *)
 let on_timer t =
   t.timer_armed <- false;
   match t.current with
   | Some _ ->
-    incr t.retrans_ctr;
-    xmit t;
+    if Sim.Vtime.diff (Sim.Engine.now t.engine) t.sent_at >= retrans then begin
+      incr t.retrans_ctr;
+      xmit t
+    end;
     arm_timer t
   | None -> ()
 
@@ -159,6 +170,7 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?(tag_space = 1024)
         Sim.Engine.recurring engine (fun () ->
             match !self with Some t -> on_timer t | None -> ());
       timer_armed = false;
+      sent_at = Sim.Vtime.zero;
       sent = 0;
       retrans_ctr =
         Obs.Metrics.counter_ref (Sim.Engine.metrics engine) "transport.retrans";

@@ -5,13 +5,18 @@
 
     One {!t} carries one direction of one link.  The sender is
     stop-and-wait with a bounded, wrapping transfer tag (the generalized
-    alternating bit): it retransmits the current [(tag, body)] packet every
-    30 ticks until an acknowledgment echoing [tag] returns, then
-    advances the tag and takes the next queued message.  The receiver
-    acknowledges every packet; it delivers a packet when its tag is
-    clockwise-newer than the last delivered tag, and re-synchronizes on a
-    tag it has seen rejected [3] times in a row (only the sender's live
-    retransmissions repeat that persistently).
+    alternating bit): it retransmits the current [(tag, body)] packet 30
+    ticks after that packet last went out, for as long as no
+    acknowledgment echoing [tag] has returned, then advances the tag and
+    takes the next queued message.  The timer runs on each message's own
+    transmissions: a message sent while the timer is still queued for an
+    earlier one is not retransmitted before its own 30 ticks pass, so on
+    links whose round trip is under 30 ticks and that lose nothing, no
+    packet is ever sent twice.  The receiver delivers a packet when its
+    tag is clockwise-newer than the last delivered tag, acknowledges
+    every packet carrying the tag it delivered last, and re-synchronizes
+    on a tag it has seen rejected [3] times in a row (only the sender's
+    live retransmissions repeat that persistently).
 
     Self-stabilization contract: transient corruption of either side's tag
     state, or of the packets in flight, causes at most a bounded number of

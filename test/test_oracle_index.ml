@@ -104,7 +104,7 @@ let prop_stabilization =
           (fun cond -> check cond ~points h)
           [ Stabilization.Regular_cond; Stabilization.Sw_atomic ]
       in
-      let got = verdicts (Stabilization.check ?stuck:None)
+      let got = verdicts (Stabilization.check ?stuck:None ?grace:None)
       and want = verdicts (Ref.Stabilization.check ?stuck:None) in
       let bounds = List.combine (0 :: points) (points @ [ max_int ]) in
       let times time = List.map (fun (lo, hi) -> time h ~lo ~hi) bounds in

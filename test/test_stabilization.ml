@@ -69,6 +69,45 @@ let test_straddling_read_unchecked () =
     (regular ~points:[ 20 ] h);
   kind_is "regularity" (regular ~points:[] h)
 
+(* A fault at 100 with a grace of 50.  A read invoked inside the grace
+   and answered before it ends was once checked against the pre-fault
+   segment (the point itself was shifted to 150); it belongs to none. *)
+let test_grace_delays_segment_start () =
+  let junk_in_grace ?(extra = ignore) () =
+    let h = History.create () in
+    w h 0 10 1;
+    r h 20 30 1;
+    r h 105 140 99;
+    extra h;
+    h
+  in
+  let h = junk_in_grace () in
+  Alcotest.check verdict "read inside the grace is unchecked" Stab.Clean
+    (Stab.check ~grace:50 Stab.Regular_cond ~points:[ 100 ] h);
+  Alcotest.check verdict "atomic: the same read is unchecked" Stab.Clean
+    (Stab.check ~grace:50 Stab.Sw_atomic ~points:[ 100 ] h);
+  (* Shifting the point checks it before the fault. *)
+  kind_is "regularity" (regular ~points:[ 150 ] h);
+  (* A junk read that ends before the fault, or one after the grace,
+     still counts. *)
+  kind_is "regularity"
+    (Stab.check ~grace:50 Stab.Regular_cond ~points:[ 100 ]
+       (junk_in_grace ~extra:(fun h -> r h 40 50 99) ()));
+  kind_is "regularity"
+    (Stab.check ~grace:50 Stab.Regular_cond ~points:[ 100 ]
+       (junk_in_grace
+          ~extra:(fun h ->
+            w h 160 170 2;
+            r h 180 190 99)
+          ()));
+  Alcotest.check verdict "a good read after the grace passes" Stab.Clean
+    (Stab.check ~grace:50 Stab.Regular_cond ~points:[ 100 ]
+       (junk_in_grace
+          ~extra:(fun h ->
+            w h 160 170 2;
+            r h 180 190 2)
+          ()))
+
 let genesis = Registers.Epoch.genesis ~k:3
 
 let mw h proc inv resp v ts =
@@ -91,7 +130,10 @@ let test_mwmr_last_suffix_only () =
   kind_is "mw" (mwmr ~points:[] h);
   kind_is "mw" (mwmr ~points:[ 5 ] h);
   Alcotest.check verdict "the segment [5,55) is not checked" Stab.Clean
-    (mwmr ~points:[ 5; 55 ] h)
+    (mwmr ~points:[ 5; 55 ] h);
+  Alcotest.check verdict "the suffix starts a grace after the point"
+    Stab.Clean
+    (Stab.check ~grace:50 Stab.Mw_atomic ~points:[ 5 ] h)
 
 let test_issue_ranking () =
   Alcotest.check verdict "safety outranks liveness"
@@ -186,6 +228,8 @@ let tests =
       test_segment_without_write_vacuous;
     case "straddling read belongs to no segment"
       test_straddling_read_unchecked;
+    case "grace delays a segment's start, not the previous end"
+      test_grace_delays_segment_start;
     case "mwmr checked on the last suffix only" test_mwmr_last_suffix_only;
     case "safety outranks liveness" test_issue_ranking;
     case "stuck wins" test_stuck_wins;

@@ -46,13 +46,17 @@ let compromise t i behavior =
   (Net.endpoints t.net).(i).Net.on_deliver <- (fun env -> behavior ctx env);
   sync_correct t
 
-let restore t i =
-  mark t "restore" i;
+(* Hand slot [i] back to the honest automaton over the state it holds. *)
+let rejoin t label i =
+  mark t label i;
   t.byz <- List.filter (fun j -> j <> i) t.byz;
-  (* A machine coming back from Byzantine control holds arbitrary state. *)
-  Server.corrupt t.servers.(i) t.rng;
   install_honest t i;
   sync_correct t
+
+let restore t i =
+  (* A machine coming back from Byzantine control holds arbitrary state. *)
+  Server.corrupt t.servers.(i) t.rng;
+  rejoin t "restore" i
 
 (* Crash faults occupy a fault slot like Byzantine ones: a crashed server
    is not correct, so it leaves the ss-broadcast correct set and the
@@ -63,13 +67,7 @@ let crash t i =
   (Net.endpoints t.net).(i).Net.on_deliver <- (fun _ -> ());
   sync_correct t
 
-let recover ?(wipe = `Arbitrary) ?rng t i =
-  mark t "recover" i;
-  t.byz <- List.filter (fun j -> j <> i) t.byz;
-  Behavior.apply_wipe wipe t.servers.(i)
-    (match rng with Some r -> r | None -> t.rng);
-  install_honest t i;
-  sync_correct t
+let recover t i = rejoin t "recover" i
 
 let byzantine_ids t = List.sort Int.compare t.byz
 

@@ -36,11 +36,10 @@ val crash : t -> int -> unit
     set (crash faults occupy fault slots like Byzantine ones).  A later
     {!recover} turns the episode into a crash-recovery fault. *)
 
-val recover : ?wipe:Behavior.wipe -> ?rng:Sim.Rng.t -> t -> int -> unit
-(** Bring slot [i] back as the honest automaton over state rewritten per
-    [wipe] (default [`Arbitrary], drawn from [rng] when given so the
-    rejoin state can be pinned by a fault plan rather than the adversary's
-    stream). *)
+val recover : t -> int -> unit
+(** Bring slot [i] back as the honest automaton over whatever state the
+    slot holds: the caller rewrites it first (a crash-recovery rejoins
+    over arbitrary state, {!Registers.Server.corrupt}). *)
 
 val byzantine_ids : t -> int list
 (** Currently compromised slots, ascending. *)

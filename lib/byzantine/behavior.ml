@@ -13,41 +13,6 @@ let reply ctx env body = Net.answer ctx.net ~server:ctx.server_id env body
 
 let honest srv ctx env = Server.handle srv env ~ack:(reply ctx)
 
-type wipe = [ `Arbitrary | `Reset | `Keep ]
-
-let apply_wipe wipe srv rng =
-  match wipe with
-  | `Arbitrary -> Server.corrupt srv rng
-  | `Reset -> Server.reset srv
-  | `Keep -> ()
-
-let crash_recover ~down_for ~wipe srv =
-  (* The down window starts at the first delivery the crashed slot would
-     have received (a behavior only observes deliveries); messages during
-     the window are dropped.  The first delivery at or after the recovery
-     instant finds the server back up over wiped state — recovery is a
-     transient fault by construction. *)
-  let recover_at = ref None in
-  let up = ref false in
-  fun ctx env ->
-    if !up then honest srv ctx env
-    else begin
-      let now = Sim.Engine.now (Net.engine ctx.net) in
-      let deadline =
-        match !recover_at with
-        | Some d -> d
-        | None ->
-          let d = Sim.Vtime.add now down_for in
-          recover_at := Some d;
-          d
-      in
-      if Sim.Vtime.to_int now >= Sim.Vtime.to_int deadline then begin
-        apply_wipe wipe srv ctx.rng;
-        up := true;
-        honest srv ctx env
-      end
-    end
-
 let crash_after k srv =
   let remaining = ref k in
   fun ctx env ->

@@ -21,23 +21,6 @@ val silent : t
 (** Never answers: the pure omission adversary (stresses the [n - t]
     ack-wait). *)
 
-type wipe = [ `Arbitrary | `Reset | `Keep ]
-(** What a recovering server's volatile state looks like when it rejoins:
-    arbitrary (a transient fault drew it), reset to pristine [bot] content
-    (lost everything), or kept (crash hit only the process, e.g. a restart
-    with durable state).  [`Arbitrary] and [`Reset] make recovery a
-    transient fault by construction. *)
-
-val apply_wipe : wipe -> Registers.Server.t -> Sim.Rng.t -> unit
-(** Rewrite a server's volatile state per the wipe kind (the generator is
-    consumed only by [`Arbitrary]). *)
-
-val crash_recover :
-  down_for:Sim.Vtime.span -> wipe:wipe -> Registers.Server.t -> t
-(** Crash-recovery fault: drop every delivery for [down_for] ticks (the
-    down window starts at the first delivery observed), then resume the
-    honest automaton over state rewritten per [wipe]. *)
-
 val crash_after : int -> Registers.Server.t -> t
 (** Honest for the first [k] deliveries, then crashed (a benign fault,
     strictly weaker than Byzantine — useful to check the algorithms never

@@ -224,20 +224,7 @@ let run_trial ?on_scenario cfg ~seed schedule =
   in
   List.iter (apply_event scn) schedule;
   Option.iter (fun f -> f scn) on_scenario;
-  let handles =
-    List.map (fun (name, f) -> (name, Sim.Fiber.spawn ~name f)) jobs
-  in
-  Harness.Scenario.run scn;
-  let stuck =
-    List.filter_map
-      (fun (name, h) ->
-        match Sim.Fiber.status h with
-        | Sim.Fiber.Done -> None
-        | Sim.Fiber.Running -> Some name
-        | Sim.Fiber.Failed e ->
-          Some (name ^ " (raised: " ^ Printexc.to_string e ^ ")"))
-      handles
-  in
+  let stuck = Harness.Scenario.run_jobs scn jobs in
   let h = scn.Harness.Scenario.history in
   let verdict =
     Stab.check ~stuck ~grace:(grace cfg.medium)

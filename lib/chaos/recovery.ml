@@ -97,13 +97,7 @@ let run ?on_scenario cfg ~seed =
   in
   (* The reader's fiber starts first, as it did when the committed
      recovery artifacts were recorded. *)
-  let handles =
-    List.rev_map
-      (fun (name, f) -> (name, Sim.Fiber.spawn ~name f))
-      (List.rev jobs)
-  in
-  Harness.Scenario.run scn;
-  let stuck = Harness.Scenario.stuck_jobs handles in
+  let stuck = Harness.Scenario.run_jobs scn (List.rev jobs) in
   let metrics = Harness.Scenario.metrics scn in
   List.iter
     (fun (op, (t : Registers.Outcome.tally)) ->

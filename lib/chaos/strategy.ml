@@ -7,18 +7,6 @@ type t =
   | Flaky of float
   | Delayed of int
   | Crash of int
-  | Crash_recover of { down : int; wipe : Byzantine.Behavior.wipe }
-
-let wipe_to_string = function
-  | `Arbitrary -> "arbitrary"
-  | `Reset -> "reset"
-  | `Keep -> "keep"
-
-let wipe_of_string = function
-  | "arbitrary" -> Ok `Arbitrary
-  | "reset" -> Ok `Reset
-  | "keep" -> Ok `Keep
-  | s -> Error (Printf.sprintf "bad wipe kind %S" s)
 
 (* The sequence number sits far outside anything the workloads write, so
    the forged cell can never alias an honest one.  Note that reaching the
@@ -44,9 +32,6 @@ let to_behavior adv ~slot = function
     Byzantine.Behavior.delayed ~by (Byzantine.Adversary.server adv slot)
   | Crash k ->
     Byzantine.Behavior.crash_after k (Byzantine.Adversary.server adv slot)
-  | Crash_recover { down; wipe } ->
-    Byzantine.Behavior.crash_recover ~down_for:down ~wipe
-      (Byzantine.Adversary.server adv slot)
 
 let to_string = function
   | Silent -> "silent"
@@ -57,8 +42,6 @@ let to_string = function
   | Flaky p -> Printf.sprintf "flaky:%.17g" p
   | Delayed by -> Printf.sprintf "delayed:%d" by
   | Crash k -> Printf.sprintf "crash:%d" k
-  | Crash_recover { down; wipe } ->
-    Printf.sprintf "crashrec:%d:%s" down (wipe_to_string wipe)
 
 let of_string s =
   let arg prefix =
@@ -86,29 +69,12 @@ let of_string s =
         | Some d when d >= 0 -> Ok (Delayed d)
         | Some _ | None -> Error (Printf.sprintf "bad delay %S" d))
       | None -> (
-        match arg "crashrec:" with
-        | Some body -> (
-          match String.index_opt body ':' with
-          | None -> Error (Printf.sprintf "bad crashrec spec %S" body)
-          | Some i -> (
-            let down = String.sub body 0 i in
-            let wipe =
-              String.sub body (i + 1) (String.length body - i - 1)
-            in
-            match int_of_string_opt down with
-            | Some down when down >= 0 ->
-              Result.map
-                (fun wipe -> Crash_recover { down; wipe })
-                (wipe_of_string wipe)
-            | Some _ | None ->
-              Error (Printf.sprintf "bad crashrec down window %S" down)))
-        | None -> (
-          match arg "crash:" with
-          | Some k -> (
-            match int_of_string_opt k with
-            | Some k when k >= 0 -> Ok (Crash k)
-            | Some _ | None -> Error (Printf.sprintf "bad crash count %S" k))
-          | None -> Error (Printf.sprintf "unknown strategy %S" s)))))
+        match arg "crash:" with
+        | Some k -> (
+          match int_of_string_opt k with
+          | Some k when k >= 0 -> Ok (Crash k)
+          | Some _ | None -> Error (Printf.sprintf "bad crash count %S" k))
+        | None -> Error (Printf.sprintf "unknown strategy %S" s))))
 
 let equal a b =
   match (a, b) with

@@ -16,9 +16,6 @@ type t =
   | Flaky of float  (** honest, dropping each delivery with this probability *)
   | Delayed of int  (** honest, processing every delivery this many ticks late *)
   | Crash of int  (** honest for that many deliveries, then crashed *)
-  | Crash_recover of { down : int; wipe : Byzantine.Behavior.wipe }
-      (** crash-recovery: down for that many ticks, then honest again over
-          state rewritten per [wipe] (see {!Byzantine.Behavior.crash_recover}) *)
 
 val forged_cell : Registers.Messages.cell
 (** The fixed cell every [Collude] slot vouches for.  Its value is outside
@@ -36,12 +33,9 @@ val to_behavior :
 
 val to_string : t -> string
 (** Stable wire names: ["silent"], ["garbage"], ["equivocate"], ["frozen"],
-    ["collude"], ["flaky:<p>"], ["delayed:<ticks>"], ["crash:<k>"],
-    ["crashrec:<down>:<arbitrary|reset|keep>"]. *)
-
-val wipe_to_string : Byzantine.Behavior.wipe -> string
-
-val wipe_of_string : string -> (Byzantine.Behavior.wipe, string) result
+    ["collude"], ["flaky:<p>"], ["delayed:<ticks>"], ["crash:<k>"].  A
+    crash that recovers is a schedule event ({!Schedule.Crash}), not a
+    strategy. *)
 
 val of_string : string -> (t, string) result
 

@@ -40,8 +40,8 @@ let create ?(seed = 1) ?delay ?medium ~params () =
         ~crash:(fun () ->
           Byzantine.Adversary.crash adversary (Registers.Server.id srv))
         ~recover:(fun rng ->
-          Byzantine.Adversary.recover ~wipe:`Arbitrary ~rng adversary
-            (Registers.Server.id srv)))
+          Registers.Server.corrupt srv rng;
+          Byzantine.Adversary.recover adversary (Registers.Server.id srv)))
     (Byzantine.Adversary.servers adversary);
   { seed; engine; net; fault; adversary; history = Oracles.History.create () }
 
@@ -61,6 +61,13 @@ let stuck_jobs handles =
         Some (Printf.sprintf "%s (raised: %s)" name (Printexc.to_string e))
       | Sim.Fiber.Done -> None)
     handles
+
+let run_jobs t jobs =
+  let handles =
+    List.map (fun (name, f) -> (name, Sim.Fiber.spawn ~name f)) jobs
+  in
+  run t;
+  stuck_jobs handles
 
 let check_jobs handles =
   List.iter

@@ -45,6 +45,10 @@ val stuck_jobs : (string * Sim.Fiber.handle) list -> string list
     ["name (blocked on <label>)"] with its {!Sim.Fiber.blocked_on} label,
     one that raised as ["name (raised: <exn>)"]. *)
 
+val run_jobs : t -> (string * (unit -> unit)) list -> string list
+(** Spawn each named job as a fiber, in list order, run the engine to
+    quiescence and return {!stuck_jobs} of the jobs, in that order. *)
+
 val check_jobs : (string * Sim.Fiber.handle) list -> unit
 (** Watchdog: re-raise the first failed job's exception, then raise
     {!Deadlock} if any job is still suspended.  Call after {!run} returns

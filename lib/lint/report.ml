@@ -10,10 +10,12 @@ let tool = "stablint"
 
 type entry = { file : string; rule : string; line : int; note : string }
 
+(* An entry names a finding by file, rule and message, not by line: an
+   edit above a baselined finding moves it without making it new. *)
 let entry_matches e (f : Finding.t) =
   String.equal e.file f.Finding.file
   && String.equal e.rule f.Finding.rule
-  && e.line = f.Finding.line
+  && String.equal e.note f.Finding.message
 
 type t = {
   paths : string list;
@@ -24,19 +26,31 @@ type t = {
   baselined : Finding.t list;
 }
 
+(* Each entry absorbs at most one finding, so a triple's findings beyond
+   the entries listing it are new, and its entries beyond its findings are
+   stale. *)
 let make ~paths ~files_scanned ~suppressed ~baseline findings =
-  let baselined, fresh =
-    List.partition
-      (fun f -> List.exists (fun e -> entry_matches e f) baseline)
-      findings
+  let rec take f = function
+    | [] -> None
+    | e :: rest when entry_matches e f -> Some rest
+    | e :: rest -> Option.map (List.cons e) (take f rest)
   in
-  let stale_baseline =
-    List.length
-      (List.filter
-         (fun e -> not (List.exists (fun f -> entry_matches e f) findings))
-         baseline)
+  let unused, baselined, fresh =
+    List.fold_left
+      (fun (unused, baselined, fresh) f ->
+        match take f unused with
+        | Some unused -> (unused, f :: baselined, fresh)
+        | None -> (unused, baselined, f :: fresh))
+      (baseline, [], []) findings
   in
-  { paths; files_scanned; suppressed; stale_baseline; fresh; baselined }
+  {
+    paths;
+    files_scanned;
+    suppressed;
+    stale_baseline = List.length unused;
+    fresh = List.rev fresh;
+    baselined = List.rev baselined;
+  }
 
 (* --- report serialization ------------------------------------------- *)
 

@@ -7,7 +7,10 @@
     findings sorted, no timestamps — so re-running the driver twice over
     the same tree produces byte-identical files.
 
-    The baseline lists accepted findings by [(file, rule, line)].  CI
+    The baseline lists accepted findings by [(file, rule, message)]; the
+    line is only a pointer, so an edit above a baselined finding does not
+    make it new.  Each entry accepts one finding: a file with more findings
+    of a triple than the baseline lists reports the extra ones as new.  CI
     fails only on findings outside the baseline, so the baseline can be
     burned down entry by entry without blocking unrelated work. *)
 
@@ -23,8 +26,8 @@ val domains_schema_version : string
 type entry = {
   file : string;
   rule : string;
-  line : int;
-  note : string;  (** the finding's message when accepted; informational *)
+  line : int;  (** where the finding was when accepted; not matched on *)
+  note : string;  (** the finding's message when accepted *)
 }
 
 type t = {
@@ -44,7 +47,10 @@ val make :
   baseline:entry list ->
   Finding.t list ->
   t
-(** Partition a scan's findings against the baseline. *)
+(** Partition a scan's findings against the baseline: a finding is
+    baselined when an entry of its file, rule and message is still unused
+    (findings claim entries in list order); the entries left unused are
+    [stale_baseline]. *)
 
 val to_json : t -> Obs.Json.t
 

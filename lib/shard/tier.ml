@@ -327,15 +327,12 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
           (by_key batch)
       done
     in
-    let handles =
-      [
-        ("dispatcher", Sim.Fiber.spawn ~name:"shard.dispatcher" dispatcher);
-        ("router.w", Sim.Fiber.spawn ~name:"shard.router.w" writer);
-        ("router.r", Sim.Fiber.spawn ~name:"shard.router.r" reader);
-      ]
+    let stuck =
+      Harness.Scenario.run_jobs scn
+        [
+          ("dispatcher", dispatcher); ("router.w", writer); ("router.r", reader);
+        ]
     in
-    Harness.Scenario.run scn;
-    let stuck = Harness.Scenario.stuck_jobs handles in
     (* Oracle: every key is single-writer (one router fiber), so the
        per-key history must satisfy the regular condition — from the
        start on undisturbed shards, from the first post-disturbance

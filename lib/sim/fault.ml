@@ -86,7 +86,7 @@ let schedule_crash t ~engine ~at ?down_for ~prefix () =
   match down_for with
   | None -> () (* crash-stop: the process never rejoins *)
   | Some d ->
-    (* Crash-recovery: split the recovery generator now so the wiped
+    (* Crash-recovery: split the recovery generator now so the arbitrary
        state drawn at rejoin time is a function of the schedule, not of
        whatever else the engine did in between. *)
     let rng = Rng.split (Engine.rng engine) in

@@ -1,8 +1,9 @@
 (* The oracles as they were before the writes of a history were indexed:
    the quadratic regularity check, the single-writer atomicity check on
    top of it, and the per-segment sub-history path of the stabilization
-   verdict, copied unchanged.  The indexed oracles are tested against
-   them (test_oracle_index.ml). *)
+   verdict, copied unchanged.  Then regularity once more, by brute force
+   from its definition.  The indexed oracles are tested against them
+   (test_oracle_index.ml). *)
 
 open Oracles
 
@@ -275,4 +276,63 @@ module Stabilization = struct
              && Sim.Vtime.to_int o.inv >= Sim.Vtime.to_int cutoff
              && not (List.mem o bad))
       |> Option.map (fun (o : History.op) -> Sim.Vtime.to_int o.resp - lo)
+end
+
+(* Regularity from its definition (§2.2), write by write: a read may
+   return the value of the last write that completed before the read was
+   invoked, or of any write that overlaps it.  Nothing is sorted, folded
+   or indexed.  Two rules come from [Regularity.check]'s contract, not
+   from the definition: with [initial_ok], a read that no write precedes
+   or overlaps may return anything, and one that no write completed
+   before may return ⊥; and a single writer has one last write, so when
+   overlapping writes complete at the same instant, the first in history
+   order is the last.  [expected] lists the admissible values ascending,
+   once each. *)
+module Regularity_definition = struct
+  let time = Sim.Vtime.to_int
+
+  let check ?cutoff ?(initial_ok = false) h =
+    let writes = List.mapi (fun i w -> (i, w)) (History.writes h) in
+    let before (w : History.op) (r : History.op) = time w.resp <= time r.inv in
+    let last r (i, (w : History.op)) =
+      before w r
+      && List.for_all
+           (fun (j, (w' : History.op)) ->
+             (not (before w' r))
+             || time w'.resp < time w.resp
+             || (time w'.resp = time w.resp && j >= i))
+           writes
+    in
+    let admissible r =
+      List.filter_map
+        (fun ((_, (w : History.op)) as iw) ->
+          if last r iw || History.overlap w r then Some w.value else None)
+        writes
+      |> List.sort_uniq Registers.Value.compare
+    in
+    let after_cutoff (r : History.op) =
+      match cutoff with None -> true | Some c -> time c <= time r.inv
+    in
+    let reads = History.reads h in
+    let checked = List.filter after_cutoff reads in
+    let regular (r : History.op) expected =
+      let none_before = not (List.exists (fun (_, w) -> before w r) writes) in
+      (initial_ok && List.is_empty expected)
+      || (initial_ok && none_before
+         && Registers.Value.equal r.value Registers.Value.bot)
+      || List.exists (Registers.Value.equal r.value) expected
+    in
+    {
+      Regularity.reads_checked = List.length checked;
+      reads_skipped = List.length reads - List.length checked;
+      liveness_failures =
+        List.length (List.filter (fun (r : History.op) -> not r.ok) checked);
+      violations =
+        List.filter_map
+          (fun (r : History.op) ->
+            let expected = admissible r in
+            if (not r.ok) || regular r expected then None
+            else Some { Regularity.read = r; expected })
+          checked;
+    }
 end

@@ -219,7 +219,7 @@ let test_committed_reencode () =
           (pretty (reencode j))
       end)
     (committed ());
-  check_int "recovery, shard and cex examples" 4 !reencoded;
+  check_int "recovery, shard and cex examples" 5 !reencoded;
   List.iter
     (fun name ->
       let path = Filename.concat "../examples/chaos" name in

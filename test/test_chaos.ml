@@ -24,24 +24,19 @@ let test_strategy_round_trip () =
       Strategy.Delayed 0;
       Strategy.Crash 5;
       Strategy.Crash 0;
-      Strategy.Crash_recover { down = 120; wipe = `Arbitrary };
-      Strategy.Crash_recover { down = 0; wipe = `Reset };
-      Strategy.Crash_recover { down = 1; wipe = `Keep };
     ];
   check_true "unknown name rejected"
     (Result.is_error (Strategy.of_string "nonsense"));
   check_true "bad probability rejected"
     (Result.is_error (Strategy.of_string "flaky:2.0"));
-  check_true "bad wipe rejected"
-    (Result.is_error (Strategy.of_string "crashrec:10:everything"));
-  check_true "missing wipe rejected"
-    (Result.is_error (Strategy.of_string "crashrec:10"))
+  check_true "crash-recovery is a schedule event, not a strategy"
+    (Result.is_error (Strategy.of_string "crashrec:120:arbitrary"))
 
 (* Satellite: the %.17g float path and every other constructor, as a
    generated property rather than a hand-picked list. *)
 let gen_strategy =
   QCheck.Gen.(
-    let* tag = int_range 0 8 in
+    let* tag = int_range 0 7 in
     match tag with
     | 0 -> return Strategy.Silent
     | 1 -> return Strategy.Garbage
@@ -56,13 +51,9 @@ let gen_strategy =
     | 6 ->
       let* t = oneof [ return 0; int_range 0 10_000 ] in
       return (Strategy.Delayed t)
-    | 7 ->
-      let* k = oneof [ return 0; int_range 0 1_000 ] in
-      return (Strategy.Crash k)
     | _ ->
-      let* down = oneof [ return 0; int_range 0 10_000 ] in
-      let* wipe = oneofl [ `Arbitrary; `Reset; `Keep ] in
-      return (Strategy.Crash_recover { down; wipe }))
+      let* k = oneof [ return 0; int_range 0 1_000 ] in
+      return (Strategy.Crash k))
 
 let prop_strategy_round_trip =
   QCheck.Test.make ~count:500
@@ -199,6 +190,34 @@ let test_campaign_atomic_lossy_clean () =
   let r = Campaign.run lossy_cfg ~seed:5 ~trials:2 in
   check_int "atomic over lossy links stays clean" 0
     (List.length (Campaign.violations r))
+
+(* Scheduled server crashes are the campaign's one crash-recovery fault:
+   no Byzantine slot and no roam, one crash per trial, which mostly
+   recovers over arbitrary state.  Every trial must stay clean, on one
+   domain and on two, each trial run twice by the race check. *)
+let test_campaign_crashes_clean () =
+  let crash_cfg =
+    { cfg with Campaign.crashes = 1; initial = []; roams = 0 }
+  in
+  List.iter
+    (fun domains ->
+      let r =
+        Campaign.run ~race_check:true ~domains crash_cfg ~seed:5 ~trials:2
+      in
+      check_int "two trials" 2 (List.length r.Campaign.trials);
+      List.iter
+        (fun (t : Campaign.trial) ->
+          check_true "the trial's schedule crashes a server"
+            (List.exists
+               (function Schedule.Crash _ -> true | _ -> false)
+               (Campaign.generate crash_cfg ~seed:t.Campaign.trial_seed));
+          match t.Campaign.outcome.Campaign.verdict with
+          | Campaign.Clean -> ()
+          | v ->
+            Alcotest.failf "domains %d, trial %d: %s" domains t.Campaign.index
+              (Format.asprintf "%a" Campaign.pp_verdict v))
+        r.Campaign.trials)
+    [ 1; 2 ]
 
 (* --- violations, shrinking, replay --- *)
 
@@ -387,6 +406,7 @@ let tests =
     case "trials are seed-deterministic" test_run_trial_deterministic;
     case "campaign clean under the bound" test_campaign_clean_under_bound;
     case "atomic campaign over lossy links" test_campaign_atomic_lossy_clean;
+    case "crash-recovery campaign stays clean" test_campaign_crashes_clean;
     case "lossy campaign traffic pinned" test_lossy_campaign_pinned;
     case "collusion above the bound: violate, shrink, replay"
       test_collusion_above_bound_violates_and_replays;

@@ -246,7 +246,8 @@ let golden_summary ~seed ~params ?(byz = []) ?crash () =
           Byzantine.Adversary.crash adv s;
           observe s);
       Sim.Engine.schedule_at engine (Sim.Vtime.of_int up) (fun () ->
-          Byzantine.Adversary.recover ~wipe:`Reset adv s;
+          Server.reset (Byzantine.Adversary.server adv s);
+          Byzantine.Adversary.recover adv s;
           observe s))
     crash;
   let keys = [| "a"; "b"; "c" |] in

@@ -230,6 +230,33 @@ let test_baseline_partition () =
     (List.length report.Lint.Report.baselined);
   check_int "no stale entries" 0 report.Lint.Report.stale_baseline
 
+let test_baseline_matches_by_message () =
+  let finding line msg =
+    Lint.Finding.v ~file:"test/t.ml" ~line ~col:0 ~rule:"R2"
+      ~severity:Lint.Finding.Error msg
+  in
+  let entry line note =
+    { Lint.Report.file = "test/t.ml"; rule = "R2"; line; note }
+  in
+  let make baseline findings =
+    Lint.Report.make ~paths:[ "test" ] ~files_scanned:1 ~suppressed:0
+      ~baseline findings
+  in
+  let moved = make [ entry 89 "eq" ] [ finding 80 "eq" ] in
+  check_int "a moved finding stays baselined" 0
+    (List.length moved.Lint.Report.fresh);
+  check_int "and its entry is not stale" 0 moved.Lint.Report.stale_baseline;
+  let extra = make [ entry 89 "eq" ] [ finding 80 "eq"; finding 90 "eq" ] in
+  check_int "one entry absorbs one finding" 1
+    (List.length extra.Lint.Report.fresh);
+  let other = make [ entry 89 "eq" ] [ finding 89 "neq" ] in
+  check_int "another message at the same line is new" 1
+    (List.length other.Lint.Report.fresh);
+  check_int "and leaves the entry stale" 1 other.Lint.Report.stale_baseline;
+  let twice = make [ entry 1 "eq"; entry 2 "eq" ] [ finding 5 "eq" ] in
+  check_int "an unused duplicate entry is stale" 1
+    twice.Lint.Report.stale_baseline
+
 (* --- the repo's own lint run ------------------------------------------ *)
 
 let test_self_lint_matches_baseline () =
@@ -281,5 +308,7 @@ let tests =
     case "report is deterministic" test_report_deterministic;
     case "validator rejects junk" test_validate_rejects_junk;
     case "baseline accepts and partitions" test_baseline_partition;
+    case "baseline matches by message, counted per triple"
+      test_baseline_matches_by_message;
     case "self-lint matches committed baseline" test_self_lint_matches_baseline;
   ]

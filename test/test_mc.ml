@@ -132,6 +132,36 @@ let replay_committed name () =
         (Stab.verdict_equal v cex.Mc.Checker.verdict)
     | Error e -> Alcotest.failf "%s: replay failed: %s" path e)
 
+(* An open finding, pinned as found: after the writer's sequence number
+   is corrupted to a value cd-older than the one the reader adopted
+   (half the modulus plus 4), Fig. 3 at n = 3 lets read R[28,40] return
+   the first write after the second completed.  Whether the defect is in
+   the implementation or in the oracle's cut is a ROADMAP item; this
+   pin moves when it is settled.  The search regenerates the committed
+   counterexample byte for byte, and the file replays. *)
+let test_writer_sn_cex_pinned () =
+  let path = Filename.concat examples "mc-atomic-writer-sn.json" in
+  let committed = Obs.File.read path in
+  match Mc.Checker.cex_of_json (parse_json path) with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok cex -> (
+    check_int "40 moves" 40 (List.length cex.Mc.Checker.trace);
+    check_true "regularity x1, reader R[28,40] returns 1"
+      (Stab.verdict_equal cex.Mc.Checker.verdict
+         (Stab.Violation
+            { kind = "regularity"; count = 1; detail = "reader R[28,40] 1" }));
+    (match Mc.Checker.replay cex with
+    | Ok v ->
+      check_true "replay reproduces the recorded verdict"
+        (Stab.verdict_equal v cex.Mc.Checker.verdict)
+    | Error e -> Alcotest.failf "%s: replay failed: %s" path e);
+    match (Mc.Checker.check cex.Mc.Checker.config).Mc.Checker.cex with
+    | None -> Alcotest.fail "the search no longer finds the counterexample"
+    | Some c ->
+      Alcotest.(check string)
+        "the search regenerates the committed bytes" committed
+        (Obs.Json.to_string_pretty (Mc.Checker.cex_to_json c) ^ "\n"))
+
 (* --- guided witness schedules --------------------------------------- *)
 
 (* The committed witness drives the regular protocol (judged against the
@@ -954,6 +984,7 @@ let tests =
       (replay_committed "mc-regular-stuck.json");
     case "committed inversion artifact replays"
       (replay_committed "mc-regular-inversion.json");
+    case "open finding: Fig. 3 writer-sn cex pinned" test_writer_sn_cex_pinned;
     case "guided witness finds the inversion"
       test_guided_witness_finds_inversion;
     case "sequential profile golden" test_profile_golden;

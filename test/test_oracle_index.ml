@@ -70,6 +70,35 @@ let prop_regularity =
       || QCheck.Test.fail_reportf "indexed:@.%s@.quadratic:@.%s"
            (regularity_report got) (regularity_report want))
 
+(* The indexed check against the brute-force reference taken from the
+   definition: the same counts, and the same violating reads, each with
+   the same admissible values (as a set: the definition has no order). *)
+let prop_regularity_definition =
+  QCheck.Test.make ~count:3000
+    ~name:"regularity matches its definition, by brute force"
+    (arb_case
+       QCheck.Gen.(pair gen_cutoff bool)
+       (fun (c, initial_ok) ->
+         Printf.sprintf "%s, initial_ok %b" (show_cutoff c) initial_ok))
+    (fun (ops, (cutoff, initial_ok)) ->
+      let h = history ops in
+      let cutoff = Option.map Sim.Vtime.of_int cutoff in
+      let got = Regularity.check ?cutoff ~initial_ok h in
+      let want = Ref.Regularity_definition.check ?cutoff ~initial_ok h in
+      let same_violation (a : Regularity.violation) (b : Regularity.violation)
+          =
+        a.read == b.read
+        && List.equal Registers.Value.equal
+             (List.sort_uniq Registers.Value.compare a.expected)
+             b.expected
+      in
+      (got.reads_checked = want.reads_checked
+      && got.reads_skipped = want.reads_skipped
+      && got.liveness_failures = want.liveness_failures
+      && List.equal same_violation got.violations want.violations)
+      || QCheck.Test.fail_reportf "indexed:@.%s@.definition:@.%s"
+           (regularity_report got) (regularity_report want))
+
 let prop_sw_atomicity =
   QCheck.Test.make ~count:2000
     ~name:"indexed single-writer atomicity matches the quadratic check"
@@ -118,4 +147,10 @@ let prop_stabilization =
          || QCheck.Test.fail_report "segment stabilization times differ"))
 
 let tests =
-  List.map Util.qcheck [ prop_regularity; prop_sw_atomicity; prop_stabilization ]
+  List.map Util.qcheck
+    [
+      prop_regularity;
+      prop_regularity_definition;
+      prop_sw_atomicity;
+      prop_stabilization;
+    ]

@@ -984,7 +984,6 @@ let tests =
       (replay_committed "mc-regular-stuck.json");
     case "committed inversion artifact replays"
       (replay_committed "mc-regular-inversion.json");
-    case "open finding: Fig. 3 writer-sn cex pinned" test_writer_sn_cex_pinned;
     case "guided witness finds the inversion"
       test_guided_witness_finds_inversion;
     case "sequential profile golden" test_profile_golden;
@@ -1006,4 +1005,5 @@ let tests =
       case "a search key agrees with the fingerprint under every menu"
         test_key_agrees_under_every_menu;
       case "enabled deliveries are sorted" test_enabled_is_sorted;
+      case "open finding: Fig. 3 writer-sn cex pinned" test_writer_sn_cex_pinned;
     ]

@@ -966,6 +966,86 @@ let test_enabled_is_sorted () =
        ({ n4_silent with Mc.Config.n = 20; read_budget = 8 }, 1_000) ]
     @ List.map (fun cfg -> (cfg, 2_000)) (Array.to_list clone_cfgs))
 
+(* --- clones that share sections with their original --------------------- *)
+
+(* Everything the checker reads off a state, each as a cold replay of the
+   same moves reads it. *)
+let cold_view sys =
+  ( key_view sys,
+    Mc.Sys.fingerprint sys,
+    List.map Mc.Sys.move_to_string (Mc.Sys.enabled sys),
+    Oracles.History.ops (Mc.Sys.history sys) )
+
+(* Walk [sys] [steps] moves, keying it after each one as a search does;
+   the moves fired. *)
+let keyed_walk st sys steps =
+  let rec go k acc =
+    ignore (search_key sys);
+    match Mc.Sys.enabled sys with
+    | [] -> List.rev acc
+    | _ when k = 0 -> List.rev acc
+    | moves ->
+      let moves = Array.of_list moves in
+      let mv = moves.(Random.State.int st (Array.length moves)) in
+      check_true "walk move applies" (Mc.Sys.apply sys mv);
+      go (k - 1) (mv :: acc)
+  in
+  go steps []
+
+(* The sequential search's last child: a node is cloned for its earlier
+   children, then walked on itself.  The clone, left alone, must still
+   read as a cold replay of its own moves once its original has walked
+   away, whether or not the original was keyed before the clone. *)
+let prop_clone_survives_its_original =
+  QCheck.Test.make ~count:60 ~name:"a clone survives its original walking on"
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 100_000) (int_range 0 40)
+        (int_range 1 30))
+    (fun (family, seed, prefix, steps) ->
+      let cfg = clone_cfgs.(family) in
+      let st = Random.State.make [| seed |] in
+      let sys = Mc.Sys.create cfg in
+      let fired = random_walk st sys prefix in
+      if seed mod 2 = 0 then ignore (search_key sys);
+      let copy = Mc.Sys.clone sys in
+      let walked = keyed_walk st sys steps in
+      cold_view copy = cold_view (replay cfg fired)
+      && cold_view sys = cold_view (replay cfg (fired @ walked)))
+
+(* The frontier's frozen parent: two children cloned off one keyed state
+   that is never walked itself, walked one after the other in either
+   order.  Each child, and the parent, reads as its own cold replay. *)
+let test_sibling_clones_of_a_frozen_state () =
+  Array.iteri
+    (fun family cfg ->
+      for seed = 1 to 8 do
+        List.iter
+          (fun a_first ->
+            let st = Random.State.make [| seed; family |] in
+            let sys = Mc.Sys.create cfg in
+            let fired = random_walk st sys (3 * seed) in
+            ignore (search_key sys);
+            let frozen = Mc.Sys.clone sys in
+            let a = Mc.Sys.clone frozen and b = Mc.Sys.clone frozen in
+            let walk c = keyed_walk st c (4 + seed) in
+            let wa, wb =
+              if a_first then
+                let wa = walk a in
+                (wa, walk b)
+              else
+                let wb = walk b in
+                (walk a, wb)
+            in
+            check_true "first child reads as its replay"
+              (cold_view a = cold_view (replay cfg (fired @ wa)));
+            check_true "second child reads as its replay"
+              (cold_view b = cold_view (replay cfg (fired @ wb)));
+            check_true "the frozen parent reads as its replay"
+              (cold_view frozen = cold_view (replay cfg fired)))
+          [ true; false ]
+      done)
+    clone_cfgs
+
 let tests =
   List.map
     (fun w -> case ("golden fingerprint: " ^ w.w_name) (test_golden_fingerprint w))
@@ -1006,4 +1086,6 @@ let tests =
         test_key_agrees_under_every_menu;
       case "enabled deliveries are sorted" test_enabled_is_sorted;
       case "open finding: Fig. 3 writer-sn cex pinned" test_writer_sn_cex_pinned;
+      qcheck prop_clone_survives_its_original;
+      case "sibling clones of a frozen state" test_sibling_clones_of_a_frozen_state;
     ]

@@ -131,6 +131,11 @@ let mem bits i = i >= 0 && (bits.(i / bits_per_word) lsr (i mod bits_per_word)) 
 let add bits i =
   bits.(i / bits_per_word) <- bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
+let clear bits =
+  for w = 0 to Array.length bits - 1 do
+    bits.(w) <- 0
+  done
+
 let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
     ?(use_visited = true) ?seed ?target ~shards cfg =
   {
@@ -150,15 +155,46 @@ let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
     admitted = Atomic.make 0;
   }
 
-let shuffle st l =
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
+(* What one driver — the sequential search, or one frontier worker —
+   expands nodes with, written afresh at every node and owned by that
+   driver alone: the keying buffers, the arrival sleep set in canonical
+   and in raw link coordinates, the visited set's residual, the
+   symmetry classes already branched on, and the shuffle's array. *)
+type scratch = {
+  keys : Sys.scratch;
+  arrival : int array;
+  residual : int array;
+  slept : int array;
+  seen : int array;
+  mutable order : Sys.move array;
+}
+
+let scratch ctx =
+  let width () = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
+  {
+    keys = Sys.scratch ctx.cfg;
+    arrival = width ();
+    residual = width ();
+    slept = width ();
+    seen = width ();
+    order = [||];
+  }
+
+(* Fisher–Yates over the driver's array, back into a list: the draws of
+   a shuffle of [Array.of_list l]. *)
+let shuffle sc st l =
+  let len = List.length l in
+  if Array.length sc.order < len then sc.order <- Array.make (2 * len) (Sys.Tick 0);
+  let a = sc.order in
+  List.iteri (fun i mv -> a.(i) <- mv) l;
+  for i = len - 1 downto 1 do
     let j = Random.State.int st (i + 1) in
     let t = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- t
   done;
-  Array.to_list a
+  let rec back i acc = if i < 0 then acc else back (i - 1) (a.(i) :: acc) in
+  back (len - 1) []
 
 (* The state [moves] reach from the initial one — how an artifact's
    schedule is re-executed (cex replay and digest, guided runs, shrink
@@ -199,33 +235,40 @@ let profile_fields s ~depth =
     ("terminals", Obs.Json.Int s.terminals);
   ]
 
-(* The expansion plan for a state arrival: explore every non-slept move
-   (first visit), only the canonical links set in the residual (revisit
-   with a non-empty residual), or nothing (revisit already covered). *)
-type expansion = Expand_all | Expand_only of int array | Covered
+(* Whether [rep] maps some slot [s] or below to another one: the state
+   has servers the key found interchangeable. *)
+let rec tied rep s = s >= 0 && (rep s <> s || tied rep (s - 1))
 
-(* The links a sleep set holds, renamed through [ren]. *)
-let sleep_bits ctx sys ren sleep =
-  let bits = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
+(* The expansion plan for a state arrival: explore every non-slept move
+   (first visit), only the canonical links set in the residual
+   ([residual] of the driver's scratch; revisit with a non-empty
+   residual), or nothing (revisit already covered). *)
+type expansion = Expand_all | Expand_only | Covered
+
+(* Write the links a sleep set holds, renamed through [ren], into
+   [bits]. *)
+let sleep_bits bits sys ren sleep =
+  clear bits;
   List.iter
     (fun mv ->
       let i = Sys.link_index sys ren mv in
       if i < 0 then invalid_arg "Mc.Checker: a sleep set holds a move that is not a delivery";
       add bits i)
-    sleep;
-  bits
+    sleep
 
 (* Look the state up and write back its new residual as one atomic step
    under its shard lock; an arrival at a known state counts as a
    revisit. *)
-let plan ctx stats sys ~k1 ~k2 ren sleep =
+let plan ctx sc stats sys ~k1 ~k2 ren sleep =
   if not ctx.use_visited then Expand_all
-  else
-    match Parallel.Pool.Visited.arrive ctx.visited ~k1 ~k2 (sleep_bits ctx sys ren sleep) with
-    | None -> Expand_all
-    | Some need ->
+  else begin
+    sleep_bits sc.arrival sys ren sleep;
+    if Parallel.Pool.Visited.arrive ctx.visited ~k1 ~k2 sc.arrival ~outside:sc.residual then begin
       stats.revisits <- stats.revisits + 1;
-      if Array.for_all (Int.equal 0) need then Covered else Expand_only need
+      if Array.for_all (Int.equal 0) sc.residual then Covered else Expand_only
+    end
+    else Expand_all
+  end
 
 (* What one node expansion hands its driver. *)
 type step =
@@ -242,7 +285,7 @@ type step =
    visited set, prune symmetric moves, and compute every child's sleep
    set.  Only how the children are scheduled — and so when a clone or
    a transition is paid — is left to the driver. *)
-let expand ctx stats ~sample sys ~depth ~sleep =
+let expand ctx sc stats ~sample sys ~depth ~sleep =
   if Atomic.fetch_and_add ctx.admitted 1 >= ctx.budgets.max_states then begin
     stats.truncated <- true;
     Out_of_budget
@@ -251,8 +294,7 @@ let expand ctx stats ~sample sys ~depth ~sleep =
     stats.states <- stats.states + 1;
     if depth > stats.max_depth_seen then stats.max_depth_seen <- depth;
     sample depth;
-    let moves = Sys.enabled sys in
-    if moves = [] then begin
+    if Sys.terminal sys then begin
       stats.terminals <- stats.terminals + 1;
       match terminal_verdict sys with
       | Clean -> Children []
@@ -270,21 +312,24 @@ let expand ctx stats ~sample sys ~depth ~sleep =
          key canonicalizes server identities (symmetry reduction) — so
          the comparison must happen in the same canonical coordinates,
          via the renaming the key chose. *)
-      let need_rep = ctx.reduction = Sleep_sets in
+      let need_rep = match ctx.reduction with Sleep_sets -> true | No_reduction -> false in
       let k1, k2, ren, rep =
-        if ctx.use_visited || need_rep then Sys.search_key sys
+        if ctx.use_visited || need_rep then Sys.search_key sc.keys sys
         else (0, 0, Fun.id, Fun.id)
       in
-      match plan ctx stats sys ~k1 ~k2 ren sleep with
+      match plan ctx sc stats sys ~k1 ~k2 ren sleep with
       | Covered -> Children []
-      | (Expand_all | Expand_only _) as plan ->
+      | (Expand_all | Expand_only) as plan ->
+        (* The menu is built only here, for a node that branches. *)
+        let moves = Sys.enabled sys in
         (* Symmetric-move pruning: deliveries aimed at servers of the
            same automorphism class have isomorphic successors; keep one
-           per class. *)
+           per class.  Without ties every class has one member. *)
         let moves =
-          if not need_rep then moves
+          if not (need_rep && tied rep (ctx.cfg.n - 1)) then moves
           else begin
-            let seen = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
+            let seen = sc.seen in
+            clear seen;
             List.filter
               (fun mv ->
                 let r = Sys.link_index sys rep mv in
@@ -307,21 +352,24 @@ let expand ctx stats ~sample sys ~depth ~sleep =
         let moves, covered =
           match plan with
           | Expand_all | Covered -> (moves, [])
-          | Expand_only need ->
-            List.partition (fun mv -> mem need (Sys.link_index sys ren mv)) moves
+          | Expand_only ->
+            List.partition (fun mv -> mem sc.residual (Sys.link_index sys ren mv)) moves
         in
         stats.sleep_skips <- stats.sleep_skips + List.length covered;
         let moves =
-          match ctx.rng with None -> moves | Some st -> shuffle st moves
+          match ctx.rng with None -> moves | Some st -> shuffle sc st moves
         in
         (* Enabled moves are distinct, so exploring a sibling can never
            put a later *candidate* to sleep — only child sleeps grow as
            siblings are explored — and the whole child list is known up
            front.  No candidate is covered, so only the arrival sleep
            can skip one. *)
-        let slept = sleep_bits ctx sys Fun.id sleep in
         let to_explore =
-          List.filter (fun mv -> not (mem slept (Sys.link_index sys Fun.id mv))) moves
+          match sleep with
+          | [] -> moves
+          | _ :: _ ->
+            sleep_bits sc.slept sys Fun.id sleep;
+            List.filter (fun mv -> not (mem sc.slept (Sys.link_index sys Fun.id mv))) moves
         in
         let base_sleep = covered @ sleep in
         stats.sleep_skips <-
@@ -334,7 +382,10 @@ let expand ctx stats ~sample sys ~depth ~sleep =
           | mv :: rest -> (
             match ctx.reduction with
             | Sleep_sets ->
-              (mv, List.filter (Sys.independent mv) sleep)
+              let inherited =
+                match sleep with [] -> [] | _ :: _ -> List.filter (Sys.independent mv) sleep
+              in
+              (mv, inherited)
               :: child_sleeps (mv :: sleep) rest
             | No_reduction -> (mv, []) :: child_sleeps sleep rest)
         in
@@ -347,8 +398,8 @@ let expand ctx stats ~sample sys ~depth ~sleep =
    untouched, and the final child consumes it.  Each node pays exactly
    [children - 1] clones, and no clone is ever taken of a state a child
    already changed. *)
-let rec explore ctx stats ~sample sys ~prefix_rev ~depth ~sleep =
-  match expand ctx stats ~sample sys ~depth ~sleep with
+let rec explore ctx sc stats ~sample sys ~prefix_rev ~depth ~sleep =
+  match expand ctx sc stats ~sample sys ~depth ~sleep with
   | Out_of_budget -> raise Out_of_states
   | Violating v -> raise (Found (List.rev prefix_rev, v))
   | Children children ->
@@ -358,7 +409,7 @@ let rec explore ctx stats ~sample sys ~prefix_rev ~depth ~sleep =
         let sys = if i < last then Sys.clone sys else sys in
         ignore (Sys.apply sys mv);
         stats.transitions <- stats.transitions + 1;
-        explore ctx stats ~sample sys ~prefix_rev:(mv :: prefix_rev)
+        explore ctx sc stats ~sample sys ~prefix_rev:(mv :: prefix_rev)
           ~depth:(depth + 1) ~sleep:child_sleep)
       children
 
@@ -384,7 +435,7 @@ let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
   in
   let verdict, trace =
     match
-      explore ctx stats ~sample:(sample ~force:false) (Sys.create cfg)
+      explore ctx (scratch ctx) stats ~sample:(sample ~force:false) (Sys.create cfg)
         ~prefix_rev:[] ~depth:0 ~sleep:[]
     with
     | () | (exception Out_of_states) -> (Clean, None)
@@ -441,6 +492,7 @@ type worker_report = {
 
 let frontier_worker ctx frontier recorder w =
   let stats = fresh_stats () in
+  let sc = scratch ctx in
   let violations = ref [] in
   (* Branched off the parent recorder *inside* the worker: recorders are
      single-domain mutable state, so each domain owns its branch and
@@ -471,7 +523,7 @@ let frontier_worker ctx frontier recorder w =
   let rec descend sys prefix_rev depth sleep =
     if not (Parallel.Pool.Frontier.stopped frontier) then
       match
-        expand ctx stats ~sample:(sample ~force:false) sys ~depth ~sleep
+        expand ctx sc stats ~sample:(sample ~force:false) sys ~depth ~sleep
       with
       | Out_of_budget -> Parallel.Pool.Frontier.stop frontier
       | Violating v ->

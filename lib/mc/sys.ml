@@ -69,11 +69,14 @@ let independent a b =
   | Deliver x, Deliver y -> x.client <> y.client && x.server <> y.server
   | _ -> false
 
-(* The explicit global state.  Everything mutable is owned by exactly one
-   [t] — {!clone} copies it — and everything shared between clones is
-   immutable: envelopes, queued lists, history ops and the suspended
-   operations' continuations, which reach their client state only through
-   the [t] they are resumed with. *)
+(* The explicit global state.  Everything mutable is owned by one [t] at
+   a time, or shared read-only between the clones of a state until one of
+   them writes it: {!clone} copies the record, the protocol state and the
+   history, and marks every other section shared on both sides, and each
+   write site copies the section it writes first ([own_*] below).  What
+   stays shared for good is immutable: envelopes, queued lists, history
+   ops and the suspended operations' continuations, which reach their
+   client state only through the [t] they are resumed with. *)
 type t = {
   cfg : Config.t;
   params : Params.t;
@@ -82,26 +85,30 @@ type t = {
   target : int; (* correct deliveries an ss-broadcast waits for *)
   named : int list; (* server slots a menu item names, ascending *)
   mailbox_ordered : bool; (* the menu can corrupt a round tag *)
-  servers : Server.t array;
-  (* [requests.(ci).(s)]: in flight from client [ci] to server [s], oldest
-     first, each with the number of the broadcast it belongs to;
-     [replies.(ci).(s)] the other way *)
-  requests : (Messages.server_envelope * int) list array array;
-  replies : Messages.client_envelope list array array;
-  clients : client array; (* ascending client id *)
+  mutable servers : Server.t array;
+  (* [requests.(ci * n + s)]: in flight from client [ci] to server [s],
+     oldest first, each with the number of the broadcast it belongs to;
+     [replies.(ci * n + s)] the other way *)
+  mutable requests : (Messages.server_envelope * int) list array;
+  mutable replies : Messages.client_envelope list array;
+  mutable clients : client array; (* ascending client id *)
   proto : proto;
   history : Oracles.History.t;
   (* The search key's cached section hashes: [hashes] holds server [s]'s
      two words at [2s] and [2s + 1], the history's at [2n] and [2n + 1];
-     a section's words are valid while its flag ([stale.(s)],
-     [hist_stale]) is down, and a move that changes what a section hashes
-     raises its flag.  Only {!search_key} writes the words and lowers the
+     a section's words are valid while its bit of [stale] ({!stale_bit})
+     or [hist_stale] is down, and a move that changes what a section
+     hashes raises it.  Only {!search_key} writes the words and lowers the
      flags, so a frontier worker's frozen parent is keyed before {!clone}
      freezes it and never after, and the workers cloning it concurrently
      only read it. *)
-  hashes : int array;
-  stale : bool array;
+  mutable hashes : int array;
+  mutable stale : int;
   mutable hist_stale : bool;
+  (* The sections this state shares with a clone, one bit each
+     ({!shared_all} and the [sh_*] bits): a write copies a shared section
+     and lowers its bit. *)
+  mutable shared : int;
   mutable clock : int;
   (* pending broadcast settlements of a zero target, oldest first: the
      unlabeled events [Tick]s fire *)
@@ -146,27 +153,94 @@ let copy_proto = function
     Atomic_p (Swsr_atomic.copy_wstate w, Swsr_atomic.copy_rstate r)
   | Mwmr_p procs -> Mwmr_p (Array.map Mwmr.copy_state procs)
 
+(* The sections [shared] marks: the four outer arrays, the hash words,
+   then one bit per client record (with its intake) and one per server
+   from [sh_client 0 + clients] on.  The bits run out at 62: the servers
+   from there on are one section, copied together. *)
+let sh_servers = 1
+
+let sh_requests = 2
+
+let sh_replies = 4
+
+let sh_clients = 8
+
+let sh_hashes = 16
+
+let shared_all = -1
+
+let sh_client ci = 1 lsl (5 + ci)
+
+let last_bit = 62
+
+(* The first server slot of the section that bit 62 covers. *)
+let server_group t = last_bit - 5 - Array.length t.clients
+
+let sh_server t s = 1 lsl Int.min last_bit (5 + Array.length t.clients + s)
+
+(* Server [s]'s bit of [stale]: from slot 62 on, one bit stands for every
+   slot, and {!search_key} rehashes them all. *)
+let stale_bit s = 1 lsl Int.min last_bit s
+
 let clone t =
+  if t.shared <> shared_all then t.shared <- shared_all;
   {
     t with
-    servers = Array.map Server.copy t.servers;
-    requests = Array.map Array.copy t.requests;
-    replies = Array.map Array.copy t.replies;
-    clients =
-      Array.map
-        (fun c ->
-          let wait =
-            match c.wait with
-            | Gathering w -> Gathering { w with g = Collect.copy_intake w.g }
-            | (Confirming _ | Finished) as w -> w
-          in
-          { c with wait })
-        t.clients;
+    shared = shared_all;
     proto = copy_proto t.proto;
     history = Oracles.History.copy t.history;
-    hashes = Array.copy t.hashes;
-    stale = Array.copy t.stale;
   }
+
+(* Copy section [bit] with [copy] if it is shared, and lower its bit. *)
+let own t bit copy =
+  if t.shared land bit <> 0 then begin
+    copy t;
+    t.shared <- t.shared land lnot bit
+  end
+
+let copy_servers t = t.servers <- Array.copy t.servers
+
+let copy_requests t = t.requests <- Array.copy t.requests
+
+let copy_replies t = t.replies <- Array.copy t.replies
+
+let copy_clients t = t.clients <- Array.copy t.clients
+
+let copy_hashes t = t.hashes <- Array.copy t.hashes
+
+(* Server [s]'s automaton, this state's own. *)
+let own_server t s =
+  let bit = sh_server t s in
+  if t.shared land bit <> 0 then begin
+    own t sh_servers copy_servers;
+    let first = server_group t in
+    if s < first then t.servers.(s) <- Server.copy t.servers.(s)
+    else
+      for s = first to Array.length t.servers - 1 do
+        t.servers.(s) <- Server.copy t.servers.(s)
+      done;
+    t.shared <- t.shared land lnot bit
+  end;
+  t.servers.(s)
+
+(* Client [ci]'s record, this state's own, an intake it collects into
+   included. *)
+let own_client t ci =
+  let bit = sh_client ci in
+  if t.shared land bit <> 0 then begin
+    own t sh_clients copy_clients;
+    let c = t.clients.(ci) in
+    let wait =
+      match c.wait with
+      | Gathering w -> Gathering { w with g = Collect.copy_intake w.g }
+      | (Confirming _ | Finished) as w -> w
+    in
+    t.clients.(ci) <- { c with wait };
+    t.shared <- t.shared land lnot bit
+  end;
+  t.clients.(ci)
+
+let link t ci s = (ci * t.cfg.n) + s
 
 let config t = t.cfg
 
@@ -183,20 +257,19 @@ let stuck t =
     (fun c acc -> if running c then c.name :: acc else acc)
     t.clients []
 
-(* Client [id]'s index, or -1 if no client has that id. *)
-let index t id =
-  let rec go ci =
-    if ci >= Array.length t.clients then -1
-    else if t.clients.(ci).id = id then ci
-    else go (ci + 1)
-  in
-  go 0
+(* Client [id]'s index from [ci] on, or -1 if no client has that id. *)
+let rec index_from t id ci =
+  if ci >= Array.length t.clients then -1
+  else if t.clients.(ci).id = id then ci
+  else index_from t id (ci + 1)
+
+let index t id = index_from t id 0
 
 let push q x = q @ [ x ]
 
 (* Server [s]'s instances or one of its links changed: its cached block
    hash is stale. *)
-let touch t s = t.stale.(s) <- true
+let touch t s = t.stale <- t.stale lor stale_bit s
 
 (* ------------------------------------------------------------------ *)
 (* Running the clients                                                *)
@@ -205,20 +278,23 @@ let touch t s = t.stale.(s) <- true
    at once: one envelope queued on each link, in server order, and the
    client waits for [target] correct deliveries of them. *)
 let rec run t ci = function
-  | Collect.Return () -> t.clients.(ci).wait <- Finished
+  | Collect.Return () -> (own_client t ci).wait <- Finished
   | Collect.Enter { next; _ } -> run t ci (next t)
   | Collect.Leave { outcome; next } -> run t ci (next outcome t)
   | Collect.Round r ->
     if r.backoff > 0 then invalid_arg "Mc.Sys: backoff needs a retry policy";
-    let c = t.clients.(ci) and q = t.requests.(ci) in
+    let c = own_client t ci in
+    own t sh_requests copy_requests;
     c.round <- (c.round + 1) mod Net.round_modulus;
     c.broadcasts <- c.broadcasts + 1;
     let env =
       { Messages.round = c.round; client = c.id; inst = r.inst; body = r.body;
         span = Obs.Trace_ctx.none }
     in
-    Array.iteri (fun s l -> q.(s) <- push l (env, c.broadcasts)) q;
-    Array.fill t.stale 0 (Array.length t.stale) true;
+    for l = link t ci 0 to link t ci (t.cfg.n - 1) do
+      t.requests.(l) <- push t.requests.(l) (env, c.broadcasts)
+    done;
+    t.stale <- -1;
     if t.target = 0 then t.ticks <- push t.ticks (ci, c.broadcasts);
     c.wait <- Confirming { left = t.target; tag = c.round; wanted = r.wanted;
                            attempt = r.attempt; k = r.k }
@@ -232,6 +308,7 @@ and settle t ci b =
   | Confirming { wanted = None; k; _ } when c.broadcasts = b ->
     run t ci (k Collect.skipped t)
   | Confirming { wanted = Some wanted; tag; attempt; k; _ } when c.broadcasts = b ->
+    let c = own_client t ci in
     let g = Collect.intake t.params ~health:t.health ~round:tag ~attempt ~wanted in
     let rec drain () =
       match c.mailbox with
@@ -243,15 +320,23 @@ and settle t ci b =
     else c.wait <- Gathering { g; k }
   | Confirming _ | Gathering _ | Finished -> ()
 
+(* Slot [s]'s Byzantine behavior, if it has one: [List.assoc_opt] at
+   type int, without the polymorphic comparison. *)
+let rec byz_kind s = function
+  | [] -> None
+  | (slot, kind) :: rest -> if Int.equal slot s then Some kind else byz_kind s rest
+
 (* Server [s] handles a request; its acknowledgment joins the reply
    link.  Byzantine slots answer as {!Config.byz_kind} says. *)
 let serve t ci s (env : Messages.server_envelope) =
   let ack (env : Messages.server_envelope) body =
-    t.replies.(ci).(s) <- push t.replies.(ci).(s)
+    own t sh_replies copy_replies;
+    let l = link t ci s in
+    t.replies.(l) <- push t.replies.(l)
         { Messages.round = env.round; server = s; body; cause = env.span; span_id = 0 }
   in
-  match List.assoc_opt s t.cfg.byz with
-  | None -> Server.handle t.servers.(s) env ~ack
+  match byz_kind s t.cfg.byz with
+  | None -> Server.handle (own_server t s) env ~ack
   | Some Config.Silent -> ()
   | Some (Config.Collude { sn; v }) ->
     ack env (Byzantine.Behavior.collude_reply ~cell:{ Messages.sn; v = Value.int v } env)
@@ -266,30 +351,38 @@ let bump t = t.clock <- t.clock + 1
    towards its broadcast if the server is correct; an acknowledgment is
    considered by a collecting client and queued otherwise. *)
 let deliver t ci s ~to_server =
-  let c = t.clients.(ci) in
-  match (to_server, t.requests.(ci).(s), t.replies.(ci).(s)) with
-  | true, (env, b) :: rest, _ ->
-    bump t;
-    touch t s;
-    t.requests.(ci).(s) <- rest;
-    serve t ci s env;
-    (match c.wait with
-    | Confirming w when t.correct.(s) && c.broadcasts = b ->
-      if w.left <= 1 then settle t ci b
-      else c.wait <- Confirming { w with left = w.left - 1 }
-    | Confirming _ | Gathering _ | Finished -> ());
-    true
-  | false, _, env :: rest ->
-    bump t;
-    touch t s;
-    t.replies.(ci).(s) <- rest;
-    (match c.wait with
-    | Gathering { g; k } ->
-      if Collect.consider g env then
-        run t ci (k (Collect.attempt_of g ~expired:false) t)
-    | Confirming _ | Finished -> c.mailbox <- push c.mailbox env);
-    true
-  | true, [], _ | false, _, [] -> false
+  let l = link t ci s in
+  if to_server then
+    match t.requests.(l) with
+    | [] -> false
+    | (env, b) :: rest ->
+      bump t;
+      touch t s;
+      own t sh_requests copy_requests;
+      t.requests.(l) <- rest;
+      serve t ci s env;
+      let c = t.clients.(ci) in
+      (match c.wait with
+      | Confirming w when t.correct.(s) && c.broadcasts = b ->
+        if w.left <= 1 then settle t ci b
+        else (own_client t ci).wait <- Confirming { w with left = w.left - 1 }
+      | Confirming _ | Gathering _ | Finished -> ());
+      true
+  else
+    match t.replies.(l) with
+    | [] -> false
+    | env :: rest ->
+      bump t;
+      touch t s;
+      own t sh_replies copy_replies;
+      t.replies.(l) <- rest;
+      let c = own_client t ci in
+      (match c.wait with
+      | Gathering { g; k } ->
+        if Collect.consider g env then
+          run t ci (k (Collect.attempt_of g ~expired:false) t)
+      | Confirming _ | Finished -> c.mailbox <- push c.mailbox env);
+      true
 
 (* ------------------------------------------------------------------ *)
 (* The clients' workloads                                             *)
@@ -405,8 +498,8 @@ let create (cfg : Config.t) =
       mailbox_ordered =
         List.exists (function Config.Corrupt_round _ -> true | _ -> false) cfg.menu;
       servers = Array.init n (fun id -> Server.create ~id);
-      requests = Array.init (List.length ids) (fun _ -> Array.make n []);
-      replies = Array.init (List.length ids) (fun _ -> Array.make n []);
+      requests = Array.make (List.length ids * n) [];
+      replies = Array.make (List.length ids * n) [];
       clients = Array.of_list (List.mapi client ids);
       proto =
         (match cfg.family with
@@ -415,7 +508,7 @@ let create (cfg : Config.t) =
           Atomic_p (Swsr_atomic.fresh_wstate (), Swsr_atomic.fresh_rstate ())
         | Config.Mwmr -> Mwmr_p (Array.of_list (List.map (fun _ -> Mwmr.fresh_state mwmr_cfg) ids)));
       history = Oracles.History.create ();
-      hashes = Array.make ((2 * n) + 2) 0; stale = Array.make n true; hist_stale = true;
+      hashes = Array.make ((2 * n) + 2) 0; stale = -1; hist_stale = true; shared = 0;
       clock = 0; ticks = []; applied = []; corrupt_times = [] }
   in
   (* Each client runs to its first broadcast, in client order. *)
@@ -448,7 +541,7 @@ let servers_descending n f =
    have three digits, so client order is their decimal order. *)
 let enabled t =
   let corrupts =
-    if t.cfg.menu = [] || not (client_active t) then []
+    if (match t.cfg.menu with [] -> true | _ :: _ -> false) || not (client_active t) then []
     else
       List.mapi (fun i _ -> i) t.cfg.menu
       |> List.filter (fun i -> not (List.mem i t.applied))
@@ -464,12 +557,22 @@ let enabled t =
   let n = t.cfg.n and clients = Array.length t.clients in
   servers_descending n (fun s ->
       for ci = clients - 1 downto 0 do
-        add ci ~to_server:false s t.replies.(ci).(s)
+        add ci ~to_server:false s t.replies.(link t ci s)
       done);
   for ci = clients - 1 downto 0 do
-    servers_descending n (fun s -> add ci ~to_server:true s t.requests.(ci).(s))
+    servers_descending n (fun s -> add ci ~to_server:true s t.requests.(link t ci s))
   done;
   !acc
+
+let rec links_empty a i =
+  i >= Array.length a || match a.(i) with [] -> links_empty a (i + 1) | _ :: _ -> false
+
+let terminal t =
+  (match t.ticks with [] -> true | _ :: _ -> false)
+  && links_empty t.requests 0 && links_empty t.replies 0
+  && (match t.cfg.menu with
+      | [] -> true
+      | _ :: _ -> (not (client_active t)) || List.compare_lengths t.applied t.cfg.menu = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Applying a move                                                    *)
@@ -477,7 +580,7 @@ let enabled t =
 let apply_corruption t = function
   | Config.Corrupt_server { server; sn; v } ->
     touch t server;
-    let srv = t.servers.(server) in
+    let srv = own_server t server in
     let insts =
       match Server.instances srv with
       | [] -> [ (0, Server.instance srv 0) ]
@@ -501,14 +604,14 @@ let apply_corruption t = function
     | Regular_p _ | Mwmr_p _ -> ())
   | Config.Corrupt_round { client; round } ->
     let ci = index t client in
-    if ci >= 0 then t.clients.(ci).round <- abs round mod Net.round_modulus
+    if ci >= 0 then (own_client t ci).round <- abs round mod Net.round_modulus
   | Config.Crash_recover { server } ->
     (* Crash plus recovery with lost volatile state, collapsed into one
        model step: the automaton keeps running (deliveries during the
        down window are a scheduling choice the explorer already owns) but
        its state reverts to pristine bot content. *)
     touch t server;
-    let srv = t.servers.(server) in
+    let srv = own_server t server in
     (match Server.instances srv with
     | [] -> ignore (Server.instance srv 0)
     | _ :: _ -> ());
@@ -711,7 +814,7 @@ let ranked_history k t =
    per client in client order.  Two servers with equal blocks are
    observationally interchangeable. *)
 let server_block k t s =
-  (match List.assoc_opt s t.cfg.byz with
+  (match byz_kind s t.cfg.byz with
   | Some Config.Silent -> tag k "Bs" 1
   | Some (Config.Collude { sn; v }) -> tag k "Bc" 2; num k sn; lit k ":"; num k v
   | None ->
@@ -724,7 +827,7 @@ let server_block k t s =
       insts);
   Array.iteri
     (fun ci c ->
-      let reqs = t.requests.(ci).(s) and reps = t.replies.(ci).(s) in
+      let reqs = t.requests.(link t ci s) and reps = t.replies.(link t ci s) in
       lit k "|c"; num k c.id; lit k ">"; len k (List.length reqs);
       List.iter (fun (env, _) -> to_server k env; lit k ";") reqs;
       lit k "<"; len k (List.length reps);
@@ -805,40 +908,75 @@ let tail k t ren =
     t.clients;
   lit k "\n"
 
-(* Sort [a.(lo)], ..., [a.(hi - 1)] in place: a handful of slots, so by
-   insertion. *)
-let sort_range a lo hi cmp =
+(* The order of slots [x] and [y] by their word pairs in [w] (slot [s]'s
+   at [2s] and [2s + 1]). *)
+let compare_words w x y =
+  match Int.compare w.(2 * x) w.(2 * y) with
+  | 0 -> Int.compare w.((2 * x) + 1) w.((2 * y) + 1)
+  | c -> c
+
+(* Sort the slots [order.(lo)], ..., [order.(hi - 1)] in place by their
+   word pairs in [w], then by id: a handful of slots, so by insertion. *)
+let sort_slots order lo hi w =
   for i = lo + 1 to hi - 1 do
-    let x = a.(i) and j = ref (i - 1) in
-    while !j >= lo && cmp a.(!j) x > 0 do
-      a.(!j + 1) <- a.(!j);
+    let x = order.(i) and j = ref (i - 1) in
+    while
+      !j >= lo
+      && match compare_words w order.(!j) x with 0 -> order.(!j) > x | c -> c > 0
+    do
+      order.(!j + 1) <- order.(!j);
       decr j
     done;
-    a.(!j + 1) <- x
+    order.(!j + 1) <- x
   done
 
-(* Symmetry reduction: the protocols never branch on a server's identity
-   (uniform broadcast, uniform links) and the oracles only read the
-   client-side history, so permuting server slots yields an isomorphic
-   state with the same verdicts.  Only slots named by a corruption-menu
-   item must keep their identity (a pending [Corrupt_server {server=2}]
+(* The buffers one canonicalization writes, per state size: the
+   canonical order, the renaming [ren] and the representatives [rep] it
+   computes, and the reference keys of tied slots as word pairs.  A
+   search keys every state through one of these per driver, so keying
+   allocates none of them. *)
+type scratch = {
+  order : int array; (* canonical position -> slot *)
+  canon : int array; (* slot -> canonical position *)
+  reps : int array; (* slot -> least slot of its automorphism class *)
+  refs : int array; (* slot [s]'s reference key at [2s] and [2s + 1] *)
+  ren : int -> int;
+  rep : int -> int;
+}
+
+let scratch (cfg : Config.t) =
+  let n = cfg.n in
+  let canon = Array.make n 0 and reps = Array.make n 0 in
+  { order = Array.make n 0; canon; reps; refs = Array.make (2 * n) 0;
+    ren = (fun s -> if s >= 0 && s < n then canon.(s) else s);
+    rep = (fun s -> if s >= 0 && s < n then reps.(s) else s) }
+
+(* Symmetry reduction.  Permuting server slots is meant to yield an
+   isomorphic state with the same verdicts: broadcasts and links are
+   uniform, and the oracles only read the client-side history.  One
+   protocol step does branch on a server's index, though:
+   [Quorum.find_in] returns the first value to reach its threshold in
+   slot order, so two permuted states can decide a read differently.
+   Until that is fixed (ROADMAP, "Make the search key sound"), the
+   reduction is a heuristic, and which states a search explores can
+   depend on its move order.  Only slots named by a corruption-menu item
+   keep their identity (a pending [Corrupt_server {server=2}]
    distinguishes slot 2).  Both the fingerprint and the search key see
    the state in canonical coordinates — named slots first in id order,
-   then the anonymous slots sorted by their blocks under [block], a total
-   preorder whose ties are exactly the equal blocks — and return the
-   renaming so the checker can put sleep sets into the same coordinates
-   (comparing sleep sets across symmetry-merged states is only sound
-   canonically).
+   then the anonymous slots sorted by their blocks' word pairs
+   ([blocks]), whose ties are exactly the equal blocks — and leave the
+   renaming in the scratch so the checker can put sleep sets into the
+   same coordinates (comparing sleep sets across symmetry-merged states
+   is only sound canonically).
 
    A server id also escapes into client mailboxes (ack envelopes name
-   their origin).  The references to a server ([refkey], ordered by
-   [compare_refs]) are permutation-invariant, so refining the sort with
-   them makes the canonical form complete: two states that differ only by
-   a permutation of anonymous servers always read identically, and
-   servers left tied (equal block, equal references) are true
-   automorphisms, so the id tie-break is harmless.  A reference key is
-   only ever compared between servers with equal blocks, so only those
-   compute one.
+   their origin).  The references to a server ([refkey] writes slot [s]'s
+   word pair into [refs]) are permutation-invariant, so refining the sort
+   with them orders the servers a permutation could tell apart; servers
+   left tied (equal block, equal references) are treated as
+   interchangeable, and the id breaks the tie.  A reference key is only
+   ever compared between servers with equal blocks, so only those compute
+   one.
 
    The only mailbox consumer is [Collect.attempt_once], which files
    responses into a per-server slots array — so the arrival ORDER of
@@ -851,121 +989,126 @@ let sort_range a lo hi cmp =
    resurrect it, and whether a stale envelope was consumed-and-dropped or
    still queued does depend on order.  So order is only erased when the
    menu carries no round corruption ([mailbox_ordered] is down). *)
-let canonical t ~block ~refkey ~compare_refs =
-  let n = Array.length t.servers in
+let canonical sc t ~blocks ~refs ~refkey =
+  let n = Array.length t.servers and order = sc.order and reps = sc.reps in
   (* with every mailbox empty, every reference key is empty *)
-  let quiet = Array.for_all (fun c -> match c.mailbox with [] -> true | _ :: _ -> false) t.clients in
+  let quiet = ref true in
+  for ci = 0 to Array.length t.clients - 1 do
+    match t.clients.(ci).mailbox with [] -> () | _ :: _ -> quiet := false
+  done;
   (* named slots first, in id order, then the anonymous ones by block *)
-  let order = Array.make n 0 and named = List.length t.named in
-  List.iteri (fun i s -> order.(i) <- s) t.named;
+  let rec place i = function [] -> i | s :: rest -> order.(i) <- s; place (i + 1) rest in
+  let named = place 0 t.named in
   let k = ref named in
   for s = 0 to n - 1 do
+    reps.(s) <- s;
     if not (List.mem s t.named) then begin order.(!k) <- s; incr k end
   done;
-  sort_range order named n (fun a b -> match block a b with 0 -> Int.compare a b | c -> c);
-  (* Servers still tied after the (block, refkey) sort are genuinely
-     interchangeable — swapping them is a state automorphism.  Map each
-     to the least member of its tie group: the explorer only fires
-     deliveries at class representatives, since the other successors are
-     isomorphic (equal blocks include the link contents, so a
-     representative's move is enabled whenever a class member's is). *)
-  let rep_arr = Array.init n Fun.id in
-  let rec runs i =
-    if i < n then begin
-      let j = ref (i + 1) in
-      while !j < n && block order.(i) order.(!j) = 0 do incr j done;
-      if !j - i > 1 then begin
-        if quiet then
-          for k = i + 1 to !j - 1 do rep_arr.(order.(k)) <- order.(i) done
-        else begin
-          let keys = Array.make n (refkey order.(i)) in
-          for k = i + 1 to !j - 1 do keys.(order.(k)) <- refkey order.(k) done;
-          sort_range order i !j (fun a b ->
-              match compare_refs keys.(a) keys.(b) with 0 -> Int.compare a b | c -> c);
-          for k = i + 1 to !j - 1 do
-            if compare_refs keys.(order.(k - 1)) keys.(order.(k)) = 0 then
-              rep_arr.(order.(k)) <- rep_arr.(order.(k - 1))
-          done
-        end
-      end;
-      runs !j
-    end
+  sort_slots order named n blocks;
+  (* Servers still tied after the (block, refkey) sort are treated as
+     interchangeable.  Map each to the least member of its tie group:
+     the explorer only fires deliveries at class representatives (equal
+     blocks include the link contents, so a representative's move is
+     enabled whenever a class member's is). *)
+  let i = ref named in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && compare_words blocks order.(!i) order.(!j) = 0 do incr j done;
+    if !j - !i > 1 then begin
+      if !quiet then
+        for k = !i + 1 to !j - 1 do reps.(order.(k)) <- order.(!i) done
+      else begin
+        for k = !i to !j - 1 do refkey order.(k) done;
+        sort_slots order !i !j refs;
+        for k = !i + 1 to !j - 1 do
+          if compare_words refs order.(k - 1) order.(k) = 0 then
+            reps.(order.(k)) <- reps.(order.(k - 1))
+        done
+      end
+    end;
+    i := !j
+  done;
+  for pos = 0 to n - 1 do
+    sc.canon.(order.(pos)) <- pos
+  done
+
+(* Each string's rank among [keys] as a word pair: [(rank, 0)] at [2s],
+   so comparing ranks compares the strings. *)
+let ranks_of keys =
+  let sorted = Array.copy keys in
+  Array.sort String.compare sorted;
+  let rec first k lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if String.compare sorted.(mid) k < 0 then first k (mid + 1) hi else first k lo mid
   in
-  runs named;
-  let canon = Array.make n 0 in
-  Array.iteri (fun pos s -> canon.(s) <- pos) order;
-  let ren s = if s >= 0 && s < n then canon.(s) else s in
-  let rep s = if s >= 0 && s < n then rep_arr.(s) else s in
-  (order, ren, rep)
+  let w = Array.make (2 * Array.length keys) 0 in
+  Array.iteri (fun s k -> w.(2 * s) <- first k 0 (Array.length sorted)) keys;
+  w
 
 (* The only place a state meets MD5: the digest artifacts record.  The
-   whole text is rendered afresh on every call and nothing is written
-   into the state. *)
+   whole text is rendered afresh on every call, into buffers of its own,
+   and nothing is written into the state.  Blocks and reference keys are
+   ordered as strings, through their ranks. *)
 let fingerprint_ex t =
-  let blocks = Array.init (Array.length t.servers) (fun s -> render (fun k -> server_block k t s)) in
-  let order, ren, rep =
-    canonical t
-      ~block:(fun x y -> String.compare blocks.(x) blocks.(y))
-      ~refkey:(fun s -> render (fun k -> refkey k t s))
-      ~compare_refs:String.compare
-  in
+  let sc = scratch t.cfg and n = Array.length t.servers in
+  let blocks = Array.init n (fun s -> render (fun k -> server_block k t s)) in
+  canonical sc t ~blocks:(ranks_of blocks)
+    ~refs:(ranks_of (Array.init n (fun s -> render (fun k -> refkey k t s))))
+    ~refkey:ignore;
   let b = Buffer.create 512 in
   (* servers in canonical order *)
   Array.iteri
     (fun pos s ->
       Buffer.add_char b 's'; Value.add_decimal b pos; Buffer.add_char b ':';
       Buffer.add_string b blocks.(s); Buffer.add_char b '\n')
-    order;
-  tail (Text b) t ren;
+    sc.order;
+  tail (Text b) t sc.ren;
   ranked_history (Text b) t;
-  (Digest.to_hex (Digest.string (Buffer.contents b)), ren, rep)
+  (Digest.to_hex (Digest.string (Buffer.contents b)), sc.ren, sc.rep)
 
 let fingerprint t =
   let d, _, _ = fingerprint_ex t in
   d
 
-(* Walk [f] into fresh lanes and finish them into the section words at
-   [t.hashes.(off)] and [t.hashes.(off + 1)]. *)
-let store t off f =
+(* Walk [f] into fresh lanes and finish them into the word pair at
+   [w.(off)] and [w.(off + 1)]. *)
+let store w off f =
   let h = lanes () in
   f (Words h);
-  t.hashes.(off) <- avalanche h.a;
-  t.hashes.(off + 1) <- avalanche h.b
-
-let compare_pairs (a1, b1) (a2, b2) = match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
+  w.(off) <- avalanche h.a;
+  w.(off + 1) <- avalanche h.b
 
 (* The fingerprint's walk into hash words: the stale section hashes are
    refreshed, the anonymous slots sorted by their hash words, and the
    blocks' words in that order, the tail and the history's words folded
    into one pair of lanes.  Nothing is rendered, and no MD5 runs. *)
-let search_key t =
-  let n = Array.length t.servers and h = t.hashes in
-  for s = 0 to n - 1 do
-    if t.stale.(s) then begin
-      store t (2 * s) (fun k -> server_block k t s);
-      t.stale.(s) <- false
-    end
-  done;
+let search_key sc t =
+  let n = Array.length t.servers in
+  if t.stale <> 0 || t.hist_stale then own t sh_hashes copy_hashes;
+  let h = t.hashes in
+  if t.stale <> 0 then begin
+    for s = 0 to n - 1 do
+      if t.stale land stale_bit s <> 0 then store h (2 * s) (fun k -> server_block k t s)
+    done;
+    t.stale <- 0
+  end;
   if t.hist_stale then begin
-    store t (2 * n) (fun k -> ranked_history k t);
+    store h (2 * n) (fun k -> ranked_history k t);
     t.hist_stale <- false
   end;
-  let block x y =
-    match Int.compare h.(2 * x) h.(2 * y) with
-    | 0 -> Int.compare h.((2 * x) + 1) h.((2 * y) + 1)
-    | c -> c
-  in
-  let order, ren, rep =
-    canonical t ~block
-      ~refkey:(fun s -> let r = lanes () in refkey (Words r) t s; finish r)
-      ~compare_refs:compare_pairs
-  in
+  canonical sc t ~blocks:h ~refs:sc.refs ~refkey:(fun s ->
+      store sc.refs (2 * s) (fun k -> refkey k t s));
   let key = lanes () in
-  Array.iter (fun s -> words key h.(2 * s) h.((2 * s) + 1)) order;
-  tail (Words key) t ren;
+  for pos = 0 to n - 1 do
+    let s = sc.order.(pos) in
+    words key h.(2 * s) h.((2 * s) + 1)
+  done;
+  tail (Words key) t sc.ren;
   words key h.(2 * n) h.((2 * n) + 1);
   let k1, k2 = finish key in
-  (k1, k2, ren, rep)
+  (k1, k2, sc.ren, sc.rep)
 
 let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
 

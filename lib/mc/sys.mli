@@ -90,6 +90,10 @@ val enabled : t -> move list
     [Corrupt] items (only while some client is still running).
     Empty iff the execution is terminal. *)
 
+val terminal : t -> bool
+(** [enabled t = []], without building the menu: no link has traffic in
+    flight, no unlabeled event is pending, and no menu item can fire. *)
+
 val apply : ?strict:bool -> t -> move -> bool
 (** Fire one move: advance the clock one tick, then execute it (and
     whatever protocol code it resumes, up to the client's next
@@ -126,8 +130,18 @@ val fingerprint_ex : t -> string * (int -> int) * (int -> int)
     computes it ({!search_key}).  Every call renders the whole text
     afresh and writes nothing into the state. *)
 
-val search_key : t -> int * int * (int -> int) * (int -> int)
-(** [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
+type scratch
+(** The buffers keying a state writes: its canonical order, renaming and
+    representative map, and the hashed reference keys of tied slots.  A
+    driver makes one per search or per worker and keys every state it
+    visits through it. *)
+
+val scratch : Config.t -> scratch
+(** Buffers for states of this configuration.  Keying a state never
+    allocates them again. *)
+
+val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
+(** [search_key sc t] is [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
     its own canonical renaming and the representative map.  The key runs
     the very walks {!fingerprint_ex} renders — server instances and link
     contents, client ports, protocol state, spent menu, progress and the
@@ -157,7 +171,10 @@ val search_key : t -> int * int * (int -> int) * (int -> int)
     corruption its server's block, a recorded operation or a corruption
     the history).  Only this function writes the caches, so a state other
     domains clone concurrently is keyed before it is frozen and never
-    after. *)
+    after.
+
+    [ren] and [rep] read [sc]: they describe [t] until [sc] keys another
+    state. *)
 
 val links : Config.t -> int
 (** The number of links of a deployment: clients × servers × 2

@@ -114,15 +114,16 @@ module Visited : sig
       single-domain caller should ask for one.  Raises
       [Invalid_argument] if [shards < 1] or [width < 1]. *)
 
-  val arrive : t -> k1:int -> k2:int -> int array -> int array option
-  (** [arrive t ~k1 ~k2 bits], *atomically* under the shard lock: if the
-      key is absent, insert it with [bits] and return [None]; otherwise
-      return [Some outside], the resident bits outside [bits], and keep
-      only the resident bits inside [bits] (nothing is written when
-      [outside] is empty).  This is the model checker's sleep-set
-      revisit: the resident bitset is the residual, [bits] the
-      arrival's sleep set.  Raises [Invalid_argument] if [bits] is not
-      [width] long. *)
+  val arrive : t -> k1:int -> k2:int -> int array -> outside:int array -> bool
+  (** [arrive t ~k1 ~k2 bits ~outside], *atomically* under the shard
+      lock: if the key is absent, insert it with [bits] and return
+      [false]; otherwise write into [outside] the resident bits outside
+      [bits], keep only the resident bits inside [bits] (nothing is
+      written when [outside] is empty), and return [true].  This is the
+      model checker's sleep-set revisit: the resident bitset is the
+      residual, [bits] the arrival's sleep set.  Nothing is allocated.
+      Raises [Invalid_argument] if [bits] or [outside] is not [width]
+      long. *)
 
   val find : t -> k1:int -> k2:int -> int array option
   (** A copy of the key's bitset, if it is resident. *)

@@ -432,9 +432,12 @@ let random_walk st sys steps =
   in
   go steps []
 
+(* A state's search key, through buffers of its own. *)
+let keyed sys = Mc.Sys.search_key (Mc.Sys.scratch (Mc.Sys.config sys)) sys
+
 (* The visited set's key of a state, without the renaming maps. *)
 let search_key sys =
-  let k1, k2, _, _ = Mc.Sys.search_key sys in
+  let k1, k2, _, _ = keyed sys in
   (k1, k2)
 
 (* A clone starts equal to its original and evolves independently: the
@@ -900,7 +903,7 @@ let test_key_agrees_with_fingerprint () =
 (* What a search key tells the checker: the key, and the representative
    and renaming maps on every server slot. *)
 let key_view sys =
-  let k1, k2, ren, rep = Mc.Sys.search_key sys in
+  let k1, k2, ren, rep = keyed sys in
   let n = (Mc.Sys.config sys).Mc.Config.n in
   (k1, k2, Array.init n rep, Array.init n ren)
 
@@ -941,7 +944,7 @@ let test_key_agrees_under_every_menu () =
       let name = Printf.sprintf "clone config %d" i in
       let n = cfg.Mc.Config.n in
       let same_rep sys =
-        let _, _, _, rep = Mc.Sys.search_key sys and _, _, rep' = Mc.Sys.fingerprint_ex sys in
+        let _, _, _, rep = keyed sys and _, _, rep' = Mc.Sys.fingerprint_ex sys in
         check_true (name ^ ": one representative map") (List.init n rep = List.init n rep')
       in
       check_key_partition name (reached_states ~check:same_rep cfg ~budget:8_000))
@@ -1014,8 +1017,11 @@ let prop_clone_survives_its_original =
 
 (* The frontier's frozen parent: two children cloned off one keyed state
    that is never walked itself, walked one after the other in either
-   order.  Each child, and the parent, reads as its own cold replay. *)
+   order.  Each child, and the parent, reads as its own cold replay.  The
+   last config has more servers than a state has sharing bits, so its
+   high slots share one. *)
 let test_sibling_clones_of_a_frozen_state () =
+  let wide = { n4_silent with Mc.Config.n = 64; f = 0; byz = [ (60, Mc.Config.Silent) ] } in
   Array.iteri
     (fun family cfg ->
       for seed = 1 to 8 do
@@ -1044,7 +1050,27 @@ let test_sibling_clones_of_a_frozen_state () =
               (cold_view frozen = cold_view (replay cfg fired)))
           [ true; false ]
       done)
-    clone_cfgs
+    (Array.append clone_cfgs [| wide |])
+
+(* --- what an expansion allocates ------------------------------------------ *)
+
+(* The seeded n4-silent search is the benchmark's mc workload.  Its
+   minor-heap allocation is deterministic for a build, so a section copy
+   or a per-node buffer that comes back into [clone] or [expand] shows
+   here without a timing run.  The bound is the measured 324.8 words per
+   expansion plus 10%; before sections were copied on write it was 514.5. *)
+let test_expansion_allocation () =
+  let words_per_expansion = 357.3 in
+  ignore (Mc.Checker.search ~seed:1 n4_silent);
+  let before = Gc.minor_words () in
+  let o = Mc.Checker.search ~seed:1 n4_silent in
+  let words = Gc.minor_words () -. before in
+  let states = o.Mc.Checker.stats.Mc.Checker.states in
+  check_int "expansions" 27_475 states;
+  let per = words /. float_of_int states in
+  if per > words_per_expansion then
+    Alcotest.failf "%.1f minor words per expansion (%.0f per search), above %.1f" per words
+      words_per_expansion
 
 let tests =
   List.map
@@ -1088,4 +1114,5 @@ let tests =
       case "open finding: Fig. 3 writer-sn cex pinned" test_writer_sn_cex_pinned;
       qcheck prop_clone_survives_its_original;
       case "sibling clones of a frozen state" test_sibling_clones_of_a_frozen_state;
+      case "an expansion allocates what its move changed" test_expansion_allocation;
     ]

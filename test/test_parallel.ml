@@ -253,7 +253,9 @@ let test_deque_grows () =
 (* Hand-crafted keys: [key] is the first word (it picks the shard and
    the home slot), [tail] the second; keys sharing [key] but not [tail]
    are the collisions the table counts. *)
-let arrive m ~key ~tail bits = Parallel.Pool.Visited.arrive m ~k1:key ~k2:tail bits
+let arrive m ~key ~tail bits =
+  let outside = Array.make (Array.length bits) 0 in
+  if Parallel.Pool.Visited.arrive m ~k1:key ~k2:tail bits ~outside then Some outside else None
 let find m ~key ~tail = Parallel.Pool.Visited.find m ~k1:key ~k2:tail
 let bits_equal = Option.equal (Array.for_all2 Int.equal)
 

@@ -614,9 +614,10 @@ let mc_cmd =
   let order_seed =
     let doc =
       "Shuffle the exploration order at every node, deterministically from \
-       this seed (swarm-style hunting: the reduced state space and any \
-       exhaustive verdict are unchanged, but a state budget reaches \
-       different corners first)."
+       this seed (swarm-style hunting: a state budget reaches different \
+       corners first).  Until the search key is sound (ROADMAP), the \
+       number of unique states, and possibly an exhaustive verdict, can \
+       also depend on the order."
     in
     Arg.(value & opt (some int) None & info [ "order-seed" ] ~docv:"SEED" ~doc)
   in

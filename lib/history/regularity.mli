@@ -5,7 +5,17 @@
     the read started, or the value of a write concurrent with the read.
     Reads invoked before the cutoff are ignored (they are allowed to return
     arbitrary values); reads that ran out of budget count as liveness
-    failures, reported separately. *)
+    failures, reported separately.
+
+    Ties: when several writes complete at the same latest instant before a
+    read starts, only the first of them in history order counts as the
+    last write, so a read returning another one (and not concurrent with
+    it) is a violation.  That is the single-writer reading: one writer's
+    writes run one after another, so they tie only if one takes no time.
+    Every caller checks a single-writer history (the regular family's,
+    and each key of a shard, written by one router fiber).  Multi-writer
+    histories must not be checked with this module: tied writes by two
+    writers would give false violations. *)
 
 type violation = {
   read : History.op;

@@ -91,11 +91,11 @@ type ctx = {
   reduction : reduction;
   use_visited : bool;
   (* [Some rng]: shuffle sibling order at every node (deterministically,
-     from the seed).  Sleep sets, subsumption and symmetry pruning are all
-     order-agnostic, so any order explores the same reduced state space —
-     but a different order reaches different corners of it first, which is
-     what a bug hunt under a state budget needs.  Sequential search only:
-     a [Random.State.t] is not shared across domains. *)
+     from the seed), so a bug hunt under a state budget reaches different
+     corners first.  While the search key can merge states whose futures
+     differ, the states explored can also depend on the order (ROADMAP,
+     "Make the search key sound").  Sequential search only: a
+     [Random.State.t] is not shared across domains. *)
   rng : Random.State.t option;
   (* Violations whose kind the caller is not hunting are recorded in the
      stats but do not stop the search. *)

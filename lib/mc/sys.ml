@@ -153,10 +153,11 @@ let copy_proto = function
     Atomic_p (Swsr_atomic.copy_wstate w, Swsr_atomic.copy_rstate r)
   | Mwmr_p procs -> Mwmr_p (Array.map Mwmr.copy_state procs)
 
-(* The sections [shared] marks: the four outer arrays, the hash words,
-   then one bit per client record (with its intake) and one per server
-   from [sh_client 0 + clients] on.  The bits run out at 62: the servers
-   from there on are one section, copied together. *)
+(* The sections [shared] marks, one bit each: the server and client
+   arrays themselves, the two link arrays, the hash words, then each
+   client's record (with its intake) and each server's automaton.  The
+   bits run out at 62: the servers from that bit on are one section,
+   copied together. *)
 let sh_servers = 1
 
 let sh_requests = 2
@@ -178,8 +179,8 @@ let server_group t = last_bit - 5 - Array.length t.clients
 
 let sh_server t s = 1 lsl Int.min last_bit (5 + Array.length t.clients + s)
 
-(* Server [s]'s bit of [stale]: from slot 62 on, one bit stands for every
-   slot, and {!search_key} rehashes them all. *)
+(* Server [s]'s bit of [stale]: bit 62 stands for slot 62 and every slot
+   above it, and {!search_key} rehashes them all. *)
 let stale_bit s = 1 lsl Int.min last_bit s
 
 let clone t =
@@ -541,7 +542,7 @@ let servers_descending n f =
    have three digits, so client order is their decimal order. *)
 let enabled t =
   let corrupts =
-    if (match t.cfg.menu with [] -> true | _ :: _ -> false) || not (client_active t) then []
+    if t.cfg.menu = [] || not (client_active t) then []
     else
       List.mapi (fun i _ -> i) t.cfg.menu
       |> List.filter (fun i -> not (List.mem i t.applied))

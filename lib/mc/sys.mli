@@ -70,12 +70,20 @@ val create : Config.t -> t
 
 val clone : t -> t
 (** An independent copy: applying moves to either leaves the other as it
-    was.  Copies every mutable record (server instances, link and mailbox
-    heads, client records, the history, the search key's cached section
-    hashes and their stale flags) and shares the immutable rest.  Keying
-    a state writes its caches, so a state that other domains clone
-    concurrently (a frontier worker's frozen parent) is keyed before it
-    is frozen and never after. *)
+    was.  The copy is made on write.  [clone] copies the state record,
+    the protocol state and the history, and marks every other section
+    shared by both states: each server's automaton, each client's record
+    with a collecting round's intake, the two link arrays, the server and
+    client arrays themselves, and the search key's cached hash words.
+    Whichever state writes a shared section first copies it and keeps the
+    copy, so a move pays only for the sections it writes.
+
+    [clone] writes its argument only to mark it shared, and not at all
+    when every section already is, as in a fresh clone.  A frontier
+    worker's frozen parent is such a clone, and nothing walks it, so the
+    workers that clone it concurrently only read it.  Keying a state
+    writes its hash cache, so that parent is keyed before it is frozen
+    and never after. *)
 
 val config : t -> Config.t
 
@@ -114,10 +122,16 @@ val fingerprint : t -> string
     progress, and the recorded history with instants canonicalized to
     their rank (order type) so order-isomorphic pasts merge.  Server
     slots not named by any corruption-menu item are additionally
-    canonicalized up to permutation (symmetry reduction): the protocols
-    never branch on a server's identity, so permuted states have
-    isomorphic futures and identical verdicts.  Two states with equal
-    fingerprints have indistinguishable futures and verdicts. *)
+    canonicalized up to permutation (symmetry reduction).
+
+    Equal fingerprints do not guarantee equal futures yet.  The digest
+    leaves out each client's wait (what a collecting round has filed,
+    what a confirming one still awaits), and [Quorum.find_in] branches
+    on a server's index, so two states with one fingerprint can go on to
+    different verdicts.  A search that merges states by it can therefore
+    explore a different set of states under a different move order.
+    ROADMAP's first item ("Make the search key sound") holds the witness
+    and the fix. *)
 
 val fingerprint_ex : t -> string * (int -> int) * (int -> int)
 (** [(digest, ren, rep)]: {!fingerprint} plus the canonical server

@@ -329,14 +329,8 @@ module Visited = struct
 
   let locked sh f = Mutex.protect sh.vs_lock f
 
-  (* The lock is taken and released around the table code itself, not
-     through [Mutex.protect]: an arrival is the checker's per-node step,
-     and a closure per call is what it would cost. *)
-  let arrive t ~k1 ~k2 bits ~outside =
-    check_width t bits;
-    check_width t outside;
-    let sh = shard_of t k1 in
-    Mutex.lock sh.vs_lock;
+  (* [arrive]'s table step, run under the shard lock. *)
+  let arrive_locked t sh ~k1 ~k2 bits ~outside =
     match locate t sh k1 k2 with
     | i when i >= 0 ->
       let b = sh.vs_slots and off = (i * stride t) + 16 in
@@ -347,29 +341,39 @@ module Visited = struct
         if outside.(w) <> 0 then
           Bytes.set_int64_le b (off + (8 * w)) (Int64.of_int (r land bits.(w)))
       done;
-      Mutex.unlock sh.vs_lock;
       true
-    | i -> (
-      match
+    | i ->
+      let i =
         if 10 * (sh.vs_entries + 1) > 7 * sh.vs_cap then begin
           grow t sh;
           locate t sh k1 k2
         end
         else i
-      with
-      | i ->
-        let i = lnot i in
-        if shares_first_word t sh k1 i then
-          sh.vs_collisions <- sh.vs_collisions + 1;
-        let off = i * stride t in
-        store_key sh.vs_slots off k1 k2;
-        write_bits t sh.vs_slots off bits;
-        sh.vs_entries <- sh.vs_entries + 1;
-        Mutex.unlock sh.vs_lock;
-        false
-      | exception e ->
-        Mutex.unlock sh.vs_lock;
-        raise e)
+      in
+      let i = lnot i in
+      if shares_first_word t sh k1 i then
+        sh.vs_collisions <- sh.vs_collisions + 1;
+      let off = i * stride t in
+      store_key sh.vs_slots off k1 k2;
+      write_bits t sh.vs_slots off bits;
+      sh.vs_entries <- sh.vs_entries + 1;
+      false
+
+  (* The lock is taken and released here rather than through
+     [Mutex.protect]: an arrival is the checker's per-node step, and the
+     closure would be allocated on every one. *)
+  let arrive t ~k1 ~k2 bits ~outside =
+    check_width t bits;
+    check_width t outside;
+    let sh = shard_of t k1 in
+    Mutex.lock sh.vs_lock;
+    match arrive_locked t sh ~k1 ~k2 bits ~outside with
+    | resident ->
+      Mutex.unlock sh.vs_lock;
+      resident
+    | exception e ->
+      Mutex.unlock sh.vs_lock;
+      raise e
 
   let find t ~k1 ~k2 =
     let sh = shard_of t k1 in

@@ -952,7 +952,8 @@ let test_key_agrees_under_every_menu () =
 
 (* [Sys.enabled] produces its deliveries already sorted: the [Deliver]
    prefix is strictly increasing under [compare_move], also where server
-   ids pass one digit (n = 12, n = 20). *)
+   ids pass one digit (n = 12, n = 20).  [Sys.terminal] holds exactly
+   where it is empty. *)
 let test_enabled_is_sorted () =
   let sorted sys =
     let rec go = function
@@ -960,7 +961,9 @@ let test_enabled_is_sorted () =
         Mc.Sys.compare_move a b < 0 && go (b :: rest)
       | _ -> true
     in
-    check_true "deliveries in compare_move order" (go (Mc.Sys.enabled sys))
+    check_true "deliveries in compare_move order" (go (Mc.Sys.enabled sys));
+    check_true "terminal iff no move is enabled"
+      (Bool.equal (Mc.Sys.terminal sys) (Mc.Sys.enabled sys = []))
   in
   List.iter
     (fun (cfg, budget) -> ignore (reached_states ~check:sorted cfg ~budget))

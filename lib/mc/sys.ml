@@ -1033,19 +1033,14 @@ let canonical sc t ~blocks ~refs ~refkey =
     sc.canon.(order.(pos)) <- pos
   done
 
-(* Each string's rank among [keys] as a word pair: [(rank, 0)] at [2s],
-   so comparing ranks compares the strings. *)
+(* Each string's rank among [keys] as a word pair, [(rank, 0)] at [2s]:
+   how many keys sort below it, so comparing ranks compares the
+   strings. *)
 let ranks_of keys =
-  let sorted = Array.copy keys in
-  Array.sort String.compare sorted;
-  let rec first k lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if String.compare sorted.(mid) k < 0 then first k (mid + 1) hi else first k lo mid
-  in
   let w = Array.make (2 * Array.length keys) 0 in
-  Array.iteri (fun s k -> w.(2 * s) <- first k 0 (Array.length sorted)) keys;
+  Array.iteri
+    (fun s k -> Array.iter (fun k' -> if String.compare k' k < 0 then w.(2 * s) <- w.(2 * s) + 1) keys)
+    keys;
   w
 
 (* The only place a state meets MD5: the digest artifacts record.  The

@@ -1061,7 +1061,7 @@ let test_sibling_clones_of_a_frozen_state () =
    minor-heap allocation is deterministic for a build, so a section copy
    or a per-node buffer that comes back into [clone] or [expand] shows
    here without a timing run.  The bound is the measured 324.8 words per
-   expansion plus 10%; before sections were copied on write it was 514.5. *)
+   expansion plus 10%. *)
 let test_expansion_allocation () =
   let words_per_expansion = 357.3 in
   ignore (Mc.Checker.search ~seed:1 n4_silent);

@@ -101,9 +101,9 @@ val search :
     ({!Sys.fingerprint}), so the unique-state count depends on the order
     (regular n = 4, t = 1, one silent server, no reduction: 6,755, 6,681
     and 6,747 under the default order and seeds 1 and 2), and an
-    exhaustive verdict may too.  ROADMAP, "Make the search key sound".  Use
-    different seeds to hunt bugs that hide from the
-    default order (swarm-style).
+    exhaustive verdict may too (ROADMAP, "Make the search key sound").
+    Use different seeds to hunt bugs that hide from the default order
+    (swarm-style).
 
     [target] restricts the hunt to one violation kind (e.g.
     ["inversion"]): terminals violating some other way are counted in

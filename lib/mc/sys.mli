@@ -155,13 +155,13 @@ val scratch : Config.t -> scratch
     allocates them again. *)
 
 val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
-(** [search_key sc t] is [(k1, k2, ren, rep)]: the key the checker's visited set stores, with
-    its own canonical renaming and the representative map.  The key runs
-    the very walks {!fingerprint_ex} renders — server instances and link
-    contents, client ports, protocol state, spent menu, progress and the
-    ranked history — into a word sink: two 63-bit lanes of a
-    non-cryptographic multiply-xorshift hash.  Nothing is rendered and
-    no MD5 runs.  Where the text leans on punctuation, the walk feeds
+(** [search_key sc t] is [(k1, k2, ren, rep)]: the key the checker's
+    visited set stores, with its own canonical renaming and the
+    representative map.  The key runs the very walks {!fingerprint_ex}
+    renders — server instances and link contents, client ports, protocol
+    state, spent menu, progress and the ranked history — into a word
+    sink: two 63-bit lanes of a non-cryptographic multiply-xorshift
+    hash.  Nothing is rendered and no MD5 runs.  Where the text leans on punctuation, the walk feeds
     the key a list length or a constructor tag instead, so two states
     have equal keys iff they have equal fingerprints, up to a
     2{^-126}-scale hash collision.  A mailbox hashes as the sum of its

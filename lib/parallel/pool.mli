@@ -121,8 +121,8 @@ module Visited : sig
       [bits], keep only the resident bits inside [bits] (nothing is
       written when [outside] is empty), and return [true].  This is the
       model checker's sleep-set revisit: the resident bitset is the
-      residual, [bits] the arrival's sleep set.  Nothing is allocated.
-      Raises [Invalid_argument] if [bits] or [outside] is not [width]
+      residual, [bits] the arrival's sleep set.  Nothing is allocated
+      unless the shard's table grows.  Raises [Invalid_argument] if [bits] or [outside] is not [width]
       long. *)
 
   val find : t -> k1:int -> k2:int -> int array option

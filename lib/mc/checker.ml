@@ -155,9 +155,9 @@ let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
     admitted = Atomic.make 0;
   }
 
-(* What one driver — the sequential search, or one frontier worker —
+(* What one searcher — the sequential search, or one frontier worker —
    expands nodes with, written afresh at every node and owned by that
-   driver alone: the keying buffers, the arrival sleep set in canonical
+   searcher alone: the keying buffers, the arrival sleep set in canonical
    and in raw link coordinates, the visited set's residual, the
    symmetry classes already branched on, and the shuffle's array. *)
 type scratch = {
@@ -180,7 +180,7 @@ let scratch ctx =
     order = [||];
   }
 
-(* Fisher–Yates over the driver's array, back into a list: the draws of
+(* Fisher–Yates over the searcher's array, back into a list: the draws of
    a shuffle of [Array.of_list l]. *)
 let shuffle sc st l =
   let len = List.length l in
@@ -241,7 +241,7 @@ let rec tied rep s = s >= 0 && (rep s <> s || tied rep (s - 1))
 
 (* The expansion plan for a state arrival: explore every non-slept move
    (first visit), only the canonical links set in the residual
-   ([residual] of the driver's scratch; revisit with a non-empty
+   ([residual] of the searcher's scratch; revisit with a non-empty
    residual), or nothing (revisit already covered). *)
 type expansion = Expand_all | Expand_only | Covered
 

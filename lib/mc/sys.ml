@@ -934,7 +934,7 @@ let sort_slots order lo hi w =
 (* The buffers one canonicalization writes, per state size: the
    canonical order, the renaming [ren] and the representatives [rep] it
    computes, and the reference keys of tied slots as word pairs.  A
-   search keys every state through one of these per driver, so keying
+   search keys every state through one of these per searcher, so keying
    allocates none of them. *)
 type scratch = {
   order : int array; (* canonical position -> slot *)

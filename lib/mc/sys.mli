@@ -147,8 +147,8 @@ val fingerprint_ex : t -> string * (int -> int) * (int -> int)
 type scratch
 (** The buffers keying a state writes: its canonical order, renaming and
     representative map, and the hashed reference keys of tied slots.  A
-    driver makes one per search or per worker and keys every state it
-    visits through it. *)
+    search makes one (a frontier search one per worker) and keys every
+    state it visits through it. *)
 
 val scratch : Config.t -> scratch
 (** Buffers for states of this configuration.  Keying a state never

@@ -104,40 +104,67 @@ type ctx = {
      digest, which only artifacts record).
 
      Value: the residual sleep set, as a bitset over the canonical links
-     ({!Sys.link_index}) — the enabled moves no visit has explored from
-     this state yet.  A sleep set only ever holds deliveries
-     ({!Sys.independent} relates nothing else), so its bits fit a width
-     fixed per search.  The first visit stores its arrival sleep (it
-     explores everything else); a revisit with sleep [s] only needs the
-     residual minus [s] — every other move was either explored by an
-     earlier visit or is covered by a sibling of the current path — and
-     afterwards the residual shrinks to its intersection with [s]
-     (Godefroid's sleep sets combined with state matching).  A revisit
-     with an empty difference is pruned outright, which subsumes the
-     classic "some stored sleep is a subset of ours" condition.  The
-     lookup and the write-back happen atomically under the state's shard
-     lock ({!Parallel.Pool.Visited.arrive}), which keeps the combination
+     (a raw link code renamed by {!Sys.rename_link} through the key's
+     renaming) — the enabled moves no visit has explored from this state
+     yet.  A sleep set only ever holds deliveries ({!Sys.independent}
+     relates nothing else), so its bits fit a width fixed per search.
+     The first visit stores its arrival sleep (it explores everything
+     else); a revisit with sleep [s] only needs the residual minus [s] —
+     every other move was either explored by an earlier visit or is
+     covered by a sibling of the current path — and afterwards the
+     residual shrinks to its intersection with [s] (Godefroid's sleep
+     sets combined with state matching).  A revisit with an empty
+     difference is pruned outright, which subsumes the classic "some
+     stored sleep is a subset of ours" condition.  The lookup and the
+     write-back happen atomically under the state's shard lock
+     ({!Parallel.Pool.Visited.arrive}), which keeps the combination
      exactly as sound across domains as on one. *)
   visited : Parallel.Pool.Visited.t;
   (* Nodes that have asked the state budget for admission. *)
   admitted : int Atomic.t;
+  links : int;  (* {!Sys.links}: the codes below it are deliveries *)
+  width : int;  (* words in a sleep set *)
+  (* Link [l]'s independence mask at [l × width]: the links whose
+     deliveries commute with its own. *)
+  masks : int array;
 }
 
-(* A residual sleep set's bits, [bits_per_word] to an int. *)
+(* A sleep set's bits, [bits_per_word] to an int. *)
 let bits_per_word = 63
 
-let mem bits i = i >= 0 && (bits.(i / bits_per_word) lsr (i mod bits_per_word)) land 1 = 1
+let mem_at bits at i = (bits.(at + (i / bits_per_word)) lsr (i mod bits_per_word)) land 1 = 1
 
-let add bits i =
-  bits.(i / bits_per_word) <- bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
+let mem bits i = mem_at bits 0 i
+
+let add_at bits at i =
+  let w = at + (i / bits_per_word) in
+  bits.(w) <- bits.(w) lor (1 lsl (i mod bits_per_word))
+
+let add bits i = add_at bits 0 i
 
 let clear bits =
   for w = 0 to Array.length bits - 1 do
     bits.(w) <- 0
   done
 
+let words_for links = (links + bits_per_word - 1) / bits_per_word
+
+let independence_masks cfg =
+  let links = Sys.links cfg in
+  let width = words_for links in
+  let moves = Array.init links (Sys.move_of_code cfg) in
+  let masks = Array.make (links * width) 0 in
+  for a = 0 to links - 1 do
+    for b = 0 to links - 1 do
+      if Sys.independent moves.(a) moves.(b) then add_at masks (a * width) b
+    done
+  done;
+  masks
+
 let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
     ?(use_visited = true) ?seed ?target ~shards cfg =
+  let links = Sys.links cfg in
+  let width = words_for links in
   {
     cfg;
     budgets;
@@ -148,53 +175,52 @@ let make_ctx ?(budgets = default_budgets) ?(reduction = Sleep_sets)
       (match target with
       | None -> fun _ -> true
       | Some kind -> fun v -> String.equal (Stab.verdict_kind v) kind);
-    visited =
-      Parallel.Pool.Visited.create ~shards
-        ~width:((Sys.links cfg + bits_per_word - 1) / bits_per_word)
-        ();
+    visited = Parallel.Pool.Visited.create ~shards ~width ();
     admitted = Atomic.make 0;
+    links;
+    width;
+    masks = independence_masks cfg;
   }
+
+(* The children of one expanded node: [menu] holds their move codes, in
+   exploration order, and child [i] arrives with the sleep set at
+   [i × width] of [sleeps]. *)
+type level = { menu : Sys.codes; mutable sleeps : int array }
 
 (* What one searcher — the sequential search, or one frontier worker —
    expands nodes with, written afresh at every node and owned by that
    searcher alone: the keying buffers, the arrival sleep set in canonical
-   and in raw link coordinates, the visited set's residual, the
-   symmetry classes already branched on, and the shuffle's array. *)
+   coordinates, the visited set's residual, the sleep set the children
+   inherit, the symmetry classes already branched on, and one [level]
+   per depth of the path being explored. *)
 type scratch = {
   keys : Sys.scratch;
   arrival : int array;
   residual : int array;
-  slept : int array;
+  inherited : int array;
   seen : int array;
-  mutable order : Sys.move array;
+  mutable levels : level array;
 }
 
 let scratch ctx =
-  let width () = Array.make (Parallel.Pool.Visited.width ctx.visited) 0 in
+  let width () = Array.make ctx.width 0 in
   {
     keys = Sys.scratch ctx.cfg;
     arrival = width ();
     residual = width ();
-    slept = width ();
+    inherited = width ();
     seen = width ();
-    order = [||];
+    levels = [||];
   }
 
-(* Fisher–Yates over the searcher's array, back into a list: the draws of
-   a shuffle of [Array.of_list l]. *)
-let shuffle sc st l =
-  let len = List.length l in
-  if Array.length sc.order < len then sc.order <- Array.make (2 * len) (Sys.Tick 0);
-  let a = sc.order in
-  List.iteri (fun i mv -> a.(i) <- mv) l;
-  for i = len - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  let rec back i acc = if i < 0 then acc else back (i - 1) (a.(i) :: acc) in
-  back (len - 1) []
+(* The searcher's level for [depth], made on first use. *)
+let level sc depth =
+  let have = Array.length sc.levels in
+  if depth >= have then
+    sc.levels <-
+      Array.init (Int.max 16 (2 * (depth + 1))) (fun d ->
+          if d < have then sc.levels.(d) else { menu = Sys.codes (); sleeps = [||] });
+  sc.levels.(depth)
 
 (* The state [moves] reach from the initial one — how an artifact's
    schedule is re-executed (cex replay and digest, guided runs, shrink
@@ -210,6 +236,9 @@ let replay_prefix cfg moves =
              (Sys.move_to_string mv)))
     moves;
   sys
+
+(* A path's codes, newest first, as the moves of a trace. *)
+let trace_of cfg prefix_rev = List.rev_map (Sys.move_of_code cfg) prefix_rev
 
 (* The visited-set facts of a stats record are global table facts, not
    per-worker sums: [peak_visited] is the number of unique states
@@ -239,33 +268,34 @@ let profile_fields s ~depth =
    has servers the key found interchangeable. *)
 let rec tied rep s = s >= 0 && (rep s <> s || tied rep (s - 1))
 
+let rec empty bits w = w < 0 || (bits.(w) = 0 && empty bits (w - 1))
+
 (* The expansion plan for a state arrival: explore every non-slept move
    (first visit), only the canonical links set in the residual
    ([residual] of the searcher's scratch; revisit with a non-empty
    residual), or nothing (revisit already covered). *)
 type expansion = Expand_all | Expand_only | Covered
 
-(* Write the links a sleep set holds, renamed through [ren], into
-   [bits]. *)
-let sleep_bits bits sys ren sleep =
-  clear bits;
-  List.iter
-    (fun mv ->
-      let i = Sys.link_index sys ren mv in
-      if i < 0 then invalid_arg "Mc.Checker: a sleep set holds a move that is not a delivery";
-      add bits i)
-    sleep
-
 (* Look the state up and write back its new residual as one atomic step
    under its shard lock; an arrival at a known state counts as a
-   revisit. *)
-let plan ctx sc stats sys ~k1 ~k2 ren sleep =
+   revisit.  The arrival sleep set ([width] words of [sleep] from [at],
+   raw links) is renamed into the key's coordinates bit by bit. *)
+let plan ctx sc stats ~k1 ~k2 ren sleep ~at =
   if not ctx.use_visited then Expand_all
   else begin
-    sleep_bits sc.arrival sys ren sleep;
-    if Parallel.Pool.Visited.arrive ctx.visited ~k1 ~k2 sc.arrival ~outside:sc.residual then begin
+    let bits = sc.arrival in
+    clear bits;
+    for w = 0 to ctx.width - 1 do
+      let x = ref sleep.(at + w) and l = ref (w * bits_per_word) in
+      while !x <> 0 do
+        if !x land 1 = 1 then add bits (Sys.rename_link ctx.cfg ren !l);
+        x := !x lsr 1;
+        incr l
+      done
+    done;
+    if Parallel.Pool.Visited.arrive ctx.visited ~k1 ~k2 bits ~outside:sc.residual then begin
       stats.revisits <- stats.revisits + 1;
-      if Array.for_all (Int.equal 0) sc.residual then Covered else Expand_only
+      if empty sc.residual (ctx.width - 1) then Covered else Expand_only
     end
     else Expand_all
   end
@@ -274,18 +304,25 @@ let plan ctx sc stats sys ~k1 ~k2 ren sleep =
 type step =
   | Out_of_budget  (** the state budget is spent: stop the search *)
   | Violating of verdict  (** a terminal violation the caller hunts *)
-  | Children of (Sys.move * Sys.move list) list
+  | Leaf
+      (** nothing to explore: a clean or off-target terminal, a depth cut
+          or an already-covered revisit *)
+  | Children of level
       (** the moves to explore, in order, each with the sleep set its
-          child arrives with; empty for a clean or off-target terminal, a
-          depth cut or an already-covered revisit *)
+          child arrives with: the searcher's level for this depth *)
 
 (* The one expansion step both drivers share: admit the node under the
    state budget, count it into [stats] ([sample] sees it right after),
    judge a terminal, cut at the depth budget, plan the node against the
    visited set, prune symmetric moves, and compute every child's sleep
-   set.  Only how the children are scheduled — and so when a clone or
-   a transition is paid — is left to the driver. *)
-let expand ctx sc stats ~sample sys ~depth ~sleep =
+   set.  The node arrives with the sleep set at [at] in [sleep].  Only
+   how the children are scheduled — and so when a clone or a transition
+   is paid — is left to the driver.
+
+   The moves are the codes {!Sys.enabled_codes} writes into this depth's
+   level, filtered in place: a delivery is its raw link, so no move is
+   built or decoded and no client is looked up. *)
+let expand ctx sc stats ~sample sys ~depth ~sleep ~at =
   if Atomic.fetch_and_add ctx.admitted 1 >= ctx.budgets.max_states then begin
     stats.truncated <- true;
     Out_of_budget
@@ -297,15 +334,15 @@ let expand ctx sc stats ~sample sys ~depth ~sleep =
     if Sys.terminal sys then begin
       stats.terminals <- stats.terminals + 1;
       match terminal_verdict sys with
-      | Clean -> Children []
+      | Clean -> Leaf
       | Violation _ as v when ctx.keep v -> Violating v
       | Violation _ ->
         stats.off_target <- stats.off_target + 1;
-        Children []
+        Leaf
     end
     else if depth >= ctx.budgets.max_depth then begin
       stats.truncated <- true;
-      Children []
+      Leaf
     end
     else begin
       (* Sleep sets are compared across states the key merged, and the
@@ -317,79 +354,107 @@ let expand ctx sc stats ~sample sys ~depth ~sleep =
         if ctx.use_visited || need_rep then Sys.search_key sc.keys sys
         else (0, 0, Fun.id, Fun.id)
       in
-      match plan ctx sc stats sys ~k1 ~k2 ren sleep with
-      | Covered -> Children []
+      match plan ctx sc stats ~k1 ~k2 ren sleep ~at with
+      | Covered -> Leaf
       | (Expand_all | Expand_only) as plan ->
         (* The menu is built only here, for a node that branches. *)
-        let moves = Sys.enabled sys in
+        let lv = level sc depth in
+        Sys.enabled_codes sys lv.menu;
+        let codes = lv.menu.buf and links = ctx.links and width = ctx.width in
+        (* Each filter below keeps its survivors in order at the front
+           of [codes], [kept] of them. *)
+        let kept = ref 0 in
         (* Symmetric-move pruning: deliveries aimed at servers of the
            same automorphism class have isomorphic successors; keep one
            per class.  Without ties every class has one member. *)
-        let moves =
-          if not (need_rep && tied rep (ctx.cfg.n - 1)) then moves
-          else begin
-            let seen = sc.seen in
-            clear seen;
-            List.filter
-              (fun mv ->
-                let r = Sys.link_index sys rep mv in
-                if mem seen r then begin
-                  stats.sym_skips <- stats.sym_skips + 1;
-                  false
-                end
-                else begin
-                  if r >= 0 then add seen r;
-                  true
-                end)
-              moves
-          end
-        in
-        (* On a partial re-expansion, moves outside the residual were
+        if need_rep && tied rep (ctx.cfg.n - 1) then begin
+          let seen = sc.seen in
+          clear seen;
+          for i = 0 to lv.menu.len - 1 do
+            let c = codes.(i) in
+            let r = if c < links then Sys.rename_link ctx.cfg rep c else -1 in
+            if r >= 0 && mem seen r then stats.sym_skips <- stats.sym_skips + 1
+            else begin
+              if r >= 0 then add seen r;
+              codes.(!kept) <- c;
+              incr kept
+            end
+          done;
+          lv.menu.len <- !kept
+        end;
+        (* The children inherit the arrival sleep set and, on a partial
+           re-expansion, the moves outside the residual: those were
            explored from this state by an earlier visit; they are exactly
            as covered as a slept move, and they must sleep (not vanish)
            so the children explored now inherit them through the
            independence filter. *)
-        let moves, covered =
-          match plan with
-          | Expand_all | Covered -> (moves, [])
-          | Expand_only ->
-            List.partition (fun mv -> mem sc.residual (Sys.link_index sys ren mv)) moves
-        in
-        stats.sleep_skips <- stats.sleep_skips + List.length covered;
-        let moves =
-          match ctx.rng with None -> moves | Some st -> shuffle sc st moves
-        in
+        let inherited = sc.inherited in
+        for w = 0 to width - 1 do
+          inherited.(w) <- sleep.(at + w)
+        done;
+        (match plan with
+        | Expand_all | Covered -> ()
+        | Expand_only ->
+          kept := 0;
+          for i = 0 to lv.menu.len - 1 do
+            let c = codes.(i) in
+            if c < links && mem sc.residual (Sys.rename_link ctx.cfg ren c) then begin
+              codes.(!kept) <- c;
+              incr kept
+            end
+            else begin
+              stats.sleep_skips <- stats.sleep_skips + 1;
+              if c < links then add inherited c
+            end
+          done;
+          lv.menu.len <- !kept);
+        (* A seeded Fisher–Yates shuffle in place: its draws decide the
+           seeded searches' child order, which the stats goldens pin. *)
+        (match ctx.rng with
+        | None -> ()
+        | Some st ->
+          for i = lv.menu.len - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let c = codes.(i) in
+            codes.(i) <- codes.(j);
+            codes.(j) <- c
+          done);
         (* Enabled moves are distinct, so exploring a sibling can never
            put a later *candidate* to sleep — only child sleeps grow as
            siblings are explored — and the whole child list is known up
            front.  No candidate is covered, so only the arrival sleep
            can skip one. *)
-        let to_explore =
-          match sleep with
-          | [] -> moves
-          | _ :: _ ->
-            sleep_bits sc.slept sys Fun.id sleep;
-            List.filter (fun mv -> not (mem sc.slept (Sys.link_index sys Fun.id mv))) moves
-        in
-        let base_sleep = covered @ sleep in
-        stats.sleep_skips <-
-          stats.sleep_skips + (List.length moves - List.length to_explore);
+        kept := 0;
+        for i = 0 to lv.menu.len - 1 do
+          let c = codes.(i) in
+          if c < links && mem_at sleep at c then stats.sleep_skips <- stats.sleep_skips + 1
+          else begin
+            codes.(!kept) <- c;
+            incr kept
+          end
+        done;
+        lv.menu.len <- !kept;
         (* Child [i] sleeps on the covered and inherited sleeps plus the
-           siblings ordered before it, filtered by independence with its
-           own move. *)
-        let rec child_sleeps sleep = function
-          | [] -> []
-          | mv :: rest -> (
-            match ctx.reduction with
-            | Sleep_sets ->
-              let inherited =
-                match sleep with [] -> [] | _ :: _ -> List.filter (Sys.independent mv) sleep
-              in
-              (mv, inherited)
-              :: child_sleeps (mv :: sleep) rest
-            | No_reduction -> (mv, []) :: child_sleeps sleep rest)
-        in
-        Children (child_sleeps base_sleep to_explore)
+           siblings ordered before it, each kept only if independent of
+           its own move. *)
+        let count = lv.menu.len in
+        if Array.length lv.sleeps < count * width then
+          lv.sleeps <- Array.make (2 * count * width) 0;
+        let sleeps = lv.sleeps in
+        for i = 0 to count - 1 do
+          let c = codes.(i) and off = i * width in
+          match ctx.reduction with
+          | Sleep_sets when c < links ->
+            for w = 0 to width - 1 do
+              sleeps.(off + w) <- inherited.(w) land ctx.masks.((c * width) + w)
+            done;
+            add inherited c
+          | Sleep_sets | No_reduction ->
+            for w = 0 to width - 1 do
+              sleeps.(off + w) <- 0
+            done
+        done;
+        if count = 0 then Leaf else Children lv
     end
   end
 
@@ -398,20 +463,21 @@ let expand ctx sc stats ~sample sys ~depth ~sleep =
    untouched, and the final child consumes it.  Each node pays exactly
    [children - 1] clones, and no clone is ever taken of a state a child
    already changed. *)
-let rec explore ctx sc stats ~sample sys ~prefix_rev ~depth ~sleep =
-  match expand ctx sc stats ~sample sys ~depth ~sleep with
+let rec explore ctx sc stats ~sample sys ~prefix_rev ~depth ~sleep ~at =
+  match expand ctx sc stats ~sample sys ~depth ~sleep ~at with
   | Out_of_budget -> raise Out_of_states
-  | Violating v -> raise (Found (List.rev prefix_rev, v))
-  | Children children ->
-    let last = List.length children - 1 in
-    List.iteri
-      (fun i (mv, child_sleep) ->
-        let sys = if i < last then Sys.clone sys else sys in
-        ignore (Sys.apply sys mv);
-        stats.transitions <- stats.transitions + 1;
-        explore ctx sc stats ~sample sys ~prefix_rev:(mv :: prefix_rev)
-          ~depth:(depth + 1) ~sleep:child_sleep)
-      children
+  | Violating v -> raise (Found (trace_of ctx.cfg prefix_rev, v))
+  | Leaf -> ()
+  | Children lv ->
+    let last = lv.menu.len - 1 in
+    for i = 0 to last do
+      let c = lv.menu.buf.(i) in
+      let sys = if i < last then Sys.clone sys else sys in
+      Sys.apply_code sys c;
+      stats.transitions <- stats.transitions + 1;
+      explore ctx sc stats ~sample sys ~prefix_rev:(c :: prefix_rev)
+        ~depth:(depth + 1) ~sleep:lv.sleeps ~at:(i * ctx.width)
+    done
 
 let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
     (cfg : Config.t) =
@@ -436,7 +502,7 @@ let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
   let verdict, trace =
     match
       explore ctx (scratch ctx) stats ~sample:(sample ~force:false) (Sys.create cfg)
-        ~prefix_rev:[] ~depth:0 ~sleep:[]
+        ~prefix_rev:[] ~depth:0 ~sleep:(Array.make ctx.width 0) ~at:0
     with
     | () | (exception Out_of_states) -> (Clean, None)
     | exception Found (trace, v) -> (v, Some trace)
@@ -463,18 +529,18 @@ let outcome_equal (a : outcome) (b : outcome) = a = b
    concurrent workers. *)
 let compare_trace a b = List.compare Sys.compare_move a b
 
-(* A unit of work: a DFS node as its frozen parent state and the move
-   that leaves it ([None] for the root, whose state is its own), with its
-   concrete move prefix (reverse order, for the violating trace), the
-   sleep set it arrived with, and its depth.  The frozen state is shared
-   by every sibling task and never changed: a worker clones it before
-   applying the move.  Thieves steal the *oldest* (shallowest) task: the
-   biggest outstanding subtree. *)
+(* A unit of work: a DFS node as its frozen parent state and the code
+   of the move that leaves it ([-1] for the root, whose state is its
+   own), with its move prefix (codes in reverse order, for the violating
+   trace), the sleep set it arrived with (its own copy), and its depth.
+   The frozen state is shared by every sibling task and never changed: a
+   worker clones it before applying the move.  Thieves steal the
+   *oldest* (shallowest) task: the biggest outstanding subtree. *)
 type task = {
   t_parent : Sys.t;
-  t_move : Sys.move option;
-  t_prefix_rev : Sys.move list;
-  t_sleep : Sys.move list;
+  t_move : int;
+  t_prefix_rev : int list;
+  t_sleep : int array;
   t_depth : int;
 }
 
@@ -520,51 +586,53 @@ let frontier_worker ctx frontier recorder w =
      its first child in place — the sequential explorer's last-child
      reuse at the other end of the sibling list — and pushing the later
      siblings as stealable tasks over one frozen copy of the node. *)
-  let rec descend sys prefix_rev depth sleep =
+  let rec descend sys prefix_rev depth sleep at =
     if not (Parallel.Pool.Frontier.stopped frontier) then
       match
-        expand ctx sc stats ~sample:(sample ~force:false) sys ~depth ~sleep
+        expand ctx sc stats ~sample:(sample ~force:false) sys ~depth ~sleep ~at
       with
       | Out_of_budget -> Parallel.Pool.Frontier.stop frontier
       | Violating v ->
-        violations := (List.rev prefix_rev, v) :: !violations;
+        violations := (trace_of ctx.cfg prefix_rev, v) :: !violations;
         (* Early exit: the reported counterexample is re-derived
            sequentially anyway, so there is nothing deterministic left
            for the other workers to add. *)
         Parallel.Pool.Frontier.stop frontier
-      | Children [] -> ()
-      | Children (((m0, s0) :: laters) as children) ->
-        stats.transitions <- stats.transitions + List.length children;
+      | Leaf -> ()
+      | Children lv ->
+        let count = lv.menu.len and width = ctx.width in
+        stats.transitions <- stats.transitions + count;
         (* Pushed in reverse so the owner's LIFO pop recovers
            left-to-right sibling order, while thieves take the oldest
            end. *)
-        if laters <> [] then begin
+        if count > 1 then begin
           let frozen = Sys.clone sys in
-          List.iter
-            (fun (mv, s) ->
-              Parallel.Pool.Frontier.push frontier ~worker:w
-                {
-                  t_parent = frozen;
-                  t_move = Some mv;
-                  t_prefix_rev = mv :: prefix_rev;
-                  t_sleep = s;
-                  t_depth = depth + 1;
-                })
-            (List.rev laters)
+          for i = count - 1 downto 1 do
+            let c = lv.menu.buf.(i) in
+            Parallel.Pool.Frontier.push frontier ~worker:w
+              {
+                t_parent = frozen;
+                t_move = c;
+                t_prefix_rev = c :: prefix_rev;
+                t_sleep = Array.sub lv.sleeps (i * width) width;
+                t_depth = depth + 1;
+              }
+          done
         end;
-        ignore (Sys.apply sys m0);
-        descend sys (m0 :: prefix_rev) (depth + 1) s0
+        let c0 = lv.menu.buf.(0) in
+        Sys.apply_code sys c0;
+        descend sys (c0 :: prefix_rev) (depth + 1) lv.sleeps 0
   in
   let process t =
     let sys =
-      match t.t_move with
-      | None -> t.t_parent
-      | Some mv ->
+      if t.t_move < 0 then t.t_parent
+      else begin
         let sys = Sys.clone t.t_parent in
-        ignore (Sys.apply sys mv);
+        Sys.apply_code sys t.t_move;
         sys
+      end
     in
-    descend sys t.t_prefix_rev t.t_depth t.t_sleep
+    descend sys t.t_prefix_rev t.t_depth t.t_sleep 0
   in
   let rec loop () =
     match Parallel.Pool.Frontier.take frontier ~worker:w with
@@ -610,9 +678,9 @@ let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
   Parallel.Pool.Frontier.push frontier ~worker:0
     {
       t_parent = Sys.create cfg;
-      t_move = None;
+      t_move = -1;
       t_prefix_rev = [];
-      t_sleep = [];
+      t_sleep = Array.make ctx.width 0;
       t_depth = 0;
     };
   let reports =

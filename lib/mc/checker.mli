@@ -18,13 +18,22 @@
     walks.  The visited set is a {!Parallel.Pool.Visited}: per shard, one
     open-addressing table in [Bytes] of fixed-width slots — the key's two
     words, then the residual sleep set as a bitset over the canonical
-    links ({!Sys.link_index}), ⌈links / 63⌉ words, a width fixed per
-    search by the config.  Each visited state keeps that residual — the
-    enabled moves no visit has explored from it yet: a revisit
-    re-explores exactly the residual minus its own sleep set and nothing
-    else (Godefroid's sleep sets combined with state matching), which
-    both keeps the sleep-set/visited-set combination sound and avoids
-    re-expanding already-covered successors. *)
+    links, ⌈links / 63⌉ words, a width fixed per search by the config.
+    Each visited state keeps that residual — the enabled moves no visit
+    has explored from it yet: a revisit re-explores exactly the residual
+    minus its own sleep set and nothing else (Godefroid's sleep sets
+    combined with state matching), which both keeps the
+    sleep-set/visited-set combination sound and avoids re-expanding
+    already-covered successors.
+
+    A search expands a node over move codes ({!Sys.enabled_codes}): a
+    delivery is its raw link code, and a child's sleep set is a bitset
+    over raw links, the parent's inherited set ANDed with the
+    independence mask of the child's move ({!independence_masks}).  A
+    sleep bit enters the canonical coordinates only at the visited set:
+    each raw bit is renamed through the key's renaming
+    ({!Sys.rename_link}).  Codes become {!Sys.move}s only for a
+    reported trace. *)
 
 type verdict = Oracles.Stabilization.verdict =
   | Clean
@@ -78,6 +87,13 @@ type outcome = {
   stats : stats;
   trace : Sys.move list option;  (** violating trace, execution order *)
 }
+
+val independence_masks : Config.t -> int array
+(** The masks a search builds once, in its context, from
+    {!Sys.independent}: for each link code [l] ({!Sys.links} of them),
+    the bitset of the links whose deliveries commute with [l]'s, at
+    [l × width] with [width = ⌈links / 63⌉] words of 63 bits.  A child's
+    sleep set is its inherited set ANDed with the mask of its move. *)
 
 val search :
   ?budgets:budgets ->

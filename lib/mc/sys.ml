@@ -517,53 +517,114 @@ let create (cfg : Config.t) =
   t
 
 (* ------------------------------------------------------------------ *)
+(* Move codes                                                         *)
+
+let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
+
+(* A move as an int: a delivery is its raw link, (client index × n +
+   server) × 2 plus 1 from the server; menu item [i] is [links + i] and
+   pending event [i] is [links + menu length + i]. *)
+let code_of_move (cfg : Config.t) = function
+  | Deliver { client; server; to_server } ->
+    let rec index ci = function
+      | [] -> -1
+      | id :: rest -> if Int.equal id client then ci else index (ci + 1) rest
+    in
+    let ci = index 0 (Config.client_ids cfg.family) in
+    if ci < 0 || server < 0 || server >= cfg.n then -1
+    else (((ci * cfg.n) + server) * 2) + if to_server then 0 else 1
+  | Corrupt i -> if i >= 0 && i < List.length cfg.menu then links cfg + i else -1
+  | Tick i -> if i >= 0 then links cfg + List.length cfg.menu + i else -1
+
+let move_of_code (cfg : Config.t) c =
+  let links = links cfg in
+  if c < 0 then invalid_arg (Printf.sprintf "Mc.Sys.move_of_code: %d" c)
+  else if c < links then
+    let l = c / 2 in
+    (* a link code's client index is below the client count *)
+    let rec id ci = function [] -> -1 | x :: rest -> if ci = 0 then x else id (ci - 1) rest in
+    Deliver
+      { client = id (l / cfg.n) (Config.client_ids cfg.family);
+        server = l mod cfg.n; to_server = c land 1 = 0 }
+  else
+    let m = List.length cfg.menu in
+    if c < links + m then Corrupt (c - links) else Tick (c - links - m)
+
+(* Raw link [l] with its server renamed through [ren]. *)
+let rename_link (cfg : Config.t) ren l =
+  let p = l / 2 in
+  let ci = p / cfg.n in
+  (((ci * cfg.n) + ren (p - (ci * cfg.n))) * 2) + (l land 1)
+
+let link_index t ren mv =
+  match code_of_move t.cfg mv with
+  | c when c >= 0 && c < 2 * Array.length t.requests -> rename_link t.cfg ren c
+  | _ -> -1
+
+(* ------------------------------------------------------------------ *)
 (* Enabled moves                                                      *)
 
-(* [f s] for every server slot [s < n], in descending {!compare_decimal}
-   order: an id's one-digit extensions sort right after it and before
-   the next id, so in reverse they come first.  Below eleven slots this
-   is [n - 1], ..., [0]. *)
-let rec down_from n f p =
-  if p > 0 && p * 10 < n then
-    for d = 9 downto 0 do
-      if (p * 10) + d < n then down_from n f ((p * 10) + d)
-    done;
-  f p
+(* The server slot after [s] in {!compare_decimal} order, [n] after the
+   last: an id's one-digit extensions sort right after it and before the
+   next id ("1", "10", "11", "2").  Below eleven slots this is [s + 1].
+   [after_extensions] skips them: [s]'s next sibling, or its parent's. *)
+let rec after_extensions n s =
+  if s < 10 then if s < 9 then s + 1 else n
+  else if s mod 10 < 9 && s + 1 < n then s + 1
+  else after_extensions n (s / 10)
 
-let servers_descending n f =
-  for d = Int.min 9 (n - 1) downto 0 do
-    down_from n f d
-  done
+let next_slot n s = if s > 0 && s * 10 < n then s * 10 else after_extensions n s
 
-(* One [Deliver] per link with an envelope in flight, produced in
-   {!compare_move} order — requests by (client, server), then replies by
-   (server, client) — and built back to front onto the pending
-   settlements (the [Tick]s) and the unused menu items.  Client ids all
-   have three digits, so client order is their decimal order. *)
-let enabled t =
-  let corrupts =
-    if t.cfg.menu = [] || not (client_active t) then []
-    else
-      List.mapi (fun i _ -> i) t.cfg.menu
-      |> List.filter (fun i -> not (List.mem i t.applied))
-      |> List.map (fun i -> Corrupt i)
-  in
-  let acc =
-    ref (match t.ticks with [] -> corrupts | ticks -> List.mapi (fun i _ -> Tick i) ticks @ corrupts)
-  in
-  let add ci ~to_server server = function
-    | [] -> ()
-    | _ :: _ -> acc := Deliver { client = t.clients.(ci).id; server; to_server } :: !acc
-  in
+type codes = { mutable buf : int array; mutable len : int }
+
+let codes () = { buf = [||]; len = 0 }
+
+(* One code per pending event from [code] on, written from [buf.(k)];
+   the next free position. *)
+let rec put_ticks buf k code = function
+  | [] -> k
+  | _ :: rest -> buf.(k) <- code; put_ticks buf (k + 1) (code + 1) rest
+
+(* One code per link with an envelope in flight, in {!compare_move}
+   order — requests by (client, server), then replies by (server,
+   client) — then the pending settlements and the unused menu items.
+   Client ids all have three digits, so client order is their decimal
+   order. *)
+let enabled_codes t b =
   let n = t.cfg.n and clients = Array.length t.clients in
-  servers_descending n (fun s ->
-      for ci = clients - 1 downto 0 do
-        add ci ~to_server:false s t.replies.(link t ci s)
-      done);
-  for ci = clients - 1 downto 0 do
-    servers_descending n (fun s -> add ci ~to_server:true s t.requests.(link t ci s))
+  let links = 2 * Array.length t.requests and m = List.length t.cfg.menu in
+  let need = links + m + List.length t.ticks in
+  if Array.length b.buf < need then b.buf <- Array.make need 0;
+  let buf = b.buf and k = ref 0 in
+  for ci = 0 to clients - 1 do
+    let s = ref 0 in
+    while !s < n do
+      (match t.requests.(link t ci !s) with
+      | [] -> ()
+      | _ :: _ -> buf.(!k) <- 2 * link t ci !s; incr k);
+      s := next_slot n !s
+    done
   done;
-  !acc
+  let s = ref 0 in
+  while !s < n do
+    for ci = 0 to clients - 1 do
+      match t.replies.(link t ci !s) with
+      | [] -> ()
+      | _ :: _ -> buf.(!k) <- (2 * link t ci !s) + 1; incr k
+    done;
+    s := next_slot n !s
+  done;
+  k := put_ticks buf !k (links + m) t.ticks;
+  if m > 0 && client_active t then
+    for i = 0 to m - 1 do
+      if not (List.mem i t.applied) then begin buf.(!k) <- links + i; incr k end
+    done;
+  b.len <- !k
+
+let enabled t =
+  let b = codes () in
+  enabled_codes t b;
+  List.init b.len (fun i -> move_of_code t.cfg b.buf.(i))
 
 let rec links_empty a i =
   i >= Array.length a || match a.(i) with [] -> links_empty a (i + 1) | _ :: _ -> false
@@ -655,6 +716,16 @@ let apply ?(strict = true) t mv =
         t.hist_stale <- true;
         apply_corruption t c;
         true)
+
+(* A delivery fires by its client's index, with no lookup by id.  Any
+   other code, and a delivery with nothing in flight, goes through the
+   strict [apply] of the decoded move, which fires it or names it in its
+   error. *)
+let apply_code t c =
+  let n = t.cfg.n in
+  if not (c >= 0 && c < 2 * Array.length t.requests
+          && deliver t (c / 2 / n) (c / 2 mod n) ~to_server:(c land 1 = 0))
+  then ignore (apply t (move_of_code t.cfg c))
 
 (* ------------------------------------------------------------------ *)
 (* One walk, two sinks                                                *)
@@ -1105,11 +1176,3 @@ let search_key sc t =
   words key h.(2 * n) h.((2 * n) + 1);
   let k1, k2 = finish key in
   (k1, k2, sc.ren, sc.rep)
-
-let links (cfg : Config.t) = List.length (Config.client_ids cfg.family) * cfg.n * 2
-
-let link_index t ren = function
-  | Deliver { client; server; to_server } ->
-    let ci = index t client in
-    if ci < 0 then -1 else (((ci * t.cfg.n) + ren server) * 2) + if to_server then 0 else 1
-  | Tick _ | Corrupt _ -> -1

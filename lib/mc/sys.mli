@@ -6,7 +6,8 @@
     client mailboxes, the clients' protocol state with their suspended
     round automata ({!Registers.Collect.step}), the history and a clock.
     Nothing fires by itself — the explorer repeatedly asks for the
-    {!enabled} moves and {!apply}s its choice — and no simulator engine,
+    enabled moves ({!enabled_codes}) and fires its choice
+    ({!apply_code}) — and no simulator engine,
     network or fiber takes part.  All residual nondeterminism is pinned
     (deterministic Byzantine replies, concrete corruption payloads), so an
     execution is exactly its move sequence: replaying the same moves from
@@ -59,7 +60,35 @@ val independent : move -> move -> bool
 (** Conservative commutation relation for the sleep-set reduction: [true]
     exactly for two deliveries whose clients differ and whose servers
     differ (links with disjoint endpoints).  Corruptions and unlabeled
-    events are dependent with everything. *)
+    events are dependent with everything.  A search tests it once per
+    pair of links, into the independence masks its child sleep sets are
+    filtered with ({!Checker}). *)
+
+(** {2 Move codes}
+
+    Inside a search a move is an int.  A delivery's code is its raw link,
+    [(client index × n + server) × 2], plus 1 from the server: the codes
+    [0 .. links - 1] ({!links}).  Menu item [i] is [links + i], and
+    pending event [i] is [links + menu length + i].  A code means the
+    same move in every state of one configuration. *)
+
+val links : Config.t -> int
+(** The number of links of a deployment: clients × servers × 2
+    directions, the width in bits of a sleep set. *)
+
+val code_of_move : Config.t -> move -> int
+(** The code of a move, or [-1] for a delivery on a link the deployment
+    lacks, a menu item it lacks or a negative index. *)
+
+val move_of_code : Config.t -> int -> move
+(** The move a code names: [code_of_move cfg (move_of_code cfg c) = c]
+    for every [c >= 0].  Raises [Invalid_argument] on a negative code. *)
+
+val rename_link : Config.t -> (int -> int) -> int -> int
+(** [rename_link cfg ren l]: raw link [l] with its server renamed
+    through [ren] — how a search puts a raw sleep bit into the
+    canonical coordinates of {!search_key}, and names a delivery's
+    automorphism class through its [rep]. *)
 
 type t
 
@@ -92,11 +121,25 @@ val history : t -> Oracles.History.t
 val corrupt_times : t -> int list
 (** Instants at which corruption moves fired so far, ascending. *)
 
+type codes = { mutable buf : int array; mutable len : int }
+(** A buffer of move codes: [buf.(0)], ..., [buf.(len - 1)]. *)
+
+val codes : unit -> codes
+(** An empty buffer; {!enabled_codes} grows it as it needs. *)
+
+val enabled_codes : t -> codes -> unit
+(** Write the codes of the current choice menu into the buffer, in
+    {!compare_move} order: one delivery per link with pending traffic,
+    then the pending events, then the unused menu items (only while some
+    client is still running).  The walk itself yields that order —
+    requests by client, then server ids as decimal strings, then replies
+    by server id, then client — so nothing is sorted and no move is
+    built.  [len] is 0 iff the execution is terminal. *)
+
 val enabled : t -> move list
-(** The current choice menu in {!compare_move} order: one [Deliver] per
-    link with pending traffic, then [Tick]s, then the unused
-    [Corrupt] items (only while some client is still running).
-    Empty iff the execution is terminal. *)
+(** {!enabled_codes}, decoded: one [Deliver] per link with pending
+    traffic, then [Tick]s, then the unused [Corrupt] items.  For replay,
+    shrinking and guided runs; a search expands over the codes. *)
 
 val terminal : t -> bool
 (** [enabled t = []], without building the menu: no link has traffic in
@@ -110,6 +153,11 @@ val apply : ?strict:bool -> t -> move -> bool
     and returns [false] otherwise (for shrink candidates, where a dropped
     prefix may invalidate later moves).  A [Corrupt] is inapplicable once
     no client is running, as {!enabled} never offers it then. *)
+
+val apply_code : t -> int -> unit
+(** [apply t (move_of_code (config t) c)], strict, without decoding a
+    delivery: its link names the client by index, so no client is looked
+    up by id.  Raises [Invalid_argument] as the strict {!apply} does. *)
 
 val stuck : t -> string list
 (** Names of clients that have not finished their workload — non-empty
@@ -177,7 +225,7 @@ val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
     {!fingerprint_ex}'s: the least slot of each automorphism class.  The
     checker renames sleep sets through [ren] ({!link_index}) and may
     restrict branching to one delivery per link under [rep] (successors
-    of class members are isomorphic).
+    of class members are isomorphic), both through {!rename_link}.
 
     Each server block's and the history's two hash words are cached in
     the state and recomputed only once a move changed what they hash (a
@@ -190,12 +238,8 @@ val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
     [ren] and [rep] read [sc]: they describe [t] until [sc] keys another
     state. *)
 
-val links : Config.t -> int
-(** The number of links of a deployment: clients × servers × 2
-    directions, the width in bits of a residual sleep set. *)
-
 val link_index : t -> (int -> int) -> move -> int
-(** [link_index t ren mv]: the slot in [0, links) of a [Deliver]'s link
-    with its server renamed through [ren] —
-    [(client index × n + ren server) × 2], plus 1 from the server — and
-    [-1] for a [Tick] or [Corrupt]. *)
+(** [link_index t ren mv]: a [Deliver]'s code with its server renamed
+    through [ren] ({!rename_link}), a slot in [0, links); [-1] for a
+    [Tick] or [Corrupt].  A search never decodes a move to find its link;
+    this is the move-level statement of the same arithmetic. *)

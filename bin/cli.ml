@@ -151,7 +151,7 @@ let profile_out ~kind ~doc every =
     const (fun path every ->
         Option.map
           (fun path ->
-            (path, Obs.Profile.create ~every ~clock:Stdlib.Sys.time ~kind ()))
+            (path, Obs.Profile.create ~every ~clock:Unix.gettimeofday ~kind ()))
           path)
     $ path $ every)
 
@@ -379,16 +379,6 @@ let chaos_cmd =
          unless outcomes, repros and log bytes are bit-identical \
          (deterministic race harness)."
   in
-  let race_fraction =
-    let doc =
-      "With $(b,--race-check), re-run only this fraction of the trials in \
-       the inverted-order second pass (selected deterministically from \
-       the campaign seed), so race checking a soak-sized campaign does \
-       not double its wall-clock.  1.0 (the default) re-checks every \
-       trial."
-    in
-    Arg.(value & opt fraction 1.0 & info [ "race-fraction" ] ~docv:"F" ~doc)
-  in
   let profile =
     profile_out ~kind:"chaos"
       ~doc:
@@ -397,7 +387,7 @@ let chaos_cmd =
       (Term.const 1)
   in
   let chaos family trials byz strategy medium out replay expect domains
-      race_check race_fraction c profile =
+      race_check c profile =
     let exp, run =
       match replay with
       | Some path ->
@@ -414,7 +404,7 @@ let chaos_cmd =
           fun () ->
             let violations =
               Exp_chaos.run ~family ~medium ~byz ~strategy ~seed:c.seed
-                ~trials ~domains ~race_check ~race_fraction ~out
+                ~trials ~domains ~race_check ~out
                 ?recorder:(Option.map snd profile) ()
             in
             expect_run expect ~run:"campaign"
@@ -438,7 +428,7 @@ let chaos_cmd =
         (const chaos $ family $ trials $ byz $ strategy $ medium
         $ out_dir ~default:"results/chaos" ~schema:Campaign.repro_schema
         $ replay ~schema:Campaign.repro_schema
-        $ expect $ domains $ race_check $ race_fraction $ common $ profile))
+        $ expect $ domains $ race_check $ common $ profile))
 
 let mc_cmd =
   let open Mc in
@@ -635,11 +625,13 @@ let mc_cmd =
       ~doc:
         "Search cooperatively with $(docv) OS-level domains sharing one \
          work-stealing frontier and one sharded visited set — one state \
-         space explored once, not K overlapping copies.  The reported \
-         verdict, counterexample and artifact digest are bit-identical to \
-         the sequential search for every value (traces are re-derived by \
-         the canonical sequential order whenever one is reported); 1 runs \
-         the plain sequential searcher."
+         space explored once, not K overlapping copies.  A pass that finds \
+         a violation or hits a budget is re-derived by the sequential \
+         search, so its verdict, counterexample and artifact digest match \
+         it for every value.  A clean exhaustive pass is reported as the \
+         frontier found it, and matches the sequential verdict only once \
+         the search key is sound (ROADMAP); 1 runs the plain sequential \
+         searcher."
   in
   let sequential_check =
     let doc =

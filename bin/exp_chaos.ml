@@ -18,7 +18,7 @@ let artifact_path ~out ~family ~index ~trial_seed =
 
 (* Run one campaign; returns the violating trials' artifact paths. *)
 let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
-    ~race_fraction ~out ?recorder () =
+    ~out ?recorder () =
   let base = Campaign.default_config ~family in
   let cfg =
     {
@@ -40,18 +40,12 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
           cfg.Campaign.initial))
     trials seed domains;
   if race_check then
-    if race_fraction >= 1.0 then
-      print_endline
-        "race-check: every trial runs twice with inverted scheduling order"
-    else
-      Printf.printf
-        "race-check: a deterministic %.0f%% of trials run twice with \
-         inverted scheduling order\n"
-        (race_fraction *. 100.);
+    print_endline
+      "race-check: every trial runs twice with inverted scheduling order";
   let on_scenario ~trial scn = if trial = 0 then Common.observe_scenario scn in
   let result =
     Campaign.run ~on_scenario ~log:print_endline ?recorder ~race_check
-      ~race_fraction ~domains cfg ~seed ~trials
+      ~domains cfg ~seed ~trials
   in
   print_newline ();
   let artifacts =
@@ -83,7 +77,6 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
          ("trials", Obs.Json.Int trials);
          ("domains", Obs.Json.Int domains);
          ("race_check", Obs.Json.Bool race_check);
-         ("race_fraction", Obs.Json.Float race_fraction);
          ("violations", Obs.Json.Int (List.length violations));
          ( "verdicts",
            Obs.Json.List

@@ -108,7 +108,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     (match target with
     | None -> ""
     | Some t -> Printf.sprintf " target=%s" t);
-  let t0 = Stdlib.Sys.time () in
+  let t0 = Unix.gettimeofday () in
   if race_check then
     print_endline
       "race-check: the frontier search runs twice with inverted steal order";
@@ -116,7 +116,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     Checker.check ~budgets ~reduction ~use_visited ?seed ?target ?recorder
       ~race_check ~domains ~log:print_endline cfg
   in
-  let dt = Stdlib.Sys.time () -. t0 in
+  let dt = Unix.gettimeofday () -. t0 in
   describe_outcome "search" result.outcome;
   Printf.printf "  %.2fs (%.0f states/s)\n" dt
     (float_of_int result.outcome.stats.states /. Float.max dt 1e-9);

@@ -430,12 +430,9 @@ let violations r =
 let trial_seed_for ~seed i = seed + (1_000_003 * i)
 
 let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
-    ?(race_check = false) ?(race_fraction = 1.0) ?(domains = 1) cfg ~seed
-    ~trials =
+    ?(race_check = false) ?(domains = 1) cfg ~seed ~trials =
   if domains < 1 then
     invalid_arg "Chaos.Campaign.run: domains must be at least 1";
-  if not (race_fraction >= 0.0 && race_fraction <= 1.0) then
-    invalid_arg "Chaos.Campaign.run: race_fraction must be in [0,1]";
   (* Flight-recorder accumulators, ticked on completed trials.  Trials
      are noted strictly in index order (the parallel path notes them in
      its post-join, order-preserving fold), so the sample timeline is
@@ -543,12 +540,8 @@ let run ?on_scenario ?(log = ignore) ?(shrink_violations = true) ?recorder
              ([on_scenario] wires tracing to trial 0, and sinks are
              single-run); recording never perturbs a trial — a repo
              invariant pinned by the tracing tests — so verdicts, event
-             counts and log bytes must still be bit-identical.
-             [race_fraction] bounds the second pass to a deterministic
-             seed-derived subset of the trials, so soak-sized campaigns
-             don't pay double wall-clock for the harness. *)
-          Parallel.Pool.map_checked ~domains ~check_fraction:race_fraction
-            ~check_seed:seed
+             counts and log bytes must still be bit-identical. *)
+          Parallel.Pool.map_checked ~domains
             ~recheck:(buffered ~attach:false)
             (fun i -> buffered ~attach:true i)
             indices

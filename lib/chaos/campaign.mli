@@ -156,7 +156,6 @@ val run :
   ?shrink_violations:bool ->
   ?recorder:Obs.Profile.t ->
   ?race_check:bool ->
-  ?race_fraction:float ->
   ?domains:int ->
   config ->
   seed:int ->
@@ -192,9 +191,4 @@ val run :
     even at [domains:1]): every trial runs twice — the second pass with
     inverted scheduling order and without re-attaching [on_scenario] —
     and any difference in a trial's outcome, repro or buffered log
-    bytes raises [Parallel.Pool.Nondeterministic].  [race_fraction]
-    (default [1.0]) bounds the second pass to a deterministic
-    seed-derived subset of the trials — see
-    {!Parallel.Pool.map_checked}'s [check_fraction]; at [1.0] every
-    trial is re-checked (the historical behavior).  Raises
-    [Invalid_argument] if [race_fraction] is outside [0,1]. *)
+    bytes raises [Parallel.Pool.Nondeterministic]. *)

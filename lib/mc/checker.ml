@@ -76,7 +76,9 @@ type outcome = {
   trace : Sys.move list option;  (** violating trace, execution order *)
 }
 
-exception Found of Sys.move list * verdict
+(* A violation the search hunts, and the codes of its path, newest
+   first. *)
+exception Found of int list * verdict
 
 exception Out_of_states
 
@@ -152,11 +154,10 @@ let words_for links = (links + bits_per_word - 1) / bits_per_word
 let independence_masks cfg =
   let links = Sys.links cfg in
   let width = words_for links in
-  let moves = Array.init links (Sys.move_of_code cfg) in
   let masks = Array.make (links * width) 0 in
   for a = 0 to links - 1 do
     for b = 0 to links - 1 do
-      if Sys.independent moves.(a) moves.(b) then add_at masks (a * width) b
+      if Sys.independent cfg a b then add_at masks (a * width) b
     done
   done;
   masks
@@ -222,23 +223,23 @@ let level sc depth =
           if d < have then sc.levels.(d) else { menu = Sys.codes (); sleeps = [||] });
   sc.levels.(depth)
 
-(* The state [moves] reach from the initial one — how an artifact's
-   schedule is re-executed (cex replay and digest, guided runs, shrink
-   candidates); the search itself clones states.  Raises
-   [Invalid_argument] naming the first move that does not fire. *)
-let replay_prefix cfg moves =
-  let sys = Sys.create cfg in
-  List.iteri
-    (fun i mv ->
-      if not (Sys.apply ~strict:false sys mv) then
-        invalid_arg
-          (Printf.sprintf "move %d (%s) did not apply" i
-             (Sys.move_to_string mv)))
-    moves;
-  sys
+(* A trace coming in — a guide's schedule, or the violating trace a run
+   is packaged from — as codes.  A move the deployment lacks (a link to a
+   server it does not have, a menu item past its menu) reads [-1], which
+   fires in no state. *)
+let codes_of cfg trace = List.map (Sys.code_of_move cfg) trace
 
-(* A path's codes, newest first, as the moves of a trace. *)
-let trace_of cfg prefix_rev = List.rev_map (Sys.move_of_code cfg) prefix_rev
+(* Codes in execution order as the moves of a trace going out. *)
+let trace_of cfg codes = List.map (Sys.move_of_code cfg) codes
+
+(* The state [codes] reach from the initial one — how a packaged trace
+   is re-executed for its digest; the search itself clones states.
+   Raises [Invalid_argument] (the strict {!Sys.apply}) if one does not
+   fire. *)
+let replay_prefix cfg codes =
+  let sys = Sys.create cfg in
+  List.iter (fun c -> ignore (Sys.apply sys c)) codes;
+  sys
 
 (* The visited-set facts of a stats record are global table facts, not
    per-worker sums: [peak_visited] is the number of unique states
@@ -466,14 +467,14 @@ let expand ctx sc stats ~sample sys ~depth ~sleep ~at =
 let rec explore ctx sc stats ~sample sys ~prefix_rev ~depth ~sleep ~at =
   match expand ctx sc stats ~sample sys ~depth ~sleep ~at with
   | Out_of_budget -> raise Out_of_states
-  | Violating v -> raise (Found (trace_of ctx.cfg prefix_rev, v))
+  | Violating v -> raise (Found (prefix_rev, v))
   | Leaf -> ()
   | Children lv ->
     let last = lv.menu.len - 1 in
     for i = 0 to last do
       let c = lv.menu.buf.(i) in
       let sys = if i < last then Sys.clone sys else sys in
-      Sys.apply_code sys c;
+      ignore (Sys.apply sys c);
       stats.transitions <- stats.transitions + 1;
       explore ctx sc stats ~sample sys ~prefix_rev:(c :: prefix_rev)
         ~depth:(depth + 1) ~sleep:lv.sleeps ~at:(i * ctx.width)
@@ -505,7 +506,7 @@ let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
         ~prefix_rev:[] ~depth:0 ~sleep:(Array.make ctx.width 0) ~at:0
     with
     | () | (exception Out_of_states) -> (Clean, None)
-    | exception Found (trace, v) -> (v, Some trace)
+    | exception Found (prefix_rev, v) -> (v, Some (trace_of cfg (List.rev prefix_rev)))
   in
   record_table ctx stats;
   sample ~force:true stats.max_depth_seen;
@@ -524,22 +525,17 @@ let search ?budgets ?reduction ?use_visited ?seed ?target ?recorder
    harness. *)
 let outcome_equal (a : outcome) (b : outcome) = a = b
 
-(* Schedules compared lexicographically in the deterministic move order,
-   shorter prefix first — the merge order for violations collected by
-   concurrent workers. *)
-let compare_trace a b = List.compare Sys.compare_move a b
-
 (* A unit of work: a DFS node as its frozen parent state and the code
    of the move that leaves it ([-1] for the root, whose state is its
-   own), with its move prefix (codes in reverse order, for the violating
-   trace), the sleep set it arrived with (its own copy), and its depth.
+   own), with the sleep set it arrived with (its own copy) and its depth.
+   No task carries its schedule: a frontier never reports one (a trace
+   is re-derived by the sequential search).
    The frozen state is shared by every sibling task and never changed: a
    worker clones it before applying the move.  Thieves steal the
    *oldest* (shallowest) task: the biggest outstanding subtree. *)
 type task = {
   t_parent : Sys.t;
   t_move : int;
-  t_prefix_rev : int list;
   t_sleep : int array;
   t_depth : int;
 }
@@ -552,14 +548,14 @@ let frontier_shards = 64
 (* What a worker sends back, by value, through the join. *)
 type worker_report = {
   wr_stats : stats;
-  wr_violations : (Sys.move list * verdict) list;
+  wr_violated : bool;  (** the worker reached a violation it hunts *)
   wr_samples : Obs.Json.t list;
 }
 
 let frontier_worker ctx frontier recorder w =
   let stats = fresh_stats () in
   let sc = scratch ctx in
-  let violations = ref [] in
+  let violated = ref false in
   (* Branched off the parent recorder *inside* the worker: recorders are
      single-domain mutable state, so each domain owns its branch and
      returns the samples by value. *)
@@ -586,14 +582,14 @@ let frontier_worker ctx frontier recorder w =
      its first child in place — the sequential explorer's last-child
      reuse at the other end of the sibling list — and pushing the later
      siblings as stealable tasks over one frozen copy of the node. *)
-  let rec descend sys prefix_rev depth sleep at =
+  let rec descend sys depth sleep at =
     if not (Parallel.Pool.Frontier.stopped frontier) then
       match
         expand ctx sc stats ~sample:(sample ~force:false) sys ~depth ~sleep ~at
       with
       | Out_of_budget -> Parallel.Pool.Frontier.stop frontier
-      | Violating v ->
-        violations := (trace_of ctx.cfg prefix_rev, v) :: !violations;
+      | Violating _ ->
+        violated := true;
         (* Early exit: the reported counterexample is re-derived
            sequentially anyway, so there is nothing deterministic left
            for the other workers to add. *)
@@ -613,26 +609,24 @@ let frontier_worker ctx frontier recorder w =
               {
                 t_parent = frozen;
                 t_move = c;
-                t_prefix_rev = c :: prefix_rev;
                 t_sleep = Array.sub lv.sleeps (i * width) width;
                 t_depth = depth + 1;
               }
           done
         end;
-        let c0 = lv.menu.buf.(0) in
-        Sys.apply_code sys c0;
-        descend sys (c0 :: prefix_rev) (depth + 1) lv.sleeps 0
+        ignore (Sys.apply sys lv.menu.buf.(0));
+        descend sys (depth + 1) lv.sleeps 0
   in
   let process t =
     let sys =
       if t.t_move < 0 then t.t_parent
       else begin
         let sys = Sys.clone t.t_parent in
-        Sys.apply_code sys t.t_move;
+        ignore (Sys.apply sys t.t_move);
         sys
       end
     in
-    descend sys t.t_prefix_rev t.t_depth t.t_sleep 0
+    descend sys t.t_depth t.t_sleep 0
   in
   let rec loop () =
     match Parallel.Pool.Frontier.take frontier ~worker:w with
@@ -649,7 +643,7 @@ let frontier_worker ctx frontier recorder w =
   sample ~force:true stats.max_depth_seen;
   {
     wr_stats = stats;
-    wr_violations = List.rev !violations;
+    wr_violated = !violated;
     wr_samples =
       (match branch with
       | None -> []
@@ -658,8 +652,7 @@ let frontier_worker ctx frontier recorder w =
 
 type frontier_pass = {
   fp_agg : stats;
-  fp_candidate : (Sys.move list * verdict) option;
-      (** lexicographically-least violation collected before the stop *)
+  fp_violated : bool;  (** some worker reached a violation it hunts *)
   fp_reports : worker_report list;
   fp_steals : int array;
 }
@@ -679,7 +672,6 @@ let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
     {
       t_parent = Sys.create cfg;
       t_move = -1;
-      t_prefix_rev = [];
       t_sleep = Array.make ctx.width 0;
       t_depth = 0;
     };
@@ -704,19 +696,9 @@ let frontier_pass ?budgets ?reduction ?use_visited ?target ~recorder
         agg.max_depth_seen <- s.max_depth_seen)
     reports;
   record_table ctx agg;
-  let candidate =
-    List.concat_map (fun r -> r.wr_violations) reports
-    |> List.fold_left
-         (fun best v ->
-           match best with
-           | None -> Some v
-           | Some b ->
-             if compare_trace (fst v) (fst b) < 0 then Some v else Some b)
-         None
-  in
   {
     fp_agg = agg;
-    fp_candidate = candidate;
+    fp_violated = List.exists (fun r -> r.wr_violated) reports;
     fp_reports = reports;
     fp_steals = Parallel.Pool.Frontier.steals frontier;
   }
@@ -764,8 +746,8 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
        by the same limits, and in the common case (a violating config)
        reached after the frontier has already stopped early. *)
     let report_of pass =
-      match (pass.fp_candidate, pass.fp_agg.truncated) with
-      | None, false ->
+      match (pass.fp_violated, pass.fp_agg.truncated) with
+      | false, false ->
         (* Exhaustive and clean: every state of the reduced space was
            expanded with no budget cut, which is the same proof the
            sequential searcher produces — no re-derivation needed. *)
@@ -830,34 +812,36 @@ let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
 
 let completion_fuel = 200_000
 
+(* Whether code [c] fires a corruption-menu item. *)
+let menu_item cfg c =
+  let links = Sys.links cfg in
+  c >= links && c < links + List.length cfg.Config.menu
+
 (* Run the system to a terminal state by always firing the first enabled
-   non-corruption move.  Deterministic; terminates because the workload is
-   bounded and corruption moves (which could re-disturb forever) are never
-   chosen. *)
+   code unless it is a menu item: those come last, so then nothing else
+   is enabled.  Deterministic; terminates because the workload is
+   bounded and corruption moves (which could re-disturb forever) are
+   never chosen.  The codes fired, in order. *)
 let canonical_completion sys =
+  let cfg = Sys.config sys and b = Sys.codes () in
   let rec loop acc fuel =
-    if fuel = 0 then List.rev acc
-    else
-      match
-        List.find_opt
-          (function Sys.Corrupt _ -> false | _ -> true)
-          (Sys.enabled sys)
-      with
-      | None -> List.rev acc
-      | Some mv ->
-        ignore (Sys.apply sys mv);
-        loop (mv :: acc) (fuel - 1)
+    Sys.enabled_codes sys b;
+    if fuel = 0 || b.len = 0 || menu_item cfg b.buf.(0) then List.rev acc
+    else begin
+      let c = b.buf.(0) in
+      ignore (Sys.apply sys c);
+      loop (c :: acc) (fuel - 1)
+    end
   in
   loop [] completion_fuel
 
-(* Execute a forced move prefix (leniently: moves invalidated by earlier
-   edits are skipped) and then complete canonically.  Returns the system,
-   the moves that actually fired, and the terminal verdict. *)
+(* Execute a forced code prefix (leniently: codes invalidated by earlier
+   edits, or naming a move the deployment lacks, are skipped) and then
+   complete canonically.  Returns the system, the codes that actually
+   fired, and the terminal verdict. *)
 let run_forced cfg prefix =
   let sys = Sys.create cfg in
-  let fired =
-    List.filter (fun mv -> Sys.apply ~strict:false sys mv) prefix
-  in
+  let fired = List.filter (Sys.apply ~strict:false sys) prefix in
   let tail = canonical_completion sys in
   (sys, fired @ tail, terminal_verdict sys)
 
@@ -895,22 +879,21 @@ let shrink ?(log = ignore) cfg trace verdict =
   in
   (* Phase 2: drop corruption moves that are not needed. *)
   let drop_one kept i =
-    match List.nth kept i with
-    | Sys.Corrupt _ -> (
+    match List.nth_opt kept i with
+    | Some c when menu_item cfg c -> (
       let candidate = List.filteri (fun j _ -> j <> i) kept in
       match try_prefix candidate with
       | Some _ ->
         log "shrink: dropped a corruption move";
         candidate
       | None -> kept)
-    | _ -> kept
-    | exception _ -> kept
+    | Some _ | None -> kept
   in
   let kept =
     List.fold_left drop_one kept
       (List.rev (List.init (List.length kept) Fun.id))
   in
-  (* Re-execute and record the complete concrete move list: the artifact
+  (* Re-execute and record the complete concrete code list: the artifact
      must replay strictly, move for move. *)
   let _, fired, v = run_forced cfg kept in
   (fired, v, !runs + 1)
@@ -1018,11 +1001,20 @@ let guide_of_json j =
 
 (* Strict bit-for-bit replay: every recorded move must fire, the terminal
    verdict must be structurally equal, and the terminal fingerprint must
-   match the recorded digest. *)
+   match the recorded digest.  The cex's trace comes in here, one code at
+   a time, so a move that does not fire is named as recorded. *)
 let replay (c : cex) =
-  match replay_prefix c.config c.trace with
-  | exception Invalid_argument msg -> Error msg
-  | sys ->
+  let sys = Sys.create c.config in
+  let rec fire i = function
+    | [] -> Ok ()
+    | mv :: rest ->
+      if Sys.apply ~strict:false sys (Sys.code_of_move c.config mv) then fire (i + 1) rest
+      else
+        Error (Printf.sprintf "move %d (%s) did not apply" i (Sys.move_to_string mv))
+  in
+  match fire 0 c.trace with
+  | Error _ as e -> e
+  | Ok () ->
     let v = terminal_verdict sys in
     let digest = Sys.fingerprint sys in
     if not (Stab.verdict_equal v c.verdict) then
@@ -1045,16 +1037,18 @@ let package ~shrink_violations ~log cfg (outcome : outcome) =
   match (outcome.verdict, outcome.trace) with
   | Clean, _ | _, None -> { outcome; cex = None; shrink_runs = 0 }
   | (Violation _ as v), Some trace ->
-    let trace, verdict, shrink_runs =
-      if shrink_violations then shrink ~log cfg trace v
+    let codes = codes_of cfg trace in
+    let codes, verdict, shrink_runs =
+      if shrink_violations then shrink ~log cfg codes v
       else
-        (* still normalize through a strict re-execution so the artifact
+        (* still normalize through a re-execution so the artifact
            records its own digest *)
-        (trace, v, 0)
+        (codes, v, 0)
     in
-    let digest = Sys.fingerprint (replay_prefix cfg trace) in
+    let digest = Sys.fingerprint (replay_prefix cfg codes) in
     let cex =
-      { config = cfg; trace; verdict; states = outcome.stats.states; digest }
+      { config = cfg; trace = trace_of cfg codes; verdict;
+        states = outcome.stats.states; digest }
     in
     { outcome = { outcome with verdict }; cex = Some cex; shrink_runs }
 
@@ -1070,10 +1064,10 @@ let guided ?(shrink_violations = true) ?(log = ignore) cfg schedule =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Mc.Checker.guided: " ^ e));
-  let _, fired, verdict = run_forced cfg schedule in
+  let _, fired, verdict = run_forced cfg (codes_of cfg schedule) in
   let stats = fresh_stats () in
   stats.replays <- 1;
   stats.terminals <- 1;
   stats.max_depth_seen <- List.length fired;
   package ~shrink_violations ~log cfg
-    { verdict; exhaustive = false; stats; trace = Some fired }
+    { verdict; exhaustive = false; stats; trace = Some (trace_of cfg fired) }

@@ -32,8 +32,13 @@
     independence mask of the child's move ({!independence_masks}).  A
     sleep bit enters the canonical coordinates only at the visited set:
     each raw bit is renamed through the key's renaming
-    ({!Sys.rename_link}).  Codes become {!Sys.move}s only for a
-    reported trace. *)
+    ({!Sys.rename_link}).
+
+    Every move the checker fires is a code ({!Sys.apply}): the search,
+    replay, shrinking, canonical completion and guided runs alike.  A
+    {!Sys.move} is the form a code takes in an artifact: a cex's or
+    guide's schedule becomes codes where it comes in, and codes become
+    moves only for a trace going out. *)
 
 type verdict = Oracles.Stabilization.verdict =
   | Clean
@@ -152,20 +157,23 @@ val search_parallel :
     ({!Parallel.Pool.Visited}), so the domains explore one state space
     together instead of [K] overlapping copies.
 
-    The reported outcome is bit-identical to {!search} for every domain
-    count.  With [domains:1] it *is* {!search}, byte for byte.  With
-    more: a clean pass that exhausted the reduced space with no budget
-    cut is reported directly (the same proof the sequential searcher
-    produces — sleep-set and symmetry reduction are exploration-order
-    agnostic); any pass that found a violation, or was truncated by a
-    budget, stops early (violations collected across workers are merged
-    preferring the lexicographically-least schedule) and the reported
-    verdict, trace — and hence shrunk counterexample and artifact
-    digest — are re-derived by the canonical sequential {!search} under
-    the same budgets, because the concrete schedule that first reaches a
-    fingerprint-merged state is a property of arrival order, not of the
-    space.  [seed] therefore only affects that sequential re-derivation;
-    the frontier itself always expands in the canonical move order.
+    With [domains:1] it *is* {!search}, byte for byte.  With more, the
+    frontier never reports a schedule of its own: a pass that found a
+    violation, or was truncated by a budget, stops early, and the
+    reported verdict and trace — hence the shrunk counterexample and its
+    artifact digest — are re-derived by the canonical sequential
+    {!search} under the same budgets, because the concrete schedule that
+    first reaches a merged state is a property of arrival order, not of
+    the space.  [seed] therefore only affects that re-derivation; the
+    frontier itself always expands in the canonical move order.
+
+    A clean pass that exhausted the reduced space with no budget cut is
+    reported directly.  That is the sequential search's verdict only
+    once the search key is sound: today the key can merge states whose
+    futures differ, so which states a pass explores — and so, in
+    principle, an exhaustive verdict — depends on the order in which
+    workers reach them (see [seed] at {!search}; ROADMAP, "Make the
+    search key sound").
 
     [stats] of a cooperative pass are summed across workers, except the
     shared-table facts: [peak_visited] is the number of *unique* states
@@ -192,14 +200,15 @@ val search_parallel :
 val shrink :
   ?log:(string -> unit) ->
   Config.t ->
-  Sys.move list ->
+  int list ->
   verdict ->
-  Sys.move list * verdict * int
-(** [shrink cfg trace verdict] minimizes a violating trace: shortest
-    forced prefix whose deterministic canonical completion still yields a
-    violation of the same kind, then drops unneeded corruption moves.
-    Returns the complete concrete (strict-replayable) move list of the
-    minimized execution, its verdict, and the number of re-executions. *)
+  int list * verdict * int
+(** [shrink cfg codes verdict] minimizes a violating trace, given as
+    move codes ({!Sys.code_of_move}): shortest forced prefix whose
+    deterministic canonical completion still yields a violation of the
+    same kind, then drops unneeded corruption moves.  Returns the codes
+    of the complete concrete (strict-replayable) minimized execution,
+    its verdict, and the number of re-executions. *)
 
 (** {2 Counterexample artifacts} *)
 
@@ -221,7 +230,9 @@ val cex_of_json : Obs.Json.t -> (cex, string) result
 val replay : cex -> (verdict, string) result
 (** Strict bit-for-bit replay: every recorded move must fire, the
     terminal verdict must be structurally equal to the recorded one, and
-    the terminal fingerprint must match the recorded digest. *)
+    the terminal fingerprint must match the recorded digest.  The first
+    move that does not fire (a link or menu item the deployment lacks
+    included) gives [Error "move i (<move>) did not apply"]. *)
 
 (** {2 Guided witness schedules} *)
 
@@ -263,7 +274,8 @@ val guided :
   run
 (** Guided witness checking (the moral equivalent of simulating a SPIN
     trail): execute the schedule as a forced prefix — moves that cannot
-    fire are skipped — then drain deterministically to a terminal state
+    fire, or that name a link or menu item the deployment lacks, are
+    skipped — then drain deterministically to a terminal state
     and judge it.  A violation is shrunk and packaged exactly like
     {!check}'s.  Useful for interleavings a budgeted search cannot reach
     unaided: the author scripts only the critical deliveries.  Never

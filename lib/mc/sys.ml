@@ -58,17 +58,6 @@ let compare_move a b =
   | Tick i, Tick j | Corrupt i, Corrupt j -> Int.compare i j
   | _ -> Int.compare (rank a) (rank b)
 
-(* Deliveries with another client and another server touch disjoint
-   process and link state, so they commute from every state.  Anything
-   sharing an endpoint (a server's automaton, a client's mailbox and
-   fiber), and every corruption, is dependent: the conservative relation
-   the sleep-set reduction is sound for ([--cross-check] runs without
-   it). *)
-let independent a b =
-  match (a, b) with
-  | Deliver x, Deliver y -> x.client <> y.client && x.server <> y.server
-  | _ -> false
-
 (* The explicit global state.  Everything mutable is owned by one [t] at
    a time, or shared read-only between the clones of a state until one of
    them writes it: {!clone} copies the record, the protocol state and the
@@ -556,10 +545,17 @@ let rename_link (cfg : Config.t) ren l =
   let ci = p / cfg.n in
   (((ci * cfg.n) + ren (p - (ci * cfg.n))) * 2) + (l land 1)
 
-let link_index t ren mv =
-  match code_of_move t.cfg mv with
-  | c when c >= 0 && c < 2 * Array.length t.requests -> rename_link t.cfg ren c
-  | _ -> -1
+(* Deliveries with another client and another server touch disjoint
+   process and link state, so they commute from every state.  Anything
+   sharing an endpoint (a server's automaton, a client's mailbox and
+   fiber), and every corruption and pending event, is dependent: the
+   conservative relation the sleep-set reduction is sound for
+   ([--cross-check] runs without it). *)
+let independent (cfg : Config.t) a b =
+  let links = links cfg and n = cfg.n in
+  a >= 0 && a < links && b >= 0 && b < links
+  && a / 2 / n <> b / 2 / n
+  && a / 2 mod n <> b / 2 mod n
 
 (* ------------------------------------------------------------------ *)
 (* Enabled moves                                                      *)
@@ -621,11 +617,6 @@ let enabled_codes t b =
     done;
   b.len <- !k
 
-let enabled t =
-  let b = codes () in
-  enabled_codes t b;
-  List.init b.len (fun i -> move_of_code t.cfg b.buf.(i))
-
 let rec links_empty a i =
   i >= Array.length a || match a.(i) with [] -> links_empty a (i + 1) | _ :: _ -> false
 
@@ -679,53 +670,48 @@ let apply_corruption t = function
     | _ :: _ -> ());
     Server.reset srv
 
-let nth l i = if i < 0 then None else List.nth_opt l i
+(* An inapplicable move: raise naming it under [strict], else [false]. *)
+let refuse ~strict t c why =
+  if not strict then false
+  else
+    let move =
+      if c < 0 then Printf.sprintf "code %d" c else move_to_string (move_of_code t.cfg c)
+    in
+    invalid_arg (Printf.sprintf "Mc.Sys.apply: %s (%s)" why move)
 
-let apply ?(strict = true) t mv =
-  let fail msg =
-    if strict then
-      invalid_arg
-        (Printf.sprintf "Mc.Sys.apply: %s (%s)" msg (move_to_string mv))
-    else false
-  in
-  match mv with
-  | Deliver { client; server; to_server } ->
-    (* The link's FIFO head: the only delivery the paper's model admits
-       next on this channel. *)
-    (let ci = index t client in
-     ci >= 0 && server >= 0 && server < t.cfg.n && deliver t ci server ~to_server)
-    || fail "no pending delivery on that link"
-  | Tick i -> (
-    match nth t.ticks i with
-    | None -> fail "no such unlabeled event"
-    | Some (ci, b) ->
-      bump t;
-      t.ticks <- List.filteri (fun j _ -> j <> i) t.ticks;
-      settle t ci b;
-      true)
-  | Corrupt i ->
-    if List.mem i t.applied then fail "menu item already fired"
-    else if not (client_active t) then fail "no client is running"
-    else (
-      match nth t.cfg.menu i with
-      | None -> fail "no such menu item"
-      | Some c ->
+(* A delivery fires its link's FIFO head, the only delivery the paper's
+   model admits next on that channel, by the client's index: no client is
+   looked up by id.  A menu item fires once, and only while some client
+   runs; a pending event fires by its position. *)
+let apply ?(strict = true) t c =
+  let n = t.cfg.n and links = 2 * Array.length t.requests in
+  if c < 0 then refuse ~strict t c "no such move"
+  else if c < links then
+    deliver t (c / 2 / n) (c / 2 mod n) ~to_server:(c land 1 = 0)
+    || refuse ~strict t c "no pending delivery on that link"
+  else
+    let i = c - links in
+    match List.nth_opt t.cfg.menu i with
+    | Some item ->
+      if List.mem i t.applied then refuse ~strict t c "menu item already fired"
+      else if not (client_active t) then refuse ~strict t c "no client is running"
+      else begin
         bump t;
         t.applied <- i :: t.applied;
         t.corrupt_times <- t.clock :: t.corrupt_times;
         t.hist_stale <- true;
-        apply_corruption t c;
+        apply_corruption t item;
+        true
+      end
+    | None -> (
+      let i = i - List.length t.cfg.menu in
+      match List.nth_opt t.ticks i with
+      | None -> refuse ~strict t c "no such unlabeled event"
+      | Some (ci, b) ->
+        bump t;
+        t.ticks <- List.filteri (fun j _ -> j <> i) t.ticks;
+        settle t ci b;
         true)
-
-(* A delivery fires by its client's index, with no lookup by id.  Any
-   other code, and a delivery with nothing in flight, goes through the
-   strict [apply] of the decoded move, which fires it or names it in its
-   error. *)
-let apply_code t c =
-  let n = t.cfg.n in
-  if not (c >= 0 && c < 2 * Array.length t.requests
-          && deliver t (c / 2 / n) (c / 2 mod n) ~to_server:(c land 1 = 0))
-  then ignore (apply t (move_of_code t.cfg c))
 
 (* ------------------------------------------------------------------ *)
 (* One walk, two sinks                                                *)

@@ -6,9 +6,10 @@
     client mailboxes, the clients' protocol state with their suspended
     round automata ({!Registers.Collect.step}), the history and a clock.
     Nothing fires by itself — the explorer repeatedly asks for the
-    enabled moves ({!enabled_codes}) and fires its choice
-    ({!apply_code}) — and no simulator engine,
-    network or fiber takes part.  All residual nondeterminism is pinned
+    codes of the enabled moves ({!enabled_codes}) and fires its choice
+    ({!apply}) — and no simulator engine, network or fiber takes part.
+    A move is fired one way, by its code: a {!move} is the form a code
+    takes in artifacts and traces ({!code_of_move}, {!move_of_code}).  All residual nondeterminism is pinned
     (deterministic Byzantine replies, concrete corruption payloads), so an
     execution is exactly its move sequence: replaying the same moves from
     a fresh {!create} reproduces the same global state bit for bit, and
@@ -35,8 +36,9 @@ type move =
           broadcast whose delivery target is zero (only degenerate
           configurations, [n <= 2t] or no correct server, have one) *)
   | Corrupt of int  (** fire menu item [i] *)
-(** Plain data: label strings exist only in {!link_label}, hence in
-    {!move_to_string} and the artifact codec ({!Checker}). *)
+(** Plain data, the form a move code takes in a trace: label strings
+    exist only in {!link_label}, hence in {!move_to_string} and the
+    artifact codec ({!Checker}). *)
 
 val link_label : client:int -> server:int -> to_server:bool -> string
 (** The label of a delivery's link, as the engine schedules it and as
@@ -50,23 +52,16 @@ val move_equal : move -> move -> bool
 
 val compare_move : move -> move -> int
 (** The deterministic move order behind DFS child order (so every stats
-    counter) and the violation reported first: [Deliver]s, then [Tick]s,
-    then [Corrupt]s.  Deliveries sort as [String.compare] of their
+    counter) and the violation reported first — the order
+    {!enabled_codes} writes codes in: [Deliver]s, then [Tick]s, then
+    [Corrupt]s.  Deliveries sort as [String.compare] of their
     {!link_label}s, computed without rendering: client-to-server first,
     then the label's first id and its second, as decimal strings (["s10"]
     before ["s2"]). *)
 
-val independent : move -> move -> bool
-(** Conservative commutation relation for the sleep-set reduction: [true]
-    exactly for two deliveries whose clients differ and whose servers
-    differ (links with disjoint endpoints).  Corruptions and unlabeled
-    events are dependent with everything.  A search tests it once per
-    pair of links, into the independence masks its child sleep sets are
-    filtered with ({!Checker}). *)
-
 (** {2 Move codes}
 
-    Inside a search a move is an int.  A delivery's code is its raw link,
+    A move is fired as an int, its code.  A delivery's code is its raw link,
     [(client index × n + server) × 2], plus 1 from the server: the codes
     [0 .. links - 1] ({!links}).  Menu item [i] is [links + i], and
     pending event [i] is [links + menu length + i].  A code means the
@@ -83,6 +78,15 @@ val code_of_move : Config.t -> move -> int
 val move_of_code : Config.t -> int -> move
 (** The move a code names: [code_of_move cfg (move_of_code cfg c) = c]
     for every [c >= 0].  Raises [Invalid_argument] on a negative code. *)
+
+val independent : Config.t -> int -> int -> bool
+(** [independent cfg a b]: the conservative commutation relation of the
+    sleep-set reduction, on two move codes.  [true] exactly for two
+    deliveries whose clients differ and whose servers differ (links with
+    disjoint endpoints); corruptions and unlabeled events are dependent
+    with everything.  A search tests it once per pair of links, into the
+    independence masks its child sleep sets are filtered with
+    ({!Checker}). *)
 
 val rename_link : Config.t -> (int -> int) -> int -> int
 (** [rename_link cfg ren l]: raw link [l] with its server renamed
@@ -136,28 +140,24 @@ val enabled_codes : t -> codes -> unit
     by server id, then client — so nothing is sorted and no move is
     built.  [len] is 0 iff the execution is terminal. *)
 
-val enabled : t -> move list
-(** {!enabled_codes}, decoded: one [Deliver] per link with pending
-    traffic, then [Tick]s, then the unused [Corrupt] items.  For replay,
-    shrinking and guided runs; a search expands over the codes. *)
-
 val terminal : t -> bool
-(** [enabled t = []], without building the menu: no link has traffic in
-    flight, no unlabeled event is pending, and no menu item can fire. *)
+(** Whether {!enabled_codes} would write no code, without building the
+    menu: no link has traffic in flight, no unlabeled event is pending,
+    and no menu item can fire. *)
 
-val apply : ?strict:bool -> t -> move -> bool
-(** Fire one move: advance the clock one tick, then execute it (and
-    whatever protocol code it resumes, up to the client's next
-    broadcast).  Returns [true] on success.  An inapplicable move raises
-    [Invalid_argument] under [strict] (the default, for artifact replay)
-    and returns [false] otherwise (for shrink candidates, where a dropped
-    prefix may invalidate later moves).  A [Corrupt] is inapplicable once
-    no client is running, as {!enabled} never offers it then. *)
-
-val apply_code : t -> int -> unit
-(** [apply t (move_of_code (config t) c)], strict, without decoding a
-    delivery: its link names the client by index, so no client is looked
-    up by id.  Raises [Invalid_argument] as the strict {!apply} does. *)
+val apply : ?strict:bool -> t -> int -> bool
+(** Fire the move with code [c]: advance the clock one tick, then
+    execute it (and whatever protocol code it resumes, up to the client's
+    next broadcast).  Returns [true] on success.  A delivery fires by its
+    client's index, with no lookup by id.  An inapplicable move (nothing
+    in flight on the link, a spent menu item, no such pending event, a
+    negative code) changes nothing: it raises [Invalid_argument]
+    ["Mc.Sys.apply: <why> (<move>)"] under [strict] (the default) and
+    returns [false] otherwise (for schedules read from artifacts, where a
+    move may name a link the deployment lacks, and shrink candidates,
+    where a dropped prefix may invalidate later moves).  A menu item is
+    inapplicable once no client is running, as {!enabled_codes} never
+    offers one then. *)
 
 val stuck : t -> string list
 (** Names of clients that have not finished their workload — non-empty
@@ -223,9 +223,9 @@ val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
     compares sleep sets only within it.  Two unequal blocks can only tie
     through a hash collision, the risk the key already takes.  [rep] is
     {!fingerprint_ex}'s: the least slot of each automorphism class.  The
-    checker renames sleep sets through [ren] ({!link_index}) and may
-    restrict branching to one delivery per link under [rep] (successors
-    of class members are isomorphic), both through {!rename_link}.
+    checker renames sleep sets through [ren] and may restrict branching
+    to one delivery per link under [rep] (successors of class members
+    are isomorphic), both through {!rename_link}.
 
     Each server block's and the history's two hash words are cached in
     the state and recomputed only once a move changed what they hash (a
@@ -237,9 +237,3 @@ val search_key : scratch -> t -> int * int * (int -> int) * (int -> int)
 
     [ren] and [rep] read [sc]: they describe [t] until [sc] keys another
     state. *)
-
-val link_index : t -> (int -> int) -> move -> int
-(** [link_index t ren mv]: a [Deliver]'s code with its server renamed
-    through [ren] ({!rename_link}), a slot in [0, links); [-1] for a
-    [Tick] or [Corrupt].  A search never decodes a move to find its link;
-    this is the move-level statement of the same arithmetic. *)

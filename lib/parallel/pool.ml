@@ -86,46 +86,16 @@ let scatter ~domains f =
 
 exception Nondeterministic of int
 
-(* Deterministic per-index selection for [check_fraction]: a splitmix64
-   step of [seed xor golden*index] folded to a 30-bit threshold test.
-   Pure arithmetic — the same (fraction, seed, index) always selects the
-   same items, on any host, under any scheduling. *)
-let splitmix64 x =
-  let open Int64 in
-  let z = add x 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let check_selected ~fraction ~seed i =
-  if fraction >= 1.0 then true
-  else if fraction <= 0.0 then false
-  else
-    let h =
-      splitmix64
-        (Int64.logxor (Int64.of_int seed)
-           (Int64.mul 0x2545F4914F6CDD1DL (Int64.of_int (i + 1))))
-    in
-    let bits = Int64.to_int (Int64.logand h 0x3FFFFFFFL) in
-    float_of_int bits < fraction *. 1073741824.0
-
 (* The race harness: run the fan-out twice, the second time with the
    scheduling order inverted — workers spawned in reverse shard order
    and every shard walking its items highest-index first (item 0 still
    runs on the calling domain, preserving the sink-attachment
    contract).  Any dependence on execution order — a shared accumulator,
    an order-sensitive RNG, a data race that happens to be benign under
-   one schedule — shows up as a result mismatch.  [check_fraction]
-   restricts the second pass to a deterministic seed-derived subset of
-   the items, so soak-sized campaigns don't pay double. *)
-let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
-    ?recheck f items =
-  if not (check_fraction >= 0.0 && check_fraction <= 1.0) then
-    invalid_arg "Parallel.Pool.map_checked: check_fraction must be in [0,1]";
+   one schedule — shows up as a result mismatch. *)
+let map_checked ~domains ?recheck f items =
   let first = map ~domains f items in
   let g = Option.value recheck ~default:f in
-  let eq = Option.value equal ~default:(fun a b -> a = b) in
-  let selected = check_selected ~fraction:check_fraction ~seed:check_seed in
   let items = Array.of_list items in
   let n = Array.length items in
   let k = min domains (max 1 n) in
@@ -134,11 +104,10 @@ let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
     let count = if shard >= n then 0 else ((n - 1 - shard) / k) + 1 in
     let j = ref (shard + ((count - 1) * k)) in
     while !j >= 0 do
-      (if selected !j then
-         results.(!j) <-
-           (match g items.(!j) with
-           | v -> Some (Ok v)
-           | exception e -> Some (Error e)));
+      results.(!j) <-
+        (match g items.(!j) with
+        | v -> Some (Ok v)
+        | exception e -> Some (Error e));
       j := !j - k
     done
   in
@@ -153,10 +122,9 @@ let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
   end;
   List.iteri
     (fun i v1 ->
-      if selected i then
-        match results.(i) with
-        | Some (Ok v2) when eq v1 v2 -> ()
-        | Some (Ok _) | Some (Error _) | None -> raise (Nondeterministic i))
+      match results.(i) with
+      | Some (Ok v2) when v1 = v2 -> ()
+      | Some (Ok _) | Some (Error _) | None -> raise (Nondeterministic i))
     first;
   first
 
@@ -381,32 +349,6 @@ module Visited = struct
         match locate t sh k1 k2 with
         | i when i >= 0 -> Some (read_bits t sh.vs_slots (i * stride t))
         | _ -> None)
-
-  (* Backward-shift deletion: each later resident of the run moves into
-     the gap unless its home slot lies cyclically in (gap, its slot], so
-     no probe run ever crosses an empty slot it should not. *)
-  let remove t ~k1 ~k2 =
-    let sh = shard_of t k1 in
-    locked sh (fun () ->
-        match locate t sh k1 k2 with
-        | i when i >= 0 ->
-          let b = sh.vs_slots and st = stride t and last = sh.vs_cap - 1 in
-          let rec shift gap j =
-            let off = j * st in
-            if empty b off then Bytes.fill b (gap * st) st '\000'
-            else
-              let h = home sh (word b off) in
-              let stays = if gap <= j then gap < h && h <= j else gap < h || h <= j in
-              if stays then shift gap ((j + 1) land last)
-              else begin
-                Bytes.blit b off b (gap * st) st;
-                shift j ((j + 1) land last)
-              end
-          in
-          shift i ((i + 1) land last);
-          sh.vs_entries <- sh.vs_entries - 1;
-          true
-        | _ -> false)
 
   let length t =
     Array.fold_left (fun acc sh -> acc + locked sh (fun () -> sh.vs_entries)) 0 t.vs_shards

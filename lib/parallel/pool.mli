@@ -48,9 +48,6 @@ exception Nondeterministic of int
 
 val map_checked :
   domains:int ->
-  ?check_fraction:float ->
-  ?check_seed:int ->
-  ?equal:('b -> 'b -> bool) ->
   ?recheck:('a -> 'b) ->
   ('a -> 'b) ->
   'a list ->
@@ -63,19 +60,10 @@ val map_checked :
     (or a second-pass failure) raises [Nondeterministic i] for the
     lowest differing index; otherwise the first pass's results are
     returned, so a clean [map_checked] is observationally [map].
-    [equal] defaults to structural equality; [recheck] (default [f])
-    runs the second pass, letting callers suppress caller-local side
-    effects (e.g. not re-attaching a sink) while computing the same
-    value.
-
-    [check_fraction] (default [1.0]) bounds the second pass: each item
-    is re-run with probability [check_fraction], selected
-    deterministically per index by a splitmix hash of [check_seed]
-    (default [0]) — the same [(fraction, seed, index)] triple always
-    selects the same items, independent of [domains] and of scheduling.
-    [check_fraction >= 1.0] re-runs every item (exactly the historical
-    behavior); [0.0] re-runs none (the call degrades to {!map}).
-    Raises [Invalid_argument] if [check_fraction] is not in [0,1]. *)
+    Results are compared by structural equality; [recheck] (default
+    [f]) runs the second pass, letting callers suppress caller-local
+    side effects (e.g. not re-attaching a sink) while computing the same
+    value. *)
 
 (** Mutex-protected double-ended work queue: the per-worker building
     block of {!Frontier}.  [push]/[pop] operate on the newest end (the
@@ -127,9 +115,6 @@ module Visited : sig
 
   val find : t -> k1:int -> k2:int -> int array option
   (** A copy of the key's bitset, if it is resident. *)
-
-  val remove : t -> k1:int -> k2:int -> bool
-  (** Drop the key; [false] if it was absent. *)
 
   val length : t -> int
   (** Keys resident, across all shards. *)

@@ -85,7 +85,6 @@ let pinned =
         "--out=DIR (absent=results/chaos)";
         "--profile-out=FILE";
         "--race-check";
-        "--race-fraction=F (absent=1.)";
         "--replay=FILE";
         "--seed=SEED (absent=1)";
         "--strategy=S (absent=garbage)";
@@ -222,7 +221,6 @@ let test_range_checked_numbers () =
       ("--domains", [ "shard"; "--domains"; "0" ]);
       ("--trials", [ "chaos"; "--trials=-1" ]);
       ("--trials", [ "shard"; "--chaos-target"; "0"; "--trials=-1" ]);
-      ("--race-fraction", [ "chaos"; "--race-check"; "--race-fraction"; "2" ]);
       ("--keys", [ "shard"; "--keys"; "0" ]);
       ("--byz", [ "chaos"; "--byz=-1" ]);
       ("--byz", [ "chaos"; "--byz"; "10" ]);

@@ -31,6 +31,18 @@ let parse_json path =
   | Ok j -> j
   | Error e -> Alcotest.failf "%s: parse error: %s" path e
 
+(* The codes [Mc.Sys.enabled_codes] writes at [sys], in order. *)
+let enabled sys =
+  let b = Mc.Sys.codes () in
+  Mc.Sys.enabled_codes sys b;
+  List.init b.Mc.Sys.len (fun i -> b.Mc.Sys.buf.(i))
+
+(* Whether code [c] fires a corruption-menu item at [sys]. *)
+let is_corrupt sys c =
+  match Mc.Sys.move_of_code (Mc.Sys.config sys) c with
+  | Mc.Sys.Corrupt _ -> true
+  | Mc.Sys.Deliver _ | Mc.Sys.Tick _ -> false
+
 (* The committed example artifacts, copied into the build tree by the
    test stanza's deps. *)
 let examples = "../examples/mc"
@@ -181,6 +193,54 @@ let test_guided_witness_finds_inversion () =
   | Mc.Checker.Violation { kind = "inversion"; _ } -> ()
   | v ->
     Alcotest.failf "expected inversion, got %s" (Stab.verdict_kind v)
+
+(* The codes boundary: a schedule read from an artifact may name moves
+   the deployment lacks, here a delivery to server 9 at n = 3 and a menu
+   item past a one-item menu.  A guided run skips them, as it skips any
+   move that cannot fire, and reaches exactly the run of the guide
+   without them; a strict replay refuses the first, naming it. *)
+let test_moves_outside_the_deployment () =
+  let path = Filename.concat examples "mc-atomic-writer-sn.json" in
+  let cex =
+    match Mc.Checker.cex_of_json (parse_json path) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let cfg = cex.Mc.Checker.config in
+  check_int "n = 3" 3 cfg.Mc.Config.n;
+  check_int "a one-item menu" 1 (List.length cfg.Mc.Config.menu);
+  let far = Mc.Sys.Deliver { client = 100; server = 9; to_server = true }
+  and past = Mc.Sys.Corrupt 5 in
+  let doctored =
+    List.concat
+      (List.mapi
+         (fun i mv ->
+           if i = 3 then [ far; mv ] else if i = 10 then [ past; mv ] else [ mv ])
+         cex.Mc.Checker.trace)
+  in
+  let run schedule = Mc.Checker.guided cfg schedule in
+  let plain = run cex.Mc.Checker.trace and skipped = run doctored in
+  check_true "the guide violates"
+    (not (Stab.same_kind plain.Mc.Checker.outcome.Mc.Checker.verdict Stab.Clean));
+  check_true "the same verdict"
+    (Stab.verdict_equal plain.Mc.Checker.outcome.Mc.Checker.verdict
+       skipped.Mc.Checker.outcome.Mc.Checker.verdict);
+  check_true "the same fired trace"
+    (plain.Mc.Checker.outcome.Mc.Checker.trace
+    = skipped.Mc.Checker.outcome.Mc.Checker.trace);
+  check_true "the same shrunk counterexample"
+    (plain.Mc.Checker.cex = skipped.Mc.Checker.cex);
+  let refused trace =
+    match Mc.Checker.replay { cex with Mc.Checker.trace } with
+    | Ok _ -> "replayed"
+    | Error e -> e
+  in
+  Alcotest.(check string) "replay names the far delivery"
+    "move 3 (deliver link:c100->s9) did not apply"
+    (refused doctored);
+  Alcotest.(check string) "replay names the menu item past the menu"
+    "move 0 (corrupt 5) did not apply"
+    (refused (past :: cex.Mc.Checker.trace))
 
 (* --- golden fingerprints ---------------------------------------------- *)
 
@@ -344,13 +404,11 @@ let run_walk w =
   let rec go k last =
     if k >= w.w_steps then last
     else
-      match Mc.Sys.enabled sys with
+      match enabled sys with
       | [] -> last
       | moves ->
         let mv =
-          match
-            List.find_opt (function Mc.Sys.Corrupt _ -> true | _ -> false) moves
-          with
+          match List.find_opt (is_corrupt sys) moves with
           | Some c when k >= w.w_corrupt_at -> Some c
           | _ -> List.nth_opt moves (Random.State.int st (List.length moves))
         in
@@ -422,7 +480,7 @@ let clone_cfgs =
 (* Fire up to [steps] uniformly drawn enabled moves; the moves fired. *)
 let random_walk st sys steps =
   let rec go k acc =
-    match Mc.Sys.enabled sys with
+    match enabled sys with
     | [] -> List.rev acc
     | _ when k = 0 -> List.rev acc
     | moves ->
@@ -456,7 +514,7 @@ let prop_clone_isolation =
       ignore (random_walk st sys prefix);
       let fp = Mc.Sys.fingerprint sys in
       let key = search_key sys in
-      let moves = Mc.Sys.enabled sys in
+      let moves = enabled sys in
       let ops = Oracles.History.ops (Mc.Sys.history sys) in
       let copy = Mc.Sys.clone sys in
       let same_start = String.equal (Mc.Sys.fingerprint copy) fp in
@@ -465,7 +523,7 @@ let prop_clone_isolation =
       let untouched =
         String.equal (Mc.Sys.fingerprint sys) fp
         && search_key sys = key
-        && List.equal Mc.Sys.move_equal (Mc.Sys.enabled sys) moves
+        && enabled sys = moves
         && Oracles.History.ops (Mc.Sys.history sys) = ops
       in
       List.iter (fun mv -> ignore (Mc.Sys.apply sys mv)) walked;
@@ -504,7 +562,7 @@ let prop_warm_fingerprint_is_cold =
       let rec walk sys k fired =
         fingerprint_view sys = cold fired
         &&
-        match Mc.Sys.enabled sys with
+        match enabled sys with
         | [] -> true
         | _ when k = steps -> true
         | moves ->
@@ -518,8 +576,8 @@ let prop_warm_fingerprint_is_cold =
       walk (Mc.Sys.create cfg) 0 [])
 
 (* A corruption fires only while some client runs, the condition under
-   which [enabled] offers it: at a terminal state [apply] refuses one,
-   raising under [strict] and returning [false] otherwise. *)
+   which [enabled_codes] offers it: at a terminal state [apply] refuses
+   one, raising under [strict] and returning [false] otherwise. *)
 let test_terminal_refuses_corruption () =
   let cfg =
     { tiny_cfg with
@@ -527,18 +585,19 @@ let test_terminal_refuses_corruption () =
   in
   let sys = Mc.Sys.create cfg in
   let rec complete () =
-    match List.filter (function Mc.Sys.Corrupt _ -> false | _ -> true) (Mc.Sys.enabled sys) with
+    match List.filter (fun c -> not (is_corrupt sys c)) (enabled sys) with
     | [] -> ()
-    | mv :: _ ->
-      check_true "completion move applies" (Mc.Sys.apply sys mv);
+    | c :: _ ->
+      check_true "completion move applies" (Mc.Sys.apply sys c);
       complete ()
   in
   complete ();
-  check_true "terminal" (Mc.Sys.enabled sys = []);
-  check_true "lenient apply refuses" (not (Mc.Sys.apply ~strict:false sys (Mc.Sys.Corrupt 0)));
+  check_true "terminal" (enabled sys = []);
+  let corrupt0 = Mc.Sys.code_of_move cfg (Mc.Sys.Corrupt 0) in
+  check_true "lenient apply refuses" (not (Mc.Sys.apply ~strict:false sys corrupt0));
   Alcotest.check_raises "strict apply raises"
     (Invalid_argument "Mc.Sys.apply: no client is running (corrupt 0)") (fun () ->
-      ignore (Mc.Sys.apply sys (Mc.Sys.Corrupt 0)))
+      ignore (Mc.Sys.apply sys corrupt0))
 
 (* --- typed moves against their label-string definitions --------------- *)
 
@@ -581,6 +640,8 @@ let sign c = Int.compare c 0
 let n12_sys = Mc.Sys.create { n4_silent with Mc.Config.n = 12 }
 
 let test_n12_moves_match_labels () =
+  let cfg = Mc.Sys.config n12_sys in
+  let code = Mc.Sys.code_of_move cfg in
   List.iter
     (fun a ->
       check_true ("renders " ^ label a) (String.starts_with ~prefix:"link:" (label a));
@@ -598,7 +659,7 @@ let test_n12_moves_match_labels () =
           check_bool
             (Printf.sprintf "independent %s %s" la lb)
             (not (List.exists (fun x -> List.mem x [ sb; db ]) [ sa; da ]))
-            (Mc.Sys.independent a b))
+            (Mc.Sys.independent cfg (code a) (code b)))
         n12_links;
       (* a link's slot under a renaming is the slot of the link its
          renamed label names *)
@@ -607,12 +668,12 @@ let test_n12_moves_match_labels () =
           let renamed = rename_label ren (label a) in
           let b = List.find (fun b -> String.equal (label b) renamed) n12_links in
           check_int ("slot of " ^ label a ^ " renamed")
-            (Mc.Sys.link_index n12_sys Fun.id b) (Mc.Sys.link_index n12_sys ren a))
+            (code b) (Mc.Sys.rename_link cfg ren (code a)))
         [ Fun.id; (fun s -> 11 - s); (fun s -> (s * 5) mod 12) ])
     n12_links;
   check_true "every link has its own slot below links"
-    (List.sort Int.compare (List.map (Mc.Sys.link_index n12_sys Fun.id) n12_links)
-    = List.init (Mc.Sys.links (Mc.Sys.config n12_sys)) Fun.id);
+    (List.sort Int.compare (List.map code n12_links)
+    = List.init (Mc.Sys.links cfg) Fun.id);
   (* Deliveries, then ticks, then corruptions, each kind by index. *)
   let first = Mc.Sys.Deliver { client = 100; server = 0; to_server = true } in
   let kinds =
@@ -625,11 +686,10 @@ let test_n12_moves_match_labels () =
        [ first; Mc.Sys.Tick 0; Mc.Sys.Tick 2; Mc.Sys.Tick 10;
          Mc.Sys.Corrupt 0; Mc.Sys.Corrupt 2; Mc.Sys.Corrupt 10 ]);
   check_false "a tick is dependent"
-    (Mc.Sys.independent (Mc.Sys.Tick 0) first);
-  check_int "a tick has no link" (-1) (Mc.Sys.link_index n12_sys Fun.id (Mc.Sys.Tick 0));
+    (Mc.Sys.independent cfg (code (Mc.Sys.Tick 0)) (code first));
+  check_true "a tick's code is past the links" (code (Mc.Sys.Tick 0) >= Mc.Sys.links cfg);
   (* The independence masks a search filters child sleep sets with: link
      [a]'s bit [b] is set exactly when the two deliveries commute. *)
-  let cfg = Mc.Sys.config n12_sys in
   let masks = Mc.Checker.independence_masks cfg in
   let width = (Mc.Sys.links cfg + 62) / 63 in
   List.iter
@@ -640,7 +700,7 @@ let test_n12_moves_match_labels () =
           let cb = Mc.Sys.code_of_move cfg b in
           check_bool
             (Printf.sprintf "mask of %s at %s" (label a) (label b))
-            (Mc.Sys.independent a b)
+            (Mc.Sys.independent cfg ca cb)
             ((masks.((ca * width) + (cb / 63)) lsr (cb mod 63)) land 1 = 1))
         n12_links)
     n12_links;
@@ -905,11 +965,11 @@ let reached_states ?(check = ignore) cfg ~budget =
       if not (Hashtbl.mem expanded fp) then begin
         Hashtbl.add expanded fp ();
         List.iter
-          (fun mv ->
+          (fun c ->
             let child = Mc.Sys.clone sys in
-            check_true "search move applies" (Mc.Sys.apply child mv);
+            check_true "search move applies" (Mc.Sys.apply child c);
             go child)
-          (Mc.Sys.enabled sys)
+          (enabled sys)
       end
     end
   in
@@ -967,7 +1027,7 @@ let prop_warm_key_is_cold =
       let rec walk sys k fired =
         key_view sys = cold fired
         &&
-        match Mc.Sys.enabled sys with
+        match enabled sys with
         | [] -> true
         | _ when k = steps -> true
         | moves ->
@@ -995,20 +1055,20 @@ let test_key_agrees_under_every_menu () =
       check_key_partition name (reached_states ~check:same_rep cfg ~budget:8_000))
     clone_cfgs
 
-(* [Sys.enabled] produces its deliveries already sorted: the [Deliver]
-   prefix is strictly increasing under [compare_move], also where server
-   ids pass one digit (n = 12, n = 20).  [Sys.terminal] holds exactly
-   where it is empty. *)
+(* [Sys.enabled_codes] writes its codes already sorted: decoded, they
+   are strictly increasing under [compare_move], also
+   where server ids pass one digit (n = 12, n = 20).  [Sys.terminal]
+   holds exactly where it writes no code. *)
 let test_enabled_is_sorted () =
   let sorted sys =
+    let moves = List.map (Mc.Sys.move_of_code (Mc.Sys.config sys)) (enabled sys) in
     let rec go = function
-      | (Mc.Sys.Deliver _ as a) :: (Mc.Sys.Deliver _ as b) :: rest ->
-        Mc.Sys.compare_move a b < 0 && go (b :: rest)
-      | _ -> true
+      | a :: (b :: _ as rest) -> Mc.Sys.compare_move a b < 0 && go rest
+      | [] | [ _ ] -> true
     in
-    check_true "deliveries in compare_move order" (go (Mc.Sys.enabled sys));
+    check_true "codes in compare_move order" (go moves);
     check_true "terminal iff no move is enabled"
-      (Bool.equal (Mc.Sys.terminal sys) (Mc.Sys.enabled sys = []))
+      (Bool.equal (Mc.Sys.terminal sys) (moves = []))
   in
   List.iter
     (fun (cfg, budget) -> ignore (reached_states ~check:sorted cfg ~budget))
@@ -1024,7 +1084,7 @@ let test_enabled_is_sorted () =
 let cold_view sys =
   ( key_view sys,
     Mc.Sys.fingerprint sys,
-    List.map Mc.Sys.move_to_string (Mc.Sys.enabled sys),
+    enabled sys,
     Oracles.History.ops (Mc.Sys.history sys) )
 
 (* Walk [sys] [steps] moves, keying it after each one as a search does;
@@ -1032,7 +1092,7 @@ let cold_view sys =
 let keyed_walk st sys steps =
   let rec go k acc =
     ignore (search_key sys);
-    match Mc.Sys.enabled sys with
+    match enabled sys with
     | [] -> List.rev acc
     | _ when k = 0 -> List.rev acc
     | moves ->
@@ -1179,4 +1239,6 @@ let tests =
       case "sibling clones of a frozen state" test_sibling_clones_of_a_frozen_state;
       case "an expansion allocates what its move changed" test_expansion_allocation;
       case "a deployment's set-up allocates a fixed amount" test_create_allocation;
+      case "moves outside the deployment are skipped or refused"
+        test_moves_outside_the_deployment;
     ]

@@ -130,85 +130,6 @@ let test_map_checked_item_zero_on_caller_both_passes () =
   check_true "item 0 on the calling domain in both passes"
     (List.for_all Fun.id homes)
 
-(* --- Parallel.Pool.map_checked ?check_fraction ------------------------ *)
-
-let racy_counter () =
-  let c = Atomic.make 0 in
-  fun _ -> Atomic.fetch_and_add c 1
-
-let test_check_fraction_one_is_default () =
-  (* fraction=1.0 must behave exactly like the historical default: same
-     results on a pure map, and the same Nondeterministic catch on an
-     order-dependent one. *)
-  let xs = List.init 13 Fun.id in
-  Alcotest.(check (list int))
-    "pure map agrees with the default"
-    (Parallel.Pool.map_checked ~domains:2 (fun x -> x * 7) xs)
-    (Parallel.Pool.map_checked ~domains:2 ~check_fraction:1.0
-       (fun x -> x * 7)
-       xs);
-  (match
-     Parallel.Pool.map_checked ~domains:1 ~check_fraction:1.0 (racy_counter ())
-       [ 10; 20; 30 ]
-   with
-  | _ -> Alcotest.fail "fraction=1.0 missed the shared state"
-  | exception Parallel.Pool.Nondeterministic i ->
-    check_int "lowest differing index" 0 i)
-
-let test_check_fraction_zero_skips_all () =
-  (* fraction=0.0 never re-checks, so an order-dependent worker slips
-     through — the knob trades coverage for time, deterministically. *)
-  let r =
-    Parallel.Pool.map_checked ~domains:1 ~check_fraction:0.0 (racy_counter ())
-      [ 10; 20; 30 ]
-  in
-  Alcotest.(check (list int)) "first-pass results returned" [ 0; 1; 2 ] r
-
-let test_check_fraction_selection_deterministic () =
-  (* The selected subset is a pure function of (check_seed, index): two
-     runs recheck exactly the same items, and the subset is proper for a
-     middling fraction. *)
-  let recheck_count () =
-    let n = Atomic.make 0 in
-    let r =
-      Parallel.Pool.map_checked ~domains:2 ~check_fraction:0.5 ~check_seed:42
-        ~recheck:(fun x ->
-          Atomic.incr n;
-          x * 2)
-        (fun x -> x * 2)
-        (List.init 64 Fun.id)
-    in
-    check_true "results intact" (r = List.init 64 (fun x -> x * 2));
-    Atomic.get n
-  in
-  let a = recheck_count () and b = recheck_count () in
-  check_int "same subset across runs" a b;
-  check_true "a proper subset at fraction=0.5" (a > 0 && a < 64)
-
-let test_check_fraction_seed_varies_subset () =
-  let selected ~check_seed =
-    let hits = Atomic.make 0 in
-    ignore
-      (Parallel.Pool.map_checked ~domains:1 ~check_fraction:0.5 ~check_seed
-         ~recheck:(fun x ->
-           Atomic.incr hits;
-           x)
-         Fun.id
-         (List.init 64 Fun.id));
-    Atomic.get hits
-  in
-  (* both seeds select *some* items; the knob stays honest even if the
-     two counts coincide numerically *)
-  check_true "seed 1 selects items" (selected ~check_seed:1 > 0);
-  check_true "seed 2 selects items" (selected ~check_seed:2 > 0)
-
-let test_check_fraction_invalid () =
-  match
-    Parallel.Pool.map_checked ~domains:1 ~check_fraction:1.5 Fun.id [ 1 ]
-  with
-  | _ -> Alcotest.fail "fraction=1.5 accepted"
-  | exception Invalid_argument _ -> ()
-
 (* --- Parallel.Pool.Deque ---------------------------------------------- *)
 
 let test_deque_pop_newest_steal_oldest () =
@@ -327,21 +248,6 @@ let test_visited_collision_fixture () =
   ignore (arrive m2 ~key:2 ~tail:0 [| 1 |]);
   check_int "distinct keys do not count" 0 (Parallel.Pool.Visited.collisions m2)
 
-let test_visited_remove () =
-  let m = Parallel.Pool.Visited.create ~shards:2 ~width:1 () in
-  ignore (arrive m ~key:5 ~tail:0 [| 1 |]);
-  check_true "removed" (Parallel.Pool.Visited.remove m ~k1:5 ~k2:0);
-  check_true "gone" (Option.is_none (find m ~key:5 ~tail:0));
-  check_int "length back to zero" 0 (Parallel.Pool.Visited.length m);
-  check_true "absent key not removed" (not (Parallel.Pool.Visited.remove m ~k1:5 ~k2:0));
-  (* three keys of one home slot form one probe run; removing the middle
-     one must leave the last findable *)
-  List.iter (fun tail -> ignore (arrive m ~key:6 ~tail [| tail |])) [ 1; 2; 3 ];
-  check_true "middle removed" (Parallel.Pool.Visited.remove m ~k1:6 ~k2:2);
-  check_true "run head kept" (bits_equal (find m ~key:6 ~tail:1) (Some [| 1 |]));
-  check_true "run tail kept" (bits_equal (find m ~key:6 ~tail:3) (Some [| 3 |]));
-  check_int "two left" 2 (Parallel.Pool.Visited.length m)
-
 let test_visited_concurrent_arrivals () =
   (* 4 domains hammer overlapping key ranges; the final table must hold
      exactly the union, sharded consistently *)
@@ -380,12 +286,11 @@ let test_visited_multi_word_residual () =
   check_int "links" 80 links;
   let width = (links + 62) / 63 in
   check_int "two words" 2 width;
-  let sys = Mc.Sys.create cfg in
   let last = Mc.Sys.Deliver { client = 101; server = 19; to_server = false } in
   let first = Mc.Sys.Deliver { client = 100; server = 0; to_server = true } in
-  let i_last = Mc.Sys.link_index sys Fun.id last in
+  let i_last = Mc.Sys.code_of_move cfg last in
   check_int "the last link's slot" 79 i_last;
-  check_int "the first link's slot" 0 (Mc.Sys.link_index sys Fun.id first);
+  check_int "the first link's slot" 0 (Mc.Sys.code_of_move cfg first);
   let m = Parallel.Pool.Visited.create ~shards:1 ~width () in
   let both = [| 1; 1 lsl (i_last - 63) |] in
   check_true "first arrival" (Option.is_none (arrive m ~key:3 ~tail:4 both));
@@ -662,22 +567,11 @@ let tests =
       test_map_checked_first_pass_failure_wins;
     case "pool: map_checked keeps item 0 on caller"
       test_map_checked_item_zero_on_caller_both_passes;
-    case "pool: check_fraction=1.0 is the default"
-      test_check_fraction_one_is_default;
-    case "pool: check_fraction=0.0 skips rechecks"
-      test_check_fraction_zero_skips_all;
-    case "pool: check_fraction selection deterministic"
-      test_check_fraction_selection_deterministic;
-    case "pool: check_fraction seeds select items"
-      test_check_fraction_seed_varies_subset;
-    case "pool: check_fraction out of range rejected"
-      test_check_fraction_invalid;
     case "deque: pop newest, steal oldest" test_deque_pop_newest_steal_oldest;
     case "deque: grows past its initial capacity" test_deque_grows;
     case "visited: agrees with Hashtbl oracle (S=1,2,4,8)"
       test_visited_agrees_with_hashtbl_oracle;
     case "visited: shared first word collision fixture" test_visited_collision_fixture;
-    case "visited: remove keeps probe runs" test_visited_remove;
     case "visited: concurrent arrivals keep the union"
       test_visited_concurrent_arrivals;
     case "mc: frontier ≡ sequential on config grid"

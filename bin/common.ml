@@ -155,8 +155,8 @@ let replay_artifact ~key ~decode ~replay ~show ~same ~extra ~what path =
     end
     else Error ("replay did NOT reproduce " ^ what)
 
-let scenario ?(seed = 1) ?delay ?medium ~params () =
-  let scn = Harness.Scenario.create ~seed ?delay ?medium ~params () in
+let scenario ?(seed = 1) ?link_delay ?medium ~params () =
+  let scn = Harness.Scenario.create ~seed ?link_delay ?medium ~params () in
   attach_trace_sink (Harness.Scenario.hub scn);
   scn
 

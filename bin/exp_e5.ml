@@ -8,9 +8,12 @@
 
 open Registers
 
-let run_one ~seed ~n ~delay =
+let run_one ~seed ~n ~dhi =
   let params = Common.async_params ~n ~f:1 in
-  let scn = Common.scenario ~seed ~delay ~params () in
+  let link_delay ~client:_ ~server:_ ~to_server:_ rng =
+    Sim.Link.uniform rng ~lo:1 ~hi:dhi
+  in
+  let scn = Common.scenario ~seed ~link_delay ~params () in
   Byzantine.Adversary.compromise scn.Harness.Scenario.adversary 0
     Byzantine.Behavior.equivocate;
   let w, r = Harness.Workload.atomic_pair scn in
@@ -39,7 +42,7 @@ let run ~seed =
       (fun (n, dhi) ->
         let iters = ref 0 and helps = ref 0 in
         for s = 0 to seeds - 1 do
-          let i, h = run_one ~seed:(seed + s) ~n ~delay:(1, dhi) in
+          let i, h = run_one ~seed:(seed + s) ~n ~dhi in
           iters := !iters + i;
           helps := !helps + h
         done;

@@ -75,7 +75,9 @@ let phase ~deadline t bit m =
   done;
   !ok
 
-let send ?(max_steps = 100_000) t m =
+let max_steps = 100_000
+
+let send t m =
   let deadline = t.steps + max_steps in
   t.sender_bit <- false;
   if

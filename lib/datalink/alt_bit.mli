@@ -23,10 +23,10 @@ val scramble : 'm session -> garbage:'m list -> unit
     over the given payloads) and corrupt the sender's phase bit and the
     receiver's last-packet memory. *)
 
-val send : ?max_steps:int -> 'm session -> 'm -> (unit, string) result
+val send : 'm session -> 'm -> (unit, string) result
 (** Run the two-phase handshake for one message to completion.
-    [Error] only if [max_steps] (default 100_000) scheduler steps did not
-    complete the handshake (possible only under extreme loss rates). *)
+    [Error] only if 100,000 scheduler steps did not complete the
+    handshake (possible only under extreme loss rates). *)
 
 val delivered : 'm session -> 'm list
 (** Everything the receiver has ss-delivered so far, oldest first.

@@ -20,94 +20,62 @@ type outcome = {
   metrics : Obs.Metrics.t;
 }
 
-let scripted = Script.scripted
-
 let far = 300 (* "much later": past both reads *)
 
-let build_link_delay kind =
-  (* Links are created in a fixed order: the writer's client port first
-     (9 client->server links, then 9 server->client links), then the
-     reader's.  The factory keys each link's script off that order. *)
-  let call = ref 0 in
-  fun _rng ->
-    incr call;
-    let c = !call in
-    if c <= 9 then begin
-      (* writer -> server (c-1): WRITE(0), NEW_HELP_VAL(0), then WRITE(1)
-         which is fast only to servers 1..3. *)
-      let server = c - 1 in
-      let w1 = if server >= 1 && server <= 3 then 2 else far in
-      scripted [ 1; 1; w1 ] 1
-    end
-    else if c <= 18 then scripted [] 1 (* server -> writer acks *)
-    else if c <= 27 then scripted [] 1 (* reader -> server *)
-    else begin
-      (* server (c-28) -> reader acknowledgments.  The regular read makes
-         one collect per read; the atomic read makes two (sanity phase +
-         loop).  Server 0's acks are slow for the whole first read, server
-         8's ack is slow for the second read's final collect. *)
-      let server = c - 28 in
-      match (kind, server) with
-      | `Regular, 0 -> scripted [ far ] 1
-      | `Regular, 8 -> scripted [ 1; far ] 1
-      | `Atomic, 0 -> scripted [ far; far ] 1
-      | `Atomic, 8 -> scripted [ 1; 1; 1; far ] 1
-      | (`Regular | `Atomic), _ -> scripted [] 1
-    end
+(* The writer is client 100, the reader client 101.  The writer's
+   requests carry WRITE(0), NEW_HELP_VAL(0), then WRITE(1), which is fast
+   only to servers 1..3.  The regular read makes one collect per read,
+   the atomic read two (sanity phase + loop): server 0's acks to the
+   reader are slow for the whole first read, server 8's for the second
+   read's final collect. *)
+let link_delay kind ~client ~server ~to_server _rng =
+  let script =
+    match (client, server, to_server) with
+    | 100, s, true -> [ 1; 1; (if s >= 1 && s <= 3 then 2 else far) ]
+    | 101, 0, false -> (
+      match kind with `Regular -> [ far ] | `Atomic -> [ far; far ])
+    | 101, 8, false -> (
+      match kind with `Regular -> [ 1; far ] | `Atomic -> [ 1; 1; 1; far ])
+    | _ -> []
+  in
+  Script.scripted script 1
 
 let run ?(instrument = fun _ -> ()) kind =
   let params = Registers.Params.create_exn ~n:9 ~f:1 ~mode:Registers.Params.Async () in
-  let rng = Sim.Rng.create 1 in
-  let engine = Sim.Engine.create ~rng () in
-  instrument engine;
-  let net =
-    Registers.Net.create ~engine ~params ~link_delay:(build_link_delay kind) ()
-  in
-  let servers = Array.init 9 (fun id -> Registers.Server.create ~id) in
-  Array.iter (Registers.Net.install_honest_server net) servers;
-  let sleep d = Sim.Fiber.suspend (fun k -> Sim.Engine.schedule engine ~delay:d k) in
+  let scn = Scenario.create ~link_delay:(link_delay kind) ~params () in
+  instrument scn.Scenario.engine;
   let read1 = ref None and read2 = ref None in
   let write1_start = ref Sim.Vtime.zero and write1_end = ref Sim.Vtime.zero in
   let read1_start = ref Sim.Vtime.zero and read2_start = ref Sim.Vtime.zero in
   let v0 = Registers.Value.int 0 and v1 = Registers.Value.int 1 in
-  (match kind with
-  | `Regular ->
-    let w = Registers.Swsr_regular.writer ~net ~client_id:100 ~inst:0 in
-    let r = Registers.Swsr_regular.reader ~net ~client_id:101 ~inst:0 in
-    ignore
-      (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           ignore (Registers.Swsr_regular.write w v0);
-           write1_start := Sim.Engine.now engine;
-           ignore (Registers.Swsr_regular.write w v1);
-           write1_end := Sim.Engine.now engine));
-    ignore
-      (Sim.Fiber.spawn ~name:"reader" (fun () ->
-           sleep 10;
-           read1_start := Sim.Engine.now engine;
-           read1 :=
-             Registers.Outcome.to_option (Registers.Swsr_regular.read r);
-           read2_start := Sim.Engine.now engine;
-           read2 :=
-             Registers.Outcome.to_option (Registers.Swsr_regular.read r)))
-  | `Atomic ->
-    let w = Registers.Swsr_atomic.writer ~net ~client_id:100 ~inst:0 () in
-    let r = Registers.Swsr_atomic.reader ~net ~client_id:101 ~inst:0 () in
-    ignore
-      (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           ignore (Registers.Swsr_atomic.write w v0);
-           write1_start := Sim.Engine.now engine;
-           ignore (Registers.Swsr_atomic.write w v1);
-           write1_end := Sim.Engine.now engine));
-    ignore
-      (Sim.Fiber.spawn ~name:"reader" (fun () ->
-           sleep 10;
-           read1_start := Sim.Engine.now engine;
-           read1 :=
-             Registers.Outcome.to_option (Registers.Swsr_atomic.read r);
-           read2_start := Sim.Engine.now engine;
-           read2 :=
-             Registers.Outcome.to_option (Registers.Swsr_atomic.read r))));
-  Sim.Engine.run engine;
+  let jobs write read =
+    [
+      ( "writer",
+        fun () ->
+          ignore (write v0);
+          write1_start := Scenario.now scn;
+          ignore (write v1);
+          write1_end := Scenario.now scn );
+      ( "reader",
+        fun () ->
+          Scenario.sleep scn 10;
+          read1_start := Scenario.now scn;
+          read1 := Registers.Outcome.to_option (read ());
+          read2_start := Scenario.now scn;
+          read2 := Registers.Outcome.to_option (read ()) );
+    ]
+  in
+  ignore
+    (Scenario.run_jobs scn
+       (match kind with
+       | `Regular ->
+         let w, r = Workload.regular_pair scn in
+         jobs (Registers.Swsr_regular.write w) (fun () ->
+             Registers.Swsr_regular.read r)
+       | `Atomic ->
+         let w, r = Workload.atomic_pair scn in
+         jobs (Registers.Swsr_atomic.write w) (fun () ->
+             Registers.Swsr_atomic.read r)));
   let inversion =
     match (!read1, !read2) with
     | Some a, Some b ->
@@ -123,5 +91,5 @@ let run ?(instrument = fun _ -> ()) kind =
       Sim.Vtime.( < ) !write1_start !read1_start
       && Sim.Vtime.( < ) !read2_start !write1_end;
     inversion;
-    metrics = Sim.Engine.metrics engine;
+    metrics = Scenario.metrics scn;
   }

@@ -7,7 +7,10 @@
     the two reads are steered so the first sees the new value's quorum and
     the second the old value's.  Running the schedule against the Fig. 2
     register reproduces the inversion; against the Fig. 3 register, the
-    [>_cd]-guarded bookkeeping suppresses it (line 13M3). *)
+    [>_cd]-guarded bookkeeping suppresses it (line 13M3).  The schedule
+    is a {!Scenario} whose [link_delay] scripts the writer's (client 100)
+    request links and the reader's (client 101) acknowledgment links by
+    their endpoints. *)
 
 type outcome = {
   read1 : Registers.Value.t option;
@@ -20,5 +23,5 @@ type outcome = {
 }
 
 val run : ?instrument:(Sim.Engine.t -> unit) -> [ `Regular | `Atomic ] -> outcome
-(** [instrument] is called on the freshly built engine before the
-    schedule runs — the hook for attaching event sinks. *)
+(** [instrument] is called on the scenario's engine before any client
+    exists — the hook for attaching event sinks. *)

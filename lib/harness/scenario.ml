@@ -9,26 +9,31 @@ type t = {
 
 let server_name id = Printf.sprintf "server.%d" id
 
-let create ?(seed = 1) ?delay ?medium ~params () =
+let uniform hi ~client:_ ~server:_ ~to_server:_ rng =
+  Sim.Link.uniform rng ~lo:1 ~hi
+
+(* Every delay a given script draws in sync mode is checked against the
+   model's bound; the default samplers stay within it by construction. *)
+let bounded ~max_delay (link_delay : Registers.Net.link_delay) ~client ~server
+    ~to_server rng =
+  let sample = link_delay ~client ~server ~to_server rng in
+  fun () ->
+    let d = sample () in
+    if d > max_delay then
+      invalid_arg "Scenario.create: sync delays exceed the model's max_delay";
+    d
+
+let create ?(seed = 1) ?link_delay ?medium ~params () =
   let rng = Sim.Rng.create seed in
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
-  let lo, hi =
-    match delay with
-    | Some (lo, hi) -> (lo, hi)
-    | None -> (
-      match (params : Registers.Params.t).mode with
-      | Registers.Params.Async -> (1, 10)
-      | Registers.Params.Sync { max_delay; _ } -> (1, max_delay))
+  let link_delay : Registers.Net.link_delay =
+    match (link_delay, (params : Registers.Params.t).mode) with
+    | None, Registers.Params.Async -> uniform 10
+    | None, Registers.Params.Sync { max_delay; _ } -> uniform max_delay
+    | Some f, Registers.Params.Async -> f
+    | Some f, Registers.Params.Sync { max_delay; _ } -> bounded ~max_delay f
   in
-  (match (params : Registers.Params.t).mode with
-  | Registers.Params.Sync { max_delay; _ } when hi > max_delay ->
-    invalid_arg "Scenario.create: sync delays exceed the model's max_delay"
-  | Registers.Params.Sync _ | Registers.Params.Async -> ());
-  let net =
-    Registers.Net.create ~engine ~params ?medium
-      ~link_delay:(fun rng -> Sim.Link.uniform rng ~lo ~hi)
-      ()
-  in
+  let net = Registers.Net.create ~engine ~params ?medium ~link_delay () in
   let adversary = Byzantine.Adversary.deploy ~net ~rng:(Sim.Rng.split rng) in
   let fault = Sim.Fault.create () in
   Array.iter
@@ -62,11 +67,11 @@ let stuck_jobs handles =
       | Sim.Fiber.Done -> None)
     handles
 
-let run_jobs t jobs =
+let run_jobs ?until t jobs =
   let handles =
     List.map (fun (name, f) -> (name, Sim.Fiber.spawn ~name f)) jobs
   in
-  run t;
+  run ?until t;
   stuck_jobs handles
 
 let check_jobs handles =

@@ -2,10 +2,14 @@
 
     A scenario owns one simulated deployment of the paper's system model:
     [n] server slots behind an adversary controller, FIFO links with
-    sampled delays, a transient-fault injector with every piece of
-    corruptible state registered, and an operation history fed by the
-    workload jobs.  It schedules the deployment's server crashes
-    ({!crash}); {!Workload.deploy} builds the clients and their jobs. *)
+    sampled (or scripted) delays, a transient-fault injector with every
+    piece of corruptible state registered, and an operation history fed
+    by the workload jobs.  It is the only code that builds an engine and
+    a network: the random deployments of the experiments and campaigns
+    and the scripted schedules of {!Fig1}, {!Starvation} and
+    {!Swmr_inversion} alike.  It schedules the deployment's server
+    crashes ({!crash}); {!Workload.deploy} builds the clients and their
+    jobs. *)
 
 type t = {
   seed : int;
@@ -18,17 +22,20 @@ type t = {
 
 val create :
   ?seed:int ->
-  ?delay:int * int ->
+  ?link_delay:Registers.Net.link_delay ->
   ?medium:Registers.Net.medium ->
   params:Registers.Params.t ->
   unit ->
   t
-(** Build a deployment.  [delay] is the uniform per-link delay range
-    (default [(1, 10)] in async mode; in sync mode the default upper bound
-    is the mode's [max_delay], and a custom [delay] must respect it).
-    Server state is registered with the fault injector under
-    ["server.<i>"] — both as a corruptible state target and as a crashable
-    process ({!crash}); client-side state is registered by the
+(** Build a deployment.  [link_delay] names each link's delay sampler by
+    its endpoints ({!Registers.Net.link_delay}); by default every link
+    draws uniformly from [\[1, 10\]] in async mode and from
+    [\[1, max_delay\]] in sync mode.  In sync mode every delay a given
+    [link_delay] draws is checked against the mode's [max_delay]: a
+    larger one raises [Invalid_argument] where it is drawn, when a
+    message is sent.  Server state is registered with the fault injector
+    under ["server.<i>"] — both as a corruptible state target and as a
+    crashable process ({!crash}); client-side state is registered by the
     [register_*] helpers below. *)
 
 val run : ?until:Sim.Vtime.t -> t -> unit
@@ -45,9 +52,11 @@ val stuck_jobs : (string * Sim.Fiber.handle) list -> string list
     ["name (blocked on <label>)"] with its {!Sim.Fiber.blocked_on} label,
     one that raised as ["name (raised: <exn>)"]. *)
 
-val run_jobs : t -> (string * (unit -> unit)) list -> string list
+val run_jobs :
+  ?until:Sim.Vtime.t -> t -> (string * (unit -> unit)) list -> string list
 (** Spawn each named job as a fiber, in list order, run the engine to
-    quiescence and return {!stuck_jobs} of the jobs, in that order. *)
+    quiescence (or [until]) and return {!stuck_jobs} of the jobs, in that
+    order. *)
 
 val check_jobs : (string * Sim.Fiber.handle) list -> unit
 (** Watchdog: re-raise the first failed job's exception, then raise

@@ -10,7 +10,9 @@
     between old and new value as evenly as possible, [t] Byzantine servers
     inject pairwise-distinct junk, and (asynchronous case) the remaining
     [t] correct servers' acknowledgments are delayed out of the reader's
-    [(n-t)]-acknowledgment sample.
+    [(n-t)]-acknowledgment sample.  The schedule is a {!Scenario} whose
+    [link_delay] scripts the writer's (client 100) request links and the
+    reader's (client 101) acknowledgment links by their endpoints.
 
     The reader's per-round quorum then fails exactly when
     [ceil((n-2t)/2) < 2t+1] — i.e. [n <= 6t] — in the asynchronous model,
@@ -38,9 +40,12 @@ val run :
   outcome
 (** Run the scripted schedule on a fresh deployment ([budget] read rounds,
     default 6).  [sync] (default false) uses the Fig. 5 thresholds with
-    timeout-based waits.  [instrument] is called on the freshly built
-    engine before the schedule runs — the hook for attaching event
-    sinks.  Requires [n > 2f >= 2]. *)
+    timeout-based waits.  [instrument] is called on the scenario's
+    engine before the first [f] servers turn Byzantine — the hook for
+    attaching event sinks.  The run stops at tick [Script.far / 2],
+    well past the reader's budget, since the asynchronous schedule
+    keeps a write pending essentially forever.  Requires
+    [n > 2f >= 2]. *)
 
 val predicted_starvation : n:int -> f:int -> sync:bool -> bool
 (** The closed-form prediction above, for cross-checking experiment

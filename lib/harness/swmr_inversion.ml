@@ -16,76 +16,48 @@ type outcome = {
   inversion : bool;  (** r0 saw value 2, r1 then saw value 1 *)
 }
 
-let scripted = Script.scripted
-
-let far = Script.far
-
-(* Link-creation order: writer port (9 + 9 links), then r0's, then r1's,
-   then (write-back variant only) the exchange clients'. *)
-let build_link_delay () =
-  let call = ref 0 in
-  fun _rng ->
-    incr call;
-    let c = !call in
-    if c <= 9 then
-      (* writer -> server: write#1 copy0 (WRITE + NEW_HELP), write#1 copy1
-         (WRITE + NEW_HELP), write#2 copy0 (WRITE), write#2 copy1 (WRITE,
-         held in flight). *)
-      scripted [ 1; 1; 1; 1; 2; far ] 1
-    else scripted [] 1
+(* The writer is client 100.  Its requests carry write#1 to copy 0
+   (WRITE + NEW_HELP), write#1 to copy 1 (WRITE + NEW_HELP), write#2 to
+   copy 0 (WRITE), then write#2 to copy 1 (WRITE, held in flight). *)
+let link_delay ~client ~server:_ ~to_server _rng =
+  match (client, to_server) with
+  | 100, true -> Script.scripted [ 1; 1; 1; 1; 2; Script.far ] 1
+  | _ -> Script.scripted [] 1
 
 let run kind =
   let params = Registers.Params.create_exn ~n:9 ~f:1 ~mode:Registers.Params.Async () in
-  let rng = Sim.Rng.create 1 in
-  let engine = Sim.Engine.create ~rng () in
-  let net =
-    Registers.Net.create ~engine ~params ~link_delay:(build_link_delay ()) ()
-  in
-  let servers = Array.init 9 (fun id -> Registers.Server.create ~id) in
-  Array.iter (Registers.Net.install_honest_server net) servers;
-  let sleep d = Sim.Fiber.suspend (fun k -> Sim.Engine.schedule engine ~delay:d k) in
+  let scn = Scenario.create ~link_delay ~params () in
+  let net = scn.Scenario.net in
   let read_r0 = ref None and read_r1 = ref None in
   let v1 = Registers.Value.int 1 and v2 = Registers.Value.int 2 in
-  (match kind with
-  | `Paper ->
-    let w = Registers.Swmr.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 () in
-    let r0 = Registers.Swmr.reader ~net ~client_id:200 ~base_inst:0 ~reader_index:0 () in
-    let r1 = Registers.Swmr.reader ~net ~client_id:201 ~base_inst:0 ~reader_index:1 () in
-    ignore
-      (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           ignore (Registers.Swmr.write w v1);
-           ignore (Registers.Swmr.write w v2)));
-    ignore
-      (Sim.Fiber.spawn ~name:"readers" (fun () ->
-           sleep 60;
-           read_r0 :=
-             Registers.Outcome.to_option (Registers.Swmr.read r0);
-           read_r1 :=
-             Registers.Outcome.to_option (Registers.Swmr.read r1)))
-  | `Write_back ->
-    let w =
-      Registers.Swmr_wb.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 ()
-    in
-    let r0 =
-      Registers.Swmr_wb.reader ~net ~client_id:200 ~base_inst:0
-        ~reader_index:0 ()
-    in
-    let r1 =
-      Registers.Swmr_wb.reader ~net ~client_id:201 ~base_inst:0
-        ~reader_index:1 ()
-    in
-    ignore
-      (Sim.Fiber.spawn ~name:"writer" (fun () ->
-           ignore (Registers.Swmr_wb.write w v1);
-           ignore (Registers.Swmr_wb.write w v2)));
-    ignore
-      (Sim.Fiber.spawn ~name:"readers" (fun () ->
-           sleep 60;
-           read_r0 :=
-             Registers.Outcome.to_option (Registers.Swmr_wb.read r0);
-           read_r1 :=
-             Registers.Outcome.to_option (Registers.Swmr_wb.read r1))));
-  Sim.Engine.run ~until:(Sim.Vtime.of_int (far / 2)) engine;
+  let jobs write read0 read1 =
+    [
+      ( "writer",
+        fun () ->
+          ignore (write v1);
+          ignore (write v2) );
+      ( "readers",
+        fun () ->
+          Scenario.sleep scn 60;
+          read_r0 := Registers.Outcome.to_option (read0 ());
+          read_r1 := Registers.Outcome.to_option (read1 ()) );
+    ]
+  in
+  ignore
+    (Scenario.run_jobs ~until:(Sim.Vtime.of_int (Script.far / 2)) scn
+       (match kind with
+       | `Paper ->
+         let module S = Registers.Swmr in
+         let w = S.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 () in
+         let r0 = S.reader ~net ~client_id:200 ~base_inst:0 ~reader_index:0 () in
+         let r1 = S.reader ~net ~client_id:201 ~base_inst:0 ~reader_index:1 () in
+         jobs (S.write w) (fun () -> S.read r0) (fun () -> S.read r1)
+       | `Write_back ->
+         let module S = Registers.Swmr_wb in
+         let w = S.writer ~net ~client_id:100 ~base_inst:0 ~readers:2 () in
+         let r0 = S.reader ~net ~client_id:200 ~base_inst:0 ~reader_index:0 () in
+         let r1 = S.reader ~net ~client_id:201 ~base_inst:0 ~reader_index:1 () in
+         jobs (S.write w) (fun () -> S.read r0) (fun () -> S.read r1)));
   let inversion =
     match (!read_r0, !read_r1) with
     | Some a, Some b ->

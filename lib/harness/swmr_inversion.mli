@@ -8,7 +8,9 @@
     a late copy still returns the old one — per-reader atomicity holds but
     cross-reader atomicity does not.  {!run} builds the schedule exhibiting
     this ([`Paper]) and shows {!Registers.Swmr_wb}'s classical reader
-    write-back removing it ([`Write_back]).  Experiment E13. *)
+    write-back removing it ([`Write_back]).  The schedule is a
+    {!Scenario} whose [link_delay] scripts the writer's (client 100)
+    request links by their endpoints.  Experiment E13. *)
 
 type outcome = {
   read_r0 : Registers.Value.t option;

@@ -1,6 +1,8 @@
 exception Out_of_budget
 
-let check ?(initial = Registers.Value.bot) ?(max_steps = 2_000_000) h =
+let max_steps = 2_000_000
+
+let check h =
   let ops = Array.of_list (History.ops h) in
   let n = Array.length ops in
   (* precedes.(i).(j): op i responded before op j was invoked. *)
@@ -55,6 +57,6 @@ let check ?(initial = Registers.Value.bot) ?(max_steps = 2_000_000) h =
       !ok
     end
   in
-  match go 0 initial with
+  match go 0 Registers.Value.bot with
   | result -> Some result
   | exception Out_of_budget -> None

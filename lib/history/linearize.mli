@@ -3,7 +3,7 @@
     Searches for a total order of the operations that (a) respects real
     time (an operation that responded before another was invoked comes
     first) and (b) makes every read return the value of the latest
-    preceding write (or [initial] if none precedes it).
+    preceding write (or [Bot] if none precedes it).
 
     Exponential in the worst case — intended for cross-validating the
     polynomial oracles ({!Atomicity.Sw}, {!Atomicity.Mw}) on histories of
@@ -12,9 +12,7 @@
     op that real-time-precedes them), which prunes aggressively on the
     mostly-sequential histories the simulator produces. *)
 
-val check :
-  ?initial:Registers.Value.t -> ?max_steps:int -> History.t -> bool option
+val check : History.t -> bool option
 (** [check h] is [Some true] if a linearization exists, [Some false] if
-    provably none does, or [None] if the search exceeded [max_steps]
-    (default 2_000_000) DFS steps. [initial] (default [Bot]) is the value
-    reads may return before any write is linearized. *)
+    provably none does, or [None] if the search exceeded 2,000,000 DFS
+    steps.  Reads linearized before any write must return [Bot]. *)

@@ -47,7 +47,7 @@ let lint_parsed ~env ~rules ~scope ~file ~source ast =
         check env ctx ast
       | Rule.Ast _ | Rule.Global _ | Rule.Tree _ -> ())
     rules;
-  let spans = Suppress.collect ~source ast in
+  let spans = Suppress.collect source in
   let findings, suppressed, unused =
     Suppress.filter ~active:!active spans
       (List.sort_uniq Finding.compare !acc)
@@ -55,20 +55,12 @@ let lint_parsed ~env ~rules ~scope ~file ~source ast =
   let unused_findings =
     List.map
       (fun ((s : Suppress.span), rule) ->
-        let range =
-          if s.Suppress.end_line = max_int then "the whole file"
-          else if s.Suppress.end_line = s.Suppress.start_line then
-            Printf.sprintf "line %d" s.Suppress.start_line
-          else
-            Printf.sprintf "lines %d-%d" s.Suppress.start_line
-              s.Suppress.end_line
-        in
-        Finding.v ~file ~line:s.Suppress.start_line ~col:0
-          ~rule:suppress_rule_id ~severity:Finding.Warning
+        Finding.v ~file ~line:s.Suppress.line ~col:0 ~rule:suppress_rule_id
+          ~severity:Finding.Warning
           (Printf.sprintf
-             "suppression for %s covering %s matches no finding; remove \
-              the stale [@lint.allow]/pragma"
-             rule range))
+             "suppression for %s covering line %d matches no finding; \
+              remove the stale pragma"
+             rule s.Suppress.line))
       unused
   in
   {

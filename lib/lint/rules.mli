@@ -37,10 +37,8 @@
     - {b R5 mli-coverage}: every [.ml] under [lib/] must have a sibling
       [.mli].
 
-    Every rule is suppressible at the site with
-    [[@lint.allow "R<n>"]] / [[@@lint.allow "R<n>"]] /
-    [[@@@lint.allow "R<n>"]] or a [(* lint: allow R<n> *)] line pragma;
-    see {!Suppress}. *)
+    Every rule is suppressible at the site with a
+    [(* lint: allow R<n> *)] line pragma; see {!Suppress}. *)
 
 val r1 : Rule.t
 

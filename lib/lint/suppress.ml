@@ -1,74 +1,4 @@
-open Parsetree
-
-type span = { rules : string list; start_line : int; end_line : int }
-
-let attr_name = "lint.allow"
-
-let split_ids s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char ',')
-  |> List.filter (fun t -> not (String.equal t ""))
-
-let rules_of_payload = function
-  | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] ->
-    let rec strings e =
-      match e.pexp_desc with
-      | Pexp_constant (Pconst_string (s, _, _)) -> split_ids s
-      | Pexp_tuple es -> List.concat_map strings es
-      (* [@lint.allow "R1" "R2"] parses as an application of the first
-         string to the rest; walk both sides *)
-      | Pexp_apply (f, args) ->
-        strings f @ List.concat_map (fun (_, a) -> strings a) args
-      | _ -> []
-    in
-    strings e
-  | _ -> []
-
-let rules_of_attrs attrs =
-  List.concat_map
-    (fun a ->
-      if String.equal a.attr_name.txt attr_name then
-        rules_of_payload a.attr_payload
-      else [])
-    attrs
-
-let span_of_loc rules (loc : Location.t) =
-  {
-    rules;
-    start_line = loc.loc_start.pos_lnum;
-    end_line = loc.loc_end.pos_lnum;
-  }
-
-let collect_attr_spans structure =
-  let spans = ref [] in
-  let note rules loc = if rules <> [] then spans := span_of_loc rules loc :: !spans in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      structure_item =
-        (fun it si ->
-          (match si.pstr_desc with
-           | Pstr_attribute a ->
-             (* floating [@@@lint.allow ...]: whole file *)
-             let rules = rules_of_attrs [ a ] in
-             if rules <> [] then
-               spans := { rules; start_line = 1; end_line = max_int } :: !spans
-           | _ -> ());
-          Ast_iterator.default_iterator.structure_item it si);
-      value_binding =
-        (fun it vb ->
-          note (rules_of_attrs vb.pvb_attributes) vb.pvb_loc;
-          Ast_iterator.default_iterator.value_binding it vb);
-      expr =
-        (fun it e ->
-          note (rules_of_attrs e.pexp_attributes) e.pexp_loc;
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.structure it structure;
-  !spans
-
-(* --- line pragmas ---------------------------------------------------- *)
+type span = { rules : string list; line : int }
 
 (* Find [lint: allow <ids>] inside a source line; ids stop at a "--"
    token, a comment-close token or end of line. *)
@@ -99,25 +29,19 @@ let pragma_rules line =
       keep ids
     | _ -> [])
 
-let collect_pragma_spans source =
+let collect source =
   let lines = String.split_on_char '\n' source in
   List.mapi
     (fun i line ->
       match pragma_rules line with
       | [] -> None
-      | rules -> Some { rules; start_line = i + 1; end_line = i + 1 })
+      | rules -> Some { rules; line = i + 1 })
     lines
   |> List.filter_map Fun.id
 
-let collect ~source structure =
-  collect_attr_spans structure @ collect_pragma_spans source
-
 let covered spans (f : Finding.t) =
   List.exists
-    (fun s ->
-      List.mem f.Finding.rule s.rules
-      && s.start_line <= f.Finding.line
-      && f.Finding.line <= s.end_line)
+    (fun s -> s.line = f.Finding.line && List.mem f.Finding.rule s.rules)
     spans
 
 let filter ?(active = []) spans findings =
@@ -130,9 +54,7 @@ let filter ?(active = []) spans findings =
   let used s rule =
     List.exists
       (fun (f : Finding.t) ->
-        String.equal f.Finding.rule rule
-        && s.start_line <= f.Finding.line
-        && f.Finding.line <= s.end_line)
+        String.equal f.Finding.rule rule && f.Finding.line = s.line)
       findings
   in
   let unused =

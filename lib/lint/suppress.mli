@@ -1,26 +1,17 @@
 (** Explicit, carried-in-source finding suppression.
 
-    Two forms, both naming the rule id so a suppression is always a
-    visible, reviewable decision:
+    One form, naming the rule id so a suppression is always a visible,
+    reviewable decision: a comment containing [lint: allow R1 R4]
+    suppresses the named rules on that source line.  Anything after [--]
+    in the pragma is free-text rationale.  Findings a pragma does not
+    name, or on other lines, are kept; a finding that cannot be fixed at
+    the site goes into [lint-baseline.json] instead. *)
 
-    - attributes: [[@lint.allow "R1"]] on an expression,
-      [[@@lint.allow "R1 R4"]] on a binding, or a floating
-      [[@@@lint.allow "R2"]] covering the whole file.  The payload is
-      one or more strings of space/comma-separated rule ids
-      ([[@lint.allow "R1" "R2"]] works too).
-    - line pragmas: a comment containing [lint: allow R1 R4] suppresses
-      the named rules on that source line.  Anything after [--] in the
-      pragma is free-text rationale.
+type span = { rules : string list; line : int }
+(** One pragma: the rule ids it names and the line it covers. *)
 
-    A suppression span covers the source lines of the node (or line) it
-    is attached to; findings inside a span for a named rule are dropped
-    and counted. *)
-
-type span = { rules : string list; start_line : int; end_line : int }
-
-val collect : source:string -> Parsetree.structure -> span list
-(** All suppression spans of one file: attribute spans from the AST plus
-    pragma spans from the raw source. *)
+val collect : string -> span list
+(** All pragmas of one file's source text. *)
 
 val filter :
   ?active:string list ->

@@ -16,6 +16,9 @@ type medium =
   | Reliable_fifo
   | Stabilizing of { loss : float; dup : float }
 
+type link_delay =
+  client:int -> server:int -> to_server:bool -> Sim.Rng.t -> Sim.Link.sampler
+
 type client_port = {
   client_id : int;
   mailbox : Messages.client_envelope Sim.Mailbox.t;
@@ -32,7 +35,7 @@ type t = {
   endpoints : endpoint array;
   mutable correct : bool array; (* by server slot *)
   mutable ports : (int * client_port) list; (* ascending by client id *)
-  link_delay : Sim.Rng.t -> Sim.Link.sampler;
+  link_delay : link_delay;
   (* Per-message-class traffic accounting, indexed by
      [Obs.Event.class_index]; the refs are resolved once here so the send
      path never hashes a counter name. *)
@@ -155,7 +158,10 @@ let add_client t ~id =
     let retry_rng =
       Sim.Rng.create (t.params.Params.retry.jitter_seed + (1_000_003 * id))
     in
-    let mk_sampler () = t.link_delay (Sim.Rng.split (Sim.Engine.rng t.engine)) in
+    let mk_sampler s ~to_server =
+      t.link_delay ~client:id ~server:s ~to_server
+        (Sim.Rng.split (Sim.Engine.rng t.engine))
+    in
     let receive env =
       record_ack_recv t ~client:id env;
       Sim.Mailbox.push mailbox env
@@ -169,12 +175,15 @@ let add_client t ~id =
       | Reliable_fifo ->
         let to_servers =
           Array.init n (fun s ->
-              Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ())
+              Sim.Link.create ~engine:t.engine
+                ~delay:(mk_sampler s ~to_server:true)
                 ~deliver:(fun env -> t.endpoints.(s).on_deliver env))
         in
         let from_servers =
-          Array.init n (fun _ ->
-              Sim.Link.create ~engine:t.engine ~delay:(mk_sampler ()) ~deliver:receive)
+          Array.init n (fun s ->
+              Sim.Link.create ~engine:t.engine
+                ~delay:(mk_sampler s ~to_server:false)
+                ~deliver:receive)
         in
         Fifo { to_servers; from_servers }
       | Stabilizing { loss; dup } ->
@@ -182,7 +191,7 @@ let add_client t ~id =
         let to_servers =
           Array.init n (fun s ->
               Ss_transport.create ~engine:t.engine ~rng:(rng ())
-                ~delay:(mk_sampler ()) ~loss ~dup
+                ~delay:(mk_sampler s ~to_server:true) ~loss ~dup
                 ~classify:(fun (env : Messages.server_envelope) ->
                   Messages.class_of_to_server env.body)
                 ~name:(link_name "c" id "=>s" s)
@@ -192,7 +201,7 @@ let add_client t ~id =
         let reply_senders =
           Array.init n (fun s ->
               Ss_transport.create ~engine:t.engine ~rng:(rng ())
-                ~delay:(mk_sampler ()) ~loss ~dup
+                ~delay:(mk_sampler s ~to_server:false) ~loss ~dup
                 ~classify:(fun (env : Messages.client_envelope) ->
                   Messages.class_of_to_client env.body)
                 ~name:(link_name "s" s "=>c" id)

@@ -23,8 +23,13 @@
     servers are currently Byzantine substitutes for the bounded-capacity
     data-link construction of footnote 3, whose executable model lives in
     [stabreg.datalink] (module [Alt_bit]) and is validated separately:
-    registers only rely on the six abstract properties, which this module
-    provides verbatim.
+    registers only rely on the six abstract properties.  The
+    [Reliable_fifo] medium provides them verbatim.  The [Stabilizing]
+    medium provides them only while its transports' tag state is
+    consistent: after a transient fault a transport can acknowledge a
+    message it never delivered, and the broadcast then counts a delivery
+    that did not happen (see {!Ss_transport} and ROADMAP's data-link
+    item).
 
     The per-port [round] tag matches acknowledgments to broadcasts (the
     §3.1 remark: FIFO makes protocol-level sequence numbers unnecessary;
@@ -66,15 +71,24 @@ type client_port = private {
 
 type t
 
+type link_delay =
+  client:int -> server:int -> to_server:bool -> Sim.Rng.t -> Sim.Link.sampler
+(** A delay sampler for the directed link between client [client] and
+    server [server], towards the server when [to_server], built from a
+    generator split off the engine's.  {!add_client} calls it once per
+    link of a new port, with the port's client id: the [n] to-server
+    links in server order, then the [n] from-server links in server
+    order, under either medium.  Every seeded artifact depends on that
+    order, since each call splits the engine's generator. *)
+
 val create :
   engine:Sim.Engine.t ->
   params:Params.t ->
   ?medium:medium ->
-  link_delay:(Sim.Rng.t -> Sim.Link.sampler) ->
+  link_delay:link_delay ->
   unit ->
   t
-(** [link_delay] builds a delay sampler per directed link from a split
-    generator; in sync mode it must respect the mode's [max_delay] for
+(** In sync mode [link_delay] must respect the mode's [max_delay] for
     links touching correct processes.  [medium] defaults to
     [Reliable_fifo]. *)
 

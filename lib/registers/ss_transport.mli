@@ -18,12 +18,18 @@
     on a tag it has seen rejected [3] times in a row (only the sender's
     live retransmissions repeat that persistently).
 
-    Self-stabilization contract: transient corruption of either side's tag
-    state, or of the packets in flight, causes at most a bounded number of
-    anomalous deliveries (loss, duplication or reordering of a few
-    messages) before the link is again FIFO/exactly-once — and the
-    register protocols tolerate exactly that class of anomaly (corrupted
-    link state is part of their fault model). *)
+    After transient corruption of either side's tag state, or of the
+    packets in flight, the link returns to FIFO/exactly-once delivery
+    once the tags agree again, but meanwhile it may lose, duplicate or
+    reorder messages.  There is no stabilization argument for this
+    design, and the register protocols do not tolerate every such
+    anomaly: when a fault leaves the sender's next tag equal to the
+    receiver's last delivered tag, the receiver takes the next message
+    for a duplicate, acknowledges it without delivering it, and the
+    message is lost for good.  A lost WRITE wedges the writer of
+    Figs. 2/3 under [Params.paper_wait], which never re-sends (ROADMAP's
+    data-link item, trial 13 of [chaos --family atomic --medium lossy
+    --seed 1 --trials 40]). *)
 
 type 'm t
 
@@ -55,9 +61,12 @@ val set_dup : 'm t -> float -> unit
 (** Runtime chaos knob for the duplication probability of both media. *)
 
 val send : 'm t -> ?on_delivered:(unit -> unit) -> 'm -> unit
-(** Queue a message.  [on_delivered] fires when the sender learns (from
-    the acknowledgment) that the receiver delivered it — strictly after
-    the delivery itself. *)
+(** Queue a message.  [on_delivered] fires when an acknowledgment
+    echoing the message's tag returns.  While the two sides' tag state is
+    consistent that is strictly after the receiver delivered the
+    message; after a transient fault it can fire for a message the
+    receiver acknowledged as a duplicate and never delivered (see the
+    module doc). *)
 
 val pending : 'm t -> int
 (** Messages queued or in transfer. *)

@@ -81,8 +81,6 @@ let shard_of t key =
   let _, s = t.points.(successor t h) in
   s
 
-let add_shard t = create ~seed:t.seed ~shards:(t.shards + 1) ~vnodes:t.vnodes
-
 let spread t keys =
   let counts = Array.make t.shards 0 in
   List.iter

@@ -6,9 +6,10 @@
     index) — splitmix64-finalized, platform-independent — so:
 
     - the same (seed, shards, vnodes) always yields the same placement;
-    - {!add_shard} adds only the new shard's points and moves nothing
-      else, so a key either keeps its shard or moves to the new one
-      (minimal remap, ~K/S keys);
+    - a ring of [S + 1] shards has every point of the ring of [S]
+      shards (same seed and vnodes) plus the new shard's, so a key
+      either keeps its shard or moves to the new one (minimal remap,
+      ~K/S keys);
     - with enough virtual nodes, key load balances across shards.
 
     All orderings use [Int.compare]; no polymorphic compare. *)
@@ -26,9 +27,6 @@ val seed : t -> int
 
 val shard_of : t -> string -> int
 (** The shard owning a key. *)
-
-val add_shard : t -> t
-(** The same ring grown by one shard: existing points are untouched. *)
 
 val points : t -> (int * int) array
 (** A copy of the sorted [(position, shard)] point array (for tests). *)

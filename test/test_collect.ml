@@ -15,7 +15,7 @@ let setup ?(n = 9) ?(f = 1) ?(honest = 9) ?(seed = 5) () =
     Params.create_exn ~retry:Params.default_retry ~n ~f ~mode:Params.Async ()
   in
   let net =
-    Net.create ~engine ~params ~link_delay:(fun rng ->
+    Net.create ~engine ~params ~link_delay:(fun ~client:_ ~server:_ ~to_server:_ rng ->
         Sim.Link.uniform rng ~lo:1 ~hi:10) ()
   in
   for i = 0 to honest - 1 do
@@ -135,7 +135,7 @@ let paper_net ~mode ~n ~f ~honest =
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
   let params = Params.create_exn ~retry:Params.paper_wait ~n ~f ~mode () in
   let net =
-    Net.create ~engine ~params ~link_delay:(fun rng ->
+    Net.create ~engine ~params ~link_delay:(fun ~client:_ ~server:_ ~to_server:_ rng ->
         Sim.Link.uniform rng ~lo:1 ~hi:10) ()
   in
   for i = 0 to honest - 1 do

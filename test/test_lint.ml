@@ -92,24 +92,14 @@ let test_scoping () =
 
 (* --- suppression ------------------------------------------------------ *)
 
-let test_allow_attribute () =
-  let r = fixture ~display:"lib/sim/allow_attr.ml" "allow_attr.ml" in
-  finding_list "only the unsuppressed site" [ ("R1", 7) ] (rule_lines r);
-  check_int "suppressed count" 3 r.Lint.Driver.suppressed
-
 let test_allow_pragma () =
   let r = fixture ~display:"lib/sim/allow_pragma.ml" "allow_pragma.ml" in
   finding_list "pragma covers its line only" [ ("R1", 5) ] (rule_lines r);
   check_int "suppressed count" 1 r.Lint.Driver.suppressed
 
-let test_file_allow () =
-  let r = fixture ~display:"lib/sim/file_allow.ml" "file_allow.ml" in
-  finding_list "other rules still fire" [ ("R4", 9) ] (rule_lines r);
-  check_int "suppressed count" 2 r.Lint.Driver.suppressed
-
 let test_multi_rule_payload () =
-  (* [@@lint.allow "R1" "R4"] — several rule ids in one payload — must
-     suppress both rules on the binding. *)
+  (* [lint: allow R1 R4] — several rule ids in one pragma — must
+     suppress both rules on its line. *)
   let r = fixture ~display:"lib/sim/multi_allow.ml" "multi_allow.ml" in
   finding_list "only the unsuppressed trailing sites"
     [ ("R1", 7); ("R4", 9) ]
@@ -296,9 +286,7 @@ let tests =
     case "R3 no-wildcard-message-match fixture" test_r3_fixture;
     case "R4 no-partial-functions fixture" test_r4_fixture;
     case "rules are library-scoped" test_scoping;
-    case "[@@lint.allow] suppresses" test_allow_attribute;
     case "line pragma suppresses" test_allow_pragma;
-    case "[@@@lint.allow] covers the file" test_file_allow;
     case "several rule ids in one payload" test_multi_rule_payload;
     case "pragma on the file's final line" test_final_line_pragma;
     case "unused suppression reported" test_unused_suppression_reported;

@@ -394,7 +394,7 @@ let recording_net ?medium () =
   let params = Params.create_exn ~n:9 ~f:1 ~mode:Params.Async () in
   let net =
     Net.create ~engine ~params ?medium
-      ~link_delay:(fun rng -> Sim.Link.uniform rng ~lo:1 ~hi:10)
+      ~link_delay:(fun ~client:_ ~server:_ ~to_server:_ rng -> Sim.Link.uniform rng ~lo:1 ~hi:10)
       ()
   in
   let got = Array.make 9 [] in

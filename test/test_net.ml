@@ -6,7 +6,7 @@ let setup ?(n = 9) ?(f = 1) ?(seed = 5) () =
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
   let params = Params.create_exn ~n ~f ~mode:Params.Async () in
   let net =
-    Net.create ~engine ~params ~link_delay:(fun rng ->
+    Net.create ~engine ~params ~link_delay:(fun ~client:_ ~server:_ ~to_server:_ rng ->
         Sim.Link.uniform rng ~lo:1 ~hi:10) ()
   in
   (engine, net)
@@ -103,6 +103,45 @@ let test_correctness_ground_truth () =
   check_false "3 byzantine" (Net.is_correct net 3);
   check_true "others fine" (Net.is_correct net 2)
 
+(* Every seeded artifact depends on the order in which a new port asks
+   for its link samplers, each from the next split of the engine's
+   generator: one call per (server, direction) with the port's client id,
+   the to-server links first in server order, then the from-server links,
+   under both media.  An existing port builds nothing. *)
+let test_link_delay_order () =
+  let links id =
+    List.init 9 (fun s -> (id, s, true)) @ List.init 9 (fun s -> (id, s, false))
+  in
+  List.iter
+    (fun (label, medium) ->
+      let calls = ref [] and draws = ref [] in
+      let engine = Sim.Engine.create ~rng:(Sim.Rng.create 5) () in
+      let params = Params.create_exn ~n:9 ~f:1 ~mode:Params.Async () in
+      let net =
+        Net.create ~engine ~params ~medium
+          ~link_delay:(fun ~client ~server ~to_server rng ->
+            calls := (client, server, to_server) :: !calls;
+            draws := Sim.Rng.int rng 1_000_000 :: !draws;
+            Sim.Link.fixed 1)
+          ()
+      in
+      List.iter (fun id -> ignore (Net.add_client net ~id)) [ 7; 3; 7 ];
+      Alcotest.(check (list (triple int int bool)))
+        (label ^ ": one call per link, in build order")
+        (links 7 @ links 3) (List.rev !calls);
+      match medium with
+      | Net.Reliable_fifo ->
+        let twin = Sim.Rng.create 5 in
+        Alcotest.(check (list int))
+          (label ^ ": the k-th call gets the k-th split")
+          (List.init 36 (fun _ -> Sim.Rng.int (Sim.Rng.split twin) 1_000_000))
+          (List.rev !draws)
+      | Net.Stabilizing _ -> ())
+    [
+      ("fifo", Net.Reliable_fifo);
+      ("stabilizing", Net.Stabilizing { loss = 0.; dup = 0. });
+    ]
+
 let tests =
   [
     case "broadcast reaches all" test_broadcast_reaches_all_servers;
@@ -113,4 +152,5 @@ let tests =
     case "add_client idempotent" test_add_client_idempotent;
     case "honest round trip" test_honest_server_round_trip;
     case "correctness ground truth" test_correctness_ground_truth;
+    case "ports build links in one order" test_link_delay_order;
   ]

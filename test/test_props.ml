@@ -64,7 +64,7 @@ let run_swsr_atomic_heavy_tail (seed, n, f, strategies, gap_hi, writes, reads) =
   let engine = Sim.Engine.create ~rng:(Sim.Rng.split rng) () in
   let net =
     Net.create ~engine ~params
-      ~link_delay:(fun rng ->
+      ~link_delay:(fun ~client:_ ~server:_ ~to_server:_ rng ->
         Sim.Link.bimodal rng ~fast:(1, 5) ~slow:(40, 90) ~slow_probability:0.15)
       ()
   in

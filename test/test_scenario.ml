@@ -68,14 +68,26 @@ let test_sleep_advances_time () =
   check_int "slept" 123 !woke
 
 let test_sync_delay_validation () =
+  let params =
+    Params.create_exn ~n:4 ~f:1 ~mode:(Params.Sync { max_delay = 5; slack = 1 }) ()
+  in
+  (* A scripted link is checked as it draws: the writer's first broadcast
+     draws a delay on every request link. *)
+  let write ~slow =
+    let scn =
+      Harness.Scenario.create ~params
+        ~link_delay:(fun ~client:_ ~server ~to_server:_ _rng ->
+          Sim.Link.fixed (if server = 2 then slow else 5))
+        ()
+    in
+    let w = Swsr_regular.writer ~net:scn.Harness.Scenario.net ~client_id:100 ~inst:0 in
+    Harness.Scenario.run_jobs scn
+      [ ("w", fun () -> ignore (Swsr_regular.write w (int_value 1))) ]
+  in
+  Alcotest.(check (list string)) "delays within max_delay run" [] (write ~slow:5);
   Alcotest.check_raises "delays beyond max_delay rejected"
     (Invalid_argument "Scenario.create: sync delays exceed the model's max_delay")
-    (fun () ->
-      let params =
-        Params.create_exn ~n:4 ~f:1
-          ~mode:(Params.Sync { max_delay = 5; slack = 1 }) ()
-      in
-      ignore (Harness.Scenario.create ~delay:(1, 50) ~params ()))
+    (fun () -> ignore (write ~slow:50))
 
 let test_message_accounting () =
   let scn = async_scenario () in

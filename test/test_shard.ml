@@ -46,8 +46,7 @@ let test_ring_balance () =
 
 let test_ring_minimal_remap () =
   let r4 = Shard.Ring.create ~seed:11 ~shards:4 ~vnodes:32 in
-  let r5 = Shard.Ring.add_shard r4 in
-  check_int "one more shard" 5 (Shard.Ring.shards r5);
+  let r5 = Shard.Ring.create ~seed:11 ~shards:5 ~vnodes:32 in
   let keys = sample_keys 256 in
   let moved =
     List.filter
@@ -231,7 +230,7 @@ let tests =
     case "ring: deterministic placement" test_ring_deterministic;
     case "ring: seed changes placement" test_ring_seed_matters;
     case "ring: balance with vnodes" test_ring_balance;
-    case "ring: minimal remap on add_shard" test_ring_minimal_remap;
+    case "ring: minimal remap 4 -> 5" test_ring_minimal_remap;
     case "ring: validation" test_ring_validation;
     case "zipf: skew and range" test_zipf_skew_and_range;
     case "zipf: uniform at theta 0" test_zipf_uniform_at_theta_zero;

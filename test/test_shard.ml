@@ -44,6 +44,8 @@ let test_ring_balance () =
         (c <= 3 * (512 / 4)))
     hist
 
+(* Adding a shard: the ring of 5 shards is the ring of 4 with shard 4's
+   points added, so only keys that land on shard 4 may move. *)
 let test_ring_minimal_remap () =
   let r4 = Shard.Ring.create ~seed:11 ~shards:4 ~vnodes:32 in
   let r5 = Shard.Ring.create ~seed:11 ~shards:5 ~vnodes:32 in
@@ -230,7 +232,7 @@ let tests =
     case "ring: deterministic placement" test_ring_deterministic;
     case "ring: seed changes placement" test_ring_seed_matters;
     case "ring: balance with vnodes" test_ring_balance;
-    case "ring: minimal remap 4 -> 5" test_ring_minimal_remap;
+    case "ring: minimal remap on add_shard" test_ring_minimal_remap;
     case "ring: validation" test_ring_validation;
     case "zipf: skew and range" test_zipf_skew_and_range;
     case "zipf: uniform at theta 0" test_zipf_uniform_at_theta_zero;
